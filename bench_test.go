@@ -12,6 +12,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/budget"
 	"repro/internal/estimate"
@@ -974,6 +975,80 @@ func BenchmarkIngest(b *testing.B) {
 				}
 			}
 			reportTuples(b, n)
+		})
+	}
+}
+
+// BenchmarkEpochAssembly isolates the serial prefix of an epoch — everything
+// between "the watermark reached t1" and "the cell shards fan out" on the
+// ingest side: QueueSource.Acquire detaching the due tuples, ordering them
+// per attribute by (T, ID) and grouping them into batches. Only Acquire is
+// timed (the pushes that fill the queue are not); ns/tuple is the tracked
+// figure. The shapes are the end-to-end benchmark's: 16384 tuples of one
+// attribute arriving as 64 frames (ingest_flood), 4096 tuples alternating
+// between two attributes in one frame (epoch_fanout), the same spread over
+// eight attributes, and a single-attribute epoch that arrives already in
+// (T, ID) order. Event times are thousandths of the epoch in random order
+// with ascending IDs, as the benchmark's corpus generates them.
+func BenchmarkEpochAssembly(b *testing.B) {
+	region := geom.NewRect(0, 0, 8, 8)
+	attrs := []string{"rain", "temp", "wind", "co2", "no2", "pm10", "pm25", "o3"}
+	for _, shape := range []struct {
+		name             string
+		n, frames, attrs int
+		presorted        bool
+	}{
+		{"16384x1attr", 16384, 64, 1, false},
+		{"4096x2attr", 4096, 1, 2, false},
+		{"4096x8attr", 4096, 1, 8, false},
+		{"presorted", 4096, 1, 1, true},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			q := ingest.NewQueue(ingest.Config{Buffer: 4 * shape.n, Region: region})
+			src, err := ingest.NewQueueSource(q, region)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRNG(21)
+			tuples := make([]stream.Tuple, shape.n)
+			frac := make([]float64, shape.n)
+			for i := range tuples {
+				frac[i] = float64(rng.Intn(1000)) / 1000
+				if shape.presorted {
+					frac[i] = float64(i) / float64(shape.n)
+				}
+				tuples[i] = stream.Tuple{
+					Attr: attrs[i%shape.attrs],
+					X:    rng.Float64() * 8, Y: rng.Float64() * 8, Value: 1, Sensor: -1,
+				}
+			}
+			perFrame := shape.n / shape.frames
+			var busy time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				epoch := float64(i + 1)
+				for j := range tuples {
+					tuples[j].ID = uint64(i*shape.n + j + 1)
+					tuples[j].T = epoch + frac[j]
+				}
+				for f := 0; f < shape.frames; f++ {
+					wm := math.NaN()
+					if f == shape.frames-1 {
+						wm = epoch + 1
+					}
+					if _, err := q.Push(tuples[f*perFrame:(f+1)*perFrame], wm); err != nil {
+						b.Fatal(err)
+					}
+				}
+				start := time.Now()
+				out, err := src.Acquire(epoch, epoch+1)
+				busy += time.Since(start)
+				if err != nil || len(out) != shape.attrs {
+					b.Fatalf("Acquire = %d attrs, %v", len(out), err)
+				}
+			}
+			b.ReportMetric(float64(busy.Nanoseconds())/float64(b.N*shape.n), "ns/tuple")
 		})
 	}
 }

@@ -809,7 +809,24 @@ func (s *ResultStream) connect() error {
 	s.body = resp.Body
 	s.sc = bufio.NewScanner(resp.Body)
 	s.sc.Buffer(make([]byte, 64<<10), 8<<20)
+	s.sc.Split(scanWholeLines)
 	return nil
+}
+
+// scanWholeLines is bufio.ScanLines minus its end-of-input rule: a final
+// fragment with no newline is discarded, not returned. The server ends
+// every ndjson record with '\n', so an unterminated tail is a record torn
+// by a dying connection — parsing it would fail (or, worse, succeed on a
+// truncated number); dropping it lets Next reconnect from the cursor and
+// read the record whole.
+func scanWholeLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, bytes.TrimSuffix(data[:i], []byte{'\r'}), nil
+	}
+	if atEOF {
+		return len(data), nil, nil
+	}
+	return 0, nil, nil
 }
 
 // Next returns the next tuple. Tuples evicted before delivery are counted

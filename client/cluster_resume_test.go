@@ -19,7 +19,8 @@ import (
 // handoff: the result stream's connection dies mid-flight (the owning
 // node was killed), the gateway answers 503 while the new owner replays
 // the WAL, and Next transparently reconnects from the exact cursor —
-// every tuple delivered once, none dropped, none duplicated.
+// every tuple delivered once, none dropped, none duplicated, and a record
+// the dying connection cut in half is read again whole.
 func TestStreamResultsResumesAcrossHandoff(t *testing.T) {
 	var mu sync.Mutex
 	var cursors []uint64
@@ -42,6 +43,10 @@ func TestStreamResultsResumesAcrossHandoff(t *testing.T) {
 			for i := 2; i < 5; i++ {
 				fmt.Fprintf(w, `{"id":%d,"attr":"co2","value":%d}`+"\n", i, 100+i)
 			}
+			// The kill tears tuple 5 mid-record: no newline ever arrives.
+			// The fragment must be discarded, not parsed — the resume at
+			// cursor 5 delivers the record whole.
+			fmt.Fprint(w, `{"id":5,"attr":"co2","val`)
 			w.(http.Flusher).Flush()
 			panic(http.ErrAbortHandler)
 		case 1:

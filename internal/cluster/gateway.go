@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -417,16 +418,34 @@ func (g *Gateway) nodeDurable(ctx context.Context, base string) ([]string, error
 }
 
 // Reconcile converges session placement onto the current healthy set: it
-// rebuilds the ring, releases sessions live on nodes the ring no longer
-// assigns them to, and recovers durable sessions missing from their
-// owner by WAL replay. Sessions mid-move are marked pending — the router
-// answers 503 + Retry-After for them until the move completes — so a
-// request can never interleave with a handoff and reach two engines.
-// Safe to call concurrently; passes single-flight.
+// builds the candidate ring, discovers which sessions that ring displaces,
+// and only then publishes ring, node URLs and the pending set together —
+// so the router never sees the new ring without the displaced sessions
+// already marked pending. Until that publication requests keep routing by
+// the old ring (a dead owner answers a retryable 503 through the proxy's
+// error handler); after it, sessions mid-move answer 503 + Retry-After
+// until released on the nodes that lost them and recovered on their owner
+// by WAL replay, so a request can never interleave with a handoff and
+// reach two engines, nor reach an owner that has not replayed the session
+// yet.
+//
+// A pass that changed the ring's membership is followed by a second one at
+// once: a session created while the first was discovering was routed by the
+// old ring, possibly to a node whose list had already been read, and the
+// second pass (same ring, fresh lists) finds it misplaced and moves it
+// instead of leaving it unreachable until the next tick. Safe to call
+// concurrently; passes single-flight.
 func (g *Gateway) Reconcile(ctx context.Context) {
 	g.reconcileMu.Lock()
 	defer g.reconcileMu.Unlock()
+	if g.reconcilePass(ctx) {
+		g.reconcilePass(ctx)
+	}
+}
 
+// reconcilePass is one discover–publish–move pass; it reports whether the
+// ring it published has different members than the one it replaced.
+func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 	healthy := g.pool.Healthy()
 	names := make([]string, 0, len(healthy))
 	urls := make(map[string]string, len(healthy))
@@ -435,13 +454,6 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 		urls[n.Name] = n.URL
 	}
 	ring := BuildRing(names, g.cfg.VirtualNodes)
-	g.mu.Lock()
-	g.ring = ring
-	g.nodeURL = urls
-	g.mu.Unlock()
-	if len(healthy) == 0 {
-		return
-	}
 
 	// The durability volume is shared, so any node's answer covers the
 	// cluster — but take the union anyway in case a deployment gives each
@@ -474,65 +486,80 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 		}
 	}
 
+	// The move set, against the candidate ring.
+	type move struct {
+		session, owner string
+		misplaced      []string // nodes to release the session on, sorted
+		ownerLive      bool
+	}
 	sessions := make([]string, 0, len(all))
 	for s := range all {
 		sessions = append(sessions, s)
 	}
 	sort.Strings(sessions)
+	var moves []move
+	pending := map[string]bool{}
 	for _, s := range sessions {
-		owner := ring.Owner(s)
-		ownerLive := contains(live[owner], s)
-		var misplaced []string
+		m := move{session: s, owner: ring.Owner(s)}
+		m.ownerLive = contains(live[m.owner], s)
 		for node, ls := range live {
-			if node != owner && contains(ls, s) {
-				misplaced = append(misplaced, node)
+			if node != m.owner && contains(ls, s) {
+				m.misplaced = append(m.misplaced, node)
 			}
 		}
-		if len(misplaced) == 0 && (ownerLive || !durable[s]) {
+		if len(m.misplaced) == 0 && (m.ownerLive || !durable[s]) {
 			continue // already converged (or nothing replayable to move)
 		}
 		// Only durable sessions can move: releasing a non-durable session
 		// would destroy the sole copy of its state. Leave it where it is
 		// and log — a cluster node should always run with durability on.
 		if !durable[s] {
-			g.cfg.Logf("cluster: session %q live on %v but owned by %s and not durable; leaving in place", s, misplaced, owner)
+			g.cfg.Logf("cluster: session %q live on %v but owned by %s and not durable; leaving in place", s, m.misplaced, m.owner)
 			continue
 		}
-		g.setPending(s, true)
-		ok := true
-		sort.Strings(misplaced)
-		for _, node := range misplaced {
+		sort.Strings(m.misplaced)
+		moves = append(moves, m)
+		pending[s] = true
+	}
+
+	// One publication: a request routed after this point sees the new ring
+	// and every displaced session pending, never one without the other. The
+	// pending set is replaced, not merged — a move that failed last pass is
+	// pending again only if this pass still finds it unconverged.
+	g.mu.Lock()
+	membershipChanged = !slices.Equal(g.ring.Nodes(), ring.Nodes())
+	g.ring = ring
+	g.nodeURL = urls
+	g.pending = pending
+	g.mu.Unlock()
+
+	for _, m := range moves {
+		s, ok := m.session, true
+		for _, node := range m.misplaced {
 			if err := g.postJSON(ctx, urls[node]+"/v1/node/sessions/"+url.PathEscape(s)+"/release", nil); err != nil {
 				g.cfg.Logf("cluster: release %q on %s: %v", s, node, err)
 				ok = false
 			} else {
-				g.cfg.Logf("cluster: released %q on %s (owner is %s)", s, node, owner)
+				g.cfg.Logf("cluster: released %q on %s (owner is %s)", s, node, m.owner)
 			}
 		}
-		if ok && !ownerLive {
-			if err := g.postJSON(ctx, urls[owner]+"/v1/node/sessions/"+url.PathEscape(s)+"/recover", nil); err != nil {
-				g.cfg.Logf("cluster: recover %q on %s: %v", s, owner, err)
+		if ok && !m.ownerLive {
+			if err := g.postJSON(ctx, urls[m.owner]+"/v1/node/sessions/"+url.PathEscape(s)+"/recover", nil); err != nil {
+				g.cfg.Logf("cluster: recover %q on %s: %v", s, m.owner, err)
 				ok = false
 			} else {
-				g.cfg.Logf("cluster: recovered %q on %s by WAL replay", s, owner)
+				g.cfg.Logf("cluster: recovered %q on %s by WAL replay", s, m.owner)
 			}
 		}
 		if ok {
-			g.setPending(s, false)
+			g.mu.Lock()
+			delete(g.pending, s)
+			g.mu.Unlock()
 		}
 		// On failure the session stays pending: the router keeps answering
 		// retryable 503s and the next Run tick retries the move.
 	}
-}
-
-func (g *Gateway) setPending(session string, v bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v {
-		g.pending[session] = true
-	} else {
-		delete(g.pending, session)
-	}
+	return membershipChanged
 }
 
 func contains(list []string, s string) bool {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"sync"
 	"testing"
 	"time"
 
@@ -367,5 +369,105 @@ func TestGatewayHandoffByteIdentical(t *testing.T) {
 	}
 	if st["source"] == nil {
 		t.Fatalf("status through gateway after kill = %v", st)
+	}
+}
+
+// hookTransport is the gateway's control-plane transport under test
+// control: requests to a blocked host fail like a dead node's would, and
+// afterList runs after every node session listing has been answered.
+type hookTransport struct {
+	mu        sync.Mutex
+	blocked   string // host:port refused while set
+	afterList func()
+}
+
+func (h *hookTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	h.mu.Lock()
+	blocked, hook := h.blocked, h.afterList
+	h.mu.Unlock()
+	if r.URL.Host == blocked {
+		return nil, fmt.Errorf("dial %s: connection refused (test)", r.URL.Host)
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && hook != nil && r.Method == "GET" && r.URL.Path == "/v1/sessions" {
+		hook()
+	}
+	return resp, err
+}
+
+// TestGatewayCreateDuringJoinDiscovery pins the window a membership change
+// opens: a session created while the reconciler is still discovering is
+// routed by the old ring, after its old owner's list was read, so the pass
+// cannot mark it pending. Once Reconcile returns, the session must be
+// reachable on its new owner, not answer 404 until the next tick.
+func TestGatewayCreateDuringJoinDiscovery(t *testing.T) {
+	root := t.TempDir()
+	nodes := []*node{
+		startNode(t, root, "n0", 16),
+		startNode(t, root, "n1", 16),
+		startNode(t, root, "n2", 16),
+	}
+	urls := make([]string, len(nodes))
+	for i, n := range nodes {
+		urls[i] = n.ts.URL
+	}
+	joiner, err := url.Parse(urls[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &hookTransport{blocked: joiner.Host}
+	hc := &http.Client{Transport: tr, Timeout: 5 * time.Second}
+	g, err := cluster.NewGateway(urls, cluster.GatewayConfig{
+		Client: hc,
+		Pool:   cluster.PoolConfig{Interval: time.Hour, FailAfter: 2, UpAfter: 1, Client: hc},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwts := httptest.NewServer(g)
+	t.Cleanup(gwts.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	g.Pool().CheckNow(ctx)
+	g.Reconcile(ctx) // ring {n0, n1}
+
+	// A session the join displaces onto the joiner.
+	before := cluster.BuildRing([]string{"n0", "n1"}, 0)
+	after := cluster.BuildRing([]string{"n0", "n1", "n2"}, 0)
+	name := ""
+	for i := 0; name == ""; i++ {
+		if s := fmt.Sprintf("j%d", i); after.Owner(s) == "n2" {
+			name = s
+		}
+	}
+	oldOwner := before.Owner(name)
+
+	// n2 joins; the create lands when the pass has read its last listing.
+	c := client.New(gwts.URL)
+	lists := 0
+	tr.mu.Lock()
+	tr.blocked = ""
+	tr.afterList = func() {
+		if lists++; lists != len(nodes) {
+			return
+		}
+		if _, err := c.CreateSession(ctx, client.SessionSpec{Name: name, Source: "external", Tolerance: 0.5}); err != nil {
+			t.Errorf("create during discovery: %v", err)
+		}
+	}
+	tr.mu.Unlock()
+	g.Pool().CheckNow(ctx)
+	g.Reconcile(ctx)
+	if lists < len(nodes) {
+		t.Fatalf("hook saw %d listings, want at least %d", lists, len(nodes))
+	}
+
+	noRetry := client.New(gwts.URL)
+	noRetry.Retry = client.RetryPolicy{MaxAttempts: 1}
+	if _, err := noRetry.Status(ctx, name); err != nil {
+		t.Fatalf("session %q created during discovery (old owner %s, new owner n2) unreachable after Reconcile: %v", name, oldOwner, err)
+	}
+	if _, err := client.New(nodes[2].ts.URL).Status(ctx, name); err != nil {
+		t.Fatalf("session %q not live on its new owner n2: %v", name, err)
 	}
 }

@@ -1,0 +1,556 @@
+package ingest
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/stream"
+)
+
+// oracleAssemble is the epoch assembly this package shipped before the
+// key-ordered one, kept as the differential oracle: sort the due tuples as
+// whole structs by (T, ID), stable-sort again with the attribute as the
+// major key, cut the runs. The first sort was stream.SortTuples (pdqsort);
+// it is the stable variant here because the oracle also has to pin the tie
+// rule — on unique (T, ID) keys, the only input the old code was
+// deterministic on, the two agree.
+func oracleAssemble(due []stream.Tuple, t0, t1 float64, region geom.Rect) map[string]stream.Batch {
+	if len(due) == 0 {
+		return nil
+	}
+	tuples := slices.Clone(due)
+	slices.SortStableFunc(tuples, stream.CompareTuples)
+	sort.SliceStable(tuples, func(i, j int) bool { return tuples[i].Attr < tuples[j].Attr })
+	window := geom.NewWindow(t0, t1, region)
+	out := make(map[string]stream.Batch)
+	start := 0
+	for i := 1; i <= len(tuples); i++ {
+		if i == len(tuples) || tuples[i].Attr != tuples[start].Attr {
+			out[tuples[start].Attr] = stream.Batch{
+				Attr:   tuples[start].Attr,
+				Window: window,
+				Tuples: tuples[start:i],
+			}
+			start = i
+		}
+	}
+	return out
+}
+
+// queueModel is the queue's hand-over reduced to what assembly depends on:
+// which accepted tuples are pending, in arrival order, and which of them a
+// drain at t1 takes. It is independent of Queue.detach on purpose, so the
+// differential test also covers the swap and partition paths.
+type queueModel struct {
+	late     LatePolicy
+	pending  []stream.Tuple
+	closedTo float64
+	seq      uint64
+}
+
+func (m *queueModel) push(tuples []stream.Tuple) {
+	for _, tp := range tuples {
+		if tp.T < m.closedTo && m.late == LateDrop {
+			continue
+		}
+		if tp.ID == 0 {
+			m.seq++
+			tp.ID = GatewayIDBase | m.seq
+		}
+		m.pending = append(m.pending, tp)
+	}
+}
+
+func (m *queueModel) drain(t1 float64) []stream.Tuple {
+	var due, kept []stream.Tuple
+	for _, tp := range m.pending {
+		if tp.T < t1 {
+			due = append(due, tp)
+		} else {
+			kept = append(kept, tp)
+		}
+	}
+	m.pending = kept
+	if t1 > m.closedTo {
+		m.closedTo = t1
+	}
+	return due
+}
+
+// cloneEpoch deep-copies an Acquire result out of the source's reused
+// storage.
+func cloneEpoch(in map[string]stream.Batch) map[string]stream.Batch {
+	if in == nil {
+		return nil
+	}
+	out := make(map[string]stream.Batch, len(in))
+	for k, b := range in {
+		b.Tuples = slices.Clone(b.Tuples)
+		out[k] = b
+	}
+	return out
+}
+
+// sameEpoch compares two epochs tuple for tuple. Event times are compared
+// by bit pattern as well: −0 and +0 order as equal but are distinct values
+// the assembly must carry through unchanged, and == would not tell them
+// apart.
+func sameEpoch(a, b map[string]stream.Batch) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d attributes vs %d", len(a), len(b))
+	}
+	for attr, ba := range a {
+		bb, ok := b[attr]
+		if !ok {
+			return fmt.Errorf("attribute %q missing", attr)
+		}
+		if ba.Attr != bb.Attr || ba.Window != bb.Window || len(ba.Tuples) != len(bb.Tuples) {
+			return fmt.Errorf("attribute %q: header %q %v n=%d vs %q %v n=%d",
+				attr, ba.Attr, ba.Window, len(ba.Tuples), bb.Attr, bb.Window, len(bb.Tuples))
+		}
+		for i := range ba.Tuples {
+			x, y := ba.Tuples[i], bb.Tuples[i]
+			if x != y || math.Float64bits(x.T) != math.Float64bits(y.T) {
+				return fmt.Errorf("attribute %q tuple %d: %v (T bits %x) vs %v (T bits %x)",
+					attr, i, x, math.Float64bits(x.T), y, math.Float64bits(y.T))
+			}
+		}
+	}
+	return nil
+}
+
+// assemblyCase parameterizes one randomized differential run; the fuzz
+// target maps its arguments onto the same struct.
+type assemblyCase struct {
+	seed   int64
+	n      int   // tuples per epoch
+	attrs  int   // distinct attributes
+	tMode  uint8 // event-time shape, see genEpoch
+	idMode uint8 // ID shape, see genEpoch
+	late   LatePolicy
+}
+
+// genEpoch builds the pushes of the epoch [e, e+1): n tuples split into a
+// few batches. tMode 0 spreads T uniformly over the window, 1 snaps it to
+// eighths (heavy ties), 2 arrives presorted, 3 keeps a quarter for the next
+// epoch (partial drain) and sends another quarter into the past (late), 4
+// collapses T onto ±0 in the epoch around zero. idMode 0 assigns ascending
+// IDs, 1 descending, 2 shuffled, 3 leaves them to the gateway, 4 mixes
+// gateway and producer IDs.
+func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]stream.Tuple {
+	tuples := make([]stream.Tuple, c.n)
+	for i := range tuples {
+		var t float64
+		switch c.tMode % 5 {
+		case 0:
+			t = e + rng.Float64()
+		case 1:
+			t = e + float64(rng.Intn(8))/8
+		case 2:
+			t = e + float64(i)/float64(c.n)
+		case 3:
+			t = e - 0.5 + rng.Float64()*2
+		case 4:
+			t = e + float64(rng.Intn(3))/4
+			if t == 0 && rng.Intn(2) == 0 {
+				t = math.Copysign(0, -1)
+			}
+		}
+		tuples[i] = stream.Tuple{
+			Attr:   fmt.Sprintf("a%02d", rng.Intn(c.attrs)),
+			T:      t,
+			X:      rng.Float64() * 8,
+			Y:      rng.Float64() * 8,
+			Value:  rng.NormFloat64(),
+			Sensor: rng.Intn(64),
+		}
+	}
+	base := *nextID
+	*nextID += uint64(c.n)
+	for i := range tuples {
+		switch c.idMode % 5 {
+		case 0, 2:
+			tuples[i].ID = base + uint64(i) + 1
+		case 1:
+			tuples[i].ID = base + uint64(c.n-i)
+		case 3:
+			tuples[i].ID = 0
+		case 4:
+			if i%3 != 0 {
+				tuples[i].ID = base + uint64(i) + 1
+			}
+		}
+	}
+	if c.idMode%5 == 2 {
+		rng.Shuffle(len(tuples), func(i, j int) { tuples[i].ID, tuples[j].ID = tuples[j].ID, tuples[i].ID })
+	}
+	var batches [][]stream.Tuple
+	for len(tuples) > 0 {
+		k := 1 + rng.Intn(len(tuples))
+		batches = append(batches, tuples[:k])
+		tuples = tuples[k:]
+	}
+	return batches
+}
+
+// checkAssembly drives a Queue + QueueSource and the model + oracle through
+// the same pushes over several epochs (starting below zero, so negative
+// event times and the ±0 boundary are always in play) and fails on the first
+// epoch that differs.
+func checkAssembly(c assemblyCase) error {
+	region := geom.NewRect(0, 0, 8, 8)
+	q := NewQueue(Config{Late: c.late, Region: region, Buffer: 1 << 20})
+	src, err := NewQueueSource(q, region)
+	if err != nil {
+		return err
+	}
+	model := &queueModel{late: c.late, closedTo: math.Inf(-1)}
+	rng := rand.New(rand.NewSource(c.seed))
+	nextID := uint64(0)
+	for e := -3.0; e < 3; e++ {
+		for _, batch := range genEpoch(rng, c, e, &nextID) {
+			if _, err := q.Push(batch, math.NaN()); err != nil {
+				return err
+			}
+			model.push(batch)
+		}
+		got, err := src.Acquire(e, e+1)
+		if err != nil {
+			return err
+		}
+		want := oracleAssemble(model.drain(e+1), e, e+1, region)
+		if err := sameEpoch(got, want); err != nil {
+			return fmt.Errorf("epoch [%g,%g): %w", e, e+1, err)
+		}
+		if pend := q.Stats().Pending; pend != len(model.pending) {
+			return fmt.Errorf("epoch [%g,%g): %d pending, model has %d", e, e+1, pend, len(model.pending))
+		}
+	}
+	return nil
+}
+
+// TestEpochAssemblyMatchesOracle is the randomized differential test of the
+// key-ordered assembly against the retained two-sort oracle.
+func TestEpochAssemblyMatchesOracle(t *testing.T) {
+	seed := int64(1)
+	for _, n := range []int{1, 7, 33, 300, 5000} {
+		// The full mode × mode matrix runs at the small sizes; the others
+		// take its diagonal.
+		full := n == 7 || n == 33 || n == 300
+		for _, attrs := range []int{1, 2, linearAttrs + 8} {
+			for tMode := uint8(0); tMode < 5; tMode++ {
+				for idMode := uint8(0); idMode < 5; idMode++ {
+					if !full && tMode != idMode {
+						continue
+					}
+					late := LatePolicy(seed % 2)
+					c := assemblyCase{seed: seed, n: n, attrs: attrs, tMode: tMode, idMode: idMode, late: late}
+					seed++
+					if err := checkAssembly(c); err != nil {
+						t.Fatalf("%+v: %v", c, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzEpochAssembly lets the fuzzer pick the case; the seed corpus is the
+// corner of the property test's matrix each mode first appears in.
+func FuzzEpochAssembly(f *testing.F) {
+	for mode := uint8(0); mode < 5; mode++ {
+		f.Add(int64(mode)+1, uint16(200), uint8(3), mode, mode, mode%2 == 0)
+	}
+	f.Add(int64(99), uint16(2000), uint8(linearAttrs+3), uint8(3), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, attrs, tMode, idMode uint8, lateNext bool) {
+		c := assemblyCase{seed: seed, n: 1 + int(n)%4096, attrs: 1 + int(attrs)%40, tMode: tMode, idMode: idMode}
+		if lateNext {
+			c.late = LateNextEpoch
+		}
+		if err := checkAssembly(c); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	})
+}
+
+// TestTimeKeyOrder pins the key transform against the float order it
+// replaces, including the −0 rule.
+func TestTimeKeyOrder(t *testing.T) {
+	vals := []float64{-math.MaxFloat64, -1e9, -2, -1.5, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 0.25, 1, 1.5, 2, 1e9, math.MaxFloat64}
+	for i, a := range vals {
+		for j, b := range vals {
+			ka, kb := timeKey(a), timeKey(b)
+			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+				t.Fatalf("timeKey(%g)=%x vs timeKey(%g)=%x disagree with the float order (i=%d j=%d)", a, ka, b, kb, i, j)
+			}
+		}
+	}
+}
+
+// recordingJournal captures the queue's mutation sequence. Both hooks run
+// under the queue's lock, which is also what orders the appends.
+type recordingJournal struct {
+	entries []journalEntry
+}
+
+type journalEntry struct {
+	drain     bool
+	tuples    []stream.Tuple
+	watermark float64
+	t1        float64
+}
+
+func (j *recordingJournal) JournalPush(tuples []stream.Tuple, watermark float64) {
+	j.entries = append(j.entries, journalEntry{tuples: slices.Clone(tuples), watermark: watermark})
+}
+
+func (j *recordingJournal) JournalDrain(t1 float64) {
+	j.entries = append(j.entries, journalEntry{drain: true, t1: t1})
+}
+
+// TestConcurrentPushDuringAssembly runs producers against an epoch loop
+// that drains continuously — pushes land before, during and after every
+// detach — and checks the three things the hand-over promises: the ack
+// identity (every pushed tuple is accounted for exactly once), every
+// accepted tuple appears in exactly one epoch, and replaying the journal's
+// recorded effect order through a fresh queue reproduces the same epochs
+// byte for byte.
+func TestConcurrentPushDuringAssembly(t *testing.T) {
+	for _, late := range []LatePolicy{LateDrop, LateNextEpoch} {
+		t.Run(late.String(), func(t *testing.T) {
+			const (
+				producers = 4
+				batches   = 150
+				perBatch  = 16
+				epochs    = 40
+			)
+			region := geom.NewRect(0, 0, 8, 8)
+			journal := &recordingJournal{}
+			q := NewQueue(Config{Late: late, Region: region, Buffer: 1 << 12, Journal: journal})
+			src, err := NewQueueSource(q, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			acks := make([]Ack, producers)
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(p) + 1))
+					batch := make([]stream.Tuple, perBatch)
+					for b := 0; b < batches; b++ {
+						for i := range batch {
+							id := uint64(p*batches*perBatch + b*perBatch + i + 1)
+							if i == perBatch-1 && b > 0 {
+								id-- // redeliver the previous tuple's ID: a duplicate while pending
+							}
+							batch[i] = stream.Tuple{
+								ID:   id,
+								Attr: [...]string{"rain", "temp", "wind"}[rng.Intn(3)],
+								T:    float64(epochs) * (float64(b) + rng.Float64()*8 - 4) / batches,
+								X:    rng.Float64() * 8, Y: rng.Float64() * 8,
+								// A serial unique per pushed tuple (IDs are not:
+								// a redelivery is accepted again once the first
+								// delivery has drained).
+								Value: float64(p*batches*perBatch + b*perBatch + i),
+							}
+						}
+						if b%10 == 9 {
+							batch[0].X = -1 // outside the region: rejected
+						}
+						ack, err := q.Push(batch, math.NaN())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						a := &acks[p]
+						a.Accepted += ack.Accepted
+						a.Dropped += ack.Dropped
+						a.LateDropped += ack.LateDropped
+						a.Rejected += ack.Rejected
+						a.Duplicates += ack.Duplicates
+					}
+				}(p)
+			}
+			// Once every producer is done, assert the watermark so the epoch
+			// loop below cannot park forever on a horizon no tuple reached.
+			finished := make(chan struct{})
+			go func() {
+				defer close(finished)
+				wg.Wait()
+				if _, err := q.Push(nil, epochs); err != nil {
+					t.Error(err)
+				}
+			}()
+			// The epoch loop: close every epoch the moment the watermark
+			// allows, so drains interleave with the pushes from first to
+			// last, then one last drain of everything left.
+			var got []map[string]stream.Batch
+			acquire := func(t0, t1 float64) {
+				out, err := src.Acquire(t0, t1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, cloneEpoch(out))
+			}
+			for e := 0; e < epochs; e++ {
+				if err := q.WaitReady(t.Context(), float64(e+1)); err != nil {
+					t.Fatal(err)
+				}
+				acquire(float64(e), float64(e+1))
+			}
+			<-finished
+			acquire(epochs, math.Inf(1))
+
+			var total Ack
+			for _, a := range acks {
+				total.Accepted += a.Accepted
+				total.Dropped += a.Dropped
+				total.LateDropped += a.LateDropped
+				total.Rejected += a.Rejected
+				total.Duplicates += a.Duplicates
+			}
+			if sum := total.Accepted + total.Dropped + total.LateDropped + total.Rejected + total.Duplicates; sum != producers*batches*perBatch {
+				t.Fatalf("ack identity: %+v sums to %d, pushed %d", total, sum, producers*batches*perBatch)
+			}
+			seen := map[float64]bool{}
+			for _, epoch := range got {
+				for _, b := range epoch {
+					for i, tp := range b.Tuples {
+						if seen[tp.Value] {
+							t.Fatalf("tuple serial %g handed out twice", tp.Value)
+						}
+						seen[tp.Value] = true
+						if i > 0 && stream.CompareTuples(b.Tuples[i-1], tp) > 0 {
+							t.Fatalf("epoch run %q out of (T,ID) order at %d", b.Attr, i)
+						}
+					}
+				}
+			}
+			if len(seen) != total.Accepted || q.Stats().Pending != 0 {
+				t.Fatalf("epochs carry %d tuples, %d accepted, %d still pending", len(seen), total.Accepted, q.Stats().Pending)
+			}
+
+			// Replay the journal in its recorded order.
+			rq := NewQueue(Config{Late: late, Region: region, Buffer: 1 << 12})
+			rsrc, err := NewQueueSource(rq, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var replayed []map[string]stream.Batch
+			t0 := 0.0
+			for _, e := range journal.entries {
+				if !e.drain {
+					if _, err := rq.Push(e.tuples, e.watermark); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				out, err := rsrc.Acquire(t0, e.t1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayed = append(replayed, cloneEpoch(out))
+				t0 = e.t1
+			}
+			if len(replayed) != len(got) {
+				t.Fatalf("replay closed %d epochs, live run %d", len(replayed), len(got))
+			}
+			for i := range got {
+				if err := sameEpoch(got[i], replayed[i]); err != nil {
+					t.Fatalf("replayed epoch %d differs: %v", i, err)
+				}
+			}
+			if q.Stats() != rq.Stats() {
+				t.Fatalf("replayed stats %+v, live %+v", rq.Stats(), q.Stats())
+			}
+		})
+	}
+}
+
+// TestPushWakesOnlyAtAwaitedHorizon pins the wake-up rule: a push that
+// leaves the watermark short of the horizon WaitReady parked on wakes
+// nobody (the parked channel stays the same, open channel), and the push
+// that reaches it wakes the waiter exactly once.
+func TestPushWakesOnlyAtAwaitedHorizon(t *testing.T) {
+	q := NewQueue(Config{})
+	done := make(chan error, 1)
+	go func() { done <- q.WaitReady(t.Context(), 10) }()
+	parked := func() chan struct{} {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.notify
+	}
+	var ch chan struct{}
+	for ch == nil {
+		ch = parked()
+	}
+	for i := 0; i < 100; i++ {
+		mustPush(t, q, []stream.Tuple{obs(uint64(i+1), float64(i)/100*9.9)}, math.NaN())
+		if now := parked(); now != ch {
+			t.Fatalf("push %d below the awaited horizon replaced the parked channel (a wake-up)", i)
+		}
+		select {
+		case <-ch:
+			t.Fatalf("push %d below the awaited horizon closed the parked channel", i)
+		case err := <-done:
+			t.Fatalf("WaitReady returned early: %v", err)
+		default:
+		}
+	}
+	mustPush(t, q, []stream.Tuple{obs(1000, 10)}, math.NaN())
+	if err := <-done; err != nil {
+		t.Fatalf("WaitReady = %v", err)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("the push that reached the horizon did not close the parked channel")
+	}
+	if parked() != nil {
+		t.Fatal("waiter parked again after the horizon was reached")
+	}
+}
+
+// TestAcquireSteadyStateAllocs gates the assembly's scratch reuse: once the
+// buffers have seen an epoch of this size, push + Acquire allocates nothing.
+func TestAcquireSteadyStateAllocs(t *testing.T) {
+	region := geom.NewRect(0, 0, 8, 8)
+	q := NewQueue(Config{Region: region})
+	src, err := NewQueueSource(q, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	attrs := []string{"rain", "temp", "wind"}
+	batch := make([]stream.Tuple, 1024)
+	epoch := 0.0
+	run := func() {
+		for i := range batch {
+			batch[i] = stream.Tuple{ID: uint64(i + 1), Attr: attrs[i%len(attrs)], T: epoch + rng.Float64(), X: 1, Y: 1}
+		}
+		if _, err := q.Push(batch, epoch+1); err != nil {
+			t.Fatal(err)
+		}
+		out, err := src.Acquire(epoch, epoch+1)
+		if err != nil || len(out) != len(attrs) {
+			t.Fatalf("Acquire = %d attrs, %v", len(out), err)
+		}
+		epoch++
+	}
+	for i := 0; i < 4; i++ {
+		run() // warm both swap buffers, the keys and the result map
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("steady-state push + Acquire allocates %.1f times per epoch, want 0", allocs)
+	}
+}

@@ -20,10 +20,12 @@ var ErrClosed = errors.New("ingest: queue closed")
 // beyond Config.Buffer is rejected and counted, mirroring the explicit-drop
 // discipline of stream.ResultStore on the delivery side.
 //
-// Epoch assembly is deterministic: Drain returns the due tuples sorted by
-// the engine-wide (T, ID) order, so the fabricated stream of a closed epoch
+// Epoch assembly is deterministic: a drain hands the due tuples out in the
+// engine-wide (T, ID) order, so the fabricated stream of a closed epoch
 // depends only on which observations were pushed before it closed — not on
-// batch boundaries, arrival order, or producer interleaving.
+// batch boundaries, arrival order, or producer interleaving. The lock covers
+// only the hand-over (detach); ordering happens after it, on memory
+// producers can no longer reach, so a push never waits behind a sort.
 //
 // Queue is safe for concurrent use by any number of producers and one
 // epoch loop.
@@ -31,7 +33,11 @@ type Queue struct {
 	mu  sync.Mutex
 	cfg Config
 
-	buf []stream.Tuple // pending tuples, unsorted until drain
+	buf []stream.Tuple // pending tuples in arrival order
+	// bufMaxT is the largest event time among the tuples in buf (−Inf when
+	// empty): when it is below a drain's horizon everything buffered is due
+	// and the drain is an O(1) buffer swap.
+	bufMaxT float64
 	// maxT is the largest event time observed; wmFloor the largest
 	// explicitly asserted watermark. The low watermark is
 	// max(maxT − Tolerance, wmFloor).
@@ -43,7 +49,12 @@ type Queue struct {
 	seq      uint64 // gateway ID sequence for observations pushed without one
 	active   bool   // a push or watermark assertion has been seen
 	closed   bool
-	notify   chan struct{} // lazily created by WaitReady, closed on progress
+	// notify parks WaitReady callers: created by the first one to park,
+	// closed (and cleared) when the watermark reaches waitT1 — the lowest
+	// horizon any parked caller waits for — or the queue closes. Pushes that
+	// leave the watermark short of waitT1 wake nobody.
+	notify chan struct{}
+	waitT1 float64
 	// pendingIDs tracks the producer-assigned IDs currently buffered, so a
 	// duplicate delivery of the same observation across batches is rejected
 	// instead of appearing twice in an epoch. The set is bounded by Buffer
@@ -63,6 +74,7 @@ func NewQueue(cfg Config) *Queue {
 	}
 	return &Queue{
 		cfg:      cfg,
+		bufMaxT:  negInf(),
 		maxT:     negInf(),
 		wmFloor:  negInf(),
 		closedTo: negInf(),
@@ -122,8 +134,11 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 		}
 		q.buf = append(q.buf, tp)
 		ack.Accepted++
-		if tp.T > q.maxT {
-			q.maxT = tp.T
+		if tp.T > q.bufMaxT { // bufMaxT ≤ maxT, so only a new buffer max can be a new max
+			q.bufMaxT = tp.T
+			if tp.T > q.maxT {
+				q.maxT = tp.T
+			}
 		}
 	}
 	if !math.IsNaN(watermark) && watermark > q.wmFloor {
@@ -151,7 +166,9 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 	if q.cfg.Journal != nil {
 		q.cfg.Journal.JournalPush(tuples, watermark)
 	}
-	q.wake()
+	if q.notify != nil && ack.Watermark >= q.waitT1 {
+		q.wake()
+	}
 	return ack, nil
 }
 
@@ -210,51 +227,71 @@ func (q *Queue) Active() bool {
 
 // Drain closes the epoch ending at t1: every buffered tuple with an event
 // time below t1 — in-window ones and, under LateNextEpoch, older redirected
-// ones — is moved out, appended to dst (pass a borrowed arena slice to keep
-// epoch assembly allocation-free) and the result sorted by (T, ID). Tuples
-// at or past t1 stay buffered for later epochs. Arrivals below t1 after
-// this call are late.
+// ones — is moved out and appended to dst in (T, ID) order, attributes
+// interleaved; (T, ID) ties keep arrival order. Tuples at or past t1 stay
+// buffered for later epochs. Arrivals below t1 after this call are late.
+//
+// Drain is the convenience form: it allocates its ordering scratch per
+// call. The epoch loop goes through QueueSource.Acquire, which runs the
+// same detach and ordering on scratch reused across epochs.
 func (q *Queue) Drain(t1 float64, dst []stream.Tuple) []stream.Tuple {
+	due := q.detach(t1, nil)
+	var a assembler
+	a.orderKeys(due, false)
+	return a.gather(dst, due)
+}
+
+// detach is the part of a drain that must be ordered against pushes, and
+// the only part that holds q.mu: the tuples due by t1 leave the queue in
+// arrival order, their producer-assigned IDs leave the duplicate window,
+// closedTo advances, and the journal records the drain. The returned slice
+// is the caller's until it passes it back as the next call's spare (its
+// contents are then dead); no producer can reach it.
+//
+// When everything buffered is due — the steady state: the watermark that
+// let the epoch close has passed every buffered event time — the queue's
+// buffer itself is handed out and spare takes its place, O(1). Otherwise one
+// pass moves the due tuples into spare and compacts the rest.
+func (q *Queue) detach(t1 float64, spare []stream.Tuple) []stream.Tuple {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	start := len(dst)
-	kept := q.buf[:0]
-	for _, tp := range q.buf {
-		if tp.T < t1 {
-			dst = append(dst, tp)
-		} else {
-			kept = append(kept, tp)
-		}
-	}
-	// Drained tuples leave the pending window, so their producer-assigned
-	// IDs leave the duplicate-detection set with them. The common case — the
-	// watermark releases everything buffered — empties the set outright, so
-	// it resets in one pass instead of removing IDs one by one (gateway IDs
-	// were never added; removing them is a no-op).
-	if len(kept) == 0 {
+	var due []stream.Tuple
+	if q.bufMaxT < t1 {
+		due, q.buf = q.buf, spare[:0]
+		q.bufMaxT = negInf()
+		// The whole pending window leaves, so the duplicate set empties in
+		// one pass instead of ID by ID (gateway IDs were never added).
 		q.pendingIDs.reset()
 	} else {
-		for _, tp := range dst[start:] {
-			q.pendingIDs.remove(tp.ID)
+		due = spare[:0]
+		kept := q.buf[:0]
+		keptMax := negInf()
+		for _, tp := range q.buf {
+			if tp.T < t1 {
+				due = append(due, tp)
+				q.pendingIDs.remove(tp.ID) // no-op for gateway IDs
+			} else {
+				kept = append(kept, tp)
+				if tp.T > keptMax {
+					keptMax = tp.T
+				}
+			}
 		}
+		clear(q.buf[len(kept):]) // don't pin drained tuples' attr strings
+		q.buf, q.bufMaxT = kept, keptMax
 	}
-	// Zero the tail so drained tuples don't pin anything via the backing
-	// array (tuples are value types today; this keeps the buffer tidy if
-	// they ever grow references).
-	for i := len(kept); i < len(q.buf); i++ {
-		q.buf[i] = stream.Tuple{}
-	}
-	q.buf = kept
 	if t1 > q.closedTo {
 		q.closedTo = t1
 	}
 	// The drain journal entry doubles as the epoch record: its position
 	// among the push entries fixes which observations the closing epoch saw.
+	// That position is only right if no push can slip in between the
+	// hand-over above and the record, which is why it is written here, under
+	// q.mu, and not after the unlock with the rest of the assembly.
 	if q.cfg.Journal != nil {
 		q.cfg.Journal.JournalDrain(t1)
 	}
-	stream.SortTuples(dst)
-	return dst
+	return due
 }
 
 // Stats snapshots the queue's cumulative accounting.
@@ -290,6 +327,9 @@ func (q *Queue) WaitReady(ctx context.Context, t1 float64) error {
 		}
 		if q.notify == nil {
 			q.notify = make(chan struct{})
+			q.waitT1 = t1
+		} else if t1 < q.waitT1 {
+			q.waitT1 = t1
 		}
 		ch := q.notify
 		q.mu.Unlock()

@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"errors"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/handler"
@@ -12,8 +11,9 @@ import (
 
 // Source yields the observations of one acquisition epoch [t0, t1), keyed
 // by attribute — the seam that decouples the engine's epoch loop from where
-// tuples come from. Batches built on borrowed arena storage are valid until
-// the source's next Acquire call; the engine ingests them synchronously.
+// tuples come from. The returned map and batches may be storage the source
+// reuses: they are valid until its next Acquire call; the engine ingests
+// them synchronously.
 type Source interface {
 	Acquire(t0, t1 float64) (map[string]stream.Batch, error)
 }
@@ -47,13 +47,20 @@ func (s FleetSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
 }
 
 // QueueSource assembles epochs purely from externally pushed observations.
-// Drained tuples land in a scratch buffer reused across epochs, so
-// steady-state epoch assembly performs no heap allocation; the returned
-// batches alias that buffer and are valid until the next Acquire.
+// Everything it touches per epoch — the buffer detached from the queue, the
+// ordering keys, the gathered tuples, the result map — is reused across
+// epochs and sized to the epochs actually drained, so steady-state assembly
+// performs no heap allocation; the returned map and its batches are valid
+// until the next Acquire.
 type QueueSource struct {
-	q       *Queue
-	region  geom.Rect
-	scratch []stream.Tuple
+	q      *Queue
+	region geom.Rect
+	// detached is the buffer the last drain took out of the queue; the next
+	// drain hands it back as the queue's spare.
+	detached []stream.Tuple
+	scratch  []stream.Tuple // gather target the batches alias
+	asm      assembler
+	out      map[string]stream.Batch
 }
 
 // NewQueueSource builds a source draining q; region becomes the spatial
@@ -65,38 +72,38 @@ func NewQueueSource(q *Queue, region geom.Rect) (*QueueSource, error) {
 	if region.IsEmpty() {
 		return nil, errors.New("ingest: NewQueueSource requires a non-empty region")
 	}
-	return &QueueSource{q: q, region: region}, nil
+	return &QueueSource{q: q, region: region, out: make(map[string]stream.Batch)}, nil
 }
 
 // Queue returns the source's queue.
 func (s *QueueSource) Queue() *Queue { return s.q }
 
-// Acquire drains every tuple due by t1 and groups them into per-attribute
-// batches over the epoch window. The (T, ID)-sorted drain is re-sorted with
-// the attribute as the major key so each attribute's tuples form one
-// contiguous, still (T, ID)-ordered run — grouping without a per-attribute
-// copy.
+// Acquire closes the epoch ending at t1 and returns its observations as one
+// batch per attribute over the epoch window, each (T, ID)-sorted with ties
+// in arrival order. Only the detach holds the queue's lock; from there the
+// tuples are ordered by their 16-byte keys (assemble.go) and gathered once
+// into per-attribute runs of one scratch slice, which the batches alias —
+// never the detached buffer, which the next Acquire hands back to producers.
+// An epoch with no observations is a nil map.
 func (s *QueueSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
-	s.scratch = s.q.Drain(t1, s.scratch[:0])
-	if len(s.scratch) == 0 {
+	s.detached = s.q.detach(t1, s.detached)
+	if len(s.detached) == 0 {
 		return nil, nil
 	}
+	clear(s.out)
+	s.asm.orderKeys(s.detached, true)
+	s.scratch = s.asm.gather(s.scratch[:0], s.detached)
 	tuples := s.scratch
-	sort.SliceStable(tuples, func(i, j int) bool { return tuples[i].Attr < tuples[j].Attr })
 	window := geom.NewWindow(t0, t1, s.region)
-	out := make(map[string]stream.Batch)
-	start := 0
-	for i := 1; i <= len(tuples); i++ {
-		if i == len(tuples) || tuples[i].Attr != tuples[start].Attr {
-			out[tuples[start].Attr] = stream.Batch{
-				Attr:   tuples[start].Attr,
-				Window: window,
-				Tuples: tuples[start:i],
-			}
-			start = i
+	for i := range s.asm.runs {
+		r := &s.asm.runs[i]
+		s.out[r.name] = stream.Batch{
+			Attr:   r.name,
+			Window: window,
+			Tuples: tuples[r.start : r.start+r.n : r.start+r.n],
 		}
 	}
-	return out, nil
+	return s.out, nil
 }
 
 // Ready implements Gated.

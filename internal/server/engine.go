@@ -211,9 +211,11 @@ type Engine struct {
 	now     float64
 	epochs  int
 	results map[string]*stream.ResultStore
-	// attrScratch is Step's reusable attr list (guarded by stepMu), keeping
-	// the per-epoch attr walk allocation-free.
+	// attrScratch is Step's reusable attr list and liveScratch observeEpoch's
+	// reusable live-slot set (both guarded by stepMu), keeping the per-epoch
+	// glue allocation-free.
 	attrScratch []string
+	liveScratch map[budget.Key]bool
 	// plans retains the planner's chosen estimate per live query.
 	plans map[string]planner.CostEstimate
 	// planCache memoizes planFor results by canonical CrAQL key
@@ -354,6 +356,7 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 		results:     make(map[string]*stream.ResultStore),
 		plans:       make(map[string]planner.CostEstimate),
 		planCache:   make(map[string]planCacheEntry),
+		liveScratch: make(map[budget.Key]bool),
 	}
 	if dur != nil {
 		// Recover: replay whatever the durability directory already holds
@@ -776,21 +779,23 @@ func (e *Engine) step() error {
 	e.epochs++
 	e.mu.Unlock()
 	// Ingest every attribute that has live pipelines, including attributes
-	// with no observations this epoch (empty batch → violation pressure).
+	// with no observations this epoch (empty batch → violation pressure), in
+	// sorted attribute order — so which attribute's failure an epoch reports,
+	// and the order sinks see attributes in, is the same on every run. A
+	// batch for an attribute without pipelines has nowhere to go and is
+	// skipped.
 	window := geom.Window{T0: t0, T1: t1, Rect: e.grid.Region()}
-	seen := make(map[string]bool, len(batches))
-	for attr, b := range batches {
-		seen[attr] = true
-		if err := e.fab.Ingest(b); err != nil {
-			return fmt.Errorf("server: ingest %s: %w", attr, err)
-		}
-	}
 	e.attrScratch = e.fab.AppendAttrs(e.attrScratch[:0])
 	for _, attr := range e.attrScratch {
-		if !seen[attr] {
-			if err := e.fab.Ingest(stream.Batch{Attr: attr, Window: window}); err != nil {
+		b, ok := batches[attr]
+		if !ok {
+			b = stream.Batch{Attr: attr, Window: window}
+		}
+		if err := e.fab.Ingest(b); err != nil {
+			if !ok {
 				return fmt.Errorf("server: ingest empty %s: %w", attr, err)
 			}
+			return fmt.Errorf("server: ingest %s: %w", attr, err)
 		}
 	}
 	if e.cfg.Incentives != nil {
@@ -833,7 +838,8 @@ func (e *Engine) observeEpoch() error {
 	var sum float64
 	var n int
 	var retuneErr error
-	live := make(map[budget.Key]bool)
+	live := e.liveScratch
+	clear(live)
 	e.fab.VisitLastReports(func(k topology.Key, rep pmat.ViolationReport) {
 		sum += rep.Percent
 		n++

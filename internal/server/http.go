@@ -214,9 +214,18 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// session resolves a session name, writing the 404 itself on a miss.
+// session resolves a session name, writing the error itself on a miss: 404
+// when the session does not exist, a retryable 503 when the manager is
+// closed — a node on its way down cannot tell "gone" from "about to be
+// served elsewhere", and a client that read 404 there would end a result
+// stream that is only moving (see client.ResultStream).
 func (s *HTTPServer) session(w http.ResponseWriter, name string) *Session {
 	sess, err := s.manager.Get(name)
+	if errors.Is(err, ErrManagerClosed) {
+		w.Header().Set("Retry-After", strconv.Itoa(IngestRetryAfterSeconds))
+		s.writeError(w, http.StatusServiceUnavailable, err)
+		return nil
+	}
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return nil

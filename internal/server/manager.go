@@ -447,13 +447,19 @@ var ErrNoSession = errors.New("server: no such session")
 // ErrTooManySessions is returned when the manager is at MaxSessions.
 var ErrTooManySessions = errors.New("server: session limit reached")
 
+// ErrManagerClosed is returned by Create, Adopt and Get after Close. It is
+// distinct from ErrNoSession on purpose: a closed manager no longer knows
+// which sessions exist, so "not here" from it says nothing about "gone" —
+// over HTTP it is a retryable 503, never a 404.
+var ErrManagerClosed = errors.New("server: manager closed")
+
 // Create builds and registers a session from the spec, starting its clock
 // when the spec asks for one (positive Interval or Simulated).
 func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, errors.New("server: manager closed")
+		return nil, ErrManagerClosed
 	}
 	m.gcLocked()
 	if spec.Name == "" {
@@ -506,7 +512,7 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 		delete(m.sessions, spec.Name)
 		m.mu.Unlock()
 		_ = engine.Shutdown()
-		return nil, errors.New("server: manager closed")
+		return nil, ErrManagerClosed
 	}
 	m.sessions[spec.Name] = sess
 	m.mu.Unlock()
@@ -666,7 +672,7 @@ func (m *Manager) Adopt(name string, e *Engine) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, errors.New("server: manager closed")
+		return nil, ErrManagerClosed
 	}
 	if _, taken := m.sessions[name]; taken {
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
@@ -685,8 +691,11 @@ func (m *Manager) Adopt(name string, e *Engine) (*Session, error) {
 func (m *Manager) Get(name string) (*Session, error) {
 	m.mu.Lock()
 	m.gcLocked()
-	sess := m.sessions[name]
+	sess, closed := m.sessions[name], m.closed
 	m.mu.Unlock()
+	if closed {
+		return nil, ErrManagerClosed
+	}
 	if sess == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, name)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,6 +65,12 @@ type Fabricator struct {
 	// shard list. Rebuilt under the write lock by every pipeline
 	// materialization or drop; read lock-free by Ingest under the read lock.
 	order map[string][]*CellPipeline
+	// slots maps, per attribute, every grid cell (dense row-major index
+	// q + r·side) to its pipeline's position in order, −1 where the cell is
+	// not materialized. Rebuilt with order; it is what keeps the per-epoch
+	// map phase proportional to tuples + materialized cells rather than to
+	// the grid.
+	slots map[string][]int32
 	// attrs caches order's keys sorted — maintained alongside order so the
 	// per-epoch attr walk (AppendAttrs, VisitLastReports) never sorts.
 	attrs []string
@@ -121,6 +128,7 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 		queries:  make(map[string]*queryState),
 		registry: query.NewRegistry(),
 		order:    make(map[string][]*CellPipeline),
+		slots:    make(map[string][]int32),
 		versions: make(map[string]uint64),
 	}
 	if !cfg.DisableSharing {
@@ -149,6 +157,7 @@ func (f *Fabricator) refreshOrder(attr string) {
 	}
 	if len(list) == 0 {
 		delete(f.order, attr)
+		delete(f.slots, attr)
 	} else {
 		sort.Slice(list, func(i, j int) bool {
 			a, b := list[i].key.Cell, list[j].key.Cell
@@ -158,6 +167,15 @@ func (f *Fabricator) refreshOrder(attr string) {
 			return a.Q < b.Q
 		})
 		f.order[attr] = list
+		side := f.grid.Side()
+		slot := slices.Grow(f.slots[attr][:0], side*side)[:side*side]
+		for c := range slot {
+			slot[c] = -1
+		}
+		for i, p := range list {
+			slot[p.key.Cell.Q+p.key.Cell.R*side] = int32(i)
+		}
+		f.slots[attr] = slot
 	}
 	f.attrs = f.attrs[:0]
 	for a := range f.order {
@@ -373,11 +391,15 @@ func (f *Fabricator) dropPipeline(key Key) {
 }
 
 // Ingest runs the map phase on one raw attribute batch: tuples are assigned
-// to their grid cell and pushed into the corresponding topology. Cells
-// without a materialized pipeline discard their tuples (only useful grid
-// cells are materialized). Every live pipeline of the batch's attribute
-// receives a batch — possibly empty — so merge slices complete and
-// F-operators report violations for starved cells.
+// to their grid cell — one counting scatter over the attribute's
+// materialized cells, found through a dense row-major cell index, preserving
+// the batch's order within each cell — and each cell's run is pushed into the
+// corresponding topology. Tuples of cells without a materialized pipeline
+// are discarded uncopied (only useful grid cells are materialized). Every live pipeline of the batch's attribute receives a
+// batch — possibly empty — so merge slices complete and F-operators report
+// violations for starved cells. A cell's tuples alias scratch that is
+// recycled when Ingest returns; the slice's capacity is clipped to its
+// length.
 //
 // The process phase (F → T… → P per cell) executes on a bounded worker pool
 // of Config.Workers goroutines; cells are the shard boundary, exploiting the
@@ -397,29 +419,20 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 	if len(pipes) == 0 {
 		return nil
 	}
-	// Map phase: group tuples by destination cell into borrowed arena
-	// buffers — the epoch hot path allocates nothing in steady state. The
-	// buffers back the cell batches below and are recycled once the epoch's
-	// shards have all completed.
+	// Map phase: one counting scatter groups the tuples by destination
+	// pipeline into the borrowed scratch's single buffer, the pipeline found
+	// by indexing the attribute's slot table with the dense row-major cell
+	// index — no hashing, no per-cell buffer, nothing allocated in steady
+	// state. The scatter is stable, so each cell's run keeps the batch's
+	// (T, ID) order. The scratch is recycled once the epoch's shards have all
+	// completed.
 	byCell := borrowCellScratch()
 	defer byCell.release()
-	for _, tp := range b.Tuples {
-		cell, ok := f.grid.CellAt(geom.Point{X: tp.X, Y: tp.Y})
-		if !ok {
-			continue
-		}
-		buf := byCell.m[cell]
-		if buf == nil {
-			buf = stream.BorrowTuples(0)
-			byCell.m[cell] = buf
-		}
-		buf.Tuples = append(buf.Tuples, tp)
-	}
-	run := func(p *CellPipeline) error {
+	byCell.scatter(f.grid, f.slots[b.Attr], len(pipes), b.Tuples)
+	run := func(i int) error {
+		p := pipes[i]
 		cb := stream.Batch{Attr: b.Attr, Window: b.Window.WithRect(p.CellRect())}
-		if buf := byCell.m[p.key.Cell]; buf != nil {
-			cb.Tuples = buf.Tuples
-		}
+		cb.Tuples = byCell.run(i)
 		return p.Process(cb)
 	}
 	workers := f.Workers()
@@ -427,8 +440,8 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 		workers = len(pipes)
 	}
 	if workers <= 1 {
-		for _, p := range pipes {
-			if err := run(p); err != nil {
+		for i := range pipes {
+			if err := run(i); err != nil {
 				return err
 			}
 		}
@@ -452,7 +465,7 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 				if i >= len(pipes) {
 					return
 				}
-				if err := run(pipes[i]); err != nil {
+				if err := run(i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
@@ -469,26 +482,79 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 	return nil
 }
 
-// cellScratch is the pooled map-phase grouping (cell → borrowed tuple
-// buffer); one is borrowed per Ingest so concurrent epochs of different
-// attributes do not share state.
+// cellScratch is the pooled map-phase grouping; one is borrowed per Ingest
+// so concurrent epochs of different attributes do not share state.
 type cellScratch struct {
-	m map[geom.CellID]*stream.TupleBuffer
+	// start[i] is where the run of the attribute's i-th pipeline (shard
+	// order) begins in buf; start has one entry past the last pipeline.
+	start []int32
+	// slotOf is each input tuple's pipeline position (−1 when it falls
+	// outside the grid or in a cell with no pipeline), computed once and
+	// reused by the scatter.
+	slotOf []int32
+	// buf holds the grouped tuples. It is the scratch's own rather than a
+	// stream.BorrowTuples buffer: that arena is shared with every operator,
+	// and a borrower this much larger than the rest (a whole attribute batch
+	// against a cell's share of one) would grow each buffer it is ever
+	// handed to batch size, for the operators to then carry around.
+	buf []stream.Tuple
 }
 
-var cellScratchPool = sync.Pool{New: func() interface{} {
-	return &cellScratch{m: make(map[geom.CellID]*stream.TupleBuffer)}
-}}
+var cellScratchPool = sync.Pool{New: func() interface{} { return &cellScratch{} }}
 
 func borrowCellScratch() *cellScratch { return cellScratchPool.Get().(*cellScratch) }
 
-func (s *cellScratch) release() {
-	for cell, buf := range s.m {
-		buf.Release()
-		delete(s.m, cell)
+// scatter groups tuples by destination pipeline: count per pipeline,
+// prefix-sum the counts into run starts, then copy every tuple to its
+// pipeline's next free slot. slots maps a dense cell index to a pipeline
+// position below n, or −1.
+func (s *cellScratch) scatter(grid *geom.Grid, slots []int32, n int, tuples []stream.Tuple) {
+	side := grid.Side()
+	s.start = slices.Grow(s.start[:0], n+1)[:n+1]
+	clear(s.start)
+	s.slotOf = slices.Grow(s.slotOf[:0], len(tuples))[:len(tuples)]
+	// Pipeline i is counted in start[i+1]. The prefix sum turns that entry
+	// into the beginning of i's run, the scatter uses it as i's write cursor,
+	// and by the time the run is full it has reached the run's end — which is
+	// where pipeline i+1 begins, exactly what start[i+1] must hold. start[0]
+	// stays 0 throughout.
+	counts := s.start[1:]
+	kept := 0
+	for i := range tuples {
+		slot := int32(-1)
+		if cell, ok := grid.CellAt(geom.Point{X: tuples[i].X, Y: tuples[i].Y}); ok {
+			if slot = slots[cell.Q+cell.R*side]; slot >= 0 {
+				counts[slot]++
+				kept++
+			}
+		}
+		s.slotOf[i] = slot
 	}
-	cellScratchPool.Put(s)
+	at := int32(0)
+	for i := range counts {
+		counts[i], at = at, at+counts[i]
+	}
+	s.buf = slices.Grow(s.buf[:0], kept)[:kept]
+	for i, slot := range s.slotOf {
+		if slot >= 0 {
+			s.buf[counts[slot]] = tuples[i]
+			counts[slot]++
+		}
+	}
 }
+
+// run returns the tuples of pipeline position i (nil when empty). Its
+// capacity is clipped to its length: an operator appending to its input must
+// not write into the neighbouring run.
+func (s *cellScratch) run(i int) []stream.Tuple {
+	lo, hi := s.start[i], s.start[i+1]
+	if lo == hi {
+		return nil
+	}
+	return s.buf[lo:hi:hi]
+}
+
+func (s *cellScratch) release() { cellScratchPool.Put(s) }
 
 // Workers returns the effective size of the epoch worker pool.
 func (f *Fabricator) Workers() int {

@@ -407,3 +407,55 @@ func TestDiscardSinkPlumbedThroughTopology(t *testing.T) {
 		t.Fatalf("kept %d + discarded %d != 2000", flatOut, discards.Len())
 	}
 }
+
+// TestCellScatterMatchesCellAt checks the map phase's counting scatter
+// against the grouping it replaced — one grid.CellAt per tuple, appended to
+// that cell's list: every materialized cell's run holds exactly its tuples
+// in batch order, tuples off the grid or in a cell without a pipeline are
+// dropped, empty runs are nil, and no run's capacity reaches into its
+// neighbour's.
+func TestCellScatterMatchesCellAt(t *testing.T) {
+	g := fig2Grid(t)
+	side := g.Side()
+	// Every other cell is materialized, positions in row-major order.
+	slots := make([]int32, side*side)
+	pipes := 0
+	for c := range slots {
+		slots[c] = -1
+		if c%2 == 0 {
+			slots[c] = int32(pipes)
+			pipes++
+		}
+	}
+	rng := stats.NewRNG(5)
+	for _, n := range []int{0, 1, 50, 2000} {
+		tuples := make([]stream.Tuple, n)
+		want := make([][]stream.Tuple, pipes)
+		for i := range tuples {
+			tuples[i] = stream.Tuple{ID: uint64(i + 1), T: rng.Float64(), X: rng.Uniform(-1, 7), Y: rng.Uniform(-1, 7)}
+			if n == 50 {
+				tuples[i].X = rng.Uniform(0, 2) // leave most cells empty
+			}
+			if cell, ok := g.CellAt(geom.Point{X: tuples[i].X, Y: tuples[i].Y}); ok {
+				if slot := slots[cell.Q+cell.R*side]; slot >= 0 {
+					want[slot] = append(want[slot], tuples[i])
+				}
+			}
+		}
+		s := borrowCellScratch()
+		s.scatter(g, slots, pipes, tuples)
+		for p, exp := range want {
+			got := s.run(p)
+			if len(got) != len(exp) || cap(got) != len(got) || (len(exp) == 0 && got != nil) {
+				t.Fatalf("n=%d pipeline %d: len %d cap %d, want len %d with clipped capacity (nil when empty)",
+					n, p, len(got), cap(got), len(exp))
+			}
+			for i := range exp {
+				if got[i] != exp[i] {
+					t.Fatalf("n=%d pipeline %d tuple %d = %v, want %v", n, p, i, got[i], exp[i])
+				}
+			}
+		}
+		s.release()
+	}
+}

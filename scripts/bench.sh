@@ -10,7 +10,8 @@
 # fused-vs-unfused depth/batch matrix, the ingest wire suite —
 # BenchmarkWireDecode's zero-alloc JSON/binary batch decode,
 # BenchmarkIngestAck's pooled ack rendering, BenchmarkIngest's per-codec
-# decode→enqueue→epoch-assembly path with tuples/s — and the durability
+# decode→enqueue→epoch-assembly path with tuples/s, BenchmarkEpochAssembly's
+# Acquire-only ns/tuple on the end-to-end benchmark's epoch shapes — and the durability
 # suite: BenchmarkWALAppend per fsync policy, BenchmarkRecovery's
 # cold-start replay, and BenchmarkIngestDurable's WAL-enabled push path —
 # plus BenchmarkQueryChurn's resident-query churn matrix, shared vs
@@ -34,16 +35,17 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [\n", date; first = 1 }
 /^Benchmark/ {
     name = $1; iters = $2; ns = $3
-    bytes = "null"; allocs = "null"; mbs = "null"; tps = "null"
+    bytes = "null"; allocs = "null"; mbs = "null"; tps = "null"; nspt = "null"
     for (i = 4; i < NF; i++) {
         if ($(i+1) == "B/op") bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
         if ($(i+1) == "MB/s") mbs = $i
         if ($(i+1) == "tuples/s") tps = $i
+        if ($(i+1) == "ns/tuple") nspt = $i
     }
     if (!first) printf ",\n"
     first = 0
-    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"mb_per_s\": %s, \"tuples_per_s\": %s}", name, iters, ns, bytes, allocs, mbs, tps
+    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"mb_per_s\": %s, \"tuples_per_s\": %s, \"ns_per_tuple\": %s}", name, iters, ns, bytes, allocs, mbs, tps, nspt
 }
 END { print "\n  ]\n}" }
 ' "$raw" > "$out"
