@@ -332,11 +332,9 @@ type SessionSpec struct {
 	IngestBuffer int     `json:"ingestBuffer,omitempty"`
 	Tolerance    float64 `json:"tolerance,omitempty"`
 	LatePolicy   string  `json:"latePolicy,omitempty"`
-	// A/B levers (see docs/API.md for semantics).
-	DisableFused    bool `json:"disableFused,omitempty"`
-	DisablePlanner  bool `json:"disablePlanner,omitempty"`
-	AdaptiveRates   bool `json:"adaptiveRates,omitempty"`
-	DisableAdaptive bool `json:"disableAdaptive,omitempty"`
+	// AdaptiveRates turns the rate-retune feedback loop on or off for this
+	// session; nil inherits the server's -budget setting.
+	AdaptiveRates *bool `json:"adaptiveRates,omitempty"`
 	// Durability knobs (effective only when craqrd runs with -data-dir).
 	// DisableDurability opts this session out of WAL + snapshots;
 	// SnapshotEvery overrides the checkpoint cadence in epochs; FsyncPolicy
@@ -378,8 +376,6 @@ type Session struct {
 	Epochs        int      `json:"epochs"`
 	Now           float64  `json:"now"`
 	Queries       int      `json:"queries"`
-	Fused         bool     `json:"fused"`
-	Planner       bool     `json:"planner"`
 	Adaptive      bool     `json:"adaptive"`
 	Source        string   `json:"source"`
 	Ingested      uint64   `json:"ingested"`

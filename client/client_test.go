@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +45,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = m.Close() })
-	h, err := craqr.NewManagerHTTPServer(m, "default")
+	h, err := craqr.NewManagerHTTPServer(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +112,38 @@ func TestClientSessionQueryResults(t *testing.T) {
 	}
 	if err := c.DestroySession(ctx, "a"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientSessionSpecIsKnownToServer: the server refuses unknown spec
+// fields, so every field client.SessionSpec can send must be one the server
+// accepts — a fully populated spec creates a session, and the tri-state
+// adaptiveRates arrives as sent.
+func TestClientSessionSpecIsKnownToServer(t *testing.T) {
+	ts := newTestServer(t)
+	c := client.New(ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	on := true
+	full := client.SessionSpec{
+		Name: "full", Seed: 3, Retention: 64, Tick: "1h", Simulated: false, Pinned: true,
+		Source: "mixed", IngestBuffer: 128, Tolerance: 0.5, LatePolicy: "next",
+		AdaptiveRates:     &on,
+		DisableDurability: true, SnapshotEvery: 8, FsyncPolicy: "never",
+		Weight: 2, Limits: &client.TenantLimits{RateTuplesPerSec: 1000, RateBytesPerSec: 1e6, MaxQueries: 4, MaxQueueBytes: 1 << 20, MaxWALBytes: 1 << 20},
+	}
+	spec := reflect.ValueOf(full)
+	for i := 0; i < spec.NumField(); i++ {
+		if spec.Field(i).IsZero() && spec.Type().Field(i).Name != "Simulated" {
+			t.Fatalf("test spec leaves %s unset; populate it so the server sees the field", spec.Type().Field(i).Name)
+		}
+	}
+	sess, err := c.CreateSession(ctx, full)
+	if err != nil {
+		t.Fatalf("fully populated spec refused: %v", err)
+	}
+	if !sess.Adaptive || sess.Source != "mixed" || !sess.Pinned {
+		t.Fatalf("session = %+v", sess)
 	}
 }
 

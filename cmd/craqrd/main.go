@@ -7,7 +7,7 @@
 //
 //	GET    /v1/healthz                                liveness probe
 //	POST   /v1/sessions                               create a session ({"name","seed","tick","simulated","retention",
-//	                                                  "disablePlanner","plannerWeights","adaptiveRates",…})
+//	                                                  "source","adaptiveRates",…})
 //	GET    /v1/sessions                               list sessions
 //	GET    /v1/sessions/{s}/status                    session status (epochs, now, drops, budgets, plans, meanNv)
 //	DELETE /v1/sessions/{s}                           destroy a session
@@ -19,12 +19,12 @@
 //	GET    /v1/sessions/{s}/results/{q}?cursor=&limit=  cursor-paginated results
 //	GET    /v1/sessions/{s}/results/{q}/stream        live ndjson (?sse=1 for SSE)
 //
-// The pre-session routes (POST /queries, GET /results/{id}, POST /step,
-// GET /status, …) keep working against the pinned "default" session.
+// A standalone daemon starts with one pinned session named "default"
+// (-seed, -tick), so /v1/sessions/default/… works out of the box.
 //
-// -plan (default on) runs the cost-based planner on every submission so
-// each query gets the cheapest merge topology; -budget turns on adaptive
-// rate retuning, converging starved cells to their feasible rate.
+// The cost-based planner prices every submission so each query gets the
+// cheapest merge topology; -budget turns on adaptive rate retuning,
+// converging starved cells to their feasible rate.
 // -source selects the template observation source (simulated | external |
 // mixed): external and mixed sessions accept pushes on the ingest route,
 // with -ingest-buffer bounding the per-session queue, -tolerance the
@@ -63,16 +63,19 @@ import (
 	"repro/internal/world"
 )
 
+// defaultSession is the pinned session a standalone daemon creates at
+// startup; README, docs/API.md and scripts/crash_e2e.sh address it.
+const defaultSession = "default"
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	tick := flag.Duration("tick", 0, "default session epoch tick (0 disables; use POST /step)")
+	tick := flag.Duration("tick", 0, "default session epoch tick (0 disables; use POST /v1/sessions/default/step)")
 	retention := flag.Int("retention", 0, "per-query result retention in tuples (0 = default)")
 	maxSessions := flag.Int("sessions", server.DefaultMaxSessions, "maximum concurrently hosted sessions")
 	idleTTL := flag.Duration("idle-ttl", 0, "destroy unpinned sessions idle this long (0 disables)")
 	nSensors := flag.Int("sensors", 500, "mobile sensors per session fleet")
 	seed := flag.Int64("seed", 1, "default session random seed")
 	workers := flag.Int("workers", 0, "epoch worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	plan := flag.Bool("plan", true, "cost-based merge planning on query submission")
 	budgetAdapt := flag.Bool("budget", false, "adaptive rate retuning from violation feedback")
 	sourceMode := flag.String("source", "simulated", "observation source template: simulated | external | mixed")
 	ingestBuffer := flag.Int("ingest-buffer", 0, "per-session ingest queue bound in tuples (0 = default)")
@@ -117,7 +120,6 @@ func main() {
 	template.Seed = *seed
 	template.Retention = *retention
 	template.Fabricator.Workers = *workers
-	template.Planner.Disable = !*plan
 	template.AdaptiveRates = *budgetAdapt
 	template.Source = server.SourceConfig{
 		Mode:      srcMode,
@@ -169,11 +171,11 @@ func main() {
 			log.Printf("craqrd: recovered session %q from %s", name, *dataDir)
 		}
 
-		// The pinned default session backs the legacy single-session routes
-		// (skipped when a recovered session already owns the name).
-		if _, err := manager.Get(server.DefaultSessionName); err != nil {
+		// The pinned default session gives a fresh daemon something to
+		// address (skipped when a recovered session already owns the name).
+		if _, err := manager.Get(defaultSession); err != nil {
 			if _, err := manager.Create(server.SessionSpec{
-				Name:   server.DefaultSessionName,
+				Name:   defaultSession,
 				Seed:   *seed,
 				Clock:  server.ClockConfig{Interval: *tick},
 				Pinned: true,
@@ -188,7 +190,7 @@ func main() {
 	// fight the ring for the name. Nodes start empty; craqr-gw's reconcile
 	// places sessions via /v1/node/sessions/{s}/recover.
 
-	httpServer, err := server.NewManagerHTTPServer(manager, server.DefaultSessionName)
+	httpServer, err := server.NewManagerHTTPServer(manager, "")
 	if err != nil {
 		log.Fatal(err)
 	}

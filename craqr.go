@@ -265,7 +265,7 @@ type (
 	Engine = server.Engine
 	// EngineConfig assembles an engine.
 	EngineConfig = server.Config
-	// HTTPServer exposes a session manager (or single engine) over JSON/HTTP.
+	// HTTPServer exposes a session manager over JSON/HTTP.
 	HTTPServer = server.HTTPServer
 	// ClockConfig selects how a started engine advances epochs.
 	ClockConfig = server.ClockConfig
@@ -305,17 +305,12 @@ func NewEngine(cfg EngineConfig, fields map[string]Field) (*Engine, error) {
 	return server.New(cfg, fields)
 }
 
-// NewHTTPServer wraps a single engine in the JSON/HTTP façade (it becomes
-// the pinned "default" session).
-func NewHTTPServer(e *Engine) (*HTTPServer, error) { return server.NewHTTPServer(e) }
-
 // NewManager builds a session manager hosting many named engines.
 func NewManager(cfg ManagerConfig) (*Manager, error) { return server.NewManager(cfg) }
 
-// NewManagerHTTPServer exposes a session manager over JSON/HTTP; the
-// legacy single-session routes resolve to defaultSession.
-func NewManagerHTTPServer(m *Manager, defaultSession string) (*HTTPServer, error) {
-	return server.NewManagerHTTPServer(m, defaultSession)
+// NewManagerHTTPServer exposes a session manager over the /v1 JSON/HTTP API.
+func NewManagerHTTPServer(m *Manager) (*HTTPServer, error) {
+	return server.NewManagerHTTPServer(m, "")
 }
 
 // NewEngineFactory adapts a template EngineConfig and per-session field

@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer manager.Close()
-	httpServer, err := craqr.NewManagerHTTPServer(manager, "default")
+	httpServer, err := craqr.NewManagerHTTPServer(manager)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,9 +24,6 @@ type GatewayConfig struct {
 	Pool PoolConfig
 	// VirtualNodes is the ring's vnode multiplier (0 = DefaultVirtualNodes).
 	VirtualNodes int
-	// DefaultSession backs the legacy single-session routes
-	// (0 = server.DefaultSessionName).
-	DefaultSession string
 	// Client performs control-plane calls (durable listing, recover,
 	// release) against nodes (nil = 5s-timeout client).
 	Client *http.Client
@@ -75,9 +72,6 @@ func NewGateway(nodeURLs []string, cfg GatewayConfig) (*Gateway, error) {
 	if cfg.VirtualNodes <= 0 {
 		cfg.VirtualNodes = DefaultVirtualNodes
 	}
-	if cfg.DefaultSession == "" {
-		cfg.DefaultSession = server.DefaultSessionName
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
@@ -123,13 +117,6 @@ func NewGateway(nodeURLs []string, cfg GatewayConfig) (*Gateway, error) {
 	g.mux.HandleFunc("POST /v1/sessions", g.handleSessionCreate)
 	g.mux.HandleFunc("/v1/sessions/{session}", g.handleSessionScoped)
 	g.mux.HandleFunc("/v1/sessions/{session}/", g.handleSessionScoped)
-	// Legacy single-session façade: the gateway pins it to the owner of
-	// the default session, mirroring a standalone craqrd.
-	for _, p := range []string{"/queries", "/queries/", "/script", "/results/", "/step", "/status"} {
-		g.mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
-			g.route(w, r, g.cfg.DefaultSession)
-		})
-	}
 	return g, nil
 }
 
@@ -213,7 +200,10 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionCreate peeks the create body for the session name (the
 // only session-scoped request whose session is in the body, not the
-// path), then proxies to that name's owner with the body restored.
+// path), then proxies to that name's owner with the body restored. A body
+// without a name is refused: the node would mint "sN" from its own counter,
+// a name the ring never hashed — the session would sit on a node that does
+// not own it, and two nodes could both mint "s1".
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -230,7 +220,8 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if spec.Name == "" {
-		spec.Name = g.cfg.DefaultSession
+		writeJSON(w, http.StatusBadRequest, map[string]interface{}{"error": "name required behind a gateway"})
+		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	r.ContentLength = int64(len(body))

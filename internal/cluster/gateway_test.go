@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +46,7 @@ func startNode(t *testing.T, root, name string, maxSessions int) *node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := server.NewManagerHTTPServer(m, server.DefaultSessionName)
+	hs, err := server.NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +471,51 @@ func TestGatewayCreateDuringJoinDiscovery(t *testing.T) {
 	}
 	if _, err := client.New(nodes[2].ts.URL).Status(ctx, name); err != nil {
 		t.Fatalf("session %q not live on its new owner n2: %v", name, err)
+	}
+}
+
+// TestGatewaySurface pins what the gateway refuses: a create without a name
+// (the node would mint "sN" from its own counter — a name the ring never
+// placed, and one two nodes can both mint) is a 400 that reaches no node,
+// and the removed single-session routes are 404 like on a craqrd.
+func TestGatewaySurface(t *testing.T) {
+	nodes, _, gw := startCluster(t, t.TempDir(), 4)
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(gw.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for _, body := range []string{``, `{}`, `{"seed": 3}`} {
+		if status, msg := post("/v1/sessions", body); status != http.StatusBadRequest || !strings.Contains(msg, "name required behind a gateway") {
+			t.Fatalf("nameless create %q = %d %s, want 400 naming the reason", body, status, msg)
+		}
+	}
+	for _, n := range nodes {
+		if n.m.Len() != 0 {
+			t.Fatalf("nameless create reached node %s", n.name)
+		}
+	}
+	if status, msg := post("/v1/sessions", `{"name": "default"}`); status != http.StatusCreated {
+		t.Fatalf("named create = %d %s", status, msg)
+	}
+	for _, rt := range []string{"GET /status", "POST /queries", "GET /queries", "POST /step", "GET /results/Q1", "POST /script", "DELETE /queries/Q1"} {
+		method, path, _ := strings.Cut(rt, " ")
+		req, err := http.NewRequest(method, gw.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s through the gateway = %d, want 404", rt, resp.StatusCode)
+		}
 	}
 }

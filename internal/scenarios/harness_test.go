@@ -67,7 +67,7 @@ func startCluster(t *testing.T, template server.Config, mcfg server.ManagerConfi
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := server.NewManagerHTTPServer(m, server.DefaultSessionName)
+	hs, err := server.NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}

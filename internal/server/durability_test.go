@@ -775,3 +775,42 @@ func TestCreateOverLeftoverStateConflicts(t *testing.T) {
 		t.Fatalf("leftover dir survives Destroy: stat err = %v", err)
 	}
 }
+
+// TestManifestUnknownFieldRefused: a session.json carrying a field this
+// build does not know (written when the spec still had A/B levers) is
+// refused by name on every path that reads manifests, never replayed
+// without it; destroying the name clears it.
+func TestManifestUnknownFieldRefused(t *testing.T) {
+	root := t.TempDir()
+	dir := sessionDir(root, "old")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"name": "old", "seed": 7, "disablePlanner": true}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	names := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), `"disablePlanner"`) && strings.Contains(err.Error(), "destroy the session")
+	}
+	if _, err := ReadManifest(dir); !names(err) {
+		t.Fatalf("ReadManifest = %v, want a refusal naming the field", err)
+	}
+	template := externalConfig(root, wal.FsyncNever)
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, template), DurabilityDir: root})
+	if recovered, err := m.Recover(); len(recovered) != 0 || !names(err) {
+		t.Fatalf("Recover = %v, %v, want a refusal naming the field", recovered, err)
+	}
+	if _, err := m.RecoverSession("old"); !names(err) {
+		t.Fatalf("RecoverSession = %v, want a refusal naming the field", err)
+	}
+	if _, err := m.Create(SessionSpec{Name: "old", Seed: 7}); !names(err) {
+		t.Fatalf("Create over the stale manifest = %v, want a refusal naming the field", err)
+	}
+	if err := m.Destroy("old"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(SessionSpec{Name: "old", Seed: 7}); err != nil {
+		t.Fatalf("Create after Destroy: %v", err)
+	}
+}

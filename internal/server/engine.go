@@ -158,7 +158,8 @@ type SourceConfig struct {
 // PlannerConfig controls cost-based query planning in the engine.
 type PlannerConfig struct {
 	// Disable turns planning off: every query is built with the static
-	// Fabricator.Merge mode — the A/B lever mirroring DisableFused.
+	// Fabricator.Merge mode. A reference path for tests and benchmarks, like
+	// topology.PipelineConfig.DisableFused; nothing in the service sets it.
 	Disable bool
 	// Weights are the cost-model weights; the zero value means
 	// planner.DefaultWeights.
@@ -387,10 +388,6 @@ func (e *Engine) Fabricator() *topology.Fabricator { return e.fab }
 // executes cell pipelines.
 func (e *Engine) Workers() int { return e.fab.Workers() }
 
-// FusedEnabled reports whether cell pipelines run on the compiled fused
-// execution path (see topology/fused.go); exposed in /status for A/B runs.
-func (e *Engine) FusedEnabled() bool { return e.fab.FusedEnabled() }
-
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 {
 	e.mu.Lock()
@@ -526,10 +523,6 @@ func (e *Engine) PlanCacheStats() (hits, misses uint64) {
 	return e.planHits, e.planMisses
 }
 
-// SharingEnabled reports whether the session deduplicates subplans across
-// queries; exposed in /status for A/B runs, like FusedEnabled.
-func (e *Engine) SharingEnabled() bool { return e.fab.SharingEnabled() }
-
 // SharedStats snapshots the fabricator's subplan-sharing accounting.
 func (e *Engine) SharedStats() topology.SharedStats { return e.fab.SharedStats() }
 
@@ -541,10 +534,6 @@ func (e *Engine) Plan(id string) (planner.CostEstimate, bool) {
 	est, ok := e.plans[id]
 	return est, ok
 }
-
-// PlannerEnabled reports whether cost-based planning runs on Submit;
-// exposed in /status for A/B runs, like FusedEnabled.
-func (e *Engine) PlannerEnabled() bool { return !e.cfg.Planner.Disable }
 
 // PlannerWeights returns the resolved cost-model weights.
 func (e *Engine) PlannerWeights() planner.Weights { return e.planWeights }
@@ -885,7 +874,7 @@ func (e *Engine) MeanViolation() float64 {
 }
 
 // AdaptiveEnabled reports whether the rate-retune feedback loop runs each
-// epoch; exposed in /status for A/B runs.
+// epoch; exposed as "adaptive" in session and status JSON.
 func (e *Engine) AdaptiveEnabled() bool { return e.adaptive != nil }
 
 // AdaptiveSlot is the observable state of one adaptive-rates slot.

@@ -3,14 +3,10 @@ package server
 import (
 	"errors"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/query"
-	"repro/internal/sensors"
 	"repro/internal/stream"
 )
 
@@ -87,57 +83,5 @@ func TestStepGlueSteadyStateAllocs(t *testing.T) {
 	}
 	if e.Epochs() < 50 || math.IsInf(e.IngestStats().Watermark, -1) {
 		t.Fatalf("epochs = %d, stats = %+v", e.Epochs(), e.IngestStats())
-	}
-}
-
-// TestClosedManagerAnswers503 pins the wire signal of a node on its way
-// down: once the manager is closed, session-scoped routes answer a
-// retryable 503 — never the 404 that tells a client the session is gone.
-func TestClosedManagerAnswers503(t *testing.T) {
-	fields := testFields(t)
-	m, err := NewManager(ManagerConfig{
-		NewEngine: NewEngineFactory(testConfig(), func() (map[string]sensors.Field, error) { return fields, nil }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, err := NewManagerHTTPServer(m, DefaultSessionName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(hs)
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{"name":"s"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		t.Fatalf("create = %d", resp.StatusCode)
-	}
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	if got := get("/v1/sessions/nope/status").StatusCode; got != http.StatusNotFound {
-		t.Fatalf("unknown session on a live manager = %d, want 404", got)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"s", "nope"} {
-		resp := get("/v1/sessions/" + name + "/status")
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("session %q on a closed manager = %d (Retry-After %q), want 503 with Retry-After",
-				name, resp.StatusCode, resp.Header.Get("Retry-After"))
-		}
-	}
-	if _, err := m.Get("s"); !errors.Is(err, ErrManagerClosed) {
-		t.Fatalf("Get on a closed manager = %v, want ErrManagerClosed", err)
 	}
 }

@@ -43,9 +43,6 @@ import (
 //	GET    /v1/sessions/{s}/results/{q}/stream        push delivery (ndjson; ?sse=1 or
 //	                                                  Accept: text/event-stream for SSE)
 //
-// The pre-session routes (POST /queries, GET /results/{id}, POST /step, …)
-// remain as thin wrappers over one designated default session.
-//
 // Results are served from each query's bounded ResultStore: a cursor read
 // returns the tuples at positions ≥ cursor still retained, the cursor to
 // resume from, and an explicit count of tuples evicted before the reader
@@ -53,48 +50,20 @@ import (
 // locking of its own.
 type HTTPServer struct {
 	manager  *Manager
-	defName  string
 	mux      *http.ServeMux
 	logf     func(format string, args ...interface{})
 	gate     *gatewayLimiter // nil = no per-token limits
 	nodeName string          // "" = standalone; set = cluster node mode
 }
 
-// DefaultSessionName is the session that backs the legacy single-session
-// routes.
-const DefaultSessionName = "default"
-
-// NewHTTPServer wraps a single hand-built engine: it is adopted into a
-// fresh manager as the pinned default session. POST /v1/sessions is refused
-// on such a server — construct it with NewManagerHTTPServer to host
-// dynamically created sessions.
-func NewHTTPServer(e *Engine) (*HTTPServer, error) {
-	if e == nil {
-		return nil, errors.New("server: NewHTTPServer requires an engine")
-	}
-	m, err := NewManager(ManagerConfig{NewEngine: func(SessionSpec) (*Engine, error) {
-		return nil, errors.New("server: session creation not configured; build the server with NewManagerHTTPServer")
-	}})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.Adopt(DefaultSessionName, e); err != nil {
-		return nil, err
-	}
-	return NewManagerHTTPServer(m, DefaultSessionName)
-}
-
-// NewManagerHTTPServer exposes a manager. defaultSession names the session
-// the legacy routes resolve to; it need not exist yet (legacy routes 404
-// until it does).
-func NewManagerHTTPServer(m *Manager, defaultSession string) (*HTTPServer, error) {
+// NewManagerHTTPServer exposes a manager. The second argument is ignored: it
+// used to name the session behind the removed single-session routes and is
+// kept only because bench/ still passes it (see ROADMAP, Diet).
+func NewManagerHTTPServer(m *Manager, _ string) (*HTTPServer, error) {
 	if m == nil {
 		return nil, errors.New("server: NewManagerHTTPServer requires a manager")
 	}
-	if defaultSession == "" {
-		defaultSession = DefaultSessionName
-	}
-	s := &HTTPServer{manager: m, defName: defaultSession, mux: http.NewServeMux(), logf: log.Printf}
+	s := &HTTPServer{manager: m, mux: http.NewServeMux(), logf: log.Printf}
 
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
@@ -119,19 +88,10 @@ func NewManagerHTTPServer(m *Manager, defaultSession string) (*HTTPServer, error
 	s.mux.HandleFunc("GET /v1/node/durable", s.handleNodeDurable)
 	s.mux.HandleFunc("POST /v1/node/sessions/{session}/recover", s.handleNodeRecover)
 	s.mux.HandleFunc("POST /v1/node/sessions/{session}/release", s.handleNodeRelease)
-
-	// Legacy single-session façade: thin wrappers resolving the default
-	// session and delegating to the session-scoped logic above.
-	s.mux.HandleFunc("/queries", s.handleLegacyQueries)
-	s.mux.HandleFunc("/queries/", s.handleLegacyQueryByID)
-	s.mux.HandleFunc("/script", s.handleLegacyScript)
-	s.mux.HandleFunc("/results/", s.handleLegacyResults)
-	s.mux.HandleFunc("/step", s.handleLegacyStep)
-	s.mux.HandleFunc("/status", s.handleLegacyStatus)
 	return s, nil
 }
 
-// Manager returns the session manager behind the façade.
+// Manager returns the session manager the server exposes.
 func (s *HTTPServer) Manager() *Manager { return s.manager }
 
 // SetGatewayLimits installs (or clears, with the zero value) the per-token
@@ -214,20 +174,57 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// session resolves a session name, writing the error itself on a miss: 404
-// when the session does not exist, a retryable 503 when the manager is
-// closed — a node on its way down cannot tell "gone" from "about to be
-// served elsewhere", and a client that read 404 there would end a result
-// stream that is only moving (see client.ResultStream).
+// writeErr is the one place an error becomes an HTTP status (docs/API.md,
+// "Errors", is this table). fallback is the status of an error the table
+// does not name: 400 on routes where what remains is the caller's input,
+// 500 otherwise. Order matters where errors nest — a DurabilityError
+// wrapping wal.ErrClosed is the retryable shutdown case, not a disk fault.
+func (s *HTTPServer) writeErr(w http.ResponseWriter, err error, fallback int) {
+	status, retryAfter := fallback, 0
+	var rl *RateLimitError
+	var durErr *DurabilityError
+	switch {
+	case errors.Is(err, ErrNoSession):
+		status = http.StatusNotFound
+	case errors.Is(err, ErrSessionExists):
+		status = http.StatusConflict
+	case errors.Is(err, ErrTooManySessions):
+		status = http.StatusTooManyRequests
+	case errors.Is(err, ErrInvalidSpec):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrManagerClosed), errors.Is(err, ingest.ErrClosed), errors.Is(err, wal.ErrClosed):
+		// Shutdown or session churn, refused before any state change: a node
+		// on its way down cannot tell "gone" from "about to be served
+		// elsewhere", and a client that read 404 there would end a result
+		// stream that is only moving (see client.ResultStream). The client
+		// library honors the hint (client.RetryPolicy).
+		status, retryAfter = http.StatusServiceUnavailable, IngestRetryAfterSeconds
+	case errors.As(err, &rl):
+		// Quota refusals clear only when the tenant releases resources; they
+		// still carry the minimum hint so clients back off.
+		status, retryAfter = http.StatusTooManyRequests, rl.retryAfterSeconds()
+	case errors.As(err, &durErr):
+		// fsync error, disk full: the batch was NOT durably acked. Producers
+		// must not discard batches on 5xx.
+		status = http.StatusInternalServerError
+	case errors.Is(err, ErrNoIngest):
+		status = http.StatusConflict
+	case errors.Is(err, wire.ErrFrameTooLarge), errors.Is(err, wire.ErrBodyTooLarge):
+		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, wire.ErrUnsupportedEncoding):
+		status = http.StatusUnsupportedMediaType
+	}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	s.writeError(w, status, err)
+}
+
+// session resolves a session name, writing the error itself on a miss.
 func (s *HTTPServer) session(w http.ResponseWriter, name string) *Session {
 	sess, err := s.manager.Get(name)
-	if errors.Is(err, ErrManagerClosed) {
-		w.Header().Set("Retry-After", strconv.Itoa(IngestRetryAfterSeconds))
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return nil
-	}
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return nil
 	}
 	return sess
@@ -342,9 +339,6 @@ type sessionJSON struct {
 	Epochs        int      `json:"epochs"`
 	Now           float64  `json:"now"`
 	Queries       int      `json:"queries"`
-	Fused         bool     `json:"fused"`
-	Planner       bool     `json:"planner"`
-	Sharing       bool     `json:"sharing"`
 	Adaptive      bool     `json:"adaptive"`
 	Source        string   `json:"source"`
 	Ingested      uint64   `json:"ingested"`
@@ -382,9 +376,6 @@ func toSessionJSON(sess *Session) sessionJSON {
 		Epochs:        sess.Engine.Epochs(),
 		Now:           sess.Engine.Now(),
 		Queries:       len(sess.Engine.Queries()),
-		Fused:         sess.Engine.FusedEnabled(),
-		Planner:       sess.Engine.PlannerEnabled(),
-		Sharing:       sess.Engine.SharingEnabled(),
 		Adaptive:      sess.Engine.AdaptiveEnabled(),
 		Source:        sess.Engine.SourceMode().String(),
 		Ingested:      ist.Ingested,
@@ -435,24 +426,19 @@ func (s *HTTPServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // sessionSpecJSON is the create-session request body; all fields optional.
+// docs/API.md's field table is checked against these tags
+// (scripts/docs_check.sh).
 type sessionSpecJSON struct {
-	Name         string `json:"name"`
-	Seed         int64  `json:"seed"`
-	Retention    int    `json:"retention"`
-	Tick         string `json:"tick"`      // duration, e.g. "200ms"; empty = manual stepping
-	Simulated    bool   `json:"simulated"` // epochs back-to-back, no wall-clock pacing
-	Pinned       bool   `json:"pinned"`
-	DisableFused bool   `json:"disableFused"` // A/B: unfused operator-graph walk
-	// A/B levers for planning and adaptivity (see DESIGN.md, "Planning and
-	// adaptivity"): disablePlanner pins queries to the static merge mode,
-	// plannerWeights overrides the cost model, adaptiveRates turns the
-	// rate-retune feedback loop on and disableAdaptive forces it off (the
-	// static control next to a `craqrd -budget` template).
-	DisablePlanner  bool                `json:"disablePlanner"`
-	DisableSharing  bool                `json:"disableSharing"` // A/B: per-query fabrication, no subplan dedup
-	PlannerWeights  *plannerWeightsJSON `json:"plannerWeights"`
-	AdaptiveRates   bool                `json:"adaptiveRates"`
-	DisableAdaptive bool                `json:"disableAdaptive"`
+	Name      string `json:"name"`
+	Seed      int64  `json:"seed"`
+	Retention int    `json:"retention"`
+	Tick      string `json:"tick"`      // duration, e.g. "200ms"; empty = manual stepping
+	Simulated bool   `json:"simulated"` // epochs back-to-back, no wall-clock pacing
+	Pinned    bool   `json:"pinned"`
+	// AdaptiveRates turns the rate-retune feedback loop on or off for this
+	// session (see DESIGN.md, "Planning and adaptivity"); absent inherits
+	// the server's -budget template.
+	AdaptiveRates *bool `json:"adaptiveRates"`
 	// Source composition for the session's epochs: "simulated", "external"
 	// or "mixed" (empty inherits the server's -source template); the ingest
 	// queue bound in tuples, the event-time out-of-order tolerance in
@@ -476,116 +462,54 @@ type sessionSpecJSON struct {
 	Limits *TenantLimits `json:"limits"`
 }
 
-// plannerWeightsJSON is the wire form of planner.Weights.
-type plannerWeightsJSON struct {
-	PerTuple    float64 `json:"perTuple"`
-	PerOperator float64 `json:"perOperator"`
-	PerDepth    float64 `json:"perDepth"`
-}
-
-func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var body sessionSpecJSON
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&body); err != nil && err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid session spec: %w", err))
-		return
-	}
+// spec converts the wire form into the SessionSpec Manager.Create validates;
+// the tick string is the one field that needs parsing on the way.
+func (b sessionSpecJSON) spec() (SessionSpec, error) {
 	spec := SessionSpec{
-		Name:              body.Name,
-		Seed:              body.Seed,
-		Retention:         body.Retention,
-		Clock:             ClockConfig{Simulated: body.Simulated},
-		Pinned:            body.Pinned,
-		DisableFused:      body.DisableFused,
-		DisablePlanner:    body.DisablePlanner,
-		DisableSharing:    body.DisableSharing,
-		AdaptiveRates:     body.AdaptiveRates,
-		DisableAdaptive:   body.DisableAdaptive,
-		Source:            body.Source,
-		IngestBuffer:      body.IngestBuffer,
-		IngestTolerance:   body.IngestTolerance,
-		LatePolicy:        body.LatePolicy,
-		DisableDurability: body.DisableDurability,
-		SnapshotEvery:     body.SnapshotEvery,
-		FsyncPolicy:       body.FsyncPolicy,
-		Weight:            body.Weight,
-		Limits:            body.Limits,
+		Name:              b.Name,
+		Seed:              b.Seed,
+		Retention:         b.Retention,
+		Clock:             ClockConfig{Simulated: b.Simulated},
+		Pinned:            b.Pinned,
+		AdaptiveRates:     b.AdaptiveRates,
+		Source:            b.Source,
+		IngestBuffer:      b.IngestBuffer,
+		IngestTolerance:   b.IngestTolerance,
+		LatePolicy:        b.LatePolicy,
+		DisableDurability: b.DisableDurability,
+		SnapshotEvery:     b.SnapshotEvery,
+		FsyncPolicy:       b.FsyncPolicy,
+		Weight:            b.Weight,
+		Limits:            b.Limits,
 	}
-	// Validate here so a bad spec is a 400, not a factory 500 — or, worse,
-	// a silently ignored override.
-	if _, err := ParseSourceMode(body.Source); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if body.LatePolicy != "" {
-		if _, err := ingest.ParseLatePolicy(body.LatePolicy); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if body.IngestBuffer < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("ingestBuffer must be non-negative, got %d", body.IngestBuffer))
-		return
-	}
-	if body.IngestTolerance < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("tolerance must be non-negative, got %g", body.IngestTolerance))
-		return
-	}
-	if body.SnapshotEvery < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("snapshotEvery must be non-negative, got %d", body.SnapshotEvery))
-		return
-	}
-	if body.FsyncPolicy != "" {
-		if _, err := wal.ParsePolicy(body.FsyncPolicy); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if body.Weight < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("weight must be non-negative, got %g", body.Weight))
-		return
-	}
-	if body.Limits != nil {
-		if err := body.Limits.Validate(); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if body.PlannerWeights != nil {
-		pw := planner.Weights{
-			PerTuple:    body.PlannerWeights.PerTuple,
-			PerOperator: body.PlannerWeights.PerOperator,
-			PerDepth:    body.PlannerWeights.PerDepth,
-		}
-		if err := pw.Validate(); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// The engine treats the zero Weights struct as "use defaults", so an
-		// explicit all-zero override would be silently replaced; reject it.
-		if pw == (planner.Weights{}) {
-			s.writeError(w, http.StatusBadRequest, errors.New("plannerWeights must not all be zero"))
-			return
-		}
-		spec.PlannerWeights = &pw
-	}
-	if body.Tick != "" {
-		d, err := time.ParseDuration(body.Tick)
+	if b.Tick != "" {
+		d, err := time.ParseDuration(b.Tick)
 		if err != nil || d < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid tick %q", body.Tick))
-			return
+			return SessionSpec{}, fmt.Errorf("%w: invalid tick %q", ErrInvalidSpec, b.Tick)
 		}
 		spec.Clock.Interval = d
 	}
-	sess, err := s.manager.Create(spec)
+	return spec, nil
+}
+
+// handleSessionCreate refuses unknown fields instead of ignoring them: a
+// misspelt or removed override that silently does nothing is the failure to
+// avoid.
+func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
+	var body sessionSpecJSON
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<16))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil && err != io.EOF {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid session spec: %w", err))
+		return
+	}
+	spec, err := body.spec()
+	var sess *Session
+	if err == nil {
+		sess, err = s.manager.Create(spec)
+	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrSessionExists):
-			status = http.StatusConflict
-		case errors.Is(err, ErrTooManySessions):
-			status = http.StatusTooManyRequests
-		}
-		s.writeError(w, status, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, toSessionJSON(sess))
@@ -609,11 +533,7 @@ func (s *HTTPServer) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 func (s *HTTPServer) handleSessionDestroy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("session")
 	if err := s.manager.Destroy(name); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNoSession) {
-			status = http.StatusNotFound
-		}
-		s.writeError(w, status, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"destroyed": name})
@@ -621,18 +541,16 @@ func (s *HTTPServer) handleSessionDestroy(w http.ResponseWriter, r *http.Request
 
 // --- /v1 session-scoped engine routes --------------------------------------
 
+// handleSessionQuerySubmit executes one CrAQL statement: a plain query is
+// submitted (201 + stored query); an EXPLAIN statement is priced by the
+// planner and answered with the cost table (200) without registering
+// anything.
 func (s *HTTPServer) handleSessionQuerySubmit(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r.PathValue("session"))
 	if sess == nil {
 		return
 	}
-	s.submitQuery(w, r, sess.Engine)
-}
-
-// submitQuery executes one CrAQL statement: a plain query is submitted
-// (201 + stored query); an EXPLAIN statement is priced by the planner and
-// answered with the cost table (200) without registering anything.
-func (s *HTTPServer) submitQuery(w http.ResponseWriter, r *http.Request, e *Engine) {
+	e := sess.Engine
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -654,12 +572,7 @@ func (s *HTTPServer) submitQuery(w http.ResponseWriter, r *http.Request, e *Engi
 	}
 	q, err := e.Submit(st.Query)
 	if err != nil {
-		var rl *RateLimitError
-		if errors.As(err, &rl) {
-			s.writeRateLimited(w, err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, toQueryJSON(q))
@@ -670,12 +583,8 @@ func (s *HTTPServer) handleSessionQueryList(w http.ResponseWriter, r *http.Reque
 	if sess == nil {
 		return
 	}
-	s.listQueries(w, sess.Engine)
-}
-
-func (s *HTTPServer) listQueries(w http.ResponseWriter, e *Engine) {
 	var out []queryJSON
-	for _, q := range e.Queries() {
+	for _, q := range sess.Engine.Queries() {
 		out = append(out, toQueryJSON(q))
 	}
 	s.writeJSON(w, http.StatusOK, out)
@@ -686,11 +595,8 @@ func (s *HTTPServer) handleSessionQueryDelete(w http.ResponseWriter, r *http.Req
 	if sess == nil {
 		return
 	}
-	s.deleteQuery(w, sess.Engine, r.PathValue("id"))
-}
-
-func (s *HTTPServer) deleteQuery(w http.ResponseWriter, e *Engine, id string) {
-	if err := e.Delete(id); err != nil {
+	id := r.PathValue("id")
+	if err := sess.Engine.Delete(id); err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -698,9 +604,8 @@ func (s *HTTPServer) deleteQuery(w http.ResponseWriter, e *Engine, id string) {
 }
 
 // handleSessionQueryPlan serves a live query's plan: the estimate the
-// planner chose at submit time (absent when planning was disabled), plus a
-// freshly priced comparison of every merge mode and the canonical text
-// table.
+// planner chose at submit time, plus a freshly priced comparison of every
+// merge mode and the canonical text table.
 func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r.PathValue("session"))
 	if sess == nil {
@@ -715,13 +620,10 @@ func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Reque
 	}
 	ex, err := e.ExplainQuery(q)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	resp := map[string]interface{}{
-		"planner": e.PlannerEnabled(),
-		"plan":    toExplainJSON(ex),
-	}
+	resp := map[string]interface{}{"plan": toExplainJSON(ex)}
 	if mode, ok := e.Fabricator().QueryMergeMode(id); ok {
 		resp["mode"] = mode.String()
 	}
@@ -736,33 +638,24 @@ func (s *HTTPServer) handleSessionScript(w http.ResponseWriter, r *http.Request)
 	if sess == nil {
 		return
 	}
-	s.submitScript(w, r, sess.Engine)
-}
-
-func (s *HTTPServer) submitScript(w http.ResponseWriter, r *http.Request, e *Engine) {
 	// Scripts accept the same Content-Encodings as ingest (gzip/deflate,
 	// registered hooks), with the decompressed size capped at the script
 	// limit.
 	rc, err := wire.Decompress(r.Body, strings.TrimSpace(r.Header.Get("Content-Encoding")))
 	if err != nil {
-		s.writeError(w, wireStatus(err), err)
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
 	defer rc.Close()
 	body, err := wire.ReadBody(rc, 1<<20, wire.BorrowBuf())
 	if err != nil {
-		s.writeError(w, wireStatus(err), err)
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
 	defer wire.ReleaseBuf(body)
-	qs, err := e.SubmitScript(string(body))
+	qs, err := sess.Engine.SubmitScript(string(body))
 	if err != nil {
-		var rl *RateLimitError
-		if errors.As(err, &rl) {
-			s.writeRateLimited(w, err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
 	out := make([]queryJSON, 0, len(qs))
@@ -772,20 +665,17 @@ func (s *HTTPServer) submitScript(w http.ResponseWriter, r *http.Request, e *Eng
 	s.writeJSON(w, http.StatusCreated, out)
 }
 
+// handleSessionStep advances the engine; epochs are serialized by
+// Engine.stepMu, so concurrent HTTP steps and a running clock interleave at
+// epoch boundaries. On a watermark-gated source the step stops early —
+// without error — when the next epoch is still open; "stepped" reports how
+// many epochs ran and "waiting" flags the early stop.
 func (s *HTTPServer) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r.PathValue("session"))
 	if sess == nil {
 		return
 	}
-	s.step(w, r, sess.Engine)
-}
-
-// step advances the engine; epochs are serialized by Engine.stepMu, so
-// concurrent HTTP steps and a running clock interleave at epoch boundaries.
-// On a watermark-gated source the step stops early — without error — when
-// the next epoch is still open; "stepped" reports how many epochs ran and
-// "waiting" flags the early stop.
-func (s *HTTPServer) step(w http.ResponseWriter, r *http.Request, e *Engine) {
+	e := sess.Engine
 	n := 1
 	if nv := r.URL.Query().Get("n"); nv != "" {
 		parsed, err := strconv.Atoi(nv)
@@ -797,7 +687,7 @@ func (s *HTTPServer) step(w http.ResponseWriter, r *http.Request, e *Engine) {
 	}
 	done, err := e.RunReady(n)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	resp := map[string]interface{}{"epochs": e.Epochs(), "now": e.Now(), "stepped": done}
@@ -811,14 +701,6 @@ func (s *HTTPServer) step(w http.ResponseWriter, r *http.Request, e *Engine) {
 }
 
 // --- results: cursor pagination and streaming -------------------------------
-
-func (s *HTTPServer) handleSessionResults(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r.PathValue("session"))
-	if sess == nil {
-		return
-	}
-	s.readResults(w, r, sess.Engine, r.PathValue("id"))
-}
 
 // parseCursorLimit extracts the ?cursor= and ?limit= pagination parameters
 // shared by every result-reading route.
@@ -838,9 +720,13 @@ func parseCursorLimit(r *http.Request) (cursor uint64, limit int, err error) {
 	return cursor, limit, nil
 }
 
-// readResults serves one page of a query's bounded result store.
-func (s *HTTPServer) readResults(w http.ResponseWriter, r *http.Request, e *Engine, id string) {
-	store, err := e.ResultStore(id)
+// handleSessionResults serves one page of a query's bounded result store.
+func (s *HTTPServer) handleSessionResults(w http.ResponseWriter, r *http.Request) {
+	sess := s.session(w, r.PathValue("session"))
+	if sess == nil {
+		return
+	}
+	store, err := sess.Engine.ResultStore(r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return
@@ -1012,10 +898,6 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 	if sess == nil {
 		return
 	}
-	s.status(w, sess)
-}
-
-func (s *HTTPServer) status(w http.ResponseWriter, sess *Session) {
 	e := sess.Engine
 	budgets := e.Budgets().Snapshots()
 	type budgetJSON struct {
@@ -1128,9 +1010,6 @@ func (s *HTTPServer) status(w http.ResponseWriter, sess *Session) {
 		"pipelines":        e.Fabricator().NumPipelines(),
 		"operators":        e.Fabricator().OperatorCounts(),
 		"workers":          e.Workers(),
-		"fused":            e.FusedEnabled(),
-		"planner":          e.PlannerEnabled(),
-		"sharing":          e.SharingEnabled(),
 		"sharedPrefixes":   shared.SharedSubplans,
 		"sharedQueries":    shared.SharedQueries,
 		"sharedAttaches":   shared.Attaches,
@@ -1163,122 +1042,4 @@ func (s *HTTPServer) status(w http.ResponseWriter, sess *Session) {
 		},
 		"budgets": bj,
 	})
-}
-
-// --- legacy single-session façade -------------------------------------------
-
-// defaultSession resolves the legacy routes' session.
-func (s *HTTPServer) defaultSession(w http.ResponseWriter) *Session {
-	return s.session(w, s.defName)
-}
-
-func (s *HTTPServer) handleLegacyQueries(w http.ResponseWriter, r *http.Request) {
-	sess := s.defaultSession(w)
-	if sess == nil {
-		return
-	}
-	switch r.Method {
-	case http.MethodPost:
-		s.submitQuery(w, r, sess.Engine)
-	case http.MethodGet:
-		s.listQueries(w, sess.Engine)
-	default:
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-	}
-}
-
-func (s *HTTPServer) handleLegacyQueryByID(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/queries/")
-	if id == "" {
-		s.writeError(w, http.StatusBadRequest, errors.New("missing query id"))
-		return
-	}
-	if r.Method != http.MethodDelete {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	sess := s.defaultSession(w)
-	if sess == nil {
-		return
-	}
-	s.deleteQuery(w, sess.Engine, id)
-}
-
-func (s *HTTPServer) handleLegacyScript(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	sess := s.defaultSession(w)
-	if sess == nil {
-		return
-	}
-	s.submitScript(w, r, sess.Engine)
-}
-
-// handleLegacyResults keeps the pre-cursor wire shape ({"count", "tuples"})
-// but now serves from the bounded store: count is the retained tuple count.
-// It also honors ?cursor= for clients migrating before switching to /v1.
-func (s *HTTPServer) handleLegacyResults(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	sess := s.defaultSession(w)
-	if sess == nil {
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/results/")
-	store, err := sess.Engine.ResultStore(id)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
-		return
-	}
-	cursor, limit, err := parseCursorLimit(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Pre-cursor clients used ?limit=0 as a count-only probe; keep that
-	// reading here (the /v1 route gives limit 0 the "no limit" meaning).
-	if limit == 0 && r.URL.Query().Get("limit") != "" {
-		s.writeJSON(w, http.StatusOK, map[string]interface{}{
-			"count":      store.Len(),
-			"tuples":     []tupleJSON{},
-			"nextCursor": cursor,
-			"dropped":    uint64(0),
-		})
-		return
-	}
-	tuples, next, dropped := store.ReadFrom(cursor, limit, nil)
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"count":      store.Len(),
-		"tuples":     toTupleJSON(tuples),
-		"nextCursor": next,
-		"dropped":    dropped,
-	})
-}
-
-func (s *HTTPServer) handleLegacyStep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	sess := s.defaultSession(w)
-	if sess == nil {
-		return
-	}
-	s.step(w, r, sess.Engine)
-}
-
-func (s *HTTPServer) handleLegacyStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	sess := s.defaultSession(w)
-	if sess == nil {
-		return
-	}
-	s.status(w, sess)
 }

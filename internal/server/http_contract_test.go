@@ -1,0 +1,243 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/ingest"
+	"repro/internal/wal"
+	"repro/internal/wire"
+)
+
+var handleFuncPattern = regexp.MustCompile(`HandleFunc\("([^"]+)"`)
+
+// registeredPatterns reads the mux patterns out of a source file's
+// HandleFunc registrations (http.ServeMux does not expose them), so route
+// tables in tests cannot drift from what the server registers.
+func registeredPatterns(t *testing.T, file string) []string {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, m := range handleFuncPattern.FindAllStringSubmatch(string(src), -1) {
+		out = append(out, m[1])
+	}
+	if len(out) == 0 {
+		t.Fatalf("no HandleFunc registrations found in %s", file)
+	}
+	return out
+}
+
+// patternRequest builds a request that matches a "METHOD /path/{wildcard}"
+// pattern, filling {session} with session and every other wildcard with Q1.
+func patternRequest(t *testing.T, base, pattern, session string) *http.Request {
+	t.Helper()
+	method, path, ok := strings.Cut(pattern, " ")
+	if !ok {
+		t.Fatalf("pattern %q has no method", pattern)
+	}
+	path = strings.ReplaceAll(path, "{session}", session)
+	path = strings.ReplaceAll(path, "{id}", "Q1")
+	req, err := http.NewRequest(method, base+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// removedRoutes are the pre-session façade's requests; they must stay 404.
+var removedRoutes = []string{
+	"GET /status", "POST /queries", "GET /queries", "POST /step",
+	"GET /results/Q1", "POST /script", "DELETE /queries/Q1",
+}
+
+// TestHTTPContract asserts the surface route by route against a live
+// server: the registered pattern set is exactly what docs/API.md documents
+// (craqrd's routes plus the gateway's own), the removed single-session
+// routes are 404, and no response carries a key the lever removal retired.
+func TestHTTPContract(t *testing.T) {
+	registered := map[string]bool{}
+	for _, p := range registeredPatterns(t, "http.go") {
+		if !strings.Contains(p, " /v1/") {
+			t.Errorf("http.go registers %q: every route is method-qualified and under /v1", p)
+		}
+		registered[p] = true
+	}
+	for _, p := range registeredPatterns(t, "../cluster/gateway.go") {
+		if strings.Contains(p, " ") { // the two method-less proxy patterns document nothing
+			registered[p] = true
+		}
+	}
+	api, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^### ([A-Z]+ /\S+)`).FindAllStringSubmatch(string(api), -1) {
+		documented[m[1]] = true
+	}
+	for p := range registered {
+		if !documented[p] {
+			t.Errorf("%q is registered but has no heading in docs/API.md", p)
+		}
+	}
+	for p := range documented {
+		if !registered[p] {
+			t.Errorf("docs/API.md documents %q, which nothing registers", p)
+		}
+	}
+
+	ts, _ := newManagerTestServer(t)
+	c := ts.Client()
+	var session, status, plan map[string]interface{}
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"default"}`, 201, &session)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/default/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, nil)
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/default/status", "", 200, &status)
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/default/queries/Q1/plan", "", 200, &plan)
+	for doc, body := range map[string]map[string]interface{}{"session": session, "status": status, "plan": plan} {
+		for _, key := range []string{"fused", "planner", "sharing"} {
+			if _, present := body[key]; present {
+				t.Errorf("%s JSON still carries %q", doc, key)
+			}
+		}
+	}
+	if _, ok := session["adaptive"]; !ok {
+		t.Error(`session JSON lost "adaptive"`)
+	}
+
+	// A session named "default" exists, so a 404 here is the route's, not
+	// the session's.
+	for _, rt := range removedRoutes {
+		method, path, _ := strings.Cut(rt, " ")
+		doJSON(t, c, method, ts.URL+path, "", 404, nil)
+	}
+}
+
+// TestClosedManagerAnswers503 pins the wire signal of a node on its way
+// down: once the manager is closed, every route that touches a session
+// answers a retryable 503 + Retry-After — never the 404 that tells a client
+// the session is gone, nor the 500 a gateway reads as a failed move.
+func TestClosedManagerAnswers503(t *testing.T) {
+	m, err := NewManager(ManagerConfig{NewEngine: testFactory(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := NewManagerHTTPServer(m, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(hs)
+	defer ts.Close()
+	c := ts.Client()
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"s"}`, 201, nil)
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/nope/status", "", 404, nil)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// What a closed manager still answers: liveness and the two listings
+	// (empty; the gateway reads them to learn nothing is served here).
+	sessionless := map[string]bool{"GET /v1/healthz": true, "GET /v1/sessions": true, "GET /v1/node/durable": true}
+	for _, pattern := range registeredPatterns(t, "http.go") {
+		for _, name := range []string{"s", "nope"} {
+			resp, err := c.Do(patternRequest(t, ts.URL, pattern, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if sessionless[pattern] {
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s on a closed manager = %d, want 200", pattern, resp.StatusCode)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Errorf("%s (session %q) on a closed manager = %d (Retry-After %q), want 503 with Retry-After",
+					pattern, name, resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+		}
+	}
+	if _, err := m.Get("s"); !errors.Is(err, ErrManagerClosed) {
+		t.Fatalf("Get on a closed manager = %v, want ErrManagerClosed", err)
+	}
+}
+
+// TestWriteErrTable walks the one error→status table. The ingest rows matter
+// most: misclassifying a durability failure as 400 would make producers
+// discard batches that were never durably acked.
+func TestWriteErrTable(t *testing.T) {
+	_, hs := newManagerTestServer(t)
+	for _, tc := range []struct {
+		name       string
+		err        error
+		fallback   int
+		want       int
+		retryAfter string
+	}{
+		{"no session", fmt.Errorf("%w: %q", ErrNoSession, "x"), 500, 404, ""},
+		{"session exists", fmt.Errorf("%w: %q", ErrSessionExists, "x"), 500, 409, ""},
+		{"session limit", ErrTooManySessions, 500, 429, ""},
+		{"invalid spec", fmt.Errorf("%w: weight must be non-negative", ErrInvalidSpec), 500, 400, ""},
+		{"manager closed", ErrManagerClosed, 500, 503, "1"},
+		{"recover on a closed manager", fmt.Errorf("server: recover session %q: %w", "x", ErrManagerClosed), 500, 503, "1"},
+		{"queue closed", ingest.ErrClosed, 400, 503, "1"},
+		{"wal closed mid-shutdown", &DurabilityError{Err: wal.ErrClosed}, 400, 503, "1"},
+		{"rate limited", &RateLimitError{Reason: "tuple rate", RetryAfter: 2500 * time.Millisecond}, 500, 429, "3"},
+		{"over quota", &RateLimitError{Reason: "queue bytes"}, 400, 429, "1"},
+		{"fsync failure", &DurabilityError{Err: errors.New("fsync: no space left on device")}, 400, 500, ""},
+		{"simulated session", ErrNoIngest, 400, 409, ""},
+		{"frame too large", fmt.Errorf("reading ingest body: %w", wire.ErrFrameTooLarge), 400, 413, ""},
+		{"body too large", wire.ErrBodyTooLarge, 400, 413, ""},
+		{"unknown encoding", wire.ErrUnsupportedEncoding, 400, 415, ""},
+		{"producer batch", errors.New("observation missing attr"), 400, 400, ""},
+		{"unjournalable batch", fmt.Errorf("server: batch is not journalable: %w", wal.ErrRecordTooLarge), 400, 400, ""},
+		{"engine fault", errors.New("step: sink failed"), 500, 500, ""},
+	} {
+		rec := httptest.NewRecorder()
+		hs.writeErr(rec, tc.err, tc.fallback)
+		if rec.Code != tc.want || rec.Header().Get("Retry-After") != tc.retryAfter {
+			t.Errorf("%s: %d (Retry-After %q), want %d (%q)", tc.name, rec.Code, rec.Header().Get("Retry-After"), tc.want, tc.retryAfter)
+		}
+		if !strings.Contains(rec.Body.String(), `"error"`) {
+			t.Errorf("%s: body %q is not the error envelope", tc.name, rec.Body.String())
+		}
+	}
+}
+
+// TestSessionSpecValidate: Manager.Create gives a Go caller the refusal an
+// HTTP caller gets, instead of silently ignoring a nonsensical value.
+func TestSessionSpecValidate(t *testing.T) {
+	m := newManager(t, ManagerConfig{})
+	for _, tc := range []struct {
+		field string
+		spec  SessionSpec
+	}{
+		{"source", SessionSpec{Source: "telepathy"}},
+		{"latePolicy", SessionSpec{LatePolicy: "maybe"}},
+		{"fsyncPolicy", SessionSpec{FsyncPolicy: "sometimes"}},
+		{"ingestBuffer", SessionSpec{IngestBuffer: -1}},
+		{"tolerance", SessionSpec{IngestTolerance: -0.5}},
+		{"snapshotEvery", SessionSpec{SnapshotEvery: -1}},
+		{"weight", SessionSpec{Weight: -1}},
+		{"limits", SessionSpec{Limits: &TenantLimits{RateTuplesPerSec: -1}}},
+	} {
+		tc.spec.Name = "bad"
+		if _, err := m.Create(tc.spec); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("bad %s: Create = %v, want ErrInvalidSpec", tc.field, err)
+		}
+	}
+	if m.Len() != 0 {
+		t.Fatalf("refused specs left %d sessions", m.Len())
+	}
+	if _, err := m.Create(SessionSpec{Name: "ok", Source: "mixed", LatePolicy: "next", Weight: 2}); err != nil {
+		t.Fatalf("valid spec refused: %v", err)
+	}
+}

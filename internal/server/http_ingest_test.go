@@ -4,16 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/ingest"
-	"repro/internal/wal"
 )
 
 func TestHTTPIngestUnary(t *testing.T) {
@@ -229,29 +225,5 @@ func TestHTTPIngestE2EMixed(t *testing.T) {
 	}
 	if fmt.Sprint(st["epochs"]) != "3" {
 		t.Fatalf("epochs = %v", st["epochs"])
-	}
-}
-
-// TestIngestPushStatusClassification: the ingest route must distinguish
-// the producer's batch (400) from server faults — retryable queue/WAL
-// closure (503) and non-retryable durability failures like a full disk
-// (500). Misclassifying a durability failure as 400 would make producers
-// discard batches that were never durably acked.
-func TestIngestPushStatusClassification(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		err  error
-		want int
-	}{
-		{"queue closed", ingest.ErrClosed, http.StatusServiceUnavailable},
-		{"wal closed mid-shutdown", &DurabilityError{Err: wal.ErrClosed}, http.StatusServiceUnavailable},
-		{"fsync failure", &DurabilityError{Err: errors.New("fsync: no space left on device")}, http.StatusInternalServerError},
-		{"simulated session", ErrNoIngest, http.StatusConflict},
-		{"producer batch", errors.New("observation missing attr"), http.StatusBadRequest},
-		{"unjournalable batch", fmt.Errorf("server: batch is not journalable: %w", wal.ErrRecordTooLarge), http.StatusBadRequest},
-	} {
-		if got := ingestPushStatus(tc.err); got != tc.want {
-			t.Errorf("%s: status = %d, want %d", tc.name, got, tc.want)
-		}
 	}
 }

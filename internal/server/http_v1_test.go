@@ -16,7 +16,7 @@ import (
 func newManagerTestServer(t *testing.T) (*httptest.Server, *HTTPServer) {
 	t.Helper()
 	m := newManager(t, ManagerConfig{})
-	s, err := NewManagerHTTPServer(m, DefaultSessionName)
+	s, err := NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,54 +341,10 @@ func TestHTTPScriptAndQueryRoutes(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/nope/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 404, nil)
 }
 
-// TestLegacyRoutesHitDefaultSession: the pre-session API is a thin wrapper
-// over the manager's default session.
-func TestLegacyRoutesHitDefaultSession(t *testing.T) {
-	ts, s := newManagerTestServer(t)
-	c := ts.Client()
-	// No default session yet: legacy routes 404 rather than crash.
-	doJSON(t, c, "GET", ts.URL+"/status", "", 404, nil)
-
-	if _, err := s.Manager().Create(SessionSpec{Name: DefaultSessionName, Pinned: true}); err != nil {
-		t.Fatal(err)
-	}
-	var qj struct {
-		ID string `json:"id"`
-	}
-	doJSON(t, c, "POST", ts.URL+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
-	doJSON(t, c, "POST", ts.URL+"/step?n=5", "", 200, nil)
-	var rj struct {
-		Count      int               `json:"count"`
-		Tuples     []json.RawMessage `json:"tuples"`
-		NextCursor uint64            `json:"nextCursor"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/results/"+qj.ID+"?limit=5", "", 200, &rj)
-	if rj.Count == 0 || len(rj.Tuples) > 5 {
-		t.Fatalf("legacy results = %+v", rj)
-	}
-	// Pre-cursor clients used ?limit=0 as a count-only probe.
-	doJSON(t, c, "GET", ts.URL+"/results/"+qj.ID+"?limit=0", "", 200, &rj)
-	if rj.Count == 0 || len(rj.Tuples) != 0 {
-		t.Fatalf("legacy count-only probe = %+v", rj)
-	}
-	// The same query is visible through the /v1 view of the default session.
-	var listed []struct {
-		ID string `json:"id"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/v1/sessions/"+DefaultSessionName+"/queries", "", 200, &listed)
-	if len(listed) != 1 || listed[0].ID != qj.ID {
-		t.Fatalf("default session queries = %+v", listed)
-	}
-}
-
 // TestWriteJSONLogsEncodeFailure covers the satellite requirement that
 // writeJSON surfaces encode errors instead of discarding them.
 func TestWriteJSONLogsEncodeFailure(t *testing.T) {
-	e := newEngine(t)
-	s, err := NewHTTPServer(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, s := newManagerTestServer(t)
 	var logged []string
 	s.SetLogf(func(format string, args ...interface{}) {
 		logged = append(logged, fmt.Sprintf(format, args...))

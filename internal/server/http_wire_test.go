@@ -215,7 +215,7 @@ func TestIngestCodecEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs, err := NewManagerHTTPServer(m, DefaultSessionName)
+		hs, err := NewManagerHTTPServer(m, "")
 		if err != nil {
 			t.Fatal(err)
 		}

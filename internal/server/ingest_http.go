@@ -13,7 +13,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/ingest"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -197,40 +196,6 @@ const ingestBatchLimit = 8 << 20
 // to come back, short enough that producers drain their backlog promptly.
 const IngestRetryAfterSeconds = 1
 
-// ingestPushStatus classifies a push failure: a queue or WAL closed by
-// shutdown/session-destroy is a retryable server condition (503), any
-// other durability failure — fsync error, disk full — is a server fault
-// (500; the batch was NOT durably acked), a session that never accepts
-// pushes is a conflict (409), and anything else is the producer's batch
-// (400). Producers must not discard batches on 5xx.
-func ingestPushStatus(err error) int {
-	var durErr *DurabilityError
-	switch {
-	case errors.Is(err, ingest.ErrClosed), errors.Is(err, wal.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.As(err, &durErr):
-		return http.StatusInternalServerError
-	case errors.Is(err, ErrNoIngest):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// wireStatus classifies a decode/decompress failure: frames or bodies past
-// the size caps are 413, an encoding this build cannot inflate is 415, and
-// every other malformed input is the producer's 400.
-func wireStatus(err error) int {
-	switch {
-	case errors.Is(err, wire.ErrFrameTooLarge), errors.Is(err, wire.ErrBodyTooLarge):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, wire.ErrUnsupportedEncoding):
-		return http.StatusUnsupportedMediaType
-	default:
-		return http.StatusBadRequest
-	}
-}
-
 // pushWireBatch validates a decoded batch and pushes it into the engine.
 // The wire decoder has already applied the batch default attr, so an empty
 // attr here means the producer supplied none at either level.
@@ -262,26 +227,13 @@ func producerToken(r *http.Request) string {
 
 // admitIngest runs both admission layers for one decoded batch: the
 // gateway's per-token buckets, then the session's TenantLimits. The
-// *RateLimitError comes back verbatim so callers can render the accurate
+// *RateLimitError comes back verbatim so writeErr can render the accurate
 // Retry-After.
 func (s *HTTPServer) admitIngest(e *Engine, token string, tupleCount, byteCount int) error {
 	if err := s.gate.admit(token, tupleCount, byteCount); err != nil {
 		return err
 	}
 	return e.AdmitIngest(tupleCount, byteCount)
-}
-
-// writeRateLimited renders an admission refusal as 429 with the limiter's
-// accurate Retry-After (quota refusals, which clear only when the tenant
-// releases resources, still carry the minimum hint so clients back off).
-func (s *HTTPServer) writeRateLimited(w http.ResponseWriter, err error) {
-	secs := IngestRetryAfterSeconds
-	var rl *RateLimitError
-	if errors.As(err, &rl) {
-		secs = rl.retryAfterSeconds()
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.writeError(w, http.StatusTooManyRequests, err)
 }
 
 // handleSessionIngest serves the push gateway (see the file comment for
@@ -293,7 +245,7 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 	}
 	e := sess.Engine
 	if e.SourceMode() == SourceSimulated {
-		s.writeError(w, http.StatusConflict, ErrNoIngest)
+		s.writeErr(w, ErrNoIngest, http.StatusInternalServerError)
 		return
 	}
 	ctype := r.Header.Get("Content-Type")
@@ -302,7 +254,7 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 		strings.Contains(ctype, "ndjson")
 	body, err := wire.Decompress(r.Body, strings.TrimSpace(r.Header.Get("Content-Encoding")))
 	if err != nil {
-		s.writeError(w, wireStatus(err), err)
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
 	defer body.Close()
@@ -319,7 +271,7 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 		}
 		buf, err = wire.ReadBody(body, limit, buf)
 		if err != nil {
-			s.writeError(w, wireStatus(err), fmt.Errorf("reading ingest body: %w", err))
+			s.writeErr(w, fmt.Errorf("reading ingest body: %w", err), http.StatusBadRequest)
 			return
 		}
 		var batch wire.Batch
@@ -329,23 +281,17 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 			batch, err = d.DecodeJSON(buf)
 		}
 		if err != nil {
-			s.writeError(w, wireStatus(err), fmt.Errorf("invalid ingest batch: %w", err))
+			s.writeErr(w, fmt.Errorf("invalid ingest batch: %w", err), http.StatusBadRequest)
 			return
 		}
 		if err := s.admitIngest(e, producerToken(r), len(batch.Tuples), len(buf)); err != nil {
-			s.writeRateLimited(w, err)
+			s.writeErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		ack, err := pushWireBatch(e, batch)
 		if err != nil {
-			status := ingestPushStatus(err)
-			if status == http.StatusServiceUnavailable {
-				// The queue is closed (shutdown or session churn): tell
-				// producers when to retry — the client library honors this
-				// (see client.RetryPolicy).
-				w.Header().Set("Retry-After", strconv.Itoa(IngestRetryAfterSeconds))
-			}
-			s.writeError(w, status, err)
+			// What the table does not name is the producer's batch.
+			s.writeErr(w, err, http.StatusBadRequest)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

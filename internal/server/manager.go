@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/ingest"
-	"repro/internal/planner"
 	"repro/internal/sensors"
 	"repro/internal/wal"
 )
@@ -39,33 +39,12 @@ type SessionSpec struct {
 	// Pinned exempts the session from idle GC (the long-lived default
 	// session of a craqrd process is pinned).
 	Pinned bool `json:"pinned,omitempty"`
-	// DisableFused forces this session's pipelines onto the unfused
-	// operator-graph walk — the A/B lever for compiled fused execution. Two
-	// sessions with equal seeds, one fused and one not, fabricate
-	// byte-identical streams.
-	DisableFused bool `json:"disableFused,omitempty"`
-	// DisablePlanner forces every query onto the static Fabricator.Merge
-	// mode instead of the cost-based per-query choice — the A/B lever for
-	// planning, mirroring DisableFused.
-	DisablePlanner bool `json:"disablePlanner,omitempty"`
-	// DisableSharing fabricates every query independently instead of
-	// deduplicating identical subplans across resident queries — the A/B
-	// lever for multi-query sharing, and the differential harness's
-	// control arm. Sharing and no-sharing sessions with equal seeds
-	// fabricate byte-identical per-query streams.
-	DisableSharing bool `json:"disableSharing,omitempty"`
-	// PlannerWeights overrides the cost-model weights for this session's
-	// planner (nil = the template's weights, or planner.DefaultWeights).
-	PlannerWeights *planner.Weights `json:"plannerWeights,omitempty"`
-	// AdaptiveRates enables the per-epoch rate-retune feedback loop: the
-	// session's normalized violations drive budget.RateScale adjustments of
-	// starved pipelines (see DESIGN.md, "Planning and adaptivity"). Off by
-	// default so static-rate sessions stay byte-reproducible across PRs.
-	AdaptiveRates bool `json:"adaptiveRates,omitempty"`
-	// DisableAdaptive forces the rate-retune loop off even when the
-	// manager's template enables it (craqrd -budget), so a static control
-	// session can be created next to adaptive ones. Wins over AdaptiveRates.
-	DisableAdaptive bool `json:"disableAdaptive,omitempty"`
+	// AdaptiveRates turns the per-epoch rate-retune feedback loop on or off
+	// for this session: the session's normalized violations drive
+	// budget.RateScale adjustments of starved pipelines (see DESIGN.md,
+	// "Planning and adaptivity"). nil inherits the manager's template
+	// (craqrd -budget); a manifest always records the resolved value.
+	AdaptiveRates *bool `json:"adaptiveRates,omitempty"`
 	// Source selects the session's observation source composition:
 	// "simulated", "external" or "mixed" (see ParseSourceMode). Empty
 	// inherits the template's mode (craqrd -source).
@@ -93,10 +72,51 @@ type SessionSpec struct {
 	// Scheduling-only — it never changes what any epoch contains.
 	Weight float64 `json:"weight,omitempty"`
 	// Limits is the session's admission-control envelope (rate limits and
-	// quotas); nil or zero fields mean unlimited. Enforcement-time only:
-	// like PlannerWeights it does not affect replay, so it is excluded from
-	// manifest-conflict checks.
+	// quotas); nil or zero fields mean unlimited. Enforcement-time only: it
+	// does not affect replay, so it is excluded from manifest-conflict
+	// checks.
 	Limits *TenantLimits `json:"limits,omitempty"`
+}
+
+// ErrInvalidSpec wraps every refusal of SessionSpec.Validate; over HTTP it
+// is a 400.
+var ErrInvalidSpec = errors.New("server: invalid session spec")
+
+// Validate is the one check of a spec's values, run by Manager.Create for
+// HTTP and Go callers alike, so a bad spec is refused up front instead of
+// surfacing as a factory error — or as a silently ignored override.
+func (s SessionSpec) Validate() error {
+	invalid := func(err error) error { return fmt.Errorf("%w: %w", ErrInvalidSpec, err) }
+	if _, err := ParseSourceMode(s.Source); err != nil {
+		return invalid(err)
+	}
+	if s.LatePolicy != "" {
+		if _, err := ingest.ParseLatePolicy(s.LatePolicy); err != nil {
+			return invalid(err)
+		}
+	}
+	if _, err := wal.ParsePolicy(s.FsyncPolicy); err != nil {
+		return invalid(err)
+	}
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"ingestBuffer", float64(s.IngestBuffer)},
+		{"tolerance", s.IngestTolerance},
+		{"snapshotEvery", float64(s.SnapshotEvery)},
+		{"weight", s.Weight},
+	} {
+		if f.value < 0 {
+			return invalid(fmt.Errorf("%s must be non-negative, got %g", f.name, f.value))
+		}
+	}
+	if s.Limits != nil {
+		if err := s.Limits.Validate(); err != nil {
+			return invalid(err)
+		}
+	}
+	return nil
 }
 
 // Session is one named engine hosted by a Manager.
@@ -170,13 +190,14 @@ func NewEngineFactory(template Config, fields func() (map[string]sensors.Field, 
 
 // manifestSpec materializes template-derived settings into the persisted
 // spec, so recovery rebuilds the same engine even if the daemon restarts
-// with different flags (and offline tools need not repeat them). Only
-// settings that change replay semantics are pinned; levers like planner
-// weights stay spec-only.
+// with different flags (and offline tools need not repeat them). Every
+// template setting that changes replay semantics is pinned.
 func manifestSpec(cfg Config, spec SessionSpec) SessionSpec {
 	m := spec
 	m.Seed = cfg.Seed
 	m.Retention = cfg.Retention
+	adaptive := cfg.AdaptiveRates
+	m.AdaptiveRates = &adaptive
 	m.Source = cfg.Source.Mode.String()
 	m.IngestBuffer = cfg.Source.Buffer
 	m.IngestTolerance = cfg.Source.Tolerance
@@ -198,23 +219,8 @@ func ConfigForSpec(template Config, spec SessionSpec) (Config, error) {
 	if spec.Retention > 0 {
 		cfg.Retention = spec.Retention
 	}
-	if spec.DisableFused {
-		cfg.Fabricator.Pipeline.DisableFused = true
-	}
-	if spec.DisablePlanner {
-		cfg.Planner.Disable = true
-	}
-	if spec.DisableSharing {
-		cfg.Fabricator.DisableSharing = true
-	}
-	if spec.PlannerWeights != nil {
-		cfg.Planner.Weights = *spec.PlannerWeights
-	}
-	if spec.AdaptiveRates {
-		cfg.AdaptiveRates = true
-	}
-	if spec.DisableAdaptive {
-		cfg.AdaptiveRates = false
+	if spec.AdaptiveRates != nil {
+		cfg.AdaptiveRates = *spec.AdaptiveRates
 	}
 	if spec.Source != "" {
 		mode, err := ParseSourceMode(spec.Source)
@@ -279,15 +285,20 @@ func sessionDir(root, name string) string {
 
 // ReadManifest loads the SessionSpec persisted in a session's durability
 // directory (root/sessions/<name>/session.json). Offline tools use it to
-// rebuild the session's exact engine config via ConfigForSpec.
+// rebuild the session's exact engine config via ConfigForSpec. A field this
+// build does not know — a manifest written when the spec still carried the
+// A/B levers — is refused by name rather than dropped: replaying without
+// it could fabricate a different stream.
 func ReadManifest(dir string) (SessionSpec, error) {
 	var spec SessionSpec
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return spec, err
 	}
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return spec, fmt.Errorf("server: session manifest %s: %w", dir, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("server: session manifest %s: %w (destroy the session and recreate it)", dir, err)
 	}
 	return spec, nil
 }
@@ -335,9 +346,9 @@ func checkDurableDir(dir string, next SessionSpec) error {
 // when compatible). Zero/empty numeric and string fields mean "inherit the
 // template" in older manifests, so they conflict only with a concrete
 // value on both sides — a daemon restarted with different flags must still
-// re-adopt its sessions. Clock and Pinned are lifecycle knobs with no
-// effect on replay; PlannerWeights is deliberately spec-only (see
-// manifestSpec).
+// re-adopt its sessions; likewise a manifest from before adaptivity was
+// pinned has no adaptiveRates and conflicts with neither value. Clock and
+// Pinned are lifecycle knobs with no effect on replay.
 func manifestConflict(a, b SessionSpec) string {
 	num := func(x, y float64) bool { return x != y && x != 0 && y != 0 }
 	str := func(x, y string) bool { return x != y && x != "" && y != "" }
@@ -354,16 +365,8 @@ func manifestConflict(a, b SessionSpec) string {
 		return fmt.Sprintf("ingestTolerance %g vs %g", a.IngestTolerance, b.IngestTolerance)
 	case str(a.LatePolicy, b.LatePolicy):
 		return fmt.Sprintf("latePolicy %q vs %q", a.LatePolicy, b.LatePolicy)
-	case a.DisableFused != b.DisableFused:
-		return "disableFused differs"
-	case a.DisablePlanner != b.DisablePlanner:
-		return "disablePlanner differs"
-	case a.DisableSharing != b.DisableSharing:
-		return "disableSharing differs"
-	case a.AdaptiveRates != b.AdaptiveRates:
-		return "adaptiveRates differs"
-	case a.DisableAdaptive != b.DisableAdaptive:
-		return "disableAdaptive differs"
+	case a.AdaptiveRates != nil && b.AdaptiveRates != nil && *a.AdaptiveRates != *b.AdaptiveRates:
+		return fmt.Sprintf("adaptiveRates %t vs %t", *a.AdaptiveRates, *b.AdaptiveRates)
 	}
 	return ""
 }
@@ -447,7 +450,7 @@ var ErrNoSession = errors.New("server: no such session")
 // ErrTooManySessions is returned when the manager is at MaxSessions.
 var ErrTooManySessions = errors.New("server: session limit reached")
 
-// ErrManagerClosed is returned by Create, Adopt and Get after Close. It is
+// ErrManagerClosed is returned by every session operation after Close. It is
 // distinct from ErrNoSession on purpose: a closed manager no longer knows
 // which sessions exist, so "not here" from it says nothing about "gone" —
 // over HTTP it is a retryable 503, never a 404.
@@ -456,6 +459,9 @@ var ErrManagerClosed = errors.New("server: manager closed")
 // Create builds and registers a session from the spec, starting its clock
 // when the spec asks for one (positive Interval or Simulated).
 func (m *Manager) Create(spec SessionSpec) (*Session, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -549,18 +555,12 @@ func (m *Manager) Recover() ([]string, error) {
 	var recovered []string
 	var errs error
 	for _, dir := range dirs {
-		path := filepath.Join(m.cfg.DurabilityDir, "sessions", dir, manifestName)
-		data, rerr := os.ReadFile(path)
+		spec, rerr := ReadManifest(filepath.Join(m.cfg.DurabilityDir, "sessions", dir))
 		if rerr != nil {
-			if os.IsNotExist(rerr) {
+			if errors.Is(rerr, os.ErrNotExist) {
 				continue // not a session directory (no manifest)
 			}
 			errs = errors.Join(errs, fmt.Errorf("server: recover %s: %w", dir, rerr))
-			continue
-		}
-		var spec SessionSpec
-		if jerr := json.Unmarshal(data, &spec); jerr != nil {
-			errs = errors.Join(errs, fmt.Errorf("server: recover %s: %w", dir, jerr))
 			continue
 		}
 		if spec.Name == "" {
@@ -620,12 +620,16 @@ func (m *Manager) DurableSessions() ([]string, error) {
 // This is the cluster handoff primitive: after a node dies, the new ring
 // owner recovers the displaced session from the shared durability volume.
 func (m *Manager) RecoverSession(name string) (recovered bool, err error) {
+	m.mu.Lock()
+	_, live := m.sessions[name]
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
+		return false, ErrManagerClosed
+	}
 	if m.cfg.DurabilityDir == "" {
 		return false, errors.New("server: recover session: no durability root configured")
 	}
-	m.mu.Lock()
-	_, live := m.sessions[name]
-	m.mu.Unlock()
 	if live {
 		return false, nil
 	}
@@ -652,39 +656,18 @@ func (m *Manager) RecoverSession(name string) (recovered bool, err error) {
 // cluster rebalancing: ownership moves, history does not disappear.
 func (m *Manager) Release(name string) error {
 	m.mu.Lock()
-	sess := m.sessions[name]
+	sess, closed := m.sessions[name], m.closed
 	if sess != nil {
 		delete(m.sessions, name)
 	}
 	m.mu.Unlock()
+	if closed {
+		return ErrManagerClosed
+	}
 	if sess == nil {
 		return fmt.Errorf("%w: %q", ErrNoSession, name)
 	}
 	return sess.Engine.Shutdown()
-}
-
-// Adopt registers a pre-built engine as a pinned session — the bridge for
-// the legacy single-engine façade and for engines assembled by hand.
-func (m *Manager) Adopt(name string, e *Engine) (*Session, error) {
-	if e == nil {
-		return nil, errors.New("server: Adopt requires an engine")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrManagerClosed
-	}
-	if _, taken := m.sessions[name]; taken {
-		return nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		return nil, fmt.Errorf("%w (%d)", ErrTooManySessions, m.cfg.MaxSessions)
-	}
-	e.SetEpochGate(m.sched.Session(name, 1))
-	now := m.now()
-	sess := &Session{Name: name, Engine: e, Spec: SessionSpec{Name: name, Pinned: true}, Created: now, lastAccess: now}
-	m.sessions[name] = sess
-	return sess, nil
 }
 
 // Get resolves a session by name, refreshing its idle-GC deadline.
@@ -742,11 +725,14 @@ func (m *Manager) Len() int {
 // purges the directory and succeeds.
 func (m *Manager) Destroy(name string) error {
 	m.mu.Lock()
-	sess := m.sessions[name]
+	sess, closed := m.sessions[name], m.closed
 	if sess != nil {
 		delete(m.sessions, name)
 	}
 	m.mu.Unlock()
+	if closed {
+		return ErrManagerClosed
+	}
 	if sess == nil {
 		// No live session, but durable state may linger on disk — an
 		// idle-GC'd session, or a directory whose recovery failed. DELETE

@@ -16,9 +16,17 @@ import (
 // testFactory builds engines from the standard test config, applying spec
 // overrides.
 func testFactory(t *testing.T) EngineFactory {
+	return templateFactory(t, testConfig())
+}
+
+// templateFactory builds engines from a hand-built template. This is how
+// tests reach the reference paths (unfused walk, per-query fabrication,
+// static merge mode): a second manager whose template sets the lever, never
+// a spec field.
+func templateFactory(t *testing.T, template Config) EngineFactory {
 	t.Helper()
 	fields := testFields(t)
-	return NewEngineFactory(testConfig(), func() (map[string]sensors.Field, error) {
+	return NewEngineFactory(template, func() (map[string]sensors.Field, error) {
 		return fields, nil
 	})
 }
@@ -444,23 +452,26 @@ func TestDeleteClosesStore(t *testing.T) {
 
 // TestFusedABSessionsByteIdentical is the service-level fused A/B golden
 // test: two sessions with equal seeds, one on the compiled fused path and
-// one on the unfused operator-graph walk, must fabricate byte-identical
-// result streams for the same query over the same epochs.
+// one on the unfused operator-graph walk (a manager whose template disables
+// fusion), must fabricate byte-identical result streams for the same query
+// over the same epochs.
 func TestFusedABSessionsByteIdentical(t *testing.T) {
-	m := newManager(t, ManagerConfig{})
-	fusedSess, err := m.Create(SessionSpec{Name: "fused", Seed: 11})
+	fusedSess, err := newManager(t, ManagerConfig{}).Create(SessionSpec{Name: "fused", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfusedSess, err := m.Create(SessionSpec{Name: "unfused", Seed: 11, DisableFused: true})
+	unfused := testConfig()
+	unfused.Fabricator.Pipeline.DisableFused = true
+	unfusedSess, err := newManager(t, ManagerConfig{NewEngine: templateFactory(t, unfused)}).
+		Create(SessionSpec{Name: "unfused", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fusedSess.Engine.FusedEnabled() {
+	if !fusedSess.Engine.Fabricator().FusedEnabled() {
 		t.Fatal("fused session reports unfused")
 	}
-	if unfusedSess.Engine.FusedEnabled() {
-		t.Fatal("DisableFused session reports fused")
+	if unfusedSess.Engine.Fabricator().FusedEnabled() {
+		t.Fatal("DisableFused template reports fused")
 	}
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 6, 4), Rate: 8}
 	var ids [2]string

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"errors"
-	"net/http"
-)
+import "net/http"
 
 // HeaderExpectNode is the routing assertion a cluster gateway stamps onto
 // every proxied request: the advertised name of the node the gateway's ring
@@ -28,7 +25,7 @@ func (s *HTTPServer) NodeName() string { return s.nodeName }
 func (s *HTTPServer) handleNodeDurable(w http.ResponseWriter, r *http.Request) {
 	names, err := s.manager.DurableSessions()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	if names == nil {
@@ -45,14 +42,7 @@ func (s *HTTPServer) handleNodeRecover(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("session")
 	recovered, err := s.manager.RecoverSession(name)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrNoSession):
-			status = http.StatusNotFound
-		case errors.Is(err, ErrTooManySessions):
-			status = http.StatusTooManyRequests
-		}
-		s.writeError(w, status, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -69,11 +59,7 @@ func (s *HTTPServer) handleNodeRecover(w http.ResponseWriter, r *http.Request) {
 func (s *HTTPServer) handleNodeRelease(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("session")
 	if err := s.manager.Release(name); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNoSession) {
-			status = http.StatusNotFound
-		}
-		s.writeError(w, status, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{"session": name, "released": true})

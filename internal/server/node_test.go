@@ -137,7 +137,7 @@ func TestNodeHTTPRoutes(t *testing.T) {
 	root := t.TempDir()
 	m := newDurableNodeManager(t, root)
 	defer m.Close()
-	hs, err := NewManagerHTTPServer(m, DefaultSessionName)
+	hs, err := NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}

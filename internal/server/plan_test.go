@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,7 +64,7 @@ func TestSubmitRetainsPlannerChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.PlannerEnabled() {
+	if e.cfg.Planner.Disable {
 		t.Fatal("planner should default on")
 	}
 	est, ok := e.Plan(q.ID)
@@ -168,9 +170,8 @@ func TestHTTPExplainAndPlanEndpoint(t *testing.T) {
 		t.Fatalf("plan status = %d", resp.StatusCode)
 	}
 	var planBody struct {
-		Planner bool   `json:"planner"`
-		Mode    string `json:"mode"`
-		Chosen  *struct {
+		Mode   string `json:"mode"`
+		Chosen *struct {
 			Mode string `json:"mode"`
 		} `json:"chosenAtSubmit"`
 		Plan struct {
@@ -181,7 +182,7 @@ func TestHTTPExplainAndPlanEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !planBody.Planner || planBody.Chosen == nil || planBody.Mode != planBody.Chosen.Mode {
+	if planBody.Chosen == nil || planBody.Mode != planBody.Chosen.Mode {
 		t.Fatalf("plan payload inconsistent: %+v", planBody)
 	}
 	if planBody.Plan.Explain != engineEx.Table() {
@@ -212,25 +213,30 @@ func starvedConfig() Config {
 	return cfg
 }
 
+// tempFields is the tempmonitor workload's ground truth: one temperature
+// field, built per session.
+func tempFields() (map[string]sensors.Field, error) {
+	temp, err := sensors.NewTempField(18, 0.5, -0.2, 5, 24, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return map[string]sensors.Field{"temp": temp}, nil
+}
+
 // TestAdaptiveRatesLowerMeanViolation is the adaptivity acceptance test: on
 // the tempmonitor workload (a temperature field, one region-wide query at a
 // rate the fleet cannot satisfy), a session with budget adaptation enabled
 // must reach a strictly lower mean normalized violation than the
-// static-rate run — asserted service-level through SessionSpec A/B.
+// static-rate run — asserted service-level through the one per-session
+// lever the spec keeps, adaptiveRates.
 func TestAdaptiveRatesLowerMeanViolation(t *testing.T) {
-	fields := func() (map[string]sensors.Field, error) {
-		temp, err := sensors.NewTempField(18, 0.5, -0.2, 5, 24, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]sensors.Field{"temp": temp}, nil
-	}
-	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), fields)})
+	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), tempFields)})
 	static, err := m.Create(SessionSpec{Name: "static", Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := m.Create(SessionSpec{Name: "adaptive", Seed: 77, AdaptiveRates: true})
+	on := true
+	adaptive, err := m.Create(SessionSpec{Name: "adaptive", Seed: 77, AdaptiveRates: &on})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,19 +280,16 @@ func TestAdaptiveRatesLowerMeanViolation(t *testing.T) {
 // fused and one unfused, keep fabricating byte-identical streams across the
 // retunes the loop applies.
 func TestAdaptiveFusedUnfusedByteIdentical(t *testing.T) {
-	fields := func() (map[string]sensors.Field, error) {
-		temp, err := sensors.NewTempField(18, 0.5, -0.2, 5, 24, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]sensors.Field{"temp": temp}, nil
-	}
-	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), fields)})
-	fusedSess, err := m.Create(SessionSpec{Name: "fused", Seed: 31, AdaptiveRates: true})
+	on := true
+	fusedSess, err := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), tempFields)}).
+		Create(SessionSpec{Name: "fused", Seed: 31, AdaptiveRates: &on})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfusedSess, err := m.Create(SessionSpec{Name: "unfused", Seed: 31, AdaptiveRates: true, DisableFused: true})
+	unfused := starvedConfig()
+	unfused.Fabricator.Pipeline.DisableFused = true
+	unfusedSess, err := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(unfused, tempFields)}).
+		Create(SessionSpec{Name: "unfused", Seed: 31, AdaptiveRates: &on})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,61 +336,51 @@ func TestAdaptiveFusedUnfusedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSessionSpecPlannerPlumbing checks the HTTP create-session levers:
-// disablePlanner, plannerWeights and adaptiveRates reach the engine, and
-// the session JSON reports them.
+// TestSessionSpecPlannerPlumbing checks what is left of planner control at
+// the session layer: the static merge mode and the cost-model weights come
+// from the manager's template only, adaptiveRates is the one lever a create
+// body carries, and the removed lever fields are refused by name instead of
+// being silently ignored.
 func TestSessionSpecPlannerPlumbing(t *testing.T) {
-	m := newManager(t, ManagerConfig{})
-	hs, err := NewManagerHTTPServer(m, "none")
+	static := testConfig()
+	static.Planner = PlannerConfig{Disable: true, Weights: planner.Weights{PerTuple: 2, PerOperator: 10, PerDepth: 5}}
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, static)})
+	hs, err := NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(hs)
 	defer ts.Close()
 
-	body := `{"name":"ab","disablePlanner":true,"adaptiveRates":true,"plannerWeights":{"perTuple":2,"perOperator":10,"perDepth":5}}`
-	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 201 {
-		t.Fatalf("create status = %d", resp.StatusCode)
-	}
-	var sj struct {
-		Planner  bool `json:"planner"`
-		Adaptive bool `json:"adaptive"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sj); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sj.Planner || !sj.Adaptive {
-		t.Fatalf("session JSON planner=%v adaptive=%v, want false/true", sj.Planner, sj.Adaptive)
+	var sj map[string]interface{}
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", `{"name":"ab","adaptiveRates":true}`, 201, &sj)
+	if sj["adaptive"] != true {
+		t.Fatalf("session JSON adaptive = %v, want true", sj["adaptive"])
 	}
 	sess, err := m.Get("ab")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Engine.PlannerEnabled() {
-		t.Fatal("disablePlanner not plumbed")
-	}
 	if !sess.Engine.AdaptiveEnabled() {
 		t.Fatal("adaptiveRates not plumbed")
 	}
-	if w := sess.Engine.PlannerWeights(); w != (planner.Weights{PerTuple: 2, PerOperator: 10, PerDepth: 5}) {
-		t.Fatalf("plannerWeights not plumbed: %+v", w)
+	if w := sess.Engine.PlannerWeights(); w != static.Planner.Weights {
+		t.Fatalf("template planner weights not plumbed: %+v", w)
 	}
 
-	// Negative weights are rejected.
-	resp, err = ts.Client().Post(ts.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"name":"bad","plannerWeights":{"perTuple":-1}}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, field := range []string{"disableFused", "disablePlanner", "disableSharing", "disableAdaptive"} {
+		var refusal struct {
+			Error string `json:"error"`
+		}
+		doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", `{"name":"bad","`+field+`":true}`, 400, &refusal)
+		if !strings.Contains(refusal.Error, field) {
+			t.Fatalf("refusal of %s does not name it: %q", field, refusal.Error)
+		}
 	}
-	if resp.StatusCode != 400 {
-		t.Fatalf("negative weights status = %d", resp.StatusCode)
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", `{"name":"bad","plannerWeights":{"perTuple":1}}`, 400, nil)
+	if _, err := m.Get("bad"); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("a refused spec created a session: %v", err)
 	}
-	resp.Body.Close()
 
 	// With the planner disabled, submissions use the static merge mode and
 	// retain no estimate.
@@ -403,18 +396,12 @@ func TestSessionSpecPlannerPlumbing(t *testing.T) {
 	}
 }
 
-// TestStatusReportsPlansAndAdaptivity checks the /status additions: the
-// planner flag, per-query plans, meanNv and adaptive slots.
+// TestStatusReportsPlansAndAdaptivity checks the /status additions:
+// per-query plans, meanNv and adaptive slots.
 func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
-	fields := func() (map[string]sensors.Field, error) {
-		temp, err := sensors.NewTempField(18, 0.5, -0.2, 5, 24, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]sensors.Field{"temp": temp}, nil
-	}
-	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), fields)})
-	if _, err := m.Create(SessionSpec{Name: "s", Seed: 3, AdaptiveRates: true}); err != nil {
+	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), tempFields)})
+	on := true
+	if _, err := m.Create(SessionSpec{Name: "s", Seed: 3, AdaptiveRates: &on}); err != nil {
 		t.Fatal(err)
 	}
 	hs, err := NewManagerHTTPServer(m, "s")
@@ -440,8 +427,7 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var status struct {
-		Planner bool `json:"planner"`
-		Plans   []struct {
+		Plans []struct {
 			ID     string `json:"id"`
 			Mode   string `json:"mode"`
 			Chosen *struct {
@@ -458,8 +444,8 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !status.Planner || !status.Adaptive {
-		t.Fatalf("status planner=%v adaptive=%v", status.Planner, status.Adaptive)
+	if !status.Adaptive {
+		t.Fatal("status adaptive = false on an adaptive session")
 	}
 	if len(status.Plans) != 1 || status.Plans[0].Chosen == nil || status.Plans[0].Mode != status.Plans[0].Chosen.Mode {
 		t.Fatalf("status plans incomplete: %+v", status.Plans)
@@ -472,37 +458,23 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 	}
 }
 
-// TestDisableAdaptiveOverridesTemplate checks the static-control lever: on
-// a manager whose template enables adaptive rates (craqrd -budget), a
-// session created with disableAdaptive runs static, and an explicit
-// all-zero plannerWeights override is rejected rather than silently
-// replaced by the defaults.
+// TestDisableAdaptiveOverridesTemplate checks the tri-state adaptiveRates:
+// on a manager whose template enables adaptive rates (craqrd -budget), a
+// body without the field inherits it and "adaptiveRates":false runs the
+// static control.
 func TestDisableAdaptiveOverridesTemplate(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdaptiveRates = true
-	fields := testFields(t)
-	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(cfg, func() (map[string]sensors.Field, error) {
-		return fields, nil
-	})})
-	hs, err := NewManagerHTTPServer(m, "none")
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, cfg)})
+	hs, err := NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(hs)
 	defer ts.Close()
 
-	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"name":"inherit"}`))
-	if err != nil || resp.StatusCode != 201 {
-		t.Fatalf("create inherit: %v %v", err, resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp, err = ts.Client().Post(ts.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"name":"control","disableAdaptive":true}`))
-	if err != nil || resp.StatusCode != 201 {
-		t.Fatalf("create control: %v %v", err, resp.StatusCode)
-	}
-	resp.Body.Close()
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", `{"name":"inherit"}`, 201, nil)
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", `{"name":"control","adaptiveRates":false}`, 201, nil)
 	inherit, err := m.Get("inherit")
 	if err != nil {
 		t.Fatal(err)
@@ -515,16 +487,99 @@ func TestDisableAdaptiveOverridesTemplate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if control.Engine.AdaptiveEnabled() {
-		t.Fatal("disableAdaptive did not override the template")
+		t.Fatal("adaptiveRates:false did not override the template")
+	}
+}
+
+// TestManifestPinsAdaptivity: a durable session created under a template
+// with adaptive rates on (craqrd -budget) must replay with them on when it
+// is recovered by a manager whose template has them off — a daemon
+// restarted without -budget, or a cluster node that never had it. The
+// manifest records the resolved value; without it the recovered engine
+// retunes nothing and fabricates a different stream.
+func TestManifestPinsAdaptivity(t *testing.T) {
+	root := t.TempDir()
+	manager := func(adaptive bool, dir string) *Manager {
+		template := starvedConfig()
+		template.AdaptiveRates = adaptive
+		if dir != "" {
+			template.Durability = DurabilityConfig{Dir: dir}
+		}
+		return newManager(t, ManagerConfig{NewEngine: NewEngineFactory(template, tempFields), DurabilityDir: dir})
+	}
+	const src = "ACQUIRE temp FROM RECT(0, 0, 8, 8) RATE 5"
+	run := func(sess *Session, submit bool, epochs int) {
+		t.Helper()
+		if submit {
+			if _, err := sess.Engine.SubmitCRAQL(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Engine.Run(epochs); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	resp, err = ts.Client().Post(ts.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"name":"zero","plannerWeights":{"perTuple":0,"perOperator":0,"perDepth":0}}`))
+	uninterrupted, err := manager(true, "").Create(SessionSpec{Name: "ref", Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 400 {
-		t.Fatalf("all-zero plannerWeights status = %d, want 400", resp.StatusCode)
+	run(uninterrupted, true, 20)
+	want, err := uninterrupted.Engine.Results("Q1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
+
+	m1 := manager(true, root)
+	durable, err := m1.Create(SessionSpec{Name: "d", Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(durable, true, 12)
+	retuned := false
+	for _, sl := range durable.Engine.AdaptiveSlots() {
+		retuned = retuned || sl.Scale < 1
+	}
+	if !retuned {
+		t.Fatal("no retune before the restart; the test is vacuous")
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ReadManifest(sessionDir(root, "d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.AdaptiveRates == nil || !*spec.AdaptiveRates {
+		t.Fatalf("manifest adaptiveRates = %v, want an explicit true", spec.AdaptiveRates)
+	}
+
+	m2 := manager(false, root)
+	if names, err := m2.Recover(); err != nil || len(names) != 1 {
+		t.Fatalf("Recover under a static template = %v, %v", names, err)
+	}
+	recovered, err := m2.Get("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recovered.Engine.AdaptiveEnabled() {
+		t.Fatal("recovered session lost adaptivity to the new template")
+	}
+	run(recovered, false, 8)
+	got, err := recovered.Engine.Results("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered run fabricated %d tuples, uninterrupted %d; streams differ", len(got), len(want))
+	}
+	// A create over the leftover state that asks for the other value is a
+	// spec conflict, like a different seed.
+	if err := m2.Release("d"); err != nil {
+		t.Fatal(err)
+	}
+	off := false
+	if _, err := m2.Create(SessionSpec{Name: "d", Seed: 31, AdaptiveRates: &off}); err == nil || !strings.Contains(err.Error(), "adaptiveRates") {
+		t.Fatalf("conflicting adaptiveRates over durable state: err = %v", err)
+	}
 }

@@ -1,11 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/budget"
@@ -249,126 +245,51 @@ func (f sinkFunc) Process(b stream.Batch) error {
 	return nil
 }
 
+// TestHTTPEndToEnd drives one session through every engine route:
+// submit, step, results, status, list, delete, and their 400/404/405 cases.
 func TestHTTPEndToEnd(t *testing.T) {
-	e := newEngine(t)
-	s, err := NewHTTPServer(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	ts, _ := newManagerTestServer(t)
+	c := ts.Client()
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"e2e"}`, 201, nil)
+	base := ts.URL + "/v1/sessions/e2e"
 
-	// Submit a query.
-	resp, err := ts.Client().Post(ts.URL+"/queries", "text/plain", strings.NewReader("ACQUIRE rain FROM RECT(0,0,4,4) RATE 3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 201 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
 	var qj struct {
 		ID   string  `json:"id"`
 		Rate float64 `json:"rate"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&qj); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 	if qj.ID != "Q1" || qj.Rate != 3 {
 		t.Fatalf("query json = %+v", qj)
 	}
+	doJSON(t, c, "POST", base+"/step?n=10", "", 200, nil)
 
-	// Step 10 epochs.
-	resp, err = ts.Client().Post(ts.URL+"/step?n=10", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("step status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Results.
-	resp, err = ts.Client().Get(ts.URL + "/results/Q1?limit=5")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rj struct {
-		Count  int `json:"count"`
-		Tuples []struct {
+		Retained int `json:"retained"`
+		Tuples   []struct {
 			T float64 `json:"t"`
 		} `json:"tuples"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rj); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rj.Count == 0 {
+	doJSON(t, c, "GET", base+"/results/Q1?limit=5", "", 200, &rj)
+	if rj.Retained == 0 {
 		t.Fatal("no results over HTTP")
 	}
 	if len(rj.Tuples) > 5 {
 		t.Fatal("limit ignored")
 	}
 
-	// Status.
-	resp, err = ts.Client().Get(ts.URL + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	doJSON(t, c, "GET", base+"/status", "", 200, &st)
 	if st["queries"].(float64) != 1 {
 		t.Fatalf("status queries = %v", st["queries"])
 	}
-
-	// List queries.
-	resp, err = ts.Client().Get(ts.URL + "/queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("list status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Delete.
-	delReq, err := http.NewRequest(http.MethodDelete, ts.URL+"/queries/Q1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = ts.Client().Do(delReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("delete status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	doJSON(t, c, "GET", base+"/queries", "", 200, nil)
+	doJSON(t, c, "DELETE", base+"/queries/Q1", "", 200, nil)
 
 	// Errors.
-	resp, _ = ts.Client().Get(ts.URL + "/results/QX")
-	if resp.StatusCode != 404 {
-		t.Fatalf("missing results status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp, _ = ts.Client().Post(ts.URL+"/queries", "text/plain", strings.NewReader("bad"))
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad query status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp, _ = ts.Client().Post(ts.URL+"/step?n=abc", "", nil)
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad step status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp, _ = ts.Client().Get(ts.URL + "/step")
-	if resp.StatusCode != 405 {
-		t.Fatalf("GET step status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	doJSON(t, c, "GET", base+"/results/QX", "", 404, nil)
+	doJSON(t, c, "POST", base+"/queries", "bad", 400, nil)
+	doJSON(t, c, "POST", base+"/step?n=abc", "", 400, nil)
+	doJSON(t, c, "GET", base+"/step", "", 405, nil)
 }
 
 func TestFabricatorConfigPlumbed(t *testing.T) {
@@ -516,44 +437,28 @@ func TestEngineWithSGDFlatten(t *testing.T) {
 }
 
 func TestHTTPScriptEndpoint(t *testing.T) {
-	e := newEngine(t)
-	s, err := NewHTTPServer(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	ts, hs := newManagerTestServer(t)
+	c := ts.Client()
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"e2e"}`, 201, nil)
+	base := ts.URL + "/v1/sessions/e2e"
+
 	script := "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3;\n-- comment\nACQUIRE temp FROM RECT(4,0,8,4) RATE 2;"
-	resp, err := ts.Client().Post(ts.URL+"/script", "text/plain", strings.NewReader(script))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 201 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
 	var out []struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	doJSON(t, c, "POST", base+"/script", script, 201, &out)
 	if len(out) != 2 {
 		t.Fatalf("submitted %d queries", len(out))
 	}
 	// Atomic failure: bad script leaves nothing behind.
-	resp, _ = ts.Client().Post(ts.URL+"/script", "text/plain", strings.NewReader("ACQUIRE x FROM RECT(0,0,4,4) RATE 3; garbage"))
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad script status = %d", resp.StatusCode)
+	doJSON(t, c, "POST", base+"/script", "ACQUIRE x FROM RECT(0,0,4,4) RATE 3; garbage", 400, nil)
+	sess, err := hs.Manager().Get("e2e")
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if len(e.Queries()) != 2 {
-		t.Fatalf("queries after failed script = %d", len(e.Queries()))
+	if n := len(sess.Engine.Queries()); n != 2 {
+		t.Fatalf("queries after failed script = %d", n)
 	}
 	// Method check.
-	resp, _ = ts.Client().Get(ts.URL + "/script")
-	if resp.StatusCode != 405 {
-		t.Fatalf("GET script status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	doJSON(t, c, "GET", base+"/script", "", 405, nil)
 }

@@ -98,7 +98,7 @@ func TestSharedDifferentialRandomized(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			shared, se := runSharingArm(t, seed, workers, false)
 			control, ce := runSharingArm(t, seed, workers, true)
-			if !se.SharingEnabled() || ce.SharingEnabled() {
+			if !se.Fabricator().SharingEnabled() || ce.Fabricator().SharingEnabled() {
 				t.Fatal("arm configuration mixed up")
 			}
 			// The script's collisions must actually have exercised dedup.
@@ -280,7 +280,6 @@ func TestExplainReportsLiveSharedGroup(t *testing.T) {
 	}
 	resp.Body.Close()
 	for key, want := range map[string]string{
-		"sharing":        "true",
 		"sharedPrefixes": "1",
 		"sharedQueries":  "2",
 		"sharedAttaches": "1",
@@ -311,20 +310,19 @@ func TestExplainReportsLiveSharedGroup(t *testing.T) {
 	}
 }
 
-// TestSessionSpecDisableSharing drives the A/B lever end to end: a session
-// created with disableSharing reports sharing=false and fabricates
-// per-query topology.
+// TestSessionSpecDisableSharing drives the reference path through the
+// session layer: a session of a manager whose template disables sharing
+// fabricates per-query topology.
 func TestSessionSpecDisableSharing(t *testing.T) {
-	m := newManager(t, ManagerConfig{})
-	if _, err := m.Create(SessionSpec{Name: "ctl", DisableSharing: true}); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := m.Get("ctl")
+	control := testConfig()
+	control.Fabricator.DisableSharing = true
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, control)})
+	sess, err := m.Create(SessionSpec{Name: "ctl"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Engine.SharingEnabled() {
-		t.Fatal("disableSharing spec left sharing on")
+	if sess.Engine.Fabricator().SharingEnabled() {
+		t.Fatal("DisableSharing template left sharing on")
 	}
 	const stmt = "ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 6"
 	if _, err := sess.Engine.SubmitCRAQL(stmt); err != nil {

@@ -3,15 +3,19 @@
 # internal/server/http.go (craqrd) and internal/cluster/gateway.go
 # (craqr-gw).
 #
-# Two-way check:
+# Checks:
 #   1. every method-qualified /v1 route registered with HandleFunc must have
 #      a matching `### METHOD /path` heading in docs/API.md;
 #   2. every `### METHOD /path` heading in docs/API.md must still be
 #      registered in one of the source files (no documentation of removed
 #      routes);
-#   3. every legacy pattern route (HandleFunc("/x", …)) must have a
-#      `### LEGACY /x` heading (trailing-slash patterns like "/results/"
-#      are documented as "/results/{id}").
+#   3. every pattern registered in http.go carries a method, and every
+#      pattern in either file lives under /v1 (the gateway's two
+#      method-less /v1/sessions/{session} proxy patterns are the only
+#      method-less ones) — the single-session façade cannot come back
+#      unnoticed;
+#   4. the session-spec field table under `### POST /v1/sessions` lists
+#      exactly the json tags of sessionSpecJSON in http.go.
 #
 # Exits non-zero with one line per mismatch; CI runs this next to
 # bench_guard.sh.
@@ -45,23 +49,37 @@ while IFS= read -r route; do
   fi
 done <<<"$doc_routes"
 
-# Legacy pattern routes (no method in the pattern). "/x/" patterns match a
-# path suffix; their docs heading names the placeholder instead.
-legacy_routes=$(grep -oE 'HandleFunc\("/[^"]+"' "$HTTP_GO" \
-  | sed -E 's/^HandleFunc\("//; s/"$//' | grep -v '^/v1' | sort -u)
-while IFS= read -r route; do
-  [ -z "$route" ] && continue
-  doc_form=$route
-  case "$route" in
-    */) doc_form="${route}{id}" ;;
-  esac
-  if ! grep -qxF "### LEGACY $doc_form" "$API_MD"; then
-    echo "docs_check: legacy route '$route' missing '### LEGACY $doc_form' heading in $API_MD" >&2
-    fail=1
-  fi
-done <<<"$legacy_routes"
+all_patterns() { grep -oE 'HandleFunc\("[^"]+"' "$1" | sed -E 's/^HandleFunc\("//; s/"$//'; }
+while IFS= read -r pattern; do
+  [ -z "$pattern" ] && continue
+  echo "docs_check: $HTTP_GO registers '$pattern' without a method" >&2
+  fail=1
+done <<<"$(all_patterns "$HTTP_GO" | grep -v ' ' || true)"
+while IFS= read -r pattern; do
+  [ -z "$pattern" ] && continue
+  echo "docs_check: '$pattern' is registered outside /v1" >&2
+  fail=1
+done <<<"$({ all_patterns "$HTTP_GO"; all_patterns "$GW_GO"; } | grep -vE '^([A-Z]+ )?/v1/' || true)"
+
+# Session-spec fields: the json tags between `type sessionSpecJSON struct`
+# and its closing brace, against the first-column names of the table in the
+# POST /v1/sessions section.
+code_fields=$(sed -n '/^type sessionSpecJSON struct {/,/^}/p' "$HTTP_GO" \
+  | grep -oE 'json:"[^",]+' | sed 's/^json:"//' | sort -u)
+doc_fields=$(sed -n '/^### POST \/v1\/sessions$/,/^### /p' "$API_MD" \
+  | grep -oE '^\| `[A-Za-z]+`' | sed -E 's/^\| `//; s/`$//' | sort -u)
+while IFS= read -r field; do
+  [ -z "$field" ] && continue
+  echo "docs_check: session-spec field '$field' is accepted by $HTTP_GO but missing from the $API_MD table" >&2
+  fail=1
+done <<<"$(comm -23 <(printf '%s\n' "$code_fields") <(printf '%s\n' "$doc_fields"))"
+while IFS= read -r field; do
+  [ -z "$field" ] && continue
+  echo "docs_check: session-spec field '$field' is in the $API_MD table but not accepted by $HTTP_GO" >&2
+  fail=1
+done <<<"$(comm -13 <(printf '%s\n' "$code_fields") <(printf '%s\n' "$doc_fields"))"
 
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docs_check: $API_MD, $HTTP_GO and $GW_GO agree ($(printf '%s\n' "$code_routes" | grep -c .) v1 routes, $(printf '%s\n' "$legacy_routes" | grep -c .) legacy routes)"
+echo "docs_check: $API_MD, $HTTP_GO and $GW_GO agree ($(printf '%s\n' "$code_routes" | grep -c .) v1 routes, $(printf '%s\n' "$code_fields" | grep -c .) session-spec fields)"
