@@ -6,6 +6,7 @@
 package craqr_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -543,8 +544,11 @@ func benchQueryChurn(b *testing.B, resident int, share bool) {
 	batch.Window.Rect = grid.Region()
 	fr := fracs(batch)
 	// Resident memory per query: everything reachable after setup divided
-	// by the query count (sinks included, so the floor is one 64-tuple
-	// store per query; the sharing win is on top of that floor).
+	// by the query count, sinks included. On the unshared arm that puts a
+	// floor of one 64-tuple ring under every query; on the shared arm a
+	// query that joins a resident subplan brings only its handle, and the
+	// rings number at most len(pool). BenchmarkResultFanout measures the
+	// ring sharing at a realistic retention.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -578,6 +582,64 @@ func BenchmarkQueryChurn(b *testing.B) {
 				benchQueryChurn(b, resident, mode == "shared")
 			})
 		}
+	}
+}
+
+// BenchmarkResultFanout measures what one more member of a subplan costs:
+// `members` identical queries with 4096-tuple result stores ride one
+// subplan, and each op is one 4096-tuple epoch. The acquired stream exists
+// once, so ns/op, B/op and the heap the fabricator and its stores hold
+// (heapB/ring, measured after a first epoch has filled the ring; heapB/query
+// is the same divided by members) stay flat in members. Guarded by
+// scripts/bench_guard.sh.
+func BenchmarkResultFanout(b *testing.B) {
+	for _, members := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := benchBatch(4096, 3)
+			batch.Attr = "rain"
+			batch.Window.Rect = grid.Region()
+			fr := fracs(batch)
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := ms.HeapAlloc
+			fab, err := topology.New(grid, topology.Config{}, stats.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			stores := make([]*stream.ResultStore, members)
+			for i := range stores {
+				stores[i] = stream.NewResultStore(4096)
+				if _, err := fab.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 23}, stores[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := fab.Ingest(batch); err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			heap := float64(ms.HeapAlloc - before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				retime(&batch, fr, float64(i+1))
+				if err := fab.Ingest(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got, want := stores[members-1].Batches(), uint64(b.N+1); got != want {
+				b.Fatalf("last member saw %d batches, want %d", got, want)
+			}
+			// Reported after the loop: ResetTimer clears extra metrics.
+			b.ReportMetric(heap, "heapB/ring")
+			b.ReportMetric(heap/float64(members), "heapB/query")
+		})
 	}
 }
 
@@ -747,6 +809,11 @@ func BenchmarkCSVExport(b *testing.B) {
 	b.SetBytes(int64(batch.Len()))
 }
 
+// BenchmarkJSONLinesExport renders a 1000-tuple batch as ndjson with the
+// sink's append encoder (0 allocs/op); BenchmarkJSONLinesExportEncodingJSON
+// is the same payload into the same writer through encoding/json — the
+// encoder the sink used to wrap, one alloc per tuple — so the pair differs
+// in the encoder alone.
 func BenchmarkJSONLinesExport(b *testing.B) {
 	batch := benchBatch(1000, 12)
 	sink, err := export.NewJSONLinesSink(io.Discard)
@@ -756,6 +823,33 @@ func BenchmarkJSONLinesExport(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := sink.Process(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(batch.Len()))
+}
+
+func BenchmarkJSONLinesExportEncodingJSON(b *testing.B) {
+	batch := benchBatch(1000, 12)
+	w := bufio.NewWriter(io.Discard)
+	enc := json.NewEncoder(w)
+	type record struct {
+		ID     uint64  `json:"id"`
+		Attr   string  `json:"attr"`
+		T      float64 `json:"t"`
+		X      float64 `json:"x"`
+		Y      float64 `json:"y"`
+		Value  float64 `json:"value"`
+		Sensor int     `json:"sensor"`
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, tp := range batch.Tuples {
+			if err := enc.Encode(record{tp.ID, tp.Attr, tp.T, tp.X, tp.Y, tp.Value, tp.Sensor}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,6 +212,9 @@ type Engine struct {
 	now     float64
 	epochs  int
 	results map[string]*stream.ResultStore
+	// retiredDrops carries the evictions of deleted queries' stores, so
+	// RetentionDrops never goes backwards (guarded by mu).
+	retiredDrops uint64
 	// attrScratch is Step's reusable attr list and liveScratch observeEpoch's
 	// reusable live-slot set (both guarded by stepMu), keeping the per-epoch
 	// glue allocation-free.
@@ -404,7 +407,9 @@ func (e *Engine) Epochs() int {
 
 // Submit registers an acquisitional query and returns its stored form. The
 // query's fabricated stream lands in a bounded ResultStore (Config.Retention
-// tuples) readable incrementally via ReadResults or wholesale via Results.
+// tuples) readable incrementally via ReadResults or wholesale via Results;
+// a query that joins a resident subplan reads that subplan's ring from its
+// own cursor 0 instead of filling a ring of its own.
 //
 // Unless Config.Planner.Disable is set, the cost-based planner prices every
 // merge topology for the query against the engine's grid and the cheapest
@@ -615,8 +620,8 @@ func (e *Engine) SubmitWithSink(q query.Query, sink stream.Processor) (query.Que
 	return e.fab.InsertQuery(q, sink)
 }
 
-// Delete removes a live query and closes its result store, unblocking any
-// streaming readers.
+// Delete removes a live query; the fabricator closes its result store with
+// it, unblocking any streaming readers.
 func (e *Engine) Delete(id string) error {
 	if e.dur != nil {
 		e.stepMu.Lock()
@@ -629,10 +634,11 @@ func (e *Engine) Delete(id string) error {
 	store := e.results[id]
 	delete(e.results, id)
 	delete(e.plans, id)
-	e.mu.Unlock()
 	if store != nil {
-		store.Close()
+		// DeleteQuery closed the store, so its count is final.
+		e.retiredDrops += store.Dropped()
 	}
+	e.mu.Unlock()
 	if e.dur != nil {
 		e.dur.logDelete(id)
 		if cerr := e.dur.commit(); cerr != nil {

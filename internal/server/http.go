@@ -791,7 +791,10 @@ func (s *HTTPServer) handleSessionResultStream(w http.ResponseWriter, r *http.Re
 		}
 	}
 
-	var sink *export.JSONLinesSink
+	var (
+		sink  *export.JSONLinesSink // nil on the SSE framing
+		frame []byte
+	)
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
@@ -809,7 +812,7 @@ func (s *HTTPServer) handleSessionResultStream(w http.ResponseWriter, r *http.Re
 	defer buf.Release()
 	for {
 		out, next, dropped := store.ReadFrom(cursor, chunk, buf.Tuples[:0])
-		if err := s.writeStreamChunk(w, sink, sse, out, next, dropped); err != nil {
+		if frame, err = writeStreamChunk(w, sink, frame, out, next, dropped); err != nil {
 			return // client went away
 		}
 		if len(out) > 0 || dropped > 0 {
@@ -850,45 +853,45 @@ func (s *HTTPServer) waitStream(ctx context.Context, session string, store *stre
 }
 
 // writeStreamChunk emits one read's worth of tuples (and its drop notice)
-// in the negotiated framing.
-func (s *HTTPServer) writeStreamChunk(w io.Writer, sink *export.JSONLinesSink, sse bool, out []stream.Tuple, next uint64, dropped uint64) error {
-	if sse {
+// in the negotiated framing: ndjson through sink or, when sink is nil, SSE
+// events rendered into frame and written at once. It returns frame for the
+// next call to reuse.
+func writeStreamChunk(w io.Writer, sink *export.JSONLinesSink, frame []byte, out []stream.Tuple, next uint64, dropped uint64) ([]byte, error) {
+	if sink != nil {
 		if dropped > 0 {
-			if _, err := fmt.Fprintf(w, "event: drop\ndata: {\"dropped\":%d}\n\n", dropped); err != nil {
-				return err
+			if _, err := fmt.Fprintf(w, "{\"dropped\":%d}\n", dropped); err != nil {
+				return frame, err
 			}
 		}
-		base := next - uint64(len(out))
-		for i, tp := range out {
-			// Same record shape as the ndjson framing (attr and sensor
-			// included) so clients can switch framings losslessly.
-			data, err := json.Marshal(struct {
-				ID     uint64  `json:"id"`
-				Attr   string  `json:"attr"`
-				T      float64 `json:"t"`
-				X      float64 `json:"x"`
-				Y      float64 `json:"y"`
-				Value  float64 `json:"value"`
-				Sensor int     `json:"sensor"`
-			}{tp.ID, tp.Attr, tp.T, tp.X, tp.Y, tp.Value, tp.Sensor})
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", base+uint64(i)+1, data); err != nil {
-				return err
-			}
+		if len(out) == 0 {
+			return frame, nil
 		}
-		return nil
+		return frame, sink.Process(stream.Batch{Tuples: out})
 	}
+	frame = frame[:0]
 	if dropped > 0 {
-		if _, err := fmt.Fprintf(w, "{\"dropped\":%d}\n", dropped); err != nil {
-			return err
+		frame = append(frame, "event: drop\ndata: {\"dropped\":"...)
+		frame = strconv.AppendUint(frame, dropped, 10)
+		frame = append(frame, "}\n\n"...)
+	}
+	base := next - uint64(len(out))
+	for i, tp := range out {
+		// Same record shape as the ndjson framing (attr and sensor
+		// included) so clients can switch framings losslessly.
+		frame = append(frame, "id: "...)
+		frame = strconv.AppendUint(frame, base+uint64(i)+1, 10)
+		frame = append(frame, "\ndata: "...)
+		var err error
+		if frame, err = export.AppendTupleJSON(frame, tp); err != nil {
+			return frame, err
 		}
+		frame = append(frame, "\n\n"...)
 	}
-	if len(out) == 0 {
-		return nil
+	if len(frame) == 0 {
+		return frame, nil
 	}
-	return sink.Process(stream.Batch{Tuples: out})
+	_, err := w.Write(frame)
+	return frame, err
 }
 
 // --- status -----------------------------------------------------------------
@@ -975,8 +978,8 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 	ts := e.ThrottleCounters()
 	// Multi-query sharing (see docs/API.md, "Status"): sharedPrefixes is
 	// the number of subplans serving ≥ 2 queries, subplans the distinct
-	// fabricated subplans, and planCacheHits/Misses the plan cache's
-	// lifetime counters.
+	// fabricated subplans, resultRings the distinct result rings they write,
+	// and planCacheHits/Misses the plan cache's lifetime counters.
 	shared := e.SharedStats()
 	planHits, planMisses := e.PlanCacheStats()
 	var limits interface{}
@@ -1014,6 +1017,7 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 		"sharedQueries":    shared.SharedQueries,
 		"sharedAttaches":   shared.Attaches,
 		"subplans":         shared.Subplans,
+		"resultRings":      shared.ResultRings,
 		"planCacheHits":    planHits,
 		"planCacheMisses":  planMisses,
 		"plans":            plans,

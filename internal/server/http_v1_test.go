@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // newManagerTestServer spins up a manager-backed HTTP server.
@@ -359,5 +362,203 @@ func TestWriteJSONLogsEncodeFailure(t *testing.T) {
 	s.writeJSON(httptest.NewRecorder(), 200, map[string]string{"ok": "yes"})
 	if len(logged) != 0 {
 		t.Fatalf("spurious log: %v", logged)
+	}
+}
+
+// openResultStream opens a query's ndjson result stream from cursor 0.
+func openResultStream(t *testing.T, ctx context.Context, c *http.Client, base, id string) *bufio.Scanner {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, "GET", base+"/results/"+id+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != 200 {
+		t.Fatalf("stream %s = %d", id, resp.StatusCode)
+	}
+	return bufio.NewScanner(resp.Body)
+}
+
+// readLines reads exactly n lines; the stream's request context bounds the
+// wait.
+func readLines(t *testing.T, sc *bufio.Scanner, n int) []string {
+	t.Helper()
+	lines := make([]string, 0, n)
+	for len(lines) < n && sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) < n {
+		t.Fatalf("stream ended after %d of %d lines: %v", len(lines), n, sc.Err())
+	}
+	return lines
+}
+
+// TestHTTPSharedStreamsIndependent: queries sharing one result ring are,
+// over HTTP, as separate as they ever were. Two submitted together stream
+// byte-identical ndjson; one submitted later streams from its own cursor 0,
+// the first tuple fabricated after it arrived; every counter of the results
+// route is per query; and DELETE of one ends that stream only.
+func TestHTTPSharedStreamsIndependent(t *testing.T) {
+	ts, _ := newManagerTestServer(t)
+	c := ts.Client()
+	base := ts.URL + "/v1/sessions/sh"
+	const stmt = "ACQUIRE rain FROM RECT(0,0,8,8) RATE 4"
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"sh","seed":3}`, 201, nil)
+	submit := func() string {
+		var qj struct {
+			ID string `json:"id"`
+		}
+		doJSON(t, c, "POST", base+"/queries", stmt, 201, &qj)
+		return qj.ID
+	}
+	type page struct {
+		Total      int `json:"total"`
+		Retained   int `json:"retained"`
+		NextCursor int `json:"nextCursor"`
+		Dropped    int `json:"dropped"`
+	}
+	results := func(id string) page {
+		var p page
+		doJSON(t, c, "GET", base+"/results/"+id, "", 200, &p)
+		return p
+	}
+	q1, q2 := submit(), submit()
+	doJSON(t, c, "POST", base+"/step?n=4", "", 200, nil)
+	q3 := submit()
+	doJSON(t, c, "POST", base+"/step?n=4", "", 200, nil)
+
+	var st struct {
+		Queries     int `json:"queries"`
+		Subplans    int `json:"subplans"`
+		ResultRings int `json:"resultRings"`
+	}
+	doJSON(t, c, "GET", base+"/status", "", 200, &st)
+	if st.Queries != 3 || st.Subplans != 1 || st.ResultRings != 1 {
+		t.Fatalf("status = %+v, want 3 queries on 1 subplan and 1 ring", st)
+	}
+	p1, p2, p3 := results(q1), results(q2), results(q3)
+	if p1.Total == 0 || p1 != p2 || p1.NextCursor != p1.Total || p1.Retained != p1.Total {
+		t.Fatalf("results of the two early queries: %+v and %+v", p1, p2)
+	}
+	if p3.Total == 0 || p3.Total >= p1.Total || p3.NextCursor != p3.Total || p3.Retained != p3.Total || p3.Dropped != 0 {
+		t.Fatalf("late query's counters are not its own: %+v (early query %+v)", p3, p1)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	s1, s2, s3 := openResultStream(t, ctx, c, base, q1), openResultStream(t, ctx, c, base, q2), openResultStream(t, ctx, c, base, q3)
+	l1, l2, l3 := readLines(t, s1, p1.Total), readLines(t, s2, p2.Total), readLines(t, s3, p3.Total)
+	for i := range l1 {
+		if l1[i] != l2[i] {
+			t.Fatalf("line %d differs between identical queries:\n%s\n%s", i, l1[i], l2[i])
+		}
+	}
+	for i := range l3 {
+		if want := l1[p1.Total-p3.Total+i]; l3[i] != want {
+			t.Fatalf("late query's line %d = %s, want the early stream's line %d = %s", i, l3[i], p1.Total-p3.Total+i, want)
+		}
+	}
+
+	// Deleting Q2 ends Q2's stream and nothing else.
+	doJSON(t, c, "DELETE", base+"/queries/"+q2, "", 200, nil)
+	if s2.Scan() {
+		t.Fatalf("deleted query's stream went on: %s", s2.Text())
+	}
+	doJSON(t, c, "POST", base+"/step?n=2", "", 200, nil)
+	more := results(q1).Total - p1.Total
+	if more == 0 {
+		t.Fatal("no tuples fabricated after the delete")
+	}
+	m1, m3 := readLines(t, s1, more), readLines(t, s3, more)
+	for i := range m1 {
+		if m1[i] != m3[i] {
+			t.Fatalf("survivors diverge after the delete at line %d", i)
+		}
+	}
+	doJSON(t, c, "GET", base+"/results/"+q2, "", 404, nil)
+}
+
+// TestStatusRetentionDropsMonotonic: /status retentionDrops counts evictions
+// over the session's life, so deleting a query that has some does not take
+// them back.
+func TestStatusRetentionDropsMonotonic(t *testing.T) {
+	ts, _ := newManagerTestServer(t)
+	c := ts.Client()
+	base := ts.URL + "/v1/sessions/mono"
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"mono","seed":2,"retention":32}`, 201, nil)
+	ids := make([]string, 2)
+	for i := range ids {
+		var qj struct {
+			ID string `json:"id"`
+		}
+		doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,8,8) RATE 5", 201, &qj)
+		ids[i] = qj.ID
+	}
+	doJSON(t, c, "POST", base+"/step?n=20", "", 200, nil)
+	drops := func() uint64 {
+		var st struct {
+			RetentionDrops uint64 `json:"retentionDrops"`
+		}
+		doJSON(t, c, "GET", base+"/status", "", 200, &st)
+		return st.RetentionDrops
+	}
+	var p struct {
+		Dropped uint64 `json:"dropped"`
+	}
+	doJSON(t, c, "GET", base+"/results/"+ids[0], "", 200, &p)
+	before := drops()
+	if p.Dropped == 0 || before != 2*p.Dropped {
+		t.Fatalf("retentionDrops = %d with %d evicted per query; want both queries counted", before, p.Dropped)
+	}
+	doJSON(t, c, "DELETE", base+"/queries/"+ids[0], "", 200, nil)
+	if after := drops(); after != before {
+		t.Fatalf("retentionDrops went %d -> %d across a delete", before, after)
+	}
+	doJSON(t, c, "POST", base+"/step?n=5", "", 200, nil)
+	if later := drops(); later <= before {
+		t.Fatalf("retentionDrops stuck at %d after more evictions (was %d)", later, before)
+	}
+}
+
+// TestWriteStreamChunkSSEFraming holds the hand-rendered SSE events to the
+// encoding/json rendering they replaced, drop notice and event ids included.
+func TestWriteStreamChunkSSEFraming(t *testing.T) {
+	out := []stream.Tuple{
+		{ID: 7, Attr: "rain", T: 1.25, X: 1e-7, Y: 1e21, Value: -0.5, Sensor: 3},
+		{ID: 8, Attr: `a"<b>`, T: 2, X: 0.1, Y: 123456.789, Value: 0, Sensor: -1},
+	}
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "event: drop\ndata: {\"dropped\":%d}\n\n", 5)
+	for i, tp := range out {
+		data, err := json.Marshal(struct {
+			ID     uint64  `json:"id"`
+			Attr   string  `json:"attr"`
+			T      float64 `json:"t"`
+			X      float64 `json:"x"`
+			Y      float64 `json:"y"`
+			Value  float64 `json:"value"`
+			Sensor int     `json:"sensor"`
+		}{tp.ID, tp.Attr, tp.T, tp.X, tp.Y, tp.Value, tp.Sensor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "id: %d\ndata: %s\n\n", 40+i+1, data)
+	}
+	var got bytes.Buffer
+	frame, err := writeStreamChunk(&got, nil, nil, out, 42, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("SSE chunk:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	// The frame buffer is reused, and an empty read writes nothing.
+	got.Reset()
+	if _, err := writeStreamChunk(&got, nil, frame, nil, 42, 0); err != nil || got.Len() != 0 {
+		t.Fatalf("empty chunk wrote %q, %v", got.String(), err)
 	}
 }

@@ -198,14 +198,20 @@ func (e *Engine) Shutdown() error {
 	return err
 }
 
-// RetentionDrops sums the evicted-tuple counts across the live queries'
-// result stores — the operator-facing measure of readers falling behind
-// their retention windows.
+// RetentionDrops is the number of result tuples evicted from retention
+// before their query could have read them back, summed over every query the
+// engine has served — whether or not anyone was reading. Each query counts
+// from its own submission, shared stream or not, and a deleted query's
+// evictions stay counted, so the figure only grows.
 func (e *Engine) RetentionDrops() uint64 {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	var total uint64
+	total := e.retiredDrops
+	stores := make([]*stream.ResultStore, 0, len(e.results))
 	for _, store := range e.results {
+		stores = append(stores, store)
+	}
+	e.mu.Unlock()
+	for _, store := range stores {
 		total += store.Dropped()
 	}
 	return total

@@ -2,14 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/query"
-	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // sharingPool is the shared query population for the differential harness:
@@ -29,34 +31,38 @@ func sharingPool() []query.Query {
 
 // runSharingArm replays one deterministic churn script — random submits
 // from the pool, random deletes, epoch steps, with adaptive retunes live —
-// against a fresh engine, and returns the final per-query delivered tuples.
-// Everything that varies is derived from (seed, workers), so the shared
-// and control arms see op-for-op identical scripts: registry IDs are
-// assigned in submission order, hence "delete the i-th live query" names
-// the same query in both arms.
-func runSharingArm(t *testing.T, seed int64, workers int, disableSharing bool) (map[string][]stream.Tuple, *Engine) {
+// against a fresh durable engine, and returns it with the ids of the queries
+// still resident. Everything that varies is derived from (seed, workers), so
+// the shared and control arms see op-for-op identical scripts: registry IDs
+// are assigned in submission order, hence "delete the i-th live query" names
+// the same query in both arms. Retention is a few epochs' worth, so rings
+// wrap, and submits land between epochs all through the run, so most members
+// of a shared ring attached mid-stream.
+func runSharingArm(t *testing.T, seed int64, workers int, disableSharing bool) (*Engine, []string) {
 	t.Helper()
 	cfg := testConfig()
-	cfg.Retention = 128
+	cfg.Retention = 48
 	cfg.AdaptiveRates = true
 	cfg.Fabricator.Workers = workers
 	cfg.Fabricator.DisableSharing = disableSharing
+	cfg.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.FsyncNever}
 	e, err := New(cfg, testFields(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = e.Shutdown() })
 	pool := sharingPool()
 	rnd := rand.New(rand.NewSource(seed))
 	var live []string
-	for op := 0; op < 120; op++ {
+	for op := 0; op < 160; op++ {
 		switch p := rnd.Float64(); {
-		case p < 0.5:
+		case p < 0.4:
 			stored, err := e.Submit(pool[rnd.Intn(len(pool))])
 			if err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, stored.ID)
-		case p < 0.7 && len(live) > 0:
+		case p < 0.6 && len(live) > 0:
 			i := rnd.Intn(len(live))
 			if err := e.Delete(live[i]); err != nil {
 				t.Fatal(err)
@@ -76,54 +82,80 @@ func runSharingArm(t *testing.T, seed int64, workers int, disableSharing bool) (
 	if err := e.Fabricator().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string][]stream.Tuple, len(live))
-	for _, id := range live {
-		tuples, err := e.Results(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[id] = tuples
-	}
-	return out, e
+	return e, live
 }
 
 // TestSharedDifferentialRandomized is the differential harness: for several
 // seeds and worker counts, the same randomized submit/delete/step script
-// runs against a sharing engine and a DisableSharing control, and every
-// resident query's delivered tuple stream must be byte-identical between
-// the two — sharing is an optimization, never a behavior change, including
-// under adaptive retunes and parallel epoch execution.
+// runs against a sharing engine and a DisableSharing control — where every
+// query keeps a private ring — and everything a resident query can observe
+// of its result store must be identical between the two: every page of a
+// read from cursor 0 with its cursor and drop count, the counters, the
+// `results` entries of a checkpoint, and the engine's retentionDrops.
+// Sharing is an optimization, never a behavior change, including under
+// adaptive retunes and parallel epoch execution.
 func TestSharedDifferentialRandomized(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		for _, workers := range []int{1, 3} {
-			shared, se := runSharingArm(t, seed, workers, false)
-			control, ce := runSharingArm(t, seed, workers, true)
+			what := fmt.Sprintf("seed=%d workers=%d", seed, workers)
+			se, live := runSharingArm(t, seed, workers, false)
+			ce, controlLive := runSharingArm(t, seed, workers, true)
 			if !se.Fabricator().SharingEnabled() || ce.Fabricator().SharingEnabled() {
 				t.Fatal("arm configuration mixed up")
 			}
-			// The script's collisions must actually have exercised dedup.
-			if st := se.SharedStats(); st.Attaches == 0 {
-				t.Fatalf("seed=%d workers=%d: sharing arm never deduplicated (%+v)", seed, workers, st)
+			// The script's collisions must actually have exercised dedup, and
+			// on the sharing arm only.
+			sst, cst := se.SharedStats(), ce.SharedStats()
+			if sst.Attaches == 0 || sst.ResultRings != sst.Subplans || sst.ResultRings >= sst.Queries {
+				t.Fatalf("%s: sharing arm did not share result rings (%+v)", what, sst)
 			}
-			if st := ce.SharedStats(); st.Attaches != 0 {
-				t.Fatalf("seed=%d workers=%d: control arm deduplicated (%+v)", seed, workers, st)
+			if cst.Attaches != 0 || cst.ResultRings != cst.Queries {
+				t.Fatalf("%s: control arm shared (%+v)", what, cst)
 			}
-			if len(shared) != len(control) {
-				t.Fatalf("seed=%d workers=%d: %d live queries shared vs %d control", seed, workers, len(shared), len(control))
+			if !slices.Equal(live, controlLive) {
+				t.Fatalf("%s: live queries %v shared vs %v control", what, live, controlLive)
 			}
-			for id, want := range control {
-				got, ok := shared[id]
-				if !ok {
-					t.Fatalf("seed=%d workers=%d: query %s missing from sharing arm", seed, workers, id)
+			wrapped := false
+			for _, id := range live {
+				got, err := se.ResultStore(id)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("seed=%d workers=%d query %s: %d tuples shared vs %d control", seed, workers, id, len(got), len(want))
+				want, err := ce.ResultStore(id)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("seed=%d workers=%d query %s tuple %d: shared %+v control %+v", seed, workers, id, i, got[i], want[i])
+				wrapped = wrapped || want.Dropped() > 0
+				if got.Total() != want.Total() || got.Dropped() != want.Dropped() || got.Len() != want.Len() || got.Retention() != want.Retention() {
+					t.Fatalf("%s query %s: total/dropped/len %d/%d/%d shared vs %d/%d/%d control", what, id,
+						got.Total(), got.Dropped(), got.Len(), want.Total(), want.Dropped(), want.Len())
+				}
+				for cursor := uint64(0); ; {
+					gp, gn, gd := got.ReadFrom(cursor, 16, nil)
+					wp, wn, wd := want.ReadFrom(cursor, 16, nil)
+					if gn != wn || gd != wd || !slices.Equal(gp, wp) {
+						t.Fatalf("%s query %s cursor %d: page of %d, next %d, dropped %d shared vs %d/%d/%d control",
+							what, id, cursor, len(gp), gn, gd, len(wp), wn, wd)
 					}
+					if len(wp) == 0 {
+						break
+					}
+					cursor = wn
 				}
+			}
+			if !wrapped {
+				t.Fatalf("%s: no ring wrapped; the script does not exercise eviction", what)
+			}
+			if s, c := se.RetentionDrops(), ce.RetentionDrops(); s != c || s == 0 {
+				t.Fatalf("%s: retentionDrops %d shared vs %d control", what, s, c)
+			}
+			snapResults := func(e *Engine) []snapshotResult {
+				e.stepMu.Lock()
+				defer e.stepMu.Unlock()
+				return e.captureSnapshot(0).Results
+			}
+			if s, c := snapResults(se), snapResults(ce); len(s) != len(live) || !slices.Equal(s, c) {
+				t.Fatalf("%s: checkpoint results differ:\nshared  %+v\ncontrol %+v", what, s, c)
 			}
 		}
 	}

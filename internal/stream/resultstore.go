@@ -3,38 +3,74 @@ package stream
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultRetention is the per-query tuple retention used when a ResultStore
 // is built with a non-positive capacity.
 const DefaultRetention = 1 << 16
 
-// ResultStore is the bounded, cursor-addressable sink that terminates every
-// query pipeline in the serving engine. It retains the most recent
-// `retention` tuples of the fabricated stream in a ring buffer; older tuples
-// are overwritten and accounted as drops rather than accumulated without
-// bound, so a query nobody reads costs O(retention) memory no matter how
-// long its engine keeps ticking.
+// ring is one acquired stream: the bounded buffer of the most recent
+// `retention` tuples a subplan fabricated, written once per batch however
+// many queries read it. Positions are monotonic cursors — the i-th tuple ever
+// appended lives at cursor i — and every ResultStore attached to the ring
+// views it through its own origin (see ResultStore).
 //
-// Positions in the stream are monotonic cursors: the i-th tuple ever
-// appended lives at cursor i (zero-based). Readers own their cursors and
-// page forward with ReadFrom; a reader that falls more than `retention`
-// tuples behind observes an explicit drop count instead of silently missing
-// data. Writers never block on readers.
+// mu guards every field, and every field of the handles attached to the
+// ring.
+type ring struct {
+	mu        sync.Mutex
+	retention int
+	buf       []Tuple // allocated by the first non-empty append; a frozen copy holds only what its handles can see
+	head      int     // buf index of the oldest retained tuple
+	size      int     // retained tuples (≤ len(buf))
+	first     uint64  // cursor of the oldest retained tuple
+	total     uint64  // cursor one past the newest tuple
+	batches   uint64
+	// live counts the attached handles that are not closed. Only a live
+	// handle appends, so a ring whose last handle closed never changes again.
+	live int
+	// parked lists the handles with a waiter channel (notify != nil); the
+	// next non-empty append closes them all.
+	parked []*ResultStore
+	// frozen lists the handles closed since the last append. Their view must
+	// stay what it was at Close, so the next append first moves them onto a
+	// copy of what they can still see (release).
+	frozen []*ResultStore
+}
+
+// ResultStore is the bounded, cursor-addressable sink that terminates every
+// query pipeline in the serving engine: a query's handle on the acquired
+// stream of its subplan. The stream itself — the ring of the most recent
+// `retention` tuples — exists once per subplan; a handle records the ring
+// cursor at which it attached and its own closed state, and every observable
+// is exactly that of a private store created at the moment of attachment.
+// Cursor 0 of a handle is the first tuple fabricated after it attached; older
+// tuples are overwritten and accounted as drops rather than accumulated
+// without bound, so a query nobody reads costs no memory of its own.
+//
+// Readers own their cursors and page forward with ReadFrom; a reader that
+// falls more than `retention` tuples behind observes an explicit drop count
+// instead of silently missing data. Writers never block on readers.
+//
+// A store built by NewResultStore starts on a ring of its own, which
+// allocates nothing proportional to retention until the first tuple arrives.
+// Join rebinds a fresh store onto another store's ring; the fabricator does
+// so when a query joins a resident subplan.
 //
 // ResultStore is safe for concurrent use by one or more writers and any
 // number of readers.
 type ResultStore struct {
-	mu      sync.Mutex
-	buf     []Tuple // ring storage, cap == retention
-	head    int     // buf index of the oldest retained tuple
-	size    int     // retained tuples (≤ len(buf))
-	first   uint64  // cursor of the oldest retained tuple == total dropped
-	total   uint64  // cursor one past the newest tuple == total appended
-	batches uint64
-	closed  bool
-	notify  chan struct{} // lazily created by Wait, closed on append / Close
+	// r is the ring the handle reads; it changes when Join rebinds a fresh
+	// handle and when a closed handle is moved onto its frozen copy. The
+	// fields below are guarded by the mutex of the ring r points at (lock).
+	r           atomic.Pointer[ring]
+	base        uint64 // ring cursor at attach: the handle's cursor 0
+	baseBatches uint64 // ring batch count at attach
+	closed      bool
+	notify      chan struct{} // lazily created by Wait, closed on append / Close
 }
 
 // NewResultStore returns an empty store retaining up to `retention` tuples
@@ -43,55 +79,167 @@ func NewResultStore(retention int) *ResultStore {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
-	return &ResultStore{buf: make([]Tuple, retention)}
+	s := &ResultStore{}
+	s.r.Store(&ring{retention: retention, live: 1})
+	return s
 }
 
+// lock returns the handle's ring with its mutex held. The ring can change
+// while a caller waits for the mutex, hence the re-check.
+func (s *ResultStore) lock() *ring {
+	for {
+		r := s.r.Load()
+		r.mu.Lock()
+		if s.r.Load() == r {
+			return r
+		}
+		r.mu.Unlock()
+	}
+}
+
+// span returns the handle's view of r in its own cursors: the oldest
+// retained position (== tuples evicted from its view) and the end.
+func (s *ResultStore) span(r *ring) (first, total uint64) {
+	if r.first > s.base {
+		first = r.first - s.base
+	}
+	return first, r.total - s.base
+}
+
+// joinMu serializes Join: it is the one place two ring mutexes nest, and
+// with joins serialized the nesting cannot form a cycle.
+var joinMu sync.Mutex
+
+// Join rebinds s onto leader's ring, so the two (and every store already on
+// that ring) share one buffer written once per batch; from then on s behaves
+// as a private store created at this instant would. It reports false, and
+// changes nothing, unless s is fresh — open, nothing ever written to it, no
+// other open store on its ring — leader is open and both have the same
+// retention.
+func (s *ResultStore) Join(leader *ResultStore) bool {
+	joinMu.Lock()
+	defer joinMu.Unlock()
+	old := s.lock()
+	defer old.mu.Unlock()
+	if s.closed || old.live != 1 || old.batches != 0 || leader.r.Load() == old {
+		return false
+	}
+	r := leader.lock()
+	defer r.mu.Unlock()
+	if leader.closed || r.retention != old.retention {
+		return false
+	}
+	s.base, s.baseBatches = r.total, r.batches
+	r.live++
+	if s.notify != nil {
+		// Waiters re-park on the new ring.
+		close(s.notify)
+		s.notify = nil
+		old.parked = nil
+	}
+	s.r.Store(r)
+	return true
+}
+
+// SharesRing reports whether s and o read the same ring, so that a batch
+// written through either reaches both.
+func (s *ResultStore) SharesRing(o *ResultStore) bool { return s.r.Load() == o.r.Load() }
+
 // Retention returns the store's capacity in tuples.
-func (s *ResultStore) Retention() int { return len(s.buf) }
+func (s *ResultStore) Retention() int { return s.r.Load().retention }
 
 // Process implements Processor: the batch's tuples are copied into the ring
 // (the batch may be built on an arena buffer that is recycled after the
-// call), evicting the oldest tuples when full.
+// call), evicting the oldest tuples when full. Every store on the ring sees
+// the batch; a fan-out writes each ring through one of its stores only.
 func (s *ResultStore) Process(b Batch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	r := s.lock()
+	defer r.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	in := b.Tuples
-	s.batches++
-	s.total += uint64(len(in))
+	r.append(b.Tuples)
+	return nil
+}
+
+// append adds one batch; r.mu is held.
+func (r *ring) append(in []Tuple) {
+	if len(r.frozen) > 0 {
+		r.release()
+	}
+	r.batches++
+	if len(in) == 0 {
+		return
+	}
+	r.total += uint64(len(in))
+	if r.buf == nil {
+		r.buf = make([]Tuple, r.retention)
+	}
 	// A batch larger than the whole ring: only its tail survives.
-	if overflow := len(in) - len(s.buf); overflow > 0 {
+	if overflow := len(in) - len(r.buf); overflow > 0 {
 		in = in[overflow:]
 	}
 	// Bulk-copy into at most two contiguous runs around the wrap point
-	// (epoch workers hold s.mu here, so the write path stays tight).
-	if n := len(in); n > 0 {
-		idx := s.head + s.size
-		if idx >= len(s.buf) {
-			idx -= len(s.buf)
-		}
-		run := copy(s.buf[idx:], in)
-		copy(s.buf, in[run:])
-		if s.size+n <= len(s.buf) {
-			s.size += n
-		} else {
-			s.head += s.size + n - len(s.buf)
-			if s.head >= len(s.buf) {
-				s.head -= len(s.buf)
-			}
-			s.size = len(s.buf)
-		}
+	// (epoch workers hold r.mu here, so the write path stays tight).
+	n := len(in)
+	idx := r.head + r.size
+	if idx >= len(r.buf) {
+		idx -= len(r.buf)
 	}
-	s.first = s.total - uint64(s.size)
-	// Release parked waiters; the channel only exists while someone waits,
+	run := copy(r.buf[idx:], in)
+	copy(r.buf, in[run:])
+	if r.size+n <= len(r.buf) {
+		r.size += n
+	} else {
+		r.head += r.size + n - len(r.buf)
+		if r.head >= len(r.buf) {
+			r.head -= len(r.buf)
+		}
+		r.size = len(r.buf)
+	}
+	r.first = r.total - uint64(r.size)
+	// Release parked waiters; a channel only exists while someone waits,
 	// keeping the unwatched write path allocation-free.
-	if s.notify != nil && len(b.Tuples) > 0 {
-		close(s.notify)
-		s.notify = nil
+	for i, h := range r.parked {
+		close(h.notify)
+		h.notify = nil
+		r.parked[i] = nil
 	}
-	return nil
+	r.parked = r.parked[:0]
+}
+
+// release moves the handles closed since the last append onto one frozen
+// copy of the ring holding exactly what they can still see, so the append
+// about to happen cannot change what a closed store reads. r.mu is held.
+func (r *ring) release() {
+	lo := r.total
+	for _, h := range r.frozen {
+		lo = min(lo, max(r.first, h.base))
+	}
+	snap := &ring{retention: r.retention, first: lo, total: r.total, batches: r.batches, size: int(r.total - lo)}
+	snap.buf = r.copyOut(lo, snap.size, nil)
+	for i, h := range r.frozen {
+		h.r.Store(snap)
+		r.frozen[i] = nil
+	}
+	r.frozen = r.frozen[:0]
+}
+
+// copyOut appends the n retained tuples starting at ring cursor c to dst, in
+// at most two contiguous runs around the wrap point.
+func (r *ring) copyOut(c uint64, n int, dst []Tuple) []Tuple {
+	if n == 0 {
+		return dst
+	}
+	off := r.head + int(c-r.first)
+	if off >= len(r.buf) {
+		off -= len(r.buf)
+	}
+	if run := len(r.buf) - off; n > run {
+		dst = append(dst, r.buf[off:]...)
+		return append(dst, r.buf[:n-run]...)
+	}
+	return append(dst, r.buf[off:off+n]...)
 }
 
 // ReadFrom returns the retained tuples at cursor positions ≥ cursor, up to
@@ -105,34 +253,21 @@ func (s *ResultStore) Process(b Batch) error {
 // The returned slice aliases dst's storage, not the ring, so it stays valid
 // while the writer keeps appending.
 func (s *ResultStore) ReadFrom(cursor uint64, limit int, dst []Tuple) (out []Tuple, next uint64, dropped uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cursor < s.first {
-		dropped = s.first - cursor
-		cursor = s.first
+	r := s.lock()
+	defer r.mu.Unlock()
+	first, total := s.span(r)
+	if cursor < first {
+		dropped = first - cursor
+		cursor = first
 	}
-	if cursor > s.total {
-		cursor = s.total
+	if cursor > total {
+		cursor = total
 	}
-	avail := int(s.total - cursor)
+	avail := int(total - cursor)
 	if limit <= 0 || limit > avail {
 		limit = avail
 	}
-	out = dst[:0]
-	// Ring offset of the first requested tuple.
-	off := s.head + int(cursor-s.first)
-	if off >= len(s.buf) {
-		off -= len(s.buf)
-	}
-	// Copy in at most two contiguous runs around the wrap point.
-	n := limit
-	if run := len(s.buf) - off; n > run {
-		out = append(out, s.buf[off:]...)
-		out = append(out, s.buf[:n-run]...)
-	} else {
-		out = append(out, s.buf[off:off+n]...)
-	}
-	return out, cursor + uint64(limit), dropped
+	return r.copyOut(s.base+cursor, limit, dst[:0]), cursor + uint64(limit), dropped
 }
 
 // Tuples returns a copy of every retained tuple, oldest first. It is the
@@ -145,32 +280,34 @@ func (s *ResultStore) Tuples() []Tuple {
 
 // Len returns the number of retained tuples.
 func (s *ResultStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
+	r := s.lock()
+	defer r.mu.Unlock()
+	first, total := s.span(r)
+	return int(total - first)
 }
 
-// Total returns the number of tuples ever appended; it is also the cursor
-// one past the newest tuple.
+// Total returns the number of tuples appended since the store attached; it
+// is also the cursor one past the newest tuple.
 func (s *ResultStore) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+	r := s.lock()
+	defer r.mu.Unlock()
+	return r.total - s.base
 }
 
-// Dropped returns how many tuples have been evicted from the ring over the
-// store's lifetime; it is also the cursor of the oldest retained tuple.
+// Dropped returns how many of the store's tuples have been evicted from the
+// ring; it is also the cursor of the oldest retained tuple.
 func (s *ResultStore) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.first
+	r := s.lock()
+	defer r.mu.Unlock()
+	first, _ := s.span(r)
+	return first
 }
 
-// Batches returns the number of batches received.
+// Batches returns the number of batches received since the store attached.
 func (s *ResultStore) Batches() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches
+	r := s.lock()
+	defer r.mu.Unlock()
+	return r.batches - s.baseBatches
 }
 
 // ErrStoreClosed is returned by Wait when the store was closed.
@@ -182,20 +319,21 @@ var ErrStoreClosed = errors.New("stream: result store closed")
 // under streaming delivery: a streamer alternates ReadFrom and Wait.
 func (s *ResultStore) Wait(ctx context.Context, cursor uint64) error {
 	for {
-		s.mu.Lock()
-		if s.total > cursor {
-			s.mu.Unlock()
+		r := s.lock()
+		if r.total-s.base > cursor {
+			r.mu.Unlock()
 			return nil
 		}
 		if s.closed {
-			s.mu.Unlock()
+			r.mu.Unlock()
 			return ErrStoreClosed
 		}
 		if s.notify == nil {
 			s.notify = make(chan struct{})
+			r.parked = append(r.parked, s)
 		}
 		ch := s.notify
-		s.mu.Unlock()
+		r.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -204,12 +342,15 @@ func (s *ResultStore) Wait(ctx context.Context, cursor uint64) error {
 	}
 }
 
-// Close marks the store finished: subsequent Process calls fail with
-// ErrClosed and blocked Wait calls return ErrStoreClosed. Reads remain
-// valid. Closing an already-closed store is a no-op.
+// Close marks the store finished: subsequent Process calls through it fail
+// with ErrClosed and its blocked Wait calls return ErrStoreClosed. Reads
+// remain valid and keep returning what the store held when it closed. Other
+// stores on the same ring are unaffected — nothing of theirs wakes, and the
+// ring keeps filling for them; the ring is finished once its last store
+// closes. Closing an already-closed store is a no-op.
 func (s *ResultStore) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	r := s.lock()
+	defer r.mu.Unlock()
 	if s.closed {
 		return
 	}
@@ -217,5 +358,14 @@ func (s *ResultStore) Close() {
 	if s.notify != nil {
 		close(s.notify)
 		s.notify = nil
+		i := slices.Index(r.parked, s)
+		r.parked = slices.Delete(r.parked, i, i+1)
+	}
+	if r.live--; r.live > 0 {
+		r.frozen = append(r.frozen, s)
+	} else {
+		// Nothing can append any more: every store closed on this ring since
+		// the last append keeps reading it as it is.
+		r.frozen = nil
 	}
 }

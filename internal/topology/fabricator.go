@@ -31,11 +31,12 @@ type Config struct {
 	// merge phase orders tuples deterministically, serial and parallel runs
 	// of the same seed produce identical fabricated streams.
 	Workers int
-	// DisableSharing fabricates every query independently instead of
-	// deduplicating identical subplans across queries (see DESIGN.md,
-	// "Multi-query sharing"). Sharing and no-sharing runs of the same seed
-	// fabricate byte-identical per-query streams — this lever exists as the
-	// differential harness's control arm and for debugging.
+	// DisableSharing fabricates every query independently — its own subplan,
+	// its own result ring — instead of deduplicating identical subplans
+	// across queries (see DESIGN.md, "Multi-query sharing"). Sharing and
+	// no-sharing runs of the same seed fabricate byte-identical per-query
+	// streams — this lever exists as the differential harness's control arm
+	// and for debugging.
 	DisableSharing bool
 }
 
@@ -231,7 +232,11 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 // With sharing enabled (the default), a query whose canonical normal form
 // (craql.CanonicalKey) matches a resident query attaches its sink to the
 // existing subplan's fan-out instead of fabricating anything: no new
-// operators, no fused-program invalidation, no shard-order rebuild. The
+// operators, no fused-program invalidation, no shard-order rebuild — and,
+// when the sink is a fresh *stream.ResultStore of the retention the
+// subplan's resident stores have, no result ring either: the store is
+// rebound onto the subplan's ring (see fanOut), which keeps being written
+// once per batch. Any other sink is fanned to on its own. The
 // requested mode is ignored on attach — the subplan keeps the mode it was
 // fabricated with (the cost model prices identical queries identically, so
 // a planner-driven submit asks for the same mode anyway, and merge output
@@ -329,9 +334,12 @@ func (f *Fabricator) rollbackInsert(st *queryState) {
 	f.registry.Remove(st.q.ID)
 }
 
-// DeleteQuery removes a query. While other queries still share its subplan
-// the delete is a pure detach — the member's sink leaves the fan-out,
-// refcounts drop, and no operator, fused program or shard order changes.
+// DeleteQuery removes a query and, when its sink is a *stream.ResultStore,
+// closes that store (its reads stay valid, its waiters end). While other
+// queries still share its subplan the delete is a pure detach — the
+// member's sink leaves the fan-out (a shared result ring stays, written
+// through a surviving member's store), refcounts drop, and no operator,
+// fused program or shard order changes.
 // The last member's delete tears the subplan down: taps are detached
 // right-to-left in every cell, T-operators left consecutive are merged,
 // emptied pipelines (and their hashmap keys) are deleted, and the budget
@@ -733,7 +741,8 @@ func (f *Fabricator) TotalFlow() stream.FlowStats {
 // CheckInvariants verifies every pipeline's structural invariants plus the
 // cross-cutting ones: each subplan taps exactly its overlapped cells
 // (under its tapID — stable across member churn), and the sharing
-// bookkeeping (member maps, fans, the shared index) is consistent.
+// bookkeeping (member maps, fans and the rings they write, the shared index)
+// is consistent.
 func (f *Fabricator) CheckInvariants() error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -12,6 +13,13 @@ import (
 // keeps no state — so attaching or detaching a member never perturbs the
 // fabricated bytes any other member observes.
 //
+// The acquired stream of a subplan exists once: a member whose sink is a
+// fresh *stream.ResultStore is rebound onto the ring an earlier member's
+// store already reads (stream.ResultStore.Join), and the fan writes each
+// distinct ring through one of its stores only. Any other stream.Processor —
+// and a store that cannot join, e.g. one of a different retention — is
+// forwarded to on its own.
+//
 // Concurrency: membership mutates only under the fabricator's write lock;
 // Process runs under the read lock (epoch execution). The fan pointer
 // itself is stable for the subplan's lifetime, so compiled fused programs
@@ -20,11 +28,14 @@ import (
 type fanOut struct {
 	ids   []string
 	sinks []stream.Processor
+	// writes is what Process forwards to: the member sinks in attach order,
+	// minus every result store whose ring an earlier entry already writes.
+	writes []stream.Processor
 }
 
-// Process forwards the batch to every member sink in attach order.
+// Process forwards the batch to every distinct destination once.
 func (f *fanOut) Process(b stream.Batch) error {
-	for _, s := range f.sinks {
+	for _, s := range f.writes {
 		if err := s.Process(b); err != nil {
 			return err
 		}
@@ -32,22 +43,116 @@ func (f *fanOut) Process(b stream.Batch) error {
 	return nil
 }
 
-// add registers a member's sink.
+// add registers a member's sink, sharing a resident ring when it can.
 func (f *fanOut) add(id string, sink stream.Processor) {
 	f.ids = append(f.ids, id)
 	f.sinks = append(f.sinks, sink)
+	f.addWrite(sink, true)
 }
 
-// remove detaches a member's sink; false when the id is not a member.
+// addWrite makes sink a destination of Process unless it is a result store
+// on a ring some destination already writes; with join set, a store that is
+// not may first be rebound onto one.
+func (f *fanOut) addWrite(sink stream.Processor, join bool) {
+	if h, ok := sink.(*stream.ResultStore); ok {
+		for _, w := range f.writes {
+			if lead, ok := w.(*stream.ResultStore); ok && (h.SharesRing(lead) || join && h.Join(lead)) {
+				return
+			}
+		}
+	}
+	f.writes = append(f.writes, sink)
+}
+
+// remove detaches a member's sink; false when the id is not a member. A
+// result store is closed here, under the fabricator's write lock: on a
+// shared ring it would otherwise go on receiving the stream of a query it no
+// longer belongs to. When it was the store its ring is written through, the
+// write passes to the next surviving store on that ring.
 func (f *fanOut) remove(id string) bool {
 	for i, got := range f.ids {
-		if got == id {
-			f.ids = append(f.ids[:i], f.ids[i+1:]...)
-			f.sinks = append(f.sinks[:i], f.sinks[i+1:]...)
+		if got != id {
+			continue
+		}
+		gone := f.sinks[i]
+		f.ids = slices.Delete(f.ids, i, i+1)
+		f.sinks = slices.Delete(f.sinks, i, i+1)
+		if h, ok := gone.(*stream.ResultStore); ok {
+			h.Close()
+			if !f.writesThrough(h) {
+				return true
+			}
+		}
+		clear(f.writes)
+		f.writes = f.writes[:0]
+		for _, s := range f.sinks {
+			f.addWrite(s, false)
+		}
+		return true
+	}
+	return false
+}
+
+// writesThrough reports whether h itself is a destination of Process.
+func (f *fanOut) writesThrough(h *stream.ResultStore) bool {
+	for _, w := range f.writes {
+		if lead, ok := w.(*stream.ResultStore); ok && lead == h {
 			return true
 		}
 	}
 	return false
+}
+
+// check verifies that Process reaches every member exactly once: each
+// result-store destination is a member's own store, no two destinations
+// share a ring, every member store is on exactly one destination's ring, and
+// every other sink is a destination of its own.
+func (f *fanOut) check() error {
+	others, rings := 0, 0
+	for _, s := range f.sinks {
+		h, ok := s.(*stream.ResultStore)
+		if !ok {
+			others++
+			continue
+		}
+		n := 0
+		for _, w := range f.writes {
+			if lead, ok := w.(*stream.ResultStore); ok && h.SharesRing(lead) {
+				n++
+			}
+		}
+		if n != 1 {
+			return fmt.Errorf("member store's ring is written %d times per batch", n)
+		}
+	}
+	for _, w := range f.writes {
+		h, ok := w.(*stream.ResultStore)
+		if !ok {
+			continue
+		}
+		rings++
+		if !slices.ContainsFunc(f.sinks, func(s stream.Processor) bool {
+			m, ok := s.(*stream.ResultStore)
+			return ok && m == h
+		}) {
+			return fmt.Errorf("ring written through a store that is not a member's")
+		}
+	}
+	if len(f.writes) != others+rings {
+		return fmt.Errorf("%d write destinations for %d rings and %d other sinks", len(f.writes), rings, others)
+	}
+	return nil
+}
+
+// resultRings counts the distinct result-store rings the fan writes.
+func (f *fanOut) resultRings() int {
+	n := 0
+	for _, w := range f.writes {
+		if _, ok := w.(*stream.ResultStore); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // SharedStats snapshots the fabricator's subplan-sharing accounting for
@@ -67,6 +172,11 @@ type SharedStats struct {
 	// Attaches is the lifetime number of insertions absorbed by an already
 	// fabricated subplan (no new operators, no fused invalidation).
 	Attaches uint64
+	// ResultRings is the number of distinct result-store rings the subplans
+	// write — what result memory and per-epoch store writes scale with. It
+	// equals Subplans when every query's sink is a result store of one
+	// retention, and Queries when nothing is shared.
+	ResultRings int
 }
 
 // SharedGroupInfo describes one live shared subplan.
@@ -116,6 +226,7 @@ func (f *Fabricator) SharedStats() SharedStats {
 	st := SharedStats{Queries: len(f.queries), Attaches: f.sharedAttaches}
 	for _, sp := range f.distinctStates() {
 		st.Subplans++
+		st.ResultRings += sp.fan.resultRings()
 		if len(sp.refs) >= 2 {
 			st.SharedSubplans++
 			st.SharedQueries += len(sp.refs)
@@ -152,8 +263,8 @@ func (f *Fabricator) distinctStates() []*queryState {
 }
 
 // checkShared verifies the sharing bookkeeping: member maps, fan
-// membership and the shared index agree. Called by CheckInvariants with
-// f.mu held.
+// membership, each fan's write destinations and the shared index agree.
+// Called by CheckInvariants with f.mu held.
 func (f *Fabricator) checkShared() error {
 	for id, sp := range f.queries {
 		member := false
@@ -182,6 +293,9 @@ func (f *Fabricator) checkShared() error {
 			if !sp.fan.has(ref) {
 				return fmt.Errorf("topology: member %s missing from subplan %s fan", ref, sp.tapID)
 			}
+		}
+		if err := sp.fan.check(); err != nil {
+			return fmt.Errorf("topology: subplan %s fan: %w", sp.tapID, err)
 		}
 		if sp.key != "" {
 			if got, ok := f.shared[sp.key]; !ok || got != sp {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -281,4 +282,158 @@ func TestSharedChurnSublinear(t *testing.T) {
 			t.Fatalf("operator %s grew with residency: %d at 100 vs %d at 1000", op, c100[op], n)
 		}
 	}
+}
+
+// ringArm drives one script of inserts, deletes and epochs through a
+// fabricator whose sinks are result stores; TestSharedResultRing runs it on
+// the sharing arm and on the DisableSharing control and compares everything
+// a store can report.
+type ringArm struct {
+	t      *testing.T
+	f      *Fabricator
+	stores map[string]*stream.ResultStore // by script name, deleted ones included
+	ids    map[string]string
+	epoch  int
+}
+
+func (a *ringArm) insert(name string, q query.Query, retention int) {
+	a.t.Helper()
+	store := stream.NewResultStore(retention)
+	stored, err := a.f.InsertQuery(q, store)
+	if err != nil {
+		a.t.Fatal(err)
+	}
+	a.stores[name], a.ids[name] = store, stored.ID
+	a.check()
+}
+
+func (a *ringArm) delete(name string) {
+	a.t.Helper()
+	if err := a.f.DeleteQuery(a.ids[name]); err != nil {
+		a.t.Fatal(err)
+	}
+	if err := a.stores[name].Wait(context.Background(), a.stores[name].Total()); err != stream.ErrStoreClosed {
+		a.t.Fatalf("deleted query %s: Wait = %v, want its store closed", name, err)
+	}
+	a.check()
+}
+
+func (a *ringArm) feed() {
+	a.t.Helper()
+	sharedFeed(a.t, a.f, 7, a.epoch)
+	a.epoch++
+}
+
+func (a *ringArm) check() {
+	a.t.Helper()
+	if err := a.f.CheckInvariants(); err != nil {
+		a.t.Fatal(err)
+	}
+}
+
+// TestSharedResultRing pins the one-ring-per-subplan contract at the
+// fabricator: members of a subplan share one ring written once per batch
+// through creator-first, middle and last-member deletes; a late member
+// starts at its own cursor 0; a deleted member's store is closed and frozen;
+// a store of another retention keeps a ring of its own — and through all of
+// it every store reports exactly what its private twin on the DisableSharing
+// arm reports.
+func TestSharedResultRing(t *testing.T) {
+	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
+	other := query.Query{Attr: "rain", Region: geom.NewRect(2, 2, 6, 6), Rate: 3}
+	const retention = 48 // a few epochs wrap it
+	arms := make([]*ringArm, 2)
+	for i := range arms {
+		arms[i] = &ringArm{
+			t: t, f: newFab(t, fig2Grid(t), Config{DisableSharing: i == 1}),
+			stores: map[string]*stream.ResultStore{}, ids: map[string]string{},
+		}
+	}
+	shared, control := arms[0], arms[1]
+	rings := func(want int) {
+		t.Helper()
+		if got := shared.f.SharedStats().ResultRings; got != want {
+			t.Fatalf("sharing arm writes %d result rings, want %d", got, want)
+		}
+		if st := control.f.SharedStats(); st.ResultRings != st.Queries {
+			t.Fatalf("control arm: %d rings for %d queries", st.ResultRings, st.Queries)
+		}
+	}
+	compare := func(step string) {
+		t.Helper()
+		for name, got := range shared.stores {
+			want := control.stores[name]
+			if got.Total() != want.Total() || got.Dropped() != want.Dropped() || got.Len() != want.Len() || got.Batches() != want.Batches() {
+				t.Fatalf("%s, store %s: total/dropped/len/batches %d/%d/%d/%d shared vs %d/%d/%d/%d private", step, name,
+					got.Total(), got.Dropped(), got.Len(), got.Batches(), want.Total(), want.Dropped(), want.Len(), want.Batches())
+			}
+			for cursor := uint64(0); ; {
+				gp, gn, gd := got.ReadFrom(cursor, 7, nil)
+				wp, wn, wd := want.ReadFrom(cursor, 7, nil)
+				if gn != wn || gd != wd || len(gp) != len(wp) {
+					t.Fatalf("%s, store %s, cursor %d: page %d next %d dropped %d shared vs %d/%d/%d private", step, name, cursor, len(gp), gn, gd, len(wp), wn, wd)
+				}
+				for i := range gp {
+					if gp[i] != wp[i] {
+						t.Fatalf("%s, store %s, cursor %d: tuple %d differs", step, name, cursor, i)
+					}
+				}
+				if len(gp) == 0 {
+					break
+				}
+				cursor = gn
+			}
+		}
+	}
+	all := func(fn func(*ringArm)) {
+		for _, a := range arms {
+			fn(a)
+		}
+	}
+
+	all(func(a *ringArm) { a.insert("A", q, retention); a.insert("B", q, retention); a.feed() })
+	rings(1)
+	if !shared.stores["A"].SharesRing(shared.stores["B"]) || control.stores["A"].SharesRing(control.stores["B"]) {
+		t.Fatal("ring sharing does not follow the arm")
+	}
+	compare("two members, one epoch")
+
+	// A late member's cursor 0 is the first tuple fabricated after it joined.
+	all(func(a *ringArm) { a.insert("C", q, retention); a.feed(); a.feed() })
+	rings(1)
+	if c := shared.stores["C"]; c.Total() >= shared.stores["B"].Total() || c.Batches() != 2 {
+		t.Fatalf("late member saw %d tuples in %d batches; B saw %d", c.Total(), c.Batches(), shared.stores["B"].Total())
+	}
+	compare("late member")
+
+	// Creator first: A's store is the one the ring is written through.
+	all(func(a *ringArm) { a.delete("A"); a.feed() })
+	rings(1)
+	compare("creator deleted")
+
+	// A middle member, with another joining around it.
+	all(func(a *ringArm) { a.insert("D", q, retention); a.delete("C"); a.feed() })
+	rings(1)
+	compare("middle member deleted")
+
+	// The newest member.
+	all(func(a *ringArm) { a.delete("D"); a.feed() })
+	rings(1)
+	compare("last-attached member deleted")
+
+	// Another retention cannot share the ring; another subplan has its own.
+	all(func(a *ringArm) { a.insert("E", q, retention/2); a.insert("F", other, retention); a.feed(); a.feed() })
+	rings(3)
+	if shared.stores["E"].SharesRing(shared.stores["B"]) {
+		t.Fatal("stores of different retention share a ring")
+	}
+	if g, ok := shared.f.QuerySharedGroup(shared.ids["E"]); !ok || g.Refs != 2 {
+		t.Fatalf("E rides subplan %+v, want B's", g)
+	}
+	compare("mismatched retention")
+
+	// The ring goes with its last member; the closed stores keep their reads.
+	all(func(a *ringArm) { a.delete("B"); a.delete("E"); a.delete("F") })
+	rings(0)
+	compare("torn down")
 }

@@ -15,10 +15,11 @@
 # suite: BenchmarkWALAppend per fsync policy, BenchmarkRecovery's
 # cold-start replay, and BenchmarkIngestDurable's WAL-enabled push path —
 # plus BenchmarkQueryChurn's resident-query churn matrix, shared vs
-# unshared at 1k/10k queries with a heapB/query memory metric),
+# unshared at 1k/10k queries with a heapB/query memory metric, and
+# BenchmarkResultFanout's one-epoch-into-1/8/64-members rows),
 # BENCHTIME sets -benchtime. scripts/bench_guard.sh compares fresh
 # BenchmarkEndToEnd + BenchmarkIngest* + BenchmarkWire* +
-# BenchmarkQueryChurn runs against the
+# BenchmarkQueryChurn + BenchmarkResultFanout runs against the
 # newest committed BENCH_*.json and fails on >15% ns/op regression.
 # scripts/load.sh merges HTTP load-harness results (p50/p99, tuples/s)
 # into the same BENCH_<date>.json.
