@@ -157,6 +157,57 @@ func BenchmarkFlatten(b *testing.B) {
 	}
 }
 
+// BenchmarkFlattenSteady is the F-operator as a session runs it: one Flatten,
+// a window that advances one epoch per batch, and different tuples in every
+// batch (a ring of independently sampled ones), so each fit warm-starts from
+// the previous epoch's optimum on data it has not seen. iters/fit is the mean
+// Newton iterations per batch; a fit costs one pass over the batch more.
+func BenchmarkFlattenSteady(b *testing.B) {
+	for _, n := range []int{128, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			region := geom.NewRect(0, 0, 4, 4)
+			w := geom.Window{T0: 0, T1: 1, Rect: region}
+			rate := float64(n) / w.Volume()
+			proc, err := mdpp.NewInhomogeneous(intensity.NewLinear(intensity.Theta{0.7 * rate, 0.3 * rate, 0.05 * rate, -0.025 * rate}), region)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRNG(8)
+			batches := make([]stream.Batch, 16)
+			offsets := make([][]float64, len(batches))
+			for k := range batches {
+				ev, err := proc.Sample(w, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batches[k] = stream.Batch{Attr: "temp", Window: w, Tuples: make([]stream.Tuple, len(ev))}
+				for i, e := range ev {
+					batches[k].Tuples[i] = stream.Tuple{ID: uint64(i + 1), Attr: "temp", T: e.T, X: e.X, Y: e.Y}
+				}
+				offsets[k] = fracs(batches[k])
+			}
+			fl, err := pmat.NewFlatten("f", pmat.FlattenConfig{TargetRate: rate / 4}, stats.NewRNG(9))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sink stream.Counter
+			fl.AddDownstream(&sink)
+			iters := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(batches)
+				retime(&batches[k], offsets[k], float64(i))
+				if err := fl.Process(batches[k]); err != nil {
+					b.Fatal(err)
+				}
+				iters += fl.LastReport().FitIterations
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/fit")
+		})
+	}
+}
+
 func BenchmarkFlattenViolations(b *testing.B) {
 	// Over-requested flatten: every tuple is a violation; measures the
 	// violation-accounting path (E4).
@@ -463,18 +514,31 @@ func benchEvents(b *testing.B, n int) ([]mdpp.Event, geom.Window) {
 	return ev, w
 }
 
+// BenchmarkMLE fits one batch cold on a window starting at t0: the t0=1e6
+// rows (a session 2.3 days old at the default tick) must cost what the t0=0
+// rows do.
 func BenchmarkMLE(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ev, w := benchEvents(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := estimate.FitMLE(ev, w, estimate.Options{}); err != nil {
-					b.Fatal(err)
+	for _, n := range []int{128, 1000, 10000} {
+		for _, at := range []struct {
+			name string
+			t0   float64
+		}{{"0", 0}, {"1e6", 1e6}} {
+			t0 := at.t0
+			b.Run(fmt.Sprintf("n=%d/t0=%s", n, at.name), func(b *testing.B) {
+				ev, w := benchEvents(b, n)
+				for i := range ev {
+					ev[i].T += t0
 				}
-			}
-		})
+				w.T0, w.T1 = w.T0+t0, w.T1+t0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := estimate.FitMLE(ev, w, estimate.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package estimate
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/geom"
 	"repro/internal/intensity"
@@ -29,55 +28,53 @@ func sampleLinear(t *testing.T, theta intensity.Theta, w geom.Window, seed int64
 	return ev
 }
 
-func TestSolve4(t *testing.T) {
-	a := [4][4]float64{
-		{4, 1, 0, 0},
-		{1, 3, 1, 0},
-		{0, 1, 2, 1},
-		{0, 0, 1, 5},
-	}
+func TestNewtonStep(t *testing.T) {
+	// −H = a (symmetric positive definite), g = a·x: the step must be x and
+	// the decrement gᵀx.
+	h := [10]float64{4, 1, 0, 0, 3, 1, 0, 2, 1, 5}
+	a := [4][4]float64{{4, 1, 0, 0}, {1, 3, 1, 0}, {0, 1, 2, 1}, {0, 0, 1, 5}}
 	x := [4]float64{1, -2, 3, 0.5}
-	var b [4]float64
+	var g [4]float64
+	want := 0.0
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			b[i] += a[i][j] * x[j]
+			g[i] += a[i][j] * x[j]
 		}
+		want += g[i] * x[i]
 	}
-	got, err := solve4(a, b)
-	if err != nil {
-		t.Fatal(err)
+	got, dec, ok := newtonStep(&h, &g)
+	if !ok {
+		t.Fatal("positive definite system reported singular")
 	}
 	for i := 0; i < 4; i++ {
-		if math.Abs(got[i]-x[i]) > 1e-9 {
-			t.Fatalf("x[%d] = %g, want %g", i, got[i], x[i])
+		if math.Abs(got[i]-x[i]) > 1e-12 {
+			t.Fatalf("δ[%d] = %g, want %g", i, got[i], x[i])
 		}
+	}
+	if math.Abs(dec-want) > 1e-12*want {
+		t.Fatalf("decrement = %g, want %g", dec, want)
 	}
 }
 
-func TestSolve4Singular(t *testing.T) {
-	var a [4][4]float64 // all zeros
-	if _, err := solve4(a, [4]float64{1, 0, 0, 0}); err == nil {
-		t.Fatal("singular system should error")
+func TestNewtonStepSingular(t *testing.T) {
+	g := [4]float64{1, 0, 0, 0}
+	var zero [10]float64
+	if _, _, ok := newtonStep(&zero, &g); ok {
+		t.Error("zero matrix should be singular")
 	}
-}
-
-func TestSolve4NeedsPivoting(t *testing.T) {
-	// Leading zero forces a row swap.
-	a := [4][4]float64{
-		{0, 1, 0, 0},
-		{1, 0, 0, 0},
-		{0, 0, 2, 0},
-		{0, 0, 0, 3},
-	}
-	got, err := solve4(a, [4]float64{2, 1, 4, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [4]float64{1, 2, 2, 3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("x = %v, want %v", got, want)
+	// Rank one: f fᵀ for one feature vector, what a batch at a single
+	// position produces.
+	f := [4]float64{1, 0.3, -0.2, 0.7}
+	var h [10]float64
+	k := 0
+	for i := 0; i < 4; i++ {
+		for j := i; j < 4; j++ {
+			h[k] = 5 * f[i] * f[j]
+			k++
 		}
+	}
+	if _, _, ok := newtonStep(&h, &g); ok {
+		t.Error("rank-one matrix should be singular")
 	}
 }
 
@@ -122,13 +119,14 @@ func TestFitMLEImprovesLikelihoodOverInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	init := intensity.Theta{float64(len(ev)) / w.Volume(), 0, 0, 0}
-	if res.LogLik < LogLikelihood(init, ev, w) {
+	ll := LogLikelihood(res.Theta, ev, w)
+	if ll < LogLikelihood(init, ev, w) {
 		t.Fatal("MLE worse than homogeneous initialization")
 	}
 	// And at least as good as the truth evaluated on this sample (MLE is the
 	// in-sample maximizer).
-	if res.LogLik+1e-6 < LogLikelihood(truth, ev, w) {
-		t.Fatalf("MLE loglik %g below truth loglik %g", res.LogLik, LogLikelihood(truth, ev, w))
+	if ll+1e-6 < LogLikelihood(truth, ev, w) {
+		t.Fatalf("MLE loglik %g below truth loglik %g", ll, LogLikelihood(truth, ev, w))
 	}
 }
 
@@ -303,86 +301,5 @@ func TestMLEInvariantToEventOrder(t *testing.T) {
 		if math.Abs(res1.Theta[k]-res2.Theta[k]) > 1e-6 {
 			t.Fatalf("order-dependent fit: %v vs %v", res1.Theta, res2.Theta)
 		}
-	}
-}
-
-func TestGradHessSymmetry(t *testing.T) {
-	f := func(seed int64) bool {
-		w := geom.Window{T0: 0, T1: 2, Rect: geom.NewRect(0, 0, 4, 4)}
-		ev := sampleLinear(t, intensity.Theta{5, 0.1, 0.1, 0.1}, w, seed%1000)
-		if len(ev) == 0 {
-			return true
-		}
-		_, h := gradHess(intensity.Theta{5, 0.1, 0.1, 0.1}, ev, intensity.FeatureIntegrals(w), 1e-9)
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if math.Abs(h[i][j]-h[j][i]) > 1e-9 {
-					return false
-				}
-				if i == j && h[i][j] > 0 {
-					return false // diagonal must be ≤ 0 (concave)
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFitMLEWarmstart(t *testing.T) {
-	truth := intensity.Theta{10, 0.4, -0.3, 0.2}
-	w := bigWindow()
-	ev := sampleLinear(t, truth, w, 31)
-	cold, err := FitMLE(ev, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-starting from the converged optimum must pass the gradient test
-	// immediately — zero iterations — and return the same θ.
-	warm, err := FitMLE(ev, w, Options{Warmstart: &cold.Theta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Converged || warm.Iterations != 0 {
-		t.Fatalf("warm restart: converged=%v iterations=%d, want immediate convergence", warm.Converged, warm.Iterations)
-	}
-	if warm.Theta != cold.Theta {
-		t.Fatalf("warm restart moved θ: %v vs %v", warm.Theta, cold.Theta)
-	}
-	// A stale warm start (perturbed θ, or a fit from different data) must
-	// not end worse than the cold fit: the likelihood at the warm result has
-	// to match the cold optimum within tolerance.
-	stale := intensity.Theta{3, -2, 1, 5}
-	fromStale, err := FitMLE(ev, w, Options{Warmstart: &stale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromStale.Converged {
-		t.Fatal("fit from stale warm start did not converge")
-	}
-	if fromStale.LogLik < cold.LogLik-1e-3*math.Abs(cold.LogLik) {
-		t.Fatalf("stale warm start hurt the fit: ll %g vs cold %g", fromStale.LogLik, cold.LogLik)
-	}
-}
-
-func TestFitMLENoLogLik(t *testing.T) {
-	truth := intensity.Theta{12, 0, 0, 0}
-	w := bigWindow()
-	ev := sampleLinear(t, truth, w, 33)
-	cold, err := FitMLE(ev, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := FitMLE(ev, w, Options{Warmstart: &cold.Theta, NoLogLik: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Theta != cold.Theta {
-		t.Fatalf("NoLogLik changed θ: %v vs %v", res.Theta, cold.Theta)
-	}
-	if !math.IsNaN(res.LogLik) {
-		t.Fatalf("NoLogLik fast path should return NaN log-likelihood, got %g", res.LogLik)
 	}
 }

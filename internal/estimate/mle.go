@@ -1,10 +1,10 @@
 // Package estimate fits the paper's Eq. (1) linear conditional rate
 // λ(t,x,y;θ) = θ0 + θ1·t + θ2·x + θ3·y to observed event batches. It
 // implements the two techniques the paper cites: batch maximum-likelihood
-// estimation (via Newton–Raphson on the exact inhomogeneous-Poisson
+// estimation (Newton's method on the exact inhomogeneous-Poisson
 // log-likelihood, whose integral term is closed-form for a linear intensity
-// over a box) and online stochastic gradient descent for sliding windows
-// (Bottou-style decaying step sizes).
+// over a box, in window-centred coordinates) and online stochastic gradient
+// descent for sliding windows (Bottou-style decaying step sizes).
 package estimate
 
 import (
@@ -15,25 +15,23 @@ import (
 	"repro/internal/geom"
 	"repro/internal/intensity"
 	"repro/internal/mdpp"
+	"repro/internal/stream"
 )
 
 // Options controls the Newton MLE.
 type Options struct {
-	MaxIter   int     // maximum Newton iterations (default 50)
-	Tol       float64 // convergence tolerance on the gradient norm (default 1e-8)
-	RateFloor float64 // positivity clamp on per-event rates (default intensity.DefaultFloor)
+	MaxIter int // maximum Newton iterations (default 50)
+	// Tol is the stop rule's tolerance per event: the fit has converged when
+	// the Newton decrement gᵀ(−H)⁻¹g — twice the likelihood still to be
+	// gained, to second order, in any parametrization — is at most Tol·n
+	// (default 1e-12).
+	Tol       float64
+	RateFloor float64 // positivity floor on per-event rates (default intensity.DefaultFloor)
 	// Warmstart, when non-nil, replaces the homogeneous initializer as the
-	// Newton starting point. The log-likelihood is concave (with rates
-	// clamped at RateFloor), so damped Newton converges from any start; from
-	// the previous epoch's optimum on a slowly drifting stream the gradient
-	// test typically passes within an iteration or two. The pointee is only
-	// read.
+	// Newton starting point wherever it is feasible (every event's rate at
+	// or above RateFloor); an infeasible one costs one pass and is ignored.
+	// The pointee is only read.
 	Warmstart *intensity.Theta
-	// NoLogLik skips the Σ log λ_i evaluation when the solver never needs it
-	// (a warm start that passes the gradient test immediately): Result.LogLik
-	// is NaN unless a line search forced the computation. Hot callers that
-	// only consume θ (the F-operator) save n log evaluations per fit.
-	NoLogLik bool
 }
 
 func (o Options) withDefaults() Options {
@@ -41,7 +39,7 @@ func (o Options) withDefaults() Options {
 		o.MaxIter = 50
 	}
 	if o.Tol <= 0 {
-		o.Tol = 1e-8
+		o.Tol = 1e-12
 	}
 	if o.RateFloor <= 0 {
 		o.RateFloor = intensity.DefaultFloor
@@ -52,13 +50,13 @@ func (o Options) withDefaults() Options {
 // Result is the outcome of an MLE fit.
 type Result struct {
 	Theta      intensity.Theta
-	LogLik     float64
 	Iterations int
 	Converged  bool
 }
 
 // LogLikelihood evaluates the inhomogeneous-Poisson log-likelihood
-// ℓ(θ) = Σ_i log λ(p_i;θ) − ∫_w λ(·;θ) for a linear intensity.
+// ℓ(θ) = Σ_i log λ(p_i;θ) − ∫_w λ(·;θ) for a linear intensity. The solver
+// never calls it; tests and experiments do.
 func LogLikelihood(theta intensity.Theta, events []mdpp.Event, w geom.Window) float64 {
 	lin := intensity.NewLinear(theta)
 	ll := 0.0
@@ -72,133 +70,343 @@ func LogLikelihood(theta intensity.Theta, events []mdpp.Event, w geom.Window) fl
 	return ll
 }
 
+// Centred holds Eq. (1)'s parameters in the coordinates of one window:
+// λ = c0 + c1·u + c2·v + c3·w, where u, v, w ∈ [−1, 1] are t, x, y measured
+// from the window's centre in units of its half-widths. c0 is the mean rate
+// over the window and c1..c3 the rate's swing across it, so a Centred keeps
+// its meaning when the window moves: it is how an F-operator carries one
+// batch's optimum to the next, and the only coordinates the solver works in
+// (the three slope features integrate to zero over the window and are O(1)
+// at every event, however far the window is from the origin).
+type Centred [4]float64
+
+// centre returns w's centre and half-widths along t, x, y.
+func centre(w geom.Window) (mid, half [3]float64) {
+	c := w.Rect.Center()
+	return [3]float64{(w.T0 + w.T1) / 2, c.X, c.Y},
+		[3]float64{w.Duration() / 2, w.Rect.Width() / 2, w.Rect.Height() / 2}
+}
+
+// CentredOf expresses θ in w's centred coordinates.
+func CentredOf(theta intensity.Theta, w geom.Window) Centred {
+	mid, half := centre(w)
+	c := Centred{theta[0]}
+	for k := range mid {
+		c[0] += theta[k+1] * mid[k]
+		c[k+1] = theta[k+1] * half[k]
+	}
+	return c
+}
+
+// Theta expresses c, given in w's centred coordinates, as Eq. (1)'s absolute
+// θ. Far from the origin θ0 is the difference of large terms; evaluate rates
+// from the Centred form (or take them from the fit) when that matters.
+func (c Centred) Theta(w geom.Window) intensity.Theta {
+	mid, half := centre(w)
+	theta := intensity.Theta{c[0]}
+	for k := range mid {
+		theta[k+1] = c[k+1] / half[k]
+		theta[0] -= theta[k+1] * mid[k]
+	}
+	return theta
+}
+
+// frame is what a pass needs of a window: its centre, reciprocal
+// half-widths and volume.
+type frame struct {
+	ct, cx, cy float64
+	st, sx, sy float64
+	vol        float64
+}
+
+func newFrame(w geom.Window) (frame, error) {
+	if err := w.Validate(); err != nil {
+		return frame{}, err
+	}
+	mid, half := centre(w)
+	f := frame{
+		ct: mid[0], cx: mid[1], cy: mid[2],
+		st: 1 / half[0], sx: 1 / half[1], sy: 1 / half[2],
+		vol: w.Volume(),
+	}
+	for _, v := range [...]float64{f.ct, f.cx, f.cy, f.st, f.sx, f.sy, f.vol, 1 / f.vol} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return frame{}, fmt.Errorf("window %v is outside the representable range", w)
+		}
+	}
+	return f, nil
+}
+
+// points is the solver's read-only view of a batch: events, or the tuples of
+// a stream batch read in place.
+type points struct {
+	events []mdpp.Event
+	tuples []stream.Tuple
+}
+
+func (p points) len() int { return len(p.events) + len(p.tuples) }
+
+// sums is what one pass over the batch at a point c yields: everything the
+// Newton iteration and Eq. (3) need there.
+type sums struct {
+	g [4]float64  // Σ f_i/λ_i over f = (1, u, v, w); g[0] is Eq. (3)'s λc
+	h [10]float64 // Σ f_i f_iᵀ/λ_i², upper triangle by rows: −Hessian
+	// low reports that some λ_i was below the floor (or not a number) and was
+	// clamped: c is outside the region where the likelihood is smooth.
+	low bool
+}
+
+// pass evaluates the batch at c. inv, when non-nil, receives 1/λ_i for every
+// point (clamped rates included), so the last pass of a fit leaves the
+// reciprocal rates of the returned optimum behind.
+func (p points) pass(fr *frame, c Centred, floor float64, inv []float64) sums {
+	var g0, g1, g2, g3 float64
+	var h00, h01, h02, h03, h11, h12, h13, h22, h23, h33 float64
+	low := false
+	for i, n := 0, p.len(); i < n; i++ {
+		var t, x, y float64
+		if p.tuples != nil {
+			tp := &p.tuples[i]
+			t, x, y = tp.T, tp.X, tp.Y
+		} else {
+			e := &p.events[i]
+			t, x, y = e.T, e.X, e.Y
+		}
+		u, v, w := (t-fr.ct)*fr.st, (x-fr.cx)*fr.sx, (y-fr.cy)*fr.sy
+		lam := c[0] + c[1]*u + c[2]*v + c[3]*w
+		if !(lam >= floor) {
+			low = true
+			lam = floor
+		}
+		r := 1 / lam
+		if inv != nil {
+			inv[i] = r
+		}
+		q := r * r
+		uq, vq, wq := u*q, v*q, w*q
+		g0 += r
+		g1 += u * r
+		g2 += v * r
+		g3 += w * r
+		h00 += q
+		h01 += uq
+		h02 += vq
+		h03 += wq
+		h11 += u * uq
+		h12 += u * vq
+		h13 += u * wq
+		h22 += v * vq
+		h23 += v * wq
+		h33 += w * wq
+	}
+	return sums{
+		g:   [4]float64{g0, g1, g2, g3},
+		h:   [10]float64{h00, h01, h02, h03, h11, h12, h13, h22, h23, h33},
+		low: low,
+	}
+}
+
+// newtonStep solves (−H)·δ = g by Cholesky factorization and returns δ with
+// the Newton decrement gᵀ(−H)⁻¹g = gᵀδ ≥ 0. ok is false when −H is not
+// positive definite to working precision: the batch does not determine all
+// four parameters (fewer than four distinct positions, or all on a plane).
+func newtonStep(h *[10]float64, g *[4]float64) (delta [4]float64, dec float64, ok bool) {
+	a := [4][4]float64{
+		{h[0], h[1], h[2], h[3]},
+		{h[1], h[4], h[5], h[6]},
+		{h[2], h[5], h[7], h[8]},
+		{h[3], h[6], h[8], h[9]},
+	}
+	var l [4][4]float64
+	for j := 0; j < 4; j++ {
+		d := a[j][j]
+		for k := 0; k < j; k++ {
+			d -= l[j][k] * l[j][k]
+		}
+		if !(d > 1e-12*a[j][j]) {
+			return delta, 0, false
+		}
+		l[j][j] = math.Sqrt(d)
+		for i := j + 1; i < 4; i++ {
+			s := a[i][j]
+			for k := 0; k < j; k++ {
+				s -= l[i][k] * l[j][k]
+			}
+			l[i][j] = s / l[j][j]
+		}
+	}
+	var y [4]float64
+	for i := 0; i < 4; i++ {
+		s := g[i]
+		for k := 0; k < i; k++ {
+			s -= l[i][k] * y[k]
+		}
+		y[i] = s / l[i][i]
+		dec += y[i] * y[i]
+	}
+	for i := 3; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < 4; k++ {
+			s -= l[k][i] * delta[k]
+		}
+		delta[i] = s / l[i][i]
+	}
+	return delta, dec, true
+}
+
+// fit is the solver's outcome in centred coordinates.
+type fit struct {
+	c          Centred
+	lambdaC    float64 // Σ 1/λ_i at c, rates clamped at the floor
+	iterations int
+	converged  bool
+	passes     int // passes over the batch
+}
+
+// maxProbes bounds the step-length search of one Newton iteration. Every
+// rejected probe at least halves the step (or shrinks it by the secant
+// rule), so running out means the iterate sits against the feasibility
+// boundary and no representable step helps.
+const maxProbes = 12
+
+// overshoot is how far past the maximum along δ an accepted step may land,
+// as a fraction of the directional derivative it started from: a step is
+// taken when g(c+sδ)·δ ≥ −overshoot·g(c)·δ. The likelihood is concave, so it
+// rises along δ for as long as that derivative is non-negative; the margin
+// admits the full Newton step when it lands a hair beyond the maximum — it
+// still shrank the derivative at least fourfold — instead of spending
+// another pass to trim it.
+const overshoot = 0.25
+
+// solve maximizes the Poisson log-likelihood of p on fr from start (nil:
+// the homogeneous rate). In centred coordinates ℓ(c) = Σ log λ_i − c0·vol,
+// so the gradient is (g0 − vol, g1, g2, g3) and −H is sums.h; every
+// evaluation point costs one pass and no logarithm. A step length s along
+// the Newton direction δ is judged by the directional derivative at c+sδ
+// (see overshoot); a rejected probe that was feasible overshot the maximum
+// along δ and the secant through the two derivatives places the next one,
+// an infeasible probe halves s. The accepted probe's sums are the next
+// iteration's gradient and Hessian, so a fit costs one pass per iteration
+// plus one, and the last pass — always at the returned c — is the one that
+// filled inv.
+//
+// A batch that cannot be fitted — the homogeneous start itself infeasible,
+// or −H singular — yields the homogeneous rate, not converged.
+func (p points) solve(fr *frame, start *Centred, opts Options, inv []float64) fit {
+	n := float64(p.len())
+	cold := Centred{n / fr.vol, 0, 0, 0}
+	out := fit{c: cold}
+	var s sums
+	eval := func(c Centred) sums {
+		out.passes++
+		return p.pass(fr, c, opts.RateFloor, inv)
+	}
+	if start != nil {
+		out.c = *start
+		s = eval(out.c)
+	}
+	if start == nil || s.low {
+		out.c = cold
+		s = eval(out.c)
+	}
+	for !s.low {
+		g := [4]float64{s.g[0] - fr.vol, s.g[1], s.g[2], s.g[3]}
+		delta, dec, ok := newtonStep(&s.h, &g)
+		if !ok {
+			break
+		}
+		if out.converged = dec <= opts.Tol*n; out.converged || out.iterations == opts.MaxIter {
+			out.lambdaC = s.g[0]
+			return out
+		}
+		step, accepted := 1.0, false
+		for probe := 0; probe < maxProbes && !accepted; probe++ {
+			var cand Centred
+			for k := range cand {
+				cand[k] = out.c[k] + step*delta[k]
+			}
+			sc := eval(cand)
+			if sc.low {
+				step /= 2
+				continue
+			}
+			d := (sc.g[0]-fr.vol)*delta[0] + sc.g[1]*delta[1] + sc.g[2]*delta[2] + sc.g[3]*delta[3]
+			if d >= -overshoot*dec {
+				out.c, s, accepted = cand, sc, true
+				out.iterations++
+			} else {
+				step *= dec / (dec - d)
+			}
+		}
+		if !accepted {
+			// inv holds a rejected probe's rates; put back those of out.c.
+			out.lambdaC = eval(out.c).g[0]
+			return out
+		}
+	}
+	out.c = cold
+	rate := math.Max(cold[0], opts.RateFloor)
+	for i := range inv {
+		inv[i] = 1 / rate
+	}
+	out.lambdaC = n / rate
+	return out
+}
+
 // FitMLE computes the maximum-likelihood θ for events observed on the
 // window w. It requires a non-empty window and at least four events (the
 // number of parameters). The returned Result reports convergence; a
-// non-converged fit is still usable but flagged.
+// non-converged fit is still usable (finite, every event's rate at or above
+// the floor) but flagged — a batch that does not determine θ comes back as
+// the homogeneous rate, not converged.
 func FitMLE(events []mdpp.Event, w geom.Window, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	if err := w.Validate(); err != nil {
+	fr, err := newFrame(w)
+	if err != nil {
 		return Result{}, fmt.Errorf("estimate: FitMLE: %w", err)
 	}
 	if len(events) < 4 {
 		return Result{}, errors.New("estimate: FitMLE requires at least 4 events")
 	}
-	fi := intensity.FeatureIntegrals(w)
-	// Initialize at the homogeneous MLE (θ0 = n / volume, slopes zero) —
-	// strictly feasible, and the clamped log-likelihood is concave, so
-	// damped Newton converges globally. A warm start is tried first with a
-	// single gradient test: on a slowly drifting stream it usually passes
-	// outright, costing one gradHess and zero log evaluations. A stale warm
-	// start falls back to whichever of the two initializers has the higher
-	// likelihood, so it can never hurt the fit.
-	theta := intensity.Theta{float64(len(events)) / w.Volume(), 0, 0, 0}
-	ll := math.NaN()
+	var start *Centred
 	if opts.Warmstart != nil {
-		warm := *opts.Warmstart
-		grad, _ := gradHess(warm, events, fi, opts.RateFloor)
-		norm := 0.0
-		for _, g := range grad {
-			norm += g * g
-		}
-		if math.Sqrt(norm) < opts.Tol {
-			if opts.NoLogLik {
-				return Result{Theta: warm, LogLik: math.NaN(), Iterations: 0, Converged: true}, nil
-			}
-			return Result{Theta: warm, LogLik: LogLikelihood(warm, events, w), Iterations: 0, Converged: true}, nil
-		}
-		wll, cll := LogLikelihood(warm, events, w), LogLikelihood(theta, events, w)
-		if wll > cll {
-			theta, ll = warm, wll
-		} else {
-			ll = cll
-		}
+		c := CentredOf(*opts.Warmstart, w)
+		start = &c
 	}
-	finish := func(iter int, converged bool) Result {
-		if math.IsNaN(ll) && !opts.NoLogLik {
-			ll = LogLikelihood(theta, events, w)
-		}
-		return Result{Theta: theta, LogLik: ll, Iterations: iter, Converged: converged}
-	}
-	var iter int
-	for iter = 0; iter < opts.MaxIter; iter++ {
-		grad, hess := gradHess(theta, events, fi, opts.RateFloor)
-		norm := 0.0
-		for _, g := range grad {
-			norm += g * g
-		}
-		if math.Sqrt(norm) < opts.Tol {
-			return finish(iter, true), nil
-		}
-		// Newton step: solve (−H)·δ = grad, i.e. ascend the concave surface.
-		var negH [4][4]float64
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				negH[i][j] = -hess[i][j]
-			}
-			negH[i][i] += 1e-12 // tiny ridge for numerical safety
-		}
-		delta, err := solve4(negH, grad)
-		if err != nil {
-			return Result{}, fmt.Errorf("estimate: FitMLE: %w", err)
-		}
-		// Backtracking line search keeps the step inside the region where
-		// the likelihood improves; the baseline is computed on first need.
-		// Halving stops after 12 steps: below 2⁻¹² of the Newton step any
-		// remaining improvement is under float noise, and each futile probe
-		// costs a full Σ log λ pass — the dominant fit cost near the optimum.
-		if math.IsNaN(ll) {
-			ll = LogLikelihood(theta, events, w)
-		}
-		step := 1.0
-		improved := false
-		for ls := 0; ls < 12; ls++ {
-			var cand intensity.Theta
-			for k := 0; k < 4; k++ {
-				cand[k] = theta[k] + step*delta[k]
-			}
-			candLL := LogLikelihood(cand, events, w)
-			if candLL > ll {
-				theta, ll = cand, candLL
-				improved = true
-				break
-			}
-			step /= 2
-		}
-		if !improved {
-			return finish(iter, true), nil
-		}
-	}
-	return finish(iter, false), nil
+	f := points{events: events}.solve(&fr, start, opts, nil)
+	return Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged}, nil
 }
 
-// gradHess returns the gradient and Hessian of the log-likelihood at theta.
-// grad_k = Σ f_k(p_i)/λ_i − ∫f_k ; hess_{jk} = −Σ f_j f_k / λ_i².
-func gradHess(theta intensity.Theta, events []mdpp.Event, fi [4]float64, floor float64) ([4]float64, [4][4]float64) {
-	var grad [4]float64
-	var hess [4][4]float64
-	for _, e := range events {
-		f := intensity.Features(e.T, e.X, e.Y)
-		lam := theta[0]*f[0] + theta[1]*f[1] + theta[2]*f[2] + theta[3]*f[3]
-		if lam < floor {
-			lam = floor
-		}
-		inv := 1 / lam
-		inv2 := inv * inv
-		for j := 0; j < 4; j++ {
-			grad[j] += f[j] * inv
-			for k := j; k < 4; k++ {
-				hess[j][k] -= f[j] * f[k] * inv2
-			}
-		}
+// BatchFit is FitBatch's outcome: the fit, the optimum in the window's
+// centred coordinates — the next batch's warm start — and Eq. (3)'s
+// λc = Σ_i 1/λ̃_i over the reciprocal rates FitBatch left in inv.
+type BatchFit struct {
+	Result
+	Centred Centred
+	LambdaC float64
+	Passes  int // passes over the batch, the fit's unit of cost
+}
+
+// FitBatch is FitMLE for the F-operator: it reads the batch's tuples in
+// place, starts from warm (the previous batch's BatchFit.Centred; nil for
+// none) and leaves 1/λ̃_i under the returned fit, clamped at the rate floor,
+// in inv[i] (len(inv) must be len(tuples)) — its last pass computed them
+// anyway, so Eq. (3) needs no evaluation of its own.
+func FitBatch(tuples []stream.Tuple, w geom.Window, warm *Centred, inv []float64) (BatchFit, error) {
+	fr, err := newFrame(w)
+	if err != nil {
+		return BatchFit{}, fmt.Errorf("estimate: FitBatch: %w", err)
 	}
-	for j := 0; j < 4; j++ {
-		grad[j] -= fi[j]
-		for k := 0; k < j; k++ {
-			hess[j][k] = hess[k][j]
-		}
+	if len(tuples) < 4 {
+		return BatchFit{}, errors.New("estimate: FitBatch requires at least 4 tuples")
 	}
-	return grad, hess
+	f := points{tuples: tuples}.solve(&fr, warm, Options{}.withDefaults(), inv)
+	return BatchFit{
+		Result:  Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged},
+		Centred: f.c,
+		LambdaC: f.lambdaC,
+		Passes:  f.passes,
+	}, nil
 }
 
 // RelativeError returns max_k |est_k − true_k| / scale, a scale-aware

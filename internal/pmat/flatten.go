@@ -100,6 +100,12 @@ type ViolationReport struct {
 	Percent    float64 // N_v: 100·Violations/N
 	TargetRate float64 // λ̄ requested
 	OutputRate float64 // measured output rate of this batch
+	// FitIterations is the Newton iterations this batch's MLE took (0 when
+	// no fit ran: another estimator mode, or a batch below MinBatchForFit)
+	// and FitNotConverged whether a fit ran and did not converge — the batch
+	// was flattened on a truncated or homogeneous-fallback estimate.
+	FitIterations   int
+	FitNotConverged bool
 }
 
 // Flatten converts an inhomogeneous MDPP P̃(λ̃, R*) into an approximately
@@ -131,11 +137,16 @@ type Flatten struct {
 	// onReport, when set, is invoked after each batch with its violation
 	// report; the budget controller subscribes here.
 	onReport func(ViolationReport)
-	// prevTheta warm-starts the next batch's MLE from this batch's fit:
-	// consecutive epochs of a cell drift slowly, so Newton from the previous
-	// optimum converges in a step or two instead of a full cold solve.
-	prevTheta intensity.Theta
-	hasPrev   bool
+	// warm starts the next batch's MLE at this batch's optimum. It is kept
+	// in the coordinates of the window it was fitted on (warmWindow), so it
+	// means the same rate profile on the next epoch's window however far the
+	// session clock has run.
+	warm       estimate.Centred
+	warmWindow geom.Window
+	hasWarm    bool
+	// fitPasses counts the passes the MLE fits made over their batches; read
+	// by tests that pin the fit's cost.
+	fitPasses int
 }
 
 // NewFlatten constructs a Flatten operator.
@@ -187,14 +198,17 @@ func (f *Flatten) LastReport() ViolationReport {
 	return f.last
 }
 
-// WarmTheta returns the warm-start θ carried from the last fitted batch and
-// whether one exists — the estimator state an engine snapshot records so an
-// operator inspecting a recovered session can compare the replayed fit
-// against the checkpoint.
+// WarmTheta returns the warm-start θ carried from the last fitted batch, in
+// Eq. (1)'s absolute coordinates, and whether one exists — the estimator
+// state an engine snapshot records so an operator inspecting a recovered
+// session can compare the replayed fit against the checkpoint.
 func (f *Flatten) WarmTheta() (intensity.Theta, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.prevTheta, f.hasPrev
+	if !f.hasWarm {
+		return intensity.Theta{}, false
+	}
+	return f.warm.Theta(f.warmWindow), true
 }
 
 // maxReports bounds the retained per-batch violation reports.
@@ -212,11 +226,15 @@ func (f *Flatten) Reports() []ViolationReport {
 }
 
 // estimateIntensity returns the λ̃ estimate for the batch under the
-// configured mode. Called with f.mu held.
-func (f *Flatten) estimateIntensity(b stream.Batch) intensity.Func {
+// configured mode, or — when the estimate is a fit or a constant, whose
+// rates at the tuples are known without evaluating anything — nil, having
+// filled inv (len b.Len()) with 1/λ̃ at every tuple and returning their sum,
+// Eq. (3)'s λc. report receives the fit's diagnostics. Called with f.mu
+// held.
+func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *ViolationReport) (intensity.Func, float64) {
 	switch f.cfg.Mode {
 	case EstimatorKnown:
-		return f.cfg.Known
+		return f.cfg.Known, 0
 	case EstimatorSGD:
 		// Observe first so the estimate reflects the newest window, then
 		// read the model.
@@ -224,31 +242,34 @@ func (f *Flatten) estimateIntensity(b stream.Batch) intensity.Func {
 		ev.Events = b.AppendEvents(ev.Events)
 		_ = f.sgd.ObserveBatch(ev.Events, b.Window)
 		ev.Release()
-		return f.sgd.Intensity()
+		return f.sgd.Intensity(), 0
 	default: // EstimatorMLE
-		if b.Len() < f.cfg.MinBatchForFit {
-			return intensity.NewLinear(intensity.Theta{math.Max(b.MeasuredRate(), intensity.DefaultFloor), 0, 0, 0})
+		if b.Len() >= f.cfg.MinBatchForFit {
+			var warm *estimate.Centred
+			if f.hasWarm {
+				warm = &f.warm
+			}
+			// Only a converged optimum seeds the next batch: a truncated solve
+			// on degenerate data (e.g. an unbounded likelihood) would chase
+			// the divergence further every epoch, and after a failed fit the
+			// carried optimum belongs to neither batch.
+			f.hasWarm = false
+			fit, err := estimate.FitBatch(b.Tuples, b.Window, warm, inv)
+			if err == nil {
+				f.fitPasses += fit.Passes
+				report.FitIterations, report.FitNotConverged = fit.Iterations, !fit.Converged
+				if fit.Converged {
+					f.warm, f.warmWindow, f.hasWarm = fit.Centred, b.Window, true
+				}
+				return nil, fit.LambdaC
+			}
+			report.FitNotConverged = true
 		}
-		var warm *intensity.Theta
-		if f.hasPrev {
-			warm = &f.prevTheta
+		r := 1 / math.Max(b.MeasuredRate(), intensity.DefaultFloor)
+		for i := range inv {
+			inv[i] = r
 		}
-		ev := stream.BorrowEvents(b.Len())
-		ev.Events = b.AppendEvents(ev.Events)
-		res, err := estimate.FitMLE(ev.Events, b.Window, estimate.Options{Warmstart: warm, NoLogLik: true})
-		ev.Release()
-		if err != nil {
-			return intensity.NewLinear(intensity.Theta{math.Max(b.MeasuredRate(), intensity.DefaultFloor), 0, 0, 0})
-		}
-		// Only a converged optimum seeds the next batch: warm-starting from a
-		// truncated solve on degenerate data (e.g. an unbounded likelihood)
-		// would chase the divergence further every epoch.
-		if res.Converged {
-			f.prevTheta, f.hasPrev = res.Theta, true
-		} else {
-			f.hasPrev = false
-		}
-		return intensity.NewLinear(res.Theta)
+		return nil, float64(len(inv)) * r
 	}
 }
 
@@ -256,23 +277,27 @@ func (f *Flatten) estimateIntensity(b stream.Batch) intensity.Func {
 // keep (len ≥ b.Len()), returning the survivor count. Estimation, violation
 // accounting, report plumbing and discard-sink delivery all happen here, so
 // the unfused Process and the fused executor (topology package) share the
-// decision byte-for-byte. Only the Bernoulli draws hold f.mu — retaining
-// probabilities are precomputed and survivors are materialized by the caller
-// after the lock is released.
+// decision byte-for-byte. f.mu is held for the estimator's state and for
+// the Bernoulli draws, nothing else — retaining probabilities are computed
+// between the two and survivors are materialized by the caller after the
+// lock is released.
 func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 	if err := b.Window.Validate(); err != nil {
 		return 0, fmt.Errorf("pmat: flatten %q: %w", f.Name(), err)
 	}
 	f.RecordIn(b)
+	n := b.Len()
+	// The scratch holds 1/λ̃_i, then the per-tuple retaining probabilities, so
+	// the second critical section below is nothing but RNG draws.
+	rbuf := stream.BorrowFloats(n)
+	defer rbuf.Release()
+	probs := rbuf.Vals
 	f.mu.Lock()
-	lam := f.estimateIntensity(b)
-	target := f.cfg.TargetRate
 	f.batchSeq++
-	seq := f.batchSeq
+	report := ViolationReport{Batch: f.batchSeq, N: n, TargetRate: f.cfg.TargetRate}
+	lam, lambdaC := f.estimateIntensity(b, probs, &report)
 	f.mu.Unlock()
 
-	n := b.Len()
-	report := ViolationReport{Batch: seq, N: n, TargetRate: target}
 	kept := 0
 	if n == 0 {
 		// An empty batch cannot possibly fabricate a process at rate λ̄: a
@@ -280,32 +305,30 @@ func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 		// even though Eq. (3) is undefined without tuples.
 		report.Percent = 100
 	} else {
-		// λc = Σ 1/λ̃_i (constant over the batch); the scratch then holds the
-		// per-tuple retaining probabilities so the critical section below is
-		// nothing but RNG draws.
-		rbuf := stream.BorrowFloats(n)
-		rates := rbuf.Vals
-		EvalInto(lam, b.Tuples, rates)
-		lambdaC := 0.0
-		for i, r := range rates {
-			if r < intensity.DefaultFloor {
-				r = intensity.DefaultFloor
-				rates[i] = r
+		if lam != nil {
+			// λc = Σ 1/λ̃_i (constant over the batch).
+			EvalInto(lam, b.Tuples, probs)
+			for i, r := range probs {
+				if r < intensity.DefaultFloor {
+					r = intensity.DefaultFloor
+				}
+				probs[i] = 1 / r
+				lambdaC += probs[i]
 			}
-			lambdaC += 1 / r
 		}
-		targetCount := target * b.Window.Volume()
-		for i, r := range rates {
-			p := targetCount / (r * lambdaC)
+		// Eq. (3): p_i = λ̄_count / (λ̃_i · λc).
+		scale := report.TargetRate * b.Window.Volume() / lambdaC
+		for i, r := range probs {
+			p := scale * r
 			if p > 1 {
 				report.Violations++
 				p = 1
 			}
-			rates[i] = p
+			probs[i] = p
 		}
 		f.RecordDraws(n)
 		f.mu.Lock()
-		for i, p := range rates {
+		for i, p := range probs {
 			k := f.rng.Bernoulli(p)
 			keep[i] = k
 			if k {
@@ -313,7 +336,6 @@ func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 			}
 		}
 		f.mu.Unlock()
-		rbuf.Release()
 		report.Percent = 100 * float64(report.Violations) / float64(n)
 	}
 	if vol := b.Window.Volume(); vol > 0 {

@@ -254,8 +254,11 @@ func (e *Engine) Durability() DurabilityStats {
 }
 
 // snapshotVersion is bumped on any incompatible change to the snapshot
-// schema; older snapshots are ignored (the WAL alone still recovers).
-const snapshotVersion = 1
+// schema or to what a replay reproduces; older snapshots are ignored (the
+// WAL alone still recovers). Version 2: the F-operator's window-centred fit
+// agrees with version 1's only to rounding, so replaying a log written
+// beside version-1 checkpoints fabricates result totals they do not record.
+const snapshotVersion = 2
 
 // engineSnapshot is the on-disk checkpoint: the externally observable
 // engine state at a known WAL position.

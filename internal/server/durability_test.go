@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -439,6 +440,78 @@ func TestGarbageSnapshotIgnored(t *testing.T) {
 	}
 	if err := e2.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOlderSnapshotVersionSkipped: a checkpoint written under an older
+// snapshotVersion records result totals this binary's replay need not
+// reproduce (version 2: the F-operator's fit differs from version 1's in its
+// low bits, so the same WAL fabricates a statistically identical but not
+// tuple-identical stream). Such a file must be passed over — the WAL alone
+// recovers — where the same totals under the current version fail recovery.
+func TestOlderSnapshotVersionSkipped(t *testing.T) {
+	dir := t.TempDir()
+	e1, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e1.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 5}); err != nil {
+		t.Fatal(err)
+	}
+	applyOp(t, e1, pushOp(0, 40, "rain", 1))
+	applyOp(t, e1, durOp{kind: "step"})
+	if err := e1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := listSnapshots(dir)
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checkpoint written: %v %v", paths, err)
+	}
+	rewrite := func(version int) {
+		t.Helper()
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap engineSnapshot
+			if err := json.Unmarshal(data, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Results) == 0 {
+				t.Fatal("checkpoint records no result totals")
+			}
+			snap.Version = version
+			snap.Results[0].Total += 3 // what another fit would have delivered
+			out, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rewrite(snapshotVersion - 1)
+	e2, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
+	if err != nil {
+		t.Fatalf("recovery beside a version-%d checkpoint: %v", snapshotVersion-1, err)
+	}
+	if ds := e2.Durability(); ds.SnapshotVerified || !ds.Recovered || e2.Epochs() != 1 {
+		t.Fatalf("want WAL-only recovery of 1 epoch, got %+v, %d epochs", ds, e2.Epochs())
+	}
+	if err := e2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown checkpointed again under the current version; with the foreign
+	// totals under that version the check must bite.
+	if paths, err = listSnapshots(dir); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(snapshotVersion)
+	if e3, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t)); err == nil {
+		e3.Shutdown()
+		t.Fatal("a current-version checkpoint with different totals was not checked")
 	}
 }
 

@@ -235,6 +235,12 @@ type Engine struct {
 	// MeanViolation is the adaptivity acceptance metric.
 	nvSum float64
 	nvN   int
+	// fitIterations/fitsNotConverged total the same reports' fit diagnostics:
+	// Newton iterations spent by the F-operators' MLE fits, and the fits that
+	// did not converge — a session whose estimator stopped converging shows
+	// here, not only in a profile.
+	fitIterations    uint64
+	fitsNotConverged uint64
 
 	clock clockState // Start/Stop lifecycle (lifecycle.go)
 }
@@ -824,7 +830,8 @@ func (e *Engine) step() error {
 
 // observeEpoch closes the adaptivity loop after an epoch's ingest:
 // every cell's normalized violation (N_v percent from its F-operator's
-// latest report) is accumulated into the MeanViolation metric, and — when
+// latest report) is accumulated into the MeanViolation metric (and the
+// report's fit diagnostics into FitStats), and — when
 // adaptive rates are enabled — fed to the rate-retune controller, whose
 // RateScale is applied back to the pipeline through the topology hook
 // (Fabricator.Retune). Slots whose pipeline disappeared (query churn) are
@@ -832,12 +839,17 @@ func (e *Engine) step() error {
 func (e *Engine) observeEpoch() error {
 	var sum float64
 	var n int
+	var fitIters, notConverged uint64
 	var retuneErr error
 	live := e.liveScratch
 	clear(live)
 	e.fab.VisitLastReports(func(k topology.Key, rep pmat.ViolationReport) {
 		sum += rep.Percent
 		n++
+		fitIters += uint64(rep.FitIterations)
+		if rep.FitNotConverged {
+			notConverged++
+		}
 		if e.adaptive == nil || retuneErr != nil {
 			return
 		}
@@ -854,6 +866,8 @@ func (e *Engine) observeEpoch() error {
 	e.mu.Lock()
 	e.nvSum += sum
 	e.nvN += n
+	e.fitIterations += fitIters
+	e.fitsNotConverged += notConverged
 	e.mu.Unlock()
 	if retuneErr != nil || e.adaptive == nil {
 		return retuneErr
@@ -877,6 +891,15 @@ func (e *Engine) MeanViolation() float64 {
 		return 0
 	}
 	return e.nvSum / float64(e.nvN)
+}
+
+// FitStats returns the session totals of the F-operators' MLE diagnostics,
+// accumulated per (cell, epoch) like MeanViolation: Newton iterations spent,
+// and fits that ended without converging.
+func (e *Engine) FitStats() (iterations, notConverged uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.fitIterations, e.fitsNotConverged
 }
 
 // AdaptiveEnabled reports whether the rate-retune feedback loop runs each

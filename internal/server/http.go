@@ -1003,6 +1003,7 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 			"snapshotVerified":  ds.SnapshotVerified,
 		}
 	}
+	fitIterations, fitsNotConverged := e.FitStats()
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"session":          sess.Name,
 		"running":          e.Running(),
@@ -1024,6 +1025,8 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 		"adaptive":         e.AdaptiveEnabled(),
 		"adaptiveSlots":    slots,
 		"meanNv":           e.MeanViolation(),
+		"fitIterations":    fitIterations,
+		"fitsNotConverged": fitsNotConverged,
 		"requests":         e.Handler().RequestsSent(),
 		"responses":        e.Handler().ResponsesReceived(),
 		"retentionDrops":   e.RetentionDrops(),

@@ -13,6 +13,8 @@ import (
 	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/sensors"
+	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -436,6 +438,8 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 		} `json:"plans"`
 		Adaptive      bool    `json:"adaptive"`
 		MeanNv        float64 `json:"meanNv"`
+		FitIterations *uint64 `json:"fitIterations"`
+		NotConverged  *uint64 `json:"fitsNotConverged"`
 		AdaptiveSlots []struct {
 			Scale float64 `json:"scale"`
 		} `json:"adaptiveSlots"`
@@ -455,6 +459,55 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 	}
 	if len(status.AdaptiveSlots) == 0 {
 		t.Fatal("no adaptive slots on a starved workload")
+	}
+	if status.FitIterations == nil || status.NotConverged == nil {
+		t.Fatal("status lacks fitIterations/fitsNotConverged")
+	}
+}
+
+// TestFitStatsAccumulate: the session totals behind /status's fitIterations
+// and fitsNotConverged move with the F-operators' fits — iterations on
+// epochs whose cells hold enough spread-out tuples to fit, a non-converged
+// fit when a cell's tuples all sit at one position — and, like meanNv,
+// survive the deletion of the query whose pipelines produced them.
+func TestFitStatsAccumulate(t *testing.T) {
+	e, err := New(externalConfig("", 0), testFields(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	q, err := e.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pushOp's tuples fall on one line per cell; these fill the cells.
+	rng := stats.NewRNG(17)
+	spread := make([]stream.Tuple, 600)
+	for i := range spread {
+		spread[i] = stream.Tuple{ID: uint64(i + 1), Attr: "rain", Value: 1,
+			T: rng.Uniform(0, 1), X: rng.Uniform(0, 8), Y: rng.Uniform(0, 8)}
+	}
+	applyOp(t, e, durOp{kind: "push", tuples: spread, watermark: 1})
+	applyOp(t, e, durOp{kind: "step"})
+	iters, bad := e.FitStats()
+	if iters == 0 || bad != 0 {
+		t.Fatalf("after a well-spread epoch: %d iterations, %d not converged", iters, bad)
+	}
+	point := make([]stream.Tuple, 40)
+	for i := range point {
+		point[i] = stream.Tuple{ID: uint64(5000 + i), Attr: "rain", T: 1.5, X: 1, Y: 1, Value: 1}
+	}
+	applyOp(t, e, durOp{kind: "push", tuples: point, watermark: 2})
+	applyOp(t, e, durOp{kind: "step"})
+	iters2, bad2 := e.FitStats()
+	if bad2 == 0 || iters2 < iters {
+		t.Fatalf("after a one-position epoch: %d iterations (was %d), %d not converged", iters2, iters, bad2)
+	}
+	if err := e.Delete(q.ID); err != nil {
+		t.Fatal(err)
+	}
+	if i3, b3 := e.FitStats(); i3 != iters2 || b3 != bad2 {
+		t.Fatalf("totals moved on delete: %d/%d, were %d/%d", i3, b3, iters2, bad2)
 	}
 }
 

@@ -16,10 +16,13 @@
 # cold-start replay, and BenchmarkIngestDurable's WAL-enabled push path —
 # plus BenchmarkQueryChurn's resident-query churn matrix, shared vs
 # unshared at 1k/10k queries with a heapB/query memory metric, and
-# BenchmarkResultFanout's one-epoch-into-1/8/64-members rows),
+# BenchmarkResultFanout's one-epoch-into-1/8/64-members rows, and the
+# estimator rows — BenchmarkMLE's cold fits at t0 = 0 and 10⁶ and
+# BenchmarkFlattenSteady's warm-started F-operator over a moving window),
 # BENCHTIME sets -benchtime. scripts/bench_guard.sh compares fresh
 # BenchmarkEndToEnd + BenchmarkIngest* + BenchmarkWire* +
-# BenchmarkQueryChurn + BenchmarkResultFanout runs against the
+# BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkMLE +
+# BenchmarkFlattenSteady runs against the
 # newest committed BENCH_*.json and fails on >15% ns/op regression.
 # scripts/load.sh merges HTTP load-harness results (p50/p99, tuples/s)
 # into the same BENCH_<date>.json.
