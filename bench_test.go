@@ -402,13 +402,21 @@ func BenchmarkEndToEnd(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchEndToEnd(b, 0) })
 }
 
-// BenchmarkFusedPipeline measures compiled fused execution against the
-// unfused operator-graph walk on a single cell pipeline across Thin-chain
-// depths and batch sizes. Both modes fabricate byte-identical streams; the
-// delta is pure execution overhead (intermediate batches, per-stage locking
-// and dispatch), so the F-operator uses a known intensity — an MLE fit
-// would dominate both modes identically and drown the signal. Wired into
-// scripts/bench.sh via the default -bench '.'.
+// BenchmarkFusedPipeline measures the compiled kernel (CellPipeline.Process:
+// one pass over positions, rows materialized per tap) against the
+// operator-graph walk on a single cell pipeline across Thin-chain depths and
+// batch sizes. Both modes fabricate byte-identical streams; the delta is pure
+// execution overhead (intermediate batches, per-stage locking and dispatch),
+// so the F-operator uses a known intensity — an MLE fit would dominate both
+// modes identically and drown the signal. Wired into scripts/bench.sh via the
+// default -bench '.'.
+//
+// It cannot rank the two: one standalone pipeline is F-dominated even so,
+// and its rows read ±15 % from run to run on the recording host — the
+// depth=4/n=4096 pair has the compiled side 18 % behind in
+// BENCH_2026-09-27.json and trades places between consecutive runs of one
+// binary. BenchmarkEpochFanout contains the merge phase, where the two paths
+// actually differ, and is the one to read.
 func BenchmarkFusedPipeline(b *testing.B) {
 	cellRect := geom.NewRect(0, 0, 4, 4)
 	for _, depth := range []int{1, 2, 4} {
@@ -703,6 +711,110 @@ func BenchmarkResultFanout(b *testing.B) {
 			// Reported after the loop: ResetTimer clears extra metrics.
 			b.ReportMetric(heap, "heapB/ring")
 			b.ReportMetric(heap/float64(members), "heapB/query")
+		})
+	}
+}
+
+// fanoutForms lists the 64 (attribute, region, rate) forms of bench/'s
+// epoch_fanout workload (bench/workload.go, fanoutQueries): on rain and temp,
+// quadrant-scale regions, cell pairs and offset regions that straddle cell
+// borders, at four rates — so cells carry T-chains, regions span cells (P
+// taps, U merges) and every form recurs.
+func fanoutForms() []query.Query {
+	var forms []query.Query
+	rates := []float64{1, 2, 4, 8}
+	add := func(attr string, x0, y0, x1, y1 float64) {
+		forms = append(forms, query.Query{Attr: attr, Region: geom.NewRect(x0, y0, x1, y1), Rate: rates[len(forms)%4]})
+	}
+	for _, attr := range []string{"rain", "temp"} {
+		for qy := 0.0; qy < 8; qy += 4 {
+			for qx := 0.0; qx < 8; qx += 4 {
+				add(attr, qx, qy, qx+4, qy+4)
+				add(attr, qx, qy, qx+4, qy+4)
+			}
+		}
+		for cy := 0.0; cy < 8; cy += 2 {
+			for cx := 0.0; cx < 8; cx += 4 {
+				add(attr, cx, cy, cx+4, cy+2)
+				add(attr, cx, cy, cx+4, cy+2)
+			}
+		}
+		for k := 0.0; k < 8; k++ {
+			add(attr, 1+k/4, 0.5+k/4, 5+k/4, 3.5+k/4)
+		}
+	}
+	return forms
+}
+
+// BenchmarkEpochFanout is the epoch of bench/'s epoch_fanout workload without
+// the daemon around it: 512 resident queries — a full-region probe and 511
+// members cycling over fanoutForms — with planner-chosen merge modes and
+// 4096-tuple result stores, and per op one (T, ID)-sorted 2048-tuple batch
+// for each of the two attributes through Fabricator.Ingest on one worker.
+// program is the compiled position program, graphwalk the operator-graph
+// oracle it replaced as the production path; unlike BenchmarkFusedPipeline
+// the epoch contains the merge phase, which is where the two differ. program
+// must stay at 0 allocs/op. Guarded by scripts/bench_guard.sh.
+func BenchmarkEpochFanout(b *testing.B) {
+	for _, mode := range []string{"program", "graphwalk"} {
+		b.Run(mode, func(b *testing.B) {
+			grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := topology.Config{Workers: 1, Pipeline: topology.PipelineConfig{DisableFused: mode == "graphwalk"}}
+			fab, err := topology.New(grid, cfg, stats.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			forms := fanoutForms()
+			for i := 0; i < 512; i++ {
+				q := query.Query{Attr: "rain", Region: grid.Region(), Rate: 1}
+				if i > 0 {
+					q = forms[(i-1)%len(forms)]
+				}
+				est, err := planner.ChooseMergeMode(grid, q, 1, planner.DefaultWeights())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fab.InsertQueryMerge(q, stream.NewResultStore(4096), est.Mode); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var batches [2]stream.Batch
+			var fr [2][]float64
+			for i, attr := range []string{"rain", "temp"} {
+				batch := benchBatch(2048, int64(3+i))
+				batch.Attr = attr
+				batch.Window.Rect = grid.Region()
+				for j := range batch.Tuples {
+					tp := &batch.Tuples[j]
+					tp.Attr, tp.X, tp.Y = attr, 2*tp.X, 2*tp.Y
+				}
+				stream.SortTuples(batch.Tuples)
+				batches[i], fr[i] = batch, fracs(batch)
+			}
+			epoch := func(e int) {
+				for i := range batches {
+					retime(&batches[i], fr[i], float64(e))
+					if err := fab.Ingest(batches[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for e := 0; e < 8; e++ {
+				epoch(e) // compile, warm the estimators and the scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				epoch(8 + i)
+			}
+			b.StopTimer()
+			if st := fab.SharedStats(); st.Queries != 512 || st.Subplans != 65 {
+				b.Fatalf("fixture drifted from the workload's shape: %+v", st)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/tuple")
 		})
 	}
 }

@@ -276,8 +276,8 @@ func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *Viola
 // decide runs Eq. (3) for one batch and writes each tuple's survival into
 // keep (len ≥ b.Len()), returning the survivor count. Estimation, violation
 // accounting, report plumbing and discard-sink delivery all happen here, so
-// the unfused Process and the fused executor (topology package) share the
-// decision byte-for-byte. f.mu is held for the estimator's state and for
+// Process and the compiled kernel (topology package, via ProcessFused) share
+// the decision byte-for-byte. f.mu is held for the estimator's state and for
 // the Bernoulli draws, nothing else — retaining probabilities are computed
 // between the two and survivors are materialized by the caller after the
 // lock is released.

@@ -80,11 +80,11 @@ func (t *Thin) SetRates(lambda1, lambda2 float64) error {
 	return nil
 }
 
-// BeginFused locks the operator for one fused batch pass and returns its
-// retention probability and RNG: the fused executor (topology package)
-// draws t's Bernoulli decisions inline during its single pass over the
-// batch, in exactly the surviving-tuple order the unfused chain would use,
-// so the RNG consumes an identical draw sequence. Every BeginFused must be
+// BeginFused locks the operator for one compiled batch pass and returns its
+// retention probability and RNG: the kernel (topology package) draws t's
+// Bernoulli decisions inline during its single pass over the batch, in
+// exactly the surviving-tuple order the operator-graph walk would use, so
+// the RNG consumes an identical draw sequence. Every BeginFused must be
 // paired with EndFused, which releases the lock — one lock acquisition per
 // stage per batch instead of one per stage pass.
 func (t *Thin) BeginFused() (p float64, rng *stats.RNG) {

@@ -47,6 +47,9 @@ type UnionInput struct {
 // Region returns the region this input carries.
 func (in *UnionInput) Region() geom.Rect { return in.region }
 
+// Union returns the operator the port belongs to.
+func (in *UnionInput) Union() *Union { return in.u }
+
 // Process implements stream.Processor.
 func (in *UnionInput) Process(b stream.Batch) error { return in.u.receive(in.idx, b) }
 
@@ -194,6 +197,16 @@ func (u *Union) Input(i int) (*UnionInput, error) {
 
 // Region returns R*₃, the unioned output region.
 func (u *Union) Region() geom.Rect { return u.unioned }
+
+// RecordMerged accounts one time slice merged outside the operator: every
+// input delivered its share and n tuples in all came in and went out. The
+// fabricator's compiled epoch program orders a subplan's tuples without
+// passing them through its U-operators (the merged stream is the same
+// whatever the tree's shape) and keeps their flow counters exact with this.
+func (u *Union) RecordMerged(n int) {
+	u.RecordBatchesIn(len(u.inputs), n)
+	u.RecordOut(n)
+}
 
 // Process implements stream.Processor on the first input; most callers
 // should use the explicit input ports instead. It exists so a two-input

@@ -982,6 +982,9 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 	// and planCacheHits/Misses the plan cache's lifetime counters.
 	shared := e.SharedStats()
 	planHits, planMisses := e.PlanCacheStats()
+	// The compiled epoch programs (see docs/API.md, "Status"): what an epoch
+	// executes, and how often that had to be recompiled.
+	program := e.Fabricator().ProgramStats()
 	var limits interface{}
 	if lim := e.Limits(); lim.enabled() {
 		limits = lim
@@ -1042,6 +1045,13 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 		"durability":       durability,
 		"sched":            sched,
 		"limits":           limits,
+		"topology": map[string]interface{}{
+			"program": map[string]interface{}{
+				"subplans": program.Subplans,
+				"sources":  program.Sources,
+				"compiles": program.Compiles,
+			},
+		},
 		"throttled": map[string]interface{}{
 			"batches": ts.Batches,
 			"tuples":  ts.Tuples,

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -113,6 +114,37 @@ func TestHTTPContract(t *testing.T) {
 	if _, ok := session["adaptive"]; !ok {
 		t.Error(`session JSON lost "adaptive"`)
 	}
+
+	// topology.program reads the compiled epoch programs: nothing before the
+	// first epoch, then one merge phase over the query's four cells; a second
+	// submission of the statement rides the resident subplan and recompiles
+	// nothing, a new statement does.
+	programStatus := func() map[string]interface{} {
+		t.Helper()
+		var st struct {
+			Topology struct {
+				Program map[string]interface{} `json:"program"`
+			} `json:"topology"`
+		}
+		doJSON(t, c, "GET", ts.URL+"/v1/sessions/default/status", "", 200, &st)
+		return st.Topology.Program
+	}
+	expectProgram := func(step string, subplans, sources, compiles float64) {
+		t.Helper()
+		want := map[string]interface{}{"subplans": subplans, "sources": sources, "compiles": compiles}
+		if got := programStatus(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: topology.program = %v, want %v", step, got, want)
+		}
+	}
+	expectProgram("before the first epoch", 0, 0, 0)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/default/step", "", 200, nil)
+	expectProgram("first epoch", 1, 4, 1)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/default/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/default/step", "", 200, nil)
+	expectProgram("member attached", 1, 4, 1)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/default/queries", "ACQUIRE rain FROM RECT(0,0,2,2) RATE 1", 201, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/default/step", "", 200, nil)
+	expectProgram("second subplan", 2, 5, 2)
 
 	// A session named "default" exists, so a 404 here is the route's, not
 	// the session's.

@@ -10,6 +10,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/sensors"
@@ -409,5 +411,71 @@ func TestHTTPIngestWireErrors(t *testing.T) {
 	doJSON(t, c, "POST", url, `{"attr":"rain","observations":[{"t":0.1,"x":1,"y":1,"value":1}]}`, 200, &ack)
 	if ack.Accepted != 1 {
 		t.Fatalf("ack = %+v", ack)
+	}
+}
+
+// TestHTTPIngestBodyBufferRecycled pins the unary ingest handler's use of the
+// body-buffer pool for bodies larger than a pooled buffer's initial 64 KB: the
+// buffer the body grew into is the one recycled, so the next push of the same
+// size allocates nothing of body size; and the buffer is sized from
+// Content-Length only up to the batch cap, which a body outrunning its
+// declaration still meets as 413.
+func TestHTTPIngestBodyBufferRecycled(t *testing.T) {
+	_, s := newManagerTestServer(t)
+	serve := func(path, ctype string, body []byte, declared int64) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.ContentLength = declared
+		req.Header.Set("Content-Type", ctype)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := serve("/v1/sessions", "application/json", []byte(`{"name":"big","source":"external"}`), -1); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
+	}
+	// Observations outside the region are rejected at the queue, so the pushes
+	// exercise read, decode, admit and ack without growing the backlog.
+	batch := wire.Batch{Attr: "rain", Watermark: math.NaN(), Tuples: make([]stream.Tuple, 4200)}
+	for i := range batch.Tuples {
+		batch.Tuples[i] = stream.Tuple{ID: uint64(i + 1), Attr: "rain", T: 0.5, X: -1, Y: -1, Sensor: -1}
+	}
+	frame := binaryIngestBody(t, batch)
+	if len(frame) < 200<<10 {
+		t.Fatalf("frame is %d bytes, want ≥ 200 KB", len(frame))
+	}
+	push := func() {
+		t.Helper()
+		rec := serve("/v1/sessions/big/ingest", wire.ContentTypeBinary, frame, int64(len(frame)))
+		var ack ingestAckJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusOK || err != nil || ack.Rejected != len(batch.Tuples) {
+			t.Fatalf("push = %d %s (%v), want 200 with %d rejected", rec.Code, rec.Body, err, len(batch.Tuples))
+		}
+	}
+	// No collection between the two pushes: it could empty the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	push()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	push()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got >= uint64(len(frame))/2 {
+		t.Fatalf("second %d-byte push allocated %d bytes: the grown body buffer was not recycled", len(frame), got)
+	}
+
+	// A declared length is a sizing hint, never a licence: a body longer than
+	// the cap is refused whatever it declared, and a small body declaring
+	// terabytes costs at most the cap.
+	over := make([]byte, ingestBatchLimit+64+1)
+	if rec := serve("/v1/sessions/big/ingest", wire.ContentTypeBinary, over, 10); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body past the cap under a lying Content-Length = %d: %s", rec.Code, rec.Body)
+	}
+	runtime.ReadMemStats(&before)
+	if rec := serve("/v1/sessions/big/ingest", wire.ContentTypeBinary, frame, 1<<40); rec.Code != http.StatusOK {
+		t.Fatalf("small body declaring 1 TB = %d: %s", rec.Code, rec.Body)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*ingestBatchLimit {
+		t.Fatalf("a 1 TB Content-Length made the handler allocate %d bytes", got)
 	}
 }

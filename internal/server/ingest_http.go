@@ -191,10 +191,18 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 
 	if !streaming {
 		buf := wire.BorrowBuf()
-		defer wire.ReleaseBuf(buf)
+		// Through a closure: the buffer to recycle is the one the body ended
+		// up in, which is not the borrowed one once it had to grow.
+		defer func() { wire.ReleaseBuf(buf) }()
 		limit := ingestBatchLimit
 		if binary {
 			limit += 64 // frame header + CRC on top of the payload cap
+		}
+		if n := min(r.ContentLength, int64(limit)); n >= int64(cap(buf)) {
+			// One allocation of the declared size, with room for the read
+			// that reports EOF, instead of doubling up to it. ReadBody still
+			// stops a body that outruns its declaration at limit+1.
+			buf = make([]byte, 0, n+1)
 		}
 		buf, err = wire.ReadBody(body, limit, buf)
 		if err != nil {
@@ -223,10 +231,11 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		out := wire.BorrowBuf()
-		out = AppendIngestAck(out, ack, "")
-		w.Write(out)
-		wire.ReleaseBuf(out)
+		// The body is consumed (the queue copied what it kept), so the ack is
+		// rendered into its buffer: a second pooled buffer would take turns
+		// with this one, and a handler of large bodies would keep drawing the
+		// small one.
+		w.Write(AppendIngestAck(buf[:0], ack, ""))
 		return
 	}
 

@@ -99,10 +99,14 @@ func (b *Base) Stats() FlowStats { return b.snapshot() }
 func (b *Base) RecordIn(batch Batch) { b.recordIn(batch) }
 
 // RecordBatchIn notes an arriving batch of n tuples without a Batch value —
-// the fused execution path accounts stage inputs from survivor counts
-// instead of materialized batches.
-func (b *Base) RecordBatchIn(n int) {
-	b.batchesIn.Add(1)
+// compiled execution accounts stage inputs from survivor counts instead of
+// materialized batches.
+func (b *Base) RecordBatchIn(n int) { b.RecordBatchesIn(1, n) }
+
+// RecordBatchesIn notes several arriving batches holding n tuples between
+// them — a multi-input operator's whole time slice in one update.
+func (b *Base) RecordBatchesIn(batches, n int) {
+	b.batchesIn.Add(uint64(batches))
 	b.tuplesIn.Add(uint64(n))
 }
 

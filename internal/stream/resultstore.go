@@ -162,32 +162,59 @@ func (s *ResultStore) Process(b Batch) error {
 	return nil
 }
 
+// ProcessAt is Process for a batch that exists only as positions: tuple i of
+// the batch is src[pos[i]]. The fabricator's merge phase ends here — the rows
+// it selected are copied once, from the epoch's input run straight into the
+// ring, and are never materialized anywhere else.
+func (s *ResultStore) ProcessAt(src []Tuple, pos []uint32) error {
+	r := s.lock()
+	defer r.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	a, b := r.admit(len(pos))
+	pos = pos[len(pos)-len(a)-len(b):]
+	for i := range a {
+		a[i] = src[pos[i]]
+	}
+	pos = pos[len(a):]
+	for i := range b {
+		b[i] = src[pos[i]]
+	}
+	return nil
+}
+
 // append adds one batch; r.mu is held.
 func (r *ring) append(in []Tuple) {
+	a, b := r.admit(len(in))
+	in = in[len(in)-len(a)-len(b):]
+	copy(b, in[copy(a, in):])
+}
+
+// admit accounts one batch of n tuples and returns where its rows go: the at
+// most two contiguous runs of buf, around the wrap point, that take the
+// batch's last len(a)+len(b) tuples — all of them unless the batch is larger
+// than the whole ring, of which only the tail survives. The caller fills the
+// runs before releasing r.mu, which is held.
+func (r *ring) admit(n int) (a, b []Tuple) {
 	if len(r.frozen) > 0 {
 		r.release()
 	}
 	r.batches++
-	if len(in) == 0 {
-		return
+	if n == 0 {
+		return nil, nil
 	}
-	r.total += uint64(len(in))
+	r.total += uint64(n)
 	if r.buf == nil {
 		r.buf = make([]Tuple, r.retention)
 	}
-	// A batch larger than the whole ring: only its tail survives.
-	if overflow := len(in) - len(r.buf); overflow > 0 {
-		in = in[overflow:]
-	}
-	// Bulk-copy into at most two contiguous runs around the wrap point
-	// (epoch workers hold r.mu here, so the write path stays tight).
-	n := len(in)
+	n = min(n, len(r.buf))
 	idx := r.head + r.size
 	if idx >= len(r.buf) {
 		idx -= len(r.buf)
 	}
-	run := copy(r.buf[idx:], in)
-	copy(r.buf, in[run:])
+	a = r.buf[idx:min(idx+n, len(r.buf))]
+	b = r.buf[:n-len(a)]
 	if r.size+n <= len(r.buf) {
 		r.size += n
 	} else {
@@ -198,14 +225,16 @@ func (r *ring) append(in []Tuple) {
 		r.size = len(r.buf)
 	}
 	r.first = r.total - uint64(r.size)
-	// Release parked waiters; a channel only exists while someone waits,
-	// keeping the unwatched write path allocation-free.
+	// Release parked waiters (they re-take r.mu, so they read the filled
+	// runs); a channel only exists while someone waits, keeping the unwatched
+	// write path allocation-free.
 	for i, h := range r.parked {
 		close(h.notify)
 		h.notify = nil
 		r.parked[i] = nil
 	}
 	r.parked = r.parked[:0]
+	return a, b
 }
 
 // release moves the handles closed since the last append onto one frozen

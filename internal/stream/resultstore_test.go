@@ -219,3 +219,43 @@ func TestResultStoreDefaultRetention(t *testing.T) {
 		t.Fatalf("retention = %d", s.Retention())
 	}
 }
+
+// TestResultStoreProcessAtMatchesProcess feeds one store batches as rows and
+// another the same batches as positions into a source run: every observable
+// must agree, across the wrap point, for empty batches, for a batch larger
+// than the ring, and with a closed store refusing either form.
+func TestResultStoreProcessAtMatchesProcess(t *testing.T) {
+	src := storeBatch(100, 64).Tuples
+	rows, at := NewResultStore(8), NewResultStore(8)
+	for step, pos := range [][]uint32{
+		{3, 9, 27}, {}, {1, 2, 4, 8, 16, 32}, {63}, {5, 6, 7, 10, 11, 12, 13, 14, 15, 17, 18}, {0, 40}, nil,
+	} {
+		b := Batch{Attr: "a"}
+		for _, p := range pos {
+			b.Tuples = append(b.Tuples, src[p])
+		}
+		if err := rows.Process(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := at.ProcessAt(src, pos); err != nil {
+			t.Fatal(err)
+		}
+		want, got := rows.Tuples(), at.Tuples()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d tuples retained, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: tuple %d = %v, want %v", step, i, got[i], want[i])
+			}
+		}
+		if at.Total() != rows.Total() || at.Dropped() != rows.Dropped() || at.Batches() != rows.Batches() {
+			t.Fatalf("step %d: total/dropped/batches %d/%d/%d, want %d/%d/%d", step,
+				at.Total(), at.Dropped(), at.Batches(), rows.Total(), rows.Dropped(), rows.Batches())
+		}
+	}
+	at.Close()
+	if err := at.ProcessAt(src, []uint32{1}); err != ErrClosed {
+		t.Fatalf("ProcessAt on a closed store = %v, want ErrClosed", err)
+	}
+}

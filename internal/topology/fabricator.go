@@ -86,6 +86,14 @@ type Fabricator struct {
 	versions map[string]uint64
 	// sharedAttaches counts inserts absorbed by an existing subplan.
 	sharedAttaches uint64
+	// programs holds, per attribute with pipelines, the slot of its compiled
+	// epoch program (program.go). refreshOrder replaces the slot — that is
+	// the invalidation — and the next Ingest fills it, under the read lock.
+	programs map[string]*atomic.Pointer[epochProgram]
+	compiles atomic.Uint64
+	// subplanSeq numbers subplans in fabrication order, the order an epoch
+	// runs their merge phases (and reports their errors) in.
+	subplanSeq uint64
 }
 
 // queryState is one fabricated subplan and the queries riding it. With
@@ -110,6 +118,7 @@ type queryState struct {
 	// refs lists member query ids in attach order; the subplan is torn down
 	// when the last one detaches.
 	refs []string
+	seq  uint64 // fabrication order (Fabricator.subplanSeq)
 }
 
 // New creates a fabricator over the grid. rng seeds the per-operator
@@ -131,6 +140,7 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 		order:    make(map[string][]*CellPipeline),
 		slots:    make(map[string][]int32),
 		versions: make(map[string]uint64),
+		programs: make(map[string]*atomic.Pointer[epochProgram]),
 	}
 	if !cfg.DisableSharing {
 		f.shared = make(map[string]*queryState)
@@ -138,16 +148,17 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 	return f, nil
 }
 
-// FusedEnabled reports whether cell pipelines execute via the compiled fused
-// path (the default) or the unfused operator-graph walk.
+// FusedEnabled reports whether epochs execute the compiled position program
+// (the default) or the operator-graph walk.
 func (f *Fabricator) FusedEnabled() bool { return !f.cfg.Pipeline.DisableFused }
 
 // refreshOrder rebuilds the cached shard order for one attribute (and the
-// sorted attr cache) and advances the attribute's structural version. It is
-// called exactly by the structural mutations — subplan fabrication,
-// teardown, rollback — and never by refcount-only attach/detach, so
-// AttrVersion moves iff the attribute's shared prefixes changed. Must be
-// called with f.mu held for writing.
+// sorted attr cache), drops the attribute's compiled epoch program and
+// advances its structural version. It is called exactly by the structural
+// mutations — subplan fabrication, teardown, rollback — and never by
+// refcount-only attach/detach, so AttrVersion moves, and the next epoch
+// recompiles, iff the attribute's shared prefixes changed. Must be called
+// with f.mu held for writing.
 func (f *Fabricator) refreshOrder(attr string) {
 	f.versions[attr]++
 	list := f.order[attr][:0]
@@ -159,7 +170,9 @@ func (f *Fabricator) refreshOrder(attr string) {
 	if len(list) == 0 {
 		delete(f.order, attr)
 		delete(f.slots, attr)
+		delete(f.programs, attr)
 	} else {
+		f.programs[attr] = new(atomic.Pointer[epochProgram])
 		sort.Slice(list, func(i, j int) bool {
 			a, b := list[i].key.Cell, list[j].key.Cell
 			if a.R != b.R {
@@ -232,7 +245,7 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 // With sharing enabled (the default), a query whose canonical normal form
 // (craql.CanonicalKey) matches a resident query attaches its sink to the
 // existing subplan's fan-out instead of fabricating anything: no new
-// operators, no fused-program invalidation, no shard-order rebuild — and,
+// operators, no epoch-program recompilation, no shard-order rebuild — and,
 // when the sink is a fresh *stream.ResultStore of the retention the
 // subplan's resident stores have, no result ring either: the store is
 // rebound onto the subplan's ring (see fanOut), which keeps being written
@@ -275,7 +288,8 @@ func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, mode
 	fan := &fanOut{}
 	fan.add(stored.ID, sink)
 	plan.AttachSink(fan)
-	st := &queryState{q: stored, tapID: stored.ID, key: key, plan: plan, fan: fan, refs: []string{stored.ID}}
+	f.subplanSeq++
+	st := &queryState{q: stored, tapID: stored.ID, key: key, plan: plan, fan: fan, refs: []string{stored.ID}, seq: f.subplanSeq}
 	// Re-derive the overlap order used by the plan (row-major).
 	ordered := append([]geom.Overlap(nil), overlaps...)
 	sort.Slice(ordered, func(i, j int) bool {
@@ -339,7 +353,7 @@ func (f *Fabricator) rollbackInsert(st *queryState) {
 // queries still share its subplan the delete is a pure detach — the
 // member's sink leaves the fan-out (a shared result ring stays, written
 // through a surviving member's store), refcounts drop, and no operator,
-// fused program or shard order changes.
+// epoch program or shard order changes.
 // The last member's delete tears the subplan down: taps are detached
 // right-to-left in every cell, T-operators left consecutive are merged,
 // emptied pipelines (and their hashmap keys) are deleted, and the budget
@@ -398,25 +412,33 @@ func (f *Fabricator) dropPipeline(key Key) {
 	}
 }
 
-// Ingest runs the map phase on one raw attribute batch: tuples are assigned
-// to their grid cell — one counting scatter over the attribute's
-// materialized cells, found through a dense row-major cell index, preserving
-// the batch's order within each cell — and each cell's run is pushed into the
-// corresponding topology. Tuples of cells without a materialized pipeline
-// are discarded uncopied (only useful grid cells are materialized). Every live pipeline of the batch's attribute receives a
-// batch — possibly empty — so merge slices complete and F-operators report
-// violations for starved cells. A cell's tuples alias scratch that is
-// recycled when Ingest returns; the slice's capacity is clipped to its
-// length.
+// Ingest runs one epoch of one attribute. The map phase assigns tuples to
+// their grid cell — one counting scatter over the attribute's materialized
+// cells, found through a dense row-major cell index, preserving the batch's
+// order within each cell. Tuples of cells without a materialized pipeline are
+// discarded uncopied (only useful grid cells are materialized). Every live
+// pipeline of the batch's attribute receives a share — possibly empty — so
+// F-operators report violations for starved cells, and every subplan
+// delivers a batch — possibly empty — to its sinks. The scatter moves
+// positions; the worker that runs a cell gathers its rows.
 //
-// The process phase (F → T… → P per cell) executes on a bounded worker pool
-// of Config.Workers goroutines; cells are the shard boundary, exploiting the
-// paper's per-cell independence of Section V topologies. Each cell draws
-// from its own keyed RNG fork and the merge phase (U-operators) reduces
-// per-cell runs under a deterministic total order, so the fabricated
-// streams are identical to a serial run of the same seed. Ingest holds the
-// fabricator's read lock for the whole epoch, so concurrent query insertion
-// or deletion waits for the epoch boundary instead of racing the topology.
+// The process phase (F → T… per cell) and the merge phase (P clips and the
+// U-operators' ordering, per distinct subplan, as soon as the cells it taps
+// are done) execute as the attribute's compiled position program
+// (program.go) on a bounded worker pool of Config.Workers goroutines. Cells
+// and subplans are the shard boundary: each cell draws from its own keyed
+// RNG fork and writes only its own position lists, and a subplan's stream is
+// the ascending set of its surviving positions whichever worker fabricated
+// them, so the fabricated streams are identical to a serial run of the same
+// seed. With
+// Pipeline.DisableFused every cell's share is instead pushed through its
+// operator graph, U-operators included — the oracle the program is tested
+// against.
+//
+// Ingest holds the fabricator's read lock for the whole epoch, so concurrent
+// query insertion or deletion waits for the epoch boundary instead of racing
+// the topology. Sinks receive batches built on scratch that is recycled when
+// Ingest returns.
 func (f *Fabricator) Ingest(b stream.Batch) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -427,95 +449,40 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 	if len(pipes) == 0 {
 		return nil
 	}
-	// Map phase: one counting scatter groups the tuples by destination
-	// pipeline into the borrowed scratch's single buffer, the pipeline found
-	// by indexing the attribute's slot table with the dense row-major cell
-	// index — no hashing, no per-cell buffer, nothing allocated in steady
-	// state. The scatter is stable, so each cell's run keeps the batch's
-	// (T, ID) order. The scratch is recycled once the epoch's shards have all
-	// completed.
-	byCell := borrowCellScratch()
-	defer byCell.release()
-	byCell.scatter(f.grid, f.slots[b.Attr], len(pipes), b.Tuples)
-	run := func(i int) error {
-		p := pipes[i]
-		cb := stream.Batch{Attr: b.Attr, Window: b.Window.WithRect(p.CellRect())}
-		cb.Tuples = byCell.run(i)
-		return p.Process(cb)
+	ep := borrowEpochScratch()
+	defer ep.release()
+	ep.batch, ep.pipes = b, pipes
+	ep.scatter(f.grid, f.slots[b.Attr], len(pipes), b.Tuples)
+	if !f.cfg.Pipeline.DisableFused {
+		ep.begin(f.program(b.Attr))
 	}
-	workers := f.Workers()
-	if workers > len(pipes) {
-		workers = len(pipes)
-	}
-	if workers <= 1 {
-		for i := range pipes {
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Shards are claimed from a shared cursor so fast workers steal the
-	// slack of slow ones (cells differ widely in tuple count). After a
-	// failure no new shards are claimed; shards already in flight complete,
-	// so — unlike the serial path, which stops at the failing cell — a few
-	// later cells may still have executed when an error is returned.
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, len(pipes))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(pipes) {
-					return
-				}
-				if err := run(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Report the first error in shard order.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ep.execute(f.Workers())
 }
 
-// cellScratch is the pooled map-phase grouping; one is borrowed per Ingest
-// so concurrent epochs of different attributes do not share state.
+// cellScratch is the map phase's grouping of one batch by destination
+// pipeline. It groups positions, not rows: each cell's worker gathers the
+// rows its F-operator reads, so the serial prefix of an epoch copies no tuple.
 type cellScratch struct {
 	// start[i] is where the run of the attribute's i-th pipeline (shard
-	// order) begins in buf; start has one entry past the last pipeline.
+	// order) begins in pos; start has one entry past the last pipeline.
 	start []int32
 	// slotOf is each input tuple's pipeline position (−1 when it falls
 	// outside the grid or in a cell with no pipeline), computed once and
 	// reused by the scatter.
 	slotOf []int32
-	// buf holds the grouped tuples. It is the scratch's own rather than a
-	// stream.BorrowTuples buffer: that arena is shared with every operator,
-	// and a borrower this much larger than the rest (a whole attribute batch
-	// against a cell's share of one) would grow each buffer it is ever
-	// handed to batch size, for the operators to then carry around.
-	buf []stream.Tuple
+	// pos holds the grouped tuples' positions in the batch, each cell's in
+	// batch order.
+	pos []uint32
+	// sorted reports that the batch ascends in (T, ID), so that positions
+	// order its tuples the way stream.CompareTuples does.
+	sorted bool
 }
 
-var cellScratchPool = sync.Pool{New: func() interface{} { return &cellScratch{} }}
-
-func borrowCellScratch() *cellScratch { return cellScratchPool.Get().(*cellScratch) }
-
-// scatter groups tuples by destination pipeline: count per pipeline,
-// prefix-sum the counts into run starts, then copy every tuple to its
-// pipeline's next free slot. slots maps a dense cell index to a pipeline
-// position below n, or −1.
+// scatter groups the tuples' positions by destination pipeline: count per
+// pipeline, prefix-sum the counts into run starts, then write every position
+// to its pipeline's next free slot. slots maps a dense cell index to a
+// pipeline position below n, or −1. The counting pass also checks, with one
+// compare per tuple, whether the batch ascends in (T, ID).
 func (s *cellScratch) scatter(grid *geom.Grid, slots []int32, n int, tuples []stream.Tuple) {
 	side := grid.Side()
 	s.start = slices.Grow(s.start[:0], n+1)[:n+1]
@@ -528,9 +495,18 @@ func (s *cellScratch) scatter(grid *geom.Grid, slots []int32, n int, tuples []st
 	// stays 0 throughout.
 	counts := s.start[1:]
 	kept := 0
+	s.sorted = true
+	var lastT float64
+	var lastID uint64
 	for i := range tuples {
+		tp := &tuples[i]
+		// stream.CompareTuples(previous, tp) > 0, on the two fields it reads.
+		if s.sorted && i > 0 && (lastT > tp.T || !(lastT < tp.T) && lastID > tp.ID) {
+			s.sorted = false
+		}
+		lastT, lastID = tp.T, tp.ID
 		slot := int32(-1)
-		if cell, ok := grid.CellAt(geom.Point{X: tuples[i].X, Y: tuples[i].Y}); ok {
+		if cell, ok := grid.CellAt(geom.Point{X: tp.X, Y: tp.Y}); ok {
 			if slot = slots[cell.Q+cell.R*side]; slot >= 0 {
 				counts[slot]++
 				kept++
@@ -542,27 +518,17 @@ func (s *cellScratch) scatter(grid *geom.Grid, slots []int32, n int, tuples []st
 	for i := range counts {
 		counts[i], at = at, at+counts[i]
 	}
-	s.buf = slices.Grow(s.buf[:0], kept)[:kept]
+	s.pos = slices.Grow(s.pos[:0], kept)[:kept]
 	for i, slot := range s.slotOf {
 		if slot >= 0 {
-			s.buf[counts[slot]] = tuples[i]
+			s.pos[counts[slot]] = uint32(i)
 			counts[slot]++
 		}
 	}
 }
 
-// run returns the tuples of pipeline position i (nil when empty). Its
-// capacity is clipped to its length: an operator appending to its input must
-// not write into the neighbouring run.
-func (s *cellScratch) run(i int) []stream.Tuple {
-	lo, hi := s.start[i], s.start[i+1]
-	if lo == hi {
-		return nil
-	}
-	return s.buf[lo:hi:hi]
-}
-
-func (s *cellScratch) release() { cellScratchPool.Put(s) }
+// run returns the batch positions of pipeline position i's tuples.
+func (s *cellScratch) run(i int) []uint32 { return s.pos[s.start[i]:s.start[i+1]] }
 
 // Workers returns the effective size of the epoch worker pool.
 func (f *Fabricator) Workers() int {
@@ -617,9 +583,9 @@ func (f *Fabricator) QueryMergeMode(id string) (MergeMode, bool) {
 
 // Retune applies the adaptive rate scale to one pipeline (see
 // CellPipeline.Retune): the F target and every T-operator rescale uniformly
-// and the compiled fused program is invalidated under the fabricator's
-// write lock, so a retune never races a running epoch. Unknown keys are a
-// no-op — the pipeline was dropped between observation and retune.
+// under the fabricator's write lock, so a retune never races a running
+// epoch. Unknown keys are a no-op — the pipeline was dropped between
+// observation and retune.
 func (f *Fabricator) Retune(key Key, scale float64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -410,10 +411,9 @@ func TestDiscardSinkPlumbedThroughTopology(t *testing.T) {
 
 // TestCellScatterMatchesCellAt checks the map phase's counting scatter
 // against the grouping it replaced — one grid.CellAt per tuple, appended to
-// that cell's list: every materialized cell's run holds exactly its tuples
-// in batch order, tuples off the grid or in a cell without a pipeline are
-// dropped, empty runs are nil, and no run's capacity reaches into its
-// neighbour's.
+// that cell's list: every materialized cell's run names exactly its tuples,
+// by position, in batch order, tuples off the grid or in a cell without a
+// pipeline are dropped, and the batch's sortedness is reported.
 func TestCellScatterMatchesCellAt(t *testing.T) {
 	g := fig2Grid(t)
 	side := g.Side()
@@ -442,20 +442,21 @@ func TestCellScatterMatchesCellAt(t *testing.T) {
 				}
 			}
 		}
-		s := borrowCellScratch()
+		var s cellScratch
 		s.scatter(g, slots, pipes, tuples)
 		for p, exp := range want {
 			got := s.run(p)
-			if len(got) != len(exp) || cap(got) != len(got) || (len(exp) == 0 && got != nil) {
-				t.Fatalf("n=%d pipeline %d: len %d cap %d, want len %d with clipped capacity (nil when empty)",
-					n, p, len(got), cap(got), len(exp))
+			if len(got) != len(exp) {
+				t.Fatalf("n=%d pipeline %d: %d positions, want %d", n, p, len(got), len(exp))
 			}
 			for i := range exp {
-				if got[i] != exp[i] {
-					t.Fatalf("n=%d pipeline %d tuple %d = %v, want %v", n, p, i, got[i], exp[i])
+				if tuples[got[i]] != exp[i] {
+					t.Fatalf("n=%d pipeline %d position %d names %v, want %v", n, p, i, tuples[got[i]], exp[i])
 				}
 			}
 		}
-		s.release()
+		if want := slices.IsSortedFunc(tuples, stream.CompareTuples); s.sorted != want {
+			t.Fatalf("n=%d sorted = %v, want %v", n, s.sorted, want)
+		}
 	}
 }

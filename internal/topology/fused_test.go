@@ -50,9 +50,9 @@ func buildFusedFixture(t *testing.T, seed int64, workers int, disableFused bool)
 	return fab, cols
 }
 
-// runFusedEpochs drives both attributes, including one fully empty epoch
+// runFixtureEpochs drives both attributes, including one fully empty epoch
 // (starved cells must still deliver empty batches so merge slices complete).
-func runFusedEpochs(t *testing.T, fab *Fabricator, epochs, perEpoch int) {
+func runFixtureEpochs(t *testing.T, fab *Fabricator, epochs, perEpoch int) {
 	t.Helper()
 	region := fab.Grid().Region()
 	for e := 0; e < epochs; e++ {
@@ -85,8 +85,8 @@ func TestFusedMatchesUnfusedGolden(t *testing.T) {
 				if !fused.FusedEnabled() {
 					t.Fatal("fused fabricator should be fused")
 				}
-				runFusedEpochs(t, unfused, 6, 700)
-				runFusedEpochs(t, fused, 6, 700)
+				runFixtureEpochs(t, unfused, 6, 700)
+				runFixtureEpochs(t, fused, 6, 700)
 				for i := range ucols {
 					want, got := ucols[i].Tuples(), fcols[i].Tuples()
 					if !reflect.DeepEqual(got, want) {
@@ -167,70 +167,90 @@ func TestFusedRecompileOnChurn(t *testing.T) {
 	}
 }
 
-// TestFusedProgramLifecycle pins the cache/invalidation contract: lazy
-// compile on first Process, reuse across batches, invalidation by AddTap and
-// RemoveTap, and no program when fused is disabled or the chain is empty.
+// TestFusedProgramLifecycle pins the compile/invalidation contract of the
+// epoch program: lazy compile on the first Ingest, reuse across batches and
+// attributes' independence, recompilation after a structural insert or a
+// teardown and only then — neither a member attaching to or detaching from a
+// resident subplan nor a retune costs one — and no program at all when
+// DisableFused walks the graph.
 func TestFusedProgramLifecycle(t *testing.T) {
-	cell := geom.NewRect(0, 0, 2, 2)
-	rng := stats.NewRNG(5)
-	p, err := NewCellPipeline(Key{Attr: "rain"}, cell, PipelineConfig{}, rng.Fork())
+	grid := fig2Grid(t)
+	f := newFab(t, grid, Config{Workers: 1})
+	ingest := func(f *Fabricator, attr string, e int) {
+		t.Helper()
+		if err := f.Ingest(sourceBatch(attr, e, grid.Region(), 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(f *Fabricator, step string, want ProgramStats) {
+		t.Helper()
+		if got := f.ProgramStats(); got != want {
+			t.Fatalf("%s: program stats %+v, want %+v", step, got, want)
+		}
+	}
+	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
+	sink := stream.NewCollector()
+	first, err := f.InsertQuery(q, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := func(e int) stream.Batch {
-		return sourceBatch("rain", e, cell, 50)
-	}
-	// Empty chain: nothing to fuse.
-	if err := p.Process(batch(0)); err != nil {
+	expect(f, "before the first epoch", ProgramStats{})
+	ingest(f, "rain", 0)
+	expect(f, "first epoch", ProgramStats{Subplans: 1, Sources: 4, Compiles: 1})
+	ingest(f, "rain", 1)
+	ingest(f, "temp", 1) // no pipelines: nothing to compile
+	expect(f, "second epoch", ProgramStats{Subplans: 1, Sources: 4, Compiles: 1})
+
+	// A member attaching to the resident subplan, and leaving again.
+	member, err := f.InsertQuery(q, stream.NewCollector())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FusedCompiled() {
-		t.Fatal("empty chain should not compile a program")
-	}
-	sink := stream.NewCollector()
-	if err := p.AddTap(query.Query{ID: "q1", Rate: 5}, cell, sink); err != nil {
+	ingest(f, "rain", 2)
+	if err := f.DeleteQuery(member.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Process(batch(1)); err != nil {
+	ingest(f, "rain", 3)
+	for _, p := range f.order["rain"] {
+		if err := f.Retune(p.Key(), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(f, "rain", 4)
+	expect(f, "shared churn and a retune", ProgramStats{Subplans: 1, Sources: 4, Compiles: 1})
+
+	// A second subplan, of four P taps; then temp gets a program of its own
+	// without disturbing rain's.
+	part, err := f.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0.5, 0.5, 2.5, 2.5), Rate: 3}, stream.NewCollector())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.FusedCompiled() {
-		t.Fatal("first Process should compile the program")
-	}
-	if err := p.AddTap(query.Query{ID: "q2", Rate: 2}, cell, stream.NewCollector()); err != nil {
+	expect(f, "invalidated", ProgramStats{Compiles: 1})
+	ingest(f, "rain", 5)
+	expect(f, "structural insert", ProgramStats{Subplans: 2, Sources: 8, Compiles: 2})
+	if _, err := f.InsertQuery(query.Query{Attr: "temp", Region: geom.NewRect(0, 0, 2, 2), Rate: 3}, stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	if p.FusedCompiled() {
-		t.Fatal("AddTap must invalidate the compiled program")
-	}
-	if err := p.Process(batch(2)); err != nil {
+	ingest(f, "temp", 5)
+	expect(f, "second attribute", ProgramStats{Subplans: 3, Sources: 9, Compiles: 3})
+	if err := f.DeleteQuery(part.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !p.FusedCompiled() {
-		t.Fatal("Process should recompile after invalidation")
-	}
-	if _, err := p.RemoveTap("q2"); err != nil {
+	ingest(f, "rain", 6)
+	expect(f, "teardown", ProgramStats{Subplans: 2, Sources: 5, Compiles: 4})
+	if err := f.DeleteQuery(first.ID); err != nil {
 		t.Fatal(err)
 	}
-	if p.FusedCompiled() {
-		t.Fatal("RemoveTap must invalidate the compiled program")
-	}
+	ingest(f, "rain", 7) // no pipelines left
+	expect(f, "attribute emptied", ProgramStats{Subplans: 1, Sources: 1, Compiles: 4})
 	if sink.Len() == 0 {
-		t.Fatal("fused pipeline delivered nothing")
+		t.Fatal("the program delivered nothing")
 	}
 
-	// Disabled pipelines never compile.
-	off, err := NewCellPipeline(Key{Attr: "rain"}, cell, PipelineConfig{DisableFused: true}, rng.Fork())
-	if err != nil {
+	off := newFab(t, grid, Config{Pipeline: PipelineConfig{DisableFused: true}})
+	if _, err := off.InsertQuery(q, stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	if err := off.AddTap(query.Query{ID: "q1", Rate: 5}, cell, stream.NewCollector()); err != nil {
-		t.Fatal(err)
-	}
-	if err := off.Process(batch(3)); err != nil {
-		t.Fatal(err)
-	}
-	if off.FusedCompiled() {
-		t.Fatal("DisableFused pipeline must not compile")
-	}
+	ingest(off, "rain", 0)
+	expect(off, "DisableFused", ProgramStats{})
 }

@@ -25,7 +25,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pmat"
@@ -105,10 +104,9 @@ type CellPipeline struct {
 	// values stay nominal so query-rate matching is scale-invariant.
 	scale float64
 
+	// disableFused makes Process walk the operator graph (the test oracle)
+	// instead of running the compiled kernel (program.go).
 	disableFused bool
-	// fused caches the compiled program (fused.go); structural mutations
-	// invalidate it and the next Process recompiles lazily.
-	fused atomic.Pointer[fusedProgram]
 }
 
 // PipelineConfig carries the pieces a pipeline needs from the fabricator.
@@ -119,10 +117,10 @@ type PipelineConfig struct {
 	// Flatten configures the F-operator (TargetRate is overwritten by the
 	// pipeline as queries come and go).
 	Flatten pmat.FlattenConfig
-	// DisableFused turns off compiled fused execution and walks the operator
-	// graph stage by stage instead. Fused and unfused fabricate
-	// byte-identical streams (golden tests), so this exists for A/B
-	// comparison and debugging only.
+	// DisableFused turns off compiled execution (program.go) and walks the
+	// operator graph stage by stage instead. The two fabricate byte-identical
+	// streams (golden tests); the graph walk exists as their oracle and for
+	// debugging only.
 	DisableFused bool
 }
 
@@ -166,43 +164,6 @@ func (p *CellPipeline) CellRect() geom.Rect { return p.cellRect }
 // Flatten returns the pipeline's F-operator.
 func (p *CellPipeline) Flatten() *pmat.Flatten { return p.flatten }
 
-// Process pushes one batch (already clipped to the cell) into the topology.
-// When compiled fused execution is enabled (the default) and the chain is
-// non-empty, the batch runs through the flat fused program instead of the
-// operator-graph walk — byte-identical output, one pass, one lock
-// acquisition per stage (see fused.go and DESIGN.md, "Compiled pipeline
-// execution").
-func (p *CellPipeline) Process(b stream.Batch) error {
-	if prog := p.program(); prog != nil {
-		return p.runFused(prog, b)
-	}
-	return p.flatten.Process(b)
-}
-
-// program returns the cached fused program, compiling lazily on first use;
-// nil when fused execution is disabled or there is nothing to fuse.
-func (p *CellPipeline) program() *fusedProgram {
-	if p.disableFused || len(p.nodes) == 0 {
-		return nil
-	}
-	if prog := p.fused.Load(); prog != nil {
-		return prog
-	}
-	prog := compileFused(p)
-	p.fused.Store(prog)
-	return prog
-}
-
-// invalidateProgram drops the compiled program so the next Process
-// recompiles against the mutated chain.
-func (p *CellPipeline) invalidateProgram() { p.fused.Store(nil) }
-
-// FusedEnabled reports whether compiled fused execution is active.
-func (p *CellPipeline) FusedEnabled() bool { return !p.disableFused }
-
-// FusedCompiled reports whether a compiled program is currently cached.
-func (p *CellPipeline) FusedCompiled() bool { return p.fused.Load() != nil }
-
 // Empty reports whether no queries are subscribed.
 func (p *CellPipeline) Empty() bool { return len(p.nodes) == 0 }
 
@@ -229,7 +190,6 @@ func (p *CellPipeline) nextName(kind string) string {
 // covers the whole cell, through a P-operator partitioning out the overlap
 // otherwise.
 func (p *CellPipeline) AddTap(q query.Query, overlap geom.Rect, sink stream.Processor) error {
-	p.invalidateProgram()
 	if sink == nil {
 		return fmt.Errorf("topology: pipeline %v: query %s: nil sink", p.key, q.ID)
 	}
@@ -356,7 +316,6 @@ func (p *CellPipeline) upstreamDetach(pos int, next stream.Processor) {
 // two consecutive T-operators merge into one). It reports whether the query
 // was subscribed.
 func (p *CellPipeline) RemoveTap(queryID string) (bool, error) {
-	p.invalidateProgram()
 	for i, n := range p.nodes {
 		for j, t := range n.taps {
 			if t.queryID != queryID {
@@ -416,9 +375,8 @@ func (p *CellPipeline) removeNode(i int) error {
 // rate the F-operator is held to (and reports violations against) drops to
 // s × nominal, so a persistently starved cell converges to its feasible
 // rate instead of alarming forever (the paper's "accept the feasible
-// rate"). The compiled fused program is invalidated so the next Process
-// recompiles against the retuned chain; both fused and unfused execution
-// read rates live, so the two paths stay byte-identical across a retune
+// rate"). Compiled execution and the graph walk both read rates live, so
+// nothing is recompiled and the two stay byte-identical across a retune
 // (golden test in retune_test.go). Callers serialize Retune with structural
 // mutations (the fabricator holds its write lock).
 func (p *CellPipeline) Retune(scale float64) error {
@@ -439,7 +397,6 @@ func (p *CellPipeline) Retune(scale float64) error {
 		}
 		prev = n.rate
 	}
-	p.invalidateProgram()
 	return nil
 }
 

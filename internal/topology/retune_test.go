@@ -24,8 +24,8 @@ func retuneAll(t *testing.T, fab *Fabricator, scale float64) {
 
 // TestRetuneFusedMatchesUnfused is the retune golden test required by the
 // adaptivity acceptance criteria: after a mid-run rate retune — which
-// rescales every F target and T-operator and invalidates the compiled
-// fused programs — fused and unfused execution must keep fabricating
+// rescales every F target and T-operator under a compiled program that
+// reads them live — compiled and graph-walk execution must keep fabricating
 // byte-identical streams, including across a later recovery back to scale 1.
 func TestRetuneFusedMatchesUnfused(t *testing.T) {
 	unfused, ucols := buildFusedFixture(t, 4242, 2, true)

@@ -21,10 +21,11 @@ import (
 // forwarded to on its own.
 //
 // Concurrency: membership mutates only under the fabricator's write lock;
-// Process runs under the read lock (epoch execution). The fan pointer
-// itself is stable for the subplan's lifetime, so compiled fused programs
-// that captured it as a stage output stay valid across member churn — the
-// whole point: attach/detach without invalidating any fused program.
+// deliver and Process run under the read lock (epoch execution). The fan
+// pointer itself is stable for the subplan's lifetime and its destinations
+// are read live, so the compiled epoch program that captured it stays valid
+// across member churn — the whole point: attach/detach without recompiling
+// anything.
 type fanOut struct {
 	ids   []string
 	sinks []stream.Processor
@@ -33,7 +34,28 @@ type fanOut struct {
 	writes []stream.Processor
 }
 
-// Process forwards the batch to every distinct destination once.
+// deliver hands every distinct destination the batch whose tuples are
+// src[pos[0]], src[pos[1]], … — where the compiled epoch program's rows are
+// materialized, once. When the fan writes only result stores the rows go
+// from src straight into their rings; otherwise they are gathered into
+// *rows (scratch the caller recycles) and b, completed with them, is
+// processed by each destination.
+func (f *fanOut) deliver(b stream.Batch, src []stream.Tuple, pos []uint32, rows *[]stream.Tuple) error {
+	if f.resultRings() == len(f.writes) {
+		for _, w := range f.writes {
+			if err := w.(*stream.ResultStore).ProcessAt(src, pos); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	*rows = gatherRows(*rows, src, pos)
+	b.Tuples = *rows
+	return f.Process(b)
+}
+
+// Process forwards the batch to every distinct destination once — the end of
+// the operator-graph walk, and of deliver for sinks that need rows.
 func (f *fanOut) Process(b stream.Batch) error {
 	for _, s := range f.writes {
 		if err := s.Process(b); err != nil {
@@ -170,7 +192,7 @@ type SharedStats struct {
 	// SharedQueries counts queries attached to a subplan with ≥ 2 members.
 	SharedQueries int
 	// Attaches is the lifetime number of insertions absorbed by an already
-	// fabricated subplan (no new operators, no fused invalidation).
+	// fabricated subplan (no new operators, no program recompilation).
 	Attaches uint64
 	// ResultRings is the number of distinct result-store rings the subplans
 	// write — what result memory and per-epoch store writes scale with. It

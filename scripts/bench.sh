@@ -16,13 +16,15 @@
 # cold-start replay, and BenchmarkIngestDurable's WAL-enabled push path —
 # plus BenchmarkQueryChurn's resident-query churn matrix, shared vs
 # unshared at 1k/10k queries with a heapB/query memory metric, and
-# BenchmarkResultFanout's one-epoch-into-1/8/64-members rows, and the
+# BenchmarkResultFanout's one-epoch-into-1/8/64-members rows,
+# BenchmarkEpochFanout's program-vs-graph-walk epoch on the epoch_fanout
+# workload's shape, and the
 # estimator rows — BenchmarkMLE's cold fits at t0 = 0 and 10⁶ and
 # BenchmarkFlattenSteady's warm-started F-operator over a moving window),
 # BENCHTIME sets -benchtime. scripts/bench_guard.sh compares fresh
 # BenchmarkEndToEnd + BenchmarkIngest* + BenchmarkWire* +
-# BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkMLE +
-# BenchmarkFlattenSteady runs against the
+# BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkEpochFanout +
+# BenchmarkMLE + BenchmarkFlattenSteady runs against the
 # newest committed BENCH_*.json and fails on >15% ns/op regression.
 # scripts/load.sh merges HTTP load-harness results (p50/p99, tuples/s)
 # into the same BENCH_<date>.json.

@@ -9,7 +9,10 @@
 # delete/epoch cycles at 1k and 10k resident queries, shared vs unshared —
 # the shared rows guard the multi-query dedup win), BenchmarkResultFanout
 # (one 4096-tuple epoch into 1, 8 and 64 members of one subplan — the rows
-# guard that a member costs no ring write of its own), BenchmarkMLE (one
+# guard that a member costs no ring write of its own), BenchmarkEpochFanout
+# (one epoch of bench/'s epoch_fanout shape — 512 residents on 65 subplans,
+# two sorted 2048-tuple attribute runs — through the compiled position
+# program and through the graph-walk oracle), BenchmarkMLE (one
 # cold fit at n = 128/1000/10000 on windows at t0 = 0 and 10⁶ — the pairs
 # guard that a fit's cost does not grow with session age) and
 # BenchmarkFlattenSteady (one F-operator over a moving window with fresh
@@ -55,13 +58,13 @@ echo "bench_guard: comparing against $base (tolerance ${tol}%)"
 raw=$(mktemp) basevals=$(mktemp) curvals=$(mktemp) failing=$(mktemp)
 trap 'rm -f "$raw" "$basevals" "$curvals" "$failing"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWire|BenchmarkLoad|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkMLE|BenchmarkFlattenSteady' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWire|BenchmarkLoad|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
 
 # Baseline pairs (name ns_per_op) from the JSON written by bench.sh.
-sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|Wire\|Load\|QueryChurn\|ResultFanout\|MLE\|FlattenSteady\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
+sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|Wire\|Load\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
     | sed 's/-[0-9]* / /' > "$basevals"
 # Current pairs from the benchmark output, best ns/op per name.
-awk '/^Benchmark(EndToEnd|Ingest|Wire|Load|QueryChurn|ResultFanout|MLE|FlattenSteady)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
+awk '/^Benchmark(EndToEnd|Ingest|Wire|Load|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
     | sed 's/-[0-9]* / /' > "$curvals"
 
 if [ ! -s "$curvals" ]; then

@@ -17,6 +17,9 @@
 #   4. the session-spec field table under `### POST /v1/sessions` lists
 #      exactly the json tags of sessionSpecJSON in http.go.
 #
+#   5. the keys of /status `topology.program` rendered by http.go are
+#      exactly those of the status example in docs/API.md.
+#
 # Exits non-zero with one line per mismatch; CI runs this next to
 # bench_guard.sh.
 set -euo pipefail
@@ -78,6 +81,17 @@ while IFS= read -r field; do
   echo "docs_check: session-spec field '$field' is in the $API_MD table but not accepted by $HTTP_GO" >&2
   fail=1
 done <<<"$(comm -13 <(printf '%s\n' "$code_fields") <(printf '%s\n' "$doc_fields"))"
+
+# /status topology.program: the keys of the map literal in http.go against
+# the keys of the example object in API.md.
+code_program=$(sed -n '/"program": map\[string\]interface{}{/,/}/p' "$HTTP_GO" \
+  | grep -oE '^[[:space:]]+"[a-z]+":' | tr -d ' \t":' | grep -vx program | sort -u)
+doc_program=$(grep -oE '"program": \{[^}]*\}' "$API_MD" | head -1 \
+  | sed -E 's/^"program": //' | grep -oE '"[a-z]+":' | tr -d '":' | sort -u)
+if [ -z "$code_program" ] || [ "$code_program" != "$doc_program" ]; then
+  echo "docs_check: /status topology.program is {$(echo $code_program)} in $HTTP_GO but {$(echo $doc_program)} in $API_MD" >&2
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   exit 1
