@@ -6,7 +6,6 @@
 package craqr_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -402,67 +401,6 @@ func BenchmarkEndToEnd(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchEndToEnd(b, 0) })
 }
 
-// BenchmarkFusedPipeline measures the compiled kernel (CellPipeline.Process:
-// one pass over positions, rows materialized per tap) against the
-// operator-graph walk on a single cell pipeline across Thin-chain depths and
-// batch sizes. Both modes fabricate byte-identical streams; the delta is pure
-// execution overhead (intermediate batches, per-stage locking and dispatch),
-// so the F-operator uses a known intensity — an MLE fit would dominate both
-// modes identically and drown the signal. Wired into scripts/bench.sh via the
-// default -bench '.'.
-//
-// It cannot rank the two: one standalone pipeline is F-dominated even so,
-// and its rows read ±15 % from run to run on the recording host — the
-// depth=4/n=4096 pair has the compiled side 18 % behind in
-// BENCH_2026-09-27.json and trades places between consecutive runs of one
-// binary. BenchmarkEpochFanout contains the merge phase, where the two paths
-// actually differ, and is the one to read.
-func BenchmarkFusedPipeline(b *testing.B) {
-	cellRect := geom.NewRect(0, 0, 4, 4)
-	for _, depth := range []int{1, 2, 4} {
-		for _, n := range []int{256, 4096} {
-			for _, mode := range []string{"fused", "unfused"} {
-				b.Run(fmt.Sprintf("depth=%d/n=%d/%s", depth, n, mode), func(b *testing.B) {
-					rng := stats.NewRNG(11)
-					p, err := topology.NewCellPipeline(
-						topology.Key{Attr: "temp"}, cellRect,
-						topology.PipelineConfig{
-							DisableFused: mode == "unfused",
-							Flatten: pmat.FlattenConfig{
-								Mode:  pmat.EstimatorKnown,
-								Known: intensity.NewLinear(intensity.Theta{60, 0, 1.5, -1}),
-							},
-						}, rng.Fork())
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Rates 40, 20, 10, 5 → a strictly descending chain of
-					// the requested depth, one counter sink per level.
-					rate := 40.0
-					for i := 0; i < depth; i++ {
-						q := query.Query{ID: fmt.Sprintf("q%d", i), Rate: rate}
-						if err := p.AddTap(q, cellRect, &stream.Counter{}); err != nil {
-							b.Fatal(err)
-						}
-						rate /= 2
-					}
-					batch := benchBatch(n, 21)
-					fr := fracs(batch)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						retime(&batch, fr, float64(i))
-						if err := p.Process(batch); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.SetBytes(int64(n))
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkSharded measures the sharded epoch executor across worker-pool
 // sizes on a wide topology (256 cells, 64 queries): the per-cell
 // independence of the paper's Section V topologies is the shard boundary.
@@ -752,9 +690,9 @@ func fanoutForms() []query.Query {
 // 4096-tuple result stores, and per op one (T, ID)-sorted 2048-tuple batch
 // for each of the two attributes through Fabricator.Ingest on one worker.
 // program is the compiled position program, graphwalk the operator-graph
-// oracle it replaced as the production path; unlike BenchmarkFusedPipeline
-// the epoch contains the merge phase, which is where the two differ. program
-// must stay at 0 allocs/op. Guarded by scripts/bench_guard.sh.
+// oracle it replaced as the production path; the epoch contains the merge
+// phase, which is where the two differ. program must stay at 0 allocs/op.
+// Guarded by scripts/bench_guard.sh.
 func BenchmarkEpochFanout(b *testing.B) {
 	for _, mode := range []string{"program", "graphwalk"} {
 		b.Run(mode, func(b *testing.B) {
@@ -986,10 +924,7 @@ func BenchmarkCSVExport(b *testing.B) {
 }
 
 // BenchmarkJSONLinesExport renders a 1000-tuple batch as ndjson with the
-// sink's append encoder (0 allocs/op); BenchmarkJSONLinesExportEncodingJSON
-// is the same payload into the same writer through encoding/json — the
-// encoder the sink used to wrap, one alloc per tuple — so the pair differs
-// in the encoder alone.
+// sink's append encoder (0 allocs/op).
 func BenchmarkJSONLinesExport(b *testing.B) {
 	batch := benchBatch(1000, 12)
 	sink, err := export.NewJSONLinesSink(io.Discard)
@@ -999,33 +934,6 @@ func BenchmarkJSONLinesExport(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := sink.Process(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(batch.Len()))
-}
-
-func BenchmarkJSONLinesExportEncodingJSON(b *testing.B) {
-	batch := benchBatch(1000, 12)
-	w := bufio.NewWriter(io.Discard)
-	enc := json.NewEncoder(w)
-	type record struct {
-		ID     uint64  `json:"id"`
-		Attr   string  `json:"attr"`
-		T      float64 `json:"t"`
-		X      float64 `json:"x"`
-		Y      float64 `json:"y"`
-		Value  float64 `json:"value"`
-		Sensor int     `json:"sensor"`
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, tp := range batch.Tuples {
-			if err := enc.Encode(record{tp.ID, tp.Attr, tp.T, tp.X, tp.Y, tp.Value, tp.Sensor}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1088,8 +996,8 @@ func ingestPayloads(b *testing.B, n int) (jsonBody, frame []byte) {
 	return jsonBody, frame
 }
 
-// reportTuples converts the run into a tuples/s rate — the number the load
-// harness (scripts/load.sh) and the ingest acceptance targets track.
+// reportTuples converts the run into a tuples/s rate — the number the
+// ingest acceptance targets track.
 func reportTuples(b *testing.B, n int) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(n)*float64(b.N)/s, "tuples/s")

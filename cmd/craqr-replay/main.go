@@ -13,7 +13,10 @@
 // -dump-trace re-encodes the session's journaled ingest pushes as a stream
 // of binary wire frames (internal/wire, Content-Type application/x-craqr-batch).
 // The trace file is byte-compatible with a streaming binary ingest body, so
-// craqr-loadgen -trace can replay a production workload as a bench corpus.
+// a production workload replays into a live session with
+//
+//	curl --data-binary @ingest.cqb -H 'Content-Type: application/x-craqr-batch' \
+//	  'localhost:8080/v1/sessions/default/ingest?stream=1'
 //
 // The engine template (fleet size, grid, fields) must match the daemon's:
 // both sides build it from internal/world plus the persisted session

@@ -48,9 +48,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/export"
 	"repro/internal/geom"
-	"repro/internal/incentive"
 	"repro/internal/inference"
-	"repro/internal/ingest"
 	"repro/internal/intensity"
 	"repro/internal/mdpp"
 	"repro/internal/mobility"
@@ -74,8 +72,6 @@ type (
 	Window = geom.Window
 	// Grid is the logical √h×√h partitioning of the region of interest.
 	Grid = geom.Grid
-	// CellID addresses one grid cell R(q,r).
-	CellID = geom.CellID
 )
 
 // NewRect constructs a rectangle, normalizing coordinate order.
@@ -108,8 +104,6 @@ type (
 	Theta = intensity.Theta
 	// LinearIntensity is the Eq. (1) parametric rate.
 	LinearIntensity = intensity.Linear
-	// HotspotIntensity is a Gaussian spatial bump rate.
-	HotspotIntensity = intensity.Hotspot
 )
 
 // NewHomogeneousProcess builds P(λ, R).
@@ -148,11 +142,6 @@ type (
 	// ResultStore is the bounded, cursor-addressable ring buffer that holds
 	// a query's most recent tuples and accounts evictions as drops.
 	ResultStore = stream.ResultStore
-	// Counter is an allocation-free tuple-counting sink.
-	Counter = stream.Counter
-	// TupleBuffer is a reusable tuple slice borrowed from the stream arena;
-	// custom operators use it to keep the batch hot path allocation-free.
-	TupleBuffer = stream.TupleBuffer
 	// Flatten is the F PMAT operator.
 	Flatten = pmat.Flatten
 	// FlattenConfig parameterizes Flatten.
@@ -163,24 +152,10 @@ type (
 	Partition = pmat.Partition
 	// Union is the U PMAT operator.
 	Union = pmat.Union
-	// ViolationReport is a Flatten batch's N_v report.
-	ViolationReport = pmat.ViolationReport
 )
 
 // NewCollector returns an empty stream collector.
 func NewCollector() *Collector { return stream.NewCollector() }
-
-// NewResultStore returns an empty bounded result store retaining up to
-// `retention` tuples (0 = DefaultRetention).
-func NewResultStore(retention int) *ResultStore { return stream.NewResultStore(retention) }
-
-// DefaultRetention is the per-query retention used when none is configured.
-const DefaultRetention = stream.DefaultRetention
-
-// BorrowTuples borrows an empty tuple buffer with capacity for at least n
-// tuples from the stream arena; release it after the batch built on it has
-// been fully emitted (see DESIGN.md, "The batch hot path").
-func BorrowTuples(n int) *TupleBuffer { return stream.BorrowTuples(n) }
 
 // NewFlatten constructs an F-operator.
 func NewFlatten(name string, cfg FlattenConfig, rng *RNG) (*Flatten, error) {
@@ -206,29 +181,14 @@ func NewUnion(name string, regions ...Rect) (*Union, error) {
 type (
 	// Query is an acquisitional query: attribute, region, rate.
 	Query = query.Query
-	// CRAQLStatement is one parsed CrAQL statement — a query, optionally
-	// wrapped in EXPLAIN.
-	CRAQLStatement = craql.Statement
 )
 
 // ParseCRAQL parses an executable CrAQL query ("ACQUIRE rain FROM RECT(…)
-// RATE 10"); EXPLAIN statements are rejected — use ParseCRAQLStatement.
+// RATE 10"); EXPLAIN statements are rejected — Engine.Explain serves those.
 func ParseCRAQL(src string) (Query, error) { return craql.Parse(src) }
-
-// ParseCRAQLStatement parses one CrAQL statement, accepting both the plain
-// query form and the EXPLAIN form (served by Engine.Explain).
-func ParseCRAQLStatement(src string) (CRAQLStatement, error) { return craql.ParseStatement(src) }
-
-// ParseCRAQLScript parses a ";"-separated multi-statement CrAQL script with
-// "--" line comments.
-func ParseCRAQLScript(src string) ([]Query, error) { return craql.ParseScript(src) }
 
 // FormatCRAQL renders a query back into CrAQL syntax.
 func FormatCRAQL(q Query) string { return craql.Format(q) }
-
-// FormatCRAQLStatement renders a statement (including the EXPLAIN form)
-// back into CrAQL syntax.
-func FormatCRAQLStatement(st CRAQLStatement) string { return craql.FormatStatement(st) }
 
 // Simulation substrate.
 type (
@@ -267,8 +227,6 @@ type (
 	EngineConfig = server.Config
 	// HTTPServer exposes a session manager over JSON/HTTP.
 	HTTPServer = server.HTTPServer
-	// ClockConfig selects how a started engine advances epochs.
-	ClockConfig = server.ClockConfig
 	// Manager hosts many named engine sessions behind one process.
 	Manager = server.Manager
 	// ManagerConfig assembles a session manager.
@@ -281,20 +239,12 @@ type (
 	EngineFactory = server.EngineFactory
 	// BudgetConfig parameterizes budget tuning.
 	BudgetConfig = budget.Config
-	// FabricatorConfig parameterizes the stream fabricator.
-	FabricatorConfig = topology.Config
 	// MergeMode selects the merge-phase topology.
 	MergeMode = topology.MergeMode
-	// IncentiveAllocator distributes incentive budget (Section VI).
-	IncentiveAllocator = incentive.Allocator
 )
 
 // Merge-phase topologies.
 const (
-	// MergeFlat uses one n-ary U-operator.
-	MergeFlat = topology.MergeFlat
-	// MergeChain cascades binary U-operators (Fig. 2(c) style).
-	MergeChain = topology.MergeChain
 	// MergeTree builds balanced binary U-operator trees (Section VI).
 	MergeTree = topology.MergeTree
 )
@@ -319,18 +269,10 @@ func NewEngineFactory(template EngineConfig, fields func() (map[string]Field, er
 	return server.NewEngineFactory(template, fields)
 }
 
-// NewIncentiveAllocator creates a Section VI incentive allocator with the
-// given per-epoch incentive budget and greedy step.
-func NewIncentiveAllocator(model ResponseModel, total, step float64) (*IncentiveAllocator, error) {
-	return incentive.NewAllocator(model, total, step)
-}
-
 // Stream plumbing, export and inference.
 type (
 	// Tee fans a stream out to several processors.
 	Tee = stream.Tee
-	// CSVSink persists a fabricated stream as CSV.
-	CSVSink = export.CSVSink
 	// JSONLinesSink persists a fabricated stream as ndjson.
 	JSONLinesSink = export.JSONLinesSink
 	// CoverageEstimator infers areal coverage of a boolean attribute.
@@ -344,9 +286,6 @@ type (
 	// DetectedEvent is one episode found by an EventDetector.
 	DetectedEvent = inference.Event
 )
-
-// NewCSVSink writes tuples to w as CSV rows.
-func NewCSVSink(w io.Writer) (*CSVSink, error) { return export.NewCSVSink(w) }
 
 // NewJSONLinesSink writes tuples to w as one JSON object per line.
 func NewJSONLinesSink(w io.Writer) (*JSONLinesSink, error) { return export.NewJSONLinesSink(w) }
@@ -383,12 +322,6 @@ type (
 	// PlanExplanation is the full pricing of one query: every candidate
 	// estimate plus the planner's choice.
 	PlanExplanation = planner.Explanation
-	// PlannerConfig controls cost-based planning in the engine
-	// (EngineConfig.Planner).
-	PlannerConfig = server.PlannerConfig
-	// AdaptiveSlot is the observable state of one adaptive-rates slot
-	// (Engine.AdaptiveSlots).
-	AdaptiveSlot = server.AdaptiveSlot
 )
 
 // DefaultPlannerWeights balances work, state and response time.
@@ -403,72 +336,3 @@ func EstimateQueryCost(grid *Grid, q Query, mode MergeMode, epochLength float64,
 func ChooseMergeMode(grid *Grid, q Query, epochLength float64, w PlannerWeights) (CostEstimate, error) {
 	return planner.ChooseMergeMode(grid, q, epochLength, w)
 }
-
-// ExplainPlan prices a query under every merge mode and picks the winner —
-// the standalone form of Engine.Explain.
-func ExplainPlan(grid *Grid, q Query, epochLength float64, w PlannerWeights) (PlanExplanation, error) {
-	return planner.Explain(grid, q, epochLength, w)
-}
-
-// DefaultAdaptiveConfig is the rate-retune controller configuration used
-// when EngineConfig.Adaptive is zero.
-func DefaultAdaptiveConfig(violationThreshold float64) BudgetConfig {
-	return server.DefaultAdaptiveConfig(violationThreshold)
-}
-
-// External ingestion (see DESIGN.md §10 "External ingestion and
-// watermarks"). EngineConfig.Source selects where epochs acquire
-// observations from; external and mixed engines accept
-// Engine.PushObservations (HTTP: POST /v1/sessions/{s}/ingest), buffer
-// them in a bounded watermark queue, and close epochs only once the
-// event-time low watermark passes the epoch's end. The separate
-// `repro/client` package is the typed HTTP client for the whole loop.
-type (
-	// SourceMode selects an engine's observation source composition.
-	SourceMode = server.SourceMode
-	// SourceConfig composes an engine's observation sources
-	// (EngineConfig.Source).
-	SourceConfig = server.SourceConfig
-	// IngestLatePolicy decides the fate of tuples arriving after their
-	// epoch closed.
-	IngestLatePolicy = ingest.LatePolicy
-	// IngestAck accounts one pushed batch: every tuple accepted, dropped,
-	// late or rejected — never silently lost.
-	IngestAck = ingest.Ack
-	// IngestStats is the cumulative ingest accounting surfaced in /status.
-	IngestStats = ingest.Stats
-	// IngestSource yields one acquisition epoch's observations; custom
-	// implementations plug non-HTTP feeds into the engine.
-	IngestSource = ingest.Source
-	// IngestQueue is the bounded watermark queue behind external pushes.
-	IngestQueue = ingest.Queue
-)
-
-// Observation source compositions.
-const (
-	// SourceSimulated acquires purely from the synthetic fleet (default).
-	SourceSimulated = server.SourceSimulated
-	// SourceExternal acquires purely from pushed observations; epochs close
-	// on the event-time watermark.
-	SourceExternal = server.SourceExternal
-	// SourceMixed merges fleet and pushed observations per epoch.
-	SourceMixed = server.SourceMixed
-)
-
-// Late-tuple policies.
-const (
-	// LateDrop discards late tuples, counting them.
-	LateDrop = ingest.LateDrop
-	// LateNextEpoch admits late tuples into the next epoch that closes.
-	LateNextEpoch = ingest.LateNextEpoch
-)
-
-// ErrEpochOpen is returned by Engine.Step when a watermark-gated epoch
-// cannot close yet; Engine.RunReady stops early instead of returning it.
-var ErrEpochOpen = server.ErrEpochOpen
-
-// ParseSourceMode parses "simulated", "external" or "mixed".
-func ParseSourceMode(s string) (SourceMode, error) { return server.ParseSourceMode(s) }
-
-// ParseLatePolicy parses "drop" or "next".
-func ParseLatePolicy(s string) (IngestLatePolicy, error) { return ingest.ParseLatePolicy(s) }

@@ -48,7 +48,8 @@ type Weights struct {
 }
 
 // DefaultWeights balances the aspects for epoch-batch workloads: work
-// dominates, depth is penalized enough to prefer trees for wide queries.
+// dominates, and depth is penalized enough that a tree prices below a chain
+// for wide queries. Neither ever prices below flat — see ChooseMergeMode.
 func DefaultWeights() Weights {
 	return Weights{PerTuple: 1, PerOperator: 50, PerDepth: 200}
 }
@@ -204,7 +205,10 @@ func EstimateQueryCost(grid *geom.Grid, q query.Query, mode topology.MergeMode, 
 }
 
 // ChooseMergeMode evaluates all merge modes for the query and returns the
-// cheapest estimate. Ties prefer the simpler flat plan.
+// cheapest estimate. Ties prefer the simpler flat plan. Under this cost model
+// the result is always flat (TestChooseMergeModeIsFlatForAnyWeights says
+// why); the other modes are priced for EXPLAIN and stay available to code
+// that sets a merge mode by hand.
 func ChooseMergeMode(grid *geom.Grid, q query.Query, epochLength float64, w Weights) (CostEstimate, error) {
 	modes := []topology.MergeMode{topology.MergeFlat, topology.MergeTree, topology.MergeChain}
 	var best CostEstimate

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -120,6 +122,48 @@ func TestChooseMergeModePrefersFlatWhenDepthCheap(t *testing.T) {
 	// the flat plan (depth 1) wins.
 	if best.Mode != topology.MergeFlat {
 		t.Fatalf("best mode = %v, want flat", best.Mode)
+	}
+}
+
+// TestChooseMergeModeIsFlatForAnyWeights pins what the cost model decides:
+// always flat. mergeShape gives flat one union at depth 1 and chain/tree
+// n−1 ≥ 1 unions at depth ≥ 1 (all three are 0/0 on a single cell), every
+// term of Total is non-decreasing in operators and depth under the
+// non-negative weights Validate admits, and ChooseMergeMode prices flat first
+// under a strict <. Since the compiled position program merges identically
+// for every mode, the engine's per-submit planning and its plan cache
+// memoise this constant. A failure here means the cost model can prefer
+// another layout again — the choice is a real decision and that machinery
+// is earning its keep.
+func TestChooseMergeModeIsFlatForAnyWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	weight := func() float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return rng.Float64() * 1000
+	}
+	const side = 32.0
+	for _, cells := range []int{1, 4, 9, 16, 64, 256} {
+		g, err := geom.NewGrid(geom.NewRect(0, 0, side, side), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := side / math.Sqrt(float64(cells))
+		for i := 0; i < 2000; i++ { // 6 grids × 2000 = 12k priced cases
+			// At least one cell wide and high: the one-cell minimum area.
+			dx, dy := cell+rng.Float64()*(side-cell), cell+rng.Float64()*(side-cell)
+			x0, y0 := rng.Float64()*(side-dx), rng.Float64()*(side-dy)
+			q := query.Query{Attr: "a", Region: geom.NewRect(x0, y0, x0+dx, y0+dy), Rate: 0.01 + rng.Float64()*100}
+			w := Weights{PerTuple: weight(), PerOperator: weight(), PerDepth: weight()}
+			best, err := ChooseMergeMode(g, q, 0.01+rng.Float64()*10, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best.Mode != topology.MergeFlat {
+				t.Fatalf("grid %d, %v, weights %+v: chose %v, want flat", cells, q, w, best)
+			}
+		}
 	}
 }
 

@@ -37,15 +37,11 @@ type Union struct {
 }
 
 // UnionInput is one input port of a Union operator; upstream operators send
-// the branch for region Region into it.
+// the branch for the union's idx-th input region into it.
 type UnionInput struct {
-	u      *Union
-	idx    int
-	region geom.Rect
+	u   *Union
+	idx int
 }
-
-// Region returns the region this input carries.
-func (in *UnionInput) Region() geom.Rect { return in.region }
 
 // Union returns the operator the port belongs to.
 func (in *UnionInput) Union() *Union { return in.u }
@@ -178,8 +174,8 @@ func NewUnion(name string, regions ...geom.Rect) (*Union, error) {
 		unioned: bb,
 		pending: make(map[timeKey]*pendingMerge),
 	}
-	for i, r := range regions {
-		u.inputs = append(u.inputs, &UnionInput{u: u, idx: i, region: r})
+	for i := range regions {
+		u.inputs = append(u.inputs, &UnionInput{u: u, idx: i})
 	}
 	return u, nil
 }

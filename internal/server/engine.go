@@ -180,12 +180,9 @@ func DefaultAdaptiveConfig(violationThreshold float64) budget.Config {
 type Engine struct {
 	cfg     Config
 	grid    *geom.Grid
-	fleet   *sensors.Fleet
-	fields  map[string]sensors.Field
 	budgets *budget.Controller
 	handler *handler.Handler
 	fab     *topology.Fabricator
-	rng     *stats.RNG
 
 	// planWeights are the resolved cost-model weights; adaptive is the
 	// rate-retune controller (nil when Config.AdaptiveRates is off).
@@ -351,12 +348,9 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 	e := &Engine{
 		cfg:         cfg,
 		grid:        grid,
-		fleet:       fleet,
-		fields:      fields,
 		budgets:     budgets,
 		handler:     h,
 		fab:         fab,
-		rng:         rng,
 		planWeights: planWeights,
 		adaptive:    adaptive,
 		source:      src,
@@ -380,9 +374,6 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 
 // Grid returns the engine's grid.
 func (e *Engine) Grid() *geom.Grid { return e.grid }
-
-// Fleet returns the sensor fleet.
-func (e *Engine) Fleet() *sensors.Fleet { return e.fleet }
 
 // Budgets returns the budget controller.
 func (e *Engine) Budgets() *budget.Controller { return e.budgets }

@@ -35,9 +35,9 @@ import (
 //     sequence of frames and the response streams ndjson ack lines, one
 //     per frame.
 //
-// Bodies may be compressed (Content-Encoding: gzip or deflate; zstd once a
-// decompressor is registered). Decompressed sizes are capped per batch —
-// a compression bomb gets 413, an unknown encoding 415.
+// Bodies may be compressed (Content-Encoding: gzip or deflate).
+// Decompressed sizes are capped per batch — a compression bomb gets 413,
+// any other encoding (zstd included) 415.
 //
 // A batch object is {"attr","watermark","observations":[…]}: attr is the
 // default attribute for observations that carry none; watermark, when

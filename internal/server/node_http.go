@@ -16,9 +16,6 @@ const HeaderExpectNode = "X-CrAQR-Expect-Node"
 // standalone behavior.
 func (s *HTTPServer) SetNodeName(name string) { s.nodeName = name }
 
-// NodeName returns the advertised cluster node name ("" standalone).
-func (s *HTTPServer) NodeName() string { return s.nodeName }
-
 // handleNodeDurable lists every session with durable state under this
 // node's durability root, live or not. Nodes sharing one volume all report
 // the same set; the gateway scans it to reconcile ring ownership.

@@ -62,9 +62,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // math/rand semantics.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

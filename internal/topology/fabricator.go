@@ -538,16 +538,11 @@ func (f *Fabricator) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Attrs returns the attributes with materialized pipelines, sorted — the
-// set of attributes an epoch must ingest (possibly empty batches) so merge
-// slices complete and F-operators report violations for starved cells.
-func (f *Fabricator) Attrs() []string {
-	return f.AppendAttrs(nil)
-}
-
-// AppendAttrs appends the sorted attribute set to dst and returns the
-// extended slice — the allocation-free variant of Attrs for the epoch hot
-// path (pass a scratch slice with capacity).
+// AppendAttrs appends the attributes with materialized pipelines, sorted,
+// to dst and returns the extended slice — the set of attributes an epoch
+// must ingest (possibly empty batches) so merge slices complete and
+// F-operators report violations for starved cells. Pass a scratch slice with
+// capacity: the epoch hot path allocates nothing here.
 func (f *Fabricator) AppendAttrs(dst []string) []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -17,10 +16,9 @@ import (
 // route's limit fails with ErrBodyTooLarge (HTTP 413), not an OOM.
 //
 // gzip and deflate ride on the stdlib. zstd has no stdlib implementation
-// and this repo takes no dependencies, so it is a registration hook:
-// RegisterDecompressor("zstd", ...) plugs one in, and until then zstd
-// requests fail with ErrUnsupportedEncoding (HTTP 415) naming the
-// encodings that do work.
+// and this repo takes no dependencies, so zstd requests, like any other
+// token, fail with ErrUnsupportedEncoding (HTTP 415) naming the encodings
+// that do work.
 
 var (
 	// ErrUnsupportedEncoding marks a Content-Encoding this build cannot
@@ -31,40 +29,10 @@ var (
 	ErrBodyTooLarge = errors.New("wire: request body exceeds size limit")
 )
 
-// Decompressor inflates one request body. Registered implementations must
-// be safe for concurrent use (each call returns an independent reader).
-type Decompressor func(io.Reader) (io.ReadCloser, error)
-
-var decompressors = struct {
-	sync.RWMutex
-	m map[string]Decompressor
-}{m: map[string]Decompressor{}}
-
-// RegisterDecompressor installs an inflater for a Content-Encoding token
-// (e.g. "zstd"). It panics on the built-in tokens, which cannot be
-// overridden.
-func RegisterDecompressor(encoding string, d Decompressor) {
-	switch encoding {
-	case "", "identity", "gzip", "x-gzip", "deflate":
-		panic("wire: cannot override built-in content encoding " + encoding)
-	}
-	decompressors.Lock()
-	defer decompressors.Unlock()
-	decompressors.m[encoding] = d
-}
-
 // Encodings lists the Content-Encoding tokens this process accepts, for
-// the gateway's capability advertisement. Always includes identity, gzip,
-// and deflate; registered hooks (zstd) appear once installed.
+// the gateway's capability advertisement.
 func Encodings() []string {
-	decompressors.RLock()
-	extra := make([]string, 0, len(decompressors.m))
-	for k := range decompressors.m {
-		extra = append(extra, k)
-	}
-	decompressors.RUnlock()
-	sort.Strings(extra)
-	return append([]string{"identity", "gzip", "deflate"}, extra...)
+	return []string{"identity", "gzip", "deflate"}
 }
 
 // Decompress wraps body according to a Content-Encoding token. The empty
@@ -83,13 +51,7 @@ func Decompress(body io.Reader, encoding string) (io.ReadCloser, error) {
 	case "deflate":
 		return borrowFlateReader(body), nil
 	}
-	decompressors.RLock()
-	d := decompressors.m[encoding]
-	decompressors.RUnlock()
-	if d == nil {
-		return nil, fmt.Errorf("%w: %q (accepted: %v)", ErrUnsupportedEncoding, encoding, Encodings())
-	}
-	return d(body)
+	return nil, fmt.Errorf("%w: %q (accepted: %v)", ErrUnsupportedEncoding, encoding, Encodings())
 }
 
 // ReadBody reads all of r into buf (growing it as needed) up to limit
@@ -203,7 +165,7 @@ func (p *pooledFlateReader) Close() error {
 	return nil
 }
 
-// --- gzip encode (client / loadgen side) ---
+// --- gzip encode (client side) ---
 
 var gzipWriterPool sync.Pool
 

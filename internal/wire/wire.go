@@ -20,8 +20,8 @@
 //     and decoded without parsing text at all.
 //
 // Request bodies may additionally be compressed (Content-Encoding: gzip
-// or deflate, zstd via a pluggable hook); see compress.go for the pooled
-// readers and the decompression-bomb cap.
+// or deflate); see compress.go for the pooled readers and the
+// decompression-bomb cap.
 //
 // Decoders are pooled: BorrowDecoder/Release recycle the tokenizer's
 // scratch (tuple storage, attr intern table, unescape buffer) through a

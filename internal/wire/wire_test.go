@@ -609,30 +609,6 @@ func TestDecompressIdentityAndUnknown(t *testing.T) {
 	}
 }
 
-func TestDecompressRegisteredHook(t *testing.T) {
-	RegisterDecompressor("test-rot0", func(r io.Reader) (io.ReadCloser, error) {
-		return io.NopCloser(r), nil
-	})
-	rc, err := Decompress(strings.NewReader("payload"), "test-rot0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	got, _ := io.ReadAll(rc)
-	if string(got) != "payload" {
-		t.Fatalf("hook output: %q", got)
-	}
-	found := false
-	for _, e := range Encodings() {
-		if e == "test-rot0" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered encoding not advertised")
-	}
-}
-
 func TestGzipBombHitsCap(t *testing.T) {
 	// 64 MiB of zeros compresses to ~64 KiB; the cap must trip on the
 	// decompressed size long before 64 MiB is buffered.

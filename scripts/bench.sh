@@ -6,8 +6,7 @@
 #   BENCH='BenchmarkResultStore' scripts/bench.sh   # bounded result-store path
 #
 # BENCH filters benchmarks (default: all, including BenchmarkResultStore's
-# ring write/wraparound/cursor-read suite, BenchmarkFusedPipeline's
-# fused-vs-unfused depth/batch matrix, the ingest wire suite —
+# ring write/wraparound/cursor-read suite, the ingest wire suite —
 # BenchmarkWireDecode's zero-alloc JSON/binary batch decode,
 # BenchmarkIngestAck's pooled ack rendering, BenchmarkIngest's per-codec
 # decode→enqueue→epoch-assembly path with tuples/s, BenchmarkEpochAssembly's
@@ -24,10 +23,10 @@
 # BENCHTIME sets -benchtime. scripts/bench_guard.sh compares fresh
 # BenchmarkEndToEnd + BenchmarkIngest* + BenchmarkWire* +
 # BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkEpochFanout +
-# BenchmarkMLE + BenchmarkFlattenSteady runs against the
-# newest committed BENCH_*.json and fails on >15% ns/op regression.
-# scripts/load.sh merges HTTP load-harness results (p50/p99, tuples/s)
-# into the same BENCH_<date>.json.
+# BenchmarkMLE + BenchmarkFlattenSteady runs against the one committed
+# BENCH_*.json and fails on >15% ns/op regression, or when it finds more
+# than one: a PR that commits a new BENCH_<date>.json deletes the one it
+# supersedes (git history keeps the trajectory).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

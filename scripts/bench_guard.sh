@@ -16,11 +16,8 @@
 # cold fit at n = 128/1000/10000 on windows at t0 = 0 and 10⁶ — the pairs
 # guard that a fit's cost does not grow with session age) and
 # BenchmarkFlattenSteady (one F-operator over a moving window with fresh
-# tuples per batch, the daemon's shape) and BenchmarkLoad*
-# (none today; reserved for in-process load benchmarks — scripts/load.sh's
-# HTTP loadgen entries are recorded in BENCH_*.json but not re-run here)
-# and compares ns/op per sub-benchmark
-# against the newest committed BENCH_*.json trajectory file, failing when
+# tuples per batch, the daemon's shape) and compares ns/op per sub-benchmark
+# against the one committed BENCH_*.json trajectory file, failing when
 # any sub-benchmark is more than BENCH_TOLERANCE_PCT percent slower
 # (default 15). Benchmarks present in only one side are reported and
 # skipped, so adding a benchmark before its first committed baseline is
@@ -37,7 +34,7 @@
 # This compares capability — the fastest the code actually ran — the
 # same policy as shard_guard.sh.
 #
-#   scripts/bench_guard.sh                      # guard against newest baseline
+#   scripts/bench_guard.sh                      # guard against the committed baseline
 #   BENCH_TOLERANCE_PCT=25 scripts/bench_guard.sh
 #   RETRY_COUNT=7 RETRY_BENCHTIME=500ms RETRY_COOLDOWN=20 scripts/bench_guard.sh
 #
@@ -47,10 +44,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-base=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
+# One trajectory file: a PR that commits a new BENCH_<date>.json deletes the
+# one it supersedes (scripts/bench.sh), so there is no "newest" to pick.
+# Tracked files only: an untracked BENCH_<today>.json left by a local
+# scripts/bench.sh run is not a commit (outside git, every file counts).
+base=$(git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null || true)
 if [ -z "$base" ]; then
     echo "bench_guard: no BENCH_*.json baseline committed; nothing to guard"
     exit 0
+fi
+if [ "$(printf '%s\n' "$base" | wc -l)" -ne 1 ]; then
+    echo "bench_guard: exactly one BENCH_*.json may be committed, found" $base "— delete the superseded one(s)" >&2
+    exit 1
 fi
 tol="${BENCH_TOLERANCE_PCT:-15}"
 echo "bench_guard: comparing against $base (tolerance ${tol}%)"
@@ -58,13 +63,13 @@ echo "bench_guard: comparing against $base (tolerance ${tol}%)"
 raw=$(mktemp) basevals=$(mktemp) curvals=$(mktemp) failing=$(mktemp)
 trap 'rm -f "$raw" "$basevals" "$curvals" "$failing"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWire|BenchmarkLoad|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWire|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
 
 # Baseline pairs (name ns_per_op) from the JSON written by bench.sh.
-sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|Wire\|Load\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
+sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|Wire\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
     | sed 's/-[0-9]* / /' > "$basevals"
 # Current pairs from the benchmark output, best ns/op per name.
-awk '/^Benchmark(EndToEnd|Ingest|Wire|Load|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
+awk '/^Benchmark(EndToEnd|Ingest|Wire|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
     | sed 's/-[0-9]* / /' > "$curvals"
 
 if [ ! -s "$curvals" ]; then

@@ -15,10 +15,12 @@
 #      method-less ones) — the single-session façade cannot come back
 #      unnoticed;
 #   4. the session-spec field table under `### POST /v1/sessions` lists
-#      exactly the json tags of sessionSpecJSON in http.go.
-#
+#      exactly the json tags of sessionSpecJSON in http.go;
 #   5. the keys of /status `topology.program` rendered by http.go are
-#      exactly those of the status example in docs/API.md.
+#      exactly those of the status example in docs/API.md;
+#   6. every cmd/…, scripts/…, internal/… or examples/… path named in
+#      README.md, DESIGN.md or docs/API.md exists in the tree (no
+#      documentation of deleted binaries, scripts or packages).
 #
 # Exits non-zero with one line per mismatch; CI runs this next to
 # bench_guard.sh.
@@ -92,6 +94,18 @@ if [ -z "$code_program" ] || [ "$code_program" != "$doc_program" ]; then
   echo "docs_check: /status topology.program is {$(echo $code_program)} in $HTTP_GO but {$(echo $doc_program)} in $API_MD" >&2
   fail=1
 fi
+
+# Repository paths named in the docs: trailing sentence punctuation is
+# stripped, and a glob such as scripts/*.sh stops the match before its `*`.
+for doc in README.md DESIGN.md "$API_MD"; do
+  while IFS= read -r path; do
+    [ -z "$path" ] && continue
+    if [ ! -e "$path" ]; then
+      echo "docs_check: $doc names '$path', which does not exist" >&2
+      fail=1
+    fi
+  done <<<"$(grep -oE '\b(cmd|scripts|internal|examples)/[A-Za-z0-9_./-]+' "$doc" | sed -E 's/[.,;:)]+$//' | sort -u)"
+done
 
 if [ "$fail" -ne 0 ]; then
   exit 1
