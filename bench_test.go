@@ -1167,19 +1167,24 @@ func BenchmarkIngest(b *testing.B) {
 // between two attributes in one frame (epoch_fanout), the same spread over
 // eight attributes, and a single-attribute epoch that arrives already in
 // (T, ID) order. Event times are thousandths of the epoch in random order
-// with ascending IDs, as the benchmark's corpus generates them.
+// with ascending IDs, as the benchmark's corpus generates them. onebucket is
+// the ordering pass's worst case on the 4096x2attr shape: the same
+// thousandths squeezed into the first 2⁻¹³ of the epoch, with one tuple per
+// attribute at three quarters of it, so each run's counting pass puts all but
+// one key into a single bucket and a nested pass orders them.
 func BenchmarkEpochAssembly(b *testing.B) {
 	region := geom.NewRect(0, 0, 8, 8)
 	attrs := []string{"rain", "temp", "wind", "co2", "no2", "pm10", "pm25", "o3"}
 	for _, shape := range []struct {
-		name             string
-		n, frames, attrs int
-		presorted        bool
+		name                 string
+		n, frames, attrs     int
+		presorted, onebucket bool
 	}{
-		{"16384x1attr", 16384, 64, 1, false},
-		{"4096x2attr", 4096, 1, 2, false},
-		{"4096x8attr", 4096, 1, 8, false},
-		{"presorted", 4096, 1, 1, true},
+		{name: "16384x1attr", n: 16384, frames: 64, attrs: 1},
+		{name: "4096x2attr", n: 4096, frames: 1, attrs: 2},
+		{name: "4096x8attr", n: 4096, frames: 1, attrs: 8},
+		{name: "presorted", n: 4096, frames: 1, attrs: 1, presorted: true},
+		{name: "onebucket", n: 4096, frames: 1, attrs: 2, onebucket: true},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			q := ingest.NewQueue(ingest.Config{Buffer: 4 * shape.n, Region: region})
@@ -1194,6 +1199,12 @@ func BenchmarkEpochAssembly(b *testing.B) {
 				frac[i] = float64(rng.Intn(1000)) / 1000
 				if shape.presorted {
 					frac[i] = float64(i) / float64(shape.n)
+				}
+				if shape.onebucket {
+					frac[i] /= 1 << 13
+					if i < shape.attrs {
+						frac[i] = 0.75
+					}
 				}
 				tuples[i] = stream.Tuple{
 					Attr: attrs[i%shape.attrs],

@@ -137,14 +137,43 @@ func newFrame(w geom.Window) (frame, error) {
 	return f, nil
 }
 
-// points is the solver's read-only view of a batch: events, or the tuples of
-// a stream batch read in place.
+// points is the solver's view of a batch: every point's coordinates in the
+// window's centred frame — t, x, y measured from the centre in half-widths —
+// as three columns, normalised once per fit. A pass reads 24 bytes per point
+// and nothing else, wherever the points came from.
 type points struct {
-	events []mdpp.Event
-	tuples []stream.Tuple
+	u, v, w []float64
 }
 
-func (p points) len() int { return len(p.events) + len(p.tuples) }
+// borrowPoints returns the columns of n points, carved out of one borrowed
+// buffer the caller releases after the fit.
+func borrowPoints(n int) (points, *stream.FloatBuffer) {
+	buf := stream.BorrowFloats(3 * n)
+	return points{u: buf.Vals[:n], v: buf.Vals[n : 2*n], w: buf.Vals[2*n:]}, buf
+}
+
+func (p points) len() int { return len(p.u) }
+
+// set stores the point (t, x, y) as point i, in fr's coordinates.
+func (p points) set(i int, fr *frame, t, x, y float64) {
+	p.u[i], p.v[i], p.w[i] = (t-fr.ct)*fr.st, (x-fr.cx)*fr.sx, (y-fr.cy)*fr.sy
+}
+
+// setEvents fills the columns from events (len p.len()).
+func (p points) setEvents(fr *frame, events []mdpp.Event) {
+	for i := range events {
+		e := &events[i]
+		p.set(i, fr, e.T, e.X, e.Y)
+	}
+}
+
+// setTuples fills the columns from tuples (len p.len()).
+func (p points) setTuples(fr *frame, tuples []stream.Tuple) {
+	for i := range tuples {
+		tp := &tuples[i]
+		p.set(i, fr, tp.T, tp.X, tp.Y)
+	}
+}
 
 // sums is what one pass over the batch at a point c yields: everything the
 // Newton iteration and Eq. (3) need there.
@@ -159,20 +188,16 @@ type sums struct {
 // pass evaluates the batch at c. inv, when non-nil, receives 1/λ_i for every
 // point (clamped rates included), so the last pass of a fit leaves the
 // reciprocal rates of the returned optimum behind.
-func (p points) pass(fr *frame, c Centred, floor float64, inv []float64) sums {
+func (p points) pass(c Centred, floor float64, inv []float64) sums {
 	var g0, g1, g2, g3 float64
 	var h00, h01, h02, h03, h11, h12, h13, h22, h23, h33 float64
 	low := false
-	for i, n := 0, p.len(); i < n; i++ {
-		var t, x, y float64
-		if p.tuples != nil {
-			tp := &p.tuples[i]
-			t, x, y = tp.T, tp.X, tp.Y
-		} else {
-			e := &p.events[i]
-			t, x, y = e.T, e.X, e.Y
-		}
-		u, v, w := (t-fr.ct)*fr.st, (x-fr.cx)*fr.sx, (y-fr.cy)*fr.sy
+	us, vs, ws := p.u, p.v[:len(p.u)], p.w[:len(p.u)]
+	if inv != nil {
+		inv = inv[:len(us)]
+	}
+	for i, u := range us {
+		v, w := vs[i], ws[i]
 		lam := c[0] + c[1]*u + c[2]*v + c[3]*w
 		if !(lam >= floor) {
 			low = true
@@ -278,8 +303,8 @@ const maxProbes = 12
 // another pass to trim it.
 const overshoot = 0.25
 
-// solve maximizes the Poisson log-likelihood of p on fr from start (nil:
-// the homogeneous rate). In centred coordinates ℓ(c) = Σ log λ_i − c0·vol,
+// solve maximizes the Poisson log-likelihood of p, on a window of volume vol,
+// from start (nil: the homogeneous rate). In centred coordinates ℓ(c) = Σ log λ_i − c0·vol,
 // so the gradient is (g0 − vol, g1, g2, g3) and −H is sums.h; every
 // evaluation point costs one pass and no logarithm. A step length s along
 // the Newton direction δ is judged by the directional derivative at c+sδ
@@ -291,31 +316,40 @@ const overshoot = 0.25
 // filled inv.
 //
 // A batch that cannot be fitted — the homogeneous start itself infeasible,
-// or −H singular — yields the homogeneous rate, not converged.
-func (p points) solve(fr *frame, start *Centred, opts Options, inv []float64) fit {
+// or −H singular — yields the homogeneous rate, not converged. So does a fit
+// from a feasible start that stops short of converging: ascent promises no
+// more than the likelihood it started from, which below the homogeneous
+// rate's is worse than no fit at all (a cold fit that stops short is returned
+// as it stands: it started there).
+func (p points) solve(vol float64, start *Centred, opts Options, inv []float64) fit {
 	n := float64(p.len())
-	cold := Centred{n / fr.vol, 0, 0, 0}
+	cold := Centred{n / vol, 0, 0, 0}
 	out := fit{c: cold}
 	var s sums
 	eval := func(c Centred) sums {
 		out.passes++
-		return p.pass(fr, c, opts.RateFloor, inv)
+		return p.pass(c, opts.RateFloor, inv)
 	}
+	warm := false
 	if start != nil {
 		out.c = *start
 		s = eval(out.c)
+		warm = !s.low
 	}
-	if start == nil || s.low {
+	if !warm {
 		out.c = cold
 		s = eval(out.c)
 	}
 	for !s.low {
-		g := [4]float64{s.g[0] - fr.vol, s.g[1], s.g[2], s.g[3]}
+		g := [4]float64{s.g[0] - vol, s.g[1], s.g[2], s.g[3]}
 		delta, dec, ok := newtonStep(&s.h, &g)
 		if !ok {
 			break
 		}
 		if out.converged = dec <= opts.Tol*n; out.converged || out.iterations == opts.MaxIter {
+			if !out.converged && warm {
+				break
+			}
 			out.lambdaC = s.g[0]
 			return out
 		}
@@ -330,7 +364,7 @@ func (p points) solve(fr *frame, start *Centred, opts Options, inv []float64) fi
 				step /= 2
 				continue
 			}
-			d := (sc.g[0]-fr.vol)*delta[0] + sc.g[1]*delta[1] + sc.g[2]*delta[2] + sc.g[3]*delta[3]
+			d := (sc.g[0]-vol)*delta[0] + sc.g[1]*delta[1] + sc.g[2]*delta[2] + sc.g[3]*delta[3]
 			if d >= -overshoot*dec {
 				out.c, s, accepted = cand, sc, true
 				out.iterations++
@@ -339,6 +373,9 @@ func (p points) solve(fr *frame, start *Centred, opts Options, inv []float64) fi
 			}
 		}
 		if !accepted {
+			if warm {
+				break
+			}
 			// inv holds a rejected probe's rates; put back those of out.c.
 			out.lambdaC = eval(out.c).g[0]
 			return out
@@ -357,8 +394,9 @@ func (p points) solve(fr *frame, start *Centred, opts Options, inv []float64) fi
 // window w. It requires a non-empty window and at least four events (the
 // number of parameters). The returned Result reports convergence; a
 // non-converged fit is still usable (finite, every event's rate at or above
-// the floor) but flagged — a batch that does not determine θ comes back as
-// the homogeneous rate, not converged.
+// the floor) but flagged — a batch that does not determine θ, or a
+// warm-started fit that stopped short, comes back as the homogeneous rate,
+// not converged.
 func FitMLE(events []mdpp.Event, w geom.Window, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	fr, err := newFrame(w)
@@ -373,7 +411,10 @@ func FitMLE(events []mdpp.Event, w geom.Window, opts Options) (Result, error) {
 		c := CentredOf(*opts.Warmstart, w)
 		start = &c
 	}
-	f := points{events: events}.solve(&fr, start, opts, nil)
+	p, buf := borrowPoints(len(events))
+	defer buf.Release()
+	p.setEvents(&fr, events)
+	f := p.solve(fr.vol, start, opts, nil)
 	return Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged}, nil
 }
 
@@ -397,10 +438,14 @@ func FitBatch(tuples []stream.Tuple, w geom.Window, warm *Centred, inv []float64
 	if err != nil {
 		return BatchFit{}, fmt.Errorf("estimate: FitBatch: %w", err)
 	}
-	if len(tuples) < 4 {
+	n := len(tuples)
+	if n < 4 {
 		return BatchFit{}, errors.New("estimate: FitBatch requires at least 4 tuples")
 	}
-	f := points{tuples: tuples}.solve(&fr, warm, Options{}.withDefaults(), inv)
+	p, buf := borrowPoints(n)
+	defer buf.Release()
+	p.setTuples(&fr, tuples)
+	f := p.solve(fr.vol, warm, Options{}.withDefaults(), inv)
 	return BatchFit{
 		Result:  Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged},
 		Centred: f.c,

@@ -52,6 +52,10 @@ func FuzzFitMLE(f *testing.F) {
 	f.Add(int64(4), uint16(40), 5.0, 5.0, 2.0, 3.0, uint8(3), false)
 	f.Add(int64(5), uint16(64), -3.0, 7.0, 1e-3, 1e3, uint8(4), true)
 	f.Add(int64(6), uint16(300), 1e12, 0.0, 60.0, 0.5, uint8(5), false)
+	// Seven events on one side of the centre, warm: the likelihood is unbounded
+	// and the iterates, started below the homogeneous rate's, run out of
+	// iterations still below it.
+	f.Add(int64(83), uint16(4096), 1.000000065e+09, 1e6, 1.0, 2.4000000000000004, uint8(0), true)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, t0, xy0, dur, side float64, layout uint8, warm bool) {
 		w := geom.Window{T0: t0, T1: t0 + dur, Rect: geom.NewRect(xy0, xy0, xy0+side, xy0+side)}
 		ev := fuzzEvents(stats.NewRNG(seed), w, 4+int(n%4093), layout)

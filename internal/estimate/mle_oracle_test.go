@@ -266,7 +266,7 @@ func TestFitMLEMatchesOracle(t *testing.T) {
 					// decrement at its θ (the kernel's sums are checked against
 					// its gradHess in TestPassMatchesOracleGradHess) tells the cases apart.
 					fr, _ := newFrame(w)
-					ws := points{events: ev}.pass(&fr, wantC, intensity.DefaultFloor, nil)
+					ws := eventPoints(&fr, ev).pass(wantC, intensity.DefaultFloor, nil)
 					_, dec, ok := newtonStep(&ws.h, &[4]float64{ws.g[0] - fr.vol, ws.g[1], ws.g[2], ws.g[3]})
 					if !want.Converged || ws.low || !ok || dec > 1e-10*float64(len(ev)) {
 						if got.Converged && centredLogLik(gotC, ev, w) < centredLogLik(wantC, ev, w)-1e-9*float64(len(ev)) {
@@ -281,8 +281,24 @@ func TestFitMLEMatchesOracle(t *testing.T) {
 					if gl, wl := centredLogLik(gotC, ev, w), centredLogLik(wantC, ev, w); gl < wl-1e-9*float64(len(ev)) {
 						t.Errorf("%s: ℓ = %.12g, oracle reached %.12g", id, gl, wl)
 					}
-					if d := centredDiff(gotC, wantC); d > 1e-5 {
-						t.Errorf("%s: θ %v, oracle %v (%g apart, centred)", id, got.Theta, want.Theta, d)
+					// θ is compared in the metric the stop rules control. A solver
+					// stops when the likelihood still to be gained — to second
+					// order half the decrement δᵀ(−H)δ of its distance δ to the
+					// optimum — is small, and that bounds δ along −H's strong
+					// directions only: on a batch whose −H is near-singular (eight
+					// events can lie close to a plane) a point inside the margin is
+					// far from the optimum in Euclidean terms, by an amount that
+					// depends on the sample drawn. So the two θ must lie within the
+					// two margins of each other in the −H norm: √(Tol·n) for the
+					// kernel's stop rule, √(1e-10·n) for the oracle points the
+					// decrement test above lets through, doubled because −H is
+					// taken at one of the two points. On a well-conditioned batch
+					// that is the relative 1e-5 this test used to pin.
+					nEv := float64(len(ev))
+					bound := 2 * (math.Sqrt(Options{}.withDefaults().Tol*nEv) + math.Sqrt(1e-10*nEv))
+					if d := hNorm(&ws.h, gotC, wantC); d > bound {
+						t.Errorf("%s: θ %v, oracle %v (%g apart in the −H norm, want ≤ %g; %g centred)",
+							id, got.Theta, want.Theta, d, bound, centredDiff(gotC, wantC))
 					}
 				}
 			}
@@ -291,6 +307,28 @@ func TestFitMLEMatchesOracle(t *testing.T) {
 	if compared < 200 {
 		t.Fatalf("only %d batches compared, want at least 200", compared)
 	}
+}
+
+// hNorm is √((a−b)ᵀ·H·(a−b)) for H given as sums.h stores it: the upper
+// triangle by rows.
+func hNorm(h *[10]float64, a, b Centred) float64 {
+	var d [4]float64
+	for k := range d {
+		d[k] = a[k] - b[k]
+	}
+	full := [4][4]float64{
+		{h[0], h[1], h[2], h[3]},
+		{h[1], h[4], h[5], h[6]},
+		{h[2], h[5], h[7], h[8]},
+		{h[3], h[6], h[8], h[9]},
+	}
+	q := 0.0
+	for i := range d {
+		for j := range d {
+			q += d[i] * full[i][j] * d[j]
+		}
+	}
+	return math.Sqrt(math.Max(q, 0))
 }
 
 func norm4(v [4]float64) float64 {

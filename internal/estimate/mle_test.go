@@ -10,6 +10,15 @@ import (
 	"repro/internal/stream"
 )
 
+// eventPoints is ev as the solver's columns in fr's coordinates, on storage
+// of its own.
+func eventPoints(fr *frame, ev []mdpp.Event) points {
+	n := len(ev)
+	p := points{u: make([]float64, n), v: make([]float64, n), w: make([]float64, n)}
+	p.setEvents(fr, ev)
+	return p
+}
+
 // coldFit runs the solver from the homogeneous start with default options.
 func coldFit(t *testing.T, ev []mdpp.Event, w geom.Window) fit {
 	t.Helper()
@@ -17,7 +26,7 @@ func coldFit(t *testing.T, ev []mdpp.Event, w geom.Window) fit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return points{events: ev}.solve(&fr, nil, Options{}.withDefaults(), nil)
+	return eventPoints(&fr, ev).solve(fr.vol, nil, Options{}.withDefaults(), nil)
 }
 
 // centredLogLik is ℓ in w's centred coordinates, Σ log λ_i − c0·vol — the
@@ -61,7 +70,7 @@ func TestPassMatchesOracleGradHess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := points{events: ev}.pass(&fr, CentredOf(theta, w), 1e-9, nil)
+	s := eventPoints(&fr, ev).pass(CentredOf(theta, w), 1e-9, nil)
 	if s.low {
 		t.Fatal("a positive rate flagged as below the floor")
 	}
@@ -147,7 +156,7 @@ func TestFitMLEWarmstart(t *testing.T) {
 	}
 	fr, _ := newFrame(w)
 	base := coldFit(t, ev, w)
-	again := points{events: ev}.solve(&fr, &base.c, Options{}.withDefaults(), nil)
+	again := eventPoints(&fr, ev).solve(fr.vol, &base.c, Options{}.withDefaults(), nil)
 	if again.passes != 1 || again.iterations != 0 || !again.converged || again.c != base.c {
 		t.Fatalf("restart from the optimum: %+v, want the same point in one pass", again)
 	}
@@ -163,7 +172,7 @@ func TestFitMLEWarmstart(t *testing.T) {
 
 	// Negative over part of the window where events lie: infeasible.
 	stale := CentredOf(intensity.Theta{3, -2, 1, 5}, w)
-	fromStale := points{events: ev}.solve(&fr, &stale, Options{}.withDefaults(), nil)
+	fromStale := eventPoints(&fr, ev).solve(fr.vol, &stale, Options{}.withDefaults(), nil)
 	if fromStale.c != base.c || fromStale.iterations != base.iterations || fromStale.passes != base.passes+1 {
 		t.Fatalf("infeasible warm start: %+v, want the cold fit %+v plus one pass", fromStale, base)
 	}
@@ -313,6 +322,41 @@ func TestFitMLEDegenerate(t *testing.T) {
 	}
 }
 
+// TestFitWarmStoppedShortIsHomogeneous: a fit that runs out of iterations is
+// returned as it stands only when it started from the homogeneous rate, whose
+// likelihood ascent then keeps; from a warm start — here one far below the
+// homogeneous rate's likelihood — it comes back as the homogeneous rate.
+func TestFitWarmStoppedShortIsHomogeneous(t *testing.T) {
+	w := geom.Window{T0: 0, T1: 2, Rect: geom.NewRect(0, 0, 4, 4)}
+	ev := sampleLinear(t, intensity.Theta{2, 1, 3, 0.5}, w, 71)
+	hom := intensity.Theta{float64(len(ev)) / w.Volume(), 0, 0, 0}
+	far := Centred{40 * hom[0], 0, 0, 0}.Theta(w)
+	if LogLikelihood(far, ev, w) >= LogLikelihood(hom, ev, w) {
+		t.Fatal("the warm start is no worse than the homogeneous rate: the case tests nothing")
+	}
+	cold, err := FitMLE(ev, w, Options{MaxIter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Converged || cold.Iterations != 1 || cold.Theta == hom {
+		t.Errorf("cold, one iteration: %+v, want the first iterate", cold)
+	}
+	warm, err := FitMLE(ev, w, Options{MaxIter: 1, Warmstart: &far})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Converged || warm.Theta != hom {
+		t.Errorf("warm, one iteration: %+v, want the homogeneous rate %v, not converged", warm, hom)
+	}
+	full, err := FitMLE(ev, w, Options{Warmstart: &far})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Converged {
+		t.Errorf("warm, default iterations: %+v, want converged", full)
+	}
+}
+
 // TestFitBatchMatchesFitMLE: the tuple entry point is the same solver, and
 // what it leaves in inv is the reciprocal rate of the fit it returns.
 func TestFitBatchMatchesFitMLE(t *testing.T) {
@@ -353,5 +397,58 @@ func TestFitBatchMatchesFitMLE(t *testing.T) {
 	}
 	if next.Passes != 1 || !next.Converged || next.Centred != bf.Centred {
 		t.Fatalf("warm restart on the shifted window: %+v", next)
+	}
+}
+
+// TestFitBatchColumnsMatchEvents: the tuple entry point and the event entry
+// point fill the solver's columns with the same values, so they are the same
+// fit — θ, iterations, passes, λc and every reciprocal rate bit for bit, cold
+// and warm. The columns are normalised from either source with the same
+// expressions, and every pass sums them in index order.
+func TestFitBatchColumnsMatchEvents(t *testing.T) {
+	w := geom.Window{T0: 5, T1: 6, Rect: geom.NewRect(2, 2, 6, 6)}
+	ev := sampleLinear(t, intensity.Theta{4, 2, 0.5, -0.5}, w, 61)
+	n := len(ev)
+	rows := tuplesOf(ev)
+	fr, err := newFrame(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warm *Centred
+	for _, name := range []string{"cold", "warm"} {
+		invRows, invEv := make([]float64, n), make([]float64, n)
+		viaRows, err := FitBatch(rows, w, warm, invRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaEv := eventPoints(&fr, ev).solve(fr.vol, warm, Options{}.withDefaults(), invEv)
+		if viaEv.c != viaRows.Centred || viaEv.lambdaC != viaRows.LambdaC || viaEv.iterations != viaRows.Iterations ||
+			viaEv.passes != viaRows.Passes || viaEv.converged != viaRows.Converged {
+			t.Fatalf("%s: as events %+v, as tuples %+v", name, viaEv, viaRows)
+		}
+		for i := range invRows {
+			if invRows[i] != invEv[i] {
+				t.Fatalf("%s: inv[%d] = %x as tuples, %x as events", name, i,
+					math.Float64bits(invRows[i]), math.Float64bits(invEv[i]))
+			}
+		}
+		if name == "cold" {
+			res, err := FitMLE(ev, w, Options{})
+			if err != nil || res != viaRows.Result {
+				t.Fatalf("FitMLE %+v (%v), FitBatch %+v", res, err, viaRows.Result)
+			}
+			if !viaRows.Converged || viaRows.Iterations == 0 {
+				t.Fatalf("cold fit %+v: want a converged fit that iterated", viaRows)
+			}
+			// Warm from a perturbed optimum, so the warm fit iterates too.
+			start := viaRows.Centred
+			start[1] *= 0.5
+			warm = &start
+		} else if !viaRows.Converged || viaRows.Iterations == 0 || viaRows.Passes < 2 {
+			t.Fatalf("warm fit %+v: want a converged fit that iterated", viaRows)
+		}
+	}
+	if _, err := FitBatch(rows[:3], w, nil, make([]float64, 3)); err == nil {
+		t.Fatal("FitBatch accepted three tuples")
 	}
 }

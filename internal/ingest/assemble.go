@@ -3,6 +3,7 @@ package ingest
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/stream"
@@ -13,7 +14,8 @@ import (
 // run per attribute, attributes in sorted name order. It runs on memory no
 // producer can reach (see Queue.detach), never under the queue's lock, and
 // it never compares or moves a 64-byte stream.Tuple while ordering: it
-// orders 16-byte keys with a byte-wise LSD radix sort and moves each tuple
+// orders 16-byte keys — one counting pass on the bits that spread a run, an
+// insertion sort inside each bucket (radixSortKeys) — and moves each tuple
 // exactly once, in the final gather.
 
 // sortKey is one tuple's ordering image: w is the word being sorted on —
@@ -42,10 +44,11 @@ func timeKey(t float64) uint64 {
 
 // attrRun is one attribute's share of the epoch: how many tuples, where its
 // run starts in key order, and what the single build pass learned about the
-// keys — which bits of T and ID vary at all (only those bytes need a radix
-// pass), whether IDs already ascend in arrival order (then a stable sort on
-// T alone leaves every T-tie in ID order and the ID passes are skipped), and
-// whether the keys arrived fully sorted (then nothing is sorted at all).
+// keys — which bits of T and ID vary at all (the highest of them is where
+// radixSortKeys' bucket digit starts), whether IDs already ascend in arrival
+// order (then a stable sort on T alone leaves every T-tie in ID order and the
+// ID phase is skipped), and whether the keys arrived fully sorted (then
+// nothing is sorted at all).
 type attrRun struct {
 	name           string
 	n, start, next int    // next is the counting scatter's write cursor
@@ -69,6 +72,7 @@ type assembler struct {
 	index map[string]uint32 // name → run, populated only past linearAttrs
 	keys  []sortKey
 	tmp   []sortKey
+	hist  []uint32 // radixSortKeys' bucket counts: at most 1<<maxBucketBits per pass, nested passes stacked
 }
 
 // lookup returns name's slot in the attribute table, adding it on first
@@ -110,19 +114,26 @@ func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
 	a.keys = slices.Grow(a.keys[:0], len(src))[:len(src)]
 	a.tmp = slices.Grow(a.tmp[:0], len(src))[:len(src)]
 
-	// One pass builds every key and everything the later steps decide on.
-	cur, curName := uint32(0), ""
+	// One pass builds every key and everything the later steps decide on. The
+	// slot of the attribute seen before the current one is remembered too, so
+	// a frame that interleaves two attributes looks neither up per tuple.
+	var cur, prev uint32
+	var curName, prevName string
 	if len(src) > 0 {
 		if byAttr {
 			curName = src[0].Attr
 		}
 		cur = a.lookup(curName)
+		prev, prevName = cur, curName
 	}
 	for i := range src {
 		tp := &src[i]
 		if byAttr && tp.Attr != curName {
-			curName = tp.Attr
-			cur = a.lookup(curName)
+			cur, curName, prev, prevName = prev, prevName, cur, curName
+			if tp.Attr != curName {
+				curName = tp.Attr
+				cur = a.lookup(curName)
+			}
 		}
 		r := &a.runs[cur]
 		t, id := timeKey(tp.T), tp.ID
@@ -172,17 +183,17 @@ func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
 		if r.idsAsc {
 			// A stable sort on T alone leaves every T-tie in arrival order,
 			// which here is ID order.
-			radixSortKeys(keys, tmp, r.tDiff)
+			a.radixSortKeys(keys, tmp, r.tDiff, 0)
 		} else {
 			// LSD over the pair: order by ID first, then stably by T.
 			for j := range keys {
 				keys[j].w = src[keys[j].idx].ID
 			}
-			radixSortKeys(keys, tmp, r.idDiff)
+			a.radixSortKeys(keys, tmp, r.idDiff, 0)
 			for j := range keys {
 				keys[j].w = timeKey(src[keys[j].idx].T)
 			}
-			radixSortKeys(keys, tmp, r.tDiff)
+			a.radixSortKeys(keys, tmp, r.tDiff, 0)
 		}
 	}
 }
@@ -199,45 +210,78 @@ func (a *assembler) gather(dst, src []stream.Tuple) []stream.Tuple {
 	return dst
 }
 
-// radixSortKeys sorts keys by w with a stable byte-wise LSD radix sort,
-// using tmp (same length) as the ping-pong buffer. Only bytes with a bit set
-// in diff get a pass: a byte every key agrees on cannot reorder anything,
-// and inside one epoch window the sign, exponent and top mantissa bytes of T
-// are exactly that. Stability is what makes the tie rule hold — keys equal
-// in w stay in the order they came in.
-func radixSortKeys(keys, tmp []sortKey, diff uint64) {
-	var shifts [8]uint8
-	nd := 0
-	for s := uint8(0); s < 64; s += 8 {
-		if diff>>s&0xff != 0 {
-			shifts[nd] = s
-			nd++
-		}
+// maxBucketBits caps the counting pass's digit: 4096 buckets of uint32 counts
+// stay inside the L1 cache beside the keys being scattered.
+const maxBucketBits = 12
+
+// insertionBound is the largest bucket ordered by insertion. The counting
+// pass makes about as many buckets as there are keys, so a bucket holds a
+// handful unless the run's times cluster; up to this size shifting 16-byte
+// keys costs less than another counting pass.
+const insertionBound = 48
+
+// radixSortKeys sorts keys by w, stably, using tmp (same length) as the
+// scatter buffer. diff has a bit set wherever two keys of the run differ: the
+// bits above its highest one cannot reorder anything — inside one epoch
+// window that is the sign, the exponent and the top of T's mantissa — and the
+// ⌈log₂ n⌉ bits from there down (at most maxBucketBits) are where n keys
+// spread over that range tell themselves apart. One stable counting pass on
+// that digit leaves the buckets in order and each bucket in arrival order; a
+// stable insertion sort then orders each bucket as it is copied back. A
+// bucket past insertionBound — the run's times cluster, or were built to — is
+// ordered by the same pass on the bits its own keys differ in: those lie
+// below the digit that put them together, which for more than insertionBound
+// keys is at least six bits wide, so the passes nest at most 64/6 deep and
+// the worst case is that many passes over the run, never quadratic. The
+// nested pass's counts sit above this one's in a.hist (base is where this
+// one's begin; 0 for a run). Every step is stable, which is what makes the
+// tie rule hold — keys equal in w stay in the order they came in — and makes
+// the result the one permutation a stable sort by w has, whichever steps
+// produced it.
+func (a *assembler) radixSortKeys(keys, tmp []sortKey, diff uint64, base int) {
+	if diff == 0 {
+		return
 	}
-	// All histograms in one read of the keys.
-	var hist [8][256]uint32
+	top := bits.Len64(diff)
+	width := min(bits.Len(uint(len(keys)-1)), maxBucketBits, top)
+	shift, mask := uint(top-width), uint64(1)<<width-1
+	a.hist = slices.Grow(a.hist[:base], 1<<width)[:base+1<<width]
+	hist := a.hist[base:]
+	clear(hist)
 	for i := range keys {
-		w := keys[i].w
-		for d := 0; d < nd; d++ {
-			hist[d][uint8(w>>shifts[d])]++
-		}
+		hist[keys[i].w>>shift&mask]++
 	}
-	src, dst := keys, tmp
-	for d := 0; d < nd; d++ {
-		h := &hist[d]
-		sum := uint32(0)
-		for b := range h {
-			h[b], sum = sum, sum+h[b]
-		}
-		s := shifts[d]
-		for i := range src {
-			b := uint8(src[i].w >> s)
-			dst[h[b]] = src[i]
-			h[b]++
-		}
-		src, dst = dst, src
+	sum := uint32(0)
+	for b := range hist {
+		hist[b], sum = sum, sum+hist[b]
 	}
-	if nd%2 == 1 {
-		copy(keys, tmp)
+	for i := range keys {
+		b := keys[i].w >> shift & mask
+		tmp[hist[b]] = keys[i]
+		hist[b]++
+	}
+	// hist[b] is now where bucket b ends. A nested pass writes above these
+	// counts — or, having outgrown a.hist, into its successor — never to them.
+	lo := 0
+	for _, end := range hist {
+		hi := int(end)
+		if hi-lo > insertionBound {
+			bucket := keys[lo:hi]
+			copy(bucket, tmp[lo:hi])
+			var d uint64
+			for i := range bucket {
+				d |= bucket[i].w ^ bucket[0].w
+			}
+			a.radixSortKeys(bucket, tmp[lo:hi], d, base+len(hist))
+		} else {
+			for i := lo; i < hi; i++ {
+				k, j := tmp[i], i
+				for ; j > lo && keys[j-1].w > k.w; j-- {
+					keys[j] = keys[j-1]
+				}
+				keys[j] = k
+			}
+		}
+		lo = hi
 	}
 }

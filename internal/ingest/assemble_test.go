@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,6 +128,9 @@ func sameEpoch(a, b map[string]stream.Batch) error {
 
 // assemblyCase parameterizes one randomized differential run; the fuzz
 // target maps its arguments onto the same struct.
+// tModes is the number of event-time shapes genEpoch knows.
+const tModes = 8
+
 type assemblyCase struct {
 	seed   int64
 	n      int   // tuples per epoch
@@ -140,14 +144,18 @@ type assemblyCase struct {
 // few batches. tMode 0 spreads T uniformly over the window, 1 snaps it to
 // eighths (heavy ties), 2 arrives presorted, 3 keeps a quarter for the next
 // epoch (partial drain) and sends another quarter into the past (late), 4
-// collapses T onto ±0 in the epoch around zero. idMode 0 assigns ascending
-// IDs, 1 descending, 2 shuffled, 3 leaves them to the gateway, 4 mixes
-// gateway and producer IDs.
+// collapses T onto ±0 in the epoch around zero. The last three are built
+// against the ordering's bucket pass: 5 gives every tuple but the first the
+// same T up to its low mantissa byte (one bucket, the first tuple's bucket
+// aside), 6 splits T into two clusters 2⁴⁰ ulps apart with a few ulps of
+// jitter each, 7 draws T from the subnormals, ±0 and the ulps next to the
+// epoch's bounds. idMode 0 assigns ascending IDs, 1 descending, 2 shuffled, 3
+// leaves them to the gateway, 4 mixes gateway and producer IDs.
 func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]stream.Tuple {
 	tuples := make([]stream.Tuple, c.n)
 	for i := range tuples {
 		var t float64
-		switch c.tMode % 5 {
+		switch c.tMode % tModes {
 		case 0:
 			t = e + rng.Float64()
 		case 1:
@@ -160,6 +168,24 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 			t = e + float64(rng.Intn(3))/4
 			if t == 0 && rng.Intn(2) == 0 {
 				t = math.Copysign(0, -1)
+			}
+		case 5:
+			t = e + 0.75
+			if i > 0 {
+				t = math.Float64frombits(math.Float64bits(e+0.25)&^0xff | uint64(rng.Intn(256)))
+			}
+		case 6:
+			t = math.Float64frombits(math.Float64bits(e+0.25)&^0xff + uint64(rng.Intn(2))<<40 + uint64(rng.Intn(4)))
+		case 7:
+			switch k := rng.Intn(4); {
+			case k == 0 && (e == 0 || e == -1):
+				t = math.Copysign(float64(rng.Intn(5))*math.SmallestNonzeroFloat64, e) // ±0 included
+			case k == 1:
+				t = math.Nextafter(e+1, e) // the last instant of the epoch
+			case k == 2:
+				t = e
+			default:
+				t = e + float64(rng.Intn(4))/4
 			}
 		}
 		tuples[i] = stream.Tuple{
@@ -244,9 +270,9 @@ func TestEpochAssemblyMatchesOracle(t *testing.T) {
 		// take its diagonal.
 		full := n == 7 || n == 33 || n == 300
 		for _, attrs := range []int{1, 2, linearAttrs + 8} {
-			for tMode := uint8(0); tMode < 5; tMode++ {
+			for tMode := uint8(0); tMode < tModes; tMode++ {
 				for idMode := uint8(0); idMode < 5; idMode++ {
-					if !full && tMode != idMode {
+					if !full && tMode%5 != idMode {
 						continue
 					}
 					late := LatePolicy(seed % 2)
@@ -268,6 +294,14 @@ func FuzzEpochAssembly(f *testing.F) {
 		f.Add(int64(mode)+1, uint16(200), uint8(3), mode, mode, mode%2 == 0)
 	}
 	f.Add(int64(99), uint16(2000), uint8(linearAttrs+3), uint8(3), uint8(4), true)
+	// The bucket pass's corners: one bucket, two far clusters, the subnormals
+	// and ±0, at run sizes either side of insertionBound and at the largest
+	// epoch the target builds (one attribute: a 4096-key run, 12 bucket bits).
+	for i, n := range []uint16{0, 1, insertionBound - 2, insertionBound - 1, insertionBound, 3 * insertionBound, 4095} {
+		for tMode := uint8(5); tMode < tModes; tMode++ {
+			f.Add(int64(100+i), n, uint8(i%2), tMode, uint8(i)%5, i%2 == 0)
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, attrs, tMode, idMode uint8, lateNext bool) {
 		c := assemblyCase{seed: seed, n: 1 + int(n)%4096, attrs: 1 + int(attrs)%40, tMode: tMode, idMode: idMode}
 		if lateNext {
@@ -289,6 +323,119 @@ func TestTimeKeyOrder(t *testing.T) {
 			ka, kb := timeKey(a), timeKey(b)
 			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
 				t.Fatalf("timeKey(%g)=%x vs timeKey(%g)=%x disagree with the float order (i=%d j=%d)", a, ka, b, kb, i, j)
+			}
+		}
+	}
+}
+
+// sortedKeys is the oracle of radixSortKeys: a stable comparison sort on w.
+func sortedKeys(keys []sortKey) []sortKey {
+	out := slices.Clone(keys)
+	slices.SortStableFunc(out, func(a, b sortKey) int { return cmp.Compare(a.w, b.w) })
+	return out
+}
+
+// TestRadixSortKeysShapes drives the ordering pass alone through the key
+// distributions that decide which of its steps run — a spread run (a few keys
+// per bucket, insertion only), every key in one bucket, two clusters 2⁴⁰ ulps
+// apart, one bucket past the insertion bound among small ones, all keys
+// equal, keys that differ in the lowest bit only, negative and subnormal
+// times — at sizes around insertionBound and around the 12-bit cap on the
+// counting pass's digit, and compares with a stable comparison sort. idx is
+// the arrival position, so equal keys out of arrival order fail too.
+func TestRadixSortKeysShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := timeKey(5.25)
+	shapes := []struct {
+		name string
+		w    func(i, n int) uint64
+	}{
+		{"spread", func(i, n int) uint64 { return timeKey(5 + rng.Float64()) }},
+		{"onebucket", func(i, n int) uint64 {
+			if i == n/2 {
+				return timeKey(5.75) // the key that stretches the diff mask
+			}
+			return base&^0xff | uint64(rng.Intn(256))
+		}},
+		{"onebucket/wide", func(i, n int) uint64 {
+			if i == n/2 {
+				return timeKey(5.75)
+			}
+			return base&^(1<<36-1) | rng.Uint64()&(1<<36-1)
+		}},
+		{"twoclusters", func(i, n int) uint64 { return base + uint64(rng.Intn(2))<<40 + uint64(rng.Intn(64)) }},
+		{"onebig", func(i, n int) uint64 {
+			if i%3 == 0 {
+				return timeKey(5 + rng.Float64())
+			}
+			return base + uint64(rng.Intn(1<<20)) // two thirds of the run in one bucket
+		}},
+		{"nested", func(i, n int) uint64 { // every pass leaves all but two keys in one bucket
+			if i < 4 {
+				return base&^(1<<48-1) | 1<<(47-11*uint(i))
+			}
+			return base&^(1<<48-1) | uint64(rng.Intn(8))
+		}},
+		{"allequal", func(i, n int) uint64 { return base }},
+		{"lowbit", func(i, n int) uint64 { return base | uint64(rng.Intn(2)) }},
+		{"descending", func(i, n int) uint64 { return base + uint64(n-i)<<30 }},
+		{"negative", func(i, n int) uint64 { return timeKey(-5 - rng.Float64()) }},
+		{"aroundzero", func(i, n int) uint64 {
+			return timeKey(math.Copysign(float64(rng.Intn(4))*math.SmallestNonzeroFloat64, float64(rng.Intn(2))-0.5))
+		}},
+		{"fullwidth", func(i, n int) uint64 { return rng.Uint64() }},
+	}
+	sizes := []int{1, 2, 3, insertionBound - 1, insertionBound, insertionBound + 1, insertionBound + 2,
+		3 * insertionBound, 1<<maxBucketBits - 1, 1 << maxBucketBits, 1<<maxBucketBits + 1, 3 << maxBucketBits}
+	var a assembler
+	for _, shape := range shapes {
+		for _, n := range sizes {
+			keys := make([]sortKey, n)
+			var diff uint64
+			for i := range keys {
+				keys[i] = sortKey{w: shape.w(i, n), idx: uint32(i)}
+				diff |= keys[i].w ^ keys[0].w
+			}
+			want := sortedKeys(keys)
+			a.radixSortKeys(keys, make([]sortKey, n), diff, 0)
+			if !slices.Equal(keys, want) {
+				for i := range keys {
+					if keys[i] != want[i] {
+						t.Fatalf("%s n=%d: key %d is %+v, a stable sort puts %+v there", shape.name, n, i, keys[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOrderKeysIDPhase pins the pair order where T says nothing: every tuple
+// at one instant, IDs descending (or shuffled), two attributes interleaved —
+// so the T passes must leave the ID phase's order alone and the remembered
+// attribute slot must not mix the runs.
+func TestOrderKeysIDPhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, insertionBound, insertionBound + 1, 700, 1<<maxBucketBits + 3} {
+		for _, shuffled := range []bool{false, true} {
+			src := make([]stream.Tuple, n)
+			for i := range src {
+				src[i] = stream.Tuple{ID: uint64(n - i), Attr: [2]string{"rain", "temp"}[i%2], T: 2.5, X: 1, Y: 1}
+			}
+			if shuffled {
+				rng.Shuffle(n, func(i, j int) { src[i].ID, src[j].ID = src[j].ID, src[i].ID })
+			}
+			var a assembler
+			a.orderKeys(src, true)
+			got := a.gather(nil, src)
+			want := slices.Clone(src)
+			slices.SortStableFunc(want, func(x, y stream.Tuple) int {
+				if c := cmp.Compare(x.Attr, y.Attr); c != 0 {
+					return c
+				}
+				return stream.CompareTuples(x, y)
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d shuffled=%v: assembly order differs from (attribute, T, ID)", n, shuffled)
 			}
 		}
 	}

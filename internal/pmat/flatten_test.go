@@ -275,33 +275,90 @@ func TestFlattenOnReportCallback(t *testing.T) {
 
 func TestFlattenSGDModeImprovesOverBatches(t *testing.T) {
 	// The SGD estimator should track the (static) intensity after enough
-	// batches, producing uniform output.
+	// batches, producing uniform output. Asserted over several seeds, not
+	// one: a batch's output is ≈ 144 tuples, and which realisation the
+	// generator deals decides a nine-cell χ² test that close to its threshold.
+	//
+	// Enough is 200 batches under the default step sizes (at 40 the pooled
+	// skew below is 0.08–0.14, next to blind thinning's 0.10–0.18). Besides
+	// the last batch's χ² test, the output of the last twenty batches is
+	// pooled and its skew χ²/n held under an absolute bound that thinning the
+	// same batches at a flat estimate never met (0.10–0.17 over 60 seeds; this
+	// estimator 0.03–0.065; the per-batch MLE 0.0005–0.007, i.e. uniform — the
+	// SGD mode's pooled output is not, see ROADMAP), and under the skew of the
+	// operator's own first twenty batches. Over 60 seeds the pooled checks held
+	// on every one and the last batch's on 56.
 	w0 := geom.NewRect(0, 0, 6, 6)
 	lin := intensity.NewLinear(intensity.Theta{3, 0, 6, 3})
-	f, err := NewFlatten("f", FlattenConfig{TargetRate: 4, Mode: EstimatorSGD}, stats.NewRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := stream.NewCollector()
-	f.AddDownstream(col)
-	var lastP float64
-	for epoch := 0; epoch < 40; epoch++ {
-		w := geom.Window{T0: float64(epoch), T1: float64(epoch + 1), Rect: w0}
-		b := inhomogeneousBatch(t, lin, w, int64(900+epoch))
-		col.Reset()
-		if err := f.Process(b); err != nil {
+	flat := intensity.NewLinear(intensity.Theta{30, 0, 0, 0})
+	const seeds, batches, pool, maxSkew = 5, 200, 20, 0.08
+	skew := func(g *stats.Grid2D) float64 {
+		res, err := stats.ChiSquareUniform(g.Counts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		g, _ := stats.NewGrid2D(0, 6, 0, 6, 3, 3)
-		for _, tp := range col.Tuples() {
-			g.Add(tp.X, tp.Y)
+		return res.Statistic / float64(g.N())
+	}
+	uniform := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		sgd, err := NewFlatten("f", FlattenConfig{TargetRate: 4, Mode: EstimatorSGD}, stats.NewRNG(8+seed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.N() > 30 {
-			lastP, _ = g.UniformityPValue()
+		blind, err := NewFlatten("blind", FlattenConfig{TargetRate: 4, Mode: EstimatorKnown, Known: flat}, stats.NewRNG(8+seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sgdOut, blindOut := stream.NewCollector(), stream.NewCollector()
+		sgd.AddDownstream(sgdOut)
+		blind.AddDownstream(blindOut)
+		// The SGD-mode operator's first and last pool batches, and blind
+		// thinning's last.
+		var early, late, none *stats.Grid2D
+		for _, g := range []**stats.Grid2D{&early, &late, &none} {
+			*g, _ = stats.NewGrid2D(0, 6, 0, 6, 3, 3)
+		}
+		var lastP float64
+		for epoch := 0; epoch < batches; epoch++ {
+			w := geom.Window{T0: float64(epoch), T1: float64(epoch + 1), Rect: w0}
+			b := inhomogeneousBatch(t, lin, w, 1000*seed+int64(900+epoch))
+			sgdOut.Reset()
+			blindOut.Reset()
+			if err := sgd.Process(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := blind.Process(b); err != nil {
+				t.Fatal(err)
+			}
+			g, _ := stats.NewGrid2D(0, 6, 0, 6, 3, 3)
+			for _, tp := range sgdOut.Tuples() {
+				g.Add(tp.X, tp.Y)
+				switch {
+				case epoch < pool:
+					early.Add(tp.X, tp.Y)
+				case epoch >= batches-pool:
+					late.Add(tp.X, tp.Y)
+				}
+			}
+			if epoch >= batches-pool {
+				for _, tp := range blindOut.Tuples() {
+					none.Add(tp.X, tp.Y)
+				}
+			}
+			if g.N() > 30 {
+				lastP, _ = g.UniformityPValue()
+			}
+		}
+		if lastP >= 0.001 {
+			uniform++
+		}
+		if got := skew(late); got > maxSkew || got >= skew(none) || got >= skew(early) {
+			t.Errorf("seed %d: SGD-mode output over the last %d batches has χ²/n = %.3g; want ≤ %g, < blind thinning's %.3g and < its first batches' %.3g",
+				seed, pool, got, maxSkew, skew(none), skew(early))
 		}
 	}
-	if lastP < 0.001 {
-		t.Fatalf("SGD-mode flatten output still skewed after 40 batches: p = %g", lastP)
+	if uniform < seeds-1 {
+		t.Fatalf("SGD-mode flatten output still skewed after %d batches on %d of %d seeds", batches, seeds-uniform, seeds)
 	}
 }
 

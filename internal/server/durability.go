@@ -258,7 +258,12 @@ func (e *Engine) Durability() DurabilityStats {
 // WAL alone still recovers). Version 2: the F-operator's window-centred fit
 // agrees with version 1's only to rounding, so replaying a log written
 // beside version-1 checkpoints fabricates result totals they do not record.
-const snapshotVersion = 2
+// Version 3: stats.RNG draws from a PCG-DXSM generator instead of math/rand's
+// lagged-Fibonacci source, so every F and T draw — and with it every
+// fabricated stream — is a different, equally valid realisation of the same
+// process; a directory written by an older binary recovers from its WAL
+// alone, to the new realisation.
+const snapshotVersion = 3
 
 // engineSnapshot is the on-disk checkpoint: the externally observable
 // engine state at a known WAL position.

@@ -446,8 +446,9 @@ func TestGarbageSnapshotIgnored(t *testing.T) {
 // TestOlderSnapshotVersionSkipped: a checkpoint written under an older
 // snapshotVersion records result totals this binary's replay need not
 // reproduce (version 2: the F-operator's fit differs from version 1's in its
-// low bits, so the same WAL fabricates a statistically identical but not
-// tuple-identical stream). Such a file must be passed over — the WAL alone
+// low bits; version 3: the operators draw from another generator — either way
+// the same WAL fabricates a statistically identical but not tuple-identical
+// stream). Such a file must be passed over — the WAL alone
 // recovers — where the same totals under the current version fail recovery.
 func TestOlderSnapshotVersionSkipped(t *testing.T) {
 	dir := t.TempDir()

@@ -452,8 +452,11 @@ func TestHTTPIngestBodyBufferRecycled(t *testing.T) {
 			t.Fatalf("push = %d %s (%v), want 200 with %d rejected", rec.Code, rec.Body, err, len(batch.Tuples))
 		}
 	}
-	// No collection between the two pushes: it could empty the pool.
+	// No collection between the two pushes: it could empty the pool. And one
+	// P for both: sync.Pool caches per P, so a goroutine the scheduler moved
+	// between the pushes would look for the buffer where it was not put.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	push()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -8,22 +8,34 @@ package stats
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 )
 
-// RNG is a seeded source of random variates. It wraps math/rand with the
-// samplers needed by the point-process layer. RNG is not safe for concurrent
+// RNG is a seeded source of random variates: a PCG-DXSM generator
+// (math/rand/v2's PCG, whose output function is specified and pinned by this
+// package's tests) held by value — 16 bytes of state, where a session's
+// topology keeps one generator per operator — with the samplers needed by the
+// point-process layer. The draws an epoch makes per tuple (Float64,
+// Bernoulli, Uniform, Poisson) read the generator directly; the rest go
+// through a rand.Rand over the same state. RNG is not safe for concurrent
 // use; use Fork to derive independent generators for concurrent components,
 // or LockedRNG for a mutex-guarded variant.
 type RNG struct {
-	r    *rand.Rand
+	pcg  rand.PCG
 	seed int64
 }
 
-// NewRNG returns a deterministic generator seeded with seed.
+// seedStream separates the two words a seed is expanded into.
+const seedStream = 0xda942042e4dd58b5
+
+// NewRNG returns a deterministic generator seeded with seed. The generator's
+// two state words are splitmix64 images of the seed, so neighbouring seeds
+// (1, 2, 3, …: what callers pass) start far apart.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	g := &RNG{seed: seed}
+	g.pcg.Seed(splitmix64(uint64(seed)), splitmix64(uint64(seed)^seedStream))
+	return g
 }
 
 // Seed returns the seed the generator was created with.
@@ -33,7 +45,7 @@ func (g *RNG) Seed() int64 { return g.seed }
 // deterministic function of g's current state, so forking at the same point
 // in a program always yields the same child stream.
 func (g *RNG) Fork() *RNG {
-	return NewRNG(g.r.Int63())
+	return NewRNG(int64(g.pcg.Uint64() >> 1))
 }
 
 // ForkKeyed derives an independent generator from g's seed and a caller
@@ -47,7 +59,7 @@ func (g *RNG) ForkKeyed(key uint64) *RNG {
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a strong 64-bit
-// mixer used to decorrelate keyed fork seeds.
+// mixer used to expand seeds and to decorrelate keyed fork seeds.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -55,22 +67,30 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Float64 returns a uniform variate in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// cold returns the samplers of math/rand/v2 over g's generator, for the
+// variates no epoch draws per tuple.
+func (g *RNG) cold() *rand.Rand { return rand.New(&g.pcg) }
+
+// Float64 returns a uniform variate in [0, 1): the low 53 bits of one
+// generator output (math/rand/v2's own construction; PCG-DXSM's output bits
+// are all of one quality).
+func (g *RNG) Float64() float64 {
+	return float64(g.pcg.Uint64()<<11>>11) / (1 << 53)
+}
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.cold().IntN(n) }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.cold().Perm(n) }
 
 // Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.cold().Shuffle(n, swap) }
 
 // Uniform returns a uniform variate in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + (hi-lo)*g.Float64()
 }
 
 // Bernoulli returns true with probability p. Probabilities outside [0, 1]
@@ -83,7 +103,7 @@ func (g *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	return g.r.Float64() < p
+	return g.Float64() < p
 }
 
 // Exponential returns an exponential variate with rate lambda (mean
@@ -92,13 +112,13 @@ func (g *RNG) Exponential(lambda float64) float64 {
 	if lambda <= 0 {
 		panic("stats: Exponential requires lambda > 0")
 	}
-	return g.r.ExpFloat64() / lambda
+	return g.cold().ExpFloat64() / lambda
 }
 
 // Normal returns a normal variate with the given mean and standard
 // deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + stddev*g.cold().NormFloat64()
 }
 
 // Poisson returns a Poisson variate with the given mean. For small means it
@@ -119,10 +139,10 @@ func (g *RNG) Poisson(mean float64) int {
 func (g *RNG) poissonKnuth(mean float64) int {
 	limit := math.Exp(-mean)
 	k := 0
-	p := g.r.Float64()
+	p := g.Float64()
 	for p > limit {
 		k++
-		p *= g.r.Float64()
+		p *= g.Float64()
 	}
 	return k
 }
@@ -135,8 +155,8 @@ func (g *RNG) poissonPTRS(mean float64) int {
 	vr := 0.9277 - 3.6224/(b-2)
 	logMu := math.Log(mean)
 	for {
-		u := g.r.Float64() - 0.5
-		v := g.r.Float64()
+		u := g.Float64() - 0.5
+		v := g.Float64()
 		us := 0.5 - math.Abs(u)
 		k := math.Floor((2*a/us+b)*u + mean + 0.43)
 		if us >= 0.07 && v <= vr {

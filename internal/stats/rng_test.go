@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -230,6 +231,84 @@ func TestShuffleIsPermutation(t *testing.T) {
 	for i, m := range mark {
 		if !m {
 			t.Fatalf("value %d lost in shuffle", i)
+		}
+	}
+}
+
+// TestRNGStreamPinned pins the generator's output. A durable session is
+// recovered by replaying its log through the same operators, so the stream a
+// seed yields has to survive a toolchain upgrade: PCG-DXSM is specified (and
+// math/rand/v2 promises not to change PCG's output), the seed expansion and
+// the 53-bit Float64 are this package's — a change to any of them must be
+// loud, and comes with a snapshotVersion bump (internal/server/durability.go).
+func TestRNGStreamPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *RNG
+		want [8]float64
+	}{
+		{"NewRNG(1)", NewRNG(1), [8]float64{0.5156124069557046, 0.4904150375817454, 0.6785109156336477, 0.1656399299607897,
+			0.21955266799823614, 0.42398715897252426, 0.9025172038121578, 0.6406177696739773}},
+		{"NewRNG(1).Fork()", NewRNG(1).Fork(), [8]float64{0.84954923800564, 0.4688786581341171, 0.15366633333183521, 0.877481125956939,
+			0.2668754017483016, 0.31195500047575675, 0.4745335408711139, 0.4280713383260043}},
+		{"NewRNG(1).ForkKeyed(7)", NewRNG(1).ForkKeyed(7), [8]float64{0.11897876151059983, 0.82337446172996, 0.6256204517634065, 0.34532377586464635,
+			0.3221100356910449, 0.06601798021714367, 0.7639930872989625, 0.7545334225479623}},
+	} {
+		for i, want := range tc.want {
+			if got := tc.g.Float64(); got != want {
+				t.Fatalf("%s: draw %d = %v, want %v", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestForkKeyedIgnoresConsumption: a keyed fork depends on (seed, key) only —
+// not on how much of the parent was drawn, by which sampler, or which forks
+// came before — and distinct keys give distinct streams.
+func TestForkKeyedIgnoresConsumption(t *testing.T) {
+	fresh := NewRNG(11).ForkKeyed(3)
+	used := NewRNG(11)
+	for i := 0; i < 1000; i++ {
+		used.Float64()
+		used.Poisson(40)
+		used.Normal(0, 1)
+	}
+	used.Fork()
+	used.ForkKeyed(4)
+	late, other := used.ForkKeyed(3), used.ForkKeyed(4)
+	same := 0
+	for i := 0; i < 100; i++ {
+		a, b, c := fresh.Float64(), late.Float64(), other.Float64()
+		if a != b {
+			t.Fatalf("draw %d: keyed fork of a consumed parent gives %v, of a fresh one %v", i, b, a)
+		}
+		if a == c {
+			same++
+		}
+	}
+	if same > 1 {
+		t.Fatalf("forks keyed 3 and 4 coincide on %d of 100 draws", same)
+	}
+}
+
+// TestRNGFootprint: the generator is its 16 bytes of PCG state and the seed
+// kept for ForkKeyed — a session holds one per operator — and no sampler
+// allocates, the per-tuple ones least of all.
+func TestRNGFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(RNG{}); size != 24 {
+		t.Fatalf("RNG is %d bytes, want 24 (16 of generator state + the seed)", size)
+	}
+	g := NewRNG(3)
+	for name, draw := range map[string]func(){
+		"Bernoulli":   func() { g.Bernoulli(0.5) },
+		"Float64":     func() { g.Float64() },
+		"Poisson":     func() { g.Poisson(50) },
+		"Exponential": func() { g.Exponential(2) },
+		"Normal":      func() { g.Normal(0, 1) },
+		"Intn":        func() { g.Intn(10) },
+	} {
+		if allocs := testing.AllocsPerRun(100, draw); allocs != 0 {
+			t.Errorf("%s allocates %v times per draw", name, allocs)
 		}
 	}
 }

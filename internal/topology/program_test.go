@@ -368,3 +368,29 @@ func FuzzEpochProgram(f *testing.F) {
 		}
 	})
 }
+
+// TestEpochProgramStarvedCells: an epoch none of whose tuples falls in a
+// materialized cell, on scratch that has never grouped a position — every
+// cell's share is the empty (here even nil) position list: each F-operator
+// sees an empty batch and reports a starved cell.
+func TestEpochProgramStarvedCells(t *testing.T) {
+	a := newProgramArm(t, Config{Workers: 1}, 3)
+	a.insert("q", query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 2}, true)
+	b := sourceBatch("rain", 0, geom.NewRect(4, 4, 8, 8), 300)
+	pipes := a.fab.order["rain"]
+	ep := &epochScratch{}
+	ep.batch, ep.pipes = b, pipes
+	ep.scatter(a.fab.grid, a.fab.slots["rain"], len(pipes), b.Tuples)
+	ep.begin(a.fab.program("rain"))
+	if err := ep.execute(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(pipes) == 0 {
+		t.Fatal("no pipeline materialized")
+	}
+	for _, p := range pipes {
+		if st, rep := p.Flatten().Stats(), p.Flatten().LastReport(); st.TuplesIn != 0 || st.BatchesIn != 1 || rep.N != 0 || rep.Percent != 100 {
+			t.Fatalf("%v: F saw %d tuples in %d batches, report %+v; want one empty, fully violating batch", p.Key(), st.TuplesIn, st.BatchesIn, rep)
+		}
+	}
+}
