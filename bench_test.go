@@ -924,20 +924,37 @@ func BenchmarkCSVExport(b *testing.B) {
 }
 
 // BenchmarkJSONLinesExport renders a 1000-tuple batch as ndjson with the
-// sink's append encoder (0 allocs/op).
+// sink's append encoder (0 allocs/op). full is benchBatch's full-precision
+// floats, which wire.AppendJSONFloat's short-decimal test misses and hands to
+// strconv — the cost of the miss; short is what sensors report and an
+// acquired stream therefore delivers (times and positions in 1/1000s, values
+// in 1/100s — bench/'s egress_json shape).
 func BenchmarkJSONLinesExport(b *testing.B) {
-	batch := benchBatch(1000, 12)
-	sink, err := export.NewJSONLinesSink(io.Discard)
-	if err != nil {
-		b.Fatal(err)
+	full := benchBatch(1000, 12)
+	short := stream.Batch{Attr: full.Attr, Window: full.Window, Tuples: make([]stream.Tuple, len(full.Tuples))}
+	for i, tp := range full.Tuples {
+		tp.T, tp.X, tp.Y = math.Floor(tp.T*1000)/1000, math.Floor(tp.X*1000)/1000, math.Floor(tp.Y*1000)/1000
+		tp.Value, tp.Sensor = float64(i*37%10000)/100, i%512
+		short.Tuples[i] = tp
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := sink.Process(batch); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		batch stream.Batch
+	}{{"full", full}, {"short", short}} {
+		b.Run(c.name, func(b *testing.B) {
+			sink, err := export.NewJSONLinesSink(io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sink.Process(c.batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(c.batch.Len()))
+		})
 	}
-	b.SetBytes(int64(batch.Len()))
 }
 
 func BenchmarkCoverageEstimator(b *testing.B) {
@@ -996,6 +1013,23 @@ func ingestPayloads(b *testing.B, n int) (jsonBody, frame []byte) {
 	return jsonBody, frame
 }
 
+// obs7Body renders n observations the way bench/'s egress_json producer
+// does: all seven fields per observation (attr and sensor included, no batch
+// default), times and positions in 1/1000s, values in 1/100s, no whitespace.
+func obs7Body(n int) []byte {
+	body := []byte(`{"observations":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		r := uint64(i+1) * 0x9e3779b97f4a7c15
+		body = fmt.Appendf(body, `{"id":%d,"attr":"rain","t":%g,"x":%g,"y":%g,"value":%g,"sensor":%d}`,
+			i+1, 7+float64(r%1000)/1000, float64((r>>10)%8000)/1000, float64((r>>24)%8000)/1000,
+			float64((r>>40)%10000)/100, (r>>54)%512)
+	}
+	return append(body, ']', '}')
+}
+
 // reportTuples converts the run into a tuples/s rate — the number the
 // ingest acceptance targets track.
 func reportTuples(b *testing.B, n int) {
@@ -1009,21 +1043,25 @@ func reportTuples(b *testing.B, n int) {
 // frame into borrowed tuple storage. Steady state must not allocate —
 // TestDecodeJSONZeroAllocs/TestDecodeBinaryZeroAllocs pin allocs/op to 0.
 func BenchmarkWireDecode(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		jsonBody, frame := ingestPayloads(b, n)
-		b.Run(fmt.Sprintf("json/n=%d", n), func(b *testing.B) {
+	decodeJSON := func(name string, body []byte, n int) {
+		b.Run(name, func(b *testing.B) {
 			d := wire.BorrowDecoder()
 			defer d.Release()
-			b.SetBytes(int64(len(jsonBody)))
+			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.DecodeJSON(jsonBody); err != nil {
+				if _, err := d.DecodeJSON(body); err != nil {
 					b.Fatal(err)
 				}
 			}
 			reportTuples(b, n)
 		})
+	}
+	decodeJSON("json-obs7/n=1024", obs7Body(1024), 1024)
+	for _, n := range []int{64, 1024} {
+		jsonBody, frame := ingestPayloads(b, n)
+		decodeJSON(fmt.Sprintf("json/n=%d", n), jsonBody, n)
 		b.Run(fmt.Sprintf("binary/n=%d", n), func(b *testing.B) {
 			d := wire.BorrowDecoder()
 			defer d.Release()

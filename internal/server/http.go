@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -150,8 +151,7 @@ func (s *HTTPServer) writeJSON(w http.ResponseWriter, status int, v interface{})
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
 		jsonEncoderPool.Put(e)
-		s.logf("server: http: encoding %T response: %v", v, err)
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		s.encodeFailed(w, fmt.Sprintf("%T response", v), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -160,6 +160,13 @@ func (s *HTTPServer) writeJSON(w http.ResponseWriter, status int, v interface{})
 	if e.buf.Cap() <= 1<<20 { // don't pin giant result pages in the pool
 		jsonEncoderPool.Put(e)
 	}
+}
+
+// encodeFailed answers for a body that could not be rendered — always before
+// any of it was written, so the client reads a 500, not a torn 200.
+func (s *HTTPServer) encodeFailed(w http.ResponseWriter, what string, err error) {
+	s.logf("server: http: encoding %s: %v", what, err)
+	http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 }
 
 func (s *HTTPServer) writeError(w http.ResponseWriter, status int, err error) {
@@ -250,23 +257,6 @@ func toQueryJSON(q query.Query) queryJSON {
 		MinX: q.Region.MinX, MinY: q.Region.MinY, MaxX: q.Region.MaxX, MaxY: q.Region.MaxY,
 		Rate: q.Rate,
 	}
-}
-
-// tupleJSON is the wire form of one fabricated tuple.
-type tupleJSON struct {
-	ID    uint64  `json:"id"`
-	T     float64 `json:"t"`
-	X     float64 `json:"x"`
-	Y     float64 `json:"y"`
-	Value float64 `json:"value"`
-}
-
-func toTupleJSON(tuples []stream.Tuple) []tupleJSON {
-	out := make([]tupleJSON, len(tuples))
-	for i, tp := range tuples {
-		out[i] = tupleJSON{ID: tp.ID, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value}
-	}
-	return out
 }
 
 // costEstimateJSON is the wire form of one planner.CostEstimate.
@@ -737,14 +727,61 @@ func (s *HTTPServer) handleSessionResults(w http.ResponseWriter, r *http.Request
 		return
 	}
 	tuples, next, dropped := store.ReadFrom(cursor, limit, nil)
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"tuples":     toTupleJSON(tuples),
-		"nextCursor": next,
-		"dropped":    dropped,
-		"retained":   store.Len(),
-		"total":      store.Total(),
-		"retention":  store.Retention(),
-	})
+	buf, err := appendResultPage(wire.BorrowBuf(), tuples, next, dropped, store)
+	if err != nil {
+		wire.ReleaseBuf(buf)
+		s.encodeFailed(w, "result page", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf)
+	if cap(buf) <= 1<<20 { // don't pin giant result pages in the pool
+		wire.ReleaseBuf(buf)
+	}
+}
+
+// appendResultPage renders one page of the paged result route with the
+// append encoders the push routes use — byte-identical to what encoding/json
+// made of the map this route used to build (keys in sorted order, a trailing
+// newline), without a second copy of the page or reflection over it. A tuple
+// is {id,t,x,y,value}: attr and sensor are the query's, not the page's. Like
+// encoding/json it refuses a NaN or ±Inf field.
+func appendResultPage(dst []byte, tuples []stream.Tuple, next, dropped uint64, store *stream.ResultStore) ([]byte, error) {
+	dst = append(dst, `{"dropped":`...)
+	dst = strconv.AppendUint(dst, dropped, 10)
+	dst = append(dst, `,"nextCursor":`...)
+	dst = strconv.AppendUint(dst, next, 10)
+	dst = append(dst, `,"retained":`...)
+	dst = strconv.AppendInt(dst, int64(store.Len()), 10)
+	dst = append(dst, `,"retention":`...)
+	dst = strconv.AppendInt(dst, int64(store.Retention()), 10)
+	dst = append(dst, `,"total":`...)
+	dst = strconv.AppendUint(dst, store.Total(), 10)
+	dst = append(dst, `,"tuples":[`...)
+	for i := range tuples {
+		tp := &tuples[i]
+		for _, f := range [...]float64{tp.T, tp.X, tp.Y, tp.Value} {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return dst, fmt.Errorf("json: unsupported value: %v", f)
+			}
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"id":`...)
+		dst = strconv.AppendUint(dst, tp.ID, 10)
+		dst = append(dst, `,"t":`...)
+		dst = wire.AppendJSONFloat(dst, tp.T)
+		dst = append(dst, `,"x":`...)
+		dst = wire.AppendJSONFloat(dst, tp.X)
+		dst = append(dst, `,"y":`...)
+		dst = wire.AppendJSONFloat(dst, tp.Y)
+		dst = append(dst, `,"value":`...)
+		dst = wire.AppendJSONFloat(dst, tp.Value)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']', '}', '\n'), nil
 }
 
 // streamChunk bounds how many tuples one push writes before flushing.

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -158,6 +159,76 @@ func TestHTTPPaginationEndToEnd(t *testing.T) {
 	doJSON(t, c, "GET", ts.URL+"/v1/sessions/w/results/"+qj.ID+"?cursor=x", "", 400, nil)
 	doJSON(t, c, "GET", ts.URL+"/v1/sessions/w/results/"+qj.ID+"?limit=-1", "", 400, nil)
 	doJSON(t, c, "GET", ts.URL+"/v1/sessions/w/results/QX", "", 404, nil)
+}
+
+// TestResultPageMatchesEncodingJSON pins the paged route's hand-rendered body
+// to the bytes encoding/json made of the map and tuple struct the route used
+// to build: sorted keys, every number, the trailing newline.
+func TestResultPageMatchesEncodingJSON(t *testing.T) {
+	type tupleJSON struct {
+		ID    uint64  `json:"id"`
+		T     float64 `json:"t"`
+		X     float64 `json:"x"`
+		Y     float64 `json:"y"`
+		Value float64 `json:"value"`
+	}
+	fill := func(store *stream.ResultStore, n int) {
+		tuples := make([]stream.Tuple, n)
+		for i := range tuples {
+			k := float64(i)
+			tuples[i] = stream.Tuple{ID: uint64(i + 1), Attr: "rain", T: k / 1000, X: k / 7, Y: -k * 0.125, Value: k / 100, Sensor: i}
+		}
+		// Both renderer paths and the exponent forms, whatever n is.
+		tuples[0].T, tuples[0].X, tuples[0].Y, tuples[0].Value = 0.30000000000000004, 1e-7, -1e21, 21.5
+		if err := store.Process(stream.Batch{Tuples: tuples}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name             string
+		retention, wrote int
+		cursor           uint64
+		limit            int
+	}{
+		{"empty store", 8, 0, 0, 0},
+		{"page with drops", 4, 10, 0, 3},
+		{"first page", 16, 10, 0, 4},
+		{"cursor past the end", 16, 10, 99, 5},
+		{"limit=0 over a full ring", 1 << 16, 1<<16 + 5, 0, 0},
+	}
+	for _, c := range cases {
+		store := stream.NewResultStore(c.retention)
+		if c.wrote > 0 {
+			fill(store, c.wrote)
+		}
+		tuples, next, dropped := store.ReadFrom(c.cursor, c.limit, nil)
+		old := make([]tupleJSON, len(tuples))
+		for i, tp := range tuples {
+			old[i] = tupleJSON{ID: tp.ID, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]interface{}{
+			"tuples": old, "nextCursor": next, "dropped": dropped,
+			"retained": store.Len(), "total": store.Total(), "retention": store.Retention(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendResultPage(nil, tuples, next, dropped, store)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: body differs from encoding/json:\n got %.300s\nwant %.300s", c.name, got, want.Bytes())
+		}
+	}
+	store := stream.NewResultStore(4)
+	if err := store.Process(stream.Batch{Tuples: []stream.Tuple{{ID: 1, Value: math.NaN()}}}); err != nil {
+		t.Fatal(err)
+	}
+	tuples, next, dropped := store.ReadFrom(0, 0, nil)
+	if _, err := appendResultPage(nil, tuples, next, dropped, store); err == nil {
+		t.Fatal("a NaN field rendered; encoding/json refuses it")
+	}
 }
 
 // TestHTTPStreamDeliversWithoutStep is the acceptance check that streaming

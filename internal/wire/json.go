@@ -18,6 +18,7 @@ import (
 type Decoder struct {
 	buf     *stream.TupleBuffer
 	attrs   map[string]string // intern table: attr bytes → canonical string
+	last    string            // the attr intern returned last: a batch repeats one
 	scratch []byte            // unescape scratch for quoted strings
 }
 
@@ -52,17 +53,22 @@ func (d *Decoder) Release() {
 }
 
 // intern canonicalizes an attr name, validating length and UTF-8 once per
-// distinct name. The map lookup keyed by string(b) does not allocate; the
-// string is materialized only on first sight.
+// distinct name. A run of one attr costs a string compare per tuple; the map
+// lookup keyed by string(b) behind it does not allocate; the string is
+// materialized only on first sight.
 func (d *Decoder) intern(b []byte) (string, error) {
-	if s, ok := d.attrs[string(b)]; ok {
-		return s, nil
+	if string(b) == d.last {
+		return d.last, nil
 	}
-	if len(b) > MaxAttrLen || !utf8.Valid(b) {
-		return "", ErrInvalidAttr
+	s, ok := d.attrs[string(b)]
+	if !ok {
+		if len(b) > MaxAttrLen || !utf8.Valid(b) {
+			return "", ErrInvalidAttr
+		}
+		s = string(b)
+		d.attrs[s] = s
 	}
-	s := string(b)
-	d.attrs[s] = s
+	d.last = s
 	return s, nil
 }
 
@@ -108,7 +114,13 @@ type jparser struct {
 
 func (p *jparser) errf(msg string) error { return &SyntaxError{Off: p.off, Msg: msg} }
 
+// errAt reports an error met at off by a loop that runs ahead of the cursor.
+func (p *jparser) errAt(off int, msg string) error { return &SyntaxError{Off: off, Msg: msg} }
+
 func (p *jparser) skipSpace() {
+	if p.off < len(p.data) && p.data[p.off] > ' ' {
+		return // compact bodies: nothing to skip, no loop to set up
+	}
 	for p.off < len(p.data) {
 		switch p.data[p.off] {
 		case ' ', '\t', '\n', '\r':
@@ -236,19 +248,19 @@ func (p *jparser) parseObservation() error {
 		return nil
 	}
 	for {
-		key, err := p.rawString()
+		key, err := p.obsKey()
 		if err != nil {
 			return err
 		}
 		if err := p.expect(':'); err != nil {
 			return err
 		}
-		switch string(key) {
-		case "id":
+		switch key {
+		case 'i':
 			if tp.ID, err = p.uint(); err != nil {
 				return err
 			}
-		case "attr":
+		case 'a':
 			raw, err := p.rawString()
 			if err != nil {
 				return err
@@ -256,33 +268,29 @@ func (p *jparser) parseObservation() error {
 			if tp.Attr, err = p.d.intern(raw); err != nil {
 				return err
 			}
-		case "t":
+		case 't':
 			if tp.T, err = p.number(); err != nil {
 				return err
 			}
-		case "x":
+		case 'x':
 			if tp.X, err = p.number(); err != nil {
 				return err
 			}
-		case "y":
+		case 'y':
 			if tp.Y, err = p.number(); err != nil {
 				return err
 			}
-		case "value":
+		case 'v':
 			if tp.Value, err = p.number(); err != nil {
 				return err
 			}
-		case "sensor":
+		case 's':
 			if p.peek() == 'n' { // null == absent
 				if err := p.literal("null"); err != nil {
 					return err
 				}
-			} else {
-				f, err := p.number()
-				if err != nil {
-					return err
-				}
-				tp.Sensor = int(f)
+			} else if tp.Sensor, err = p.int(); err != nil {
+				return err
 			}
 		default:
 			if err := p.skipValue(0); err != nil {
@@ -300,6 +308,48 @@ func (p *jparser) parseObservation() error {
 			return p.errf("expected , or } in observation object")
 		}
 	}
+}
+
+// obsKey consumes an observation's key and names it by its first byte — 'i'd,
+// 'a'ttr, 't', 'x', 'y', 'v'alue, 's'ensor — or 0 for a field to skip. The
+// byte after the opening quote selects the one name that could follow and a
+// single compare through the closing quote confirms it, so the seven known
+// keys are never scanned. Anything else (an unknown field, a known name
+// spelled with escapes) is read as the string it is and then named.
+func (p *jparser) obsKey() (byte, error) {
+	p.skipSpace()
+	if rest := p.data[p.off:]; len(rest) > 1 && rest[0] == '"' {
+		name := ""
+		switch rest[1] {
+		case 'i':
+			name = `id"`
+		case 'a':
+			name = `attr"`
+		case 't':
+			name = `t"`
+		case 'x':
+			name = `x"`
+		case 'y':
+			name = `y"`
+		case 'v':
+			name = `value"`
+		case 's':
+			name = `sensor"`
+		}
+		if name != "" && len(rest) > len(name) && string(rest[1:1+len(name)]) == name {
+			p.off += 1 + len(name)
+			return rest[1], nil
+		}
+	}
+	key, err := p.rawString()
+	if err != nil {
+		return 0, err
+	}
+	switch string(key) {
+	case "id", "attr", "t", "x", "y", "value", "sensor":
+		return key[0], nil
+	}
+	return 0, nil
 }
 
 // literal consumes an exact keyword (true/false/null).
@@ -450,68 +500,67 @@ var pow10 = [...]float64{
 // strconv on the token's bytes.
 func (p *jparser) number() (float64, error) {
 	p.skipSpace()
-	start := p.off
+	// The digit loops run on locals; the cursor is written back once the
+	// token's end is known (errors report the byte they stopped at).
+	data, i := p.data, p.off
+	start := i
 	neg := false
-	if p.off < len(p.data) && p.data[p.off] == '-' {
+	if i < len(data) && data[i] == '-' {
 		neg = true
-		p.off++
+		i++
 	}
 	var mant uint64
 	exact := true // mantissa fits and no exotic exponent
-	digits := 0
-	for p.off < len(p.data) && p.data[p.off] >= '0' && p.data[p.off] <= '9' {
+	digits := i
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
 		if mant >= 1<<52/10+1 {
 			exact = false
 		} else {
-			mant = mant*10 + uint64(p.data[p.off]-'0')
+			mant = mant*10 + uint64(data[i]-'0')
 		}
-		digits++
-		p.off++
 	}
-	if digits == 0 {
-		return 0, p.errf("invalid number")
+	if i == digits {
+		return 0, p.errAt(i, "invalid number")
 	}
 	exp10 := 0
-	if p.off < len(p.data) && p.data[p.off] == '.' {
-		p.off++
-		fdigits := 0
-		for p.off < len(p.data) && p.data[p.off] >= '0' && p.data[p.off] <= '9' {
+	if i < len(data) && data[i] == '.' {
+		i++
+		digits = i
+		for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
 			if mant >= 1<<52/10+1 {
 				exact = false
 			} else {
-				mant = mant*10 + uint64(p.data[p.off]-'0')
+				mant = mant*10 + uint64(data[i]-'0')
 				exp10--
 			}
-			fdigits++
-			p.off++
 		}
-		if fdigits == 0 {
-			return 0, p.errf("invalid number")
+		if i == digits {
+			return 0, p.errAt(i, "invalid number")
 		}
 	}
-	if p.off < len(p.data) && (p.data[p.off] == 'e' || p.data[p.off] == 'E') {
-		p.off++
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
 		eneg := false
-		if p.off < len(p.data) && (p.data[p.off] == '+' || p.data[p.off] == '-') {
-			eneg = p.data[p.off] == '-'
-			p.off++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			eneg = data[i] == '-'
+			i++
 		}
-		ev, edigits := 0, 0
-		for p.off < len(p.data) && p.data[p.off] >= '0' && p.data[p.off] <= '9' {
+		ev := 0
+		digits = i
+		for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
 			if ev < 10000 {
-				ev = ev*10 + int(p.data[p.off]-'0')
+				ev = ev*10 + int(data[i]-'0')
 			}
-			edigits++
-			p.off++
 		}
-		if edigits == 0 {
-			return 0, p.errf("invalid number")
+		if i == digits {
+			return 0, p.errAt(i, "invalid number")
 		}
 		if eneg {
 			ev = -ev
 		}
 		exp10 += ev
 	}
+	p.off = i
 	if exact && mant>>52 == 0 && exp10 >= -22 && exp10 <= 22 {
 		f := float64(mant)
 		if exp10 > 0 {
@@ -524,7 +573,7 @@ func (p *jparser) number() (float64, error) {
 		}
 		return f, nil
 	}
-	f, err := strconv.ParseFloat(string(p.data[start:p.off]), 64)
+	f, err := strconv.ParseFloat(string(data[start:i]), 64)
 	if err != nil {
 		return 0, p.errf("invalid number")
 	}
@@ -536,25 +585,43 @@ func (p *jparser) number() (float64, error) {
 // measurement, and rounding one silently would corrupt replay identity.
 func (p *jparser) uint() (uint64, error) {
 	p.skipSpace()
+	return p.digits(math.MaxUint64, "id overflows uint64", "invalid id (must be a non-negative integer)")
+}
+
+// int parses a signed integer (sensor indices) under uint's rules: the
+// binary frame carries an int64, and a fraction, an exponent or a value
+// outside int64 has no sensor it could mean.
+func (p *jparser) int() (int, error) {
+	p.skipSpace()
+	neg := p.off < len(p.data) && p.data[p.off] == '-'
+	limit := uint64(math.MaxInt64)
+	if neg {
+		p.off++
+		limit++ // −2⁶³
+	}
+	v, err := p.digits(limit, "sensor overflows int64", "invalid sensor (must be an integer)")
+	if neg {
+		return int(-v), err // −2⁶³ wraps to itself
+	}
+	return int(v), err
+}
+
+// digits parses a run of decimal digits no greater than limit and refuses a
+// fraction or exponent after it.
+func (p *jparser) digits(limit uint64, overflow, invalid string) (uint64, error) {
+	data, i := p.data, p.off
 	var v uint64
-	digits := 0
-	for p.off < len(p.data) && p.data[p.off] >= '0' && p.data[p.off] <= '9' {
-		d := uint64(p.data[p.off] - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, p.errf("id overflows uint64")
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		d := uint64(data[i] - '0')
+		if v > (limit-d)/10 {
+			return 0, p.errAt(i, overflow)
 		}
 		v = v*10 + d
-		digits++
-		p.off++
 	}
-	if digits == 0 {
-		return 0, p.errf("invalid id (must be a non-negative integer)")
+	if i == p.off || i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
+		return 0, p.errAt(i, invalid)
 	}
-	if p.off < len(p.data) {
-		if c := p.data[p.off]; c == '.' || c == 'e' || c == 'E' {
-			return 0, p.errf("invalid id (must be a non-negative integer)")
-		}
-	}
+	p.off = i
 	return v, nil
 }
 

@@ -14,8 +14,31 @@ import (
 // shortest form, 'f' notation except for magnitudes JS would print
 // exponentially, with the exponent's leading zero trimmed. JSON has no
 // NaN or ±Inf; the caller rejects or replaces those first.
+//
+// Most numbers on this wire are short decimals — microdegree positions,
+// millisecond times, centi-unit readings that arrived as text — and for those
+// the shortest-digit search is skipped (the mirror of jparser.number's
+// exact-mantissa shortcut). For abs < 2³¹ take m = round(abs·10⁶). If
+// float64(m)/10⁶ == abs — m < 2⁵³ and 10⁶ are exact, so that one correctly
+// rounded divide is what strconv.ParseFloat computes for the decimal m·10⁻⁶ —
+// the decimal round-trips. It is also the shortest that does: every decimal
+// with ≤ 6 places is a multiple of 10⁻⁶, abs < 2³¹ makes an ulp at most 2⁻²²
+// < 10⁻⁶, so abs's rounding interval (under an ulp wide) holds no second
+// multiple, and a decimal of fewer digits in it would be one. With trailing
+// zeros dropped it is therefore strconv's shortest 'f' rendering, byte for
+// byte. A candidate that fails the compare (more than six places, or a
+// nonzero value below 10⁻⁶, where m/10⁶ ≥ 10⁻⁶ > abs or m = 0) costs one
+// multiply, one divide and one compare before strconv renders it.
 func AppendJSONFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
+	if abs < 1<<31 {
+		if m := uint64(abs*1e6 + 0.5); float64(m)/1e6 == abs {
+			if math.Signbit(f) { // −0 included, as strconv renders it
+				dst = append(dst, '-')
+			}
+			return appendMicros(dst, m)
+		}
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -28,6 +51,36 @@ func AppendJSONFloat(dst []byte, f float64) []byte {
 		}
 	}
 	return dst
+}
+
+// appendMicros renders m·10⁻⁶ (m < 2⁵¹) in 'f' notation without trailing
+// zeros: the integer part, then up to six places.
+func appendMicros(dst []byte, m uint64) []byte {
+	var buf [24]byte
+	i := len(buf)
+	ip, fp := m/1e6, uint32(m%1e6)
+	if fp != 0 {
+		places := 6
+		for fp%10 == 0 {
+			fp /= 10
+			places--
+		}
+		for ; places > 0; places-- {
+			i--
+			buf[i] = byte('0' + fp%10)
+			fp /= 10
+		}
+		i--
+		buf[i] = '.'
+	}
+	for ip >= 10 {
+		i--
+		buf[i] = byte('0' + ip%10)
+		ip /= 10
+	}
+	i--
+	buf[i] = byte('0' + ip)
+	return append(dst, buf[i:]...)
 }
 
 const hexDigits = "0123456789abcdef"

@@ -10,6 +10,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -113,6 +115,8 @@ func TestDecodeJSONMatchesEncodingJSON(t *testing.T) {
 		`{"observations":[{"id":1,"t":3.141592653589793238462643383279,"x":-123456789012345678901234567890.5,"y":9007199254740993,"value":1E+22}]}`,
 		`{"observations":[{"id":1,"t":-0,"x":0e0,"y":1e22,"value":1e-22}]}`,
 		`{"watermark":123456.789012345,"observations":[{"id":1,"t":1,"value":1,"sensor":-42}]}`,
+		`{"observations":[{"id":1,"sensor":0},{"id":2,"sensor":-0},{"id":3,"sensor":9223372036854775807},{"id":4,"sensor":-9223372036854775808}]}`,
+		`{"observations":[{"\u0069d":5,"\u0074":1.5,"valu\u0065":2,"s\u0065nsor":3,"at\u0074r":"r"},{ "id" :6, "t"	:2 ,"idx":1,"i":2,"value2":3,"sensors":[4],"":5}]}`,
 	}
 	d := BorrowDecoder()
 	defer d.Release()
@@ -167,6 +171,13 @@ func TestDecodeJSONRejectsMalformed(t *testing.T) {
 		`{"attr":"a"} trailing`,
 		`{"watermark":nul}`, `{"watermark":+1}`, `{"watermark":.5}`,
 		`{"watermark":1.}`, `{"watermark":1e}`,
+		`{"observations":[{"id":1,"sensor":1.9}]}`, `{"observations":[{"id":1,"sensor":-0.5}]}`,
+		`{"observations":[{"id":1,"sensor":1.0}]}`, `{"observations":[{"id":1,"sensor":1e2}]}`,
+		`{"observations":[{"id":1,"sensor":1e300}]}`, `{"observations":[{"id":1,"sensor":-1e300}]}`,
+		`{"observations":[{"id":1,"sensor":9223372036854775808}]}`, `{"observations":[{"id":1,"sensor":1e19}]}`,
+		`{"observations":[{"id":1,"sensor":-9223372036854775809}]}`, `{"observations":[{"id":1,"sensor":-}]}`,
+		`{"observations":[{"id":1,"sensor":"3"}]}`, `{"observations":[{"id":1,"sensor":nul}]}`,
+		`{"observations":[{"id"`, `{"observations":[{"i`, `{"observations":[{"id":1,"value`,
 		`{"attr":"bad ` + "\x01" + ` control"}`,
 		`{"attr":"unterminated`,
 		`{"attr":"\q"}`, `{"attr":"\u12"}`, `{"attr":"\uZZZZ"}`,
@@ -178,6 +189,12 @@ func TestDecodeJSONRejectsMalformed(t *testing.T) {
 		if _, err := d.DecodeJSON([]byte(body)); err == nil {
 			t.Fatalf("DecodeJSON(%q): expected error", body)
 		}
+	}
+	// A refused sensor is a syntax error at the byte that refuses it.
+	var se *SyntaxError
+	_, err := d.DecodeJSON([]byte(`{"observations":[{"id":1,"sensor":1.9}]}`))
+	if !errors.As(err, &se) || se.Off != 35 {
+		t.Fatalf("fractional sensor: got %v, want a SyntaxError at offset 35", err)
 	}
 }
 
@@ -485,19 +502,34 @@ func TestInternTableBounded(t *testing.T) {
 }
 
 func TestDecodeJSONZeroAllocs(t *testing.T) {
-	body := jsonBody(64)
+	// The canonical body takes the key match; the second takes every path
+	// around it: an unknown field, whitespace around keys, a known key
+	// spelled with an escape (which must still set the id).
+	offPath := []byte(`{"attr":"temperature","observations":[` +
+		`{"id":1,"t":0.5,"value":20.5,"unit":"C","extra":{"k":[1,"two"]}},` +
+		`{ "id" : 2 , "t" : 1.5 ,	"value"	: 21 , "sensor" : 4 },` +
+		`{"\u0069d":3,"a\u0074tr":"humidity","t":2.5,"valu\u0065":22}]}`)
 	d := BorrowDecoder()
 	defer d.Release()
-	if _, err := d.DecodeJSON(body); err != nil { // warm: grow buffer, intern attrs
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(100, func() {
-		if _, err := d.DecodeJSON(body); err != nil {
+	for _, body := range [][]byte{jsonBody(64), offPath} {
+		got, err := d.DecodeJSON(body) // warm: grow buffer, intern attrs
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if n != 0 {
-		t.Fatalf("steady-state JSON decode: %.1f allocs/op, want 0", n)
+		if want := refDecode(t, body); !batchesEqual(got, want) {
+			t.Fatalf("DecodeJSON(%s):\n got %+v\nwant %+v", body, got, want)
+		}
+		n := testing.AllocsPerRun(100, func() {
+			if _, err := d.DecodeJSON(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("steady-state JSON decode of %.60s…: %.1f allocs/op, want 0", body, n)
+		}
+	}
+	if got, _ := d.DecodeJSON(offPath); len(got.Tuples) != 3 || got.Tuples[2].ID != 3 || got.Tuples[2].Attr != "humidity" {
+		t.Fatalf("escaped keys did not name their fields: %+v", got.Tuples)
 	}
 }
 
@@ -680,6 +712,47 @@ func FuzzWireDecode(f *testing.F) {
 			if _, err := fr.Next(); err != nil {
 				break
 			}
+		}
+	})
+}
+
+// numberToken is the decoder's number grammar: RFC 8259's, except that
+// leading zeros pass (as they always have here; strconv reads them the same).
+var numberToken = regexp.MustCompile(`^-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// FuzzJSONNumber holds jparser.number to strconv on every token: one in the
+// grammar and in float64's range decodes to ParseFloat's bits, anything else
+// is a *SyntaxError, never a panic or a near miss.
+func FuzzJSONNumber(f *testing.F) {
+	for _, tok := range []string{
+		"0", "-0", "21.5", "0.001", "99.99", "7.122999999999999", "1e22", "1e23", "1e-22", "1e-23",
+		"4503599627370495", "4503599627370496", "9007199254740993", "450359962737049.5e1",
+		"0.30000000000000004", "1.7976931348623157e308", "1.8e308", "5e-324", "2e-324", "1e-400",
+		"007", "-", "+1", ".5", "1.", "1e", "1e+", "0x10", "1_000", "Inf", "NaN", "1e99999", "0e99999",
+		"0." + strings.Repeat("0", 30) + "1e31", "1e-10000", "1E5", "--1", "1.2.3", "1e5e5",
+	} {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		if strings.ContainsAny(tok, "{}[]\":, \t\r\n") {
+			return // would change the body's structure, not the number's spelling
+		}
+		d := BorrowDecoder()
+		defer d.Release()
+		got, err := d.DecodeJSON([]byte(`{"observations":[{"t":` + tok + `}]}`))
+		want, perr := strconv.ParseFloat(tok, 64)
+		if numberToken.MatchString(tok) && perr == nil {
+			if err != nil {
+				t.Fatalf("number %q refused: %v", tok, err)
+			}
+			if math.Float64bits(got.Tuples[0].T) != math.Float64bits(want) {
+				t.Fatalf("number %q: got %x, strconv %x", tok, math.Float64bits(got.Tuples[0].T), math.Float64bits(want))
+			}
+			return
+		}
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Fatalf("token %q: got %v (%+v), want a *SyntaxError", tok, err, got.Tuples)
 		}
 	})
 }

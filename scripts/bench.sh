@@ -30,7 +30,8 @@
 # BenchmarkEndToEnd + BenchmarkIngest* + BenchmarkWire* +
 # BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkEpochFanout +
 # BenchmarkMLE + BenchmarkFlattenSteady + BenchmarkEpochAssembly +
-# BenchmarkTopologyConstruction runs against the one committed
+# BenchmarkTopologyConstruction + BenchmarkJSONLinesExport runs against the
+# one committed
 # BENCH_*.json and fails on >15% ns/op regression, or when it finds more
 # than one: a PR that commits a new BENCH_<date>.json deletes the one it
 # supersedes (git history keeps the trajectory).

@@ -18,9 +18,12 @@
 # BenchmarkFlattenSteady (one F-operator over a moving window with fresh
 # tuples per batch, the daemon's shape), BenchmarkEpochAssembly (the serial
 # prefix of an epoch on the end-to-end benchmark's shapes, plus onebucket,
-# the ordering pass's worst case) and BenchmarkTopologyConstruction (a
+# the ordering pass's worst case), BenchmarkTopologyConstruction (a
 # session's fleet of operators and their generators built from nothing) and
-# compares ns/op per sub-benchmark
+# BenchmarkJSONLinesExport (the ndjson result encoder on short decimals, which
+# wire.AppendJSONFloat renders with integer arithmetic, and on full-precision
+# floats, which it hands to strconv — the second row guards what a miss
+# costs) and compares ns/op per sub-benchmark
 # against the one committed BENCH_*.json trajectory file, failing when
 # any sub-benchmark is more than BENCH_TOLERANCE_PCT percent slower
 # (default 15). Benchmarks present in only one side are reported and
@@ -67,13 +70,13 @@ echo "bench_guard: comparing against $base (tolerance ${tol}%)"
 raw=$(mktemp) basevals=$(mktemp) curvals=$(mktemp) failing=$(mktemp)
 trap 'rm -f "$raw" "$basevals" "$curvals" "$failing"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWire|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady|BenchmarkEpochAssembly|BenchmarkTopologyConstruction' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWire|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady|BenchmarkEpochAssembly|BenchmarkTopologyConstruction|BenchmarkJSONLinesExport' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
 
 # Baseline pairs (name ns_per_op) from the JSON written by bench.sh.
-sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|Wire\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\|EpochAssembly\|TopologyConstruction\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
+sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|Wire\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\|EpochAssembly\|TopologyConstruction\|JSONLinesExport\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
     | sed 's/-[0-9]* / /' > "$basevals"
 # Current pairs from the benchmark output, best ns/op per name.
-awk '/^Benchmark(EndToEnd|Ingest|Wire|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady|EpochAssembly|TopologyConstruction)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
+awk '/^Benchmark(EndToEnd|Ingest|Wire|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady|EpochAssembly|TopologyConstruction|JSONLinesExport)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
     | sed 's/-[0-9]* / /' > "$curvals"
 
 if [ ! -s "$curvals" ]; then
