@@ -9,10 +9,10 @@
 //	POST   /v1/sessions                               create a session ({"name","seed","tick","simulated","retention",
 //	                                                  "source","adaptiveRates",…})
 //	GET    /v1/sessions                               list sessions
-//	GET    /v1/sessions/{s}/status                    session status (epochs, now, drops, budgets, plans, meanNv)
+//	GET    /v1/sessions/{s}/status                    session status (epochs, now, drops, budgets, sharing, meanNv)
 //	DELETE /v1/sessions/{s}                           destroy a session
 //	POST   /v1/sessions/{s}/queries                   submit a CrAQL query (EXPLAIN … returns the plan table)
-//	GET    /v1/sessions/{s}/queries/{q}/plan          planner cost table for a live query
+//	GET    /v1/sessions/{s}/queries/{q}/plan          EXPLAIN of a live query (planner cost table)
 //	POST   /v1/sessions/{s}/script                    submit a CrAQL script atomically
 //	POST   /v1/sessions/{s}/step?n=k                  advance k epochs manually
 //	POST   /v1/sessions/{s}/ingest                    push external observations (JSON batch or ndjson)
@@ -22,9 +22,10 @@
 // A standalone daemon starts with one pinned session named "default"
 // (-seed, -tick), so /v1/sessions/default/… works out of the box.
 //
-// The cost-based planner prices every submission so each query gets the
-// cheapest merge topology; -budget turns on adaptive rate retuning,
-// converging starved cells to their feasible rate.
+// Every query is built with the flat merge topology, the cost-based
+// planner's choice for any query; EXPLAIN and the plan route show the
+// comparison. -budget turns on adaptive rate retuning, converging starved
+// cells to their feasible rate.
 // -source selects the template observation source (simulated | external |
 // mixed): external and mixed sessions accept pushes on the ingest route,
 // with -ingest-buffer bounding the per-session queue, -tolerance the

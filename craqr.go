@@ -309,11 +309,11 @@ func NewEventDetector(on, off float64) (*EventDetector, error) {
 	return inference.NewEventDetector(on, off)
 }
 
-// Query-cost planning (the Section VI query-optimization extension). The
-// engine runs the planner on every Submit unless EngineConfig.Planner
-// disables it; Engine.Explain prices a CrAQL statement (EXPLAIN or plain)
+// Query-cost planning (the Section VI query-optimization extension) is a
+// what-if: Engine.Explain prices a CrAQL statement (EXPLAIN or plain)
 // without submitting, and PlanExplanation.Table is the canonical text
-// rendering every EXPLAIN surface shares.
+// rendering every EXPLAIN surface shares. Submit builds every query with
+// EngineConfig.Fabricator.Merge (flat, the planner's answer, by default).
 type (
 	// PlannerWeights prices tuples, operators and merge depth.
 	PlannerWeights = planner.Weights

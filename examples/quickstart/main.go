@@ -45,15 +45,15 @@ func main() {
 	fmt.Print(ex.Table())
 
 	// The declarative acquisitional query of the paper's Section III. The
-	// engine plans it on submission: the cheapest merge topology is built
-	// and the chosen cost estimate is retained.
+	// engine builds it with the fabricator's merge mode — flat, which is
+	// also the planner's choice for every query.
 	q, err := engine.SubmitCRAQL("ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 3")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("submitted:", q)
-	if est, ok := engine.Plan(q.ID); ok {
-		fmt.Println("planned:  ", est)
+	if ex, err := engine.ExplainQuery(q); err == nil {
+		fmt.Println("planned:  ", ex.Choice)
 	}
 
 	// Run 30 acquisition epochs.

@@ -12,8 +12,9 @@
 //
 // An EXPLAIN statement does not acquire anything: the engine prices the
 // query's candidate merge topologies with the cost-based planner and
-// returns the comparison table instead of submitting the query (see
-// internal/planner and DESIGN.md, "Planning and adaptivity").
+// returns the comparison table instead of submitting the query; submission
+// itself prices nothing (see internal/planner and DESIGN.md, "Planning and
+// adaptivity").
 //
 // Keywords are case-insensitive; attribute names are case-sensitive
 // identifiers. Parse errors carry the byte offset of the offending token.

@@ -9,9 +9,9 @@ import (
 // textually different statements describing the same acquisition — swapped
 // rectangle corners, negative zeros, a stale ID on a stored query — share
 // one representation. The canonical *key* (CanonicalKey) is the CrAQL text
-// of the normal form; the planner's plan cache and the topology layer's
-// shared-subplan map are both keyed by it, so "equal normal forms ⇒ equal
-// plans ⇒ one fabricated subplan" (see DESIGN.md, "Multi-query sharing").
+// of the normal form; the topology layer's shared-subplan map is keyed by
+// it, so "equal normal forms ⇒ one fabricated subplan" (see DESIGN.md,
+// "Multi-query sharing").
 //
 // Properties (FuzzCRAQLNormalize enforces them):
 //   - total: every statement that parses normalizes without error;
@@ -50,10 +50,10 @@ func Normalize(st Statement) Statement {
 	return st
 }
 
-// CanonicalKey renders q's normal form as CrAQL text — the cache key used
-// by the engine's plan cache and the fabricator's shared-subplan map. Two
-// queries have equal keys iff their normal forms are identical
-// (attribute, region and rate), because %g is injective on float64.
+// CanonicalKey renders q's normal form as CrAQL text — the key of the
+// fabricator's shared-subplan map. Two queries have equal keys iff their
+// normal forms are identical (attribute, region and rate), because %g is
+// injective on float64.
 func CanonicalKey(q query.Query) string {
 	return Format(NormalizeQuery(q))
 }

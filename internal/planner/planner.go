@@ -11,14 +11,15 @@
 // cost, and EstimateQueryCost prices a whole query before insertion so
 // admission control can reason about it.
 //
-// The planner is not only an offline tool (cmd/craqr-plan): the service
-// runtime calls ChooseMergeMode on every query submission unless planning
-// is disabled, retains the chosen CostEstimate per query, and serves the
-// full Explain table through the CrAQL EXPLAIN statement and the HTTP plan
-// endpoint (GET /v1/sessions/{s}/queries/{q}/plan — see docs/API.md and
-// DESIGN.md, "Planning and adaptivity"). Explanation.Table is the canonical
-// text rendering shared by every surface, so EXPLAIN output is
-// byte-identical to CompareModes wherever it is printed.
+// The planner answers what-ifs: besides the offline tool (cmd/craqr-plan),
+// the service serves the full Explain table through the CrAQL EXPLAIN
+// statement and the HTTP plan endpoint (GET
+// /v1/sessions/{s}/queries/{q}/plan — see docs/API.md and DESIGN.md,
+// "Planning and adaptivity"). Submission does not consult it: its answer is
+// always flat (TestChooseMergeModeIsFlatForAnyWeights), the fabricator's
+// default merge mode. Explanation.Table is the canonical text rendering
+// shared by every surface, so EXPLAIN output is byte-identical to
+// CompareModes wherever it is printed.
 package planner
 
 import (

@@ -131,10 +131,10 @@ func TestChooseMergeModePrefersFlatWhenDepthCheap(t *testing.T) {
 // term of Total is non-decreasing in operators and depth under the
 // non-negative weights Validate admits, and ChooseMergeMode prices flat first
 // under a strict <. Since the compiled position program merges identically
-// for every mode, the engine's per-submit planning and its plan cache
-// memoise this constant. A failure here means the cost model can prefer
-// another layout again — the choice is a real decision and that machinery
-// is earning its keep.
+// for every mode, Engine.Submit does not plan: it builds the fabricator's
+// merge mode, flat by default. A failure here means the cost model can
+// prefer another layout again — the choice is a real decision, and
+// submission would have to consult the planner to honour it.
 func TestChooseMergeModeIsFlatForAnyWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	weight := func() float64 {

@@ -150,7 +150,7 @@ func (d *durableState) JournalDrain(t1 float64) {
 
 // logSubmit/logDelete/logEpoch append control-plane records; callers hold
 // stepMu, so their order against epoch records is the effect order.
-func (d *durableState) logSubmit(q query.Query, mode string) {
+func (d *durableState) logSubmit(q query.Query) {
 	if !d.attached.Load() {
 		return
 	}
@@ -160,7 +160,6 @@ func (d *durableState) logSubmit(q query.Query, mode string) {
 		Attr:    q.Attr,
 		Rect:    [4]float64{q.Region.MinX, q.Region.MinY, q.Region.MaxX, q.Region.MaxY},
 		Rate:    q.Rate,
-		Mode:    mode,
 	})
 }
 
@@ -290,7 +289,6 @@ type snapshotQuery struct {
 	Attr string     `json:"attr"`
 	Rect [4]float64 `json:"rect"` // minX, minY, maxX, maxY
 	Rate float64    `json:"rate"`
-	Mode string     `json:"mode,omitempty"`
 }
 
 type snapshotResult struct {
@@ -360,16 +358,12 @@ func (e *Engine) captureSnapshot(walRecords uint64) *engineSnapshot {
 	e.mu.Unlock()
 
 	for _, q := range e.fab.Registry().List() {
-		sq := snapshotQuery{
+		snap.Queries = append(snap.Queries, snapshotQuery{
 			ID:   q.ID,
 			Attr: q.Attr,
 			Rect: [4]float64{q.Region.MinX, q.Region.MinY, q.Region.MaxX, q.Region.MaxY},
 			Rate: q.Rate,
-		}
-		if mode, ok := e.fab.QueryMergeMode(q.ID); ok {
-			sq.Mode = mode.String()
-		}
-		snap.Queries = append(snap.Queries, sq)
+		})
 	}
 	ids := make([]string, 0, len(stores))
 	for id := range stores {

@@ -273,6 +273,61 @@ func TestSimulatedRecoveryDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecoveryVerifiesSnapshotWithMode: checkpoints written while Submit
+// still planned record each query's merge mode ("mode":"flat"). Nothing
+// reads that key any more and snapshotVersion did not move for its removal,
+// so such a checkpoint must still verify.
+func TestRecoveryVerifiesSnapshotWithMode(t *testing.T) {
+	cfg := testConfig()
+	cfg.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.FsyncAlways, SnapshotEveryEpochs: 2}
+	e1, err := New(cfg, testFields(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e1.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := listSnapshots(cfg.Durability.Dir)
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checkpoint after 2 epochs: %v", err)
+	}
+	newest := paths[len(paths)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]interface{}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	queries, _ := snap["queries"].([]interface{})
+	if len(queries) != 1 {
+		t.Fatalf("checkpoint queries = %v, want one", snap["queries"])
+	}
+	queries[0].(map[string]interface{})["mode"] = "flat"
+	if data, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash after 2 epochs; recover beside the rewritten checkpoint.
+	e2, err := New(cfg, testFields(t))
+	if err != nil {
+		t.Fatalf("recovery beside a checkpoint with mode: %v", err)
+	}
+	if ds := e2.Durability(); !ds.SnapshotVerified {
+		t.Fatalf("a checkpoint with \"mode\":\"flat\" did not verify: %+v", ds)
+	}
+	if err := e2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // --- torn writes and corruption -------------------------------------------
 
 // tornSegment persists at most budget bytes, then silently swallows the

@@ -3,14 +3,14 @@
 // acquired crowdsensed streams, with query input feeding the fabricator and
 // the F-operators' rate violations feeding budget tuning.
 //
-// The Engine runs the loop in-process and plans its own queries: unless
-// Config.Planner disables it, every Submit prices the query's candidate
-// merge topologies with internal/planner and builds the cheapest, and
-// Engine.Explain serves the CrAQL EXPLAIN statement. With
-// Config.AdaptiveRates the engine also closes the paper's budget-feedback
-// loop end to end each epoch: normalized violations from every F-operator
-// feed a budget.Controller whose RateScale retunes starved pipelines
-// through the topology layer (see DESIGN.md, "Planning and adaptivity").
+// The Engine runs the loop in-process. Submit builds every query with the
+// fabricator's merge mode (Config.Fabricator.Merge); internal/planner only
+// answers what-ifs — Engine.Explain serves the CrAQL EXPLAIN statement and
+// the plan route. With Config.AdaptiveRates the engine also closes the
+// paper's budget-feedback loop end to end each epoch: normalized
+// violations from every F-operator feed a budget.Controller whose
+// RateScale retunes starved pipelines through the topology layer (see
+// DESIGN.md, "Planning and adaptivity").
 //
 // A Manager hosts many named engine sessions behind one process, and the
 // net/http façade (http.go) exposes the whole surface over JSON — sessions
@@ -72,8 +72,6 @@ type Config struct {
 	// Clock configures the engine's own epoch driver used by Start; Step/Run
 	// remain available for manual driving.
 	Clock ClockConfig
-	// Planner configures cost-based merge planning on Submit/SubmitScript.
-	Planner PlannerConfig
 	// AdaptiveRates enables the per-epoch rate-retune feedback loop: a
 	// second budget controller observes every cell's normalized violations
 	// (pmat.ViolationReport.Percent) and rescales starved pipelines through
@@ -155,17 +153,6 @@ type SourceConfig struct {
 	Late ingest.LatePolicy
 }
 
-// PlannerConfig controls cost-based query planning in the engine.
-type PlannerConfig struct {
-	// Disable turns planning off: every query is built with the static
-	// Fabricator.Merge mode. A reference path for tests and benchmarks, like
-	// topology.PipelineConfig.DisableFused; nothing in the service sets it.
-	Disable bool
-	// Weights are the cost-model weights; the zero value means
-	// planner.DefaultWeights.
-	Weights planner.Weights
-}
-
 // DefaultAdaptiveConfig is the rate-retune controller configuration used
 // when Config.Adaptive is zero: β starts (and recovers to) 100, moves ±25
 // per epoch and caps at 400, so budget.RateScale spans [0.25, 1] — a
@@ -184,10 +171,9 @@ type Engine struct {
 	handler *handler.Handler
 	fab     *topology.Fabricator
 
-	// planWeights are the resolved cost-model weights; adaptive is the
-	// rate-retune controller (nil when Config.AdaptiveRates is off).
-	planWeights planner.Weights
-	adaptive    *budget.Controller
+	// adaptive is the rate-retune controller (nil when Config.AdaptiveRates
+	// is off).
+	adaptive *budget.Controller
 
 	// source yields every epoch's observations; queue is the external
 	// ingest buffer behind it (nil in SourceSimulated mode).
@@ -217,17 +203,6 @@ type Engine struct {
 	// glue allocation-free.
 	attrScratch []string
 	liveScratch map[budget.Key]bool
-	// plans retains the planner's chosen estimate per live query.
-	plans map[string]planner.CostEstimate
-	// planCache memoizes planFor results by canonical CrAQL key
-	// (craql.CanonicalKey), each entry validated against the fabricator's
-	// per-attribute structural version — the incremental-replanning hook:
-	// only churn that actually changed an attribute's shared prefixes
-	// forces a re-cost; identical queries (the sharing-heavy workload) hit
-	// the cache. Guarded by mu, as are the hit/miss counters.
-	planCache  map[string]planCacheEntry
-	planHits   uint64
-	planMisses uint64
 	// nvSum/nvN accumulate every (cell, epoch) normalized-violation sample —
 	// MeanViolation is the adaptivity acceptance metric.
 	nvSum float64
@@ -280,13 +255,6 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 	if cfg.Incentives != nil {
 		alloc := cfg.Incentives
 		h.SetIncentive(func(k budget.Key) float64 { return alloc.Incentive(k) })
-	}
-	planWeights := cfg.Planner.Weights
-	if planWeights == (planner.Weights{}) {
-		planWeights = planner.DefaultWeights()
-	}
-	if err := planWeights.Validate(); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
 	}
 	var adaptive *budget.Controller
 	if cfg.AdaptiveRates {
@@ -351,15 +319,12 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 		budgets:     budgets,
 		handler:     h,
 		fab:         fab,
-		planWeights: planWeights,
 		adaptive:    adaptive,
 		source:      src,
 		queue:       queue,
 		dur:         dur,
 		limiter:     newTenantLimiter(cfg.Limits, nil),
 		results:     make(map[string]*stream.ResultStore),
-		plans:       make(map[string]planner.CostEstimate),
-		planCache:   make(map[string]planCacheEntry),
 		liveScratch: make(map[budget.Key]bool),
 	}
 	if dur != nil {
@@ -408,11 +373,8 @@ func (e *Engine) Epochs() int {
 // a query that joins a resident subplan reads that subplan's ring from its
 // own cursor 0 instead of filling a ring of its own.
 //
-// Unless Config.Planner.Disable is set, the cost-based planner prices every
-// merge topology for the query against the engine's grid and the cheapest
-// one is built; the chosen estimate is retained (Plan) and served by the
-// plan endpoint. With planning disabled — or when the planner cannot price
-// the query — the static Fabricator.Merge mode is used.
+// The query is built with Config.Fabricator.Merge (zero value: flat, the
+// cost model's answer for every query; ExplainQuery shows the pricing).
 func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	// The resident-query quota refuses before anything mutates; the HTTP
 	// layer maps the typed error to 429.
@@ -422,8 +384,8 @@ func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	if e.dur != nil {
 		// Reject queries the journal cannot frame before anything mutates:
 		// the submit record must be appendable or the engine's state would
-		// diverge from its log (the engine-assigned ID and merge mode are
-		// short; only the caller's attr can blow the string bound).
+		// diverge from its log (the engine-assigned ID is short; only the
+		// caller's attr can blow the string bound).
 		if err := (&wal.Record{Type: wal.TypeSubmit, Attr: q.Attr}).Check(); err != nil {
 			return query.Query{}, fmt.Errorf("server: query is not journalable: %w", err)
 		}
@@ -434,31 +396,15 @@ func (e *Engine) Submit(q query.Query) (query.Query, error) {
 		defer e.stepMu.Unlock()
 	}
 	store := stream.NewResultStore(e.cfg.Retention)
-	var (
-		stored query.Query
-		err    error
-	)
-	est, planned := e.planFor(q)
-	if planned {
-		stored, err = e.fab.InsertQueryMerge(q, store, est.Mode)
-	} else {
-		stored, err = e.fab.InsertQuery(q, store)
-	}
+	stored, err := e.fab.InsertQuery(q, store)
 	if err != nil {
 		return query.Query{}, err
 	}
 	e.mu.Lock()
 	e.results[stored.ID] = store
-	if planned {
-		e.plans[stored.ID] = est
-	}
 	e.mu.Unlock()
 	if e.dur != nil {
-		mode := ""
-		if m, ok := e.fab.QueryMergeMode(stored.ID); ok {
-			mode = m.String()
-		}
-		e.dur.logSubmit(stored, mode)
+		e.dur.logSubmit(stored)
 		if cerr := e.dur.commit(); cerr != nil {
 			return query.Query{}, &DurabilityError{Err: cerr}
 		}
@@ -466,89 +412,17 @@ func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	return stored, nil
 }
 
-// planCacheEntry is one memoized planFor result, pinned to the structural
-// version of its attribute's topology at costing time.
-type planCacheEntry struct {
-	est     planner.CostEstimate
-	version uint64
-}
-
-// planCacheMax bounds the plan cache; at the cap an arbitrary entry is
-// evicted (the cache is a memo, not state — eviction only costs a
-// re-price). 16k entries ≈ the 10k-resident-query design point with room
-// for churn.
-const planCacheMax = 16384
-
-// planFor prices q and returns the winning estimate; false disables
-// planning for this query (planner off, or the query is un-priceable — the
-// fabricator then owns rejecting it with its own error). Results are
-// memoized by canonical CrAQL key: a cached estimate is reused as long as
-// the attribute's topology kept its structural version (no subplan
-// fabricated or torn down since), so steady-state churn over a recurring
-// query population prices each normal form once per structural change
-// instead of once per submit.
-func (e *Engine) planFor(q query.Query) (planner.CostEstimate, bool) {
-	if e.cfg.Planner.Disable {
-		return planner.CostEstimate{}, false
-	}
-	key := craql.CanonicalKey(q)
-	ver := e.fab.AttrVersion(q.Attr)
-	e.mu.Lock()
-	if ent, ok := e.planCache[key]; ok && ent.version == ver {
-		e.planHits++
-		e.mu.Unlock()
-		return ent.est, true
-	}
-	e.planMisses++
-	e.mu.Unlock()
-	est, err := planner.ChooseMergeMode(e.grid, q, e.cfg.Epoch, e.planWeights)
-	if err != nil {
-		return planner.CostEstimate{}, false
-	}
-	e.mu.Lock()
-	if len(e.planCache) >= planCacheMax {
-		for k := range e.planCache {
-			delete(e.planCache, k)
-			break
-		}
-	}
-	e.planCache[key] = planCacheEntry{est: est, version: ver}
-	e.mu.Unlock()
-	return est, true
-}
-
-// PlanCacheStats returns the plan cache's lifetime hit and miss counts —
-// the /status planCacheHits/planCacheMisses counters.
-func (e *Engine) PlanCacheStats() (hits, misses uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.planHits, e.planMisses
-}
-
 // SharedStats snapshots the fabricator's subplan-sharing accounting.
 func (e *Engine) SharedStats() topology.SharedStats { return e.fab.SharedStats() }
 
-// Plan returns the planner's chosen cost estimate for a live query; false
-// when the query is unknown or was submitted without planning.
-func (e *Engine) Plan(id string) (planner.CostEstimate, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	est, ok := e.plans[id]
-	return est, ok
-}
-
-// PlannerWeights returns the resolved cost-model weights.
-func (e *Engine) PlannerWeights() planner.Weights { return e.planWeights }
-
 // Explain parses a CrAQL statement — the EXPLAIN form or a plain query —
-// and prices it against the engine's grid, epoch length and planner
-// weights without submitting anything. Explanation.Table is the canonical
-// text rendering, byte-identical to planner.CompareModes output — plus,
-// when the query's normal form is already served by a shared subplan with
-// two or more attached queries, a trailing "shared:" line reporting the
-// live topology (the mode actually executing and the refcount), not a
-// stale submit-time estimate. Explain works even when planning is
-// disabled (it is a what-if, not an action).
+// and prices it against the engine's grid and epoch length under
+// planner.DefaultWeights without submitting anything. Explanation.Table is
+// the canonical text rendering, byte-identical to planner.CompareModes
+// output — plus, when the query's normal form is already served by a
+// shared subplan with two or more attached queries, a trailing "shared:"
+// line reporting the live topology (the mode actually executing and the
+// refcount).
 func (e *Engine) Explain(src string) (planner.Explanation, error) {
 	st, err := craql.ParseStatement(src)
 	if err != nil {
@@ -561,7 +435,7 @@ func (e *Engine) Explain(src string) (planner.Explanation, error) {
 // the explanation with the live shared subplan serving its normal form,
 // when one exists with ≥ 2 members.
 func (e *Engine) ExplainQuery(q query.Query) (planner.Explanation, error) {
-	ex, err := planner.Explain(e.grid, q, e.cfg.Epoch, e.planWeights)
+	ex, err := planner.Explain(e.grid, q, e.cfg.Epoch, planner.DefaultWeights())
 	if err != nil {
 		return planner.Explanation{}, err
 	}
@@ -630,7 +504,6 @@ func (e *Engine) Delete(id string) error {
 	e.mu.Lock()
 	store := e.results[id]
 	delete(e.results, id)
-	delete(e.plans, id)
 	if store != nil {
 		// DeleteQuery closed the store, so its count is final.
 		e.retiredDrops += store.Dropped()

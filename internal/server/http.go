@@ -33,11 +33,11 @@ import (
 //	GET    /v1/sessions                               list sessions
 //	GET    /v1/sessions/{s}                           session info
 //	DELETE /v1/sessions/{s}                           destroy a session
-//	GET    /v1/sessions/{s}/status                    engine status (epochs, now, drops, budgets, plans)
+//	GET    /v1/sessions/{s}/status                    engine status (epochs, now, drops, budgets, sharing)
 //	POST   /v1/sessions/{s}/queries                   submit CrAQL text (EXPLAIN returns the plan table)
 //	GET    /v1/sessions/{s}/queries                   list live queries
 //	DELETE /v1/sessions/{s}/queries/{id}              delete a query
-//	GET    /v1/sessions/{s}/queries/{id}/plan         planner cost table + chosen estimate
+//	GET    /v1/sessions/{s}/queries/{id}/plan         EXPLAIN of a live query
 //	POST   /v1/sessions/{s}/script                    submit a CrAQL script atomically
 //	POST   /v1/sessions/{s}/step?n=k                  advance k epochs manually
 //	GET    /v1/sessions/{s}/results/{q}?cursor=&limit=  paginated cursor read
@@ -587,15 +587,15 @@ func (s *HTTPServer) handleSessionQueryDelete(w http.ResponseWriter, r *http.Req
 	}
 	id := r.PathValue("id")
 	if err := sess.Engine.Delete(id); err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+		s.writeErr(w, err, http.StatusNotFound)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-// handleSessionQueryPlan serves a live query's plan: the estimate the
-// planner chose at submit time, plus a freshly priced comparison of every
-// merge mode and the canonical text table.
+// handleSessionQueryPlan serves a live query's plan: the EXPLAIN of its
+// statement — a freshly priced comparison of every merge mode, the
+// canonical text table and, when shared, the live group's mode and refs.
 func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r.PathValue("session"))
 	if sess == nil {
@@ -613,14 +613,7 @@ func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Reque
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	resp := map[string]interface{}{"plan": toExplainJSON(ex)}
-	if mode, ok := e.Fabricator().QueryMergeMode(id); ok {
-		resp["mode"] = mode.String()
-	}
-	if est, ok := e.Plan(id); ok {
-		resp["chosenAtSubmit"] = toCostEstimateJSON(est)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, map[string]interface{}{"plan": toExplainJSON(ex)})
 }
 
 func (s *HTTPServer) handleSessionScript(w http.ResponseWriter, r *http.Request) {
@@ -955,25 +948,6 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 			Budget: b.Budget, LastNv: b.LastNv, Infeasible: b.Infeasible,
 		})
 	}
-	// Per-query plans: the merge mode each live query runs with, plus the
-	// planner's retained estimate when planning chose it.
-	type planJSON struct {
-		ID     string            `json:"id"`
-		Mode   string            `json:"mode"`
-		Chosen *costEstimateJSON `json:"chosen,omitempty"`
-	}
-	var plans []planJSON
-	for _, q := range e.Queries() {
-		pj := planJSON{ID: q.ID}
-		if mode, ok := e.Fabricator().QueryMergeMode(q.ID); ok {
-			pj.Mode = mode.String()
-		}
-		if est, ok := e.Plan(q.ID); ok {
-			cj := toCostEstimateJSON(est)
-			pj.Chosen = &cj
-		}
-		plans = append(plans, pj)
-	}
 	// Adaptive-rates slots: current scale and violation per starved cell.
 	type adaptiveSlotJSON struct {
 		Attr       string  `json:"attr"`
@@ -1015,10 +989,9 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 	ts := e.ThrottleCounters()
 	// Multi-query sharing (see docs/API.md, "Status"): sharedPrefixes is
 	// the number of subplans serving ≥ 2 queries, subplans the distinct
-	// fabricated subplans, resultRings the distinct result rings they write,
-	// and planCacheHits/Misses the plan cache's lifetime counters.
+	// fabricated subplans and resultRings the distinct result rings they
+	// write.
 	shared := e.SharedStats()
-	planHits, planMisses := e.PlanCacheStats()
 	// The compiled epoch programs (see docs/API.md, "Status"): what an epoch
 	// executes, and how often that had to be recompiled.
 	program := e.Fabricator().ProgramStats()
@@ -1059,9 +1032,6 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 		"sharedAttaches":   shared.Attaches,
 		"subplans":         shared.Subplans,
 		"resultRings":      shared.ResultRings,
-		"planCacheHits":    planHits,
-		"planCacheMisses":  planMisses,
-		"plans":            plans,
 		"adaptive":         e.AdaptiveEnabled(),
 		"adaptiveSlots":    slots,
 		"meanNv":           e.MeanViolation(),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -151,6 +152,47 @@ func TestHTTPContract(t *testing.T) {
 	for _, rt := range removedRoutes {
 		method, path, _ := strings.Cut(rt, " ")
 		doJSON(t, c, method, ts.URL+path, "", 404, nil)
+	}
+}
+
+// TestStatusKeysMatchAPIDoc: the top-level keys /status renders are
+// exactly those of the JSON example under its heading in docs/API.md, in
+// both directions — a key added, or retired, without its documentation
+// fails here.
+func TestStatusKeysMatchAPIDoc(t *testing.T) {
+	api, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(api), "### GET /v1/sessions/{session}/status\n")
+	if !ok {
+		t.Fatal("docs/API.md has no /status heading")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	_, example, ok := strings.Cut(section, "```json\n")
+	if !ok {
+		t.Fatal("the /status section of docs/API.md has no JSON example")
+	}
+	example, _, _ = strings.Cut(example, "```")
+	var documented map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(example), &documented); err != nil {
+		t.Fatalf("the /status example in docs/API.md is not a JSON object: %v", err)
+	}
+
+	ts, _ := newManagerTestServer(t)
+	c := ts.Client()
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"s"}`, 201, nil)
+	var status map[string]json.RawMessage
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/s/status", "", 200, &status)
+	for key := range status {
+		if _, ok := documented[key]; !ok {
+			t.Errorf("/status renders %q, which the docs/API.md example lacks", key)
+		}
+	}
+	for key := range documented {
+		if _, ok := status[key]; !ok {
+			t.Errorf("the docs/API.md /status example documents %q, which /status does not render", key)
+		}
 	}
 }
 

@@ -5,15 +5,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // newManagerTestServer spins up a manager-backed HTTP server.
@@ -413,6 +417,53 @@ func TestHTTPScriptAndQueryRoutes(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/q/script", "garbage", 400, nil)
 	// Session routes on a missing session 404.
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/nope/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 404, nil)
+}
+
+// syncFaultSegment is a WAL segment whose fsync fails once armed.
+type syncFaultSegment struct {
+	*os.File
+	armed *atomic.Bool
+}
+
+func (s syncFaultSegment) Sync() error {
+	if s.armed.Load() {
+		return errors.New("injected EIO")
+	}
+	return s.File.Sync()
+}
+
+// TestHTTPQueryDeleteDurabilityFault: DELETE of a query maps its error
+// through the error table — a delete the WAL could not make durable is a
+// 500, and only an unknown id is a 404.
+func TestHTTPQueryDeleteDurabilityFault(t *testing.T) {
+	var armed atomic.Bool
+	template := testConfig()
+	template.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.FsyncAlways,
+		WrapFile: func(f *os.File) (wal.File, error) { return syncFaultSegment{File: f, armed: &armed}, nil }}
+	hs, err := NewManagerHTTPServer(newManager(t, ManagerConfig{NewEngine: templateFactory(t, template)}), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(hs)
+	defer ts.Close()
+	c := ts.Client()
+
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"d"}`, 201, nil)
+	var qj struct {
+		ID string `json:"id"`
+	}
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/d/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
+	doJSON(t, c, "DELETE", ts.URL+"/v1/sessions/d/queries/nope", "", 404, nil)
+
+	armed.Store(true)
+	var fault struct {
+		Error string `json:"error"`
+	}
+	doJSON(t, c, "DELETE", ts.URL+"/v1/sessions/d/queries/"+qj.ID, "", 500, &fault)
+	if !strings.Contains(fault.Error, "injected EIO") {
+		t.Fatalf("fault body = %q, want the fsync error", fault.Error)
+	}
+	doJSON(t, c, "DELETE", ts.URL+"/v1/sessions/d/queries/nope", "", 404, nil)
 }
 
 // TestWriteJSONLogsEncodeFailure covers the satellite requirement that

@@ -15,7 +15,7 @@ import (
 // byte-reproducibility tests are unaffected unless an operator opts in.
 // Limits are enforcement-time only: they gate what enters the engine, never
 // how accepted data is processed, so they have no effect on replay and are
-// deliberately excluded from manifest-conflict checks (like PlannerWeights).
+// deliberately excluded from manifest-conflict checks.
 type TenantLimits struct {
 	// RateTuplesPerSec caps the session's sustained ingest rate in tuples
 	// per second (burst: one second's worth).

@@ -15,13 +15,12 @@ import (
 	"repro/internal/sensors"
 	"repro/internal/stats"
 	"repro/internal/stream"
-	"repro/internal/topology"
 )
 
 // TestExplainGoldenAgainstCompareModes is the EXPLAIN acceptance golden
 // test: the table served by Engine.Explain must be byte-identical to
 // rendering planner.CompareModes + ChooseMergeMode for the same grid,
-// query, epoch length and weights.
+// query and epoch length under the default weights.
 func TestExplainGoldenAgainstCompareModes(t *testing.T) {
 	e := newEngine(t)
 	const src = "EXPLAIN ACQUIRE rain FROM RECT(0, 0, 6, 4) RATE 8"
@@ -30,11 +29,11 @@ func TestExplainGoldenAgainstCompareModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 6, 4), Rate: 8}
-	ests, err := planner.CompareModes(e.Grid(), q, 1, e.PlannerWeights())
+	ests, err := planner.CompareModes(e.Grid(), q, 1, planner.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice, err := planner.ChooseMergeMode(e.Grid(), q, 1, e.PlannerWeights())
+	choice, err := planner.ChooseMergeMode(e.Grid(), q, 1, planner.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,44 +56,9 @@ func TestExplainGoldenAgainstCompareModes(t *testing.T) {
 	}
 }
 
-// TestSubmitRetainsPlannerChoice checks that Submit runs the planner, the
-// chosen estimate is retained per query, and the fabricator built the
-// chosen merge mode.
-func TestSubmitRetainsPlannerChoice(t *testing.T) {
-	e := newEngine(t)
-	q, err := e.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 2), Rate: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.cfg.Planner.Disable {
-		t.Fatal("planner should default on")
-	}
-	est, ok := e.Plan(q.ID)
-	if !ok {
-		t.Fatal("no retained cost estimate for planned query")
-	}
-	mode, ok := e.Fabricator().QueryMergeMode(q.ID)
-	if !ok || mode != est.Mode {
-		t.Fatalf("built mode %v, planner chose %v", mode, est.Mode)
-	}
-	want, err := planner.ChooseMergeMode(e.Grid(), query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 2), Rate: 2}, 1, e.PlannerWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != want {
-		t.Fatalf("retained estimate %+v, want %+v", est, want)
-	}
-	if err := e.Delete(q.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.Plan(q.ID); ok {
-		t.Fatal("plan survived query deletion")
-	}
-}
-
 // TestHTTPExplainAndPlanEndpoint drives EXPLAIN and the plan endpoint over
 // HTTP: an EXPLAIN POST answers with the table and registers nothing; the
-// plan route serves the retained choice plus a live comparison.
+// plan route answers with the live query's EXPLAIN and nothing else.
 func TestHTTPExplainAndPlanEndpoint(t *testing.T) {
 	m := newManager(t, ManagerConfig{})
 	if _, err := m.Create(SessionSpec{Name: "s"}); err != nil {
@@ -171,23 +135,18 @@ func TestHTTPExplainAndPlanEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("plan status = %d", resp.StatusCode)
 	}
-	var planBody struct {
-		Mode   string `json:"mode"`
-		Chosen *struct {
-			Mode string `json:"mode"`
-		} `json:"chosenAtSubmit"`
-		Plan struct {
-			Explain string `json:"explain"`
-		} `json:"plan"`
+	var planBody map[string]struct {
+		Explain string `json:"explain"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&planBody); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if planBody.Chosen == nil || planBody.Mode != planBody.Chosen.Mode {
-		t.Fatalf("plan payload inconsistent: %+v", planBody)
+	plan, ok := planBody["plan"]
+	if !ok || len(planBody) != 1 {
+		t.Fatalf("plan payload = %+v, want only plan", planBody)
 	}
-	if planBody.Plan.Explain != engineEx.Table() {
+	if plan.Explain != engineEx.Table() {
 		t.Fatal("plan endpoint table diverges from Explanation.Table")
 	}
 
@@ -339,14 +298,11 @@ func TestAdaptiveFusedUnfusedByteIdentical(t *testing.T) {
 }
 
 // TestSessionSpecPlannerPlumbing checks what is left of planner control at
-// the session layer: the static merge mode and the cost-model weights come
-// from the manager's template only, adaptiveRates is the one lever a create
-// body carries, and the removed lever fields are refused by name instead of
-// being silently ignored.
+// the session layer: adaptiveRates is the one lever a create body carries,
+// and the removed lever fields are refused by name instead of being
+// silently ignored.
 func TestSessionSpecPlannerPlumbing(t *testing.T) {
-	static := testConfig()
-	static.Planner = PlannerConfig{Disable: true, Weights: planner.Weights{PerTuple: 2, PerOperator: 10, PerDepth: 5}}
-	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, static)})
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, testConfig())})
 	hs, err := NewManagerHTTPServer(m, "")
 	if err != nil {
 		t.Fatal(err)
@@ -366,9 +322,6 @@ func TestSessionSpecPlannerPlumbing(t *testing.T) {
 	if !sess.Engine.AdaptiveEnabled() {
 		t.Fatal("adaptiveRates not plumbed")
 	}
-	if w := sess.Engine.PlannerWeights(); w != static.Planner.Weights {
-		t.Fatalf("template planner weights not plumbed: %+v", w)
-	}
 
 	for _, field := range []string{"disableFused", "disablePlanner", "disableSharing", "disableAdaptive"} {
 		var refusal struct {
@@ -383,23 +336,12 @@ func TestSessionSpecPlannerPlumbing(t *testing.T) {
 	if _, err := m.Get("bad"); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("a refused spec created a session: %v", err)
 	}
-
-	// With the planner disabled, submissions use the static merge mode and
-	// retain no estimate.
-	q, err := sess.Engine.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 2), Rate: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sess.Engine.Plan(q.ID); ok {
-		t.Fatal("disabled planner retained an estimate")
-	}
-	if mode, ok := sess.Engine.Fabricator().QueryMergeMode(q.ID); !ok || mode != topology.MergeFlat {
-		t.Fatalf("static mode not used: %v %v", mode, ok)
-	}
 }
 
-// TestStatusReportsPlansAndAdaptivity checks the /status additions:
-// per-query plans, meanNv and adaptive slots.
+// TestStatusReportsPlansAndAdaptivity checks the /status adaptivity
+// fields: adaptive, meanNv, the fit totals and adaptive slots. (Per-query
+// plans left /status with submit-time planning; the plan route serves a
+// query's EXPLAIN.)
 func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 	m := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), tempFields)})
 	on := true
@@ -429,13 +371,6 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var status struct {
-		Plans []struct {
-			ID     string `json:"id"`
-			Mode   string `json:"mode"`
-			Chosen *struct {
-				Mode string `json:"mode"`
-			} `json:"chosen"`
-		} `json:"plans"`
 		Adaptive      bool    `json:"adaptive"`
 		MeanNv        float64 `json:"meanNv"`
 		FitIterations *uint64 `json:"fitIterations"`
@@ -450,9 +385,6 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 	resp.Body.Close()
 	if !status.Adaptive {
 		t.Fatal("status adaptive = false on an adaptive session")
-	}
-	if len(status.Plans) != 1 || status.Plans[0].Chosen == nil || status.Plans[0].Mode != status.Plans[0].Chosen.Mode {
-		t.Fatalf("status plans incomplete: %+v", status.Plans)
 	}
 	if status.MeanNv <= 0 {
 		t.Fatalf("meanNv = %g on a starved workload", status.MeanNv)

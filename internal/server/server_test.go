@@ -293,11 +293,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestFabricatorConfigPlumbed(t *testing.T) {
-	// With planning disabled, the static Fabricator.Merge mode applies to
-	// every query (the cost-based planner would otherwise pick per query).
+	// Submit builds every query with the static Fabricator.Merge mode.
 	cfg := testConfig()
 	cfg.Fabricator = topology.Config{Merge: topology.MergeTree}
-	cfg.Planner.Disable = true
 	e, err := New(cfg, testFields(t))
 	if err != nil {
 		t.Fatal(err)
@@ -307,14 +305,8 @@ func TestFabricatorConfigPlumbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := e.Fabricator().QueryPlan(q.ID)
-	if plan == nil || plan.Depth != 2 {
-		t.Fatalf("tree merge not used: depth = %v", plan)
-	}
-	if mode, ok := e.Fabricator().QueryMergeMode(q.ID); !ok || mode != topology.MergeTree {
-		t.Fatalf("QueryMergeMode = %v, %v; want tree", mode, ok)
-	}
-	if _, ok := e.Plan(q.ID); ok {
-		t.Fatal("disabled planner retained a cost estimate")
+	if plan == nil || plan.Mode != topology.MergeTree || plan.Depth != 2 {
+		t.Fatalf("tree merge not used: %+v", plan)
 	}
 }
 

@@ -80,10 +80,6 @@ type Fabricator struct {
 	// resident query attaches to the existing subplan instead of
 	// fabricating a new one. Nil when Config.DisableSharing is set.
 	shared map[string]*queryState
-	// versions counts structural changes per attribute — subplans
-	// fabricated or torn down, never refcount-only churn. The engine's plan
-	// cache validates against it (AttrVersion).
-	versions map[string]uint64
 	// sharedAttaches counts inserts absorbed by an existing subplan.
 	sharedAttaches uint64
 	// programs holds, per attribute with pipelines, the slot of its compiled
@@ -139,7 +135,6 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 		registry: query.NewRegistry(),
 		order:    make(map[string][]*CellPipeline),
 		slots:    make(map[string][]int32),
-		versions: make(map[string]uint64),
 		programs: make(map[string]*atomic.Pointer[epochProgram]),
 	}
 	if !cfg.DisableSharing {
@@ -153,14 +148,12 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 func (f *Fabricator) FusedEnabled() bool { return !f.cfg.Pipeline.DisableFused }
 
 // refreshOrder rebuilds the cached shard order for one attribute (and the
-// sorted attr cache), drops the attribute's compiled epoch program and
-// advances its structural version. It is called exactly by the structural
-// mutations — subplan fabrication, teardown, rollback — and never by
-// refcount-only attach/detach, so AttrVersion moves, and the next epoch
-// recompiles, iff the attribute's shared prefixes changed. Must be called
-// with f.mu held for writing.
+// sorted attr cache) and replaces the attribute's compiled epoch program
+// slot. It is called exactly by the structural mutations — subplan
+// fabrication, teardown, rollback — and never by refcount-only
+// attach/detach, so the next epoch recompiles iff the attribute's shared
+// prefixes changed. Must be called with f.mu held for writing.
 func (f *Fabricator) refreshOrder(attr string) {
-	f.versions[attr]++
 	list := f.order[attr][:0]
 	for k, p := range f.cells {
 		if k.Attr == attr {
@@ -238,9 +231,9 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 }
 
 // InsertQueryMerge is InsertQuery with an explicit merge-phase mode for
-// this query only — the hook the cost-based planner uses to pick a merge
-// topology per query instead of applying Config.Merge uniformly. The chosen
-// mode is recorded on the query's MergePlan (QueryMergeMode).
+// this query only, instead of applying Config.Merge uniformly (the
+// benchmarks build a planner's choice this way). The mode is recorded on
+// the query's MergePlan (QueryPlan).
 //
 // With sharing enabled (the default), a query whose canonical normal form
 // (craql.CanonicalKey) matches a resident query attaches its sink to the
@@ -251,9 +244,7 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 // rebound onto the subplan's ring (see fanOut), which keeps being written
 // once per batch. Any other sink is fanned to on its own. The
 // requested mode is ignored on attach — the subplan keeps the mode it was
-// fabricated with (the cost model prices identical queries identically, so
-// a planner-driven submit asks for the same mode anyway, and merge output
-// is byte-identical across modes regardless).
+// fabricated with (merge output is byte-identical across modes).
 func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, mode MergeMode) (query.Query, error) {
 	if sink == nil {
 		return query.Query{}, errors.New("topology: InsertQuery requires a sink")
@@ -562,18 +553,6 @@ func (f *Fabricator) Pipeline(k Key) (*CellPipeline, bool) {
 	defer f.mu.RUnlock()
 	p, ok := f.cells[k]
 	return p, ok
-}
-
-// QueryMergeMode reports which merge topology a live query's plan was built
-// with; false for unknown queries.
-func (f *Fabricator) QueryMergeMode(id string) (MergeMode, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	st, ok := f.queries[id]
-	if !ok {
-		return MergeFlat, false
-	}
-	return st.plan.Mode, true
 }
 
 // Retune applies the adaptive rate scale to one pipeline (see

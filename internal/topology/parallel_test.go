@@ -75,15 +75,30 @@ func runEpochs(t *testing.T, fab *Fabricator, epochs, tuplesPerEpoch int) {
 
 // TestParallelMatchesSerial is the determinism golden test: for every merge
 // topology, a serial run and runs at several worker-pool sizes must produce
-// byte-identical fabricated streams for every query.
+// byte-identical fabricated streams for every query — and those streams
+// are the flat serial run's, which is what lets Engine.Submit build the
+// fabricator's mode without consulting the planner.
 func TestParallelMatchesSerial(t *testing.T) {
+	serial := func(t *testing.T, merge MergeMode) [][]stream.Tuple {
+		fab, cols := buildParallelFixture(t, 1, merge)
+		runEpochs(t, fab, 8, 600)
+		out := make([][]stream.Tuple, len(cols))
+		for i, c := range cols {
+			out[i] = c.Tuples()
+		}
+		return out
+	}
+	flat := serial(t, MergeFlat)
+	if len(flat[0]) == 0 {
+		t.Fatal("the all-cells query fabricated nothing; the comparison is vacuous")
+	}
 	for _, merge := range []MergeMode{MergeFlat, MergeChain, MergeTree} {
 		t.Run(merge.String(), func(t *testing.T) {
-			serialFab, serialCols := buildParallelFixture(t, 1, merge)
-			runEpochs(t, serialFab, 8, 600)
-			golden := make([][]stream.Tuple, len(serialCols))
-			for i, c := range serialCols {
-				golden[i] = c.Tuples()
+			golden := serial(t, merge)
+			for i := range golden {
+				if !reflect.DeepEqual(golden[i], flat[i]) {
+					t.Errorf("query %d: serial %v stream diverges from serial flat (%d vs %d tuples)", i, merge, len(golden[i]), len(flat[i]))
+				}
 			}
 			for _, workers := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -257,19 +257,6 @@ func (f *Fabricator) SharedStats() SharedStats {
 	return st
 }
 
-// AttrVersion returns the structural version of one attribute's topology:
-// it advances whenever a subplan is fabricated or torn down for that
-// attribute, and stays put across pure attach/detach churn on existing
-// subplans. The engine's plan cache validates entries against it, so
-// re-costing happens only when the attribute's shared prefixes actually
-// changed — churn on other attributes (or refcount-only churn) never
-// invalidates a cached plan.
-func (f *Fabricator) AttrVersion(attr string) uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.versions[attr]
-}
-
 // distinctStates returns the distinct subplan states across f.queries (a
 // shared subplan appears once). Callers hold f.mu.
 func (f *Fabricator) distinctStates() []*queryState {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -9,6 +10,15 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
+
+// programSlot returns attr's compiled-program slot (nil when attr has no
+// pipelines). refreshOrder replaces it on every structural change and
+// nothing else touches it, so pointer identity is the structure check.
+func programSlot(f *Fabricator, attr string) *atomic.Pointer[epochProgram] {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.programs[attr]
+}
 
 // sharedFeed drives one epoch of synthetic rain observations through the
 // fabricator, deterministic in (seed, epoch).
@@ -89,15 +99,15 @@ func TestSharedSubplanLifecycle(t *testing.T) {
 
 	// Deleting the creator first must keep the subplan alive for the
 	// survivors — taps stay registered under the creator's stable tapID.
-	ver := f.AttrVersion("rain")
+	slot := programSlot(f, "rain")
 	if err := f.DeleteQuery(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.AttrVersion("rain"); got != ver {
-		t.Fatalf("refcount-only detach bumped attr version %d -> %d", ver, got)
+	if programSlot(f, "rain") != slot {
+		t.Fatal("refcount-only detach replaced the rain program slot")
 	}
 	if st := f.SharedStats(); st.Subplans != 1 || st.Queries != 2 {
 		t.Fatalf("after creator delete: %+v", st)
@@ -108,8 +118,8 @@ func TestSharedSubplanLifecycle(t *testing.T) {
 		t.Fatal("survivor stopped receiving after creator detach")
 	}
 
-	// Tearing down the last member frees the topology and bumps the
-	// structural version.
+	// Tearing down the last member frees the topology and its program
+	// slot.
 	for _, id := range ids[1:] {
 		if err := f.DeleteQuery(id); err != nil {
 			t.Fatal(err)
@@ -124,8 +134,8 @@ func TestSharedSubplanLifecycle(t *testing.T) {
 	if counts := f.OperatorCounts(); counts["T"] != 0 || counts["U"] != 0 {
 		t.Fatalf("operators leaked: %v", counts)
 	}
-	if got := f.AttrVersion("rain"); got == ver {
-		t.Fatal("teardown did not bump attr version")
+	if programSlot(f, "rain") == slot {
+		t.Fatal("teardown kept the rain program slot")
 	}
 }
 
@@ -194,28 +204,34 @@ func TestSharedDisabledIsolates(t *testing.T) {
 	}
 }
 
-// TestAttrVersionTracksStructureOnly pins the plan-cache invalidation
-// contract: the version bumps on fabrication and teardown of an
-// attribute's subplans, never on refcount churn, and churn on one
-// attribute leaves another's version alone.
-func TestAttrVersionTracksStructureOnly(t *testing.T) {
+// TestProgramSlotTracksStructureOnly pins when an attribute's compiled
+// epoch program is invalidated: its slot is replaced on fabrication and
+// teardown of the attribute's subplans, never on refcount churn, and churn
+// on one attribute leaves another's slot alone.
+func TestProgramSlotTracksStructureOnly(t *testing.T) {
 	f := newFab(t, fig2Grid(t), Config{})
-	rainV0, tempV0 := f.AttrVersion("rain"), f.AttrVersion("temp")
+	if _, err := f.InsertQuery(query.Query{Attr: "temp", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}, stream.NewCollector()); err != nil {
+		t.Fatal(err)
+	}
+	temp := programSlot(f, "temp")
+	if temp == nil {
+		t.Fatal("temp fabrication left no program slot")
+	}
 
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
 	first, err := f.InsertQuery(q, stream.NewCollector())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rainV1 := f.AttrVersion("rain")
-	if rainV1 == rainV0 {
-		t.Fatal("fabrication did not bump rain version")
+	rain := programSlot(f, "rain")
+	if rain == nil {
+		t.Fatal("rain fabrication left no program slot")
 	}
-	if f.AttrVersion("temp") != tempV0 {
-		t.Fatal("rain fabrication bumped temp version")
+	if programSlot(f, "temp") != temp {
+		t.Fatal("rain fabrication replaced the temp program slot")
 	}
 
-	// Attach/detach churn on the existing subplan: version stays put.
+	// Attach/detach churn on the existing subplan keeps the slot.
 	for i := 0; i < 4; i++ {
 		stored, err := f.InsertQuery(q, stream.NewCollector())
 		if err != nil {
@@ -225,16 +241,33 @@ func TestAttrVersionTracksStructureOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.AttrVersion("rain"); got != rainV1 {
-		t.Fatalf("attach/detach churn moved rain version %d -> %d", rainV1, got)
+	if programSlot(f, "rain") != rain {
+		t.Fatal("attach/detach churn replaced the rain program slot")
 	}
+
+	// A second rain subplan fabricated and torn down is structural for
+	// rain and nothing for temp.
+	other, err := f.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(2, 2, 6, 6), Rate: 3}, stream.NewCollector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DeleteQuery(other.ID); err != nil {
+		t.Fatal(err)
+	}
+	if programSlot(f, "rain") == rain {
+		t.Fatal("rain subplan churn kept the rain program slot")
+	}
+	if programSlot(f, "temp") != temp {
+		t.Fatal("rain subplan churn replaced the temp program slot")
+	}
+	rain = programSlot(f, "rain")
 
 	// Tearing down the last member is structural again.
 	if err := f.DeleteQuery(first.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.AttrVersion("rain"); got == rainV1 {
-		t.Fatal("teardown did not bump rain version")
+	if programSlot(f, "rain") == rain {
+		t.Fatal("teardown kept the rain program slot")
 	}
 }
 

@@ -56,8 +56,9 @@ type Record struct {
 	Type Type
 
 	// TypeSubmit: the query in normalized form. Rect is MinX,MinY,MaxX,MaxY.
-	// QueryID is the engine-assigned ID (also TypeDelete's target); Mode is
-	// the merge mode the submission was built with ("" when unplanned).
+	// QueryID is the engine-assigned ID (also TypeDelete's target). Mode is
+	// the merge mode older engines recorded a planned submission with;
+	// engines now write "" and replay never reads it.
 	QueryID string
 	Attr    string
 	Rect    [4]float64
