@@ -42,20 +42,11 @@ func timeKey(t float64) uint64 {
 	return b | 1<<63
 }
 
-// attrRun is one attribute's share of the epoch: how many tuples, where its
-// run starts in key order, and what the single build pass learned about the
-// keys — which bits of T and ID vary at all (the highest of them is where
-// radixSortKeys' bucket digit starts), whether IDs already ascend in arrival
-// order (then a stable sort on T alone leaves every T-tie in ID order and the
-// ID phase is skipped), and whether the keys arrived fully sorted (then
-// nothing is sorted at all).
+// attrRun is one attribute's share of the epoch: how many tuples and where
+// its run starts in key order.
 type attrRun struct {
 	name           string
-	n, start, next int    // next is the counting scatter's write cursor
-	t0, id0        uint64 // first key, the reference for the diff masks
-	lastT, lastID  uint64
-	tDiff, idDiff  uint64
-	sorted, idsAsc bool
+	n, start, next int // next is the counting scatter's write cursor
 }
 
 // linearAttrs is the attribute-table size up to which lookup probes
@@ -88,7 +79,7 @@ func (a *assembler) lookup(name string) uint32 {
 		return i
 	}
 	i := uint32(len(a.runs))
-	a.runs = append(a.runs, attrRun{name: name, sorted: true, idsAsc: true})
+	a.runs = append(a.runs, attrRun{name: name})
 	if len(a.runs) > linearAttrs {
 		if a.index == nil {
 			a.index = make(map[string]uint32)
@@ -114,9 +105,9 @@ func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
 	a.keys = slices.Grow(a.keys[:0], len(src))[:len(src)]
 	a.tmp = slices.Grow(a.tmp[:0], len(src))[:len(src)]
 
-	// One pass builds every key and everything the later steps decide on. The
-	// slot of the attribute seen before the current one is remembered too, so
-	// a frame that interleaves two attributes looks neither up per tuple.
+	// The first pass only builds every key and counts each run. The slot of
+	// the attribute seen before the current one is remembered too, so a frame
+	// that interleaves two attributes looks neither up per tuple.
 	var cur, prev uint32
 	var curName, prevName string
 	if len(src) > 0 {
@@ -135,23 +126,8 @@ func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
 				cur = a.lookup(curName)
 			}
 		}
-		r := &a.runs[cur]
-		t, id := timeKey(tp.T), tp.ID
-		if r.n == 0 {
-			r.t0, r.id0 = t, id
-		} else {
-			if t < r.lastT || (t == r.lastT && id < r.lastID) {
-				r.sorted = false
-			}
-			if id < r.lastID {
-				r.idsAsc = false
-			}
-			r.tDiff |= t ^ r.t0
-			r.idDiff |= id ^ r.id0
-		}
-		r.lastT, r.lastID = t, id
-		r.n++
-		a.keys[i] = sortKey{w: t, idx: uint32(i), attr: cur}
+		a.runs[cur].n++
+		a.keys[i] = sortKey{w: timeKey(tp.T), idx: uint32(i), attr: cur}
 	}
 
 	a.order = a.order[:0]
@@ -174,27 +150,52 @@ func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
 		}
 		a.keys, a.tmp = a.tmp, a.keys
 	}
-	for i := range a.runs {
-		r := &a.runs[i]
-		if r.sorted {
-			continue
+	for _, r := range a.runs {
+		a.orderRun(src, a.keys[r.start:r.start+r.n], a.tmp[r.start:r.start+r.n])
+	}
+}
+
+// orderRun sorts one run's keys (at least one, in arrival order) by the
+// (T, ID) of the tuples they name, ties in arrival order. One pass over the
+// contiguous run, on local variables, learns what that takes: which bits of
+// T and of ID vary at all (the highest of them is where radixSortKeys'
+// bucket digit starts), whether IDs ascend in arrival order (then a stable
+// sort on T alone leaves every T-tie in ID order and the ID phase is
+// skipped), and whether the keys arrived fully sorted (then nothing is
+// sorted at all).
+func (a *assembler) orderRun(src []stream.Tuple, keys, tmp []sortKey) {
+	t0, id0 := keys[0].w, src[keys[0].idx].ID
+	lastT, lastID := t0, id0
+	var tDiff, idDiff uint64
+	sorted, idsAsc := true, true
+	for _, k := range keys[1:] {
+		t, id := k.w, src[k.idx].ID
+		if t < lastT || (t == lastT && id < lastID) {
+			sorted = false
 		}
-		keys, tmp := a.keys[r.start:r.start+r.n], a.tmp[r.start:r.start+r.n]
-		if r.idsAsc {
-			// A stable sort on T alone leaves every T-tie in arrival order,
-			// which here is ID order.
-			a.radixSortKeys(keys, tmp, r.tDiff, 0)
-		} else {
-			// LSD over the pair: order by ID first, then stably by T.
-			for j := range keys {
-				keys[j].w = src[keys[j].idx].ID
-			}
-			a.radixSortKeys(keys, tmp, r.idDiff, 0)
-			for j := range keys {
-				keys[j].w = timeKey(src[keys[j].idx].T)
-			}
-			a.radixSortKeys(keys, tmp, r.tDiff, 0)
+		if id < lastID {
+			idsAsc = false
 		}
+		tDiff |= t ^ t0
+		idDiff |= id ^ id0
+		lastT, lastID = t, id
+	}
+	switch {
+	case sorted:
+	case idsAsc:
+		// A stable sort on T alone leaves every T-tie in arrival order,
+		// which here is ID order.
+		a.radixSortKeys(keys, tmp, tDiff, 0)
+	default:
+		// LSD over the pair: order by ID first, then stably by T.
+		for j := range keys {
+			keys[j].w = src[keys[j].idx].ID
+		}
+		a.radixSortKeys(keys, tmp, idDiff, 0)
+		for j := range keys {
+			keys[j].w = timeKey(src[keys[j].idx].T)
+		}
+		a.radixSortKeys(keys, tmp, tDiff, 0)
 	}
 }
 
@@ -226,10 +227,12 @@ const insertionBound = 48
 // window that is the sign, the exponent and the top of T's mantissa — and the
 // ⌈log₂ n⌉ bits from there down (at most maxBucketBits) are where n keys
 // spread over that range tell themselves apart. One stable counting pass on
-// that digit leaves the buckets in order and each bucket in arrival order; a
-// stable insertion sort then orders each bucket as it is copied back. A
-// bucket past insertionBound — the run's times cluster, or were built to — is
-// ordered by the same pass on the bits its own keys differ in: those lie
+// that digit leaves the buckets in order and each bucket in arrival order;
+// when no bucket holds more than insertionBound keys, one stable insertion
+// sweep over the whole run then orders it as it is copied back. Otherwise
+// each bucket is copied back on its own: a small one through the same
+// insertion sort, and one past insertionBound — the run's times cluster, or
+// were built to — by the same pass on the bits its own keys differ in: those lie
 // below the digit that put them together, which for more than insertionBound
 // keys is at least six bits wide, so the passes nest at most 64/6 deep and
 // the worst case is that many passes over the run, never quadratic. The
@@ -251,14 +254,28 @@ func (a *assembler) radixSortKeys(keys, tmp []sortKey, diff uint64, base int) {
 	for i := range keys {
 		hist[keys[i].w>>shift&mask]++
 	}
-	sum := uint32(0)
-	for b := range hist {
-		hist[b], sum = sum, sum+hist[b]
+	sum, big := uint32(0), uint32(0)
+	for b, c := range hist {
+		hist[b], sum, big = sum, sum+c, max(big, c)
 	}
 	for i := range keys {
 		b := keys[i].w >> shift & mask
 		tmp[hist[b]] = keys[i]
 		hist[b]++
+	}
+	if big <= insertionBound {
+		// Every bucket is small: one insertion sweep over the whole run
+		// orders it while copying it back. Every key of an earlier bucket is
+		// smaller than every key of a later one, so no key moves past the
+		// start of its own bucket.
+		for i := range tmp {
+			k, j := tmp[i], i
+			for ; j > 0 && keys[j-1].w > k.w; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+		return
 	}
 	// hist[b] is now where bucket b ends. A nested pass writes above these
 	// counts — or, having outgrown a.hist, into its successor — never to them.

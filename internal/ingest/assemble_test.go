@@ -44,28 +44,54 @@ func oracleAssemble(due []stream.Tuple, t0, t1 float64, region geom.Rect) map[st
 	return out
 }
 
-// queueModel is the queue's hand-over reduced to what assembly depends on:
-// which accepted tuples are pending, in arrival order, and which of them a
-// drain at t1 takes. It is independent of Queue.detach on purpose, so the
-// differential test also covers the swap and partition paths.
+// queueModel is the queue's hand-over reduced to what assembly and the ack
+// depend on: which accepted tuples are pending, in arrival order, which
+// client IDs they hold (the duplicate window: the first occurrence wins, and
+// an ID leaves when its tuple drains), and which of them a drain at t1 takes.
+// It is independent of Queue.detach and of the queue's high-water mark on
+// purpose, so the differential test also covers the swap and partition paths
+// and both forms of the window.
 type queueModel struct {
 	late     LatePolicy
 	pending  []stream.Tuple
+	ids      map[uint64]bool
 	closedTo float64
 	seq      uint64
 }
 
-func (m *queueModel) push(tuples []stream.Tuple) {
+func newQueueModel(late LatePolicy) *queueModel {
+	return &queueModel{late: late, ids: map[uint64]bool{}, closedTo: math.Inf(-1)}
+}
+
+// push returns the ack the queue owes the batch, watermark aside. The
+// generated tuples are otherwise valid, so only a gateway-range ID rejects.
+func (m *queueModel) push(tuples []stream.Tuple) Ack {
+	var ack Ack
 	for _, tp := range tuples {
-		if tp.T < m.closedTo && m.late == LateDrop {
+		switch {
+		case tp.ID >= GatewayIDBase:
+			ack.Rejected++
 			continue
+		case m.ids[tp.ID]:
+			ack.Duplicates++
+			continue
+		case tp.T < m.closedTo && m.late == LateDrop:
+			ack.LateDropped++
+			continue
+		case tp.T < m.closedTo:
+			ack.Late++
 		}
 		if tp.ID == 0 {
 			m.seq++
 			tp.ID = GatewayIDBase | m.seq
+		} else {
+			m.ids[tp.ID] = true
 		}
 		m.pending = append(m.pending, tp)
+		ack.Accepted++
 	}
+	ack.Pending = len(m.pending)
+	return ack
 }
 
 func (m *queueModel) drain(t1 float64) []stream.Tuple {
@@ -73,6 +99,7 @@ func (m *queueModel) drain(t1 float64) []stream.Tuple {
 	for _, tp := range m.pending {
 		if tp.T < t1 {
 			due = append(due, tp)
+			delete(m.ids, tp.ID)
 		} else {
 			kept = append(kept, tp)
 		}
@@ -128,8 +155,9 @@ func sameEpoch(a, b map[string]stream.Batch) error {
 
 // assemblyCase parameterizes one randomized differential run; the fuzz
 // target maps its arguments onto the same struct.
-// tModes is the number of event-time shapes genEpoch knows.
-const tModes = 8
+// tModes and idModes are the numbers of event-time and ID shapes genEpoch
+// knows.
+const tModes, idModes = 8, 9
 
 type assemblyCase struct {
 	seed   int64
@@ -150,7 +178,14 @@ type assemblyCase struct {
 // aside), 6 splits T into two clusters 2⁴⁰ ulps apart with a few ulps of
 // jitter each, 7 draws T from the subnormals, ±0 and the ulps next to the
 // epoch's bounds. idMode 0 assigns ascending IDs, 1 descending, 2 shuffled, 3
-// leaves them to the gateway, 4 mixes gateway and producer IDs.
+// leaves them to the gateway, 4 mixes gateway and producer IDs. The rest are
+// built against the duplicate window: 5 redelivers the ID one and three
+// tuples back (in the same batch or an earlier one) and the previous epoch's
+// last ID, 6
+// ascends through the first half and descends through the second (the
+// window indexes mid-push), 7 keeps a quarter of the tuples pending past the
+// drain and redelivers IDs of the previous epoch's kept and drained tuples,
+// and 8 counts up across 2⁶³ to 2⁶⁴ − 1 (the gateway's half is rejected).
 func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]stream.Tuple {
 	tuples := make([]stream.Tuple, c.n)
 	for i := range tuples {
@@ -199,21 +234,50 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 	}
 	base := *nextID
 	*nextID += uint64(c.n)
+	prev := base - uint64(c.n) // the previous epoch's base, when base ≥ n
 	for i := range tuples {
-		switch c.idMode % 5 {
-		case 0, 2:
-			tuples[i].ID = base + uint64(i) + 1
+		id := base + uint64(i) + 1
+		switch c.idMode % idModes {
 		case 1:
-			tuples[i].ID = base + uint64(c.n-i)
+			id = base + uint64(c.n-i)
 		case 3:
-			tuples[i].ID = 0
+			id = 0
 		case 4:
-			if i%3 != 0 {
-				tuples[i].ID = base + uint64(i) + 1
+			if i%3 == 0 {
+				id = 0
+			}
+		case 5:
+			switch i % 5 {
+			case 2:
+				id-- // the ID just before: the largest pending one
+			case 4:
+				id -= 3
+			}
+			if i == 0 && base > 0 {
+				id = base
+			}
+		case 6:
+			if i >= c.n/2 {
+				id = base + uint64(c.n-(i-c.n/2))
+			}
+		case 7:
+			switch {
+			case i%4 == 2:
+				tuples[i].T++
+			case i%4 == 1 && base >= uint64(c.n) && i+1 < c.n:
+				id = prev + uint64(i+1) + 1 // the previous epoch's kept tuple i+1
+			case i%4 == 3 && base >= uint64(c.n):
+				id = prev + uint64(i-3) + 1 // the previous epoch's drained tuple i−3
+			}
+		case 8:
+			id = GatewayIDBase - uint64(c.n/2) + uint64(i)
+			if i == c.n-1 {
+				id = math.MaxUint64
 			}
 		}
+		tuples[i].ID = id
 	}
-	if c.idMode%5 == 2 {
+	if c.idMode%idModes == 2 {
 		rng.Shuffle(len(tuples), func(i, j int) { tuples[i].ID, tuples[j].ID = tuples[j].ID, tuples[i].ID })
 	}
 	var batches [][]stream.Tuple
@@ -228,7 +292,7 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 // checkAssembly drives a Queue + QueueSource and the model + oracle through
 // the same pushes over several epochs (starting below zero, so negative
 // event times and the ±0 boundary are always in play) and fails on the first
-// epoch that differs.
+// ack or epoch that differs.
 func checkAssembly(c assemblyCase) error {
 	region := geom.NewRect(0, 0, 8, 8)
 	q := NewQueue(Config{Late: c.late, Region: region, Buffer: 1 << 20})
@@ -236,15 +300,20 @@ func checkAssembly(c assemblyCase) error {
 	if err != nil {
 		return err
 	}
-	model := &queueModel{late: c.late, closedTo: math.Inf(-1)}
+	model := newQueueModel(c.late)
 	rng := rand.New(rand.NewSource(c.seed))
 	nextID := uint64(0)
 	for e := -3.0; e < 3; e++ {
-		for _, batch := range genEpoch(rng, c, e, &nextID) {
-			if _, err := q.Push(batch, math.NaN()); err != nil {
+		for i, batch := range genEpoch(rng, c, e, &nextID) {
+			ack, err := q.Push(batch, math.NaN())
+			if err != nil {
 				return err
 			}
-			model.push(batch)
+			want := model.push(batch)
+			want.Watermark = ack.Watermark
+			if ack != want {
+				return fmt.Errorf("epoch [%g,%g) push %d: ack %+v, model %+v", e, e+1, i, ack, want)
+			}
 		}
 		got, err := src.Acquire(e, e+1)
 		if err != nil {
@@ -271,8 +340,8 @@ func TestEpochAssemblyMatchesOracle(t *testing.T) {
 		full := n == 7 || n == 33 || n == 300
 		for _, attrs := range []int{1, 2, linearAttrs + 8} {
 			for tMode := uint8(0); tMode < tModes; tMode++ {
-				for idMode := uint8(0); idMode < 5; idMode++ {
-					if !full && tMode%5 != idMode {
+				for idMode := uint8(0); idMode < idModes; idMode++ {
+					if !full && idMode%tModes != tMode {
 						continue
 					}
 					late := LatePolicy(seed % 2)
@@ -301,6 +370,11 @@ func FuzzEpochAssembly(f *testing.F) {
 		for tMode := uint8(5); tMode < tModes; tMode++ {
 			f.Add(int64(100+i), n, uint8(i%2), tMode, uint8(i)%5, i%2 == 0)
 		}
+	}
+	// The duplicate window's shapes: redelivery, IDs that stop ascending,
+	// pending IDs across a partial drain, and IDs around 2⁶³.
+	for mode := uint8(5); mode < idModes; mode++ {
+		f.Add(int64(mode)+1, uint16(200), uint8(2), mode%tModes, mode, mode%2 == 0)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, attrs, tMode, idMode uint8, lateNext bool) {
 		c := assemblyCase{seed: seed, n: 1 + int(n)%4096, attrs: 1 + int(attrs)%40, tMode: tMode, idMode: idMode}
@@ -388,23 +462,53 @@ func TestRadixSortKeysShapes(t *testing.T) {
 	sizes := []int{1, 2, 3, insertionBound - 1, insertionBound, insertionBound + 1, insertionBound + 2,
 		3 * insertionBound, 1<<maxBucketBits - 1, 1 << maxBucketBits, 1<<maxBucketBits + 1, 3 << maxBucketBits}
 	var a assembler
-	for _, shape := range shapes {
-		for _, n := range sizes {
-			keys := make([]sortKey, n)
-			var diff uint64
+	check := func(name string, ws []uint64) {
+		t.Helper()
+		keys := make([]sortKey, len(ws))
+		var diff uint64
+		for i, w := range ws {
+			keys[i] = sortKey{w: w, idx: uint32(i)}
+			diff |= w ^ ws[0]
+		}
+		want := sortedKeys(keys)
+		a.radixSortKeys(keys, make([]sortKey, len(keys)), diff, 0)
+		if !slices.Equal(keys, want) {
 			for i := range keys {
-				keys[i] = sortKey{w: shape.w(i, n), idx: uint32(i)}
-				diff |= keys[i].w ^ keys[0].w
-			}
-			want := sortedKeys(keys)
-			a.radixSortKeys(keys, make([]sortKey, n), diff, 0)
-			if !slices.Equal(keys, want) {
-				for i := range keys {
-					if keys[i] != want[i] {
-						t.Fatalf("%s n=%d: key %d is %+v, a stable sort puts %+v there", shape.name, n, i, keys[i], want[i])
-					}
+				if keys[i] != want[i] {
+					t.Fatalf("%s n=%d: key %d is %+v, a stable sort puts %+v there", name, len(keys), i, keys[i], want[i])
 				}
 			}
+		}
+	}
+	for _, shape := range shapes {
+		for _, n := range sizes {
+			ws := make([]uint64, n)
+			for i := range ws {
+				ws[i] = shape.w(i, n)
+			}
+			check(shape.name, ws)
+		}
+	}
+	// The sweep/nested boundary: in a run of 1024 keys (a 10-bit digit, bits
+	// 20–29 here) every bucket holds one key except one that holds exactly
+	// insertionBound (the whole run still takes the one insertion sweep) or
+	// one more (that bucket takes a nested pass), at the first, a middle and
+	// the last digit. The crowded bucket's keys share a few low values, so
+	// it holds ties too.
+	const n = 1 << 10
+	for _, size := range []int{insertionBound, insertionBound + 1} {
+		for _, digit := range []uint64{0, n / 2, n - 1} {
+			ws := make([]uint64, 0, n)
+			for _, d := range rng.Perm(n) {
+				if uint64(d) != digit && len(ws) < n-size {
+					ws = append(ws, uint64(d)<<20|uint64(rng.Intn(1<<20)))
+				}
+			}
+			for range size {
+				ws = append(ws, digit<<20|uint64(rng.Intn(16)))
+			}
+			rng.Shuffle(n, func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+			check(fmt.Sprintf("bucket=%d@digit%d", size, digit), ws)
 		}
 	}
 }
@@ -669,35 +773,48 @@ func TestPushWakesOnlyAtAwaitedHorizon(t *testing.T) {
 }
 
 // TestAcquireSteadyStateAllocs gates the assembly's scratch reuse: once the
-// buffers have seen an epoch of this size, push + Acquire allocates nothing.
+// buffers have seen an epoch of this size, push + Acquire allocates nothing —
+// with ascending IDs (the duplicate window's high-water mark) and with
+// shuffled ones (the window indexes every epoch, and assembly sorts by ID).
 func TestAcquireSteadyStateAllocs(t *testing.T) {
-	region := geom.NewRect(0, 0, 8, 8)
-	q := NewQueue(Config{Region: region})
-	src, err := NewQueueSource(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	attrs := []string{"rain", "temp", "wind"}
-	batch := make([]stream.Tuple, 1024)
-	epoch := 0.0
-	run := func() {
-		for i := range batch {
-			batch[i] = stream.Tuple{ID: uint64(i + 1), Attr: attrs[i%len(attrs)], T: epoch + rng.Float64(), X: 1, Y: 1}
-		}
-		if _, err := q.Push(batch, epoch+1); err != nil {
-			t.Fatal(err)
-		}
-		out, err := src.Acquire(epoch, epoch+1)
-		if err != nil || len(out) != len(attrs) {
-			t.Fatalf("Acquire = %d attrs, %v", len(out), err)
-		}
-		epoch++
-	}
-	for i := 0; i < 4; i++ {
-		run() // warm both swap buffers, the keys and the result map
-	}
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("steady-state push + Acquire allocates %.1f times per epoch, want 0", allocs)
+	for _, shuffled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shuffled=%v", shuffled), func(t *testing.T) {
+			region := geom.NewRect(0, 0, 8, 8)
+			q := NewQueue(Config{Region: region})
+			src, err := NewQueueSource(q, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			attrs := []string{"rain", "temp", "wind"}
+			batch := make([]stream.Tuple, 1024)
+			ids := make([]uint64, len(batch))
+			for i := range ids {
+				ids[i] = uint64(i + 1)
+			}
+			if shuffled {
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			epoch := 0.0
+			run := func() {
+				for i := range batch {
+					batch[i] = stream.Tuple{ID: ids[i], Attr: attrs[i%len(attrs)], T: epoch + rng.Float64(), X: 1, Y: 1}
+				}
+				if _, err := q.Push(batch, epoch+1); err != nil {
+					t.Fatal(err)
+				}
+				out, err := src.Acquire(epoch, epoch+1)
+				if err != nil || len(out) != len(attrs) {
+					t.Fatalf("Acquire = %d attrs, %v", len(out), err)
+				}
+				epoch++
+			}
+			for i := 0; i < 4; i++ {
+				run() // warm both swap buffers, the ID window, the keys and the result map
+			}
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Fatalf("steady-state push + Acquire allocates %.1f times per epoch, want 0", allocs)
+			}
+		})
 	}
 }

@@ -1,16 +1,20 @@
 package ingest
 
 // idSet is an open-addressing set of non-zero uint64 observation IDs,
-// purpose-built for the queue's duplicate-delivery check. That check sits on
-// the per-tuple ingest hot path, where a map[uint64]struct{} costs more than
-// the rest of Push combined (hashing through the runtime's generic map paths,
-// plus a write barrier per insert). A flat linear-probe table with an integer
-// mix keeps the membership test at a couple of cache lines.
+// purpose-built for the queue's duplicate-delivery check. The queue builds it
+// only once a pending window's client IDs stop ascending (or a drain leaves
+// part of the window behind); until then a compare against the window's
+// high-water mark answers the check (see Queue.clientIDs). From there the set
+// sits on the per-tuple ingest path, where a map[uint64]struct{} costs more
+// than the rest of Push combined (hashing through the runtime's generic map
+// paths, plus a write barrier per insert). A flat linear-probe table with an
+// integer mix keeps the membership test at a couple of cache lines.
 //
 // Zero is the empty-slot sentinel. That is sound here, not a hack: the queue
 // never stores ID 0 — tuples pushed without an ID are assigned gateway IDs
 // (GatewayIDBase | seq) and skip duplicate tracking entirely, and a
-// client-supplied ID must be non-zero to reach the set.
+// client-supplied ID must be non-zero (and below GatewayIDBase) to reach the
+// set.
 //
 // The table grows by doubling at 2/3 load and never shrinks; its size is
 // bounded by the queue's Buffer, since every entry corresponds to a buffered
@@ -19,7 +23,7 @@ package ingest
 // the default buffer scale that is the difference between living in L1 or
 // spilling out of it. Deletion uses backward-shift compaction (Knuth 6.4
 // algorithm R), so probe chains stay contiguous without tombstones —
-// important because the drain path deletes every epoch.
+// important because a partial drain deletes ID by ID.
 type idSet struct {
 	slots []uint64
 	shift uint // 64 − log2(len(slots)), for the multiplicative hash

@@ -126,7 +126,8 @@ type Ack struct {
 	// discarded (LateDrop).
 	LateDropped int
 	// Rejected tuples failed validation (outside the configured region,
-	// non-finite event time, coordinate, or value).
+	// non-finite event time, coordinate, or value, or a client ID at or
+	// above GatewayIDBase).
 	Rejected int
 	// Duplicates tuples carried a producer-assigned ID already buffered in
 	// the pending window and were discarded — a redelivered batch cannot
@@ -150,7 +151,8 @@ type Stats struct {
 	Late uint64
 	// LateDropped tuples were discarded as late (LateDrop).
 	LateDropped uint64
-	// Rejected tuples failed validation (region, non-finite fields).
+	// Rejected tuples failed validation (region, non-finite fields,
+	// gateway-range client IDs).
 	Rejected uint64
 	// Duplicates tuples repeated a producer-assigned ID still buffered in
 	// the pending window and were discarded.
@@ -167,7 +169,8 @@ type Stats struct {
 
 // GatewayIDBase is OR-ed into gateway-assigned tuple IDs (observations
 // pushed without an ID), keeping them disjoint from the simulated handler's
-// sequential IDs in mixed mode. Producers that need replay-stable streams
+// sequential IDs in mixed mode and from client-supplied IDs, which the
+// queue rejects at or above it. Producers that need replay-stable streams
 // must assign their own IDs: gateway IDs follow arrival order, so two
 // deliveries of the same observations in different orders get different IDs
 // (and therefore different merge positions).

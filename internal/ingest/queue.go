@@ -55,13 +55,20 @@ type Queue struct {
 	// leave the watermark short of waitT1 wake nobody.
 	notify chan struct{}
 	waitT1 float64
-	// pendingIDs tracks the producer-assigned IDs currently buffered, so a
-	// duplicate delivery of the same observation across batches is rejected
-	// instead of appearing twice in an epoch. The set is bounded by Buffer
-	// (entries leave when their tuple drains) and holds only client-supplied
-	// IDs — gateway-assigned IDs are unique by construction. It is a flat
-	// open-addressing set rather than a Go map because the membership check
-	// runs once per ingested tuple (see idset.go).
+	// The duplicate window: the client-supplied IDs of the buffered tuples,
+	// so a redelivery of an observation still pending is refused instead of
+	// appearing twice in an epoch (gateway-assigned IDs are unique by
+	// construction and never enter it). While producers number their
+	// observations in ascending order it needs no index: clientIDs lists the
+	// client IDs accepted since the last full drain and idHigh is the largest
+	// of them, so an ID above idHigh is new without a lookup. The first ID at
+	// or below idHigh — or a partial drain — builds pendingIDs from clientIDs
+	// (indexed), and from then until the next full drain every ID is probed
+	// in, inserted into and removed from that set (a flat open-addressing
+	// table, see idset.go). Either form holds at most Buffer IDs.
+	clientIDs  []uint64
+	idHigh     uint64
+	indexed    bool
 	pendingIDs idSet
 
 	ingested, dropped, late, lateDropped, rejected, duplicates uint64
@@ -83,7 +90,8 @@ func NewQueue(cfg Config) *Queue {
 
 // Push offers a batch of observation tuples, returning the per-batch ack.
 // Tuples with ID zero get a gateway-assigned ID (GatewayIDBase | seq) in
-// arrival order. watermark, when not NaN, asserts that no observation with
+// arrival order; a client-supplied ID must lie below GatewayIDBase, or the
+// tuple is rejected. watermark, when not NaN, asserts that no observation with
 // an event time below it will ever be pushed again — the idle-producer
 // heartbeat that lets epochs close without further data; a push with no
 // tuples and only a watermark is valid. The tuples slice is not retained.
@@ -100,7 +108,10 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 			continue
 		}
 		var idSlot uint64
-		if tp.ID != 0 {
+		if tp.ID != 0 && (q.indexed || tp.ID <= q.idHigh) {
+			if !q.indexed {
+				q.index()
+			}
 			slot, dup := q.pendingIDs.probe(tp.ID)
 			if dup {
 				ack.Duplicates++
@@ -126,11 +137,15 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 		if tp.T < q.closedTo {
 			ack.Late++ // LateNextEpoch: admitted into the next epoch to close
 		}
-		if tp.ID == 0 {
+		switch {
+		case tp.ID == 0:
 			q.seq++
 			tp.ID = GatewayIDBase | q.seq
-		} else {
+		case q.indexed:
 			q.pendingIDs.insertAt(idSlot, tp.ID)
+		default: // above idHigh, or the window would be indexed by now
+			q.clientIDs = append(q.clientIDs, tp.ID)
+			q.idHigh = tp.ID
 		}
 		q.buf = append(q.buf, tp)
 		ack.Accepted++
@@ -172,18 +187,31 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 	return ack, nil
 }
 
+// index builds the duplicate set from clientIDs: the window switches from
+// the high-water mark to per-tuple lookups until the next full drain.
+// clientIDs ascends strictly, so every insert lands.
+func (q *Queue) index() {
+	for _, id := range q.clientIDs {
+		slot, _ := q.pendingIDs.probe(id)
+		q.pendingIDs.insertAt(slot, id)
+	}
+	q.indexed = true
+}
+
 // validObservation rejects tuples the map phase would silently discard or
 // that would poison downstream arithmetic: empty attributes, non-finite
 // event times, and non-finite coordinates or values. The latter matter
 // because the binary wire format carries raw float64 bits — NaN/Inf smuggled
 // through a frame must die here, before reaching estimators or the WAL's
-// replayed state.
+// replayed state. A client ID with the top bit set is rejected too: that
+// half of the ID space is the gateway's (GatewayIDBase), and a client tuple
+// there could equal a gateway-assigned tuple in (T, ID).
 func validObservation(tp stream.Tuple, region geom.Rect) bool {
 	// x−x is 0 for every finite x and NaN for NaN/±Inf, and NaN poisons the
 	// sum — one compare covers all four fields without a branch per field
 	// (this runs once per ingested tuple).
 	probe := (tp.T - tp.T) + (tp.X - tp.X) + (tp.Y - tp.Y) + (tp.Value - tp.Value)
-	if tp.Attr == "" || probe != probe {
+	if tp.Attr == "" || probe != probe || tp.ID >= GatewayIDBase {
 		return false
 	}
 	if !region.IsEmpty() && !region.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
@@ -259,17 +287,25 @@ func (q *Queue) detach(t1 float64, spare []stream.Tuple) []stream.Tuple {
 	if q.bufMaxT < t1 {
 		due, q.buf = q.buf, spare[:0]
 		q.bufMaxT = negInf()
-		// The whole pending window leaves, so the duplicate set empties in
-		// one pass instead of ID by ID (gateway IDs were never added).
+		// The whole pending window leaves, so the duplicate window starts
+		// over empty and unindexed; the set, if it was built, empties in one
+		// pass instead of ID by ID (and costs nothing if it was not).
 		q.pendingIDs.reset()
+		q.clientIDs, q.idHigh, q.indexed = q.clientIDs[:0], 0, false
 	} else {
+		// Some tuples stay, so IDs leave one by one: through the set.
+		if !q.indexed {
+			q.index()
+		}
 		due = spare[:0]
 		kept := q.buf[:0]
 		keptMax := negInf()
 		for _, tp := range q.buf {
 			if tp.T < t1 {
 				due = append(due, tp)
-				q.pendingIDs.remove(tp.ID) // no-op for gateway IDs
+				if tp.ID < GatewayIDBase {
+					q.pendingIDs.remove(tp.ID)
+				}
 			} else {
 				kept = append(kept, tp)
 				if tp.T > keptMax {

@@ -322,6 +322,68 @@ func TestDuplicateClientIDsRejectedAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestGatewayRangeClientIDRejected: a client ID with the top bit set lies in
+// the gateway's namespace, so it is rejected. Were it accepted, a gateway
+// tuple assigned the same ID could drain and take the client tuple's ID out
+// of the duplicate window, and a redelivery would then sit in the window
+// beside the original, equal in (T, ID).
+func TestGatewayRangeClientIDRejected(t *testing.T) {
+	q := NewQueue(Config{})
+	client := obs(GatewayIDBase|1, 5.5)
+	ack := mustPush(t, q, []stream.Tuple{client, obs(0, 4.5)}, math.NaN()) // the second is assigned GatewayIDBase|1
+	if ack.Rejected != 1 || ack.Accepted != 1 {
+		t.Fatalf("first push ack = %+v, want the client tuple rejected and the gateway one accepted", ack)
+	}
+	if got := q.Drain(5, nil); len(got) != 1 || got[0].ID != GatewayIDBase|1 {
+		t.Fatalf("drain = %v, want the gateway tuple", got)
+	}
+	ack = mustPush(t, q, []stream.Tuple{client}, math.NaN())
+	if ack.Rejected != 1 || ack.Accepted != 0 || ack.Pending != 0 {
+		t.Fatalf("redelivery ack = %+v, want rejected with nothing pending", ack)
+	}
+	ack = mustPush(t, q, []stream.Tuple{obs(GatewayIDBase-1, 5.5), obs(math.MaxUint64, 5.5)}, math.NaN())
+	if ack.Accepted != 1 || ack.Rejected != 1 {
+		t.Fatalf("ack = %+v, want 2⁶³−1 accepted and 2⁶⁴−1 rejected", ack)
+	}
+}
+
+// TestDuplicateWindowHighWaterMark pins when the duplicate window builds its
+// set: not while client IDs ascend, at the first ID at or below the largest
+// pending one, and at a partial drain; a full drain starts it over.
+func TestDuplicateWindowHighWaterMark(t *testing.T) {
+	q := NewQueue(Config{})
+	indexed := func(want bool, n int) {
+		t.Helper()
+		if q.indexed != want || q.pendingIDs.n != n {
+			t.Fatalf("indexed=%v with %d IDs in the set, want %v with %d", q.indexed, q.pendingIDs.n, want, n)
+		}
+	}
+	mustPush(t, q, []stream.Tuple{obs(3, 0.1), obs(0, 0.2), obs(5, 0.3)}, math.NaN())
+	mustPush(t, q, []stream.Tuple{obs(9, 0.4)}, math.NaN())
+	indexed(false, 0)
+	ack := mustPush(t, q, []stream.Tuple{obs(9, 0.6), obs(7, 0.5), obs(10, 0.7)}, math.NaN())
+	if ack.Accepted != 2 || ack.Duplicates != 1 {
+		t.Fatalf("ack = %+v, want 9 (the largest pending ID) a duplicate, 7 and 10 accepted", ack)
+	}
+	indexed(true, 5)
+	q.Drain(1, nil) // everything is due: the window starts over
+	indexed(false, 0)
+	if ack := mustPush(t, q, []stream.Tuple{obs(9, 1.1), obs(1, 2.5)}, math.NaN()); ack.Accepted != 2 {
+		t.Fatalf("ack = %+v, want both IDs accepted again after the drain", ack)
+	}
+	indexed(true, 2) // 1 is below 9
+	q.Drain(2, nil)
+	mustPush(t, q, []stream.Tuple{obs(2, 2.6)}, math.NaN())
+	indexed(true, 2) // a partial drain left the set built
+	q.Drain(3, nil)
+	mustPush(t, q, []stream.Tuple{obs(4, 3.5), obs(6, 3.6)}, math.NaN())
+	q.Drain(3.55, nil) // partial, from the unindexed form
+	indexed(true, 1)
+	if ack := mustPush(t, q, []stream.Tuple{obs(6, 3.7), obs(4, 3.8)}, math.NaN()); ack.Accepted != 1 || ack.Duplicates != 1 {
+		t.Fatalf("ack = %+v, want 6 a duplicate and the drained 4 accepted", ack)
+	}
+}
+
 func TestNonFiniteFieldsRejected(t *testing.T) {
 	q := NewQueue(Config{})
 	bad := []stream.Tuple{}

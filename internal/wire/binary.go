@@ -257,14 +257,16 @@ func (d *Decoder) decodePayload(payload []byte) (Batch, error) {
 		d.buf = stream.BorrowTuples(n)
 	}
 	tuples := d.buf.Tuples[:n]
-	ids := payload[off:]
-	refs := payload[off+8*n:]
-	ts := payload[off+10*n:]
-	xs := payload[off+18*n:]
-	ys := payload[off+26*n:]
-	vals := payload[off+34*n:]
-	sensors := payload[off+42*n:]
-	for i := 0; i < n; i++ {
+	// Every 8-byte column is resliced to exactly len(ids): once ids[o:] has
+	// passed its bounds check the compiler knows the other five hold offset o
+	// too, so a tuple pays the checks of two reads (ids and refs), not two
+	// per field. (Cursors advanced per tuple would need seven three-word
+	// slice headers live at once, more than the registers there are.)
+	ids, refs := payload[off:off+8*n], payload[off+8*n:off+10*n]
+	column := func(k int) []byte { return payload[off+k*n:][:len(ids)] }
+	ts, xs, ys, vals, sensors := column(10), column(18), column(26), column(34), column(42)
+	for i := range tuples {
+		tp := &tuples[i]
 		r := int(binary.LittleEndian.Uint16(refs[2*i:]))
 		attr := b.Attr
 		if r > 0 {
@@ -273,15 +275,14 @@ func (d *Decoder) decodePayload(payload []byte) (Batch, error) {
 			}
 			attr = table[r-1]
 		}
-		tuples[i] = stream.Tuple{
-			ID:     binary.LittleEndian.Uint64(ids[8*i:]),
-			Attr:   attr,
-			T:      math.Float64frombits(binary.LittleEndian.Uint64(ts[8*i:])),
-			X:      math.Float64frombits(binary.LittleEndian.Uint64(xs[8*i:])),
-			Y:      math.Float64frombits(binary.LittleEndian.Uint64(ys[8*i:])),
-			Value:  math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])),
-			Sensor: int(int64(binary.LittleEndian.Uint64(sensors[8*i:]))),
-		}
+		o := 8 * i
+		tp.Attr = attr
+		tp.ID = binary.LittleEndian.Uint64(ids[o:])
+		tp.T = math.Float64frombits(binary.LittleEndian.Uint64(ts[o:]))
+		tp.X = math.Float64frombits(binary.LittleEndian.Uint64(xs[o:]))
+		tp.Y = math.Float64frombits(binary.LittleEndian.Uint64(ys[o:]))
+		tp.Value = math.Float64frombits(binary.LittleEndian.Uint64(vals[o:]))
+		tp.Sensor = int(int64(binary.LittleEndian.Uint64(sensors[o:])))
 	}
 	d.buf.Tuples = tuples
 	b.Tuples = tuples

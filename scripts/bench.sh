@@ -27,7 +27,8 @@
 # ns/op of each benchmark is the one written (contention on a shared host
 # only ever makes a run slower, so the fastest is the least disturbed — the
 # same policy bench_guard.sh measures against). scripts/bench_guard.sh compares fresh
-# BenchmarkEndToEnd + BenchmarkIngest* + BenchmarkWire* +
+# BenchmarkEndToEnd + BenchmarkIngest* (BenchmarkIngestDurable as its ratio
+# to BenchmarkWALAppend/fsync=always) + BenchmarkWire* +
 # BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkEpochFanout +
 # BenchmarkMLE + BenchmarkFlattenSteady + BenchmarkEpochAssembly +
 # BenchmarkTopologyConstruction + BenchmarkJSONLinesExport runs against the
