@@ -1097,11 +1097,12 @@ func BenchmarkIngestAck(b *testing.B) {
 // assembling the epoch (drain, (T,ID) sort, per-attribute grouping). The
 // enqueue+drain sub-benchmark runs the same path minus the decode, so the
 // codec cost is the difference. The frames number their observations in
-// ascending order, as producers do, so the queue's duplicate window answers
-// from its high-water mark; ids=shuffled is the same binary path with the
-// frame's IDs permuted, so the window indexes itself on the frame's first
-// descent and probes every tuple after it. tuples/s is the tracked rate;
-// steady-state storage is borrowed, so allocs/op stays near zero.
+// ascending order, as every bench/ corpus does, so the queue's duplicate
+// window answers from its high-water mark; ids=shuffled is the same binary
+// path with the frame's IDs permuted, so the window indexes itself on the
+// frame's first descent and probes every tuple after it. tuples/s is the
+// tracked rate; steady-state storage is borrowed, so allocs/op stays near
+// zero.
 func BenchmarkIngest(b *testing.B) {
 	region := geom.NewRect(0, 0, 8, 8)
 	// fullPath decodes each iteration's batch of n with decode, slides its

@@ -14,8 +14,8 @@ import (
 // run per attribute, attributes in sorted name order. It runs on memory no
 // producer can reach (see Queue.detach), never under the queue's lock, and
 // it never compares or moves a 64-byte stream.Tuple while ordering: it
-// orders 16-byte keys — one counting pass on the bits that spread a run, an
-// insertion sort inside each bucket (radixSortKeys) — and moves each tuple
+// orders 16-byte keys — one counting pass on the bits that spread a run, one
+// insertion sweep over its buckets (radixSortKeys) — and moves each tuple
 // exactly once, in the final gather.
 
 // sortKey is one tuple's ordering image: w is the word being sorted on —
@@ -227,20 +227,18 @@ const insertionBound = 48
 // window that is the sign, the exponent and the top of T's mantissa — and the
 // ⌈log₂ n⌉ bits from there down (at most maxBucketBits) are where n keys
 // spread over that range tell themselves apart. One stable counting pass on
-// that digit leaves the buckets in order and each bucket in arrival order;
-// when no bucket holds more than insertionBound keys, one stable insertion
-// sweep over the whole run then orders it as it is copied back. Otherwise
-// each bucket is copied back on its own: a small one through the same
-// insertion sort, and one past insertionBound — the run's times cluster, or
-// were built to — by the same pass on the bits its own keys differ in: those lie
-// below the digit that put them together, which for more than insertionBound
-// keys is at least six bits wide, so the passes nest at most 64/6 deep and
-// the worst case is that many passes over the run, never quadratic. The
-// nested pass's counts sit above this one's in a.hist (base is where this
-// one's begin; 0 for a run). Every step is stable, which is what makes the
-// tie rule hold — keys equal in w stay in the order they came in — and makes
-// the result the one permutation a stable sort by w has, whichever steps
-// produced it.
+// that digit leaves the buckets in order and each bucket in arrival order.
+// A bucket past insertionBound — the run's times cluster, or were built to —
+// is ordered in the scatter buffer by the same pass on the bits its own keys
+// differ in: those lie below the digit that put them together, which for more
+// than insertionBound keys is at least six bits wide, so the passes nest at
+// most 64/6 deep and the worst case is that many passes over the run, never
+// quadratic. One stable insertion sweep over the whole run then orders every
+// small bucket as it is copied back. The nested pass's counts sit above this
+// one's in a.hist (base is where this one's begin; 0 for a run). Every step is
+// stable, which is what makes the tie rule hold — keys equal in w stay in the
+// order they came in — and makes the result the one permutation a stable sort
+// by w has, whichever steps produced it.
 func (a *assembler) radixSortKeys(keys, tmp []sortKey, diff uint64, base int) {
 	if diff == 0 {
 		return
@@ -254,51 +252,41 @@ func (a *assembler) radixSortKeys(keys, tmp []sortKey, diff uint64, base int) {
 	for i := range keys {
 		hist[keys[i].w>>shift&mask]++
 	}
-	sum, big := uint32(0), uint32(0)
+	sum := uint32(0)
 	for b, c := range hist {
-		hist[b], sum, big = sum, sum+c, max(big, c)
+		hist[b], sum = sum, sum+c
 	}
 	for i := range keys {
 		b := keys[i].w >> shift & mask
 		tmp[hist[b]] = keys[i]
 		hist[b]++
 	}
-	if big <= insertionBound {
-		// Every bucket is small: one insertion sweep over the whole run
-		// orders it while copying it back. Every key of an earlier bucket is
-		// smaller than every key of a later one, so no key moves past the
-		// start of its own bucket.
-		for i := range tmp {
-			k, j := tmp[i], i
-			for ; j > 0 && keys[j-1].w > k.w; j-- {
-				keys[j] = keys[j-1]
-			}
-			keys[j] = k
-		}
-		return
-	}
-	// hist[b] is now where bucket b ends. A nested pass writes above these
-	// counts — or, having outgrown a.hist, into its successor — never to them.
+	// hist[b] is now where bucket b ends. A bucket past insertionBound is
+	// ordered where it lies, in tmp, with keys as its scratch; a nested pass
+	// writes its counts above these — or, having outgrown a.hist, into its
+	// successor — never to them.
 	lo := 0
 	for _, end := range hist {
 		hi := int(end)
 		if hi-lo > insertionBound {
-			bucket := keys[lo:hi]
-			copy(bucket, tmp[lo:hi])
+			bucket := tmp[lo:hi]
 			var d uint64
 			for i := range bucket {
 				d |= bucket[i].w ^ bucket[0].w
 			}
-			a.radixSortKeys(bucket, tmp[lo:hi], d, base+len(hist))
-		} else {
-			for i := lo; i < hi; i++ {
-				k, j := tmp[i], i
-				for ; j > lo && keys[j-1].w > k.w; j-- {
-					keys[j] = keys[j-1]
-				}
-				keys[j] = k
-			}
+			a.radixSortKeys(bucket, keys[lo:hi], d, base+len(hist))
 		}
 		lo = hi
+	}
+	// One insertion sweep over the whole run orders it while copying it back.
+	// Every key of an earlier bucket is smaller than every key of a later
+	// one, so no key moves past the start of its own bucket, and a bucket
+	// already ordered costs one compare per key.
+	for i := range tmp {
+		k, j := tmp[i], i
+		for ; j > 0 && keys[j-1].w > k.w; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
 	}
 }

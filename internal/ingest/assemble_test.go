@@ -491,8 +491,8 @@ func TestRadixSortKeysShapes(t *testing.T) {
 	}
 	// The sweep/nested boundary: in a run of 1024 keys (a 10-bit digit, bits
 	// 20–29 here) every bucket holds one key except one that holds exactly
-	// insertionBound (the whole run still takes the one insertion sweep) or
-	// one more (that bucket takes a nested pass), at the first, a middle and
+	// insertionBound (the sweep orders it) or one more (a nested pass orders
+	// it before the sweep), at the first, a middle and
 	// the last digit. The crowded bucket's keys share a few low values, so
 	// it holds ties too.
 	const n = 1 << 10

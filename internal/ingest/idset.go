@@ -4,7 +4,7 @@ package ingest
 // purpose-built for the queue's duplicate-delivery check. The queue builds it
 // only once a pending window's client IDs stop ascending (or a drain leaves
 // part of the window behind); until then a compare against the window's
-// high-water mark answers the check (see Queue.clientIDs). From there the set
+// high-water mark answers the check (see Queue.idHigh). From there the set
 // sits on the per-tuple ingest path, where a map[uint64]struct{} costs more
 // than the rest of Push combined (hashing through the runtime's generic map
 // paths, plus a write barrier per insert). A flat linear-probe table with an

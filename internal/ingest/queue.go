@@ -59,14 +59,13 @@ type Queue struct {
 	// so a redelivery of an observation still pending is refused instead of
 	// appearing twice in an epoch (gateway-assigned IDs are unique by
 	// construction and never enter it). While producers number their
-	// observations in ascending order it needs no index: clientIDs lists the
-	// client IDs accepted since the last full drain and idHigh is the largest
-	// of them, so an ID above idHigh is new without a lookup. The first ID at
-	// or below idHigh — or a partial drain — builds pendingIDs from clientIDs
-	// (indexed), and from then until the next full drain every ID is probed
-	// in, inserted into and removed from that set (a flat open-addressing
-	// table, see idset.go). Either form holds at most Buffer IDs.
-	clientIDs  []uint64
+	// observations in ascending order it needs no index: idHigh is the
+	// largest client ID accepted since the last full drain, so an ID above it
+	// is new without a lookup. The first ID at or below idHigh — or a partial
+	// drain — builds pendingIDs from buf, which until then holds everything
+	// accepted since that drain (indexed), and from then until the next full
+	// drain every ID is probed in, inserted into and removed from that set (a
+	// flat open-addressing table, see idset.go).
 	idHigh     uint64
 	indexed    bool
 	pendingIDs idSet
@@ -108,7 +107,8 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 			continue
 		}
 		var idSlot uint64
-		if tp.ID != 0 && (q.indexed || tp.ID <= q.idHigh) {
+		probed := tp.ID != 0 && (q.indexed || tp.ID <= q.idHigh)
+		if probed {
 			if !q.indexed {
 				q.index()
 			}
@@ -138,13 +138,12 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 			ack.Late++ // LateNextEpoch: admitted into the next epoch to close
 		}
 		switch {
+		case probed:
+			q.pendingIDs.insertAt(idSlot, tp.ID)
 		case tp.ID == 0:
 			q.seq++
 			tp.ID = GatewayIDBase | q.seq
-		case q.indexed:
-			q.pendingIDs.insertAt(idSlot, tp.ID)
-		default: // above idHigh, or the window would be indexed by now
-			q.clientIDs = append(q.clientIDs, tp.ID)
+		default: // above idHigh, in a window not yet indexed
 			q.idHigh = tp.ID
 		}
 		q.buf = append(q.buf, tp)
@@ -187,13 +186,16 @@ func (q *Queue) Push(tuples []stream.Tuple, watermark float64) (Ack, error) {
 	return ack, nil
 }
 
-// index builds the duplicate set from clientIDs: the window switches from
-// the high-water mark to per-tuple lookups until the next full drain.
-// clientIDs ascends strictly, so every insert lands.
+// index builds the duplicate set from the client IDs in buf: the window
+// switches from the high-water mark to per-tuple lookups until the next full
+// drain. Before it, buf holds exactly the tuples accepted since the last full
+// drain, whose client IDs ascend strictly, so every insert lands.
 func (q *Queue) index() {
-	for _, id := range q.clientIDs {
-		slot, _ := q.pendingIDs.probe(id)
-		q.pendingIDs.insertAt(slot, id)
+	for i := range q.buf {
+		if id := q.buf[i].ID; id < GatewayIDBase {
+			slot, _ := q.pendingIDs.probe(id)
+			q.pendingIDs.insertAt(slot, id)
+		}
 	}
 	q.indexed = true
 }
@@ -291,7 +293,7 @@ func (q *Queue) detach(t1 float64, spare []stream.Tuple) []stream.Tuple {
 		// over empty and unindexed; the set, if it was built, empties in one
 		// pass instead of ID by ID (and costs nothing if it was not).
 		q.pendingIDs.reset()
-		q.clientIDs, q.idHigh, q.indexed = q.clientIDs[:0], 0, false
+		q.idHigh, q.indexed = 0, false
 	} else {
 		// Some tuples stay, so IDs leave one by one: through the set.
 		if !q.indexed {
