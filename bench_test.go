@@ -686,8 +686,10 @@ func fanoutForms() []query.Query {
 
 // BenchmarkEpochFanout is the epoch of bench/'s epoch_fanout workload without
 // the daemon around it: 512 resident queries — a full-region probe and 511
-// members cycling over fanoutForms — with planner-chosen merge modes and
-// 4096-tuple result stores, and per op one (T, ID)-sorted 2048-tuple batch
+// members cycling over fanoutForms — inserted as Engine.Submit inserts them,
+// through Fabricator.InsertQuery, with 4096-tuple result stores (bench/'s
+// in-process twin still goes through InsertQueryMerge, which is the same
+// call) — and per op one (T, ID)-sorted 2048-tuple batch
 // for each of the two attributes through Fabricator.Ingest on one worker.
 // program is the compiled position program, graphwalk the operator-graph
 // oracle it replaced as the production path; the epoch contains the merge
@@ -711,11 +713,7 @@ func BenchmarkEpochFanout(b *testing.B) {
 				if i > 0 {
 					q = forms[(i-1)%len(forms)]
 				}
-				est, err := planner.ChooseMergeMode(grid, q, 1, planner.DefaultWeights())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fab.InsertQueryMerge(q, stream.NewResultStore(4096), est.Mode); err != nil {
+				if _, err := fab.InsertQuery(q, stream.NewResultStore(4096)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -769,7 +767,6 @@ func benchExperiment(b *testing.B, run func(experiments.Options) (*experiments.T
 }
 
 func BenchmarkIncentives(b *testing.B)  { benchExperiment(b, experiments.E11Incentives) }
-func BenchmarkChainVsTree(b *testing.B) { benchExperiment(b, experiments.E12ChainVsTree) }
 func BenchmarkTChainOrder(b *testing.B) { benchExperiment(b, experiments.E13TChainOrder) }
 func BenchmarkGPSError(b *testing.B)    { benchExperiment(b, experiments.E14GPSError) }
 

@@ -1,5 +1,5 @@
 // Command craqr-experiments runs the reproduction's experiment suite
-// (DESIGN.md section 9, E1–E14) and prints one table per experiment — the
+// (DESIGN.md section 9: E1–E11, E13–E15) and prints one table per experiment — the
 // harness that regenerates every figure-equivalent artifact of the paper.
 //
 // Usage:

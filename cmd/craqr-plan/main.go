@@ -1,6 +1,8 @@
 // Command craqr-plan prices a CrAQL query against a grid before submission —
 // the Section VI query-optimization extension as a tool. It prints the cost
-// estimate of every merge-phase layout and the planner's choice.
+// estimate of the one execution topology the engine builds (per-cell T taps,
+// a P per partial cell, one n-ary U-operator): the table every EXPLAIN
+// surface serves.
 //
 // Usage:
 //

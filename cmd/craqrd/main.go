@@ -22,10 +22,9 @@
 // A standalone daemon starts with one pinned session named "default"
 // (-seed, -tick), so /v1/sessions/default/… works out of the box.
 //
-// Every query is built with the flat merge topology, the cost-based
-// planner's choice for any query; EXPLAIN and the plan route show the
-// comparison. -budget turns on adaptive rate retuning, converging starved
-// cells to their feasible rate.
+// Every query's cells merge under one n-ary U-operator; EXPLAIN and the plan
+// route show its cost estimate. -budget turns on adaptive rate retuning,
+// converging starved cells to their feasible rate.
 // -source selects the template observation source (simulated | external |
 // mixed): external and mixed sessions accept pushes on the ingest route,
 // with -ingest-buffer bounding the per-session queue, -tolerance the

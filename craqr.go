@@ -59,7 +59,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/stream"
-	"repro/internal/topology"
 )
 
 // Geometry.
@@ -239,14 +238,6 @@ type (
 	EngineFactory = server.EngineFactory
 	// BudgetConfig parameterizes budget tuning.
 	BudgetConfig = budget.Config
-	// MergeMode selects the merge-phase topology.
-	MergeMode = topology.MergeMode
-)
-
-// Merge-phase topologies.
-const (
-	// MergeTree builds balanced binary U-operator trees (Section VI).
-	MergeTree = topology.MergeTree
 )
 
 // NewEngine assembles a CrAQR engine from the config and ground-truth
@@ -312,27 +303,21 @@ func NewEventDetector(on, off float64) (*EventDetector, error) {
 // Query-cost planning (the Section VI query-optimization extension) is a
 // what-if: Engine.Explain prices a CrAQL statement (EXPLAIN or plain)
 // without submitting, and PlanExplanation.Table is the canonical text
-// rendering every EXPLAIN surface shares. Submit builds every query with
-// EngineConfig.Fabricator.Merge (flat, the planner's answer, by default).
+// rendering every EXPLAIN surface shares. Submit prices nothing: every query
+// is built with the one merge layout the planner prices.
 type (
 	// PlannerWeights prices tuples, operators and merge depth.
 	PlannerWeights = planner.Weights
-	// CostEstimate prices one candidate query plan.
+	// CostEstimate prices a query's plan.
 	CostEstimate = planner.CostEstimate
-	// PlanExplanation is the full pricing of one query: every candidate
-	// estimate plus the planner's choice.
+	// PlanExplanation is the pricing of one query.
 	PlanExplanation = planner.Explanation
 )
 
 // DefaultPlannerWeights balances work, state and response time.
 func DefaultPlannerWeights() PlannerWeights { return planner.DefaultWeights() }
 
-// EstimateQueryCost prices a query on the grid under a merge mode.
-func EstimateQueryCost(grid *Grid, q Query, mode MergeMode, epochLength float64, w PlannerWeights) (CostEstimate, error) {
-	return planner.EstimateQueryCost(grid, q, mode, epochLength, w)
-}
-
-// ChooseMergeMode returns the cheapest merge-mode plan for the query.
-func ChooseMergeMode(grid *Grid, q Query, epochLength float64, w PlannerWeights) (CostEstimate, error) {
-	return planner.ChooseMergeMode(grid, q, epochLength, w)
+// EstimateQueryCost prices a query on the grid.
+func EstimateQueryCost(grid *Grid, q Query, epochLength float64, w PlannerWeights) (CostEstimate, error) {
+	return planner.EstimateQueryCost(grid, q, epochLength, w)
 }

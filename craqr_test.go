@@ -198,18 +198,15 @@ func TestFacadePlanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := craqr.Query{Attr: "rain", Region: craqr.NewRect(0, 0, 16, 2), Rate: 5}
-	est, err := craqr.EstimateQueryCost(grid, q, craqr.MergeTree, 1, craqr.DefaultPlannerWeights())
+	est, err := craqr.EstimateQueryCost(grid, q, 1, craqr.DefaultPlannerWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Depth != 3 {
-		t.Fatalf("tree depth = %d, want 3 for 8 cells in a row", est.Depth)
+	// 8 cells in a row under one U-operator: 8 T taps + 1 U at depth 1.
+	if est.Depth != 1 || est.Operators != 9 {
+		t.Fatalf("estimate %+v, want depth 1 and 9 operators", est)
 	}
-	best, err := craqr.ChooseMergeMode(grid, q, 1, craqr.DefaultPlannerWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Total <= 0 {
+	if est.Total <= 0 {
 		t.Fatal("planner returned non-positive cost")
 	}
 }

@@ -55,19 +55,20 @@ func ExampleNewUnion() {
 	// gap rejected
 }
 
-// ExampleChooseMergeMode prices a wide query's merge phase and picks the
-// cheapest U-operator layout (the Section VI query-optimization extension).
-func ExampleChooseMergeMode() {
+// ExampleEstimateQueryCost prices a wide query's execution topology (the
+// Section VI query-optimization extension): eight T taps and one n-ary
+// U-operator, rendered as the line every EXPLAIN surface prints.
+func ExampleEstimateQueryCost() {
 	grid, err := craqr.NewGrid(craqr.NewRect(0, 0, 32, 32), 256)
 	if err != nil {
 		panic(err)
 	}
 	q := craqr.Query{Attr: "rain", Region: craqr.NewRect(0, 0, 16, 2), Rate: 5}
-	best, err := craqr.ChooseMergeMode(grid, q, 1, craqr.DefaultPlannerWeights())
+	est, err := craqr.EstimateQueryCost(grid, q, 1, craqr.DefaultPlannerWeights())
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(best.Mode, best.Depth)
+	fmt.Println(est)
 	// Output:
-	// flat 1
+	// flat: ops=9 depth=1 tuples/epoch=320.0 cost=970.0
 }

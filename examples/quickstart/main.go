@@ -35,25 +35,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// EXPLAIN prices the query's candidate merge topologies without
-	// submitting anything — the same table `craqr-plan` and the HTTP plan
-	// endpoint serve.
+	// EXPLAIN prices the query without submitting anything — the same table
+	// `craqr-plan` and the HTTP plan endpoint serve.
 	ex, err := engine.Explain("EXPLAIN ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 3")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(ex.Table())
 
-	// The declarative acquisitional query of the paper's Section III. The
-	// engine builds it with the fabricator's merge mode — flat, which is
-	// also the planner's choice for every query.
+	// The declarative acquisitional query of the paper's Section III.
 	q, err := engine.SubmitCRAQL("ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 3")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("submitted:", q)
 	if ex, err := engine.ExplainQuery(q); err == nil {
-		fmt.Println("planned:  ", ex.Choice)
+		fmt.Println("planned:  ", ex.Estimate)
 	}
 
 	// Run 30 acquisition epochs.

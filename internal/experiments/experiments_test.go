@@ -138,23 +138,6 @@ func TestE5RatePreserved(t *testing.T) {
 	}
 }
 
-func TestE12TreeBeatsChain(t *testing.T) {
-	tab, err := E12ChainVsTree(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := tab.Rows[len(tab.Rows)-1] // widest query
-	chain, _ := strconv.Atoi(last[1])
-	tree, _ := strconv.Atoi(last[2])
-	if tree >= chain {
-		t.Fatalf("tree depth %d not below chain depth %d", tree, chain)
-	}
-	// Equal operator counts (both need w-1 binary unions).
-	if last[3] != last[4] {
-		t.Fatalf("union counts differ: %v", last)
-	}
-}
-
 func TestE13ChainSavesDraws(t *testing.T) {
 	tab, err := E13TChainOrder(quickOpts())
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/stream"
-	"repro/internal/topology"
 )
 
 // E11Incentives evaluates the Section VI incentive extension: with a
@@ -102,47 +101,6 @@ func E11Incentives(o Options) (*Table, error) {
 	tab.AddNote("claim: incentives raise response fraction and cut violations (paper §VI)")
 	tab.AddNote("note: greedy ≈ uniform here because starved cells saturate at similar pressure; greedy's")
 	tab.AddNote("strict optimality under heterogeneous pressure is verified directly in incentive unit tests")
-	return tab, nil
-}
-
-// E12ChainVsTree compares the Fig. 2(c)-style chained U-operators with the
-// Section VI balanced-tree alternative: operator depth and count as the
-// query widens.
-func E12ChainVsTree(o Options) (*Table, error) {
-	o = o.withDefaults()
-	tab := &Table{
-		ID:     "E12",
-		Title:  "Merge topology: chained vs balanced-tree U-operators (1-row query, w cells)",
-		Header: []string{"w", "chain_depth", "tree_depth", "chain_unions", "tree_unions"},
-	}
-	grid, err := geom.NewGrid(geom.NewRect(0, 0, 32, 32), 256) // 16×16 cells of 2×2
-	if err != nil {
-		return nil, err
-	}
-	widths := []int{2, 4, 8, 16}
-	if o.Quick {
-		widths = []int{2, 8}
-	}
-	for _, wCells := range widths {
-		region := geom.NewRect(0, 0, float64(wCells*2), 2)
-		ovs := grid.Overlapping(region)
-		chain, err := topology.BuildMergePlan("C", ovs, topology.MergeChain)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := topology.BuildMergePlan("T", ovs, topology.MergeTree)
-		if err != nil {
-			return nil, err
-		}
-		tab.AddRow(
-			fmt.Sprintf("%d", wCells),
-			fmt.Sprintf("%d", chain.Depth),
-			fmt.Sprintf("%d", tree.Depth),
-			fmt.Sprintf("%d", chain.NumUnions()),
-			fmt.Sprintf("%d", tree.NumUnions()),
-		)
-	}
-	tab.AddNote("claim: tree depth is ⌈log2 w⌉ vs chain depth w−1 at equal operator count (paper §VI alternative topologies)")
 	return tab, nil
 }
 

@@ -123,7 +123,6 @@ func All() []Experiment {
 		{"E9", "MLE vs SGD estimation accuracy", E9Estimation},
 		{"E10", "Query insert/delete churn", E10QueryChurn},
 		{"E11", "Incentive allocation (Section VI)", E11Incentives},
-		{"E12", "Chain vs tree merge topology (Section VI)", E12ChainVsTree},
 		{"E13", "T-chain sharing vs independent thinning (Section VI)", E13TChainOrder},
 		{"E14", "GPS error vs query accuracy (Section VI)", E14GPSError},
 		{"E15", "Inference bias: raw vs fabricated streams", E15InferenceBias},

@@ -4,28 +4,25 @@
 // power consumption, communication cost due to operator placement are some
 // of the aspects that we plan to consider."
 //
-// The cost model prices a query's execution topology from first principles:
-// expected tuples per epoch flowing through each operator (work), the
-// number of operators (state/memory), and the merge-phase depth (response
-// time). ChooseMergeMode picks the U-operator layout minimizing the weighted
-// cost, and EstimateQueryCost prices a whole query before insertion so
-// admission control can reason about it.
+// The cost model prices the one execution topology the fabricator builds —
+// per-cell T taps, a P per partial cell, one n-ary U-operator — from first
+// principles: expected tuples per epoch flowing through each operator
+// (work), the number of operators (state/memory), and the merge-phase depth
+// (response time). EstimateQueryCost prices a whole query before insertion
+// so admission control can reason about it.
 //
 // The planner answers what-ifs: besides the offline tool (cmd/craqr-plan),
-// the service serves the full Explain table through the CrAQL EXPLAIN
-// statement and the HTTP plan endpoint (GET
-// /v1/sessions/{s}/queries/{q}/plan — see docs/API.md and DESIGN.md,
-// "Planning and adaptivity"). Submission does not consult it: its answer is
-// always flat (TestChooseMergeModeIsFlatForAnyWeights), the fabricator's
-// default merge mode. Explanation.Table is the canonical text rendering
-// shared by every surface, so EXPLAIN output is byte-identical to
-// CompareModes wherever it is printed.
+// the service serves the Explain table through the CrAQL EXPLAIN statement
+// and the HTTP plan endpoint (GET /v1/sessions/{s}/queries/{q}/plan — see
+// docs/API.md and DESIGN.md, "Planning and adaptivity"). Submission does
+// not consult it: there is nothing to choose. Explanation.Table is the
+// canonical text rendering shared by every surface, so EXPLAIN output is
+// byte-identical wherever it is printed.
 package planner
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/geom"
@@ -49,8 +46,7 @@ type Weights struct {
 }
 
 // DefaultWeights balances the aspects for epoch-batch workloads: work
-// dominates, and depth is penalized enough that a tree prices below a chain
-// for wide queries. Neither ever prices below flat — see ChooseMergeMode.
+// dominates.
 func DefaultWeights() Weights {
 	return Weights{PerTuple: 1, PerOperator: 50, PerDepth: 200}
 }
@@ -63,8 +59,10 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// CostEstimate prices one candidate plan.
+// CostEstimate prices a query's plan.
 type CostEstimate struct {
+	// Mode is always MergeFlat; kept only because bench/trace.go reads it
+	// (ROADMAP item 2 deletes it).
 	Mode      topology.MergeMode
 	Operators int     // operators created for this query (T taps + P + U)
 	Depth     int     // merge-phase depth
@@ -74,93 +72,27 @@ type CostEstimate struct {
 
 // String renders the estimate.
 func (c CostEstimate) String() string {
-	return fmt.Sprintf("%v: ops=%d depth=%d tuples/epoch=%.1f cost=%.1f", c.Mode, c.Operators, c.Depth, c.TuplesPE, c.Total)
+	return fmt.Sprintf("flat: ops=%d depth=%d tuples/epoch=%.1f cost=%.1f", c.Operators, c.Depth, c.TuplesPE, c.Total)
 }
 
-// mergeShape computes the U-operator count and depth for n leaves arranged
-// in the given number of rows under a merge mode, without building any
-// operators. It mirrors topology.BuildMergePlan's construction.
-func mergeShape(rowLens []int, mode topology.MergeMode) (unions, depth int) {
-	n := 0
-	for _, l := range rowLens {
-		n += l
-	}
+// mergeShape returns the U-operator count and merge depth of a plan over n
+// leaves, without building any operators: one n-ary U-operator at depth 1,
+// or nothing when a single leaf forwards directly. It mirrors
+// topology.BuildMergePlan.
+func mergeShape(n int) (unions, depth int) {
 	if n <= 1 {
 		return 0, 0
 	}
-	switch mode {
-	case topology.MergeFlat:
-		return 1, 1
-	case topology.MergeChain:
-		maxRow := 0
-		for _, l := range rowLens {
-			if l-1 > maxRow {
-				maxRow = l - 1
-			}
-		}
-		return n - 1, maxRow + maxInt(len(rowLens)-1, 0)
-	case topology.MergeTree:
-		maxRow := 0
-		for _, l := range rowLens {
-			if d := ceilLog2(l); d > maxRow {
-				maxRow = d
-			}
-		}
-		return n - 1, maxRow + ceilLog2(len(rowLens))
-	default:
-		return n - 1, n - 1
-	}
+	return 1, 1
 }
 
-func ceilLog2(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	d := 0
-	v := 1
-	for v < n {
-		v <<= 1
-		d++
-	}
-	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// rowLengths groups a query's cell overlaps by grid row.
-func rowLengths(overlaps []geom.Overlap) []int {
-	counts := map[int]int{}
-	minR, maxR := math.MaxInt32, math.MinInt32
-	for _, ov := range overlaps {
-		counts[ov.Cell.R]++
-		if ov.Cell.R < minR {
-			minR = ov.Cell.R
-		}
-		if ov.Cell.R > maxR {
-			maxR = ov.Cell.R
-		}
-	}
-	var out []int
-	for r := minR; r <= maxR; r++ {
-		if counts[r] > 0 {
-			out = append(out, counts[r])
-		}
-	}
-	return out
-}
-
-// EstimateQueryCost prices query q on the grid under a merge mode.
-// epochLength converts the query's rate into expected tuples per epoch. The
-// estimate covers the operators the query adds: one T tap per overlapped
-// cell (the F-operator and higher-rate chain prefix are shared, so they are
-// charged to the queries that created them), one P per partial cell, and
-// the U-operators of the merge plan.
-func EstimateQueryCost(grid *geom.Grid, q query.Query, mode topology.MergeMode, epochLength float64, w Weights) (CostEstimate, error) {
+// EstimateQueryCost prices query q on the grid. epochLength converts the
+// query's rate into expected tuples per epoch. The estimate covers the
+// operators the query adds: one T tap per overlapped cell (the F-operator
+// and higher-rate chain prefix are shared, so they are charged to the
+// queries that created them), one P per partial cell, and the merge plan's
+// U-operator.
+func EstimateQueryCost(grid *geom.Grid, q query.Query, epochLength float64, w Weights) (CostEstimate, error) {
 	if grid == nil {
 		return CostEstimate{}, errors.New("planner: nil grid")
 	}
@@ -177,7 +109,7 @@ func EstimateQueryCost(grid *geom.Grid, q query.Query, mode topology.MergeMode, 
 	if len(overlaps) == 0 {
 		return CostEstimate{}, errors.New("planner: query overlaps no cells")
 	}
-	unions, depth := mergeShape(rowLengths(overlaps), mode)
+	unions, depth := mergeShape(len(overlaps))
 	ops := unions
 	partial := 0
 	coveredArea := 0.0
@@ -195,60 +127,26 @@ func EstimateQueryCost(grid *geom.Grid, q query.Query, mode topology.MergeMode, 
 	perEpoch := q.Rate * coveredArea * epochLength
 	hops := 1.0 + float64(partial)/float64(len(overlaps)) + float64(depth)
 	tuples := perEpoch * hops
-	est := CostEstimate{
-		Mode:      mode,
+	return CostEstimate{
+		Mode:      topology.MergeFlat,
 		Operators: ops,
 		Depth:     depth,
 		TuplesPE:  tuples,
 		Total:     w.PerTuple*tuples + w.PerOperator*float64(ops) + w.PerDepth*float64(depth),
-	}
-	return est, nil
+	}, nil
 }
 
-// ChooseMergeMode evaluates all merge modes for the query and returns the
-// cheapest estimate. Ties prefer the simpler flat plan. Under this cost model
-// the result is always flat (TestChooseMergeModeIsFlatForAnyWeights says
-// why); the other modes are priced for EXPLAIN and stay available to code
-// that sets a merge mode by hand.
+// ChooseMergeMode is EstimateQueryCost; kept only because bench/trace.go
+// calls it (ROADMAP item 2 deletes it).
 func ChooseMergeMode(grid *geom.Grid, q query.Query, epochLength float64, w Weights) (CostEstimate, error) {
-	modes := []topology.MergeMode{topology.MergeFlat, topology.MergeTree, topology.MergeChain}
-	var best CostEstimate
-	found := false
-	for _, mode := range modes {
-		est, err := EstimateQueryCost(grid, q, mode, epochLength, w)
-		if err != nil {
-			return CostEstimate{}, err
-		}
-		if !found || est.Total < best.Total {
-			best = est
-			found = true
-		}
-	}
-	return best, nil
+	return EstimateQueryCost(grid, q, epochLength, w)
 }
 
-// CompareModes returns the estimates for every mode, in flat/chain/tree
-// order, for reporting.
-func CompareModes(grid *geom.Grid, q query.Query, epochLength float64, w Weights) ([]CostEstimate, error) {
-	modes := []topology.MergeMode{topology.MergeFlat, topology.MergeChain, topology.MergeTree}
-	out := make([]CostEstimate, 0, len(modes))
-	for _, mode := range modes {
-		est, err := EstimateQueryCost(grid, q, mode, epochLength, w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, est)
-	}
-	return out, nil
-}
-
-// Explanation is the full pricing of one query: every candidate estimate in
-// CompareModes order plus the planner's choice. It backs the CrAQL EXPLAIN
+// Explanation is the pricing of one query. It backs the CrAQL EXPLAIN
 // statement, the HTTP plan endpoint and cmd/craqr-plan.
 type Explanation struct {
-	Query     query.Query
-	Estimates []CostEstimate // CompareModes order: flat, chain, tree
-	Choice    CostEstimate   // the ChooseMergeMode winner
+	Query    query.Query
+	Estimate CostEstimate
 	// Shared, when non-nil, reports the live shared subplan the query's
 	// normal form resolves to in a running session: the topology was
 	// fabricated once and Refs queries ride it. The stateless planner never
@@ -260,44 +158,29 @@ type Explanation struct {
 // SharedPlan annotates an explanation with the live shared-subplan group
 // serving the query's normal form.
 type SharedPlan struct {
-	// Mode is the merge topology the shared subplan was fabricated with —
-	// what the query actually executes on, which may predate (and therefore
-	// differ from) this explanation's fresh Choice.
-	Mode topology.MergeMode
 	// Refs is the number of resident queries attached to the subplan.
 	Refs int
 }
 
-// Explain prices q under every merge mode and picks the winner — the
-// combination of CompareModes and ChooseMergeMode every EXPLAIN surface
-// serves.
+// Explain prices q — what every EXPLAIN surface serves.
 func Explain(grid *geom.Grid, q query.Query, epochLength float64, w Weights) (Explanation, error) {
-	ests, err := CompareModes(grid, q, epochLength, w)
+	est, err := EstimateQueryCost(grid, q, epochLength, w)
 	if err != nil {
 		return Explanation{}, err
 	}
-	choice, err := ChooseMergeMode(grid, q, epochLength, w)
-	if err != nil {
-		return Explanation{}, err
-	}
-	return Explanation{Query: q, Estimates: ests, Choice: choice}, nil
+	return Explanation{Query: q, Estimate: est}, nil
 }
 
-// Table renders the explanation as text, one CostEstimate.String line per
-// mode followed by the choice — and, when the engine annotated a live
-// shared subplan, one trailing "shared:" line. Every EXPLAIN surface
-// (CrAQL, HTTP, craqr-plan) prints this exact rendering, so the output is
-// byte-identical to formatting CompareModes directly whenever Shared is
-// unset.
+// Table renders the explanation as text: the estimate's line and — when the
+// engine annotated a live shared subplan — one trailing "shared:" line.
+// Every EXPLAIN surface (CrAQL, HTTP, craqr-plan) prints this exact
+// rendering.
 func (ex Explanation) Table() string {
 	var b strings.Builder
-	for _, est := range ex.Estimates {
-		b.WriteString(est.String())
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "choice: %v (cost %.1f)\n", ex.Choice.Mode, ex.Choice.Total)
+	b.WriteString(ex.Estimate.String())
+	b.WriteByte('\n')
 	if ex.Shared != nil {
-		fmt.Fprintf(&b, "shared: refs=%d mode=%v (subplan fabricated once, fanned out per query)\n", ex.Shared.Refs, ex.Shared.Mode)
+		fmt.Fprintf(&b, "shared: refs=%d (subplan fabricated once, fanned out per query)\n", ex.Shared.Refs)
 	}
 	return b.String()
 }

@@ -1,8 +1,6 @@
 package planner
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -30,7 +28,7 @@ func TestWeightsValidate(t *testing.T) {
 
 func TestMergeShapeMatchesBuiltPlans(t *testing.T) {
 	// The analytic shape must agree with what topology.BuildMergePlan
-	// actually constructs, across modes and query widths.
+	// actually constructs, across query widths.
 	g := wideGrid(t)
 	cases := []geom.Rect{
 		geom.NewRect(0, 0, 4, 2),  // 2×1
@@ -41,16 +39,13 @@ func TestMergeShapeMatchesBuiltPlans(t *testing.T) {
 	}
 	for _, region := range cases {
 		ovs := g.Overlapping(region)
-		for _, mode := range []topology.MergeMode{topology.MergeFlat, topology.MergeChain, topology.MergeTree} {
-			plan, err := topology.BuildMergePlan("q", ovs, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unions, depth := mergeShape(rowLengths(ovs), mode)
-			if unions != plan.NumUnions() || depth != plan.Depth {
-				t.Fatalf("region %v mode %v: analytic (%d unions, depth %d) vs built (%d, %d)",
-					region, mode, unions, depth, plan.NumUnions(), plan.Depth)
-			}
+		plan, err := topology.BuildMergePlan("q", ovs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One n-ary U-operator: the depth is its count.
+		if unions, depth := mergeShape(len(ovs)); unions != plan.NumUnions() || depth != plan.NumUnions() {
+			t.Fatalf("region %v: analytic (%d unions, depth %d) vs built %d unions", region, unions, depth, plan.NumUnions())
 		}
 	}
 }
@@ -58,16 +53,16 @@ func TestMergeShapeMatchesBuiltPlans(t *testing.T) {
 func TestEstimateQueryCostValidation(t *testing.T) {
 	g := wideGrid(t)
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 2), Rate: 5}
-	if _, err := EstimateQueryCost(nil, q, topology.MergeFlat, 1, DefaultWeights()); err == nil {
+	if _, err := EstimateQueryCost(nil, q, 1, DefaultWeights()); err == nil {
 		t.Error("nil grid accepted")
 	}
-	if _, err := EstimateQueryCost(g, q, topology.MergeFlat, 0, DefaultWeights()); err == nil {
+	if _, err := EstimateQueryCost(g, q, 0, DefaultWeights()); err == nil {
 		t.Error("zero epoch accepted")
 	}
-	if _, err := EstimateQueryCost(g, query.Query{}, topology.MergeFlat, 1, DefaultWeights()); err == nil {
+	if _, err := EstimateQueryCost(g, query.Query{}, 1, DefaultWeights()); err == nil {
 		t.Error("invalid query accepted")
 	}
-	if _, err := EstimateQueryCost(g, q, topology.MergeFlat, 1, Weights{PerTuple: -1}); err == nil {
+	if _, err := EstimateQueryCost(g, q, 1, Weights{PerTuple: -1}); err == nil {
 		t.Error("bad weights accepted")
 	}
 }
@@ -75,15 +70,15 @@ func TestEstimateQueryCostValidation(t *testing.T) {
 func TestCostGrowsWithRateAndArea(t *testing.T) {
 	g := wideGrid(t)
 	w := DefaultWeights()
-	small, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 4, 2), Rate: 5}, topology.MergeFlat, 1, w)
+	small, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 4, 2), Rate: 5}, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faster, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 4, 2), Rate: 50}, topology.MergeFlat, 1, w)
+	faster, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 4, 2), Rate: 50}, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigger, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 16, 8), Rate: 5}, topology.MergeFlat, 1, w)
+	bigger, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 16, 8), Rate: 5}, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +92,12 @@ func TestCostGrowsWithRateAndArea(t *testing.T) {
 
 func TestPartialCellsChargePOperators(t *testing.T) {
 	g := wideGrid(t)
-	whole, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 4, 2), Rate: 5}, topology.MergeFlat, 1, DefaultWeights())
+	whole, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(0, 0, 4, 2), Rate: 5}, 1, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same area, shifted off the cell boundary: every cell is partial.
-	partial, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(1, 1, 5, 3), Rate: 5}, topology.MergeFlat, 1, DefaultWeights())
+	partial, err := EstimateQueryCost(g, query.Query{Attr: "a", Region: geom.NewRect(1, 1, 5, 3), Rate: 5}, 1, DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,56 +109,17 @@ func TestPartialCellsChargePOperators(t *testing.T) {
 func TestChooseMergeModePrefersFlatWhenDepthCheap(t *testing.T) {
 	g := wideGrid(t)
 	q := query.Query{Attr: "a", Region: geom.NewRect(0, 0, 16, 2), Rate: 5}
-	best, err := ChooseMergeMode(g, q, 1, Weights{PerTuple: 1, PerOperator: 0, PerDepth: 0})
+	w := Weights{PerTuple: 1, PerOperator: 0, PerDepth: 0}
+	best, err := ChooseMergeMode(g, q, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With no depth/operator penalty and tuple cost increasing in depth,
-	// the flat plan (depth 1) wins.
-	if best.Mode != topology.MergeFlat {
-		t.Fatalf("best mode = %v, want flat", best.Mode)
+	est, err := EstimateQueryCost(g, q, 1, w)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestChooseMergeModeIsFlatForAnyWeights pins what the cost model decides:
-// always flat. mergeShape gives flat one union at depth 1 and chain/tree
-// n−1 ≥ 1 unions at depth ≥ 1 (all three are 0/0 on a single cell), every
-// term of Total is non-decreasing in operators and depth under the
-// non-negative weights Validate admits, and ChooseMergeMode prices flat first
-// under a strict <. Since the compiled position program merges identically
-// for every mode, Engine.Submit does not plan: it builds the fabricator's
-// merge mode, flat by default. A failure here means the cost model can
-// prefer another layout again — the choice is a real decision, and
-// submission would have to consult the planner to honour it.
-func TestChooseMergeModeIsFlatForAnyWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	weight := func() float64 {
-		if rng.Intn(4) == 0 {
-			return 0
-		}
-		return rng.Float64() * 1000
-	}
-	const side = 32.0
-	for _, cells := range []int{1, 4, 9, 16, 64, 256} {
-		g, err := geom.NewGrid(geom.NewRect(0, 0, side, side), cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cell := side / math.Sqrt(float64(cells))
-		for i := 0; i < 2000; i++ { // 6 grids × 2000 = 12k priced cases
-			// At least one cell wide and high: the one-cell minimum area.
-			dx, dy := cell+rng.Float64()*(side-cell), cell+rng.Float64()*(side-cell)
-			x0, y0 := rng.Float64()*(side-dx), rng.Float64()*(side-dy)
-			q := query.Query{Attr: "a", Region: geom.NewRect(x0, y0, x0+dx, y0+dy), Rate: 0.01 + rng.Float64()*100}
-			w := Weights{PerTuple: weight(), PerOperator: weight(), PerDepth: weight()}
-			best, err := ChooseMergeMode(g, q, 0.01+rng.Float64()*10, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best.Mode != topology.MergeFlat {
-				t.Fatalf("grid %d, %v, weights %+v: chose %v, want flat", cells, q, w, best)
-			}
-		}
+	if best != est || best.Mode != topology.MergeFlat || best.Depth != 1 {
+		t.Fatalf("ChooseMergeMode = %+v, want the flat estimate %+v", best, est)
 	}
 }
 
@@ -176,39 +132,5 @@ func TestChooseMergeModeSingleCellIsFree(t *testing.T) {
 	}
 	if best.Depth != 0 {
 		t.Fatalf("single-cell depth = %d", best.Depth)
-	}
-}
-
-func TestCompareModesOrderingAndDominance(t *testing.T) {
-	g := wideGrid(t)
-	q := query.Query{Attr: "a", Region: geom.NewRect(0, 0, 16, 2), Rate: 5} // 8 cells in a row
-	ests, err := CompareModes(g, q, 1, DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 3 {
-		t.Fatalf("estimates = %d", len(ests))
-	}
-	flat, chain, tree := ests[0], ests[1], ests[2]
-	if flat.Mode != topology.MergeFlat || chain.Mode != topology.MergeChain || tree.Mode != topology.MergeTree {
-		t.Fatal("mode order wrong")
-	}
-	if !(tree.Depth < chain.Depth) {
-		t.Fatalf("tree depth %d not below chain %d", tree.Depth, chain.Depth)
-	}
-	if tree.Total >= chain.Total {
-		t.Fatalf("tree (%g) should beat chain (%g) under default weights", tree.Total, chain.Total)
-	}
-	if est := flat.String(); est == "" {
-		t.Fatal("String empty")
-	}
-}
-
-func TestCeilLog2(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4}
-	for n, want := range cases {
-		if got := ceilLog2(n); got != want {
-			t.Errorf("ceilLog2(%d) = %d, want %d", n, got, want)
-		}
 	}
 }

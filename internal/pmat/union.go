@@ -43,9 +43,6 @@ type UnionInput struct {
 	idx int
 }
 
-// Union returns the operator the port belongs to.
-func (in *UnionInput) Union() *Union { return in.u }
-
 // Process implements stream.Processor.
 func (in *UnionInput) Process(b stream.Batch) error { return in.u.receive(in.idx, b) }
 
@@ -197,8 +194,8 @@ func (u *Union) Region() geom.Rect { return u.unioned }
 // RecordMerged accounts one time slice merged outside the operator: every
 // input delivered its share and n tuples in all came in and went out. The
 // fabricator's compiled epoch program orders a subplan's tuples without
-// passing them through its U-operators (the merged stream is the same
-// whatever the tree's shape) and keeps their flow counters exact with this.
+// passing them through its U-operator and keeps its flow counters exact with
+// this.
 func (u *Union) RecordMerged(n int) {
 	u.RecordBatchesIn(len(u.inputs), n)
 	u.RecordOut(n)

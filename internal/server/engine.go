@@ -4,9 +4,8 @@
 // the F-operators' rate violations feeding budget tuning.
 //
 // The Engine runs the loop in-process. Submit builds every query with the
-// fabricator's merge mode (Config.Fabricator.Merge); internal/planner only
-// answers what-ifs — Engine.Explain serves the CrAQL EXPLAIN statement and
-// the plan route. With Config.AdaptiveRates the engine also closes the
+// fabricator's one merge layout; internal/planner only answers what-ifs —
+// Engine.Explain serves the CrAQL EXPLAIN statement and the plan route. With Config.AdaptiveRates the engine also closes the
 // paper's budget-feedback loop end to end each epoch: normalized
 // violations from every F-operator feed a budget.Controller whose
 // RateScale retunes starved pipelines through the topology layer (see
@@ -371,10 +370,8 @@ func (e *Engine) Epochs() int {
 // query's fabricated stream lands in a bounded ResultStore (Config.Retention
 // tuples) readable incrementally via ReadResults or wholesale via Results;
 // a query that joins a resident subplan reads that subplan's ring from its
-// own cursor 0 instead of filling a ring of its own.
-//
-// The query is built with Config.Fabricator.Merge (zero value: flat, the
-// cost model's answer for every query; ExplainQuery shows the pricing).
+// own cursor 0 instead of filling a ring of its own. ExplainQuery shows the
+// query's pricing.
 func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	// The resident-query quota refuses before anything mutates; the HTTP
 	// layer maps the typed error to 429.
@@ -418,11 +415,9 @@ func (e *Engine) SharedStats() topology.SharedStats { return e.fab.SharedStats()
 // Explain parses a CrAQL statement — the EXPLAIN form or a plain query —
 // and prices it against the engine's grid and epoch length under
 // planner.DefaultWeights without submitting anything. Explanation.Table is
-// the canonical text rendering, byte-identical to planner.CompareModes
-// output — plus, when the query's normal form is already served by a
-// shared subplan with two or more attached queries, a trailing "shared:"
-// line reporting the live topology (the mode actually executing and the
-// refcount).
+// the canonical text rendering — plus, when the query's normal form is
+// already served by a shared subplan with two or more attached queries, a
+// trailing "shared:" line reporting the live subplan's refcount.
 func (e *Engine) Explain(src string) (planner.Explanation, error) {
 	st, err := craql.ParseStatement(src)
 	if err != nil {
@@ -440,7 +435,7 @@ func (e *Engine) ExplainQuery(q query.Query) (planner.Explanation, error) {
 		return planner.Explanation{}, err
 	}
 	if g, ok := e.fab.SharedGroup(craql.CanonicalKey(q)); ok && g.Refs >= 2 {
-		ex.Shared = &planner.SharedPlan{Mode: g.Mode, Refs: g.Refs}
+		ex.Shared = &planner.SharedPlan{Refs: g.Refs}
 	}
 	return ex, nil
 }

@@ -259,30 +259,20 @@ func toQueryJSON(q query.Query) queryJSON {
 	}
 }
 
-// costEstimateJSON is the wire form of one planner.CostEstimate.
+// costEstimateJSON is the wire form of a planner.CostEstimate.
 type costEstimateJSON struct {
-	Mode           string  `json:"mode"`
 	Operators      int     `json:"operators"`
 	Depth          int     `json:"depth"`
 	TuplesPerEpoch float64 `json:"tuplesPerEpoch"`
 	Cost           float64 `json:"cost"`
 }
 
-func toCostEstimateJSON(est planner.CostEstimate) costEstimateJSON {
-	return costEstimateJSON{
-		Mode: est.Mode.String(), Operators: est.Operators, Depth: est.Depth,
-		TuplesPerEpoch: est.TuplesPE, Cost: est.Total,
-	}
-}
-
-// explainJSON is the wire form of a full plan explanation. Explain is the
-// canonical text table (planner.Explanation.Table), byte-identical to
-// formatting planner.CompareModes directly.
+// explainJSON is the wire form of a plan explanation. Explain is the
+// canonical text table (planner.Explanation.Table).
 type explainJSON struct {
-	Query   queryJSON          `json:"query"`
-	Modes   []costEstimateJSON `json:"modes"`
-	Chosen  costEstimateJSON   `json:"chosen"`
-	Explain string             `json:"explain"`
+	Query    queryJSON        `json:"query"`
+	Estimate costEstimateJSON `json:"estimate"`
+	Explain  string           `json:"explain"`
 	// Shared reports the live shared subplan serving the query's normal
 	// form (≥ 2 attached queries); absent otherwise. Mirrors the table's
 	// trailing "shared:" line.
@@ -291,23 +281,21 @@ type explainJSON struct {
 
 // sharedPlanJSON is the wire form of planner.SharedPlan.
 type sharedPlanJSON struct {
-	Refs int    `json:"refs"`
-	Mode string `json:"mode"`
+	Refs int `json:"refs"`
 }
 
 func toExplainJSON(ex planner.Explanation) explainJSON {
-	modes := make([]costEstimateJSON, 0, len(ex.Estimates))
-	for _, est := range ex.Estimates {
-		modes = append(modes, toCostEstimateJSON(est))
-	}
+	est := ex.Estimate
 	out := explainJSON{
-		Query:   toQueryJSON(ex.Query),
-		Modes:   modes,
-		Chosen:  toCostEstimateJSON(ex.Choice),
+		Query: toQueryJSON(ex.Query),
+		Estimate: costEstimateJSON{
+			Operators: est.Operators, Depth: est.Depth,
+			TuplesPerEpoch: est.TuplesPE, Cost: est.Total,
+		},
 		Explain: ex.Table(),
 	}
 	if ex.Shared != nil {
-		out.Shared = &sharedPlanJSON{Refs: ex.Shared.Refs, Mode: ex.Shared.Mode.String()}
+		out.Shared = &sharedPlanJSON{Refs: ex.Shared.Refs}
 	}
 	return out
 }
@@ -541,9 +529,11 @@ func (s *HTTPServer) handleSessionQuerySubmit(w http.ResponseWriter, r *http.Req
 		return
 	}
 	e := sess.Engine
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
+	// A body past the cap is refused whole (413), never parsed truncated.
+	body, err := wire.ReadBody(r.Body, 1<<16, wire.BorrowBuf())
+	defer wire.ReleaseBuf(body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
 	st, err := craql.ParseStatement(string(body))
@@ -594,8 +584,8 @@ func (s *HTTPServer) handleSessionQueryDelete(w http.ResponseWriter, r *http.Req
 }
 
 // handleSessionQueryPlan serves a live query's plan: the EXPLAIN of its
-// statement — a freshly priced comparison of every merge mode, the
-// canonical text table and, when shared, the live group's mode and refs.
+// statement — its freshly priced estimate, the canonical text table and,
+// when shared, the live group's refs.
 func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r.PathValue("session"))
 	if sess == nil {

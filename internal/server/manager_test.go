@@ -20,9 +20,8 @@ func testFactory(t *testing.T) EngineFactory {
 }
 
 // templateFactory builds engines from a hand-built template. This is how
-// tests reach the reference paths (unfused walk, per-query fabrication,
-// static merge mode): a second manager whose template sets the lever, never
-// a spec field.
+// tests reach the reference paths (unfused walk, per-query fabrication): a
+// second manager whose template sets the lever, never a spec field.
 func templateFactory(t *testing.T, template Config) EngineFactory {
 	t.Helper()
 	fields := testFields(t)

@@ -3,9 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,11 +17,11 @@ import (
 	"repro/internal/stream"
 )
 
-// TestExplainGoldenAgainstCompareModes is the EXPLAIN acceptance golden
-// test: the table served by Engine.Explain must be byte-identical to
-// rendering planner.CompareModes + ChooseMergeMode for the same grid,
-// query and epoch length under the default weights.
-func TestExplainGoldenAgainstCompareModes(t *testing.T) {
+// TestExplainGoldenAgainstEstimate is the EXPLAIN acceptance golden test:
+// the table served by Engine.Explain must be byte-identical to rendering
+// planner.EstimateQueryCost for the same grid, query and epoch length under
+// the default weights — one line, and no other.
+func TestExplainGoldenAgainstEstimate(t *testing.T) {
 	e := newEngine(t)
 	const src = "EXPLAIN ACQUIRE rain FROM RECT(0, 0, 6, 4) RATE 8"
 	ex, err := e.Explain(src)
@@ -29,22 +29,15 @@ func TestExplainGoldenAgainstCompareModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 6, 4), Rate: 8}
-	ests, err := planner.CompareModes(e.Grid(), q, 1, planner.DefaultWeights())
+	est, err := planner.EstimateQueryCost(e.Grid(), q, 1, planner.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice, err := planner.ChooseMergeMode(e.Grid(), q, 1, planner.DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
+	if got, want := ex.Table(), est.String()+"\n"; got != want {
+		t.Fatalf("EXPLAIN table diverges from planner.EstimateQueryCost:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	var want strings.Builder
-	for _, est := range ests {
-		want.WriteString(est.String())
-		want.WriteByte('\n')
-	}
-	fmt.Fprintf(&want, "choice: %v (cost %.1f)\n", choice.Mode, choice.Total)
-	if got := ex.Table(); got != want.String() {
-		t.Fatalf("EXPLAIN table diverges from planner.CompareModes:\ngot:\n%s\nwant:\n%s", got, want.String())
+	if !strings.HasPrefix(ex.Table(), "flat: ops=") {
+		t.Fatalf("EXPLAIN table %q does not start with the flat estimate", ex.Table())
 	}
 	// The plain form explains identically.
 	ex2, err := e.Explain("ACQUIRE rain FROM RECT(0, 0, 6, 4) RATE 8")
@@ -79,21 +72,22 @@ func TestHTTPExplainAndPlanEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("EXPLAIN status = %d", resp.StatusCode)
 	}
-	var exBody struct {
-		Modes []struct {
-			Mode string `json:"mode"`
-		} `json:"modes"`
-		Chosen struct {
-			Mode string `json:"mode"`
-		} `json:"chosen"`
-		Explain string `json:"explain"`
-	}
+	var exBody map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&exBody); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(exBody.Modes) != 3 || exBody.Explain == "" {
-		t.Fatalf("EXPLAIN response incomplete: %+v", exBody)
+	var keys []string
+	for k := range exBody {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"estimate", "explain", "query"}; !slices.Equal(keys, want) {
+		t.Fatalf("EXPLAIN keys = %v, want %v", keys, want)
+	}
+	var explain string
+	if err := json.Unmarshal(exBody["explain"], &explain); err != nil {
+		t.Fatal(err)
 	}
 	sess, err := m.Get("s")
 	if err != nil {
@@ -108,8 +102,8 @@ func TestHTTPExplainAndPlanEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exBody.Explain != engineEx.Table() {
-		t.Fatalf("HTTP explain diverges from Explanation.Table:\n%q\n%q", exBody.Explain, engineEx.Table())
+	if explain != engineEx.Table() {
+		t.Fatalf("HTTP explain diverges from Explanation.Table:\n%q\n%q", explain, engineEx.Table())
 	}
 
 	// Submit for real, then read the plan endpoint.

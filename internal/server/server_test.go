@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/budget"
@@ -288,25 +289,36 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// Errors.
 	doJSON(t, c, "GET", base+"/results/QX", "", 404, nil)
 	doJSON(t, c, "POST", base+"/queries", "bad", 400, nil)
+	// A statement past the 64 KiB cap is refused whole, not parsed from its
+	// first 64 KiB (which hold a valid query and trailing blanks).
+	doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3"+strings.Repeat(" ", 1<<16)+"junk", 413, nil)
+	doJSON(t, c, "GET", base+"/status", "", 200, &st)
+	if st["queries"].(float64) != 0 {
+		t.Fatalf("an oversized statement registered a query: status queries = %v", st["queries"])
+	}
 	doJSON(t, c, "POST", base+"/step?n=abc", "", 400, nil)
 	doJSON(t, c, "GET", base+"/step", "", 405, nil)
 }
 
 func TestFabricatorConfigPlumbed(t *testing.T) {
-	// Submit builds every query with the static Fabricator.Merge mode.
+	// The engine hands Config.Fabricator to its fabricator as given.
 	cfg := testConfig()
-	cfg.Fabricator = topology.Config{Merge: topology.MergeTree}
+	cfg.Fabricator = topology.Config{Workers: 3, DisableSharing: true}
 	e, err := New(cfg, testFields(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	fab := e.Fabricator()
+	if fab.Workers() != 3 || fab.SharingEnabled() {
+		t.Fatalf("fabricator workers = %d, sharing = %v; want 3, false", fab.Workers(), fab.SharingEnabled())
 	}
 	q, err := e.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 2), Rate: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := e.Fabricator().QueryPlan(q.ID)
-	if plan == nil || plan.Mode != topology.MergeTree || plan.Depth != 2 {
-		t.Fatalf("tree merge not used: %+v", plan)
+	// A multi-cell query merges under one U-operator.
+	if plan := fab.QueryPlan(q.ID); plan == nil || plan.NumUnions() != 1 || len(plan.Inputs) < 2 {
+		t.Fatalf("plan = %+v, want one U-operator over several cells", plan)
 	}
 }
 

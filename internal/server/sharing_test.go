@@ -161,11 +161,10 @@ func TestSharedDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestExplainReportsLiveSharedGroup pins satellite fix #4: EXPLAIN on a
-// query whose normal form is resident reports the live shared topology —
-// refs and the fabricated merge mode — identically through the engine,
-// the CrAQL EXPLAIN table, and the HTTP plan endpoint; and stops reporting
-// it when the group drops below two members.
+// TestExplainReportsLiveSharedGroup: EXPLAIN on a query whose normal form is
+// resident reports the live shared subplan's refs identically through the
+// engine, the CrAQL EXPLAIN table, and the HTTP plan endpoint; and stops
+// reporting it when the group drops below two members.
 func TestExplainReportsLiveSharedGroup(t *testing.T) {
 	m := newManager(t, ManagerConfig{})
 	if _, err := m.Create(SessionSpec{Name: "s"}); err != nil {
@@ -201,7 +200,7 @@ func TestExplainReportsLiveSharedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Engine surface: live refs and the fabricated mode.
+	// Engine surface: live refs.
 	ex, err = e.Explain(stmt)
 	if err != nil {
 		t.Fatal(err)
@@ -209,16 +208,8 @@ func TestExplainReportsLiveSharedGroup(t *testing.T) {
 	if ex.Shared == nil || ex.Shared.Refs != 2 {
 		t.Fatalf("Explain.Shared = %+v, want refs=2", ex.Shared)
 	}
-	plan := e.Fabricator().QueryPlan(q1.ID)
-	if plan == nil {
-		t.Fatalf("no plan for live query %s", q1.ID)
-	}
-	liveMode := plan.Mode
-	if ex.Shared.Mode != liveMode {
-		t.Fatalf("Explain.Shared.Mode = %v, live mode %v", ex.Shared.Mode, liveMode)
-	}
-	if !strings.Contains(ex.Table(), "shared: refs=2") {
-		t.Fatalf("table missing shared line:\n%s", ex.Table())
+	if want := ex.Estimate.String() + "\nshared: refs=2 (subplan fabricated once, fanned out per query)\n"; ex.Table() != want {
+		t.Fatalf("table = %q, want %q", ex.Table(), want)
 	}
 
 	// HTTP plan endpoint serves the same annotation.
@@ -233,8 +224,7 @@ func TestExplainReportsLiveSharedGroup(t *testing.T) {
 		Plan struct {
 			Explain string `json:"explain"`
 			Shared  *struct {
-				Refs int    `json:"refs"`
-				Mode string `json:"mode"`
+				Refs int `json:"refs"`
 			} `json:"shared"`
 		} `json:"plan"`
 	}
@@ -242,8 +232,8 @@ func TestExplainReportsLiveSharedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if planBody.Plan.Shared == nil || planBody.Plan.Shared.Refs != 2 || planBody.Plan.Shared.Mode != liveMode.String() {
-		t.Fatalf("HTTP shared = %+v, want refs=2 mode=%v", planBody.Plan.Shared, liveMode)
+	if planBody.Plan.Shared == nil || planBody.Plan.Shared.Refs != 2 {
+		t.Fatalf("HTTP shared = %+v, want refs=2", planBody.Plan.Shared)
 	}
 	if planBody.Plan.Explain != ex.Table() {
 		t.Fatal("HTTP explain table diverges from engine rendering")

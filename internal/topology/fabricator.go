@@ -23,8 +23,6 @@ import (
 type Config struct {
 	// Pipeline configures every cell pipeline (headroom, flatten mode).
 	Pipeline PipelineConfig
-	// Merge selects the merge-phase topology (default MergeFlat).
-	Merge MergeMode
 	// Workers bounds the worker pool that executes cell pipelines within an
 	// epoch. 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
 	// Because every cell pipeline draws from its own keyed RNG fork and the
@@ -221,19 +219,16 @@ func (f *Fabricator) wireBudget(key Key, p *CellPipeline) {
 	})
 }
 
-// InsertQuery validates and registers q, builds its merge plan under the
-// fabricator's static merge mode, and taps every overlapped cell pipeline,
-// creating pipelines (and the F-operator first) for cells not yet
-// materialized. It returns the stored query with its assigned id. The sink
-// receives the query's fabricated MCDS.
-func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Query, error) {
-	return f.InsertQueryMerge(q, sink, f.cfg.Merge)
+// InsertQueryMerge is InsertQuery; mode is ignored, kept only because
+// bench/trace.go passes it (ROADMAP item 2 deletes this).
+func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, _ MergeMode) (query.Query, error) {
+	return f.InsertQuery(q, sink)
 }
 
-// InsertQueryMerge is InsertQuery with an explicit merge-phase mode for
-// this query only, instead of applying Config.Merge uniformly (the
-// benchmarks build a planner's choice this way). The mode is recorded on
-// the query's MergePlan (QueryPlan).
+// InsertQuery validates and registers q, builds its merge plan, and taps
+// every overlapped cell pipeline, creating pipelines (and the F-operator
+// first) for cells not yet materialized. It returns the stored query with
+// its assigned id. The sink receives the query's fabricated MCDS.
 //
 // With sharing enabled (the default), a query whose canonical normal form
 // (craql.CanonicalKey) matches a resident query attaches its sink to the
@@ -242,10 +237,8 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 // when the sink is a fresh *stream.ResultStore of the retention the
 // subplan's resident stores have, no result ring either: the store is
 // rebound onto the subplan's ring (see fanOut), which keeps being written
-// once per batch. Any other sink is fanned to on its own. The
-// requested mode is ignored on attach — the subplan keeps the mode it was
-// fabricated with (merge output is byte-identical across modes).
-func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, mode MergeMode) (query.Query, error) {
+// once per batch. Any other sink is fanned to on its own.
+func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Query, error) {
 	if sink == nil {
 		return query.Query{}, errors.New("topology: InsertQuery requires a sink")
 	}
@@ -271,7 +264,7 @@ func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, mode
 		f.registry.Remove(stored.ID)
 		return query.Query{}, fmt.Errorf("topology: query %s overlaps no grid cells", stored.ID)
 	}
-	plan, err := BuildMergePlan(stored.ID, overlaps, mode)
+	plan, err := BuildMergePlan(stored.ID, overlaps)
 	if err != nil {
 		f.registry.Remove(stored.ID)
 		return query.Query{}, err
@@ -281,16 +274,7 @@ func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, mode
 	plan.AttachSink(fan)
 	f.subplanSeq++
 	st := &queryState{q: stored, tapID: stored.ID, key: key, plan: plan, fan: fan, refs: []string{stored.ID}, seq: f.subplanSeq}
-	// Re-derive the overlap order used by the plan (row-major).
-	ordered := append([]geom.Overlap(nil), overlaps...)
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i].Cell, ordered[j].Cell
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.Q < b.Q
-	})
-	for i, ov := range ordered {
+	for i, ov := range rowMajor(overlaps) {
 		key := Key{Cell: ov.Cell, Attr: stored.Attr}
 		p, ok := f.cells[key]
 		if !ok {
@@ -637,7 +621,7 @@ func (f *Fabricator) QueryPlan(id string) *MergePlan {
 }
 
 // OperatorCounts tallies live operators by kind ("F", "T", "P", "U"). A
-// shared subplan's U-operators count once however many queries ride it.
+// shared subplan's U-operator counts once however many queries ride it.
 func (f *Fabricator) OperatorCounts() map[string]int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -671,7 +655,7 @@ func (f *Fabricator) TotalFlow() stream.FlowStats {
 		}
 	}
 	for _, st := range f.distinctStates() {
-		for _, u := range st.plan.Unions {
+		if u := st.plan.Union; u != nil {
 			add(u.Stats())
 		}
 	}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -10,54 +9,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
-
-// TestMergeModesDeliverEqualRates runs the same query and feed through all
-// three merge-phase layouts; the delivered stream rate must be identical in
-// expectation (layout changes latency/operator count, never content).
-func TestMergeModesDeliverEqualRates(t *testing.T) {
-	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := geom.NewRect(0, 0, 8, 4) // 4×2 cells
-	epochs := 25
-	rates := map[MergeMode]float64{}
-	for _, mode := range []MergeMode{MergeFlat, MergeChain, MergeTree} {
-		fab, err := New(grid, Config{Merge: mode}, stats.NewRNG(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := stream.NewCollector()
-		if _, err := fab.InsertQuery(query.Query{Attr: "rain", Region: region, Rate: 5}, col); err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewRNG(2)
-		for e := 0; e < epochs; e++ {
-			w := geom.Window{T0: float64(e), T1: float64(e + 1), Rect: grid.Region()}
-			n := rng.Poisson(40 * w.Volume())
-			b := stream.Batch{Attr: "rain", Window: w}
-			for i := 0; i < n; i++ {
-				b.Tuples = append(b.Tuples, stream.Tuple{
-					ID: uint64(i), T: rng.Uniform(w.T0, w.T1),
-					X: rng.Uniform(0, 8), Y: rng.Uniform(0, 8),
-				})
-			}
-			if err := fab.Ingest(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rates[mode] = float64(col.Len()) / (float64(epochs) * region.Area())
-	}
-	for mode, r := range rates {
-		if math.Abs(r-5) > 1 {
-			t.Errorf("mode %v delivered rate %g, want ≈5", mode, r)
-		}
-	}
-	// Pairwise agreement within statistical noise.
-	if math.Abs(rates[MergeFlat]-rates[MergeTree]) > 1 || math.Abs(rates[MergeFlat]-rates[MergeChain]) > 1 {
-		t.Errorf("merge modes disagree: %v", rates)
-	}
-}
 
 // TestConcurrentIngestAndChurn drives ingestion from one goroutine while
 // another inserts and deletes queries — the topology must stay consistent

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/geom"
@@ -10,42 +9,18 @@ import (
 	"repro/internal/stream"
 )
 
-// MergeMode selects how the merge phase assembles per-cell streams into the
-// query's final stream. The paper's Fig. 2(c) cascades U-operators; Section
-// VI's "alternative topologies" extension motivates the tree variant, which
-// experiment E12 ablates against the chain.
+// MergeMode names the one merge layout; kept only because bench/trace.go
+// passes it to InsertQueryMerge (ROADMAP item 2 deletes it).
 type MergeMode int
 
-const (
-	// MergeFlat uses a single n-ary U-operator (the generalization the
-	// paper mentions: "this operator can be easily extended to union
-	// multiple MDPPs at once").
-	MergeFlat MergeMode = iota
-	// MergeChain cascades binary U-operators left-deep within each row and
-	// then across rows, as drawn in Fig. 2(c).
-	MergeChain
-	// MergeTree builds balanced binary U-operator trees (logarithmic
-	// depth), the Section VI alternative topology.
-	MergeTree
-)
-
-// String names the mode.
-func (m MergeMode) String() string {
-	switch m {
-	case MergeFlat:
-		return "flat"
-	case MergeChain:
-		return "chain"
-	case MergeTree:
-		return "tree"
-	default:
-		return fmt.Sprintf("MergeMode(%d)", int(m))
-	}
-}
+// MergeFlat is the one merge layout: a single n-ary U-operator.
+const MergeFlat MergeMode = 0
 
 // MergePlan is the constructed merge phase of one query: for every overlap
 // rectangle an input Processor to feed, and a single output attachment
-// point. Depth counts the longest chain of U-operators a tuple traverses.
+// point. The paper's Fig. 2(c) cascades binary U-operators; this is its
+// n-ary generalization ("this operator can be easily extended to union
+// multiple MDPPs at once"): one U-operator over every leaf.
 type MergePlan struct {
 	// Inputs[i] consumes the per-cell stream of Rects[i].
 	Inputs []stream.Processor
@@ -53,107 +28,59 @@ type MergePlan struct {
 	Rects []geom.Rect
 	// Region is the union of all leaves.
 	Region geom.Rect
-	// Unions lists every U-operator created, root last.
-	Unions []*pmat.Union
-	// Depth is the U-operator depth (0 when a single leaf needs no merge).
-	Depth int
-	// Mode records which merge topology built the plan — static config or a
-	// per-query planner choice (Fabricator.InsertQueryMerge).
-	Mode MergeMode
-
-	sink stream.Processor
+	// Union merges the leaves; nil when a single leaf forwards directly.
+	Union *pmat.Union
 }
 
 // AttachSink connects the plan's output to the query's consumer. For a
 // single-leaf plan the leaf input forwards straight to the sink.
 func (mp *MergePlan) AttachSink(sink stream.Processor) {
-	mp.sink = sink
-	if len(mp.Unions) == 0 {
-		// Single leaf: input forwards directly.
+	if mp.Union == nil {
 		mp.Inputs[0] = sink
 		return
 	}
-	mp.Unions[len(mp.Unions)-1].AddDownstream(sink)
+	mp.Union.AddDownstream(sink)
 }
 
-// NumUnions returns the number of U-operators in the plan.
-func (mp *MergePlan) NumUnions() int { return len(mp.Unions) }
-
-// buildResult is the recursive helper's product over an ordered strip of
-// adjacent rectangles.
-type buildResult struct {
-	region geom.Rect
-	inputs []stream.Processor
-	root   *pmat.Union // nil for a single leaf
-	unions []*pmat.Union
-	depth  int
-}
-
-// buildStrip merges an ordered list of pairwise-adjacent rectangles with
-// binary U-operators, either left-deep (chain) or balanced (tree).
-func buildStrip(name string, rects []geom.Rect, tree bool, seq *int) (buildResult, error) {
-	if len(rects) == 0 {
-		return buildResult{}, errors.New("topology: buildStrip requires at least one rect")
+// NumUnions returns the number of U-operators in the plan: 1, or 0 for a
+// single leaf.
+func (mp *MergePlan) NumUnions() int {
+	if mp.Union == nil {
+		return 0
 	}
-	if len(rects) == 1 {
-		return buildResult{region: rects[0], inputs: make([]stream.Processor, 1), depth: 0}, nil
-	}
-	split := len(rects) - 1 // chain: left-deep
-	if tree {
-		split = len(rects) / 2
-	}
-	left, err := buildStrip(name, rects[:split], tree, seq)
-	if err != nil {
-		return buildResult{}, err
-	}
-	right, err := buildStrip(name, rects[split:], tree, seq)
-	if err != nil {
-		return buildResult{}, err
-	}
-	*seq++
-	u, err := pmat.NewUnion(fmt.Sprintf("%s/U%d", name, *seq), left.region, right.region)
-	if err != nil {
-		return buildResult{}, err
-	}
-	in0, err := u.Input(0)
-	if err != nil {
-		return buildResult{}, err
-	}
-	in1, err := u.Input(1)
-	if err != nil {
-		return buildResult{}, err
-	}
-	connect := func(r *buildResult, in *pmat.UnionInput) {
-		if r.root != nil {
-			r.root.AddDownstream(in)
-			return
-		}
-		r.inputs[0] = in
-	}
-	connect(&left, in0)
-	connect(&right, in1)
-	depth := left.depth
-	if right.depth > depth {
-		depth = right.depth
-	}
-	return buildResult{
-		region: u.Region(),
-		inputs: append(left.inputs, right.inputs...),
-		root:   u,
-		unions: append(append(left.unions, right.unions...), u),
-		depth:  depth + 1,
-	}, nil
+	return 1
 }
 
 // BuildMergePlan constructs the merge phase for the given cell overlaps.
 // Overlaps must be the output of geom.Grid.Overlapping for a rectangular
-// query region, so the rectangles tile a rectangle. The name prefixes
-// U-operator names (typically the query id).
-func BuildMergePlan(name string, overlaps []geom.Overlap, mode MergeMode) (*MergePlan, error) {
+// query region, so the rectangles tile a rectangle. The name prefixes the
+// U-operator's name (typically the query id).
+func BuildMergePlan(name string, overlaps []geom.Overlap) (*MergePlan, error) {
 	if len(overlaps) == 0 {
 		return nil, errors.New("topology: BuildMergePlan requires at least one overlap")
 	}
-	// Order row-major (by cell r, then q) so strips are adjacent.
+	rects := make([]geom.Rect, len(overlaps))
+	for i, ov := range rowMajor(overlaps) {
+		rects[i] = ov.Rect
+	}
+	plan := &MergePlan{Inputs: make([]stream.Processor, len(rects)), Rects: rects, Region: rects[0]}
+	if len(rects) == 1 {
+		return plan, nil
+	}
+	u, err := pmat.NewUnion(name+"/U", rects...)
+	if err != nil {
+		return nil, err
+	}
+	for i, in := range u.Inputs() {
+		plan.Inputs[i] = in
+	}
+	plan.Region, plan.Union = u.Region(), u
+	return plan, nil
+}
+
+// rowMajor returns the overlaps ordered by cell row, then column — the leaf
+// order of a plan and the shard order of the pipelines that feed it.
+func rowMajor(overlaps []geom.Overlap) []geom.Overlap {
 	ordered := append([]geom.Overlap(nil), overlaps...)
 	sort.Slice(ordered, func(i, j int) bool {
 		a, b := ordered[i].Cell, ordered[j].Cell
@@ -162,92 +89,5 @@ func BuildMergePlan(name string, overlaps []geom.Overlap, mode MergeMode) (*Merg
 		}
 		return a.Q < b.Q
 	})
-	rects := make([]geom.Rect, len(ordered))
-	for i, ov := range ordered {
-		rects[i] = ov.Rect
-	}
-	if len(rects) == 1 {
-		return &MergePlan{Inputs: make([]stream.Processor, 1), Rects: rects, Region: rects[0], Mode: mode}, nil
-	}
-	if mode == MergeFlat {
-		u, err := pmat.NewUnion(name+"/U", rects...)
-		if err != nil {
-			return nil, err
-		}
-		inputs := make([]stream.Processor, len(rects))
-		for i := range rects {
-			in, err := u.Input(i)
-			if err != nil {
-				return nil, err
-			}
-			inputs[i] = in
-		}
-		return &MergePlan{Inputs: inputs, Rects: rects, Region: u.Region(), Unions: []*pmat.Union{u}, Depth: 1, Mode: mode}, nil
-	}
-	// Group into rows, merge each row, then merge row regions.
-	tree := mode == MergeTree
-	var rows [][]geom.Rect
-	var rowStart []int // index of each row's first leaf in rects
-	lastR := ordered[0].Cell.R - 1
-	for i, ov := range ordered {
-		if ov.Cell.R != lastR {
-			rows = append(rows, nil)
-			rowStart = append(rowStart, i)
-			lastR = ov.Cell.R
-		}
-		rows[len(rows)-1] = append(rows[len(rows)-1], ov.Rect)
-	}
-	seq := 0
-	rowResults := make([]buildResult, len(rows))
-	rowRegions := make([]geom.Rect, len(rows))
-	for i, row := range rows {
-		res, err := buildStrip(name, row, tree, &seq)
-		if err != nil {
-			return nil, err
-		}
-		rowResults[i] = res
-		rowRegions[i] = res.region
-	}
-	if len(rows) == 1 {
-		res := rowResults[0]
-		return &MergePlan{Inputs: res.inputs, Rects: rects, Region: res.region, Unions: res.unions, Depth: res.depth, Mode: mode}, nil
-	}
-	across, err := buildStrip(name, rowRegions, tree, &seq)
-	if err != nil {
-		return nil, err
-	}
-	// Wire row roots (or single-leaf rows) into the across-strip inputs, and
-	// assemble leaf inputs in the original row-major order.
-	inputs := make([]stream.Processor, len(rects))
-	unions := across.unions
-	maxRowDepth := 0
-	for i, res := range rowResults {
-		if res.root != nil {
-			res.root.AddDownstream(across.inputs[i].(*pmat.UnionInput))
-			unions = append(unions, res.unions...)
-		} else {
-			res.inputs[0] = across.inputs[i]
-		}
-		copy(inputs[rowStart[i]:], res.inputs)
-		if res.depth > maxRowDepth {
-			maxRowDepth = res.depth
-		}
-	}
-	// Keep the root last for AttachSink.
-	root := across.root
-	for i, u := range unions {
-		if u == root {
-			unions = append(unions[:i], unions[i+1:]...)
-			break
-		}
-	}
-	unions = append(unions, root)
-	return &MergePlan{
-		Inputs: inputs,
-		Rects:  rects,
-		Region: across.region,
-		Unions: unions,
-		Depth:  maxRowDepth + across.depth,
-		Mode:   mode,
-	}, nil
+	return ordered
 }

@@ -32,23 +32,14 @@ func feedPlan(t *testing.T, plan *MergePlan, perLeaf int) {
 	}
 }
 
-func TestMergeModeString(t *testing.T) {
-	if MergeFlat.String() != "flat" || MergeChain.String() != "chain" || MergeTree.String() != "tree" {
-		t.Fatal("mode strings wrong")
-	}
-	if MergeMode(9).String() == "" {
-		t.Fatal("unknown mode string empty")
-	}
-}
-
 func TestBuildMergePlanSingleLeaf(t *testing.T) {
 	g := fig2Grid(t)
 	ovs := overlapsFor(t, g, geom.NewRect(0, 0, 2, 2))
-	plan, err := BuildMergePlan("Q", ovs, MergeFlat)
+	plan, err := BuildMergePlan("Q", ovs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumUnions() != 0 || plan.Depth != 0 {
+	if plan.NumUnions() != 0 {
 		t.Fatal("single leaf should need no unions")
 	}
 	col := stream.NewCollector()
@@ -59,11 +50,11 @@ func TestBuildMergePlanSingleLeaf(t *testing.T) {
 	}
 }
 
-func testPlanDelivery(t *testing.T, mode MergeMode, region geom.Rect, wantLeaves int) *MergePlan {
+func testPlanDelivery(t *testing.T, region geom.Rect, wantLeaves int) *MergePlan {
 	t.Helper()
 	g := fig2Grid(t)
 	ovs := overlapsFor(t, g, region)
-	plan, err := BuildMergePlan("Q", ovs, mode)
+	plan, err := BuildMergePlan("Q", ovs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +65,7 @@ func testPlanDelivery(t *testing.T, mode MergeMode, region geom.Rect, wantLeaves
 	plan.AttachSink(col)
 	feedPlan(t, plan, 2)
 	if col.Len() != 2*wantLeaves {
-		t.Fatalf("mode %v: delivered %d tuples, want %d", mode, col.Len(), 2*wantLeaves)
+		t.Fatalf("delivered %d tuples, want %d", col.Len(), 2*wantLeaves)
 	}
 	if !plan.Region.Equal(region) {
 		t.Fatalf("plan region %v, want %v", plan.Region, region)
@@ -83,81 +74,9 @@ func testPlanDelivery(t *testing.T, mode MergeMode, region geom.Rect, wantLeaves
 }
 
 func TestBuildMergePlanFlat(t *testing.T) {
-	plan := testPlanDelivery(t, MergeFlat, geom.NewRect(0, 0, 6, 4), 6)
-	if plan.NumUnions() != 1 || plan.Depth != 1 {
-		t.Fatalf("flat plan: unions=%d depth=%d", plan.NumUnions(), plan.Depth)
-	}
-}
-
-func TestBuildMergePlanChain(t *testing.T) {
-	// 3 columns × 2 rows: chain depth = (3-1) within row + (2-1) across = 3.
-	plan := testPlanDelivery(t, MergeChain, geom.NewRect(0, 0, 6, 4), 6)
-	if plan.NumUnions() != 5 {
-		t.Fatalf("chain unions = %d, want 5 (n-1)", plan.NumUnions())
-	}
-	if plan.Depth != 3 {
-		t.Fatalf("chain depth = %d, want 3", plan.Depth)
-	}
-}
-
-func TestBuildMergePlanTree(t *testing.T) {
-	// 3×2: tree depth = ceil(log2 3) + ceil(log2 2) = 2 + 1 = 3 for rows of
-	// width 3... within-row balanced split of 3 gives depth 2; across rows
-	// depth 1 ⇒ total 3.
-	plan := testPlanDelivery(t, MergeTree, geom.NewRect(0, 0, 6, 4), 6)
-	if plan.NumUnions() != 5 {
-		t.Fatalf("tree unions = %d, want 5", plan.NumUnions())
-	}
-	if plan.Depth != 3 {
-		t.Fatalf("tree depth = %d, want 3", plan.Depth)
-	}
-}
-
-func TestTreeShallowerThanChainWhenWide(t *testing.T) {
-	// A wide single-row query separates the two modes: 3 cells in a row.
-	g := fig2Grid(t)
-	region := geom.NewRect(0, 0, 6, 2)
-	chain, err := BuildMergePlan("C", overlapsFor(t, g, region), MergeChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := BuildMergePlan("T", overlapsFor(t, g, region), MergeTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chain.Depth != 2 || tree.Depth != 2 {
-		// 3 leaves: chain depth 2, tree depth 2 — equal here; use a wider
-		// grid for a strict comparison below.
-		t.Fatalf("3-leaf depths: chain=%d tree=%d", chain.Depth, tree.Depth)
-	}
-	// 8-cell row on a wider grid: chain depth 7 vs tree depth 3.
-	g2, err := geom.NewGrid(geom.NewRect(0, 0, 16, 16), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := geom.NewRect(0, 0, 16, 2)
-	chain8, err := BuildMergePlan("C8", g2.Overlapping(row), MergeChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree8, err := BuildMergePlan("T8", g2.Overlapping(row), MergeTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chain8.Depth != 7 {
-		t.Fatalf("chain depth = %d, want 7", chain8.Depth)
-	}
-	if tree8.Depth != 3 {
-		t.Fatalf("tree depth = %d, want 3", tree8.Depth)
-	}
-	// Both still deliver everything.
-	for _, plan := range []*MergePlan{chain8, tree8} {
-		col := stream.NewCollector()
-		plan.AttachSink(col)
-		feedPlan(t, plan, 1)
-		if col.Len() != 8 {
-			t.Fatalf("delivered %d of 8", col.Len())
-		}
+	plan := testPlanDelivery(t, geom.NewRect(0, 0, 6, 4), 6)
+	if plan.NumUnions() != 1 {
+		t.Fatalf("flat plan: unions=%d", plan.NumUnions())
 	}
 }
 
@@ -166,7 +85,7 @@ func TestBuildMergePlanPartialOverlaps(t *testing.T) {
 	// they still tile the query region.
 	g := fig2Grid(t)
 	region := geom.NewRect(1, 4, 3, 6)
-	plan, err := BuildMergePlan("Q", overlapsFor(t, g, region), MergeFlat)
+	plan, err := BuildMergePlan("Q", overlapsFor(t, g, region))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +98,7 @@ func TestBuildMergePlanPartialOverlaps(t *testing.T) {
 }
 
 func TestBuildMergePlanEmptyInput(t *testing.T) {
-	if _, err := BuildMergePlan("Q", nil, MergeFlat); err == nil {
+	if _, err := BuildMergePlan("Q", nil); err == nil {
 		t.Fatal("empty overlaps should error")
 	}
 }
@@ -193,7 +112,7 @@ func TestMergePlanOrderIndependence(t *testing.T) {
 	for i, ov := range ovs {
 		rev[len(ovs)-1-i] = ov
 	}
-	plan, err := BuildMergePlan("Q", rev, MergeChain)
+	plan, err := BuildMergePlan("Q", rev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,13 @@ import (
 // buildParallelFixture assembles a fabricator with a mixed query load (full
 // cell taps, partial overlaps, multi-cell merges) and one collector per
 // query, using the given worker count.
-func buildParallelFixture(t *testing.T, workers int, merge MergeMode) (*Fabricator, []*stream.Collector) {
+func buildParallelFixture(t *testing.T, workers int) (*Fabricator, []*stream.Collector) {
 	t.Helper()
 	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := New(grid, Config{Workers: workers, Merge: merge}, stats.NewRNG(42))
+	fab, err := New(grid, Config{Workers: workers}, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,47 +73,31 @@ func runEpochs(t *testing.T, fab *Fabricator, epochs, tuplesPerEpoch int) {
 	}
 }
 
-// TestParallelMatchesSerial is the determinism golden test: for every merge
-// topology, a serial run and runs at several worker-pool sizes must produce
-// byte-identical fabricated streams for every query — and those streams
-// are the flat serial run's, which is what lets Engine.Submit build the
-// fabricator's mode without consulting the planner.
+// TestParallelMatchesSerial is the determinism golden test: a serial run and
+// runs at several worker-pool sizes must produce byte-identical fabricated
+// streams for every query.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial := func(t *testing.T, merge MergeMode) [][]stream.Tuple {
-		fab, cols := buildParallelFixture(t, 1, merge)
-		runEpochs(t, fab, 8, 600)
-		out := make([][]stream.Tuple, len(cols))
-		for i, c := range cols {
-			out[i] = c.Tuples()
-		}
-		return out
+	fab, cols := buildParallelFixture(t, 1)
+	runEpochs(t, fab, 8, 600)
+	golden := make([][]stream.Tuple, len(cols))
+	for i, c := range cols {
+		golden[i] = c.Tuples()
 	}
-	flat := serial(t, MergeFlat)
-	if len(flat[0]) == 0 {
+	if len(golden[0]) == 0 {
 		t.Fatal("the all-cells query fabricated nothing; the comparison is vacuous")
 	}
-	for _, merge := range []MergeMode{MergeFlat, MergeChain, MergeTree} {
-		t.Run(merge.String(), func(t *testing.T) {
-			golden := serial(t, merge)
-			for i := range golden {
-				if !reflect.DeepEqual(golden[i], flat[i]) {
-					t.Errorf("query %d: serial %v stream diverges from serial flat (%d vs %d tuples)", i, merge, len(golden[i]), len(flat[i]))
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fab, cols := buildParallelFixture(t, workers)
+			runEpochs(t, fab, 8, 600)
+			for i, c := range cols {
+				got := c.Tuples()
+				if !reflect.DeepEqual(got, golden[i]) {
+					t.Errorf("query %d: parallel stream diverges from serial (%d vs %d tuples)", i, len(got), len(golden[i]))
 				}
 			}
-			for _, workers := range []int{2, 4, 8} {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					fab, cols := buildParallelFixture(t, workers, merge)
-					runEpochs(t, fab, 8, 600)
-					for i, c := range cols {
-						got := c.Tuples()
-						if !reflect.DeepEqual(got, golden[i]) {
-							t.Errorf("query %d: parallel stream diverges from serial (%d vs %d tuples)", i, len(got), len(golden[i]))
-						}
-					}
-					if err := fab.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
-				})
+			if err := fab.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -17,12 +17,11 @@ import (
 //
 // The run Ingest receives for an attribute is (T, ID)-sorted — epoch assembly
 // produces it that way — and the map phase's scatter is stable, so a tuple's
-// position in the run is its place in the merge order. A U-operator's output
-// is by construction the same for flat, chain and tree plans: the subplan's
-// surviving tuples in (T, ID) order, i.e. the ascending set of surviving
-// positions inside the query's region. So the F/T/P/U operator graph is
-// lowered, per attribute, into a program with two phases over uint32
-// positions:
+// position in the run is its place in the merge order. A subplan's
+// U-operator outputs the subplan's surviving tuples in (T, ID) order, i.e.
+// the ascending set of surviving positions inside the query's region. So the
+// F/T/P/U operator graph is lowered, per attribute, into a program with two
+// phases over uint32 positions:
 //
 //   - per cell (CellPipeline.fabricate): the F-operator's keep-mask gates one
 //     walk down the T-chain with early exit, each operator drawing from its
@@ -37,9 +36,9 @@ import (
 //     only result stores.
 //
 // The operator objects stay the plan's nodes: they hold the estimator and
-// RNG state the kernel uses, their flow counters are kept exact (a U's
-// in/out is the sum over the leaves of its subtree), and walking them is the
-// DisableFused byte-identity oracle (program_test.go). A batch that does not
+// RNG state the kernel uses, their flow counters are kept exact (a U's in/out
+// is the sum over its leaves), and walking them is the DisableFused
+// byte-identity oracle (program_test.go). A batch that does not
 // ascend in (T, ID) — simulated sources, direct library callers — takes the
 // same path, except that a subplan's surviving positions are sorted by the
 // tuples they name instead of merged (and a single-leaf plan, which has no
@@ -70,7 +69,6 @@ type epochProgram struct {
 type subplanProgram struct {
 	st      *queryState
 	sources []source // one per plan leaf, in leaf (row-major) order
-	unions  []unionSpan
 }
 
 // source is one tap of a subplan: the stage list it reads and, for a partial
@@ -79,14 +77,6 @@ type source struct {
 	list int32
 	part *pmat.Partition // nil when the tap takes the whole cell
 	clip geom.Rect
-}
-
-// unionSpan is one U-operator of the plan with the leaves [lo, hi) of its
-// subtree; strips merge adjacent rectangles, so a subtree's leaves are
-// contiguous in leaf order.
-type unionSpan struct {
-	u      *pmat.Union
-	lo, hi int32
 }
 
 // program returns attr's compiled program, compiling on first use. Called
@@ -109,7 +99,7 @@ func (f *Fabricator) compile(attr string) *epochProgram {
 	prog := &epochProgram{stage: make([]int32, len(pipes)+1), taps: make([][]int32, len(pipes))}
 	for _, st := range f.distinctStates() {
 		if st.q.Attr == attr {
-			prog.subplans = append(prog.subplans, subplanProgram{st: st, unions: unionSpans(st.plan)})
+			prog.subplans = append(prog.subplans, subplanProgram{st: st})
 		}
 	}
 	slices.SortFunc(prog.subplans, func(a, b subplanProgram) int { return cmp.Compare(a.st.seq, b.st.seq) })
@@ -132,32 +122,6 @@ func (f *Fabricator) compile(attr string) *epochProgram {
 		}
 	}
 	return prog
-}
-
-// unionSpans finds every U-operator's leaf range by walking from each leaf
-// input up to the root.
-func unionSpans(plan *MergePlan) []unionSpan {
-	if len(plan.Unions) == 0 {
-		return nil
-	}
-	spans := make([]unionSpan, len(plan.Unions))
-	at := make(map[*pmat.Union]int, len(plan.Unions))
-	for i, u := range plan.Unions {
-		spans[i] = unionSpan{u: u, lo: int32(len(plan.Inputs))}
-		at[u] = i
-	}
-	for leaf, in := range plan.Inputs {
-		for {
-			port, ok := in.(*pmat.UnionInput)
-			if !ok {
-				break // the root's downstream: the subplan's fan
-			}
-			s := &spans[at[port.Union()]]
-			s.lo, s.hi = min(s.lo, int32(leaf)), max(s.hi, int32(leaf)+1)
-			in = port.Union().Downstreams()[0]
-		}
-	}
-	return spans
 }
 
 // ProgramStats describes the compiled epoch programs for /status.
@@ -433,18 +397,15 @@ func (ep *epochScratch) mergeSubplan(i int, ws *workerScratch) error {
 		keys = appendTap(keys, ep.lists[src.list], tuples, src.part, src.clip)
 		ends = append(ends, int32(len(keys)))
 	}
-	for _, s := range sp.unions {
-		n := ends[s.hi-1]
-		if s.lo > 0 {
-			n -= ends[s.lo-1]
-		}
-		s.u.RecordMerged(int(n))
+	u := sp.st.plan.Union
+	if u != nil {
+		u.RecordMerged(len(keys))
 	}
 	switch {
 	case ep.sorted:
 		ws.tmp = slices.Grow(ws.tmp[:0], len(keys))[:len(keys)]
 		keys, ws.tmp = mergeRuns(keys, ws.tmp, ends)
-	case len(sp.unions) > 0:
+	case u != nil:
 		// Positions say nothing about the order of this batch: sort the
 		// survivors — them only, however large the batch — by the tuples
 		// they name, ties by position.

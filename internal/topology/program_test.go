@@ -97,8 +97,7 @@ func (a *programArm) feed(order batchOrder, epoch, n int) {
 }
 
 // operatorFlows lists every live operator's counters by name — the cell
-// operators and, per resident query, every U-operator of its plan, inner ones
-// of chain and tree plans included.
+// operators and, per resident query, its plan's U-operator.
 func (a *programArm) operatorFlows() map[string]stream.FlowStats {
 	out := map[string]stream.FlowStats{}
 	a.fab.VisitPipelines(func(_ Key, p *CellPipeline) {
@@ -107,7 +106,7 @@ func (a *programArm) operatorFlows() map[string]stream.FlowStats {
 		}
 	})
 	for _, id := range a.ids {
-		for _, u := range a.fab.QueryPlan(id).Unions {
+		if u := a.fab.QueryPlan(id).Union; u != nil {
 			out[u.Name()] = u.Stats()
 		}
 	}
@@ -157,60 +156,58 @@ func runProgramScript(a *programArm, order batchOrder) (before, after uint64) {
 }
 
 // TestEpochProgramMatchesGraphWalk is the position program's differential
-// test: for every batch order, merge topology, worker count and sharing
-// setting, the compiled program and the DisableFused operator-graph walk must
-// fabricate the same stream for every query, leave every operator with the
-// same flow counters, and — with sharing on — the program must have been
-// compiled, and not again for members coming and going.
+// test: for every batch order, worker count and sharing setting, the compiled
+// program and the DisableFused operator-graph walk must fabricate the same
+// stream for every query, leave every operator with the same flow counters,
+// and — with sharing on — the program must have been compiled, and not again
+// for members coming and going.
 func TestEpochProgramMatchesGraphWalk(t *testing.T) {
 	for _, order := range []batchOrder{orderSorted, orderArrival, orderReverse} {
-		for _, merge := range []MergeMode{MergeFlat, MergeChain, MergeTree} {
-			for _, workers := range []int{1, 4} {
-				for _, sharing := range []bool{true, false} {
-					t.Run(fmt.Sprintf("%v/%v/workers=%d/sharing=%v", order, merge, workers, sharing), func(t *testing.T) {
-						cfg := Config{Merge: merge, Workers: workers, DisableSharing: !sharing}
-						prog := newProgramArm(t, cfg, 31)
-						cfg.Pipeline.DisableFused = true
-						walk := newProgramArm(t, cfg, 31)
-						before, after := runProgramScript(prog, order)
-						runProgramScript(walk, order)
+		for _, workers := range []int{1, 4} {
+			for _, sharing := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%v/workers=%d/sharing=%v", order, workers, sharing), func(t *testing.T) {
+					cfg := Config{Workers: workers, DisableSharing: !sharing}
+					prog := newProgramArm(t, cfg, 31)
+					cfg.Pipeline.DisableFused = true
+					walk := newProgramArm(t, cfg, 31)
+					before, after := runProgramScript(prog, order)
+					runProgramScript(walk, order)
 
-						for label, sink := range walk.sinks {
-							want, got := sink.Tuples(), prog.sinks[label].Tuples()
-							if len(want) == 0 {
-								t.Errorf("%s: the graph walk's stream is empty, the comparison is vacuous", label)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Errorf("%s: program stream diverges from the graph walk (%d vs %d tuples)", label, len(got), len(want))
-							}
+					for label, sink := range walk.sinks {
+						want, got := sink.Tuples(), prog.sinks[label].Tuples()
+						if len(want) == 0 {
+							t.Errorf("%s: the graph walk's stream is empty, the comparison is vacuous", label)
 						}
-						if got, want := prog.fab.TotalFlow(), walk.fab.TotalFlow(); got != want {
-							t.Errorf("total flow %+v, graph walk %+v", got, want)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: program stream diverges from the graph walk (%d vs %d tuples)", label, len(got), len(want))
 						}
-						if got, want := prog.fab.OperatorCounts(), walk.fab.OperatorCounts(); !reflect.DeepEqual(got, want) {
-							t.Errorf("operator counts %v, graph walk %v", got, want)
+					}
+					if got, want := prog.fab.TotalFlow(), walk.fab.TotalFlow(); got != want {
+						t.Errorf("total flow %+v, graph walk %+v", got, want)
+					}
+					if got, want := prog.fab.OperatorCounts(), walk.fab.OperatorCounts(); !reflect.DeepEqual(got, want) {
+						t.Errorf("operator counts %v, graph walk %v", got, want)
+					}
+					want := walk.operatorFlows()
+					for name, got := range prog.operatorFlows() {
+						if got != want[name] {
+							t.Errorf("%s: flow %+v, graph walk %+v", name, got, want[name])
 						}
-						want := walk.operatorFlows()
-						for name, got := range prog.operatorFlows() {
-							if got != want[name] {
-								t.Errorf("%s: flow %+v, graph walk %+v", name, got, want[name])
-							}
-						}
+					}
 
-						if got := walk.fab.ProgramStats(); got != (ProgramStats{}) {
-							t.Errorf("the graph walk compiled a program: %+v", got)
-						}
-						if before == 0 {
-							t.Error("no program was compiled")
-						}
-						if sharing && after != before {
-							t.Errorf("members attaching to and leaving resident subplans recompiled: %d -> %d", before, after)
-						}
-						if end := prog.fab.ProgramStats().Compiles; end <= after {
-							t.Errorf("structural churn did not recompile: %d -> %d", after, end)
-						}
-					})
-				}
+					if got := walk.fab.ProgramStats(); got != (ProgramStats{}) {
+						t.Errorf("the graph walk compiled a program: %+v", got)
+					}
+					if before == 0 {
+						t.Error("no program was compiled")
+					}
+					if sharing && after != before {
+						t.Errorf("members attaching to and leaving resident subplans recompiled: %d -> %d", before, after)
+					}
+					if end := prog.fab.ProgramStats().Compiles; end <= after {
+						t.Errorf("structural churn did not recompile: %d -> %d", after, end)
+					}
+				})
 			}
 		}
 	}
@@ -281,9 +278,11 @@ func TestMergeRuns(t *testing.T) {
 
 // FuzzEpochProgram fuzzes the compiled program against the graph walk. The
 // input bytes choose the grid side, 1–12 queries (attribute, rectangle on a
-// quarter-unit lattice, rate), the merge mode, sharing, the worker count, the
-// batch sizes and their order; the property is that every query's stream and
-// the total flow are identical on both arms.
+// quarter-unit lattice, rate), sharing, the worker count, the batch sizes and
+// their order; the property is that every query's stream and the total flow
+// are identical on both arms. The fourth byte once chose a merge layout; it is
+// read and discarded, so the committed seeds (named after the layout they
+// chose) keep their grids, queries and batch orders.
 //
 // Tie rule (see program.go): tuples equal in both T and ID are ordered by
 // position by the program and unspecified by the graph walk's sort, so the
@@ -291,7 +290,7 @@ func TestMergeRuns(t *testing.T) {
 // attribute run its own ID, as ingest.idSet and the simulators do.
 func FuzzEpochProgram(f *testing.F) {
 	// testdata/fuzz/FuzzEpochProgram holds a sorted and a reverse-sorted seed;
-	// this one feeds arrival order: a 4×4 grid, flat merges, three queries.
+	// this one feeds arrival order: a 4×4 grid, three queries.
 	f.Add([]byte{3, 2, 0, 0, 1, 1, 120, 0, 0, 0, 31, 31, 24, 0, 3, 3, 15, 11, 10, 1, 6, 2, 19, 15, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -304,8 +303,8 @@ func FuzzEpochProgram(f *testing.F) {
 		}
 		side := 1 + next()%6
 		nQueries := 1 + next()%12
+		next() // the retired merge-layout byte
 		cfg := Config{
-			Merge:          MergeMode(next() % 3),
 			DisableSharing: next()%2 == 1,
 			Workers:        1 + next()%3,
 		}

@@ -205,9 +205,6 @@ type SharedStats struct {
 type SharedGroupInfo struct {
 	// Key is the canonical CrAQL key the subplan is deduplicated under.
 	Key string
-	// Mode is the merge topology the subplan was fabricated with — the live
-	// mode every member's EXPLAIN reports.
-	Mode MergeMode
 	// Refs is the number of queries currently attached.
 	Refs int
 }
@@ -227,7 +224,7 @@ func (f *Fabricator) SharedGroup(key string) (SharedGroupInfo, bool) {
 	if !ok {
 		return SharedGroupInfo{}, false
 	}
-	return SharedGroupInfo{Key: key, Mode: sp.plan.Mode, Refs: len(sp.refs)}, true
+	return SharedGroupInfo{Key: key, Refs: len(sp.refs)}, true
 }
 
 // QuerySharedGroup reports the shared subplan a live query is attached to.
@@ -238,7 +235,7 @@ func (f *Fabricator) QuerySharedGroup(id string) (SharedGroupInfo, bool) {
 	if !ok {
 		return SharedGroupInfo{}, false
 	}
-	return SharedGroupInfo{Key: sp.key, Mode: sp.plan.Mode, Refs: len(sp.refs)}, true
+	return SharedGroupInfo{Key: sp.key, Refs: len(sp.refs)}, true
 }
 
 // SharedStats snapshots subplan-sharing accounting.

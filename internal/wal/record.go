@@ -17,8 +17,8 @@ type Type uint8
 
 const (
 	// TypeSubmit records a successful query submission: the normalized query
-	// plus the engine-assigned ID and chosen merge mode, so replay can
-	// verify it reproduces the same assignment.
+	// plus the engine-assigned ID, so replay can verify it reproduces the
+	// same assignment.
 	TypeSubmit Type = 1
 	// TypeDelete records a successful query deletion.
 	TypeDelete Type = 2

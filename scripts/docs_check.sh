@@ -20,7 +20,10 @@
 #      exactly those of the status example in docs/API.md;
 #   6. every cmd/…, scripts/…, internal/… or examples/… path named in
 #      README.md, DESIGN.md or docs/API.md exists in the tree (no
-#      documentation of deleted binaries, scripts or packages).
+#      documentation of deleted binaries, scripts or packages);
+#   7. every Test…, Fuzz…, Benchmark… or Example… name cited in those three
+#      documents is a function in some _test.go file (a subtest path such as
+#      TestX/case checks TestX), so a deleted test cannot stay cited.
 #
 # Exits non-zero with one line per mismatch; CI runs this next to
 # bench_guard.sh.
@@ -107,7 +110,20 @@ for doc in README.md DESIGN.md "$API_MD"; do
   done <<<"$(grep -oE '\b(cmd|scripts|internal|examples)/[A-Za-z0-9_./-]+' "$doc" | sed -E 's/[.,;:)]+$//' | sort -u)"
 done
 
+# Test names cited in the docs.
+defined=$(grep -rhoE --include='*_test.go' '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' . \
+  | sed 's/^func //' | sort -u)
+for doc in README.md DESIGN.md "$API_MD"; do
+  while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qxF "$name" <<<"$defined"; then
+      echo "docs_check: $doc cites $name, which no _test.go file defines" >&2
+      fail=1
+    fi
+  done <<<"$(grep -oE '\b(Test|Fuzz|Benchmark|Example)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u)"
+done
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docs_check: $API_MD, $HTTP_GO and $GW_GO agree ($(printf '%s\n' "$code_routes" | grep -c .) v1 routes, $(printf '%s\n' "$code_fields" | grep -c .) session-spec fields)"
+echo "docs_check: $API_MD, $HTTP_GO and $GW_GO agree ($(printf '%s\n' "$code_routes" | grep -c .) v1 routes, $(printf '%s\n' "$code_fields" | grep -c .) session-spec fields); every test the docs cite exists"
