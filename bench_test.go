@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -1340,67 +1341,90 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures cold-start crash recovery: a durable external
-// session with 50 pushed epochs (64 observations each) is rebuilt from its
-// WAL by deterministic replay on every iteration.
+// BenchmarkRecovery measures cold-start crash recovery against session age:
+// a durable external session that has run 1k, 10k or 100k epochs (64
+// pushed observations each, snapshots at the default cadence) is recovered
+// read-only from the same directory on every iteration — restore the older
+// kept snapshot, replay the log suffix, verify at the newer one. Recovery
+// covers about two snapshot intervals however old the session is, so the
+// rows must stay flat in age (scripts/bench_guard.sh guards age=100k as a
+// ratio to age=1k).
 func BenchmarkRecovery(b *testing.B) {
-	const epochs, perEpoch = 50, 64
+	const perEpoch = 64
 	region := geom.NewRect(0, 0, 8, 8)
-	dir := b.TempDir()
-	cfg := server.Config{
-		Region:    region,
-		GridCells: 16,
-		Epoch:     1,
-		Budget:    budget.Config{Initial: 20, Delta: 5, Min: 5, Max: 200, ViolationThreshold: 10},
-		Fleet:     sensors.FleetConfig{N: 100, Response: sensors.ResponseModel{BaseProb: 0.7, MaxProb: 0.95, IncentiveScale: 1}},
-		Seed:      1,
-		Source:    server.SourceConfig{Mode: server.SourceExternal},
-		Durability: server.DurabilityConfig{
-			Dir: dir, Fsync: wal.FsyncNever, SnapshotEveryEpochs: 10,
-		},
-	}
 	fields := benchFields(b, region)
-	e, err := server.New(cfg, fields)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.Submit(query.Query{Attr: "rain", Region: region, Rate: 8}); err != nil {
-		b.Fatal(err)
-	}
-	tuples := make([]stream.Tuple, perEpoch)
-	for t := 0; t < epochs; t++ {
-		for i := range tuples {
-			tuples[i] = stream.Tuple{
-				Attr: "rain", T: float64(t) + float64(i)/perEpoch,
-				X: float64(i%8) + 0.5, Y: float64((i/8)%8) + 0.5, Value: 1, Sensor: -1,
-			}
-		}
-		if _, err := e.PushObservations(tuples, float64(t+1)); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Step(); err != nil {
-			b.Fatal(err)
+	config := func(dir string) server.Config {
+		return server.Config{
+			Region:    region,
+			GridCells: 16,
+			Epoch:     1,
+			Budget:    budget.Config{Initial: 20, Delta: 5, Min: 5, Max: 200, ViolationThreshold: 10},
+			Fleet:     sensors.FleetConfig{N: 100, Response: sensors.ResponseModel{BaseProb: 0.7, MaxProb: 0.95, IncentiveScale: 1}},
+			Seed:      1,
+			Retention: 4096,
+			Source:    server.SourceConfig{Mode: server.SourceExternal},
+			Durability: server.DurabilityConfig{
+				Dir: dir, Fsync: wal.FsyncNever,
+			},
 		}
 	}
-	if err := e.Shutdown(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Durability.ReadOnly = true // replay without rewriting state
-		re, err := server.New(cfg, fields)
+	// build runs a session for the given number of epochs and crashes it.
+	build := func(b *testing.B, dir string, epochs int) {
+		e, err := server.New(config(dir), fields)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if re.Epochs() != epochs {
-			b.Fatalf("recovered %d epochs, want %d", re.Epochs(), epochs)
-		}
-		b.StopTimer()
-		if err := re.Shutdown(); err != nil {
+		if _, err := e.Submit(query.Query{Attr: "rain", Region: region, Rate: 8}); err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
+		tuples := make([]stream.Tuple, perEpoch)
+		for t := 0; t < epochs; t++ {
+			for i := range tuples {
+				tuples[i] = stream.Tuple{
+					Attr: "rain", T: float64(t) + float64(i)/perEpoch,
+					X: float64(i%8) + 0.5, Y: float64((i/8)%8) + 0.5, Value: 1, Sensor: -1,
+				}
+			}
+			if _, err := e.PushObservations(tuples, float64(t+1)); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	root := b.TempDir()
+	for _, age := range []struct {
+		name   string
+		epochs int
+	}{{"1k", 1_000}, {"10k", 10_000}, {"100k", 100_000}} {
+		dir := ""
+		b.Run("age="+age.name, func(b *testing.B) {
+			if dir == "" {
+				b.StopTimer()
+				dir = filepath.Join(root, age.name)
+				build(b, dir, age.epochs)
+				b.StartTimer()
+			}
+			cfg := config(dir)
+			cfg.Durability.ReadOnly = true
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				re, err := server.New(cfg, fields)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if re.Epochs() != age.epochs {
+					b.Fatalf("recovered %d epochs, want %d", re.Epochs(), age.epochs)
+				}
+				b.StopTimer()
+				if err := re.Shutdown(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -337,7 +337,7 @@ type SessionSpec struct {
 	AdaptiveRates *bool `json:"adaptiveRates,omitempty"`
 	// Durability knobs (effective only when craqrd runs with -data-dir).
 	// DisableDurability opts this session out of WAL + snapshots;
-	// SnapshotEvery overrides the checkpoint cadence in epochs; FsyncPolicy
+	// SnapshotEvery overrides the snapshot cadence in epochs; FsyncPolicy
 	// is "always", "batch" or "never".
 	DisableDurability bool   `json:"disableDurability,omitempty"`
 	SnapshotEvery     int    `json:"snapshotEvery,omitempty"`

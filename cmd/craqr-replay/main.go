@@ -1,9 +1,10 @@
-// Command craqr-replay rebuilds a durable craqrd session offline by
-// deterministic replay of its write-ahead log, without touching the files
-// (the log is opened read-only; torn tails are reported, not truncated).
-// It is the debugging counterpart of craqrd's crash recovery: point it at
-// a -data-dir while the daemon is stopped and inspect exactly the state a
-// restart would resume from.
+// Command craqr-replay rebuilds a durable craqrd session offline exactly as
+// a restart would — restore the older kept snapshot, replay the write-ahead
+// log after it, check the result against the newer snapshot — without
+// touching the files (read-only: torn tails are reported, not truncated,
+// and nothing is snapshotted or deleted). It is the debugging counterpart
+// of craqrd's crash recovery: point it at a -data-dir while the daemon is
+// stopped and inspect exactly the state a restart would resume from.
 //
 //	craqr-replay -data-dir /var/lib/craqr              # list sessions
 //	craqr-replay -data-dir /var/lib/craqr -session default
@@ -12,6 +13,8 @@
 //
 // -dump-trace re-encodes the session's journaled ingest pushes as a stream
 // of binary wire frames (internal/wire, Content-Type application/x-craqr-batch).
+// It covers only the retained suffix of the log: the segments behind the
+// kept snapshots have been deleted.
 // The trace file is byte-compatible with a streaming binary ingest body, so
 // a production workload replays into a live session with
 //
@@ -109,10 +112,11 @@ func sessionPath(root, name string) string {
 	return cfg.Durability.Dir
 }
 
-// dumpTraceFile walks the session's WAL read-only and re-encodes every
-// TypePush record — tuples exactly as the producer sent them, plus the
-// watermark assertion — as one binary wire frame. It needs no engine and no
-// matching -sensors template: the push journal is self-contained.
+// dumpTraceFile walks the session's retained WAL segments read-only and
+// re-encodes every TypePush record — tuples exactly as the producer sent
+// them, plus the watermark assertion — as one binary wire frame. It needs
+// no engine and no matching -sensors template: the push journal is
+// self-contained.
 func dumpTraceFile(sessionDir, out string) error {
 	l, err := wal.Open(wal.Config{Dir: filepath.Join(sessionDir, "wal"), ReadOnly: true})
 	if err != nil {
@@ -189,7 +193,7 @@ func report(e *server.Engine, spec server.SessionSpec) {
 		fmt.Fprintf(os.Stderr, "torn tail detected: a restart would truncate the incomplete record\n")
 	}
 	if ds.SnapshotVerified {
-		fmt.Fprintf(os.Stderr, "checkpoint verified at epoch %d\n", ds.LastSnapshotEpoch)
+		fmt.Fprintf(os.Stderr, "snapshot  verified at epoch %d\n", ds.LastSnapshotEpoch)
 	}
 	fmt.Fprintf(os.Stderr, "epochs    %d (now=%g)\n", e.Epochs(), e.Now())
 	if wm, ok := e.Watermark(); ok {

@@ -33,10 +33,12 @@
 // docs/API.md for the full HTTP reference.
 //
 // -data-dir makes sessions durable: every accepted ingest batch and epoch
-// is written to a per-session WAL (fsync policy via -fsync) with periodic
-// snapshots (-snapshot-every); on restart with the same -data-dir every
-// session recovers by deterministic replay, resuming its result streams
-// where they left off (see DESIGN.md §11).
+// is written to a per-session WAL (fsync policy via -fsync), and every
+// -snapshot-every epochs the session's full state is snapshotted; the WAL
+// segments behind the two kept snapshots are deleted. On restart with the
+// same -data-dir every session restores its older kept snapshot and replays
+// only the WAL after it, checking the replayed state against the newer one,
+// and resumes its result streams where they left off (see DESIGN.md §11).
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener stops
 // taking connections, in-flight requests get a drain deadline, and every
@@ -83,7 +85,7 @@ func main() {
 	late := flag.String("late", "drop", "late-tuple policy: drop | next")
 	dataDir := flag.String("data-dir", "", "durability root: WAL + snapshots per session (empty disables durability)")
 	fsyncPolicy := flag.String("fsync", "batch", "WAL fsync policy with -data-dir: always | batch | never")
-	snapshotEvery := flag.Int("snapshot-every", 0, "snapshot cadence in epochs with -data-dir (0 = default)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "with -data-dir, snapshot each session's full state every N epochs (0 = default 16); recovery replays about two intervals of WAL")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	// Tenant protection (docs/API.md, "Tenant limits"): per-session template
 	// limits (overridable per session at POST /v1/sessions), the epoch
@@ -158,7 +160,7 @@ func main() {
 
 	if *nodeName == "" {
 		// Re-adopt sessions persisted under a previous run's -data-dir: each
-		// recovers by replaying its WAL before serving. Recover isolates
+		// restores its snapshot and replays the WAL after it before serving. Recover isolates
 		// failures per session, so one corrupt or spec-mismatched directory
 		// must not take the healthy sessions down with it: log it and serve
 		// what recovered — the failed directory is left on disk for inspection

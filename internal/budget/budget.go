@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 )
 
@@ -233,6 +234,38 @@ func (c *Controller) Snapshots() []Snapshot {
 		return a.Cell.R < b.Cell.R
 	})
 	return out
+}
+
+// EncodeState appends every slot, in Snapshots order, to w.
+func (c *Controller) EncodeState(w *codec.Writer) {
+	snaps := c.Snapshots()
+	w.Uvarint(uint64(len(snaps)))
+	for _, s := range snaps {
+		w.String(s.Key.Attr)
+		w.Int(s.Key.Cell.Q)
+		w.Int(s.Key.Cell.R)
+		w.Float64(s.Budget)
+		w.Float64(s.LastNv)
+		w.Int(s.Adjustments)
+		w.Bool(s.Infeasible)
+	}
+}
+
+// DecodeState replaces every slot with what EncodeState wrote.
+func (c *Controller) DecodeState(r *codec.Reader) {
+	n := r.Count(20)
+	slots := make(map[Key]*slot, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := Key{Attr: r.String()}
+		k.Cell.Q, k.Cell.R = r.Int(), r.Int()
+		slots[k] = &slot{beta: r.Float64(), lastNv: r.Float64(), adjustments: r.Int(), infeasible: r.Bool()}
+	}
+	if r.Err() != nil {
+		return
+	}
+	c.mu.Lock()
+	c.slots = slots
+	c.mu.Unlock()
 }
 
 // TotalBudget returns the sum of budgets across slots — the total request

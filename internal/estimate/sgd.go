@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/intensity"
 	"repro/internal/mdpp"
@@ -102,6 +103,29 @@ func (s *SGD) Intensity() intensity.Linear { return intensity.NewLinear(s.theta)
 func (s *SGD) Warmstart(theta intensity.Theta) {
 	s.theta = theta
 	s.ready = true
+}
+
+// EncodeState appends the estimator's iterate, step count and reference
+// window to w.
+func (s *SGD) EncodeState(w *codec.Writer) {
+	for _, v := range s.theta {
+		w.Float64(v)
+	}
+	w.Int(s.step)
+	w.Bool(s.ready)
+	w.Bool(s.refSet)
+	geom.EncodeWindow(w, s.ref)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (s *SGD) DecodeState(r *codec.Reader) {
+	for i := range s.theta {
+		s.theta[i] = r.Float64()
+	}
+	s.step = r.Int()
+	s.ready = r.Bool()
+	s.refSet = r.Bool()
+	s.ref = geom.DecodeWindow(r)
 }
 
 // ObserveBatch performs one stochastic gradient step using the events

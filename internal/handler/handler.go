@@ -10,9 +10,11 @@ package handler
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/budget"
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/sensors"
 	"repro/internal/stats"
@@ -84,6 +86,53 @@ func (h *Handler) ResponsesReceived() uint64 { return h.responsesRecvd.Load() }
 
 // EpochLength returns the configured epoch duration.
 func (h *Handler) EpochLength() float64 { return h.cfg.EpochLength }
+
+// EncodeState appends what the next epoch's requests depend on to w: the
+// handler's generator, its tuple ID and request counters, the fleet, and the
+// generators of fields that draw noise (sorted by attribute).
+func (h *Handler) EncodeState(w *codec.Writer) {
+	h.rng.EncodeState(w)
+	w.Uvarint(h.nextID.Load())
+	w.Uvarint(h.requestsSent.Load())
+	w.Uvarint(h.responsesRecvd.Load())
+	h.fleet.EncodeState(w)
+	for _, attr := range h.noisyFields() {
+		h.fields[attr].(noisyField).EncodeState(w)
+	}
+}
+
+// DecodeState restores what EncodeState wrote into a handler built from the
+// same configuration.
+func (h *Handler) DecodeState(r *codec.Reader) {
+	h.rng.DecodeState(r)
+	h.nextID.Store(r.Uvarint())
+	h.requestsSent.Store(r.Uvarint())
+	h.responsesRecvd.Store(r.Uvarint())
+	h.fleet.DecodeState(r)
+	for _, attr := range h.noisyFields() {
+		h.fields[attr].(noisyField).DecodeState(r)
+	}
+}
+
+// noisyField is a field that draws randomness as it is read, like
+// sensors.TempField's measurement noise; a snapshot keeps its generator.
+type noisyField interface {
+	sensors.Field
+	EncodeState(w *codec.Writer)
+	DecodeState(r *codec.Reader)
+}
+
+// noisyFields returns the attributes whose fields are noisyFields, sorted.
+func (h *Handler) noisyFields() []string {
+	var attrs []string
+	for attr, f := range h.fields {
+		if _, ok := f.(noisyField); ok {
+			attrs = append(attrs, attr)
+		}
+	}
+	sort.Strings(attrs)
+	return attrs
+}
 
 // RunEpoch executes one acquisition round starting at time t0: for every
 // registered budget slot it sends β requests to randomly chosen sensors in

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/stats"
 )
@@ -21,6 +22,46 @@ type Walker interface {
 	Position() geom.Point
 	// Step advances the walker by dt time units.
 	Step(dt float64)
+}
+
+// encodeLeg appends what the waypoint walkers share: position, destination,
+// speed, the time left at a stop, whether they are moving, and the RNG.
+func encodeLeg(w *codec.Writer, pos, dest geom.Point, speed, left float64, moving bool, rng *stats.RNG) {
+	geom.EncodePoint(w, pos)
+	geom.EncodePoint(w, dest)
+	w.Float64(speed)
+	w.Float64(left)
+	w.Bool(moving)
+	rng.EncodeState(w)
+}
+
+func decodeLeg(r *codec.Reader, pos, dest *geom.Point, speed, left *float64, moving *bool, rng *stats.RNG) {
+	*pos, *dest = geom.DecodePoint(r), geom.DecodePoint(r)
+	*speed, *left = r.Float64(), r.Float64()
+	*moving = r.Bool()
+	rng.DecodeState(r)
+}
+
+// EncodeState appends the walker's motion state to enc; a walker restored
+// from it by DecodeState continues the same path.
+func (w *RandomWaypoint) EncodeState(enc *codec.Writer) {
+	encodeLeg(enc, w.pos, w.dest, w.speed, w.pauseLeft, w.travelling, w.rng)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (w *RandomWaypoint) DecodeState(r *codec.Reader) {
+	decodeLeg(r, &w.pos, &w.dest, &w.speed, &w.pauseLeft, &w.travelling, w.rng)
+}
+
+// EncodeState appends the walker's motion state to enc; a walker restored
+// from it by DecodeState continues the same path.
+func (w *HotspotWalker) EncodeState(enc *codec.Writer) {
+	encodeLeg(enc, w.pos, w.dest, w.speed, w.dwellLeft, w.moving, w.rng)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (w *HotspotWalker) DecodeState(r *codec.Reader) {
+	decodeLeg(r, &w.pos, &w.dest, &w.speed, &w.dwellLeft, &w.moving, w.rng)
 }
 
 // clampToRect confines p to the half-open rectangle r.

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/estimate"
 	"repro/internal/geom"
 	"repro/internal/intensity"
@@ -199,9 +200,7 @@ func (f *Flatten) LastReport() ViolationReport {
 }
 
 // WarmTheta returns the warm-start θ carried from the last fitted batch, in
-// Eq. (1)'s absolute coordinates, and whether one exists — the estimator
-// state an engine snapshot records so an operator inspecting a recovered
-// session can compare the replayed fit against the checkpoint.
+// Eq. (1)'s absolute coordinates, and whether one exists.
 func (f *Flatten) WarmTheta() (intensity.Theta, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -223,6 +222,83 @@ func (f *Flatten) Reports() []ViolationReport {
 	out = append(out, f.reports[f.reportHead:]...)
 	out = append(out, f.reports[:f.reportHead]...)
 	return out
+}
+
+// EncodeState appends everything a later batch depends on to w: the
+// target rate, the generator, the batch sequence, the latest and retained
+// reports (oldest first), the warm start and — in EstimatorSGD mode — the
+// online estimator. Flow counters are diagnostics and are not kept.
+func (f *Flatten) EncodeState(w *codec.Writer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	w.Float64(f.cfg.TargetRate)
+	f.rng.EncodeState(w)
+	w.Int(f.batchSeq)
+	encodeReport(w, f.last)
+	w.Uvarint(uint64(len(f.reports)))
+	for i := range f.reports {
+		encodeReport(w, f.reports[(f.reportHead+i)%len(f.reports)])
+	}
+	w.Bool(f.hasWarm)
+	for _, v := range f.warm {
+		w.Float64(v)
+	}
+	geom.EncodeWindow(w, f.warmWindow)
+	if f.sgd != nil {
+		f.sgd.EncodeState(w)
+	}
+}
+
+// DecodeState restores what EncodeState wrote into an operator built with
+// the same configuration.
+func (f *Flatten) DecodeState(r *codec.Reader) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if rate := r.Float64(); rate > 0 {
+		f.cfg.TargetRate = rate
+	} else {
+		r.Failf("flatten %q: target rate %g", f.Name(), rate)
+	}
+	f.rng.DecodeState(r)
+	f.batchSeq = r.Int()
+	f.last = decodeReport(r)
+	n := r.Count(reportMinBytes)
+	if n > maxReports {
+		r.Failf("flatten %q: %d retained reports", f.Name(), n)
+		return
+	}
+	f.reports, f.reportHead = make([]ViolationReport, n), 0
+	for i := range f.reports {
+		f.reports[i] = decodeReport(r)
+	}
+	f.hasWarm = r.Bool()
+	for i := range f.warm {
+		f.warm[i] = r.Float64()
+	}
+	f.warmWindow = geom.DecodeWindow(r)
+	if f.sgd != nil {
+		f.sgd.DecodeState(r)
+	}
+}
+
+// reportMinBytes is the smallest encoding of a ViolationReport.
+const reportMinBytes = 5*1 + 3*8
+
+func encodeReport(w *codec.Writer, rep ViolationReport) {
+	w.Int(rep.Batch)
+	w.Int(rep.N)
+	w.Int(rep.Violations)
+	w.Float64s(rep.Percent, rep.TargetRate, rep.OutputRate)
+	w.Int(rep.FitIterations)
+	w.Bool(rep.FitNotConverged)
+}
+
+func decodeReport(r *codec.Reader) ViolationReport {
+	return ViolationReport{
+		Batch: r.Int(), N: r.Int(), Violations: r.Int(),
+		Percent: r.Float64(), TargetRate: r.Float64(), OutputRate: r.Float64(),
+		FitIterations: r.Int(), FitNotConverged: r.Bool(),
+	}
 }
 
 // estimateIntensity returns the λ̃ estimate for the batch under the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -78,6 +79,28 @@ func (t *Thin) SetRates(lambda1, lambda2 float64) error {
 	defer t.mu.Unlock()
 	t.inRate, t.out = lambda1, lambda2
 	return nil
+}
+
+// EncodeState appends the operator's rates and generator to w.
+func (t *Thin) EncodeState(w *codec.Writer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w.Float64(t.inRate)
+	w.Float64(t.out)
+	t.rng.EncodeState(w)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (t *Thin) DecodeState(r *codec.Reader) {
+	in, out := r.Float64(), r.Float64()
+	if err := validateThinRates(in, out); err != nil {
+		r.Failf("thin %q: %v", t.Name(), err)
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.inRate, t.out = in, out
+	t.rng.DecodeState(r)
 }
 
 // BeginFused locks the operator for one compiled batch pass and returns its

@@ -116,6 +116,26 @@ func (r *Registry) List() []Query {
 	return out
 }
 
+// Seq returns the sequence number of the last identifier assigned.
+func (r *Registry) Seq() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nextSeq
+}
+
+// Restore replaces the registry's contents with already-stored queries and
+// the sequence number of the last identifier assigned — a restored session
+// resumes numbering where its snapshot left off.
+func (r *Registry) Restore(seq int, qs []Query) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nextSeq = seq
+	r.queries = make(map[string]Query, len(qs))
+	for _, q := range qs {
+		r.queries[q.ID] = q
+	}
+}
+
 // Len returns the number of live queries.
 func (r *Registry) Len() int {
 	r.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/stats"
 )
@@ -118,6 +119,21 @@ func (f *TempField) Value(t, x, y float64) float64 {
 		v += f.noiseRNG.Normal(0, f.NoiseStd)
 	}
 	return v
+}
+
+// EncodeState appends the noise generator's state to w (nothing for a
+// noise-free field), so a restored field draws the same noise.
+func (f *TempField) EncodeState(w *codec.Writer) {
+	if f.noiseRNG != nil {
+		f.noiseRNG.EncodeState(w)
+	}
+}
+
+// DecodeState restores what EncodeState wrote.
+func (f *TempField) DecodeState(r *codec.Reader) {
+	if f.noiseRNG != nil {
+		f.noiseRNG.DecodeState(r)
+	}
 }
 
 // ConstantField reports a fixed value; useful in tests.

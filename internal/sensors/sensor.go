@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/stats"
@@ -166,6 +167,47 @@ func (f *Fleet) InRect(r geom.Rect) []*Sensor {
 		}
 	}
 	return out
+}
+
+// savableWalker is a walker whose motion state a fleet snapshot can keep —
+// the waypoint walkers BuildFleet makes.
+type savableWalker interface {
+	mobility.Walker
+	EncodeState(w *codec.Writer)
+	DecodeState(r *codec.Reader)
+}
+
+// EncodeState appends every sensor's generator and walker state to w, in
+// fleet order; every walker must be one BuildFleet makes.
+func (f *Fleet) EncodeState(w *codec.Writer) {
+	w.Uvarint(uint64(len(f.Sensors)))
+	for _, s := range f.Sensors {
+		sw, ok := s.Walker.(savableWalker)
+		if !ok {
+			w.Fail(fmt.Errorf("sensors: sensor %d's walker %T cannot be saved", s.ID, s.Walker))
+			return
+		}
+		s.rng.EncodeState(w)
+		sw.EncodeState(w)
+	}
+}
+
+// DecodeState restores what EncodeState wrote into a fleet built from the
+// same configuration.
+func (f *Fleet) DecodeState(r *codec.Reader) {
+	if n := r.Uvarint(); n != uint64(len(f.Sensors)) {
+		r.Failf("%d sensors saved, the fleet has %d", n, len(f.Sensors))
+		return
+	}
+	for _, s := range f.Sensors {
+		sw, ok := s.Walker.(savableWalker)
+		if !ok {
+			r.Failf("sensor %d's walker %T cannot be restored", s.ID, s.Walker)
+			return
+		}
+		s.rng.DecodeState(r)
+		sw.DecodeState(r)
+	}
 }
 
 // FleetConfig describes a synthetic fleet for BuildFleet.

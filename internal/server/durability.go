@@ -4,61 +4,57 @@
 // The engine's state is a deterministic function of its Config plus the
 // ordered sequence of externally driven mutations: query submits/deletes,
 // raw observation pushes, and epoch closes. Durable engines append exactly
-// that sequence to an internal/wal log and recover by rebuilding the engine
-// from its config and replaying the log through the normal Submit / Push /
-// Step machinery — the same code paths, so the recovered session is
-// byte-identical to the crashed one up to the last durable record.
-//
-// Snapshots are verification checkpoints, not state restores: the per-cell
-// estimator state (warm-start θ) and RNG streams are not serializable, so
-// recovery always replays from the log's beginning. A snapshot records the
-// externally observable state (epochs, time, queries, result cursors,
-// budgets, θ) at a known log position; replay re-derives that state and
-// checks it against the checkpoint, turning silent non-determinism into a
-// loud recovery error.
+// that sequence to an internal/wal log, and every SnapshotEveryEpochs epochs
+// (or once the log has filled a whole segment since the last snapshot)
+// write a snapshot: the engine's full state at an exact log position, in a
+// binary, CRC-checked file (snapshot.go). A snapshot is a restore point.
+// Recovery loads the older of the two newest snapshots, replays the log
+// suffix after it through the normal Submit / Push / Step machinery, and on
+// reaching the newer snapshot's position re-encodes the engine and requires
+// the bytes to equal that file — silent non-determinism anywhere in the
+// state is a loud recovery error. Replay therefore covers at most about two
+// snapshot intervals, and once a snapshot is durable the WAL segments wholly
+// behind the older kept one are deleted, which bounds a session's disk use.
+// A directory with no usable snapshot replays its log from the beginning
+// with the same loop; one whose early segments are already gone fails
+// instead of guessing.
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/topology"
 	"repro/internal/wal"
 )
 
-// Snapshot cadence and retention defaults (DurabilityConfig zero values).
-const (
-	DefaultSnapshotEvery  = 16
-	DefaultSnapshotRetain = 3
-)
+// DefaultSnapshotEvery is the snapshot cadence in epochs when
+// DurabilityConfig.SnapshotEveryEpochs is zero.
+const DefaultSnapshotEvery = 16
 
 // DurabilityConfig enables crash-recoverable sessions: when Dir is
 // non-empty the engine write-ahead logs every state mutation there and, on
-// construction, recovers by replaying whatever the directory already holds.
+// construction, recovers whatever the directory already holds.
 type DurabilityConfig struct {
 	// Dir is the session's durability directory (holds the wal/ segment
-	// subdirectory and snap-*.json checkpoints). Empty disables durability.
+	// subdirectory and the snap-N snapshots). Empty disables durability.
 	Dir string
 	// Fsync selects when appended records become durable (default
-	// wal.FsyncBatch: ingest acks group-commit on one fsync).
+	// wal.FsyncBatch: ingest acks group-commit on one fsync). Under
+	// wal.FsyncNever snapshots are not fsynced either.
 	Fsync wal.Policy
-	// SnapshotEveryEpochs writes a verification checkpoint every N completed
-	// epochs (0 = DefaultSnapshotEvery).
+	// SnapshotEveryEpochs writes a snapshot every N completed epochs
+	// (0 = DefaultSnapshotEvery); recovery replays about two intervals.
 	SnapshotEveryEpochs int
-	// Retain keeps the newest N snapshots on disk (0 = DefaultSnapshotRetain).
-	Retain int
-	// ReadOnly replays the directory without appending, truncating or
-	// snapshotting — the offline craqr-replay tool's mode.
+	// ReadOnly recovers from the directory without appending, truncating,
+	// snapshotting or deleting anything — the offline craqr-replay tool's
+	// mode.
 	ReadOnly bool
 	// SegmentBytes overrides the WAL segment rotation threshold (tests).
 	SegmentBytes int64
@@ -69,9 +65,6 @@ type DurabilityConfig struct {
 func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	if c.SnapshotEveryEpochs <= 0 {
 		c.SnapshotEveryEpochs = DefaultSnapshotEvery
-	}
-	if c.Retain <= 0 {
-		c.Retain = DefaultSnapshotRetain
 	}
 	return c
 }
@@ -99,13 +92,38 @@ type durableState struct {
 	log      *wal.Log
 	attached atomic.Bool
 
-	mu                sync.Mutex
-	err               error // sticky append failure: no further acks may succeed
-	lastSnapshotEpoch int
-	recovered         bool
-	replayedRecords   int
-	report            wal.ReplayReport
-	snapshotVerified  bool
+	mu               sync.Mutex
+	err              error // sticky append failure: no further acks may succeed
+	recovered        bool
+	replayedRecords  int
+	report           wal.ReplayReport
+	snapshotVerified bool
+	// kept lists the snapshots on disk that recovery may use, oldest first
+	// (at most keptSnapshots); WAL segments before kept[0] are deletable once
+	// both are written.
+	kept []keptSnapshot
+	// lastPos is the newest snapshot's log position (or where recovery
+	// ended, before the first): a log that has filled a whole segment since
+	// triggers the next snapshot.
+	lastPos wal.Position
+	// fault, set only by crash tests, is called after a snapshot's
+	// temporary is written ("written") and after its rename ("renamed"); an
+	// error stops the write there, as a kill would.
+	fault func(stage, path string) error
+}
+
+func (d *durableState) injectFault(stage, path string) error {
+	if d.fault == nil {
+		return nil
+	}
+	return d.fault(stage, path)
+}
+
+// keptSnapshot is a snapshot the session keeps: its epoch count (the file
+// name) and its log position.
+type keptSnapshot struct {
+	epochs int
+	pos    wal.Position
 }
 
 // fail records the first append failure; every later commit returns it, so
@@ -197,23 +215,26 @@ type DurabilityStats struct {
 	Enabled bool
 	// Fsync is the policy name ("batch", "always", "never").
 	Fsync string
-	// SnapshotEvery is the checkpoint cadence in epochs.
+	// SnapshotEvery is the snapshot cadence in epochs.
 	SnapshotEvery int
-	// LastSnapshotEpoch is the epoch count of the newest checkpoint written
-	// or adopted (0 = none yet).
+	// LastSnapshotEpoch is the epoch count of the newest snapshot written
+	// or restored (0 = none yet).
 	LastSnapshotEpoch int
-	// WALBytes/WALSegments/WALRecords size the log.
+	// WALBytes/WALSegments size the retained log; WALRecords is the log
+	// position in records, counting records in deleted segments too.
 	WALBytes    int64
 	WALSegments int
 	WALRecords  uint64
-	// Recovered reports that construction found and replayed prior state.
+	// Recovered reports that construction found and restored prior state.
 	Recovered bool
-	// ReplayedRecords is how many WAL records recovery replayed.
+	// ReplayedRecords is how many WAL records recovery replayed after the
+	// snapshot it restored (the whole log when there was none).
 	ReplayedRecords int
 	// TornTail reports that recovery truncated a torn or corrupt tail.
 	TornTail bool
-	// SnapshotVerified reports that replay reached a checkpoint's log
-	// position and the re-derived state matched it.
+	// SnapshotVerified reports that recovery restored an older snapshot,
+	// replayed up to the newest one's log position, and the replayed state
+	// encoded byte-identical to it.
 	SnapshotVerified bool
 }
 
@@ -237,11 +258,15 @@ func (e *Engine) Durability() DurabilityStats {
 	ls := d.log.Stats()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	last := 0
+	if len(d.kept) > 0 {
+		last = d.kept[len(d.kept)-1].epochs
+	}
 	return DurabilityStats{
 		Enabled:           true,
 		Fsync:             d.cfg.Fsync.String(),
 		SnapshotEvery:     d.cfg.SnapshotEveryEpochs,
-		LastSnapshotEpoch: d.lastSnapshotEpoch,
+		LastSnapshotEpoch: last,
 		WALBytes:          ls.Bytes,
 		WALSegments:       ls.Segments,
 		WALRecords:        ls.Records,
@@ -252,305 +277,179 @@ func (e *Engine) Durability() DurabilityStats {
 	}
 }
 
-// snapshotVersion is bumped on any incompatible change to the snapshot
-// schema or to what a replay reproduces; older snapshots are ignored (the
-// WAL alone still recovers). Version 2: the F-operator's window-centred fit
-// agrees with version 1's only to rounding, so replaying a log written
-// beside version-1 checkpoints fabricates result totals they do not record.
-// Version 3: stats.RNG draws from a PCG-DXSM generator instead of math/rand's
-// lagged-Fibonacci source, so every F and T draw — and with it every
-// fabricated stream — is a different, equally valid realisation of the same
-// process; a directory written by an older binary recovers from its WAL
-// alone, to the new realisation.
-const snapshotVersion = 3
-
-// engineSnapshot is the on-disk checkpoint: the externally observable
-// engine state at a known WAL position.
-type engineSnapshot struct {
-	Version    int     `json:"version"`
-	Epochs     int     `json:"epochs"`
-	Now        float64 `json:"now"`
-	WALRecords uint64  `json:"walRecords"`
-	Seed       int64   `json:"seed"`
-	Fsync      string  `json:"fsync"`
-
-	Queries  []snapshotQuery  `json:"queries"`
-	Results  []snapshotResult `json:"results"`
-	Ingest   snapshotIngest   `json:"ingest"`
-	Theta    []snapshotTheta  `json:"theta,omitempty"`
-	Budgets  []snapshotSlot   `json:"budgets,omitempty"`
-	Adaptive []snapshotSlot   `json:"adaptive,omitempty"`
-	NvSum    float64          `json:"nvSum"`
-	NvN      int              `json:"nvN"`
-}
-
-type snapshotQuery struct {
-	ID   string     `json:"id"`
-	Attr string     `json:"attr"`
-	Rect [4]float64 `json:"rect"` // minX, minY, maxX, maxY
-	Rate float64    `json:"rate"`
-}
-
-type snapshotResult struct {
-	ID       string `json:"id"`
-	Total    uint64 `json:"total"`
-	Dropped  uint64 `json:"dropped"`
-	Retained int    `json:"retained"`
-}
-
-// snapshotIngest mirrors ingest.Stats with JSON-safe watermarks (−Inf,
-// the unknown watermark, is not a JSON number — it becomes null).
-type snapshotIngest struct {
-	Ingested    uint64   `json:"ingested"`
-	Dropped     uint64   `json:"dropped"`
-	Late        uint64   `json:"late"`
-	LateDropped uint64   `json:"lateDropped"`
-	Rejected    uint64   `json:"rejected"`
-	Watermark   *float64 `json:"watermark,omitempty"`
-	ClosedTo    *float64 `json:"closedTo,omitempty"`
-	Pending     int      `json:"pending"`
-}
-
-type snapshotTheta struct {
-	Attr  string     `json:"attr"`
-	Q     int        `json:"q"`
-	R     int        `json:"r"`
-	Theta [4]float64 `json:"theta"`
-}
-
-type snapshotSlot struct {
-	Attr        string  `json:"attr"`
-	Q           int     `json:"q"`
-	R           int     `json:"r"`
-	Budget      float64 `json:"budget"`
-	LastNv      float64 `json:"lastNv"`
-	Adjustments int     `json:"adjustments"`
-	Infeasible  bool    `json:"infeasible"`
-}
-
-func finitePtr(v float64) *float64 {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}
-
-// captureSnapshot reads the engine state into a checkpoint. stepMu must be
-// held: epochs, time, the query set and result totals only move under it
-// (durable engines serialize Submit/Delete on stepMu too), so the capture
-// is consistent with the walRecords position captured by the caller.
-func (e *Engine) captureSnapshot(walRecords uint64) *engineSnapshot {
-	snap := &engineSnapshot{
-		Version:    snapshotVersion,
-		WALRecords: walRecords,
-		Seed:       e.cfg.Seed,
-		Fsync:      e.dur.cfg.Fsync.String(),
-	}
-	e.mu.Lock()
-	snap.Epochs = e.epochs
-	snap.Now = e.now
-	snap.NvSum = e.nvSum
-	snap.NvN = e.nvN
-	stores := make(map[string]*stream.ResultStore, len(e.results))
-	for id, st := range e.results {
-		stores[id] = st
-	}
-	e.mu.Unlock()
-
-	for _, q := range e.fab.Registry().List() {
-		snap.Queries = append(snap.Queries, snapshotQuery{
-			ID:   q.ID,
-			Attr: q.Attr,
-			Rect: [4]float64{q.Region.MinX, q.Region.MinY, q.Region.MaxX, q.Region.MaxY},
-			Rate: q.Rate,
-		})
-	}
-	ids := make([]string, 0, len(stores))
-	for id := range stores {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		st := stores[id]
-		snap.Results = append(snap.Results, snapshotResult{
-			ID: id, Total: st.Total(), Dropped: st.Dropped(), Retained: st.Len(),
-		})
-	}
-	is := e.IngestStats()
-	snap.Ingest = snapshotIngest{
-		Ingested: is.Ingested, Dropped: is.Dropped, Late: is.Late,
-		LateDropped: is.LateDropped, Rejected: is.Rejected,
-		Watermark: finitePtr(is.Watermark), ClosedTo: finitePtr(is.ClosedTo),
-		Pending: is.Pending,
-	}
-	e.fab.VisitPipelines(func(k topology.Key, p *topology.CellPipeline) {
-		if th, ok := p.Flatten().WarmTheta(); ok {
-			snap.Theta = append(snap.Theta, snapshotTheta{Attr: k.Attr, Q: k.Cell.Q, R: k.Cell.R, Theta: th})
-		}
-	})
-	for _, s := range e.budgets.Snapshots() {
-		snap.Budgets = append(snap.Budgets, snapshotSlot{
-			Attr: s.Key.Attr, Q: s.Key.Cell.Q, R: s.Key.Cell.R,
-			Budget: s.Budget, LastNv: s.LastNv, Adjustments: s.Adjustments, Infeasible: s.Infeasible,
-		})
-	}
-	if e.adaptive != nil {
-		for _, s := range e.adaptive.Snapshots() {
-			snap.Adaptive = append(snap.Adaptive, snapshotSlot{
-				Attr: s.Key.Attr, Q: s.Key.Cell.Q, R: s.Key.Cell.R,
-				Budget: s.Budget, LastNv: s.LastNv, Adjustments: s.Adjustments, Infeasible: s.Infeasible,
-			})
-		}
-	}
-	return snap
-}
-
-const (
-	snapPrefix = "snap-"
-	snapSuffix = ".json"
-)
-
-func snapshotPath(dir string, epoch int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%012d%s", snapPrefix, epoch, snapSuffix))
-}
-
-// writeSnapshot checkpoints the current engine state. stepMu must be held.
-// The WAL record count is captured first and the log flushed after, so the
-// snapshot never claims a log position a crash could lose; the engine
-// state is read after the capture, so any concurrently appended pushes are
-// beyond the claimed position and replay's verification skips them.
+// writeSnapshot makes the engine's current state a restore point; stepMu
+// must be held. Pushes may run concurrently: under the ingest queue's lock —
+// pushes journal under it — the log position is read and the queue copied,
+// so the snapshot sits exactly between two records. Everything else only
+// moves under stepMu. The log is made durable through that position before
+// the file is written, so a snapshot never claims records a crash could
+// lose, and segments are deleted only once the file is durable.
 func (e *Engine) writeSnapshot() error {
 	d := e.dur
-	records := d.log.Stats().Records
-	if err := d.log.Sync(); err != nil {
-		d.fail(err)
-		return err
+	var pos wal.Position
+	qs := e.captureQueue(func() { pos = d.log.Position() })
+	sync := d.cfg.Fsync != wal.FsyncNever
+	if sync {
+		// A commit, not a forced fsync: the log is usually durable already
+		// (the step has just committed), and records appended since join
+		// the pushes' own group commit.
+		if err := d.log.Commit(); err != nil {
+			d.fail(err)
+			return err
+		}
 	}
-	snap := e.captureSnapshot(records)
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: snapshot: %w", err)
-	}
-	path := snapshotPath(d.cfg.Dir, snap.Epochs)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("server: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	epochs := e.Epochs()
+	if err := e.writeSnapshotFile(snapshotPath(d.cfg.Dir, epochs), pos, qs, sync); err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	d.mu.Lock()
-	d.lastSnapshotEpoch = snap.Epochs
+	if n := len(d.kept); n > 0 && d.kept[n-1].epochs == epochs {
+		d.kept[n-1].pos = pos // the same file, rewritten further along the log
+	} else {
+		d.kept = append(d.kept, keptSnapshot{epochs: epochs, pos: pos})
+	}
+	if n := len(d.kept); n > keptSnapshots {
+		d.kept = append(d.kept[:0], d.kept[n-keptSnapshots:]...)
+	}
+	d.lastPos = pos
+	kept := append([]keptSnapshot(nil), d.kept...)
 	d.mu.Unlock()
-	e.pruneSnapshots()
+	e.compact(kept)
 	return nil
 }
 
-// pruneSnapshots removes checkpoints beyond the configured retention,
-// oldest first. Best-effort: a prune failure never fails the snapshot.
-func (e *Engine) pruneSnapshots() {
+// compact deletes what the kept snapshots make unnecessary: every other
+// snapshot-named file (older snapshots, torn temporaries, checkpoints of
+// earlier versions), and — once keptSnapshots are on disk — every WAL
+// segment wholly before the older one's position. Best-effort: a failure
+// leaves extra files, never a missing one, and the next snapshot retries.
+func (e *Engine) compact(kept []keptSnapshot) {
 	d := e.dur
-	paths, err := listSnapshots(d.cfg.Dir)
-	if err != nil || len(paths) <= d.cfg.Retain {
-		return
+	keep := make(map[string]bool, len(kept))
+	for _, k := range kept {
+		keep[filepath.Base(snapshotPath(d.cfg.Dir, k.epochs))] = true
 	}
-	for _, p := range paths[:len(paths)-d.cfg.Retain] {
-		os.Remove(p)
+	if entries, err := os.ReadDir(d.cfg.Dir); err == nil {
+		for _, ent := range entries {
+			name := ent.Name()
+			if len(name) > len(snapPrefix) && name[:len(snapPrefix)] == snapPrefix && !keep[name] {
+				os.Remove(filepath.Join(d.cfg.Dir, name))
+			}
+		}
+	}
+	if len(kept) == keptSnapshots {
+		_, _ = d.log.DeleteBefore(kept[0].pos.Segment)
 	}
 }
 
-// listSnapshots returns the snapshot paths in dir, oldest first.
-func listSnapshots(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || len(name) <= len(snapPrefix)+len(snapSuffix) ||
-			name[:len(snapPrefix)] != snapPrefix || filepath.Ext(name) != snapSuffix {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, name))
-	}
-	sort.Strings(paths)
-	return paths, nil
-}
-
-// loadNewestSnapshot returns the newest parseable checkpoint, or nil when
-// none exists. A corrupt or half-written snapshot (the atomic rename makes
-// this rare) is skipped in favor of an older one — snapshots only verify,
-// so losing one costs nothing but the check.
-func loadNewestSnapshot(dir string) *engineSnapshot {
-	paths, err := listSnapshots(dir)
-	if err != nil {
-		return nil
-	}
-	for i := len(paths) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(paths[i])
-		if err != nil {
-			continue
-		}
-		var snap engineSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil || snap.Version != snapshotVersion {
-			continue
-		}
-		return &snap
-	}
-	return nil
-}
-
-// maybeSnapshot checkpoints at the configured epoch cadence; called at the
-// end of a successful Step with stepMu held.
+// maybeSnapshot snapshots at the configured epoch cadence, and also whenever
+// the log has filled a whole segment since the last snapshot, so replay
+// stays bounded in bytes as well as epochs; called at the end of a
+// successful Step with stepMu held. A session whose log failed writes none:
+// its state may hold a mutation the log does not.
 func (e *Engine) maybeSnapshot() error {
 	d := e.dur
-	if d == nil || !d.attached.Load() {
+	if !d.attached.Load() || d.failed() != nil {
 		return nil
 	}
-	e.mu.Lock()
-	epochs := e.epochs
-	e.mu.Unlock()
-	if epochs == 0 || epochs%d.cfg.SnapshotEveryEpochs != 0 {
+	d.mu.Lock()
+	lastSeg := d.lastPos.Segment
+	d.mu.Unlock()
+	if e.Epochs()%d.cfg.SnapshotEveryEpochs != 0 && d.log.Position().Segment <= lastSeg+1 {
 		return nil
 	}
 	return e.writeSnapshot()
 }
 
-// initDurability opens the session's WAL, replays whatever it holds
-// through the normal engine machinery, verifies the replayed state against
-// the newest checkpoint, and attaches the journal so subsequent mutations
-// are logged. Called at the end of New on a fully constructed engine; no
-// other goroutines exist yet.
+// initDurability recovers whatever the session's directory holds and
+// attaches the journal, so subsequent mutations are logged. Called at the
+// end of New on a fully constructed engine; no other goroutines exist yet.
+//
+// Of the snapshots whose checksum passes and whose position the log still
+// reaches, the newest is the one to verify against and the one before it
+// (or, alone, the newest itself) the one to restore. Replay then runs from
+// the restored position — or, with no snapshot at all, from the log's start,
+// which only an uncompacted log can offer. A newer snapshot that claims
+// records the log no longer holds (a torn log) is deleted once an older one
+// has recovered the session, unless ReadOnly: it would misdescribe the
+// records appended next.
 func (e *Engine) initDurability() error {
 	d := e.dur
-	snap := loadNewestSnapshot(d.cfg.Dir)
-	var count uint64
-	rep, err := d.log.Replay(func(rec *wal.Record) error {
+	fail := func(err error) error {
+		d.log.Close()
+		return fmt.Errorf("server: recovery: %w", err)
+	}
+	snaps, err := readSnapshots(d.cfg.Dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fail(err)
+	}
+	var usable, stale []*snapshotFile
+	for _, s := range snaps {
+		switch {
+		case !d.log.Reaches(s.pos):
+			if len(usable) == 0 {
+				stale = append(stale, s)
+			}
+		case len(usable) < keptSnapshots:
+			usable = append(usable, s)
+		}
+	}
+	var from, newest *snapshotFile
+	if len(usable) > 0 {
+		newest, from = usable[0], usable[len(usable)-1]
+	}
+	var start wal.Position
+	switch {
+	case from != nil:
+		if err := e.restoreState(from.data); err != nil {
+			return fail(fmt.Errorf("restoring %s: %w", filepath.Base(from.path), err))
+		}
+		start = from.pos
+	case len(stale) > 0:
+		return fail(fmt.Errorf("%s describes records the log does not hold, and no older snapshot is usable; the directory is left as it is", filepath.Base(stale[0].path)))
+	case d.log.Compacted():
+		return fail(errors.New("no usable snapshot, and the log's first segments were deleted behind the ones that are gone; the directory is left as it is"))
+	}
+	verified := false
+	rep, err := d.log.ReplayFrom(start, func(rec *wal.Record) error {
 		if err := e.applyRecord(rec); err != nil {
 			return err
 		}
-		count++
-		if snap != nil && count == snap.WALRecords {
-			if err := e.verifySnapshot(snap); err != nil {
-				return err
+		start.Records++
+		if newest != from && start.Records == newest.pos.Records {
+			if off, ok := e.matchState(newest.pos, newest.data); !ok {
+				return fmt.Errorf("state replayed to record %d differs from %s from byte %d", start.Records, filepath.Base(newest.path), off)
 			}
-			d.mu.Lock()
-			d.snapshotVerified = true
-			d.mu.Unlock()
+			verified = true
 		}
 		return nil
 	})
 	if err != nil {
-		d.log.Close()
-		return fmt.Errorf("server: recovery: %w", err)
+		return fail(err)
+	}
+	var kept []keptSnapshot
+	if from != nil {
+		kept = append(kept, keptSnapshot{epochs: from.epochs, pos: from.pos})
+	}
+	if verified {
+		kept = append(kept, keptSnapshot{epochs: newest.epochs, pos: newest.pos})
+	} else if newest != from {
+		stale = append(stale, newest) // the log ended (torn) before its position
+	}
+	if !d.cfg.ReadOnly {
+		for _, s := range stale {
+			os.Remove(s.path)
+		}
 	}
 	d.mu.Lock()
 	d.report = rep
 	d.replayedRecords = rep.Records
-	d.recovered = rep.Records > 0 || snap != nil
-	if snap != nil {
-		d.lastSnapshotEpoch = snap.Epochs
+	d.recovered = rep.Records > 0 || from != nil
+	d.snapshotVerified = verified
+	d.kept = kept
+	d.lastPos = d.log.Position()
+	if len(kept) > 0 {
+		d.lastPos = kept[len(kept)-1].pos
 	}
 	d.mu.Unlock()
 	if !d.cfg.ReadOnly {
@@ -605,60 +504,18 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 	return nil
 }
 
-// verifySnapshot checks the replayed state against a checkpoint taken at
-// exactly this log position. Only stepMu-stable state is compared — epochs,
-// time, the query set and result totals; ingest counters may legitimately
-// run ahead of the checkpoint's log position (pushes append concurrently
-// with the state capture) and are recorded for inspection, not verified.
-func (e *Engine) verifySnapshot(snap *engineSnapshot) error {
-	if got := e.Epochs(); got != snap.Epochs {
-		return fmt.Errorf("snapshot check at record %d: epochs %d, snapshot says %d", snap.WALRecords, got, snap.Epochs)
-	}
-	if got := e.Now(); got != snap.Now {
-		return fmt.Errorf("snapshot check at record %d: now %g, snapshot says %g", snap.WALRecords, got, snap.Now)
-	}
-	live := e.fab.Registry().List()
-	if len(live) != len(snap.Queries) {
-		return fmt.Errorf("snapshot check at record %d: %d live queries, snapshot says %d", snap.WALRecords, len(live), len(snap.Queries))
-	}
-	byID := make(map[string]query.Query, len(live))
-	for _, q := range live {
-		byID[q.ID] = q
-	}
-	for _, sq := range snap.Queries {
-		q, ok := byID[sq.ID]
-		if !ok {
-			return fmt.Errorf("snapshot check at record %d: query %s missing after replay", snap.WALRecords, sq.ID)
-		}
-		if q.Attr != sq.Attr || q.Rate != sq.Rate ||
-			q.Region != (geom.Rect{MinX: sq.Rect[0], MinY: sq.Rect[1], MaxX: sq.Rect[2], MaxY: sq.Rect[3]}) {
-			return fmt.Errorf("snapshot check at record %d: query %s differs from snapshot", snap.WALRecords, sq.ID)
-		}
-	}
-	for _, sr := range snap.Results {
-		st, err := e.ResultStore(sr.ID)
-		if err != nil {
-			return fmt.Errorf("snapshot check at record %d: %w", snap.WALRecords, err)
-		}
-		if st.Total() != sr.Total || st.Dropped() != sr.Dropped {
-			return fmt.Errorf("snapshot check at record %d: query %s delivered %d/%d tuples (total/dropped), snapshot says %d/%d",
-				snap.WALRecords, sr.ID, st.Total(), st.Dropped(), sr.Total, sr.Dropped)
-		}
-	}
-	return nil
-}
-
-// finalizeDurability writes a last checkpoint and closes the WAL; called
-// from Shutdown with stepMu held, after the queue is closed. Committers
-// whose records the final flush covered still succeed (the graceful-
-// shutdown ack guarantee); later appends fail with wal.ErrClosed.
+// finalizeDurability writes a last snapshot — a restart then replays
+// little or nothing — and closes the WAL; called from Shutdown with stepMu
+// held, after the queue is closed. Committers whose records the final flush
+// covered still succeed (the graceful-shutdown ack guarantee); later appends
+// fail with wal.ErrClosed.
 func (e *Engine) finalizeDurability() error {
 	d := e.dur
 	if d == nil {
 		return nil
 	}
 	var errs []error
-	if d.attached.Load() {
+	if d.attached.Load() && d.failed() == nil {
 		if err := e.writeSnapshot(); err != nil {
 			errs = append(errs, err)
 		}

@@ -1,8 +1,11 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/sensors"
@@ -31,26 +35,29 @@ type durOp struct {
 
 func applyOp(t *testing.T, e *Engine, op durOp) {
 	t.Helper()
+	if err := doOp(e, op); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func doOp(e *Engine, op durOp) error {
+	var err error
 	switch op.kind {
 	case "submit":
-		if _, err := e.Submit(op.q); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
+		_, err = e.Submit(op.q)
 	case "delete":
-		if err := e.Delete(op.id); err != nil {
-			t.Fatalf("delete %s: %v", op.id, err)
-		}
+		err = e.Delete(op.id)
 	case "push":
-		if _, err := e.PushObservations(op.tuples, op.watermark); err != nil {
-			t.Fatalf("push: %v", err)
-		}
+		_, err = e.PushObservations(op.tuples, op.watermark)
 	case "step":
-		if err := e.Step(); err != nil {
-			t.Fatalf("step: %v", err)
-		}
+		err = e.Step()
 	default:
-		t.Fatalf("unknown op %q", op.kind)
+		return fmt.Errorf("unknown op %q", op.kind)
 	}
+	if err != nil {
+		return fmt.Errorf("%s %s: %w", op.kind, op.id, err)
+	}
+	return nil
 }
 
 // pushOp fabricates a deterministic observation batch around epoch t.
@@ -173,49 +180,171 @@ func requireSameState(t *testing.T, want, got engineState, label string) {
 
 // --- crash-recovery: byte-identical resumed streams -----------------------
 
-// TestCrashRecoveryByteIdentical kills a durable engine at every op
-// boundary of the workload (an abandoned engine is exactly a SIGKILL: no
-// shutdown, no final flush — fsync=always makes every acked op durable),
-// recovers from the directory, finishes the workload, and requires the
-// final state — including every query's full result stream — to be
-// byte-identical to an uninterrupted non-durable control run.
-func TestCrashRecoveryByteIdentical(t *testing.T) {
-	ops := crashScript()
-	control, err := New(externalConfig("", 0), testFields(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range ops {
-		applyOp(t, control, op)
-	}
-	want := captureState(t, control)
+// crashCase is one source mode's workload for the crash oracle: a script
+// spanning several snapshot intervals, then a tail of five more epochs.
+type crashCase struct {
+	name      string
+	cfg       func(dir string) Config
+	ops, tail []durOp
+}
 
-	for k := 0; k <= len(ops); k++ {
-		dir := t.TempDir()
-		e1, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
-		if err != nil {
-			t.Fatalf("crash@%d: %v", k, err)
+// crashCases cover the three source modes with snapshots every two epochs,
+// adaptive rates on and result rings small enough to wrap. Each script shares a subplan, deletes the query
+// that created it while another keeps it alive, and — where there is a
+// queue — pushes the next epoch's tuples early and redelivers IDs, so drains
+// are partial and the duplicate window is indexed when a snapshot is taken.
+func crashCases() []crashCase {
+	full, half, mid := geom.NewRect(0, 0, 8, 8), geom.NewRect(0, 0, 4, 4), geom.NewRect(2, 2, 6, 6)
+	submit := func(attr string, r geom.Rect, rate float64) durOp {
+		return durOp{kind: "submit", q: query.Query{Attr: attr, Region: r, Rate: rate}}
+	}
+	del := func(id string) durOp { return durOp{kind: "delete", id: id} }
+	step := durOp{kind: "step"}
+	nan := math.NaN()
+	config := func(mode SourceMode) func(string) Config {
+		return func(dir string) Config {
+			cfg := testConfig()
+			cfg.AdaptiveRates = true
+			cfg.Retention = 48 // rings wrap, so snapshots hold them in two runs
+			cfg.Source = SourceConfig{Mode: mode}
+			if dir != "" {
+				cfg.Durability = DurabilityConfig{Dir: dir, Fsync: wal.FsyncAlways, SnapshotEveryEpochs: 2}
+			}
+			return cfg
 		}
-		for _, op := range ops[:k] {
-			applyOp(t, e1, op)
+	}
+	pushTail := func(from, n int) []durOp {
+		var ops []durOp
+		for e := from; e < from+n; e++ {
+			ops = append(ops, pushOp(float64(e), 25, "rain", float64(e+1)), step)
 		}
-		// Crash: abandon e1 without Shutdown. Nothing is flushed beyond
-		// what fsync=always already made durable.
-		e2, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
-		if err != nil {
-			t.Fatalf("crash@%d: recovery: %v", k, err)
+		return ops
+	}
+	var stepTail []durOp
+	for i := 0; i < 5; i++ {
+		stepTail = append(stepTail, step)
+	}
+	return []crashCase{
+		{
+			name: "external",
+			cfg:  config(SourceExternal),
+			ops: []durOp{
+				submit("rain", full, 6), submit("rain", half, 3), submit("rain", full, 6),
+				pushOp(0, 40, "rain", nan), pushOp(1, 20, "rain", 1), step,
+				submit("temp", half, 4), pushOp(1, 30, "rain", nan), pushOp(2, 25, "temp", 2), step,
+				del("Q1"), pushOp(2, 35, "rain", nan), pushOp(3, 20, "rain", 3), step,
+				pushOp(3, 15, "temp", 4), step,
+				submit("rain", full, 6), del("Q2"), pushOp(4, 30, "rain", 5), step,
+				pushOp(5, 30, "rain", 6), step,
+				pushOp(6, 20, "temp", 7), step,
+				pushOp(7, 20, "rain", 8), step,
+				pushOp(8, 10, "rain", nan),
+			},
+			tail: pushTail(8, 5),
+		},
+		{
+			name: "simulated",
+			cfg:  config(SourceSimulated),
+			ops: []durOp{
+				submit("rain", full, 5), submit("temp", mid, 4), submit("rain", full, 5), step, step,
+				submit("rain", half, 3), step, del("Q1"), step, step,
+				del("Q2"), submit("temp", full, 2), step, step, step,
+			},
+			tail: stepTail,
+		},
+		{
+			name: "mixed",
+			cfg:  config(SourceMixed),
+			ops: []durOp{
+				submit("rain", full, 5), submit("temp", half, 4), submit("rain", full, 5), step,
+				pushOp(1, 20, "rain", nan), pushOp(2, 10, "rain", 2), step,
+				del("Q1"), pushOp(2, 20, "temp", 3), step,
+				pushOp(3, 15, "rain", 4), step,
+				submit("rain", half, 3), pushOp(4, 10, "rain", 5), step,
+				pushOp(5, 10, "temp", 6), step,
+			},
+			tail: pushTail(6, 5),
+		},
+	}
+}
+
+// stateBytes encodes the engine's whole state as a snapshot would (at a
+// fixed log position), so two engines can be compared byte for byte.
+func stateBytes(t testing.TB, e *Engine) []byte {
+	t.Helper()
+	e.stepMu.Lock()
+	defer e.stepMu.Unlock()
+	var buf bytes.Buffer
+	if err := e.encodeState(codec.NewWriter(&buf), wal.Position{}, e.captureQueue(func() {})); err != nil {
+		t.Fatalf("encoding state: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func requireSameBytes(t *testing.T, want, got []byte, label string) {
+	t.Helper()
+	if !bytes.Equal(want, got) {
+		i := 0
+		for i < len(want) && i < len(got) && want[i] == got[i] {
+			i++
 		}
-		ds := e2.Durability()
-		if k > 0 && !ds.Recovered {
-			t.Fatalf("crash@%d: recovery not reported", k)
-		}
-		for _, op := range ops[k:] {
-			applyOp(t, e2, op)
-		}
-		requireSameState(t, want, captureState(t, e2), "crash@"+string(rune('0'+k/10))+string(rune('0'+k%10)))
-		if err := e2.Shutdown(); err != nil {
-			t.Fatalf("crash@%d: shutdown: %v", k, err)
-		}
+		t.Fatalf("%s: state differs from the control's at byte %d of %d", label, i, len(want))
+	}
+}
+
+// TestCrashRecoveryByteIdentical kills a durable engine at every op
+// boundary of each source mode's workload (an abandoned engine is exactly a
+// SIGKILL: no shutdown, no final flush — fsync=always makes every acked op
+// durable) and recovers from the directory. The recovered engine's whole
+// state must encode byte-identical to an uninterrupted non-durable control
+// at the same op; it then finishes the workload and five more epochs and
+// must still equal the control, every query's full result stream included.
+func TestCrashRecoveryByteIdentical(t *testing.T) {
+	for _, c := range crashCases() {
+		t.Run(c.name, func(t *testing.T) {
+			control, err := New(c.cfg(""), testFields(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var at [][]byte
+			for _, op := range c.ops {
+				at = append(at, stateBytes(t, control))
+				applyOp(t, control, op)
+			}
+			at = append(at, stateBytes(t, control))
+			for _, op := range c.tail {
+				applyOp(t, control, op)
+			}
+			final, want := stateBytes(t, control), captureState(t, control)
+
+			for k := 0; k <= len(c.ops); k++ {
+				label := fmt.Sprintf("crash@%d", k)
+				dir := t.TempDir()
+				e1, err := New(c.cfg(dir), testFields(t))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for _, op := range c.ops[:k] {
+					applyOp(t, e1, op)
+				}
+				e2, err := New(c.cfg(dir), testFields(t))
+				if err != nil {
+					t.Fatalf("%s: recovery: %v", label, err)
+				}
+				if k > 0 && !e2.Durability().Recovered {
+					t.Fatalf("%s: recovery not reported", label)
+				}
+				requireSameBytes(t, at[k], stateBytes(t, e2), label+" recovered")
+				for _, op := range append(c.ops[k:len(c.ops):len(c.ops)], c.tail...) {
+					applyOp(t, e2, op)
+				}
+				requireSameBytes(t, final, stateBytes(t, e2), label+" finished")
+				requireSameState(t, want, captureState(t, e2), label)
+				if err := e2.Shutdown(); err != nil {
+					t.Fatalf("%s: shutdown: %v", label, err)
+				}
+			}
+		})
 	}
 }
 
@@ -268,61 +397,6 @@ func TestSimulatedRecoveryDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameState(t, want, captureState(t, e2), "simulated")
-	if err := e2.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecoveryVerifiesSnapshotWithMode: checkpoints written while Submit
-// still planned record each query's merge mode ("mode":"flat"). Nothing
-// reads that key any more and snapshotVersion did not move for its removal,
-// so such a checkpoint must still verify.
-func TestRecoveryVerifiesSnapshotWithMode(t *testing.T) {
-	cfg := testConfig()
-	cfg.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.FsyncAlways, SnapshotEveryEpochs: 2}
-	e1, err := New(cfg, testFields(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	paths, err := listSnapshots(cfg.Durability.Dir)
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no checkpoint after 2 epochs: %v", err)
-	}
-	newest := paths[len(paths)-1]
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]interface{}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	queries, _ := snap["queries"].([]interface{})
-	if len(queries) != 1 {
-		t.Fatalf("checkpoint queries = %v, want one", snap["queries"])
-	}
-	queries[0].(map[string]interface{})["mode"] = "flat"
-	if data, err = json.Marshal(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash after 2 epochs; recover beside the rewritten checkpoint.
-	e2, err := New(cfg, testFields(t))
-	if err != nil {
-		t.Fatalf("recovery beside a checkpoint with mode: %v", err)
-	}
-	if ds := e2.Durability(); !ds.SnapshotVerified {
-		t.Fatalf("a checkpoint with \"mode\":\"flat\" did not verify: %+v", ds)
-	}
 	if err := e2.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +489,8 @@ func TestTornWriteRecovery(t *testing.T) {
 	}
 }
 
-// TestCorruptRecordTruncates flips a byte inside a committed WAL record:
+// TestCorruptRecordTruncates flips a byte inside a committed WAL record that
+// recovery must read (the session crashed before its first snapshot):
 // recovery must truncate at the bad CRC and resume from the prefix — never
 // panic, never fail construction.
 func TestCorruptRecordTruncates(t *testing.T) {
@@ -431,9 +506,7 @@ func TestCorruptRecordTruncates(t *testing.T) {
 		applyOp(t, e1, pushOp(float64(i), 12, "rain", float64(i+1)))
 		applyOp(t, e1, durOp{kind: "step"})
 	}
-	if err := e1.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
+	// Crash: no final snapshot, so the log is the only source.
 	seg := filepath.Join(dir, "wal", "wal-00000001.seg")
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -452,7 +525,7 @@ func TestCorruptRecordTruncates(t *testing.T) {
 		t.Fatalf("expected corruption to report a torn tail: %+v", ds)
 	}
 	if ds.SnapshotVerified {
-		t.Fatalf("truncated log cannot reach the final checkpoint: %+v", ds)
+		t.Fatalf("a session without snapshots verified one: %+v", ds)
 	}
 	if got, max := e2.Epochs(), e1.Epochs(); got > max {
 		t.Fatalf("recovered %d epochs from a truncated log of %d", got, max)
@@ -462,8 +535,9 @@ func TestCorruptRecordTruncates(t *testing.T) {
 	}
 }
 
-// TestGarbageSnapshotIgnored proves snapshots are advisory: unparseable or
-// half-written checkpoint files are skipped and the WAL alone recovers.
+// TestGarbageSnapshotIgnored: a torn or unparseable file under a snapshot's
+// name, a half-written temporary and a checkpoint of an earlier version are
+// all passed over, and the newest intact snapshot recovers the session.
 func TestGarbageSnapshotIgnored(t *testing.T) {
 	dir := t.TempDir()
 	e1, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
@@ -486,6 +560,9 @@ func TestGarbageSnapshotIgnored(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "snap-000000000007.json.tmp"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "snap-999999999999"), []byte("CRAQSNAP torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	e2, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
 	if err != nil {
 		t.Fatalf("recovery with garbage snapshots: %v", err)
@@ -498,13 +575,11 @@ func TestGarbageSnapshotIgnored(t *testing.T) {
 	}
 }
 
-// TestOlderSnapshotVersionSkipped: a checkpoint written under an older
-// snapshotVersion records result totals this binary's replay need not
-// reproduce (version 2: the F-operator's fit differs from version 1's in its
-// low bits; version 3: the operators draw from another generator — either way
-// the same WAL fabricates a statistically identical but not tuple-identical
-// stream). Such a file must be passed over — the WAL alone
-// recovers — where the same totals under the current version fail recovery.
+// TestOlderSnapshotVersionSkipped: checkpoints of earlier versions — the
+// JSON snap-N.json files versions 1–3 wrote, or a binary file whose version
+// is not snapshotVersion — are passed over, and the WAL alone recovers; the
+// next snapshot removes them. A current-version snapshot whose bytes differ
+// from the state replay re-derives at its position fails recovery loudly.
 func TestOlderSnapshotVersionSkipped(t *testing.T) {
 	dir := t.TempDir()
 	e1, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
@@ -516,58 +591,63 @@ func TestOlderSnapshotVersionSkipped(t *testing.T) {
 	}
 	applyOp(t, e1, pushOp(0, 40, "rain", 1))
 	applyOp(t, e1, durOp{kind: "step"})
+	records := e1.Durability().WALRecords
 	if err := e1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := listSnapshots(dir)
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no checkpoint written: %v %v", paths, err)
+	snap := snapshotPath(dir, 1)
+	rewriteSnapshot(t, snap, func(data []byte) { data[len(snapshotMagic)] = snapshotVersion - 1 })
+	legacy := filepath.Join(dir, "snap-000000000001.json")
+	if err := os.WriteFile(legacy, []byte(`{"version": 3, "epochs": 1, "walRecords": 3}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	rewrite := func(version int) {
-		t.Helper()
-		for _, p := range paths {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snap engineSnapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
-				t.Fatal(err)
-			}
-			if len(snap.Results) == 0 {
-				t.Fatal("checkpoint records no result totals")
-			}
-			snap.Version = version
-			snap.Results[0].Total += 3 // what another fit would have delivered
-			out, err := json.Marshal(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(p, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rewrite(snapshotVersion - 1)
 	e2, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
 	if err != nil {
-		t.Fatalf("recovery beside a version-%d checkpoint: %v", snapshotVersion-1, err)
+		t.Fatalf("recovery beside older checkpoints: %v", err)
 	}
-	if ds := e2.Durability(); ds.SnapshotVerified || !ds.Recovered || e2.Epochs() != 1 {
-		t.Fatalf("want WAL-only recovery of 1 epoch, got %+v, %d epochs", ds, e2.Epochs())
+	if ds := e2.Durability(); ds.SnapshotVerified || !ds.Recovered || uint64(ds.ReplayedRecords) != records || e2.Epochs() != 1 {
+		t.Fatalf("want WAL-only recovery of all %d records, got %+v, %d epochs", records, ds, e2.Epochs())
 	}
+	applyOp(t, e2, pushOp(1, 30, "rain", 2))
+	applyOp(t, e2, durOp{kind: "step"})
 	if err := e2.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	// Shutdown checkpointed again under the current version; with the foreign
-	// totals under that version the check must bite.
-	if paths, err = listSnapshots(dir); err != nil {
+	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the version-3 checkpoint survives the first current-version snapshot: %v", err)
+	}
+	// One more epoch leaves snapshots at epochs 2 and 3: recovery restores
+	// the first and checks the second. A state the replay does not reproduce
+	// must bite.
+	e3, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rewrite(snapshotVersion)
-	if e3, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t)); err == nil {
-		e3.Shutdown()
-		t.Fatal("a current-version checkpoint with different totals was not checked")
+	applyOp(t, e3, pushOp(2, 30, "rain", 3))
+	applyOp(t, e3, durOp{kind: "step"})
+	if err := e3.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	rewriteSnapshot(t, snapshotPath(dir, 3), func(data []byte) { data[len(data)-1] ^= 1 })
+	if e4, err := New(externalConfig(dir, wal.FsyncAlways), testFields(t)); err == nil {
+		e4.Shutdown()
+		t.Fatal("a current-version snapshot with a different state was not checked")
+	}
+}
+
+// rewriteSnapshot edits a snapshot file's bytes (without its checksum) and
+// re-seals it, as a writer that disagrees with this build would have.
+func rewriteSnapshot(t *testing.T, path string, edit func(data []byte)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[:len(data)-4]
+	edit(body)
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

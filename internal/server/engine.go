@@ -84,8 +84,9 @@ type Config struct {
 	// DESIGN.md, "External ingestion and watermarks").
 	Source SourceConfig
 	// Durability, when Dir is non-empty, write-ahead logs every state
-	// mutation and recovers the session by deterministic replay on
-	// construction (see DESIGN.md, "Durability and recovery").
+	// mutation, snapshots the session periodically, and on construction
+	// recovers it from its snapshots plus a replay of the log after them (see
+	// DESIGN.md, "Durability and recovery").
 	Durability DurabilityConfig
 	// Limits is the session's admission-control envelope: ingest rate
 	// limits and resident-state quotas, all off by default (zero =
@@ -224,6 +225,10 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 	if cfg.Epoch <= 0 {
 		return nil, errors.New("server: Epoch must be positive")
 	}
+	if cfg.Durability.Dir != "" && cfg.Incentives != nil {
+		// The allocator is the caller's object: a snapshot cannot restore it.
+		return nil, errors.New("server: durable sessions cannot use Config.Incentives")
+	}
 	rng := stats.NewRNG(cfg.Seed)
 	grid, err := geom.NewGrid(cfg.Region, cfg.GridCells)
 	if err != nil {
@@ -327,8 +332,9 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 		liveScratch: make(map[budget.Key]bool),
 	}
 	if dur != nil {
-		// Recover: replay whatever the durability directory already holds
-		// through the engine's own machinery, then attach the journal.
+		// Recover whatever the durability directory already holds — restore
+		// a snapshot, replay the log after it through the engine's own
+		// machinery — then attach the journal.
 		if err := e.initDurability(); err != nil {
 			return nil, err
 		}

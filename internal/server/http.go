@@ -329,7 +329,7 @@ type sessionJSON struct {
 	Weight float64       `json:"weight,omitempty"`
 	Limits *TenantLimits `json:"limits,omitempty"`
 	// Durability (see docs/API.md, "Durability"): present only on durable
-	// sessions — the WAL fsync policy, checkpoint cadence and size
+	// sessions — the WAL fsync policy, snapshot cadence and size
 	// counters, plus whether this process recovered the session from disk.
 	Durable           bool   `json:"durable,omitempty"`
 	Fsync             string `json:"fsync,omitempty"`
@@ -427,7 +427,7 @@ type sessionSpecJSON struct {
 	LatePolicy      string  `json:"latePolicy"`
 	// Durability knobs (effective only when the server runs with
 	// -data-dir): disableDurability opts the session out of write-ahead
-	// logging, snapshotEvery overrides the checkpoint cadence in epochs,
+	// logging, snapshotEvery overrides the snapshot cadence in epochs,
 	// fsyncPolicy overrides the WAL fsync policy ("batch", "always",
 	// "never").
 	DisableDurability bool   `json:"disableDurability"`

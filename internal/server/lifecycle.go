@@ -169,7 +169,7 @@ func (e *Engine) ClockErr() error {
 // Shutdown retires the engine: the epoch driver is stopped (drained), the
 // ingest queue is closed so producers get ErrClosed instead of feeding a
 // dead engine, the durability layer (when enabled) writes a final
-// checkpoint and closes the WAL, and every live query's result store is
+// snapshot and closes the WAL, and every live query's result store is
 // closed so blocked streaming readers terminate. The ordering is the
 // graceful-shutdown ack guarantee: the queue closes first (new pushes get
 // ErrClosed → 503 and retry elsewhere), then the WAL's final flush covers

@@ -61,7 +61,7 @@ type SessionSpec struct {
 	// when the manager's template enables it (craqrd -data-dir) — for
 	// throwaway sessions that should not pay the fsync or survive restarts.
 	DisableDurability bool `json:"disableDurability,omitempty"`
-	// SnapshotEvery overrides the checkpoint cadence in epochs when positive.
+	// SnapshotEvery overrides the snapshot cadence in epochs when positive.
 	SnapshotEvery int `json:"snapshotEvery,omitempty"`
 	// FsyncPolicy overrides the WAL fsync policy for this session: "batch",
 	// "always" or "never" (see wal.ParsePolicy); empty inherits the
@@ -527,13 +527,13 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 
 // Recover re-adopts every durable session found under the manager's
 // durability root: each sessions/<name>/session.json manifest is loaded
-// and the session re-created through the normal factory, which replays its
-// WAL — queries, watermark, estimator state and result cursors resume
-// where the previous process stopped. Sessions whose name is already live
-// are skipped (not an error), so Recover is safe to call once on startup
-// before any default-session creation. It returns the recovered session
-// names sorted; per-session failures are joined into the error but do not
-// stop the scan.
+// and the session re-created through the normal factory, which restores
+// its snapshot and replays the WAL after it — queries, watermark, estimator
+// state and result cursors resume where the previous process stopped.
+// Sessions whose name is already live are skipped (not an error), so
+// Recover is safe to call once on startup before any default-session
+// creation. It returns the recovered session names sorted; per-session
+// failures are joined into the error but do not stop the scan.
 func (m *Manager) Recover() ([]string, error) {
 	if m.cfg.DurabilityDir == "" {
 		return nil, nil
@@ -615,7 +615,8 @@ func (m *Manager) DurableSessions() ([]string, error) {
 
 // RecoverSession re-adopts one named session from its durable state: the
 // persisted manifest is loaded and the session re-created through the
-// normal factory, which replays its WAL. Already-live sessions are left
+// normal factory, which restores its snapshot and replays the WAL after
+// it. Already-live sessions are left
 // untouched (recovered=false); a name with no durable state is ErrNoSession.
 // This is the cluster handoff primitive: after a node dies, the new ring
 // owner recovers the displaced session from the shared durability volume.

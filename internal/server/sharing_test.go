@@ -90,8 +90,8 @@ func runSharingArm(t *testing.T, seed int64, workers int, disableSharing bool) (
 // runs against a sharing engine and a DisableSharing control — where every
 // query keeps a private ring — and everything a resident query can observe
 // of its result store must be identical between the two: every page of a
-// read from cursor 0 with its cursor and drop count, the counters, the
-// `results` entries of a checkpoint, and the engine's retentionDrops.
+// read from cursor 0 with its cursor and drop count, the counters, and the
+// engine's retentionDrops.
 // Sharing is an optimization, never a behavior change, including under
 // adaptive retunes and parallel epoch execution.
 func TestSharedDifferentialRandomized(t *testing.T) {
@@ -148,14 +148,6 @@ func TestSharedDifferentialRandomized(t *testing.T) {
 			}
 			if s, c := se.RetentionDrops(), ce.RetentionDrops(); s != c || s == 0 {
 				t.Fatalf("%s: retentionDrops %d shared vs %d control", what, s, c)
-			}
-			snapResults := func(e *Engine) []snapshotResult {
-				e.stepMu.Lock()
-				defer e.stepMu.Unlock()
-				return e.captureSnapshot(0).Results
-			}
-			if s, c := snapResults(se), snapResults(ce); len(s) != len(live) || !slices.Equal(s, c) {
-				t.Fatalf("%s: checkpoint results differ:\nshared  %+v\ncontrol %+v", what, s, c)
 			}
 		}
 	}

@@ -7,9 +7,12 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sync"
+
+	"repro/internal/codec"
 )
 
 // RNG is a seeded source of random variates: a PCG-DXSM generator
@@ -56,6 +59,35 @@ func (g *RNG) Fork() *RNG {
 // draw identical variates (the fabricator keys cell pipelines this way).
 func (g *RNG) ForkKeyed(key uint64) *RNG {
 	return NewRNG(int64(splitmix64(uint64(g.seed)^splitmix64(key))) & (1<<63 - 1))
+}
+
+// pcgStateBytes is the length of rand.PCG's binary form.
+const pcgStateBytes = 20
+
+// EncodeState appends the generator's seed and position to w: restoring
+// them continues the exact stream, keyed forks included.
+func (g *RNG) EncodeState(w *codec.Writer) {
+	state, err := g.pcg.MarshalBinary()
+	if err != nil || len(state) != pcgStateBytes {
+		w.Fail(fmt.Errorf("stats: encoding generator state: %v", err))
+		return
+	}
+	w.Varint(g.seed)
+	w.Raw(state)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (g *RNG) DecodeState(r *codec.Reader) {
+	seed := r.Varint()
+	state := r.Raw(pcgStateBytes)
+	if r.Err() != nil {
+		return
+	}
+	if err := g.pcg.UnmarshalBinary(state); err != nil {
+		r.Failf("generator state: %v", err)
+		return
+	}
+	g.seed = seed
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a strong 64-bit

@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/codec"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -14,6 +17,40 @@ func TestRNGDeterminism(t *testing.T) {
 		if a.Float64() != b.Float64() {
 			t.Fatalf("same-seed generators diverged at draw %d", i)
 		}
+	}
+}
+
+// TestRNGStateRoundTrip: a generator restored from its saved state
+// continues the exact stream — plain draws, cold samplers and keyed forks —
+// whatever the generator it is restored into.
+func TestRNGStateRoundTrip(t *testing.T) {
+	g := NewRNG(9)
+	for i := 0; i < 17; i++ {
+		g.Float64()
+	}
+	g.Normal(0, 1)
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	g.EncodeState(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := codec.Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewRNG(1)
+	h.DecodeState(r)
+	if err := r.Err(); err != nil || r.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, r.Remaining())
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := g.Float64(), h.Float64(); a != b {
+			t.Fatalf("draw %d: %v restored, %v original", i, b, a)
+		}
+	}
+	if g.Poisson(40) != h.Poisson(40) || g.Intn(1000) != h.Intn(1000) || g.ForkKeyed(3).Float64() != h.ForkKeyed(3).Float64() {
+		t.Fatal("restored generator's samplers or keyed forks diverge")
 	}
 }
 
@@ -236,11 +273,12 @@ func TestShuffleIsPermutation(t *testing.T) {
 }
 
 // TestRNGStreamPinned pins the generator's output. A durable session is
-// recovered by replaying its log through the same operators, so the stream a
-// seed yields has to survive a toolchain upgrade: PCG-DXSM is specified (and
-// math/rand/v2 promises not to change PCG's output), the seed expansion and
-// the 53-bit Float64 are this package's — a change to any of them must be
-// loud, and comes with a snapshotVersion bump (internal/server/durability.go).
+// recovered by restoring saved generator states and replaying its log
+// through the same operators, so the stream a seed yields has to survive a
+// toolchain upgrade: PCG-DXSM is specified (and math/rand/v2 promises not to
+// change PCG's output), the seed expansion and the 53-bit Float64 are this
+// package's — a change to any of them must be loud, and comes with a
+// snapshotVersion bump (internal/server/snapshot.go).
 func TestRNGStreamPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/codec"
 )
 
 // DefaultRetention is the per-query tuple retention used when a ResultStore
@@ -139,6 +141,90 @@ func (s *ResultStore) Join(leader *ResultStore) bool {
 	}
 	s.r.Store(r)
 	return true
+}
+
+// tupleMinBytes is the smallest encoding of a ring tuple.
+const tupleMinBytes = 5*8 + 1
+
+// EncodeShared appends the ring the handles read — its retention, cursors,
+// batch count and retained tuples — and every handle's attach point to w.
+// The handles must all be open and on one ring. A subplan's ring holds only
+// tuples of its attribute, so no tuple's attribute is written (DecodeShared
+// takes it as an argument). The ring's lock is held while its tuples stream
+// into w, so nothing is copied first.
+func EncodeShared(w *codec.Writer, handles []*ResultStore) {
+	if len(handles) == 0 {
+		w.Fail(errors.New("stream: encoding a ring with no handles"))
+		return
+	}
+	r := handles[0].lock()
+	defer r.mu.Unlock()
+	for _, h := range handles {
+		if h.r.Load() != r || h.closed {
+			w.Fail(errors.New("stream: encoding handles that do not share one open ring"))
+			return
+		}
+	}
+	w.Uvarint(uint64(r.retention))
+	w.Uvarint(r.total)
+	w.Uvarint(r.batches)
+	w.Uvarint(uint64(r.size))
+	// The retained tuples are at most two contiguous runs around the wrap.
+	wrap := min(r.head+r.size, len(r.buf))
+	for _, run := range [2][]Tuple{r.buf[r.head:wrap], r.buf[:r.size-(wrap-r.head)]} {
+		for i := range run {
+			tp := &run[i]
+			w.Uint64(tp.ID)
+			w.Float64s(tp.T, tp.X, tp.Y, tp.Value)
+			w.Int(tp.Sensor)
+		}
+	}
+	for _, h := range handles {
+		w.Uvarint(h.base)
+		w.Uvarint(h.baseBatches)
+	}
+}
+
+// DecodeShared restores what EncodeShared wrote as n open handles on one
+// ring, which must have the given retention (≤ 0 means DefaultRetention).
+func DecodeShared(rd *codec.Reader, attr string, retention, n int) []*ResultStore {
+	if retention <= 0 {
+		retention = DefaultRetention
+	}
+	r := &ring{live: n}
+	if got := rd.Uvarint(); got != uint64(retention) {
+		rd.Failf("ring retention %d, the session's is %d", got, retention)
+		return nil
+	}
+	r.retention = retention
+	r.total, r.batches = rd.Uvarint(), rd.Uvarint()
+	size := rd.Uvarint()
+	if size > uint64(retention) || size > r.total || size > uint64(rd.Remaining()/tupleMinBytes) {
+		rd.Failf("ring of %d retains %d of %d tuples", retention, size, r.total)
+		return nil
+	}
+	r.size = int(size)
+	r.first = r.total - size
+	if r.size > 0 {
+		r.buf = make([]Tuple, retention)
+		for i := range r.buf[:r.size] {
+			r.buf[i] = Tuple{ID: rd.Uint64(), Attr: attr, T: rd.Float64(), X: rd.Float64(), Y: rd.Float64(), Value: rd.Float64(), Sensor: rd.Int()}
+		}
+	}
+	out := make([]*ResultStore, 0, n)
+	for i := 0; i < n; i++ {
+		h := &ResultStore{base: rd.Uvarint(), baseBatches: rd.Uvarint()}
+		if h.base > r.total || h.baseBatches > r.batches {
+			rd.Failf("handle attached at %d/%d past the ring's %d/%d", h.base, h.baseBatches, r.total, r.batches)
+			return nil
+		}
+		h.r.Store(r)
+		out = append(out, h)
+	}
+	if rd.Err() != nil {
+		return nil
+	}
+	return out
 }
 
 // SharesRing reports whether s and o read the same ring, so that a batch

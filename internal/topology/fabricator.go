@@ -589,26 +589,6 @@ func (f *Fabricator) VisitLastReports(fn func(Key, pmat.ViolationReport)) {
 	}
 }
 
-// VisitPipelines calls fn for every materialized pipeline in deterministic
-// (attr, row-major) order. Like VisitLastReports, the pipeline list is
-// snapshotted under the read lock and fn runs after it is released; the
-// engine's snapshot writer walks this to record per-cell estimator state.
-func (f *Fabricator) VisitPipelines(fn func(Key, *CellPipeline)) {
-	f.mu.RLock()
-	keys := make([]Key, 0, len(f.cells))
-	pipes := make([]*CellPipeline, 0, len(f.cells))
-	for _, a := range f.attrs {
-		for _, p := range f.order[a] {
-			keys = append(keys, p.key)
-			pipes = append(pipes, p)
-		}
-	}
-	f.mu.RUnlock()
-	for i, k := range keys {
-		fn(k, pipes[i])
-	}
-}
-
 // QueryPlan returns a query's merge plan (nil when unknown).
 func (f *Fabricator) QueryPlan(id string) *MergePlan {
 	f.mu.RLock()

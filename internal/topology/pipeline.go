@@ -210,7 +210,14 @@ func (p *CellPipeline) AddTap(q query.Query, overlap geom.Rect, sink stream.Proc
 	if err != nil {
 		return err
 	}
-	t := &tap{queryID: q.ID, region: overlap, sink: sink}
+	return p.tapNode(node, q.ID, overlap, sink)
+}
+
+// tapNode attaches a query's sink at a rate node: directly when overlap is
+// the whole cell, through a P-operator partitioning out the overlap
+// otherwise.
+func (p *CellPipeline) tapNode(node *rateNode, queryID string, overlap geom.Rect, sink stream.Processor) error {
+	t := &tap{queryID: queryID, region: overlap, sink: sink}
 	fullCell := overlap.Equal(p.cellRect)
 	if fullCell {
 		// The query perfectly overlaps the cell: connect directly, no
@@ -221,7 +228,7 @@ func (p *CellPipeline) AddTap(q query.Query, overlap geom.Rect, sink stream.Proc
 		if err != nil {
 			return err
 		}
-		port, err := part.AddBranch(q.ID, overlap)
+		port, err := part.AddBranch(queryID, overlap)
 		if err != nil {
 			return err
 		}

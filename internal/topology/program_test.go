@@ -100,11 +100,13 @@ func (a *programArm) feed(order batchOrder, epoch, n int) {
 // operators and, per resident query, its plan's U-operator.
 func (a *programArm) operatorFlows() map[string]stream.FlowStats {
 	out := map[string]stream.FlowStats{}
-	a.fab.VisitPipelines(func(_ Key, p *CellPipeline) {
+	a.fab.mu.RLock()
+	for _, p := range a.fab.cells {
 		for _, op := range p.Operators() {
 			out[op.Name()] = op.Stats()
 		}
-	})
+	}
+	a.fab.mu.RUnlock()
 	for _, id := range a.ids {
 		if u := a.fab.QueryPlan(id).Union; u != nil {
 			out[u.Name()] = u.Stats()

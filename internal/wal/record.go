@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -207,7 +208,12 @@ func (d *decoder) uint32() uint32 {
 	return v
 }
 
-func (d *decoder) string() string {
+func (d *decoder) string() string { return d.interned("") }
+
+// interned reads a string, returning prev itself when the bytes equal it —
+// a push's tuples almost always share one attribute, so the record pays for
+// one string instead of one per tuple.
+func (d *decoder) interned(prev string) string {
 	if d.err || d.off+2 > len(d.buf) {
 		d.err = true
 		return ""
@@ -218,18 +224,21 @@ func (d *decoder) string() string {
 		d.err = true
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return s
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 // decode parses payload into r, returning errCorruptRecord on any framing
-// violation.
+// violation. r's Tuples storage is reused (see Log.ReplayFrom).
 func (r *Record) decode(payload []byte) error {
 	if len(payload) == 0 {
 		return errCorruptRecord
 	}
-	*r = Record{Type: Type(payload[0])}
+	*r = Record{Type: Type(payload[0]), Tuples: r.Tuples[:0]}
 	d := decoder{buf: payload, off: 1}
 	switch r.Type {
 	case TypeSubmit:
@@ -248,9 +257,12 @@ func (r *Record) decode(payload []byte) error {
 		if d.err || int(n) > len(payload)/8 { // cheap sanity bound
 			return errCorruptRecord
 		}
-		r.Tuples = make([]stream.Tuple, 0, n)
+		r.Tuples = slices.Grow(r.Tuples, int(n))
+		attr := ""
 		for i := uint32(0); i < n; i++ {
-			tp := stream.Tuple{ID: d.uint64(), Attr: d.string()}
+			tp := stream.Tuple{ID: d.uint64()}
+			attr = d.interned(attr)
+			tp.Attr = attr
 			tp.T = d.float64()
 			tp.X = d.float64()
 			tp.Y = d.float64()

@@ -14,6 +14,11 @@
 // truncates it (and removes any later segments) instead of failing, so a
 // crash mid-append never loses the prefix that was acked.
 //
+// A Position names a point in the log (segment, byte offset, records before
+// it). ReplayFrom starts at one — the suffix after a restored snapshot — and
+// DeleteBefore drops whole segments behind one, which is how a session's
+// disk use stays bounded; segment numbers keep counting up across deletions.
+//
 // Durability is policy-driven (FsyncAlways / FsyncBatch / FsyncNever).
 // Under FsyncBatch, Commit is a group-commit barrier: the first committer
 // fsyncs for everyone that appended before it, and committers arriving
@@ -30,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -92,7 +98,7 @@ type Config struct {
 	Fsync Policy
 	// SegmentBytes rotates to a fresh segment once the current one reaches
 	// this size (0 = DefaultSegmentBytes). Rotation bounds single-file size;
-	// old segments are retained — the full log is the replay source.
+	// old segments stay until DeleteBefore removes them.
 	SegmentBytes int64
 	// ReadOnly opens the log for Replay only: no truncation of torn tails,
 	// no appending. The offline craqr-replay tool uses it to inspect a live
@@ -128,11 +134,23 @@ var ErrReadOnly = errors.New("wal: log is read-only")
 type Stats struct {
 	Segments int   // live segment files
 	Bytes    int64 // total bytes across segments
-	Records  uint64
+	// Records is the log position in records: every record ever appended,
+	// including those in segments DeleteBefore removed.
+	Records uint64
+}
+
+// Position is a point in the log: the segment number (the N of
+// "wal-N.seg"), the byte offset within that segment, and how many records
+// the whole log holds before it. The zero Position is the start of the log.
+type Position struct {
+	Segment int
+	Offset  int64
+	Records uint64
 }
 
 // ReplayReport describes what Replay found.
 type ReplayReport struct {
+	// Records is how many records the replay read (from its start position).
 	Records int
 	// Torn is set when a torn or corrupt frame ended the scan early; the log
 	// was truncated at that point (unless read-only) so the next append
@@ -156,7 +174,7 @@ type Log struct {
 	f        File     // current segment, open for append (nil until Replay)
 	segSize  int64    // bytes in the current segment
 	total    int64    // bytes across all segments
-	appended uint64   // records appended (incl. replayed prefix)
+	appended uint64   // the log position in records (see Stats.Records)
 	synced   uint64   // records known durable
 	closed   bool
 	replayed bool
@@ -206,43 +224,74 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// Replay scans every segment from the beginning, decoding each record and
-// invoking fn in log order. A framing or checksum failure truncates the
-// log there — the torn tail and any later segments are discarded (the
-// suffix of an append-ordered log is exactly what a crash may lose) — and
-// the scan ends without error; fn errors abort the scan and are returned.
-// After Replay the log is positioned for Append.
+// Replay is ReplayFrom at the zero Position: every retained record, from
+// the oldest segment. On a log whose older segments DeleteBefore removed
+// (Compacted), record counts then start at the oldest retained segment.
 func (l *Log) Replay(fn func(*Record) error) (ReplayReport, error) {
+	return l.ReplayFrom(Position{}, fn)
+}
+
+// ReplayFrom decodes every record from position from onward and invokes fn
+// on each in log order; the zero Position starts at the oldest segment. The
+// *Record passed to fn — its Tuples included — is reused for the next
+// record, so fn must copy whatever it keeps. A framing or checksum failure
+// truncates the log there — the torn tail and any later segments are
+// discarded (the suffix of an append-ordered log is exactly what a crash may
+// lose) — and the scan ends without error; fn errors abort the scan and are
+// returned. After ReplayFrom the log is positioned for Append, and Stats
+// counts records from from.Records.
+func (l *Log) ReplayFrom(from Position, fn func(*Record) error) (ReplayReport, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.replayed {
 		return ReplayReport{}, errors.New("wal: Replay called twice")
 	}
-	var rep ReplayReport
-	tornAt := -1 // index into l.segs of the segment holding the torn tail
-	var tornOff int64
-scan:
-	for i, path := range l.segs {
-		data, err := os.ReadFile(path)
+	first := 0 // index into l.segs of the segment the scan starts in
+	if from.Segment != 0 {
+		if first = l.segIndex(from.Segment); first < 0 {
+			return ReplayReport{}, fmt.Errorf("wal: segment %d is not in the log", from.Segment)
+		}
+	}
+	for _, path := range l.segs[:first] {
+		info, err := os.Stat(path)
 		if err != nil {
-			return rep, fmt.Errorf("wal: %w", err)
+			return ReplayReport{}, fmt.Errorf("wal: %w", err)
+		}
+		l.total += info.Size()
+	}
+	l.appended = from.Records
+	var (
+		rep     ReplayReport
+		rec     Record
+		buf     []byte // every segment is read into this one buffer
+		tornAt  = -1   // index into l.segs of the segment holding the torn tail
+		tornOff int64
+	)
+scan:
+	for i := first; i < len(l.segs); i++ {
+		base := int64(0) // data[0] is this byte of the segment
+		if i == first {
+			base = from.Offset
+		}
+		data, err := readSegment(l.segs[i], base, &buf)
+		if err != nil {
+			return rep, err
 		}
 		off := int64(0)
 		for int64(len(data))-off >= frameHeaderSize {
 			n := binary.LittleEndian.Uint32(data[off:])
 			sum := binary.LittleEndian.Uint32(data[off+4:])
 			if n == 0 || n > MaxRecordBytes || off+frameHeaderSize+int64(n) > int64(len(data)) {
-				tornAt, tornOff = i, off
+				tornAt, tornOff = i, base+off
 				break scan
 			}
 			payload := data[off+frameHeaderSize : off+frameHeaderSize+int64(n)]
 			if crc32.ChecksumIEEE(payload) != sum {
-				tornAt, tornOff = i, off
+				tornAt, tornOff = i, base+off
 				break scan
 			}
-			var rec Record
 			if err := rec.decode(payload); err != nil {
-				tornAt, tornOff = i, off
+				tornAt, tornOff = i, base+off
 				break scan
 			}
 			if fn != nil {
@@ -254,11 +303,11 @@ scan:
 			off += frameHeaderSize + int64(n)
 			l.appended++
 		}
-		if off != int64(len(data)) && tornAt < 0 {
-			tornAt, tornOff = i, off // trailing partial frame
+		if off != int64(len(data)) {
+			tornAt, tornOff = i, base+off // trailing partial frame
 			break scan
 		}
-		l.total += off
+		l.total += base + off
 	}
 	if tornAt >= 0 {
 		rep.Torn = true
@@ -310,6 +359,111 @@ scan:
 		return rep, err
 	}
 	return rep, nil
+}
+
+// readSegment reads a segment file from byte from to its end into *buf,
+// growing it as needed, and returns the filled part.
+func readSegment(path string, from int64, buf *[]byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	if from > info.Size() {
+		return nil, fmt.Errorf("wal: position %d is past the end of %s (%d bytes)", from, filepath.Base(path), info.Size())
+	}
+	n := int(info.Size() - from)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	data := (*buf)[:n]
+	if _, err := f.ReadAt(data, from); err != nil && !(errors.Is(err, io.EOF) && n == 0) {
+		return nil, fmt.Errorf("wal: reading %s: %w", filepath.Base(path), err)
+	}
+	return data, nil
+}
+
+// segNumber parses the N of a "wal-N.seg" path (0 if it does not parse).
+func segNumber(path string) int {
+	name := filepath.Base(path)
+	n, _ := strconv.Atoi(name[len(segPrefix) : len(name)-len(segSuffix)])
+	return n
+}
+
+// segIndex returns the index into l.segs of segment number n, or −1.
+func (l *Log) segIndex(n int) int {
+	for i, path := range l.segs {
+		if segNumber(path) == n {
+			return i
+		}
+	}
+	return -1
+}
+
+// Reaches reports whether the log holds every byte before pos: its segment
+// is present and at least pos.Offset long. Recovery uses it before
+// ReplayFrom to refuse a snapshot that claims records the log no longer has.
+func (l *Log) Reaches(pos Position) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := l.segIndex(pos.Segment)
+	if i < 0 {
+		return false
+	}
+	info, err := os.Stat(l.segs[i])
+	return err == nil && info.Size() >= pos.Offset
+}
+
+// Compacted reports whether DeleteBefore has removed the log's first
+// segments, so that a replay from the zero Position cannot rebuild the
+// session.
+func (l *Log) Compacted() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs) > 0 && segNumber(l.segs[0]) > 1
+}
+
+// Position returns where the next record will be appended: the current
+// segment, its size, and the record count. Callers that need it exact
+// against concurrent appends serialize with the appenders themselves.
+func (l *Log) Position() Position {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	p := Position{Offset: l.segSize, Records: l.appended}
+	if len(l.segs) > 0 {
+		p.Segment = segNumber(l.segs[len(l.segs)-1])
+	}
+	return p
+}
+
+// DeleteBefore removes every whole segment numbered below segment — never
+// the current one — and returns how many it removed. Their records are gone
+// for good, so a caller deletes only behind a durable snapshot that no
+// longer needs them.
+func (l *Log) DeleteBefore(segment int) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cfg.ReadOnly {
+		return 0, ErrReadOnly
+	}
+	n := 0
+	for ; n < len(l.segs)-1 && segNumber(l.segs[n]) < segment; n++ {
+		info, err := os.Stat(l.segs[n])
+		if err == nil {
+			err = os.Remove(l.segs[n])
+		}
+		if err != nil {
+			l.segs = l.segs[n:]
+			return n, fmt.Errorf("wal: deleting segment: %w", err)
+		}
+		l.total -= info.Size()
+	}
+	l.segs = append(l.segs[:0:0], l.segs[n:]...)
+	return n, nil
 }
 
 func (l *Log) wrap(f *os.File) (File, error) {
@@ -402,7 +556,7 @@ func (l *Log) rotateLocked() error {
 	}
 	l.synced = l.appended
 	l.retired = append(l.retired, l.f)
-	return l.openSegmentLocked(len(l.segs) + 1)
+	return l.openSegmentLocked(segNumber(l.segs[len(l.segs)-1]) + 1)
 }
 
 // Commit is the durability barrier producers ack behind: it returns once
@@ -461,30 +615,6 @@ func (l *Log) Commit() error {
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
 	}
-}
-
-// Sync unconditionally flushes the current segment (used before writing a
-// snapshot, so a snapshot never claims records the log could lose).
-func (l *Log) Sync() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	if l.closed || l.cfg.ReadOnly || l.f == nil {
-		l.mu.Unlock()
-		return nil
-	}
-	f := l.f
-	covers := l.appended
-	l.mu.Unlock()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	l.mu.Lock()
-	if l.synced < covers {
-		l.synced = covers
-	}
-	l.mu.Unlock()
-	return nil
 }
 
 // Close flushes and closes the log. Committers still waiting on records

@@ -130,6 +130,128 @@ func TestRotation(t *testing.T) {
 	}
 }
 
+// appendEpochs appends n epoch records numbered from first, returning the
+// log's position before each one.
+func appendEpochs(t *testing.T, l *Log, first, n int) ([]Record, []Position) {
+	t.Helper()
+	var recs []Record
+	var at []Position
+	for i := first; i < first+n; i++ {
+		at = append(at, l.Position())
+		rec := Record{Type: TypeEpoch, T1: float64(i), Epoch: uint64(i)}
+		if err := l.Append(&rec); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs, at
+}
+
+// TestReplayFromPosition: a replay started at any position a writer read
+// between appends yields exactly the records appended after it — across
+// segment boundaries — and leaves the log counting records absolutely.
+func TestReplayFromPosition(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{SegmentBytes: 128}
+	l, _, _ := openForAppend(t, dir, cfg)
+	recs, at := appendEpochs(t, l, 1, 40)
+	if l.Stats().Segments < 4 {
+		t.Fatalf("want several segments, got %d", l.Stats().Segments)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 7, 8, 23, 39} {
+		cfg.Dir = dir
+		l2, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l2.Reaches(at[k]) {
+			t.Fatalf("log does not reach position %+v", at[k])
+		}
+		var got []Record
+		rep, err := l2.ReplayFrom(at[k], func(r *Record) error {
+			got = append(got, *r)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("ReplayFrom(%+v): %v", at[k], err)
+		}
+		recordsEqual(t, recs[k:], got)
+		if rep.Records != len(recs)-k || l2.Stats().Records != uint64(len(recs)) {
+			t.Fatalf("from record %d: replayed %d, log at %d", k, rep.Records, l2.Stats().Records)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeleteBeforeCompacts: deleting the segments before a position frees
+// their bytes, keeps the current segment, and leaves a log that replays
+// from that position, appends under fresh segment numbers and refuses
+// positions it no longer reaches.
+func TestDeleteBeforeCompacts(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{SegmentBytes: 128}
+	l, _, _ := openForAppend(t, dir, cfg)
+	recs, at := appendEpochs(t, l, 1, 40)
+	keep := at[25]
+	before := l.Stats()
+	n, err := l.DeleteBefore(keep.Segment)
+	if err != nil || n != keep.Segment-1 {
+		t.Fatalf("DeleteBefore(%d) = %d, %v", keep.Segment, n, err)
+	}
+	after := l.Stats()
+	if !l.Compacted() || after.Segments != before.Segments-n || after.Bytes >= before.Bytes || after.Records != before.Records {
+		t.Fatalf("after deleting %d segments: %+v, before %+v", n, after, before)
+	}
+	more, _ := appendEpochs(t, l, 41, 20)
+	recs = append(recs, more...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir = dir
+	l2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Reaches(at[0]) || !l2.Reaches(keep) {
+		t.Fatal("Reaches disagrees with what was deleted")
+	}
+	var got []Record
+	if _, err := l2.ReplayFrom(keep, func(r *Record) error {
+		got = append(got, *r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	recordsEqual(t, recs[25:], got)
+	if st := l2.Stats(); st.Records != uint64(len(recs)) || st.Bytes != sumSegmentBytes(t, dir) {
+		t.Fatalf("reopened compacted log: %+v (on disk %d bytes)", st, sumSegmentBytes(t, dir))
+	}
+	// The last segment is never deleted, whatever the position.
+	if _, err := l2.DeleteBefore(1 << 30); err != nil || l2.Stats().Segments != 1 {
+		t.Fatalf("DeleteBefore past the end: %v, %d segments left", err, l2.Stats().Segments)
+	}
+}
+
+func sumSegmentBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	var n int64
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l, _, _ := openForAppend(t, dir, Config{})

@@ -15,7 +15,8 @@
 # ordering pass's worst case, BenchmarkTopologyConstruction's fleet of
 # operators and generators built from nothing — and the durability
 # suite: BenchmarkWALAppend per fsync policy, BenchmarkRecovery's
-# cold-start replay, and BenchmarkIngestDurable's WAL-enabled push path —
+# snapshot-plus-suffix recovery of sessions 1k, 10k and 100k epochs old,
+# and BenchmarkIngestDurable's WAL-enabled push path —
 # plus BenchmarkQueryChurn's resident-query churn matrix, shared vs
 # unshared at 1k/10k queries with a heapB/query memory metric, and
 # BenchmarkResultFanout's one-epoch-into-1/8/64-members rows,
@@ -31,7 +32,8 @@
 # to BenchmarkWALAppend/fsync=always) + BenchmarkWire* +
 # BenchmarkQueryChurn + BenchmarkResultFanout + BenchmarkEpochFanout +
 # BenchmarkMLE + BenchmarkFlattenSteady + BenchmarkEpochAssembly +
-# BenchmarkTopologyConstruction + BenchmarkJSONLinesExport runs against the
+# BenchmarkTopologyConstruction + BenchmarkJSONLinesExport +
+# BenchmarkRecovery (age=100k as its ratio to age=1k) runs against the
 # one committed
 # BENCH_*.json and fails on >15% ns/op regression, or when it finds more
 # than one: a PR that commits a new BENCH_<date>.json deletes the one it

@@ -23,7 +23,8 @@
 # BenchmarkJSONLinesExport (the ndjson result encoder on short decimals, which
 # wire.AppendJSONFloat renders with integer arithmetic, and on full-precision
 # floats, which it hands to strconv — the second row guards what a miss
-# costs) and compares ns/op per sub-benchmark
+# costs), BenchmarkRecovery (crash recovery of a session 1k, 10k and 100k
+# epochs old; see "Age policy") and compares ns/op per sub-benchmark
 # against the one committed BENCH_*.json trajectory file, failing when
 # any sub-benchmark is more than BENCH_TOLERANCE_PCT percent slower
 # (default 15). Benchmarks present in only one side are reported and
@@ -53,6 +54,13 @@
 # push or a slower push path moves only the first. The WALAppend rows are
 # that reference and are not guarded themselves.
 #
+# Age policy: recovery restores a snapshot and replays at most about two
+# snapshot intervals, so it must cost the same however old the session is.
+# BenchmarkRecovery/age=100k is guarded as its ratio to the same run's
+# age=1k, against a fixed limit of RECOVERY_AGE_RATIO (default 1.5) rather
+# than the baseline; the other age rows are that reference and are not
+# guarded themselves.
+#
 # GOMAXPROCS suffixes ("-8") are stripped before matching so baselines
 # recorded on different machines still line up. Benchmarks present in only
 # one side are reported and skipped.
@@ -78,13 +86,13 @@ echo "bench_guard: comparing against $base (tolerance ${tol}%)"
 raw=$(mktemp) basevals=$(mktemp) curvals=$(mktemp) failing=$(mktemp) retryvals=$(mktemp)
 trap 'rm -f "$raw" "$basevals" "$curvals" "$failing" "$retryvals"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWALAppend|BenchmarkWire|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady|BenchmarkEpochAssembly|BenchmarkTopologyConstruction|BenchmarkJSONLinesExport' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWALAppend|BenchmarkWire|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady|BenchmarkEpochAssembly|BenchmarkTopologyConstruction|BenchmarkJSONLinesExport|BenchmarkRecovery' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
 
 # Baseline pairs (name ns_per_op) from the JSON written by bench.sh.
-sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|WALAppend\|Wire\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\|EpochAssembly\|TopologyConstruction\|JSONLinesExport\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
+sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|WALAppend\|Wire\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\|EpochAssembly\|TopologyConstruction\|JSONLinesExport\|Recovery\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
     | sed 's/-[0-9]* / /' > "$basevals"
 # Current pairs from the benchmark output, best ns/op per name.
-awk '/^Benchmark(EndToEnd|Ingest|WALAppend|Wire|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady|EpochAssembly|TopologyConstruction|JSONLinesExport)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
+awk '/^Benchmark(EndToEnd|Ingest|WALAppend|Wire|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady|EpochAssembly|TopologyConstruction|JSONLinesExport|Recovery)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
     | sed 's/-[0-9]* / /' > "$curvals"
 
 if [ ! -s "$curvals" ]; then
@@ -93,16 +101,22 @@ if [ ! -s "$curvals" ]; then
 fi
 
 # as_ratio file: replaces the IngestDurable row by its ratio to the file's
-# fsync reference and drops the WALAppend rows (see "Disk policy").
+# fsync reference and drops the WALAppend rows (see "Disk policy"), and
+# replaces the Recovery age=100k row by its ratio to age=1k and drops the
+# other Recovery rows (see "Age policy").
 durable=BenchmarkIngestDurable fsyncref=BenchmarkWALAppend/fsync=always
+aged=BenchmarkRecovery/age=100k ageref=BenchmarkRecovery/age=1k
+age_limit="${RECOVERY_AGE_RATIO:-1.5}"
 as_ratio() {
-    awk -v d="$durable" -v r="$fsyncref" '
+    awk -v d="$durable" -v r="$fsyncref" -v a="$aged" -v ar="$ageref" '
         $1 == r { ref = $2 }
-        $1 !~ /^BenchmarkWALAppend\// { name[++n] = $1; val[n] = $2 }
+        $1 == ar { aref = $2 }
+        $1 !~ /^Benchmark(WALAppend|Recovery)\// || $1 == a { name[++n] = $1; val[n] = $2 }
         END {
             for (i = 1; i <= n; i++) {
-                if (name[i] != d) print name[i], val[i]
-                else if (ref > 0) print d, val[i] / ref
+                if (name[i] == d) { if (ref > 0) print d, val[i] / ref }
+                else if (name[i] == a) { if (aref > 0) print a, val[i] / aref }
+                else print name[i], val[i]
             }
         }' "$1" > "$1.new"
     mv "$1.new" "$1"
@@ -114,8 +128,9 @@ as_ratio "$curvals"
 # their limit (benchmarks missing on either side are skipped here and
 # reported in the final verdict).
 over_budget() {
-    awk -v tol="$tol" '
+    awk -v tol="$tol" -v a="$aged" -v al="$age_limit" '
         FNR == NR { base[$1] = $2; next }
+        $1 == a { if ($2 > al) print $1, $2; next }
         ($1 in base) && $2 > base[$1] * (1 + tol / 100) { print $1, $2 }
     ' "$1" "$2"
 }
@@ -136,6 +151,9 @@ if [ -s "$failing" ]; then
         if [ "$name" = "$durable" ]; then
             pattern='^BenchmarkIngestDurable$|^BenchmarkWALAppend$/^fsync=always$'
         fi
+        if [ "$name" = "$aged" ]; then
+            pattern='^BenchmarkRecovery$/^age=(1k|100k)$'
+        fi
         bestline=$(go test -run '^$' -bench "$pattern" -benchtime "${RETRY_BENCHTIME:-300ms}" -count "${RETRY_COUNT:-5}" . \
             | awk '$0 ~ /^Benchmark/ {sub(/-[0-9]+$/, "", $1); if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' \
             > "$retryvals"; as_ratio "$retryvals"; awk -v n="$name" '$1 == n' "$retryvals")
@@ -149,13 +167,23 @@ if [ -s "$failing" ]; then
     done < "$failing"
 fi
 
-awk -v tol="$tol" -v d="$durable" '
+awk -v tol="$tol" -v d="$durable" -v a="$aged" -v al="$age_limit" '
     FNR == NR { base[$1] = $2; next }
     { cur[$1] = $2 }
     END {
         status = 0
         checked = 0
         for (n in cur) {
+            if (n == a) {
+                checked++
+                verdict = "ok"
+                if (cur[n] > al) {
+                    verdict = "REGRESSION"
+                    status = 1
+                }
+                printf "bench_guard: %s %s: %.3f × age=1k (limit %.2f)\n", verdict, n, cur[n], al
+                continue
+            }
             if (!(n in base)) {
                 printf "bench_guard: %s has no baseline entry; skipping\n", n
                 continue

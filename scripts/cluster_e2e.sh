@@ -9,7 +9,8 @@
 #      and remember each session's full result history,
 #   4. SIGKILL the node hosting the probe session,
 #   5. assert the gateway detects the death within the failure-detection
-#      window, hands the displaced sessions to survivors by WAL replay, and
+#      window, hands the displaced sessions to survivors (each recovers from
+#      its snapshots plus the WAL after them), and
 #      every session's recovered history is byte-identical to the pre-kill
 #      read — then keeps accepting new epochs.
 #

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # crash_e2e.sh — kill-and-restart durability end-to-end:
 #
-#   1. start craqrd with -data-dir and an external-source default session,
-#   2. submit a query, push observation batches, step epochs, page results,
+#   1. start craqrd with -data-dir, an external-source default session and a
+#      snapshot every 2 epochs,
+#   2. submit a query, push observation batches and step 12 epochs (six
+#      snapshots, WAL segments compacted behind them), page results,
 #   3. SIGKILL the daemon mid-flight (no drain, no final fsync beyond policy),
 #   4. restart on the same -data-dir,
-#   5. assert the session recovered — same epochs, same query, and the
-#      result cursor resumes exactly where the pre-crash consumer stopped.
+#   5. assert the session recovered from a snapshot — same epochs, same
+#      query, fewer WAL records replayed than were written, the replayed
+#      state verified against the newest snapshot — and the result cursor
+#      resumes exactly where the pre-crash consumer stopped; then step once
+#      more.
 #
 # Needs only bash + curl + python3 (for JSON asserts). Run from the repo
 # root: scripts/crash_e2e.sh [port]
@@ -36,7 +41,7 @@ wait_up() {
 }
 
 start_daemon() {
-  "$BIN" -addr ":$PORT" -data-dir "$DATA/state" -fsync always -source external &
+  "$BIN" -addr ":$PORT" -data-dir "$DATA/state" -fsync always -source external -snapshot-every 2 &
   PID=$!
   wait_up
 }
@@ -47,10 +52,10 @@ go build -o "$BIN" ./cmd/craqrd
 echo "crash_e2e: starting craqrd (data-dir=$DATA/state, fsync=always)"
 start_daemon
 
-# Submit a query and feed three epochs of observations.
+# Submit a query and feed twelve epochs of observations.
 QID=$(curl -fsS -X POST -d 'ACQUIRE rain FROM RECT(0,0,8,8) RATE 5' \
   "$BASE/v1/sessions/default/queries" | json "['id']")
-for e in 0 1 2; do
+for e in $(seq 0 11); do
   curl -fsS -X POST -H 'Content-Type: application/json' -d @- \
     "$BASE/v1/sessions/default/ingest" >/dev/null <<EOF
 {"attr":"rain","watermark":$((e + 1)),"observations":[
@@ -61,7 +66,8 @@ EOF
 done
 
 EPOCHS=$(curl -fsS "$BASE/v1/sessions/default" | json "['epochs']")
-[ "$EPOCHS" -eq 3 ] || { echo "crash_e2e: pre-crash epochs=$EPOCHS, want 3" >&2; exit 1; }
+[ "$EPOCHS" -eq 12 ] || { echo "crash_e2e: pre-crash epochs=$EPOCHS, want 12" >&2; exit 1; }
+WRITTEN=$(curl -fsS "$BASE/v1/sessions/default/status" | json "['durability']['walRecords']")
 
 # A consumer pages partway through the stream, remembering its cursor and
 # what remains unread.
@@ -82,7 +88,11 @@ EPOCHS2=$(echo "$SESSION" | json "['epochs']")
 RECOVERED=$(echo "$SESSION" | json "['recovered']")
 [ "$EPOCHS2" -eq "$EPOCHS" ] || { echo "crash_e2e: recovered epochs=$EPOCHS2, want $EPOCHS" >&2; exit 1; }
 [ "$RECOVERED" = "True" ] || { echo "crash_e2e: session does not report recovered" >&2; exit 1; }
-curl -fsS "$BASE/v1/sessions/default/status" | json "['durability']['replayedRecords']" >/dev/null
+DUR=$(curl -fsS "$BASE/v1/sessions/default/status")
+REPLAYED=$(echo "$DUR" | json "['durability']['replayedRecords']")
+VERIFIED=$(echo "$DUR" | json "['durability']['snapshotVerified']")
+[ "$REPLAYED" -lt "$WRITTEN" ] || { echo "crash_e2e: replayed $REPLAYED of $WRITTEN WAL records; recovery did not start from a snapshot" >&2; exit 1; }
+[ "$VERIFIED" = "True" ] || { echo "crash_e2e: the replayed state was not verified against the newest snapshot" >&2; exit 1; }
 
 # The pre-crash cursor resumes mid-stream with an identical unread suffix.
 REST_AFTER=$(curl -fsS "$BASE/v1/sessions/default/results/$QID?cursor=$CURSOR" | json "['tuples']")
@@ -95,7 +105,7 @@ fi
 
 # The recovered session keeps working: another epoch of pushes lands.
 curl -fsS -X POST -H 'Content-Type: application/json' \
-  -d '{"attr":"rain","watermark":4,"observations":[{"t":3.2,"x":1,"y":2,"value":5}]}' \
+  -d '{"attr":"rain","watermark":13,"observations":[{"t":12.2,"x":1,"y":2,"value":5}]}' \
   "$BASE/v1/sessions/default/ingest" >/dev/null
 curl -fsS -X POST "$BASE/v1/sessions/default/step" >/dev/null
 EPOCHS3=$(curl -fsS "$BASE/v1/sessions/default" | json "['epochs']")
@@ -103,4 +113,4 @@ EPOCHS3=$(curl -fsS "$BASE/v1/sessions/default" | json "['epochs']")
 
 kill "$PID" 2>/dev/null && wait "$PID" 2>/dev/null || true
 PID=""
-echo "crash_e2e: OK — kill -9 recovery resumed $EPOCHS epochs and the open cursor"
+echo "crash_e2e: OK — kill -9 recovery resumed $EPOCHS epochs from a snapshot ($REPLAYED of $WRITTEN WAL records replayed) and the open cursor"
