@@ -57,9 +57,8 @@
 # Age policy: recovery restores a snapshot and replays at most about two
 # snapshot intervals, so it must cost the same however old the session is.
 # BenchmarkRecovery/age=100k is guarded as its ratio to the same run's
-# age=1k, against a fixed limit of RECOVERY_AGE_RATIO (default 1.5) rather
-# than the baseline; the other age rows are that reference and are not
-# guarded themselves.
+# age=1k, against a fixed limit of 1.5 rather than the baseline; the other
+# age rows are that reference and are not guarded themselves.
 #
 # GOMAXPROCS suffixes ("-8") are stripped before matching so baselines
 # recorded on different machines still line up. Benchmarks present in only
@@ -106,7 +105,7 @@ fi
 # other Recovery rows (see "Age policy").
 durable=BenchmarkIngestDurable fsyncref=BenchmarkWALAppend/fsync=always
 aged=BenchmarkRecovery/age=100k ageref=BenchmarkRecovery/age=1k
-age_limit="${RECOVERY_AGE_RATIO:-1.5}"
+age_limit=1.5
 as_ratio() {
     awk -v d="$durable" -v r="$fsyncref" -v a="$aged" -v ar="$ageref" '
         $1 == r { ref = $2 }
