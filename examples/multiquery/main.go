@@ -67,7 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, _ := engine.Fabricator().Registry().Get(id)
+		q, _ := engine.Fabricator().Query(id)
 		fmt.Printf("  %s delivered %5d tuples → %.2f /unit-area/epoch (requested %g)\n",
 			id, len(tuples), float64(len(tuples))/(epochs*q.Region.Area()), q.Rate)
 	}

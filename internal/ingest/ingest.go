@@ -4,11 +4,6 @@
 //
 // Three pieces compose it:
 //
-//   - Source abstracts "where an epoch's observations come from". The
-//     simulated fleet (request/response handler) is one implementation
-//     (FleetSource); externally pushed observations are another
-//     (QueueSource); MixedSource runs both and merges per epoch.
-//
 //   - Queue is the bounded per-session ingest buffer. Producers push
 //     tuples carrying event-time timestamps; the queue accounts overflow
 //     and late arrivals explicitly (never silently lost) and assembles
@@ -22,6 +17,11 @@
 //     engine's Step reports the epoch open instead of fabricating from
 //     incomplete data. Producers that fall idle assert a watermark
 //     explicitly (a push with no observations) to let epochs close.
+//
+//   - QueueSource drains a closed epoch out of the queue and assembles it
+//     into one (T, ID)-ordered batch per attribute. The engine takes those
+//     batches as they are in external mode and appends them after the
+//     simulated fleet's in mixed mode.
 //
 // See DESIGN.md, "External ingestion and watermarks".
 package ingest

@@ -247,8 +247,8 @@ func (q *Queue) Ready(t1 float64) bool {
 }
 
 // Active reports whether the queue has ever seen a push or watermark
-// assertion — MixedSource free-runs the simulated fleet until the first
-// producer shows up.
+// assertion — a mixed-source engine free-runs the simulated fleet until the
+// first producer shows up.
 func (q *Queue) Active() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()

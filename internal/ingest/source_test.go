@@ -1,22 +1,11 @@
 package ingest
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/stream"
 )
-
-// stubSource is a canned fleet stand-in.
-type stubSource struct {
-	batches map[string]stream.Batch
-}
-
-func (s stubSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
-	return s.batches, nil
-}
 
 func TestQueueSourceGroupsByAttr(t *testing.T) {
 	region := geom.NewRect(0, 0, 8, 8)
@@ -67,64 +56,4 @@ func ids(ts []stream.Tuple) [2]uint64 {
 		}
 	}
 	return out
-}
-
-func TestMixedSourceMergesAndGates(t *testing.T) {
-	region := geom.NewRect(0, 0, 8, 8)
-	q := NewQueue(Config{Region: region})
-	qs, err := NewQueueSource(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := geom.NewWindow(0, 1, region)
-	fleet := stubSource{batches: map[string]stream.Batch{
-		"rain": {Attr: "rain", Window: window, Tuples: []stream.Tuple{{ID: 1, Attr: "rain", T: 0.9, X: 1, Y: 1}}},
-	}}
-	m, err := NewMixedSource(fleet, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Idle gateway: never gates, epochs pass through the fleet untouched.
-	if !m.Ready(123) {
-		t.Fatal("inactive queue must not gate epochs")
-	}
-	out, err := m.Acquire(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, fleet.batches) {
-		t.Fatalf("idle mixed epoch = %v, want the fleet batches", out)
-	}
-
-	// First push activates gating. The idle Acquire above closed epoch
-	// [0,1), so the producer feeds the next epoch.
-	ext := []stream.Tuple{
-		{ID: 100, Attr: "rain", T: 1.2, X: 2, Y: 2},
-		{ID: 101, Attr: "co2", T: 1.3, X: 3, Y: 3},
-	}
-	if _, err := q.Push(ext, math.NaN()); err != nil {
-		t.Fatal(err)
-	}
-	if m.Ready(2) {
-		t.Fatal("active queue with watermark 1.3 must gate epoch [1,2)")
-	}
-	if _, err := q.Push(nil, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Ready(2) {
-		t.Fatal("asserted watermark should close the epoch")
-	}
-	out, err = m.Acquire(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rain := out["rain"].Tuples
-	// External tuples follow the fleet's within the shared attribute.
-	if len(rain) != 2 || rain[0].ID != 1 || rain[1].ID != 100 {
-		t.Fatalf("merged rain = %v", rain)
-	}
-	if co2 := out["co2"].Tuples; len(co2) != 1 || co2[0].ID != 101 {
-		t.Fatalf("co2 = %v", out["co2"].Tuples)
-	}
 }

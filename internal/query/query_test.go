@@ -57,86 +57,3 @@ func TestQueryString(t *testing.T) {
 		t.Fatal("String empty")
 	}
 }
-
-func TestRegistryAddAssignsIDs(t *testing.T) {
-	g := testGrid(t)
-	r := NewRegistry()
-	q1, err := r.Add(validQuery(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := r.Add(validQuery(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1.ID != "Q1" || q2.ID != "Q2" {
-		t.Fatalf("ids = %s, %s", q1.ID, q2.ID)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-}
-
-func TestRegistryAddValidates(t *testing.T) {
-	g := testGrid(t)
-	r := NewRegistry()
-	if _, err := r.Add(Query{Attr: "x", Rate: -1}, g); err == nil {
-		t.Fatal("invalid query accepted")
-	}
-	if r.Len() != 0 {
-		t.Fatal("failed add left state")
-	}
-}
-
-func TestRegistryGetRemoveList(t *testing.T) {
-	g := testGrid(t)
-	r := NewRegistry()
-	q, _ := r.Add(validQuery(), g)
-	got, ok := r.Get(q.ID)
-	if !ok || got.Attr != "rain" {
-		t.Fatal("Get failed")
-	}
-	if _, ok := r.Get("nope"); ok {
-		t.Fatal("Get of unknown id succeeded")
-	}
-	list := r.List()
-	if len(list) != 1 || list[0].ID != q.ID {
-		t.Fatal("List wrong")
-	}
-	if !r.Remove(q.ID) {
-		t.Fatal("Remove failed")
-	}
-	if r.Remove(q.ID) {
-		t.Fatal("double Remove succeeded")
-	}
-	if r.Len() != 0 {
-		t.Fatal("registry not empty")
-	}
-}
-
-func TestRegistryIDsNeverReused(t *testing.T) {
-	g := testGrid(t)
-	r := NewRegistry()
-	q1, _ := r.Add(validQuery(), g)
-	r.Remove(q1.ID)
-	q2, _ := r.Add(validQuery(), g)
-	if q2.ID == q1.ID {
-		t.Fatal("id reused after deletion")
-	}
-}
-
-func TestRegistryListSorted(t *testing.T) {
-	g := testGrid(t)
-	r := NewRegistry()
-	for i := 0; i < 5; i++ {
-		if _, err := r.Add(validQuery(), g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	list := r.List()
-	for i := 1; i < len(list); i++ {
-		if list[i-1].ID >= list[i].ID {
-			t.Fatal("list not sorted")
-		}
-	}
-}

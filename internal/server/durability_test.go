@@ -11,7 +11,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/geom"
@@ -983,6 +985,153 @@ func TestCreateOverLeftoverStateConflicts(t *testing.T) {
 	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("leftover dir survives Destroy: stat err = %v", err)
 	}
+}
+
+// segmentHold is a WrapFile hook over every engine a manager builds: it
+// counts the WAL segment files open at once and, once armed, holds the
+// fsync of every segment opened before arming until release is closed.
+type segmentHold struct {
+	open, peak atomic.Int32
+	armed      atomic.Bool
+	entered    chan struct{} // signalled when a held fsync starts waiting
+	release    chan struct{}
+}
+
+func newSegmentHold() *segmentHold {
+	return &segmentHold{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (h *segmentHold) wrap(f *os.File) (wal.File, error) {
+	n := h.open.Add(1)
+	for p := h.peak.Load(); n > p && !h.peak.CompareAndSwap(p, n); p = h.peak.Load() {
+	}
+	return heldSegment{File: f, h: h, held: !h.armed.Load()}, nil
+}
+
+type heldSegment struct {
+	*os.File
+	h    *segmentHold
+	held bool
+}
+
+func (s heldSegment) Sync() error {
+	if s.held && s.h.armed.Load() {
+		select {
+		case s.h.entered <- struct{}{}:
+		default:
+		}
+		<-s.h.release
+	}
+	return s.File.Sync()
+}
+
+func (s heldSegment) Close() error {
+	s.h.open.Add(-1)
+	return s.File.Close()
+}
+
+// TestNameReservedUntilShutdown: a session's name stays taken until its
+// engine has shut down — and, for Destroy, its directory is purged — so a
+// Create of the same name never opens a second engine on a directory the
+// first is still writing its final snapshot to and closing its log in, and
+// a purge never runs under the new session. The old engine's last fsync is
+// held while the new Create runs.
+func TestNameReservedUntilShutdown(t *testing.T) {
+	type created struct {
+		sess *Session
+		err  error
+	}
+	setup := func(t *testing.T, ttl time.Duration) (*Manager, *segmentHold, *Session) {
+		root := t.TempDir()
+		h := newSegmentHold()
+		template := externalConfig(root, wal.FsyncAlways)
+		template.Durability.SnapshotEveryEpochs = 2
+		template.Durability.WrapFile = h.wrap
+		m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, template), DurabilityDir: root, IdleTTL: ttl})
+		sess, err := m.Create(SessionSpec{Name: "s", Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range crashScript() {
+			applyOp(t, sess.Engine, op)
+		}
+		return m, h, sess
+	}
+	create := func(m *Manager) <-chan created {
+		out := make(chan created, 1)
+		go func() {
+			sess, err := m.Create(SessionSpec{Name: "s", Seed: 7})
+			out <- created{sess, err}
+		}()
+		return out
+	}
+	awaitHeld := func(t *testing.T, h *segmentHold) {
+		select {
+		case <-h.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the retiring engine never reached its final fsync")
+		}
+	}
+	// finish gives the racing Create 200 ms while the old engine's fsync is
+	// held, then lets the old engine go and returns the Create's result.
+	finish := func(h *segmentHold, out <-chan created) created {
+		select {
+		case c := <-out:
+			close(h.release)
+			return c
+		case <-time.After(200 * time.Millisecond):
+		}
+		close(h.release)
+		return <-out
+	}
+
+	t.Run("idle GC", func(t *testing.T) {
+		m, h, sess := setup(t, time.Minute)
+		want := stateBytes(t, sess.Engine)
+		later := time.Now().Add(time.Hour)
+		m.now = func() time.Time { return later }
+		h.armed.Store(true)
+		// The Create reaps the idle session itself, then builds its successor.
+		out := create(m)
+		awaitHeld(t, h)
+		c := finish(h, out)
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		if n := h.peak.Load(); n > 1 {
+			t.Fatalf("%d engines held the session's segments open at once", n)
+		}
+		if !c.sess.Engine.Durability().Recovered {
+			t.Fatal("the re-created session did not recover its state")
+		}
+		requireSameBytes(t, want, stateBytes(t, c.sess.Engine), "re-created")
+	})
+
+	t.Run("destroy", func(t *testing.T) {
+		m, h, sess := setup(t, 0)
+		dir := sess.Engine.DurabilityDir()
+		h.armed.Store(true)
+		destroyed := make(chan error, 1)
+		go func() { destroyed <- m.Destroy("s") }()
+		awaitHeld(t, h)
+		c := finish(h, create(m))
+		if err := <-destroyed; err != nil {
+			t.Fatal(err)
+		}
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		if n := h.peak.Load(); n > 1 {
+			t.Fatalf("%d engines held the session's segments open at once", n)
+		}
+		if d := c.sess.Engine.Durability(); d.Recovered || c.sess.Engine.Epochs() != 0 {
+			t.Fatalf("the session created after Destroy resurrected state: %+v, epochs %d", d, c.sess.Engine.Epochs())
+		}
+		segs, _ := filepath.Glob(filepath.Join(dir, "wal", "*.seg"))
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil || len(segs) == 0 {
+			t.Fatalf("the new session's files are gone: manifest %v, segments %v", err, segs)
+		}
+	})
 }
 
 // TestManifestUnknownFieldRefused: a session.json carrying a field this

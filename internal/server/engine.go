@@ -175,10 +175,10 @@ type Engine struct {
 	// is off).
 	adaptive *budget.Controller
 
-	// source yields every epoch's observations; queue is the external
-	// ingest buffer behind it (nil in SourceSimulated mode).
-	source ingest.Source
+	// queue is the external ingest buffer and pushed assembles its epochs
+	// (both nil in SourceSimulated mode); see acquire.
 	queue  *ingest.Queue
+	pushed *ingest.QueueSource
 
 	// dur is the write-ahead log attachment (nil on non-durable engines).
 	dur *durableState
@@ -289,8 +289,8 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 		dur = &durableState{cfg: dcfg, log: wlog}
 	}
 	var (
-		queue *ingest.Queue
-		src   ingest.Source = ingest.FleetSource{H: h}
+		queue  *ingest.Queue
+		pushed *ingest.QueueSource
 	)
 	switch cfg.Source.Mode {
 	case SourceSimulated:
@@ -305,13 +305,7 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 			icfg.Journal = dur
 		}
 		queue = ingest.NewQueue(icfg)
-		qs, qerr := ingest.NewQueueSource(queue, cfg.Region)
-		if qerr != nil {
-			return nil, fmt.Errorf("server: %w", qerr)
-		}
-		if cfg.Source.Mode == SourceExternal {
-			src = qs
-		} else if src, err = ingest.NewMixedSource(src, qs); err != nil {
+		if pushed, err = ingest.NewQueueSource(queue, cfg.Region); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	default:
@@ -324,8 +318,8 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 		handler:     h,
 		fab:         fab,
 		adaptive:    adaptive,
-		source:      src,
 		queue:       queue,
+		pushed:      pushed,
 		dur:         dur,
 		limiter:     newTenantLimiter(cfg.Limits, nil),
 		results:     make(map[string]*stream.ResultStore),
@@ -556,26 +550,26 @@ func (e *Engine) ReadResults(id string, cursor uint64, limit int) ([]stream.Tupl
 }
 
 // Queries lists the live queries.
-func (e *Engine) Queries() []query.Query { return e.fab.Registry().List() }
+func (e *Engine) Queries() []query.Query { return e.fab.Queries() }
 
-// ErrEpochOpen is returned by Step when the engine's source gates epochs on
-// an event-time watermark that has not yet passed the epoch's end: the
+// ErrEpochOpen is returned by Step when the engine gates epochs on an
+// event-time watermark that has not yet passed the epoch's end: the
 // epoch is still open for observations and fabricating it now could miss
 // in-tolerance arrivals. Clocked engines skip the tick (or park until the
 // watermark advances); manual steppers retry after pushing more data or
 // asserting a watermark.
 var ErrEpochOpen = errors.New("server: epoch open: ingest watermark below epoch end")
 
-// Step runs one acquisition epoch: the source produces the epoch's
-// observations — the simulated handler spending its budgets, the ingest
-// queue draining externally pushed tuples, or both merged — the batches are
+// Step runs one acquisition epoch: acquire gathers the epoch's observations
+// — the simulated handler spending its budgets, the ingest queue draining
+// externally pushed tuples, or both merged — the batches are
 // ingested through the fabricator (cell pipelines executing on the
 // fabricator's worker pool), violations tune the budgets (wired via
 // AttachBudgets), and — when enabled — the incentive allocator reallocates
 // from fresh pressure. Epochs are serialized; queries submitted
 // concurrently with Step take effect at the next epoch boundary. When the
-// source is watermark-gated and the epoch cannot close yet, Step returns
-// ErrEpochOpen without advancing time.
+// engine is gated and the watermark has not reached the epoch's end, Step
+// returns ErrEpochOpen without advancing time.
 func (e *Engine) Step() error { return e.StepCtx(context.Background()) }
 
 // StepCtx is Step with cancellation: when the engine is gated by a
@@ -633,10 +627,10 @@ func (e *Engine) step() error {
 	t0 := e.now
 	e.mu.Unlock()
 	t1 := t0 + e.cfg.Epoch
-	if g, ok := e.source.(ingest.Gated); ok && !g.Ready(t1) {
+	if e.gated() && !e.queue.Ready(t1) {
 		return ErrEpochOpen
 	}
-	batches, err := e.source.Acquire(t0, t1)
+	batches, err := e.acquire(t0, t1)
 	if err != nil {
 		return fmt.Errorf("server: epoch at t=%g: %w", t0, err)
 	}
@@ -691,6 +685,42 @@ func (e *Engine) step() error {
 		}
 	}
 	return nil
+}
+
+// acquire returns the observations of epoch [t0, t1) by attribute: the
+// fleet's batches unless the source is external, then the drained pushes
+// unless it is simulated. In mixed mode the pushed tuples follow the fleet's
+// within each attribute, so the simulated tuples draw the pipelines' random
+// numbers exactly as in a purely simulated run; the merge phase restores
+// (T, ID) order downstream. The result may alias storage the next call
+// reuses.
+func (e *Engine) acquire(t0, t1 float64) (map[string]stream.Batch, error) {
+	var fleet map[string]stream.Batch
+	if e.cfg.Source.Mode != SourceExternal {
+		var err error
+		if fleet, err = e.handler.RunEpoch(t0); err != nil || e.pushed == nil {
+			return fleet, err
+		}
+	}
+	pushed, err := e.pushed.Acquire(t0, t1)
+	if err != nil || fleet == nil {
+		return pushed, err
+	}
+	for attr, b := range pushed {
+		if fb, ok := fleet[attr]; ok {
+			fb.Tuples = append(fb.Tuples, b.Tuples...)
+			b = fb
+		}
+		fleet[attr] = b
+	}
+	return fleet, nil
+}
+
+// gated reports whether epochs close on the ingest watermark: always with an
+// external source, and with a mixed one from the queue's first push or
+// watermark assertion on, so an idle gateway never stalls the simulation.
+func (e *Engine) gated() bool {
+	return e.queue != nil && (e.cfg.Source.Mode == SourceExternal || e.queue.Active())
 }
 
 // observeEpoch closes the adaptivity loop after an epoch's ingest:
@@ -794,7 +824,7 @@ func (e *Engine) AdaptiveSlots() []AdaptiveSlot {
 	return out
 }
 
-// Run executes n epochs. With a watermark-gated source it returns
+// Run executes n epochs. On a gated engine it returns
 // ErrEpochOpen as soon as an epoch cannot close; RunReady is the
 // stop-early variant.
 func (e *Engine) Run(n int) error {
@@ -807,7 +837,7 @@ func (e *Engine) Run(n int) error {
 }
 
 // RunReady executes up to n epochs, stopping early — without error — when
-// the source's watermark holds the next epoch open. It returns how many
+// the ingest watermark holds the next epoch open. It returns how many
 // epochs completed; completed < n means the engine is waiting for ingest.
 func (e *Engine) RunReady(n int) (int, error) {
 	return e.RunReadyCtx(context.Background(), n)
@@ -882,30 +912,28 @@ func (e *Engine) IngestStats() ingest.Stats {
 	return e.queue.Stats()
 }
 
-// Watermark returns the source's event-time low watermark, with ok=false
-// when the engine has no gated source or no watermark is known yet.
+// Watermark returns the ingest queue's event-time low watermark, with
+// ok=false on a simulated-source engine or when no watermark is known yet.
 func (e *Engine) Watermark() (float64, bool) {
-	g, ok := e.source.(ingest.Gated)
-	if !ok {
+	if e.queue == nil {
 		return 0, false
 	}
-	wm := g.Watermark()
+	wm := e.queue.Watermark()
 	if math.IsInf(wm, -1) {
 		return 0, false
 	}
 	return wm, true
 }
 
-// waitSourceReady parks until the source can close the next epoch, the
-// source is retired, or ctx is done — the simulated clock's alternative to
-// spinning on ErrEpochOpen.
+// waitSourceReady parks until the watermark lets the next epoch close, the
+// queue is retired, or ctx is done — the simulated clock's alternative to
+// spinning on ErrEpochOpen. An ungated engine returns at once.
 func (e *Engine) waitSourceReady(ctx context.Context) error {
-	g, ok := e.source.(ingest.Gated)
-	if !ok {
+	if !e.gated() {
 		return nil
 	}
 	e.mu.Lock()
 	t1 := e.now + e.cfg.Epoch
 	e.mu.Unlock()
-	return g.WaitReady(ctx, t1)
+	return e.queue.WaitReady(ctx, t1)
 }

@@ -593,7 +593,7 @@ func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Reque
 	}
 	e := sess.Engine
 	id := r.PathValue("id")
-	q, ok := e.Fabricator().Registry().Get(id)
+	q, ok := e.Fabricator().Query(id)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("server: no such query %q", id))
 		return
@@ -642,7 +642,8 @@ func (s *HTTPServer) handleSessionScript(w http.ResponseWriter, r *http.Request)
 // Engine.stepMu, so concurrent HTTP steps and a running clock interleave at
 // epoch boundaries. On a watermark-gated source the step stops early —
 // without error — when the next epoch is still open; "stepped" reports how
-// many epochs ran and "waiting" flags the early stop.
+// many epochs ran and "waiting" flags the early stop. A client that goes
+// away while the step waits for an epoch slot takes its claim with it.
 func (s *HTTPServer) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r.PathValue("session"))
 	if sess == nil {
@@ -658,7 +659,7 @@ func (s *HTTPServer) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	done, err := e.RunReady(n)
+	done, err := e.RunReadyCtx(r.Context(), n)
 	if err != nil {
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return

@@ -466,6 +466,75 @@ func TestHTTPQueryDeleteDurabilityFault(t *testing.T) {
 	doJSON(t, c, "DELETE", ts.URL+"/v1/sessions/d/queries/nope", "", 404, nil)
 }
 
+// TestHTTPStepAbandonedByClient: a step request parked behind another
+// session's epoch slot gives up its claim when its client goes away, so no
+// epoch runs for nobody once the slot frees.
+func TestHTTPStepAbandonedByClient(t *testing.T) {
+	m := newManager(t, ManagerConfig{EpochSlots: 1})
+	hs, err := NewManagerHTTPServer(m, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(hs)
+	defer ts.Close()
+	blocker, err := m.Create(SessionSpec{Name: "blocker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := m.Create(SessionSpec{Name: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := blocker.Engine.gate.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() (waiters, inUse int) {
+		m.sched.mu.Lock()
+		defer m.sched.mu.Unlock()
+		return len(m.sched.waiters), m.sched.inUse
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/sessions/s/step", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	waitFor(t, 5*time.Second, "the step to wait for the held slot", func() bool {
+		waiters, _ := load()
+		return waiters == 1
+	})
+	time.Sleep(50 * time.Millisecond)
+	cancel() // the client gives up
+	if status := <-answered; status != 0 {
+		t.Fatalf("step answered %d while the only epoch slot was held", status)
+	}
+	// Give the server up to a second to notice the client left.
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if waiters, _ := load(); waiters == 0 {
+			break
+		}
+	}
+	release()
+	waitFor(t, 5*time.Second, "the epoch slot to go idle", func() bool {
+		waiters, inUse := load()
+		return waiters == 0 && inUse == 0
+	})
+	if got := sess.Engine.Epochs(); got != 0 {
+		t.Fatalf("the abandoned step ran %d epochs", got)
+	}
+}
+
 // TestWriteJSONLogsEncodeFailure covers the satellite requirement that
 // writeJSON surfaces encode errors instead of discarding them.
 func TestWriteJSONLogsEncodeFailure(t *testing.T) {

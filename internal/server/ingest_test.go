@@ -285,6 +285,54 @@ func TestMixedMergesExternalAttr(t *testing.T) {
 	}
 }
 
+// TestMixedGatesAfterFirstPush pins how a mixed engine composes its epochs:
+// while nobody has pushed it steps like a simulated engine, the first push
+// makes epochs wait for the watermark to reach their end, and within an
+// attribute the pushed tuples follow the fleet's.
+func TestMixedGatesAfterFirstPush(t *testing.T) {
+	e := newSourceEngine(t, SourceConfig{Mode: SourceMixed})
+	if _, err := e.SubmitCRAQL("ACQUIRE rain FROM RECT(0,0,8,8) RATE 10"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(); err != nil {
+		t.Fatalf("idle mixed step = %v", err)
+	}
+	if _, err := e.PushObservations([]stream.Tuple{extObs(100, "rain", 1.2, 2, 2, 1)}, math.NaN()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(); !errors.Is(err, ErrEpochOpen) {
+		t.Fatalf("step with the watermark at 1.2 = %v, want ErrEpochOpen", err)
+	}
+	if _, err := e.PushObservations(nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(); err != nil || e.Epochs() != 2 {
+		t.Fatalf("step with the watermark at 2 = %v (epochs %d)", err, e.Epochs())
+	}
+
+	pushed := []stream.Tuple{extObs(200, "rain", 2.5, 1, 1, 1), extObs(201, "co2", 2.6, 3, 3, 1), extObs(202, "rain", 2.1, 2, 2, 1)}
+	if _, err := e.PushObservations(pushed, 3); err != nil {
+		t.Fatal(err)
+	}
+	batches, err := e.acquire(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rain := batches["rain"].Tuples
+	n := len(rain)
+	if n < 3 || rain[n-2].ID != 202 || rain[n-1].ID != 200 {
+		t.Fatalf("rain batch ends %v, want the fleet's tuples then pushes 202 and 200", rain[max(n-2, 0):])
+	}
+	for _, tp := range rain[:n-2] {
+		if tp.Sensor < 0 {
+			t.Fatalf("pushed tuple %v precedes the fleet's", tp)
+		}
+	}
+	if co2 := batches["co2"].Tuples; len(co2) != 1 || co2[0].ID != 201 {
+		t.Fatalf("co2 batch = %v, want the one pushed tuple", co2)
+	}
+}
+
 // TestGatedSimulatedClockParksAndResumes exercises the lifecycle path: a
 // started engine with a simulated clock and an external source parks on the
 // open epoch and resumes when the producer advances the watermark.

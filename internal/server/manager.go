@@ -418,6 +418,11 @@ type Manager struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
+	// retiring holds the names whose engine is shutting down, each with a
+	// channel closed once the shutdown — and, for Destroy, the purge of the
+	// durable state — has returned. Until then the name stays taken: no
+	// second engine may open its durability directory.
+	retiring map[string]chan struct{}
 	seq      int
 	closed   bool
 }
@@ -438,6 +443,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		now:      time.Now,
 		sched:    NewFairScheduler(cfg.EpochSlots),
 		sessions: make(map[string]*Session),
+		retiring: make(map[string]chan struct{}),
 	}, nil
 }
 
@@ -463,16 +469,19 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 		return nil, err
 	}
 	m.mu.Lock()
+	m.gcLocked()
+	if spec.Name != "" {
+		m.awaitRetiredLocked(spec.Name)
+	}
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrManagerClosed
 	}
-	m.gcLocked()
 	if spec.Name == "" {
 		for {
 			m.seq++
 			spec.Name = fmt.Sprintf("s%d", m.seq)
-			if _, taken := m.sessions[spec.Name]; !taken {
+			if _, taken := m.sessions[spec.Name]; !taken && m.retiring[spec.Name] == nil {
 				break
 			}
 		}
@@ -616,12 +625,14 @@ func (m *Manager) DurableSessions() ([]string, error) {
 // RecoverSession re-adopts one named session from its durable state: the
 // persisted manifest is loaded and the session re-created through the
 // normal factory, which restores its snapshot and replays the WAL after
-// it. Already-live sessions are left
-// untouched (recovered=false); a name with no durable state is ErrNoSession.
+// it. Already-live sessions are left untouched (recovered=false); a name
+// whose engine is still shutting down is waited for and then recovered; a
+// name with no durable state is ErrNoSession.
 // This is the cluster handoff primitive: after a node dies, the new ring
 // owner recovers the displaced session from the shared durability volume.
 func (m *Manager) RecoverSession(name string) (recovered bool, err error) {
 	m.mu.Lock()
+	m.awaitRetiredLocked(name)
 	_, live := m.sessions[name]
 	closed := m.closed
 	m.mu.Unlock()
@@ -658,16 +669,16 @@ func (m *Manager) RecoverSession(name string) (recovered bool, err error) {
 func (m *Manager) Release(name string) error {
 	m.mu.Lock()
 	sess, closed := m.sessions[name], m.closed
-	if sess != nil {
-		delete(m.sessions, name)
-	}
-	m.mu.Unlock()
-	if closed {
-		return ErrManagerClosed
-	}
-	if sess == nil {
+	if closed || sess == nil {
+		m.mu.Unlock()
+		if closed {
+			return ErrManagerClosed
+		}
 		return fmt.Errorf("%w: %q", ErrNoSession, name)
 	}
+	free := m.retireLocked(name)
+	m.mu.Unlock()
+	defer free()
 	return sess.Engine.Shutdown()
 }
 
@@ -723,34 +734,40 @@ func (m *Manager) Len() int {
 // purged, so the name is reusable for a fresh session — unlike Close and
 // idle GC, which keep the directory for later re-adoption. Destroying a
 // name that has no live session but does have leftover durable state
-// purges the directory and succeeds.
+// purges the directory and succeeds. Either way the name stays taken until
+// the engine has shut down and the directory is gone.
 func (m *Manager) Destroy(name string) error {
 	m.mu.Lock()
-	sess, closed := m.sessions[name], m.closed
-	if sess != nil {
-		delete(m.sessions, name)
-	}
-	m.mu.Unlock()
-	if closed {
+	m.awaitRetiredLocked(name)
+	sess, reserved := m.sessions[name]
+	if m.closed {
+		m.mu.Unlock()
 		return ErrManagerClosed
 	}
-	if sess == nil {
-		// No live session, but durable state may linger on disk — an
-		// idle-GC'd session, or a directory whose recovery failed. DELETE
-		// is the purge path for those too.
-		if m.cfg.DurabilityDir != "" {
-			dir := sessionDir(m.cfg.DurabilityDir, name)
-			if _, serr := os.Stat(dir); serr == nil {
-				if rerr := os.RemoveAll(dir); rerr != nil {
-					return fmt.Errorf("server: purging durable state of %q: %w", name, rerr)
-				}
-				return nil
-			}
+	// With no live session, durable state may still linger on disk — an
+	// idle-GC'd session, or a directory whose recovery failed. DELETE is the
+	// purge path for those too, unless a Create is building on it right now.
+	var dir string
+	if sess != nil {
+		dir = sess.Engine.DurabilityDir()
+	} else if m.cfg.DurabilityDir != "" && !reserved {
+		dir = sessionDir(m.cfg.DurabilityDir, name)
+		if _, serr := os.Stat(dir); serr != nil {
+			dir = ""
 		}
+	}
+	if sess == nil && dir == "" {
+		m.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNoSession, name)
 	}
-	err := sess.Engine.Shutdown()
-	if dir := sess.Engine.DurabilityDir(); dir != "" {
+	free := m.retireLocked(name)
+	m.mu.Unlock()
+	defer free()
+	var err error
+	if sess != nil {
+		err = sess.Engine.Shutdown()
+	}
+	if dir != "" {
 		if rerr := os.RemoveAll(dir); rerr != nil {
 			err = errors.Join(err, fmt.Errorf("server: purging durable state of %q: %w", name, rerr))
 		}
@@ -758,9 +775,34 @@ func (m *Manager) Destroy(name string) error {
 	return err
 }
 
+// retireLocked takes name out of service but keeps it taken (m.retiring)
+// until the returned func, called once the engine's shutdown and any purge
+// have returned, frees it. Callers hold m.mu; free takes it.
+func (m *Manager) retireLocked(name string) (free func()) {
+	delete(m.sessions, name)
+	done := make(chan struct{})
+	m.retiring[name] = done
+	return func() {
+		m.mu.Lock()
+		delete(m.retiring, name)
+		m.mu.Unlock()
+		close(done)
+	}
+}
+
+// awaitRetiredLocked waits until name is no longer retiring. Callers hold
+// m.mu; it is released while waiting.
+func (m *Manager) awaitRetiredLocked(name string) {
+	for done := m.retiring[name]; done != nil; done = m.retiring[name] {
+		m.mu.Unlock()
+		<-done
+		m.mu.Lock()
+	}
+}
+
 // gcLocked destroys unpinned sessions idle past IdleTTL. Callers hold m.mu;
 // engine shutdown happens asynchronously so a slow drain never blocks the
-// manager.
+// manager, but the name stays taken until it is done.
 func (m *Manager) gcLocked() {
 	if m.cfg.IdleTTL <= 0 {
 		return
@@ -771,8 +813,11 @@ func (m *Manager) gcLocked() {
 			continue
 		}
 		if sess.LastAccess().Before(deadline) {
-			delete(m.sessions, name)
-			go func(e *Engine) { _ = e.Shutdown() }(sess.Engine)
+			free := m.retireLocked(name)
+			go func(e *Engine) {
+				_ = e.Shutdown()
+				free()
+			}(sess.Engine)
 		}
 	}
 }
@@ -787,7 +832,8 @@ func (m *Manager) touchInterval() time.Duration {
 	return m.cfg.IdleTTL / 2
 }
 
-// Close stops every session and refuses further use.
+// Close stops every session, waits for those already shutting down, and
+// refuses further use.
 func (m *Manager) Close() error {
 	// Retire the fairness gate first: every parked epoch is granted and
 	// future acquisitions pass through, so draining clocks can never wedge
@@ -802,12 +848,19 @@ func (m *Manager) Close() error {
 		}
 		delete(m.sessions, name)
 	}
+	retiring := make([]chan struct{}, 0, len(m.retiring))
+	for _, done := range m.retiring {
+		retiring = append(retiring, done)
+	}
 	m.mu.Unlock()
 	var err error
 	for _, sess := range sessions {
 		if serr := sess.Engine.Shutdown(); serr != nil {
 			err = errors.Join(err, fmt.Errorf("server: stopping session %s: %w", sess.Name, serr))
 		}
+	}
+	for _, done := range retiring {
+		<-done
 	}
 	return err
 }

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -317,6 +322,126 @@ func TestUpgradeFromVersion3Directory(t *testing.T) {
 		t.Fatalf("recovery after the upgrade did not verify a snapshot: %+v", e2.Durability())
 	}
 	requireSameBytes(t, stateBytes(t, control), stateBytes(t, e2), "recovered after upgrade")
+}
+
+// v4Template is the manager template testdata/v4-session was written under:
+// a mixed source, adaptive rates, 64-tuple rings, snapshots every two epochs
+// and fsync=always. The session is "v4", seed 7.
+func v4Template(root string) Config {
+	cfg := testConfig()
+	cfg.Source = SourceConfig{Mode: SourceMixed}
+	cfg.AdaptiveRates = true
+	cfg.Retention = 64
+	cfg.Durability = DurabilityConfig{Dir: root, Fsync: wal.FsyncAlways, SnapshotEveryEpochs: 2}
+	return cfg
+}
+
+// v4Script is the workload testdata/v4-session holds. It was run by the last
+// build that kept live queries in a registry next to the fabricator, and the
+// engine was then abandoned, as a kill leaves it. Q2 rides the subplan Q1
+// created before Q1 was deleted, Q3 overlaps its cells partially, and Q5
+// joins the orphaned subplan later. Snapshots stand at epochs 4 and 6; a
+// submit, a push, an epoch and a pending push follow the newer one in the
+// WAL.
+func v4Script() []durOp {
+	full := geom.NewRect(0, 0, 8, 8)
+	submit := func(attr string, r geom.Rect, rate float64) durOp {
+		return durOp{kind: "submit", q: query.Query{Attr: attr, Region: r, Rate: rate}}
+	}
+	step := durOp{kind: "step"}
+	nan := math.NaN()
+	return []durOp{
+		submit("rain", full, 5), submit("rain", full, 5), submit("rain", geom.NewRect(1, 1, 5, 5), 3),
+		submit("temp", geom.NewRect(0, 0, 4, 4), 4), step,
+		pushOp(1, 20, "rain", nan), pushOp(1, 10, "rain", 2), step,
+		{kind: "delete", id: "Q1"}, pushOp(2, 15, "temp", 3), step,
+		pushOp(3, 20, "rain", 4), step,
+		submit("rain", full, 5), pushOp(4, 10, "rain", 5), step,
+		pushOp(5, 10, "temp", 6), step,
+		submit("temp", geom.NewRect(4, 4, 8, 8), 2), pushOp(6, 12, "rain", 7), step,
+		pushOp(7, 8, "rain", nan),
+	}
+}
+
+// v4Results are the sha256 sums of every live query's
+// GET …/results/{id}?cursor=0 body, as the build that wrote
+// testdata/v4-session served them after recovering it.
+var v4Results = map[string]string{
+	"Q2": "85bc0651820b1b95800eae902947936e19abae42d3865b63f2225f3809a9be7c",
+	"Q3": "e182df2b4ad07266ff21af5f8c4bab419c8becb10cb996f62001c84f2c7b55e6",
+	"Q4": "94228b0ded8c5cea121bf9e3874ace349c013ce8164a9003dc0dd6ff40cc110b",
+	"Q5": "5334c6c9838bc915a2a1d4e0ba701359677b38a54370bfd4d68893f199f25389",
+	"Q6": "68f425405597c454dfe79e7cfd275e0623bbf15e3f2574d9af4fb9efa0c1b970",
+}
+
+// TestRestoreVersion4Directory recovers a session directory an earlier build
+// wrote through a manager, as a restarted daemon would: the older snapshot
+// restores, the replay verifies against the newer one, every result page
+// hashes to what that build served, the whole state equals an uninterrupted
+// run of the workload, and query numbering continues after the last ID the
+// directory assigned.
+func TestRestoreVersion4Directory(t *testing.T) {
+	root := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "v4-session"), sessionDir(root, "v4"))
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, v4Template(root)), DurabilityDir: root})
+	if recovered, err := m.RecoverSession("v4"); err != nil || !recovered {
+		t.Fatalf("RecoverSession = %v, %v", recovered, err)
+	}
+	sess, err := m.Get("v4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := sess.Engine.Durability(); !ds.SnapshotVerified || ds.LastSnapshotEpoch != 6 || ds.TornTail {
+		t.Fatalf("durability after recovery = %+v, want the epoch-6 snapshot verified", ds)
+	}
+	hs, err := NewManagerHTTPServer(m, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(hs)
+	defer ts.Close()
+	var ids []string
+	for _, q := range sess.Engine.Queries() {
+		ids = append(ids, q.ID)
+	}
+	if got := strings.Join(ids, ","); got != "Q2,Q3,Q4,Q5,Q6" {
+		t.Fatalf("live queries = %s", got)
+	}
+	for _, id := range ids {
+		resp, err := ts.Client().Get(ts.URL + "/v1/sessions/v4/results/" + id + "?cursor=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("results of %s: %d, %v", id, resp.StatusCode, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != v4Results[id] {
+			t.Errorf("results of %s hash to %s, want %s", id, got, v4Results[id])
+		}
+	}
+
+	cfg, err := ConfigForSpec(v4Template(""), sess.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := New(cfg, testFields(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range v4Script() {
+		applyOp(t, control, op)
+	}
+	requireSameBytes(t, stateBytes(t, control), stateBytes(t, sess.Engine), "restored")
+
+	q, err := sess.Engine.SubmitCRAQL("ACQUIRE rain FROM RECT(0,0,4,4) RATE 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.ID != "Q7" {
+		t.Fatalf("first submit after recovery got %s, want Q7", q.ID)
+	}
 }
 
 // TestReplayAndSegmentsBounded runs 200 epochs on a session whose log

@@ -54,11 +54,17 @@ type Fabricator struct {
 	// deletion, budget attachment) and for reading by epoch execution, so a
 	// topology never changes shape under a running epoch; multiple Ingest
 	// calls (for different attributes) may execute concurrently.
-	mu       sync.RWMutex
-	cells    map[Key]*CellPipeline
-	queries  map[string]*queryState
+	mu    sync.RWMutex
+	cells map[Key]*CellPipeline
+	// queries is the record of live queries: each ID's stored form and the
+	// subplan it rides.
+	queries map[string]liveQuery
+	// querySeq is the number of the last query ID assigned ("Q<n>"). A number
+	// is taken once a query passes Validate and is never reused, whether the
+	// insert then fails or the query is later deleted: replay depends on a
+	// log's submits being renumbered exactly as they were.
+	querySeq int
 	budgets  *budget.Controller
-	registry *query.Registry
 	// order caches, per attribute, the pipelines in deterministic row-major
 	// shard order so the epoch hot path neither rebuilds nor re-sorts the
 	// shard list. Rebuilt under the write lock by every pipeline
@@ -90,10 +96,17 @@ type Fabricator struct {
 	subplanSeq uint64
 }
 
-// queryState is one fabricated subplan and the queries riding it. With
-// sharing enabled, every query whose canonical key matches shares one
-// queryState (f.queries maps each member id to the same pointer); with
-// sharing disabled each query gets its own.
+// liveQuery is one live query: its stored form and its subplan.
+type liveQuery struct {
+	q  query.Query
+	sp *queryState
+}
+
+// queryState is one fabricated subplan and the queries riding it — its
+// fan's ids, in attach order. With sharing enabled, every query whose
+// canonical key matches shares one queryState (f.queries points each member
+// at the same one); with sharing disabled each query gets its own. The
+// subplan is torn down when its last member detaches.
 type queryState struct {
 	// q is the creating query's stored form; it defines the wiring geometry
 	// (every member has the identical normal form, so identical geometry).
@@ -109,10 +122,7 @@ type queryState struct {
 	fan   *fanOut
 	keys  []Key // pipelines this subplan taps
 	rects []geom.Rect
-	// refs lists member query ids in attach order; the subplan is torn down
-	// when the last one detaches.
-	refs []string
-	seq  uint64 // fabrication order (Fabricator.subplanSeq)
+	seq   uint64 // fabrication order (Fabricator.subplanSeq)
 }
 
 // New creates a fabricator over the grid. rng seeds the per-operator
@@ -129,8 +139,7 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 		cfg:      cfg,
 		rng:      rng,
 		cells:    make(map[Key]*CellPipeline),
-		queries:  make(map[string]*queryState),
-		registry: query.NewRegistry(),
+		queries:  make(map[string]liveQuery),
 		order:    make(map[string][]*CellPipeline),
 		slots:    make(map[string][]int32),
 		programs: make(map[string]*atomic.Pointer[epochProgram]),
@@ -192,8 +201,25 @@ func (f *Fabricator) refreshOrder(attr string) {
 // Grid returns the fabricator's grid.
 func (f *Fabricator) Grid() *geom.Grid { return f.grid }
 
-// Registry returns the fabricator's query registry.
-func (f *Fabricator) Registry() *query.Registry { return f.registry }
+// Query returns a live query's stored form.
+func (f *Fabricator) Query(id string) (query.Query, bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	lq, ok := f.queries[id]
+	return lq.q, ok
+}
+
+// Queries lists the live queries sorted by ID string, so Q10 precedes Q2.
+func (f *Fabricator) Queries() []query.Query {
+	f.mu.RLock()
+	out := make([]query.Query, 0, len(f.queries))
+	for _, lq := range f.queries {
+		out = append(out, lq.q)
+	}
+	f.mu.RUnlock()
+	slices.SortFunc(out, func(a, b query.Query) int { return strings.Compare(a.ID, b.ID) })
+	return out
+}
 
 // AttachBudgets connects a budget controller: every materialized
 // (attribute, cell) slot is registered with it and each F-operator's
@@ -225,7 +251,7 @@ func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, _ Me
 	return f.InsertQuery(q, sink)
 }
 
-// InsertQuery validates and registers q, builds its merge plan, and taps
+// InsertQuery validates and numbers q, builds its merge plan, and taps
 // every overlapped cell pipeline, creating pipelines (and the F-operator
 // first) for cells not yet materialized. It returns the stored query with
 // its assigned id. The sink receives the query's fabricated MCDS.
@@ -242,38 +268,37 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 	if sink == nil {
 		return query.Query{}, errors.New("topology: InsertQuery requires a sink")
 	}
-	stored, err := f.registry.Add(q, f.grid)
-	if err != nil {
+	if err := q.Validate(f.grid); err != nil {
 		return query.Query{}, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.querySeq++
+	stored := q
+	stored.ID = fmt.Sprintf("Q%d", f.querySeq)
 	key := ""
 	if f.shared != nil {
 		key = craql.CanonicalKey(stored)
 		if sp, ok := f.shared[key]; ok {
-			sp.refs = append(sp.refs, stored.ID)
 			sp.fan.add(stored.ID, sink)
-			f.queries[stored.ID] = sp
+			f.queries[stored.ID] = liveQuery{q: stored, sp: sp}
 			f.sharedAttaches++
 			return stored, nil
 		}
 	}
 	overlaps := f.grid.Overlapping(stored.Region)
 	if len(overlaps) == 0 {
-		f.registry.Remove(stored.ID)
 		return query.Query{}, fmt.Errorf("topology: query %s overlaps no grid cells", stored.ID)
 	}
 	plan, err := BuildMergePlan(stored.ID, overlaps)
 	if err != nil {
-		f.registry.Remove(stored.ID)
 		return query.Query{}, err
 	}
 	fan := &fanOut{}
 	fan.add(stored.ID, sink)
 	plan.AttachSink(fan)
 	f.subplanSeq++
-	st := &queryState{q: stored, tapID: stored.ID, key: key, plan: plan, fan: fan, refs: []string{stored.ID}, seq: f.subplanSeq}
+	st := &queryState{q: stored, tapID: stored.ID, key: key, plan: plan, fan: fan, seq: f.subplanSeq}
 	for i, ov := range rowMajor(overlaps) {
 		key := Key{Cell: ov.Cell, Attr: stored.Attr}
 		p, ok := f.cells[key]
@@ -301,7 +326,7 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 		st.keys = append(st.keys, key)
 		st.rects = append(st.rects, ov.Rect)
 	}
-	f.queries[stored.ID] = st
+	f.queries[stored.ID] = liveQuery{q: stored, sp: st}
 	if key != "" {
 		f.shared[key] = st
 	}
@@ -320,7 +345,6 @@ func (f *Fabricator) rollbackInsert(st *queryState) {
 		}
 	}
 	f.refreshOrder(st.q.Attr)
-	f.registry.Remove(st.q.ID)
 }
 
 // DeleteQuery removes a query and, when its sink is a *stream.ResultStore,
@@ -336,22 +360,16 @@ func (f *Fabricator) rollbackInsert(st *queryState) {
 func (f *Fabricator) DeleteQuery(id string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st, ok := f.queries[id]
+	lq, ok := f.queries[id]
 	if !ok {
 		return fmt.Errorf("topology: DeleteQuery: unknown query %q", id)
 	}
+	st := lq.sp
 	if !st.fan.remove(id) {
 		return fmt.Errorf("topology: DeleteQuery: query %q not in its subplan's fan", id)
 	}
-	for i, ref := range st.refs {
-		if ref == id {
-			st.refs = append(st.refs[:i], st.refs[i+1:]...)
-			break
-		}
-	}
 	delete(f.queries, id)
-	f.registry.Remove(id)
-	if len(st.refs) > 0 {
+	if len(st.fan.ids) > 0 {
 		return nil
 	}
 	// Rebuild the shard order on every exit (registered after the Unlock
@@ -593,11 +611,11 @@ func (f *Fabricator) VisitLastReports(fn func(Key, pmat.ViolationReport)) {
 func (f *Fabricator) QueryPlan(id string) *MergePlan {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	st, ok := f.queries[id]
+	lq, ok := f.queries[id]
 	if !ok {
 		return nil
 	}
-	return st.plan
+	return lq.sp.plan
 }
 
 // OperatorCounts tallies live operators by kind ("F", "T", "P", "U"). A

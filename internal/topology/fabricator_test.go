@@ -1,12 +1,16 @@
 package topology
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -184,9 +188,79 @@ func TestInsertQueryValidation(t *testing.T) {
 	if _, err := f.InsertQuery(query.Query{Attr: "", Region: geom.NewRect(0, 0, 4, 4), Rate: 5}, stream.NewCollector()); err == nil {
 		t.Error("invalid query should error")
 	}
-	// Failed inserts must not leak registry entries or pipelines.
-	if f.Registry().Len() != 0 || f.NumPipelines() != 0 {
+	// Failed inserts must not leak queries or pipelines.
+	if len(f.Queries()) != 0 || f.NumPipelines() != 0 {
 		t.Fatal("failed insert leaked state")
+	}
+}
+
+// TestQueryNumbering pins the fabricator's query counter: queries are
+// numbered Q1, Q2, … in insertion order, a query that fails Validate takes
+// no number, a delete never frees one, DecodeState continues the sequence,
+// and Queries sorts by ID string.
+func TestQueryNumbering(t *testing.T) {
+	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 5}
+	invalid := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 1, 1), Rate: 5} // below one cell
+	insert := func(f *Fabricator, q query.Query) (string, error) {
+		stored, err := f.InsertQuery(q, stream.NewResultStore(8))
+		return stored.ID, err
+	}
+	f := newFab(t, fig2Grid(t), Config{})
+	if _, err := insert(f, invalid); err == nil {
+		t.Fatal("a query below the one-cell minimum was inserted")
+	}
+	for i := 1; i <= 10; i++ {
+		if i == 5 {
+			if _, err := insert(f, invalid); err == nil {
+				t.Fatal("a query below the one-cell minimum was inserted")
+			}
+		}
+		if id, err := insert(f, q); err != nil || id != fmt.Sprintf("Q%d", i) {
+			t.Fatalf("insert %d = %s, %v", i, id, err)
+		}
+	}
+	for _, id := range []string{"Q10", "Q3"} {
+		if err := f.DeleteQuery(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, err := insert(f, q); err != nil || id != "Q11" {
+		t.Fatalf("insert after deletes = %s, %v; want Q11", id, err)
+	}
+	if got, ok := f.Query("Q11"); !ok || got.ID != "Q11" || got.Region != q.Region || got.Rate != q.Rate {
+		t.Fatalf("Query(Q11) = %+v, %v", got, ok)
+	}
+	if _, ok := f.Query("Q10"); ok {
+		t.Fatal("a deleted query is still live")
+	}
+	var ids []string
+	for _, lq := range f.Queries() {
+		ids = append(ids, lq.ID)
+	}
+	if got, want := strings.Join(ids, ","), "Q1,Q11,Q2,Q4,Q5,Q6,Q7,Q8,Q9"; got != want {
+		t.Fatalf("Queries = %s, want %s", got, want)
+	}
+
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	f.EncodeState(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := codec.Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newFab(t, fig2Grid(t), Config{})
+	restored.DecodeState(r, 8)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Queries(), f.Queries()) {
+		t.Fatalf("restored queries %v, want %v", restored.Queries(), f.Queries())
+	}
+	if id, err := insert(restored, q); err != nil || id != "Q12" {
+		t.Fatalf("insert after DecodeState = %s, %v; want Q12", id, err)
 	}
 }
 

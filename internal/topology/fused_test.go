@@ -132,7 +132,7 @@ func TestFusedRecompileOnChurn(t *testing.T) {
 			if e == 6 {
 				// Delete the rate-6 node: its neighbours become consecutive
 				// T-operators and must merge.
-				for _, id := range fab.Registry().List() {
+				for _, id := range fab.Queries() {
 					if id.Attr == "rain" && id.Rate == 6 {
 						if err := fab.DeleteQuery(id.ID); err != nil {
 							t.Fatal(err)

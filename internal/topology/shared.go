@@ -224,18 +224,7 @@ func (f *Fabricator) SharedGroup(key string) (SharedGroupInfo, bool) {
 	if !ok {
 		return SharedGroupInfo{}, false
 	}
-	return SharedGroupInfo{Key: key, Refs: len(sp.refs)}, true
-}
-
-// QuerySharedGroup reports the shared subplan a live query is attached to.
-func (f *Fabricator) QuerySharedGroup(id string) (SharedGroupInfo, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	sp, ok := f.queries[id]
-	if !ok {
-		return SharedGroupInfo{}, false
-	}
-	return SharedGroupInfo{Key: sp.key, Refs: len(sp.refs)}, true
+	return SharedGroupInfo{Key: key, Refs: len(sp.fan.ids)}, true
 }
 
 // SharedStats snapshots subplan-sharing accounting.
@@ -246,9 +235,9 @@ func (f *Fabricator) SharedStats() SharedStats {
 	for _, sp := range f.distinctStates() {
 		st.Subplans++
 		st.ResultRings += sp.fan.resultRings()
-		if len(sp.refs) >= 2 {
+		if n := len(sp.fan.ids); n >= 2 {
 			st.SharedSubplans++
-			st.SharedQueries += len(sp.refs)
+			st.SharedQueries += n
 		}
 	}
 	return st
@@ -259,45 +248,31 @@ func (f *Fabricator) SharedStats() SharedStats {
 func (f *Fabricator) distinctStates() []*queryState {
 	seen := make(map[*queryState]bool, len(f.queries))
 	out := make([]*queryState, 0, len(f.queries))
-	for _, sp := range f.queries {
-		if !seen[sp] {
-			seen[sp] = true
-			out = append(out, sp)
+	for _, lq := range f.queries {
+		if !seen[lq.sp] {
+			seen[lq.sp] = true
+			out = append(out, lq.sp)
 		}
 	}
 	return out
 }
 
-// checkShared verifies the sharing bookkeeping: member maps, fan
-// membership, each fan's write destinations and the shared index agree.
-// Called by CheckInvariants with f.mu held.
+// checkShared verifies the sharing bookkeeping: every live query is a
+// member of its subplan's fan and every fan member is a live query of that
+// subplan, each fan writes its members exactly once, and the shared index
+// holds exactly the live subplans under their keys. Called by
+// CheckInvariants with f.mu held.
 func (f *Fabricator) checkShared() error {
-	for id, sp := range f.queries {
-		member := false
-		for _, ref := range sp.refs {
-			if ref == id {
-				member = true
-				break
-			}
-		}
-		if !member {
-			return fmt.Errorf("topology: query %s not in its subplan's member list %v", id, sp.refs)
+	for id, lq := range f.queries {
+		if !slices.Contains(lq.sp.fan.ids, id) {
+			return fmt.Errorf("topology: query %s missing from subplan %s fan", id, lq.sp.tapID)
 		}
 	}
+	indexed := 0
 	for _, sp := range f.distinctStates() {
-		if len(sp.refs) != len(sp.fan.ids) {
-			return fmt.Errorf("topology: subplan %s: %d members but %d fan sinks", sp.tapID, len(sp.refs), len(sp.fan.ids))
-		}
-		for _, ref := range sp.refs {
-			got, ok := f.queries[ref]
-			if !ok {
-				return fmt.Errorf("topology: subplan %s lists unknown member %s", sp.tapID, ref)
-			}
-			if got != sp {
-				return fmt.Errorf("topology: member %s points at a different subplan", ref)
-			}
-			if !sp.fan.has(ref) {
-				return fmt.Errorf("topology: member %s missing from subplan %s fan", ref, sp.tapID)
+		for _, id := range sp.fan.ids {
+			if lq, ok := f.queries[id]; !ok || lq.sp != sp {
+				return fmt.Errorf("topology: subplan %s fan member %s is not a live query of it", sp.tapID, id)
 			}
 		}
 		if err := sp.fan.check(); err != nil {
@@ -307,22 +282,11 @@ func (f *Fabricator) checkShared() error {
 			if got, ok := f.shared[sp.key]; !ok || got != sp {
 				return fmt.Errorf("topology: subplan %s not indexed under its key %q", sp.tapID, sp.key)
 			}
+			indexed++
 		}
 	}
-	for key, sp := range f.shared {
-		if len(sp.refs) == 0 {
-			return fmt.Errorf("topology: shared index holds empty subplan under %q", key)
-		}
+	if len(f.shared) != indexed {
+		return fmt.Errorf("topology: shared index holds %d subplans, %d of them live", len(f.shared), indexed)
 	}
 	return nil
-}
-
-// has reports membership without mutating.
-func (f *fanOut) has(id string) bool {
-	for _, got := range f.ids {
-		if got == id {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/craql"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -74,9 +75,9 @@ func TestSharedSubplanLifecycle(t *testing.T) {
 	if counts["F"] != 4 || counts["T"] != 4 || counts["P"] != 0 || counts["U"] != 1 {
 		t.Fatalf("operator counts = %v, want one query's worth", counts)
 	}
-	g, ok := f.QuerySharedGroup(ids[2])
+	g, ok := f.SharedGroup(craql.CanonicalKey(q))
 	if !ok || g.Refs != 3 {
-		t.Fatalf("QuerySharedGroup(%s) = %+v, %v", ids[2], g, ok)
+		t.Fatalf("SharedGroup = %+v, %v; want 3 refs", g, ok)
 	}
 
 	// Every member sees byte-identical delivery.
@@ -460,8 +461,8 @@ func TestSharedResultRing(t *testing.T) {
 	if shared.stores["E"].SharesRing(shared.stores["B"]) {
 		t.Fatal("stores of different retention share a ring")
 	}
-	if g, ok := shared.f.QuerySharedGroup(shared.ids["E"]); !ok || g.Refs != 2 {
-		t.Fatalf("E rides subplan %+v, want B's", g)
+	if g, ok := shared.f.SharedGroup(craql.CanonicalKey(q)); !ok || g.Refs != 2 {
+		t.Fatalf("B and E ride subplan %+v, want 2 refs", g)
 	}
 	compare("mismatched retention")
 

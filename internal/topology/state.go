@@ -21,8 +21,8 @@ const (
 	pipelineMinBytes = 4 + 2*8
 )
 
-// EncodeState appends the fabricator's whole state to w: the registry's ID
-// sequence, every subplan in fabrication order — its creating query, its
+// EncodeState appends the fabricator's whole state to w: the query counter,
+// every subplan in fabrication order — its creating query, its
 // members in attach order and the result ring they share, with each
 // member's attach point — then every pipeline in (attr, row-major) order
 // with its operators' rates, generators and estimator state and the subplans
@@ -33,7 +33,7 @@ const (
 func (f *Fabricator) EncodeState(w *codec.Writer) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	w.Int(f.registry.Seq())
+	w.Int(f.querySeq)
 	w.Uvarint(f.subplanSeq)
 	w.Uvarint(f.sharedAttaches)
 	w.Uvarint(f.compiles.Load())
@@ -44,13 +44,12 @@ func (f *Fabricator) EncodeState(w *codec.Writer) {
 	for _, st := range subplans {
 		w.Uvarint(st.seq)
 		encodeQuery(w, st.q)
-		w.Uvarint(uint64(len(st.refs)))
-		handles := make([]*stream.ResultStore, len(st.refs))
-		for i, id := range st.refs {
-			q, _ := f.registry.Get(id)
-			encodeQuery(w, q)
+		w.Uvarint(uint64(len(st.fan.ids)))
+		handles := make([]*stream.ResultStore, len(st.fan.ids))
+		for i, id := range st.fan.ids {
+			encodeQuery(w, f.queries[id].q)
 			h, ok := st.fan.sinks[i].(*stream.ResultStore)
-			if !ok || st.fan.ids[i] != id {
+			if !ok {
 				w.Fail(fmt.Errorf("topology: query %s delivers to a %T, which a snapshot cannot keep", id, st.fan.sinks[i]))
 				return
 			}
@@ -112,13 +111,13 @@ func (f *Fabricator) decodeState(r *codec.Reader, retention int) map[string]*str
 		r.Failf("restoring into a fabricator that already holds queries")
 		return nil
 	}
-	seq := r.Int()
+	f.querySeq = r.Int()
 	f.subplanSeq = r.Uvarint()
 	f.sharedAttaches = r.Uvarint()
 	compiles := r.Uvarint()
 
 	stores := make(map[string]*stream.ResultStore)
-	var members []query.Query
+	var ids []string
 	byTap := make(map[string]*queryState)
 	n := r.Count(subplanMinBytes)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -137,21 +136,21 @@ func (f *Fabricator) decodeState(r *codec.Reader, retention int) map[string]*str
 			r.Failf("subplan %s has no members", st.tapID)
 			return nil
 		}
+		ids = ids[:0]
 		for j := 0; j < m; j++ {
 			q := decodeQuery(r)
 			if _, dup := f.queries[q.ID]; dup || r.Err() != nil {
 				r.Failf("query %q restored twice", q.ID)
 				return nil
 			}
-			members = append(members, q)
-			st.refs = append(st.refs, q.ID)
-			f.queries[q.ID] = st
+			ids = append(ids, q.ID)
+			f.queries[q.ID] = liveQuery{q: q, sp: st}
 		}
 		handles := stream.DecodeShared(r, st.q.Attr, retention, m)
 		if r.Err() != nil {
 			return nil
 		}
-		for j, id := range st.refs {
+		for j, id := range ids {
 			st.fan.add(id, handles[j])
 			stores[id] = handles[j]
 		}
@@ -161,7 +160,6 @@ func (f *Fabricator) decodeState(r *codec.Reader, retention int) map[string]*str
 			f.shared[st.key] = st
 		}
 	}
-	f.registry.Restore(seq, members)
 
 	np := r.Count(pipelineMinBytes)
 	for i := 0; i < np && r.Err() == nil; i++ {
