@@ -205,63 +205,122 @@ func TestQueryNumbering(t *testing.T) {
 		stored, err := f.InsertQuery(q, stream.NewResultStore(8))
 		return stored.ID, err
 	}
-	f := newFab(t, fig2Grid(t), Config{})
-	if _, err := insert(f, invalid); err == nil {
-		t.Fatal("a query below the one-cell minimum was inserted")
+	idsOf := func(f *Fabricator) string {
+		var ids []string
+		for _, lq := range f.Queries() {
+			ids = append(ids, lq.ID)
+		}
+		return strings.Join(ids, ",")
 	}
-	for i := 1; i <= 10; i++ {
-		if i == 5 {
+	// populated holds Q1..Q11 minus the deleted Q3 and Q10.
+	populated := func(t *testing.T) *Fabricator {
+		f := newFab(t, fig2Grid(t), Config{})
+		for i := 1; i <= 10; i++ {
+			if _, err := insert(f, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []string{"Q10", "Q3"} {
+			if err := f.DeleteQuery(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id, err := insert(f, q); err != nil || id != "Q11" {
+			t.Fatalf("insert after deletes = %s, %v; want Q11", id, err)
+		}
+		return f
+	}
+
+	t.Run("AssignsIDs", func(t *testing.T) {
+		f := newFab(t, fig2Grid(t), Config{})
+		for i := 1; i <= 10; i++ {
+			if id, err := insert(f, q); err != nil || id != fmt.Sprintf("Q%d", i) {
+				t.Fatalf("insert %d = %s, %v", i, id, err)
+			}
+		}
+		if n := len(f.Queries()); n != 10 {
+			t.Fatalf("%d live queries, want 10", n)
+		}
+	})
+
+	t.Run("ValidateTakesNoNumber", func(t *testing.T) {
+		f := newFab(t, fig2Grid(t), Config{})
+		if _, err := insert(f, invalid); err == nil {
+			t.Fatal("a query below the one-cell minimum was inserted")
+		}
+		if len(f.Queries()) != 0 {
+			t.Fatal("a failed insert left a live query")
+		}
+		for i := 1; i <= 3; i++ {
 			if _, err := insert(f, invalid); err == nil {
 				t.Fatal("a query below the one-cell minimum was inserted")
 			}
+			if id, err := insert(f, q); err != nil || id != fmt.Sprintf("Q%d", i) {
+				t.Fatalf("insert %d = %s, %v", i, id, err)
+			}
 		}
-		if id, err := insert(f, q); err != nil || id != fmt.Sprintf("Q%d", i) {
-			t.Fatalf("insert %d = %s, %v", i, id, err)
+	})
+
+	t.Run("QueryAndDelete", func(t *testing.T) {
+		f := populated(t)
+		if got, ok := f.Query("Q11"); !ok || got.ID != "Q11" || got.Region != q.Region || got.Rate != q.Rate {
+			t.Fatalf("Query(Q11) = %+v, %v", got, ok)
 		}
-	}
-	for _, id := range []string{"Q10", "Q3"} {
-		if err := f.DeleteQuery(id); err != nil {
+		if _, ok := f.Query("nope"); ok {
+			t.Fatal("Query of an unknown id succeeded")
+		}
+		if _, ok := f.Query("Q10"); ok {
+			t.Fatal("a deleted query is still live")
+		}
+		if err := f.DeleteQuery("Q10"); err == nil {
+			t.Fatal("a second delete of Q10 succeeded")
+		}
+		if n := len(f.Queries()); n != 9 {
+			t.Fatalf("%d live queries, want 9", n)
+		}
+	})
+
+	t.Run("DeletesNeverFreeANumber", func(t *testing.T) {
+		f := populated(t)
+		if err := f.DeleteQuery("Q11"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if id, err := insert(f, q); err != nil || id != "Q11" {
-		t.Fatalf("insert after deletes = %s, %v; want Q11", id, err)
-	}
-	if got, ok := f.Query("Q11"); !ok || got.ID != "Q11" || got.Region != q.Region || got.Rate != q.Rate {
-		t.Fatalf("Query(Q11) = %+v, %v", got, ok)
-	}
-	if _, ok := f.Query("Q10"); ok {
-		t.Fatal("a deleted query is still live")
-	}
-	var ids []string
-	for _, lq := range f.Queries() {
-		ids = append(ids, lq.ID)
-	}
-	if got, want := strings.Join(ids, ","), "Q1,Q11,Q2,Q4,Q5,Q6,Q7,Q8,Q9"; got != want {
-		t.Fatalf("Queries = %s, want %s", got, want)
-	}
+		if id, err := insert(f, q); err != nil || id != "Q12" {
+			t.Fatalf("insert after deleting the newest = %s, %v; want Q12", id, err)
+		}
+	})
 
-	var buf bytes.Buffer
-	w := codec.NewWriter(&buf)
-	f.EncodeState(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := codec.Open(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := newFab(t, fig2Grid(t), Config{})
-	restored.DecodeState(r, 8)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(restored.Queries(), f.Queries()) {
-		t.Fatalf("restored queries %v, want %v", restored.Queries(), f.Queries())
-	}
-	if id, err := insert(restored, q); err != nil || id != "Q12" {
-		t.Fatalf("insert after DecodeState = %s, %v; want Q12", id, err)
-	}
+	t.Run("QueriesSortedByIDString", func(t *testing.T) {
+		f := populated(t)
+		if got, want := idsOf(f), "Q1,Q11,Q2,Q4,Q5,Q6,Q7,Q8,Q9"; got != want {
+			t.Fatalf("Queries = %s, want %s", got, want)
+		}
+	})
+
+	t.Run("DecodeStateContinues", func(t *testing.T) {
+		f := populated(t)
+		var buf bytes.Buffer
+		w := codec.NewWriter(&buf)
+		f.EncodeState(w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := codec.Open(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := newFab(t, fig2Grid(t), Config{})
+		restored.DecodeState(r, 8)
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(restored.Queries(), f.Queries()) {
+			t.Fatalf("restored queries %v, want %v", restored.Queries(), f.Queries())
+		}
+		if id, err := insert(restored, q); err != nil || id != "Q12" {
+			t.Fatalf("insert after DecodeState = %s, %v; want Q12", id, err)
+		}
+	})
 }
 
 func TestSharedCellTopologyAcrossQueries(t *testing.T) {
