@@ -906,21 +906,6 @@ func BenchmarkPlannerChooseMergeMode(b *testing.B) {
 	}
 }
 
-func BenchmarkCSVExport(b *testing.B) {
-	batch := benchBatch(1000, 11)
-	sink, err := export.NewCSVSink(io.Discard)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := sink.Process(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(batch.Len()))
-}
-
 // BenchmarkJSONLinesExport renders a 1000-tuple batch as ndjson with the
 // sink's append encoder (0 allocs/op). full is benchBatch's full-precision
 // floats, which wire.AppendJSONFloat's short-decimal test misses and hands to

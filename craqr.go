@@ -270,8 +270,6 @@ type (
 	CoverageEstimator = inference.CoverageEstimator
 	// CoverageEstimate is one window's coverage with a Wilson interval.
 	CoverageEstimate = inference.CoverageEstimate
-	// FieldReconstructor grids a real-valued attribute by IDW.
-	FieldReconstructor = inference.FieldReconstructor
 	// EventDetector extracts threshold-crossing episodes with hysteresis.
 	EventDetector = inference.EventDetector
 	// DetectedEvent is one episode found by an EventDetector.
@@ -287,12 +285,6 @@ func ReadJSONLines(r io.Reader) ([]Tuple, error) { return export.ReadJSONLines(r
 // NewCoverageEstimator buckets boolean samples into windows of windowLen.
 func NewCoverageEstimator(windowLen float64) (*CoverageEstimator, error) {
 	return inference.NewCoverageEstimator(windowLen)
-}
-
-// NewFieldReconstructor builds an IDW reconstructor over region with an
-// nx×ny output grid.
-func NewFieldReconstructor(region Rect, nx, ny int, power, maxAge float64) (*FieldReconstructor, error) {
-	return inference.NewFieldReconstructor(region, nx, ny, power, maxAge)
 }
 
 // NewEventDetector creates a hysteresis detector with thresholds off < on.

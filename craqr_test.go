@@ -210,25 +210,3 @@ func TestFacadePlanner(t *testing.T) {
 		t.Fatal("planner returned non-positive cost")
 	}
 }
-
-// TestFacadeFieldReconstructor exercises the IDW reconstruction re-export.
-func TestFacadeFieldReconstructor(t *testing.T) {
-	fr, err := craqr.NewFieldReconstructor(craqr.NewRect(0, 0, 4, 4), 2, 2, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := craqr.Batch{Tuples: []craqr.Tuple{
-		{T: 0, X: 1, Y: 1, Value: 10},
-		{T: 0, X: 3, Y: 3, Value: 20},
-	}}
-	if err := fr.Process(b); err != nil {
-		t.Fatal(err)
-	}
-	est, err := fr.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(est) != 4 || est[0] >= est[3] {
-		t.Fatalf("reconstruction = %v", est)
-	}
-}

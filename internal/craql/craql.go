@@ -20,8 +20,8 @@
 // identifiers. Parse errors carry the byte offset of the offending token.
 // Parse handles a single executable query, ParseStatement additionally
 // accepts the EXPLAIN form, and ParseScript splits ";"-separated scripts
-// with "--" line comments. Format and FormatStatement are the inverses:
-// ParseStatement(FormatStatement(st)) round-trips every statement.
+// with "--" line comments. Format is the inverse: Parse(Format(q))
+// round-trips every query.
 package craql
 
 import (
@@ -247,24 +247,6 @@ func (p *parser) query() (query.Query, error) {
 func Format(q query.Query) string {
 	return fmt.Sprintf("ACQUIRE %s FROM RECT(%g, %g, %g, %g) RATE %g",
 		q.Attr, q.Region.MinX, q.Region.MinY, q.Region.MaxX, q.Region.MaxY, q.Rate)
-}
-
-// FormatStatement renders a statement back into CrAQL syntax;
-// ParseStatement(FormatStatement(st)) is the identity on the EXPLAIN flag
-// and the query's attribute, region and rate.
-func FormatStatement(st Statement) string {
-	if st.Explain {
-		return "EXPLAIN " + Format(st.Query)
-	}
-	return Format(st.Query)
-}
-
-// IsExplain reports whether src parses as an EXPLAIN statement; a parse
-// failure reports false (the caller's executable-path parser owns the
-// error).
-func IsExplain(src string) bool {
-	st, err := ParseStatement(src)
-	return err == nil && st.Explain
 }
 
 // ParseScript parses a script of CrAQL statements separated by semicolons.

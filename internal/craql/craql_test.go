@@ -243,35 +243,3 @@ func TestExplainErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatStatementRoundTrip(t *testing.T) {
-	for _, src := range []string{
-		"ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 10",
-		"EXPLAIN ACQUIRE rain FROM RECT(-1.5, 0, 4, 4.25) RATE 0.5",
-	} {
-		st, err := ParseStatement(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rendered := FormatStatement(st)
-		back, err := ParseStatement(rendered)
-		if err != nil {
-			t.Fatalf("re-parse %q: %v", rendered, err)
-		}
-		if back.Explain != st.Explain || back.Query != st.Query {
-			t.Fatalf("round-trip drifted: %+v vs %+v", back, st)
-		}
-	}
-}
-
-func TestIsExplain(t *testing.T) {
-	if !IsExplain("EXPLAIN ACQUIRE rain FROM RECT(0,0,1,1) RATE 1") {
-		t.Fatal("EXPLAIN statement not detected")
-	}
-	if IsExplain("ACQUIRE rain FROM RECT(0,0,1,1) RATE 1") {
-		t.Fatal("plain statement detected as EXPLAIN")
-	}
-	if IsExplain("EXPLAIN garbage") {
-		t.Fatal("unparsable input detected as EXPLAIN")
-	}
-}

@@ -18,9 +18,9 @@ func ExampleParse() {
 	// Output: ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 10
 }
 
-// ExampleParseStatement shows the EXPLAIN form round-tripping through
-// ParseStatement and FormatStatement; the engine answers an EXPLAIN
-// statement with the planner's cost table instead of submitting the query.
+// ExampleParseStatement shows the EXPLAIN form: ParseStatement sets the
+// flag and returns the inner query; the engine answers an EXPLAIN statement
+// with the planner's cost table instead of submitting the query.
 func ExampleParseStatement() {
 	st, err := craql.ParseStatement("EXPLAIN ACQUIRE temp FROM RECT(0, 0, 8, 2) RATE 5")
 	if err != nil {
@@ -28,8 +28,8 @@ func ExampleParseStatement() {
 		return
 	}
 	fmt.Println(st.Explain)
-	fmt.Println(craql.FormatStatement(st))
+	fmt.Println(craql.Format(st.Query))
 	// Output:
 	// true
-	// EXPLAIN ACQUIRE temp FROM RECT(0, 0, 8, 2) RATE 5
+	// ACQUIRE temp FROM RECT(0, 0, 8, 2) RATE 5
 }

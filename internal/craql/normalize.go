@@ -43,13 +43,6 @@ func posZero(v float64) float64 {
 	return v
 }
 
-// Normalize returns st with its query in canonical normal form; the
-// EXPLAIN flag is preserved.
-func Normalize(st Statement) Statement {
-	st.Query = NormalizeQuery(st.Query)
-	return st
-}
-
 // CanonicalKey renders q's normal form as CrAQL text — the key of the
 // fabricator's shared-subplan map. Two queries have equal keys iff their
 // normal forms are identical (attribute, region and rate), because %g is

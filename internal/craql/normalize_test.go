@@ -85,20 +85,6 @@ func TestCanonicalKeyDistinguishes(t *testing.T) {
 	}
 }
 
-func TestNormalizeStatementPreservesExplain(t *testing.T) {
-	st, err := craql.ParseStatement("EXPLAIN ACQUIRE rain FROM RECT(4, 4, 0, 0) RATE 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := craql.Normalize(st)
-	if !n.Explain {
-		t.Fatal("EXPLAIN flag dropped")
-	}
-	if n.Query != craql.NormalizeQuery(st.Query) {
-		t.Fatal("statement query not normalized")
-	}
-}
-
 // TestNormalizeIdempotentQuick drives NormalizeQuery over random queries.
 // testing/quick only generates finite floats, so == comparison is exact.
 func TestNormalizeIdempotentQuick(t *testing.T) {
@@ -138,11 +124,11 @@ func FuzzCRAQLNormalize(f *testing.F) {
 		if err != nil {
 			return // only the valid-parse domain carries the properties
 		}
-		// Total + idempotent. Statement is comparable: the parser only
+		// Total + idempotent. Query is comparable: the parser only
 		// produces finite floats (range errors are rejected), so == is
 		// exact.
-		norm := craql.Normalize(st)
-		if again := craql.Normalize(norm); again != norm {
+		norm := craql.NormalizeQuery(st.Query)
+		if again := craql.NormalizeQuery(norm); again != norm {
 			t.Fatalf("not idempotent: %+v != %+v", again, norm)
 		}
 		// The canonical key is a faithful CrAQL encoding of the normal

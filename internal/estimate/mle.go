@@ -56,7 +56,7 @@ type Result struct {
 
 // LogLikelihood evaluates the inhomogeneous-Poisson log-likelihood
 // ℓ(θ) = Σ_i log λ(p_i;θ) − ∫_w λ(·;θ) for a linear intensity. The solver
-// never calls it; tests and experiments do.
+// never calls it; tests do.
 func LogLikelihood(theta intensity.Theta, events []mdpp.Event, w geom.Window) float64 {
 	lin := intensity.NewLinear(theta)
 	ll := 0.0

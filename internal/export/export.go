@@ -1,13 +1,12 @@
 // Package export provides persistent sinks for acquired crowdsensed data
 // streams. The paper notes that fabricated MCDS "are returned to the user or
 // can be further processed using well-known stream processing frameworks";
-// these sinks are the hand-off points: CSV and JSON-lines writers that
-// implement stream.Processor and can terminate any operator chain or query.
+// JSONLinesSink is the hand-off point: an ndjson writer that implements
+// stream.Processor and can terminate any operator chain or query.
 package export
 
 import (
 	"cmp"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,62 +18,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
-
-// CSVSink writes tuples as CSV rows: id,attr,t,x,y,value,sensor. The header
-// is written once on first use. CSVSink is safe for concurrent use.
-type CSVSink struct {
-	mu     sync.Mutex
-	w      *csv.Writer
-	header bool
-	rows   int
-}
-
-// NewCSVSink wraps an io.Writer.
-func NewCSVSink(w io.Writer) (*CSVSink, error) {
-	if w == nil {
-		return nil, errors.New("export: NewCSVSink requires a writer")
-	}
-	return &CSVSink{w: csv.NewWriter(w)}, nil
-}
-
-// Process implements stream.Processor.
-func (s *CSVSink) Process(b stream.Batch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.header {
-		if err := s.w.Write([]string{"id", "attr", "t", "x", "y", "value", "sensor"}); err != nil {
-			return fmt.Errorf("export: csv header: %w", err)
-		}
-		s.header = true
-	}
-	for _, tp := range b.Tuples {
-		rec := []string{
-			strconv.FormatUint(tp.ID, 10),
-			tp.Attr,
-			strconv.FormatFloat(tp.T, 'g', -1, 64),
-			strconv.FormatFloat(tp.X, 'g', -1, 64),
-			strconv.FormatFloat(tp.Y, 'g', -1, 64),
-			strconv.FormatFloat(tp.Value, 'g', -1, 64),
-			strconv.Itoa(tp.Sensor),
-		}
-		if err := s.w.Write(rec); err != nil {
-			return fmt.Errorf("export: csv row: %w", err)
-		}
-		s.rows++
-	}
-	s.w.Flush()
-	if err := s.w.Error(); err != nil {
-		return fmt.Errorf("export: csv flush: %w", err)
-	}
-	return nil
-}
-
-// Rows returns the number of data rows written.
-func (s *CSVSink) Rows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
-}
 
 // tupleJSON is the wire format of JSONLinesSink, as ReadJSONLines decodes it;
 // AppendTupleJSON renders exactly what encoding/json makes of it.

@@ -2,7 +2,6 @@ package export
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -21,49 +20,6 @@ func sampleBatch() stream.Batch {
 			{ID: 1, Attr: "temp", T: 0.25, X: 1.5, Y: 2.5, Value: 21.5, Sensor: 7},
 			{ID: 2, Attr: "temp", T: 0.75, X: 3.0, Y: 0.5, Value: 19.25, Sensor: 3},
 		},
-	}
-}
-
-func TestCSVSink(t *testing.T) {
-	if _, err := NewCSVSink(nil); err == nil {
-		t.Fatal("nil writer accepted")
-	}
-	var buf bytes.Buffer
-	s, err := NewCSVSink(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Process(sampleBatch()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Process(sampleBatch()); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows() != 4 {
-		t.Fatalf("rows = %d", s.Rows())
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 5 { // header + 4 rows
-		t.Fatalf("records = %d", len(records))
-	}
-	if records[0][0] != "id" || records[0][6] != "sensor" {
-		t.Fatalf("header = %v", records[0])
-	}
-	if records[1][1] != "temp" || records[1][5] != "21.5" || records[1][6] != "7" {
-		t.Fatalf("row1 = %v", records[1])
-	}
-}
-
-func TestCSVHeaderOnce(t *testing.T) {
-	var buf bytes.Buffer
-	s, _ := NewCSVSink(&buf)
-	_ = s.Process(sampleBatch())
-	_ = s.Process(sampleBatch())
-	if n := strings.Count(buf.String(), "id,attr"); n != 1 {
-		t.Fatalf("header written %d times", n)
 	}
 }
 
@@ -132,7 +88,6 @@ func TestReadJSONLinesSkipsDropMarkers(t *testing.T) {
 
 func TestSinksAsQueryTerminals(t *testing.T) {
 	// Sinks satisfy stream.Processor and can terminate operator chains.
-	var _ stream.Processor = (*CSVSink)(nil)
 	var _ stream.Processor = (*JSONLinesSink)(nil)
 }
 

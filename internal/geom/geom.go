@@ -95,15 +95,6 @@ func (r Rect) Overlaps(other Rect) bool {
 	return ok
 }
 
-// OverlapArea returns the area shared with other; zero when disjoint.
-func (r Rect) OverlapArea(other Rect) float64 {
-	in, ok := r.Intersect(other)
-	if !ok {
-		return 0
-	}
-	return in.Area()
-}
-
 // Equal reports coordinate equality within Epsilon.
 func (r Rect) Equal(other Rect) bool {
 	return math.Abs(r.MinX-other.MinX) < Epsilon && math.Abs(r.MaxX-other.MaxX) < Epsilon &&
@@ -126,28 +117,6 @@ func (r Rect) AdjacentWithCommonSide(other Rect) bool {
 		return true
 	}
 	return false
-}
-
-// Union returns the rectangle covering both inputs. It returns an error
-// unless the inputs satisfy AdjacentWithCommonSide (or one contains the
-// other), so the result is itself an exact rectangle — the closure property
-// the Union PMAT operator relies on.
-func (r Rect) Union(other Rect) (Rect, error) {
-	if r.ContainsRect(other) {
-		return r, nil
-	}
-	if other.ContainsRect(r) {
-		return other, nil
-	}
-	if !r.AdjacentWithCommonSide(other) {
-		return Rect{}, fmt.Errorf("geom: union of %v and %v is not a rectangle (regions must be adjacent with a common side of equal length)", r, other)
-	}
-	return Rect{
-		MinX: math.Min(r.MinX, other.MinX),
-		MinY: math.Min(r.MinY, other.MinY),
-		MaxX: math.Max(r.MaxX, other.MaxX),
-		MaxY: math.Max(r.MaxY, other.MaxY),
-	}, nil
 }
 
 // BoundingBox returns the smallest rectangle containing all inputs. It

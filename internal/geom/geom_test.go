@@ -76,12 +76,6 @@ func TestIntersect(t *testing.T) {
 	if _, ok := a.Intersect(NewRect(4, 0, 8, 4)); ok {
 		t.Fatal("edge-touching rects reported overlapping")
 	}
-	if a.OverlapArea(b) != 4 {
-		t.Fatalf("overlap area = %g", a.OverlapArea(b))
-	}
-	if a.OverlapArea(NewRect(9, 9, 10, 10)) != 0 {
-		t.Fatal("disjoint overlap area must be 0")
-	}
 }
 
 func TestIntersectCommutes(t *testing.T) {
@@ -120,45 +114,6 @@ func TestAdjacency(t *testing.T) {
 		if got := a.AdjacentWithCommonSide(c.b); got != c.want {
 			t.Errorf("case %d: adjacency(%v) = %v, want %v", i, c.b, got, c.want)
 		}
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := NewRect(0, 0, 2, 2)
-	b := NewRect(2, 0, 4, 2)
-	u, err := a.Union(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !u.Equal(NewRect(0, 0, 4, 2)) {
-		t.Fatalf("union = %v", u)
-	}
-	// Containment cases.
-	if u2, err := a.Union(NewRect(0.5, 0.5, 1, 1)); err != nil || !u2.Equal(a) {
-		t.Errorf("union with contained rect: %v, %v", u2, err)
-	}
-	if u3, err := NewRect(0.5, 0.5, 1, 1).Union(a); err != nil || !u3.Equal(a) {
-		t.Errorf("union of contained rect: %v, %v", u3, err)
-	}
-	// Non-adjacent fails: the paper's common-side requirement.
-	if _, err := a.Union(NewRect(3, 0, 5, 2)); err == nil {
-		t.Error("union across a gap should error")
-	}
-	if _, err := a.Union(NewRect(2, 0, 4, 3)); err == nil {
-		t.Error("union with unequal side should error")
-	}
-}
-
-func TestUnionCommutes(t *testing.T) {
-	a := NewRect(0, 0, 2, 2)
-	b := NewRect(0, 2, 2, 5)
-	u1, err1 := a.Union(b)
-	u2, err2 := b.Union(a)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !u1.Equal(u2) {
-		t.Fatalf("union not commutative: %v vs %v", u1, u2)
 	}
 }
 
@@ -210,24 +165,6 @@ func TestWindow(t *testing.T) {
 	empty := Window{T0: 1, T1: 1, Rect: NewRect(0, 0, 1, 1)}
 	if !empty.IsEmpty() || empty.Validate() == nil {
 		t.Error("zero-duration window must be empty/invalid")
-	}
-}
-
-func TestWindowIntersect(t *testing.T) {
-	a := NewWindow(0, 10, NewRect(0, 0, 4, 4))
-	b := NewWindow(5, 15, NewRect(2, 2, 8, 8))
-	in, ok := a.Intersect(b)
-	if !ok {
-		t.Fatal("overlapping windows reported disjoint")
-	}
-	if in.T0 != 5 || in.T1 != 10 || !in.Rect.Equal(NewRect(2, 2, 4, 4)) {
-		t.Fatalf("intersection = %v", in)
-	}
-	if _, ok := a.Intersect(NewWindow(20, 30, NewRect(0, 0, 4, 4))); ok {
-		t.Fatal("time-disjoint windows reported overlapping")
-	}
-	if _, ok := a.Intersect(NewWindow(0, 10, NewRect(9, 9, 10, 10))); ok {
-		t.Fatal("space-disjoint windows reported overlapping")
 	}
 }
 

@@ -137,34 +137,3 @@ func (g *Grid) Overlapping(query Rect) []Overlap {
 	}
 	return out
 }
-
-// CoversExactly reports whether the query region exactly covers a whole
-// number of grid cells (the paper's "perfectly overlap the grid cells"
-// condition, under which no P-operators are needed).
-func (g *Grid) CoversExactly(query Rect) bool {
-	for _, ov := range g.Overlapping(query) {
-		if ov.Frac < 1-1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// SnapOut returns the smallest rectangle made of whole grid cells that
-// contains the query region — used to size acquisition when a query covers
-// partial cells.
-func (g *Grid) SnapOut(query Rect) (Rect, error) {
-	ovs := g.Overlapping(query)
-	if len(ovs) == 0 {
-		return Rect{}, errors.New("geom: SnapOut: query does not overlap the grid")
-	}
-	rects := make([]Rect, 0, len(ovs))
-	for _, ov := range ovs {
-		cell, err := g.Cell(ov.Cell)
-		if err != nil {
-			return Rect{}, err
-		}
-		rects = append(rects, cell)
-	}
-	return BoundingBox(rects)
-}

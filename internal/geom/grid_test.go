@@ -146,30 +146,6 @@ func TestOverlapAreasSumToQueryArea(t *testing.T) {
 	}
 }
 
-func TestCoversExactly(t *testing.T) {
-	g := mustGrid(t, NewRect(0, 0, 6, 6), 9)
-	if !g.CoversExactly(NewRect(0, 0, 4, 2)) {
-		t.Error("whole-cell rect reported partial")
-	}
-	if g.CoversExactly(NewRect(0, 0, 3, 2)) {
-		t.Error("half-cell rect reported exact")
-	}
-}
-
-func TestSnapOut(t *testing.T) {
-	g := mustGrid(t, NewRect(0, 0, 6, 6), 9)
-	snapped, err := g.SnapOut(NewRect(0.5, 0.5, 2.5, 2.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snapped.Equal(NewRect(0, 0, 4, 4)) {
-		t.Fatalf("snap = %v", snapped)
-	}
-	if _, err := g.SnapOut(NewRect(10, 10, 11, 11)); err == nil {
-		t.Error("disjoint snap should error")
-	}
-}
-
 func TestCellIDString(t *testing.T) {
 	if (CellID{Q: 2, R: 3}).String() != "(2,3)" {
 		t.Errorf("CellID string = %s", CellID{Q: 2, R: 3})

@@ -41,23 +41,6 @@ func (w Window) Contains(t, x, y float64) bool {
 	return t >= w.T0 && t < w.T1 && w.Rect.Contains(Point{X: x, Y: y})
 }
 
-// Intersect returns the overlap of two windows; false when empty.
-func (w Window) Intersect(other Window) (Window, bool) {
-	t0 := w.T0
-	if other.T0 > t0 {
-		t0 = other.T0
-	}
-	t1 := w.T1
-	if other.T1 < t1 {
-		t1 = other.T1
-	}
-	r, ok := w.Rect.Intersect(other.Rect)
-	if !ok || t1 <= t0 {
-		return Window{}, false
-	}
-	return Window{T0: t0, T1: t1, Rect: r}, true
-}
-
 // WithRect returns a copy of the window restricted to the given rectangle.
 func (w Window) WithRect(r Rect) Window { return Window{T0: w.T0, T1: w.T1, Rect: r} }
 

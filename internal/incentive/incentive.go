@@ -11,8 +11,6 @@ package incentive
 import (
 	"container/heap"
 	"errors"
-	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/budget"
@@ -169,59 +167,10 @@ func (a *Allocator) TotalAllocated() float64 {
 	return total
 }
 
-// TopSlots returns the n slots with the largest allocation, for reporting.
-func (a *Allocator) TopSlots(n int) []budget.Key {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	keys := make([]budget.Key, 0, len(a.alloc))
-	for k := range a.alloc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if a.alloc[keys[i]] != a.alloc[keys[j]] {
-			return a.alloc[keys[i]] > a.alloc[keys[j]]
-		}
-		ki, kj := keys[i], keys[j]
-		if ki.Attr != kj.Attr {
-			return ki.Attr < kj.Attr
-		}
-		if ki.Cell.Q != kj.Cell.Q {
-			return ki.Cell.Q < kj.Cell.Q
-		}
-		return ki.Cell.R < kj.Cell.R
-	})
-	if n > len(keys) {
-		n = len(keys)
-	}
-	return keys[:n]
-}
-
 func cloneAlloc(m map[budget.Key]float64) map[budget.Key]float64 {
 	out := make(map[budget.Key]float64, len(m))
 	for k, v := range m {
 		out[k] = v
 	}
 	return out
-}
-
-// ExpectedResponses estimates the expected number of responses from sending
-// n requests under incentive level i — the planning primitive used in tests
-// and experiments.
-func (a *Allocator) ExpectedResponses(n int, i float64) float64 {
-	return float64(n) * a.model.RespondProb(i)
-}
-
-// RequiredIncentive inverts the response curve: the incentive needed for a
-// target response probability p (capped below MaxProb). Returns +Inf when p
-// is unreachable.
-func (a *Allocator) RequiredIncentive(p float64) float64 {
-	m := a.model
-	if p <= m.BaseProb {
-		return 0
-	}
-	if p >= m.MaxProb {
-		return math.Inf(1)
-	}
-	frac := (p - m.BaseProb) / (m.MaxProb - m.BaseProb)
-	return -m.IncentiveScale * math.Log(1-frac)
 }

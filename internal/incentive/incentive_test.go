@@ -137,41 +137,3 @@ func TestGreedyBeatsUniformOnSkewedPressure(t *testing.T) {
 		t.Fatalf("greedy %g not better than uniform %g", greedy, uniform)
 	}
 }
-
-func TestTopSlots(t *testing.T) {
-	a, _ := NewAllocator(model(), 6, 0.1)
-	a.ObservePressure(key(0, 0), 90)
-	a.ObservePressure(key(1, 0), 30)
-	a.Reallocate()
-	top := a.TopSlots(1)
-	if len(top) != 1 || top[0] != key(0, 0) {
-		t.Fatalf("top = %v", top)
-	}
-	if len(a.TopSlots(10)) != 2 {
-		t.Fatal("TopSlots clamp wrong")
-	}
-}
-
-func TestExpectedResponses(t *testing.T) {
-	a, _ := NewAllocator(model(), 1, 1)
-	if got := a.ExpectedResponses(100, 0); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("expected responses = %g", got)
-	}
-}
-
-func TestRequiredIncentive(t *testing.T) {
-	a, _ := NewAllocator(model(), 1, 1)
-	if a.RequiredIncentive(0.1) != 0 {
-		t.Fatal("below base needs no incentive")
-	}
-	if !math.IsInf(a.RequiredIncentive(0.95), 1) {
-		t.Fatal("above max must be infeasible")
-	}
-	// Round trip: p = RespondProb(RequiredIncentive(p)).
-	for _, p := range []float64{0.3, 0.5, 0.8} {
-		i := a.RequiredIncentive(p)
-		if math.Abs(model().RespondProb(i)-p) > 1e-9 {
-			t.Fatalf("round trip failed at p=%g", p)
-		}
-	}
-}

@@ -6,8 +6,6 @@
 //
 //   - CoverageEstimator: the fraction of a region where a boolean attribute
 //     (rain) holds, per time window, with a Wilson confidence interval;
-//   - FieldReconstructor: a gridded estimate of a real-valued attribute
-//     (temperature) by inverse-distance-weighted interpolation;
 //   - EventDetector: threshold-crossing detection (e.g. "storm present")
 //     with hysteresis over the coverage series.
 //
@@ -18,11 +16,9 @@ package inference
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
-	"repro/internal/geom"
 	"repro/internal/stream"
 )
 
@@ -129,131 +125,6 @@ func sortInts(xs []int) {
 			xs[j-1], xs[j] = xs[j], xs[j-1]
 		}
 	}
-}
-
-// FieldReconstructor estimates a real-valued field on an nx×ny grid from
-// scattered samples by inverse-distance-weighted (IDW) interpolation over a
-// trailing window of samples. It implements stream.Processor.
-type FieldReconstructor struct {
-	region geom.Rect
-	nx, ny int
-	power  float64
-	maxAge float64
-
-	mu      sync.Mutex
-	samples []stream.Tuple
-	latest  float64
-}
-
-// NewFieldReconstructor builds a reconstructor over region with an nx×ny
-// output grid, IDW power p (2 is customary), keeping samples for maxAge time
-// units.
-func NewFieldReconstructor(region geom.Rect, nx, ny int, power, maxAge float64) (*FieldReconstructor, error) {
-	if region.IsEmpty() {
-		return nil, errors.New("inference: empty region")
-	}
-	if nx <= 0 || ny <= 0 {
-		return nil, errors.New("inference: grid dimensions must be positive")
-	}
-	if power <= 0 {
-		return nil, errors.New("inference: IDW power must be positive")
-	}
-	if maxAge <= 0 {
-		return nil, errors.New("inference: maxAge must be positive")
-	}
-	return &FieldReconstructor{region: region, nx: nx, ny: ny, power: power, maxAge: maxAge}, nil
-}
-
-// Process implements stream.Processor.
-func (f *FieldReconstructor) Process(b stream.Batch) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, tp := range b.Tuples {
-		if tp.T > f.latest {
-			f.latest = tp.T
-		}
-		f.samples = append(f.samples, tp)
-	}
-	// Evict stale samples.
-	cutoff := f.latest - f.maxAge
-	keep := f.samples[:0]
-	for _, tp := range f.samples {
-		if tp.T > cutoff {
-			keep = append(keep, tp)
-		}
-	}
-	f.samples = keep
-	return nil
-}
-
-// SampleCount returns the number of buffered samples.
-func (f *FieldReconstructor) SampleCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.samples)
-}
-
-// Reconstruct returns the IDW field estimate as a row-major nx×ny slice
-// (index iy*nx+ix gives the cell centered in the corresponding sub-rect).
-// Cells with no sample in range fall back to the global mean. It returns an
-// error when no samples are buffered.
-func (f *FieldReconstructor) Reconstruct() ([]float64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.samples) == 0 {
-		return nil, errors.New("inference: no samples buffered")
-	}
-	globalMean := 0.0
-	for _, tp := range f.samples {
-		globalMean += tp.Value
-	}
-	globalMean /= float64(len(f.samples))
-	out := make([]float64, f.nx*f.ny)
-	cw := f.region.Width() / float64(f.nx)
-	ch := f.region.Height() / float64(f.ny)
-	for iy := 0; iy < f.ny; iy++ {
-		for ix := 0; ix < f.nx; ix++ {
-			cx := f.region.MinX + (float64(ix)+0.5)*cw
-			cy := f.region.MinY + (float64(iy)+0.5)*ch
-			num, den := 0.0, 0.0
-			for _, tp := range f.samples {
-				d := math.Hypot(tp.X-cx, tp.Y-cy)
-				if d < 1e-9 {
-					num, den = tp.Value, 1
-					break
-				}
-				w := 1 / math.Pow(d, f.power)
-				num += w * tp.Value
-				den += w
-			}
-			if den == 0 {
-				out[iy*f.nx+ix] = globalMean
-			} else {
-				out[iy*f.nx+ix] = num / den
-			}
-		}
-	}
-	return out, nil
-}
-
-// RMSE compares a reconstruction against ground truth evaluated at cell
-// centers at time t.
-func (f *FieldReconstructor) RMSE(est []float64, truth func(t, x, y float64) float64, t float64) (float64, error) {
-	if len(est) != f.nx*f.ny {
-		return 0, fmt.Errorf("inference: estimate has %d cells, want %d", len(est), f.nx*f.ny)
-	}
-	cw := f.region.Width() / float64(f.nx)
-	ch := f.region.Height() / float64(f.ny)
-	sum := 0.0
-	for iy := 0; iy < f.ny; iy++ {
-		for ix := 0; ix < f.nx; ix++ {
-			cx := f.region.MinX + (float64(ix)+0.5)*cw
-			cy := f.region.MinY + (float64(iy)+0.5)*ch
-			d := est[iy*f.nx+ix] - truth(t, cx, cy)
-			sum += d * d
-		}
-	}
-	return math.Sqrt(sum / float64(f.nx*f.ny)), nil
 }
 
 // Event is one detected episode of a phenomenon.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/sensors"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -80,83 +79,6 @@ func TestWilsonDegenerate(t *testing.T) {
 	lo, hi = wilson(1, 50)
 	if hi > 1 || lo < 0.9 {
 		t.Fatalf("p=1 interval = [%g, %g]", lo, hi)
-	}
-}
-
-func TestFieldReconstructorValidation(t *testing.T) {
-	r := geom.NewRect(0, 0, 4, 4)
-	if _, err := NewFieldReconstructor(geom.Rect{}, 2, 2, 2, 1); err == nil {
-		t.Error("empty region accepted")
-	}
-	if _, err := NewFieldReconstructor(r, 0, 2, 2, 1); err == nil {
-		t.Error("zero nx accepted")
-	}
-	if _, err := NewFieldReconstructor(r, 2, 2, 0, 1); err == nil {
-		t.Error("zero power accepted")
-	}
-	if _, err := NewFieldReconstructor(r, 2, 2, 2, 0); err == nil {
-		t.Error("zero maxAge accepted")
-	}
-	fr, _ := NewFieldReconstructor(r, 2, 2, 2, 1)
-	if _, err := fr.Reconstruct(); err == nil {
-		t.Error("reconstruct without samples accepted")
-	}
-}
-
-func TestFieldReconstructorRecoversGradient(t *testing.T) {
-	region := geom.NewRect(0, 0, 8, 8)
-	field, err := sensors.NewTempField(20, 1.0, 0, 0, 24, 0, nil) // pure x-gradient
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFieldReconstructor(region, 4, 4, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(2)
-	b := stream.Batch{Attr: "temp"}
-	for i := 0; i < 3000; i++ {
-		x, y := rng.Uniform(0, 8), rng.Uniform(0, 8)
-		b.Tuples = append(b.Tuples, stream.Tuple{ID: uint64(i), T: rng.Uniform(0, 1), X: x, Y: y, Value: field.Value(0, x, y)})
-	}
-	if err := fr.Process(b); err != nil {
-		t.Fatal(err)
-	}
-	est, err := fr.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, err := fr.RMSE(est, field.Value, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse > 0.7 {
-		t.Fatalf("RMSE = %g on a noiseless gradient", rmse)
-	}
-	// West cells must be colder than east cells.
-	if est[0] >= est[3] {
-		t.Fatalf("gradient direction lost: %g vs %g", est[0], est[3])
-	}
-}
-
-func TestFieldReconstructorEviction(t *testing.T) {
-	fr, _ := NewFieldReconstructor(geom.NewRect(0, 0, 4, 4), 2, 2, 2, 1)
-	b := stream.Batch{Tuples: []stream.Tuple{{T: 0, X: 1, Y: 1, Value: 5}}}
-	_ = fr.Process(b)
-	if fr.SampleCount() != 1 {
-		t.Fatal("sample not buffered")
-	}
-	// A much later sample evicts the stale one.
-	_ = fr.Process(stream.Batch{Tuples: []stream.Tuple{{T: 10, X: 2, Y: 2, Value: 6}}})
-	if fr.SampleCount() != 1 {
-		t.Fatalf("stale samples not evicted: %d", fr.SampleCount())
-	}
-}
-
-func TestFieldReconstructorRMSEValidation(t *testing.T) {
-	fr, _ := NewFieldReconstructor(geom.NewRect(0, 0, 4, 4), 2, 2, 2, 1)
-	if _, err := fr.RMSE([]float64{1}, func(_, _, _ float64) float64 { return 0 }, 0); err == nil {
-		t.Fatal("wrong-size estimate accepted")
 	}
 }
 

@@ -96,9 +96,8 @@ func (a *assembler) lookup(name string) uint32 {
 
 // orderKeys computes the assembly order of src: afterwards a.keys lists
 // every tuple's arrival index, grouped into the runs a.runs describes —
-// attributes by name, (T, ID) within each, (T, ID) ties in arrival order. With byAttr
-// false the whole of src is one run (Queue.Drain's attribute-blind order).
-func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
+// attributes by name, (T, ID) within each, (T, ID) ties in arrival order.
+func (a *assembler) orderKeys(src []stream.Tuple) {
 	clear(a.runs) // drop last epoch's name references
 	a.runs = a.runs[:0]
 	clear(a.index)
@@ -111,15 +110,13 @@ func (a *assembler) orderKeys(src []stream.Tuple, byAttr bool) {
 	var cur, prev uint32
 	var curName, prevName string
 	if len(src) > 0 {
-		if byAttr {
-			curName = src[0].Attr
-		}
+		curName = src[0].Attr
 		cur = a.lookup(curName)
 		prev, prevName = cur, curName
 	}
 	for i := range src {
 		tp := &src[i]
-		if byAttr && tp.Attr != curName {
+		if tp.Attr != curName {
 			cur, curName, prev, prevName = prev, prevName, cur, curName
 			if tp.Attr != curName {
 				curName = tp.Attr

@@ -529,7 +529,7 @@ func TestOrderKeysIDPhase(t *testing.T) {
 				rng.Shuffle(n, func(i, j int) { src[i].ID, src[j].ID = src[j].ID, src[i].ID })
 			}
 			var a assembler
-			a.orderKeys(src, true)
+			a.orderKeys(src)
 			got := a.gather(nil, src)
 			want := slices.Clone(src)
 			slices.SortStableFunc(want, func(x, y stream.Tuple) int {

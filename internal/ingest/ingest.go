@@ -102,7 +102,7 @@ type Config struct {
 
 // Journal receives the queue's mutations in effect order. Push passes the
 // raw batch exactly as the producer sent it (pre-validation, original IDs)
-// plus the watermark argument; Drain passes the closed epoch's horizon.
+// plus the watermark argument; a drain passes the closed epoch's horizon.
 // Implementations must be fast and non-blocking: they run inside the
 // queue's critical section.
 type Journal interface {

@@ -14,65 +14,60 @@ func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(10
 
 func TestTokenBucketBasics(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(10, 10, clk.now) // 10 tokens/s, burst 10
+	b := NewTokenBucket(10, clk.now) // 10 tokens/s, capacity 10
 
-	ok, _ := b.Take(10)
-	if !ok {
-		t.Fatal("full bucket refused a burst-sized take")
+	if w := b.Peek(10); w != 0 {
+		t.Fatalf("full bucket refused a capacity-sized take: wait %v", w)
 	}
-	ok, wait := b.Take(5)
-	if ok {
-		t.Fatal("empty bucket admitted a take")
-	}
-	if want := 500 * time.Millisecond; wait != want {
-		t.Fatalf("wait = %v, want %v", wait, want)
+	b.Take(10)
+	if w, want := b.Peek(5), 500*time.Millisecond; w != want {
+		t.Fatalf("wait = %v, want %v", w, want)
 	}
 	clk.advance(500 * time.Millisecond)
-	if ok, _ := b.Take(5); !ok {
-		t.Fatal("refill did not credit tokens")
+	if w := b.Peek(5); w != 0 {
+		t.Fatalf("refill did not credit tokens: wait %v", w)
 	}
 }
 
 func TestTokenBucketRefillCapsAtBurst(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(100, 10, clk.now)
+	b := NewTokenBucket(10, clk.now)
 	clk.advance(time.Hour)
-	if ok, _ := b.Take(10); !ok {
-		t.Fatal("bucket should be full after an idle hour")
+	if w := b.Peek(10); w != 0 {
+		t.Fatalf("bucket should be full after an idle hour: wait %v", w)
 	}
-	if ok, _ := b.Take(1); ok {
-		t.Fatal("bucket exceeded burst capacity")
+	b.Take(10)
+	if w := b.Peek(1); w == 0 {
+		t.Fatal("bucket exceeded its one-second capacity")
 	}
 }
 
 func TestTokenBucketOversizedRequestGoesIntoDebt(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(10, 10, clk.now)
+	b := NewTokenBucket(10, clk.now)
 
-	// A request larger than burst is admitted once the bucket is full and
-	// drives the balance negative rather than wedging the producer forever.
-	ok, _ := b.Take(25)
-	if !ok {
-		t.Fatal("oversized request refused by a full bucket")
+	// A request larger than the capacity is admitted once the bucket is full
+	// and drives the balance negative rather than wedging the producer
+	// forever.
+	if w := b.Peek(25); w != 0 {
+		t.Fatalf("oversized request refused by a full bucket: wait %v", w)
 	}
+	b.Take(25)
 	// Debt is 15 tokens; the next 1-token take must wait 1.6s
 	// (15 tokens of debt + 1 token requested, at 10 tokens/s).
-	ok, wait := b.Take(1)
-	if ok {
-		t.Fatal("in-debt bucket admitted a take")
-	}
+	wait := b.Peek(1)
 	if want := 1600 * time.Millisecond; wait != want {
 		t.Fatalf("wait = %v, want %v", wait, want)
 	}
 	clk.advance(wait)
-	if ok, _ := b.Take(1); !ok {
-		t.Fatal("debt not paid off after the advertised wait")
+	if w := b.Peek(1); w != 0 {
+		t.Fatalf("debt not paid off after the advertised wait: wait %v", w)
 	}
 }
 
 func TestTokenBucketPeek(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(10, 10, clk.now)
+	b := NewTokenBucket(10, clk.now)
 	if w := b.Peek(5); w != 0 {
 		t.Fatalf("Peek on full bucket = %v, want 0", w)
 	}
@@ -82,18 +77,19 @@ func TestTokenBucketPeek(t *testing.T) {
 	}
 	// Peek must not consume tokens.
 	clk.advance(500 * time.Millisecond)
-	if ok, _ := b.Take(5); !ok {
-		t.Fatal("Peek consumed tokens")
+	if w := b.Peek(5); w != 0 {
+		t.Fatalf("Peek consumed tokens: wait %v", w)
 	}
 }
 
 func TestTokenBucketDefaultBurst(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(42, 0, clk.now)
-	if ok, _ := b.Take(42); !ok {
-		t.Fatal("default burst should equal one second of rate")
+	b := NewTokenBucket(42, clk.now)
+	if w := b.Peek(42); w != 0 {
+		t.Fatalf("burst should equal one second of rate: wait %v", w)
 	}
-	if ok, _ := b.Take(1); ok {
-		t.Fatal("default burst larger than rate")
+	b.Take(42)
+	if w := b.Peek(1); w == 0 {
+		t.Fatal("burst larger than rate")
 	}
 }

@@ -15,8 +15,8 @@ var ErrClosed = errors.New("ingest: queue closed")
 
 // Queue is the bounded per-session buffer between external producers and
 // the engine's epoch loop. Producers Push observation tuples at any rate;
-// the epoch loop asks Ready whether the next epoch may close and Drains it
-// when the watermark allows. The queue never blocks a producer: overflow
+// the epoch loop asks Ready whether the next epoch may close and drains it
+// (QueueSource.Acquire) when the watermark allows. The queue never blocks a producer: overflow
 // beyond Config.Buffer is rejected and counted, mirroring the explicit-drop
 // discipline of stream.ResultStore on the delivery side.
 //
@@ -255,28 +255,14 @@ func (q *Queue) Active() bool {
 	return q.active
 }
 
-// Drain closes the epoch ending at t1: every buffered tuple with an event
-// time below t1 — in-window ones and, under LateNextEpoch, older redirected
-// ones — is moved out and appended to dst in (T, ID) order, attributes
-// interleaved; (T, ID) ties keep arrival order. Tuples at or past t1 stay
-// buffered for later epochs. Arrivals below t1 after this call are late.
-//
-// Drain is the convenience form: it allocates its ordering scratch per
-// call. The epoch loop goes through QueueSource.Acquire, which runs the
-// same detach and ordering on scratch reused across epochs.
-func (q *Queue) Drain(t1 float64, dst []stream.Tuple) []stream.Tuple {
-	due := q.detach(t1, nil)
-	var a assembler
-	a.orderKeys(due, false)
-	return a.gather(dst, due)
-}
-
 // detach is the part of a drain that must be ordered against pushes, and
-// the only part that holds q.mu: the tuples due by t1 leave the queue in
-// arrival order, their producer-assigned IDs leave the duplicate window,
-// closedTo advances, and the journal records the drain. The returned slice
-// is the caller's until it passes it back as the next call's spare (its
-// contents are then dead); no producer can reach it.
+// the only part that holds q.mu: the tuples due by t1 — in-window ones and,
+// under LateNextEpoch, older redirected ones — leave the queue in arrival
+// order (tuples at or past t1 stay buffered, and arrivals below t1 after
+// this call are late), their producer-assigned IDs leave the duplicate
+// window, closedTo advances, and the journal records the drain. The
+// returned slice is the caller's until it passes it back as the next call's
+// spare (its contents are then dead); no producer can reach it.
 //
 // When everything buffered is due — the steady state: the watermark that
 // let the epoch close has passed every buffered event time — the queue's

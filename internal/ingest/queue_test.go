@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"context"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +25,26 @@ func mustPush(t *testing.T, q *Queue, tuples []stream.Tuple, wm float64) Ack {
 		t.Fatal(err)
 	}
 	return ack
+}
+
+// drain closes the epoch ending at t1 the way the epoch loop does, through
+// QueueSource.Acquire, and returns its tuples with the attributes in name
+// order.
+func drain(t *testing.T, q *Queue, t1 float64) []stream.Tuple {
+	t.Helper()
+	src, err := NewQueueSource(q, geom.NewRect(0, 0, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := src.Acquire(t1-1, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []stream.Tuple
+	for _, attr := range slices.Sorted(maps.Keys(batches)) {
+		out = append(out, batches[attr].Tuples...)
+	}
+	return out
 }
 
 func TestWatermarkAndReady(t *testing.T) {
@@ -62,14 +84,14 @@ func TestDrainDeterministic(t *testing.T) {
 
 	oneShot := NewQueue(Config{Tolerance: 1})
 	mustPush(t, oneShot, all, 2)
-	a := oneShot.Drain(1, nil)
+	a := drain(t, oneShot, 1)
 
 	split := NewQueue(Config{Tolerance: 1})
 	// Same observations, different batching, reversed arrival order.
 	mustPush(t, split, []stream.Tuple{obs(9, 0.95), obs(5, 0.5)}, math.NaN())
 	mustPush(t, split, []stream.Tuple{obs(7, 0.7)}, math.NaN())
 	mustPush(t, split, []stream.Tuple{obs(1, 0.1), obs(3, 0.3)}, 2)
-	b := split.Drain(1, nil)
+	b := drain(t, split, 1)
 
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("drains differ:\none-shot: %v\nsplit:    %v", a, b)
@@ -82,7 +104,7 @@ func TestDrainDeterministic(t *testing.T) {
 	// Tuples at or past t1 stay buffered.
 	future := NewQueue(Config{})
 	mustPush(t, future, []stream.Tuple{obs(1, 0.5), obs(2, 1.5)}, math.NaN())
-	got := future.Drain(1, nil)
+	got := drain(t, future, 1)
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("drain [0,1) = %v, want only tuple 1", got)
 	}
@@ -102,7 +124,7 @@ func TestOverflowAccounting(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Draining frees capacity.
-	q.Drain(1, nil)
+	drain(t, q, 1)
 	ack = mustPush(t, q, []stream.Tuple{obs(7, 1.1)}, math.NaN())
 	if ack.Accepted != 1 || ack.Dropped != 0 {
 		t.Fatalf("post-drain ack = %+v", ack)
@@ -125,7 +147,7 @@ func TestOverflowStillAdvancesWatermark(t *testing.T) {
 	if !q.Ready(1) {
 		t.Fatalf("epoch [0,1) must close at watermark %g despite the full buffer", q.Watermark())
 	}
-	got := q.Drain(1, nil)
+	got := drain(t, q, 1)
 	if len(got) != 2 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -155,7 +177,7 @@ func TestRejectedPushDoesNotActivate(t *testing.T) {
 func TestLatePolicies(t *testing.T) {
 	// LateDrop: arrivals below the closed horizon are discarded, counted.
 	q := NewQueue(Config{Late: LateDrop})
-	q.Drain(1, nil) // close [.., 1)
+	drain(t, q, 1) // close [.., 1)
 	ack := mustPush(t, q, []stream.Tuple{obs(1, 0.5), obs(2, 1.5)}, math.NaN())
 	if ack.Accepted != 1 || ack.LateDropped != 1 || ack.Late != 0 {
 		t.Fatalf("LateDrop ack = %+v", ack)
@@ -167,12 +189,12 @@ func TestLatePolicies(t *testing.T) {
 	// LateNextEpoch: the late tuple rides the next epoch to close, original
 	// timestamp intact.
 	qn := NewQueue(Config{Late: LateNextEpoch})
-	qn.Drain(1, nil)
+	drain(t, qn, 1)
 	ack = mustPush(t, qn, []stream.Tuple{obs(1, 0.5), obs(2, 1.5)}, math.NaN())
 	if ack.Accepted != 2 || ack.Late != 1 || ack.LateDropped != 0 {
 		t.Fatalf("LateNextEpoch ack = %+v", ack)
 	}
-	got := qn.Drain(2, nil)
+	got := drain(t, qn, 2)
 	if len(got) != 2 || got[0].ID != 1 || got[0].T != 0.5 {
 		t.Fatalf("next-epoch drain = %v, want late tuple first with original T", got)
 	}
@@ -202,7 +224,7 @@ func TestValidationRejects(t *testing.T) {
 func TestGatewayIDs(t *testing.T) {
 	q := NewQueue(Config{})
 	mustPush(t, q, []stream.Tuple{obs(0, 0.2), obs(0, 0.1), obs(42, 0.3)}, math.NaN())
-	got := q.Drain(1, nil)
+	got := drain(t, q, 1)
 	if len(got) != 3 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -274,7 +296,7 @@ func TestConcurrentPushers(t *testing.T) {
 	if st.Ingested != pushers*per || st.Pending != pushers*per {
 		t.Fatalf("stats = %+v", st)
 	}
-	got := q.Drain(1, nil)
+	got := drain(t, q, 1)
 	if len(got) != pushers*per {
 		t.Fatalf("drained %d, want %d", len(got), pushers*per)
 	}
@@ -306,7 +328,7 @@ func TestDuplicateClientIDsRejectedAcrossBatches(t *testing.T) {
 
 	// Draining the original releases the ID: a fresh push reusing it is no
 	// longer a duplicate (dedup is bounded to the pending window).
-	got := q.Drain(2.0, nil)
+	got := drain(t, q, 2.0)
 	if len(got) != 3 {
 		t.Fatalf("drained %d tuples, want 3", len(got))
 	}
@@ -334,7 +356,7 @@ func TestGatewayRangeClientIDRejected(t *testing.T) {
 	if ack.Rejected != 1 || ack.Accepted != 1 {
 		t.Fatalf("first push ack = %+v, want the client tuple rejected and the gateway one accepted", ack)
 	}
-	if got := q.Drain(5, nil); len(got) != 1 || got[0].ID != GatewayIDBase|1 {
+	if got := drain(t, q, 5); len(got) != 1 || got[0].ID != GatewayIDBase|1 {
 		t.Fatalf("drain = %v, want the gateway tuple", got)
 	}
 	ack = mustPush(t, q, []stream.Tuple{client}, math.NaN())
@@ -366,18 +388,18 @@ func TestDuplicateWindowHighWaterMark(t *testing.T) {
 		t.Fatalf("ack = %+v, want 9 (the largest pending ID) a duplicate, 7 and 10 accepted", ack)
 	}
 	indexed(true, 5)
-	q.Drain(1, nil) // everything is due: the window starts over
+	drain(t, q, 1) // everything is due: the window starts over
 	indexed(false, 0)
 	if ack := mustPush(t, q, []stream.Tuple{obs(9, 1.1), obs(1, 2.5)}, math.NaN()); ack.Accepted != 2 {
 		t.Fatalf("ack = %+v, want both IDs accepted again after the drain", ack)
 	}
 	indexed(true, 2) // 1 is below 9
-	q.Drain(2, nil)
+	drain(t, q, 2)
 	mustPush(t, q, []stream.Tuple{obs(2, 2.6)}, math.NaN())
 	indexed(true, 2) // a partial drain left the set built
-	q.Drain(3, nil)
+	drain(t, q, 3)
 	mustPush(t, q, []stream.Tuple{obs(4, 3.5), obs(6, 3.6)}, math.NaN())
-	q.Drain(3.55, nil) // partial, from the unindexed form
+	drain(t, q, 3.55) // partial, from the unindexed form
 	indexed(true, 1)
 	if ack := mustPush(t, q, []stream.Tuple{obs(6, 3.7), obs(4, 3.8)}, math.NaN()); ack.Accepted != 1 || ack.Duplicates != 1 {
 		t.Fatalf("ack = %+v, want 6 a duplicate and the drained 4 accepted", ack)

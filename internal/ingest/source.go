@@ -49,7 +49,7 @@ func (s *QueueSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
 		return nil, nil
 	}
 	clear(s.out)
-	s.asm.orderKeys(s.detached, true)
+	s.asm.orderKeys(s.detached)
 	s.scratch = s.asm.gather(s.scratch[:0], s.detached)
 	tuples := s.scratch
 	window := geom.NewWindow(t0, t1, s.region)

@@ -2,7 +2,7 @@
 // multi-dimensional point processes over (t, x, y). The paper's Eq. (1)
 // linear parametric form is the primary model; the package also provides
 // constant rates, Gaussian spatial hotspots (to generate the skewed arrival
-// patterns the paper motivates), and combinators. Every intensity can report
+// patterns the paper motivates), and a scaling combinator. Every intensity can report
 // an exact or bounded integral over a spatio-temporal window — the quantity
 // needed by maximum-likelihood estimation and by expected-count predictions —
 // and an upper bound used by thinning-based simulation.
@@ -227,42 +227,6 @@ func (h Hotspot) MaxOver(geom.Window) float64 {
 		mod = 1 + h.Pulse
 	}
 	return h.Base + h.Amp*mod
-}
-
-// Sum is the superposition of intensities; the superposition theorem for
-// Poisson processes makes it the rate of merged independent processes.
-type Sum struct {
-	Terms []Func
-}
-
-// NewSum constructs a superposed intensity.
-func NewSum(terms ...Func) Sum { return Sum{Terms: terms} }
-
-// Eval implements Func.
-func (s Sum) Eval(t, x, y float64) float64 {
-	total := 0.0
-	for _, f := range s.Terms {
-		total += f.Eval(t, x, y)
-	}
-	return total
-}
-
-// IntegralOver implements Func.
-func (s Sum) IntegralOver(w geom.Window) float64 {
-	total := 0.0
-	for _, f := range s.Terms {
-		total += f.IntegralOver(w)
-	}
-	return total
-}
-
-// MaxOver implements Func; the sum of bounds bounds the sum.
-func (s Sum) MaxOver(w geom.Window) float64 {
-	total := 0.0
-	for _, f := range s.Terms {
-		total += f.MaxOver(w)
-	}
-	return total
 }
 
 // Scale multiplies an intensity by a non-negative factor — the analytic

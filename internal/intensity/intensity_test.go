@@ -163,22 +163,6 @@ func TestHotspotPulseClampsNonNegative(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	c1, _ := NewConstant(2)
-	c2, _ := NewConstant(3)
-	s := NewSum(c1, c2)
-	if s.Eval(0, 0, 0) != 5 {
-		t.Fatal("sum eval wrong")
-	}
-	w := box(0, 1, 0, 0, 1, 1)
-	if s.IntegralOver(w) != 5 {
-		t.Fatal("sum integral wrong")
-	}
-	if s.MaxOver(w) != 5 {
-		t.Fatal("sum max wrong")
-	}
-}
-
 func TestScale(t *testing.T) {
 	c, _ := NewConstant(4)
 	s, err := NewScale(c, 0.5)

@@ -3,8 +3,8 @@
 // arrival of crowdsensed tuples. It provides process descriptors for
 // homogeneous P(λ, R) and inhomogeneous P̃(λ̃, R) processes, exact samplers
 // (Poisson counts with uniform placement for homogeneous processes,
-// Lewis–Shedler thinning for inhomogeneous ones), superposition, and
-// empirical rate measurement.
+// Lewis–Shedler thinning for inhomogeneous ones), and spatial binning of
+// events.
 package mdpp
 
 import (
@@ -154,50 +154,6 @@ func sampleByThinning(f intensity.Func, w geom.Window, rng *stats.RNG) ([]Event,
 		}
 	}
 	return events, nil
-}
-
-// Superpose merges independent realizations into one event set, sorted by
-// time. By the superposition theorem the result is a realization of the
-// process whose intensity is the sum of the inputs' intensities.
-func Superpose(eventSets ...[]Event) []Event {
-	total := 0
-	for _, s := range eventSets {
-		total += len(s)
-	}
-	out := make([]Event, 0, total)
-	for _, s := range eventSets {
-		out = append(out, s...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
-}
-
-// MeasuredRate returns the empirical rate (count / volume) of events inside
-// the window — the estimator compared against nominal rates throughout the
-// experiment suite.
-func MeasuredRate(events []Event, w geom.Window) float64 {
-	vol := w.Volume()
-	if vol <= 0 {
-		return 0
-	}
-	n := 0
-	for _, e := range events {
-		if e.In(w) {
-			n++
-		}
-	}
-	return float64(n) / vol
-}
-
-// CountIn returns the number of events inside the window.
-func CountIn(events []Event, w geom.Window) int {
-	n := 0
-	for _, e := range events {
-		if e.In(w) {
-			n++
-		}
-	}
-	return n
 }
 
 // SpatialCounts bins the events into an nx × ny spatial grid over the

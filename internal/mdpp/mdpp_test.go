@@ -208,54 +208,6 @@ func TestSampleRequiresRNG(t *testing.T) {
 	}
 }
 
-func TestSuperpose(t *testing.T) {
-	a := []Event{{T: 3}, {T: 1}}
-	b := []Event{{T: 2}}
-	out := Superpose(a, b)
-	if len(out) != 3 {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i-1].T > out[i].T {
-			t.Fatal("superposed events not sorted")
-		}
-	}
-	if len(Superpose()) != 0 {
-		t.Fatal("empty superpose should be empty")
-	}
-}
-
-func TestSuperpositionRate(t *testing.T) {
-	rng := stats.NewRNG(8)
-	w := geom.Window{T0: 0, T1: 1, Rect: unitRegion()}
-	p1, _ := NewHomogeneous(5, unitRegion())
-	p2, _ := NewHomogeneous(7, unitRegion())
-	var s stats.Summary
-	for i := 0; i < 200; i++ {
-		e1, _ := p1.Sample(w, rng)
-		e2, _ := p2.Sample(w, rng)
-		s.Add(MeasuredRate(Superpose(e1, e2), w))
-	}
-	if math.Abs(s.Mean()-12) > 4*s.StdErr()+0.2 {
-		t.Fatalf("superposed rate %g, want ≈12", s.Mean())
-	}
-}
-
-func TestMeasuredRateAndCountIn(t *testing.T) {
-	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
-	ev := []Event{{T: 0.5, X: 1, Y: 1}, {T: 0.5, X: 3, Y: 3}, {T: 2, X: 1, Y: 1}}
-	if CountIn(ev, w) != 1 {
-		t.Fatalf("CountIn = %d", CountIn(ev, w))
-	}
-	if got := MeasuredRate(ev, w); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("MeasuredRate = %g", got)
-	}
-	empty := geom.Window{}
-	if MeasuredRate(ev, empty) != 0 {
-		t.Fatal("zero-volume window must measure 0")
-	}
-}
-
 func TestExpectedCountProperty(t *testing.T) {
 	// Expected count scales linearly with rate and volume.
 	f := func(rate, dur float64) bool {

@@ -2,8 +2,8 @@
 // premise is that crowdsensed arrivals are spatio-temporally skewed because
 // sensors (humans, vehicles) move unpredictably and cluster around points of
 // interest; this package supplies walkers that reproduce those patterns:
-// random-waypoint motion, hotspot-attracted motion (persistent spatial
-// skew), and Gaussian drift. All walkers are deterministic given their RNG.
+// random-waypoint motion and hotspot-attracted motion (persistent spatial
+// skew). All walkers are deterministic given their RNG.
 package mobility
 
 import (
@@ -275,65 +275,4 @@ func (w *HotspotWalker) Step(dt float64) {
 		w.pos.Y += dy / dist * travel
 		return
 	}
-}
-
-// Drift is a reflected Gaussian random walk: position diffuses with standard
-// deviation Sigma·√dt per step and reflects off the region boundary. It
-// models slow ambient wandering (e.g. pedestrians in a plaza).
-type Drift struct {
-	region geom.Rect
-	pos    geom.Point
-	sigma  float64
-	rng    *stats.RNG
-}
-
-// NewDrift constructs a drifting walker starting at start.
-func NewDrift(region geom.Rect, start geom.Point, sigma float64, rng *stats.RNG) (*Drift, error) {
-	if region.IsEmpty() {
-		return nil, errors.New("mobility: Drift requires a non-empty region")
-	}
-	if sigma <= 0 {
-		return nil, errors.New("mobility: Drift requires sigma > 0")
-	}
-	if rng == nil {
-		return nil, errors.New("mobility: Drift requires an RNG")
-	}
-	if !region.Contains(start) {
-		start = region.Center()
-	}
-	return &Drift{region: region, pos: start, sigma: sigma, rng: rng}, nil
-}
-
-// Position implements Walker.
-func (d *Drift) Position() geom.Point { return d.pos }
-
-// Step implements Walker.
-func (d *Drift) Step(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	s := d.sigma * math.Sqrt(dt)
-	d.pos.X = reflect1D(d.pos.X+d.rng.Normal(0, s), d.region.MinX, d.region.MaxX)
-	d.pos.Y = reflect1D(d.pos.Y+d.rng.Normal(0, s), d.region.MinY, d.region.MaxY)
-}
-
-// reflect1D folds v into [lo, hi) by reflecting at the boundaries.
-func reflect1D(v, lo, hi float64) float64 {
-	width := hi - lo
-	if width <= 0 {
-		return lo
-	}
-	// Map into a period of 2·width, then fold.
-	v = math.Mod(v-lo, 2*width)
-	if v < 0 {
-		v += 2 * width
-	}
-	if v >= width {
-		v = 2*width - v
-	}
-	out := lo + v
-	if out >= hi {
-		out = hi - 1e-12*width
-	}
-	return out
 }

@@ -184,61 +184,3 @@ func TestHotspotWalkerMultipleSpots(t *testing.T) {
 		t.Fatal("lighter hotspot never visited")
 	}
 }
-
-func TestDriftValidation(t *testing.T) {
-	rng := stats.NewRNG(10)
-	if _, err := NewDrift(geom.Rect{}, geom.Point{}, 1, rng); err == nil {
-		t.Error("empty region should error")
-	}
-	if _, err := NewDrift(region(), geom.Point{X: 5, Y: 5}, 0, rng); err == nil {
-		t.Error("zero sigma should error")
-	}
-	if _, err := NewDrift(region(), geom.Point{X: 5, Y: 5}, 1, nil); err == nil {
-		t.Error("nil RNG should error")
-	}
-	// Outside start snaps to center.
-	d, err := NewDrift(region(), geom.Point{X: -5, Y: -5}, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Position() != region().Center() {
-		t.Fatal("outside start not recentered")
-	}
-}
-
-func TestDriftStaysInRegionAndDiffuses(t *testing.T) {
-	d, _ := NewDrift(region(), geom.Point{X: 5, Y: 5}, 2, stats.NewRNG(11))
-	moved := false
-	for i := 0; i < 5000; i++ {
-		prev := d.Position()
-		d.Step(0.5)
-		p := d.Position()
-		if !region().Contains(p) {
-			t.Fatalf("drift escaped: %v", p)
-		}
-		if p != prev {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("drift never moved")
-	}
-	d.Step(0) // no-op
-}
-
-func TestReflect1D(t *testing.T) {
-	cases := []struct{ v, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-2, 0, 10, 2},
-		{12, 0, 10, 8},
-		{25, 0, 10, 5}, // wraps one full period then reflects
-	}
-	for _, c := range cases {
-		if got := reflect1D(c.v, c.lo, c.hi); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("reflect1D(%g) = %g, want %g", c.v, got, c.want)
-		}
-	}
-	if got := reflect1D(3, 5, 5); got != 5 {
-		t.Errorf("degenerate range = %g", got)
-	}
-}

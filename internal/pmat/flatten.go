@@ -6,12 +6,11 @@
 //     percent-rate-violation (N_v) reporting used for budget tuning;
 //   - Thin (T): rate reduction by Bernoulli retention with p = λ2/λ1;
 //   - Partition (P): split a process into disjoint sub-regions at equal rate;
-//   - Union (U): merge processes on adjacent regions into their union;
+//   - Union (U): merge processes on adjacent regions into their union.
 //
-// plus extension operators the paper alludes to having researched
-// (Superpose, Delay). All operators are probabilistic and approximate with
-// provable expected behaviour, and each is implemented in a few lines of
-// core logic, as the paper claims.
+// All operators are probabilistic and approximate with provable expected
+// behaviour, and each is implemented in a few lines of core logic, as the
+// paper claims.
 package pmat
 
 import (
@@ -483,46 +482,3 @@ func (f *Flatten) Process(b stream.Batch) error {
 	buf.Release()
 	return err
 }
-
-// SlidingFlatten wraps Flatten with a trailing-window buffer: tuples are
-// accumulated into a stream.SlidingWindow, and each Tick re-runs flattening
-// over the buffered window using the online SGD estimate — the paper's
-// sliding-window mode. It is exercised by tests and example programs;
-// topologies default to batch Flatten.
-type SlidingFlatten struct {
-	*Flatten
-	win *stream.SlidingWindow
-}
-
-// NewSlidingFlatten builds a sliding-window flatten over span time units on
-// rect.
-func NewSlidingFlatten(name string, cfg FlattenConfig, span float64, rect geom.Rect, rng *stats.RNG) (*SlidingFlatten, error) {
-	cfg.Mode = EstimatorSGD
-	inner, err := NewFlatten(name, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	w, err := stream.NewSlidingWindow(span, rect)
-	if err != nil {
-		return nil, err
-	}
-	return &SlidingFlatten{Flatten: inner, win: w}, nil
-}
-
-// Offer adds tuples to the sliding buffer without triggering output.
-func (s *SlidingFlatten) Offer(b stream.Batch) {
-	for _, tp := range b.Tuples {
-		s.win.Add(tp)
-	}
-}
-
-// Tick flattens the current window contents and emits the result.
-func (s *SlidingFlatten) Tick(attr string) error {
-	if s.win.Len() == 0 {
-		return nil
-	}
-	return s.Flatten.Process(s.win.Snapshot(attr))
-}
-
-// Buffered returns the number of tuples currently in the window.
-func (s *SlidingFlatten) Buffered() int { return s.win.Len() }

@@ -362,45 +362,6 @@ func TestFlattenSGDModeImprovesOverBatches(t *testing.T) {
 	}
 }
 
-func TestSlidingFlatten(t *testing.T) {
-	rect := geom.NewRect(0, 0, 6, 6)
-	sf, err := NewSlidingFlatten("sf", FlattenConfig{TargetRate: 3}, 2.0, rect, stats.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := stream.NewCollector()
-	sf.AddDownstream(col)
-	lin := intensity.NewLinear(intensity.Theta{4, 0, 4, 0})
-	for epoch := 0; epoch < 10; epoch++ {
-		w := geom.Window{T0: float64(epoch), T1: float64(epoch + 1), Rect: rect}
-		sf.Offer(inhomogeneousBatch(t, lin, w, int64(40+epoch)))
-		if err := sf.Tick("rain"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sf.Buffered() == 0 {
-		t.Fatal("sliding buffer empty")
-	}
-	if col.Len() == 0 {
-		t.Fatal("sliding flatten produced nothing")
-	}
-	// Tick with empty window is a no-op.
-	sf2, _ := NewSlidingFlatten("sf2", FlattenConfig{TargetRate: 1}, 1, rect, stats.NewRNG(10))
-	if err := sf2.Tick("rain"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSlidingFlattenValidation(t *testing.T) {
-	rect := geom.NewRect(0, 0, 1, 1)
-	if _, err := NewSlidingFlatten("s", FlattenConfig{TargetRate: 1}, 0, rect, stats.NewRNG(1)); err == nil {
-		t.Error("zero span should error")
-	}
-	if _, err := NewSlidingFlatten("s", FlattenConfig{TargetRate: 0}, 1, rect, stats.NewRNG(1)); err == nil {
-		t.Error("zero target should error")
-	}
-}
-
 func TestFlattenSmallBatchFallback(t *testing.T) {
 	// Batches below MinBatchForFit use the homogeneous fallback — output
 	// should still have roughly the target count in expectation.

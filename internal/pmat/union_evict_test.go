@@ -84,26 +84,3 @@ func TestUnionBoundsPendingMap(t *testing.T) {
 		}
 	}
 }
-
-func TestSuperposeEvictsStaleSlices(t *testing.T) {
-	s, err := NewSuperpose("s", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := stream.NewCollector()
-	s.AddDownstream(col)
-	ins := s.Inputs()
-	r := geom.NewRect(0, 0, 2, 2)
-	// Incomplete slice [0,1), then complete slice [1,2).
-	if err := ins[0].Process(stream.Batch{Attr: "x", Window: geom.Window{T0: 0, T1: 1, Rect: r}, Tuples: []stream.Tuple{{ID: 1, T: 0.5}}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range ins {
-		if err := in.Process(stream.Batch{Attr: "x", Window: geom.Window{T0: 1, T1: 2, Rect: r}, Tuples: []stream.Tuple{{ID: 2, T: 1.5}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := col.Batches(); got != 2 {
-		t.Fatalf("batches = %d, want 2 (evicted partial then complete)", got)
-	}
-}

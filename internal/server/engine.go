@@ -76,9 +76,6 @@ type Config struct {
 	// (pmat.ViolationReport.Percent) and rescales starved pipelines through
 	// Fabricator.Retune (see DESIGN.md, "Planning and adaptivity").
 	AdaptiveRates bool
-	// Adaptive parameterizes the rate-retune controller; the zero value uses
-	// DefaultAdaptiveConfig (with Budget.ViolationThreshold when set).
-	Adaptive budget.Config
 	// Source selects where epochs acquire observations from: the simulated
 	// fleet (default), externally pushed observations, or both (see
 	// DESIGN.md, "External ingestion and watermarks").
@@ -153,12 +150,12 @@ type SourceConfig struct {
 	Late ingest.LatePolicy
 }
 
-// DefaultAdaptiveConfig is the rate-retune controller configuration used
-// when Config.Adaptive is zero: β starts (and recovers to) 100, moves ±25
-// per epoch and caps at 400, so budget.RateScale spans [0.25, 1] — a
-// starved cell converges to a quarter of its nominal rate in a dozen
-// epochs before being flagged infeasible. violationThreshold is the percent
-// N_v above which a cell counts as starved.
+// DefaultAdaptiveConfig is the rate-retune controller configuration: β
+// starts (and recovers to) 100, moves ±25 per epoch and caps at 400, so
+// budget.RateScale spans [0.25, 1] — a starved cell converges to a quarter
+// of its nominal rate in a dozen epochs before being flagged infeasible.
+// violationThreshold is the percent N_v above which a cell counts as
+// starved.
 func DefaultAdaptiveConfig(violationThreshold float64) budget.Config {
 	return budget.Config{Initial: 100, Delta: 25, Min: 100, Max: 400, ViolationThreshold: violationThreshold}
 }
@@ -262,11 +259,7 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 	}
 	var adaptive *budget.Controller
 	if cfg.AdaptiveRates {
-		acfg := cfg.Adaptive
-		if acfg == (budget.Config{}) {
-			acfg = DefaultAdaptiveConfig(cfg.Budget.ViolationThreshold)
-		}
-		adaptive, err = budget.NewController(acfg)
+		adaptive, err = budget.NewController(DefaultAdaptiveConfig(cfg.Budget.ViolationThreshold))
 		if err != nil {
 			return nil, fmt.Errorf("server: adaptive: %w", err)
 		}

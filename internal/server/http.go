@@ -472,13 +472,25 @@ func (b sessionSpecJSON) spec() (SessionSpec, error) {
 
 // handleSessionCreate refuses unknown fields instead of ignoring them: a
 // misspelt or removed override that silently does nothing is the failure to
-// avoid.
+// avoid. The body is one spec object (or nothing, for all defaults): a body
+// past the cap is refused whole (413), and anything but whitespace after
+// the object is a 400.
 func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
+	raw, err := wire.ReadBody(r.Body, 1<<16, wire.BorrowBuf())
+	defer wire.ReleaseBuf(raw)
+	if err != nil {
+		s.writeErr(w, err, http.StatusBadRequest)
+		return
+	}
 	var body sessionSpecJSON
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<16))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil && err != io.EOF {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid session spec: %w", err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		s.writeError(w, http.StatusBadRequest, errors.New("invalid session spec: data after the spec object"))
 		return
 	}
 	spec, err := body.spec()

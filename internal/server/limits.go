@@ -87,13 +87,61 @@ type ThrottleStats struct {
 	Queries uint64
 }
 
+// rateBuckets is a producer's pair of token buckets, one per ingest rate
+// limit; either is nil when its rate is 0 (unlimited).
+type rateBuckets struct {
+	tuples *ingest.TokenBucket
+	bytes  *ingest.TokenBucket
+}
+
+func newRateBuckets(tuplesPerSec, bytesPerSec float64, now func() time.Time) rateBuckets {
+	var r rateBuckets
+	if tuplesPerSec > 0 {
+		r.tuples = ingest.NewTokenBucket(tuplesPerSec, now)
+	}
+	if bytesPerSec > 0 {
+		r.bytes = ingest.NewTokenBucket(bytesPerSec, now)
+	}
+	return r
+}
+
+// admit takes from both buckets atomically: a batch is admitted only when
+// the tuple and byte budgets both cover it, and a refusal consumes neither.
+// A refusal carries the longer of the two waits and the reason naming the
+// bucket that imposed it (tupleReason on a tie).
+func (r rateBuckets) admit(tupleCount, byteCount int, tupleReason, byteReason string) *RateLimitError {
+	var (
+		wait   time.Duration
+		reason string
+	)
+	if r.tuples != nil {
+		if w := r.tuples.Peek(float64(tupleCount)); w > wait {
+			wait, reason = w, tupleReason
+		}
+	}
+	if r.bytes != nil {
+		if w := r.bytes.Peek(float64(byteCount)); w > wait {
+			wait, reason = w, byteReason
+		}
+	}
+	if wait > 0 {
+		return &RateLimitError{Reason: reason, RetryAfter: wait}
+	}
+	if r.tuples != nil {
+		r.tuples.Take(float64(tupleCount))
+	}
+	if r.bytes != nil {
+		r.bytes.Take(float64(byteCount))
+	}
+	return nil
+}
+
 // tenantLimiter enforces one session's TenantLimits. It is nil on engines
 // without limits, keeping the unlimited path allocation- and lock-free.
 type tenantLimiter struct {
-	mu     sync.Mutex
-	cfg    TenantLimits
-	tuples *ingest.TokenBucket // nil when RateTuplesPerSec is 0
-	bytes  *ingest.TokenBucket // nil when RateBytesPerSec is 0
+	mu   sync.Mutex
+	cfg  TenantLimits
+	rate rateBuckets
 
 	throttledBatches uint64
 	throttledTuples  uint64
@@ -104,48 +152,19 @@ func newTenantLimiter(cfg TenantLimits, now func() time.Time) *tenantLimiter {
 	if !cfg.enabled() {
 		return nil
 	}
-	l := &tenantLimiter{cfg: cfg}
-	if cfg.RateTuplesPerSec > 0 {
-		l.tuples = ingest.NewTokenBucket(cfg.RateTuplesPerSec, 0, now)
-	}
-	if cfg.RateBytesPerSec > 0 {
-		l.bytes = ingest.NewTokenBucket(cfg.RateBytesPerSec, 0, now)
-	}
-	return l
+	return &tenantLimiter{cfg: cfg, rate: newRateBuckets(cfg.RateTuplesPerSec, cfg.RateBytesPerSec, now)}
 }
 
-// admitRate takes from both buckets atomically: a batch is admitted only
-// when tuple and byte budgets both cover it, and a refusal consumes
-// neither. The returned error carries the longer of the two waits.
+// admitRate runs the session's token buckets on a batch, counting a refusal.
 func (l *tenantLimiter) admitRate(tupleCount, byteCount int) *RateLimitError {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var (
-		wait   time.Duration
-		reason string
-	)
-	if l.tuples != nil {
-		if w := l.tuples.Peek(float64(tupleCount)); w > wait {
-			wait, reason = w, "tuple rate"
-		}
-	}
-	if l.bytes != nil {
-		if w := l.bytes.Peek(float64(byteCount)); w > wait {
-			wait, reason = w, "byte rate"
-		}
-	}
-	if wait > 0 {
+	err := l.rate.admit(tupleCount, byteCount, "tuple rate", "byte rate")
+	if err != nil {
 		l.throttledBatches++
 		l.throttledTuples += uint64(tupleCount)
-		return &RateLimitError{Reason: reason, RetryAfter: wait}
 	}
-	if l.tuples != nil {
-		l.tuples.Take(float64(tupleCount))
-	}
-	if l.bytes != nil {
-		l.bytes.Take(float64(byteCount))
-	}
-	return nil
+	return err
 }
 
 // noteQuota records a quota refusal on the ingest path.
@@ -244,21 +263,18 @@ type GatewayLimits struct {
 	RateTuplesPerSec float64
 	// RateBytesPerSec caps each token's sustained payload-byte rate.
 	RateBytesPerSec float64
-	// MaxTokens bounds distinct tracked tokens (0 = 4096); beyond it the
-	// least-recently-seen token's buckets are recycled.
-	MaxTokens int
 }
 
 func (g GatewayLimits) enabled() bool {
 	return g.RateTuplesPerSec > 0 || g.RateBytesPerSec > 0
 }
 
-// defaultMaxTokens bounds the gateway's token-bucket table.
+// defaultMaxTokens bounds the gateway's token-bucket table; beyond it the
+// least-recently-seen token's buckets are recycled.
 const defaultMaxTokens = 4096
 
 type tokenEntry struct {
-	tuples   *ingest.TokenBucket
-	bytes    *ingest.TokenBucket
+	rateBuckets
 	lastSeen time.Time
 }
 
@@ -276,9 +292,6 @@ func newGatewayLimiter(cfg GatewayLimits, now func() time.Time) *gatewayLimiter 
 	if !cfg.enabled() {
 		return nil
 	}
-	if cfg.MaxTokens <= 0 {
-		cfg.MaxTokens = defaultMaxTokens
-	}
 	if now == nil {
 		now = time.Now
 	}
@@ -294,44 +307,18 @@ func (g *gatewayLimiter) admit(token string, tupleCount, byteCount int) *RateLim
 	defer g.mu.Unlock()
 	ent := g.perToken[token]
 	if ent == nil {
-		if len(g.perToken) >= g.cfg.MaxTokens {
+		if len(g.perToken) >= defaultMaxTokens {
 			g.evictOldestLocked()
 		}
-		ent = &tokenEntry{}
-		if g.cfg.RateTuplesPerSec > 0 {
-			ent.tuples = ingest.NewTokenBucket(g.cfg.RateTuplesPerSec, 0, g.now)
-		}
-		if g.cfg.RateBytesPerSec > 0 {
-			ent.bytes = ingest.NewTokenBucket(g.cfg.RateBytesPerSec, 0, g.now)
-		}
+		ent = &tokenEntry{rateBuckets: newRateBuckets(g.cfg.RateTuplesPerSec, g.cfg.RateBytesPerSec, g.now)}
 		g.perToken[token] = ent
 	}
 	ent.lastSeen = g.now()
-	var (
-		wait   time.Duration
-		reason string
-	)
-	if ent.tuples != nil {
-		if w := ent.tuples.Peek(float64(tupleCount)); w > wait {
-			wait, reason = w, "token tuple rate"
-		}
-	}
-	if ent.bytes != nil {
-		if w := ent.bytes.Peek(float64(byteCount)); w > wait {
-			wait, reason = w, "token byte rate"
-		}
-	}
-	if wait > 0 {
+	err := ent.admit(tupleCount, byteCount, "token tuple rate", "token byte rate")
+	if err != nil {
 		g.throttled++
-		return &RateLimitError{Reason: reason, RetryAfter: wait}
 	}
-	if ent.tuples != nil {
-		ent.tuples.Take(float64(tupleCount))
-	}
-	if ent.bytes != nil {
-		ent.bytes.Take(float64(byteCount))
-	}
-	return nil
+	return err
 }
 
 // evictOldestLocked recycles the least-recently-seen token's entry.

@@ -298,6 +298,15 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	doJSON(t, c, "POST", base+"/step?n=abc", "", 400, nil)
 	doJSON(t, c, "GET", base+"/step", "", 405, nil)
+
+	// A session spec is one JSON object and trailing whitespace: a second
+	// value after it is a 400, and a spec padded past the 64 KiB cap is
+	// refused whole (413); neither creates its session.
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"ws"}`+"\n\t ", 201, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"a"}{"seed":1}`, 400, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"b"}`+strings.Repeat(" ", 1<<16), 413, nil)
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/a", "", 404, nil)
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/b", "", 404, nil)
 }
 
 func TestFabricatorConfigPlumbed(t *testing.T) {

@@ -1,84 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
-
-// Histogram accumulates counts over equal-width bins on [Lo, Hi).
-// Observations outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, errors.New("stats: NewHistogram requires bins > 0")
-	}
-	if hi <= lo {
-		return nil, errors.New("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records an observation.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Under++
-	case v >= h.Hi:
-		h.Over++
-	default:
-		idx := int(float64(len(h.Counts)) * (v - h.Lo) / (h.Hi - h.Lo))
-		if idx >= len(h.Counts) { // guard against floating-point edge
-			idx = len(h.Counts) - 1
-		}
-		h.Counts[idx]++
-	}
-}
-
-// N returns the number of in-range observations.
-func (h *Histogram) N() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// UniformityPValue runs a chi-square uniformity test on the in-range counts.
-func (h *Histogram) UniformityPValue() (float64, error) {
-	res, err := ChiSquareUniform(h.Counts)
-	if err != nil {
-		return 0, err
-	}
-	return res.PValue, nil
-}
-
-// String renders a compact ASCII bar chart, useful in experiment output.
-func (h *Histogram) String() string {
-	maxCount := 0
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	width := float64(h.Hi-h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * 40 / maxCount
-		}
-		fmt.Fprintf(&b, "[%8.3f,%8.3f) %6d %s\n", h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
+import "errors"
 
 // Grid2D accumulates counts over an nx × ny grid covering
 // [loX, hiX) × [loY, hiY). It supports the spatial uniformity tests used to
@@ -136,42 +58,3 @@ func (g *Grid2D) UniformityPValue() (float64, error) {
 	}
 	return res.PValue, nil
 }
-
-// Reservoir maintains a uniform random sample of fixed capacity from a
-// stream (Vitter's Algorithm R).
-type Reservoir struct {
-	cap   int
-	seen  int
-	items []float64
-	rng   *RNG
-}
-
-// NewReservoir creates a reservoir sampler with the given capacity.
-func NewReservoir(capacity int, rng *RNG) (*Reservoir, error) {
-	if capacity <= 0 {
-		return nil, errors.New("stats: NewReservoir requires capacity > 0")
-	}
-	if rng == nil {
-		return nil, errors.New("stats: NewReservoir requires an RNG")
-	}
-	return &Reservoir{cap: capacity, rng: rng}, nil
-}
-
-// Add offers a value to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.items) < r.cap {
-		r.items = append(r.items, v)
-		return
-	}
-	j := r.rng.Intn(r.seen)
-	if j < r.cap {
-		r.items[j] = v
-	}
-}
-
-// Sample returns the current sample (not a copy).
-func (r *Reservoir) Sample() []float64 { return r.items }
-
-// Seen returns how many values have been offered.
-func (r *Reservoir) Seen() int { return r.seen }

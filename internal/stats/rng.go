@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/codec"
 )
@@ -22,8 +21,7 @@ import (
 // point-process layer. The draws an epoch makes per tuple (Float64,
 // Bernoulli, Uniform, Poisson) read the generator directly; the rest go
 // through a rand.Rand over the same state. RNG is not safe for concurrent
-// use; use Fork to derive independent generators for concurrent components,
-// or LockedRNG for a mutex-guarded variant.
+// use; use Fork to derive independent generators for concurrent components.
 type RNG struct {
 	pcg  rand.PCG
 	seed int64
@@ -202,45 +200,4 @@ func (g *RNG) poissonPTRS(mean float64) int {
 			return int(k)
 		}
 	}
-}
-
-// LockedRNG is a mutex-guarded RNG safe for concurrent use. It is intended
-// for components, like the HTTP server, that may be driven from multiple
-// goroutines; hot loops should use per-goroutine forks instead.
-type LockedRNG struct {
-	mu sync.Mutex
-	g  *RNG
-}
-
-// NewLockedRNG returns a concurrency-safe generator seeded with seed.
-func NewLockedRNG(seed int64) *LockedRNG {
-	return &LockedRNG{g: NewRNG(seed)}
-}
-
-// Float64 returns a uniform variate in [0, 1).
-func (l *LockedRNG) Float64() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.g.Float64()
-}
-
-// Bernoulli returns true with probability p.
-func (l *LockedRNG) Bernoulli(p float64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.g.Bernoulli(p)
-}
-
-// Poisson returns a Poisson variate with the given mean.
-func (l *LockedRNG) Poisson(mean float64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.g.Poisson(mean)
-}
-
-// Fork derives an independent single-goroutine RNG.
-func (l *LockedRNG) Fork() *RNG {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.g.Fork()
 }

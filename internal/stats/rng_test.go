@@ -235,28 +235,6 @@ func TestIntnAndPerm(t *testing.T) {
 	}
 }
 
-func TestLockedRNG(t *testing.T) {
-	l := NewLockedRNG(13)
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				_ = l.Float64()
-				_ = l.Bernoulli(0.5)
-				_ = l.Poisson(5)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-	child := l.Fork()
-	if child == nil {
-		t.Fatal("LockedRNG.Fork returned nil")
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	g := NewRNG(14)
 	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}

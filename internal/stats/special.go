@@ -92,19 +92,7 @@ func gammaQContinuedFraction(a, x float64) (float64, error) {
 	return math.NaN(), ErrNotConverged
 }
 
-// ChiSquareCDF returns the CDF of a chi-square distribution with k degrees
-// of freedom evaluated at x.
-func ChiSquareCDF(x float64, k int) (float64, error) {
-	if k <= 0 {
-		return math.NaN(), errors.New("stats: ChiSquareCDF requires k > 0")
-	}
-	if x <= 0 {
-		return 0, nil
-	}
-	return RegularizedGammaP(float64(k)/2, x/2)
-}
-
-// ChiSquareSurvival returns 1 - CDF, the p-value of an observed chi-square
+// ChiSquareSurvival returns the chi-square survival function, the p-value of an observed chi-square
 // statistic x with k degrees of freedom.
 func ChiSquareSurvival(x float64, k int) (float64, error) {
 	if k <= 0 {

@@ -75,31 +75,34 @@ func TestRegularizedGammaErrors(t *testing.T) {
 }
 
 func TestChiSquareCDFKnownValues(t *testing.T) {
-	// Chi-square with k=2 is Exponential(1/2): CDF(x) = 1 - exp(-x/2).
+	// Chi-square with k=2 is Exponential(1/2): CDF(x) = 1 - survival(x) =
+	// 1 - exp(-x/2).
 	for _, x := range []float64{0.5, 1, 3, 8} {
-		got, err := ChiSquareCDF(x, 2)
+		s, err := ChiSquareSurvival(x, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := 1 - math.Exp(-x/2)
-		if math.Abs(got-want) > 1e-10 {
-			t.Errorf("ChiSquareCDF(%g,2) = %g, want %g", x, got, want)
+		if got := 1 - s; math.Abs(got-want) > 1e-10 {
+			t.Errorf("CDF(%g,2) = %g, want %g", x, got, want)
 		}
 	}
 	// Median of chi-square(1) is ≈ 0.4549.
-	got, err := ChiSquareCDF(0.454936, 1)
+	s, err := ChiSquareSurvival(0.454936, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-0.5) > 1e-4 {
-		t.Errorf("ChiSquareCDF(median,1) = %g", got)
+	if math.Abs(s-0.5) > 1e-4 {
+		t.Errorf("ChiSquareSurvival(median,1) = %g", s)
 	}
 }
 
+// TestChiSquareSurvivalMatchesCDF holds the survival function (computed
+// through Q) to the chi-square CDF P(k/2, x/2).
 func TestChiSquareSurvivalMatchesCDF(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 30} {
 		for _, x := range []float64{0.5, 2, 10, 40} {
-			c, err1 := ChiSquareCDF(x, k)
+			c, err1 := RegularizedGammaP(float64(k)/2, x/2)
 			s, err2 := ChiSquareSurvival(x, k)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
@@ -112,7 +115,7 @@ func TestChiSquareSurvivalMatchesCDF(t *testing.T) {
 }
 
 func TestChiSquareInvalidDF(t *testing.T) {
-	if _, err := ChiSquareCDF(1, 0); err == nil {
+	if _, err := ChiSquareSurvival(1, 0); err == nil {
 		t.Error("k=0 should error")
 	}
 	if _, err := ChiSquareSurvival(1, -1); err == nil {
@@ -121,13 +124,10 @@ func TestChiSquareInvalidDF(t *testing.T) {
 }
 
 func TestChiSquareAtZero(t *testing.T) {
-	c, err := ChiSquareCDF(0, 3)
-	if err != nil || c != 0 {
-		t.Errorf("CDF(0) = %g, err %v", c, err)
-	}
-	s, err := ChiSquareSurvival(-1, 3)
-	if err != nil || s != 1 {
-		t.Errorf("survival(-1) = %g, err %v", s, err)
+	for _, x := range []float64{0, -1} {
+		if s, err := ChiSquareSurvival(x, 3); err != nil || s != 1 {
+			t.Errorf("survival(%g) = %g, err %v", x, s, err)
+		}
 	}
 }
 

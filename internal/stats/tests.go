@@ -48,30 +48,6 @@ func ChiSquareUniform(counts []int) (ChiSquareUniformResult, error) {
 	return ChiSquareUniformResult{Statistic: x2, DF: df, PValue: p, N: n, Bins: len(counts)}, nil
 }
 
-// ChiSquareExpected tests observed counts against explicit expected counts.
-// Expected counts must be positive and have the same length as observed.
-func ChiSquareExpected(observed []int, expected []float64) (ChiSquareUniformResult, error) {
-	if len(observed) != len(expected) || len(observed) < 2 {
-		return ChiSquareUniformResult{}, errors.New("stats: ChiSquareExpected requires matching slices of length >= 2")
-	}
-	x2 := 0.0
-	n := 0
-	for i, c := range observed {
-		if expected[i] <= 0 {
-			return ChiSquareUniformResult{}, errors.New("stats: ChiSquareExpected requires positive expected counts")
-		}
-		d := float64(c) - expected[i]
-		x2 += d * d / expected[i]
-		n += c
-	}
-	df := len(observed) - 1
-	p, err := ChiSquareSurvival(x2, df)
-	if err != nil {
-		return ChiSquareUniformResult{}, err
-	}
-	return ChiSquareUniformResult{Statistic: x2, DF: df, PValue: p, N: n, Bins: len(observed)}, nil
-}
-
 // KSResult is the outcome of a one-sample Kolmogorov–Smirnov test.
 type KSResult struct {
 	Statistic float64 // D_n, the sup-distance between empirical and model CDF
@@ -178,47 +154,4 @@ func (s *Summary) StdErr() float64 {
 		return 0
 	}
 	return s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// CI95 returns a normal-approximation 95% confidence interval for the mean.
-func (s *Summary) CI95() (lo, hi float64) {
-	half := 1.96 * s.StdErr()
-	return s.mean - half, s.mean + half
-}
-
-// Mean computes the arithmetic mean of a slice; it returns zero for an empty
-// slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample using linear
-// interpolation between order statistics. The input is copied.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
 }

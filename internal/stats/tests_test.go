@@ -49,25 +49,6 @@ func TestChiSquareUniformErrors(t *testing.T) {
 	}
 }
 
-func TestChiSquareExpected(t *testing.T) {
-	obs := []int{52, 48}
-	exp := []float64{50, 50}
-	res, err := ChiSquareExpected(obs, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (2.0*2.0)/50 + (2.0*2.0)/50
-	if math.Abs(res.Statistic-want) > 1e-12 {
-		t.Errorf("X2 = %g, want %g", res.Statistic, want)
-	}
-	if _, err := ChiSquareExpected([]int{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := ChiSquareExpected([]int{1, 2}, []float64{1, 0}); err == nil {
-		t.Error("non-positive expected should error")
-	}
-}
-
 func TestKSUniformAcceptsUniform(t *testing.T) {
 	g := NewRNG(101)
 	sample := make([]float64, 5000)
@@ -141,80 +122,6 @@ func TestSummary(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Errorf("extrema = [%g, %g]", s.Min(), s.Max())
 	}
-	lo, hi := s.CI95()
-	if lo >= s.Mean() || hi <= s.Mean() {
-		t.Errorf("CI [%g, %g] does not bracket the mean", lo, hi)
-	}
-}
-
-func TestMeanAndQuantile(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	xs := []float64{3, 1, 2}
-	if Mean(xs) != 2 {
-		t.Errorf("Mean = %g", Mean(xs))
-	}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 3 || Quantile(xs, 0.5) != 2 {
-		t.Error("Quantile endpoints or median wrong")
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile(nil) should be 0")
-	}
-	// Interpolation: quantile 0.25 of [1,2,3] is 1.5.
-	if got := Quantile(xs, 0.25); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("Quantile(0.25) = %g", got)
-	}
-	// Out-of-range q is clamped.
-	if Quantile(xs, -1) != 1 || Quantile(xs, 2) != 3 {
-		t.Error("Quantile clamp failed")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
-		h.Add(v)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.N() != 5 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.String() == "" {
-		t.Error("String() empty")
-	}
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range should error")
-	}
-}
-
-func TestHistogramUniformityPValue(t *testing.T) {
-	g := NewRNG(103)
-	h, _ := NewHistogram(0, 1, 10)
-	for i := 0; i < 50000; i++ {
-		h.Add(g.Float64())
-	}
-	p, err := h.UniformityPValue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Errorf("uniform histogram rejected: p = %g", p)
-	}
 }
 
 func TestGrid2D(t *testing.T) {
@@ -242,32 +149,5 @@ func TestGrid2D(t *testing.T) {
 	}
 	if _, err := NewGrid2D(1, 1, 0, 1, 2, 2); err == nil {
 		t.Error("empty extent should error")
-	}
-}
-
-func TestReservoir(t *testing.T) {
-	g := NewRNG(104)
-	r, err := NewReservoir(100, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != 10000 {
-		t.Errorf("Seen = %d", r.Seen())
-	}
-	if len(r.Sample()) != 100 {
-		t.Fatalf("sample size = %d", len(r.Sample()))
-	}
-	// The sample mean should be near the stream mean (≈ 4999.5).
-	if m := Mean(r.Sample()); math.Abs(m-4999.5) > 1500 {
-		t.Errorf("reservoir mean = %g, badly skewed", m)
-	}
-	if _, err := NewReservoir(0, g); err == nil {
-		t.Error("capacity 0 should error")
-	}
-	if _, err := NewReservoir(5, nil); err == nil {
-		t.Error("nil RNG should error")
 	}
 }

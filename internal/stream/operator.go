@@ -20,8 +20,8 @@ type Operator interface {
 	Processor
 	// Name is a unique human-readable instance name.
 	Name() string
-	// Kind is the operator class: "F", "T", "P", "U" for the paper's four
-	// PMAT operators, or an extension identifier.
+	// Kind is the operator class: "F", "T", "P" or "U", the paper's four
+	// PMAT operators.
 	Kind() string
 	// Stats returns the operator's flow counters.
 	Stats() FlowStats
@@ -35,14 +35,6 @@ type FlowStats struct {
 	TuplesIn    uint64
 	TuplesOut   uint64
 	RandomDraws uint64
-}
-
-// Selectivity returns TuplesOut / TuplesIn, or zero when nothing was seen.
-func (f FlowStats) Selectivity() float64 {
-	if f.TuplesIn == 0 {
-		return 0
-	}
-	return float64(f.TuplesOut) / float64(f.TuplesIn)
 }
 
 // flowCounters is an embeddable atomic implementation of FlowStats.
@@ -176,12 +168,6 @@ func (b *Base) Emit(batch Batch) error {
 
 // ErrClosed is returned when a batch is pushed into a closed component.
 var ErrClosed = errors.New("stream: closed")
-
-// FuncSink adapts a function to Processor.
-type FuncSink func(b Batch) error
-
-// Process implements Processor.
-func (f FuncSink) Process(b Batch) error { return f(b) }
 
 // Collector is a sink that accumulates every tuple it receives; tests and
 // experiments read the result. Collector is safe for concurrent use.

@@ -24,6 +24,11 @@ func makeBatch(n int) Batch {
 	return b
 }
 
+// failingSink is a Processor that refuses every batch with err.
+type failingSink struct{ err error }
+
+func (s failingSink) Process(Batch) error { return s.err }
+
 func TestTupleEventAndString(t *testing.T) {
 	tp := Tuple{ID: 3, Attr: "rain", T: 1, X: 2, Y: 3, Value: 1}
 	e := tp.Event()
@@ -54,26 +59,6 @@ func TestBatchBasics(t *testing.T) {
 	}
 }
 
-func TestBatchClip(t *testing.T) {
-	b := makeBatch(100)
-	sub := geom.NewRect(0, 0, 2, 2)
-	clipped, ok := b.Clip(sub)
-	if !ok {
-		t.Fatal("clip to overlapping rect failed")
-	}
-	if !clipped.Window.Rect.Equal(sub) {
-		t.Fatalf("clipped window = %v", clipped.Window.Rect)
-	}
-	for _, tp := range clipped.Tuples {
-		if !sub.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
-			t.Fatal("clipped batch kept outside tuple")
-		}
-	}
-	if _, ok := b.Clip(geom.NewRect(10, 10, 11, 11)); ok {
-		t.Fatal("clip to disjoint rect should fail")
-	}
-}
-
 func TestBaseEmitAndCounters(t *testing.T) {
 	base := NewBase("op", "X")
 	col := NewCollector()
@@ -92,12 +77,6 @@ func TestBaseEmitAndCounters(t *testing.T) {
 	}
 	if base.Name() != "op" || base.Kind() != "X" {
 		t.Fatal("identity wrong")
-	}
-	if got := s.Selectivity(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("selectivity = %g", got)
-	}
-	if (FlowStats{}).Selectivity() != 0 {
-		t.Fatal("empty selectivity must be 0")
 	}
 }
 
@@ -136,7 +115,7 @@ func TestBaseFanOutAndRemove(t *testing.T) {
 func TestEmitPropagatesErrors(t *testing.T) {
 	base := NewBase("op", "X")
 	sentinel := errors.New("boom")
-	base.AddDownstream(FuncSink(func(Batch) error { return sentinel }))
+	base.AddDownstream(failingSink{sentinel})
 	err := base.Emit(makeBatch(1))
 	if err == nil || !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
@@ -180,57 +159,8 @@ func TestTee(t *testing.T) {
 		t.Fatal("tee failed")
 	}
 	sentinel := errors.New("x")
-	tee2 := &Tee{Children: []Processor{FuncSink(func(Batch) error { return sentinel })}}
+	tee2 := &Tee{Children: []Processor{failingSink{sentinel}}}
 	if err := tee2.Process(makeBatch(1)); !errors.Is(err, sentinel) {
 		t.Fatal("tee did not propagate error")
-	}
-}
-
-func TestSlidingWindow(t *testing.T) {
-	w, err := NewSlidingWindow(10, geom.NewRect(0, 0, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		w.Add(Tuple{T: float64(i), X: 1, Y: 1})
-	}
-	// Latest = 19; span 10 ⇒ keep (9, 19].
-	if w.Len() != 10 {
-		t.Fatalf("len = %d", w.Len())
-	}
-	if w.Seen() != 20 {
-		t.Fatalf("seen = %d", w.Seen())
-	}
-	win := w.Window()
-	if win.T0 != 9 || win.T1 != 19 {
-		t.Fatalf("window = %v", win)
-	}
-	snap := w.Snapshot("temp")
-	if snap.Attr != "temp" || snap.Len() != 10 {
-		t.Fatal("snapshot wrong")
-	}
-	// Late tuple older than the window is dropped immediately.
-	w.Add(Tuple{T: 2})
-	if w.Len() != 10 {
-		t.Fatal("stale tuple was buffered")
-	}
-}
-
-func TestSlidingWindowValidation(t *testing.T) {
-	if _, err := NewSlidingWindow(0, geom.NewRect(0, 0, 1, 1)); err == nil {
-		t.Error("zero span should error")
-	}
-	if _, err := NewSlidingWindow(1, geom.Rect{}); err == nil {
-		t.Error("empty rect should error")
-	}
-}
-
-func TestSlidingWindowSnapshotIsCopy(t *testing.T) {
-	w, _ := NewSlidingWindow(100, geom.NewRect(0, 0, 4, 4))
-	w.Add(Tuple{T: 1, X: 1, Y: 1, Value: 5})
-	snap := w.Snapshot("a")
-	snap.Tuples[0].Value = 99
-	if w.Snapshot("a").Tuples[0].Value == 99 {
-		t.Fatal("snapshot aliases the buffer")
 	}
 }

@@ -69,20 +69,3 @@ func (b Batch) MeasuredRate() float64 {
 	}
 	return float64(len(b.Tuples)) / vol
 }
-
-// Clip returns a copy of the batch restricted to the given rectangle: the
-// window is intersected and only contained tuples are kept. The boolean is
-// false when the windows do not overlap.
-func (b Batch) Clip(r geom.Rect) (Batch, bool) {
-	clipped, ok := b.Window.Rect.Intersect(r)
-	if !ok {
-		return Batch{}, false
-	}
-	out := Batch{Attr: b.Attr, Window: b.Window.WithRect(clipped)}
-	for _, tp := range b.Tuples {
-		if clipped.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
-			out.Tuples = append(out.Tuples, tp)
-		}
-	}
-	return out, true
-}

@@ -21,7 +21,7 @@ import (
 
 // Config parameterizes the fabricator.
 type Config struct {
-	// Pipeline configures every cell pipeline (headroom, flatten mode).
+	// Pipeline configures every cell pipeline (flatten mode, compiled execution).
 	Pipeline PipelineConfig
 	// Workers bounds the worker pool that executes cell pipelines within an
 	// epoch. 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.

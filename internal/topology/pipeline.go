@@ -91,7 +91,6 @@ type CellPipeline struct {
 	cellRect geom.Rect
 	flatten  *pmat.Flatten
 	nodes    []*rateNode // sorted by rate, descending
-	headroom float64
 	rng      *stats.RNG
 	nameSeq  int
 
@@ -109,11 +108,12 @@ type CellPipeline struct {
 	disableFused bool
 }
 
+// headroom is the multiplicative margin of the F-operator's output rate
+// over the first T-operator's rate.
+const headroom = 1.2
+
 // PipelineConfig carries the pieces a pipeline needs from the fabricator.
 type PipelineConfig struct {
-	// Headroom is the multiplicative margin of the F-operator's output rate
-	// over the first T-operator's rate (must be > 1; default 1.2).
-	Headroom float64
 	// Flatten configures the F-operator (TargetRate is overwritten by the
 	// pipeline as queries come and go).
 	Flatten pmat.FlattenConfig
@@ -124,17 +124,9 @@ type PipelineConfig struct {
 	DisableFused bool
 }
 
-func (c PipelineConfig) withDefaults() PipelineConfig {
-	if c.Headroom <= 1 {
-		c.Headroom = 1.2
-	}
-	return c
-}
-
 // NewCellPipeline creates the topology for a key, with the F-operator
 // installed and no queries yet.
 func NewCellPipeline(key Key, cellRect geom.Rect, cfg PipelineConfig, rng *stats.RNG) (*CellPipeline, error) {
-	cfg = cfg.withDefaults()
 	if cellRect.IsEmpty() {
 		return nil, fmt.Errorf("topology: pipeline %v: empty cell rect", key)
 	}
@@ -150,7 +142,7 @@ func NewCellPipeline(key Key, cellRect geom.Rect, cfg PipelineConfig, rng *stats
 		return nil, err
 	}
 	return &CellPipeline{
-		key: key, cellRect: cellRect, flatten: f, headroom: cfg.Headroom, rng: rng,
+		key: key, cellRect: cellRect, flatten: f, rng: rng,
 		disableFused: cfg.DisableFused, nominalTarget: fcfg.TargetRate, scale: 1,
 	}, nil
 }
@@ -257,7 +249,7 @@ func (p *CellPipeline) ensureNode(rate float64) (*rateNode, error) {
 	if pos == 0 {
 		// New head: make sure F's nominal output rate exceeds the new head
 		// rate; the operator runs at the scaled equivalent.
-		needed := p.headroom * rate
+		needed := headroom * rate
 		if p.nominalTarget < needed {
 			p.nominalTarget = needed
 			if err := p.flatten.SetTargetRate(p.scale * needed); err != nil {
