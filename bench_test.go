@@ -153,7 +153,6 @@ func BenchmarkFlatten(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("mle/n=%d", n), func(b *testing.B) { benchFlatten(b, pmat.EstimatorMLE, n) })
 		b.Run(fmt.Sprintf("known/n=%d", n), func(b *testing.B) { benchFlatten(b, pmat.EstimatorKnown, n) })
-		b.Run(fmt.Sprintf("sgd/n=%d", n), func(b *testing.B) { benchFlatten(b, pmat.EstimatorSGD, n) })
 	}
 }
 
@@ -480,7 +479,7 @@ func BenchmarkMLE(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := estimate.FitMLE(ev, w, estimate.Options{}); err != nil {
+					if _, err := estimate.FitMLE(ev, w); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -494,7 +493,7 @@ func BenchmarkSGD(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := estimate.FitSGD(ev, w, 16, 3, estimate.SGDConfig{}); err != nil {
+		if _, err := estimate.FitSGD(ev, w, 16, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -523,18 +522,17 @@ func churnPool() []query.Query {
 
 // benchQueryChurn holds `resident` queries from churnPool live, then each
 // iteration performs one steady-state churn step: delete the oldest
-// resident, submit a replacement, run one full epoch. With sharing the
-// topology holds one subplan per distinct pool entry regardless of the
-// resident count — epoch cost and memory track the pool size, not the
-// query count (the sublinearity claim; TestSharedChurnSublinear proves it
-// exactly via operator counts) — while the no-sharing control fabricates
-// per query and scales linearly.
-func benchQueryChurn(b *testing.B, resident int, share bool) {
+// resident, submit a replacement, run one full epoch. The topology holds one
+// subplan per distinct pool entry regardless of the resident count — epoch
+// cost and memory track the pool size, not the query count (the
+// sublinearity claim; TestSharedChurnSublinear proves it exactly via
+// operator counts).
+func benchQueryChurn(b *testing.B, resident int) {
 	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fab, err := topology.New(grid, topology.Config{DisableSharing: !share}, stats.NewRNG(1))
+	fab, err := topology.New(grid, topology.Config{}, stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -555,11 +553,10 @@ func benchQueryChurn(b *testing.B, resident int, share bool) {
 	batch.Window.Rect = grid.Region()
 	fr := fracs(batch)
 	// Resident memory per query: everything reachable after setup divided
-	// by the query count, sinks included. On the unshared arm that puts a
-	// floor of one 64-tuple ring under every query; on the shared arm a
-	// query that joins a resident subplan brings only its handle, and the
-	// rings number at most len(pool). BenchmarkResultFanout measures the
-	// ring sharing at a realistic retention.
+	// by the query count, sinks included. A query that joins a resident
+	// subplan brings only its handle, and the rings number at most
+	// len(pool). BenchmarkResultFanout measures the ring sharing at a
+	// realistic retention.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -583,16 +580,13 @@ func benchQueryChurn(b *testing.B, resident int, share bool) {
 
 // BenchmarkQueryChurn measures sustained submit/delete churn with an epoch
 // per step at 1k and 10k resident queries. Sublinear epoch cost shows as
-// shared ns/op staying flat from resident=1000 to resident=10000 while the
-// no-sharing control grows with the query count. Wired into scripts/bench.sh
-// (default -bench '.') and guarded by scripts/bench_guard.sh.
+// ns/op staying flat from resident=1000 to resident=10000. Wired into
+// scripts/bench.sh (default -bench '.') and guarded by scripts/bench_guard.sh.
 func BenchmarkQueryChurn(b *testing.B) {
 	for _, resident := range []int{1000, 10000} {
-		for _, mode := range []string{"shared", "unshared"} {
-			b.Run(fmt.Sprintf("resident=%d/%s", resident, mode), func(b *testing.B) {
-				benchQueryChurn(b, resident, mode == "shared")
-			})
-		}
+		b.Run(fmt.Sprintf("resident=%d/shared", resident), func(b *testing.B) {
+			benchQueryChurn(b, resident)
+		})
 	}
 }
 
@@ -691,69 +685,64 @@ func fanoutForms() []query.Query {
 // through Fabricator.InsertQuery, with 4096-tuple result stores (bench/'s
 // in-process twin still goes through InsertQueryMerge, which is the same
 // call) — and per op one (T, ID)-sorted 2048-tuple batch
-// for each of the two attributes through Fabricator.Ingest on one worker.
-// program is the compiled position program, graphwalk the operator-graph
-// oracle it replaced as the production path; the epoch contains the merge
-// phase, which is where the two differ. program must stay at 0 allocs/op.
-// Guarded by scripts/bench_guard.sh.
+// for each of the two attributes through Fabricator.Ingest on one worker,
+// which runs the compiled position program, merge phase included. It must
+// stay at 0 allocs/op. Guarded by scripts/bench_guard.sh.
 func BenchmarkEpochFanout(b *testing.B) {
-	for _, mode := range []string{"program", "graphwalk"} {
-		b.Run(mode, func(b *testing.B) {
-			grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
-			if err != nil {
+	b.Run("program", func(b *testing.B) {
+		grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fab, err := topology.New(grid, topology.Config{Workers: 1}, stats.NewRNG(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		forms := fanoutForms()
+		for i := 0; i < 512; i++ {
+			q := query.Query{Attr: "rain", Region: grid.Region(), Rate: 1}
+			if i > 0 {
+				q = forms[(i-1)%len(forms)]
+			}
+			if _, err := fab.InsertQuery(q, stream.NewResultStore(4096)); err != nil {
 				b.Fatal(err)
 			}
-			cfg := topology.Config{Workers: 1, Pipeline: topology.PipelineConfig{DisableFused: mode == "graphwalk"}}
-			fab, err := topology.New(grid, cfg, stats.NewRNG(1))
-			if err != nil {
-				b.Fatal(err)
+		}
+		var batches [2]stream.Batch
+		var fr [2][]float64
+		for i, attr := range []string{"rain", "temp"} {
+			batch := benchBatch(2048, int64(3+i))
+			batch.Attr = attr
+			batch.Window.Rect = grid.Region()
+			for j := range batch.Tuples {
+				tp := &batch.Tuples[j]
+				tp.Attr, tp.X, tp.Y = attr, 2*tp.X, 2*tp.Y
 			}
-			forms := fanoutForms()
-			for i := 0; i < 512; i++ {
-				q := query.Query{Attr: "rain", Region: grid.Region(), Rate: 1}
-				if i > 0 {
-					q = forms[(i-1)%len(forms)]
-				}
-				if _, err := fab.InsertQuery(q, stream.NewResultStore(4096)); err != nil {
+			stream.SortTuples(batch.Tuples)
+			batches[i], fr[i] = batch, fracs(batch)
+		}
+		epoch := func(e int) {
+			for i := range batches {
+				retime(&batches[i], fr[i], float64(e))
+				if err := fab.Ingest(batches[i]); err != nil {
 					b.Fatal(err)
 				}
 			}
-			var batches [2]stream.Batch
-			var fr [2][]float64
-			for i, attr := range []string{"rain", "temp"} {
-				batch := benchBatch(2048, int64(3+i))
-				batch.Attr = attr
-				batch.Window.Rect = grid.Region()
-				for j := range batch.Tuples {
-					tp := &batch.Tuples[j]
-					tp.Attr, tp.X, tp.Y = attr, 2*tp.X, 2*tp.Y
-				}
-				stream.SortTuples(batch.Tuples)
-				batches[i], fr[i] = batch, fracs(batch)
-			}
-			epoch := func(e int) {
-				for i := range batches {
-					retime(&batches[i], fr[i], float64(e))
-					if err := fab.Ingest(batches[i]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			for e := 0; e < 8; e++ {
-				epoch(e) // compile, warm the estimators and the scratch
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				epoch(8 + i)
-			}
-			b.StopTimer()
-			if st := fab.SharedStats(); st.Queries != 512 || st.Subplans != 65 {
-				b.Fatalf("fixture drifted from the workload's shape: %+v", st)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/tuple")
-		})
-	}
+		}
+		for e := 0; e < 8; e++ {
+			epoch(e) // compile, warm the estimators and the scratch
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			epoch(8 + i)
+		}
+		b.StopTimer()
+		if st := fab.SharedStats(); st.Queries != 512 || st.Subplans != 65 {
+			b.Fatalf("fixture drifted from the workload's shape: %+v", st)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/tuple")
+	})
 }
 
 // --- E11–E14: extension experiments (run via the harness in Quick mode) -------

@@ -120,7 +120,7 @@ func NewLinearIntensity(theta Theta) LinearIntensity { return intensity.NewLinea
 
 // FitMLE fits Eq. (1) to events observed on a window by maximum likelihood.
 func FitMLE(events []Event, w Window) (Theta, error) {
-	res, err := estimate.FitMLE(events, w, estimate.Options{})
+	res, err := estimate.FitMLE(events, w)
 	if err != nil {
 		return Theta{}, err
 	}

@@ -10,8 +10,10 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,27 +32,177 @@ var exportsAllowedUnreached = map[string]string{
 	"repro/internal/export.ReadJSONLines":      "behind craqr.ReadJSONLines, the facade's reader for JSONLinesSink output",
 }
 
+// fieldsAllowedUnwritten names the exported struct fields under internal/
+// that stay although no non-test code writes them, each with the reason.
+var fieldsAllowedUnwritten = map[string]string{
+	"repro/internal/server.DurabilityConfig.WrapFile":     "fault injection: the crash tests wrap every WAL segment file",
+	"repro/internal/server.DurabilityConfig.SegmentBytes": "forces segment rotation in tests at sizes production never writes",
+	"repro/internal/sensors.ConstantField.Name":           "the fixed-value test field is built only by tests",
+	"repro/internal/sensors.ConstantField.V":              "the fixed-value test field is built only by tests",
+}
+
 // TestInternalExportsReachedOutsideTests fails on every exported top-level
 // func or type under internal/ that no program reaches, so library surface
 // that only its own tests call does not accumulate.
 func TestInternalExportsReachedOutsideTests(t *testing.T) {
-	for _, name := range unreachedInternalExports(t, ".") {
+	for _, name := range unreachedInternalExports(t) {
 		t.Errorf("%s: only tests reach it; delete it, or add it to exportsAllowedUnreached with the reason it stays", name)
 	}
 }
 
+// TestInternalFieldsWrittenOutsideTests fails on every exported field of an
+// exported struct under internal/ that no non-test code writes, so an option
+// only tests select — a control arm, a knob left at its default — does not
+// ship. A field with a json tag is exempt: a decoder writes it from the wire.
+// The rule cannot see a field written only by its own package, such as one a
+// withDefaults method fills in: that write counts.
+func TestInternalFieldsWrittenOutsideTests(t *testing.T) {
+	for _, name := range unwrittenInternalFields(t) {
+		t.Errorf("%s: only tests write it; delete it, or add it to fieldsAllowedUnwritten with the reason it stays", name)
+	}
+}
+
+// repo is the repository's non-test code, type-checked once per test binary.
+var repo struct {
+	once sync.Once
+	pkgs []*checkedPkg
+	err  error
+}
+
+func repoPackages(t *testing.T) []*checkedPkg {
+	t.Helper()
+	repo.once.Do(func() { repo.pkgs, repo.err = loadRepo(".") })
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.pkgs
+}
+
+// unwrittenInternalFields returns, sorted, the "path.Type.Field" of each
+// exported field without a json tag of an exported struct type under
+// internal/ that no non-test file, bench/ included, writes. A write is a
+// key of a keyed composite literal, every field of an unkeyed one, an
+// assignment or inc/dec target, or an operand of &; a selector chain counts
+// for every field along it, so a.B.C = v writes both B and C.
+func unwrittenInternalFields(t *testing.T) []string {
+	t.Helper()
+	pkgs := repoPackages(t)
+	written := make(map[*types.Var]bool)
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			markFieldWrites(p.info, f, written)
+		}
+	}
+	declared := make(map[string]bool)
+	var out []string
+	for _, p := range pkgs {
+		if !strings.Contains(p.types.Path()+"/", "/internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				field := st.Field(i)
+				if !field.Exported() {
+					continue
+				}
+				key := p.types.Path() + "." + name + "." + field.Name()
+				declared[key] = true
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); tagged || written[field] {
+					continue
+				}
+				if _, ok := fieldsAllowedUnwritten[key]; !ok {
+					out = append(out, key)
+				}
+			}
+		}
+	}
+	for key := range fieldsAllowedUnwritten {
+		if !declared[key] {
+			t.Errorf("fieldsAllowedUnwritten names %s, which is not declared", key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// markFieldWrites records in written every struct field that f writes.
+func markFieldWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[sel.Obj().(*types.Var).Origin()] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.CompositeLit:
+			typ := info.TypeOf(n)
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok || len(n.Elts) == 0 {
+				return true
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+				for i := 0; i < st.NumFields(); i++ {
+					written[st.Field(i).Origin()] = true
+				}
+				return true
+			}
+			for _, elt := range n.Elts {
+				if id, ok := elt.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+					if field, ok := info.Uses[id].(*types.Var); ok {
+						written[field.Origin()] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
 // unreachedInternalExports type-checks the non-test files of every package
-// below root, bench/ included, and returns, sorted, the "path.Name" of each
-// exported top-level func or type under internal/ that the package main
-// programs do not reach. A declaration is reached when a reached
+// in the repository, bench/ included, and returns, sorted, the "path.Name"
+// of each exported top-level func or type under internal/ that the package
+// main programs do not reach. A declaration is reached when a reached
 // declaration names it; a type's methods are reached with the type; vars
 // and init funcs are reached because they run on import.
-func unreachedInternalExports(t *testing.T, root string) []string {
+func unreachedInternalExports(t *testing.T) []string {
 	t.Helper()
-	pkgs, err := loadRepo(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := repoPackages(t)
 	g := refGraph{refs: make(map[types.Object][]types.Object), methods: make(map[*types.TypeName][]types.Object)}
 	for _, p := range pkgs {
 		g.add(p)
@@ -179,7 +331,12 @@ func (l *repoLoader) check(p string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
 	conf := types.Config{Importer: dirImporter{l, dir}}
 	tp, err := conf.Check(p, l.fset, files, info)
 	if err != nil {

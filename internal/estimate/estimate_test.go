@@ -82,7 +82,7 @@ func TestFitMLERecoversHomogeneous(t *testing.T) {
 	truth := intensity.Theta{8, 0, 0, 0}
 	w := bigWindow()
 	ev := sampleLinear(t, truth, w, 10)
-	res, err := FitMLE(ev, w, Options{})
+	res, err := FitMLE(ev, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFitMLERecoversSlopes(t *testing.T) {
 	if len(ev) < 500 {
 		t.Fatalf("sample too small (%d) for a meaningful fit", len(ev))
 	}
-	res, err := FitMLE(ev, w, Options{})
+	res, err := FitMLE(ev, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFitMLEImprovesLikelihoodOverInit(t *testing.T) {
 	truth := intensity.Theta{6, 0.5, 0.7, -0.3}
 	w := bigWindow()
 	ev := sampleLinear(t, truth, w, 12)
-	res, err := FitMLE(ev, w, Options{})
+	res, err := FitMLE(ev, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestFitMLEImprovesLikelihoodOverInit(t *testing.T) {
 
 func TestFitMLEErrors(t *testing.T) {
 	w := bigWindow()
-	if _, err := FitMLE(nil, w, Options{}); err == nil {
+	if _, err := FitMLE(nil, w); err == nil {
 		t.Error("too few events should error")
 	}
-	if _, err := FitMLE(make([]mdpp.Event, 10), geom.Window{}, Options{}); err == nil {
+	if _, err := FitMLE(make([]mdpp.Event, 10), geom.Window{}); err == nil {
 		t.Error("empty window should error")
 	}
 }
@@ -150,11 +150,11 @@ func TestFitMLEConsistency(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		evS := sampleLinear(t, truth, small, int64(100+i))
 		evL := sampleLinear(t, truth, large, int64(200+i))
-		rs, err := FitMLE(evS, small, Options{})
+		rs, err := FitMLE(evS, small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := FitMLE(evL, large, Options{})
+		rl, err := FitMLE(evL, large)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestSGDConvergesToNeighborhood(t *testing.T) {
 	truth := intensity.Theta{10, 0, 0.5, -0.4}
 	w := bigWindow()
 	ev := sampleLinear(t, truth, w, 13)
-	theta, err := FitSGD(ev, w, 16, 30, SGDConfig{})
+	theta, err := FitSGD(ev, w, 16, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +206,8 @@ func TestSGDConvergesToNeighborhood(t *testing.T) {
 }
 
 func TestSGDObserveBatchSeedsFirst(t *testing.T) {
-	s := NewSGD(SGDConfig{})
-	if s.Ready() {
+	s := NewSGD()
+	if s.ready {
 		t.Fatal("fresh SGD reported ready")
 	}
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
@@ -215,51 +215,42 @@ func TestSGDObserveBatchSeedsFirst(t *testing.T) {
 	if err := s.ObserveBatch(ev, w); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Ready() {
+	if !s.ready {
 		t.Fatal("SGD not ready after first batch")
 	}
 	// Seeded θ0 is the homogeneous rate 2 tuples / 4 volume = 0.5.
 	if math.Abs(s.Theta()[0]-0.5) > 1e-12 {
 		t.Fatalf("seed theta0 = %g", s.Theta()[0])
 	}
-	if s.Steps() != 0 {
+	if s.step != 0 {
 		t.Fatal("seeding must not count as a gradient step")
 	}
 	if err := s.ObserveBatch(ev, w); err != nil {
 		t.Fatal(err)
 	}
-	if s.Steps() != 1 {
-		t.Fatalf("steps = %d", s.Steps())
+	if s.step != 1 {
+		t.Fatalf("steps = %d", s.step)
 	}
 }
 
 func TestSGDEmptyWindowErrors(t *testing.T) {
-	s := NewSGD(SGDConfig{})
+	s := NewSGD()
 	if err := s.ObserveBatch(nil, geom.Window{}); err == nil {
 		t.Fatal("empty window should error")
 	}
 }
 
-func TestSGDWarmstart(t *testing.T) {
-	s := NewSGD(SGDConfig{})
-	th := intensity.Theta{3, 1, 0, 0}
-	s.Warmstart(th)
-	if !s.Ready() || s.Theta() != th {
-		t.Fatal("warmstart ignored")
-	}
-}
-
 func TestSGDKeepsFeasible(t *testing.T) {
-	// Feed empty batches: the rate is pulled down but must stay positive on
-	// the window (projection).
-	s := NewSGD(SGDConfig{Eta0: 2})
+	// Feed empty batches: the rate is pulled down — the first step, of size
+	// eta0, all the way to zero — but must stay positive on the window
+	// (projection).
+	s := &SGD{theta: intensity.Theta{eta0, 0, 0, 0}, ready: true}
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
-	s.Warmstart(intensity.Theta{0.5, 0, 0, 0})
 	for i := 0; i < 50; i++ {
 		if err := s.ObserveBatch(nil, w); err != nil {
 			t.Fatal(err)
 		}
-		lin := s.Intensity()
+		lin := intensity.NewLinear(s.Theta())
 		for _, corner := range [][2]float64{{0, 0}, {2, 0}, {0, 2}, {2, 2}} {
 			if lin.Eval(0.5, corner[0], corner[1]) <= 0 {
 				t.Fatal("SGD left the feasible region")
@@ -270,13 +261,13 @@ func TestSGDKeepsFeasible(t *testing.T) {
 
 func TestFitSGDValidation(t *testing.T) {
 	w := bigWindow()
-	if _, err := FitSGD(nil, w, 0, 1, SGDConfig{}); err == nil {
+	if _, err := FitSGD(nil, w, 0, 1); err == nil {
 		t.Error("zero slices should error")
 	}
-	if _, err := FitSGD(nil, w, 4, 0, SGDConfig{}); err == nil {
+	if _, err := FitSGD(nil, w, 4, 0); err == nil {
 		t.Error("zero passes should error")
 	}
-	if _, err := FitSGD(nil, geom.Window{}, 4, 1, SGDConfig{}); err == nil {
+	if _, err := FitSGD(nil, geom.Window{}, 4, 1); err == nil {
 		t.Error("empty window should error")
 	}
 }
@@ -285,7 +276,7 @@ func TestMLEInvariantToEventOrder(t *testing.T) {
 	truth := intensity.Theta{9, 0.3, 0.2, -0.1}
 	w := bigWindow()
 	ev := sampleLinear(t, truth, w, 14)
-	res1, err := FitMLE(ev, w, Options{})
+	res1, err := FitMLE(ev, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +284,7 @@ func TestMLEInvariantToEventOrder(t *testing.T) {
 	for i, e := range ev {
 		rev[len(ev)-1-i] = e
 	}
-	res2, err := FitMLE(rev, w, Options{})
+	res2, err := FitMLE(rev, w)
 	if err != nil {
 		t.Fatal(err)
 	}

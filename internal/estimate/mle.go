@@ -3,8 +3,11 @@
 // implements the two techniques the paper cites: batch maximum-likelihood
 // estimation (Newton's method on the exact inhomogeneous-Poisson
 // log-likelihood, whose integral term is closed-form for a linear intensity
-// over a box, in window-centred coordinates) and online stochastic gradient
-// descent for sliding windows (Bottou-style decaying step sizes).
+// over a box, in window-centred coordinates) — FitBatch is what every
+// F-operator runs — and online stochastic gradient descent over time slices
+// (Bottou-style decaying step sizes), which experiment E9 compares with it
+// through FitSGD. Neither takes options: the iteration bound, tolerance,
+// step sizes and rate floor are the package's constants.
 package estimate
 
 import (
@@ -18,34 +21,14 @@ import (
 	"repro/internal/stream"
 )
 
-// Options controls the Newton MLE.
-type Options struct {
-	MaxIter int // maximum Newton iterations (default 50)
-	// Tol is the stop rule's tolerance per event: the fit has converged when
+const (
+	// maxIter bounds the Newton iterations of one fit.
+	maxIter = 50
+	// tol is the stop rule's tolerance per event: the fit has converged when
 	// the Newton decrement gᵀ(−H)⁻¹g — twice the likelihood still to be
-	// gained, to second order, in any parametrization — is at most Tol·n
-	// (default 1e-12).
-	Tol       float64
-	RateFloor float64 // positivity floor on per-event rates (default intensity.DefaultFloor)
-	// Warmstart, when non-nil, replaces the homogeneous initializer as the
-	// Newton starting point wherever it is feasible (every event's rate at
-	// or above RateFloor); an infeasible one costs one pass and is ignored.
-	// The pointee is only read.
-	Warmstart *intensity.Theta
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.RateFloor <= 0 {
-		o.RateFloor = intensity.DefaultFloor
-	}
-	return o
-}
+	// gained, to second order, in any parametrization — is at most tol·n.
+	tol = 1e-12
+)
 
 // Result is the outcome of an MLE fit.
 type Result struct {
@@ -85,17 +68,6 @@ func centre(w geom.Window) (mid, half [3]float64) {
 	c := w.Rect.Center()
 	return [3]float64{(w.T0 + w.T1) / 2, c.X, c.Y},
 		[3]float64{w.Duration() / 2, w.Rect.Width() / 2, w.Rect.Height() / 2}
-}
-
-// CentredOf expresses θ in w's centred coordinates.
-func CentredOf(theta intensity.Theta, w geom.Window) Centred {
-	mid, half := centre(w)
-	c := Centred{theta[0]}
-	for k := range mid {
-		c[0] += theta[k+1] * mid[k]
-		c[k+1] = theta[k+1] * half[k]
-	}
-	return c
 }
 
 // Theta expresses c, given in w's centred coordinates, as Eq. (1)'s absolute
@@ -304,16 +276,19 @@ const maxProbes = 12
 const overshoot = 0.25
 
 // solve maximizes the Poisson log-likelihood of p, on a window of volume vol,
-// from start (nil: the homogeneous rate). In centred coordinates ℓ(c) = Σ log λ_i − c0·vol,
-// so the gradient is (g0 − vol, g1, g2, g3) and −H is sums.h; every
-// evaluation point costs one pass and no logarithm. A step length s along
-// the Newton direction δ is judged by the directional derivative at c+sδ
-// (see overshoot); a rejected probe that was feasible overshot the maximum
-// along δ and the secant through the two derivatives places the next one,
-// an infeasible probe halves s. The accepted probe's sums are the next
-// iteration's gradient and Hessian, so a fit costs one pass per iteration
-// plus one, and the last pass — always at the returned c — is the one that
-// filled inv.
+// from start (nil: the homogeneous rate), in at most iters Newton iterations;
+// every per-point rate is floored at intensity.DefaultFloor. A start is used
+// wherever it is feasible (every point's rate at or above the floor); an
+// infeasible one costs one pass and is ignored. In centred coordinates
+// ℓ(c) = Σ log λ_i − c0·vol, so the gradient is (g0 − vol, g1, g2, g3) and
+// −H is sums.h; every evaluation point costs one pass and no logarithm. A
+// step length s along the Newton direction δ is judged by the directional
+// derivative at c+sδ (see overshoot); a rejected probe that was feasible
+// overshot the maximum along δ and the secant through the two derivatives
+// places the next one, an infeasible probe halves s. The accepted probe's
+// sums are the next iteration's gradient and Hessian, so a fit costs one
+// pass per iteration plus one, and the last pass — always at the returned c
+// — is the one that filled inv.
 //
 // A batch that cannot be fitted — the homogeneous start itself infeasible,
 // or −H singular — yields the homogeneous rate, not converged. So does a fit
@@ -321,14 +296,14 @@ const overshoot = 0.25
 // more than the likelihood it started from, which below the homogeneous
 // rate's is worse than no fit at all (a cold fit that stops short is returned
 // as it stands: it started there).
-func (p points) solve(vol float64, start *Centred, opts Options, inv []float64) fit {
+func (p points) solve(vol float64, start *Centred, iters int, inv []float64) fit {
 	n := float64(p.len())
 	cold := Centred{n / vol, 0, 0, 0}
 	out := fit{c: cold}
 	var s sums
 	eval := func(c Centred) sums {
 		out.passes++
-		return p.pass(c, opts.RateFloor, inv)
+		return p.pass(c, intensity.DefaultFloor, inv)
 	}
 	warm := false
 	if start != nil {
@@ -346,7 +321,7 @@ func (p points) solve(vol float64, start *Centred, opts Options, inv []float64) 
 		if !ok {
 			break
 		}
-		if out.converged = dec <= opts.Tol*n; out.converged || out.iterations == opts.MaxIter {
+		if out.converged = dec <= tol*n; out.converged || out.iterations == iters {
 			if !out.converged && warm {
 				break
 			}
@@ -382,7 +357,7 @@ func (p points) solve(vol float64, start *Centred, opts Options, inv []float64) 
 		}
 	}
 	out.c = cold
-	rate := math.Max(cold[0], opts.RateFloor)
+	rate := math.Max(cold[0], intensity.DefaultFloor)
 	for i := range inv {
 		inv[i] = 1 / rate
 	}
@@ -391,14 +366,12 @@ func (p points) solve(vol float64, start *Centred, opts Options, inv []float64) 
 }
 
 // FitMLE computes the maximum-likelihood θ for events observed on the
-// window w. It requires a non-empty window and at least four events (the
-// number of parameters). The returned Result reports convergence; a
-// non-converged fit is still usable (finite, every event's rate at or above
-// the floor) but flagged — a batch that does not determine θ, or a
-// warm-started fit that stopped short, comes back as the homogeneous rate,
-// not converged.
-func FitMLE(events []mdpp.Event, w geom.Window, opts Options) (Result, error) {
-	opts = opts.withDefaults()
+// window w, starting from the homogeneous rate. It requires a non-empty
+// window and at least four events (the number of parameters). The returned
+// Result reports convergence; a non-converged fit is still usable (finite,
+// every event's rate at or above the floor) but flagged — a batch that does
+// not determine θ comes back as the homogeneous rate, not converged.
+func FitMLE(events []mdpp.Event, w geom.Window) (Result, error) {
 	fr, err := newFrame(w)
 	if err != nil {
 		return Result{}, fmt.Errorf("estimate: FitMLE: %w", err)
@@ -406,15 +379,10 @@ func FitMLE(events []mdpp.Event, w geom.Window, opts Options) (Result, error) {
 	if len(events) < 4 {
 		return Result{}, errors.New("estimate: FitMLE requires at least 4 events")
 	}
-	var start *Centred
-	if opts.Warmstart != nil {
-		c := CentredOf(*opts.Warmstart, w)
-		start = &c
-	}
 	p, buf := borrowPoints(len(events))
 	defer buf.Release()
 	p.setEvents(&fr, events)
-	f := p.solve(fr.vol, start, opts, nil)
+	f := p.solve(fr.vol, nil, maxIter, nil)
 	return Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged}, nil
 }
 
@@ -430,9 +398,10 @@ type BatchFit struct {
 
 // FitBatch is FitMLE for the F-operator: it reads the batch's tuples in
 // place, starts from warm (the previous batch's BatchFit.Centred; nil for
-// none) and leaves 1/λ̃_i under the returned fit, clamped at the rate floor,
-// in inv[i] (len(inv) must be len(tuples)) — its last pass computed them
-// anyway, so Eq. (3) needs no evaluation of its own.
+// none — a warm-started fit that stops short comes back as the homogeneous
+// rate, not converged) and leaves 1/λ̃_i under the returned fit, clamped at
+// the rate floor, in inv[i] (len(inv) must be len(tuples)) — its last pass
+// computed them anyway, so Eq. (3) needs no evaluation of its own.
 func FitBatch(tuples []stream.Tuple, w geom.Window, warm *Centred, inv []float64) (BatchFit, error) {
 	fr, err := newFrame(w)
 	if err != nil {
@@ -445,7 +414,7 @@ func FitBatch(tuples []stream.Tuple, w geom.Window, warm *Centred, inv []float64
 	p, buf := borrowPoints(n)
 	defer buf.Release()
 	p.setTuples(&fr, tuples)
-	f := p.solve(fr.vol, warm, Options{}.withDefaults(), inv)
+	f := p.solve(fr.vol, warm, maxIter, inv)
 	return BatchFit{
 		Result:  Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged},
 		Centred: f.c,

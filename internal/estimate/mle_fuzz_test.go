@@ -66,7 +66,7 @@ func FuzzFitMLE(f *testing.F) {
 		inv := make([]float64, len(ev))
 		bf, err := FitBatch(tuplesOf(ev), w, start, inv)
 		if err != nil {
-			if _, err2 := FitMLE(ev, w, Options{}); err2 == nil {
+			if _, err2 := FitMLE(ev, w); err2 == nil {
 				t.Fatalf("FitBatch rejects window %v (%v), FitMLE accepts it", w, err)
 			}
 			return
@@ -110,7 +110,7 @@ func FuzzFitMLE(f *testing.F) {
 			t.Fatalf("ℓ = %g, below the homogeneous start's %g (converged=%v)", got, base, bf.Converged)
 		}
 		if !warm {
-			res, err := FitMLE(ev, w, Options{})
+			res, err := FitMLE(ev, w)
 			if err != nil || res != bf.Result {
 				t.Fatalf("FitMLE %+v (%v), FitBatch %+v", res, err, bf.Result)
 			}

@@ -249,12 +249,12 @@ func TestFitMLEMatchesOracle(t *testing.T) {
 					if err != nil {
 						continue // a batch the oracle's elimination calls singular
 					}
-					got, err := FitMLE(ev, w, Options{})
+					got, err := FitMLE(ev, w)
 					if err != nil {
 						t.Fatal(err)
 					}
 					id := fmt.Sprintf("n=%g %s t0=%g seed=%d", n, name, t0, seed)
-					gotC, wantC := CentredOf(got.Theta, w), CentredOf(want.Theta, w)
+					gotC, wantC := centredOf(got.Theta, w), centredOf(want.Theta, w)
 					// Only a feasible point where the oracle's gradient vanished
 					// is an optimum to agree on. It also reports Converged when
 					// twelve halvings found nothing better: on a small batch
@@ -295,7 +295,7 @@ func TestFitMLEMatchesOracle(t *testing.T) {
 					// taken at one of the two points. On a well-conditioned batch
 					// that is the relative 1e-5 this test used to pin.
 					nEv := float64(len(ev))
-					bound := 2 * (math.Sqrt(Options{}.withDefaults().Tol*nEv) + math.Sqrt(1e-10*nEv))
+					bound := 2 * (math.Sqrt(tol*nEv) + math.Sqrt(1e-10*nEv))
 					if d := hNorm(&ws.h, gotC, wantC); d > bound {
 						t.Errorf("%s: θ %v, oracle %v (%g apart in the −H norm, want ≤ %g; %g centred)",
 							id, got.Theta, want.Theta, d, bound, centredDiff(gotC, wantC))

@@ -19,14 +19,44 @@ func eventPoints(fr *frame, ev []mdpp.Event) points {
 	return p
 }
 
-// coldFit runs the solver from the homogeneous start with default options.
+// centredOf expresses θ in w's centred coordinates, the inverse of
+// Centred.Theta.
+func centredOf(theta intensity.Theta, w geom.Window) Centred {
+	mid, half := centre(w)
+	c := Centred{theta[0]}
+	for k := range mid {
+		c[0] += theta[k+1] * mid[k]
+		c[k+1] = theta[k+1] * half[k]
+	}
+	return c
+}
+
+// coldFit runs the solver from the homogeneous start, as FitMLE does.
 func coldFit(t *testing.T, ev []mdpp.Event, w geom.Window) fit {
 	t.Helper()
 	fr, err := newFrame(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eventPoints(&fr, ev).solve(fr.vol, nil, Options{}.withDefaults(), nil)
+	return eventPoints(&fr, ev).solve(fr.vol, nil, maxIter, nil)
+}
+
+// fitFrom is FitMLE started from theta (nil: the homogeneous rate) and cut
+// off after iters Newton iterations: the F-operator's warm start and the
+// solver's iteration bound, which FitMLE fixes.
+func fitFrom(t *testing.T, ev []mdpp.Event, w geom.Window, theta *intensity.Theta, iters int) Result {
+	t.Helper()
+	fr, err := newFrame(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start *Centred
+	if theta != nil {
+		c := centredOf(*theta, w)
+		start = &c
+	}
+	f := eventPoints(&fr, ev).solve(fr.vol, start, iters, nil)
+	return Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged}
 }
 
 // centredLogLik is ℓ in w's centred coordinates, Σ log λ_i − c0·vol — the
@@ -70,7 +100,7 @@ func TestPassMatchesOracleGradHess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eventPoints(&fr, ev).pass(CentredOf(theta, w), 1e-9, nil)
+	s := eventPoints(&fr, ev).pass(centredOf(theta, w), 1e-9, nil)
 	if s.low {
 		t.Fatal("a positive rate flagged as below the floor")
 	}
@@ -113,7 +143,7 @@ func TestPassMatchesOracleGradHess(t *testing.T) {
 func TestCentredRoundTrip(t *testing.T) {
 	w := geom.Window{T0: 10, T1: 14, Rect: geom.NewRect(-3, 2, 5, 4)}
 	theta := intensity.Theta{7, 0.5, -0.25, 1.5}
-	c := CentredOf(theta, w)
+	c := centredOf(theta, w)
 	// c0 is the rate at the window's centre, c1..c3 half the swing across it.
 	if want := intensity.NewLinear(theta).Eval(12, 1, 3); math.Abs(c[0]-want) > 1e-12 {
 		t.Fatalf("c0 = %g, want the centre rate %g", c[0], want)
@@ -137,42 +167,36 @@ func TestFitMLEWarmstart(t *testing.T) {
 	truth := intensity.Theta{10, 0.4, -0.3, 0.2}
 	w := bigWindow()
 	ev := sampleLinear(t, truth, w, 31)
-	cold, err := FitMLE(ev, w, Options{})
+	cold, err := FitMLE(ev, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cold.Converged {
 		t.Fatal("cold fit did not converge")
 	}
-	warm, err := FitMLE(ev, w, Options{Warmstart: &cold.Theta})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := fitFrom(t, ev, w, &cold.Theta, maxIter)
 	if !warm.Converged || warm.Iterations != 0 {
 		t.Fatalf("warm restart: converged=%v iterations=%d, want immediate convergence", warm.Converged, warm.Iterations)
 	}
-	if d := centredDiff(CentredOf(warm.Theta, w), CentredOf(cold.Theta, w)); d > 1e-12 {
+	if d := centredDiff(centredOf(warm.Theta, w), centredOf(cold.Theta, w)); d > 1e-12 {
 		t.Fatalf("warm restart moved θ by %g: %v vs %v", d, warm.Theta, cold.Theta)
 	}
 	fr, _ := newFrame(w)
 	base := coldFit(t, ev, w)
-	again := eventPoints(&fr, ev).solve(fr.vol, &base.c, Options{}.withDefaults(), nil)
+	again := eventPoints(&fr, ev).solve(fr.vol, &base.c, maxIter, nil)
 	if again.passes != 1 || again.iterations != 0 || !again.converged || again.c != base.c {
 		t.Fatalf("restart from the optimum: %+v, want the same point in one pass", again)
 	}
 
 	far := intensity.Theta{40, 0, 0, 0}
-	fromFar, err := FitMLE(ev, w, Options{Warmstart: &far})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := centredDiff(CentredOf(fromFar.Theta, w), base.c); !fromFar.Converged || d > 1e-6 {
+	fromFar := fitFrom(t, ev, w, &far, maxIter)
+	if d := centredDiff(centredOf(fromFar.Theta, w), base.c); !fromFar.Converged || d > 1e-6 {
 		t.Fatalf("feasible warm start: converged=%v, %g from the cold optimum", fromFar.Converged, d)
 	}
 
 	// Negative over part of the window where events lie: infeasible.
-	stale := CentredOf(intensity.Theta{3, -2, 1, 5}, w)
-	fromStale := eventPoints(&fr, ev).solve(fr.vol, &stale, Options{}.withDefaults(), nil)
+	stale := centredOf(intensity.Theta{3, -2, 1, 5}, w)
+	fromStale := eventPoints(&fr, ev).solve(fr.vol, &stale, maxIter, nil)
 	if fromStale.c != base.c || fromStale.iterations != base.iterations || fromStale.passes != base.passes+1 {
 		t.Fatalf("infeasible warm start: %+v, want the cold fit %+v plus one pass", fromStale, base)
 	}
@@ -220,7 +244,7 @@ func TestFitMLETranslationInvariant(t *testing.T) {
 			if d := centredDiff(got.c, base.c); d > 1e-9 {
 				t.Errorf("shift t+%g xy+%g: centred θ %v, unshifted %v (%g apart)", dt, dxy, got.c, base.c, d)
 			}
-			res, err := FitMLE(sev, sw, Options{})
+			res, err := FitMLE(sev, sw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,34 +297,34 @@ func TestFitMLEDegenerate(t *testing.T) {
 	}
 	warm := intensity.Theta{3, 1, 0.5, -0.5}
 	for name, ev := range cases {
-		for _, opts := range []Options{{}, {Warmstart: &warm}} {
-			res, err := FitMLE(ev, w, opts)
-			if err != nil {
-				t.Errorf("%s: %v", name, err)
-				continue
-			}
-			want := intensity.Theta{float64(len(ev)) / w.Volume(), 0, 0, 0}
+		want := intensity.Theta{float64(len(ev)) / w.Volume(), 0, 0, 0}
+		cold, err := FitMLE(ev, w)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		for i, res := range []Result{cold, fitFrom(t, ev, w, &warm, maxIter)} {
 			if res.Converged || res.Theta != want || res.Iterations != 0 {
-				t.Errorf("%s (warm=%v): %+v, want the homogeneous rate %v, not converged", name, opts.Warmstart != nil, res, want)
+				t.Errorf("%s (warm=%v): %+v, want the homogeneous rate %v, not converged", name, i == 1, res, want)
 			}
-			inv := make([]float64, len(ev))
-			bf, err := FitBatch(tuplesOf(ev), w, nil, inv)
-			if err != nil {
-				t.Errorf("%s: FitBatch: %v", name, err)
-				continue
+		}
+		inv := make([]float64, len(ev))
+		bf, err := FitBatch(tuplesOf(ev), w, nil, inv)
+		if err != nil {
+			t.Errorf("%s: FitBatch: %v", name, err)
+			continue
+		}
+		if bf.Converged || bf.Centred != (Centred{want[0], 0, 0, 0}) {
+			t.Errorf("%s: FitBatch %+v, want the homogeneous rate, not converged", name, bf)
+		}
+		for i, r := range inv {
+			if r != 1/want[0] {
+				t.Errorf("%s: inv[%d] = %g, want %g", name, i, r, 1/want[0])
+				break
 			}
-			if bf.Converged || bf.Centred != (Centred{want[0], 0, 0, 0}) {
-				t.Errorf("%s: FitBatch %+v, want the homogeneous rate, not converged", name, bf)
-			}
-			for i, r := range inv {
-				if r != 1/want[0] {
-					t.Errorf("%s: inv[%d] = %g, want %g", name, i, r, 1/want[0])
-					break
-				}
-			}
-			if math.Abs(bf.LambdaC-float64(len(ev))/want[0]) > 1e-9 {
-				t.Errorf("%s: λc = %g", name, bf.LambdaC)
-			}
+		}
+		if math.Abs(bf.LambdaC-float64(len(ev))/want[0]) > 1e-9 {
+			t.Errorf("%s: λc = %g", name, bf.LambdaC)
 		}
 	}
 
@@ -313,7 +337,7 @@ func TestFitMLEDegenerate(t *testing.T) {
 		{T0: 0, T1: 1e-320, Rect: geom.NewRect(0, 0, 1e-10, 1e-10)},
 		{T0: -math.MaxFloat64, T1: math.MaxFloat64, Rect: geom.NewRect(0, 0, 1, 1)},
 	} {
-		if _, err := FitMLE(ev, bad, Options{}); err == nil {
+		if _, err := FitMLE(ev, bad); err == nil {
 			t.Errorf("window %v accepted", bad)
 		}
 		if _, err := FitBatch(tuplesOf(ev), bad, nil, make([]float64, len(ev))); err == nil {
@@ -334,24 +358,15 @@ func TestFitWarmStoppedShortIsHomogeneous(t *testing.T) {
 	if LogLikelihood(far, ev, w) >= LogLikelihood(hom, ev, w) {
 		t.Fatal("the warm start is no worse than the homogeneous rate: the case tests nothing")
 	}
-	cold, err := FitMLE(ev, w, Options{MaxIter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := fitFrom(t, ev, w, nil, 1)
 	if cold.Converged || cold.Iterations != 1 || cold.Theta == hom {
 		t.Errorf("cold, one iteration: %+v, want the first iterate", cold)
 	}
-	warm, err := FitMLE(ev, w, Options{MaxIter: 1, Warmstart: &far})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := fitFrom(t, ev, w, &far, 1)
 	if warm.Converged || warm.Theta != hom {
 		t.Errorf("warm, one iteration: %+v, want the homogeneous rate %v, not converged", warm, hom)
 	}
-	full, err := FitMLE(ev, w, Options{Warmstart: &far})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := fitFrom(t, ev, w, &far, maxIter)
 	if !full.Converged {
 		t.Errorf("warm, default iterations: %+v, want converged", full)
 	}
@@ -362,7 +377,7 @@ func TestFitWarmStoppedShortIsHomogeneous(t *testing.T) {
 func TestFitBatchMatchesFitMLE(t *testing.T) {
 	w := geom.Window{T0: 5, T1: 6, Rect: geom.NewRect(2, 2, 6, 6)}
 	ev := sampleLinear(t, intensity.Theta{4, 2, 0.5, -0.5}, w, 61)
-	res, err := FitMLE(ev, w, Options{})
+	res, err := FitMLE(ev, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +436,7 @@ func TestFitBatchColumnsMatchEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaEv := eventPoints(&fr, ev).solve(fr.vol, warm, Options{}.withDefaults(), invEv)
+		viaEv := eventPoints(&fr, ev).solve(fr.vol, warm, maxIter, invEv)
 		if viaEv.c != viaRows.Centred || viaEv.lambdaC != viaRows.LambdaC || viaEv.iterations != viaRows.Iterations ||
 			viaEv.passes != viaRows.Passes || viaEv.converged != viaRows.Converged {
 			t.Fatalf("%s: as events %+v, as tuples %+v", name, viaEv, viaRows)
@@ -433,7 +448,7 @@ func TestFitBatchColumnsMatchEvents(t *testing.T) {
 			}
 		}
 		if name == "cold" {
-			res, err := FitMLE(ev, w, Options{})
+			res, err := FitMLE(ev, w)
 			if err != nil || res != viaRows.Result {
 				t.Fatalf("FitMLE %+v (%v), FitBatch %+v", res, err, viaRows.Result)
 			}

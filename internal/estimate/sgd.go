@@ -4,51 +4,28 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/intensity"
 	"repro/internal/mdpp"
 )
 
-// SGDConfig parameterizes the online estimator.
-type SGDConfig struct {
-	// Eta0 is the initial learning rate (default 0.5).
-	Eta0 float64
-	// Decay is the Bottou-style step-size decay: η_k = Eta0 / (1 + Decay·k)
-	// (default 0.01).
-	Decay float64
-	// RateFloor is the positivity clamp (default intensity.DefaultFloor).
-	RateFloor float64
-	// GradClip bounds the Euclidean norm of each volume-normalized gradient
-	// step (default 10). Clipping keeps the iterate stable when large batches
-	// with long time horizons make the problem ill-conditioned.
-	GradClip float64
-}
-
-func (c SGDConfig) withDefaults() SGDConfig {
-	if c.Eta0 <= 0 {
-		c.Eta0 = 0.5
-	}
-	if c.Decay <= 0 {
-		c.Decay = 0.01
-	}
-	if c.RateFloor <= 0 {
-		c.RateFloor = intensity.DefaultFloor
-	}
-	if c.GradClip <= 0 {
-		c.GradClip = 10
-	}
-	return c
-}
+const (
+	// eta0 and decay are the Bottou-style step sizes η_k = eta0 / (1 + decay·k).
+	eta0  = 0.5
+	decay = 0.01
+	// gradClip bounds the Euclidean norm of each volume-normalized gradient
+	// step. Clipping keeps the iterate stable when large batches with long
+	// time horizons make the problem ill-conditioned.
+	gradClip = 10
+)
 
 // SGD maintains an online estimate of the linear intensity parameters θ
 // from a stream of event mini-batches — the mechanism the paper proposes for
 // flattening "over sliding windows, as opposed to batches", citing Bottou's
 // large-scale SGD. Each ObserveBatch performs one ascent step on the batch
 // log-likelihood gradient, normalized by batch volume so learning rates are
-// workload-independent.
+// workload-independent; rates are floored at intensity.DefaultFloor.
 type SGD struct {
-	cfg   SGDConfig
 	theta intensity.Theta
 	step  int
 	ready bool
@@ -81,52 +58,11 @@ func (s *SGD) observeRef(w geom.Window) {
 	}
 }
 
-// NewSGD creates an online estimator with the given configuration.
-func NewSGD(cfg SGDConfig) *SGD {
-	return &SGD{cfg: cfg.withDefaults()}
-}
+// NewSGD creates an online estimator that has observed nothing.
+func NewSGD() *SGD { return &SGD{} }
 
 // Theta returns the current parameter estimate.
 func (s *SGD) Theta() intensity.Theta { return s.theta }
-
-// Ready reports whether at least one batch has been observed.
-func (s *SGD) Ready() bool { return s.ready }
-
-// Steps returns the number of gradient steps taken.
-func (s *SGD) Steps() int { return s.step }
-
-// Intensity returns the current estimate as an intensity function.
-func (s *SGD) Intensity() intensity.Linear { return intensity.NewLinear(s.theta) }
-
-// Warmstart seeds the estimator from a known θ (e.g. a batch MLE fit),
-// marking it ready.
-func (s *SGD) Warmstart(theta intensity.Theta) {
-	s.theta = theta
-	s.ready = true
-}
-
-// EncodeState appends the estimator's iterate, step count and reference
-// window to w.
-func (s *SGD) EncodeState(w *codec.Writer) {
-	for _, v := range s.theta {
-		w.Float64(v)
-	}
-	w.Int(s.step)
-	w.Bool(s.ready)
-	w.Bool(s.refSet)
-	geom.EncodeWindow(w, s.ref)
-}
-
-// DecodeState restores what EncodeState wrote.
-func (s *SGD) DecodeState(r *codec.Reader) {
-	for i := range s.theta {
-		s.theta[i] = r.Float64()
-	}
-	s.step = r.Int()
-	s.ready = r.Bool()
-	s.refSet = r.Bool()
-	s.ref = geom.DecodeWindow(r)
-}
 
 // ObserveBatch performs one stochastic gradient step using the events
 // observed over window w. An empty window is an error; an empty batch still
@@ -138,7 +74,7 @@ func (s *SGD) ObserveBatch(events []mdpp.Event, w geom.Window) error {
 	if !s.ready {
 		// Seed with the homogeneous estimate from the first batch so early
 		// steps start in a sensible region.
-		s.theta = intensity.Theta{math.Max(float64(len(events))/w.Volume(), s.cfg.RateFloor), 0, 0, 0}
+		s.theta = intensity.Theta{math.Max(float64(len(events))/w.Volume(), intensity.DefaultFloor), 0, 0, 0}
 		s.ready = true
 		return nil
 	}
@@ -157,8 +93,8 @@ func (s *SGD) ObserveBatch(events []mdpp.Event, w geom.Window) error {
 	var grad [4]float64 // gradient in the centered parameterization
 	for _, e := range events {
 		lam := s.theta[0] + s.theta[1]*e.T + s.theta[2]*e.X + s.theta[3]*e.Y
-		if lam < s.cfg.RateFloor {
-			lam = s.cfg.RateFloor
+		if lam < intensity.DefaultFloor {
+			lam = intensity.DefaultFloor
 		}
 		inv := 1 / lam
 		grad[0] += inv
@@ -181,13 +117,13 @@ func (s *SGD) ObserveBatch(events []mdpp.Event, w geom.Window) error {
 		grad[k] /= vol
 		norm += grad[k] * grad[k]
 	}
-	if norm = math.Sqrt(norm); norm > s.cfg.GradClip {
-		scale := s.cfg.GradClip / norm
+	if norm = math.Sqrt(norm); norm > gradClip {
+		scale := gradClip / norm
 		for k := 0; k < 4; k++ {
 			grad[k] *= scale
 		}
 	}
-	eta := s.cfg.Eta0 / (1 + s.cfg.Decay*float64(s.step))
+	eta := eta0 / (1 + decay*float64(s.step))
 	// Map the centered step back to the raw θ parameterization.
 	dt, dx, dy := eta*grad[1]/ht, eta*grad[2]/hx, eta*grad[3]/hy
 	s.theta[0] += eta*grad[0] - dt*tc - dx*c.X - dy*c.Y
@@ -214,8 +150,8 @@ func (s *SGD) projectFeasible(w geom.Window) {
 			}
 		}
 	}
-	if worst < s.cfg.RateFloor {
-		s.theta[0] += s.cfg.RateFloor - worst
+	if worst < intensity.DefaultFloor {
+		s.theta[0] += intensity.DefaultFloor - worst
 	}
 }
 
@@ -223,14 +159,14 @@ func (s *SGD) projectFeasible(w geom.Window) {
 // time-slice mini-batches over the window and feeds them to a fresh SGD
 // estimator, returning the final θ. Used by experiment E9 to compare SGD
 // against the batch MLE on identical data.
-func FitSGD(events []mdpp.Event, w geom.Window, slices int, passes int, cfg SGDConfig) (intensity.Theta, error) {
+func FitSGD(events []mdpp.Event, w geom.Window, slices int, passes int) (intensity.Theta, error) {
 	if slices <= 0 || passes <= 0 {
 		return intensity.Theta{}, errors.New("estimate: FitSGD requires positive slices and passes")
 	}
 	if err := w.Validate(); err != nil {
 		return intensity.Theta{}, err
 	}
-	s := NewSGD(cfg)
+	s := NewSGD()
 	dt := w.Duration() / float64(slices)
 	// Pre-bin events by slice.
 	bins := make([][]mdpp.Event, slices)

@@ -305,13 +305,13 @@ func E9Estimation(o Options) (*Table, error) {
 			return nil, err
 		}
 		startMLE := time.Now()
-		res, err := estimate.FitMLE(ev, w, estimate.Options{})
+		res, err := estimate.FitMLE(ev, w)
 		if err != nil {
 			return nil, err
 		}
 		mleTime := time.Since(startMLE)
 		startSGD := time.Now()
-		sgdTheta, err := estimate.FitSGD(ev, w, 16, 10, estimate.SGDConfig{})
+		sgdTheta, err := estimate.FitSGD(ev, w, 16, 10)
 		if err != nil {
 			return nil, err
 		}

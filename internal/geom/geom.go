@@ -101,24 +101,6 @@ func (r Rect) Equal(other Rect) bool {
 		math.Abs(r.MinY-other.MinY) < Epsilon && math.Abs(r.MaxY-other.MaxY) < Epsilon
 }
 
-// AdjacentWithCommonSide reports whether two rectangles are adjacent along a
-// full common side of equal length — the precondition the paper imposes on
-// the Union operator ("the rectangles should be adjacent and with a common
-// side of equal length").
-func (r Rect) AdjacentWithCommonSide(other Rect) bool {
-	// Horizontal neighbours: share a full vertical edge.
-	sameYSpan := math.Abs(r.MinY-other.MinY) < Epsilon && math.Abs(r.MaxY-other.MaxY) < Epsilon
-	if sameYSpan && (math.Abs(r.MaxX-other.MinX) < Epsilon || math.Abs(other.MaxX-r.MinX) < Epsilon) {
-		return true
-	}
-	// Vertical neighbours: share a full horizontal edge.
-	sameXSpan := math.Abs(r.MinX-other.MinX) < Epsilon && math.Abs(r.MaxX-other.MaxX) < Epsilon
-	if sameXSpan && (math.Abs(r.MaxY-other.MinY) < Epsilon || math.Abs(other.MaxY-r.MinY) < Epsilon) {
-		return true
-	}
-	return false
-}
-
 // BoundingBox returns the smallest rectangle containing all inputs. It
 // returns an error for an empty input.
 func BoundingBox(rects []Rect) (Rect, error) {

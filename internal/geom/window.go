@@ -36,11 +36,6 @@ func (w Window) Volume() float64 { return w.Duration() * w.Rect.Area() }
 // IsEmpty reports whether the window has zero volume.
 func (w Window) IsEmpty() bool { return w.Duration() <= 0 || w.Rect.IsEmpty() }
 
-// Contains reports whether the event (t, x, y) lies inside the window.
-func (w Window) Contains(t, x, y float64) bool {
-	return t >= w.T0 && t < w.T1 && w.Rect.Contains(Point{X: x, Y: y})
-}
-
 // WithRect returns a copy of the window restricted to the given rectangle.
 func (w Window) WithRect(r Rect) Window { return Window{T0: w.T0, T1: w.T1, Rect: r} }
 

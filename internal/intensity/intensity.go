@@ -154,19 +154,17 @@ func FeatureIntegrals(w geom.Window) [4]float64 {
 	}
 }
 
-// Hotspot is a spatial Gaussian bump with optional temporal oscillation:
+// Hotspot is a spatial Gaussian bump over a constant background:
 //
-//	λ = Base + Amp · exp(-((x-Cx)² + (y-Cy)²) / (2σ²)) · (1 + Pulse·sin(ω t)) / normalizer
+//	λ = Base + Amp · exp(-((x-Cx)² + (y-Cy)²) / (2σ²))
 //
-// Hotspots generate the skewed spatio-temporal arrivals that crowdsensing
-// exhibits (sensors cluster around points of interest).
+// Hotspots generate the skewed spatial arrivals that crowdsensing exhibits
+// (sensors cluster around points of interest).
 type Hotspot struct {
 	Base   float64 // background rate
 	Amp    float64 // peak extra rate at the hotspot center
 	Cx, Cy float64 // hotspot center
 	Sigma  float64 // spatial spread
-	Pulse  float64 // temporal modulation depth in [0, 1)
-	Omega  float64 // temporal angular frequency
 }
 
 // NewHotspot validates and constructs a hotspot intensity.
@@ -184,34 +182,16 @@ func NewHotspot(base, amp, cx, cy, sigma float64) (Hotspot, error) {
 func (h Hotspot) Eval(t, x, y float64) float64 {
 	dx, dy := x-h.Cx, y-h.Cy
 	g := math.Exp(-(dx*dx + dy*dy) / (2 * h.Sigma * h.Sigma))
-	mod := 1.0
-	if h.Pulse != 0 {
-		mod = 1 + h.Pulse*math.Sin(h.Omega*t)
-		if mod < 0 {
-			mod = 0
-		}
-	}
-	return h.Base + h.Amp*g*mod
+	return h.Base + h.Amp*g
 }
 
-// IntegralOver implements Func using midpoint-refined numeric quadrature
-// (the Gaussian has no closed form over a box without erf products; a 2-D
-// erf product is exact spatially, which we use, and the temporal modulation
-// integrates analytically).
+// IntegralOver implements Func in closed form: the Gaussian over a box is a
+// product of two 1-D erf differences, and it is constant in time.
 func (h Hotspot) IntegralOver(w geom.Window) float64 {
-	// Spatial: Amp ∫∫ exp(...) = Amp · 2πσ² · ¼[erf terms] via product of 1-D
-	// integrals: ∫ exp(-(x-c)²/2σ²) dx = σ√(π/2)·[erf((x1-c)/(σ√2)) - erf((x0-c)/(σ√2))].
+	// ∫ exp(-(x-c)²/2σ²) dx = σ√(π/2)·[erf((x1-c)/(σ√2)) - erf((x0-c)/(σ√2))].
 	sx := gaussSegmentIntegral(w.Rect.MinX, w.Rect.MaxX, h.Cx, h.Sigma)
 	sy := gaussSegmentIntegral(w.Rect.MinY, w.Rect.MaxY, h.Cy, h.Sigma)
-	spatial := sx * sy
-	var temporal float64
-	if h.Pulse == 0 || h.Omega == 0 {
-		temporal = w.Duration()
-	} else {
-		// ∫ (1 + p sin(ωt)) dt = Δt - (p/ω)(cos(ωT1) - cos(ωT0))
-		temporal = w.Duration() - h.Pulse/h.Omega*(math.Cos(h.Omega*w.T1)-math.Cos(h.Omega*w.T0))
-	}
-	return h.Base*w.Volume() + h.Amp*spatial*temporal
+	return h.Base*w.Volume() + h.Amp*(sx*sy)*w.Duration()
 }
 
 func gaussSegmentIntegral(a, b, c, sigma float64) float64 {
@@ -219,15 +199,8 @@ func gaussSegmentIntegral(a, b, c, sigma float64) float64 {
 	return sigma * math.Sqrt(math.Pi/2) * (math.Erf((b-c)/s) - math.Erf((a-c)/s))
 }
 
-// MaxOver implements Func conservatively: base + amp (the global maximum),
-// tightened temporally when pulsed.
-func (h Hotspot) MaxOver(geom.Window) float64 {
-	mod := 1.0
-	if h.Pulse > 0 {
-		mod = 1 + h.Pulse
-	}
-	return h.Base + h.Amp*mod
-}
+// MaxOver implements Func conservatively: base + amp, the global maximum.
+func (h Hotspot) MaxOver(geom.Window) float64 { return h.Base + h.Amp }
 
 // Scale multiplies an intensity by a non-negative factor — the analytic
 // counterpart of the Thin operator.

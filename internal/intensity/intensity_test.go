@@ -135,34 +135,6 @@ func TestHotspotIntegralMatchesNumeric(t *testing.T) {
 	}
 }
 
-func TestHotspotPulsedIntegral(t *testing.T) {
-	h, _ := NewHotspot(1, 5, 1, 1, 1)
-	h.Pulse = 0.5
-	h.Omega = 2
-	w := box(0, 3, 0, 0, 2, 2)
-	analytic := h.IntegralOver(w)
-	numeric := NumericIntegral(h, w, 64)
-	if math.Abs(analytic-numeric) > 5e-3*numeric {
-		t.Fatalf("pulsed: analytic %g vs numeric %g", analytic, numeric)
-	}
-	// Pulsed max is base + amp·(1+pulse).
-	if got := h.MaxOver(w); math.Abs(got-(1+5*1.5)) > 1e-12 {
-		t.Fatalf("pulsed max = %g", got)
-	}
-}
-
-func TestHotspotPulseClampsNonNegative(t *testing.T) {
-	h, _ := NewHotspot(0, 5, 0, 0, 1)
-	h.Pulse = 0.999
-	h.Omega = 1
-	// At ωt = 3π/2 the modulation is 1-0.999 ≈ 0; never negative.
-	for tt := 0.0; tt < 10; tt += 0.1 {
-		if h.Eval(tt, 0, 0) < 0 {
-			t.Fatalf("negative intensity at t=%g", tt)
-		}
-	}
-}
-
 func TestScale(t *testing.T) {
 	c, _ := NewConstant(4)
 	s, err := NewScale(c, 0.5)

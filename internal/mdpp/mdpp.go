@@ -23,9 +23,6 @@ type Event struct {
 	T, X, Y float64
 }
 
-// Window reports whether the event lies in w.
-func (e Event) In(w geom.Window) bool { return w.Contains(e.T, e.X, e.Y) }
-
 // Process describes an MDPP: an intensity over a spatial extent. It mirrors
 // the paper's P⟨j⟩(λ, R) / P̃⟨j⟩(λ̃, R) notation: Rate is the conditional
 // intensity (constant for homogeneous processes) and Region is R.

@@ -88,7 +88,7 @@ func TestSampleEventsSortedAndInWindow(t *testing.T) {
 		t.Fatal("no events sampled")
 	}
 	for i, e := range ev {
-		if !e.In(w) {
+		if e.T < w.T0 || e.T >= w.T1 || !w.Rect.Contains(geom.Point{X: e.X, Y: e.Y}) {
 			t.Fatalf("event %d outside window: %+v", i, e)
 		}
 		if i > 0 && ev[i-1].T > e.T {

@@ -10,7 +10,9 @@
 //
 // All operators are probabilistic and approximate with provable expected
 // behaviour, and each is implemented in a few lines of core logic, as the
-// paper claims.
+// paper claims. Flatten obtains λ̃ by the batch MLE of Eq. (1), warm-started
+// from the previous batch (package estimate), or — for the experiments that
+// ablate estimation error — from a known oracle intensity.
 package pmat
 
 import (
@@ -33,13 +35,11 @@ type EstimatorMode int
 
 const (
 	// EstimatorMLE fits the paper's Eq. (1) linear model to every batch by
-	// maximum likelihood (the default).
+	// maximum likelihood (the default), warm-started at the previous batch's
+	// optimum.
 	EstimatorMLE EstimatorMode = iota
-	// EstimatorSGD maintains a single online SGD estimate across batches —
-	// the paper's sliding-window mode.
-	EstimatorSGD
-	// EstimatorKnown uses a caller-supplied intensity (an oracle); useful
-	// for tests and for ablating estimation error.
+	// EstimatorKnown uses a caller-supplied intensity (an oracle); the
+	// experiments use it to ablate estimation error.
 	EstimatorKnown
 )
 
@@ -48,8 +48,6 @@ func (m EstimatorMode) String() string {
 	switch m {
 	case EstimatorMLE:
 		return "mle"
-	case EstimatorSGD:
-		return "sgd"
 	case EstimatorKnown:
 		return "known"
 	default:
@@ -66,28 +64,11 @@ type FlattenConfig struct {
 	Mode EstimatorMode
 	// Known is the oracle intensity for EstimatorKnown.
 	Known intensity.Func
-	// SGD configures the online estimator for EstimatorSGD.
-	SGD estimate.SGDConfig
-	// MinBatchForFit is the smallest batch the MLE will be run on; smaller
-	// batches fall back to the homogeneous estimate (default 8).
-	MinBatchForFit int
-	// DiscardSink, when non-nil, receives the tuples Flatten drops — the
-	// paper notes "the discarded tuples can be stored separately". A sink
-	// shared by several F-operators (e.g. via a fabricator-wide config) is
-	// invoked concurrently when epochs execute on a parallel worker pool,
-	// so it must be safe for concurrent use. Discard batches are built on
-	// borrowed arena buffers recycled after the sink returns, so the sink
-	// follows the stream ownership rule: copy tuples it retains (Collector
-	// and the export sinks do).
-	DiscardSink stream.Processor
 }
 
-func (c FlattenConfig) withDefaults() FlattenConfig {
-	if c.MinBatchForFit <= 0 {
-		c.MinBatchForFit = 8
-	}
-	return c
-}
+// minBatchForFit is the smallest batch the MLE is run on; smaller batches
+// are flattened on the homogeneous estimate.
+const minBatchForFit = 8
 
 // ViolationReport captures the rate-violation statistics of one batch: the
 // paper's N_v, the percentage of tuples whose retaining probability
@@ -101,7 +82,7 @@ type ViolationReport struct {
 	TargetRate float64 // λ̄ requested
 	OutputRate float64 // measured output rate of this batch
 	// FitIterations is the Newton iterations this batch's MLE took (0 when
-	// no fit ran: another estimator mode, or a batch below MinBatchForFit)
+	// no fit ran: another estimator mode, or a batch below minBatchForFit)
 	// and FitNotConverged whether a fit ran and did not converge — the batch
 	// was flattened on a truncated or homogeneous-fallback estimate.
 	FitIterations   int
@@ -125,7 +106,6 @@ type Flatten struct {
 
 	mu       sync.Mutex
 	rng      *stats.RNG
-	sgd      *estimate.SGD
 	batchSeq int
 	last     ViolationReport
 	// reports retains the most recent maxReports batch reports as a ring
@@ -151,7 +131,6 @@ type Flatten struct {
 
 // NewFlatten constructs a Flatten operator.
 func NewFlatten(name string, cfg FlattenConfig, rng *stats.RNG) (*Flatten, error) {
-	cfg = cfg.withDefaults()
 	if cfg.TargetRate <= 0 || math.IsNaN(cfg.TargetRate) {
 		return nil, fmt.Errorf("pmat: flatten %q: target rate must be positive, got %g", name, cfg.TargetRate)
 	}
@@ -161,11 +140,7 @@ func NewFlatten(name string, cfg FlattenConfig, rng *stats.RNG) (*Flatten, error
 	if rng == nil {
 		return nil, errors.New("pmat: flatten requires an RNG")
 	}
-	f := &Flatten{Base: stream.NewBase(name, "F"), cfg: cfg, rng: rng}
-	if cfg.Mode == EstimatorSGD {
-		f.sgd = estimate.NewSGD(cfg.SGD)
-	}
-	return f, nil
+	return &Flatten{Base: stream.NewBase(name, "F"), cfg: cfg, rng: rng}, nil
 }
 
 // TargetRate returns λ̄.
@@ -225,8 +200,8 @@ func (f *Flatten) Reports() []ViolationReport {
 
 // EncodeState appends everything a later batch depends on to w: the
 // target rate, the generator, the batch sequence, the latest and retained
-// reports (oldest first), the warm start and — in EstimatorSGD mode — the
-// online estimator. Flow counters are diagnostics and are not kept.
+// reports (oldest first) and the warm start. Flow counters are diagnostics
+// and are not kept.
 func (f *Flatten) EncodeState(w *codec.Writer) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -243,9 +218,6 @@ func (f *Flatten) EncodeState(w *codec.Writer) {
 		w.Float64(v)
 	}
 	geom.EncodeWindow(w, f.warmWindow)
-	if f.sgd != nil {
-		f.sgd.EncodeState(w)
-	}
 }
 
 // DecodeState restores what EncodeState wrote into an operator built with
@@ -275,9 +247,6 @@ func (f *Flatten) DecodeState(r *codec.Reader) {
 		f.warm[i] = r.Float64()
 	}
 	f.warmWindow = geom.DecodeWindow(r)
-	if f.sgd != nil {
-		f.sgd.DecodeState(r)
-	}
 }
 
 // reportMinBytes is the smallest encoding of a ViolationReport.
@@ -310,16 +279,8 @@ func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *Viola
 	switch f.cfg.Mode {
 	case EstimatorKnown:
 		return f.cfg.Known, 0
-	case EstimatorSGD:
-		// Observe first so the estimate reflects the newest window, then
-		// read the model.
-		ev := stream.BorrowEvents(b.Len())
-		ev.Events = b.AppendEvents(ev.Events)
-		_ = f.sgd.ObserveBatch(ev.Events, b.Window)
-		ev.Release()
-		return f.sgd.Intensity(), 0
 	default: // EstimatorMLE
-		if b.Len() >= f.cfg.MinBatchForFit {
+		if b.Len() >= minBatchForFit {
 			var warm *estimate.Centred
 			if f.hasWarm {
 				warm = &f.warm
@@ -350,10 +311,10 @@ func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *Viola
 
 // decide runs Eq. (3) for one batch and writes each tuple's survival into
 // keep (len ≥ b.Len()), returning the survivor count. Estimation, violation
-// accounting, report plumbing and discard-sink delivery all happen here, so
-// Process and the compiled kernel (topology package, via ProcessFused) share
-// the decision byte-for-byte. f.mu is held for the estimator's state and for
-// the Bernoulli draws, nothing else — retaining probabilities are computed
+// accounting and report plumbing all happen here, so Process and the
+// compiled kernel (topology package, via ProcessFused) share the decision
+// byte-for-byte. f.mu is held for the estimator's state and for the
+// Bernoulli draws, nothing else — retaining probabilities are computed
 // between the two and survivors are materialized by the caller after the
 // lock is released.
 func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
@@ -430,27 +391,14 @@ func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 	if cb != nil {
 		cb(report)
 	}
-	if f.cfg.DiscardSink != nil && kept < n {
-		dbuf := stream.BorrowTuples(n - kept)
-		for i, tp := range b.Tuples {
-			if !keep[i] {
-				dbuf.Tuples = append(dbuf.Tuples, tp)
-			}
-		}
-		err := f.cfg.DiscardSink.Process(stream.Batch{Attr: b.Attr, Window: b.Window, Tuples: dbuf.Tuples})
-		dbuf.Release()
-		if err != nil {
-			return kept, fmt.Errorf("pmat: flatten %q: discard sink: %w", f.Name(), err)
-		}
-	}
 	return kept, nil
 }
 
 // ProcessFused runs the flatten decision for one batch without materializing
 // or emitting an output batch: keep (len ≥ b.Len()) receives each tuple's
-// survival and the survivor count is returned. Estimation, reports, discard
-// delivery and flow counters match Process exactly; the caller owns
-// downstream delivery of the survivors.
+// survival and the survivor count is returned. Estimation, reports and flow
+// counters match Process exactly; the caller owns downstream delivery of the
+// survivors.
 func (f *Flatten) ProcessFused(b stream.Batch, keep []bool) (int, error) {
 	kept, err := f.decide(b, keep)
 	if err != nil {

@@ -76,7 +76,7 @@ func TestFlattenFitCostFlatInSessionAge(t *testing.T) {
 func TestFlattenDropsWarmStateOnFailedFit(t *testing.T) {
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 4, 4)}
 	good := inhomogeneousBatch(t, intensity.NewLinear(intensity.Theta{6, 2, 0.5, -0.5}), w, 7)
-	f, err := NewFlatten("f", FlattenConfig{TargetRate: 2, MinBatchForFit: 1}, stats.NewRNG(5))
+	f, err := NewFlatten("f", FlattenConfig{TargetRate: 2}, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,11 @@ func TestFlattenDropsWarmStateOnFailedFit(t *testing.T) {
 	if _, ok := f.WarmTheta(); !ok {
 		t.Fatal("no warm state after a converged fit")
 	}
-	// Three tuples: below the four a fit needs, above MinBatchForFit — the
-	// fit returns an error.
-	short := stream.Batch{Attr: "rain", Window: w, Tuples: good.Tuples[:3]}
-	if rep := process(short); !rep.FitNotConverged {
+	// A window whose volume underflows: no fit can be expressed on it, and
+	// the fit returns an error.
+	tiny := geom.Window{T0: 0, T1: 1e-320, Rect: geom.NewRect(0, 0, 1e-10, 1e-10)}
+	unfit := stream.Batch{Attr: "rain", Window: tiny, Tuples: good.Tuples}
+	if rep := process(unfit); !rep.FitNotConverged {
 		t.Fatalf("failed fit not reported: %+v", rep)
 	}
 	if th, ok := f.WarmTheta(); ok {

@@ -26,22 +26,31 @@ type Query struct {
 	Rate float64
 }
 
+// MaxRate bounds a query's rate. No fleet acquires anywhere near it, and it
+// sits far enough below the float range that the quantities derived from a
+// rate — the F-operator's 1.2× target, the tuples per epoch EXPLAIN prices —
+// stay finite.
+const MaxRate = 1e12
+
+// ErrRate is wrapped by Validate's refusal of a rate outside (0, MaxRate].
+var ErrRate = errors.New("query: rate out of range")
+
 // String renders the query in the paper's style.
 func (q Query) String() string {
 	return fmt.Sprintf("%s: acquire %s from %v at rate %g", q.ID, q.Attr, q.Region, q.Rate)
 }
 
 // Validate checks the query against the grid: the attribute must be named,
-// the rate positive, the region non-empty and overlapping the grid, and —
-// per the paper — the region's area must be at least one grid cell's area
-// ("a single-attribute query should be on a region with area at least
-// area(R(q,r))").
+// the rate in (0, MaxRate], the region non-empty and overlapping the grid,
+// and — per the paper — the region's area must be at least one grid cell's
+// area ("a single-attribute query should be on a region with area at least
+// area(R(q,r))"). Submit and EXPLAIN both run it.
 func (q Query) Validate(grid *geom.Grid) error {
 	if q.Attr == "" {
 		return errors.New("query: attribute must be non-empty")
 	}
-	if q.Rate <= 0 {
-		return fmt.Errorf("query: rate must be positive, got %g", q.Rate)
+	if !(q.Rate > 0 && q.Rate <= MaxRate) {
+		return fmt.Errorf("%w: want (0, %g], got %g", ErrRate, MaxRate, q.Rate)
 	}
 	if q.Region.IsEmpty() {
 		return errors.New("query: region must be non-empty")

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -39,6 +41,26 @@ func TestValidate(t *testing.T) {
 	}
 	if err := validQuery().Validate(nil); err == nil {
 		t.Error("nil grid should error")
+	}
+}
+
+// TestValidateRateBound: a rate outside (0, MaxRate] — one whose derived
+// quantities leave the float range included — is refused with ErrRate, and
+// MaxRate itself is accepted.
+func TestValidateRateBound(t *testing.T) {
+	g := testGrid(t)
+	q := validQuery()
+	for _, rate := range []float64{MaxRate, 1e6} {
+		q.Rate = rate
+		if err := q.Validate(g); err != nil {
+			t.Errorf("rate %g: %v", rate, err)
+		}
+	}
+	for _, rate := range []float64{0, -1, 2 * MaxRate, 1e308, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		q.Rate = rate
+		if err := q.Validate(g); !errors.Is(err, ErrRate) {
+			t.Errorf("rate %g: %v, want ErrRate", rate, err)
+		}
 	}
 }
 

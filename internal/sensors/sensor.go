@@ -214,9 +214,7 @@ func (f *Fleet) DecodeState(r *codec.Reader) {
 type FleetConfig struct {
 	N        int                // number of sensors
 	Hotspots []mobility.Hotspot // when non-empty, sensors are hotspot walkers
-	VMin     float64
-	VMax     float64
-	Dwell    float64 // dwell/pause time at destinations
+	Dwell    float64            // dwell/pause time at destinations
 	Response ResponseModel
 	GPSStd   float64
 	// UniformFraction in [0,1]: fraction of sensors that use uniform
@@ -233,13 +231,9 @@ func BuildFleet(region geom.Rect, cfg FleetConfig, rng *stats.RNG) (*Fleet, erro
 	if cfg.UniformFraction < 0 || cfg.UniformFraction > 1 {
 		return nil, errors.New("sensors: UniformFraction outside [0,1]")
 	}
-	vmin, vmax := cfg.VMin, cfg.VMax
-	if vmin <= 0 {
-		vmin = 0.01 * (region.Width() + region.Height())
-	}
-	if vmax < vmin {
-		vmax = 2 * vmin
-	}
+	// Walkers move at 1–2 % of the region's half-perimeter per unit time.
+	vmin := 0.01 * (region.Width() + region.Height())
+	vmax := 2 * vmin
 	list := make([]*Sensor, 0, cfg.N)
 	nUniform := int(cfg.UniformFraction * float64(cfg.N))
 	for i := 0; i < cfg.N; i++ {

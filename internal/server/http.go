@@ -197,7 +197,7 @@ func (s *HTTPServer) writeErr(w http.ResponseWriter, err error, fallback int) {
 		status = http.StatusConflict
 	case errors.Is(err, ErrTooManySessions):
 		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrInvalidSpec):
+	case errors.Is(err, ErrInvalidSpec), errors.Is(err, query.ErrRate):
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrManagerClosed), errors.Is(err, ingest.ErrClosed), errors.Is(err, wal.ErrClosed):
 		// Shutdown or session churn, refused before any state change: a node
@@ -556,7 +556,7 @@ func (s *HTTPServer) handleSessionQuerySubmit(w http.ResponseWriter, r *http.Req
 	if st.Explain {
 		ex, err := e.ExplainQuery(st.Query)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
+			s.writeErr(w, err, http.StatusBadRequest)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, toExplainJSON(ex))

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/query"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -260,6 +261,7 @@ func TestWriteErrTable(t *testing.T) {
 		{"session exists", fmt.Errorf("%w: %q", ErrSessionExists, "x"), 500, 409, ""},
 		{"session limit", ErrTooManySessions, 500, 429, ""},
 		{"invalid spec", fmt.Errorf("%w: weight must be non-negative", ErrInvalidSpec), 500, 400, ""},
+		{"query rate out of range", fmt.Errorf("planner: %w", query.ErrRate), 500, 400, ""},
 		{"manager closed", ErrManagerClosed, 500, 503, "1"},
 		{"recover on a closed manager", fmt.Errorf("server: recover session %q: %w", "x", ErrManagerClosed), 500, 503, "1"},
 		{"queue closed", ingest.ErrClosed, 400, 503, "1"},

@@ -419,6 +419,40 @@ func TestHTTPScriptAndQueryRoutes(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/nope/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 404, nil)
 }
 
+// TestHTTPQueryRateBound: a rate past query.MaxRate is refused with 400 by
+// submit and by EXPLAIN alike — not accepted and then unpriceable, its plan
+// and EXPLAIN answering 500 on an infinite estimate — while a large rate
+// inside the bound is submitted, priced and explained.
+func TestHTTPQueryRateBound(t *testing.T) {
+	ts, _ := newManagerTestServer(t)
+	c := ts.Client()
+	base := ts.URL + "/v1/sessions/r"
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"r"}`, 201, nil)
+	for _, rate := range []string{"1e308", "1.6e308", "1e13"} {
+		stmt := "ACQUIRE rain FROM RECT(0,0,4,4) RATE " + rate
+		doJSON(t, c, "POST", base+"/queries", stmt, 400, nil)
+		doJSON(t, c, "POST", base+"/queries", "EXPLAIN "+stmt, 400, nil)
+		doJSON(t, c, "POST", base+"/script", stmt+";", 400, nil)
+	}
+	var listed []queryJSON
+	doJSON(t, c, "GET", base+"/queries", "", 200, &listed)
+	if len(listed) != 0 {
+		t.Fatalf("refused statements registered %+v", listed)
+	}
+	var q queryJSON
+	doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 1e6", 201, &q)
+	var plan struct {
+		Plan explainJSON `json:"plan"`
+	}
+	doJSON(t, c, "GET", base+"/queries/"+q.ID+"/plan", "", 200, &plan)
+	var ex explainJSON
+	doJSON(t, c, "POST", base+"/queries", "EXPLAIN ACQUIRE rain FROM RECT(0,0,4,4) RATE 1e6", 200, &ex)
+	if plan.Plan.Explain == "" || plan.Plan.Explain != ex.Explain {
+		t.Fatalf("plan %q, EXPLAIN %q", plan.Plan.Explain, ex.Explain)
+	}
+	doJSON(t, c, "POST", base+"/step?n=1", "", 200, nil)
+}
+
 // syncFaultSegment is a WAL segment whose fsync fails once armed.
 type syncFaultSegment struct {
 	*os.File

@@ -448,59 +448,3 @@ func TestDeleteClosesStore(t *testing.T) {
 		t.Fatal("streaming reader not released by delete")
 	}
 }
-
-// TestFusedABSessionsByteIdentical is the service-level fused A/B golden
-// test: two sessions with equal seeds, one on the compiled fused path and
-// one on the unfused operator-graph walk (a manager whose template disables
-// fusion), must fabricate byte-identical result streams for the same query
-// over the same epochs.
-func TestFusedABSessionsByteIdentical(t *testing.T) {
-	fusedSess, err := newManager(t, ManagerConfig{}).Create(SessionSpec{Name: "fused", Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfused := testConfig()
-	unfused.Fabricator.Pipeline.DisableFused = true
-	unfusedSess, err := newManager(t, ManagerConfig{NewEngine: templateFactory(t, unfused)}).
-		Create(SessionSpec{Name: "unfused", Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fusedSess.Engine.Fabricator().FusedEnabled() {
-		t.Fatal("fused session reports unfused")
-	}
-	if unfusedSess.Engine.Fabricator().FusedEnabled() {
-		t.Fatal("DisableFused template reports fused")
-	}
-	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 6, 4), Rate: 8}
-	var ids [2]string
-	for i, sess := range []*Session{fusedSess, unfusedSess} {
-		stored, err := sess.Engine.Submit(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = stored.ID
-		if err := sess.Engine.Run(6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := fusedSess.Engine.Results(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := unfusedSess.Engine.Results(ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("unfused reference collected nothing; test is vacuous")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fused %d tuples, unfused %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tuple %d diverges: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}

@@ -230,67 +230,6 @@ func TestAdaptiveRatesLowerMeanViolation(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFusedUnfusedByteIdentical extends the fused A/B golden test
-// through the adaptivity loop: two adaptive sessions with equal seeds, one
-// fused and one unfused, keep fabricating byte-identical streams across the
-// retunes the loop applies.
-func TestAdaptiveFusedUnfusedByteIdentical(t *testing.T) {
-	on := true
-	fusedSess, err := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(starvedConfig(), tempFields)}).
-		Create(SessionSpec{Name: "fused", Seed: 31, AdaptiveRates: &on})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfused := starvedConfig()
-	unfused.Fabricator.Pipeline.DisableFused = true
-	unfusedSess, err := newManager(t, ManagerConfig{NewEngine: NewEngineFactory(unfused, tempFields)}).
-		Create(SessionSpec{Name: "unfused", Seed: 31, AdaptiveRates: &on})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const src = "ACQUIRE temp FROM RECT(0, 0, 8, 8) RATE 5"
-	var ids [2]string
-	for i, sess := range []*Session{fusedSess, unfusedSess} {
-		q, err := sess.Engine.SubmitCRAQL(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = q.ID
-		if err := sess.Engine.Run(20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	retuned := false
-	for _, sl := range fusedSess.Engine.AdaptiveSlots() {
-		if sl.Scale < 1 {
-			retuned = true
-			break
-		}
-	}
-	if !retuned {
-		t.Fatal("no retune happened; byte-identity across retunes untested")
-	}
-	got, err := fusedSess.Engine.Results(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := unfusedSess.Engine.Results(ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("unfused reference collected nothing; test is vacuous")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fused %d tuples, unfused %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tuple %d diverges after retunes: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSessionSpecPlannerPlumbing checks what is left of planner control at
 // the session layer: adaptiveRates is the one lever a create body carries,
 // and the removed lever fields are refused by name instead of being

@@ -8,7 +8,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/geom"
 	"repro/internal/incentive"
-	"repro/internal/pmat"
 	"repro/internal/query"
 	"repro/internal/sensors"
 	"repro/internal/stream"
@@ -312,14 +311,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 func TestFabricatorConfigPlumbed(t *testing.T) {
 	// The engine hands Config.Fabricator to its fabricator as given.
 	cfg := testConfig()
-	cfg.Fabricator = topology.Config{Workers: 3, DisableSharing: true}
+	cfg.Fabricator = topology.Config{Workers: 3}
 	e, err := New(cfg, testFields(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := e.Fabricator()
-	if fab.Workers() != 3 || fab.SharingEnabled() {
-		t.Fatalf("fabricator workers = %d, sharing = %v; want 3, false", fab.Workers(), fab.SharingEnabled())
+	if fab.Workers() != 3 {
+		t.Fatalf("fabricator workers = %d, want 3", fab.Workers())
 	}
 	q, err := e.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 2), Rate: 2})
 	if err != nil {
@@ -423,29 +422,6 @@ ACQUIRE temp FROM RECT(100, 100, 104, 104) RATE 2;
 	}
 	if len(e.Queries()) != 0 {
 		t.Fatal("partial script not rolled back")
-	}
-}
-
-func TestEngineWithSGDFlatten(t *testing.T) {
-	// The fabricator's flatten mode is configurable end to end; SGD mode
-	// must deliver comparable rates after warm-up.
-	cfg := testConfig()
-	cfg.Fabricator.Pipeline.Flatten.Mode = pmat.EstimatorSGD
-	e, err := New(cfg, testFields(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := e.Submit(query.Query{Attr: "temp", Region: geom.NewRect(0, 0, 4, 4), Rate: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	tuples, _ := e.Results(q.ID)
-	rate := float64(len(tuples)) / (40 * 16)
-	if rate < 0.5 || rate > 4 {
-		t.Fatalf("SGD-mode delivered rate %g, want near 2", rate)
 	}
 }
 

@@ -1,12 +1,8 @@
 package stream
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/mdpp"
-)
-
-// Numeric and event scratch arenas shared by the epoch hot path. They follow
+// Numeric scratch arenas shared by the epoch hot path. They follow
 // the same ownership rule as the tuple arena (pool.go): a borrowed buffer is
 // only valid until Release, and the borrower must overwrite its contents —
 // buffers come back with whatever the previous user left in them.
@@ -21,22 +17,12 @@ type BoolBuffer struct {
 	Vals []bool
 }
 
-// EventBuffer is a reusable event slice borrowed with BorrowEvents; the
-// estimator path fills it from a batch instead of allocating a fresh
-// []mdpp.Event per fit.
-type EventBuffer struct {
-	Events []mdpp.Event
-}
-
 var (
 	floatPool = sync.Pool{New: func() interface{} {
 		return &FloatBuffer{Vals: make([]float64, defaultBufferCap)}
 	}}
 	boolPool = sync.Pool{New: func() interface{} {
 		return &BoolBuffer{Vals: make([]bool, defaultBufferCap)}
-	}}
-	eventPool = sync.Pool{New: func() interface{} {
-		return &EventBuffer{Events: make([]mdpp.Event, 0, defaultBufferCap)}
 	}}
 )
 
@@ -73,23 +59,5 @@ func BorrowBools(n int) *BoolBuffer {
 func (b *BoolBuffer) Release() {
 	if b != nil {
 		boolPool.Put(b)
-	}
-}
-
-// BorrowEvents returns an empty buffer with capacity for at least n events.
-func BorrowEvents(n int) *EventBuffer {
-	b := eventPool.Get().(*EventBuffer)
-	if cap(b.Events) < n {
-		b.Events = make([]mdpp.Event, 0, n)
-	} else {
-		b.Events = b.Events[:0]
-	}
-	return b
-}
-
-// Release returns the buffer to the arena.
-func (b *EventBuffer) Release() {
-	if b != nil {
-		eventPool.Put(b)
 	}
 }

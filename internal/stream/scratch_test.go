@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mdpp"
 )
 
 func TestScratchBuffers(t *testing.T) {
@@ -17,15 +18,9 @@ func TestScratchBuffers(t *testing.T) {
 		t.Fatalf("BorrowBools len = %d, want 5000", len(bb.Vals))
 	}
 	bb.Release()
-	eb := BorrowEvents(64)
-	if len(eb.Events) != 0 || cap(eb.Events) < 64 {
-		t.Fatalf("BorrowEvents len/cap = %d/%d, want 0/≥64", len(eb.Events), cap(eb.Events))
-	}
-	eb.Release()
 	// Nil releases are no-ops.
 	(*FloatBuffer)(nil).Release()
 	(*BoolBuffer)(nil).Release()
-	(*EventBuffer)(nil).Release()
 }
 
 func TestAppendEventsMatchesEvents(t *testing.T) {
@@ -38,15 +33,14 @@ func TestAppendEventsMatchesEvents(t *testing.T) {
 		},
 	}
 	want := b.Events()
-	eb := BorrowEvents(b.Len())
-	defer eb.Release()
-	got := b.AppendEvents(eb.Events)
-	if len(got) != len(want) {
-		t.Fatalf("AppendEvents len = %d, want %d", len(got), len(want))
+	prefix := mdpp.Event{T: 9}
+	got := b.AppendEvents([]mdpp.Event{prefix})
+	if len(got) != 1+len(want) || got[0] != prefix {
+		t.Fatalf("AppendEvents = %+v, want %+v after the prefix", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, got[i], want[i])
+		if got[1+i] != want[i] {
+			t.Fatalf("event %d: %+v vs %+v", i, got[1+i], want[i])
 		}
 	}
 }

@@ -51,8 +51,7 @@ func (b Batch) Events() []mdpp.Event {
 }
 
 // AppendEvents appends the tuples' space-time coordinates to dst and returns
-// the extended slice — the allocation-free variant of Events for callers
-// holding a borrowed EventBuffer.
+// the extended slice.
 func (b Batch) AppendEvents(dst []mdpp.Event) []mdpp.Event {
 	for _, tp := range b.Tuples {
 		dst = append(dst, mdpp.Event{T: tp.T, X: tp.X, Y: tp.Y})

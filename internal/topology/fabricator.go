@@ -21,21 +21,12 @@ import (
 
 // Config parameterizes the fabricator.
 type Config struct {
-	// Pipeline configures every cell pipeline (flatten mode, compiled execution).
-	Pipeline PipelineConfig
 	// Workers bounds the worker pool that executes cell pipelines within an
 	// epoch. 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
 	// Because every cell pipeline draws from its own keyed RNG fork and the
 	// merge phase orders tuples deterministically, serial and parallel runs
 	// of the same seed produce identical fabricated streams.
 	Workers int
-	// DisableSharing fabricates every query independently — its own subplan,
-	// its own result ring — instead of deduplicating identical subplans
-	// across queries (see DESIGN.md, "Multi-query sharing"). Sharing and
-	// no-sharing runs of the same seed fabricate byte-identical per-query
-	// streams — this lever exists as the differential harness's control arm
-	// and for debugging.
-	DisableSharing bool
 }
 
 // Fabricator is the crowdsensed stream fabricator of Fig. 1: it owns the
@@ -82,7 +73,9 @@ type Fabricator struct {
 	// shared indexes live subplans by canonical CrAQL key
 	// (craql.CanonicalKey), so a submit whose normal form matches a
 	// resident query attaches to the existing subplan instead of
-	// fabricating a new one. Nil when Config.DisableSharing is set.
+	// fabricating a new one (see DESIGN.md, "Multi-query sharing"). It is
+	// nil only on the per-query control arm — every query its own subplan
+	// and result ring — which topology's tests compare sharing against.
 	shared map[string]*queryState
 	// sharedAttaches counts inserts absorbed by an existing subplan.
 	sharedAttaches uint64
@@ -94,6 +87,10 @@ type Fabricator struct {
 	// subplanSeq numbers subplans in fabrication order, the order an epoch
 	// runs their merge phases (and reports their errors) in.
 	subplanSeq uint64
+	// walkGraph pushes every cell's share through its operator graph,
+	// U-operators included, instead of running the compiled program: the
+	// oracle topology's tests hold the program to.
+	walkGraph bool
 }
 
 // liveQuery is one live query: its stored form and its subplan.
@@ -103,10 +100,10 @@ type liveQuery struct {
 }
 
 // queryState is one fabricated subplan and the queries riding it — its
-// fan's ids, in attach order. With sharing enabled, every query whose
-// canonical key matches shares one queryState (f.queries points each member
-// at the same one); with sharing disabled each query gets its own. The
-// subplan is torn down when its last member detaches.
+// fan's ids, in attach order. Every query whose canonical key matches shares
+// one queryState (f.queries points each member at the same one); on the
+// per-query control arm each query gets its own. The subplan is torn down
+// when its last member detaches.
 type queryState struct {
 	// q is the creating query's stored form; it defines the wiring geometry
 	// (every member has the identical normal form, so identical geometry).
@@ -116,7 +113,7 @@ type queryState struct {
 	// other members keep the subplan alive.
 	tapID string
 	// key is the canonical CrAQL key the subplan is indexed under in
-	// f.shared ("" when sharing is disabled).
+	// f.shared ("" on the per-query control arm).
 	key   string
 	plan  *MergePlan
 	fan   *fanOut
@@ -134,7 +131,7 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 	if rng == nil {
 		return nil, errors.New("topology: fabricator requires an RNG")
 	}
-	f := &Fabricator{
+	return &Fabricator{
 		grid:     grid,
 		cfg:      cfg,
 		rng:      rng,
@@ -142,17 +139,10 @@ func New(grid *geom.Grid, cfg Config, rng *stats.RNG) (*Fabricator, error) {
 		queries:  make(map[string]liveQuery),
 		order:    make(map[string][]*CellPipeline),
 		slots:    make(map[string][]int32),
+		shared:   make(map[string]*queryState),
 		programs: make(map[string]*atomic.Pointer[epochProgram]),
-	}
-	if !cfg.DisableSharing {
-		f.shared = make(map[string]*queryState)
-	}
-	return f, nil
+	}, nil
 }
-
-// FusedEnabled reports whether epochs execute the compiled position program
-// (the default) or the operator-graph walk.
-func (f *Fabricator) FusedEnabled() bool { return !f.cfg.Pipeline.DisableFused }
 
 // refreshOrder rebuilds the cached shard order for one attribute (and the
 // sorted attr cache) and replaces the attribute's compiled epoch program
@@ -256,14 +246,13 @@ func (f *Fabricator) InsertQueryMerge(q query.Query, sink stream.Processor, _ Me
 // first) for cells not yet materialized. It returns the stored query with
 // its assigned id. The sink receives the query's fabricated MCDS.
 //
-// With sharing enabled (the default), a query whose canonical normal form
-// (craql.CanonicalKey) matches a resident query attaches its sink to the
-// existing subplan's fan-out instead of fabricating anything: no new
-// operators, no epoch-program recompilation, no shard-order rebuild — and,
-// when the sink is a fresh *stream.ResultStore of the retention the
-// subplan's resident stores have, no result ring either: the store is
-// rebound onto the subplan's ring (see fanOut), which keeps being written
-// once per batch. Any other sink is fanned to on its own.
+// A query whose canonical normal form (craql.CanonicalKey) matches a
+// resident query attaches its sink to the existing subplan's fan-out instead
+// of fabricating anything: no new operators, no epoch-program recompilation,
+// no shard-order rebuild — and, when the sink is a fresh *stream.ResultStore
+// of the retention the subplan's resident stores have, no result ring
+// either: the store is rebound onto the subplan's ring (see fanOut), which
+// keeps being written once per batch. Any other sink is fanned to on its own.
 func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Query, error) {
 	if sink == nil {
 		return query.Query{}, errors.New("topology: InsertQuery requires a sink")
@@ -311,7 +300,7 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 			// Keyed forking gives every cell a stable RNG stream that is a
 			// function of (seed, cell, attr) alone — independent of query
 			// insertion order and of which worker executes the cell.
-			p, cellErr = NewCellPipeline(key, cellRect, f.cfg.Pipeline, f.rng.ForkKeyed(key.rngKey()))
+			p, cellErr = NewCellPipeline(key, cellRect, f.rng.ForkKeyed(key.rngKey()))
 			if cellErr != nil {
 				f.rollbackInsert(st)
 				return query.Query{}, cellErr
@@ -423,10 +412,7 @@ func (f *Fabricator) dropPipeline(key Key) {
 // RNG fork and writes only its own position lists, and a subplan's stream is
 // the ascending set of its surviving positions whichever worker fabricated
 // them, so the fabricated streams are identical to a serial run of the same
-// seed. With
-// Pipeline.DisableFused every cell's share is instead pushed through its
-// operator graph, U-operators included — the oracle the program is tested
-// against.
+// seed.
 //
 // Ingest holds the fabricator's read lock for the whole epoch, so concurrent
 // query insertion or deletion waits for the epoch boundary instead of racing
@@ -446,7 +432,7 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 	defer ep.release()
 	ep.batch, ep.pipes = b, pipes
 	ep.scatter(f.grid, f.slots[b.Attr], len(pipes), b.Tuples)
-	if !f.cfg.Pipeline.DisableFused {
+	if !f.walkGraph {
 		ep.begin(f.program(b.Attr))
 	}
 	return ep.execute(f.Workers())

@@ -37,6 +37,18 @@ func newFab(t *testing.T, g *geom.Grid, cfg Config) *Fabricator {
 	return f
 }
 
+// controlArm puts f, before its first insert, on the control arms the
+// tests compare production against: walkGraph runs every epoch as the
+// operator-graph walk instead of the compiled program, and unshared
+// fabricates every query on a subplan, and a result ring, of its own.
+func controlArm(f *Fabricator, walkGraph, unshared bool) *Fabricator {
+	f.walkGraph = walkGraph
+	if unshared {
+		f.shared = nil
+	}
+	return f
+}
+
 // insertFig2Queries inserts the three queries of the Fig. 2 walkthrough:
 // Q1⟨rain⟩ at the highest rate over four whole cells, Q2⟨temp⟩ over two
 // whole cells, and Q3⟨temp⟩ at the lowest rate over a sub-cell region that
@@ -509,36 +521,6 @@ func TestTotalFlowAccumulates(t *testing.T) {
 	flow := f.TotalFlow()
 	if flow.TuplesIn == 0 || flow.RandomDraws == 0 {
 		t.Fatalf("flow = %+v", flow)
-	}
-}
-
-func TestDiscardSinkPlumbedThroughTopology(t *testing.T) {
-	// The paper: "if necessary, the discarded tuples can be stored
-	// separately" — the flatten discard sink is configurable per pipeline.
-	discards := stream.NewCollector()
-	cfg := Config{Pipeline: PipelineConfig{Flatten: flattenCfgWithDiscard(discards)}}
-	f := newFab(t, fig2Grid(t), cfg)
-	kept := stream.NewCollector()
-	if _, err := f.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 2}, kept); err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(9)
-	w := geom.Window{T0: 0, T1: 1, Rect: f.Grid().Region()}
-	b := stream.Batch{Attr: "rain", Window: w}
-	for i := 0; i < 2000; i++ {
-		b.Tuples = append(b.Tuples, stream.Tuple{ID: uint64(i), T: rng.Uniform(0, 1), X: rng.Uniform(0, 2), Y: rng.Uniform(0, 2)})
-	}
-	if err := f.Ingest(b); err != nil {
-		t.Fatal(err)
-	}
-	if discards.Len() == 0 {
-		t.Fatal("no discards captured despite heavy over-supply")
-	}
-	key := Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}
-	p, _ := f.Pipeline(key)
-	flatOut := int(p.Flatten().Stats().TuplesOut)
-	if flatOut+discards.Len() != 2000 {
-		t.Fatalf("kept %d + discarded %d != 2000", flatOut, discards.Len())
 	}
 }
 

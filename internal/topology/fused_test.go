@@ -25,21 +25,19 @@ var fusedFixtureQueries = []query.Query{
 	{Attr: "temp", Region: geom.NewRect(2.25, 2.25, 4.5, 4.25), Rate: 4}, // partition + chain on temp
 }
 
-// buildFusedFixture assembles two structurally identical fabricators from
-// one seed, differing only in execution mode.
-func buildFusedFixture(t *testing.T, seed int64, workers int, disableFused bool) (*Fabricator, []*stream.Collector) {
+// buildFusedFixture assembles the fixture's fabricator for one seed, on the
+// compiled program or, with walkGraph, on the operator-graph walk.
+func buildFusedFixture(t *testing.T, seed int64, workers int, walkGraph bool) (*Fabricator, []*stream.Collector) {
 	t.Helper()
 	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := New(grid, Config{
-		Workers:  workers,
-		Pipeline: PipelineConfig{DisableFused: disableFused},
-	}, stats.NewRNG(seed))
+	fab, err := New(grid, Config{Workers: workers}, stats.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	controlArm(fab, walkGraph, false)
 	cols := make([]*stream.Collector, len(fusedFixtureQueries))
 	for i, q := range fusedFixtureQueries {
 		cols[i] = stream.NewCollector()
@@ -79,12 +77,6 @@ func TestFusedMatchesUnfusedGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
 				unfused, ucols := buildFusedFixture(t, seed, workers, true)
 				fused, fcols := buildFusedFixture(t, seed, workers, false)
-				if unfused.FusedEnabled() {
-					t.Fatal("reference fabricator should be unfused")
-				}
-				if !fused.FusedEnabled() {
-					t.Fatal("fused fabricator should be fused")
-				}
 				runFixtureEpochs(t, unfused, 6, 700)
 				runFixtureEpochs(t, fused, 6, 700)
 				for i := range ucols {
@@ -171,8 +163,8 @@ func TestFusedRecompileOnChurn(t *testing.T) {
 // epoch program: lazy compile on the first Ingest, reuse across batches and
 // attributes' independence, recompilation after a structural insert or a
 // teardown and only then — neither a member attaching to or detaching from a
-// resident subplan nor a retune costs one — and no program at all when
-// DisableFused walks the graph.
+// resident subplan nor a retune costs one — and no program at all on the
+// graph walk.
 func TestFusedProgramLifecycle(t *testing.T) {
 	grid := fig2Grid(t)
 	f := newFab(t, grid, Config{Workers: 1})
@@ -247,10 +239,10 @@ func TestFusedProgramLifecycle(t *testing.T) {
 		t.Fatal("the program delivered nothing")
 	}
 
-	off := newFab(t, grid, Config{Pipeline: PipelineConfig{DisableFused: true}})
-	if _, err := off.InsertQuery(q, stream.NewCollector()); err != nil {
+	walk := controlArm(newFab(t, grid, Config{}), true, false)
+	if _, err := walk.InsertQuery(q, stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	ingest(off, "rain", 0)
-	expect(off, "DisableFused", ProgramStats{})
+	ingest(walk, "rain", 0)
+	expect(walk, "graph walk", ProgramStats{})
 }

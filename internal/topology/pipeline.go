@@ -17,6 +17,13 @@
 //     final fabricated stream;
 //   - deletion removes a query's streams from right to left until a
 //     branching point, merging any T-operators left consecutive.
+//
+// Queries whose normal forms match share one fabricated subplan and one
+// result ring, and every epoch runs as a compiled position program
+// (program.go); the only setting is the epoch worker count (Config). The
+// operator-graph walk and per-query fabrication stay as unexported control
+// arms that only this package's tests select, to hold the program and
+// sharing to byte identity.
 package topology
 
 import (
@@ -102,49 +109,28 @@ type CellPipeline struct {
 	// the F target and every T-operator's rate pair (Retune). node.rate
 	// values stay nominal so query-rate matching is scale-invariant.
 	scale float64
-
-	// disableFused makes Process walk the operator graph (the test oracle)
-	// instead of running the compiled kernel (program.go).
-	disableFused bool
 }
 
 // headroom is the multiplicative margin of the F-operator's output rate
 // over the first T-operator's rate.
 const headroom = 1.2
 
-// PipelineConfig carries the pieces a pipeline needs from the fabricator.
-type PipelineConfig struct {
-	// Flatten configures the F-operator (TargetRate is overwritten by the
-	// pipeline as queries come and go).
-	Flatten pmat.FlattenConfig
-	// DisableFused turns off compiled execution (program.go) and walks the
-	// operator graph stage by stage instead. The two fabricate byte-identical
-	// streams (golden tests); the graph walk exists as their oracle and for
-	// debugging only.
-	DisableFused bool
-}
-
-// NewCellPipeline creates the topology for a key, with the F-operator
-// installed and no queries yet.
-func NewCellPipeline(key Key, cellRect geom.Rect, cfg PipelineConfig, rng *stats.RNG) (*CellPipeline, error) {
+// NewCellPipeline creates the topology for a key, with the F-operator — an
+// MLE-mode flatten — installed and no queries yet.
+func NewCellPipeline(key Key, cellRect geom.Rect, rng *stats.RNG) (*CellPipeline, error) {
 	if cellRect.IsEmpty() {
 		return nil, fmt.Errorf("topology: pipeline %v: empty cell rect", key)
 	}
 	if rng == nil {
 		return nil, errors.New("topology: pipeline requires an RNG")
 	}
-	fcfg := cfg.Flatten
-	if fcfg.TargetRate <= 0 {
-		fcfg.TargetRate = 1 // placeholder; raised on first insertion
-	}
-	f, err := pmat.NewFlatten(fmt.Sprintf("%v/F", key), fcfg, rng.Fork())
+	// The target rate is a placeholder, raised on the first insertion.
+	const target = 1
+	f, err := pmat.NewFlatten(fmt.Sprintf("%v/F", key), pmat.FlattenConfig{TargetRate: target}, rng.Fork())
 	if err != nil {
 		return nil, err
 	}
-	return &CellPipeline{
-		key: key, cellRect: cellRect, flatten: f, rng: rng,
-		disableFused: cfg.DisableFused, nominalTarget: fcfg.TargetRate, scale: 1,
-	}, nil
+	return &CellPipeline{key: key, cellRect: cellRect, flatten: f, rng: rng, nominalTarget: target, scale: 1}, nil
 }
 
 // Key returns the pipeline's key.

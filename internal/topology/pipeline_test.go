@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
-	"repro/internal/pmat"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -17,7 +16,7 @@ func cellRect() geom.Rect { return geom.NewRect(0, 0, 2, 2) }
 
 func newPipe(t *testing.T) *CellPipeline {
 	t.Helper()
-	p, err := NewCellPipeline(Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}, cellRect(), PipelineConfig{}, stats.NewRNG(1))
+	p, err := NewCellPipeline(Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}, cellRect(), stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +28,10 @@ func q(id string, rate float64) query.Query {
 }
 
 func TestNewCellPipelineValidation(t *testing.T) {
-	if _, err := NewCellPipeline(Key{}, geom.Rect{}, PipelineConfig{}, stats.NewRNG(1)); err == nil {
+	if _, err := NewCellPipeline(Key{}, geom.Rect{}, stats.NewRNG(1)); err == nil {
 		t.Error("empty cell should error")
 	}
-	if _, err := NewCellPipeline(Key{}, cellRect(), PipelineConfig{}, nil); err == nil {
+	if _, err := NewCellPipeline(Key{}, cellRect(), nil); err == nil {
 		t.Error("nil RNG should error")
 	}
 	p := newPipe(t)
@@ -368,7 +367,7 @@ func TestChainSortedPropertyQuick(t *testing.T) {
 		if len(raw) == 0 || len(raw) > 12 {
 			return true
 		}
-		p, err := NewCellPipeline(Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "a"}, cellRect(), PipelineConfig{}, stats.NewRNG(1))
+		p, err := NewCellPipeline(Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "a"}, cellRect(), stats.NewRNG(1))
 		if err != nil {
 			return false
 		}
@@ -400,10 +399,4 @@ func TestChainSortedPropertyQuick(t *testing.T) {
 // quickCheck wraps testing/quick with a fixed count.
 func quickCheck(f interface{}, count int) error {
 	return quick.Check(f, &quick.Config{MaxCount: count})
-}
-
-// flattenCfgWithDiscard builds a flatten config with a discard sink, shared
-// by fabricator tests.
-func flattenCfgWithDiscard(sink stream.Processor) pmat.FlattenConfig {
-	return pmat.FlattenConfig{DiscardSink: sink}
 }

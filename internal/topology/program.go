@@ -37,13 +37,13 @@ import (
 //
 // The operator objects stay the plan's nodes: they hold the estimator and
 // RNG state the kernel uses, their flow counters are kept exact (a U's in/out
-// is the sum over its leaves), and walking them is the DisableFused
-// byte-identity oracle (program_test.go). A batch that does not
-// ascend in (T, ID) — simulated sources, direct library callers — takes the
-// same path, except that a subplan's surviving positions are sorted by the
-// tuples they name instead of merged (and a single-leaf plan, which has no
-// U-operator to order anything, hands on its cell's survivors as they
-// arrived, as the graph walk does).
+// is the sum over its leaves), and walking them is the byte-identity oracle
+// the tests hold the program to (Fabricator.walkGraph, program_test.go). A
+// batch that does not ascend in (T, ID) — simulated sources, direct library
+// callers — takes the same path, except that a subplan's surviving positions
+// are sorted by the tuples they name instead of merged (and a single-leaf
+// plan, which has no U-operator to order anything, hands on its cell's
+// survivors as they arrived, as the graph walk does).
 //
 // Tie rule: tuples equal in both T and ID are ordered by position. Neither
 // ingest.idSet nor the simulators produce such a pair within an attribute
@@ -243,8 +243,8 @@ func (ep *epochScratch) release() {
 	epochScratchPool.Put(ep)
 }
 
-// execute runs the epoch: every cell — its kernel, or under DisableFused
-// (no program) its operator-graph walk — and every subplan's merge phase.
+// execute runs the epoch: every cell — its kernel, or without a program its
+// operator-graph walk — and every subplan's merge phase.
 //
 // Serially (workers ≤ 1) that is the cells in shard order, then the subplans
 // in fabrication order, stopping at the first failure. In parallel, workers
@@ -346,10 +346,11 @@ func (ep *epochScratch) merges() int {
 
 // cell runs pipeline i's share of the epoch: through the kernel, its
 // survivors' positions left in the pipeline's stage lists, or — without a
-// program, the DisableFused path — through the operator graph.
+// program, the graph-walk oracle — through the operator graph from its
+// F-operator on.
 func (ep *epochScratch) cell(i int, ws *workerScratch) error {
 	if ep.prog == nil {
-		return ep.pipes[i].Process(ep.cellBatch(i, ws))
+		return ep.pipes[i].flatten.Process(ep.cellBatch(i, ws))
 	}
 	lo, hi := ep.prog.stage[i], ep.prog.stage[i+1]
 	return ep.pipes[i].fabricate(ep.cellBatch(i, ws), ep.run(i), ep.lists[lo:hi], ws)
@@ -508,15 +509,11 @@ func merge2(dst, a, b []uint32) {
 }
 
 // Process pushes one batch (already clipped to the cell) into the topology.
-// Unless DisableFused walks the operator graph instead, it runs the same
-// kernel the fabricator's epoch program does, positions being the batch's own
-// indices, and hands every tap its rows: a P tap's clipped to its region, in
-// the window the P-operator would have passed on. Empty batches are delivered
-// too.
+// It runs the same kernel the fabricator's epoch program does, positions
+// being the batch's own indices, and hands every tap its rows: a P tap's
+// clipped to its region, in the window the P-operator would have passed on.
+// Empty batches are delivered too.
 func (p *CellPipeline) Process(b stream.Batch) error {
-	if p.disableFused {
-		return p.flatten.Process(b)
-	}
 	ep := borrowEpochScratch()
 	defer ep.release()
 	ep.sizeLists(len(p.nodes))

@@ -159,7 +159,7 @@ func runProgramScript(a *programArm, order batchOrder) (before, after uint64) {
 
 // TestEpochProgramMatchesGraphWalk is the position program's differential
 // test: for every batch order, worker count and sharing setting, the compiled
-// program and the DisableFused operator-graph walk must fabricate the same
+// program and the operator-graph walk must fabricate the same
 // stream for every query, leave every operator with the same flow counters,
 // and — with sharing on — the program must have been compiled, and not again
 // for members coming and going.
@@ -168,10 +168,11 @@ func TestEpochProgramMatchesGraphWalk(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, sharing := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%v/workers=%d/sharing=%v", order, workers, sharing), func(t *testing.T) {
-					cfg := Config{Workers: workers, DisableSharing: !sharing}
+					cfg := Config{Workers: workers}
 					prog := newProgramArm(t, cfg, 31)
-					cfg.Pipeline.DisableFused = true
+					controlArm(prog.fab, false, !sharing)
 					walk := newProgramArm(t, cfg, 31)
+					controlArm(walk.fab, true, !sharing)
 					before, after := runProgramScript(prog, order)
 					runProgramScript(walk, order)
 
@@ -228,8 +229,9 @@ func (s failingSink) Process(stream.Batch) error { return s.err }
 func TestEpochProgramSinkError(t *testing.T) {
 	errFirst, errSecond := errors.New("first sink"), errors.New("second sink")
 	for _, workers := range []int{1, 4} {
-		for _, disableFused := range []bool{false, true} {
-			a := newProgramArm(t, Config{Workers: workers, Pipeline: PipelineConfig{DisableFused: disableFused}}, 5)
+		for _, walkGraph := range []bool{false, true} {
+			a := newProgramArm(t, Config{Workers: workers}, 5)
+			controlArm(a.fab, walkGraph, false)
 			first, err := a.fab.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 5}, failingSink{errFirst})
 			if err != nil {
 				t.Fatal(err)
@@ -239,9 +241,9 @@ func TestEpochProgramSinkError(t *testing.T) {
 			}
 			err = a.fab.Ingest(orderSorted.apply(sourceBatch("rain", 0, a.fab.Grid().Region(), 400)))
 			if !errors.Is(err, errFirst) || errors.Is(err, errSecond) {
-				t.Fatalf("workers=%d disableFused=%v: Ingest = %v, want the first subplan's sink failure", workers, disableFused, err)
+				t.Fatalf("workers=%d walkGraph=%v: Ingest = %v, want the first subplan's sink failure", workers, walkGraph, err)
 			}
-			if want := "topology: subplan " + first.ID + ": first sink"; !disableFused && err.Error() != want {
+			if want := "topology: subplan " + first.ID + ": first sink"; !walkGraph && err.Error() != want {
 				t.Fatalf("workers=%d: Ingest = %q, want %q", workers, err, want)
 			}
 		}
@@ -306,10 +308,8 @@ func FuzzEpochProgram(f *testing.F) {
 		side := 1 + next()%6
 		nQueries := 1 + next()%12
 		next() // the retired merge-layout byte
-		cfg := Config{
-			DisableSharing: next()%2 == 1,
-			Workers:        1 + next()%3,
-		}
+		unshared := next()%2 == 1
+		cfg := Config{Workers: 1 + next()%3}
 		order := batchOrder(next() % 3)
 		perEpoch := 4 * next()
 		region := geom.NewRect(0, 0, 8, 8)
@@ -323,10 +323,10 @@ func FuzzEpochProgram(f *testing.F) {
 		}
 		var arms [2]arm
 		for i := range arms {
-			cfg.Pipeline.DisableFused = i == 1
 			if arms[i].fab, err = New(grid, cfg, stats.NewRNG(17)); err != nil {
 				t.Fatal(err)
 			}
+			controlArm(arms[i].fab, i == 1, unshared)
 		}
 		for i := 0; i < nQueries; i++ {
 			attr := []string{"rain", "temp"}[next()%2]

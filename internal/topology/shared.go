@@ -180,9 +180,8 @@ func (f *fanOut) resultRings() int {
 // SharedStats snapshots the fabricator's subplan-sharing accounting for
 // /status and the churn tests.
 type SharedStats struct {
-	// Subplans is the number of distinct fabricated subplans live right now;
-	// with sharing enabled this is what epoch cost scales with, not the
-	// resident query count.
+	// Subplans is the number of distinct fabricated subplans live right now:
+	// what epoch cost scales with, not the resident query count.
 	Subplans int
 	// SharedSubplans counts subplans with ≥ 2 attached queries — the
 	// /status "sharedPrefixes" figure.
@@ -209,14 +208,9 @@ type SharedGroupInfo struct {
 	Refs int
 }
 
-// SharingEnabled reports whether the fabricator deduplicates subplans
-// across queries (the default) or fabricates every query independently
-// (Config.DisableSharing — the differential harness's control arm).
-func (f *Fabricator) SharingEnabled() bool { return !f.cfg.DisableSharing }
-
 // SharedGroup looks up the live shared subplan for a canonical CrAQL key
 // (see craql.CanonicalKey); false when no query with that normal form is
-// resident or sharing is disabled.
+// resident.
 func (f *Fabricator) SharedGroup(key string) (SharedGroupInfo, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

@@ -2,11 +2,15 @@ package topology
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/craql"
 	"repro/internal/geom"
+	"repro/internal/pmat"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -46,9 +50,6 @@ func sharedFeed(t *testing.T, f *Fabricator, seed int64, epoch int) {
 // and final teardown.
 func TestSharedSubplanLifecycle(t *testing.T) {
 	f := newFab(t, fig2Grid(t), Config{})
-	if !f.SharingEnabled() {
-		t.Fatal("sharing must be on by default")
-	}
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
 	sinks := make([]*stream.Collector, 3)
 	ids := make([]string, 3)
@@ -140,14 +141,14 @@ func TestSharedSubplanLifecycle(t *testing.T) {
 	}
 }
 
-// TestSharedDisabledMatchesShared is the package-level identity check: with
-// sharing on and off, the same queries over the same feed deliver
-// byte-identical tuples (the server package's differential harness extends
-// this across churn and retunes).
+// TestSharedDisabledMatchesShared is the simplest identity check: on the
+// sharing arm and on the per-query control arm, the same queries over the
+// same feed deliver byte-identical tuples (TestSharedDifferentialRandomized
+// extends this across churn and retunes).
 func TestSharedDisabledMatchesShared(t *testing.T) {
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
-	run := func(disable bool) [][]stream.Tuple {
-		f := newFab(t, fig2Grid(t), Config{DisableSharing: disable})
+	run := func(unshared bool) [][]stream.Tuple {
+		f := controlArm(newFab(t, fig2Grid(t), Config{}), false, unshared)
 		sinks := make([]*stream.Collector, 3)
 		for i := range sinks {
 			sinks[i] = stream.NewCollector()
@@ -183,10 +184,7 @@ func TestSharedDisabledMatchesShared(t *testing.T) {
 // TestSharedDisabledIsolates verifies the control arm really fabricates
 // per-query topology: identical queries get independent subplans.
 func TestSharedDisabledIsolates(t *testing.T) {
-	f := newFab(t, fig2Grid(t), Config{DisableSharing: true})
-	if f.SharingEnabled() {
-		t.Fatal("SharingEnabled with DisableSharing set")
-	}
+	f := controlArm(newFab(t, fig2Grid(t), Config{}), false, true)
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
 	for i := 0; i < 3; i++ {
 		if _, err := f.InsertQuery(q, stream.NewCollector()); err != nil {
@@ -198,7 +196,7 @@ func TestSharedDisabledIsolates(t *testing.T) {
 		t.Fatalf("control arm shared anyway: %+v", st)
 	}
 	if _, ok := f.SharedGroup("anything"); ok {
-		t.Fatal("SharedGroup resolved with sharing disabled")
+		t.Fatal("SharedGroup resolved on the control arm")
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -320,8 +318,8 @@ func TestSharedChurnSublinear(t *testing.T) {
 
 // ringArm drives one script of inserts, deletes and epochs through a
 // fabricator whose sinks are result stores; TestSharedResultRing runs it on
-// the sharing arm and on the DisableSharing control and compares everything
-// a store can report.
+// the sharing arm and on the per-query control and compares everything a
+// store can report.
 type ringArm struct {
 	t      *testing.T
 	f      *Fabricator
@@ -365,13 +363,35 @@ func (a *ringArm) check() {
 	}
 }
 
+// sameStore fails unless got, a store of the sharing arm, reports exactly
+// what want, its private twin on the control arm, does: the counters, and
+// every page of a read from cursor 0 with its next cursor and drop count.
+func sameStore(t *testing.T, what string, got, want *stream.ResultStore) {
+	t.Helper()
+	if got.Total() != want.Total() || got.Dropped() != want.Dropped() || got.Len() != want.Len() || got.Batches() != want.Batches() {
+		t.Fatalf("%s: total/dropped/len/batches %d/%d/%d/%d shared vs %d/%d/%d/%d private", what,
+			got.Total(), got.Dropped(), got.Len(), got.Batches(), want.Total(), want.Dropped(), want.Len(), want.Batches())
+	}
+	for cursor := uint64(0); ; {
+		gp, gn, gd := got.ReadFrom(cursor, 7, nil)
+		wp, wn, wd := want.ReadFrom(cursor, 7, nil)
+		if gn != wn || gd != wd || !slices.Equal(gp, wp) {
+			t.Fatalf("%s, cursor %d: page of %d, next %d, dropped %d shared vs %d/%d/%d private", what, cursor, len(gp), gn, gd, len(wp), wn, wd)
+		}
+		if len(gp) == 0 {
+			return
+		}
+		cursor = gn
+	}
+}
+
 // TestSharedResultRing pins the one-ring-per-subplan contract at the
 // fabricator: members of a subplan share one ring written once per batch
 // through creator-first, middle and last-member deletes; a late member
 // starts at its own cursor 0; a deleted member's store is closed and frozen;
 // a store of another retention keeps a ring of its own — and through all of
-// it every store reports exactly what its private twin on the DisableSharing
-// arm reports.
+// it every store reports exactly what its private twin on the per-query
+// control arm reports.
 func TestSharedResultRing(t *testing.T) {
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
 	other := query.Query{Attr: "rain", Region: geom.NewRect(2, 2, 6, 6), Rate: 3}
@@ -379,7 +399,7 @@ func TestSharedResultRing(t *testing.T) {
 	arms := make([]*ringArm, 2)
 	for i := range arms {
 		arms[i] = &ringArm{
-			t: t, f: newFab(t, fig2Grid(t), Config{DisableSharing: i == 1}),
+			t: t, f: controlArm(newFab(t, fig2Grid(t), Config{}), false, i == 1),
 			stores: map[string]*stream.ResultStore{}, ids: map[string]string{},
 		}
 	}
@@ -396,27 +416,7 @@ func TestSharedResultRing(t *testing.T) {
 	compare := func(step string) {
 		t.Helper()
 		for name, got := range shared.stores {
-			want := control.stores[name]
-			if got.Total() != want.Total() || got.Dropped() != want.Dropped() || got.Len() != want.Len() || got.Batches() != want.Batches() {
-				t.Fatalf("%s, store %s: total/dropped/len/batches %d/%d/%d/%d shared vs %d/%d/%d/%d private", step, name,
-					got.Total(), got.Dropped(), got.Len(), got.Batches(), want.Total(), want.Dropped(), want.Len(), want.Batches())
-			}
-			for cursor := uint64(0); ; {
-				gp, gn, gd := got.ReadFrom(cursor, 7, nil)
-				wp, wn, wd := want.ReadFrom(cursor, 7, nil)
-				if gn != wn || gd != wd || len(gp) != len(wp) {
-					t.Fatalf("%s, store %s, cursor %d: page %d next %d dropped %d shared vs %d/%d/%d private", step, name, cursor, len(gp), gn, gd, len(wp), wn, wd)
-				}
-				for i := range gp {
-					if gp[i] != wp[i] {
-						t.Fatalf("%s, store %s, cursor %d: tuple %d differs", step, name, cursor, i)
-					}
-				}
-				if len(gp) == 0 {
-					break
-				}
-				cursor = gn
-			}
+			sameStore(t, step+", store "+name, got, control.stores[name])
 		}
 	}
 	all := func(fn func(*ringArm)) {
@@ -470,4 +470,122 @@ func TestSharedResultRing(t *testing.T) {
 	all(func(a *ringArm) { a.delete("B"); a.delete("E"); a.delete("F") })
 	rings(0)
 	compare("torn down")
+}
+
+// sharingScript replays one randomized script on a fabricator of the given
+// seed and worker count, sharing or on the per-query control arm: submits
+// drawn from a pool of few shapes (so they collide constantly), over both
+// attributes, whole-cell and grid-wide regions and a spread of rates, each
+// into a result store whose retention a few epochs fill; deletes of a random
+// live query; retunes of random pipelines, as the adaptive loop makes them;
+// and epochs of varying size. Everything random comes from the seed alone —
+// the two arms number queries and order pipelines alike — so they see
+// op-for-op identical scripts. It returns every query's store, the deleted
+// ones' included, and the ids still live.
+func sharingScript(t *testing.T, seed int64, workers int, unshared bool) (*Fabricator, map[string]*stream.ResultStore, []string) {
+	t.Helper()
+	pool := []query.Query{
+		{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6},
+		{Attr: "rain", Region: geom.NewRect(2, 2, 6, 6), Rate: 3},
+		{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 9},
+		{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 1},
+		{Attr: "temp", Region: geom.NewRect(4, 4, 8, 8), Rate: 4},
+		{Attr: "temp", Region: geom.NewRect(0.5, 4, 3.5, 7.5), Rate: 2},
+	}
+	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(grid, Config{Workers: workers}, stats.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	controlArm(f, false, unshared)
+	rnd := rand.New(rand.NewSource(seed))
+	stores := map[string]*stream.ResultStore{}
+	var live []string
+	epoch := 0
+	step := func() {
+		n := rnd.Intn(600)
+		for _, attr := range []string{"rain", "temp"} {
+			if err := f.Ingest(orderSorted.apply(sourceBatch(attr, epoch, grid.Region(), n))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch++
+	}
+	for op := 0; op < 200; op++ {
+		switch p := rnd.Float64(); {
+		case p < 0.35:
+			store := stream.NewResultStore(48)
+			stored, err := f.InsertQuery(pool[rnd.Intn(len(pool))], store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[stored.ID] = store
+			live = append(live, stored.ID)
+		case p < 0.55 && len(live) > 0:
+			i := rnd.Intn(len(live))
+			if err := f.DeleteQuery(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = slices.Delete(live, i, i+1)
+		case p < 0.65:
+			f.VisitLastReports(func(k Key, _ pmat.ViolationReport) {
+				if rnd.Intn(3) == 0 {
+					if err := f.Retune(k, []float64{0.4, 0.7, 1}[rnd.Intn(3)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		default:
+			step()
+		}
+	}
+	// Settle, so every surviving query has seen full epochs after the last
+	// churn op.
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return f, stores, live
+}
+
+// TestSharedDifferentialRandomized is the sharing differential harness: for
+// two seeds and worker counts, one randomized script of submits, deletes,
+// retunes and epochs runs on a sharing fabricator and on the per-query
+// control arm, where every query keeps a private ring, and every query's
+// store — a deleted query's included — must report the same on both (see
+// sameStore). Sharing is an optimization, never a behaviour change,
+// including under retunes and parallel epoch execution.
+func TestSharedDifferentialRandomized(t *testing.T) {
+	for _, seed := range []int64{1, 42} {
+		for _, workers := range []int{1, 3} {
+			what := fmt.Sprintf("seed=%d workers=%d", seed, workers)
+			sf, shared, live := sharingScript(t, seed, workers, false)
+			cf, control, controlLive := sharingScript(t, seed, workers, true)
+			// The script's collisions must actually have exercised dedup, and
+			// on the sharing arm only.
+			sst, cst := sf.SharedStats(), cf.SharedStats()
+			if sst.Attaches == 0 || sst.ResultRings != sst.Subplans || sst.ResultRings >= sst.Queries {
+				t.Fatalf("%s: sharing arm did not share result rings (%+v)", what, sst)
+			}
+			if cst.Attaches != 0 || cst.ResultRings != cst.Queries {
+				t.Fatalf("%s: control arm shared (%+v)", what, cst)
+			}
+			if !slices.Equal(live, controlLive) || len(shared) != len(control) {
+				t.Fatalf("%s: live queries %v shared vs %v control", what, live, controlLive)
+			}
+			var drops uint64
+			for id, got := range shared {
+				sameStore(t, what+" query "+id, got, control[id])
+				drops += got.Dropped()
+			}
+			if drops == 0 {
+				t.Fatalf("%s: no ring wrapped; the script does not exercise eviction", what)
+			}
+		}
+	}
 }

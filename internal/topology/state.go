@@ -222,7 +222,7 @@ func (f *Fabricator) decodePipeline(r *codec.Reader, byTap map[string]*queryStat
 	if err != nil {
 		return err
 	}
-	p, err := NewCellPipeline(key, cellRect, f.cfg.Pipeline, f.rng.ForkKeyed(key.rngKey()))
+	p, err := NewCellPipeline(key, cellRect, f.rng.ForkKeyed(key.rngKey()))
 	if err != nil {
 		return err
 	}

@@ -17,10 +17,10 @@
 # suite: BenchmarkWALAppend per fsync policy, BenchmarkRecovery's
 # snapshot-plus-suffix recovery of sessions 1k, 10k and 100k epochs old,
 # and BenchmarkIngestDurable's WAL-enabled push path —
-# plus BenchmarkQueryChurn's resident-query churn matrix, shared vs
-# unshared at 1k/10k queries with a heapB/query memory metric, and
+# plus BenchmarkQueryChurn's resident-query churn at 1k/10k queries with a
+# heapB/query memory metric, and
 # BenchmarkResultFanout's one-epoch-into-1/8/64-members rows,
-# BenchmarkEpochFanout's program-vs-graph-walk epoch on the epoch_fanout
+# BenchmarkEpochFanout's compiled-program epoch on the epoch_fanout
 # workload's shape, and the
 # estimator rows — BenchmarkMLE's cold fits at t0 = 0 and 10⁶ and
 # BenchmarkFlattenSteady's warm-started F-operator over a moving window),

@@ -6,13 +6,13 @@
 # durability at fsync=batch, guarded as its ratio to the same run's
 # BenchmarkWALAppend/fsync=always, see below), BenchmarkWire* (the
 # zero-alloc JSON/binary batch decoders), BenchmarkQueryChurn (submit/
-# delete/epoch cycles at 1k and 10k resident queries, shared vs unshared —
-# the shared rows guard the multi-query dedup win), BenchmarkResultFanout
+# delete/epoch cycles at 1k and 10k resident queries on shared subplans —
+# the rows guard the multi-query dedup win), BenchmarkResultFanout
 # (one 4096-tuple epoch into 1, 8 and 64 members of one subplan — the rows
 # guard that a member costs no ring write of its own), BenchmarkEpochFanout
 # (one epoch of bench/'s epoch_fanout shape — 512 residents on 65 subplans,
 # two sorted 2048-tuple attribute runs — through the compiled position
-# program and through the graph-walk oracle), BenchmarkMLE (one
+# program), BenchmarkMLE (one
 # cold fit at n = 128/1000/10000 on windows at t0 = 0 and 10⁶ — the pairs
 # guard that a fit's cost does not grow with session age),
 # BenchmarkFlattenSteady (one F-operator over a moving window with fresh
