@@ -5,10 +5,10 @@
 // The package re-exports the supported surface of the internal packages so
 // downstream users import a single path:
 //
-//   - geometry and grids (Rect, Window, Grid);
-//   - point processes and intensities (Process, intensity constructors);
-//   - the PMAT operators (Flatten, Thin, Partition, Union);
-//   - acquisitional queries and the CrAQL language;
+//   - geometry (Rect, Window, and the Grid an engine partitions);
+//   - events, the Eq. (1) linear intensity and its MLE fit;
+//   - the T PMAT operator;
+//   - acquisitional queries and their CrAQL rendering;
 //   - the full engine (sensors → handler → fabricator → streams).
 //
 // Quickstart:
@@ -16,7 +16,8 @@
 //	engine, _ := craqr.NewEngine(cfg, fields)
 //	q, _ := engine.SubmitCRAQL("ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 10")
 //	_ = engine.Run(100)                            // or engine.Start(ctx) for a clocked engine
-//	tuples, next, dropped, _ := engine.ReadResults(q.ID, 0, 0)
+//	store, _ := engine.ResultStore(q.ID)
+//	tuples, next, dropped := store.ReadFrom(0, 0, nil)
 //	// … later: resume from `next`; `dropped` counts tuples evicted from
 //	// the query's bounded ResultStore before this reader arrived.
 //
@@ -79,9 +80,6 @@ func NewRect(x0, y0, x1, y1 float64) Rect { return geom.NewRect(x0, y0, x1, y1) 
 // NewWindow constructs a spatio-temporal window.
 func NewWindow(t0, t1 float64, r Rect) Window { return geom.NewWindow(t0, t1, r) }
 
-// NewGrid builds a grid over region with h cells (h a perfect square).
-func NewGrid(region Rect, h int) (*Grid, error) { return geom.NewGrid(region, h) }
-
 // Randomness.
 type (
 	// RNG is the seeded random generator used across the library.
@@ -93,27 +91,13 @@ func NewRNG(seed int64) *RNG { return stats.NewRNG(seed) }
 
 // Point processes and intensities.
 type (
-	// Process is an MDPP descriptor P(λ, R) / P̃(λ̃, R).
-	Process = mdpp.Process
 	// Event is one point of a process.
 	Event = mdpp.Event
-	// IntensityFunc is a conditional rate λ(t, x, y).
-	IntensityFunc = intensity.Func
 	// Theta holds the parameters of the paper's Eq. (1) linear rate.
 	Theta = intensity.Theta
 	// LinearIntensity is the Eq. (1) parametric rate.
 	LinearIntensity = intensity.Linear
 )
-
-// NewHomogeneousProcess builds P(λ, R).
-func NewHomogeneousProcess(rate float64, region Rect) (Process, error) {
-	return mdpp.NewHomogeneous(rate, region)
-}
-
-// NewInhomogeneousProcess builds P̃(λ̃, R).
-func NewInhomogeneousProcess(rate IntensityFunc, region Rect) (Process, error) {
-	return mdpp.NewInhomogeneous(rate, region)
-}
 
 // NewLinearIntensity returns the paper's Eq. (1) rate with parameters θ.
 func NewLinearIntensity(theta Theta) LinearIntensity { return intensity.NewLinear(theta) }
@@ -141,39 +125,16 @@ type (
 	// ResultStore is the bounded, cursor-addressable ring buffer that holds
 	// a query's most recent tuples and accounts evictions as drops.
 	ResultStore = stream.ResultStore
-	// Flatten is the F PMAT operator.
-	Flatten = pmat.Flatten
-	// FlattenConfig parameterizes Flatten.
-	FlattenConfig = pmat.FlattenConfig
 	// Thin is the T PMAT operator.
 	Thin = pmat.Thin
-	// Partition is the P PMAT operator.
-	Partition = pmat.Partition
-	// Union is the U PMAT operator.
-	Union = pmat.Union
 )
 
 // NewCollector returns an empty stream collector.
 func NewCollector() *Collector { return stream.NewCollector() }
 
-// NewFlatten constructs an F-operator.
-func NewFlatten(name string, cfg FlattenConfig, rng *RNG) (*Flatten, error) {
-	return pmat.NewFlatten(name, cfg, rng)
-}
-
 // NewThin constructs a T-operator thinning λ1 down to λ2.
 func NewThin(name string, lambda1, lambda2 float64, rng *RNG) (*Thin, error) {
 	return pmat.NewThin(name, lambda1, lambda2, rng)
-}
-
-// NewPartition constructs a P-operator over region.
-func NewPartition(name string, region Rect) (*Partition, error) {
-	return pmat.NewPartition(name, region)
-}
-
-// NewUnion constructs a U-operator over adjacent regions.
-func NewUnion(name string, regions ...Rect) (*Union, error) {
-	return pmat.NewUnion(name, regions...)
 }
 
 // Queries.
@@ -181,10 +142,6 @@ type (
 	// Query is an acquisitional query: attribute, region, rate.
 	Query = query.Query
 )
-
-// ParseCRAQL parses an executable CrAQL query ("ACQUIRE rain FROM RECT(…)
-// RATE 10"); EXPLAIN statements are rejected — Engine.Explain serves those.
-func ParseCRAQL(src string) (Query, error) { return craql.Parse(src) }
 
 // FormatCRAQL renders a query back into CrAQL syntax.
 func FormatCRAQL(q Query) string { return craql.Format(q) }
@@ -279,9 +236,6 @@ type (
 // NewJSONLinesSink writes tuples to w as one JSON object per line.
 func NewJSONLinesSink(w io.Writer) (*JSONLinesSink, error) { return export.NewJSONLinesSink(w) }
 
-// ReadJSONLines parses tuples back from ndjson produced by a JSONLinesSink.
-func ReadJSONLines(r io.Reader) ([]Tuple, error) { return export.ReadJSONLines(r) }
-
 // NewCoverageEstimator buckets boolean samples into windows of windowLen.
 func NewCoverageEstimator(windowLen float64) (*CoverageEstimator, error) {
 	return inference.NewCoverageEstimator(windowLen)
@@ -298,18 +252,8 @@ func NewEventDetector(on, off float64) (*EventDetector, error) {
 // rendering every EXPLAIN surface shares. Submit prices nothing: every query
 // is built with the one merge layout the planner prices.
 type (
-	// PlannerWeights prices tuples, operators and merge depth.
-	PlannerWeights = planner.Weights
 	// CostEstimate prices a query's plan.
 	CostEstimate = planner.CostEstimate
 	// PlanExplanation is the pricing of one query.
 	PlanExplanation = planner.Explanation
 )
-
-// DefaultPlannerWeights balances work, state and response time.
-func DefaultPlannerWeights() PlannerWeights { return planner.DefaultWeights() }
-
-// EstimateQueryCost prices a query on the grid.
-func EstimateQueryCost(grid *Grid, q Query, epochLength float64, w PlannerWeights) (CostEstimate, error) {
-	return planner.EstimateQueryCost(grid, q, epochLength, w)
-}

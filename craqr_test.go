@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	craqr "repro"
+	"repro/internal/craql"
+	"repro/internal/mdpp"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly the way the README's
@@ -51,23 +53,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeOperators drives the re-exported PMAT constructors directly.
+// TestFacadeOperators drives the re-exported T-operator directly.
 func TestFacadeOperators(t *testing.T) {
 	rng := craqr.NewRNG(1)
-	region := craqr.NewRect(0, 0, 4, 4)
-
-	proc, err := craqr.NewHomogeneousProcess(100, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := craqr.NewWindow(0, 1, region)
-	events, err := proc.Sample(w, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := craqr.Batch{Attr: "x", Window: w}
-	for i, e := range events {
-		batch.Tuples = append(batch.Tuples, craqr.Tuple{ID: uint64(i), T: e.T, X: e.X, Y: e.Y})
+	batch := craqr.Batch{Attr: "x", Window: craqr.NewWindow(0, 1, craqr.NewRect(0, 0, 4, 4))}
+	for i := 0; i < 1600; i++ {
+		batch.Tuples = append(batch.Tuples, craqr.Tuple{ID: uint64(i), T: rng.Float64(), X: 4 * rng.Float64(), Y: 4 * rng.Float64()})
 	}
 
 	th, err := craqr.NewThin("t", 100, 40, rng)
@@ -83,38 +74,13 @@ func TestFacadeOperators(t *testing.T) {
 	if math.Abs(frac-0.4) > 0.15 {
 		t.Fatalf("thin kept %g, want ≈0.4", frac)
 	}
-
-	part, err := craqr.NewPartition("p", region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := part.AddBranch("left", craqr.NewRect(0, 0, 2, 4)); err != nil {
-		t.Fatal(err)
-	}
-	uni, err := craqr.NewUnion("u", craqr.NewRect(0, 0, 2, 4), craqr.NewRect(2, 0, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !uni.Region().Equal(region) {
-		t.Fatal("union region wrong")
-	}
-
-	fl, err := craqr.NewFlatten("f", craqr.FlattenConfig{TargetRate: 10}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl.TargetRate() != 10 {
-		t.Fatal("flatten target wrong")
-	}
 }
 
-// TestFacadeCRAQLRoundTrip checks the declarative layer re-exports.
+// TestFacadeCRAQLRoundTrip checks that FormatCRAQL renders what the CrAQL
+// parser reads back.
 func TestFacadeCRAQLRoundTrip(t *testing.T) {
-	q, err := craqr.ParseCRAQL("ACQUIRE temp FROM RECT(1, 2, 5, 6) RATE 4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := craqr.ParseCRAQL(craqr.FormatCRAQL(q))
+	q := craqr.Query{Attr: "temp", Region: craqr.NewRect(1, 2, 5, 6), Rate: 4}
+	q2, err := craql.Parse(craqr.FormatCRAQL(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +94,7 @@ func TestFacadeEstimation(t *testing.T) {
 	rng := craqr.NewRNG(3)
 	region := craqr.NewRect(0, 0, 8, 8)
 	truth := craqr.Theta{8, 0.3, -0.2, 0.4}
-	proc, err := craqr.NewInhomogeneousProcess(craqr.NewLinearIntensity(truth), region)
+	proc, err := mdpp.NewInhomogeneous(craqr.NewLinearIntensity(truth), region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +140,9 @@ func TestFacadeInferenceAndExport(t *testing.T) {
 	if len(ests) != 1 || ests[0].Coverage != 0.5 {
 		t.Fatalf("coverage estimates = %+v", ests)
 	}
-	back, err := craqr.ReadJSONLines(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0] != b.Tuples[0] {
-		t.Fatalf("ndjson round trip failed: %+v", back)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if want := `{"id":1,"attr":"rain","t":0.25,"x":1,"y":1,"value":1,"sensor":0}`; len(lines) != 2 || lines[0] != want {
+		t.Fatalf("ndjson = %q, want 2 lines starting %s", lines, want)
 	}
 	det, err := craqr.NewEventDetector(0.4, 0.2)
 	if err != nil {
@@ -191,17 +154,29 @@ func TestFacadeInferenceAndExport(t *testing.T) {
 	}
 }
 
-// TestFacadePlanner exercises the planner re-exports.
+// TestFacadePlanner prices a query through Engine.Explain and the planner
+// re-exports.
 func TestFacadePlanner(t *testing.T) {
-	grid, err := craqr.NewGrid(craqr.NewRect(0, 0, 32, 32), 256)
+	region := craqr.NewRect(0, 0, 32, 32)
+	rain, err := craqr.NewRainField(region, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := craqr.Query{Attr: "rain", Region: craqr.NewRect(0, 0, 16, 2), Rate: 5}
-	est, err := craqr.EstimateQueryCost(grid, q, 1, craqr.DefaultPlannerWeights())
+	engine, err := craqr.NewEngine(craqr.EngineConfig{
+		Region:    region,
+		GridCells: 256,
+		Epoch:     1,
+		Budget:    craqr.BudgetConfig{Initial: 10, Delta: 4, Min: 2, Max: 300, ViolationThreshold: 10},
+		Fleet:     craqr.FleetConfig{N: 10, Response: craqr.ResponseModel{BaseProb: 0.6, MaxProb: 0.95, IncentiveScale: 1}},
+	}, map[string]craqr.Field{"rain": rain})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex, err := engine.Explain("EXPLAIN ACQUIRE rain FROM RECT(0, 0, 16, 2) RATE 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var est craqr.CostEstimate = ex.Estimate
 	// 8 cells in a row under one U-operator: 8 T taps + 1 U at depth 1.
 	if est.Depth != 1 || est.Operators != 9 {
 		t.Fatalf("estimate %+v, want depth 1 and 9 operators", est)

@@ -6,20 +6,14 @@ import (
 	craqr "repro"
 )
 
-// ExampleParseCRAQL shows the declarative acquisitional query language: the
-// three components the paper requires — attribute, region, rate.
-func ExampleParseCRAQL() {
-	q, err := craqr.ParseCRAQL("ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 10")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(q.Attr)
-	fmt.Println(q.Region)
-	fmt.Println(q.Rate)
+// ExampleFormatCRAQL renders a query in the declarative acquisitional query
+// language: the three components the paper requires — attribute, region,
+// rate.
+func ExampleFormatCRAQL() {
+	q := craqr.Query{Attr: "rain", Region: craqr.NewRect(0, 0, 4, 4), Rate: 10}
+	fmt.Println(craqr.FormatCRAQL(q))
 	// Output:
-	// rain
-	// [0,4)x[0,4)
-	// 10
+	// ACQUIRE rain FROM RECT(0, 0, 4, 4) RATE 10
 }
 
 // ExampleNewThin demonstrates the T PMAT operator: thinning a homogeneous
@@ -35,40 +29,31 @@ func ExampleNewThin() {
 	// T 0.25
 }
 
-// ExampleNewUnion shows the U operator's adjacency requirement: only
-// rectangles sharing a full common side union into a rectangle.
-func ExampleNewUnion() {
-	left := craqr.NewRect(0, 0, 2, 2)
-	right := craqr.NewRect(2, 0, 4, 2)
-	u, err := craqr.NewUnion("demo", left, right)
+// ExampleEngine_Explain prices a wide query's execution topology (the
+// Section VI query-optimization extension) without submitting it: eight T
+// taps and one n-ary U-operator, rendered as the line every EXPLAIN surface
+// prints.
+func ExampleEngine_Explain() {
+	region := craqr.NewRect(0, 0, 32, 32)
+	rain, err := craqr.NewRainField(region, nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(u.Region())
-
-	gap := craqr.NewRect(5, 0, 7, 2)
-	if _, err := craqr.NewUnion("bad", left, gap); err != nil {
-		fmt.Println("gap rejected")
-	}
-	// Output:
-	// [0,4)x[0,2)
-	// gap rejected
-}
-
-// ExampleEstimateQueryCost prices a wide query's execution topology (the
-// Section VI query-optimization extension): eight T taps and one n-ary
-// U-operator, rendered as the line every EXPLAIN surface prints.
-func ExampleEstimateQueryCost() {
-	grid, err := craqr.NewGrid(craqr.NewRect(0, 0, 32, 32), 256)
+	engine, err := craqr.NewEngine(craqr.EngineConfig{
+		Region:    region,
+		GridCells: 256,
+		Epoch:     1,
+		Budget:    craqr.BudgetConfig{Initial: 10, Delta: 4, Min: 2, Max: 300, ViolationThreshold: 10},
+		Fleet:     craqr.FleetConfig{N: 10, Response: craqr.ResponseModel{BaseProb: 0.6, MaxProb: 0.95, IncentiveScale: 1}},
+	}, map[string]craqr.Field{"rain": rain})
 	if err != nil {
 		panic(err)
 	}
-	q := craqr.Query{Attr: "rain", Region: craqr.NewRect(0, 0, 16, 2), Rate: 5}
-	est, err := craqr.EstimateQueryCost(grid, q, 1, craqr.DefaultPlannerWeights())
+	ex, err := engine.Explain("EXPLAIN ACQUIRE rain FROM RECT(0, 0, 16, 2) RATE 5")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(est)
+	fmt.Println(ex.Estimate)
 	// Output:
 	// flat: ops=9 depth=1 tuples/epoch=320.0 cost=970.0
 }

@@ -29,7 +29,6 @@ var exportsAllowedUnreached = map[string]string{
 	"repro/internal/intensity.NewScale":        "builds the wrong-scale intensity of pmat's ablation test",
 	"repro/internal/sensors.ConstantField":     "fixed-value field the handler, server and root tests run fleets on",
 	"repro/internal/stream.Counter":            "counting sink the pmat tests and root benchmarks end pipelines with",
-	"repro/internal/export.ReadJSONLines":      "behind craqr.ReadJSONLines, the facade's reader for JSONLinesSink output",
 }
 
 // fieldsAllowedUnwritten names the exported struct fields under internal/
@@ -42,11 +41,22 @@ var fieldsAllowedUnwritten = map[string]string{
 }
 
 // TestInternalExportsReachedOutsideTests fails on every exported top-level
-// func or type under internal/ that no program reaches, so library surface
-// that only its own tests call does not accumulate.
+// func or type, and every exported method, under internal/ that no program
+// reaches, so library surface that only its own tests call does not
+// accumulate.
 func TestInternalExportsReachedOutsideTests(t *testing.T) {
 	for _, name := range unreachedInternalExports(t) {
 		t.Errorf("%s: only tests reach it; delete it, or add it to exportsAllowedUnreached with the reason it stays", name)
+	}
+}
+
+// TestFacadeReachedByPrograms fails on every exported func of the root
+// package that no program under examples/, cmd/ or bench/ reaches, and on
+// every type alias there that no program names and whose type no reached
+// func exposes.
+func TestFacadeReachedByPrograms(t *testing.T) {
+	for _, name := range unreachedFacade(t) {
+		t.Errorf("%s: no program reaches it; delete it", name)
 	}
 }
 
@@ -62,11 +72,15 @@ func TestInternalFieldsWrittenOutsideTests(t *testing.T) {
 	}
 }
 
-// repo is the repository's non-test code, type-checked once per test binary.
+// repo is the repository's non-test code, type-checked once per test binary,
+// with what the package main programs reach of it.
 var repo struct {
-	once sync.Once
-	pkgs []*checkedPkg
-	err  error
+	once    sync.Once
+	pkgs    []*checkedPkg
+	err     error
+	reach   sync.Once
+	decls   map[string]types.Object
+	reached map[types.Object]bool
 }
 
 func repoPackages(t *testing.T) []*checkedPkg {
@@ -76,6 +90,62 @@ func repoPackages(t *testing.T) []*checkedPkg {
 		t.Fatal(repo.err)
 	}
 	return repo.pkgs
+}
+
+// repoReach returns every top-level declaration and method of the
+// repository by its "path.Name" or "path.Type.Method" key, and the set of
+// those the package main programs reach. A declaration is reached when a
+// reached declaration names it — a method by a call, a method value or a
+// method expression — or when it is a var or an init func, which run on
+// import. A method is also reached when its receiver type, or a type that
+// embeds it, is reached and implements an interface that declares it. An
+// exportsAllowedUnreached entry counts as reached, with its methods.
+func repoReach(t *testing.T) (map[string]types.Object, map[types.Object]bool) {
+	t.Helper()
+	pkgs := repoPackages(t)
+	repo.reach.Do(func() {
+		g := refGraph{refs: make(map[types.Object][]types.Object)}
+		for _, p := range pkgs {
+			g.add(p)
+		}
+		g.addInterfaceMethods(pkgs)
+		repo.decls = declarations(pkgs)
+		for key := range exportsAllowedUnreached {
+			obj := repo.decls[key]
+			if obj == nil {
+				continue
+			}
+			g.roots = append(g.roots, obj)
+			if n, ok := obj.Type().(*types.Named); ok && !obj.(*types.TypeName).IsAlias() {
+				for i := 0; i < n.NumMethods(); i++ {
+					g.roots = append(g.roots, n.Method(i))
+				}
+			}
+		}
+		repo.reached = g.reachable()
+	})
+	return repo.decls, repo.reached
+}
+
+// declarations keys every top-level declaration of pkgs by "path.Name" and
+// every method of a declared type by "path.Type.Method".
+func declarations(pkgs []*checkedPkg) map[string]types.Object {
+	decls := make(map[string]types.Object)
+	for _, p := range pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			key := p.types.Path() + "." + name
+			decls[key] = obj
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				n := tn.Type().(*types.Named)
+				for i := 0; i < n.NumMethods(); i++ {
+					decls[key+"."+n.Method(i).Name()] = n.Method(i)
+				}
+			}
+		}
+	}
+	return decls
 }
 
 // unwrittenInternalFields returns, sorted, the "path.Type.Field" of each
@@ -195,48 +265,100 @@ func markFieldWrites(info *types.Info, f *ast.File, written map[*types.Var]bool)
 }
 
 // unreachedInternalExports type-checks the non-test files of every package
-// in the repository, bench/ included, and returns, sorted, the "path.Name"
-// of each exported top-level func or type under internal/ that the package
-// main programs do not reach. A declaration is reached when a reached
-// declaration names it; a type's methods are reached with the type; vars
-// and init funcs are reached because they run on import.
+// in the repository, bench/ included, and returns, sorted, the key of each
+// exported top-level func or type, and each exported method, under
+// internal/ that the package main programs do not reach (see repoReach).
 func unreachedInternalExports(t *testing.T) []string {
 	t.Helper()
-	pkgs := repoPackages(t)
-	g := refGraph{refs: make(map[types.Object][]types.Object), methods: make(map[*types.TypeName][]types.Object)}
-	for _, p := range pkgs {
-		g.add(p)
-	}
-	declared := make(map[string]bool)
-	for _, p := range pkgs {
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			key := p.types.Path() + "." + name
-			declared[key] = true
-			if _, ok := exportsAllowedUnreached[key]; ok {
-				g.roots = append(g.roots, scope.Lookup(name))
-			}
-		}
-	}
+	decls, reached := repoReach(t)
 	for key := range exportsAllowedUnreached {
-		if !declared[key] {
+		if decls[key] == nil {
 			t.Errorf("exportsAllowedUnreached names %s, which is not declared", key)
 		}
 	}
-	reached := g.reachable()
 	var out []string
-	for _, p := range pkgs {
-		if !strings.Contains(p.types.Path()+"/", "/internal/") {
-			continue
+	for key, obj := range decls {
+		switch obj.(type) {
+		case *types.Func, *types.TypeName:
+			if strings.Contains(key, "/internal/") && obj.Exported() && !reached[obj] {
+				out = append(out, key)
+			}
 		}
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			switch obj := scope.Lookup(name); obj.(type) {
-			case *types.Func, *types.TypeName:
-				if obj.Exported() && !reached[obj] {
-					out = append(out, p.types.Path()+"."+name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// unreachedFacade returns, sorted, the "repro.Name" of each exported func of
+// the root package that the package main programs do not reach, and of each
+// type alias there that they do not name and whose aliased type is not
+// exposed. A type is exposed when it appears in the signature of a reached
+// func of the root package or, transitively, in an exported method or field
+// of an exposed type.
+func unreachedFacade(t *testing.T) []string {
+	t.Helper()
+	decls, reached := repoReach(t)
+	exposed := make(map[*types.TypeName]bool)
+	var expose func(types.Type)
+	expose = func(typ types.Type) {
+		switch typ := types.Unalias(typ).(type) {
+		case *types.Named:
+			if exposed[typ.Obj()] {
+				return
+			}
+			exposed[typ.Obj()] = true
+			mset := types.NewMethodSet(types.NewPointer(typ))
+			if types.IsInterface(typ) {
+				mset = types.NewMethodSet(typ)
+			}
+			for i := 0; i < mset.Len(); i++ {
+				if m := mset.At(i).Obj(); m.Exported() {
+					expose(m.Type())
 				}
 			}
+			expose(typ.Underlying())
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				if f := typ.Field(i); f.Exported() || f.Embedded() {
+					expose(f.Type())
+				}
+			}
+		case *types.Signature:
+			expose(typ.Params())
+			expose(typ.Results())
+		case *types.Tuple:
+			for i := 0; i < typ.Len(); i++ {
+				expose(typ.At(i).Type())
+			}
+		case *types.Map:
+			expose(typ.Key())
+			expose(typ.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array, chan
+			expose(typ.Elem())
+		}
+	}
+	var funcs, aliases []string
+	for key, obj := range decls {
+		if strings.Count(key, ".") != 1 || !strings.HasPrefix(key, "repro.") || !obj.Exported() {
+			continue
+		}
+		switch obj := obj.(type) {
+		case *types.Func:
+			if reached[obj] {
+				expose(obj.Type())
+			} else {
+				funcs = append(funcs, key)
+			}
+		case *types.TypeName:
+			if obj.IsAlias() && !reached[obj] {
+				aliases = append(aliases, key)
+			}
+		}
+	}
+	out := funcs
+	for _, key := range aliases {
+		if n, ok := types.Unalias(decls[key].Type()).(*types.Named); !ok || !exposed[n.Obj()] {
+			out = append(out, key)
 		}
 	}
 	sort.Strings(out)
@@ -360,11 +482,11 @@ func (i dirImporter) Import(path string) (*types.Package, error) {
 }
 
 // refGraph holds the package-level objects and methods each top-level
-// declaration names, the methods of each type, and the roots.
+// declaration or type names, and the roots. A type names the methods
+// through which it implements an interface.
 type refGraph struct {
-	refs    map[types.Object][]types.Object
-	methods map[*types.TypeName][]types.Object
-	roots   []types.Object
+	refs  map[types.Object][]types.Object
+	roots []types.Object
 }
 
 func (g *refGraph) add(p *checkedPkg) {
@@ -375,11 +497,7 @@ func (g *refGraph) add(p *checkedPkg) {
 			case *ast.FuncDecl:
 				fn := p.info.Defs[d.Name].(*types.Func)
 				g.collect(p.info, d, fn)
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-					if tn := namedType(recv.Type()); tn != nil {
-						g.methods[tn] = append(g.methods[tn], fn)
-					}
-				} else if isMain || d.Name.Name == "init" {
+				if d.Recv == nil && (isMain || d.Name.Name == "init") {
 					g.roots = append(g.roots, fn)
 				}
 			case *ast.GenDecl:
@@ -426,15 +544,90 @@ func (g *refGraph) collect(info *types.Info, n ast.Node, from types.Object) {
 	})
 }
 
-// namedType returns the declared type behind a method receiver.
-func namedType(t types.Type) *types.TypeName {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+// errorsInterfaces declares the unnamed interfaces package errors asserts
+// when it unwraps and compares errors.
+const errorsInterfaces = `package errors
+type (
+	unwrapper      interface{ Unwrap() error }
+	multiUnwrapper interface{ Unwrap() []error }
+	iser           interface{ Is(error) bool }
+	aser           interface{ As(any) bool }
+)`
+
+// addInterfaceMethods records, as references of every type declared in
+// pkgs, the methods — its own or promoted from an embedded type — through
+// which the type or its pointer implements an interface: a named interface
+// of any type-checked package, the standard library included, an interface
+// literal of the repository, error, or one errors asserts.
+func (g *refGraph) addInterfaceMethods(pkgs []*checkedPkg) {
+	byMethod := make(map[string][]*types.Interface)
+	addIface := func(it *types.Interface) {
+		if !it.IsMethodSet() {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
+		}
 	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Origin().Obj()
+	addNamed := func(p *types.Package) {
+		for _, name := range p.Scope().Names() {
+			if n, ok := p.Scope().Lookup(name).Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				if it, ok := n.Underlying().(*types.Interface); ok {
+					addIface(it)
+				}
+			}
+		}
 	}
-	return nil
+	seen := make(map[*types.Package]bool)
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if !seen[p] {
+			seen[p] = true
+			addNamed(p)
+			for _, imp := range p.Imports() {
+				walk(imp)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		walk(p.types)
+		for _, tv := range p.info.Types {
+			if it, ok := tv.Type.(*types.Interface); ok {
+				addIface(it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "errors.go", errorsInterfaces, 0)
+	if err != nil {
+		panic(err)
+	}
+	errs, err := new(types.Config).Check("errors", fset, []*ast.File{f}, nil)
+	if err != nil {
+		panic(err)
+	}
+	addNamed(errs)
+
+	for _, p := range pkgs {
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			mset := types.NewMethodSet(ptr)
+			for i := 0; i < mset.Len(); i++ {
+				m := mset.At(i).Obj()
+				for _, it := range byMethod[m.Name()] {
+					if types.Implements(ptr, it) {
+						g.refs[tn] = append(g.refs[tn], m)
+						break
+					}
+				}
+			}
+		}
+	}
 }
 
 func (g *refGraph) reachable() map[types.Object]bool {
@@ -448,9 +641,6 @@ func (g *refGraph) reachable() map[types.Object]bool {
 		}
 		seen[obj] = true
 		stack = append(stack, g.refs[obj]...)
-		if tn, ok := obj.(*types.TypeName); ok {
-			stack = append(stack, g.methods[tn]...)
-		}
 	}
 	return seen
 }

@@ -99,9 +99,6 @@ func NewController(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg, slots: make(map[Key]*slot)}, nil
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Register creates a slot at the initial budget; registering an existing
 // slot is a no-op.
 func (c *Controller) Register(k Key) {
@@ -117,18 +114,6 @@ func (c *Controller) Unregister(k Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.slots, k)
-}
-
-// Budget returns the current budget for the slot; the boolean is false for
-// unregistered slots.
-func (c *Controller) Budget(k Key) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.slots[k]
-	if !ok {
-		return 0, false
-	}
-	return s.beta, true
 }
 
 // Observe feeds one rate-violation measurement for the slot and applies the
@@ -195,15 +180,6 @@ func (c *Controller) RateScale(k Key) (float64, bool) {
 		scale = 1
 	}
 	return scale, true
-}
-
-// Infeasible reports whether the slot has saturated its budget while still
-// violating the threshold.
-func (c *Controller) Infeasible(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.slots[k]
-	return ok && s.infeasible
 }
 
 // Snapshot is a point-in-time view of one slot.

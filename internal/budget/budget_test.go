@@ -6,6 +6,22 @@ import (
 	"repro/internal/geom"
 )
 
+// budgetOf returns the slot's budget, and whether the slot is registered.
+func budgetOf(c *Controller, k Key) (float64, bool) {
+	s, ok := c.slots[k]
+	if !ok {
+		return 0, false
+	}
+	return s.beta, true
+}
+
+// infeasible reports whether the slot saturated its budget while still
+// violating the threshold.
+func infeasible(c *Controller, k Key) bool {
+	s, ok := c.slots[k]
+	return ok && s.infeasible
+}
+
 func validCfg() Config {
 	return Config{Initial: 50, Delta: 10, Min: 10, Max: 200, ViolationThreshold: 5}
 }
@@ -43,18 +59,18 @@ func TestRegisterAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := key("rain", 1, 2)
-	if _, ok := c.Budget(k); ok {
+	if _, ok := budgetOf(c, k); ok {
 		t.Fatal("unregistered slot has a budget")
 	}
 	c.Register(k)
-	b, ok := c.Budget(k)
+	b, ok := budgetOf(c, k)
 	if !ok || b != 50 {
 		t.Fatalf("budget = %g, ok=%v", b, ok)
 	}
 	// Re-register is a no-op (state preserved).
 	c.Observe(k, 50)
 	c.Register(k)
-	if b, _ := c.Budget(k); b != 60 {
+	if b, _ := budgetOf(c, k); b != 60 {
 		t.Fatalf("re-register reset the budget to %g", b)
 	}
 }
@@ -89,11 +105,11 @@ func TestBudgetClampsAtMin(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Observe(k, 0)
 	}
-	b, _ := c.Budget(k)
+	b, _ := budgetOf(c, k)
 	if b != 10 {
 		t.Fatalf("budget = %g, want clamped at Min=10", b)
 	}
-	if c.Infeasible(k) {
+	if infeasible(c, k) {
 		t.Fatal("satisfied slot flagged infeasible")
 	}
 }
@@ -105,16 +121,16 @@ func TestInfeasibilityAtCap(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Observe(k, 80)
 	}
-	b, _ := c.Budget(k)
+	b, _ := budgetOf(c, k)
 	if b != 200 {
 		t.Fatalf("budget = %g, want capped at 200", b)
 	}
-	if !c.Infeasible(k) {
+	if !infeasible(c, k) {
 		t.Fatal("saturated violating slot must be infeasible")
 	}
 	// Recovery: once violations stop, the flag clears.
 	c.Observe(k, 0)
-	if c.Infeasible(k) {
+	if infeasible(c, k) {
 		t.Fatal("infeasible flag did not clear")
 	}
 }
@@ -124,10 +140,10 @@ func TestUnregister(t *testing.T) {
 	k := key("rain", 0, 0)
 	c.Register(k)
 	c.Unregister(k)
-	if _, ok := c.Budget(k); ok {
+	if _, ok := budgetOf(c, k); ok {
 		t.Fatal("unregistered slot still present")
 	}
-	if c.Infeasible(k) {
+	if infeasible(c, k) {
 		t.Fatal("unregistered slot infeasible")
 	}
 }
@@ -166,14 +182,14 @@ func TestBudgetConvergesUnderAlternatingPressure(t *testing.T) {
 	k := key("rain", 0, 0)
 	c.Register(k)
 	for i := 0; i < 200; i++ {
-		b, _ := c.Budget(k)
+		b, _ := budgetOf(c, k)
 		nv := 0.0
 		if b < 100 {
 			nv = 50
 		}
 		c.Observe(k, nv)
 	}
-	b, _ := c.Budget(k)
+	b, _ := budgetOf(c, k)
 	if b < 90 || b > 115 {
 		t.Fatalf("budget %g did not settle near 100", b)
 	}
@@ -191,8 +207,8 @@ func TestKeyString(t *testing.T) {
 
 func TestConfigAccessor(t *testing.T) {
 	c, _ := NewController(validCfg())
-	if c.Config() != validCfg() {
-		t.Fatal("Config accessor wrong")
+	if c.cfg != validCfg() {
+		t.Fatal("controller does not keep its config")
 	}
 }
 
@@ -229,7 +245,7 @@ func TestObserveRetuneCurve(t *testing.T) {
 		if got != st.wantBeta {
 			t.Fatalf("step %d (nv=%g): β = %g, want %g", i, st.nv, got, st.wantBeta)
 		}
-		if inf := c.Infeasible(k); inf != st.wantInfeasible {
+		if inf := infeasible(c, k); inf != st.wantInfeasible {
 			t.Fatalf("step %d (nv=%g): infeasible = %v, want %v", i, st.nv, inf, st.wantInfeasible)
 		}
 		scale, ok := c.RateScale(k)

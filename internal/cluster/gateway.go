@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -120,9 +121,6 @@ func NewGateway(nodeURLs []string, cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Pool exposes the gateway's failure detector (for status and tests).
-func (g *Gateway) Pool() *Pool { return g.pool }
-
 // Run drives failure detection and ownership convergence until ctx is
 // done: an immediate check+reconcile so the gateway is useful at startup,
 // then a reconcile after every probe round that changed membership or
@@ -203,11 +201,16 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 // path), then proxies to that name's owner with the body restored. A body
 // without a name is refused: the node would mint "sN" from its own counter,
 // a name the ring never hashed — the session would sit on a node that does
-// not own it, and two nodes could both mint "s1".
+// not own it, and two nodes could both mint "s1". A body past the node's
+// cap is refused whole (413), as the node would.
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := wire.ReadBody(r.Body, server.MaxSpecBytes, nil)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]interface{}{"error": "read body: " + err.Error()})
+		status := http.StatusBadRequest
+		if errors.Is(err, wire.ErrBodyTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]interface{}{"error": "read body: " + err.Error()})
 		return
 	}
 	var spec struct {

@@ -519,3 +519,27 @@ func TestGatewaySurface(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayCreateBodyCap: a create body past the node's cap is a 413 at the
+// gateway as at a node, however far past — a 2 MiB name included — and
+// reaches no node.
+func TestGatewayCreateBodyCap(t *testing.T) {
+	nodes, _, gw := startCluster(t, t.TempDir(), 4)
+	for _, size := range []int{server.MaxSpecBytes, 2 << 20} {
+		body := `{"name":"` + strings.Repeat("n", size) + `"}`
+		resp, err := http.Post(gw.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte create = %d %s, want 413", len(body), resp.StatusCode, msg)
+		}
+	}
+	for _, n := range nodes {
+		if n.m.Len() != 0 {
+			t.Fatalf("oversized create reached node %s", n.name)
+		}
+	}
+}

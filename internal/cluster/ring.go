@@ -103,6 +103,3 @@ func (r *Ring) Owner(session string) string {
 // Nodes returns the distinct member names, sorted. Callers must not
 // mutate the slice.
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// Len reports the number of distinct nodes on the ring.
-func (r *Ring) Len() int { return len(r.nodes) }

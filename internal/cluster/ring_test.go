@@ -22,8 +22,8 @@ func TestRingDeterminism(t *testing.T) {
 	a := BuildRing([]string{"a", "b", "c"}, 0)
 	b := BuildRing([]string{"c", "a", "b", "a", "c", ""}, 0)
 	c := BuildRing([]string{"b", "c", "a"}, 0)
-	if a.Len() != 3 || b.Len() != 3 {
-		t.Fatalf("ring sizes = %d, %d, want 3 (dedup + drop empties)", a.Len(), b.Len())
+	if len(a.nodes) != 3 || len(b.nodes) != 3 {
+		t.Fatalf("ring sizes = %d, %d, want 3 (dedup + drop empties)", len(a.nodes), len(b.nodes))
 	}
 	for _, s := range sessions {
 		if a.Owner(s) != b.Owner(s) || a.Owner(s) != c.Owner(s) {

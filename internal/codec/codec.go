@@ -79,9 +79,6 @@ func (w *Writer) Fail(err error) {
 	}
 }
 
-// Err returns the first failure, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Byte appends one byte.
 func (w *Writer) Byte(b byte) {
 	w.room(1)[0] = b

@@ -7,7 +7,6 @@ package export
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,18 +17,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
-
-// tupleJSON is the wire format of JSONLinesSink, as ReadJSONLines decodes it;
-// AppendTupleJSON renders exactly what encoding/json makes of it.
-type tupleJSON struct {
-	ID     uint64  `json:"id"`
-	Attr   string  `json:"attr"`
-	T      float64 `json:"t"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Value  float64 `json:"value"`
-	Sensor int     `json:"sensor"`
-}
 
 // AppendTupleJSON appends one tuple's result record — the JSON object of the
 // ndjson and SSE result framings, without a trailing newline — to dst,
@@ -66,10 +53,9 @@ const jsonLinesFlush = 32 << 10
 // JSONLinesSink writes one JSON object per tuple (ndjson), the lingua franca
 // of downstream stream processors. It is safe for concurrent use.
 type JSONLinesSink struct {
-	mu   sync.Mutex
-	w    io.Writer
-	buf  []byte // rendered records not yet written; empty between calls
-	rows int
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte // rendered records not yet written; empty between calls
 }
 
 // NewJSONLinesSink wraps an io.Writer.
@@ -91,7 +77,6 @@ func (s *JSONLinesSink) Process(b stream.Batch) error {
 			break
 		}
 		s.buf = append(s.buf, '\n')
-		s.rows++
 		if len(s.buf) >= jsonLinesFlush {
 			if err = s.flush(); err != nil {
 				break
@@ -113,37 +98,4 @@ func (s *JSONLinesSink) flush() error {
 		return fmt.Errorf("export: json flush: %w", err)
 	}
 	return nil
-}
-
-// Rows returns the number of records written.
-func (s *JSONLinesSink) Rows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
-}
-
-// ReadJSONLines parses tuples back from ndjson produced by JSONLinesSink —
-// the round trip used by tests and by replaying recorded streams. Metadata
-// records interleaved by streaming producers ({"dropped":n} drop markers
-// from the HTTP result streams) are recognized and skipped, never decoded
-// as phantom tuples.
-func ReadJSONLines(r io.Reader) ([]stream.Tuple, error) {
-	dec := json.NewDecoder(r)
-	var out []stream.Tuple
-	for {
-		var rec struct {
-			tupleJSON
-			Dropped *uint64 `json:"dropped"`
-		}
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return nil, fmt.Errorf("export: json decode: %w", err)
-		}
-		if rec.Dropped != nil {
-			continue
-		}
-		out = append(out, stream.Tuple{ID: rec.ID, Attr: rec.Attr, T: rec.T, X: rec.X, Y: rec.Y, Value: rec.Value, Sensor: rec.Sensor})
-	}
 }

@@ -84,9 +84,6 @@ func (h *Handler) RequestsSent() uint64 { return h.requestsSent.Load() }
 // ResponsesReceived returns the total number of answered requests.
 func (h *Handler) ResponsesReceived() uint64 { return h.responsesRecvd.Load() }
 
-// EpochLength returns the configured epoch duration.
-func (h *Handler) EpochLength() float64 { return h.cfg.EpochLength }
-
 // EncodeState appends what the next epoch's requests depend on to w: the
 // handler's generator, its tuple ID and request counters, the fleet, and the
 // generators of fields that draw noise (sorted by attribute).

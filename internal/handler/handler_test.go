@@ -324,8 +324,8 @@ func TestSkipUnknownAttrs(t *testing.T) {
 
 func TestEpochLengthAccessor(t *testing.T) {
 	h, _, _ := testSetup(t, 5, 5)
-	if h.EpochLength() != 1 {
-		t.Fatalf("epoch = %g", h.EpochLength())
+	if h.cfg.EpochLength != 1 {
+		t.Fatalf("epoch = %g", h.cfg.EpochLength)
 	}
 }
 

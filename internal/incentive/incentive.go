@@ -156,17 +156,6 @@ func (a *Allocator) UniformAllocate() map[budget.Key]float64 {
 	return cloneAlloc(alloc)
 }
 
-// TotalAllocated returns the sum of the current allocation.
-func (a *Allocator) TotalAllocated() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := 0.0
-	for _, v := range a.alloc {
-		total += v
-	}
-	return total
-}
-
 func cloneAlloc(m map[budget.Key]float64) map[budget.Key]float64 {
 	out := make(map[budget.Key]float64, len(m))
 	for k, v := range m {

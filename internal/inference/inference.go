@@ -181,6 +181,3 @@ func (d *EventDetector) Finish(t float64) []Event {
 	}
 	return d.events
 }
-
-// Events returns the closed events so far.
-func (d *EventDetector) Events() []Event { return d.events }

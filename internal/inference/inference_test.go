@@ -97,7 +97,7 @@ func TestEventDetectorHysteresis(t *testing.T) {
 	for _, p := range series {
 		d.Observe(p.t0, p.t1, p.v)
 	}
-	events := d.Events()
+	events := d.events
 	if len(events) != 1 {
 		t.Fatalf("events = %d, want 1 (hysteresis must suppress the flicker)", len(events))
 	}

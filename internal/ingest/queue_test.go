@@ -97,7 +97,7 @@ func TestDrainDeterministic(t *testing.T) {
 		t.Fatalf("drains differ:\none-shot: %v\nsplit:    %v", a, b)
 	}
 	for i := 1; i < len(a); i++ {
-		if !stream.TupleLess(a[i-1], a[i]) {
+		if stream.CompareTuples(a[i-1], a[i]) >= 0 {
 			t.Fatalf("drain not (T,ID)-sorted at %d: %v", i, a)
 		}
 	}

@@ -54,12 +54,6 @@ func NewInhomogeneous(rate intensity.Func, region geom.Rect) (Process, error) {
 	return Process{Rate: rate, Region: region}, nil
 }
 
-// IsHomogeneous reports whether the process has a constant rate.
-func (p Process) IsHomogeneous() bool {
-	_, ok := p.Rate.(intensity.Constant)
-	return ok
-}
-
 // ConstantRate returns the rate of a homogeneous process; the boolean is
 // false for inhomogeneous processes.
 func (p Process) ConstantRate() (float64, bool) {
@@ -68,16 +62,6 @@ func (p Process) ConstantRate() (float64, bool) {
 		return 0, false
 	}
 	return c.Rate, true
-}
-
-// ExpectedCount returns E[N(w ∩ region)] = ∫ λ over the window clipped to
-// the process region.
-func (p Process) ExpectedCount(w geom.Window) float64 {
-	clipped, ok := w.Rect.Intersect(p.Region)
-	if !ok {
-		return 0
-	}
-	return p.Rate.IntegralOver(w.WithRect(clipped))
 }
 
 // String renders the process in the paper's notation.

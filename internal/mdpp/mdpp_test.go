@@ -17,9 +17,6 @@ func TestNewHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsHomogeneous() {
-		t.Fatal("constant-rate process not homogeneous")
-	}
 	r, ok := p.ConstantRate()
 	if !ok || r != 5 {
 		t.Fatalf("rate = %g, ok=%v", r, ok)
@@ -40,9 +37,6 @@ func TestNewInhomogeneous(t *testing.T) {
 	p, err := NewInhomogeneous(lin, unitRegion())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.IsHomogeneous() {
-		t.Fatal("linear process reported homogeneous")
 	}
 	if _, ok := p.ConstantRate(); ok {
 		t.Fatal("ConstantRate should fail for inhomogeneous")
@@ -67,7 +61,7 @@ func TestSampleHomogeneousCount(t *testing.T) {
 		}
 		s.Add(float64(len(ev)))
 	}
-	want := p.ExpectedCount(w)
+	want := p.Rate.IntegralOver(w)
 	if math.Abs(want-320) > 1e-9 {
 		t.Fatalf("expected count = %g", want)
 	}
@@ -135,7 +129,7 @@ func TestSampleInhomogeneousExpectedCount(t *testing.T) {
 	lin := intensity.NewLinear(intensity.Theta{2, 0, 1, 0}) // rises with x
 	p, _ := NewInhomogeneous(lin, unitRegion())
 	w := geom.Window{T0: 0, T1: 1, Rect: unitRegion()}
-	want := p.ExpectedCount(w)
+	want := p.Rate.IntegralOver(w)
 	var s stats.Summary
 	for i := 0; i < 300; i++ {
 		ev, err := p.Sample(w, rng)
@@ -219,7 +213,7 @@ func TestExpectedCountProperty(t *testing.T) {
 		}
 		w := geom.Window{T0: 0, T1: d, Rect: unitRegion()}
 		want := r * d * unitRegion().Area()
-		return math.Abs(p.ExpectedCount(w)-want) < 1e-6*want
+		return math.Abs(p.Rate.IntegralOver(w)-want) < 1e-6*want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package pmat
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -61,6 +62,14 @@ func TestEvalIntoAllPaths(t *testing.T) {
 	}
 }
 
+// retainedReports returns the violation reports f's ring retains, oldest
+// first.
+func retainedReports(f *Flatten) []ViolationReport {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append(slices.Clone(f.reports[f.reportHead:]), f.reports[:f.reportHead]...)
+}
+
 func TestFlattenReportsRing(t *testing.T) {
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
 	lam, _ := intensity.NewConstant(5)
@@ -75,7 +84,7 @@ func TestFlattenReportsRing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps := f.Reports()
+	reps := retainedReports(f)
 	if len(reps) != maxReports {
 		t.Fatalf("retained %d reports, want %d", len(reps), maxReports)
 	}

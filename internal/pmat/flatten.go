@@ -6,7 +6,10 @@
 //     percent-rate-violation (N_v) reporting used for budget tuning;
 //   - Thin (T): rate reduction by Bernoulli retention with p = λ2/λ1;
 //   - Partition (P): split a process into disjoint sub-regions at equal rate;
-//   - Union (U): merge processes on adjacent regions into their union.
+//   - Union (U): merge processes on adjacent regions into their union, one
+//     stable sort per time slice. Production epochs order a subplan's
+//     tuples in the fabricator's compiled program instead; Union merges
+//     only in the operator-graph walk the program is tested against.
 //
 // All operators are probabilistic and approximate with provable expected
 // behaviour, and each is implemented in a few lines of core logic, as the
@@ -109,9 +112,10 @@ type Flatten struct {
 	batchSeq int
 	last     ViolationReport
 	// reports retains the most recent maxReports batch reports as a ring
-	// (reportHead is the oldest entry once full) so a long-running operator
-	// neither grows without bound nor allocates in steady state; the full
-	// history is observable through OnReport.
+	// (reportHead is the oldest entry once full); the history is observable
+	// through OnReport. Nothing reads the ring: it stays because snapshot
+	// version 4 carries it and restore's byte-identity self-check re-encodes
+	// it, and goes with the next snapshot version.
 	reports    []ViolationReport
 	reportHead int
 	// onReport, when set, is invoked after each batch with its violation
@@ -173,30 +177,8 @@ func (f *Flatten) LastReport() ViolationReport {
 	return f.last
 }
 
-// WarmTheta returns the warm-start θ carried from the last fitted batch, in
-// Eq. (1)'s absolute coordinates, and whether one exists.
-func (f *Flatten) WarmTheta() (intensity.Theta, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.hasWarm {
-		return intensity.Theta{}, false
-	}
-	return f.warm.Theta(f.warmWindow), true
-}
-
 // maxReports bounds the retained per-batch violation reports.
 const maxReports = 512
-
-// Reports returns a copy of the retained per-batch violation reports, oldest
-// first (the most recent maxReports batches).
-func (f *Flatten) Reports() []ViolationReport {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]ViolationReport, 0, len(f.reports))
-	out = append(out, f.reports[f.reportHead:]...)
-	out = append(out, f.reports[:f.reportHead]...)
-	return out
-}
 
 // EncodeState appends everything a later batch depends on to w: the
 // target rate, the generator, the batch sequence, the latest and retained

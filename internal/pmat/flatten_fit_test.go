@@ -22,6 +22,17 @@ func movedTo(b stream.Batch, t0 float64) stream.Batch {
 	return out
 }
 
+// warmTheta returns the warm-start θ f carries from its last fitted batch,
+// in Eq. (1)'s absolute coordinates, and whether one exists.
+func warmTheta(f *Flatten) (intensity.Theta, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.hasWarm {
+		return intensity.Theta{}, false
+	}
+	return f.warm.Theta(f.warmWindow), true
+}
+
 // TestFlattenFitCostFlatInSessionAge steps one F-operator over a moving
 // window — fresh tuples every epoch, as a session delivers them — from epoch
 // 0 and from epoch 10⁶, and counts the passes its fits make over their
@@ -91,7 +102,7 @@ func TestFlattenDropsWarmStateOnFailedFit(t *testing.T) {
 	if rep := process(good); rep.FitNotConverged || rep.FitIterations == 0 {
 		t.Fatalf("good batch: %+v", rep)
 	}
-	if _, ok := f.WarmTheta(); !ok {
+	if _, ok := warmTheta(f); !ok {
 		t.Fatal("no warm state after a converged fit")
 	}
 	// A window whose volume underflows: no fit can be expressed on it, and
@@ -101,11 +112,11 @@ func TestFlattenDropsWarmStateOnFailedFit(t *testing.T) {
 	if rep := process(unfit); !rep.FitNotConverged {
 		t.Fatalf("failed fit not reported: %+v", rep)
 	}
-	if th, ok := f.WarmTheta(); ok {
+	if th, ok := warmTheta(f); ok {
 		t.Fatalf("warm state %v survived a failed fit", th)
 	}
 	process(good)
-	if _, ok := f.WarmTheta(); !ok {
+	if _, ok := warmTheta(f); !ok {
 		t.Fatal("no warm state after recovering")
 	}
 	// Every tuple at one position: no θ to find.
@@ -116,7 +127,7 @@ func TestFlattenDropsWarmStateOnFailedFit(t *testing.T) {
 	if rep := process(point); !rep.FitNotConverged {
 		t.Fatalf("degenerate fit not reported: %+v", rep)
 	}
-	if th, ok := f.WarmTheta(); ok {
+	if th, ok := warmTheta(f); ok {
 		t.Fatalf("warm state %v survived a degenerate batch", th)
 	}
 }
@@ -174,7 +185,7 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 		if got := int(sink.N()); got < 40 || got > 120 {
 			t.Errorf("%s: %d survivors, want about 80", name, got)
 		}
-		if _, ok := f.WarmTheta(); ok {
+		if _, ok := warmTheta(f); ok {
 			t.Errorf("%s: left a warm start behind", name)
 		}
 	}
@@ -195,7 +206,7 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 			t.Fatalf("fit across a reversed slope did not converge: %+v", rep)
 		}
 	}
-	if th, ok := f.WarmTheta(); !ok || th[1] < 20 {
+	if th, ok := warmTheta(f); !ok || th[1] < 20 {
 		t.Fatalf("warm θ = %v, %v after refitting the rising batch", th, ok)
 	}
 }

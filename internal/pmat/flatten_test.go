@@ -198,7 +198,7 @@ func TestFlattenViolationsGrowWithTarget(t *testing.T) {
 func TestFlattenEmptyBatchIsFullViolation(t *testing.T) {
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
 	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 5}, stats.NewRNG(1))
-	col := stream.NewCollector()
+	col := &batchSink{}
 	f.AddDownstream(col)
 	if err := f.Process(stream.Batch{Attr: "rain", Window: w}); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestFlattenEmptyBatchIsFullViolation(t *testing.T) {
 	if rep.Percent != 100 {
 		t.Fatalf("empty batch N_v = %g, want 100", rep.Percent)
 	}
-	if col.Batches() != 1 || col.Len() != 0 {
+	if col.batches != 1 || col.Len() != 0 {
 		t.Fatal("empty batch must still be emitted (merge slices depend on it)")
 	}
 }
@@ -227,7 +227,7 @@ func TestFlattenReportsAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps := f.Reports()
+	reps := retainedReports(f)
 	if len(reps) != 3 {
 		t.Fatalf("reports = %d", len(reps))
 	}

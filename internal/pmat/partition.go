@@ -19,12 +19,6 @@ type Port struct {
 	outs []stream.Processor
 }
 
-// Label returns the port's name.
-func (p *Port) Label() string { return p.label }
-
-// Region returns the sub-region this port carries.
-func (p *Port) Region() geom.Rect { return p.region }
-
 // AddDownstream connects a consumer to the port.
 func (p *Port) AddDownstream(proc stream.Processor) {
 	if proc == nil {
@@ -47,13 +41,6 @@ func (p *Port) RemoveDownstream(proc stream.Processor) bool {
 		}
 	}
 	return false
-}
-
-// NumDownstreams returns the port's fan-out.
-func (p *Port) NumDownstreams() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.outs)
 }
 
 func (p *Port) push(b stream.Batch) error {
@@ -91,9 +78,6 @@ func NewPartition(name string, region geom.Rect) (*Partition, error) {
 	return &Partition{Base: stream.NewBase(name, "P"), region: region}, nil
 }
 
-// Region returns the operator's input region R*.
-func (p *Partition) Region() geom.Rect { return p.region }
-
 // AddBranch adds an output branch for sub. The sub-region must lie within
 // the input region and be disjoint from every existing branch, preserving
 // the paper's R*₁ ∩ R*₂ = ∅ invariant.
@@ -128,15 +112,6 @@ func (p *Partition) RemoveBranch(port *Port) bool {
 		}
 	}
 	return false
-}
-
-// Ports returns a snapshot of the operator's branches.
-func (p *Partition) Ports() []*Port {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*Port, len(p.ports))
-	copy(out, p.ports)
-	return out
 }
 
 // NumBranches returns the number of output branches.

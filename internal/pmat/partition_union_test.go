@@ -2,6 +2,7 @@ package pmat
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -17,7 +18,7 @@ func TestNewPartitionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind() != "P" || !p.Region().Equal(region4()) {
+	if p.Kind() != "P" || !p.region.Equal(region4()) {
 		t.Fatal("identity wrong")
 	}
 }
@@ -149,8 +150,8 @@ func TestPartitionRemoveBranch(t *testing.T) {
 	if _, err := p.AddBranch("q2", geom.NewRect(1, 1, 3, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Ports()) != 1 {
-		t.Fatal("Ports snapshot wrong")
+	if len(p.ports) != 1 {
+		t.Fatal("ports wrong")
 	}
 }
 
@@ -160,15 +161,27 @@ func TestPortDownstreamManagement(t *testing.T) {
 	col := stream.NewCollector()
 	port.AddDownstream(col)
 	port.AddDownstream(nil) // ignored
-	if port.NumDownstreams() != 1 {
-		t.Fatalf("downstreams = %d", port.NumDownstreams())
+	if len(port.outs) != 1 {
+		t.Fatalf("downstreams = %d", len(port.outs))
 	}
-	if port.Label() != "q" || !port.Region().Equal(geom.NewRect(0, 0, 2, 2)) {
+	if port.label != "q" || !port.region.Equal(geom.NewRect(0, 0, 2, 2)) {
 		t.Fatal("port identity wrong")
 	}
 	if !port.RemoveDownstream(col) || port.RemoveDownstream(col) {
 		t.Fatal("port remove semantics wrong")
 	}
+}
+
+// batchSink collects like stream.Collector and counts the batches it
+// receives.
+type batchSink struct {
+	stream.Collector
+	batches int
+}
+
+func (s *batchSink) Process(b stream.Batch) error {
+	s.batches++
+	return s.Collector.Process(b)
 }
 
 func TestNewUnionValidation(t *testing.T) {
@@ -206,7 +219,7 @@ func TestUnionMergesAlignedSlices(t *testing.T) {
 	a := geom.NewRect(0, 0, 2, 2)
 	b := geom.NewRect(2, 0, 4, 2)
 	u, _ := NewUnion("u", a, b)
-	col := stream.NewCollector()
+	col := &batchSink{}
 	u.AddDownstream(col)
 	wA := geom.Window{T0: 0, T1: 1, Rect: a}
 	wB := geom.Window{T0: 0, T1: 1, Rect: b}
@@ -215,23 +228,23 @@ func TestUnionMergesAlignedSlices(t *testing.T) {
 	if err := in0.Process(stream.Batch{Attr: "x", Window: wA, Tuples: []stream.Tuple{{ID: 1, T: 0.5, X: 1, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if col.Batches() != 0 {
+	if col.batches != 0 {
 		t.Fatal("union emitted before all inputs arrived")
 	}
-	if u.PendingSlices() != 1 {
-		t.Fatalf("pending = %d", u.PendingSlices())
+	if len(u.pending) != 1 {
+		t.Fatalf("pending = %d", len(u.pending))
 	}
 	if err := in1.Process(stream.Batch{Attr: "x", Window: wB, Tuples: []stream.Tuple{{ID: 2, T: 0.2, X: 3, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if col.Batches() != 1 || col.Len() != 2 {
-		t.Fatalf("merged %d batches, %d tuples", col.Batches(), col.Len())
+	if col.batches != 1 || col.Len() != 2 {
+		t.Fatalf("merged %d batches, %d tuples", col.batches, col.Len())
 	}
 	tuples := col.Tuples()
 	if tuples[0].T > tuples[1].T {
 		t.Fatal("merged tuples not time-sorted")
 	}
-	if u.PendingSlices() != 0 {
+	if len(u.pending) != 0 {
 		t.Fatal("slice not cleared")
 	}
 }
@@ -271,7 +284,7 @@ func TestUnionDuplicateDelivery(t *testing.T) {
 	a := geom.NewRect(0, 0, 1, 1)
 	b := geom.NewRect(1, 0, 2, 1)
 	u, _ := NewUnion("u", a, b)
-	col := stream.NewCollector()
+	col := &batchSink{}
 	u.AddDownstream(col)
 	w := geom.Window{T0: 0, T1: 1, Rect: a}
 	in0, _ := u.Input(0)
@@ -279,44 +292,12 @@ func TestUnionDuplicateDelivery(t *testing.T) {
 	_ = in0.Process(stream.Batch{Attr: "x", Window: w, Tuples: []stream.Tuple{{ID: 1}}})
 	// Duplicate from the same input folds in without completing.
 	_ = in0.Process(stream.Batch{Attr: "x", Window: w, Tuples: []stream.Tuple{{ID: 2}}})
-	if col.Batches() != 0 {
+	if col.batches != 0 {
 		t.Fatal("duplicate input completed the slice")
 	}
 	_ = in1.Process(stream.Batch{Attr: "x", Window: geom.Window{T0: 0, T1: 1, Rect: b}})
-	if col.Batches() != 1 || col.Len() != 2 {
-		t.Fatalf("merged %d tuples in %d batches", col.Len(), col.Batches())
-	}
-}
-
-func TestUnionFlush(t *testing.T) {
-	a := geom.NewRect(0, 0, 1, 1)
-	b := geom.NewRect(1, 0, 2, 1)
-	u, _ := NewUnion("u", a, b)
-	col := stream.NewCollector()
-	u.AddDownstream(col)
-	in0, _ := u.Input(0)
-	for i := 0; i < 3; i++ {
-		w := geom.Window{T0: float64(i), T1: float64(i + 1), Rect: a}
-		_ = in0.Process(stream.Batch{Attr: "x", Window: w, Tuples: []stream.Tuple{{ID: uint64(i)}}})
-	}
-	if u.PendingSlices() != 3 {
-		t.Fatalf("pending = %d", u.PendingSlices())
-	}
-	if err := u.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if col.Batches() != 3 {
-		t.Fatalf("flushed %d batches", col.Batches())
-	}
-	// Flushed batches must come out in time order.
-	tuples := col.Tuples()
-	for i := 1; i < len(tuples); i++ {
-		if tuples[i-1].ID > tuples[i].ID {
-			t.Fatal("flush emitted slices out of order")
-		}
-	}
-	if u.PendingSlices() != 0 {
-		t.Fatal("pending not cleared by flush")
+	if col.batches != 1 || col.Len() != 2 {
+		t.Fatalf("merged %d tuples in %d batches", col.Len(), col.batches)
 	}
 }
 
@@ -333,7 +314,7 @@ func TestUnionFourWayTiling(t *testing.T) {
 	if !u.Region().Equal(geom.NewRect(0, 0, 2, 2)) {
 		t.Fatalf("region = %v", u.Region())
 	}
-	col := stream.NewCollector()
+	col := &batchSink{}
 	u.AddDownstream(col)
 	for i := range cells {
 		in, _ := u.Input(i)
@@ -342,8 +323,8 @@ func TestUnionFourWayTiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if col.Batches() != 1 || col.Len() != 4 {
-		t.Fatalf("4-way merge: %d batches %d tuples", col.Batches(), col.Len())
+	if col.batches != 1 || col.Len() != 4 {
+		t.Fatalf("4-way merge: %d batches %d tuples", col.batches, col.Len())
 	}
 }
 
@@ -351,7 +332,7 @@ func TestUnionProcessDefaultsToInput0(t *testing.T) {
 	a := geom.NewRect(0, 0, 1, 1)
 	b := geom.NewRect(1, 0, 2, 1)
 	u, _ := NewUnion("u", a, b)
-	col := stream.NewCollector()
+	col := &batchSink{}
 	u.AddDownstream(col)
 	w := geom.Window{T0: 0, T1: 1, Rect: a}
 	if err := u.Process(stream.Batch{Attr: "x", Window: w}); err != nil {
@@ -359,7 +340,34 @@ func TestUnionProcessDefaultsToInput0(t *testing.T) {
 	}
 	in1, _ := u.Input(1)
 	_ = in1.Process(stream.Batch{Attr: "x", Window: geom.Window{T0: 0, T1: 1, Rect: b}})
-	if col.Batches() != 1 {
+	if col.batches != 1 {
 		t.Fatal("Process did not act as input 0")
+	}
+}
+
+// Tuples equal in (T, ID) on different inputs come out in input order,
+// whichever input delivers first.
+func TestUnionTiesResolveByInput(t *testing.T) {
+	a := geom.NewRect(0, 0, 1, 1)
+	b := geom.NewRect(1, 0, 2, 1)
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		u, _ := NewUnion("u", a, b)
+		col := stream.NewCollector()
+		u.AddDownstream(col)
+		for _, i := range order {
+			in, _ := u.Input(i)
+			v := float64(i)
+			batch := stream.Batch{Attr: "x", Window: geom.Window{T0: 0, T1: 1, Rect: []geom.Rect{a, b}[i]}, Tuples: []stream.Tuple{
+				{ID: 1, T: 0.5, Value: v}, {ID: 2, T: 0.5, Value: v},
+			}}
+			if err := in.Process(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := col.Tuples()
+		want := []stream.Tuple{{ID: 1, T: 0.5}, {ID: 1, T: 0.5, Value: 1}, {ID: 2, T: 0.5}, {ID: 2, T: 0.5, Value: 1}}
+		if !slices.Equal(got, want) {
+			t.Fatalf("delivery order %v: merged %v, want %v", order, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package pmat
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,20 +21,21 @@ import (
 // on their [T0, T1) interval and emitted as a single merged batch once every
 // input has delivered its share — the synchronous merge used in the paper's
 // Fig. 2(c) merge phase. Each input's share is kept as its own run; on
-// completion the runs are sorted and k-way merged under the deterministic
-// (T, ID) order, so the merged stream is byte-identical no matter in which
-// order — or from which goroutines — the inputs delivered. This is what
-// lets the fabricator execute cell pipelines on a parallel worker pool while
-// preserving serial-equivalent output.
+// completion the runs are concatenated in input order and stable-sorted once
+// by the deterministic (T, ID) order, ties by input index, so the merged
+// stream is byte-identical no matter in which order — or from which
+// goroutines — the inputs delivered. Production epochs do not pass through
+// it: the fabricator's compiled epoch program orders a subplan's tuples
+// itself (RecordMerged), and Union merges only in the operator-graph walk
+// the program is tested against.
 type Union struct {
 	stream.Base
 
-	regions []geom.Rect
 	unioned geom.Rect
 	inputs  []*UnionInput
 
 	mu      sync.Mutex
-	pending map[timeKey]*pendingMerge
+	pending map[timeKey]*pendingSlice
 }
 
 // UnionInput is one input port of a Union operator; upstream operators send
@@ -48,82 +50,35 @@ func (in *UnionInput) Process(b stream.Batch) error { return in.u.receive(in.idx
 
 type timeKey struct{ t0, t1 float64 }
 
-// pendingMerge accumulates one time slice's per-input runs on borrowed arena
-// buffers until every input has delivered (or the slice is evicted as
-// stale). runs[i] == nil means input i has not delivered yet. The window is
-// the first delivery's, kept so evicted slices can still be emitted.
-type pendingMerge struct {
-	runs   []*stream.TupleBuffer
-	nGot   int
-	attr   string
-	window geom.Window
-	// scratch holds the non-empty run headers during the k-way merge; kept
-	// on the shell so pooled reuse makes merging allocation-free.
-	scratch [][]stream.Tuple
+// pendingSlice holds one time slice's per-input runs until every input has
+// delivered or the slice is evicted as stale.
+type pendingSlice struct {
+	attr string
+	runs [][]stream.Tuple // runs[i] is input i's share, in delivery order
+	got  []bool           // got[i] reports whether input i has delivered
+	nGot int
 }
-
-// pendingPool recycles pendingMerge shells (and their runs/scratch slices)
-// so steady-state merging allocates nothing; the shells return to the pool
-// in emitSlice via release.
-var pendingPool = sync.Pool{New: func() interface{} { return &pendingMerge{} }}
-
-func newPendingMerge(n int, b stream.Batch) *pendingMerge {
-	pm := pendingPool.Get().(*pendingMerge)
-	if cap(pm.runs) < n {
-		pm.runs = make([]*stream.TupleBuffer, n)
-	} else {
-		pm.runs = pm.runs[:n]
-		for i := range pm.runs {
-			pm.runs[i] = nil
-		}
-	}
-	pm.nGot = 0
-	pm.attr = b.Attr
-	pm.window = b.Window
-	return pm
-}
-
-// release returns the shell to the pool. The runs' buffers must already be
-// back in the arena (merged does this).
-func (pm *pendingMerge) release() { pendingPool.Put(pm) }
 
 // add folds one delivery into the slice; it reports whether this was the
 // input's first delivery for the slice.
-func (pm *pendingMerge) add(idx int, tuples []stream.Tuple) bool {
-	first := pm.runs[idx] == nil
-	if first {
-		pm.runs[idx] = stream.BorrowTuples(len(tuples))
-		pm.nGot++
+func (ps *pendingSlice) add(idx int, tuples []stream.Tuple) bool {
+	ps.runs[idx] = append(ps.runs[idx], tuples...)
+	if ps.got[idx] {
+		return false
 	}
-	pm.runs[idx].Tuples = append(pm.runs[idx].Tuples, tuples...)
-	return first
+	ps.got[idx] = true
+	ps.nGot++
+	return true
 }
 
-// merged sorts each run, k-way merges them into a borrowed output buffer and
-// releases the runs. The caller must Release the returned buffer after use.
-func (pm *pendingMerge) merged() *stream.TupleBuffer {
-	total := 0
-	runs := pm.scratch[:0]
-	for _, rb := range pm.runs {
-		if rb == nil {
-			continue
-		}
-		stream.SortTuples(rb.Tuples)
-		runs = append(runs, rb.Tuples)
-		total += len(rb.Tuples)
+// merged concatenates the runs in input order and stable-sorts them by
+// stream.CompareTuples, so tuples equal in (T, ID) keep input order.
+func (ps *pendingSlice) merged() []stream.Tuple {
+	var out []stream.Tuple
+	for _, run := range ps.runs {
+		out = append(out, run...)
 	}
-	out := stream.BorrowTuples(total)
-	out.Tuples = stream.MergeSortedRuns(out.Tuples, runs)
-	for i, rb := range pm.runs {
-		rb.Release()
-		pm.runs[i] = nil
-	}
-	// Drop the run headers so the pooled shell does not pin arena backing
-	// arrays across reuses.
-	for i := range runs {
-		runs[i] = nil
-	}
-	pm.scratch = runs[:0]
+	slices.SortStableFunc(out, stream.CompareTuples)
 	return out
 }
 
@@ -135,7 +90,7 @@ const maxPendingSlices = 1024
 // staleSlice pairs an evicted slice with its key, oldest first.
 type staleSlice struct {
 	key timeKey
-	pm  *pendingMerge
+	ps  *pendingSlice
 }
 
 // NewUnion constructs a union over the given input regions. The regions
@@ -167,9 +122,8 @@ func NewUnion(name string, regions ...geom.Rect) (*Union, error) {
 	}
 	u := &Union{
 		Base:    stream.NewBase(name, "U"),
-		regions: append([]geom.Rect(nil), regions...),
 		unioned: bb,
-		pending: make(map[timeKey]*pendingMerge),
+		pending: make(map[timeKey]*pendingSlice),
 	}
 	for i := range regions {
 		u.inputs = append(u.inputs, &UnionInput{u: u, idx: i})
@@ -210,18 +164,19 @@ func (u *Union) receive(idx int, b stream.Batch) error {
 	u.RecordIn(b)
 	key := timeKey{t0: b.Window.T0, t1: b.Window.T1}
 	u.mu.Lock()
-	pm, ok := u.pending[key]
+	ps, ok := u.pending[key]
 	if !ok {
-		pm = newPendingMerge(len(u.inputs), b)
-		u.pending[key] = pm
+		n := len(u.inputs)
+		ps = &pendingSlice{attr: b.Attr, runs: make([][]stream.Tuple, n), got: make([]bool, n)}
+		u.pending[key] = ps
 	}
-	if !pm.add(idx, b.Tuples) {
+	if !ps.add(idx, b.Tuples) {
 		// Duplicate delivery for this slice: folded in without double
 		// counting the completion.
 		u.mu.Unlock()
 		return nil
 	}
-	complete := pm.nGot == len(u.inputs)
+	complete := ps.nGot == len(u.inputs)
 	var stale []staleSlice
 	if complete {
 		delete(u.pending, key)
@@ -233,43 +188,38 @@ func (u *Union) receive(idx int, b stream.Batch) error {
 	}
 	u.mu.Unlock()
 	// Emit every detached slice even when one errors: they are already out
-	// of the pending map, so skipping any would silently drop tuples and
-	// leak their borrowed runs. The first error is reported.
+	// of the pending map, so skipping any would silently drop tuples. The
+	// first error is reported.
 	var firstErr error
 	for _, s := range stale {
-		if err := u.emitSlice(s.key, s.pm); err != nil && firstErr == nil {
+		if err := u.emitSlice(s.key, s.ps); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	if complete {
-		if err := u.emitSlice(key, pm); err != nil && firstErr == nil {
+		if err := u.emitSlice(key, ps); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// emitSlice merges one slice's runs, emits the merged batch and returns the
-// pending shell to the pool.
-func (u *Union) emitSlice(key timeKey, pm *pendingMerge) error {
-	out := pm.merged()
-	err := u.Emit(stream.Batch{
-		Attr:   pm.attr,
+// emitSlice merges one slice's runs and emits the merged batch.
+func (u *Union) emitSlice(key timeKey, ps *pendingSlice) error {
+	return u.Emit(stream.Batch{
+		Attr:   ps.attr,
 		Window: geom.Window{T0: key.t0, T1: key.t1, Rect: u.unioned},
-		Tuples: out.Tuples,
+		Tuples: ps.merged(),
 	})
-	out.Release()
-	pm.release()
-	return err
 }
 
 // takeStale removes and returns (oldest first) every pending slice that ends
 // at or before horizon. Callers hold the owning mutex.
-func takeStale(pending map[timeKey]*pendingMerge, horizon float64) []staleSlice {
+func takeStale(pending map[timeKey]*pendingSlice, horizon float64) []staleSlice {
 	var out []staleSlice
-	for k, pm := range pending {
+	for k, ps := range pending {
 		if k.t1 <= horizon {
-			out = append(out, staleSlice{key: k, pm: pm})
+			out = append(out, staleSlice{key: k, ps: ps})
 			delete(pending, k)
 		}
 	}
@@ -277,42 +227,16 @@ func takeStale(pending map[timeKey]*pendingMerge, horizon float64) []staleSlice 
 	return out
 }
 
-// takeOldest removes and returns the n oldest pending slices, oldest first.
-// Callers hold the owning mutex.
-func takeOldest(pending map[timeKey]*pendingMerge, n int) []staleSlice {
+// takeOldest removes and returns the n < len(pending) oldest pending slices,
+// oldest first. Callers hold the owning mutex.
+func takeOldest(pending map[timeKey]*pendingSlice, n int) []staleSlice {
 	all := make([]staleSlice, 0, len(pending))
-	for k, pm := range pending {
-		all = append(all, staleSlice{key: k, pm: pm})
+	for k, ps := range pending {
+		all = append(all, staleSlice{key: k, ps: ps})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].key.t0 < all[j].key.t0 })
-	if n > len(all) {
-		n = len(all)
-	}
 	for _, s := range all[:n] {
 		delete(pending, s.key)
 	}
 	return all[:n]
-}
-
-// PendingSlices returns the number of time slices awaiting completion —
-// useful for diagnosing stalled merge phases.
-func (u *Union) PendingSlices() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.pending)
-}
-
-// Flush force-emits every incomplete slice (e.g. at shutdown when an input
-// ended early). Slices are emitted in time order.
-func (u *Union) Flush() error {
-	u.mu.Lock()
-	stale := takeOldest(u.pending, len(u.pending))
-	u.mu.Unlock()
-	var firstErr error
-	for _, s := range stale {
-		if err := u.emitSlice(s.key, s.pm); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

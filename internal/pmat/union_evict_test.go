@@ -14,7 +14,7 @@ func TestUnionEvictsStaleSlices(t *testing.T) {
 	a := geom.NewRect(0, 0, 2, 2)
 	b := geom.NewRect(2, 0, 4, 2)
 	u, _ := NewUnion("u", a, b)
-	col := stream.NewCollector()
+	col := &batchSink{}
 	u.AddDownstream(col)
 	in0, _ := u.Input(0)
 	in1, _ := u.Input(1)
@@ -23,8 +23,8 @@ func TestUnionEvictsStaleSlices(t *testing.T) {
 	if err := in0.Process(stream.Batch{Attr: "x", Window: w0, Tuples: []stream.Tuple{{ID: 1, T: 0.5, X: 1, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if u.PendingSlices() != 1 {
-		t.Fatalf("pending = %d, want 1", u.PendingSlices())
+	if len(u.pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(u.pending))
 	}
 	// Slice [1,2): both inputs deliver — completes, and the stale [0,1)
 	// slice must be evicted and emitted first.
@@ -36,11 +36,11 @@ func TestUnionEvictsStaleSlices(t *testing.T) {
 	if err := in1.Process(stream.Batch{Attr: "x", Window: wB, Tuples: []stream.Tuple{{ID: 3, T: 1.2, X: 3, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if u.PendingSlices() != 0 {
-		t.Fatalf("stale slice not evicted: pending = %d", u.PendingSlices())
+	if len(u.pending) != 0 {
+		t.Fatalf("stale slice not evicted: pending = %d", len(u.pending))
 	}
-	if col.Batches() != 2 {
-		t.Fatalf("batches = %d, want 2 (evicted partial then complete)", col.Batches())
+	if col.batches != 2 {
+		t.Fatalf("batches = %d, want 2 (evicted partial then complete)", col.batches)
 	}
 	tuples := col.Tuples()
 	if len(tuples) != 3 {
@@ -61,7 +61,7 @@ func TestUnionBoundsPendingMap(t *testing.T) {
 	a := geom.NewRect(0, 0, 2, 2)
 	b := geom.NewRect(2, 0, 4, 2)
 	u, _ := NewUnion("u", a, b)
-	col := stream.NewCollector()
+	col := &batchSink{}
 	u.AddDownstream(col)
 	in0, _ := u.Input(0)
 	for i := 0; i < maxPendingSlices+10; i++ {
@@ -70,11 +70,11 @@ func TestUnionBoundsPendingMap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if u.PendingSlices() > maxPendingSlices {
-		t.Fatalf("pending = %d, want <= %d", u.PendingSlices(), maxPendingSlices)
+	if len(u.pending) > maxPendingSlices {
+		t.Fatalf("pending = %d, want <= %d", len(u.pending), maxPendingSlices)
 	}
-	if col.Batches() != 10 {
-		t.Fatalf("evicted batches = %d, want 10", col.Batches())
+	if col.batches != 10 {
+		t.Fatalf("evicted batches = %d, want 10", col.batches)
 	}
 	// The evicted slices are the oldest ones, in time order.
 	tuples := col.Tuples()

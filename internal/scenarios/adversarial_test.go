@@ -201,10 +201,11 @@ func TestScenarioAdversarialPushes(t *testing.T) {
 	if recStats != liveStats {
 		t.Fatalf("replayed state diverged:\n live: %s\n replay: %s", liveStats, recStats)
 	}
-	tuples, _, _, err := sess.Engine.ReadResults(q.ID, 0, 1000)
+	store, err := sess.Engine.ResultStore(q.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuples, _, _ := store.ReadFrom(0, 1000, nil)
 	replayed, err := json.Marshal(tuples)
 	if err != nil {
 		t.Fatal(err)

@@ -134,22 +134,15 @@ func (s *Sensor) Request(now float64, incentive float64, field Field) Observatio
 // Fleet is the set of mobile sensors in the region of interest.
 type Fleet struct {
 	Sensors []*Sensor
-	region  geom.Rect
 }
 
-// NewFleet wraps a sensor list for a region.
+// NewFleet wraps a sensor list for a region, which must be non-empty.
 func NewFleet(region geom.Rect, sensors []*Sensor) (*Fleet, error) {
 	if region.IsEmpty() {
 		return nil, errors.New("sensors: NewFleet requires a non-empty region")
 	}
-	return &Fleet{Sensors: sensors, region: region}, nil
+	return &Fleet{Sensors: sensors}, nil
 }
-
-// Region returns the fleet's region R.
-func (f *Fleet) Region() geom.Rect { return f.region }
-
-// Len returns the number of sensors m.
-func (f *Fleet) Len() int { return len(f.Sensors) }
 
 // Step advances every sensor by dt.
 func (f *Fleet) Step(dt float64) {

@@ -144,7 +144,7 @@ func captureState(t *testing.T, e *Engine) engineState {
 	st.Ingest.Ingested, st.Ingest.Dropped, st.Ingest.Late = is.Ingested, is.Dropped, is.Late
 	st.Ingest.LateDropped, st.Ingest.Rejected = is.LateDropped, is.Rejected
 	for _, q := range st.Queries {
-		out, _, dropped, err := e.ReadResults(q.ID, 0, -1)
+		out, _, dropped, err := readResults(e, q.ID, 0, -1)
 		if err != nil {
 			t.Fatalf("reading %s: %v", q.ID, err)
 		}
@@ -745,11 +745,11 @@ func TestManagerRecover(t *testing.T) {
 	applyOp(t, sess.Engine, pushOp(1, 20, "rain", 2))
 	applyOp(t, sess.Engine, durOp{kind: "step"})
 	// A consumer paged partway through the stream before the restart.
-	firstPage, cursor, _, err := sess.Engine.ReadResults(q.ID, 0, 5)
+	firstPage, cursor, _, err := readResults(sess.Engine, q.ID, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, _, _, err := sess.Engine.ReadResults(q.ID, cursor, -1)
+	rest, _, _, err := readResults(sess.Engine, q.ID, cursor, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +782,7 @@ func TestManagerRecover(t *testing.T) {
 	}
 	// The consumer's cursor survives: resuming from it yields exactly the
 	// unread suffix, with no drops.
-	got, _, dropped, err := e2.ReadResults(q.ID, cursor, -1)
+	got, _, dropped, err := readResults(e2, q.ID, cursor, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,12 @@
 //
 // The Engine runs the loop in-process. Submit builds every query with the
 // fabricator's one merge layout; internal/planner only answers what-ifs —
-// Engine.Explain serves the CrAQL EXPLAIN statement and the plan route. With Config.AdaptiveRates the engine also closes the
-// paper's budget-feedback loop end to end each epoch: normalized
-// violations from every F-operator feed a budget.Controller whose
-// RateScale retunes starved pipelines through the topology layer (see
-// DESIGN.md, "Planning and adaptivity").
+// Engine.Explain serves the CrAQL EXPLAIN statement and the plan route.
+// With Config.AdaptiveRates the engine also closes the paper's
+// budget-feedback loop end to end each epoch: normalized violations from
+// every F-operator feed a budget.Controller whose RateScale retunes starved
+// pipelines through the topology layer (see DESIGN.md, "Planning and
+// adaptivity").
 //
 // A Manager hosts many named engine sessions behind one process, and the
 // net/http façade (http.go) exposes the whole surface over JSON — sessions
@@ -361,10 +362,10 @@ func (e *Engine) Epochs() int {
 
 // Submit registers an acquisitional query and returns its stored form. The
 // query's fabricated stream lands in a bounded ResultStore (Config.Retention
-// tuples) readable incrementally via ReadResults or wholesale via Results;
-// a query that joins a resident subplan reads that subplan's ring from its
-// own cursor 0 instead of filling a ring of its own. ExplainQuery shows the
-// query's pricing.
+// tuples) readable incrementally via ResultStore(id).ReadFrom or wholesale
+// via Results; a query that joins a resident subplan reads that subplan's
+// ring from its own cursor 0 instead of filling a ring of its own.
+// ExplainQuery shows the query's pricing.
 func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	// The resident-query quota refuses before anything mutates; the HTTP
 	// layer maps the typed error to 429.
@@ -520,26 +521,13 @@ func (e *Engine) ResultStore(id string) (*stream.ResultStore, error) {
 
 // Results returns the retained tuples for a query submitted via Submit —
 // at most Config.Retention of the most recent ones. Readers that must not
-// miss tuples page with ReadResults instead.
+// miss tuples page with ResultStore(id).ReadFrom instead.
 func (e *Engine) Results(id string) ([]stream.Tuple, error) {
 	store, err := e.ResultStore(id)
 	if err != nil {
 		return nil, err
 	}
 	return store.Tuples(), nil
-}
-
-// ReadResults reads up to limit tuples (limit ≤ 0 = all retained) at stream
-// positions ≥ cursor for the query, returning the tuples, the cursor to
-// resume from, and how many tuples were evicted before the reader got to
-// them (see stream.ResultStore.ReadFrom).
-func (e *Engine) ReadResults(id string, cursor uint64, limit int) ([]stream.Tuple, uint64, uint64, error) {
-	store, err := e.ResultStore(id)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	out, next, dropped := store.ReadFrom(cursor, limit, nil)
-	return out, next, dropped, nil
 }
 
 // Queries lists the live queries.

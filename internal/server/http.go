@@ -59,7 +59,7 @@ type HTTPServer struct {
 
 // NewManagerHTTPServer exposes a manager. The second argument is ignored: it
 // used to name the session behind the removed single-session routes and is
-// kept only because bench/ still passes it (see ROADMAP, Diet).
+// kept only because bench/ still passes it (see ROADMAP item 2).
 func NewManagerHTTPServer(m *Manager, _ string) (*HTTPServer, error) {
 	if m == nil {
 		return nil, errors.New("server: NewManagerHTTPServer requires a manager")
@@ -92,23 +92,11 @@ func NewManagerHTTPServer(m *Manager, _ string) (*HTTPServer, error) {
 	return s, nil
 }
 
-// Manager returns the session manager the server exposes.
-func (s *HTTPServer) Manager() *Manager { return s.manager }
-
 // SetGatewayLimits installs (or clears, with the zero value) the per-token
 // admission envelope applied to every ingest push ahead of the session's own
 // TenantLimits. See docs/API.md, "Tenant limits".
 func (s *HTTPServer) SetGatewayLimits(cfg GatewayLimits) {
 	s.gate = newGatewayLimiter(cfg, nil)
-}
-
-// SetLogf redirects the server's diagnostics (encode failures, stream
-// aborts); nil silences them.
-func (s *HTTPServer) SetLogf(f func(format string, args ...interface{})) {
-	if f == nil {
-		f = func(string, ...interface{}) {}
-	}
-	s.logf = f
 }
 
 // ServeHTTP implements http.Handler. In node mode it first asserts session
@@ -470,13 +458,18 @@ func (b sessionSpecJSON) spec() (SessionSpec, error) {
 	return spec, nil
 }
 
+// MaxSpecBytes caps a session spec or CrAQL statement body: a longer one is
+// refused whole (413), never parsed truncated. A gateway applies the same
+// cap to the create bodies it peeks.
+const MaxSpecBytes = 64 << 10
+
 // handleSessionCreate refuses unknown fields instead of ignoring them: a
 // misspelt or removed override that silently does nothing is the failure to
 // avoid. The body is one spec object (or nothing, for all defaults): a body
 // past the cap is refused whole (413), and anything but whitespace after
 // the object is a 400.
 func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	raw, err := wire.ReadBody(r.Body, 1<<16, wire.BorrowBuf())
+	raw, err := wire.ReadBody(r.Body, MaxSpecBytes, wire.BorrowBuf())
 	defer wire.ReleaseBuf(raw)
 	if err != nil {
 		s.writeErr(w, err, http.StatusBadRequest)
@@ -542,7 +535,7 @@ func (s *HTTPServer) handleSessionQuerySubmit(w http.ResponseWriter, r *http.Req
 	}
 	e := sess.Engine
 	// A body past the cap is refused whole (413), never parsed truncated.
-	body, err := wire.ReadBody(r.Body, 1<<16, wire.BorrowBuf())
+	body, err := wire.ReadBody(r.Body, MaxSpecBytes, wire.BorrowBuf())
 	defer wire.ReleaseBuf(body)
 	if err != nil {
 		s.writeErr(w, err, http.StatusBadRequest)

@@ -12,6 +12,22 @@ import (
 	"time"
 )
 
+// ingestAckJSON is the wire form of one ingest.Ack, the schema the tests
+// decode acks with. All counts are tuples; watermark is the post-push low
+// watermark in simulation time units (null until any event time or
+// assertion is known). AppendIngestAck renders this shape.
+type ingestAckJSON struct {
+	Accepted    int      `json:"accepted"`
+	Dropped     int      `json:"dropped"`
+	Late        int      `json:"late"`
+	LateDropped int      `json:"lateDropped"`
+	Rejected    int      `json:"rejected"`
+	Duplicates  int      `json:"duplicates,omitempty"`
+	Watermark   *float64 `json:"watermark"`
+	Pending     int      `json:"pending"`
+	Error       string   `json:"error,omitempty"`
+}
+
 func TestHTTPIngestUnary(t *testing.T) {
 	ts, _ := newManagerTestServer(t)
 	c := ts.Client()
@@ -72,7 +88,7 @@ func TestHTTPIngestUnary(t *testing.T) {
 	doJSON(t, srv2.Client(), "POST", srv2.URL+"/v1/sessions", `{"name":"drain","source":"external"}`, 201, nil)
 	// Reach behind the façade: close the engine's queue without removing
 	// the session, the mid-shutdown window.
-	mgrSess, err := hs2.Manager().Get("drain")
+	mgrSess, err := hs2.manager.Get("drain")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestHTTPPaginationEndToEnd(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/w/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/w/step?n=10", "", 200, nil)
 
-	sess, err := s.Manager().Get("w")
+	sess, err := s.manager.Get("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,9 +574,9 @@ func TestHTTPStepAbandonedByClient(t *testing.T) {
 func TestWriteJSONLogsEncodeFailure(t *testing.T) {
 	_, s := newManagerTestServer(t)
 	var logged []string
-	s.SetLogf(func(format string, args ...interface{}) {
+	s.logf = func(format string, args ...interface{}) {
 		logged = append(logged, fmt.Sprintf(format, args...))
-	})
+	}
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, 200, map[string]interface{}{"bad": make(chan int)})
 	if len(logged) != 1 || !strings.Contains(logged[0], "encoding") {

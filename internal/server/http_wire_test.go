@@ -259,7 +259,7 @@ func TestIngestCodecEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		is := sess.Engine.IngestStats()
-		tuples, _, _, err := sess.Engine.ReadResults(q.ID, 0, 1000)
+		tuples, _, _, err := readResults(sess.Engine, q.ID, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,22 +51,6 @@ import (
 // advertisement order (see GET /v1/healthz).
 var IngestCodecs = []string{"application/json", "application/x-ndjson", wire.ContentTypeBinary}
 
-// ingestAckJSON is the wire form of one ingest.Ack. All counts are tuples;
-// watermark is the post-push low watermark in simulation time units (null
-// until any event time or assertion is known). The hot path renders this
-// shape with AppendIngestAck; the struct remains as the parse-side schema.
-type ingestAckJSON struct {
-	Accepted    int      `json:"accepted"`
-	Dropped     int      `json:"dropped"`
-	Late        int      `json:"late"`
-	LateDropped int      `json:"lateDropped"`
-	Rejected    int      `json:"rejected"`
-	Duplicates  int      `json:"duplicates,omitempty"`
-	Watermark   *float64 `json:"watermark"`
-	Pending     int      `json:"pending"`
-	Error       string   `json:"error,omitempty"`
-}
-
 // finiteOrNil maps the unknown (−Inf) watermark to null on the wire —
 // encoding/json cannot represent infinities.
 func finiteOrNil(v float64) *float64 {
@@ -77,10 +61,13 @@ func finiteOrNil(v float64) *float64 {
 }
 
 // AppendIngestAck renders one ingest ack (with an optional error message)
-// as a JSON line, byte-identical to encoding/json marshaling ingestAckJSON
-// but without an encoder, reflection, or any allocation beyond dst growth.
-// A NaN/±Inf watermark renders as null. Exported for the root-package
-// allocation benchmarks.
+// as a JSON line: the tuple counts accepted, dropped, late, lateDropped,
+// rejected, duplicates (omitted when zero), the post-push low watermark in
+// simulation time units, pending, and error (omitted when empty) —
+// byte-identical to encoding/json but without an encoder, reflection, or
+// any allocation beyond dst growth. A NaN/±Inf watermark, unknown until any
+// event time or assertion is, renders as null. Exported for the
+// root-package allocation benchmarks.
 func AppendIngestAck(dst []byte, ack ingest.Ack, errMsg string) []byte {
 	dst = append(dst, `{"accepted":`...)
 	dst = strconv.AppendInt(dst, int64(ack.Accepted), 10)

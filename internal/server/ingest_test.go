@@ -18,6 +18,17 @@ func extObs(id uint64, attr string, t, x, y, v float64) stream.Tuple {
 	return stream.Tuple{ID: id, Attr: attr, T: t, X: x, Y: y, Value: v, Sensor: -1}
 }
 
+// readResults reads up to limit tuples (limit ≤ 0 = all retained) of the
+// query's stream from cursor on, as stream.ResultStore.ReadFrom does.
+func readResults(e *Engine, id string, cursor uint64, limit int) ([]stream.Tuple, uint64, uint64, error) {
+	store, err := e.ResultStore(id)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	out, next, dropped := store.ReadFrom(cursor, limit, nil)
+	return out, next, dropped, nil
+}
+
 func newSourceEngine(t *testing.T, src SourceConfig) *Engine {
 	t.Helper()
 	cfg := testConfig()
@@ -110,7 +121,7 @@ func acquiredStream(t *testing.T, pushes [][]stream.Tuple, epochs int) []stream.
 	if done != epochs {
 		t.Fatalf("ran %d epochs, want %d", done, epochs)
 	}
-	out, _, _, err := e.ReadResults(q.ID, 0, 0)
+	out, _, _, err := readResults(e, q.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestMixedIdleMatchesSimulated(t *testing.T) {
 		if err := e.Run(6); err != nil {
 			t.Fatal(err)
 		}
-		out, _, _, err := e.ReadResults(q.ID, 0, 0)
+		out, _, _, err := readResults(e, q.ID, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +271,7 @@ func TestMixedMergesExternalAttr(t *testing.T) {
 	if done != 3 {
 		t.Fatalf("ran %d epochs, want 3", done)
 	}
-	co2Out, _, _, err := e.ReadResults(co2.ID, 0, 0)
+	co2Out, _, _, err := readResults(e, co2.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +283,7 @@ func TestMixedMergesExternalAttr(t *testing.T) {
 			t.Fatalf("foreign tuple in co2 stream: %v", tp)
 		}
 	}
-	rainOut, _, _, err := e.ReadResults(rain.ID, 0, 0)
+	rainOut, _, _, err := readResults(e, rain.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,7 +330,7 @@ func TestCursorReadsMatchCollector(t *testing.T) {
 	var got []stream.Tuple
 	var cursor uint64
 	for {
-		page, next, dropped, err := storeEngine.ReadResults(stored.ID, cursor, 7)
+		page, next, dropped, err := readResults(storeEngine, stored.ID, cursor, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestRetentionBoundsMemory(t *testing.T) {
 		t.Fatalf("drop accounting: dropped=%d total=%d len=%d", store.Dropped(), store.Total(), store.Len())
 	}
 	// A reader starting at zero sees the drops explicitly.
-	tuples, next, dropped, err := e.ReadResults(q.ID, 0, 0)
+	tuples, next, dropped, err := readResults(e, q.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,6 @@ func (g *Grid2D) Add(x, y float64) {
 	g.Counts[iy*g.NX+ix]++
 }
 
-// N returns the number of in-range observations.
-func (g *Grid2D) N() int {
-	n := 0
-	for _, c := range g.Counts {
-		n += c
-	}
-	return n
-}
-
 // UniformityPValue runs a chi-square test of spatial uniformity over the
 // grid cells.
 func (g *Grid2D) UniformityPValue() (float64, error) {

@@ -39,9 +39,6 @@ func NewRNG(seed int64) *RNG {
 	return g
 }
 
-// Seed returns the seed the generator was created with.
-func (g *RNG) Seed() int64 { return g.seed }
-
 // Fork derives a new independent generator from g. The derived stream is a
 // deterministic function of g's current state, so forking at the same point
 // in a program always yields the same child stream.
@@ -114,9 +111,6 @@ func (g *RNG) Intn(n int) int { return g.cold().IntN(n) }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.cold().Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.cold().Shuffle(n, swap) }
 
 // Uniform returns a uniform variate in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {

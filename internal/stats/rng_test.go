@@ -55,8 +55,8 @@ func TestRNGStateRoundTrip(t *testing.T) {
 }
 
 func TestRNGSeedAccessor(t *testing.T) {
-	if got := NewRNG(7).Seed(); got != 7 {
-		t.Fatalf("Seed() = %d, want 7", got)
+	if got := NewRNG(7).seed; got != 7 {
+		t.Fatalf("seed = %d, want 7", got)
 	}
 }
 
@@ -235,28 +235,6 @@ func TestIntnAndPerm(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	g := NewRNG(14)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	g.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	mark := make([]bool, 8)
-	for _, v := range vals {
-		mark[v] = true
-	}
-	for i, m := range mark {
-		if !m {
-			t.Fatalf("value %d lost in shuffle", i)
-		}
-	}
-}
-
-// TestRNGStreamPinned pins the generator's output. A durable session is
-// recovered by restoring saved generator states and replaying its log
-// through the same operators, so the stream a seed yields has to survive a
-// toolchain upgrade: PCG-DXSM is specified (and math/rand/v2 promises not to
-// change PCG's output), the seed expansion and the 53-bit Float64 are this
-// package's — a change to any of them must be loud, and comes with a
-// snapshotVersion bump (internal/server/snapshot.go).
 func TestRNGStreamPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -103,10 +103,8 @@ func KSTest(sample []float64, cdf func(float64) float64) (KSResult, error) {
 // Summary holds streaming moment estimates computed with Welford's
 // algorithm, plus extrema.
 type Summary struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	hasExtrema bool
+	n        int
+	mean, m2 float64
 }
 
 // Add incorporates a new observation.
@@ -115,17 +113,7 @@ func (s *Summary) Add(v float64) {
 	delta := v - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (v - s.mean)
-	if !s.hasExtrema || v < s.min {
-		s.min = v
-	}
-	if !s.hasExtrema || v > s.max {
-		s.max = v
-	}
-	s.hasExtrema = true
 }
-
-// N returns the number of observations seen.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean, or zero for an empty summary.
 func (s *Summary) Mean() float64 { return s.mean }
@@ -141,12 +129,6 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or zero for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or zero for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
 
 // StdErr returns the standard error of the mean.
 func (s *Summary) StdErr() float64 {

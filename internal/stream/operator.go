@@ -133,23 +133,6 @@ func (b *Base) RemoveDownstream(p Processor) bool {
 	return false
 }
 
-// Downstreams returns a snapshot of connected consumers.
-func (b *Base) Downstreams() []Processor {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]Processor, len(b.outs))
-	copy(out, b.outs)
-	return out
-}
-
-// NumDownstreams returns the current fan-out. A fan-out greater than one is
-// the paper's "branching point".
-func (b *Base) NumDownstreams() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.outs)
-}
-
 // Emit forwards an output batch to every downstream, recording flow. The
 // first downstream error aborts and is returned wrapped with the operator
 // name.
@@ -172,9 +155,8 @@ var ErrClosed = errors.New("stream: closed")
 // Collector is a sink that accumulates every tuple it receives; tests and
 // experiments read the result. Collector is safe for concurrent use.
 type Collector struct {
-	mu      sync.Mutex
-	tuples  []Tuple
-	batches int
+	mu     sync.Mutex
+	tuples []Tuple
 }
 
 // NewCollector returns an empty collector.
@@ -185,7 +167,6 @@ func (c *Collector) Process(b Batch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tuples = append(c.tuples, b.Tuples...)
-	c.batches++
 	return nil
 }
 
@@ -205,19 +186,11 @@ func (c *Collector) Len() int {
 	return len(c.tuples)
 }
 
-// Batches returns the number of batches received.
-func (c *Collector) Batches() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batches
-}
-
 // Reset discards collected state.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tuples = nil
-	c.batches = 0
 }
 
 // Counter is a sink that only counts tuples, for benchmarks that must not

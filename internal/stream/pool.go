@@ -75,118 +75,9 @@ func CompareTuples(a, b Tuple) int {
 	}
 }
 
-// TupleLess reports whether a precedes b in the CompareTuples order.
-func TupleLess(a, b Tuple) bool { return CompareTuples(a, b) < 0 }
-
 // SortTuples sorts tuples by the deterministic (T, ID) order. slices.SortFunc
 // (pdqsort over the concrete type) keeps the per-epoch merge path free of
 // sort.Slice's reflection overhead and closure allocation.
 func SortTuples(ts []Tuple) {
 	slices.SortFunc(ts, CompareTuples)
-}
-
-// linearMergeMaxRuns is the fan-in up to which the per-tuple linear scan of
-// run heads beats a heap; wider merges (e.g. a flat Union over a whole
-// region's cells) switch to the O(n log k) heap.
-const linearMergeMaxRuns = 8
-
-// MergeSortedRuns k-way merges runs (each already sorted by TupleLess) into
-// dst and returns the extended slice. Ties across runs resolve by run index,
-// so the merge is deterministic for any arrival order of the runs' batches.
-// dst should have capacity for the total length to stay allocation-free.
-func MergeSortedRuns(dst []Tuple, runs [][]Tuple) []Tuple {
-	live := runs[:0:0]
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-		}
-	}
-	switch {
-	case len(live) == 0:
-		return dst
-	case len(live) == 1:
-		return append(dst, live[0]...)
-	case len(live) <= linearMergeMaxRuns:
-		return mergeLinear(dst, live)
-	default:
-		return mergeHeap(dst, live)
-	}
-}
-
-// mergeLinear picks the minimum head by scanning every run — optimal for
-// the common narrow case (binary U-operator trees). The cursor array lives
-// on the stack (fan-in ≤ linearMergeMaxRuns), so narrow merges allocate
-// nothing.
-func mergeLinear(dst []Tuple, runs [][]Tuple) []Tuple {
-	var headsArr [linearMergeMaxRuns]int
-	heads := headsArr[:len(runs)]
-	for {
-		best := -1
-		for i, r := range runs {
-			if heads[i] >= len(r) {
-				continue
-			}
-			if best < 0 || TupleLess(r[heads[i]], runs[best][heads[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, runs[best][heads[best]])
-		heads[best]++
-	}
-}
-
-// mergeHeap maintains a binary min-heap of run indices ordered by each
-// run's head tuple (ties by run index, keeping the merge deterministic) —
-// O(n log k) for wide flat unions.
-func mergeHeap(dst []Tuple, runs [][]Tuple) []Tuple {
-	heads := make([]int, len(runs))
-	heap := make([]int, len(runs))
-	for i := range heap {
-		heap[i] = i
-	}
-	// less orders heap entries by head tuple, then run index.
-	less := func(a, b int) bool {
-		ta, tb := runs[a][heads[a]], runs[b][heads[b]]
-		if ta.T != tb.T || ta.ID != tb.ID {
-			return TupleLess(ta, tb)
-		}
-		return a < b
-	}
-	var siftDown func(i int)
-	siftDown = func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < len(heap) && less(heap[l], heap[smallest]) {
-				smallest = l
-			}
-			if r < len(heap) && less(heap[r], heap[smallest]) {
-				smallest = r
-			}
-			if smallest == i {
-				return
-			}
-			heap[i], heap[smallest] = heap[smallest], heap[i]
-			i = smallest
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(heap) > 0 {
-		run := heap[0]
-		dst = append(dst, runs[run][heads[run]])
-		heads[run]++
-		if heads[run] >= len(runs[run]) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		if len(heap) > 0 {
-			siftDown(0)
-		}
-	}
-	return dst
 }

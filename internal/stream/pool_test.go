@@ -28,92 +28,17 @@ func TestBorrowTuplesCapacityAndReuse(t *testing.T) {
 	nilBuf.Release()
 }
 
-func TestTupleLessTotalOrder(t *testing.T) {
+func TestCompareTuplesTotalOrder(t *testing.T) {
 	a := Tuple{ID: 1, T: 1}
 	b := Tuple{ID: 2, T: 1}
 	c := Tuple{ID: 3, T: 2}
-	if !TupleLess(a, b) || TupleLess(b, a) {
+	if CompareTuples(a, b) >= 0 || CompareTuples(b, a) <= 0 {
 		t.Error("equal times must tie-break on ID")
 	}
-	if !TupleLess(b, c) || TupleLess(c, a) {
+	if CompareTuples(b, c) >= 0 || CompareTuples(c, a) <= 0 {
 		t.Error("time must dominate the order")
 	}
-}
-
-func TestMergeSortedRuns(t *testing.T) {
-	mk := func(ids ...uint64) []Tuple {
-		out := make([]Tuple, len(ids))
-		for i, id := range ids {
-			out[i] = Tuple{ID: id, T: float64(id)}
-		}
-		return out
-	}
-	cases := []struct {
-		name string
-		runs [][]Tuple
-		want []uint64
-	}{
-		{"empty", nil, nil},
-		{"single", [][]Tuple{mk(1, 3, 5)}, []uint64{1, 3, 5}},
-		{"two", [][]Tuple{mk(1, 4), mk(2, 3, 5)}, []uint64{1, 2, 3, 4, 5}},
-		{"with-empty", [][]Tuple{mk(2), nil, mk(1, 3)}, []uint64{1, 2, 3}},
-		{"three", [][]Tuple{mk(7, 8), mk(1, 9), mk(5)}, []uint64{1, 5, 7, 8, 9}},
-	}
-	for _, tc := range cases {
-		got := MergeSortedRuns(nil, tc.runs)
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s: got %d tuples, want %d", tc.name, len(got), len(tc.want))
-		}
-		for i, id := range tc.want {
-			if got[i].ID != id {
-				t.Fatalf("%s: position %d: got ID %d, want %d", tc.name, i, got[i].ID, id)
-			}
-		}
-	}
-}
-
-func TestMergeSortedRunsWideUsesHeapCorrectly(t *testing.T) {
-	// More runs than linearMergeMaxRuns exercises the heap path; the merged
-	// output must equal sorting the concatenation.
-	const k, perRun = 12, 50
-	runs := make([][]Tuple, k)
-	var all []Tuple
-	next := uint64(1)
-	for i := 0; i < k; i++ {
-		for j := 0; j < perRun; j++ {
-			// Deterministic scattered timestamps with deliberate cross-run ties.
-			tp := Tuple{ID: next, T: float64((int(next) * 7) % 97)}
-			next++
-			runs[i] = append(runs[i], tp)
-			all = append(all, tp)
-		}
-		SortTuples(runs[i])
-	}
-	got := MergeSortedRuns(nil, runs)
-	SortTuples(all)
-	if len(got) != len(all) {
-		t.Fatalf("merged %d tuples, want %d", len(got), len(all))
-	}
-	for i := range all {
-		if got[i] != all[i] {
-			t.Fatalf("position %d: got %+v, want %+v", i, got[i], all[i])
-		}
-	}
-}
-
-func TestMergeSortedRunsDeterministicTies(t *testing.T) {
-	// Same timestamp in both runs: order must resolve by ID, so swapping the
-	// run order cannot change the merged output.
-	runA := []Tuple{{ID: 1, T: 5}, {ID: 4, T: 5}}
-	runB := []Tuple{{ID: 2, T: 5}, {ID: 3, T: 5}}
-	ab := MergeSortedRuns(nil, [][]Tuple{runA, runB})
-	ba := MergeSortedRuns(nil, [][]Tuple{runB, runA})
-	for i := range ab {
-		if ab[i].ID != ba[i].ID {
-			t.Fatalf("merge order depends on run order at position %d: %d vs %d", i, ab[i].ID, ba[i].ID)
-		}
-		if ab[i].ID != uint64(i+1) {
-			t.Fatalf("ties not resolved by ID: position %d has ID %d", i, ab[i].ID)
-		}
+	if CompareTuples(a, a) != 0 {
+		t.Error("a tuple must tie with itself")
 	}
 }

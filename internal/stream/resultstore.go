@@ -418,13 +418,6 @@ func (s *ResultStore) Dropped() uint64 {
 	return first
 }
 
-// Batches returns the number of batches received since the store attached.
-func (s *ResultStore) Batches() uint64 {
-	r := s.lock()
-	defer r.mu.Unlock()
-	return r.batches - s.baseBatches
-}
-
 // ErrStoreClosed is returned by Wait when the store was closed.
 var ErrStoreClosed = errors.New("stream: result store closed")
 

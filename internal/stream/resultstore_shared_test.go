@@ -63,7 +63,7 @@ func (p sharedPair) check(t *testing.T, what string) {
 	if got, want := p.h.Len(), len(p.m.all)-int(p.m.dropped()); got != want {
 		t.Fatalf("%s: Len = %d, model %d", what, got, want)
 	}
-	if got, want := p.h.Batches(), p.m.batches; got != want {
+	if got, want := batchesOf(p.h), p.m.batches; got != want {
 		t.Fatalf("%s: Batches = %d, model %d", what, got, want)
 	}
 	if got := p.h.Retention(); got != p.m.retention {

@@ -29,14 +29,12 @@ type failingSink struct{ err error }
 
 func (s failingSink) Process(Batch) error { return s.err }
 
+// TestTupleEventAndString: String renders the tuple's space-time event
+// (t, x, y) with its attribute, id and value.
 func TestTupleEventAndString(t *testing.T) {
 	tp := Tuple{ID: 3, Attr: "rain", T: 1, X: 2, Y: 3, Value: 1}
-	e := tp.Event()
-	if e.T != 1 || e.X != 2 || e.Y != 3 {
-		t.Fatalf("event = %+v", e)
-	}
-	if tp.String() == "" {
-		t.Fatal("String empty")
+	if got, want := tp.String(), "rain#3(t=1.000 x=2.000 y=3.000 v=1.000)"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 
@@ -44,10 +42,6 @@ func TestBatchBasics(t *testing.T) {
 	b := makeBatch(32)
 	if b.Len() != 32 {
 		t.Fatalf("len = %d", b.Len())
-	}
-	ev := b.Events()
-	if len(ev) != 32 || ev[5].T != b.Tuples[5].T {
-		t.Fatal("Events projection wrong")
 	}
 	// volume = 2·16 = 32; rate = 1.
 	if got := b.MeasuredRate(); math.Abs(got-1) > 1e-12 {
@@ -72,7 +66,7 @@ func TestBaseEmitAndCounters(t *testing.T) {
 	if s.BatchesIn != 1 || s.TuplesIn != 10 || s.TuplesOut != 10 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if col.Len() != 10 || col.Batches() != 1 {
+	if col.Len() != 10 {
 		t.Fatal("collector missed the batch")
 	}
 	if base.Name() != "op" || base.Kind() != "X" {
@@ -86,8 +80,8 @@ func TestBaseFanOutAndRemove(t *testing.T) {
 	base.AddDownstream(c1)
 	base.AddDownstream(c2)
 	base.AddDownstream(nil) // ignored
-	if base.NumDownstreams() != 2 {
-		t.Fatalf("downstreams = %d", base.NumDownstreams())
+	if len(base.outs) != 2 {
+		t.Fatalf("downstreams = %d", len(base.outs))
 	}
 	if err := base.Emit(makeBatch(5)); err != nil {
 		t.Fatal(err)
@@ -107,8 +101,8 @@ func TestBaseFanOutAndRemove(t *testing.T) {
 	if c1.Len() != 5 || c2.Len() != 8 {
 		t.Fatal("removed consumer still fed")
 	}
-	if len(base.Downstreams()) != 1 {
-		t.Fatal("Downstreams snapshot wrong")
+	if len(base.outs) != 1 {
+		t.Fatal("downstreams wrong")
 	}
 }
 
@@ -131,7 +125,7 @@ func TestCollectorResetAndCopy(t *testing.T) {
 		t.Fatal("Tuples did not copy")
 	}
 	c.Reset()
-	if c.Len() != 0 || c.Batches() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("reset failed")
 	}
 }

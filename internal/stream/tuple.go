@@ -1,16 +1,16 @@
 // Package stream provides the stream-processing substrate of CrAQR: the
-// crowdsensed tuple model, batches, the push-based operator interface that
-// PMAT operators implement, sinks, and operator-graph plumbing. The design
-// mirrors classical stream engines (Aurora/TelegraphCQ/CQL) in miniature:
-// operators are connected into a DAG and batches of tuples are pushed from
-// sources towards sinks.
+// crowdsensed tuple model, batches and their deterministic (T, ID) order
+// (CompareTuples), the push-based operator interface that PMAT operators
+// implement, sinks, the bounded result stores, and operator-graph
+// plumbing. The design mirrors classical stream engines
+// (Aurora/TelegraphCQ/CQL) in miniature: operators are connected into a DAG
+// and batches of tuples are pushed from sources towards sinks.
 package stream
 
 import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/mdpp"
 )
 
 // Tuple is one crowdsensed observation of an attribute A⟨j⟩, the paper's
@@ -23,9 +23,6 @@ type Tuple struct {
 	Value  float64 // attribute value (booleans encoded as 0/1)
 	Sensor int     // originating mobile sensor id (-1 when synthetic)
 }
-
-// Event projects the tuple onto its space-time coordinates.
-func (tp Tuple) Event() mdpp.Event { return mdpp.Event{T: tp.T, X: tp.X, Y: tp.Y} }
 
 // String renders the tuple compactly.
 func (tp Tuple) String() string {
@@ -44,20 +41,6 @@ type Batch struct {
 
 // Len returns the number of tuples in the batch.
 func (b Batch) Len() int { return len(b.Tuples) }
-
-// Events projects all tuples onto their space-time coordinates.
-func (b Batch) Events() []mdpp.Event {
-	return b.AppendEvents(make([]mdpp.Event, 0, len(b.Tuples)))
-}
-
-// AppendEvents appends the tuples' space-time coordinates to dst and returns
-// the extended slice.
-func (b Batch) AppendEvents(dst []mdpp.Event) []mdpp.Event {
-	for _, tp := range b.Tuples {
-		dst = append(dst, mdpp.Event{T: tp.T, X: tp.X, Y: tp.Y})
-	}
-	return dst
-}
 
 // MeasuredRate returns the batch's empirical spatio-temporal rate
 // (tuples per unit area per unit time).

@@ -188,9 +188,6 @@ func (f *Fabricator) refreshOrder(attr string) {
 	sort.Strings(f.attrs)
 }
 
-// Grid returns the fabricator's grid.
-func (f *Fabricator) Grid() *geom.Grid { return f.grid }
-
 // Query returns a live query's stored form.
 func (f *Fabricator) Query(id string) (query.Query, bool) {
 	f.mu.RLock()
@@ -535,14 +532,6 @@ func (f *Fabricator) NumPipelines() int {
 	return len(f.cells)
 }
 
-// Pipeline returns the topology for a key, when materialized.
-func (f *Fabricator) Pipeline(k Key) (*CellPipeline, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	p, ok := f.cells[k]
-	return p, ok
-}
-
 // Retune applies the adaptive rate scale to one pipeline (see
 // CellPipeline.Retune): the F target and every T-operator rescale uniformly
 // under the fabricator's write lock, so a retune never races a running
@@ -556,18 +545,6 @@ func (f *Fabricator) Retune(key Key, scale float64) error {
 		return nil
 	}
 	return p.Retune(scale)
-}
-
-// Scale returns a pipeline's current adaptive rate scale (1 when never
-// retuned); false for unmaterialized keys.
-func (f *Fabricator) Scale(key Key) (float64, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	p, ok := f.cells[key]
-	if !ok {
-		return 0, false
-	}
-	return p.Scale(), true
 }
 
 // VisitLastReports calls fn for every materialized pipeline key with the
@@ -591,17 +568,6 @@ func (f *Fabricator) VisitLastReports(fn func(Key, pmat.ViolationReport)) {
 	for i, k := range keys {
 		fn(k, reports[i])
 	}
-}
-
-// QueryPlan returns a query's merge plan (nil when unknown).
-func (f *Fabricator) QueryPlan(id string) *MergePlan {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	lq, ok := f.queries[id]
-	if !ok {
-		return nil
-	}
-	return lq.sp.plan
 }
 
 // OperatorCounts tallies live operators by kind ("F", "T", "P", "U"). A

@@ -115,7 +115,7 @@ func TestFig2StreamFabrication(t *testing.T) {
 	rng := stats.NewRNG(5)
 	epochs := 30
 	for e := 0; e < epochs; e++ {
-		w := geom.Window{T0: float64(e), T1: float64(e + 1), Rect: f.Grid().Region()}
+		w := geom.Window{T0: float64(e), T1: float64(e + 1), Rect: f.grid.Region()}
 		for _, attr := range []string{"rain", "temp"} {
 			// Abundant raw data, uniform over the region.
 			n := rng.Poisson(60 * w.Volume())
@@ -366,7 +366,7 @@ func TestIngestRoutesToCorrectCells(t *testing.T) {
 	if _, err := f.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 5}, sink); err != nil {
 		t.Fatal(err)
 	}
-	w := geom.Window{T0: 0, T1: 1, Rect: f.Grid().Region()}
+	w := geom.Window{T0: 0, T1: 1, Rect: f.grid.Region()}
 	b := stream.Batch{Attr: "rain", Window: w, Tuples: []stream.Tuple{
 		{ID: 1, T: 0.5, X: 1, Y: 1},   // in cell (0,0)
 		{ID: 2, T: 0.5, X: 5, Y: 5},   // in cell (2,2): no pipeline
@@ -378,7 +378,7 @@ func TestIngestRoutesToCorrectCells(t *testing.T) {
 	// Tuple 2 and 3 silently dropped; tuple 1 may or may not survive the
 	// probabilistic chain but the pipeline saw exactly 1 tuple.
 	key := Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}
-	p, ok := f.Pipeline(key)
+	p, ok := f.cells[key]
 	if !ok {
 		t.Fatal("pipeline missing")
 	}
@@ -392,15 +392,25 @@ func TestIngestWrongAttributeIsNoOp(t *testing.T) {
 	if _, err := f.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 5}, stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	w := geom.Window{T0: 0, T1: 1, Rect: f.Grid().Region()}
+	w := geom.Window{T0: 0, T1: 1, Rect: f.grid.Region()}
 	if err := f.Ingest(stream.Batch{Attr: "temp", Window: w, Tuples: []stream.Tuple{{ID: 1, X: 1, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	key := Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}
-	p, _ := f.Pipeline(key)
+	p, _ := f.cells[key]
 	if p.Flatten().Stats().BatchesIn != 0 {
 		t.Fatal("temp batch leaked into rain pipeline")
 	}
+}
+
+// budgetOf returns the budget ctrl holds for k, and whether k is registered.
+func budgetOf(ctrl *budget.Controller, k budget.Key) (float64, bool) {
+	for _, s := range ctrl.Snapshots() {
+		if s.Key == k {
+			return s.Budget, true
+		}
+	}
+	return 0, false
 }
 
 func TestBudgetWiring(t *testing.T) {
@@ -414,15 +424,15 @@ func TestBudgetWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	bk := budget.Key{Attr: "rain", Cell: geom.CellID{Q: 0, R: 0}}
-	if _, ok := ctrl.Budget(bk); !ok {
+	if _, ok := budgetOf(ctrl, bk); !ok {
 		t.Fatal("budget slot not registered on insert")
 	}
 	// Empty ingest ⇒ 100% violation ⇒ budget raised.
-	w := geom.Window{T0: 0, T1: 1, Rect: f.Grid().Region()}
+	w := geom.Window{T0: 0, T1: 1, Rect: f.grid.Region()}
 	if err := f.Ingest(stream.Batch{Attr: "rain", Window: w}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := ctrl.Budget(bk)
+	b, _ := budgetOf(ctrl, bk)
 	if b != 12 {
 		t.Fatalf("budget = %g, want raised to 12", b)
 	}
@@ -430,7 +440,7 @@ func TestBudgetWiring(t *testing.T) {
 	if err := f.DeleteQuery("Q1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ctrl.Budget(bk); ok {
+	if _, ok := budgetOf(ctrl, bk); ok {
 		t.Fatal("budget slot not unregistered on delete")
 	}
 }
@@ -443,7 +453,7 @@ func TestAttachBudgetsAfterInsert(t *testing.T) {
 	ctrl, _ := budget.NewController(budget.Config{Initial: 10, Delta: 2, Min: 2, Max: 100, ViolationThreshold: 5})
 	f.AttachBudgets(ctrl)
 	bk := budget.Key{Attr: "rain", Cell: geom.CellID{Q: 0, R: 0}}
-	if _, ok := ctrl.Budget(bk); !ok {
+	if _, ok := budgetOf(ctrl, bk); !ok {
 		t.Fatal("existing pipelines not registered on attach")
 	}
 }
@@ -495,11 +505,11 @@ func TestQueryPlanAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := f.QueryPlan(stored.ID)
+	plan := queryPlan(f, stored.ID)
 	if plan == nil || len(plan.Rects) != 4 {
 		t.Fatal("plan missing or wrong size")
 	}
-	if f.QueryPlan("nope") != nil {
+	if queryPlan(f, "nope") != nil {
 		t.Fatal("unknown plan should be nil")
 	}
 }
@@ -509,7 +519,7 @@ func TestTotalFlowAccumulates(t *testing.T) {
 	if _, err := f.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 5}, stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	w := geom.Window{T0: 0, T1: 1, Rect: f.Grid().Region()}
+	w := geom.Window{T0: 0, T1: 1, Rect: f.grid.Region()}
 	b := stream.Batch{Attr: "rain", Window: w}
 	rng := stats.NewRNG(3)
 	for i := 0; i < 100; i++ {

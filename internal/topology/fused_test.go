@@ -52,7 +52,7 @@ func buildFusedFixture(t *testing.T, seed int64, workers int, walkGraph bool) (*
 // (starved cells must still deliver empty batches so merge slices complete).
 func runFixtureEpochs(t *testing.T, fab *Fabricator, epochs, perEpoch int) {
 	t.Helper()
-	region := fab.Grid().Region()
+	region := fab.grid.Region()
 	for e := 0; e < epochs; e++ {
 		n := perEpoch
 		if e == 2 {
@@ -106,7 +106,7 @@ func TestFusedMatchesUnfusedGolden(t *testing.T) {
 func TestFusedRecompileOnChurn(t *testing.T) {
 	unfused, ucols := buildFusedFixture(t, 99, 2, true)
 	fused, fcols := buildFusedFixture(t, 99, 2, false)
-	region := fused.Grid().Region()
+	region := fused.grid.Region()
 
 	churn := func(fab *Fabricator) ([]string, *stream.Collector) {
 		var inserted []string
@@ -204,7 +204,7 @@ func TestFusedProgramLifecycle(t *testing.T) {
 	}
 	ingest(f, "rain", 3)
 	for _, p := range f.order["rain"] {
-		if err := f.Retune(p.Key(), 0.5); err != nil {
+		if err := f.Retune(p.key, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,7 +63,7 @@ func sourceBatch(attr string, epoch int, region geom.Rect, n int) stream.Batch {
 
 func runEpochs(t *testing.T, fab *Fabricator, epochs, tuplesPerEpoch int) {
 	t.Helper()
-	region := fab.Grid().Region()
+	region := fab.grid.Region()
 	for e := 0; e < epochs; e++ {
 		for _, attr := range []string{"rain", "temp"} {
 			if err := fab.Ingest(sourceBatch(attr, e, region, tuplesPerEpoch)); err != nil {

@@ -133,9 +133,6 @@ func NewCellPipeline(key Key, cellRect geom.Rect, rng *stats.RNG) (*CellPipeline
 	return &CellPipeline{key: key, cellRect: cellRect, flatten: f, rng: rng, nominalTarget: target, scale: 1}, nil
 }
 
-// Key returns the pipeline's key.
-func (p *CellPipeline) Key() Key { return p.key }
-
 // CellRect returns the grid cell's rectangle.
 func (p *CellPipeline) CellRect() geom.Rect { return p.cellRect }
 
@@ -144,18 +141,6 @@ func (p *CellPipeline) Flatten() *pmat.Flatten { return p.flatten }
 
 // Empty reports whether no queries are subscribed.
 func (p *CellPipeline) Empty() bool { return len(p.nodes) == 0 }
-
-// NumThins returns the number of T-operators in the chain.
-func (p *CellPipeline) NumThins() int { return len(p.nodes) }
-
-// Rates returns the chain's output rates in descending order.
-func (p *CellPipeline) Rates() []float64 {
-	out := make([]float64, len(p.nodes))
-	for i, n := range p.nodes {
-		out[i] = n.rate
-	}
-	return out
-}
 
 func (p *CellPipeline) nextName(kind string) string {
 	p.nameSeq++
@@ -384,10 +369,6 @@ func (p *CellPipeline) Retune(scale float64) error {
 	}
 	return nil
 }
-
-// Scale returns the pipeline's current adaptive rate scale (1 = nominal,
-// never retuned or fully recovered).
-func (p *CellPipeline) Scale() float64 { return p.scale }
 
 // QueryIDs returns the ids of subscribed queries in chain order.
 func (p *CellPipeline) QueryIDs() []string {

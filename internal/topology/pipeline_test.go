@@ -23,6 +23,26 @@ func newPipe(t *testing.T) *CellPipeline {
 	return p
 }
 
+// rates returns p's T-chain output rates in chain (descending) order.
+func rates(p *CellPipeline) []float64 {
+	out := make([]float64, len(p.nodes))
+	for i, n := range p.nodes {
+		out[i] = n.rate
+	}
+	return out
+}
+
+// queryPlan returns a live query's merge plan, nil when the query is unknown.
+func queryPlan(f *Fabricator, id string) *MergePlan {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	lq, ok := f.queries[id]
+	if !ok {
+		return nil
+	}
+	return lq.sp.plan
+}
+
 func q(id string, rate float64) query.Query {
 	return query.Query{ID: id, Attr: "rain", Region: cellRect(), Rate: rate}
 }
@@ -35,7 +55,7 @@ func TestNewCellPipelineValidation(t *testing.T) {
 		t.Error("nil RNG should error")
 	}
 	p := newPipe(t)
-	if !p.Empty() || p.NumThins() != 0 {
+	if !p.Empty() || len(p.nodes) != 0 {
 		t.Fatal("fresh pipeline not empty")
 	}
 	if p.Flatten() == nil || p.Flatten().Kind() != "F" {
@@ -59,7 +79,7 @@ func TestAddTapCreatesDescendingChain(t *testing.T) {
 			t.Fatalf("invariants after %s: %v", spec.id, err)
 		}
 	}
-	rates := p.Rates()
+	rates := rates(p)
 	want := []float64{10, 5, 2}
 	if len(rates) != 3 {
 		t.Fatalf("rates = %v", rates)
@@ -83,8 +103,8 @@ func TestAddTapSharedRateReusesThin(t *testing.T) {
 	if err := p.AddTap(q("Q2", 5), cellRect(), stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	if p.NumThins() != 1 {
-		t.Fatalf("thins = %d, want shared single T", p.NumThins())
+	if len(p.nodes) != 1 {
+		t.Fatalf("thins = %d, want shared single T", len(p.nodes))
 	}
 	if err := p.Invariants(); err != nil {
 		t.Fatal(err)
@@ -198,13 +218,13 @@ func TestRemoveTapMergesThins(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("remove failed: %v, found=%v", err, found)
 	}
-	if p.NumThins() != 2 {
-		t.Fatalf("thins = %d after middle removal", p.NumThins())
+	if len(p.nodes) != 2 {
+		t.Fatalf("thins = %d after middle removal", len(p.nodes))
 	}
 	if err := p.Invariants(); err != nil {
 		t.Fatal(err)
 	}
-	rates := p.Rates()
+	rates := rates(p)
 	if rates[0] != 10 || rates[1] != 2 {
 		t.Fatalf("rates = %v", rates)
 	}
@@ -222,8 +242,8 @@ func TestRemoveHeadTap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The remaining T reads straight from F.
-	if p.NumThins() != 1 || p.Rates()[0] != 5 {
-		t.Fatalf("chain after head removal: %v", p.Rates())
+	if len(p.nodes) != 1 || rates(p)[0] != 5 {
+		t.Fatalf("chain after head removal: %v", rates(p))
 	}
 }
 
@@ -270,7 +290,7 @@ func TestSharedRateNodeSurvivesPartialRemoval(t *testing.T) {
 	if err != nil || !found {
 		t.Fatal("removal failed")
 	}
-	if p.NumThins() != 1 {
+	if len(p.nodes) != 1 {
 		t.Fatal("shared node deleted while still tapped")
 	}
 	if err := p.Invariants(); err != nil {
@@ -380,10 +400,10 @@ func TestChainSortedPropertyQuick(t *testing.T) {
 				return false
 			}
 		}
-		if p.NumThins() != len(distinct) {
+		if len(p.nodes) != len(distinct) {
 			return false
 		}
-		rates := p.Rates()
+		rates := rates(p)
 		for i := 1; i < len(rates); i++ {
 			if rates[i-1] <= rates[i] {
 				return false

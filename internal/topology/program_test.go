@@ -90,7 +90,7 @@ func (a *programArm) delete(label string) {
 func (a *programArm) feed(order batchOrder, epoch, n int) {
 	a.t.Helper()
 	for _, attr := range []string{"rain", "temp"} {
-		if err := a.fab.Ingest(order.apply(sourceBatch(attr, epoch, a.fab.Grid().Region(), n))); err != nil {
+		if err := a.fab.Ingest(order.apply(sourceBatch(attr, epoch, a.fab.grid.Region(), n))); err != nil {
 			a.t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func (a *programArm) operatorFlows() map[string]stream.FlowStats {
 	}
 	a.fab.mu.RUnlock()
 	for _, id := range a.ids {
-		if u := a.fab.QueryPlan(id).Union; u != nil {
+		if u := queryPlan(a.fab, id).Union; u != nil {
 			out[u.Name()] = u.Stats()
 		}
 	}
@@ -239,7 +239,7 @@ func TestEpochProgramSinkError(t *testing.T) {
 			if _, err := a.fab.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(4, 4, 6, 6), Rate: 5}, failingSink{errSecond}); err != nil {
 				t.Fatal(err)
 			}
-			err = a.fab.Ingest(orderSorted.apply(sourceBatch("rain", 0, a.fab.Grid().Region(), 400)))
+			err = a.fab.Ingest(orderSorted.apply(sourceBatch("rain", 0, a.fab.grid.Region(), 400)))
 			if !errors.Is(err, errFirst) || errors.Is(err, errSecond) {
 				t.Fatalf("workers=%d walkGraph=%v: Ingest = %v, want the first subplan's sink failure", workers, walkGraph, err)
 			}
@@ -391,7 +391,7 @@ func TestEpochProgramStarvedCells(t *testing.T) {
 	}
 	for _, p := range pipes {
 		if st, rep := p.Flatten().Stats(), p.Flatten().LastReport(); st.TuplesIn != 0 || st.BatchesIn != 1 || rep.N != 0 || rep.Percent != 100 {
-			t.Fatalf("%v: F saw %d tuples in %d batches, report %+v; want one empty, fully violating batch", p.Key(), st.TuplesIn, st.BatchesIn, rep)
+			t.Fatalf("%v: F saw %d tuples in %d batches, report %+v; want one empty, fully violating batch", p.key, st.TuplesIn, st.BatchesIn, rep)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func retuneAll(t *testing.T, fab *Fabricator, scale float64) {
 func TestRetuneFusedMatchesUnfused(t *testing.T) {
 	unfused, ucols := buildFusedFixture(t, 4242, 2, true)
 	fused, fcols := buildFusedFixture(t, 4242, 2, false)
-	region := fused.Grid().Region()
+	region := fused.grid.Region()
 
 	drive := func(fab *Fabricator, from, to int) {
 		for e := from; e < to; e++ {
@@ -87,7 +87,7 @@ func TestRetunePreservesProbabilities(t *testing.T) {
 		}
 	}
 	key := Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}
-	p, ok := fab.Pipeline(key)
+	p, ok := fab.cells[key]
 	if !ok {
 		t.Fatal("pipeline not materialized")
 	}
@@ -105,7 +105,7 @@ func TestRetunePreservesProbabilities(t *testing.T) {
 	if err := fab.Retune(key, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := fab.Scale(key); s != 0.5 {
+	if s := fab.cells[key].scale; s != 0.5 {
 		t.Fatalf("Scale = %g, want 0.5", s)
 	}
 	if got := p.Flatten().TargetRate(); math.Abs(got-0.5*targetBefore) > 1e-12 {

@@ -24,6 +24,11 @@
 #   7. every Test…, Fuzz…, Benchmark… or Example… name cited in those three
 #      documents is a function in some _test.go file (a subtest path such as
 #      TestX/case checks TestX), so a deleted test cannot stay cited.
+#   8. every alternative of a `go test -run` or `-fuzz` pattern in
+#      .github/workflows/ci.yml and scripts/*.sh matches a function in a
+#      _test.go file of a package that command targets, so a deleted or
+#      renamed test cannot leave a run pattern that silently matches nothing
+#      (the match-nothing pattern '^$' is exempt).
 #
 # Exits non-zero with one line per mismatch; CI runs this next to
 # bench_guard.sh.
@@ -122,6 +127,37 @@ for doc in README.md DESIGN.md "$API_MD"; do
     fi
   done <<<"$(grep -oE '\b(Test|Fuzz|Benchmark|Example)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u)"
 done
+
+# Run patterns in CI and the scripts: each alternative is matched, as go
+# test matches it, against the test functions of the packages the command
+# names (a trailing /... takes in the subdirectories).
+test_funcs() {
+  local dir=${1%/...} depth=()
+  dir=${dir%/}
+  [ "$1" = "$dir" ] || [ "$1" = "$dir/" ] && depth=(-maxdepth 1)
+  find "$dir" "${depth[@]}" -name '*_test.go' -exec grep -hoE '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' {} + \
+    | sed 's/^func //'
+}
+while IFS= read -r line; do
+  [ -z "$line" ] && continue
+  pkgs=$(grep -oE '(^|[[:space:]])\.(/[^[:space:]]*)?' <<<"${line#*go test}" | tr -d ' \t')
+  pkgs=${pkgs:-.}
+  funcs=$(for pkg in $pkgs; do test_funcs "$pkg"; done)
+  while IFS= read -r pattern; do
+    pattern=$(sed -E "s/^-(run|fuzz) //; s/^['\"]//; s/['\"]\$//" <<<"$pattern")
+    IFS='|' read -ra alts <<<"$pattern"
+    for alt in "${alts[@]}"; do
+      alt=${alt#^}
+      alt=${alt%\$}
+      alt=${alt%%/*}
+      [ -z "$alt" ] && continue
+      if ! grep -qE -- "$alt" <<<"$funcs"; then
+        echo "docs_check: ${line%%:*} runs '$alt' on $(echo $pkgs), which defines no test it matches" >&2
+        fail=1
+      fi
+    done
+  done <<<"$(grep -oE -- "-(run|fuzz) ('[^']*'|\"[^\"]*\"|[^[:space:]]+)" <<<"${line#*go test}")"
+done <<<"$(grep -HE 'go test .*-(run|fuzz) ' .github/workflows/ci.yml scripts/*.sh)"
 
 if [ "$fail" -ne 0 ]; then
   exit 1
