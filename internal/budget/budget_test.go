@@ -6,22 +6,6 @@ import (
 	"repro/internal/geom"
 )
 
-// budgetOf returns the slot's budget, and whether the slot is registered.
-func budgetOf(c *Controller, k Key) (float64, bool) {
-	s, ok := c.slots[k]
-	if !ok {
-		return 0, false
-	}
-	return s.beta, true
-}
-
-// infeasible reports whether the slot saturated its budget while still
-// violating the threshold.
-func infeasible(c *Controller, k Key) bool {
-	s, ok := c.slots[k]
-	return ok && s.infeasible
-}
-
 func validCfg() Config {
 	return Config{Initial: 50, Delta: 10, Min: 10, Max: 200, ViolationThreshold: 5}
 }
@@ -59,18 +43,17 @@ func TestRegisterAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := key("rain", 1, 2)
-	if _, ok := budgetOf(c, k); ok {
+	if _, ok := c.slots[k]; ok {
 		t.Fatal("unregistered slot has a budget")
 	}
 	c.Register(k)
-	b, ok := budgetOf(c, k)
-	if !ok || b != 50 {
-		t.Fatalf("budget = %g, ok=%v", b, ok)
+	if s, ok := c.slots[k]; !ok || s.beta != 50 {
+		t.Fatalf("slot = %+v, ok=%v", s, ok)
 	}
 	// Re-register is a no-op (state preserved).
 	c.Observe(k, 50)
 	c.Register(k)
-	if b, _ := budgetOf(c, k); b != 60 {
+	if b := c.slots[k].beta; b != 60 {
 		t.Fatalf("re-register reset the budget to %g", b)
 	}
 }
@@ -105,11 +88,10 @@ func TestBudgetClampsAtMin(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Observe(k, 0)
 	}
-	b, _ := budgetOf(c, k)
-	if b != 10 {
+	if b := c.slots[k].beta; b != 10 {
 		t.Fatalf("budget = %g, want clamped at Min=10", b)
 	}
-	if infeasible(c, k) {
+	if c.slots[k].infeasible {
 		t.Fatal("satisfied slot flagged infeasible")
 	}
 }
@@ -121,16 +103,15 @@ func TestInfeasibilityAtCap(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Observe(k, 80)
 	}
-	b, _ := budgetOf(c, k)
-	if b != 200 {
+	if b := c.slots[k].beta; b != 200 {
 		t.Fatalf("budget = %g, want capped at 200", b)
 	}
-	if !infeasible(c, k) {
+	if !c.slots[k].infeasible {
 		t.Fatal("saturated violating slot must be infeasible")
 	}
 	// Recovery: once violations stop, the flag clears.
 	c.Observe(k, 0)
-	if infeasible(c, k) {
+	if c.slots[k].infeasible {
 		t.Fatal("infeasible flag did not clear")
 	}
 }
@@ -140,11 +121,8 @@ func TestUnregister(t *testing.T) {
 	k := key("rain", 0, 0)
 	c.Register(k)
 	c.Unregister(k)
-	if _, ok := budgetOf(c, k); ok {
+	if _, ok := c.slots[k]; ok {
 		t.Fatal("unregistered slot still present")
-	}
-	if infeasible(c, k) {
-		t.Fatal("unregistered slot infeasible")
 	}
 }
 
@@ -182,15 +160,13 @@ func TestBudgetConvergesUnderAlternatingPressure(t *testing.T) {
 	k := key("rain", 0, 0)
 	c.Register(k)
 	for i := 0; i < 200; i++ {
-		b, _ := budgetOf(c, k)
 		nv := 0.0
-		if b < 100 {
+		if c.slots[k].beta < 100 {
 			nv = 50
 		}
 		c.Observe(k, nv)
 	}
-	b, _ := budgetOf(c, k)
-	if b < 90 || b > 115 {
+	if b := c.slots[k].beta; b < 90 || b > 115 {
 		t.Fatalf("budget %g did not settle near 100", b)
 	}
 	snap := c.Snapshots()[0]
@@ -245,7 +221,7 @@ func TestObserveRetuneCurve(t *testing.T) {
 		if got != st.wantBeta {
 			t.Fatalf("step %d (nv=%g): β = %g, want %g", i, st.nv, got, st.wantBeta)
 		}
-		if inf := infeasible(c, k); inf != st.wantInfeasible {
+		if inf := c.slots[k].infeasible; inf != st.wantInfeasible {
 			t.Fatalf("step %d (nv=%g): infeasible = %v, want %v", i, st.nv, inf, st.wantInfeasible)
 		}
 		scale, ok := c.RateScale(k)

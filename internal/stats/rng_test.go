@@ -235,6 +235,13 @@ func TestIntnAndPerm(t *testing.T) {
 	}
 }
 
+// TestRNGStreamPinned pins the generator's output. A durable session is
+// recovered by restoring saved generator states and replaying its log
+// through the same operators, so the stream a seed yields has to survive a
+// toolchain upgrade: PCG-DXSM is specified (and math/rand/v2 promises not to
+// change PCG's output), the seed expansion and the 53-bit Float64 are this
+// package's — a change to any of them must be loud, and comes with a
+// snapshotVersion bump (internal/server/snapshot.go).
 func TestRNGStreamPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

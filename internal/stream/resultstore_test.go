@@ -10,13 +10,6 @@ import (
 )
 
 // storeBatch builds a batch of n tuples with IDs starting at firstID.
-// batchesOf returns the number of batches s received since it attached.
-func batchesOf(s *ResultStore) uint64 {
-	r := s.lock()
-	defer r.mu.Unlock()
-	return r.batches - s.baseBatches
-}
-
 func storeBatch(firstID uint64, n int) Batch {
 	b := Batch{Attr: "a", Window: geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 1, 1)}}
 	for i := 0; i < n; i++ {
@@ -24,6 +17,13 @@ func storeBatch(firstID uint64, n int) Batch {
 		b.Tuples = append(b.Tuples, Tuple{ID: id, Attr: "a", T: float64(id)})
 	}
 	return b
+}
+
+// batchesOf returns the number of batches s received since it attached.
+func batchesOf(s *ResultStore) uint64 {
+	r := s.lock()
+	defer r.mu.Unlock()
+	return r.batches - s.baseBatches
 }
 
 func TestResultStoreBasicRead(t *testing.T) {

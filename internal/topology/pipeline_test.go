@@ -242,7 +242,7 @@ func TestRemoveHeadTap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The remaining T reads straight from F.
-	if len(p.nodes) != 1 || rates(p)[0] != 5 {
+	if len(p.nodes) != 1 || p.nodes[0].rate != 5 {
 		t.Fatalf("chain after head removal: %v", rates(p))
 	}
 }
