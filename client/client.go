@@ -13,6 +13,11 @@
 //	ack, _ := c.Ingest(ctx, "bridge", client.Batch{Attr: "co2", Observations: obss})
 //
 // See examples/bridgefeed for the full loop.
+//
+// The body types here (Session, SessionSpec, TenantLimits, Query,
+// StepResult, Health, Ack, ResultPage, Tuple) are the Go declaration of
+// docs/API.md's v1 bodies: craqrd and the cluster gateway render and decode
+// these same types, so a field renamed here is renamed on the wire.
 package client
 
 import (
@@ -189,13 +194,6 @@ func (c *Client) withRetry(ctx context.Context, op func() error) error {
 	return err
 }
 
-// setToken stamps the client's producer identity onto a request.
-func (c *Client) setToken(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("X-CrAQR-Token", c.Token)
-	}
-}
-
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
@@ -203,25 +201,43 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one request with a JSON (or plain-text) body and decodes the
-// JSON response into out (nil discards it).
-func (c *Client) do(ctx context.Context, method, path, contentType string, body io.Reader, out interface{}) error {
+// send is the one place the client issues a request: it sets Content-Type
+// and Content-Encoding (each when non-empty) and the producer token, and
+// turns a status ≥ 300 into an *APIError. The caller closes the returned
+// body.
+func (c *Client) send(ctx context.Context, method, path, contentType, encoding string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	c.setToken(req)
+	if encoding != "" {
+		req.Header.Set("Content-Encoding", encoding)
+	}
+	if c.Token != "" {
+		req.Header.Set("X-CrAQR-Token", c.Token)
+	}
 	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// do sends one request and decodes the JSON response into out (nil
+// discards it).
+func (c *Client) do(ctx context.Context, method, path, contentType, encoding string, body io.Reader, out interface{}) error {
+	resp, err := c.send(ctx, method, path, contentType, encoding, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(resp)
-	}
 	if out == nil {
 		return nil
 	}
@@ -255,10 +271,26 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out interf
 		}
 		body = bytes.NewReader(data)
 	}
-	return c.do(ctx, method, path, "application/json", body, out)
+	return c.do(ctx, method, path, "application/json", "", body, out)
 }
 
 // --- capabilities -----------------------------------------------------------
+
+// Health is the GET /v1/healthz body of a craqrd node or a cluster gateway.
+// Fields are declared in JSON-key order, the order the body has always had.
+type Health struct {
+	Ingest Capabilities `json:"ingest"`
+	// Node is a cluster node's advertised name (absent on a standalone
+	// daemon and on a gateway).
+	Node string `json:"node,omitempty"`
+	// Nodes counts a gateway's pool members: {"healthy": h, "total": n}.
+	Nodes map[string]int `json:"nodes,omitempty"`
+	// Role is "gateway" on a cluster gateway, absent on a node.
+	Role     string `json:"role,omitempty"`
+	Sessions int    `json:"sessions"`
+	// Status is "ok", or "degraded" on a gateway with a node down.
+	Status string `json:"status"`
+}
 
 // Capabilities is the gateway's ingest capability advertisement (from
 // GET /v1/healthz): the Content-Types its ingest route decodes and the
@@ -284,9 +316,7 @@ func (c *Client) Capabilities(ctx context.Context) (Capabilities, error) {
 		return caps, nil
 	}
 	c.capMu.Unlock()
-	var health struct {
-		Ingest Capabilities `json:"ingest"`
-	}
+	var health Health
 	if err := c.doJSON(ctx, "GET", "/v1/healthz", nil, &health); err != nil {
 		return Capabilities{}, err
 	}
@@ -349,30 +379,55 @@ type SessionSpec struct {
 	Limits *TenantLimits `json:"limits,omitempty"`
 }
 
-// TenantLimits mirrors the server's per-session admission-control envelope.
-// Zero fields mean unlimited; a session over a rate limit answers ingest
-// with 429 + Retry-After, which Ingest retries under the RetryPolicy.
+// TenantLimits is a session's admission-control envelope: token-bucket rate
+// limits on the ingest path plus hard quotas on resident state. Every field
+// is off by default — zero means unlimited. A session over a rate limit
+// answers ingest with 429 + Retry-After, which Ingest retries under the
+// RetryPolicy. Limits are enforcement-time only: they gate what enters the
+// engine, never how accepted data is processed, so they have no effect on
+// replay.
 type TenantLimits struct {
+	// RateTuplesPerSec caps the session's sustained ingest rate in tuples
+	// per second (burst: one second's worth).
 	RateTuplesPerSec float64 `json:"rateTuplesPerSec,omitempty"`
-	RateBytesPerSec  float64 `json:"rateBytesPerSec,omitempty"`
-	MaxQueries       int     `json:"maxQueries,omitempty"`
-	MaxQueueBytes    int64   `json:"maxQueueBytes,omitempty"`
-	MaxWALBytes      int64   `json:"maxWALBytes,omitempty"`
+	// RateBytesPerSec caps the session's sustained ingest rate in request
+	// payload bytes per second (burst: one second's worth).
+	RateBytesPerSec float64 `json:"rateBytesPerSec,omitempty"`
+	// MaxQueries caps resident queries (Submit fails with 429 once reached).
+	MaxQueries int `json:"maxQueries,omitempty"`
+	// MaxQueueBytes caps the ingest queue's resident size, accounted as
+	// pending tuples × 96 bytes.
+	MaxQueueBytes int64 `json:"maxQueueBytes,omitempty"`
+	// MaxWALBytes caps the session's write-ahead log size on disk; pushes
+	// are refused once the log reaches it (snapshots truncate the log and
+	// release the quota).
+	MaxWALBytes int64 `json:"maxWALBytes,omitempty"`
+}
+
+// Validate rejects negative limit values (zero means unlimited, so there is
+// no meaningful negative).
+func (l TenantLimits) Validate() error {
+	if l.RateTuplesPerSec < 0 || l.RateBytesPerSec < 0 ||
+		l.MaxQueries < 0 || l.MaxQueueBytes < 0 || l.MaxWALBytes < 0 {
+		return fmt.Errorf("server: tenant limits must be non-negative: %+v", l)
+	}
+	return nil
 }
 
 // Session is the server's session object. The ingest counters are lifetime
-// tuple counts; Watermark is nil until the session has seen any pushed
-// event time or watermark assertion.
+// tuple counts (see docs/API.md, "Ingest accounting"); Watermark is the
+// event-time low watermark in simulation time units, nil until the session
+// has seen any pushed event time or watermark assertion.
 type Session struct {
 	Name          string   `json:"name"`
 	Created       string   `json:"created"`
 	Running       bool     `json:"running"`
-	ClockError    string   `json:"clockError"`
+	ClockError    string   `json:"clockError,omitempty"`
 	Pinned        bool     `json:"pinned"`
 	Simulated     bool     `json:"simulated"`
-	Tick          string   `json:"tick"`
-	Retention     int      `json:"retention"`
-	Seed          int64    `json:"seed"`
+	Tick          string   `json:"tick,omitempty"`
+	Retention     int      `json:"retention,omitempty"`
+	Seed          int64    `json:"seed,omitempty"`
 	Epochs        int      `json:"epochs"`
 	Now           float64  `json:"now"`
 	Queries       int      `json:"queries"`
@@ -382,7 +437,14 @@ type Session struct {
 	IngestDropped uint64   `json:"ingestDropped"`
 	LateDropped   uint64   `json:"lateDropped"`
 	Watermark     *float64 `json:"watermark"`
-	// Durability surface (zero values when the session is not durable).
+	// Tenant protection (see docs/API.md, "Tenant limits"): the session's
+	// fair-share weight (0 = default 1) and its admission-control envelope,
+	// present only when any limit is configured.
+	Weight float64       `json:"weight,omitempty"`
+	Limits *TenantLimits `json:"limits,omitempty"`
+	// Durability (see docs/API.md, "Durability"): present only on durable
+	// sessions — the WAL fsync policy, snapshot cadence and size counters,
+	// plus whether this process recovered the session from disk.
 	Durable           bool   `json:"durable,omitempty"`
 	Fsync             string `json:"fsync,omitempty"`
 	SnapshotEvery     int    `json:"snapshotEvery,omitempty"`
@@ -390,9 +452,6 @@ type Session struct {
 	WALBytes          int64  `json:"walBytes,omitempty"`
 	WALSegments       int    `json:"walSegments,omitempty"`
 	Recovered         bool   `json:"recovered,omitempty"`
-	// Tenant protection surface (zero/nil when unconfigured).
-	Weight float64       `json:"weight,omitempty"`
-	Limits *TenantLimits `json:"limits,omitempty"`
 }
 
 // CreateSession creates a session.
@@ -446,7 +505,7 @@ type Query struct {
 func (c *Client) Submit(ctx context.Context, session, craql string) (Query, error) {
 	var out Query
 	err := c.do(ctx, "POST", "/v1/sessions/"+url.PathEscape(session)+"/queries",
-		"text/plain", strings.NewReader(craql), &out)
+		"text/plain", "", strings.NewReader(craql), &out)
 	return out, err
 }
 
@@ -454,7 +513,7 @@ func (c *Client) Submit(ctx context.Context, session, craql string) (Query, erro
 func (c *Client) SubmitScript(ctx context.Context, session, script string) ([]Query, error) {
 	var out []Query
 	err := c.do(ctx, "POST", "/v1/sessions/"+url.PathEscape(session)+"/script",
-		"text/plain", strings.NewReader(script), &out)
+		"text/plain", "", strings.NewReader(script), &out)
 	return out, err
 }
 
@@ -474,8 +533,8 @@ type StepResult struct {
 	Epochs    int      `json:"epochs"`
 	Now       float64  `json:"now"`
 	Stepped   int      `json:"stepped"`
-	Waiting   bool     `json:"waiting"`
-	Watermark *float64 `json:"watermark"`
+	Waiting   bool     `json:"waiting,omitempty"`
+	Watermark *float64 `json:"watermark,omitempty"`
 }
 
 // Step advances a session by up to n epochs (n ≤ 0 means 1).
@@ -593,24 +652,7 @@ func (c *Client) Ingest(ctx context.Context, session string, b Batch) (Ack, erro
 	var out Ack
 	err = c.withRetry(ctx, func() error {
 		out = Ack{}
-		req, err := http.NewRequestWithContext(ctx, "POST", c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", ctype)
-		if encoding != "" {
-			req.Header.Set("Content-Encoding", encoding)
-		}
-		c.setToken(req)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			return decodeError(resp)
-		}
-		return json.NewDecoder(resp.Body).Decode(&out)
+		return c.do(ctx, "POST", path, ctype, encoding, bytes.NewReader(body), &out)
 	})
 	return out, err
 }
@@ -643,33 +685,22 @@ type IngestStream struct {
 func (c *Client) OpenIngest(ctx context.Context, session string) (*IngestStream, error) {
 	binary := c.ingestBinary(ctx)
 	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, "POST",
-		c.BaseURL+"/v1/sessions/"+url.PathEscape(session)+"/ingest?stream=1", pr)
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
 	st := &IngestStream{w: pw, binary: binary, done: make(chan struct{})}
-	if binary {
-		req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	} else {
-		req.Header.Set("Content-Type", "application/x-ndjson")
+	ctype := wire.ContentTypeBinary
+	if !binary {
+		ctype = "application/x-ndjson"
 		st.enc = json.NewEncoder(pw)
 	}
-	c.setToken(req)
+	path := "/v1/sessions/" + url.PathEscape(session) + "/ingest?stream=1"
 	go func() {
 		defer close(st.done)
-		resp, err := c.httpClient().Do(req)
+		resp, err := c.send(ctx, "POST", path, ctype, "", pr)
 		if err != nil {
 			st.ackErr = err
 			pr.CloseWithError(err)
 			return
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			st.ackErr = decodeError(resp)
-			return
-		}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 64<<10), 8<<20)
 		for sc.Scan() {
@@ -790,17 +821,9 @@ func (c *Client) StreamResults(ctx context.Context, session, query string, curso
 func (s *ResultStream) connect() error {
 	path := fmt.Sprintf("/v1/sessions/%s/results/%s/stream?cursor=%d",
 		url.PathEscape(s.session), url.PathEscape(s.query), s.cursor)
-	req, err := http.NewRequestWithContext(s.ctx, "GET", s.c.BaseURL+path, nil)
+	resp, err := s.c.send(s.ctx, "GET", path, "", "", nil)
 	if err != nil {
 		return err
-	}
-	resp, err := s.c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 300 {
-		defer resp.Body.Close()
-		return decodeError(resp)
 	}
 	s.body = resp.Body
 	s.sc = bufio.NewScanner(resp.Body)

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/client"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -213,11 +214,12 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, map[string]interface{}{"error": "read body: " + err.Error()})
 		return
 	}
-	var spec struct {
-		Name string `json:"name"`
-	}
+	var spec client.SessionSpec
 	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &spec); err != nil {
+		// Only the name is the gateway's to read: a mistyped field is left
+		// for the owner to refuse, as it would be without a gateway.
+		var typeErr *json.UnmarshalTypeError
+		if err := json.Unmarshal(body, &spec); err != nil && !errors.As(err, &typeErr) {
 			writeJSON(w, http.StatusBadRequest, map[string]interface{}{"error": "parse body: " + err.Error()})
 			return
 		}
@@ -235,32 +237,18 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // one document, sorted by name — through the gateway the pool reads like
 // one big craqrd.
 func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	type entry struct {
-		name string
-		raw  json.RawMessage
-	}
-	var all []entry
+	// Same shape as one craqrd's list: a bare array, [] when empty.
+	all := []client.Session{}
 	for _, n := range g.pool.Healthy() {
-		var docs []json.RawMessage
-		if err := g.getJSON(r.Context(), n.URL+"/v1/sessions", &docs); err != nil {
+		var docs []client.Session
+		if err := callJSON(r.Context(), g.cfg.Client, "GET", n.URL+"/v1/sessions", &docs); err != nil {
 			g.cfg.Logf("cluster: list sessions on %s: %v", n.Name, err)
 			continue
 		}
-		for _, raw := range docs {
-			var named struct {
-				Name string `json:"name"`
-			}
-			_ = json.Unmarshal(raw, &named)
-			all = append(all, entry{name: named.Name, raw: raw})
-		}
+		all = append(all, docs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	// Same shape as one craqrd's list: a bare array.
-	out := make([]json.RawMessage, len(all))
-	for i, e := range all {
-		out[i] = e.raw
-	}
-	writeJSON(w, http.StatusOK, out)
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	writeJSON(w, http.StatusOK, all)
 }
 
 // handleHealthz reports pool health in the same envelope a craqrd answers
@@ -280,15 +268,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy < len(snap) {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status":   status,
-		"role":     "gateway",
-		"sessions": sessions,
-		"nodes":    map[string]interface{}{"total": len(snap), "healthy": healthy},
-		"ingest": map[string]interface{}{
-			"codecs":    server.IngestCodecs,
-			"encodings": wire.Encodings(),
-		},
+	writeJSON(w, http.StatusOK, client.Health{
+		Status:   status,
+		Role:     "gateway",
+		Sessions: sessions,
+		Nodes:    map[string]int{"total": len(snap), "healthy": healthy},
+		Ingest:   server.IngestCapabilities(),
 	})
 }
 
@@ -349,47 +334,35 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 
 // --- control plane against nodes ---
 
-func (g *Gateway) getJSON(ctx context.Context, url string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+// callJSON is the one place the gateway and its pool issue a request to a
+// node: a bodiless method call whose 200 answer is decoded into out (nil
+// discards it).
+func callJSON(ctx context.Context, c *http.Client, method, url string, out interface{}) error {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := g.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (g *Gateway) postJSON(ctx context.Context, url string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, "POST", url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := c.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: HTTP %d", url, resp.StatusCode)
+		return fmt.Errorf("%s %s: HTTP %d", method, url, resp.StatusCode)
 	}
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("%s %s: %w", method, url, err)
+	}
+	return nil
 }
 
 // nodeSessions lists the live session names on one node, sorted.
 func (g *Gateway) nodeSessions(ctx context.Context, base string) ([]string, error) {
-	var docs []struct {
-		Name string `json:"name"`
-	}
-	if err := g.getJSON(ctx, base+"/v1/sessions", &docs); err != nil {
+	var docs []client.Session
+	if err := callJSON(ctx, g.cfg.Client, "GET", base+"/v1/sessions", &docs); err != nil {
 		return nil, err
 	}
 	names := make([]string, 0, len(docs))
@@ -405,7 +378,7 @@ func (g *Gateway) nodeDurable(ctx context.Context, base string) ([]string, error
 	var doc struct {
 		Sessions []string `json:"sessions"`
 	}
-	if err := g.getJSON(ctx, base+"/v1/node/durable", &doc); err != nil {
+	if err := callJSON(ctx, g.cfg.Client, "GET", base+"/v1/node/durable", &doc); err != nil {
 		return nil, err
 	}
 	return doc.Sessions, nil
@@ -530,7 +503,7 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 	for _, m := range moves {
 		s, ok := m.session, true
 		for _, node := range m.misplaced {
-			if err := g.postJSON(ctx, urls[node]+"/v1/node/sessions/"+url.PathEscape(s)+"/release", nil); err != nil {
+			if err := callJSON(ctx, g.cfg.Client, "POST", urls[node]+"/v1/node/sessions/"+url.PathEscape(s)+"/release", nil); err != nil {
 				g.cfg.Logf("cluster: release %q on %s: %v", s, node, err)
 				ok = false
 			} else {
@@ -538,7 +511,7 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 			}
 		}
 		if ok && !m.ownerLive {
-			if err := g.postJSON(ctx, urls[m.owner]+"/v1/node/sessions/"+url.PathEscape(s)+"/recover", nil); err != nil {
+			if err := callJSON(ctx, g.cfg.Client, "POST", urls[m.owner]+"/v1/node/sessions/"+url.PathEscape(s)+"/recover", nil); err != nil {
 				g.cfg.Logf("cluster: recover %q on %s: %v", s, m.owner, err)
 				ok = false
 			} else {

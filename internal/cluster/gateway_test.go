@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/internal/world"
 )
 
@@ -541,5 +543,98 @@ func TestGatewayCreateBodyCap(t *testing.T) {
 		if n.m.Len() != 0 {
 			t.Fatalf("oversized create reached node %s", n.name)
 		}
+	}
+}
+
+// getRaw GETs a URL and returns the body bytes.
+func getRaw(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d %s (%v)", url, resp.StatusCode, data, err)
+	}
+	return data
+}
+
+// TestHealthzAndListBodies pins the healthz bodies of a node and of the
+// gateway, and the gateway's merged session list, to the bytes of the maps
+// and the raw-document merge they were rendered from before client.Health
+// and client.Session declared them.
+func TestHealthzAndListBodies(t *testing.T) {
+	nodes, g, gwts := startCluster(t, t.TempDir(), 4)
+	c := client.New(gwts.URL)
+	ctx := context.Background()
+	limits := &client.TenantLimits{MaxQueries: 8, RateTuplesPerSec: 1e4}
+	for i, spec := range []client.SessionSpec{
+		{Name: "b", Source: "external", Tolerance: 0.5, Seed: 3, Retention: 64},
+		{Name: "a", Source: "external", Weight: 2, Limits: limits},
+		{Name: "c", Source: "external"},
+	} {
+		if _, err := c.CreateSession(ctx, spec); err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+	}
+	g.Pool().CheckNow(ctx)
+
+	encode := func(v interface{}) string {
+		var buf strings.Builder
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	ingest := map[string]interface{}{
+		"codecs":    []string{"application/json", "application/x-ndjson", "application/x-craqr-batch"},
+		"encodings": wire.Encodings(),
+	}
+	want := encode(map[string]interface{}{
+		"status": "ok", "role": "gateway", "sessions": 3,
+		"nodes":  map[string]interface{}{"total": 3, "healthy": 3},
+		"ingest": ingest,
+	})
+	if got := string(getRaw(t, gwts.URL+"/v1/healthz")); got != want {
+		t.Errorf("gateway healthz:\n got %s\nwant %s", got, want)
+	}
+	n := nodes[0]
+	want = encode(map[string]interface{}{"status": "ok", "sessions": n.m.Len(), "node": n.name, "ingest": ingest})
+	if got := string(getRaw(t, n.ts.URL+"/v1/healthz")); got != want {
+		t.Errorf("node healthz:\n got %s\nwant %s", got, want)
+	}
+
+	type entry struct {
+		name string
+		raw  json.RawMessage
+	}
+	var all []entry
+	for _, n := range nodes {
+		var docs []json.RawMessage
+		if err := json.Unmarshal(getRaw(t, n.ts.URL+"/v1/sessions"), &docs); err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range docs {
+			var named struct {
+				Name string `json:"name"`
+			}
+			if err := json.Unmarshal(raw, &named); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, entry{named.Name, raw})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
+	merged := make([]json.RawMessage, len(all))
+	for i, e := range all {
+		merged[i] = e.raw
+	}
+	if len(merged) != 3 {
+		t.Fatalf("nodes list %d sessions, want 3", len(merged))
+	}
+	if got, want := string(getRaw(t, gwts.URL+"/v1/sessions")), encode(merged); got != want {
+		t.Errorf("gateway session list:\n got %s\nwant %s", got, want)
 	}
 }

@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/client"
 )
 
 // PoolConfig shapes failure detection. The defaults (1s probe interval,
@@ -111,34 +112,15 @@ func NewPool(urls []string, cfg PoolConfig) *Pool {
 	return p
 }
 
-// nodeHealthz is the subset of /v1/healthz the detector reads.
-type nodeHealthz struct {
-	Status   string `json:"status"`
-	Sessions int    `json:"sessions"`
-	Node     string `json:"node"`
-}
-
-func (p *Pool) probe(ctx context.Context, url string) (nodeHealthz, error) {
+func (p *Pool) probe(ctx context.Context, url string) (client.Health, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", url+"/v1/healthz", nil)
-	if err != nil {
-		return nodeHealthz{}, err
-	}
-	resp, err := p.cfg.Client.Do(req)
-	if err != nil {
-		return nodeHealthz{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nodeHealthz{}, fmt.Errorf("healthz: HTTP %d", resp.StatusCode)
-	}
-	var h nodeHealthz
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nodeHealthz{}, fmt.Errorf("healthz: %w", err)
+	var h client.Health
+	if err := callJSON(ctx, p.cfg.Client, "GET", url+"/v1/healthz", &h); err != nil {
+		return client.Health{}, err
 	}
 	if h.Status != "ok" {
-		return nodeHealthz{}, fmt.Errorf("healthz: status %q", h.Status)
+		return client.Health{}, fmt.Errorf("healthz: status %q", h.Status)
 	}
 	return h, nil
 }
@@ -149,7 +131,7 @@ func (p *Pool) probe(ctx context.Context, url string) (nodeHealthz, error) {
 func (p *Pool) CheckNow(ctx context.Context) (changed bool) {
 	type result struct {
 		m   *member
-		h   nodeHealthz
+		h   client.Health
 		err error
 	}
 	p.mu.Lock()

@@ -9,28 +9,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
 	"repro/internal/geom"
 	"repro/internal/stream"
 )
-
-// tupleJSON is the record JSONLinesSink writes; AppendTupleJSON must render
-// exactly what encoding/json makes of it.
-type tupleJSON struct {
-	ID     uint64  `json:"id"`
-	Attr   string  `json:"attr"`
-	T      float64 `json:"t"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Value  float64 `json:"value"`
-	Sensor int     `json:"sensor"`
-}
 
 // decodeLines decodes the ndjson records a JSONLinesSink wrote to r.
 func decodeLines(t *testing.T, r io.Reader) []stream.Tuple {
 	t.Helper()
 	var out []stream.Tuple
 	for dec := json.NewDecoder(r); dec.More(); {
-		var rec tupleJSON
+		var rec client.Tuple
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +88,7 @@ func TestAppendTupleJSONMatchesEncodingJSON(t *testing.T) {
 	}
 	check := func(tp stream.Tuple) {
 		t.Helper()
-		want, err := json.Marshal(tupleJSON{ID: tp.ID, Attr: tp.Attr, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value, Sensor: tp.Sensor})
+		want, err := json.Marshal(client.Tuple{ID: tp.ID, Attr: tp.Attr, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value, Sensor: tp.Sensor})
 		if err != nil {
 			t.Fatal(err)
 		}

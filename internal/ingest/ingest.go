@@ -160,9 +160,6 @@ type Stats struct {
 	// Watermark is the current low watermark in simulation time units
 	// (math.Inf(-1) when unknown).
 	Watermark float64
-	// ClosedTo is the event-time horizon of the newest closed epoch:
-	// arrivals with T below it are late.
-	ClosedTo float64
 	// Pending is the number of buffered tuples awaiting an epoch close.
 	Pending int
 }

@@ -330,7 +330,6 @@ func (q *Queue) Stats() Stats {
 		Rejected:    q.rejected,
 		Duplicates:  q.duplicates,
 		Watermark:   q.watermarkLocked(),
-		ClosedTo:    q.closedTo,
 		Pending:     len(q.buf),
 	}
 }

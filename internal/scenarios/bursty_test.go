@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/client"
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -75,14 +76,14 @@ func TestScenarioBurstyDiurnalFleets(t *testing.T) {
 				pushed += size
 				switch status {
 				case 200:
-					var a ingestAck
+					var a client.Ack
 					if err := unmarshalAck(data, &a); err != nil {
 						mu.Unlock()
 						t.Error(err)
 						return
 					}
-					if a.accounted() != size {
-						t.Errorf("fleet %d phase %d: ack accounts for %d of %d tuples: %+v", f, p, a.accounted(), size, a)
+					if accounted(a) != size {
+						t.Errorf("fleet %d phase %d: ack accounts for %d of %d tuples: %+v", f, p, accounted(a), size, a)
 					}
 					if a.Pending > buffer {
 						t.Errorf("fleet %d phase %d: pending %d exceeds buffer %d", f, p, a.Pending, buffer)

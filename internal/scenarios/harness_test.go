@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/client"
 	"repro/internal/budget"
 	"repro/internal/geom"
 	"repro/internal/sensors"
@@ -120,28 +121,15 @@ func do(t *testing.T, c *http.Client, method, url, body string, wantStatus int, 
 	}
 }
 
-// ingestAck is the wire form of the gateway's per-batch acknowledgement.
-type ingestAck struct {
-	Accepted    int      `json:"accepted"`
-	Dropped     int      `json:"dropped"`
-	Late        int      `json:"late"`
-	LateDropped int      `json:"lateDropped"`
-	Rejected    int      `json:"rejected"`
-	Duplicates  int      `json:"duplicates"`
-	Watermark   *float64 `json:"watermark"`
-	Pending     int      `json:"pending"`
-	Error       string   `json:"error,omitempty"`
-}
-
 // accounted is the ack's full tuple accounting: every pushed tuple must
 // land in exactly one bucket (late is a subset of accepted, not its own).
-func (a ingestAck) accounted() int {
+func accounted(a client.Ack) int {
 	return a.Accepted + a.Dropped + a.LateDropped + a.Rejected + a.Duplicates
 }
 
 // unmarshalAck decodes an ack body, returning an error instead of failing
 // the test so goroutines off the test's own can report via t.Error.
-func unmarshalAck(data []byte, a *ingestAck) error {
+func unmarshalAck(data []byte, a *client.Ack) error {
 	if err := json.Unmarshal(data, a); err != nil {
 		return fmt.Errorf("decode ack: %w: %s", err, data)
 	}
@@ -151,25 +139,12 @@ func unmarshalAck(data []byte, a *ingestAck) error {
 // jsonBody renders a batch as the documented JSON ingest request body.
 func jsonBody(t *testing.T, b wire.Batch) []byte {
 	t.Helper()
-	type obs struct {
-		ID     uint64  `json:"id,omitempty"`
-		Attr   string  `json:"attr,omitempty"`
-		T      float64 `json:"t"`
-		X      float64 `json:"x"`
-		Y      float64 `json:"y"`
-		Value  float64 `json:"value"`
-		Sensor *int    `json:"sensor,omitempty"`
-	}
-	body := struct {
-		Attr         string   `json:"attr,omitempty"`
-		Watermark    *float64 `json:"watermark,omitempty"`
-		Observations []obs    `json:"observations"`
-	}{Attr: b.Attr}
+	body := client.Batch{Attr: b.Attr}
 	if !math.IsNaN(b.Watermark) {
 		body.Watermark = &b.Watermark
 	}
 	for _, tp := range b.Tuples {
-		o := obs{ID: tp.ID, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value}
+		o := client.Observation{ID: tp.ID, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value}
 		if tp.Attr != b.Attr {
 			o.Attr = tp.Attr
 		}
@@ -209,13 +184,13 @@ func postRaw(t *testing.T, c *http.Client, url, ctype string, body []byte) (int,
 
 // pushJSON pushes one batch as JSON and returns the decoded ack, failing
 // on any non-200 status.
-func pushJSON(t *testing.T, c *http.Client, url string, b wire.Batch) ingestAck {
+func pushJSON(t *testing.T, c *http.Client, url string, b wire.Batch) client.Ack {
 	t.Helper()
 	status, _, data := postRaw(t, c, url, "application/json", jsonBody(t, b))
 	if status != http.StatusOK {
 		t.Fatalf("push = %d: %s", status, data)
 	}
-	var a ingestAck
+	var a client.Ack
 	if err := json.Unmarshal(data, &a); err != nil {
 		t.Fatalf("decode ack: %v: %s", err, data)
 	}

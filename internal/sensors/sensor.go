@@ -100,7 +100,6 @@ type Observation struct {
 	Sensor   int
 	T        float64    // response time (request time + latency)
 	Pos      geom.Point // reported position at response time
-	TruePos  geom.Point // true position (for error analysis)
 	Value    float64
 	Answered bool
 }
@@ -125,7 +124,6 @@ func (s *Sensor) Request(now float64, incentive float64, field Field) Observatio
 		Sensor:   s.ID,
 		T:        t,
 		Pos:      reported,
-		TruePos:  truePos,
 		Value:    field.Value(t, truePos.X, truePos.Y),
 		Answered: true,
 	}

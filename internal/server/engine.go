@@ -888,7 +888,7 @@ func (e *Engine) SourceMode() SourceMode { return e.cfg.Source.Mode }
 // (−Inf) watermark.
 func (e *Engine) IngestStats() ingest.Stats {
 	if e.queue == nil {
-		return ingest.Stats{Watermark: math.Inf(-1), ClosedTo: math.Inf(-1)}
+		return ingest.Stats{Watermark: math.Inf(-1)}
 	}
 	return e.queue.Stats()
 }

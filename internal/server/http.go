@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/client"
 	"repro/internal/craql"
 	"repro/internal/export"
 	"repro/internal/ingest"
@@ -227,20 +228,12 @@ func (s *HTTPServer) session(w http.ResponseWriter, name string) *Session {
 
 // --- wire formats ---------------------------------------------------------
 
-// queryJSON is the wire form of a query.
-type queryJSON struct {
-	ID    string  `json:"id"`
-	Attr  string  `json:"attr"`
-	MinX  float64 `json:"minX"`
-	MinY  float64 `json:"minY"`
-	MaxX  float64 `json:"maxX"`
-	MaxY  float64 `json:"maxY"`
-	Rate  float64 `json:"rate"`
-	CRAQL string  `json:"craql,omitempty"`
-}
-
-func toQueryJSON(q query.Query) queryJSON {
-	return queryJSON{
+// The v1 bodies the client package declares are rendered and decoded as
+// those types (toQueryJSON, toSessionJSON, specFromWire); only the bodies
+// the client does not model — the plan explanation, /status — are declared
+// here.
+func toQueryJSON(q query.Query) client.Query {
+	return client.Query{
 		ID: q.ID, Attr: q.Attr,
 		MinX: q.Region.MinX, MinY: q.Region.MinY, MaxX: q.Region.MaxX, MaxY: q.Region.MaxY,
 		Rate: q.Rate,
@@ -258,7 +251,7 @@ type costEstimateJSON struct {
 // explainJSON is the wire form of a plan explanation. Explain is the
 // canonical text table (planner.Explanation.Table).
 type explainJSON struct {
-	Query    queryJSON        `json:"query"`
+	Query    client.Query     `json:"query"`
 	Estimate costEstimateJSON `json:"estimate"`
 	Explain  string           `json:"explain"`
 	// Shared reports the live shared subplan serving the query's normal
@@ -288,53 +281,13 @@ func toExplainJSON(ex planner.Explanation) explainJSON {
 	return out
 }
 
-// sessionJSON is the wire form of a session. The ingest counters are
-// lifetime tuple counts (see docs/API.md, "Ingest accounting"); watermark
-// is the event-time low watermark in simulation time units, null until the
-// session has seen any pushed event time or watermark assertion.
-type sessionJSON struct {
-	Name          string   `json:"name"`
-	Created       string   `json:"created"`
-	Running       bool     `json:"running"`
-	ClockErr      string   `json:"clockError,omitempty"`
-	Pinned        bool     `json:"pinned"`
-	Simulated     bool     `json:"simulated"`
-	Tick          string   `json:"tick,omitempty"`
-	Retention     int      `json:"retention,omitempty"`
-	Seed          int64    `json:"seed,omitempty"`
-	Epochs        int      `json:"epochs"`
-	Now           float64  `json:"now"`
-	Queries       int      `json:"queries"`
-	Adaptive      bool     `json:"adaptive"`
-	Source        string   `json:"source"`
-	Ingested      uint64   `json:"ingested"`
-	IngestDropped uint64   `json:"ingestDropped"`
-	LateDropped   uint64   `json:"lateDropped"`
-	Watermark     *float64 `json:"watermark"`
-	// Tenant protection (see docs/API.md, "Tenant limits"): the session's
-	// fair-share weight (0 = default 1) and its admission-control envelope,
-	// present only when any limit is configured.
-	Weight float64       `json:"weight,omitempty"`
-	Limits *TenantLimits `json:"limits,omitempty"`
-	// Durability (see docs/API.md, "Durability"): present only on durable
-	// sessions — the WAL fsync policy, snapshot cadence and size
-	// counters, plus whether this process recovered the session from disk.
-	Durable           bool   `json:"durable,omitempty"`
-	Fsync             string `json:"fsync,omitempty"`
-	SnapshotEvery     int    `json:"snapshotEvery,omitempty"`
-	LastSnapshotEpoch int    `json:"lastSnapshotEpoch,omitempty"`
-	WALBytes          int64  `json:"walBytes,omitempty"`
-	WALSegments       int    `json:"walSegments,omitempty"`
-	Recovered         bool   `json:"recovered,omitempty"`
-}
-
-func toSessionJSON(sess *Session) sessionJSON {
+func toSessionJSON(sess *Session) client.Session {
 	ist := sess.Engine.IngestStats()
-	sj := sessionJSON{
+	sj := client.Session{
 		Name:          sess.Name,
 		Created:       sess.Created.UTC().Format(time.RFC3339Nano),
 		Running:       sess.Engine.Running(),
-		ClockErr:      errString(sess.Engine.ClockErr()),
+		ClockError:    errString(sess.Engine.ClockErr()),
 		Pinned:        sess.Spec.Pinned,
 		Simulated:     sess.Spec.Clock.Simulated,
 		Retention:     sess.Spec.Retention,
@@ -350,7 +303,7 @@ func toSessionJSON(sess *Session) sessionJSON {
 		Watermark:     finiteOrNil(ist.Watermark),
 		Weight:        sess.Spec.Weight,
 	}
-	if lim := sess.Engine.Limits(); lim.enabled() {
+	if lim := sess.Engine.Limits(); lim != (TenantLimits{}) {
 		sj.Limits = &lim
 	}
 	if sess.Spec.Clock.Interval > 0 {
@@ -375,62 +328,20 @@ func toSessionJSON(sess *Session) sessionJSON {
 // inflates. Clients probe this once to pick the densest codec the server
 // speaks (see client.Client capabilities).
 func (s *HTTPServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]interface{}{
-		"status":   "ok",
-		"sessions": s.manager.Len(),
-		"ingest": map[string]interface{}{
-			"codecs":    IngestCodecs,
-			"encodings": wire.Encodings(),
-		},
-	}
-	if s.nodeName != "" {
-		// Cluster gateways learn each pool member's advertised name from
-		// here, and stamp it back as X-CrAQR-Expect-Node on routed requests.
-		resp["node"] = s.nodeName
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	// Cluster gateways learn each pool member's advertised name (node) from
+	// here, and stamp it back as X-CrAQR-Expect-Node on routed requests.
+	s.writeJSON(w, http.StatusOK, client.Health{
+		Status:   "ok",
+		Sessions: s.manager.Len(),
+		Ingest:   IngestCapabilities(),
+		Node:     s.nodeName,
+	})
 }
 
-// sessionSpecJSON is the create-session request body; all fields optional.
-// docs/API.md's field table is checked against these tags
-// (scripts/docs_check.sh).
-type sessionSpecJSON struct {
-	Name      string `json:"name"`
-	Seed      int64  `json:"seed"`
-	Retention int    `json:"retention"`
-	Tick      string `json:"tick"`      // duration, e.g. "200ms"; empty = manual stepping
-	Simulated bool   `json:"simulated"` // epochs back-to-back, no wall-clock pacing
-	Pinned    bool   `json:"pinned"`
-	// AdaptiveRates turns the rate-retune feedback loop on or off for this
-	// session (see DESIGN.md, "Planning and adaptivity"); absent inherits
-	// the server's -budget template.
-	AdaptiveRates *bool `json:"adaptiveRates"`
-	// Source composition for the session's epochs: "simulated", "external"
-	// or "mixed" (empty inherits the server's -source template); the ingest
-	// queue bound in tuples, the event-time out-of-order tolerance in
-	// simulation time units, and the late-tuple policy ("drop" or "next").
-	Source          string  `json:"source"`
-	IngestBuffer    int     `json:"ingestBuffer"`
-	IngestTolerance float64 `json:"tolerance"`
-	LatePolicy      string  `json:"latePolicy"`
-	// Durability knobs (effective only when the server runs with
-	// -data-dir): disableDurability opts the session out of write-ahead
-	// logging, snapshotEvery overrides the snapshot cadence in epochs,
-	// fsyncPolicy overrides the WAL fsync policy ("batch", "always",
-	// "never").
-	DisableDurability bool   `json:"disableDurability"`
-	SnapshotEvery     int    `json:"snapshotEvery"`
-	FsyncPolicy       string `json:"fsyncPolicy"`
-	// Tenant protection (see docs/API.md, "Tenant limits"): the session's
-	// fair-share weight under epoch contention (0 = default 1) and its
-	// admission-control limits (absent = unlimited).
-	Weight float64       `json:"weight"`
-	Limits *TenantLimits `json:"limits"`
-}
-
-// spec converts the wire form into the SessionSpec Manager.Create validates;
-// the tick string is the one field that needs parsing on the way.
-func (b sessionSpecJSON) spec() (SessionSpec, error) {
+// specFromWire converts the create-session body into the SessionSpec
+// Manager.Create validates; the tick string is the one field that needs
+// parsing on the way.
+func specFromWire(b client.SessionSpec) (SessionSpec, error) {
 	spec := SessionSpec{
 		Name:              b.Name,
 		Seed:              b.Seed,
@@ -440,7 +351,7 @@ func (b sessionSpecJSON) spec() (SessionSpec, error) {
 		AdaptiveRates:     b.AdaptiveRates,
 		Source:            b.Source,
 		IngestBuffer:      b.IngestBuffer,
-		IngestTolerance:   b.IngestTolerance,
+		IngestTolerance:   b.Tolerance,
 		LatePolicy:        b.LatePolicy,
 		DisableDurability: b.DisableDurability,
 		SnapshotEvery:     b.SnapshotEvery,
@@ -475,7 +386,7 @@ func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request)
 		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	var body sessionSpecJSON
+	var body client.SessionSpec
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil && err != io.EOF {
@@ -486,7 +397,7 @@ func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request)
 		s.writeError(w, http.StatusBadRequest, errors.New("invalid session spec: data after the spec object"))
 		return
 	}
-	spec, err := body.spec()
+	spec, err := specFromWire(body)
 	var sess *Session
 	if err == nil {
 		sess, err = s.manager.Create(spec)
@@ -500,7 +411,7 @@ func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request)
 
 func (s *HTTPServer) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	sessions := s.manager.List()
-	out := make([]sessionJSON, 0, len(sessions))
+	out := make([]client.Session, 0, len(sessions))
 	for _, sess := range sessions {
 		out = append(out, toSessionJSON(sess))
 	}
@@ -568,7 +479,7 @@ func (s *HTTPServer) handleSessionQueryList(w http.ResponseWriter, r *http.Reque
 	if sess == nil {
 		return
 	}
-	var out []queryJSON
+	var out []client.Query
 	for _, q := range sess.Engine.Queries() {
 		out = append(out, toQueryJSON(q))
 	}
@@ -636,7 +547,7 @@ func (s *HTTPServer) handleSessionScript(w http.ResponseWriter, r *http.Request)
 		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	out := make([]queryJSON, 0, len(qs))
+	out := make([]client.Query, 0, len(qs))
 	for _, q := range qs {
 		out = append(out, toQueryJSON(q))
 	}
@@ -669,11 +580,10 @@ func (s *HTTPServer) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	resp := map[string]interface{}{"epochs": e.Epochs(), "now": e.Now(), "stepped": done}
-	if done < n {
-		resp["waiting"] = true
+	resp := client.StepResult{Epochs: e.Epochs(), Now: e.Now(), Stepped: done, Waiting: done < n}
+	if resp.Waiting {
 		if wm, ok := e.Watermark(); ok {
-			resp["watermark"] = wm
+			resp.Watermark = &wm
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -992,7 +902,7 @@ func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request)
 	// executes, and how often that had to be recompiled.
 	program := e.Fabricator().ProgramStats()
 	var limits interface{}
-	if lim := e.Limits(); lim.enabled() {
+	if lim := e.Limits(); lim != (TenantLimits{}) {
 		limits = lim
 	}
 	// Durability state (see docs/API.md, "Durability"): null on

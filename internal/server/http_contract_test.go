@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,8 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
+	"repro/internal/export"
 	"repro/internal/ingest"
 	"repro/internal/query"
+	"repro/internal/stream"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -315,5 +320,107 @@ func TestSessionSpecValidate(t *testing.T) {
 	}
 	if _, err := m.Create(SessionSpec{Name: "ok", Source: "mixed", LatePolicy: "next", Weight: 2}); err != nil {
 		t.Fatalf("valid spec refused: %v", err)
+	}
+}
+
+// decodeStrict decodes one JSON body into out, refusing any field the client
+// type does not declare and anything after the value.
+func decodeStrict(t *testing.T, body []byte, out interface{}) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(out); err != nil {
+		t.Fatalf("%s: %v", body, err)
+	}
+	if dec.More() {
+		t.Fatalf("%s: data after the value", body)
+	}
+}
+
+// TestHandRenderedBodiesDecodeAsClientTypes pins the bodies the hot paths
+// render by hand — ingest acks, result pages, streamed tuples — to the client
+// types that declare them: each decodes, with unknown fields refused, into
+// client.Ack, client.ResultPage or client.Tuple, to the values rendered.
+func TestHandRenderedBodiesDecodeAsClientTypes(t *testing.T) {
+	wm := 2.5
+	for _, tc := range []struct {
+		name   string
+		ack    ingest.Ack
+		errMsg string
+		want   client.Ack
+	}{
+		{"unary ack", ingest.Ack{Accepted: 3, Dropped: 1, Late: 2, LateDropped: 1, Rejected: 4, Duplicates: 5, Watermark: wm, Pending: 7},
+			"", client.Ack{Accepted: 3, Dropped: 1, Late: 2, LateDropped: 1, Rejected: 4, Duplicates: 5, Watermark: &wm, Pending: 7}},
+		{"ndjson ack line", ingest.Ack{Accepted: 1, Watermark: math.Inf(-1)}, "", client.Ack{Accepted: 1}},
+		{"error line", errAck, `invalid ingest batch: "x"`, client.Ack{Error: `invalid ingest batch: "x"`}},
+	} {
+		var got client.Ack
+		decodeStrict(t, AppendIngestAck(nil, tc.ack, tc.errMsg), &got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: decoded %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+
+	tuples := []stream.Tuple{
+		{ID: 1, Attr: "rain", T: 0.30000000000000004, X: 1e-7, Y: -1e21, Value: 21.5, Sensor: 4},
+		{ID: 2, Attr: `a"<b>`, T: 1, X: 2, Y: 3, Value: -0.5, Sensor: -1},
+		{ID: 3, Attr: "rain", T: 1.5, X: 0, Y: 7.25, Value: 0, Sensor: 0},
+	}
+	store := stream.NewResultStore(2)
+	if err := store.Process(stream.Batch{Tuples: tuples}); err != nil {
+		t.Fatal(err)
+	}
+	read, next, dropped := store.ReadFrom(0, 0, nil)
+	body, err := appendResultPage(nil, read, next, dropped, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page client.ResultPage
+	decodeStrict(t, body, &page)
+	// A page tuple is {id,t,x,y,value}: attr and sensor are the query's.
+	wantPage := client.ResultPage{NextCursor: 3, Dropped: 1, Retained: 2, Total: 3, Retention: 2}
+	for _, tp := range tuples[1:] {
+		wantPage.Tuples = append(wantPage.Tuples, client.Tuple{ID: tp.ID, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value})
+	}
+	if !reflect.DeepEqual(page, wantPage) {
+		t.Errorf("result page decoded %+v, want %+v", page, wantPage)
+	}
+
+	// The push route's tuple records, ndjson and SSE data: alike.
+	wantTuple := func(tp stream.Tuple) client.Tuple {
+		return client.Tuple{ID: tp.ID, Attr: tp.Attr, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value, Sensor: tp.Sensor}
+	}
+	var ndjson bytes.Buffer
+	sink, err := export.NewJSONLinesSink(&ndjson)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeStreamChunk(&ndjson, sink, nil, tuples, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	var sse bytes.Buffer
+	if _, err := writeStreamChunk(&sse, nil, nil, tuples, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	var sseData []string
+	for _, line := range strings.Split(sse.String(), "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			sseData = append(sseData, data)
+		}
+	}
+	for framing, records := range map[string][]string{
+		"ndjson": strings.Split(strings.TrimSuffix(ndjson.String(), "\n"), "\n"),
+		"sse":    sseData,
+	} {
+		if len(records) != len(tuples) {
+			t.Fatalf("%s: %d records for %d tuples", framing, len(records), len(tuples))
+		}
+		for i, rec := range records {
+			var got client.Tuple
+			decodeStrict(t, []byte(rec), &got)
+			if want := wantTuple(tuples[i]); got != want {
+				t.Errorf("%s record %d decoded %+v, want %+v", framing, i, got, want)
+			}
+		}
 	}
 }

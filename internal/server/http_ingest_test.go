@@ -10,23 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
-)
 
-// ingestAckJSON is the wire form of one ingest.Ack, the schema the tests
-// decode acks with. All counts are tuples; watermark is the post-push low
-// watermark in simulation time units (null until any event time or
-// assertion is known). AppendIngestAck renders this shape.
-type ingestAckJSON struct {
-	Accepted    int      `json:"accepted"`
-	Dropped     int      `json:"dropped"`
-	Late        int      `json:"late"`
-	LateDropped int      `json:"lateDropped"`
-	Rejected    int      `json:"rejected"`
-	Duplicates  int      `json:"duplicates,omitempty"`
-	Watermark   *float64 `json:"watermark"`
-	Pending     int      `json:"pending"`
-	Error       string   `json:"error,omitempty"`
-}
+	"repro/client"
+)
 
 func TestHTTPIngestUnary(t *testing.T) {
 	ts, _ := newManagerTestServer(t)
@@ -45,12 +31,12 @@ func TestHTTPIngestUnary(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"bad","source":"mixed","tolerance":-1}`, 400, nil)
 
 	// A mixed session accepts pushes and surfaces the accounting.
-	var sj sessionJSON
+	var sj client.Session
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"mx","source":"mixed","tolerance":0.5,"latePolicy":"next"}`, 201, &sj)
 	if sj.Source != "mixed" || sj.Watermark != nil {
 		t.Fatalf("created = %+v", sj)
 	}
-	var ack ingestAckJSON
+	var ack client.Ack
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/mx/ingest",
 		`{"attr":"co2","watermark":2,"observations":[
 			{"id":1,"t":0.2,"x":1,"y":1,"value":3},
@@ -120,10 +106,10 @@ func TestHTTPIngestNDJSONStreaming(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var acks []ingestAckJSON
+	var acks []client.Ack
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var a ingestAckJSON
+		var a client.Ack
 		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
 			t.Fatalf("ack line %q: %v", sc.Text(), err)
 		}
@@ -140,10 +126,7 @@ func TestHTTPIngestNDJSONStreaming(t *testing.T) {
 	}
 
 	// The pushed epoch closes: a manual step fabricates it.
-	var step struct {
-		Stepped int  `json:"stepped"`
-		Waiting bool `json:"waiting"`
-	}
+	var step client.StepResult
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/ext/step?n=3", "", 200, &step)
 	if step.Stepped != 1 || !step.Waiting {
 		t.Fatalf("step = %+v, want 1 stepped then waiting", step)
@@ -158,9 +141,7 @@ func TestHTTPIngestE2EMixed(t *testing.T) {
 	ts, _ := newManagerTestServer(t)
 	c := ts.Client()
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"mx","source":"mixed","tolerance":0.25}`, 201, nil)
-	var q struct {
-		ID string `json:"id"`
-	}
+	var q client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/mx/queries", "ACQUIRE co2 FROM RECT(0,0,8,8) RATE 50", 201, &q)
 
 	// Streaming reader attached before any data exists.
@@ -176,13 +157,6 @@ func TestHTTPIngestE2EMixed(t *testing.T) {
 	}
 	defer sresp.Body.Close()
 
-	type obs struct {
-		ID    uint64  `json:"id"`
-		T     float64 `json:"t"`
-		X     float64 `json:"x"`
-		Y     float64 `json:"y"`
-		Value float64 `json:"value"`
-	}
 	// Concurrent pushers: 4 producers, disjoint ID ranges, interleaved
 	// event times across [0, 3).
 	var wg sync.WaitGroup
@@ -191,11 +165,11 @@ func TestHTTPIngestE2EMixed(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				o := obs{
+				o := client.Observation{
 					ID: uint64(1000*p + i + 1), T: float64((i*4+p)%120) / 40,
 					X: float64(i%8) + 0.3, Y: float64(p*2) + 0.3, Value: 1,
 				}
-				body, _ := json.Marshal(map[string]interface{}{"attr": "co2", "observations": []obs{o}})
+				body, _ := json.Marshal(client.Batch{Attr: "co2", Observations: []client.Observation{o}})
 				resp, err := c.Post(ts.URL+"/v1/sessions/mx/ingest", "application/json", strings.NewReader(string(body)))
 				if err != nil {
 					t.Error(err)
@@ -218,9 +192,7 @@ func TestHTTPIngestE2EMixed(t *testing.T) {
 		if strings.Contains(line, "dropped") {
 			continue
 		}
-		var tp struct {
-			Attr string `json:"attr"`
-		}
+		var tp client.Tuple
 		if err := json.Unmarshal([]byte(line), &tp); err != nil {
 			t.Fatalf("stream line %q: %v", line, err)
 		}

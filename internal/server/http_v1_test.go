@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
@@ -60,24 +61,21 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 	c := ts.Client()
 
 	// Health before any session.
-	var hz struct {
-		Status   string `json:"status"`
-		Sessions int    `json:"sessions"`
-	}
+	var hz client.Health
 	doJSON(t, c, "GET", ts.URL+"/v1/healthz", "", 200, &hz)
 	if hz.Status != "ok" || hz.Sessions != 0 {
 		t.Fatalf("healthz = %+v", hz)
 	}
 
 	// Create, duplicate-create, list, info, destroy.
-	var sj sessionJSON
+	var sj client.Session
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"a","seed":7,"retention":128}`, 201, &sj)
 	if sj.Name != "a" || sj.Seed != 7 || sj.Retention != 128 || sj.Running {
 		t.Fatalf("created = %+v", sj)
 	}
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"a"}`, http.StatusConflict, nil)
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"b","tick":"bogus"}`, 400, nil)
-	var list []sessionJSON
+	var list []client.Session
 	doJSON(t, c, "GET", ts.URL+"/v1/sessions", "", 200, &list)
 	if len(list) != 1 {
 		t.Fatalf("list = %+v", list)
@@ -99,9 +97,7 @@ func TestHTTPPaginationEndToEnd(t *testing.T) {
 	c := ts.Client()
 
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"w","seed":3}`, 201, nil)
-	var qj struct {
-		ID string `json:"id"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/w/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/w/step?n=10", "", 200, nil)
 
@@ -117,23 +113,13 @@ func TestHTTPPaginationEndToEnd(t *testing.T) {
 		t.Fatal("no tuples fabricated")
 	}
 
-	type pageJSON struct {
-		Tuples []struct {
-			ID uint64  `json:"id"`
-			T  float64 `json:"t"`
-		} `json:"tuples"`
-		NextCursor uint64 `json:"nextCursor"`
-		Dropped    uint64 `json:"dropped"`
-		Retained   int    `json:"retained"`
-		Total      uint64 `json:"total"`
-	}
 	var got []uint64
 	var cursor uint64
 	for pages := 0; ; pages++ {
 		if pages > 1000 {
 			t.Fatal("pagination did not terminate")
 		}
-		var pj pageJSON
+		var pj client.ResultPage
 		url := fmt.Sprintf("%s/v1/sessions/w/results/%s?cursor=%d&limit=7", ts.URL, qj.ID, cursor)
 		doJSON(t, c, "GET", url, "", 200, &pj)
 		if pj.Dropped != 0 {
@@ -166,15 +152,16 @@ func TestHTTPPaginationEndToEnd(t *testing.T) {
 }
 
 // TestResultPageMatchesEncodingJSON pins the paged route's hand-rendered body
-// to the bytes encoding/json made of the map and tuple struct the route used
-// to build: sorted keys, every number, the trailing newline.
+// to the bytes encoding/json made of the map and {id,t,x,y,value} tuples the
+// route used to build: sorted keys, every number as encoding/json spells it,
+// the trailing newline.
 func TestResultPageMatchesEncodingJSON(t *testing.T) {
-	type tupleJSON struct {
-		ID    uint64  `json:"id"`
-		T     float64 `json:"t"`
-		X     float64 `json:"x"`
-		Y     float64 `json:"y"`
-		Value float64 `json:"value"`
+	num := func(f float64) []byte {
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	fill := func(store *stream.ResultStore, n int) {
 		tuples := make([]stream.Tuple, n)
@@ -206,9 +193,9 @@ func TestResultPageMatchesEncodingJSON(t *testing.T) {
 			fill(store, c.wrote)
 		}
 		tuples, next, dropped := store.ReadFrom(c.cursor, c.limit, nil)
-		old := make([]tupleJSON, len(tuples))
+		old := make([]json.RawMessage, len(tuples))
 		for i, tp := range tuples {
-			old[i] = tupleJSON{ID: tp.ID, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value}
+			old[i] = fmt.Appendf(nil, `{"id":%d,"t":%s,"x":%s,"y":%s,"value":%s}`, tp.ID, num(tp.T), num(tp.X), num(tp.Y), num(tp.Value))
 		}
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(map[string]interface{}{
@@ -243,9 +230,7 @@ func TestHTTPStreamDeliversWithoutStep(t *testing.T) {
 	c := ts.Client()
 
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"live","seed":5,"tick":"2ms"}`, 201, nil)
-	var qj struct {
-		ID string `json:"id"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/live/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -265,10 +250,7 @@ func TestHTTPStreamDeliversWithoutStep(t *testing.T) {
 	scanner := bufio.NewScanner(resp.Body)
 	seen := 0
 	for scanner.Scan() && seen < 5 {
-		var tp struct {
-			Attr string  `json:"attr"`
-			T    float64 `json:"t"`
-		}
+		var tp client.Tuple
 		if err := json.Unmarshal(scanner.Bytes(), &tp); err != nil {
 			t.Fatalf("bad ndjson line %q: %v", scanner.Text(), err)
 		}
@@ -287,9 +269,7 @@ func TestHTTPStreamSSE(t *testing.T) {
 	c := ts.Client()
 
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"sse","seed":5,"tick":"2ms"}`, 201, nil)
-	var qj struct {
-		ID string `json:"id"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/sse/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -315,9 +295,7 @@ func TestHTTPStreamSSE(t *testing.T) {
 		case strings.HasPrefix(line, "id: "):
 			ids++
 		case strings.HasPrefix(line, "data: "):
-			var tp struct {
-				T float64 `json:"t"`
-			}
+			var tp client.Tuple
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &tp); err != nil {
 				t.Fatalf("bad SSE data %q: %v", line, err)
 			}
@@ -335,9 +313,7 @@ func TestHTTPStreamEndsOnSessionDestroy(t *testing.T) {
 	ts, _ := newManagerTestServer(t)
 	c := ts.Client()
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"gone","seed":4,"tick":"2ms"}`, 201, nil)
-	var qj struct {
-		ID string `json:"id"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/gone/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 
 	resp, err := c.Get(ts.URL + "/v1/sessions/gone/results/" + qj.ID + "/stream")
@@ -369,9 +345,7 @@ func TestHTTPSessionStatus(t *testing.T) {
 	c := ts.Client()
 
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"st","seed":2,"retention":32}`, 201, nil)
-	var qj struct {
-		ID string `json:"id"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/st/queries", "ACQUIRE rain FROM RECT(0,0,8,8) RATE 5", 201, &qj)
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/st/step?n=20", "", 200, nil)
 
@@ -397,17 +371,13 @@ func TestHTTPScriptAndQueryRoutes(t *testing.T) {
 	c := ts.Client()
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"q"}`, 201, nil)
 
-	var out []struct {
-		ID string `json:"id"`
-	}
+	var out []client.Query
 	script := "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3;\nACQUIRE temp FROM RECT(4,0,8,4) RATE 2;"
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/q/script", script, 201, &out)
 	if len(out) != 2 {
 		t.Fatalf("script queries = %+v", out)
 	}
-	var listed []struct {
-		ID string `json:"id"`
-	}
+	var listed []client.Query
 	doJSON(t, c, "GET", ts.URL+"/v1/sessions/q/queries", "", 200, &listed)
 	if len(listed) != 2 {
 		t.Fatalf("listed = %+v", listed)
@@ -434,12 +404,12 @@ func TestHTTPQueryRateBound(t *testing.T) {
 		doJSON(t, c, "POST", base+"/queries", "EXPLAIN "+stmt, 400, nil)
 		doJSON(t, c, "POST", base+"/script", stmt+";", 400, nil)
 	}
-	var listed []queryJSON
+	var listed []client.Query
 	doJSON(t, c, "GET", base+"/queries", "", 200, &listed)
 	if len(listed) != 0 {
 		t.Fatalf("refused statements registered %+v", listed)
 	}
-	var q queryJSON
+	var q client.Query
 	doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 1e6", 201, &q)
 	var plan struct {
 		Plan explainJSON `json:"plan"`
@@ -483,9 +453,7 @@ func TestHTTPQueryDeleteDurabilityFault(t *testing.T) {
 	c := ts.Client()
 
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"d"}`, 201, nil)
-	var qj struct {
-		ID string `json:"id"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions/d/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 	doJSON(t, c, "DELETE", ts.URL+"/v1/sessions/d/queries/nope", "", 404, nil)
 
@@ -634,9 +602,7 @@ func TestHTTPSharedStreamsIndependent(t *testing.T) {
 	const stmt = "ACQUIRE rain FROM RECT(0,0,8,8) RATE 4"
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"sh","seed":3}`, 201, nil)
 	submit := func() string {
-		var qj struct {
-			ID string `json:"id"`
-		}
+		var qj client.Query
 		doJSON(t, c, "POST", base+"/queries", stmt, 201, &qj)
 		return qj.ID
 	}
@@ -717,9 +683,7 @@ func TestStatusRetentionDropsMonotonic(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"mono","seed":2,"retention":32}`, 201, nil)
 	ids := make([]string, 2)
 	for i := range ids {
-		var qj struct {
-			ID string `json:"id"`
-		}
+		var qj client.Query
 		doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,8,8) RATE 5", 201, &qj)
 		ids[i] = qj.ID
 	}
@@ -731,9 +695,7 @@ func TestStatusRetentionDropsMonotonic(t *testing.T) {
 		doJSON(t, c, "GET", base+"/status", "", 200, &st)
 		return st.RetentionDrops
 	}
-	var p struct {
-		Dropped uint64 `json:"dropped"`
-	}
+	var p client.ResultPage
 	doJSON(t, c, "GET", base+"/results/"+ids[0], "", 200, &p)
 	before := drops()
 	if p.Dropped == 0 || before != 2*p.Dropped {
@@ -759,15 +721,7 @@ func TestWriteStreamChunkSSEFraming(t *testing.T) {
 	var want bytes.Buffer
 	fmt.Fprintf(&want, "event: drop\ndata: {\"dropped\":%d}\n\n", 5)
 	for i, tp := range out {
-		data, err := json.Marshal(struct {
-			ID     uint64  `json:"id"`
-			Attr   string  `json:"attr"`
-			T      float64 `json:"t"`
-			X      float64 `json:"x"`
-			Y      float64 `json:"y"`
-			Value  float64 `json:"value"`
-			Sensor int     `json:"sensor"`
-		}{tp.ID, tp.Attr, tp.T, tp.X, tp.Y, tp.Value, tp.Sensor})
+		data, err := json.Marshal(client.Tuple{ID: tp.ID, Attr: tp.Attr, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value, Sensor: tp.Sensor})
 		if err != nil {
 			t.Fatal(err)
 		}

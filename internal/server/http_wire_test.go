@@ -14,6 +14,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/client"
 	"repro/internal/sensors"
 	"repro/internal/stream"
 	"repro/internal/wal"
@@ -407,7 +408,7 @@ func TestHTTPIngestWireErrors(t *testing.T) {
 	}
 
 	// After all that abuse, a well-formed push still lands.
-	var ack ingestAckJSON
+	var ack client.Ack
 	doJSON(t, c, "POST", url, `{"attr":"rain","observations":[{"t":0.1,"x":1,"y":1,"value":1}]}`, 200, &ack)
 	if ack.Accepted != 1 {
 		t.Fatalf("ack = %+v", ack)
@@ -447,7 +448,7 @@ func TestHTTPIngestBodyBufferRecycled(t *testing.T) {
 	push := func() {
 		t.Helper()
 		rec := serve("/v1/sessions/big/ingest", wire.ContentTypeBinary, frame, int64(len(frame)))
-		var ack ingestAckJSON
+		var ack client.Ack
 		if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusOK || err != nil || ack.Rejected != len(batch.Tuples) {
 			t.Fatalf("push = %d %s (%v), want 200 with %d rejected", rec.Code, rec.Body, err, len(batch.Tuples))
 		}

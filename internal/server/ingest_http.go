@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/client"
 	"repro/internal/ingest"
 	"repro/internal/wire"
 )
@@ -47,9 +48,15 @@ import (
 // gateway-assigned one in arrival order; producers that need replay-stable
 // streams assign their own ids (see ingest.GatewayIDBase).
 
-// IngestCodecs lists the ingest Content-Types this gateway accepts, in
-// advertisement order (see GET /v1/healthz).
-var IngestCodecs = []string{"application/json", "application/x-ndjson", wire.ContentTypeBinary}
+// IngestCapabilities is the healthz advertisement of this gateway's ingest
+// route: the Content-Types it accepts, in advertisement order, and the
+// Content-Encodings it inflates.
+func IngestCapabilities() client.Capabilities {
+	return client.Capabilities{
+		Codecs:    []string{"application/json", "application/x-ndjson", wire.ContentTypeBinary},
+		Encodings: wire.Encodings(),
+	}
+}
 
 // finiteOrNil maps the unknown (−Inf) watermark to null on the wire —
 // encoding/json cannot represent infinities.

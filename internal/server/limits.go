@@ -6,46 +6,15 @@ import (
 	"sync"
 	"time"
 
+	"repro/client"
 	"repro/internal/ingest"
 )
 
-// TenantLimits is a session's admission-control envelope: token-bucket rate
-// limits on the ingest path plus hard quotas on resident state. Every field
-// is off by default — zero means unlimited — so existing sessions and
-// byte-reproducibility tests are unaffected unless an operator opts in.
-// Limits are enforcement-time only: they gate what enters the engine, never
-// how accepted data is processed, so they have no effect on replay and are
-// deliberately excluded from manifest-conflict checks.
-type TenantLimits struct {
-	// RateTuplesPerSec caps the session's sustained ingest rate in tuples
-	// per second (burst: one second's worth).
-	RateTuplesPerSec float64 `json:"rateTuplesPerSec,omitempty"`
-	// RateBytesPerSec caps the session's sustained ingest rate in request
-	// payload bytes per second (burst: one second's worth).
-	RateBytesPerSec float64 `json:"rateBytesPerSec,omitempty"`
-	// MaxQueries caps resident queries (Submit fails with 429 once reached).
-	MaxQueries int `json:"maxQueries,omitempty"`
-	// MaxQueueBytes caps the ingest queue's resident size, accounted as
-	// pending tuples × ingest.TupleMemBytes.
-	MaxQueueBytes int64 `json:"maxQueueBytes,omitempty"`
-	// MaxWALBytes caps the session's write-ahead log size on disk; pushes
-	// are refused once the log reaches it (snapshots truncate the log and
-	// release the quota).
-	MaxWALBytes int64 `json:"maxWALBytes,omitempty"`
-}
-
-// enabled reports whether any limit is set.
-func (l TenantLimits) enabled() bool { return l != (TenantLimits{}) }
-
-// Validate rejects negative limit values (zero means unlimited, so there is
-// no meaningful negative).
-func (l TenantLimits) Validate() error {
-	if l.RateTuplesPerSec < 0 || l.RateBytesPerSec < 0 ||
-		l.MaxQueries < 0 || l.MaxQueueBytes < 0 || l.MaxWALBytes < 0 {
-		return fmt.Errorf("server: tenant limits must be non-negative: %+v", l)
-	}
-	return nil
-}
+// TenantLimits is a session's admission-control envelope (see
+// client.TenantLimits, which declares it and its json tags). Limits are
+// deliberately excluded from manifest-conflict checks: they gate what
+// enters the engine, never how accepted data is processed.
+type TenantLimits = client.TenantLimits
 
 // RateLimitError is the typed refusal of tenant admission control — the
 // engine-level carrier behind HTTP 429. RetryAfter is the accurate wait
@@ -149,7 +118,7 @@ type tenantLimiter struct {
 }
 
 func newTenantLimiter(cfg TenantLimits, now func() time.Time) *tenantLimiter {
-	if !cfg.enabled() {
+	if cfg == (TenantLimits{}) {
 		return nil
 	}
 	return &tenantLimiter{cfg: cfg, rate: newRateBuckets(cfg.RateTuplesPerSec, cfg.RateBytesPerSec, now)}
@@ -281,11 +250,10 @@ type tokenEntry struct {
 // gatewayLimiter applies GatewayLimits. Unknown producers (no token header)
 // are not per-token limited — per-session limits still apply to them.
 type gatewayLimiter struct {
-	mu        sync.Mutex
-	cfg       GatewayLimits
-	now       func() time.Time
-	perToken  map[string]*tokenEntry
-	throttled uint64
+	mu       sync.Mutex
+	cfg      GatewayLimits
+	now      func() time.Time
+	perToken map[string]*tokenEntry
 }
 
 func newGatewayLimiter(cfg GatewayLimits, now func() time.Time) *gatewayLimiter {
@@ -314,11 +282,7 @@ func (g *gatewayLimiter) admit(token string, tupleCount, byteCount int) *RateLim
 		g.perToken[token] = ent
 	}
 	ent.lastSeen = g.now()
-	err := ent.admit(tupleCount, byteCount, "token tuple rate", "token byte rate")
-	if err != nil {
-		g.throttled++
-	}
-	return err
+	return ent.admit(tupleCount, byteCount, "token tuple rate", "token byte rate")
 }
 
 // evictOldestLocked recycles the least-recently-seen token's entry.

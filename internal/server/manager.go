@@ -509,7 +509,7 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 	}
 	// Every session steps through the fair scheduler; the gate attaches
 	// before the clock starts so the first epoch is already arbitrated.
-	engine.SetEpochGate(m.sched.Session(spec.Name, spec.Weight))
+	engine.SetEpochGate(m.sched.Session(spec.Weight))
 	now := m.now()
 	sess := &Session{Name: spec.Name, Engine: engine, Spec: spec, Created: now, lastAccess: now}
 	if spec.Clock.Interval > 0 || spec.Clock.Simulated {

@@ -60,7 +60,6 @@ const schedWaitRing = 512
 // weight, virtual clock and wait-latency accounting.
 type schedSession struct {
 	s      *FairScheduler
-	name   string
 	weight float64
 
 	// Guarded by s.mu.
@@ -84,11 +83,11 @@ type schedWaiter struct {
 }
 
 // Session builds a gate for one session. weight ≤ 0 defaults to 1.
-func (s *FairScheduler) Session(name string, weight float64) *schedSession {
+func (s *FairScheduler) Session(weight float64) *schedSession {
 	if weight <= 0 {
 		weight = 1
 	}
-	return &schedSession{s: s, name: name, weight: weight}
+	return &schedSession{s: s, weight: weight}
 }
 
 // Acquire claims an epoch slot, blocking in virtual-time order under

@@ -11,7 +11,7 @@ import (
 // grants immediately and never blocks.
 func TestFairSchedulerUncontendedPassThrough(t *testing.T) {
 	s := NewFairScheduler(2)
-	a := s.Session("a", 1)
+	a := s.Session(1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -62,9 +62,9 @@ func TestFairSchedulerWeightedGrantOrder(t *testing.T) {
 	clk := &schedFakeClock{t: time.Unix(1000, 0)}
 	s := NewFairScheduler(1)
 	s.now = clk.Now
-	h := s.Session("h", 2)
-	a := s.Session("a", 1)
-	b := s.Session("b", 1)
+	h := s.Session(2)
+	a := s.Session(1)
+	b := s.Session(1)
 
 	grants := make(chan string, 16)
 	acquire := func(name string, ss *schedSession) chan func() {
@@ -112,7 +112,7 @@ func TestFairSchedulerWeightedGrantOrder(t *testing.T) {
 
 	// Hold the slot so all three sessions queue with virtual time 0; FIFO
 	// breaks the three-way tie in arrival order h, a, b.
-	blocker := s.Session("x", 1)
+	blocker := s.Session(1)
 	relX, err := blocker.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestFairSchedulerWeightedGrantOrder(t *testing.T) {
 // well-behaved one — the victim's epochs keep being served.
 func TestFairSchedulerFloodDoesNotStarve(t *testing.T) {
 	s := NewFairScheduler(1)
-	flood := s.Session("flood", 1)
-	victim := s.Session("victim", 1)
+	flood := s.Session(1)
+	victim := s.Session(1)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -207,8 +207,8 @@ func TestFairSchedulerFloodDoesNotStarve(t *testing.T) {
 // and leaves no queued waiter behind.
 func TestFairSchedulerAcquireCancel(t *testing.T) {
 	s := NewFairScheduler(1)
-	a := s.Session("a", 1)
-	b := s.Session("b", 1)
+	a := s.Session(1)
+	b := s.Session(1)
 
 	releaseA, err := a.Acquire(context.Background())
 	if err != nil {
@@ -238,8 +238,8 @@ func TestFairSchedulerAcquireCancel(t *testing.T) {
 // degrades future Acquires to no-ops.
 func TestFairSchedulerClosePassThrough(t *testing.T) {
 	s := NewFairScheduler(1)
-	a := s.Session("a", 1)
-	b := s.Session("b", 1)
+	a := s.Session(1)
+	b := s.Session(1)
 
 	releaseA, err := a.Acquire(context.Background())
 	if err != nil {
@@ -272,7 +272,7 @@ func TestFairSchedulerClosePassThrough(t *testing.T) {
 // abandons the step when the context is cancelled.
 func TestEngineGateCancelledStepReturnsCtxErr(t *testing.T) {
 	s := NewFairScheduler(1)
-	blocker := s.Session("blocker", 1)
+	blocker := s.Session(1)
 	release, err := blocker.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestEngineGateCancelledStepReturnsCtxErr(t *testing.T) {
 	defer release()
 
 	e := newEngine(t)
-	e.SetEpochGate(s.Session("engine", 1))
+	e.SetEpochGate(s.Session(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- e.StepCtx(ctx) }()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
 	"repro/internal/budget"
 	"repro/internal/geom"
 	"repro/internal/incentive"
@@ -257,10 +258,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"e2e"}`, 201, nil)
 	base := ts.URL + "/v1/sessions/e2e"
 
-	var qj struct {
-		ID   string  `json:"id"`
-		Rate float64 `json:"rate"`
-	}
+	var qj client.Query
 	doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", 201, &qj)
 	if qj.ID != "Q1" || qj.Rate != 3 {
 		t.Fatalf("query json = %+v", qj)

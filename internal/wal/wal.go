@@ -156,9 +156,9 @@ type ReplayReport struct {
 	// was truncated at that point (unless read-only) so the next append
 	// continues from the last valid record.
 	Torn bool
-	// TornSegment/TornOffset locate the truncation point; TruncatedBytes is
-	// how much was discarded (including any segments after the torn one).
-	TornSegment    string
+	// TornOffset is the truncation point within the torn segment;
+	// TruncatedBytes is how much was discarded (including any segments
+	// after the torn one).
 	TornOffset     int64
 	TruncatedBytes int64
 }
@@ -311,7 +311,6 @@ scan:
 	}
 	if tornAt >= 0 {
 		rep.Torn = true
-		rep.TornSegment = filepath.Base(l.segs[tornAt])
 		rep.TornOffset = tornOff
 		for i := tornAt; i < len(l.segs); i++ {
 			info, err := os.Stat(l.segs[i])

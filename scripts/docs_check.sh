@@ -15,7 +15,8 @@
 #      method-less ones) — the single-session façade cannot come back
 #      unnoticed;
 #   4. the session-spec field table under `### POST /v1/sessions` lists
-#      exactly the json tags of sessionSpecJSON in http.go;
+#      exactly the json tags of client.SessionSpec (client/client.go), the
+#      type the server decodes the create body into;
 #   5. the keys of /status `topology.program` rendered by http.go are
 #      exactly those of the status example in docs/API.md;
 #   6. every cmd/…, scripts/…, internal/… or examples/… path named in
@@ -29,7 +30,11 @@
 #      _test.go file of a package that command targets, so a deleted or
 #      renamed test cannot leave a run pattern that silently matches nothing
 #      (the match-nothing pattern '^$' is exempt).
+#   9. the json tags of client.Session are exactly the top-level keys of the
+#      session-object examples (```json blocks) under `### POST /v1/sessions`.
 #
+# Every extraction that finds nothing is reported with the pattern and the
+# file it searched, instead of ending the script silently under pipefail.
 # Exits non-zero with one line per mismatch; CI runs this next to
 # bench_guard.sh.
 set -euo pipefail
@@ -37,18 +42,36 @@ cd "$(dirname "$0")/.."
 
 HTTP_GO=internal/server/http.go
 GW_GO=internal/cluster/gateway.go
+CLIENT_GO=client/client.go
 API_MD=docs/API.md
-
-code_routes=$(grep -ohE 'HandleFunc\("(GET|POST|PUT|PATCH|DELETE) [^"]+"' "$HTTP_GO" "$GW_GO" \
-  | sed -E 's/^HandleFunc\("//; s/"$//' | sort -u)
-doc_routes=$(grep -oE '^### (GET|POST|PUT|PATCH|DELETE) /[^[:space:]]+' "$API_MD" \
-  | sed -E 's/^### //' | sort -u)
 
 fail=0
 
+# found WHAT PATTERN FILE VALUE: an extraction that came back empty is a
+# failure that names what it looked for and where.
+found() {
+  if [ -z "$4" ]; then
+    echo "docs_check: no $1 found: pattern '$2' in $3" >&2
+    fail=1
+  fi
+}
+
+# struct_tags TYPE FILE: the json tags between `type TYPE struct {` and its
+# closing brace, sorted.
+struct_tags() {
+  { sed -n "/^type $1 struct {/,/^}/p" "$2" | grep -oE 'json:"[^",]+' | sed 's/^json:"//' | sort -u; } || true
+}
+
+code_routes=$({ grep -ohE 'HandleFunc\("(GET|POST|PUT|PATCH|DELETE) [^"]+"' "$HTTP_GO" "$GW_GO" \
+  | sed -E 's/^HandleFunc\("//; s/"$//' | sort -u; } || true)
+found "method-qualified routes" 'HandleFunc("METHOD /…"' "$HTTP_GO $GW_GO" "$code_routes"
+doc_routes=$({ grep -oE '^### (GET|POST|PUT|PATCH|DELETE) /[^[:space:]]+' "$API_MD" \
+  | sed -E 's/^### //' | sort -u; } || true)
+found "route headings" '### METHOD /…' "$API_MD" "$doc_routes"
+
 while IFS= read -r route; do
   [ -z "$route" ] && continue
-  if ! printf '%s\n' "$doc_routes" | grep -qxF "$route"; then
+  if ! grep -qxF "$route" <<<"$doc_routes"; then
     echo "docs_check: '$route' is registered in $HTTP_GO/$GW_GO but undocumented in $API_MD" >&2
     fail=1
   fi
@@ -56,7 +79,7 @@ done <<<"$code_routes"
 
 while IFS= read -r route; do
   [ -z "$route" ] && continue
-  if ! printf '%s\n' "$code_routes" | grep -qxF "$route"; then
+  if ! grep -qxF "$route" <<<"$code_routes"; then
     echo "docs_check: '$route' is documented in $API_MD but not registered in $HTTP_GO or $GW_GO" >&2
     fail=1
   fi
@@ -74,31 +97,63 @@ while IFS= read -r pattern; do
   fail=1
 done <<<"$({ all_patterns "$HTTP_GO"; all_patterns "$GW_GO"; } | grep -vE '^([A-Z]+ )?/v1/' || true)"
 
-# Session-spec fields: the json tags between `type sessionSpecJSON struct`
-# and its closing brace, against the first-column names of the table in the
-# POST /v1/sessions section.
-code_fields=$(sed -n '/^type sessionSpecJSON struct {/,/^}/p' "$HTTP_GO" \
-  | grep -oE 'json:"[^",]+' | sed 's/^json:"//' | sort -u)
-doc_fields=$(sed -n '/^### POST \/v1\/sessions$/,/^### /p' "$API_MD" \
-  | grep -oE '^\| `[A-Za-z]+`' | sed -E 's/^\| `//; s/`$//' | sort -u)
-while IFS= read -r field; do
-  [ -z "$field" ] && continue
-  echo "docs_check: session-spec field '$field' is accepted by $HTTP_GO but missing from the $API_MD table" >&2
-  fail=1
-done <<<"$(comm -23 <(printf '%s\n' "$code_fields") <(printf '%s\n' "$doc_fields"))"
-while IFS= read -r field; do
-  [ -z "$field" ] && continue
-  echo "docs_check: session-spec field '$field' is in the $API_MD table but not accepted by $HTTP_GO" >&2
-  fail=1
-done <<<"$(comm -13 <(printf '%s\n' "$code_fields") <(printf '%s\n' "$doc_fields"))"
+# The POST /v1/sessions section of API.md, which checks 4 and 9 read.
+sessions_md=$(sed -n '/^### POST \/v1\/sessions$/,/^### /p' "$API_MD")
+found "POST /v1/sessions section" '### POST /v1/sessions' "$API_MD" "$sessions_md"
+
+# same_set WHAT CODE_SET CODE_FILE DOC_SET: report each name in one set but
+# not the other.
+same_set() {
+  while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    echo "docs_check: $1 '$name' is in $3 but missing from $API_MD" >&2
+    fail=1
+  done <<<"$(comm -23 <(printf '%s\n' "$2") <(printf '%s\n' "$4"))"
+  while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    echo "docs_check: $1 '$name' is in $API_MD but not in $3" >&2
+    fail=1
+  done <<<"$(comm -13 <(printf '%s\n' "$2") <(printf '%s\n' "$4"))"
+}
+
+# Session-spec fields: the json tags of client.SessionSpec against the
+# first-column names of the table in the POST /v1/sessions section.
+code_fields=$(struct_tags SessionSpec "$CLIENT_GO")
+found "session-spec json tags" 'type SessionSpec struct {…}' "$CLIENT_GO" "$code_fields"
+doc_fields=$({ grep -oE '^\| `[A-Za-z]+`' <<<"$sessions_md" | sed -E 's/^\| `//; s/`$//' | sort -u; } || true)
+found "session-spec table rows" '| `field` |' "$API_MD (### POST /v1/sessions)" "$doc_fields"
+same_set "session-spec field" "$code_fields" "$CLIENT_GO" "$doc_fields"
+
+# Session object: the json tags of client.Session against the top-level
+# keys of the ```json examples in the same section (a nested object such as
+# limits contributes its own key, not its members').
+code_session=$(struct_tags Session "$CLIENT_GO")
+found "session-object json tags" 'type Session struct {…}' "$CLIENT_GO" "$code_session"
+doc_session=$({ awk '
+  /^```json/ { injson = 1; depth = 0; next }
+  /^```/ { injson = 0; next }
+  injson {
+    line = $0
+    while (match(line, /[{}]|"[A-Za-z]+":/)) {
+      tok = substr(line, RSTART, RLENGTH)
+      if (tok == "{") depth++
+      else if (tok == "}") depth--
+      else if (depth == 1) { gsub(/[":]/, "", tok); print tok }
+      line = substr(line, RSTART + RLENGTH)
+    }
+  }' <<<"$sessions_md" | sort -u; } || true)
+found "session-object example keys" '```json blocks' "$API_MD (### POST /v1/sessions)" "$doc_session"
+same_set "session-object field" "$code_session" "$CLIENT_GO" "$doc_session"
 
 # /status topology.program: the keys of the map literal in http.go against
 # the keys of the example object in API.md.
-code_program=$(sed -n '/"program": map\[string\]interface{}{/,/}/p' "$HTTP_GO" \
-  | grep -oE '^[[:space:]]+"[a-z]+":' | tr -d ' \t":' | grep -vx program | sort -u)
-doc_program=$(grep -oE '"program": \{[^}]*\}' "$API_MD" | head -1 \
-  | sed -E 's/^"program": //' | grep -oE '"[a-z]+":' | tr -d '":' | sort -u)
-if [ -z "$code_program" ] || [ "$code_program" != "$doc_program" ]; then
+code_program=$({ sed -n '/"program": map\[string\]interface{}{/,/}/p' "$HTTP_GO" \
+  | grep -oE '^[[:space:]]+"[a-z]+":' | tr -d ' \t":' | grep -vx program | sort -u; } || true)
+found "/status topology.program keys" '"program": map[string]interface{}{…}' "$HTTP_GO" "$code_program"
+doc_program=$({ grep -oE '"program": \{[^}]*\}' "$API_MD" | head -1 \
+  | sed -E 's/^"program": //' | grep -oE '"[a-z]+":' | tr -d '":' | sort -u; } || true)
+found "/status topology.program example keys" '"program": {…}' "$API_MD" "$doc_program"
+if [ "$code_program" != "$doc_program" ]; then
   echo "docs_check: /status topology.program is {$(echo $code_program)} in $HTTP_GO but {$(echo $doc_program)} in $API_MD" >&2
   fail=1
 fi
@@ -116,8 +171,9 @@ for doc in README.md DESIGN.md "$API_MD"; do
 done
 
 # Test names cited in the docs.
-defined=$(grep -rhoE --include='*_test.go' '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' . \
-  | sed 's/^func //' | sort -u)
+defined=$({ grep -rhoE --include='*_test.go' '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' . \
+  | sed 's/^func //' | sort -u; } || true)
+found "test functions" '^func Test…' "*_test.go" "$defined"
 for doc in README.md DESIGN.md "$API_MD"; do
   while IFS= read -r name; do
     [ -z "$name" ] && continue
@@ -162,4 +218,4 @@ done <<<"$(grep -HE 'go test .*-(run|fuzz) ' .github/workflows/ci.yml scripts/*.
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docs_check: $API_MD, $HTTP_GO and $GW_GO agree ($(printf '%s\n' "$code_routes" | grep -c .) v1 routes, $(printf '%s\n' "$code_fields" | grep -c .) session-spec fields); every test the docs cite exists"
+echo "docs_check: $API_MD, $HTTP_GO, $GW_GO and $CLIENT_GO agree ($(printf '%s\n' "$code_routes" | grep -c .) v1 routes, $(printf '%s\n' "$code_fields" | grep -c .) session-spec fields, $(printf '%s\n' "$code_session" | grep -c .) session-object fields); every test the docs cite exists"
