@@ -1282,7 +1282,10 @@ func BenchmarkEpochAssembly(b *testing.B) {
 // one accepted 64-observation push batch appended (and, for always,
 // synced) per iteration. The batch policy amortizes fsyncs via Commit
 // group-commit, so its per-append cost should sit near never while still
-// bounding ack durability.
+// bounding ack durability. The commit/tuples=512 row is one push of the
+// end-to-end durable_crash workload — a 512-observation record appended and
+// committed on its own — over default-sized segments, so rotation onto a
+// zero-filled spare happens inside the timed loop.
 func BenchmarkWALAppend(b *testing.B) {
 	const n = 64
 	tuples := make([]stream.Tuple, n)
@@ -1317,6 +1320,42 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("commit/tuples=512", func(b *testing.B) {
+		log, err := wal.Open(wal.Config{Dir: b.TempDir(), Fsync: wal.FsyncBatch})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer log.Close()
+		if _, err := log.Replay(func(*wal.Record) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		big := make([]stream.Tuple, 512)
+		for i := range big {
+			big[i] = stream.Tuple{
+				ID: uint64(i + 1), Attr: "rain", T: float64(i) / 512,
+				X: float64(i%8) + 0.5, Y: float64((i/8)%8) + 0.5, Value: float64(i), Sensor: -1,
+			}
+		}
+		rec := wal.Record{Type: wal.TypePush, Tuples: big, Watermark: math.NaN()}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := log.Append(&rec); err != nil {
+				b.Fatal(err)
+			}
+			if err := log.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			// Keep two segments on disk, as a compacting session does.
+			if seg := log.Position().Segment; seg > 2 && log.Stats().Segments > 2 {
+				b.StopTimer()
+				if _, err := log.DeleteBefore(seg - 1); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		}
+	})
 }
 
 // BenchmarkRecovery measures cold-start crash recovery against session age:

@@ -491,6 +491,104 @@ func TestTornWriteRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveryFromPreallocatedTail abandons a durable engine — a kill —
+// right after its WAL rotated onto a zero-filled spare, so the last segment
+// is longer than its records. Recovery must read the zeros as the clean end
+// of the log, not a torn tail, and resume byte-identical to an
+// uninterrupted control. After Shutdown nothing is left filling the
+// directory: it holds only segments trimmed to their records, and a second
+// engine opens it cleanly.
+func TestRecoveryFromPreallocatedTail(t *testing.T) {
+	cfg := func(dir string) Config {
+		c := externalConfig(dir, wal.FsyncBatch)
+		c.Durability.SegmentBytes = 64 << 10
+		return c
+	}
+	epoch := func(e int) []durOp {
+		return []durOp{pushOp(float64(e), 40, "rain", float64(e+1)), {kind: "step"}}
+	}
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	segBytes := func() (n int64) {
+		paths, _ := filepath.Glob(filepath.Join(walDir, "*.seg"))
+		for _, p := range paths {
+			info, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += info.Size()
+		}
+		return n
+	}
+	e1, err := New(cfg(dir), testFields(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []durOp{{kind: "submit", q: query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 6}}}
+	applyOp(t, e1, ops[0])
+	// Stop on the first epoch that leaves the last segment preallocated:
+	// it has just been renamed from the spare, so no fill is running when
+	// e1 is abandoned.
+	next := 0
+	for ; segBytes() == e1.Durability().WALBytes; next++ {
+		if next == 200 {
+			t.Fatal("the log never rotated onto a spare")
+		}
+		for _, op := range epoch(next) {
+			applyOp(t, e1, op)
+			ops = append(ops, op)
+		}
+	}
+
+	e2, err := New(cfg(dir), testFields(t))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if ds := e2.Durability(); !ds.Recovered || ds.TornTail {
+		t.Fatalf("recovery from a preallocated tail: %+v", ds)
+	}
+	control, err := New(cfg(""), testFields(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		applyOp(t, control, op)
+	}
+	requireSameBytes(t, stateBytes(t, control), stateBytes(t, e2), "recovered")
+	// Long enough for e2 to fill and rotate onto a spare of its own.
+	for end := next + 40; next < end; next++ {
+		for _, op := range epoch(next) {
+			applyOp(t, control, op)
+			applyOp(t, e2, op)
+		}
+	}
+	requireSameState(t, captureState(t, control), captureState(t, e2), "resumed")
+	if err := e2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if filepath.Ext(ent.Name()) != ".seg" {
+			t.Fatalf("Shutdown left %s in the log directory", ent.Name())
+		}
+	}
+	if on, framed := segBytes(), e2.Durability().WALBytes; on != framed {
+		t.Fatalf("after Shutdown the segments hold %d bytes for %d framed", on, framed)
+	}
+	e3, err := New(cfg(dir), testFields(t))
+	if err != nil {
+		t.Fatalf("reopening after Shutdown: %v", err)
+	}
+	defer e3.Shutdown()
+	if ds := e3.Durability(); !ds.Recovered || ds.TornTail {
+		t.Fatalf("reopening after Shutdown: %+v", ds)
+	}
+	requireSameBytes(t, stateBytes(t, control), stateBytes(t, e3), "reopened")
+}
+
 // TestCorruptRecordTruncates flips a byte inside a committed WAL record that
 // recovery must read (the session crashed before its first snapshot):
 // recovery must truncate at the bad CRC and resume from the prefix — never

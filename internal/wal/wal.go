@@ -9,10 +9,25 @@
 //
 //	[u32 payload length][u32 CRC32-IEEE of payload][payload]
 //
-// with every integer little-endian. A torn tail — a partial frame or a
-// frame whose checksum fails — marks the end of the usable log: Replay
-// truncates it (and removes any later segments) instead of failing, so a
-// crash mid-append never loses the prefix that was acked.
+// with every integer little-endian. A torn tail — a partial frame, a frame
+// whose checksum fails, or any non-zero bytes after the last valid frame —
+// marks the end of the usable log: Replay truncates it (and removes any later
+// segments) instead of failing, so a crash mid-append never loses the prefix
+// that was acked.
+//
+// Segments are zero-filled ahead of the writer, so that a commit's fsync
+// flushes data and not the block allocations and size changes of a growing
+// file. Once the current segment is half full, a background goroutine writes
+// "wal-spare.tmp" — zeros to SegmentBytes, then fsync — and rotation trims
+// the retired segment to its last frame, fsyncs it, and renames the spare to
+// the next segment's name; a log with no spare ready creates the segment
+// empty. Either way the directory is fsynced before the first record in the
+// new segment can be committed. The last segment may therefore end in zeros:
+// a zero length field followed only by zeros to the end of the file is the
+// clean end of the log, not a torn tail, and appends resume there. Close
+// stops the preparer, deletes the spare and trims the last segment; Open
+// deletes a leftover spare (in the background) without reading it. No spare
+// is made under FsyncNever.
 //
 // A Position names a point in the log (segment, byte offset, records before
 // it). ReplayFrom starts at one — the suffix after a restored snapshot — and
@@ -27,6 +42,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +53,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Policy selects when appended records become durable.
@@ -97,8 +114,9 @@ type Config struct {
 	// Fsync selects the durability policy (zero value: FsyncBatch).
 	Fsync Policy
 	// SegmentBytes rotates to a fresh segment once the current one reaches
-	// this size (0 = DefaultSegmentBytes). Rotation bounds single-file size;
-	// old segments stay until DeleteBefore removes them.
+	// this size (0 = DefaultSegmentBytes), and is the size a spare segment
+	// is zero-filled to. Rotation bounds single-file size; old segments stay
+	// until DeleteBefore removes them.
 	SegmentBytes int64
 	// ReadOnly opens the log for Replay only: no truncation of torn tails,
 	// no appending. The offline craqr-replay tool uses it to inspect a live
@@ -121,7 +139,11 @@ const (
 	frameHeaderSize = 8
 	segPrefix       = "wal-"
 	segSuffix       = ".seg"
+	spareName       = "wal-spare.tmp"
 )
+
+// zeros is what spares are filled from and zero tails compared against.
+var zeros [64 << 10]byte
 
 // ErrClosed is returned by Append/Commit after Close when the requested
 // records were not made durable before the log closed.
@@ -133,7 +155,7 @@ var ErrReadOnly = errors.New("wal: log is read-only")
 // Stats is an observable snapshot of the log.
 type Stats struct {
 	Segments int   // live segment files
-	Bytes    int64 // total bytes across segments
+	Bytes    int64 // framed bytes across segments (a zero tail is not counted)
 	// Records is the log position in records: every record ever appended,
 	// including those in segments DeleteBefore removed.
 	Records uint64
@@ -172,8 +194,8 @@ type Log struct {
 	mu       sync.Mutex
 	segs     []string // segment paths, oldest first
 	f        File     // current segment, open for append (nil until Replay)
-	segSize  int64    // bytes in the current segment
-	total    int64    // bytes across all segments
+	segSize  int64    // framed bytes in the current segment: where the next frame goes
+	total    int64    // framed bytes across all segments
 	appended uint64   // the log position in records (see Stats.Records)
 	synced   uint64   // records known durable
 	closed   bool
@@ -183,6 +205,11 @@ type Log struct {
 	// never closes eagerly (see Commit).
 	retired []File
 	scratch []byte
+	// spare is the next segment being zero-filled, or filled and waiting for
+	// rotation; nil when there is none.
+	spare *spare
+	// cleared is closed once Open's deletion of a leftover spare is done.
+	cleared chan struct{}
 
 	// syncMu serializes group-commit leaders (and final close) so a file is
 	// never closed under an in-flight Sync. Lock order: syncMu before mu.
@@ -199,12 +226,22 @@ func Open(cfg Config) (*Log, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	if !cfg.ReadOnly {
+	l := &Log{cfg: cfg, cleared: make(chan struct{})}
+	if cfg.ReadOnly {
+		close(l.cleared)
+	} else {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
+		// A spare left by a crash may be half written; it is never read.
+		// Unlinking it can wait out the writeback of its pages, so that runs
+		// beside Replay; a failure only means the first fill cannot create
+		// its file, and the log rotates without a spare.
+		go func() {
+			defer close(l.cleared)
+			os.Remove(filepath.Join(cfg.Dir, spareName))
+		}()
 	}
-	l := &Log{cfg: cfg}
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		if cfg.ReadOnly && os.IsNotExist(err) {
@@ -238,8 +275,9 @@ func (l *Log) Replay(fn func(*Record) error) (ReplayReport, error) {
 // truncates the log there — the torn tail and any later segments are
 // discarded (the suffix of an append-ordered log is exactly what a crash may
 // lose) — and the scan ends without error; fn errors abort the scan and are
-// returned. After ReplayFrom the log is positioned for Append, and Stats
-// counts records from from.Records.
+// returned. Zeros from the last frame to the end of the last segment are the
+// clean end of the log and are kept. After ReplayFrom the log is positioned
+// for Append, and Stats counts records from from.Records.
 func (l *Log) ReplayFrom(from Position, fn func(*Record) error) (ReplayReport, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -266,6 +304,7 @@ func (l *Log) ReplayFrom(from Position, fn func(*Record) error) (ReplayReport, e
 		buf     []byte // every segment is read into this one buffer
 		tornAt  = -1   // index into l.segs of the segment holding the torn tail
 		tornOff int64
+		end     int64 // framed bytes in the last segment
 	)
 scan:
 	for i := first; i < len(l.segs); i++ {
@@ -273,15 +312,19 @@ scan:
 		if i == first {
 			base = from.Offset
 		}
-		data, err := readSegment(l.segs[i], base, &buf)
+		data, zeroTail, err := readSegment(l.segs[i], base, &buf)
 		if err != nil {
 			return rep, err
 		}
+		last := i == len(l.segs)-1
 		off := int64(0)
 		for int64(len(data))-off >= frameHeaderSize {
 			n := binary.LittleEndian.Uint32(data[off:])
 			sum := binary.LittleEndian.Uint32(data[off+4:])
-			if n == 0 || n > MaxRecordBytes || off+frameHeaderSize+int64(n) > int64(len(data)) {
+			if n == 0 {
+				break // a zero tail if only zeros follow (checked below)
+			}
+			if n > MaxRecordBytes || off+frameHeaderSize+int64(n) > int64(len(data)) {
 				tornAt, tornOff = i, base+off
 				break scan
 			}
@@ -303,11 +346,12 @@ scan:
 			off += frameHeaderSize + int64(n)
 			l.appended++
 		}
-		if off != int64(len(data)) {
-			tornAt, tornOff = i, base+off // trailing partial frame
+		if off != int64(len(data)) && (!last || !allZero(data[off:])) || zeroTail && !last {
+			tornAt, tornOff = i, base+off // trailing partial frame or leftovers
 			break scan
 		}
 		l.total += base + off
+		end = base + off
 	}
 	if tornAt >= 0 {
 		rep.Torn = true
@@ -331,9 +375,15 @@ scan:
 					return rep, fmt.Errorf("wal: removing segment past torn tail: %w", err)
 				}
 			}
+			if tornAt+1 < len(l.segs) {
+				if err := syncDir(l.cfg.Dir); err != nil {
+					return rep, err
+				}
+			}
 		}
 		l.segs = l.segs[:tornAt+1]
 		l.total += tornOff
+		end = tornOff
 	}
 	l.synced = l.appended
 	l.replayed = true
@@ -344,46 +394,94 @@ scan:
 	if len(l.segs) == 0 {
 		return rep, l.openSegmentLocked(1)
 	}
-	last := l.segs[len(l.segs)-1]
-	info, err := os.Stat(last)
+	f, err := os.OpenFile(l.segs[len(l.segs)-1], os.O_WRONLY, 0o644)
+	if err == nil {
+		_, err = f.Seek(end, io.SeekStart)
+	}
 	if err != nil {
+		if f != nil {
+			f.Close()
+		}
 		return rep, fmt.Errorf("wal: %w", err)
 	}
-	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return rep, fmt.Errorf("wal: %w", err)
-	}
-	l.segSize = info.Size()
+	l.segSize = end
 	if l.f, err = l.wrap(f); err != nil {
 		return rep, err
 	}
 	return rep, nil
 }
 
-// readSegment reads a segment file from byte from to its end into *buf,
-// growing it as needed, and returns the filled part.
-func readSegment(path string, from int64, buf *[]byte) ([]byte, error) {
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for len(b) > len(zeros) {
+		if !bytes.Equal(b[:len(zeros)], zeros[:]) {
+			return false
+		}
+		b = b[len(zeros):]
+	}
+	return bytes.Equal(b, zeros[:len(b)])
+}
+
+// readSegment reads a segment file from byte from into *buf, growing it as
+// needed, and returns the filled part. Frames followed only by zeros to the
+// end of the file — a zero tail — end the read there, and zeroTail is set:
+// the zeros are checked through a small window instead of being read into
+// *buf. Any other bytes after the frames are read for Replay to judge.
+func readSegment(path string, from int64, buf *[]byte) (data []byte, zeroTail bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, false, fmt.Errorf("wal: %w", err)
 	}
 	if from > info.Size() {
-		return nil, fmt.Errorf("wal: position %d is past the end of %s (%d bytes)", from, filepath.Base(path), info.Size())
+		return nil, false, fmt.Errorf("wal: position %d is past the end of %s (%d bytes)", from, filepath.Base(path), info.Size())
 	}
 	n := int(info.Size() - from)
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
 	}
-	data := (*buf)[:n]
-	if _, err := f.ReadAt(data, from); err != nil && !(errors.Is(err, io.EOF) && n == 0) {
-		return nil, fmt.Errorf("wal: reading %s: %w", filepath.Base(path), err)
+	next := 0 // the next frame header in data; −1 once the hops stop
+	for len(data) < n {
+		k, err := f.ReadAt((*buf)[len(data):min(n, len(data)+1<<20)], from+int64(len(data)))
+		data = (*buf)[:len(data)+k]
+		if errors.Is(err, io.EOF) {
+			n = len(data) // trimmed since the Stat: a read-only log read beside its writer
+		} else if err != nil {
+			return nil, false, fmt.Errorf("wal: reading %s: %w", filepath.Base(path), err)
+		}
+		for next >= 0 && next+frameHeaderSize <= len(data) {
+			if size := binary.LittleEndian.Uint32(data[next:]); size != 0 {
+				next += frameHeaderSize + int(size)
+				continue
+			}
+			if allZero(data[next:]) && zeroFrom(f, from+int64(len(data)), info.Size()) {
+				return data[:next], true, nil
+			}
+			next = -1
+		}
 	}
-	return data, nil
+	return data, false, nil
+}
+
+// zeroFrom reports whether f holds only zeros from off to end (or to an
+// earlier end of file).
+func zeroFrom(f *os.File, off, end int64) bool {
+	win := make([]byte, len(zeros))
+	for off < end {
+		k, err := f.ReadAt(win[:min(end-off, int64(len(win)))], off)
+		switch {
+		case !allZero(win[:k]):
+			return false
+		case err != nil:
+			return errors.Is(err, io.EOF)
+		}
+		off += int64(k)
+	}
+	return true
 }
 
 // segNumber parses the N of a "wal-N.seg" path (0 if it does not parse).
@@ -404,8 +502,9 @@ func (l *Log) segIndex(n int) int {
 }
 
 // Reaches reports whether the log holds every byte before pos: its segment
-// is present and at least pos.Offset long. Recovery uses it before
-// ReplayFrom to refuse a snapshot that claims records the log no longer has.
+// is present, at least pos.Offset long, and has no zero tail starting before
+// pos.Offset. Recovery uses it before ReplayFrom to refuse a snapshot that
+// claims records the log no longer has.
 func (l *Log) Reaches(pos Position) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -413,8 +512,44 @@ func (l *Log) Reaches(pos Position) bool {
 	if i < 0 {
 		return false
 	}
-	info, err := os.Stat(l.segs[i])
-	return err == nil && info.Size() >= pos.Offset
+	f, err := os.Open(l.segs[i])
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil || info.Size() < pos.Offset {
+		return false
+	}
+	// A zero tail runs to the end of the file, so a position at the end or
+	// followed by a non-zero byte is not in one; only a position followed
+	// by zeros needs the walk.
+	var next [frameHeaderSize]byte
+	n, _ := f.ReadAt(next[:], pos.Offset)
+	return n == 0 || !allZero(next[:n]) || !zeroBefore(f, pos.Offset)
+}
+
+// zeroBefore hops along a segment's frame headers from its start and reports
+// whether a zero length field — the start of a zero tail — comes before
+// off. It reads one small window per hop, never the payloads; a header that
+// does not parse ends the walk with false, leaving the bytes to Replay.
+func zeroBefore(f *os.File, off int64) bool {
+	var win [4 << 10]byte
+	base, n := int64(0), 0 // win[:n] holds the segment's bytes from base
+	for at := int64(0); at < off; {
+		if at+frameHeaderSize > base+int64(n) {
+			base = at
+			if n, _ = f.ReadAt(win[:], at); n < frameHeaderSize {
+				return false
+			}
+		}
+		size := binary.LittleEndian.Uint32(win[at-base:])
+		if size == 0 {
+			return true
+		}
+		at += frameHeaderSize + int64(size)
+	}
+	return false
 }
 
 // Compacted reports whether DeleteBefore has removed the log's first
@@ -477,12 +612,22 @@ func (l *Log) wrap(f *os.File) (File, error) {
 	return wf, nil
 }
 
-// openSegmentLocked creates segment n and makes it current; l.mu held.
+// openSegmentLocked makes segment n current — the spare renamed, when one
+// is ready, else a new empty file — and fsyncs the directory so the
+// segment's name survives a crash before any record in it is committed;
+// l.mu held.
 func (l *Log) openSegmentLocked(n int) error {
 	path := filepath.Join(l.cfg.Dir, fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := l.takeSpareLocked(path)
+	if err == nil && f == nil {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
+	}
+	if err := syncDir(l.cfg.Dir); err != nil {
+		f.Close()
+		return err
 	}
 	wf, err := l.wrap(f)
 	if err != nil {
@@ -491,6 +636,108 @@ func (l *Log) openSegmentLocked(n int) error {
 	l.segs = append(l.segs, path)
 	l.f = wf
 	l.segSize = 0
+	return nil
+}
+
+// spare is a segment file being zero-filled ahead of the writer.
+type spare struct {
+	done chan struct{} // closed when the fill has ended
+	err  error         // the fill's outcome, read after done
+	stop atomic.Bool   // set by Close: abandon the fill
+}
+
+// prepareSpareLocked starts zero-filling the next segment once the current
+// one is half full, unless a spare exists already; l.mu held.
+func (l *Log) prepareSpareLocked() {
+	if l.spare != nil || l.cfg.Fsync == FsyncNever || l.segSize < l.cfg.SegmentBytes/2 {
+		return
+	}
+	s := &spare{done: make(chan struct{})}
+	l.spare = s
+	path, size := filepath.Join(l.cfg.Dir, spareName), l.cfg.SegmentBytes
+	go func() {
+		defer close(s.done)
+		<-l.cleared
+		s.err = s.fill(path, size)
+	}()
+}
+
+// fill writes size zero bytes to a new file at path and fsyncs it; on any
+// failure, or when stopped, it removes what it wrote.
+func (s *spare) fill(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	for left := size; left > 0 && err == nil; left -= int64(len(zeros)) {
+		if s.stop.Load() {
+			err = ErrClosed
+			break
+		}
+		_, err = f.Write(zeros[:min(left, int64(len(zeros)))])
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
+// takeSpareLocked renames a filled spare to path and opens it for writing;
+// a nil file means no spare was ready (one still filling stays for the next
+// rotation). l.mu held.
+func (l *Log) takeSpareLocked(path string) (*os.File, error) {
+	s := l.spare
+	if s == nil {
+		return nil, nil
+	}
+	select {
+	case <-s.done:
+	default:
+		return nil, nil
+	}
+	l.spare = nil
+	if s.err != nil || os.Rename(filepath.Join(l.cfg.Dir, spareName), path) != nil {
+		return nil, nil
+	}
+	return os.OpenFile(path, os.O_WRONLY, 0o644)
+}
+
+// trimLocked cuts the current segment's file back to its last frame,
+// dropping the zero tail a preallocated segment still has; l.mu held. It
+// only shrinks: under fault injection the file can be shorter than its
+// frames.
+func (l *Log) trimLocked() error {
+	path := l.segs[len(l.segs)-1]
+	info, err := os.Stat(path)
+	if err == nil && info.Size() > l.segSize {
+		err = os.Truncate(path, l.segSize)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: trimming segment: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the names created, renamed or removed
+// in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: fsync of directory: %w", err)
+	}
 	return nil
 }
 
@@ -537,6 +784,7 @@ func (l *Log) Append(rec *Record) error {
 	l.segSize += int64(len(frame))
 	l.total += int64(len(frame))
 	l.appended++
+	l.prepareSpareLocked()
 	if l.cfg.Fsync == FsyncAlways {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: fsync: %w", err)
@@ -546,10 +794,15 @@ func (l *Log) Append(rec *Record) error {
 	return nil
 }
 
-// rotateLocked syncs and retires the current segment and opens the next;
-// l.mu held. The retired file stays open until a group-commit leader or
-// Close reaps it — an in-flight Sync elsewhere must never see it closed.
+// rotateLocked trims, syncs and retires the current segment and opens the
+// next; l.mu held. The trim is durable before the next segment exists, so
+// only the last segment can end in zeros. The retired file stays open until
+// a group-commit leader or Close reaps it — an in-flight Sync elsewhere must
+// never see it closed.
 func (l *Log) rotateLocked() error {
+	if err := l.trimLocked(); err != nil {
+		return err
+	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync on rotate: %w", err)
 	}
@@ -616,7 +869,8 @@ func (l *Log) Commit() error {
 	}
 }
 
-// Close flushes and closes the log. Committers still waiting on records
+// Close flushes and closes the log, stops and deletes the spare, and trims
+// the last segment to its last frame. Committers still waiting on records
 // the final flush covered succeed; anything appended after Close fails
 // with ErrClosed. Closing twice is a no-op.
 func (l *Log) Close() error {
@@ -641,8 +895,24 @@ func (l *Log) Close() error {
 	l.closed = true
 	retired := l.retired
 	l.retired = nil
+	if f != nil {
+		// Appends that raced the flush keep their frames; only zeros go.
+		if terr := l.trimLocked(); err == nil {
+			err = terr
+		}
+	}
 	l.f = nil
+	s := l.spare
+	l.spare = nil
 	l.mu.Unlock()
+	if s != nil {
+		s.stop.Store(true)
+		<-s.done
+		if rerr := os.Remove(filepath.Join(l.cfg.Dir, spareName)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) && err == nil {
+			err = rerr
+		}
+	}
+	<-l.cleared
 	for _, rf := range retired {
 		rf.Close()
 	}

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -573,4 +575,294 @@ func TestAppendRejectsOversizeRecords(t *testing.T) {
 		t.Fatalf("replay reports torn tail: %+v", rep)
 	}
 	recordsEqual(t, []Record{good, good2}, got)
+}
+
+// --- preallocated segments ------------------------------------------------
+
+// spareSegBytes is small enough that a few dozen epoch records fill a
+// segment, so a test rotates onto a zero-filled spare quickly.
+const spareSegBytes = 1 << 10
+
+// waitSpare blocks until the log's spare, if it has one, is filled.
+func waitSpare(l *Log) {
+	l.mu.Lock()
+	s := l.spare
+	l.mu.Unlock()
+	if s != nil {
+		<-s.done
+	}
+}
+
+// appendOntoSpare appends epoch records numbered from first until the log
+// has rotated onto a new segment and holds k records there, waiting for the
+// spare before each rotation so the new segment is a preallocated one. It
+// returns the records and leaves no fill running.
+func appendOntoSpare(t *testing.T, l *Log, first, k int) []Record {
+	t.Helper()
+	start := l.Position().Segment
+	var recs []Record
+	for i, inNew := first, 0; inNew < k; i++ {
+		if l.Position().Offset >= l.cfg.SegmentBytes {
+			waitSpare(l)
+		}
+		rec := Record{Type: TypeEpoch, T1: float64(i), Epoch: uint64(i)}
+		if err := l.Append(&rec); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		recs = append(recs, rec)
+		if l.Position().Segment > start {
+			inNew++
+		}
+	}
+	waitSpare(l)
+	return recs
+}
+
+// segPath names segment n of the log in dir.
+func segPath(dir string, n int) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", n))
+}
+
+// abandonOnSpare writes a log of segBytes segments in dir that has rotated
+// onto a spare and then is abandoned without Close, as a kill leaves it: the
+// last segment is segBytes long and zero past its last frame. It returns
+// the records and where the last frame ends.
+func abandonOnSpare(t *testing.T, dir string, segBytes int64) ([]Record, Position) {
+	t.Helper()
+	l, _, _ := openForAppend(t, dir, Config{SegmentBytes: segBytes})
+	recs := appendOntoSpare(t, l, 1, 5)
+	end := l.Position()
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(segPath(dir, end.Segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != segBytes || end.Offset >= segBytes {
+		t.Fatalf("segment %d is %d bytes with frames to %d: not a preallocated spare", end.Segment, info.Size(), end.Offset)
+	}
+	return recs, end
+}
+
+// TestAbandonedZeroTailIsCleanEnd: a log killed on a preallocated segment
+// replays every record without a torn report, keeps the preallocation, and
+// appends from its last frame on.
+func TestAbandonedZeroTailIsCleanEnd(t *testing.T) {
+	dir := t.TempDir()
+	recs, end := abandonOnSpare(t, dir, spareSegBytes)
+	cfg := Config{SegmentBytes: spareSegBytes}
+	l, rep, got := openForAppend(t, dir, cfg)
+	if rep.Torn {
+		t.Fatalf("a zero tail replayed as torn: %+v", rep)
+	}
+	recordsEqual(t, recs, got)
+	if pos := l.Position(); pos != end {
+		t.Fatalf("replay positioned the log at %+v, the last frame ends at %+v", pos, end)
+	}
+	if info, _ := os.Stat(segPath(dir, end.Segment)); info.Size() != spareSegBytes {
+		t.Fatalf("replay did not keep the preallocation: %d bytes", info.Size())
+	}
+	if st := l.Stats(); st.Bytes != sumSegmentBytes(t, dir)-(spareSegBytes-end.Offset) {
+		t.Fatalf("Stats.Bytes = %d counts the zero tail", st.Bytes)
+	}
+	if !l.Reaches(end) || l.Reaches(Position{Segment: end.Segment, Offset: end.Offset + 100}) {
+		t.Fatal("Reaches reads the zero tail as records")
+	}
+	more := Record{Type: TypeEpoch, T1: 100, Epoch: 100}
+	if err := l.Append(&more); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rep2, got2 := openForAppend(t, dir, cfg)
+	defer l2.Close()
+	if rep2.Torn {
+		t.Fatalf("torn after appending past a zero tail: %+v", rep2)
+	}
+	recordsEqual(t, append(recs, more), got2)
+}
+
+// TestZeroTailLeftoversAreTorn: after the last frame of a preallocated
+// segment, a partial frame followed by zeros, and a zero length field
+// followed by non-zero bytes — near the frames or past the first megabyte
+// Replay reads — are torn tails; the repair truncates them, so no stale
+// byte can follow a later append.
+func TestZeroTailLeftoversAreTorn(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		segBytes int64
+		at       int64 // bytes past the last frame
+		junk     []byte
+	}{
+		{"partial frame", spareSegBytes, 0, []byte{100, 0, 0, 0, 7, 7, 7, 7, 1, 2, 3}},
+		{"zero header then bytes", spareSegBytes, 40, []byte{0xde, 0xad}},
+		{"bytes deep in the tail", 2 << 20, 3 << 19, []byte{0xde, 0xad}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			recs, end := abandonOnSpare(t, dir, tc.segBytes)
+			seg := segPath(dir, end.Segment)
+			f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(tc.junk, end.Offset+tc.at); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			cfg := Config{SegmentBytes: tc.segBytes}
+			l, rep, got := openForAppend(t, dir, cfg)
+			if !rep.Torn || rep.TornOffset != end.Offset || rep.TruncatedBytes != tc.segBytes-end.Offset {
+				t.Fatalf("report = %+v, want torn at %d", rep, end.Offset)
+			}
+			recordsEqual(t, recs, got)
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(data)) != end.Offset {
+				t.Fatalf("repaired segment is %d bytes, want %d", len(data), end.Offset)
+			}
+			more := Record{Type: TypeEpoch, T1: 100, Epoch: 100}
+			if err := l.Append(&more); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, rep2, got2 := openForAppend(t, dir, cfg)
+			defer l2.Close()
+			if rep2.Torn {
+				t.Fatalf("torn after the repair: %+v", rep2)
+			}
+			recordsEqual(t, append(recs, more), got2)
+		})
+	}
+}
+
+// TestLeftoverSpareNeverReplayed: a spare half written when the process
+// died — here holding frames that would replay — is deleted by Open (in the
+// background) and none of its bytes reach Replay.
+func TestLeftoverSpareNeverReplayed(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := openForAppend(t, dir, Config{})
+	want := sampleRecords()
+	for i := range want {
+		if err := l.Append(&want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := filepath.Join(dir, spareName)
+	if err := os.WriteFile(spare, append(data, make([]byte, 100)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, rep, got := openForAppend(t, dir, Config{})
+	defer l2.Close()
+	<-l2.cleared
+	if _, err := os.Stat(spare); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Open left the spare: %v", err)
+	}
+	if rep.Torn || l2.Stats().Segments != 1 {
+		t.Fatalf("report %+v, %d segments", rep, l2.Stats().Segments)
+	}
+	recordsEqual(t, want, got)
+}
+
+// TestCloseLeavesTrimmedSegments: after Close the directory holds only
+// segment files, each ending exactly at its last frame, and Stats.Bytes is
+// their size.
+func TestCloseLeavesTrimmedSegments(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := openForAppend(t, dir, Config{SegmentBytes: spareSegBytes})
+	recs := appendOntoSpare(t, l, 1, 3)
+	recs = append(recs, appendOntoSpare(t, l, len(recs)+1, 3)...)
+	// Leave a filled spare for Close to delete.
+	for l.Position().Offset < spareSegBytes/2 {
+		rec := Record{Type: TypeEpoch, T1: float64(len(recs) + 1), Epoch: uint64(len(recs) + 1)}
+		if err := l.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	waitSpare(l)
+	if _, err := os.Stat(filepath.Join(dir, spareName)); err != nil {
+		t.Fatalf("no spare before Close: %v", err)
+	}
+	st := l.Stats()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != st.Segments {
+		t.Fatalf("after Close the directory holds %d entries for %d segments", len(entries), st.Segments)
+	}
+	for _, ent := range entries {
+		if filepath.Ext(ent.Name()) != segSuffix {
+			t.Fatalf("Close left %s", ent.Name())
+		}
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		for off+frameHeaderSize <= len(data) {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			if n == 0 {
+				break
+			}
+			off += frameHeaderSize + n
+		}
+		if off != len(data) {
+			t.Fatalf("%s: frames end at %d of %d bytes", ent.Name(), off, len(data))
+		}
+	}
+	if sum := sumSegmentBytes(t, dir); sum != st.Bytes {
+		t.Fatalf("segments hold %d bytes, Stats.Bytes said %d", sum, st.Bytes)
+	}
+	l2, rep, got := openForAppend(t, dir, Config{SegmentBytes: spareSegBytes})
+	defer l2.Close()
+	if rep.Torn {
+		t.Fatalf("torn after Close: %+v", rep)
+	}
+	recordsEqual(t, recs, got)
+}
+
+// TestCloseStopsFill: Close stops a fill in flight and returns only once it
+// has ended, with no spare left behind.
+func TestCloseStopsFill(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := openForAppend(t, dir, Config{})
+	half := Record{Type: TypePush, Tuples: make([]stream.Tuple, DefaultSegmentBytes/2/50+1)} // 50 bytes a tuple
+	if err := l.Append(&half); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	s := l.spare
+	l.mu.Unlock()
+	if s == nil {
+		t.Fatal("no fill started at half a segment")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.done:
+	default:
+		t.Fatal("the fill outlived Close")
+	}
+	if _, err := os.Stat(filepath.Join(dir, spareName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Close left the spare: %v", err)
+	}
 }
