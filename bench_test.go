@@ -6,6 +6,7 @@
 package craqr_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -1035,6 +1036,13 @@ func BenchmarkWireDecode(b *testing.B) {
 		})
 	}
 	decodeJSON("json-obs7/n=1024", obs7Body(1024), 1024)
+	// The same body indented: every element has whitespace the compact
+	// recognizer declines, so this row is the general parser's cost.
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, obs7Body(1024), "", "  "); err != nil {
+		b.Fatal(err)
+	}
+	decodeJSON("json-indent/n=1024", indented.Bytes(), 1024)
 	for _, n := range []int{64, 1024} {
 		jsonBody, frame := ingestPayloads(b, n)
 		decodeJSON(fmt.Sprintf("json/n=%d", n), jsonBody, n)

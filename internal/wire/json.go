@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -76,7 +78,9 @@ func (d *Decoder) intern(b []byte) (string, error) {
 // "observations":[…]}) from data. The returned Batch borrows the
 // decoder's storage: valid until the next Decode* call or Release.
 // Observations without an attr inherit the batch attr; without a sensor
-// they get -1; Watermark is NaN when absent or null.
+// they get -1; Watermark is NaN when absent or null. A repeated
+// "observations" key replaces the array before it, and null clears it, as
+// encoding/json's slice decode does.
 func (d *Decoder) DecodeJSON(data []byte) (Batch, error) {
 	if len(data) > MaxFrameBytes {
 		return Batch{}, ErrFrameTooLarge
@@ -186,6 +190,7 @@ func (p *jparser) parseBatch(b *Batch) error {
 				return err
 			}
 		case "observations":
+			p.d.buf.Tuples = p.d.buf.Tuples[:0]
 			if p.peek() == 'n' { // null == absent
 				if err := p.literal("null"); err != nil {
 					return err
@@ -211,7 +216,9 @@ func (p *jparser) parseBatch(b *Batch) error {
 }
 
 // parseObservations parses the observations array straight into the
-// decoder's borrowed tuple buffer.
+// decoder's borrowed tuple buffer. Each element is offered to
+// compactObservation first; the general parseObservation reads the ones it
+// declines.
 func (p *jparser) parseObservations() error {
 	if err := p.expect('['); err != nil {
 		return err
@@ -221,8 +228,10 @@ func (p *jparser) parseObservations() error {
 		return nil
 	}
 	for {
-		if err := p.parseObservation(); err != nil {
-			return err
+		if !p.compactObservation() {
+			if err := p.parseObservation(); err != nil {
+				return err
+			}
 		}
 		switch p.peek() {
 		case ',':
@@ -232,6 +241,127 @@ func (p *jparser) parseObservations() error {
 			return nil
 		default:
 			return p.errf("expected , or ] in observations array")
+		}
+	}
+}
+
+// An observation key with its colon, as the little-endian word its bytes
+// load as; keyMask4/keyMask5 keep a shorter key's compare from reaching past
+// its colon, and "sensor": is the one key that needs a ninth byte.
+const (
+	keyT      = uint64('"') | 't'<<8 | '"'<<16 | ':'<<24
+	keyX      = uint64('"') | 'x'<<8 | '"'<<16 | ':'<<24
+	keyY      = uint64('"') | 'y'<<8 | '"'<<16 | ':'<<24
+	keyID     = uint64('"') | 'i'<<8 | 'd'<<16 | '"'<<24 | ':'<<32
+	keyAttr   = uint64('"') | 'a'<<8 | 't'<<16 | 't'<<24 | 'r'<<32 | '"'<<40 | ':'<<48 | '"'<<56
+	keyValue  = uint64('"') | 'v'<<8 | 'a'<<16 | 'l'<<24 | 'u'<<32 | 'e'<<40 | '"'<<48 | ':'<<56
+	keySensor = uint64('"') | 's'<<8 | 'e'<<16 | 'n'<<24 | 's'<<32 | 'o'<<40 | 'r'<<48 | '"'<<56
+	keyMask4  = 1<<32 - 1
+	keyMask5  = 1<<40 - 1
+)
+
+// compactObservation reads the observation object at the cursor in one
+// straight-line pass when it is in the compact subset producers write:
+// {"key":value,…} with no whitespace, only the seven known keys
+// (any order, unescaped; a repeat overwrites, as in parseObservation), id
+// and sensor as 1–18 digits (sensor with an optional '-'), t/x/y/value as
+// -?digits(.digits)? of at most 15 digits, and an attr with no escape or
+// control byte. It appends the tuple, moves the cursor past the '}' and
+// reports true; on anything else — including a value cut off by the end of
+// the body — it reports false with the cursor where it was, and
+// parseObservation reads the element from its '{'. So it never accepts bytes
+// parseObservation refuses, every error comes from the general parser at its
+// own offset, and for the bytes it accepts it builds parseObservation's
+// tuple: a float's ≤ 15-digit mantissa is below 2⁵² and its exponent within
+// −15, so float64(mant) / 10^k is number's exact path, bit for bit
+// (FuzzCompactObservation holds the two to that).
+func (p *jparser) compactObservation() bool {
+	data, i := p.data, p.off
+	if i >= len(data) || data[i] != '{' {
+		return false
+	}
+	tp := stream.Tuple{Sensor: -1}
+	for {
+		i++ // past '{' or ','
+		if len(data)-i < 8 {
+			return false
+		}
+		var f *float64
+		switch w := binary.LittleEndian.Uint64(data[i:]); {
+		case w&keyMask4 == keyT:
+			f, i = &tp.T, i+4
+		case w&keyMask4 == keyX:
+			f, i = &tp.X, i+4
+		case w&keyMask4 == keyY:
+			f, i = &tp.Y, i+4
+		case w == keyValue:
+			f, i = &tp.Value, i+8
+		case w&keyMask5 == keyID:
+			i += 5
+			n, v := digitRun(data, i, 18)
+			if n == 0 || n > 18 {
+				return false
+			}
+			tp.ID, i = v, i+n
+		case w == keyAttr:
+			i += 8
+			start := i
+			for ; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' || data[i] < 0x20 {
+					return false
+				}
+			}
+			if i == len(data) {
+				return false
+			}
+			attr, err := p.d.intern(data[start:i])
+			if err != nil {
+				return false
+			}
+			tp.Attr, i = attr, i+1
+		case w == keySensor && len(data)-i > 8 && data[i+8] == ':':
+			i += 9
+			neg := i < len(data) && data[i] == '-'
+			if neg {
+				i++
+			}
+			n, v := digitRun(data, i, 18)
+			if n == 0 || n > 18 {
+				return false
+			}
+			tp.Sensor, i = int(v), i+n
+			if neg {
+				tp.Sensor = -tp.Sensor
+			}
+		default:
+			return false
+		}
+		if f != nil {
+			neg := i < len(data) && data[i] == '-'
+			if neg {
+				i++
+			}
+			mant, k, n := decimal(data, i)
+			if n == 0 {
+				return false
+			}
+			x := float64(mant) / pow10[k]
+			if neg {
+				x = -x
+			}
+			*f, i = x, i+n
+		}
+		if i >= len(data) {
+			return false
+		}
+		switch data[i] {
+		case ',':
+		case '}':
+			p.d.buf.Tuples = append(p.d.buf.Tuples, tp)
+			p.off = i + 1
+			return true
+		default:
+			return false
 		}
 	}
 }
@@ -491,6 +621,93 @@ func utf16IsLowSurrogate(r rune) bool  { return r >= 0xDC00 && r < 0xE000 }
 var pow10 = [...]float64{
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// pow10u holds the powers of ten a digit run of up to 14 digits is scaled by.
+var pow10u = [...]uint64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14,
+}
+
+// digitWord loads the 8 bytes at data[i:] xored with '0', which maps a digit
+// to 0–9, and marks bit 7 of each byte that is not a digit: one whose xor set
+// bit 7, or whose low 7 bits plus 0x76 reach it (the masked add cannot carry
+// into the next byte). The first non-digit is at TrailingZeros64(nd)/8.
+func digitWord(data []byte, i int) (t, nd uint64) {
+	t = binary.LittleEndian.Uint64(data[i:]) ^ 0x3030303030303030
+	return t, (t&0x7f7f7f7f7f7f7f7f + 0x7676767676767676 | t) & 0x8080808080808080
+}
+
+// digitRun counts the decimal digits at data[i:] and returns that count with
+// their value: a word at a time while 9 or more bytes remain (a run that
+// fills a word still needs the byte after it), a byte at a time after that.
+// A run longer than limit (at most 18, so the value cannot wrap) returns a
+// count above limit and no value.
+func digitRun(data []byte, i, limit int) (n int, v uint64) {
+	for len(data)-i >= 9 {
+		t, nd := digitWord(data, i)
+		k := bits.TrailingZeros64(nd) >> 3
+		if n += k; n > limit {
+			return n, 0
+		}
+		v = v*pow10u[k] + eightDigits(t<<(64-8*k))
+		if k < 8 {
+			return n, v
+		}
+		i += 8
+	}
+	for ; i < len(data) && data[i]-'0' < 10; i++ {
+		if n++; n > limit {
+			return n, 0
+		}
+		v = v*10 + uint64(data[i]-'0')
+	}
+	return n, v
+}
+
+// decimal reads digits(.digits)? of at most 15 digits at data[i:] and
+// returns its mantissa, its count of fraction digits and its length, or n = 0
+// when the bytes there are not such a token. When the token and the byte
+// after it fit in the word at data[i:] — a short decimal such as a
+// millisecond time or a centi-unit reading — one load finds both
+// non-digits, the dot's byte is cut out so the digits sit side by side, and
+// one eightDigits values them; a longer token is read as digit runs.
+func decimal(data []byte, i int) (mant uint64, k, n int) {
+	if len(data)-i >= 8 {
+		t, nd := digitWord(data, i)
+		switch d := bits.TrailingZeros64(nd) >> 3; {
+		case d == 0:
+			return 0, 0, 0
+		case d == 8:
+		case data[i+d] != '.':
+			return eightDigits(t << (64 - 8*d)), 0, d
+		default:
+			if e := bits.TrailingZeros64(nd&(nd-1)) >> 3; e > d+1 && e < 8 {
+				t = t&(1<<(8*d)-1) | t>>(8*(d+1))<<(8*d)
+				return eightDigits(t << (64 - 8*(e-1))), e - d - 1, e
+			}
+		}
+	}
+	n, mant = digitRun(data, i, 15)
+	if n == 0 || n > 15 {
+		return 0, 0, 0
+	}
+	if i+n >= len(data) || data[i+n] != '.' {
+		return mant, 0, n
+	}
+	k, frac := digitRun(data, i+n+1, 15-n)
+	if k == 0 || k > 15-n {
+		return 0, 0, 0
+	}
+	return mant*pow10u[k] + frac, k, n + 1 + k
+}
+
+// eightDigits values a word of eight digit bytes, each already 0–9 and the
+// first (most significant) in the low byte: adjacent pairs, then pairs of
+// pairs, folded by multiplies whose partial products land in disjoint bits.
+// Leading zero bytes are leading zeros.
+func eightDigits(t uint64) uint64 {
+	t = t*10 + t>>8
+	return (t&0x000000ff000000ff*(100+1000000<<32) + t>>16&0x000000ff000000ff*(1+10000<<32)) >> 32
 }
 
 // number parses a JSON number. The fast path — a mantissa below 2⁵²

@@ -117,6 +117,9 @@ func TestDecodeJSONMatchesEncodingJSON(t *testing.T) {
 		`{"watermark":123456.789012345,"observations":[{"id":1,"t":1,"value":1,"sensor":-42}]}`,
 		`{"observations":[{"id":1,"sensor":0},{"id":2,"sensor":-0},{"id":3,"sensor":9223372036854775807},{"id":4,"sensor":-9223372036854775808}]}`,
 		`{"observations":[{"\u0069d":5,"\u0074":1.5,"valu\u0065":2,"s\u0065nsor":3,"at\u0074r":"r"},{ "id" :6, "t"	:2 ,"idx":1,"i":2,"value2":3,"sensors":[4],"":5}]}`,
+		`{"observations":[{"id":1,"t":1,"value":1}],"observations":[{"id":2,"t":2,"value":2}]}`,
+		`{"observations":[{"id":1,"t":1,"value":1}],"observations":null}`,
+		`{"attr":"rain","observations":[{"t":1e-07,"x":0.5,"y":1.25,"value":20.5},{"t":7.042,"x":0.3,"y":0,"value":-2.675}]}`,
 	}
 	d := BorrowDecoder()
 	defer d.Release()
@@ -502,16 +505,18 @@ func TestInternTableBounded(t *testing.T) {
 }
 
 func TestDecodeJSONZeroAllocs(t *testing.T) {
-	// The canonical body takes the key match; the second takes every path
-	// around it: an unknown field, whitespace around keys, a known key
-	// spelled with an escape (which must still set the id).
+	// The first body (as the Go client renders it) and the third (as
+	// bench/'s producer does) are compact, so compactObservation reads them;
+	// the second takes every path around it: an unknown field, whitespace
+	// around keys, a known key spelled with an escape (which must still set
+	// the id).
 	offPath := []byte(`{"attr":"temperature","observations":[` +
 		`{"id":1,"t":0.5,"value":20.5,"unit":"C","extra":{"k":[1,"two"]}},` +
 		`{ "id" : 2 , "t" : 1.5 ,	"value"	: 21 , "sensor" : 4 },` +
 		`{"\u0069d":3,"a\u0074tr":"humidity","t":2.5,"valu\u0065":22}]}`)
 	d := BorrowDecoder()
 	defer d.Release()
-	for _, body := range [][]byte{jsonBody(64), offPath} {
+	for _, body := range [][]byte{jsonBody(64), offPath, compactBody(64)} {
 		got, err := d.DecodeJSON(body) // warm: grow buffer, intern attrs
 		if err != nil {
 			t.Fatal(err)
@@ -587,6 +592,23 @@ func jsonBody(n int) []byte {
 		panic(err)
 	}
 	return body
+}
+
+// compactBody renders testBatch(n) the way bench/'s producer writes JSON:
+// all seven fields per observation in a fixed order, shortest floats, no
+// whitespace.
+func compactBody(n int) []byte {
+	b := testBatch(n)
+	body := []byte(`{"observations":[`)
+	for i, tp := range b.Tuples {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = fmt.Appendf(body, `{"id":%d,"attr":"%s","t":%s,"x":%s,"y":%s,"value":%s,"sensor":%d}`,
+			tp.ID, tp.Attr, strconv.FormatFloat(tp.T, 'g', -1, 64), strconv.FormatFloat(tp.X, 'g', -1, 64),
+			strconv.FormatFloat(tp.Y, 'g', -1, 64), strconv.FormatFloat(tp.Value, 'g', -1, 64), tp.Sensor)
+	}
+	return append(body, ']', '}')
 }
 
 func TestDecompressGzipRoundTrip(t *testing.T) {
@@ -753,6 +775,93 @@ func FuzzJSONNumber(f *testing.F) {
 		var se *SyntaxError
 		if !errors.As(err, &se) {
 			t.Fatalf("token %q: got %v (%+v), want a *SyntaxError", tok, err, got.Tuples)
+		}
+	})
+}
+
+// compactObs is one observation as bench/'s egress_json producer writes it.
+const compactObs = `{"id":123456,"attr":"rain","t":7.042,"x":3.141,"y":0,"value":12.5,"sensor":17}`
+
+// TestCompactObservationReadsProducerShape holds the recognizer to the
+// shapes it exists for: every element of the Go client's body and of
+// bench/'s producer's is read by compactObservation, none by the general
+// parser.
+func TestCompactObservationReadsProducerShape(t *testing.T) {
+	d := BorrowDecoder()
+	defer d.Release()
+	shapes := [][]byte{jsonBody(64), compactBody(64), []byte(`{"observations":[` + compactObs + `,` + compactObs + `]}`)}
+	for _, body := range shapes {
+		d.buf.Tuples = d.buf.Tuples[:0]
+		p := jparser{d: d, data: body, off: bytes.IndexByte(body, '[') + 1}
+		for p.compactObservation() && body[p.off] == ',' {
+			p.off++
+		}
+		if p.off != len(body)-2 {
+			t.Fatalf("compactObservation declined %.60q…", body[p.off:])
+		}
+	}
+}
+
+// FuzzCompactObservation holds compactObservation to parseObservation on any
+// bytes placed as one observations element: either the recognizer declines
+// with the cursor and the tuple buffer untouched, or the general parser
+// accepts the same bytes, stops at the same offset and builds the same tuple,
+// float bits included.
+func FuzzCompactObservation(f *testing.F) {
+	// obs7 is an element of the root benchmark's obs7Body, whose t has the
+	// 17 digits that shortest rendering gives 7 + 685/1000.
+	const obs7 = `{"id":33,"attr":"rain","t":7.6850000000000005,"x":3.583,"y":1.192,"value":90.4,"sensor":404}`
+	for _, s := range []string{
+		compactObs, obs7,
+		`{"t":-0,"x":-0.0,"y":-12.5,"value":-1,"sensor":-0,"id":0}`,
+		`{"t":123456789012345,"x":1234567.89012345,"y":0.00000000000001,"value":-99999.9999999999}`,
+		`{"t":1234567890123456,"x":1234567.890123456,"y":0.000000000000001,"value":1}`,
+		`{"t":12345678.5,"x":87654321,"y":-12345678.123,"value":99999999.9999999}`,
+		`{"t":01.50,"x":007,"id":007,"sensor":-007}`,
+		`{"t":1e3,"x":1.5E-2,"y":2e+2,"value":0}`, `{"id":1e2}`, `{"sensor":1.5}`,
+		`{"attr":"r\u0061in","t":1}`, `{"\u0074":1}`, `{"attr":"a\"b","t":1}`, `{"attr":"` + "\x01" + `"}`,
+		`{"t":1,"t":2,"id":3,"id":4,"attr":"a","attr":"b","sensor":5,"sensor":-6}`,
+		`{"t":1,"unit":"C"}`, `{"sensor":null,"t":1}`, `{"id":-1}`, `{}`, `{"t":.5}`, `{"t":1.}`, `{"t":--1}`,
+		`{"t":0.3,"x":0.7,"y":1.1,"value":2.675}`, `{"t":1.,"x":2}`, `{"t":12.,"value":1}`,
+		`{"id":123456789012345678}`, `{"id":1234567890123456789}`, `{"id":18446744073709551615}`,
+		`{"sensor":-123456789012345678}`, `{"sensor":-9223372036854775808}`, `{"sensor":9999999999999999999}`,
+	} {
+		f.Add([]byte(s))
+	}
+	for _, base := range []string{compactObs, obs7} {
+		for i := 0; i <= len(base); i++ {
+			f.Add([]byte(base[:i]))
+			f.Add([]byte(base[:i] + " " + base[i:]))
+		}
+	}
+	const at = len(`{"observations":[`)
+	f.Fuzz(func(t *testing.T, elem []byte) {
+		data := append(append([]byte(`{"observations":[`), elem...), ']', '}')
+		d := BorrowDecoder()
+		defer d.Release()
+		p := jparser{d: d, data: data, off: at}
+		if !p.compactObservation() {
+			if p.off != at || len(d.buf.Tuples) != 0 {
+				t.Fatalf("%q: declined, but moved the cursor to %d or kept %d tuples", elem, p.off, len(d.buf.Tuples))
+			}
+			return
+		}
+		got, end := d.buf.Tuples[0], p.off
+		d.buf.Tuples = d.buf.Tuples[:0]
+		q := jparser{d: d, data: data, off: at}
+		if err := q.parseObservation(); err != nil {
+			t.Fatalf("%q: compactObservation accepted what parseObservation refuses: %v", elem, err)
+		}
+		want := d.buf.Tuples[0]
+		if q.off != end {
+			t.Fatalf("%q: compactObservation stopped at %d, parseObservation at %d", elem, end, q.off)
+		}
+		if got.ID != want.ID || got.Attr != want.Attr || got.Sensor != want.Sensor ||
+			math.Float64bits(got.T) != math.Float64bits(want.T) ||
+			math.Float64bits(got.X) != math.Float64bits(want.X) ||
+			math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+			math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("%q:\n compact %+v\n general %+v", elem, got, want)
 		}
 	})
 }
