@@ -14,10 +14,11 @@
 //
 // See examples/bridgefeed for the full loop.
 //
-// The body types here (Session, SessionSpec, TenantLimits, Query,
-// StepResult, Health, Ack, ResultPage, Tuple) are the Go declaration of
-// docs/API.md's v1 bodies: craqrd and the cluster gateway render and decode
-// these same types, so a field renamed here is renamed on the wire.
+// The body types here (Session, SessionSpec, TenantLimits, Status, Query,
+// StepResult, Health, Ack, ResultPage, Tuple, ErrorBody, and the cluster's
+// ClusterStatus and DurableSessions) are the Go declaration of docs/API.md's
+// v1 bodies: craqrd and the cluster gateway render and decode these same
+// types, so a field renamed here is renamed on the wire.
 package client
 
 import (
@@ -244,10 +245,14 @@ func (c *Client) do(ctx context.Context, method, path, contentType, encoding str
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// ErrorBody is the {"error": …} envelope of every non-2xx answer from a
+// node or a gateway.
+type ErrorBody struct {
+	Error string `json:"error"`
+}
+
 func decodeError(resp *http.Response) error {
-	var envelope struct {
-		Error string `json:"error"`
-	}
+	var envelope ErrorBody
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if json.Unmarshal(data, &envelope) != nil || envelope.Error == "" {
 		envelope.Error = strings.TrimSpace(string(data))
@@ -480,10 +485,131 @@ func (c *Client) DestroySession(ctx context.Context, name string) error {
 	return c.doJSON(ctx, "DELETE", "/v1/sessions/"+url.PathEscape(name), nil, nil)
 }
 
-// Status returns a session's full status document as loosely typed JSON
-// (the set of keys grows with the engine; see docs/API.md).
-func (c *Client) Status(ctx context.Context, session string) (map[string]interface{}, error) {
-	var out map[string]interface{}
+// Status is the GET /v1/sessions/{s}/status body (docs/API.md): the
+// engine's clock, topology and sharing, the budget and adaptivity feedback
+// loop, ingest accounting, tenant protection and durability. Fields are
+// declared in JSON-key order, the order the body has always had.
+type Status struct {
+	Adaptive bool `json:"adaptive"`
+	// AdaptiveSlots is null while adaptive rates are off, and until an
+	// epoch has registered a slot.
+	AdaptiveSlots    []AdaptiveSlot `json:"adaptiveSlots"`
+	Budgets          []Budget       `json:"budgets"`
+	ClockError       string         `json:"clockError"`
+	Durability       *Durability    `json:"durability"` // null when not durable
+	Epochs           int            `json:"epochs"`
+	FitIterations    uint64         `json:"fitIterations"`
+	FitsNotConverged uint64         `json:"fitsNotConverged"`
+	IngestDropped    uint64         `json:"ingestDropped"`
+	IngestDuplicates uint64         `json:"ingestDuplicates"`
+	IngestLate       uint64         `json:"ingestLate"`
+	IngestPending    int            `json:"ingestPending"`
+	IngestRejected   uint64         `json:"ingestRejected"`
+	Ingested         uint64         `json:"ingested"`
+	LateDropped      uint64         `json:"lateDropped"`
+	Limits           *TenantLimits  `json:"limits"` // null when unlimited
+	MeanNv           float64        `json:"meanNv"`
+	Now              float64        `json:"now"`
+	Operators        map[string]int `json:"operators"`
+	Pipelines        int            `json:"pipelines"`
+	Queries          int            `json:"queries"`
+	Requests         uint64         `json:"requests"`
+	Responses        uint64         `json:"responses"`
+	ResultRings      int            `json:"resultRings"`
+	RetentionDrops   uint64         `json:"retentionDrops"`
+	Running          bool           `json:"running"`
+	Sched            Sched          `json:"sched"`
+	Session          string         `json:"session"`
+	SharedAttaches   uint64         `json:"sharedAttaches"`
+	SharedPrefixes   int            `json:"sharedPrefixes"`
+	SharedQueries    int            `json:"sharedQueries"`
+	Source           string         `json:"source"`
+	Subplans         int            `json:"subplans"`
+	Throttled        Throttled      `json:"throttled"`
+	// Topology.Program is what the compiled epoch programs run.
+	Topology struct {
+		Program Program `json:"program"`
+	} `json:"topology"`
+	// Watermark is the event-time low watermark, null until the session has
+	// seen a pushed event time or watermark assertion.
+	Watermark *float64 `json:"watermark"`
+	Workers   int      `json:"workers"`
+}
+
+// AdaptiveSlot is one cell's rate-retune state: its current rate scale in
+// (0, 1], latest normalized violation (percent) and infeasibility flag.
+type AdaptiveSlot struct {
+	Attr       string  `json:"attr"`
+	Q          int     `json:"q"`
+	R          int     `json:"r"`
+	Scale      float64 `json:"scale"`
+	LastNv     float64 `json:"lastNv"`
+	Infeasible bool    `json:"infeasible"`
+}
+
+// Budget is one cell's acquisition budget and the violation it last saw.
+type Budget struct {
+	Attr       string  `json:"attr"`
+	Q          int     `json:"q"`
+	R          int     `json:"r"`
+	Budget     float64 `json:"budget"`
+	LastNv     float64 `json:"lastNv"`
+	Infeasible bool    `json:"infeasible"`
+}
+
+// Durability is a durable session's WAL and snapshot state (docs/API.md,
+// "Durability"). LastSnapshotEpoch is the epoch count of the newest
+// snapshot written or restored (0 = none). Recovered reports that the
+// engine restored prior state, replaying ReplayedRecords WAL records after
+// the snapshot it restored; SnapshotVerified that it restored the older of
+// two snapshots and replayed to a state byte-identical to the newer one;
+// TornTail that it truncated a torn tail. WALBytes and WALSegments size the
+// retained log; WALRecords is its position, deleted segments included.
+type Durability struct {
+	Fsync             string `json:"fsync"` // "batch", "always" or "never"
+	LastSnapshotEpoch int    `json:"lastSnapshotEpoch"`
+	Recovered         bool   `json:"recovered"`
+	ReplayedRecords   int    `json:"replayedRecords"`
+	SnapshotEvery     int    `json:"snapshotEvery"` // cadence in epochs
+	SnapshotVerified  bool   `json:"snapshotVerified"`
+	TornTail          bool   `json:"tornTail"`
+	WALBytes          int64  `json:"walBytes"`
+	WALRecords        uint64 `json:"walRecords"`
+	WALSegments       int    `json:"walSegments"`
+}
+
+// Sched is the fair scheduler's accounting of one session: epochs granted,
+// slot-wait latency (percentiles over the most recent epochs) and weight.
+type Sched struct {
+	EpochsServed uint64  `json:"epochsServed"`
+	MaxWaitMs    float64 `json:"maxWaitMs"`
+	P50WaitMs    float64 `json:"p50WaitMs"`
+	P99WaitMs    float64 `json:"p99WaitMs"`
+	TotalWaitMs  float64 `json:"totalWaitMs"`
+	Weight       float64 `json:"weight"`
+}
+
+// Throttled counts a session's admission-control refusals: ingest batches
+// and the tuples they carried, and query submissions.
+type Throttled struct {
+	Batches uint64 `json:"batches"`
+	Queries uint64 `json:"queries"`
+	Tuples  uint64 `json:"tuples"`
+}
+
+// Program is what the compiled epoch programs run per epoch — merge phases
+// (subplans) and the position lists they read (sources) — and how many
+// compilations the session has paid for.
+type Program struct {
+	Compiles uint64 `json:"compiles"`
+	Sources  int    `json:"sources"`
+	Subplans int    `json:"subplans"`
+}
+
+// Status fetches a session's status document, decoded into the declared
+// Status (fields the server adds later are ignored, not an error).
+func (c *Client) Status(ctx context.Context, session string) (Status, error) {
+	var out Status
 	err := c.doJSON(ctx, "GET", "/v1/sessions/"+url.PathEscape(session)+"/status", nil, &out)
 	return out, err
 }
@@ -908,4 +1034,48 @@ func (s *ResultStream) Cursor() uint64 { return s.cursor }
 func (s *ResultStream) Close() error {
 	s.closed.Store(true)
 	return s.body.Close()
+}
+
+// --- cluster ----------------------------------------------------------------
+
+// ClusterStatus is a gateway's GET /v1/cluster/status body: the ring, each
+// pool member's entry, the distinct live session count and the handoffs in
+// flight. Fields are declared in JSON-key order, the order the body has
+// always had.
+type ClusterStatus struct {
+	Nodes           []ClusterNode `json:"nodes"`
+	PendingHandoffs []string      `json:"pendingHandoffs"`
+	Ring            ClusterRing   `json:"ring"`
+	Sessions        int           `json:"sessions"`
+	// Status is "ok", or "degraded" while any node is down.
+	Status string `json:"status"`
+}
+
+// ClusterRing is the consistent-hash ring a gateway routes by: its healthy
+// members and the vnode multiplier.
+type ClusterRing struct {
+	Nodes  []string `json:"nodes"`
+	VNodes int      `json:"vnodes"`
+}
+
+// ClusterNode is one pool member as a gateway sees it: the name it
+// advertises on /v1/healthz (its URL until the first good probe), its
+// configured URL, the failure detector's verdict, its session count at the
+// last good probe and the latest probe failure (absent after a success).
+// Live names the sessions it serves, sorted (absent when none or when it is
+// down); Owned counts those the ring places on it.
+type ClusterNode struct {
+	Name      string   `json:"name"`
+	URL       string   `json:"url"`
+	Healthy   bool     `json:"healthy"`
+	Sessions  int      `json:"sessions"`
+	LastError string   `json:"lastError,omitempty"`
+	Live      []string `json:"live,omitempty"`
+	Owned     int      `json:"owned"`
+}
+
+// DurableSessions is a node's GET /v1/node/durable body: every session with
+// durable state under its durability root, live or not.
+type DurableSessions struct {
+	Sessions []string `json:"sessions"`
 }

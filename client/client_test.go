@@ -100,8 +100,8 @@ func TestClientSessionQueryResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st["source"] != "simulated" {
-		t.Fatalf("status source = %v", st["source"])
+	if st.Source != "simulated" {
+		t.Fatalf("status source = %v", st.Source)
 	}
 	names, err := c.Sessions(ctx)
 	if err != nil || len(names) != 1 {

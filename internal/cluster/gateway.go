@@ -160,7 +160,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // a Retry-After floor matched to the failure-detection window.
 func (g *Gateway) unavailable(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"error": msg})
+	writeJSON(w, http.StatusServiceUnavailable, client.ErrorBody{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -211,7 +211,7 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, wire.ErrBodyTooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, map[string]interface{}{"error": "read body: " + err.Error()})
+		writeJSON(w, status, client.ErrorBody{Error: "read body: " + err.Error()})
 		return
 	}
 	var spec client.SessionSpec
@@ -220,12 +220,12 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// for the owner to refuse, as it would be without a gateway.
 		var typeErr *json.UnmarshalTypeError
 		if err := json.Unmarshal(body, &spec); err != nil && !errors.As(err, &typeErr) {
-			writeJSON(w, http.StatusBadRequest, map[string]interface{}{"error": "parse body: " + err.Error()})
+			writeJSON(w, http.StatusBadRequest, client.ErrorBody{Error: "parse body: " + err.Error()})
 			return
 		}
 	}
 	if spec.Name == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]interface{}{"error": "name required behind a gateway"})
+		writeJSON(w, http.StatusBadRequest, client.ErrorBody{Error: "name required behind a gateway"})
 		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
@@ -280,7 +280,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleClusterStatus aggregates per-node health, live sessions, and ring
 // ownership into one JSON document (see docs/API.md).
 func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	snap := g.pool.Snapshot()
 	g.mu.Lock()
 	ring := g.ring
 	pending := make([]string, 0, len(g.pending))
@@ -290,17 +289,11 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	g.mu.Unlock()
 	sort.Strings(pending)
 
-	type nodeDoc struct {
-		NodeStatus
-		Live  []string `json:"live,omitempty"`
-		Owned int      `json:"owned"`
-	}
-	nodes := make([]nodeDoc, len(snap))
+	nodes := g.pool.Snapshot()
 	owned := map[string]int{}
 	distinct := map[string]bool{}
 	healthy := 0
-	for i, n := range snap {
-		nodes[i] = nodeDoc{NodeStatus: n}
+	for i, n := range nodes {
 		if !n.Healthy {
 			continue
 		}
@@ -320,15 +313,15 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		nodes[i].Owned = owned[nodes[i].Name]
 	}
 	status := "ok"
-	if healthy < len(snap) {
+	if healthy < len(nodes) {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status":          status,
-		"ring":            map[string]interface{}{"nodes": ring.Nodes(), "vnodes": g.cfg.VirtualNodes},
-		"nodes":           nodes,
-		"sessions":        len(distinct),
-		"pendingHandoffs": pending,
+	writeJSON(w, http.StatusOK, client.ClusterStatus{
+		Nodes:           nodes,
+		PendingHandoffs: pending,
+		Ring:            client.ClusterRing{Nodes: ring.Nodes(), VNodes: g.cfg.VirtualNodes},
+		Sessions:        len(distinct),
+		Status:          status,
 	})
 }
 
@@ -375,9 +368,7 @@ func (g *Gateway) nodeSessions(ctx context.Context, base string) ([]string, erro
 
 // nodeDurable lists the sessions with durable state visible to one node.
 func (g *Gateway) nodeDurable(ctx context.Context, base string) ([]string, error) {
-	var doc struct {
-		Sessions []string `json:"sessions"`
-	}
+	var doc client.DurableSessions
 	if err := callJSON(ctx, g.cfg.Client, "GET", base+"/v1/node/durable", &doc); err != nil {
 		return nil, err
 	}

@@ -112,18 +112,12 @@ func detectFailure(g *cluster.Gateway) {
 	g.Reconcile(ctx)
 }
 
-func getDoc(t *testing.T, url string) map[string]interface{} {
+// getDoc GETs one JSON body into out.
+func getDoc(t *testing.T, url string, out interface{}) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
+	if err := json.Unmarshal(getBody(t, url), out); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var doc map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	return doc
 }
 
 // TestGatewayScaleOutAndStatus pins the scale-out acceptance criterion:
@@ -184,13 +178,15 @@ func TestGatewayScaleOutAndStatus(t *testing.T) {
 		}
 	}
 
-	h := getDoc(t, gwts.URL+"/v1/healthz")
-	if h["status"] != "ok" {
-		t.Fatalf("healthz with full pool = %v, want ok", h["status"])
+	var h client.Health
+	getDoc(t, gwts.URL+"/v1/healthz", &h)
+	if h.Status != "ok" {
+		t.Fatalf("healthz with full pool = %v, want ok", h.Status)
 	}
-	cs := getDoc(t, gwts.URL+"/v1/cluster/status")
-	if cs["status"] != "ok" || cs["sessions"] != float64(cap+1) {
-		t.Fatalf("cluster status = %v/%v sessions, want ok/%d", cs["status"], cs["sessions"], cap+1)
+	var cs client.ClusterStatus
+	getDoc(t, gwts.URL+"/v1/cluster/status", &cs)
+	if cs.Status != "ok" || cs.Sessions != cap+1 {
+		t.Fatalf("cluster status = %v/%v sessions, want ok/%d", cs.Status, cs.Sessions, cap+1)
 	}
 
 	// Kill one node; after the detection window the gateway reports
@@ -199,8 +195,9 @@ func TestGatewayScaleOutAndStatus(t *testing.T) {
 	victim.kill(t)
 	detectFailure(g)
 
-	if h := getDoc(t, gwts.URL+"/v1/healthz"); h["status"] != "degraded" {
-		t.Fatalf("healthz with a dead node = %v, want degraded", h["status"])
+	getDoc(t, gwts.URL+"/v1/healthz", &h)
+	if h.Status != "degraded" {
+		t.Fatalf("healthz with a dead node = %v, want degraded", h.Status)
 	}
 	survivors := []string{}
 	for _, n := range nodes {
@@ -215,12 +212,13 @@ func TestGatewayScaleOutAndStatus(t *testing.T) {
 			t.Fatalf("after death of %s, session %s not live on new owner %s: %v", victim.name, nm, owner, err)
 		}
 	}
-	cs = getDoc(t, gwts.URL+"/v1/cluster/status")
-	if cs["status"] != "degraded" || cs["sessions"] != float64(cap+1) {
-		t.Fatalf("cluster status after death = %v/%v sessions, want degraded/%d", cs["status"], cs["sessions"], cap+1)
+	cs = client.ClusterStatus{}
+	getDoc(t, gwts.URL+"/v1/cluster/status", &cs)
+	if cs.Status != "degraded" || cs.Sessions != cap+1 {
+		t.Fatalf("cluster status after death = %v/%v sessions, want degraded/%d", cs.Status, cs.Sessions, cap+1)
 	}
-	if pend, _ := cs["pendingHandoffs"].([]interface{}); len(pend) != 0 {
-		t.Fatalf("pending handoffs after reconcile = %v, want none", pend)
+	if len(cs.PendingHandoffs) != 0 {
+		t.Fatalf("pending handoffs after reconcile = %v, want none", cs.PendingHandoffs)
 	}
 }
 
@@ -371,8 +369,8 @@ func TestGatewayHandoffByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("status through gateway after kill: %v", err)
 	}
-	if st["source"] == nil {
-		t.Fatalf("status through gateway after kill = %v", st)
+	if st.Source == "" {
+		t.Fatalf("status through gateway after kill = %+v", st)
 	}
 }
 

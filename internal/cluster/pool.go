@@ -57,21 +57,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// NodeStatus is one pool member's externally visible state.
-type NodeStatus struct {
-	// Name is the node's advertised name from /v1/healthz ("node" field);
-	// until the first successful probe it falls back to the URL.
-	Name string `json:"name"`
-	// URL is the node's base URL as configured.
-	URL string `json:"url"`
-	// Healthy is the failure detector's current verdict.
-	Healthy bool `json:"healthy"`
-	// Sessions is the node's live session count from its last good probe.
-	Sessions int `json:"sessions"`
-	// LastError is the most recent probe failure ("" after a success).
-	LastError string `json:"lastError,omitempty"`
-}
-
 type member struct {
 	url      string
 	name     string
@@ -184,20 +169,21 @@ func (p *Pool) CheckNow(ctx context.Context) (changed bool) {
 	return changed
 }
 
-// Snapshot returns every member's state, ordered by URL.
-func (p *Pool) Snapshot() []NodeStatus {
+// Snapshot returns every member's entry of the cluster status, ordered by
+// URL; Live and Owned are the gateway's to fill.
+func (p *Pool) Snapshot() []client.ClusterNode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]NodeStatus, len(p.members))
+	out := make([]client.ClusterNode, len(p.members))
 	for i, m := range p.members {
-		out[i] = NodeStatus{Name: m.name, URL: m.url, Healthy: m.healthy, Sessions: m.sessions, LastError: m.lastErr}
+		out[i] = client.ClusterNode{Name: m.name, URL: m.url, Healthy: m.healthy, Sessions: m.sessions, LastError: m.lastErr}
 	}
 	return out
 }
 
 // Healthy returns the healthy members, ordered by URL.
-func (p *Pool) Healthy() []NodeStatus {
-	var out []NodeStatus
+func (p *Pool) Healthy() []client.ClusterNode {
+	var out []client.ClusterNode
 	for _, s := range p.Snapshot() {
 		if s.Healthy {
 			out = append(out, s)

@@ -163,14 +163,14 @@ func TestScenarioAdversarialPushes(t *testing.T) {
 		t.Fatal("no results after attacks")
 	}
 	st := getStatus(t, cl.c, cl.url("/v1/sessions/tgt/status"))
-	if got := int(statusNum(t, st, "ingestDuplicates")); got != 2 {
+	if got := int(st.IngestDuplicates); got != 2 {
 		t.Errorf("ingestDuplicates = %d, want 2", got)
 	}
-	if got := int(statusNum(t, st, "ingestRejected")); got != 3 {
+	if got := int(st.IngestRejected); got != 3 {
 		t.Errorf("ingestRejected = %d, want 3", got)
 	}
 	liveStats := fmt.Sprintf("ingested=%v dup=%v rej=%v epochs=%v",
-		st["ingested"], st["ingestDuplicates"], st["ingestRejected"], st["epochs"])
+		st.Ingested, st.IngestDuplicates, st.IngestRejected, st.Epochs)
 
 	// WAL never corrupted: recover the directory in a second manager and
 	// demand the identical session back — accepted history only, with no
@@ -197,7 +197,7 @@ func TestScenarioAdversarialPushes(t *testing.T) {
 	}
 	is := sess.Engine.IngestStats()
 	recStats := fmt.Sprintf("ingested=%v dup=%v rej=%v epochs=%v",
-		float64(is.Ingested), float64(is.Duplicates), float64(is.Rejected), float64(sess.Engine.Epochs()))
+		is.Ingested, is.Duplicates, is.Rejected, sess.Engine.Epochs())
 	if recStats != liveStats {
 		t.Fatalf("replayed state diverged:\n live: %s\n replay: %s", liveStats, recStats)
 	}

@@ -124,19 +124,19 @@ func TestScenarioBurstyDiurnalFleets(t *testing.T) {
 	do(t, cl.c, "POST", cl.url("/v1/sessions/city/step?n=100"), "", 200, nil)
 
 	st := getStatus(t, cl.c, cl.url("/v1/sessions/city/status"))
-	if got := int(statusNum(t, st, "ingested")); got != accepted {
+	if got := int(st.Ingested); got != accepted {
 		t.Errorf("status ingested = %d, acks accepted = %d", got, accepted)
 	}
-	if got := int(statusNum(t, st, "ingestDropped")); got != dropped {
+	if got := int(st.IngestDropped); got != dropped {
 		t.Errorf("status ingestDropped = %d, acks dropped = %d", got, dropped)
 	}
-	if got := int(statusNum(t, st, "ingestPending")); got != 0 {
+	if got := st.IngestPending; got != 0 {
 		t.Errorf("backlog not drained: pending = %d", got)
 	}
 	if sum := accepted + dropped + lateDropped + rejected + duplicates; sum != pushed {
 		t.Errorf("accounting leak: buckets sum to %d, pushed %d", sum, pushed)
 	}
-	if epochs := int(statusNum(t, st, "epochs")); epochs < phases {
+	if epochs := st.Epochs; epochs < phases {
 		t.Errorf("progress stalled under bursts: %d epochs, want ≥ %d", epochs, phases)
 	}
 	// The 4× spike against a byte quota sized to the buffer must have been
@@ -144,7 +144,7 @@ func TestScenarioBurstyDiurnalFleets(t *testing.T) {
 	if throttledBatches == 0 {
 		t.Error("no burst was ever throttled; quota not exercised")
 	}
-	if got := int(statusNum(t, st, "throttled", "batches")); got != throttledBatches {
+	if got := int(st.Throttled.Batches); got != throttledBatches {
 		t.Errorf("status throttled.batches = %d, observed %d refusals", got, throttledBatches)
 	}
 }

@@ -216,29 +216,11 @@ func getBody(t *testing.T, c *http.Client, url string) []byte {
 }
 
 // getStatus fetches and decodes a session's /status document.
-func getStatus(t *testing.T, c *http.Client, url string) map[string]interface{} {
+func getStatus(t *testing.T, c *http.Client, url string) client.Status {
 	t.Helper()
-	var st map[string]interface{}
+	var st client.Status
 	do(t, c, "GET", url, "", 200, &st)
 	return st
-}
-
-// statusNum digs a float out of a (possibly nested) status document.
-func statusNum(t *testing.T, st map[string]interface{}, path ...string) float64 {
-	t.Helper()
-	var cur interface{} = st
-	for _, key := range path {
-		m, ok := cur.(map[string]interface{})
-		if !ok || m[key] == nil {
-			t.Fatalf("status missing %v (at %q): %v", path, key, cur)
-		}
-		cur = m[key]
-	}
-	f, ok := cur.(float64)
-	if !ok {
-		t.Fatalf("status %v = %T, want number", path, cur)
-	}
-	return f
 }
 
 // mkSpec renders a create-session body from a map, keeping call sites

@@ -74,22 +74,22 @@ func TestScenarioLateToleranceBoundary(t *testing.T) {
 			do(t, cl.c, "POST", cl.url("/v1/sessions/edge/step?n=10"), "", 200, nil)
 			st := getStatus(t, cl.c, cl.url("/v1/sessions/edge/status"))
 			wantIngested := map[string]int{"drop": 5, "next": 6}[policy]
-			if got := int(statusNum(t, st, "ingested")); got != wantIngested {
+			if got := int(st.Ingested); got != wantIngested {
 				t.Errorf("ingested = %d, want %d", got, wantIngested)
 			}
-			if got := int(statusNum(t, st, "ingestPending")); got != 0 {
+			if got := st.IngestPending; got != 0 {
 				t.Errorf("pending = %d after full drain", got)
 			}
 			if policy == "next" {
-				if got := int(statusNum(t, st, "ingestLate")); got != 1 {
+				if got := int(st.IngestLate); got != 1 {
 					t.Errorf("ingestLate = %d, want 1", got)
 				}
 			} else {
-				if got := int(statusNum(t, st, "lateDropped")); got != 1 {
+				if got := int(st.LateDropped); got != 1 {
 					t.Errorf("lateDropped = %d, want 1", got)
 				}
 			}
-			if epochs := int(statusNum(t, st, "epochs")); epochs != 3 {
+			if epochs := st.Epochs; epochs != 3 {
 				t.Errorf("epochs = %d, want 3 (watermark 3)", epochs)
 			}
 		})

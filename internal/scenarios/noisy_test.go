@@ -62,7 +62,7 @@ func victimWorkload(t *testing.T, cl *cluster) (results []byte, p99WaitMs float6
 	}
 	results = getBody(t, cl.c, cl.url("/v1/sessions/victim/results/"+q.ID+"?limit=10000"))
 	st := getStatus(t, cl.c, cl.url("/v1/sessions/victim/status"))
-	return results, statusNum(t, st, "sched", "p99WaitMs")
+	return results, st.Sched.P99WaitMs
 }
 
 // TestScenarioNoisyNeighbor is the multi-tenant acceptance run: one shared
@@ -183,12 +183,12 @@ func TestScenarioNoisyNeighbor(t *testing.T) {
 	// The server's counter must cover every refusal the client saw (it may
 	// exceed it by requests cancelled mid-flight at shutdown).
 	floodSt := getStatus(t, cl.c, cl.url("/v1/sessions/flood/status"))
-	if got := int64(statusNum(t, floodSt, "throttled", "batches")); got < flood429s.Load() {
+	if got := int64(floodSt.Throttled.Batches); got < flood429s.Load() {
 		t.Errorf("flooder status throttled.batches = %d, but client observed %d refusals", got, flood429s.Load())
 	}
 	// Non-interference: the throttling charged nobody else.
 	victimSt := getStatus(t, cl.c, cl.url("/v1/sessions/victim/status"))
-	if got := int(statusNum(t, victimSt, "throttled", "batches")); got != 0 {
+	if got := int(victimSt.Throttled.Batches); got != 0 {
 		t.Errorf("victim charged %d throttled batches for the flooder's traffic", got)
 	}
 	// Non-interference: byte-identical output.

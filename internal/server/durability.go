@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/client"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -208,36 +209,6 @@ func (d *durableState) commit() error {
 	return d.log.Commit()
 }
 
-// DurabilityStats is the observable durability state surfaced in the
-// session JSON and /status.
-type DurabilityStats struct {
-	// Enabled reports whether the engine write-ahead logs its mutations.
-	Enabled bool
-	// Fsync is the policy name ("batch", "always", "never").
-	Fsync string
-	// SnapshotEvery is the snapshot cadence in epochs.
-	SnapshotEvery int
-	// LastSnapshotEpoch is the epoch count of the newest snapshot written
-	// or restored (0 = none yet).
-	LastSnapshotEpoch int
-	// WALBytes/WALSegments size the retained log; WALRecords is the log
-	// position in records, counting records in deleted segments too.
-	WALBytes    int64
-	WALSegments int
-	WALRecords  uint64
-	// Recovered reports that construction found and restored prior state.
-	Recovered bool
-	// ReplayedRecords is how many WAL records recovery replayed after the
-	// snapshot it restored (the whole log when there was none).
-	ReplayedRecords int
-	// TornTail reports that recovery truncated a torn or corrupt tail.
-	TornTail bool
-	// SnapshotVerified reports that recovery restored an older snapshot,
-	// replayed up to the newest one's log position, and the replayed state
-	// encoded byte-identical to it.
-	SnapshotVerified bool
-}
-
 // DurabilityDir returns the engine's durability directory ("" for
 // non-durable engines). Manager.Destroy uses it to purge a destroyed
 // session's on-disk state so the name is reusable for a fresh session.
@@ -248,12 +219,12 @@ func (e *Engine) DurabilityDir() string {
 	return e.dur.cfg.Dir
 }
 
-// Durability reports the engine's durability state; Enabled is false for
-// non-durable engines.
-func (e *Engine) Durability() DurabilityStats {
+// Durability reports the engine's durability state, as the session JSON
+// and /status show it; nil for non-durable engines.
+func (e *Engine) Durability() *client.Durability {
 	d := e.dur
 	if d == nil {
-		return DurabilityStats{}
+		return nil
 	}
 	ls := d.log.Stats()
 	d.mu.Lock()
@@ -262,8 +233,7 @@ func (e *Engine) Durability() DurabilityStats {
 	if len(d.kept) > 0 {
 		last = d.kept[len(d.kept)-1].epochs
 	}
-	return DurabilityStats{
-		Enabled:           true,
+	return &client.Durability{
 		Fsync:             d.cfg.Fsync.String(),
 		SnapshotEvery:     d.cfg.SnapshotEveryEpochs,
 		LastSnapshotEpoch: last,

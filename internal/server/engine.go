@@ -342,10 +342,6 @@ func (e *Engine) Handler() *handler.Handler { return e.handler }
 // Fabricator returns the stream fabricator.
 func (e *Engine) Fabricator() *topology.Fabricator { return e.fab }
 
-// Workers returns the effective size of the per-epoch worker pool that
-// executes cell pipelines.
-func (e *Engine) Workers() int { return e.fab.Workers() }
-
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 {
 	e.mu.Lock()
@@ -402,9 +398,6 @@ func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	}
 	return stored, nil
 }
-
-// SharedStats snapshots the fabricator's subplan-sharing accounting.
-func (e *Engine) SharedStats() topology.SharedStats { return e.fab.SharedStats() }
 
 // Explain parses a CrAQL statement — the EXPLAIN form or a plain query —
 // and prices it against the engine's grid and epoch length under
@@ -581,18 +574,6 @@ func (e *Engine) SetEpochGate(g *schedSession) {
 	e.mu.Unlock()
 }
 
-// SchedStats snapshots the session's epoch-scheduling accounting; ok is
-// false on ungated engines.
-func (e *Engine) SchedStats() (SchedStats, bool) {
-	e.mu.Lock()
-	gate := e.gate
-	e.mu.Unlock()
-	if gate == nil {
-		return SchedStats{}, false
-	}
-	return gate.Stats(), true
-}
-
 // step runs the epoch body (see Step); the caller holds no locks.
 func (e *Engine) step() error {
 	e.stepMu.Lock()
@@ -707,7 +688,7 @@ func (e *Engine) gated() bool {
 // observeEpoch closes the adaptivity loop after an epoch's ingest:
 // every cell's normalized violation (N_v percent from its F-operator's
 // latest report) is accumulated into the MeanViolation metric (and the
-// report's fit diagnostics into FitStats), and — when
+// report's fit diagnostics into /status's fit totals), and — when
 // adaptive rates are enabled — fed to the rate-retune controller, whose
 // RateScale is applied back to the pipeline through the topology hook
 // (Fabricator.Retune). Slots whose pipeline disappeared (query churn) are
@@ -769,41 +750,9 @@ func (e *Engine) MeanViolation() float64 {
 	return e.nvSum / float64(e.nvN)
 }
 
-// FitStats returns the session totals of the F-operators' MLE diagnostics,
-// accumulated per (cell, epoch) like MeanViolation: Newton iterations spent,
-// and fits that ended without converging.
-func (e *Engine) FitStats() (iterations, notConverged uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fitIterations, e.fitsNotConverged
-}
-
 // AdaptiveEnabled reports whether the rate-retune feedback loop runs each
 // epoch; exposed as "adaptive" in session and status JSON.
 func (e *Engine) AdaptiveEnabled() bool { return e.adaptive != nil }
-
-// AdaptiveSlot is the observable state of one adaptive-rates slot.
-type AdaptiveSlot struct {
-	Key        budget.Key
-	Scale      float64 // current rate scale in (0,1]
-	LastNv     float64 // latest normalized violation (percent)
-	Infeasible bool    // saturated at the scale floor with violations persisting
-}
-
-// AdaptiveSlots returns the rate-retune controller's live slots, sorted by
-// key; nil when adaptation is disabled.
-func (e *Engine) AdaptiveSlots() []AdaptiveSlot {
-	if e.adaptive == nil {
-		return nil
-	}
-	snaps := e.adaptive.Snapshots()
-	out := make([]AdaptiveSlot, 0, len(snaps))
-	for _, s := range snaps {
-		scale, _ := e.adaptive.RateScale(s.Key)
-		out = append(out, AdaptiveSlot{Key: s.Key, Scale: scale, LastNv: s.LastNv, Infeasible: s.Infeasible})
-	}
-	return out
-}
 
 // Run executes n epochs. On a gated engine it returns
 // ErrEpochOpen as soon as an epoch cannot close; RunReady is the

@@ -159,7 +159,7 @@ func (s *HTTPServer) encodeFailed(w http.ResponseWriter, what string, err error)
 }
 
 func (s *HTTPServer) writeError(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, map[string]string{"error": err.Error()})
+	s.writeJSON(w, status, client.ErrorBody{Error: err.Error()})
 }
 
 // errString renders an optional error for a JSON payload ("" = none).
@@ -229,9 +229,9 @@ func (s *HTTPServer) session(w http.ResponseWriter, name string) *Session {
 // --- wire formats ---------------------------------------------------------
 
 // The v1 bodies the client package declares are rendered and decoded as
-// those types (toQueryJSON, toSessionJSON, specFromWire); only the bodies
-// the client does not model — the plan explanation, /status — are declared
-// here.
+// those types (toQueryJSON, toSessionJSON, toStatusJSON, specFromWire); only
+// the bodies nothing else decodes — the plan explanation and the one-field
+// acknowledgements — are declared here.
 func toQueryJSON(q query.Query) client.Query {
 	return client.Query{
 		ID: q.ID, Attr: q.Attr,
@@ -264,6 +264,20 @@ type explainJSON struct {
 type sharedPlanJSON struct {
 	Refs int `json:"refs"`
 }
+
+// The acknowledgements of a destroyed session, a deleted query, and the
+// plan route's wrapper around a live query's explanation.
+type (
+	destroyedJSON struct {
+		Destroyed string `json:"destroyed"`
+	}
+	deletedJSON struct {
+		Deleted string `json:"deleted"`
+	}
+	planJSON struct {
+		Plan explainJSON `json:"plan"`
+	}
+)
 
 func toExplainJSON(ex planner.Explanation) explainJSON {
 	est := ex.Estimate
@@ -309,7 +323,7 @@ func toSessionJSON(sess *Session) client.Session {
 	if sess.Spec.Clock.Interval > 0 {
 		sj.Tick = sess.Spec.Clock.Interval.String()
 	}
-	if ds := sess.Engine.Durability(); ds.Enabled {
+	if ds := sess.Engine.Durability(); ds != nil {
 		sj.Durable = true
 		sj.Fsync = ds.Fsync
 		sj.SnapshotEvery = ds.SnapshotEvery
@@ -430,7 +444,7 @@ func (s *HTTPServer) handleSessionDestroy(w http.ResponseWriter, r *http.Request
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"destroyed": name})
+	s.writeJSON(w, http.StatusOK, destroyedJSON{Destroyed: name})
 }
 
 // --- /v1 session-scoped engine routes --------------------------------------
@@ -496,7 +510,7 @@ func (s *HTTPServer) handleSessionQueryDelete(w http.ResponseWriter, r *http.Req
 		s.writeErr(w, err, http.StatusNotFound)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
+	s.writeJSON(w, http.StatusOK, deletedJSON{Deleted: id})
 }
 
 // handleSessionQueryPlan serves a live query's plan: the EXPLAIN of its
@@ -519,7 +533,7 @@ func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Reque
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{"plan": toExplainJSON(ex)})
+	s.writeJSON(w, http.StatusOK, planJSON{Plan: toExplainJSON(ex)})
 }
 
 func (s *HTTPServer) handleSessionScript(w http.ResponseWriter, r *http.Request) {
@@ -833,143 +847,78 @@ func writeStreamChunk(w io.Writer, sink *export.JSONLinesSink, frame []byte, out
 // --- status -----------------------------------------------------------------
 
 func (s *HTTPServer) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r.PathValue("session"))
-	if sess == nil {
-		return
+	if sess := s.session(w, r.PathValue("session")); sess != nil {
+		s.writeJSON(w, http.StatusOK, toStatusJSON(sess.Name, sess.Engine))
 	}
-	e := sess.Engine
-	budgets := e.Budgets().Snapshots()
-	type budgetJSON struct {
-		Attr       string  `json:"attr"`
-		Q          int     `json:"q"`
-		R          int     `json:"r"`
-		Budget     float64 `json:"budget"`
-		LastNv     float64 `json:"lastNv"`
-		Infeasible bool    `json:"infeasible"`
+}
+
+// toStatusJSON fills the /status body from the engine (see docs/API.md,
+// "Status"). Every engine a manager serves carries its scheduler gate, so
+// sched is always that gate's accounting.
+func toStatusJSON(name string, e *Engine) client.Status {
+	fab := e.Fabricator()
+	ist := e.IngestStats()
+	shared := fab.SharedStats()
+	program := fab.ProgramStats()
+	e.mu.Lock()
+	gate, fitIterations, fitsNotConverged := e.gate, e.fitIterations, e.fitsNotConverged
+	e.mu.Unlock()
+	st := client.Status{
+		Adaptive:         e.AdaptiveEnabled(),
+		Budgets:          []client.Budget{},
+		ClockError:       errString(e.ClockErr()),
+		Durability:       e.Durability(),
+		Epochs:           e.Epochs(),
+		FitIterations:    fitIterations,
+		FitsNotConverged: fitsNotConverged,
+		IngestDropped:    ist.Dropped,
+		IngestDuplicates: ist.Duplicates,
+		IngestLate:       ist.Late,
+		IngestPending:    ist.Pending,
+		IngestRejected:   ist.Rejected,
+		Ingested:         ist.Ingested,
+		LateDropped:      ist.LateDropped,
+		MeanNv:           e.MeanViolation(),
+		Now:              e.Now(),
+		Operators:        fab.OperatorCounts(),
+		Pipelines:        fab.NumPipelines(),
+		Queries:          len(e.Queries()),
+		Requests:         e.Handler().RequestsSent(),
+		Responses:        e.Handler().ResponsesReceived(),
+		ResultRings:      shared.ResultRings,
+		RetentionDrops:   e.RetentionDrops(),
+		Running:          e.Running(),
+		Sched:            gate.Stats(),
+		Session:          name,
+		SharedAttaches:   shared.Attaches,
+		SharedPrefixes:   shared.SharedSubplans,
+		SharedQueries:    shared.SharedQueries,
+		Source:           e.SourceMode().String(),
+		Subplans:         shared.Subplans,
+		Watermark:        finiteOrNil(ist.Watermark),
+		Workers:          fab.Workers(),
 	}
-	bj := make([]budgetJSON, 0, len(budgets))
-	for _, b := range budgets {
-		bj = append(bj, budgetJSON{
+	st.Topology.Program = client.Program{Compiles: program.Compiles, Sources: program.Sources, Subplans: program.Subplans}
+	for _, b := range e.Budgets().Snapshots() {
+		st.Budgets = append(st.Budgets, client.Budget{
 			Attr: b.Key.Attr, Q: b.Key.Cell.Q, R: b.Key.Cell.R,
 			Budget: b.Budget, LastNv: b.LastNv, Infeasible: b.Infeasible,
 		})
 	}
-	// Adaptive-rates slots: current scale and violation per starved cell.
-	type adaptiveSlotJSON struct {
-		Attr       string  `json:"attr"`
-		Q          int     `json:"q"`
-		R          int     `json:"r"`
-		Scale      float64 `json:"scale"`
-		LastNv     float64 `json:"lastNv"`
-		Infeasible bool    `json:"infeasible"`
-	}
-	var slots []adaptiveSlotJSON
-	for _, sl := range e.AdaptiveSlots() {
-		slots = append(slots, adaptiveSlotJSON{
-			Attr: sl.Key.Attr, Q: sl.Key.Cell.Q, R: sl.Key.Cell.R,
-			Scale: sl.Scale, LastNv: sl.LastNv, Infeasible: sl.Infeasible,
-		})
-	}
-	// Ingest accounting (lifetime tuple counts; see docs/API.md): ingested
-	// entered the queue, ingestDropped were overflow-rejected, lateDropped
-	// discarded as late, ingestLate redirected to a later epoch,
-	// ingestRejected failed validation; ingestPending is the current
-	// backlog and watermark the event-time low watermark (null unknown).
-	ist := e.IngestStats()
-	// Tenant protection (see docs/API.md, "Tenant limits"): the epoch
-	// scheduler's per-session accounting (null before the session is gated),
-	// the admission-control refusal counters, and the configured limits
-	// (null when unlimited).
-	var sched interface{}
-	if st, ok := e.SchedStats(); ok {
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		sched = map[string]interface{}{
-			"weight":       st.Weight,
-			"epochsServed": st.Served,
-			"totalWaitMs":  ms(st.TotalWait),
-			"maxWaitMs":    ms(st.MaxWait),
-			"p50WaitMs":    ms(st.P50Wait),
-			"p99WaitMs":    ms(st.P99Wait),
+	if e.adaptive != nil {
+		for _, sl := range e.adaptive.Snapshots() {
+			scale, _ := e.adaptive.RateScale(sl.Key)
+			st.AdaptiveSlots = append(st.AdaptiveSlots, client.AdaptiveSlot{
+				Attr: sl.Key.Attr, Q: sl.Key.Cell.Q, R: sl.Key.Cell.R,
+				Scale: scale, LastNv: sl.LastNv, Infeasible: sl.Infeasible,
+			})
 		}
 	}
-	ts := e.ThrottleCounters()
-	// Multi-query sharing (see docs/API.md, "Status"): sharedPrefixes is
-	// the number of subplans serving ≥ 2 queries, subplans the distinct
-	// fabricated subplans and resultRings the distinct result rings they
-	// write.
-	shared := e.SharedStats()
-	// The compiled epoch programs (see docs/API.md, "Status"): what an epoch
-	// executes, and how often that had to be recompiled.
-	program := e.Fabricator().ProgramStats()
-	var limits interface{}
+	if e.limiter != nil {
+		st.Throttled = e.limiter.stats()
+	}
 	if lim := e.Limits(); lim != (TenantLimits{}) {
-		limits = lim
+		st.Limits = &lim
 	}
-	// Durability state (see docs/API.md, "Durability"): null on
-	// non-durable sessions.
-	var durability interface{}
-	if ds := e.Durability(); ds.Enabled {
-		durability = map[string]interface{}{
-			"fsync":             ds.Fsync,
-			"snapshotEvery":     ds.SnapshotEvery,
-			"lastSnapshotEpoch": ds.LastSnapshotEpoch,
-			"walBytes":          ds.WALBytes,
-			"walSegments":       ds.WALSegments,
-			"walRecords":        ds.WALRecords,
-			"recovered":         ds.Recovered,
-			"replayedRecords":   ds.ReplayedRecords,
-			"tornTail":          ds.TornTail,
-			"snapshotVerified":  ds.SnapshotVerified,
-		}
-	}
-	fitIterations, fitsNotConverged := e.FitStats()
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"session":          sess.Name,
-		"running":          e.Running(),
-		"clockError":       errString(e.ClockErr()),
-		"now":              e.Now(),
-		"epochs":           e.Epochs(),
-		"queries":          len(e.Queries()),
-		"pipelines":        e.Fabricator().NumPipelines(),
-		"operators":        e.Fabricator().OperatorCounts(),
-		"workers":          e.Workers(),
-		"sharedPrefixes":   shared.SharedSubplans,
-		"sharedQueries":    shared.SharedQueries,
-		"sharedAttaches":   shared.Attaches,
-		"subplans":         shared.Subplans,
-		"resultRings":      shared.ResultRings,
-		"adaptive":         e.AdaptiveEnabled(),
-		"adaptiveSlots":    slots,
-		"meanNv":           e.MeanViolation(),
-		"fitIterations":    fitIterations,
-		"fitsNotConverged": fitsNotConverged,
-		"requests":         e.Handler().RequestsSent(),
-		"responses":        e.Handler().ResponsesReceived(),
-		"retentionDrops":   e.RetentionDrops(),
-		"source":           e.SourceMode().String(),
-		"ingested":         ist.Ingested,
-		"ingestDropped":    ist.Dropped,
-		"ingestLate":       ist.Late,
-		"lateDropped":      ist.LateDropped,
-		"ingestRejected":   ist.Rejected,
-		"ingestPending":    ist.Pending,
-		"ingestDuplicates": ist.Duplicates,
-		"watermark":        finiteOrNil(ist.Watermark),
-		"durability":       durability,
-		"sched":            sched,
-		"limits":           limits,
-		"topology": map[string]interface{}{
-			"program": map[string]interface{}{
-				"subplans": program.Subplans,
-				"sources":  program.Sources,
-				"compiles": program.Compiles,
-			},
-		},
-		"throttled": map[string]interface{}{
-			"batches": ts.Batches,
-			"tuples":  ts.Tuples,
-			"queries": ts.Queries,
-		},
-		"budgets": bj,
-	})
+	return st
 }

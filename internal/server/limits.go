@@ -45,17 +45,6 @@ func (e *RateLimitError) retryAfterSeconds() int {
 	return secs
 }
 
-// ThrottleStats is a session's cumulative admission-control accounting,
-// surfaced in /status next to the ingest queue's drop counters.
-type ThrottleStats struct {
-	// Batches counts refused ingest batches (429 responses on the push path).
-	Batches uint64
-	// Tuples counts the tuples those refused batches carried.
-	Tuples uint64
-	// Queries counts refused query submissions (MaxQueries quota).
-	Queries uint64
-}
-
 // rateBuckets is a producer's pair of token buckets, one per ingest rate
 // limit; either is nil when its rate is 0 (unlimited).
 type rateBuckets struct {
@@ -108,13 +97,10 @@ func (r rateBuckets) admit(tupleCount, byteCount int, tupleReason, byteReason st
 // tenantLimiter enforces one session's TenantLimits. It is nil on engines
 // without limits, keeping the unlimited path allocation- and lock-free.
 type tenantLimiter struct {
-	mu   sync.Mutex
-	cfg  TenantLimits
-	rate rateBuckets
-
-	throttledBatches uint64
-	throttledTuples  uint64
-	throttledQueries uint64
+	mu        sync.Mutex
+	cfg       TenantLimits
+	rate      rateBuckets
+	throttled client.Throttled // refusals charged to the session, under mu
 }
 
 func newTenantLimiter(cfg TenantLimits, now func() time.Time) *tenantLimiter {
@@ -130,8 +116,8 @@ func (l *tenantLimiter) admitRate(tupleCount, byteCount int) *RateLimitError {
 	defer l.mu.Unlock()
 	err := l.rate.admit(tupleCount, byteCount, "tuple rate", "byte rate")
 	if err != nil {
-		l.throttledBatches++
-		l.throttledTuples += uint64(tupleCount)
+		l.throttled.Batches++
+		l.throttled.Tuples += uint64(tupleCount)
 	}
 	return err
 }
@@ -139,22 +125,22 @@ func (l *tenantLimiter) admitRate(tupleCount, byteCount int) *RateLimitError {
 // noteQuota records a quota refusal on the ingest path.
 func (l *tenantLimiter) noteQuota(tupleCount int) {
 	l.mu.Lock()
-	l.throttledBatches++
-	l.throttledTuples += uint64(tupleCount)
+	l.throttled.Batches++
+	l.throttled.Tuples += uint64(tupleCount)
 	l.mu.Unlock()
 }
 
 // noteQuery records a refused query submission.
 func (l *tenantLimiter) noteQuery() {
 	l.mu.Lock()
-	l.throttledQueries++
+	l.throttled.Queries++
 	l.mu.Unlock()
 }
 
-func (l *tenantLimiter) stats() ThrottleStats {
+func (l *tenantLimiter) stats() client.Throttled {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return ThrottleStats{Batches: l.throttledBatches, Tuples: l.throttledTuples, Queries: l.throttledQueries}
+	return l.throttled
 }
 
 // AdmitIngest runs the session's ingest admission control for a batch of
@@ -213,14 +199,6 @@ func (e *Engine) Limits() TenantLimits {
 		return TenantLimits{}
 	}
 	return e.limiter.cfg
-}
-
-// ThrottleCounters snapshots the session's admission-control refusals.
-func (e *Engine) ThrottleCounters() ThrottleStats {
-	if e.limiter == nil {
-		return ThrottleStats{}
-	}
-	return e.limiter.stats()
 }
 
 // GatewayLimits is the HTTP server's cross-session admission envelope:

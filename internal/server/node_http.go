@@ -1,6 +1,10 @@
 package server
 
-import "net/http"
+import (
+	"net/http"
+
+	"repro/client"
+)
 
 // HeaderExpectNode is the routing assertion a cluster gateway stamps onto
 // every proxied request: the advertised name of the node the gateway's ring
@@ -28,7 +32,7 @@ func (s *HTTPServer) handleNodeDurable(w http.ResponseWriter, r *http.Request) {
 	if names == nil {
 		names = []string{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{"sessions": names})
+	s.writeJSON(w, http.StatusOK, client.DurableSessions{Sessions: names})
 }
 
 // handleNodeRecover re-adopts one session from the shared durability
@@ -42,11 +46,7 @@ func (s *HTTPServer) handleNodeRecover(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"session":   name,
-		"recovered": recovered,
-		"live":      true,
-	})
+	s.writeJSON(w, http.StatusOK, recoveredJSON{Recovered: recovered, Session: name})
 }
 
 // handleNodeRelease stops serving a session while keeping its durable
@@ -59,5 +59,18 @@ func (s *HTTPServer) handleNodeRelease(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{"session": name, "released": true})
+	s.writeJSON(w, http.StatusOK, releasedJSON{Released: true, Session: name})
 }
+
+// The answers of the two handoff halves (the gateway reads only their
+// status).
+type (
+	recoveredJSON struct {
+		Recovered bool   `json:"recovered"`
+		Session   string `json:"session"`
+	}
+	releasedJSON struct {
+		Released bool   `json:"released"`
+		Session  string `json:"session"`
+	}
+)

@@ -219,7 +219,7 @@ func TestAdaptiveRatesLowerMeanViolation(t *testing.T) {
 	}
 	// The adaptive run actually retuned: at least one slot left scale 1.
 	scaled := false
-	for _, sl := range adaptive.Engine.AdaptiveSlots() {
+	for _, sl := range toStatusJSON(adaptive.Name, adaptive.Engine).AdaptiveSlots {
 		if sl.Scale < 1 {
 			scaled = true
 			break
@@ -336,11 +336,16 @@ func TestStatusReportsPlansAndAdaptivity(t *testing.T) {
 // fit when a cell's tuples all sit at one position — and, like meanNv,
 // survive the deletion of the query whose pipelines produced them.
 func TestFitStatsAccumulate(t *testing.T) {
-	e, err := New(externalConfig("", 0), testFields(t))
+	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, externalConfig("", 0))})
+	sess, err := m.Create(SessionSpec{Name: "fit"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
+	e := sess.Engine
+	fitStats := func() (uint64, uint64) {
+		st := toStatusJSON(sess.Name, e)
+		return st.FitIterations, st.FitsNotConverged
+	}
 	q, err := e.Submit(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 8, 8), Rate: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +359,7 @@ func TestFitStatsAccumulate(t *testing.T) {
 	}
 	applyOp(t, e, durOp{kind: "push", tuples: spread, watermark: 1})
 	applyOp(t, e, durOp{kind: "step"})
-	iters, bad := e.FitStats()
+	iters, bad := fitStats()
 	if iters == 0 || bad != 0 {
 		t.Fatalf("after a well-spread epoch: %d iterations, %d not converged", iters, bad)
 	}
@@ -364,14 +369,14 @@ func TestFitStatsAccumulate(t *testing.T) {
 	}
 	applyOp(t, e, durOp{kind: "push", tuples: point, watermark: 2})
 	applyOp(t, e, durOp{kind: "step"})
-	iters2, bad2 := e.FitStats()
+	iters2, bad2 := fitStats()
 	if bad2 == 0 || iters2 < iters {
 		t.Fatalf("after a one-position epoch: %d iterations (was %d), %d not converged", iters2, iters, bad2)
 	}
 	if err := e.Delete(q.ID); err != nil {
 		t.Fatal(err)
 	}
-	if i3, b3 := e.FitStats(); i3 != iters2 || b3 != bad2 {
+	if i3, b3 := fitStats(); i3 != iters2 || b3 != bad2 {
 		t.Fatalf("totals moved on delete: %d/%d, were %d/%d", i3, b3, iters2, bad2)
 	}
 }
@@ -455,7 +460,7 @@ func TestManifestPinsAdaptivity(t *testing.T) {
 	}
 	run(durable, true, 12)
 	retuned := false
-	for _, sl := range durable.Engine.AdaptiveSlots() {
+	for _, sl := range toStatusJSON(durable.Name, durable.Engine).AdaptiveSlots {
 		retuned = retuned || sl.Scale < 1
 	}
 	if !retuned {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/client"
 )
 
 // FairScheduler arbitrates epoch execution across a manager's sessions with
@@ -239,31 +241,16 @@ func (s *FairScheduler) Close() {
 	s.waiters = nil
 }
 
-// SchedStats is one session's epoch-scheduling accounting for /status.
-type SchedStats struct {
-	// Weight is the session's fair-share weight.
-	Weight float64
-	// Served counts epochs granted through the gate.
-	Served uint64
-	// TotalWait is the summed slot-wait latency across served epochs.
-	TotalWait time.Duration
-	// MaxWait is the worst single slot wait.
-	MaxWait time.Duration
-	// P50Wait and P99Wait are percentiles over the most recent served
-	// epochs (a bounded reservoir).
-	P50Wait time.Duration
-	P99Wait time.Duration
-}
-
-// Stats snapshots the session's scheduling accounting.
-func (ss *schedSession) Stats() SchedStats {
+// Stats snapshots the session's scheduling accounting for /status: the
+// percentiles are over the most recent served epochs (a bounded reservoir).
+func (ss *schedSession) Stats() client.Sched {
 	s := ss.s
 	s.mu.Lock()
-	st := SchedStats{
-		Weight:    ss.weight,
-		Served:    ss.served,
-		TotalWait: time.Duration(ss.totalWaitNs),
-		MaxWait:   time.Duration(ss.maxWaitNs),
+	st := client.Sched{
+		EpochsServed: ss.served,
+		MaxWaitMs:    nsToMs(ss.maxWaitNs),
+		TotalWaitMs:  nsToMs(ss.totalWaitNs),
+		Weight:       ss.weight,
 	}
 	n := ss.waitN
 	if n > schedWaitRing {
@@ -274,8 +261,11 @@ func (ss *schedSession) Stats() SchedStats {
 	s.mu.Unlock()
 	if n > 0 {
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		st.P50Wait = time.Duration(samples[n/2])
-		st.P99Wait = time.Duration(samples[(n*99)/100])
+		st.P50WaitMs = nsToMs(samples[n/2])
+		st.P99WaitMs = nsToMs(samples[(n*99)/100])
 	}
 	return st
 }
+
+// nsToMs renders a nanosecond count in milliseconds.
+func nsToMs(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }

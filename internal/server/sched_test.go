@@ -29,8 +29,8 @@ func TestFairSchedulerUncontendedPassThrough(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("uncontended Acquire blocked")
 	}
-	if st := a.Stats(); st.Served != 100 {
-		t.Fatalf("Served = %d, want 100", st.Served)
+	if st := a.Stats(); st.EpochsServed != 100 {
+		t.Fatalf("EpochsServed = %d, want 100", st.EpochsServed)
 	}
 }
 
@@ -149,10 +149,10 @@ func TestFairSchedulerWeightedGrantOrder(t *testing.T) {
 	relA = <-ac
 	relA()
 
-	if hs := h.Stats(); hs.Served != 2 {
-		t.Fatalf("h Served = %d, want 2", hs.Served)
+	if hs := h.Stats(); hs.EpochsServed != 2 {
+		t.Fatalf("h EpochsServed = %d, want 2", hs.EpochsServed)
 	}
-	if as := a.Stats(); as.Served != 2 || as.MaxWait <= 0 {
+	if as := a.Stats(); as.EpochsServed != 2 || as.MaxWaitMs <= 0 {
 		t.Fatalf("a stats = %+v, want 2 served with positive wait", as)
 	}
 }
@@ -198,8 +198,8 @@ func TestFairSchedulerFloodDoesNotStarve(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := victim.Stats(); st.Served != 20 {
-		t.Fatalf("victim Served = %d, want 20", st.Served)
+	if st := victim.Stats(); st.EpochsServed != 20 {
+		t.Fatalf("victim EpochsServed = %d, want 20", st.EpochsServed)
 	}
 }
 

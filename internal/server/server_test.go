@@ -279,10 +279,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal("limit ignored")
 	}
 
-	var st map[string]interface{}
+	var st client.Status
 	doJSON(t, c, "GET", base+"/status", "", 200, &st)
-	if st["queries"].(float64) != 1 {
-		t.Fatalf("status queries = %v", st["queries"])
+	if st.Queries != 1 {
+		t.Fatalf("status queries = %v", st.Queries)
 	}
 	doJSON(t, c, "GET", base+"/queries", "", 200, nil)
 	doJSON(t, c, "DELETE", base+"/queries/Q1", "", 200, nil)
@@ -294,8 +294,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// first 64 KiB (which hold a valid query and trailing blanks).
 	doJSON(t, c, "POST", base+"/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3"+strings.Repeat(" ", 1<<16)+"junk", 413, nil)
 	doJSON(t, c, "GET", base+"/status", "", 200, &st)
-	if st["queries"].(float64) != 0 {
-		t.Fatalf("an oversized statement registered a query: status queries = %v", st["queries"])
+	if st.Queries != 0 {
+		t.Fatalf("an oversized statement registered a query: status queries = %v", st.Queries)
 	}
 	doJSON(t, c, "POST", base+"/step?n=abc", "", 400, nil)
 	doJSON(t, c, "GET", base+"/step", "", 405, nil)

@@ -17,8 +17,9 @@
 #   4. the session-spec field table under `### POST /v1/sessions` lists
 #      exactly the json tags of client.SessionSpec (client/client.go), the
 #      type the server decodes the create body into;
-#   5. the keys of /status `topology.program` rendered by http.go are
-#      exactly those of the status example in docs/API.md;
+#   5. the json tags of client.Program, the /status `topology.program`
+#      object, are exactly the keys of that object in the status example in
+#      docs/API.md;
 #   6. every cmd/…, scripts/…, internal/… or examples/… path named in
 #      README.md, DESIGN.md or docs/API.md exists in the tree (no
 #      documentation of deleted binaries, scripts or packages);
@@ -31,7 +32,9 @@
 #      renamed test cannot leave a run pattern that silently matches nothing
 #      (the match-nothing pattern '^$' is exempt).
 #   9. the json tags of client.Session are exactly the top-level keys of the
-#      session-object examples (```json blocks) under `### POST /v1/sessions`.
+#      session-object examples (```json blocks) under `### POST /v1/sessions`;
+#  10. the json tags of client.ClusterStatus are exactly the top-level keys
+#      of the example under `### GET /v1/cluster/status`.
 #
 # Every extraction that finds nothing is reported with the pattern and the
 # file it searched, instead of ending the script silently under pipefail.
@@ -124,12 +127,10 @@ doc_fields=$({ grep -oE '^\| `[A-Za-z]+`' <<<"$sessions_md" | sed -E 's/^\| `//;
 found "session-spec table rows" '| `field` |' "$API_MD (### POST /v1/sessions)" "$doc_fields"
 same_set "session-spec field" "$code_fields" "$CLIENT_GO" "$doc_fields"
 
-# Session object: the json tags of client.Session against the top-level
-# keys of the ```json examples in the same section (a nested object such as
-# limits contributes its own key, not its members').
-code_session=$(struct_tags Session "$CLIENT_GO")
-found "session-object json tags" 'type Session struct {…}' "$CLIENT_GO" "$code_session"
-doc_session=$({ awk '
+# top_keys: the top-level keys of the ```json examples on stdin (a nested
+# object such as limits contributes its own key, not its members').
+top_keys() {
+  { awk '
   /^```json/ { injson = 1; depth = 0; next }
   /^```/ { injson = 0; next }
   injson {
@@ -141,22 +142,36 @@ doc_session=$({ awk '
       else if (depth == 1) { gsub(/[":]/, "", tok); print tok }
       line = substr(line, RSTART + RLENGTH)
     }
-  }' <<<"$sessions_md" | sort -u; } || true)
+  }' | sort -u; } || true
+}
+
+# Session object: the json tags of client.Session against the top-level
+# keys of the ```json examples in the same section.
+code_session=$(struct_tags Session "$CLIENT_GO")
+found "session-object json tags" 'type Session struct {…}' "$CLIENT_GO" "$code_session"
+doc_session=$(top_keys <<<"$sessions_md")
 found "session-object example keys" '```json blocks' "$API_MD (### POST /v1/sessions)" "$doc_session"
 same_set "session-object field" "$code_session" "$CLIENT_GO" "$doc_session"
 
-# /status topology.program: the keys of the map literal in http.go against
-# the keys of the example object in API.md.
-code_program=$({ sed -n '/"program": map\[string\]interface{}{/,/}/p' "$HTTP_GO" \
-  | grep -oE '^[[:space:]]+"[a-z]+":' | tr -d ' \t":' | grep -vx program | sort -u; } || true)
-found "/status topology.program keys" '"program": map[string]interface{}{…}' "$HTTP_GO" "$code_program"
+# /status topology.program: the json tags of client.Program against the
+# keys of the example object in API.md.
+code_program=$(struct_tags Program "$CLIENT_GO")
+found "/status topology.program json tags" 'type Program struct {…}' "$CLIENT_GO" "$code_program"
 doc_program=$({ grep -oE '"program": \{[^}]*\}' "$API_MD" | head -1 \
   | sed -E 's/^"program": //' | grep -oE '"[a-z]+":' | tr -d '":' | sort -u; } || true)
 found "/status topology.program example keys" '"program": {…}' "$API_MD" "$doc_program"
 if [ "$code_program" != "$doc_program" ]; then
-  echo "docs_check: /status topology.program is {$(echo $code_program)} in $HTTP_GO but {$(echo $doc_program)} in $API_MD" >&2
+  echo "docs_check: /status topology.program is {$(echo $code_program)} in $CLIENT_GO but {$(echo $doc_program)} in $API_MD" >&2
   fail=1
 fi
+
+# Cluster status: the json tags of client.ClusterStatus against the
+# top-level keys of the example under its heading.
+code_cluster=$(struct_tags ClusterStatus "$CLIENT_GO")
+found "cluster-status json tags" 'type ClusterStatus struct {…}' "$CLIENT_GO" "$code_cluster"
+doc_cluster=$(sed -n '/^### GET \/v1\/cluster\/status$/,/^##/p' "$API_MD" | top_keys)
+found "cluster-status example keys" '```json blocks' "$API_MD (### GET /v1/cluster/status)" "$doc_cluster"
+same_set "cluster-status field" "$code_cluster" "$CLIENT_GO" "$doc_cluster"
 
 # Repository paths named in the docs: trailing sentence punctuation is
 # stripped, and a glob such as scripts/*.sh stops the match before its `*`.
