@@ -29,12 +29,13 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -54,25 +55,27 @@ func main() {
 		os.Exit(2)
 	}
 	if *session == "" {
-		listSessions(*dataDir)
-		return
-	}
-	if *dumpTrace != "" {
-		if err := dumpTraceFile(sessionPath(*dataDir, *session), *dumpTrace); err != nil {
-			log.Fatalf("craqr-replay: dump-trace: %v", err)
+		if err := listSessions(os.Stdout, *dataDir); err != nil {
+			log.Fatalf("craqr-replay: %v", err)
 		}
 		return
 	}
 
-	spec, err := server.ReadManifest(sessionPath(*dataDir, *session))
+	spec, err := findSession(*dataDir, *session)
 	if err != nil {
-		log.Fatalf("craqr-replay: reading manifest: %v", err)
+		log.Fatalf("craqr-replay: %v", err)
 	}
 	template := world.Template(*nSensors)
 	template.Durability.Dir = *dataDir
 	cfg, err := server.ConfigForSpec(template, spec)
 	if err != nil {
 		log.Fatalf("craqr-replay: %v", err)
+	}
+	if *dumpTrace != "" {
+		if err := dumpTraceFile(cfg.Durability.Dir, *dumpTrace); err != nil {
+			log.Fatalf("craqr-replay: dump-trace: %v", err)
+		}
+		return
 	}
 	cfg.Durability.ReadOnly = true
 	cfg.Clock = server.ClockConfig{} // never tick: inspect, don't advance
@@ -101,15 +104,32 @@ func main() {
 	}
 }
 
-// sessionPath mirrors the server's session-directory layout for manifest
-// lookup; the replay engine re-derives it itself via ConfigForSpec.
-func sessionPath(root, name string) string {
-	cfg, err := server.ConfigForSpec(server.Config{Durability: server.DurabilityConfig{Dir: root}},
-		server.SessionSpec{Name: name})
-	if err != nil || cfg.Durability.Dir == "" {
-		return filepath.Join(root, "sessions", name)
+// listSessions writes the name of every durable session under root to w,
+// one a line, sorted — the names -session takes. Manifests it cannot read
+// are returned as the error, after the list.
+func listSessions(w io.Writer, root string) error {
+	specs, unreadable, err := server.DurableSpecs(root)
+	if err != nil {
+		return err
 	}
-	return cfg.Durability.Dir
+	for _, spec := range specs {
+		fmt.Fprintln(w, spec.Name)
+	}
+	return unreadable
+}
+
+// findSession returns the persisted spec of the durable session named name.
+func findSession(root, name string) (server.SessionSpec, error) {
+	specs, unreadable, err := server.DurableSpecs(root)
+	if err != nil {
+		return server.SessionSpec{}, err
+	}
+	for _, spec := range specs {
+		if spec.Name == name {
+			return spec, nil
+		}
+	}
+	return server.SessionSpec{}, errors.Join(fmt.Errorf("no durable session %q under %s", name, root), unreadable)
 }
 
 // dumpTraceFile walks the session's retained WAL segments read-only and
@@ -165,23 +185,6 @@ func dumpTraceFile(sessionDir, out string) error {
 		fmt.Fprintf(os.Stderr, "torn tail detected: trailing incomplete record skipped\n")
 	}
 	return nil
-}
-
-func listSessions(root string) {
-	entries, err := os.ReadDir(filepath.Join(root, "sessions"))
-	if err != nil {
-		log.Fatalf("craqr-replay: %v", err)
-	}
-	var names []string
-	for _, ent := range entries {
-		if ent.IsDir() {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Println(n)
-	}
 }
 
 func report(e *server.Engine, spec server.SessionSpec) {

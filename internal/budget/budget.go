@@ -116,6 +116,17 @@ func (c *Controller) Unregister(k Key) {
 	delete(c.slots, k)
 }
 
+// Retain unregisters every slot live does not hold.
+func (c *Controller) Retain(live map[Key]bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.slots {
+		if !live[k] {
+			delete(c.slots, k)
+		}
+	}
+}
+
 // Observe feeds one rate-violation measurement for the slot and applies the
 // paper's rule: raise β by Δβ when the violation exceeds
 // Config.ViolationThreshold, lower it otherwise; clamp to [Min, Max] and

@@ -112,15 +112,11 @@ type Flatten struct {
 	batchSeq int
 	last     ViolationReport
 	// reports retains the most recent maxReports batch reports as a ring
-	// (reportHead is the oldest entry once full); the history is observable
-	// through OnReport. Nothing reads the ring: it stays because snapshot
-	// version 4 carries it and restore's byte-identity self-check re-encodes
-	// it, and goes with the next snapshot version.
+	// (reportHead is the oldest entry once full). Nothing reads the ring: it
+	// stays because snapshot version 4 carries it and restore's byte-identity
+	// self-check re-encodes it, and goes with the next snapshot version.
 	reports    []ViolationReport
 	reportHead int
-	// onReport, when set, is invoked after each batch with its violation
-	// report; the budget controller subscribes here.
-	onReport func(ViolationReport)
 	// warm starts the next batch's MLE at this batch's optimum. It is kept
 	// in the coordinates of the window it was fitted on (warmWindow), so it
 	// means the same rate profile on the next epoch's window however far the
@@ -163,14 +159,8 @@ func (f *Flatten) SetTargetRate(rate float64) error {
 	return nil
 }
 
-// OnReport registers a callback invoked with each batch's violation report.
-func (f *Flatten) OnReport(fn func(ViolationReport)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.onReport = fn
-}
-
-// LastReport returns the most recent batch's violation report.
+// LastReport returns the most recent batch's violation report; its Batch is
+// 0 until the first batch has run.
 func (f *Flatten) LastReport() ViolationReport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -292,13 +282,12 @@ func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *Viola
 }
 
 // decide runs Eq. (3) for one batch and writes each tuple's survival into
-// keep (len ≥ b.Len()), returning the survivor count. Estimation, violation
-// accounting and report plumbing all happen here, so Process and the
-// compiled kernel (topology package, via ProcessFused) share the decision
-// byte-for-byte. f.mu is held for the estimator's state and for the
-// Bernoulli draws, nothing else — retaining probabilities are computed
-// between the two and survivors are materialized by the caller after the
-// lock is released.
+// keep (len ≥ b.Len()), returning the survivor count. Estimation and
+// violation accounting happen here, so Process and the compiled kernel
+// (topology package, via ProcessFused) share the decision byte-for-byte.
+// f.mu is held for the estimator's state and for the Bernoulli draws,
+// nothing else — retaining probabilities are computed between the two and
+// survivors are materialized by the caller after the lock is released.
 func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 	if err := b.Window.Validate(); err != nil {
 		return 0, fmt.Errorf("pmat: flatten %q: %w", f.Name(), err)
@@ -368,11 +357,7 @@ func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 		f.reports[f.reportHead] = report
 		f.reportHead = (f.reportHead + 1) % maxReports
 	}
-	cb := f.onReport
 	f.mu.Unlock()
-	if cb != nil {
-		cb(report)
-	}
 	return kept, nil
 }
 

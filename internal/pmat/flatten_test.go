@@ -238,19 +238,6 @@ func TestFlattenReportsAccumulate(t *testing.T) {
 	}
 }
 
-func TestFlattenOnReportCallback(t *testing.T) {
-	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 4, 4)}
-	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 1}, stats.NewRNG(6))
-	var got []ViolationReport
-	f.OnReport(func(r ViolationReport) { got = append(got, r) })
-	if err := f.Process(inhomogeneousBatch(t, skewedIntensity(t), w, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("callback fired %d times", len(got))
-	}
-}
-
 func TestFlattenSmallBatchFallback(t *testing.T) {
 	// Batches below minBatchForFit use the homogeneous fallback — output
 	// should still have roughly the target count in expectation.

@@ -1249,8 +1249,8 @@ func TestManifestUnknownFieldRefused(t *testing.T) {
 	names := func(err error) bool {
 		return err != nil && strings.Contains(err.Error(), `"disablePlanner"`) && strings.Contains(err.Error(), "destroy the session")
 	}
-	if _, err := ReadManifest(dir); !names(err) {
-		t.Fatalf("ReadManifest = %v, want a refusal naming the field", err)
+	if _, err := readManifest(dir); !names(err) {
+		t.Fatalf("readManifest = %v, want a refusal naming the field", err)
 	}
 	template := externalConfig(root, wal.FsyncNever)
 	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, template), DurabilityDir: root})

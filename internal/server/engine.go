@@ -196,11 +196,12 @@ type Engine struct {
 	// retiredDrops carries the evictions of deleted queries' stores, so
 	// RetentionDrops never goes backwards (guarded by mu).
 	retiredDrops uint64
-	// attrScratch is Step's reusable attr list and liveScratch observeEpoch's
-	// reusable live-slot set (both guarded by stepMu), keeping the per-epoch
-	// glue allocation-free.
-	attrScratch []string
-	liveScratch map[budget.Key]bool
+	// attrScratch is Step's reusable attr list, liveScratch and adaptScratch
+	// observeEpoch's reusable adaptive-slot set and list (all guarded by
+	// stepMu), keeping the per-epoch glue allocation-free.
+	attrScratch  []string
+	liveScratch  map[budget.Key]bool
+	adaptScratch []topology.Key
 	// nvSum/nvN accumulate every (cell, epoch) normalized-violation sample —
 	// MeanViolation is the adaptivity acceptance metric.
 	nvSum float64
@@ -538,12 +539,12 @@ var ErrEpochOpen = errors.New("server: epoch open: ingest watermark below epoch 
 // — the simulated handler spending its budgets, the ingest queue draining
 // externally pushed tuples, or both merged — the batches are
 // ingested through the fabricator (cell pipelines executing on the
-// fabricator's worker pool), violations tune the budgets (wired via
-// AttachBudgets), and — when enabled — the incentive allocator reallocates
-// from fresh pressure. Epochs are serialized; queries submitted
-// concurrently with Step take effect at the next epoch boundary. When the
-// engine is gated and the watermark has not reached the epoch's end, Step
-// returns ErrEpochOpen without advancing time.
+// fabricator's worker pool), and the F-operators' violation reports tune
+// the budgets, the adaptive rates and the incentives (observeEpoch). Epochs
+// are serialized; queries submitted concurrently with Step take effect at
+// the next epoch boundary. When the engine is gated and the watermark has
+// not reached the epoch's end, Step returns ErrEpochOpen without advancing
+// time.
 func (e *Engine) Step() error { return e.StepCtx(context.Background()) }
 
 // StepCtx is Step with cancellation: when the engine is gated by a
@@ -620,12 +621,6 @@ func (e *Engine) step() error {
 			return fmt.Errorf("server: ingest %s: %w", attr, err)
 		}
 	}
-	if e.cfg.Incentives != nil {
-		for _, snap := range e.budgets.Snapshots() {
-			e.cfg.Incentives.ObservePressure(snap.Key, snap.LastNv)
-		}
-		e.cfg.Incentives.Reallocate()
-	}
 	if err := e.observeEpoch(); err != nil {
 		return fmt.Errorf("server: epoch at t=%g: adaptive retune: %w", t0, err)
 	}
@@ -685,53 +680,63 @@ func (e *Engine) gated() bool {
 	return e.queue != nil && (e.cfg.Source.Mode == SourceExternal || e.queue.Active())
 }
 
-// observeEpoch closes the adaptivity loop after an epoch's ingest:
-// every cell's normalized violation (N_v percent from its F-operator's
-// latest report) is accumulated into the MeanViolation metric (and the
-// report's fit diagnostics into /status's fit totals), and — when
-// adaptive rates are enabled — fed to the rate-retune controller, whose
-// RateScale is applied back to the pipeline through the topology hook
-// (Fabricator.Retune). Slots whose pipeline disappeared (query churn) are
-// unregistered so the controller tracks only live cells.
+// observeEpoch closes the feedback loops after an epoch's ingest. It is the
+// one reader of the F-operators' N_v reports: a single walk feeds each
+// report, in order, to the acquisition budgets, the adaptive rate-retune
+// controller, the incentive allocator's pressure and the MeanViolation and
+// fit totals, skipping a report whose Batch is 0 (its F has not run since it
+// was built). The walk holds the fabricator's read lock, so no concurrent
+// Delete drops a budget slot mid-walk; the adaptive RateScales are applied
+// (Fabricator.Retune) after it, and adaptive slots it did not see — their
+// pipelines are gone — are unregistered.
 func (e *Engine) observeEpoch() error {
 	var sum float64
 	var n int
 	var fitIters, notConverged uint64
-	var retuneErr error
-	live := e.liveScratch
+	live, adapt := e.liveScratch, e.adaptScratch[:0]
 	clear(live)
 	e.fab.VisitLastReports(func(k topology.Key, rep pmat.ViolationReport) {
+		if rep.Batch == 0 {
+			return
+		}
+		bk := budget.Key{Attr: k.Attr, Cell: k.Cell}
+		e.budgets.Observe(bk, rep.Percent)
+		if e.adaptive != nil {
+			e.adaptive.Observe(bk, rep.Percent)
+			live[bk] = true
+			adapt = append(adapt, k)
+		}
+		if e.cfg.Incentives != nil {
+			e.cfg.Incentives.ObservePressure(bk, rep.Percent)
+		}
 		sum += rep.Percent
 		n++
 		fitIters += uint64(rep.FitIterations)
 		if rep.FitNotConverged {
 			notConverged++
 		}
-		if e.adaptive == nil || retuneErr != nil {
-			return
-		}
-		bk := budget.Key{Attr: k.Attr, Cell: k.Cell}
-		live[bk] = true
-		e.adaptive.Observe(bk, rep.Percent)
-		if scale, ok := e.adaptive.RateScale(bk); ok {
-			// Retune no-ops on keys dropped since the snapshot; RateScale is
-			// clamped to (0,1], so a non-nil error means the chain rejected a
-			// rescale - pipeline corruption worth halting the clock over.
-			retuneErr = e.fab.Retune(k, scale)
-		}
 	})
+	e.adaptScratch = adapt
 	e.mu.Lock()
 	e.nvSum += sum
 	e.nvN += n
 	e.fitIterations += fitIters
 	e.fitsNotConverged += notConverged
 	e.mu.Unlock()
-	if retuneErr != nil || e.adaptive == nil {
-		return retuneErr
+	if e.cfg.Incentives != nil {
+		e.cfg.Incentives.Reallocate()
 	}
-	for _, snap := range e.adaptive.Snapshots() {
-		if !live[snap.Key] {
-			e.adaptive.Unregister(snap.Key)
+	if e.adaptive == nil {
+		return nil
+	}
+	e.adaptive.Retain(live)
+	for _, k := range adapt {
+		// RateScale is clamped to (0,1] and Retune no-ops on a key dropped
+		// since the walk, so an error means the chain rejected a rescale -
+		// pipeline corruption worth halting the clock over.
+		scale, _ := e.adaptive.RateScale(budget.Key{Attr: k.Attr, Cell: k.Cell})
+		if err := e.fab.Retune(k, scale); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -283,13 +283,12 @@ func sessionDir(root, name string) string {
 	return filepath.Join(root, "sessions", escaped)
 }
 
-// ReadManifest loads the SessionSpec persisted in a session's durability
-// directory (root/sessions/<name>/session.json). Offline tools use it to
-// rebuild the session's exact engine config via ConfigForSpec. A field this
+// readManifest loads the SessionSpec persisted in a session's durability
+// directory (root/sessions/<name>/session.json). A field this
 // build does not know — a manifest written when the spec still carried the
 // A/B levers — is refused by name rather than dropped: replaying without
 // it could fabricate a different stream.
-func ReadManifest(dir string) (SessionSpec, error) {
+func readManifest(dir string) (SessionSpec, error) {
 	var spec SessionSpec
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -328,7 +327,7 @@ func writeManifest(dir string, spec SessionSpec) error {
 // (the Recover path, or a deliberate resume of an idle-GC'd session) and
 // is allowed.
 func checkDurableDir(dir string, next SessionSpec) error {
-	existing, err := ReadManifest(dir)
+	existing, err := readManifest(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
@@ -535,47 +534,27 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 }
 
 // Recover re-adopts every durable session found under the manager's
-// durability root: each sessions/<name>/session.json manifest is loaded
-// and the session re-created through the normal factory, which restores
-// its snapshot and replays the WAL after it — queries, watermark, estimator
-// state and result cursors resume where the previous process stopped.
-// Sessions whose name is already live are skipped (not an error), so
-// Recover is safe to call once on startup before any default-session
-// creation. It returns the recovered session names sorted; per-session
-// failures are joined into the error but do not stop the scan.
+// durability root (DurableSpecs): each session is re-created from its
+// manifest through the normal factory, which restores its snapshot and
+// replays the WAL after it — queries, watermark, estimator state and result
+// cursors resume where the previous process stopped. Sessions whose name is
+// already live are skipped (not an error), so Recover is safe to call once
+// on startup before any default-session creation. It returns the recovered
+// session names sorted; unreadable manifests and per-session failures are
+// joined into the error but do not stop the scan.
 func (m *Manager) Recover() ([]string, error) {
 	if m.cfg.DurabilityDir == "" {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(filepath.Join(m.cfg.DurabilityDir, "sessions"))
+	specs, errs, err := DurableSpecs(m.cfg.DurabilityDir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil // fresh data dir: nothing to recover
-		}
 		return nil, fmt.Errorf("server: recover: %w", err)
 	}
-	dirs := make([]string, 0, len(entries))
-	for _, ent := range entries {
-		if ent.IsDir() {
-			dirs = append(dirs, ent.Name())
-		}
+	if errs != nil {
+		errs = fmt.Errorf("server: recover: %w", errs)
 	}
-	sort.Strings(dirs)
 	var recovered []string
-	var errs error
-	for _, dir := range dirs {
-		spec, rerr := ReadManifest(filepath.Join(m.cfg.DurabilityDir, "sessions", dir))
-		if rerr != nil {
-			if errors.Is(rerr, os.ErrNotExist) {
-				continue // not a session directory (no manifest)
-			}
-			errs = errors.Join(errs, fmt.Errorf("server: recover %s: %w", dir, rerr))
-			continue
-		}
-		if spec.Name == "" {
-			errs = errors.Join(errs, fmt.Errorf("server: recover %s: manifest has no session name", dir))
-			continue
-		}
+	for _, spec := range specs {
 		m.mu.Lock()
 		_, taken := m.sessions[spec.Name]
 		m.mu.Unlock()
@@ -592,7 +571,7 @@ func (m *Manager) Recover() ([]string, error) {
 }
 
 // DurableSessions lists the session names with durable state under the
-// manager's durability root — every sessions/<dir>/session.json manifest,
+// manager's durability root — every readable manifest DurableSpecs finds,
 // live or not, sorted by name. A cluster gateway uses this to decide which
 // sessions exist at all before assigning them to ring owners; a manager
 // without a durability root reports none.
@@ -600,26 +579,47 @@ func (m *Manager) DurableSessions() ([]string, error) {
 	if m.cfg.DurabilityDir == "" {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(filepath.Join(m.cfg.DurabilityDir, "sessions"))
+	specs, _, err := DurableSpecs(m.cfg.DurabilityDir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, fmt.Errorf("server: durable sessions: %w", err)
 	}
 	var names []string
+	for _, spec := range specs {
+		names = append(names, spec.Name)
+	}
+	return names, nil
+}
+
+// DurableSpecs returns the specs the manifests under root/sessions/* hold,
+// sorted by session name. A directory without a manifest is skipped; one
+// whose manifest is unreadable or names no session is reported in
+// unreadable, one joined error each. err is set only when root/sessions
+// exists and cannot be listed.
+func DurableSpecs(root string) (specs []SessionSpec, unreadable, err error) {
+	entries, err := os.ReadDir(filepath.Join(root, "sessions"))
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil, nil
+		}
+		return nil, nil, err
+	}
 	for _, ent := range entries {
 		if !ent.IsDir() {
 			continue
 		}
-		spec, rerr := ReadManifest(filepath.Join(m.cfg.DurabilityDir, "sessions", ent.Name()))
-		if rerr != nil || spec.Name == "" {
-			continue // not a session directory (no readable manifest)
+		spec, rerr := readManifest(filepath.Join(root, "sessions", ent.Name()))
+		switch {
+		case errors.Is(rerr, os.ErrNotExist):
+		case rerr != nil:
+			unreadable = errors.Join(unreadable, fmt.Errorf("%s: %w", ent.Name(), rerr))
+		case spec.Name == "":
+			unreadable = errors.Join(unreadable, fmt.Errorf("%s: manifest has no session name", ent.Name()))
+		default:
+			specs = append(specs, spec)
 		}
-		names = append(names, spec.Name)
 	}
-	sort.Strings(names)
-	return names, nil
+	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
+	return specs, unreadable, nil
 }
 
 // RecoverSession re-adopts one named session from its durable state: the
@@ -645,7 +645,7 @@ func (m *Manager) RecoverSession(name string) (recovered bool, err error) {
 	if live {
 		return false, nil
 	}
-	spec, err := ReadManifest(sessionDir(m.cfg.DurabilityDir, name))
+	spec, err := readManifest(sessionDir(m.cfg.DurabilityDir, name))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return false, fmt.Errorf("%w: %q has no durable state", ErrNoSession, name)

@@ -469,7 +469,7 @@ func TestManifestPinsAdaptivity(t *testing.T) {
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ReadManifest(sessionDir(root, "d"))
+	spec, err := readManifest(sessionDir(root, "d"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,8 @@ type Config struct {
 // cell's topology), the process phase (the per-cell PMAT chains), and the
 // merge phase (U-operators assembling the final streams). Budgets, when a
 // controller is attached, are registered per materialized (attribute, cell)
-// slot and tuned from the F-operators' N_v reports.
+// slot; the engine tunes them from the F-operators' N_v reports
+// (VisitLastReports).
 type Fabricator struct {
 	grid *geom.Grid
 	cfg  Config
@@ -209,27 +210,23 @@ func (f *Fabricator) Queries() []query.Query {
 }
 
 // AttachBudgets connects a budget controller: every materialized
-// (attribute, cell) slot is registered with it and each F-operator's
-// violation reports are forwarded as observations.
+// (attribute, cell) slot is registered with it now, each later one when its
+// pipeline is built, and a slot is unregistered when its pipeline is
+// dropped. The controller's observations come from the engine's per-epoch
+// VisitLastReports walk.
 func (f *Fabricator) AttachBudgets(c *budget.Controller) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.budgets = c
-	for key, p := range f.cells {
-		f.wireBudget(key, p)
+	for key := range f.cells {
+		f.registerBudget(key)
 	}
 }
 
-func (f *Fabricator) wireBudget(key Key, p *CellPipeline) {
-	if f.budgets == nil {
-		return
+func (f *Fabricator) registerBudget(key Key) {
+	if f.budgets != nil {
+		f.budgets.Register(budget.Key{Attr: key.Attr, Cell: key.Cell})
 	}
-	bk := budget.Key{Attr: key.Attr, Cell: key.Cell}
-	f.budgets.Register(bk)
-	ctrl := f.budgets
-	p.Flatten().OnReport(func(rep pmat.ViolationReport) {
-		ctrl.Observe(bk, rep.Percent)
-	})
 }
 
 // InsertQueryMerge is InsertQuery; mode is ignored, kept only because
@@ -303,7 +300,7 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 				return query.Query{}, cellErr
 			}
 			f.cells[key] = p
-			f.wireBudget(key, p)
+			f.registerBudget(key)
 		}
 		if err := p.AddTap(stored, ov.Rect, plan.Inputs[i]); err != nil {
 			f.rollbackInsert(st)
@@ -550,23 +547,18 @@ func (f *Fabricator) Retune(key Key, scale float64) error {
 // VisitLastReports calls fn for every materialized pipeline key with the
 // F-operator's most recent violation report, in deterministic
 // (attr, row-major) order — it walks the cached per-attribute shard order
-// (refreshOrder), so no per-call sort of the cell map. The reports are
-// snapshotted under the read lock and fn runs after it is released, so fn
-// may mutate the topology (the engine's adaptive loop calls Retune, which
-// takes the write lock).
+// (refreshOrder), so no per-call sort of the cell map. fn runs under the
+// read lock, so no pipeline is built or dropped — and no budget slot
+// registered or unregistered — while the walk is under way; fn must not
+// change the topology itself (the engine collects its retunes and applies
+// them after the walk).
 func (f *Fabricator) VisitLastReports(fn func(Key, pmat.ViolationReport)) {
 	f.mu.RLock()
-	keys := make([]Key, 0, len(f.cells))
-	reports := make([]pmat.ViolationReport, 0, len(f.cells))
+	defer f.mu.RUnlock()
 	for _, a := range f.attrs {
 		for _, p := range f.order[a] {
-			keys = append(keys, p.key)
-			reports = append(reports, p.flatten.LastReport())
+			fn(p.key, p.flatten.LastReport())
 		}
-	}
-	f.mu.RUnlock()
-	for i, k := range keys {
-		fn(k, reports[i])
 	}
 }
 

@@ -382,7 +382,7 @@ func TestIngestRoutesToCorrectCells(t *testing.T) {
 	if !ok {
 		t.Fatal("pipeline missing")
 	}
-	if got := p.Flatten().Stats().TuplesIn; got != 1 {
+	if got := p.flatten.Stats().TuplesIn; got != 1 {
 		t.Fatalf("cell (0,0) flatten saw %d tuples, want 1", got)
 	}
 }
@@ -398,7 +398,7 @@ func TestIngestWrongAttributeIsNoOp(t *testing.T) {
 	}
 	key := Key{Cell: geom.CellID{Q: 0, R: 0}, Attr: "rain"}
 	p, _ := f.cells[key]
-	if p.Flatten().Stats().BatchesIn != 0 {
+	if p.flatten.Stats().BatchesIn != 0 {
 		t.Fatal("temp batch leaked into rain pipeline")
 	}
 }
@@ -427,14 +427,14 @@ func TestBudgetWiring(t *testing.T) {
 	if _, ok := budgetOf(ctrl, bk); !ok {
 		t.Fatal("budget slot not registered on insert")
 	}
-	// Empty ingest ⇒ 100% violation ⇒ budget raised.
+	// An epoch registers nothing and observes nothing: the engine feeds the
+	// budgets from its report walk (server's TestStarvedEpochRaisesBudget).
 	w := geom.Window{T0: 0, T1: 1, Rect: f.grid.Region()}
 	if err := f.Ingest(stream.Batch{Attr: "rain", Window: w}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := budgetOf(ctrl, bk)
-	if b != 12 {
-		t.Fatalf("budget = %g, want raised to 12", b)
+	if s := ctrl.Snapshots(); len(s) != 1 || s[0].Budget != 10 || s[0].Adjustments != 0 {
+		t.Fatalf("after an epoch: slots %+v, want the one slot untouched at 10", s)
 	}
 	// Deleting the query unregisters the slot.
 	if err := f.DeleteQuery("Q1"); err != nil {

@@ -136,9 +136,6 @@ func NewCellPipeline(key Key, cellRect geom.Rect, rng *stats.RNG) (*CellPipeline
 // CellRect returns the grid cell's rectangle.
 func (p *CellPipeline) CellRect() geom.Rect { return p.cellRect }
 
-// Flatten returns the pipeline's F-operator.
-func (p *CellPipeline) Flatten() *pmat.Flatten { return p.flatten }
-
 // Empty reports whether no queries are subscribed.
 func (p *CellPipeline) Empty() bool { return len(p.nodes) == 0 }
 

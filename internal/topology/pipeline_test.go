@@ -58,7 +58,7 @@ func TestNewCellPipelineValidation(t *testing.T) {
 	if !p.Empty() || len(p.nodes) != 0 {
 		t.Fatal("fresh pipeline not empty")
 	}
-	if p.Flatten() == nil || p.Flatten().Kind() != "F" {
+	if p.flatten == nil || p.flatten.Kind() != "F" {
 		t.Fatal("F-operator missing — it must always be first")
 	}
 }
@@ -90,8 +90,8 @@ func TestAddTapCreatesDescendingChain(t *testing.T) {
 		}
 	}
 	// F output must exceed the head rate (headroom 1.2).
-	if p.Flatten().TargetRate() < 12-1e-9 {
-		t.Fatalf("F target = %g, want ≥ 12", p.Flatten().TargetRate())
+	if p.flatten.TargetRate() < 12-1e-9 {
+		t.Fatalf("F target = %g, want ≥ 12", p.flatten.TargetRate())
 	}
 }
 
@@ -301,9 +301,9 @@ func TestSharedRateNodeSurvivesPartialRemoval(t *testing.T) {
 func TestHeadInsertionRaisesFlattenTarget(t *testing.T) {
 	p := newPipe(t)
 	_ = p.AddTap(q("Q1", 5), cellRect(), stream.NewCollector())
-	before := p.Flatten().TargetRate()
+	before := p.flatten.TargetRate()
 	_ = p.AddTap(q("Q2", 50), cellRect(), stream.NewCollector())
-	after := p.Flatten().TargetRate()
+	after := p.flatten.TargetRate()
 	if after <= before || after < 60-1e-9 {
 		t.Fatalf("F target %g → %g; want raised above 60", before, after)
 	}

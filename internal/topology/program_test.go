@@ -390,7 +390,7 @@ func TestEpochProgramStarvedCells(t *testing.T) {
 		t.Fatal("no pipeline materialized")
 	}
 	for _, p := range pipes {
-		if st, rep := p.Flatten().Stats(), p.Flatten().LastReport(); st.TuplesIn != 0 || st.BatchesIn != 1 || rep.N != 0 || rep.Percent != 100 {
+		if st, rep := p.flatten.Stats(), p.flatten.LastReport(); st.TuplesIn != 0 || st.BatchesIn != 1 || rep.N != 0 || rep.Percent != 100 {
 			t.Fatalf("%v: F saw %d tuples in %d batches, report %+v; want one empty, fully violating batch", p.key, st.TuplesIn, st.BatchesIn, rep)
 		}
 	}

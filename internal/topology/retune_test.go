@@ -12,14 +12,23 @@ import (
 	"repro/internal/stream"
 )
 
+// pipelineKeys lists the materialized pipelines' keys in VisitLastReports
+// order. Retunes go through it: the walk's callback runs under the read
+// lock Retune needs for writing.
+func pipelineKeys(fab *Fabricator) []Key {
+	var keys []Key
+	fab.VisitLastReports(func(k Key, _ pmat.ViolationReport) { keys = append(keys, k) })
+	return keys
+}
+
 // retuneAll applies one adaptive scale to every materialized pipeline.
 func retuneAll(t *testing.T, fab *Fabricator, scale float64) {
 	t.Helper()
-	fab.VisitLastReports(func(k Key, _ pmat.ViolationReport) {
+	for _, k := range pipelineKeys(fab) {
 		if err := fab.Retune(k, scale); err != nil {
 			t.Fatalf("retune %v: %v", k, err)
 		}
-	})
+	}
 }
 
 // TestRetuneFusedMatchesUnfused is the retune golden test required by the
@@ -101,14 +110,14 @@ func TestRetunePreservesProbabilities(t *testing.T) {
 		return out
 	}
 	before := probs()
-	targetBefore := p.Flatten().TargetRate()
+	targetBefore := p.flatten.TargetRate()
 	if err := fab.Retune(key, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if s := fab.cells[key].scale; s != 0.5 {
 		t.Fatalf("Scale = %g, want 0.5", s)
 	}
-	if got := p.Flatten().TargetRate(); math.Abs(got-0.5*targetBefore) > 1e-12 {
+	if got := p.flatten.TargetRate(); math.Abs(got-0.5*targetBefore) > 1e-12 {
 		t.Fatalf("F target after retune = %g, want %g", got, 0.5*targetBefore)
 	}
 	after := probs()
@@ -137,7 +146,7 @@ func TestRetunePreservesProbabilities(t *testing.T) {
 	if err := fab.Retune(key, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Flatten().TargetRate(); math.Abs(got-targetBefore) > 1e-12 {
+	if got := p.flatten.TargetRate(); math.Abs(got-targetBefore) > 1e-12 {
 		t.Fatalf("F target after recovery = %g, want %g", got, targetBefore)
 	}
 	if err := fab.CheckInvariants(); err != nil {

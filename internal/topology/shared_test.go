@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/craql"
 	"repro/internal/geom"
-	"repro/internal/pmat"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -532,13 +531,13 @@ func sharingScript(t *testing.T, seed int64, workers int, unshared bool) (*Fabri
 			}
 			live = slices.Delete(live, i, i+1)
 		case p < 0.65:
-			f.VisitLastReports(func(k Key, _ pmat.ViolationReport) {
+			for _, k := range pipelineKeys(f) {
 				if rnd.Intn(3) == 0 {
 					if err := f.Retune(k, []float64{0.4, 0.7, 1}[rnd.Intn(3)]); err != nil {
 						t.Fatal(err)
 					}
 				}
-			})
+			}
 		default:
 			step()
 		}

@@ -274,7 +274,7 @@ func (f *Fabricator) decodePipeline(r *codec.Reader, byTap map[string]*queryStat
 		return err
 	}
 	f.cells[key] = p
-	f.wireBudget(key, p)
+	f.registerBudget(key)
 	return nil
 }
 
