@@ -11,6 +11,12 @@
 //	craqr-replay -data-dir /var/lib/craqr -session default -dump Q1 > q1.ndjson
 //	craqr-replay -data-dir /var/lib/craqr -session default -dump-trace ingest.cqb
 //
+// -dump writes the query's retained results to stdout as ndjson, one result
+// record a line, exactly the lines GET /v1/sessions/{s}/results/{q}/stream
+// serves for those tuples:
+//
+//	{"id":7,"attr":"rain","t":3.25,"x":1.5,"y":2,"value":0.8,"sensor":12}
+//
 // -dump-trace re-encodes the session's journaled ingest pushes as a stream
 // of binary wire frames (internal/wire, Content-Type application/x-craqr-batch).
 // It covers only the retained suffix of the log: the segments behind the
@@ -28,7 +34,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/export"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -77,13 +83,7 @@ func main() {
 		}
 		return
 	}
-	cfg.Durability.ReadOnly = true
-	cfg.Clock = server.ClockConfig{} // never tick: inspect, don't advance
-	fields, err := world.Fields()
-	if err != nil {
-		log.Fatal(err)
-	}
-	e, err := server.New(cfg, fields)
+	e, err := replay(cfg)
 	if err != nil {
 		log.Fatalf("craqr-replay: replay failed: %v", err)
 	}
@@ -91,17 +91,42 @@ func main() {
 
 	report(e, spec)
 	if *dump != "" {
-		tuples, err := e.Results(*dump)
-		if err != nil {
-			log.Fatalf("craqr-replay: %v", err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		for _, tp := range tuples {
-			if err := enc.Encode(tp); err != nil {
-				log.Fatal(err)
-			}
+		if err := dumpResults(os.Stdout, e, *dump); err != nil {
+			log.Fatalf("craqr-replay: dump: %v", err)
 		}
 	}
+}
+
+// replay rebuilds the session cfg describes read-only, with its clock
+// stopped: inspect, don't advance.
+func replay(cfg server.Config) (*server.Engine, error) {
+	cfg.Durability.ReadOnly = true
+	cfg.Clock = server.ClockConfig{}
+	fields, err := world.Fields()
+	if err != nil {
+		return nil, err
+	}
+	return server.New(cfg, fields)
+}
+
+// dumpResults writes query id's retained results to w, one result record
+// (export.AppendTupleJSON) a line.
+func dumpResults(w io.Writer, e *server.Engine, id string) error {
+	tuples, err := e.Results(id)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for _, tp := range tuples {
+		if line, err = export.AppendTupleJSON(line[:0], tp); err != nil {
+			return err
+		}
+		if _, err := bw.Write(append(line, '\n')); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // listSessions writes the name of every durable session under root to w,

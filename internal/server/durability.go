@@ -23,12 +23,14 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"repro/client"
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -48,7 +50,7 @@ type DurabilityConfig struct {
 	Dir string
 	// Fsync selects when appended records become durable (default
 	// wal.FsyncBatch: ingest acks group-commit on one fsync). Under
-	// wal.FsyncNever snapshots are not fsynced either.
+	// wal.FsyncNever no snapshot, manifest or directory is fsynced either.
 	Fsync wal.Policy
 	// SnapshotEveryEpochs writes a snapshot every N completed epochs
 	// (0 = DefaultSnapshotEvery); recovery replays about two intervals.
@@ -59,13 +61,17 @@ type DurabilityConfig struct {
 	ReadOnly bool
 	// SegmentBytes overrides the WAL segment rotation threshold (tests).
 	SegmentBytes int64
-	// WrapFile interposes on WAL segment files (fault-injection tests).
-	WrapFile func(f *os.File) (wal.File, error)
+	// FS is the filesystem the WAL, snapshots and manifest go through
+	// (nil = wal.OS); tests interpose on it to record or fault operations.
+	FS wal.FS
 }
 
 func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	if c.SnapshotEveryEpochs <= 0 {
 		c.SnapshotEveryEpochs = DefaultSnapshotEvery
+	}
+	if c.FS == nil {
+		c.FS = wal.OS
 	}
 	return c
 }
@@ -107,17 +113,6 @@ type durableState struct {
 	// ended, before the first): a log that has filled a whole segment since
 	// triggers the next snapshot.
 	lastPos wal.Position
-	// fault, set only by crash tests, is called after a snapshot's
-	// temporary is written ("written") and after its rename ("renamed"); an
-	// error stops the write there, as a kill would.
-	fault func(stage, path string) error
-}
-
-func (d *durableState) injectFault(stage, path string) error {
-	if d.fault == nil {
-		return nil
-	}
-	return d.fault(stage, path)
 }
 
 // keptSnapshot is a snapshot the session keeps: its epoch count (the file
@@ -143,7 +138,40 @@ func (d *durableState) failed() error {
 	return d.err
 }
 
+// writeFile writes a file of the session directory — a snapshot or the
+// manifest — through a temporary: write, fsync, rename, fsync the directory
+// (no fsyncs under wal.FsyncNever). A crash at any point leaves either the
+// previous file or the new one whole under path; at worst a torn temporary
+// remains.
+func (d *durableState) writeFile(path string, write func(io.Writer) error) error {
+	fsys, sync, tmp := d.cfg.FS, d.cfg.Fsync != wal.FsyncNever, path+".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err == nil && sync {
+		err = fsys.SyncDir(filepath.Dir(path))
+	}
+	return err
+}
+
+// append logs rec once the journal is attached; a failure is sticky. The
+// engine appends submits, deletes and simulated epochs under stepMu, so
+// their order against epoch records is the effect order.
 func (d *durableState) append(rec *wal.Record) {
+	if !d.attached.Load() {
+		return
+	}
 	if err := d.log.Append(rec); err != nil {
 		d.fail(err)
 	}
@@ -151,9 +179,6 @@ func (d *durableState) append(rec *wal.Record) {
 
 // JournalPush implements ingest.Journal (called under the queue's lock).
 func (d *durableState) JournalPush(tuples []stream.Tuple, watermark float64) {
-	if !d.attached.Load() {
-		return
-	}
 	d.append(&wal.Record{Type: wal.TypePush, Tuples: tuples, Watermark: watermark})
 }
 
@@ -161,39 +186,7 @@ func (d *durableState) JournalPush(tuples []stream.Tuple, watermark float64) {
 // record for queue-sourced engines — its position among the pushes fixes
 // exactly which observations the closing epoch saw.
 func (d *durableState) JournalDrain(t1 float64) {
-	if !d.attached.Load() {
-		return
-	}
 	d.append(&wal.Record{Type: wal.TypeEpoch, T1: t1})
-}
-
-// logSubmit/logDelete/logEpoch append control-plane records; callers hold
-// stepMu, so their order against epoch records is the effect order.
-func (d *durableState) logSubmit(q query.Query) {
-	if !d.attached.Load() {
-		return
-	}
-	d.append(&wal.Record{
-		Type:    wal.TypeSubmit,
-		QueryID: q.ID,
-		Attr:    q.Attr,
-		Rect:    [4]float64{q.Region.MinX, q.Region.MinY, q.Region.MaxX, q.Region.MaxY},
-		Rate:    q.Rate,
-	})
-}
-
-func (d *durableState) logDelete(id string) {
-	if !d.attached.Load() {
-		return
-	}
-	d.append(&wal.Record{Type: wal.TypeDelete, QueryID: id})
-}
-
-func (d *durableState) logEpoch(t1 float64, epoch uint64) {
-	if !d.attached.Load() {
-		return
-	}
-	d.append(&wal.Record{Type: wal.TypeEpoch, T1: t1, Epoch: epoch})
 }
 
 // commit is the ack barrier: it returns once every record appended before
@@ -258,8 +251,7 @@ func (e *Engine) writeSnapshot() error {
 	d := e.dur
 	var pos wal.Position
 	qs := e.captureQueue(func() { pos = d.log.Position() })
-	sync := d.cfg.Fsync != wal.FsyncNever
-	if sync {
+	if d.cfg.Fsync != wal.FsyncNever {
 		// A commit, not a forced fsync: the log is usually durable already
 		// (the step has just committed), and records appended since join
 		// the pushes' own group commit.
@@ -269,7 +261,10 @@ func (e *Engine) writeSnapshot() error {
 		}
 	}
 	epochs := e.Epochs()
-	if err := e.writeSnapshotFile(snapshotPath(d.cfg.Dir, epochs), pos, qs, sync); err != nil {
+	err := d.writeFile(snapshotPath(d.cfg.Dir, epochs), func(w io.Writer) error {
+		return e.encodeState(codec.NewWriter(w), pos, qs)
+	})
+	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	d.mu.Lock()
@@ -299,11 +294,11 @@ func (e *Engine) compact(kept []keptSnapshot) {
 	for _, k := range kept {
 		keep[filepath.Base(snapshotPath(d.cfg.Dir, k.epochs))] = true
 	}
-	if entries, err := os.ReadDir(d.cfg.Dir); err == nil {
+	if entries, err := d.cfg.FS.ReadDir(d.cfg.Dir); err == nil {
 		for _, ent := range entries {
 			name := ent.Name()
 			if len(name) > len(snapPrefix) && name[:len(snapPrefix)] == snapPrefix && !keep[name] {
-				os.Remove(filepath.Join(d.cfg.Dir, name))
+				d.cfg.FS.Remove(filepath.Join(d.cfg.Dir, name))
 			}
 		}
 	}
@@ -349,7 +344,7 @@ func (e *Engine) initDurability() error {
 		d.log.Close()
 		return fmt.Errorf("server: recovery: %w", err)
 	}
-	snaps, err := readSnapshots(d.cfg.Dir)
+	snaps, err := readSnapshots(d.cfg.FS, d.cfg.Dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fail(err)
 	}
@@ -408,7 +403,7 @@ func (e *Engine) initDurability() error {
 	}
 	if !d.cfg.ReadOnly {
 		for _, s := range stale {
-			os.Remove(s.path)
+			d.cfg.FS.Remove(s.path)
 		}
 	}
 	d.mu.Lock()

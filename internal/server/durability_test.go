@@ -410,7 +410,7 @@ func TestSimulatedRecoveryDeterministic(t *testing.T) {
 // rest while reporting success — the page cache of a machine that lost
 // power mid-write.
 type tornSegment struct {
-	f      *os.File
+	wal.File
 	budget *int
 }
 
@@ -422,15 +422,14 @@ func (s tornSegment) Write(p []byte) (int, error) {
 	if n > *s.budget {
 		n = *s.budget
 	}
-	if _, err := s.f.Write(p[:n]); err != nil {
+	if _, err := s.File.Write(p[:n]); err != nil {
 		return 0, err
 	}
 	*s.budget -= n
 	return len(p), nil
 }
 
-func (s tornSegment) Sync() error  { return nil } // lies, like lost power
-func (s tornSegment) Close() error { return s.f.Close() }
+func (s tornSegment) Sync() error { return nil } // lies, like lost power
 
 // TestTornWriteRecovery crashes mid-WAL-append: the torn final record is
 // truncated on recovery (not an error) and the engine resumes from the
@@ -445,9 +444,9 @@ func TestTornWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
 	budget := 700 // cut mid-record partway through the workload
 	cfg := externalConfig(dir, wal.FsyncAlways)
-	cfg.Durability.WrapFile = func(f *os.File) (wal.File, error) {
-		return tornSegment{f: f, budget: &budget}, nil
-	}
+	cfg.Durability.FS = segmentFS{FS: wal.OS, wrap: func(f wal.File) wal.File {
+		return tornSegment{File: f, budget: &budget}
+	}}
 	e1, err := New(cfg, testFields(t))
 	if err != nil {
 		t.Fatal(err)
@@ -1085,9 +1084,10 @@ func TestCreateOverLeftoverStateConflicts(t *testing.T) {
 	}
 }
 
-// segmentHold is a WrapFile hook over every engine a manager builds: it
-// counts the WAL segment files open at once and, once armed, holds the
-// fsync of every segment opened before arming until release is closed.
+// segmentHold wraps the WAL segments of every engine a manager builds (as
+// a segmentFS): it counts the segment files open at once and, once armed,
+// holds the fsync of every segment opened before arming until release is
+// closed.
 type segmentHold struct {
 	open, peak atomic.Int32
 	armed      atomic.Bool
@@ -1099,15 +1099,15 @@ func newSegmentHold() *segmentHold {
 	return &segmentHold{entered: make(chan struct{}, 1), release: make(chan struct{})}
 }
 
-func (h *segmentHold) wrap(f *os.File) (wal.File, error) {
+func (h *segmentHold) wrap(f wal.File) wal.File {
 	n := h.open.Add(1)
 	for p := h.peak.Load(); n > p && !h.peak.CompareAndSwap(p, n); p = h.peak.Load() {
 	}
-	return heldSegment{File: f, h: h, held: !h.armed.Load()}, nil
+	return heldSegment{File: f, h: h, held: !h.armed.Load()}
 }
 
 type heldSegment struct {
-	*os.File
+	wal.File
 	h    *segmentHold
 	held bool
 }
@@ -1144,7 +1144,7 @@ func TestNameReservedUntilShutdown(t *testing.T) {
 		h := newSegmentHold()
 		template := externalConfig(root, wal.FsyncAlways)
 		template.Durability.SnapshotEveryEpochs = 2
-		template.Durability.WrapFile = h.wrap
+		template.Durability.FS = segmentFS{FS: wal.OS, wrap: h.wrap}
 		m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, template), DurabilityDir: root, IdleTTL: ttl})
 		sess, err := m.Create(SessionSpec{Name: "s", Seed: 7})
 		if err != nil {

@@ -276,7 +276,7 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 			Fsync:        dcfg.Fsync,
 			SegmentBytes: dcfg.SegmentBytes,
 			ReadOnly:     dcfg.ReadOnly,
-			WrapFile:     dcfg.WrapFile,
+			FS:           dcfg.FS,
 		})
 		if werr != nil {
 			return nil, fmt.Errorf("server: durability: %w", werr)
@@ -392,7 +392,9 @@ func (e *Engine) Submit(q query.Query) (query.Query, error) {
 	e.results[stored.ID] = store
 	e.mu.Unlock()
 	if e.dur != nil {
-		e.dur.logSubmit(stored)
+		r := stored.Region
+		e.dur.append(&wal.Record{Type: wal.TypeSubmit, QueryID: stored.ID, Attr: stored.Attr,
+			Rect: [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY}, Rate: stored.Rate})
 		if cerr := e.dur.commit(); cerr != nil {
 			return query.Query{}, &DurabilityError{Err: cerr}
 		}
@@ -493,7 +495,7 @@ func (e *Engine) Delete(id string) error {
 	}
 	e.mu.Unlock()
 	if e.dur != nil {
-		e.dur.logDelete(id)
+		e.dur.append(&wal.Record{Type: wal.TypeDelete, QueryID: id})
 		if cerr := e.dur.commit(); cerr != nil {
 			return &DurabilityError{Err: cerr}
 		}
@@ -632,7 +634,7 @@ func (e *Engine) step() error {
 			e.mu.Lock()
 			now, epochs := e.now, uint64(e.epochs)
 			e.mu.Unlock()
-			e.dur.logEpoch(now, epochs)
+			e.dur.append(&wal.Record{Type: wal.TypeEpoch, T1: now, Epoch: epochs})
 		}
 		if err := e.dur.commit(); err != nil {
 			return &DurabilityError{Err: err}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -425,7 +424,7 @@ func TestHTTPQueryRateBound(t *testing.T) {
 
 // syncFaultSegment is a WAL segment whose fsync fails once armed.
 type syncFaultSegment struct {
-	*os.File
+	wal.File
 	armed *atomic.Bool
 }
 
@@ -443,7 +442,7 @@ func TestHTTPQueryDeleteDurabilityFault(t *testing.T) {
 	var armed atomic.Bool
 	template := testConfig()
 	template.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.FsyncAlways,
-		WrapFile: func(f *os.File) (wal.File, error) { return syncFaultSegment{File: f, armed: &armed}, nil }}
+		FS: segmentFS{FS: wal.OS, wrap: func(f wal.File) wal.File { return syncFaultSegment{File: f, armed: &armed} }}}
 	hs, err := NewManagerHTTPServer(newManager(t, ManagerConfig{NewEngine: templateFactory(t, template)}), "")
 	if err != nil {
 		t.Fatal(err)

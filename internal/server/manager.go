@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -179,7 +180,7 @@ func NewEngineFactory(template Config, fields func() (map[string]sensors.Field, 
 			return nil, err
 		}
 		if cfg.Durability.Dir != "" {
-			if err := writeManifest(cfg.Durability.Dir, manifestSpec(cfg, spec)); err != nil {
+			if err := e.writeManifest(manifestSpec(cfg, spec)); err != nil {
 				_ = e.Shutdown()
 				return nil, err
 			}
@@ -302,19 +303,16 @@ func readManifest(dir string) (SessionSpec, error) {
 	return spec, nil
 }
 
-// writeManifest persists the session's spec next to its WAL (atomic
-// tmp+rename), so a restarted manager can rebuild the same engine.
-func writeManifest(dir string, spec SessionSpec) error {
-	data, err := json.MarshalIndent(spec, "", "  ")
+// writeManifest persists the session's spec next to its WAL, written like a
+// snapshot (durableState.writeFile), so a restarted manager can rebuild the
+// same engine.
+func (e *Engine) writeManifest(spec SessionSpec) error {
+	err := e.dur.writeFile(filepath.Join(e.dur.cfg.Dir, manifestName), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(spec)
+	})
 	if err != nil {
-		return fmt.Errorf("server: session manifest: %w", err)
-	}
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("server: session manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("server: session manifest: %w", err)
 	}
 	return nil

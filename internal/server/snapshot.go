@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -214,8 +213,8 @@ func (m *matchWriter) Write(p []byte) (int, error) {
 
 // readSnapshots returns the directory's snapshots whose checksum and header
 // pass, newest first; a torn or corrupt file is skipped.
-func readSnapshots(dir string) (usable []*snapshotFile, err error) {
-	entries, err := os.ReadDir(dir)
+func readSnapshots(fsys wal.FS, dir string) (usable []*snapshotFile, err error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +227,7 @@ func readSnapshots(dir string) (usable []*snapshotFile, err error) {
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
+		data, err := fsys.ReadFile(path)
 		if err != nil {
 			continue
 		}
@@ -237,51 +236,4 @@ func readSnapshots(dir string) (usable []*snapshotFile, err error) {
 		}
 	}
 	return usable, nil
-}
-
-// writeSnapshotFile writes the state to path through a temporary file:
-// write, fsync, rename, fsync the directory (the syncs only when sync is
-// set). A crash at any point leaves either the previous file or the new one
-// whole under path; at worst a torn temporary remains, which the next
-// compaction removes.
-func (e *Engine) writeSnapshotFile(path string, pos wal.Position, qs *ingest.QueueState, sync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	err = e.encodeState(codec.NewWriter(f), pos, qs)
-	if err == nil && sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = e.dur.injectFault("written", tmp)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if sync {
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			return err
-		}
-	}
-	return e.dur.injectFault("renamed", path)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

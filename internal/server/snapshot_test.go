@@ -40,25 +40,17 @@ func smallSegments(c crashCase) crashCase {
 	return c
 }
 
-// runUntilKill runs the case's script on a durable engine in dir with its
-// fault hook calling fault on the n-th snapshot write, and returns how
-// many ops completed. The op whose snapshot died counts: its epoch is in
-// the log.
+// runUntilKill runs the case's script on a durable engine in dir whose FS
+// calls fault on the n-th snapshot write, and returns how many ops
+// completed. The op whose snapshot died counts: its epoch is in the log.
 func runUntilKill(t *testing.T, c crashCase, dir string, n int, fault func(stage, path string) error) int {
 	t.Helper()
-	e, err := New(c.cfg(dir), testFields(t))
+	cfg := c.cfg(dir)
+	k := &killFS{FS: wal.OS, n: n, fault: fault}
+	cfg.Durability.FS = k
+	e, err := New(cfg, testFields(t))
 	if err != nil {
 		t.Fatal(err)
-	}
-	writes := 0
-	e.dur.fault = func(stage, path string) error {
-		if stage == "written" {
-			writes++
-		}
-		if writes == n {
-			return fault(stage, path)
-		}
-		return nil
 	}
 	for i, op := range c.ops {
 		if err := doOp(e, op); err != nil {
@@ -68,8 +60,33 @@ func runUntilKill(t *testing.T, c crashCase, dir string, n int, fault func(stage
 			return i + 1
 		}
 	}
-	t.Fatalf("the script wrote %d snapshots, fewer than %d", writes, n)
+	t.Fatalf("the script wrote %d snapshots, fewer than %d", k.writes, n)
 	return 0
+}
+
+// killFS is wal.OS that, on the n-th rename of a snapshot's temporary,
+// calls fault before the rename with the temporary ("written": an error
+// fails the rename) and after it with the snapshot ("renamed": an error
+// fails the write once the file is in place), as a kill at either point.
+type killFS struct {
+	wal.FS
+	n, writes int
+	fault     func(stage, path string) error
+}
+
+func (k *killFS) Rename(oldpath, newpath string) error {
+	if !strings.HasPrefix(filepath.Base(oldpath), snapPrefix) {
+		return k.FS.Rename(oldpath, newpath)
+	}
+	if k.writes++; k.writes == k.n {
+		if err := k.fault("written", oldpath); err != nil {
+			return err
+		}
+	}
+	if err := k.FS.Rename(oldpath, newpath); err != nil || k.writes != k.n {
+		return err
+	}
+	return k.fault("renamed", newpath)
 }
 
 // requireRecoversLikeControl recovers dir after a kill that followed
@@ -170,7 +187,7 @@ func TestSnapshotFaults(t *testing.T) {
 		if !e1.dur.log.Compacted() {
 			t.Fatal("the script did not compact the log; the case tests nothing")
 		}
-		snaps, err := readSnapshots(dir)
+		snaps, err := readSnapshots(wal.OS, dir)
 		if err != nil || len(snaps) != keptSnapshots {
 			t.Fatalf("want %d snapshots, got %d (%v)", keptSnapshots, len(snaps), err)
 		}
@@ -199,7 +216,7 @@ func TestAllSnapshotsCorruptAfterCompactionFails(t *testing.T) {
 	if err := e1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := readSnapshots(dir)
+	snaps, err := readSnapshots(wal.OS, dir)
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("no snapshots: %v", err)
 	}

@@ -38,7 +38,10 @@
 // Under FsyncBatch, Commit is a group-commit barrier: the first committer
 // fsyncs for everyone that appended before it, and committers arriving
 // during an in-flight fsync coalesce onto the next one — one disk flush
-// acks many concurrent producers.
+// acks many concurrent producers. Open fsyncs the parent of each directory
+// it creates, so a segment's path is durable before any record in it can be
+// committed; FsyncNever skips every directory fsync too. Every file
+// operation goes through Config.FS: the OS, unless a test interposes.
 package wal
 
 import (
@@ -99,12 +102,59 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// File is the mutable-file surface the log appends through; *os.File
-// satisfies it. Config.WrapFile interposes fault injection in tests.
+// File is an open file of the durable layer; *os.File satisfies it.
 type File interface {
 	io.Writer
+	io.ReaderAt
+	io.Seeker
 	Sync() error
 	Close() error
+}
+
+// FS is the one seam through which durable state touches the disk: the
+// log's segments and spare, and a durable session's snapshots and manifest.
+// Production uses OS; tests interpose on it to record the order of
+// operations or to fail one.
+type FS interface {
+	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	ReadFile(name string) ([]byte, error)
+	ReadDir(name string) ([]os.DirEntry, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	Truncate(name string, size int64) error
+	Mkdir(name string, perm os.FileMode) error
+	// SyncDir fsyncs a directory, making the names created, renamed or
+	// removed in it durable.
+	SyncDir(name string) error
+}
+
+// OS is the operating system's filesystem.
+var OS FS = osFS{}
+
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) Truncate(name string, size int64) error     { return os.Truncate(name, size) }
+func (osFS) Mkdir(name string, perm os.FileMode) error  { return os.Mkdir(name, perm) }
+
+func (osFS) SyncDir(name string) error {
+	d, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Config assembles a log.
@@ -122,10 +172,8 @@ type Config struct {
 	// no appending. The offline craqr-replay tool uses it to inspect a live
 	// session's log without mutating it.
 	ReadOnly bool
-	// WrapFile, when set, wraps every segment file opened for appending —
-	// the fault-injection hook the torn-write crash tests use. Production
-	// leaves it nil.
-	WrapFile func(f *os.File) (File, error)
+	// FS is the filesystem every file operation goes through (nil = OS).
+	FS FS
 }
 
 const (
@@ -226,11 +274,14 @@ func Open(cfg Config) (*Log, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
+	if cfg.FS == nil {
+		cfg.FS = OS
+	}
 	l := &Log{cfg: cfg, cleared: make(chan struct{})}
 	if cfg.ReadOnly {
 		close(l.cleared)
 	} else {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		if err := l.mkdirs(cfg.Dir); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		// A spare left by a crash may be half written; it is never read.
@@ -239,10 +290,10 @@ func Open(cfg Config) (*Log, error) {
 		// its file, and the log rotates without a spare.
 		go func() {
 			defer close(l.cleared)
-			os.Remove(filepath.Join(cfg.Dir, spareName))
+			cfg.FS.Remove(filepath.Join(cfg.Dir, spareName))
 		}()
 	}
-	entries, err := os.ReadDir(cfg.Dir)
+	entries, err := cfg.FS.ReadDir(cfg.Dir)
 	if err != nil {
 		if cfg.ReadOnly && os.IsNotExist(err) {
 			return l, nil // empty read-only log
@@ -291,11 +342,11 @@ func (l *Log) ReplayFrom(from Position, fn func(*Record) error) (ReplayReport, e
 		}
 	}
 	for _, path := range l.segs[:first] {
-		info, err := os.Stat(path)
+		size, err := l.size(path)
 		if err != nil {
 			return ReplayReport{}, fmt.Errorf("wal: %w", err)
 		}
-		l.total += info.Size()
+		l.total += size
 	}
 	l.appended = from.Records
 	var (
@@ -312,7 +363,7 @@ scan:
 		if i == first {
 			base = from.Offset
 		}
-		data, zeroTail, err := readSegment(l.segs[i], base, &buf)
+		data, zeroTail, err := l.readSegment(l.segs[i], base, &buf)
 		if err != nil {
 			return rep, err
 		}
@@ -357,26 +408,24 @@ scan:
 		rep.Torn = true
 		rep.TornOffset = tornOff
 		for i := tornAt; i < len(l.segs); i++ {
-			info, err := os.Stat(l.segs[i])
-			if err == nil {
+			if size, err := l.size(l.segs[i]); err == nil {
 				if i == tornAt {
-					rep.TruncatedBytes += info.Size() - tornOff
-				} else {
-					rep.TruncatedBytes += info.Size()
+					size -= tornOff
 				}
+				rep.TruncatedBytes += size
 			}
 		}
 		if !l.cfg.ReadOnly {
-			if err := os.Truncate(l.segs[tornAt], tornOff); err != nil {
+			if err := l.cfg.FS.Truncate(l.segs[tornAt], tornOff); err != nil {
 				return rep, fmt.Errorf("wal: truncating torn tail: %w", err)
 			}
 			for _, path := range l.segs[tornAt+1:] {
-				if err := os.Remove(path); err != nil {
+				if err := l.cfg.FS.Remove(path); err != nil {
 					return rep, fmt.Errorf("wal: removing segment past torn tail: %w", err)
 				}
 			}
 			if tornAt+1 < len(l.segs) {
-				if err := syncDir(l.cfg.Dir); err != nil {
+				if err := l.syncDir(l.cfg.Dir); err != nil {
 					return rep, err
 				}
 			}
@@ -394,20 +443,15 @@ scan:
 	if len(l.segs) == 0 {
 		return rep, l.openSegmentLocked(1)
 	}
-	f, err := os.OpenFile(l.segs[len(l.segs)-1], os.O_WRONLY, 0o644)
-	if err == nil {
-		_, err = f.Seek(end, io.SeekStart)
-	}
+	f, err := l.cfg.FS.OpenFile(l.segs[len(l.segs)-1], os.O_WRONLY, 0o644)
 	if err != nil {
-		if f != nil {
-			f.Close()
-		}
 		return rep, fmt.Errorf("wal: %w", err)
 	}
-	l.segSize = end
-	if l.f, err = l.wrap(f); err != nil {
-		return rep, err
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		f.Close()
+		return rep, fmt.Errorf("wal: %w", err)
 	}
+	l.f, l.segSize = f, end
 	return rep, nil
 }
 
@@ -427,20 +471,20 @@ func allZero(b []byte) bool {
 // end of the file — a zero tail — end the read there, and zeroTail is set:
 // the zeros are checked through a small window instead of being read into
 // *buf. Any other bytes after the frames are read for Replay to judge.
-func readSegment(path string, from int64, buf *[]byte) (data []byte, zeroTail bool, err error) {
-	f, err := os.Open(path)
+func (l *Log) readSegment(path string, from int64, buf *[]byte) (data []byte, zeroTail bool, err error) {
+	f, err := l.cfg.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	info, err := f.Stat()
+	end, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: %w", err)
 	}
-	if from > info.Size() {
-		return nil, false, fmt.Errorf("wal: position %d is past the end of %s (%d bytes)", from, filepath.Base(path), info.Size())
+	if from > end {
+		return nil, false, fmt.Errorf("wal: position %d is past the end of %s (%d bytes)", from, filepath.Base(path), end)
 	}
-	n := int(info.Size() - from)
+	n := int(end - from)
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
 	}
@@ -458,7 +502,7 @@ func readSegment(path string, from int64, buf *[]byte) (data []byte, zeroTail bo
 				next += frameHeaderSize + int(size)
 				continue
 			}
-			if allZero(data[next:]) && zeroFrom(f, from+int64(len(data)), info.Size()) {
+			if allZero(data[next:]) && zeroFrom(f, from+int64(len(data)), end) {
 				return data[:next], true, nil
 			}
 			next = -1
@@ -469,7 +513,7 @@ func readSegment(path string, from int64, buf *[]byte) (data []byte, zeroTail bo
 
 // zeroFrom reports whether f holds only zeros from off to end (or to an
 // earlier end of file).
-func zeroFrom(f *os.File, off, end int64) bool {
+func zeroFrom(f io.ReaderAt, off, end int64) bool {
 	win := make([]byte, len(zeros))
 	for off < end {
 		k, err := f.ReadAt(win[:min(end-off, int64(len(win)))], off)
@@ -512,13 +556,12 @@ func (l *Log) Reaches(pos Position) bool {
 	if i < 0 {
 		return false
 	}
-	f, err := os.Open(l.segs[i])
+	f, err := l.cfg.FS.OpenFile(l.segs[i], os.O_RDONLY, 0)
 	if err != nil {
 		return false
 	}
 	defer f.Close()
-	info, err := f.Stat()
-	if err != nil || info.Size() < pos.Offset {
+	if size, err := f.Seek(0, io.SeekEnd); err != nil || size < pos.Offset {
 		return false
 	}
 	// A zero tail runs to the end of the file, so a position at the end or
@@ -533,7 +576,7 @@ func (l *Log) Reaches(pos Position) bool {
 // whether a zero length field — the start of a zero tail — comes before
 // off. It reads one small window per hop, never the payloads; a header that
 // does not parse ends the walk with false, leaving the bytes to Replay.
-func zeroBefore(f *os.File, off int64) bool {
+func zeroBefore(f io.ReaderAt, off int64) bool {
 	var win [4 << 10]byte
 	base, n := int64(0), 0 // win[:n] holds the segment's bytes from base
 	for at := int64(0); at < off; {
@@ -586,30 +629,18 @@ func (l *Log) DeleteBefore(segment int) (int, error) {
 	}
 	n := 0
 	for ; n < len(l.segs)-1 && segNumber(l.segs[n]) < segment; n++ {
-		info, err := os.Stat(l.segs[n])
+		size, err := l.size(l.segs[n])
 		if err == nil {
-			err = os.Remove(l.segs[n])
+			err = l.cfg.FS.Remove(l.segs[n])
 		}
 		if err != nil {
 			l.segs = l.segs[n:]
 			return n, fmt.Errorf("wal: deleting segment: %w", err)
 		}
-		l.total -= info.Size()
+		l.total -= size
 	}
 	l.segs = append(l.segs[:0:0], l.segs[n:]...)
 	return n, nil
-}
-
-func (l *Log) wrap(f *os.File) (File, error) {
-	if l.cfg.WrapFile == nil {
-		return f, nil
-	}
-	wf, err := l.cfg.WrapFile(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: wrapping segment: %w", err)
-	}
-	return wf, nil
 }
 
 // openSegmentLocked makes segment n current — the spare renamed, when one
@@ -620,21 +651,17 @@ func (l *Log) openSegmentLocked(n int) error {
 	path := filepath.Join(l.cfg.Dir, fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix))
 	f, err := l.takeSpareLocked(path)
 	if err == nil && f == nil {
-		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err = l.cfg.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := syncDir(l.cfg.Dir); err != nil {
+	if err := l.syncDir(l.cfg.Dir); err != nil {
 		f.Close()
 		return err
 	}
-	wf, err := l.wrap(f)
-	if err != nil {
-		return err
-	}
 	l.segs = append(l.segs, path)
-	l.f = wf
+	l.f = f
 	l.segSize = 0
 	return nil
 }
@@ -658,14 +685,14 @@ func (l *Log) prepareSpareLocked() {
 	go func() {
 		defer close(s.done)
 		<-l.cleared
-		s.err = s.fill(path, size)
+		s.err = s.fill(l.cfg.FS, path, size)
 	}()
 }
 
 // fill writes size zero bytes to a new file at path and fsyncs it; on any
 // failure, or when stopped, it removes what it wrote.
-func (s *spare) fill(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+func (s *spare) fill(fsys FS, path string, size int64) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
@@ -683,7 +710,7 @@ func (s *spare) fill(path string, size int64) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(path)
+		fsys.Remove(path)
 	}
 	return err
 }
@@ -691,7 +718,7 @@ func (s *spare) fill(path string, size int64) error {
 // takeSpareLocked renames a filled spare to path and opens it for writing;
 // a nil file means no spare was ready (one still filling stays for the next
 // rotation). l.mu held.
-func (l *Log) takeSpareLocked(path string) (*os.File, error) {
+func (l *Log) takeSpareLocked(path string) (File, error) {
 	s := l.spare
 	if s == nil {
 		return nil, nil
@@ -702,10 +729,10 @@ func (l *Log) takeSpareLocked(path string) (*os.File, error) {
 		return nil, nil
 	}
 	l.spare = nil
-	if s.err != nil || os.Rename(filepath.Join(l.cfg.Dir, spareName), path) != nil {
+	if s.err != nil || l.cfg.FS.Rename(filepath.Join(l.cfg.Dir, spareName), path) != nil {
 		return nil, nil
 	}
-	return os.OpenFile(path, os.O_WRONLY, 0o644)
+	return l.cfg.FS.OpenFile(path, os.O_WRONLY, 0o644)
 }
 
 // trimLocked cuts the current segment's file back to its last frame,
@@ -714,9 +741,9 @@ func (l *Log) takeSpareLocked(path string) (*os.File, error) {
 // frames.
 func (l *Log) trimLocked() error {
 	path := l.segs[len(l.segs)-1]
-	info, err := os.Stat(path)
-	if err == nil && info.Size() > l.segSize {
-		err = os.Truncate(path, l.segSize)
+	size, err := l.size(path)
+	if err == nil && size > l.segSize {
+		err = l.cfg.FS.Truncate(path, l.segSize)
 	}
 	if err != nil {
 		return fmt.Errorf("wal: trimming segment: %w", err)
@@ -724,21 +751,45 @@ func (l *Log) trimLocked() error {
 	return nil
 }
 
-// syncDir fsyncs a directory, making the names created, renamed or removed
-// in it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// size returns the length of the file at path.
+func (l *Log) size(path string) (int64, error) {
+	f, err := l.cfg.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return 0, err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
+	defer f.Close()
+	return f.Seek(0, io.SeekEnd)
+}
+
+// syncDir fsyncs dir, making the names created, renamed or removed in it
+// durable, unless the policy is FsyncNever.
+func (l *Log) syncDir(dir string) error {
+	if l.cfg.Fsync == FsyncNever {
+		return nil
 	}
-	if err != nil {
+	if err := l.cfg.FS.SyncDir(dir); err != nil {
 		return fmt.Errorf("wal: fsync of directory: %w", err)
 	}
 	return nil
+}
+
+// mkdirs creates dir and whatever parents it lacks, and fsyncs the parent of
+// each directory it creates, so no segment's path can vanish in a power cut
+// once a record in it is committed.
+func (l *Log) mkdirs(dir string) error {
+	err := l.cfg.FS.Mkdir(dir, 0o755)
+	if errors.Is(err, os.ErrNotExist) && filepath.Dir(dir) != dir {
+		if err = l.mkdirs(filepath.Dir(dir)); err == nil {
+			err = l.cfg.FS.Mkdir(dir, 0o755)
+		}
+	}
+	switch {
+	case errors.Is(err, os.ErrExist):
+		return nil
+	case err != nil:
+		return err
+	}
+	return l.syncDir(filepath.Dir(dir))
 }
 
 // Append encodes rec into one checksummed frame and writes it to the
@@ -908,7 +959,7 @@ func (l *Log) Close() error {
 	if s != nil {
 		s.stop.Store(true)
 		<-s.done
-		if rerr := os.Remove(filepath.Join(l.cfg.Dir, spareName)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) && err == nil {
+		if rerr := l.cfg.FS.Remove(filepath.Join(l.cfg.Dir, spareName)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) && err == nil {
 			err = rerr
 		}
 	}

@@ -479,63 +479,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// tornFile drops everything after a byte budget — the injectable torn-write
-// wrapper the crash tests use to model a power cut mid-append.
-type tornFile struct {
-	f      *os.File
-	budget int
-}
-
-func (tf *tornFile) Write(p []byte) (int, error) {
-	if tf.budget <= 0 {
-		return len(p), nil // swallowed: the "disk" never saw it
-	}
-	n := len(p)
-	if n > tf.budget {
-		n = tf.budget
-	}
-	if _, err := tf.f.Write(p[:n]); err != nil {
-		return 0, err
-	}
-	tf.budget -= n
-	return len(p), nil // lie like a crashed page cache would
-}
-
-func (tf *tornFile) Sync() error  { return tf.f.Sync() }
-func (tf *tornFile) Close() error { return tf.f.Close() }
-
-func TestWrapFileTornWrite(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Dir: dir,
-		WrapFile: func(f *os.File) (File, error) {
-			return &tornFile{f: f, budget: 70}, nil
-		},
-	}
-	l, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Replay(nil); err != nil {
-		t.Fatal(err)
-	}
-	recs := sampleRecords()
-	for i := range recs {
-		if err := l.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	// Only a prefix hit the disk; recovery must land on a record boundary.
-	l2, rep, got := openForAppend(t, dir, Config{})
-	defer l2.Close()
-	if len(got) >= len(recs) {
-		t.Fatalf("torn write persisted all %d records", len(got))
-	}
-	recordsEqual(t, recs[:len(got)], got)
-	_ = rep
-}
-
 // TestAppendRejectsOversizeRecords: a record the framing cannot represent
 // — a string over MaxStringLen (its uint16 length prefix would truncate)
 // or a payload past MaxRecordBytes — must fail with ErrRecordTooLarge
