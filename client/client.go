@@ -311,6 +311,13 @@ func (c Capabilities) SupportsCodec(contentType string) bool {
 	return slices.Contains(c.Codecs, contentType)
 }
 
+// Health fetches the server's GET /v1/healthz body.
+func (c *Client) Health(ctx context.Context) (Health, error) {
+	var out Health
+	err := c.doJSON(ctx, "GET", "/v1/healthz", nil, &out)
+	return out, err
+}
+
 // Capabilities probes the server's ingest capabilities, caching the first
 // successful answer for the client's lifetime.
 func (c *Client) Capabilities(ctx context.Context) (Capabilities, error) {
@@ -321,8 +328,8 @@ func (c *Client) Capabilities(ctx context.Context) (Capabilities, error) {
 		return caps, nil
 	}
 	c.capMu.Unlock()
-	var health Health
-	if err := c.doJSON(ctx, "GET", "/v1/healthz", nil, &health); err != nil {
+	health, err := c.Health(ctx)
+	if err != nil {
 		return Capabilities{}, err
 	}
 	c.capMu.Lock()

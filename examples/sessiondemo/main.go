@@ -1,50 +1,21 @@
 // Session demo: host two independently clocked CrAQR sessions behind one
-// HTTP service and read their streams the service-grade way — cursor
-// pagination over bounded result stores and live ndjson push — without ever
-// polling POST /step.
+// HTTP service and read their streams the service-grade way, through the
+// public client — cursor pagination over bounded result stores and live
+// ndjson push — without ever polling POST /step.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 
 	craqr "repro"
+	"repro/client"
 )
-
-// api is a minimal JSON client for the /v1 session API.
-type api struct {
-	base   string
-	client *http.Client
-}
-
-func (a api) do(method, path string, body string, out interface{}) error {
-	req, err := http.NewRequest(method, a.base+path, strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		return fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, buf.String())
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 func main() {
 	region := craqr.NewRect(0, 0, 8, 8)
@@ -84,58 +55,53 @@ func main() {
 	srv := &http.Server{Handler: httpServer}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
-	c := api{base: "http://" + ln.Addr().String(), client: &http.Client{}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := client.New("http://" + ln.Addr().String())
 
 	// Two sessions, independent seeds, independent clocks: "fast" ticks
 	// every 20ms of wall time, "slow" every 60ms.
-	for _, spec := range []string{
-		`{"name":"fast","seed":7,"tick":"20ms"}`,
-		`{"name":"slow","seed":99,"tick":"60ms"}`,
+	for _, spec := range []client.SessionSpec{
+		{Name: "fast", Seed: 7, Tick: "20ms"},
+		{Name: "slow", Seed: 99, Tick: "60ms"},
 	} {
-		var sj struct {
-			Name string `json:"name"`
-			Tick string `json:"tick"`
-		}
-		if err := c.do("POST", "/v1/sessions", spec, &sj); err != nil {
+		sess, err := c.CreateSession(ctx, spec)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("created session %q ticking every %s\n", sj.Name, sj.Tick)
+		fmt.Printf("created session %q ticking every %s\n", sess.Name, sess.Tick)
 	}
 
 	// One query per session.
-	var q struct {
-		ID string `json:"id"`
-	}
-	if err := c.do("POST", "/v1/sessions/fast/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3", &q); err != nil {
+	fastQ, err := c.Submit(ctx, "fast", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 3")
+	if err != nil {
 		log.Fatal(err)
 	}
-	fastQ := q.ID
-	if err := c.do("POST", "/v1/sessions/slow/queries", "ACQUIRE rain FROM RECT(4,4,8,8) RATE 2", &q); err != nil {
+	slowQ, err := c.Submit(ctx, "slow", "ACQUIRE rain FROM RECT(4,4,8,8) RATE 2")
+	if err != nil {
 		log.Fatal(err)
 	}
-	slowQ := q.ID
 
 	// Push delivery: stream the fast session's tuples as ndjson while its
 	// clock fabricates them — no /step calls anywhere in this program.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/sessions/fast/results/"+fastQ+"/stream", nil)
+	streamCtx, stop := context.WithTimeout(ctx, 10*time.Second)
+	rs, err := c.StreamResults(streamCtx, "fast", fastQ.ID, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		log.Fatal(err)
+	for streamed := 0; streamed < 10; streamed++ {
+		tp, err := rs.Next()
+		if err != nil {
+			break
+		}
+		line, err := json.Marshal(tp)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("pushed: %s\n", line)
 	}
-	streamed := 0
-	scanner := bufio.NewScanner(resp.Body)
-	for scanner.Scan() && streamed < 10 {
-		fmt.Printf("pushed: %s\n", scanner.Text())
-		streamed++
-	}
-	cancel()
-	resp.Body.Close()
+	stop()
+	rs.Close()
 
 	// Cursor pagination: drain the slow session's store page by page; the
 	// cursor survives across requests, and drops would be reported
@@ -143,48 +109,34 @@ func main() {
 	var cursor uint64
 	fetched := 0
 	for page := 0; page < 50 && fetched < 20; page++ {
-		var rj struct {
-			Tuples     []json.RawMessage `json:"tuples"`
-			NextCursor uint64            `json:"nextCursor"`
-			Dropped    uint64            `json:"dropped"`
-			Total      uint64            `json:"total"`
-		}
-		path := fmt.Sprintf("/v1/sessions/slow/results/%s?cursor=%d&limit=8", slowQ, cursor)
-		if err := c.do("GET", path, "", &rj); err != nil {
+		rp, err := c.Results(ctx, "slow", slowQ.ID, cursor, 8)
+		if err != nil {
 			log.Fatal(err)
 		}
-		if rj.Dropped > 0 {
-			fmt.Printf("fell behind retention: %d tuples dropped\n", rj.Dropped)
+		if rp.Dropped > 0 {
+			fmt.Printf("fell behind retention: %d tuples dropped\n", rp.Dropped)
 		}
-		if len(rj.Tuples) == 0 {
+		if len(rp.Tuples) == 0 {
 			time.Sleep(50 * time.Millisecond) // let the slow clock tick
 			continue
 		}
 		fmt.Printf("page: %d tuples, cursor %d → %d (stream total %d)\n",
-			len(rj.Tuples), cursor, rj.NextCursor, rj.Total)
-		fetched += len(rj.Tuples)
-		cursor = rj.NextCursor
+			len(rp.Tuples), cursor, rp.NextCursor, rp.Total)
+		fetched += len(rp.Tuples)
+		cursor = rp.NextCursor
 	}
 
 	// Operator views: per-session status and service health.
-	var st struct {
-		Epochs         int     `json:"epochs"`
-		Now            float64 `json:"now"`
-		Queries        int     `json:"queries"`
-		RetentionDrops uint64  `json:"retentionDrops"`
-	}
 	for _, name := range []string{"fast", "slow"} {
-		if err := c.do("GET", "/v1/sessions/"+name+"/status", "", &st); err != nil {
+		st, err := c.Status(ctx, name)
+		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("session %s: %d epochs, t=%g, %d queries, %d retention drops\n",
 			name, st.Epochs, st.Now, st.Queries, st.RetentionDrops)
 	}
-	var hz struct {
-		Status   string `json:"status"`
-		Sessions int    `json:"sessions"`
-	}
-	if err := c.do("GET", "/v1/healthz", "", &hz); err != nil {
+	hz, err := c.Health(ctx)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("healthz: %s, %d sessions\n", hz.Status, hz.Sessions)

@@ -8,8 +8,8 @@
 //   - Partition (P): split a process into disjoint sub-regions at equal rate;
 //   - Union (U): merge processes on adjacent regions into their union, one
 //     stable sort per time slice. Production epochs order a subplan's
-//     tuples in the fabricator's compiled program instead; Union merges
-//     only in the operator-graph walk the program is tested against.
+//     tuples in the fabricator's compiled program instead; Union merges in
+//     the experiments and in the reference walk that program's tests use.
 //
 // All operators are probabilistic and approximate with provable expected
 // behaviour, and each is implemented in a few lines of core logic, as the

@@ -29,20 +29,6 @@ func (p *Port) AddDownstream(proc stream.Processor) {
 	p.outs = append(p.outs, proc)
 }
 
-// RemoveDownstream disconnects a consumer; it reports whether proc was
-// connected.
-func (p *Port) RemoveDownstream(proc stream.Processor) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, out := range p.outs {
-		if out == proc {
-			p.outs = append(p.outs[:i], p.outs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 func (p *Port) push(b stream.Batch) error {
 	p.mu.RLock()
 	outs := p.outs
@@ -98,27 +84,6 @@ func (p *Partition) AddBranch(label string, sub geom.Rect) (*Port, error) {
 	port := &Port{label: label, region: sub}
 	p.ports = append(p.ports, port)
 	return port, nil
-}
-
-// RemoveBranch deletes a branch by its port pointer; it reports whether the
-// port was found.
-func (p *Partition) RemoveBranch(port *Port) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, existing := range p.ports {
-		if existing == port {
-			p.ports = append(p.ports[:i], p.ports[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// NumBranches returns the number of output branches.
-func (p *Partition) NumBranches() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.ports)
 }
 
 // Process implements stream.Processor: route each tuple to the branch whose

@@ -41,8 +41,8 @@ func TestPartitionBranchValidation(t *testing.T) {
 	if _, err := p.AddBranch("b", geom.NewRect(2, 0, 4, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if p.NumBranches() != 2 {
-		t.Fatalf("branches = %d", p.NumBranches())
+	if len(p.ports) != 2 {
+		t.Fatalf("branches = %d", len(p.ports))
 	}
 }
 
@@ -134,27 +134,6 @@ func TestPartitionNoBranchesIsSink(t *testing.T) {
 	}
 }
 
-func TestPartitionRemoveBranch(t *testing.T) {
-	p, _ := NewPartition("p", region4())
-	port, _ := p.AddBranch("q", geom.NewRect(0, 0, 2, 2))
-	if !p.RemoveBranch(port) {
-		t.Fatal("remove failed")
-	}
-	if p.RemoveBranch(port) {
-		t.Fatal("double remove succeeded")
-	}
-	if p.NumBranches() != 0 {
-		t.Fatal("branch count wrong")
-	}
-	// Region freed: re-adding an overlapping branch now works.
-	if _, err := p.AddBranch("q2", geom.NewRect(1, 1, 3, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.ports) != 1 {
-		t.Fatal("ports wrong")
-	}
-}
-
 func TestPortDownstreamManagement(t *testing.T) {
 	p, _ := NewPartition("p", region4())
 	port, _ := p.AddBranch("q", geom.NewRect(0, 0, 2, 2))
@@ -166,9 +145,6 @@ func TestPortDownstreamManagement(t *testing.T) {
 	}
 	if port.label != "q" || !port.region.Equal(geom.NewRect(0, 0, 2, 2)) {
 		t.Fatal("port identity wrong")
-	}
-	if !port.RemoveDownstream(col) || port.RemoveDownstream(col) {
-		t.Fatal("port remove semantics wrong")
 	}
 }
 
@@ -207,7 +183,7 @@ func TestNewUnionValidation(t *testing.T) {
 	if !u.Region().Equal(geom.NewRect(0, 0, 4, 2)) {
 		t.Fatalf("union region = %v", u.Region())
 	}
-	if u.Kind() != "U" || len(u.Inputs()) != 2 {
+	if u.Kind() != "U" || len(u.inputs) != 2 {
 		t.Fatal("identity wrong")
 	}
 	if _, err := u.Input(5); err == nil {

@@ -26,8 +26,8 @@ import (
 // stream is byte-identical no matter in which order — or from which
 // goroutines — the inputs delivered. Production epochs do not pass through
 // it: the fabricator's compiled epoch program orders a subplan's tuples
-// itself (RecordMerged), and Union merges only in the operator-graph walk
-// the program is tested against.
+// itself (RecordMerged); Union merges in the experiments and in the
+// reference walk that program's tests use.
 type Union struct {
 	stream.Base
 
@@ -130,9 +130,6 @@ func NewUnion(name string, regions ...geom.Rect) (*Union, error) {
 	}
 	return u, nil
 }
-
-// Inputs returns the operator's input ports, in construction order.
-func (u *Union) Inputs() []*UnionInput { return u.inputs }
 
 // Input returns the i-th input port.
 func (u *Union) Input(i int) (*UnionInput, error) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,12 +33,15 @@ func (s segmentFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, 
 // recFS is wal.OS with every operation that decides what survives a power
 // cut — creating, fsyncing, renaming, removing or truncating a file, and
 // making or fsyncing a directory — logged in order as "op path", paths
-// relative to root. A test logs its own events (an ack) with did.
+// relative to root. A test logs its own events (an ack) with did. A Mkdir of
+// a path in raced makes the directory and then reports os.ErrExist, as when a
+// concurrent wal.Open made it first.
 type recFS struct {
 	wal.FS
-	root string
-	mu   sync.Mutex
-	ops  []string
+	root  string
+	raced []string
+	mu    sync.Mutex
+	ops   []string
 }
 
 func newRecFS(root string) *recFS { return &recFS{FS: wal.OS, root: root} }
@@ -92,7 +96,11 @@ func (r *recFS) Truncate(name string, size int64) error {
 	return r.did(r.FS.Truncate(name, size), "truncate", name)
 }
 func (r *recFS) Mkdir(name string, perm os.FileMode) error {
-	return r.did(r.FS.Mkdir(name, perm), "mkdir", name)
+	err := r.did(r.FS.Mkdir(name, perm), "mkdir", name)
+	if rel, _ := filepath.Rel(r.root, name); err == nil && slices.Contains(r.raced, rel) {
+		return os.ErrExist
+	}
+	return err
 }
 func (r *recFS) SyncDir(name string) error { return r.did(r.FS.SyncDir(name), "syncdir", name) }
 
@@ -120,12 +128,14 @@ func requireOps(t *testing.T, ops []string, want ...string) {
 }
 
 // recordedSession creates durable session s under a fresh root through a
-// manager whose engines use a recording FS, pushes one batch, and returns
-// the op log with "ack" where the push returned.
-func recordedSession(t *testing.T, fsync wal.Policy) []string {
+// manager whose engines use a recording FS (whose Mkdir of each raced path
+// reports os.ErrExist), pushes one batch, and returns the op log with "ack"
+// where the push returned.
+func recordedSession(t *testing.T, fsync wal.Policy, raced ...string) []string {
 	t.Helper()
 	root := t.TempDir()
 	rec := newRecFS(root)
+	rec.raced = raced
 	template := externalConfig(root, fsync)
 	template.Durability.FS = rec
 	m := newManager(t, ManagerConfig{NewEngine: templateFactory(t, template), DurabilityDir: root})
@@ -158,6 +168,15 @@ func TestCreatedDirectoriesSynced(t *testing.T) {
 			t.Fatalf("fsync=never ran %q", op)
 		}
 	}
+}
+
+// TestRacedSessionsDirSynced: when another session's wal.Open makes
+// sessions/ first, this one finds it there, and the root's entry for it may
+// not be durable yet. Having made its own directory below sessions/, it
+// fsyncs the root as well before its first ack.
+func TestRacedSessionsDirSynced(t *testing.T) {
+	requireOps(t, recordedSession(t, wal.FsyncBatch, "sessions"),
+		"mkdir sessions/s", "syncdir sessions", "syncdir .", "ack")
 }
 
 // TestManifestDurable: creating a durable session writes its manifest to a

@@ -120,19 +120,6 @@ func (b *Base) AddDownstream(p Processor) {
 	b.outs = append(b.outs, p)
 }
 
-// RemoveDownstream disconnects a consumer; it reports whether p was found.
-func (b *Base) RemoveDownstream(p Processor) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, out := range b.outs {
-		if out == p {
-			b.outs = append(b.outs[:i], b.outs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Emit forwards an output batch to every downstream, recording flow. The
 // first downstream error aborts and is returned wrapped with the operator
 // name.

@@ -88,10 +88,6 @@ type Fabricator struct {
 	// subplanSeq numbers subplans in fabrication order, the order an epoch
 	// runs their merge phases (and reports their errors) in.
 	subplanSeq uint64
-	// walkGraph pushes every cell's share through its operator graph,
-	// U-operators included, instead of running the compiled program: the
-	// oracle topology's tests hold the program to.
-	walkGraph bool
 }
 
 // liveQuery is one live query: its stored form and its subplan.
@@ -106,8 +102,8 @@ type liveQuery struct {
 // per-query control arm each query gets its own. The subplan is torn down
 // when its last member detaches.
 type queryState struct {
-	// q is the creating query's stored form; it defines the wiring geometry
-	// (every member has the identical normal form, so identical geometry).
+	// q is the creating query's stored form; it defines the subplan's
+	// geometry (every member has the identical normal form).
 	q query.Query
 	// tapID is the id taps and U-operator names were registered under — the
 	// creator's query id, stable even after the creator detaches while
@@ -115,12 +111,11 @@ type queryState struct {
 	tapID string
 	// key is the canonical CrAQL key the subplan is indexed under in
 	// f.shared ("" on the per-query control arm).
-	key   string
-	plan  *MergePlan
-	fan   *fanOut
-	keys  []Key // pipelines this subplan taps
-	rects []geom.Rect
-	seq   uint64 // fabrication order (Fabricator.subplanSeq)
+	key  string
+	plan *MergePlan
+	fan  *fanOut
+	keys []Key  // pipelines this subplan taps, in plan leaf order
+	seq  uint64 // fabrication order (Fabricator.subplanSeq)
 }
 
 // New creates a fabricator over the grid. rng seeds the per-operator
@@ -279,10 +274,9 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 	}
 	fan := &fanOut{}
 	fan.add(stored.ID, sink)
-	plan.AttachSink(fan)
 	f.subplanSeq++
 	st := &queryState{q: stored, tapID: stored.ID, key: key, plan: plan, fan: fan, seq: f.subplanSeq}
-	for i, ov := range rowMajor(overlaps) {
+	for _, ov := range rowMajor(overlaps) {
 		key := Key{Cell: ov.Cell, Attr: stored.Attr}
 		p, ok := f.cells[key]
 		if !ok {
@@ -302,12 +296,11 @@ func (f *Fabricator) InsertQuery(q query.Query, sink stream.Processor) (query.Qu
 			f.cells[key] = p
 			f.registerBudget(key)
 		}
-		if err := p.AddTap(stored, ov.Rect, plan.Inputs[i]); err != nil {
+		if err := p.AddTap(stored, ov.Rect); err != nil {
 			f.rollbackInsert(st)
 			return query.Query{}, err
 		}
 		st.keys = append(st.keys, key)
-		st.rects = append(st.rects, ov.Rect)
 	}
 	f.queries[stored.ID] = liveQuery{q: stored, sp: st}
 	if key != "" {
@@ -426,9 +419,7 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 	defer ep.release()
 	ep.batch, ep.pipes = b, pipes
 	ep.scatter(f.grid, f.slots[b.Attr], len(pipes), b.Tuples)
-	if !f.walkGraph {
-		ep.begin(f.program(b.Attr))
-	}
+	ep.begin(f.program(b.Attr))
 	return ep.execute(f.Workers())
 }
 

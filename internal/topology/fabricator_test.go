@@ -37,12 +37,10 @@ func newFab(t *testing.T, g *geom.Grid, cfg Config) *Fabricator {
 	return f
 }
 
-// controlArm puts f, before its first insert, on the control arms the
-// tests compare production against: walkGraph runs every epoch as the
-// operator-graph walk instead of the compiled program, and unshared
-// fabricates every query on a subplan, and a result ring, of its own.
-func controlArm(f *Fabricator, walkGraph, unshared bool) *Fabricator {
-	f.walkGraph = walkGraph
+// controlArm puts f, before its first insert, on the per-query control arm
+// the tests compare sharing against when unshared is set: every query is
+// fabricated on a subplan, and a result ring, of its own.
+func controlArm(f *Fabricator, unshared bool) *Fabricator {
 	if unshared {
 		f.shared = nil
 	}

@@ -25,9 +25,10 @@ var fusedFixtureQueries = []query.Query{
 	{Attr: "temp", Region: geom.NewRect(2.25, 2.25, 4.5, 4.25), Rate: 4}, // partition + chain on temp
 }
 
-// buildFusedFixture assembles the fixture's fabricator for one seed, on the
-// compiled program or, with walkGraph, on the operator-graph walk.
-func buildFusedFixture(t *testing.T, seed int64, workers int, walkGraph bool) (*Fabricator, []*stream.Collector) {
+// buildFusedFixture assembles the fixture's fabricator for one seed, and
+// what runs its epochs: the compiled program or, with walk, the
+// reference graph walk.
+func buildFusedFixture(t *testing.T, seed int64, workers int, walk bool) (*Fabricator, epochRunner, []*stream.Collector) {
 	t.Helper()
 	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
 	if err != nil {
@@ -37,7 +38,6 @@ func buildFusedFixture(t *testing.T, seed int64, workers int, walkGraph bool) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	controlArm(fab, walkGraph, false)
 	cols := make([]*stream.Collector, len(fusedFixtureQueries))
 	for i, q := range fusedFixtureQueries {
 		cols[i] = stream.NewCollector()
@@ -45,21 +45,23 @@ func buildFusedFixture(t *testing.T, seed int64, workers int, walkGraph bool) (*
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	return fab, cols
+	if walk {
+		return fab, newGraphWalk(fab), cols
+	}
+	return fab, fab, cols
 }
 
 // runFixtureEpochs drives both attributes, including one fully empty epoch
 // (starved cells must still deliver empty batches so merge slices complete).
-func runFixtureEpochs(t *testing.T, fab *Fabricator, epochs, perEpoch int) {
+func runFixtureEpochs(t *testing.T, run epochRunner, region geom.Rect, epochs, perEpoch int) {
 	t.Helper()
-	region := fab.grid.Region()
 	for e := 0; e < epochs; e++ {
 		n := perEpoch
 		if e == 2 {
 			n = 0
 		}
 		for _, attr := range []string{"rain", "temp"} {
-			if err := fab.Ingest(sourceBatch(attr, e, region, n)); err != nil {
+			if err := run.Ingest(sourceBatch(attr, e, region, n)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -68,17 +70,17 @@ func runFixtureEpochs(t *testing.T, fab *Fabricator, epochs, perEpoch int) {
 
 // TestFusedMatchesUnfusedGolden is the fused-execution golden test: across
 // seeds and worker-pool sizes, compiled fused execution must fabricate
-// byte-identical streams to the unfused operator-graph walk — same tuples in
-// the same order for every query, and identical flow counters (same
+// byte-identical streams to the unfused reference graph walk — same tuples
+// in the same order for every query, and identical flow counters (same
 // Bernoulli draws at every operator).
 func TestFusedMatchesUnfusedGolden(t *testing.T) {
 	for _, seed := range []int64{1, 7, 1234} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				unfused, ucols := buildFusedFixture(t, seed, workers, true)
-				fused, fcols := buildFusedFixture(t, seed, workers, false)
-				runFixtureEpochs(t, unfused, 6, 700)
-				runFixtureEpochs(t, fused, 6, 700)
+				unfused, walk, ucols := buildFusedFixture(t, seed, workers, true)
+				fused, _, fcols := buildFusedFixture(t, seed, workers, false)
+				runFixtureEpochs(t, walk, unfused.grid.Region(), 6, 700)
+				runFixtureEpochs(t, fused, fused.grid.Region(), 6, 700)
 				for i := range ucols {
 					want, got := ucols[i].Tuples(), fcols[i].Tuples()
 					if !reflect.DeepEqual(got, want) {
@@ -102,13 +104,13 @@ func TestFusedMatchesUnfusedGolden(t *testing.T) {
 // TestFusedRecompileOnChurn inserts and deletes queries mid-run — AddTap
 // splices a T-operator into the middle of a compiled chain, DeleteQuery
 // merges T-operators back — and requires fused output to keep tracking the
-// unfused reference byte-for-byte through every recompilation.
+// unfused reference graph walk byte-for-byte through every recompilation.
 func TestFusedRecompileOnChurn(t *testing.T) {
-	unfused, ucols := buildFusedFixture(t, 99, 2, true)
-	fused, fcols := buildFusedFixture(t, 99, 2, false)
+	unfused, walk, ucols := buildFusedFixture(t, 99, 2, true)
+	fused, _, fcols := buildFusedFixture(t, 99, 2, false)
 	region := fused.grid.Region()
 
-	churn := func(fab *Fabricator) ([]string, *stream.Collector) {
+	churn := func(fab *Fabricator, run epochRunner) ([]string, *stream.Collector) {
 		var inserted []string
 		midCol := stream.NewCollector()
 		for e := 0; e < 8; e++ {
@@ -133,7 +135,7 @@ func TestFusedRecompileOnChurn(t *testing.T) {
 				}
 			}
 			for _, attr := range []string{"rain", "temp"} {
-				if err := fab.Ingest(sourceBatch(attr, e, region, 600)); err != nil {
+				if err := run.Ingest(sourceBatch(attr, e, region, 600)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -141,8 +143,8 @@ func TestFusedRecompileOnChurn(t *testing.T) {
 		return inserted, midCol
 	}
 
-	_, umid := churn(unfused)
-	_, fmid := churn(fused)
+	_, umid := churn(unfused, walk)
+	_, fmid := churn(fused, fused)
 	for i := range ucols {
 		if !reflect.DeepEqual(fcols[i].Tuples(), ucols[i].Tuples()) {
 			t.Errorf("query %d: fused diverges from unfused across churn", i)
@@ -164,13 +166,13 @@ func TestFusedRecompileOnChurn(t *testing.T) {
 // attributes' independence, recompilation after a structural insert or a
 // teardown and only then — neither a member attaching to or detaching from a
 // resident subplan nor a retune costs one — and no program at all on the
-// graph walk.
+// reference graph walk.
 func TestFusedProgramLifecycle(t *testing.T) {
 	grid := fig2Grid(t)
 	f := newFab(t, grid, Config{Workers: 1})
-	ingest := func(f *Fabricator, attr string, e int) {
+	ingest := func(run epochRunner, attr string, e int) {
 		t.Helper()
-		if err := f.Ingest(sourceBatch(attr, e, grid.Region(), 200)); err != nil {
+		if err := run.Ingest(sourceBatch(attr, e, grid.Region(), 200)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,10 +241,10 @@ func TestFusedProgramLifecycle(t *testing.T) {
 		t.Fatal("the program delivered nothing")
 	}
 
-	walk := controlArm(newFab(t, grid, Config{}), true, false)
+	walk := newFab(t, grid, Config{})
 	if _, err := walk.InsertQuery(q, stream.NewCollector()); err != nil {
 		t.Fatal(err)
 	}
-	ingest(walk, "rain", 0)
+	ingest(newGraphWalk(walk), "rain", 0)
 	expect(walk, "graph walk", ProgramStats{})
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pmat"
-	"repro/internal/stream"
 )
 
 // MergeMode names the one merge layout; kept only because bench/trace.go
@@ -16,30 +15,19 @@ type MergeMode int
 // MergeFlat is the one merge layout: a single n-ary U-operator.
 const MergeFlat MergeMode = 0
 
-// MergePlan is the constructed merge phase of one query: for every overlap
-// rectangle an input Processor to feed, and a single output attachment
-// point. The paper's Fig. 2(c) cascades binary U-operators; this is its
-// n-ary generalization ("this operator can be easily extended to union
-// multiple MDPPs at once"): one U-operator over every leaf.
+// MergePlan is the merge phase of one subplan: its leaf rectangles and the
+// U-operator over them. The paper's Fig. 2(c) cascades binary U-operators;
+// this is its n-ary generalization ("this operator can be easily extended to
+// union multiple MDPPs at once"): one U-operator over every leaf. The
+// compiled epoch program does the U-operator's merging and keeps its flow
+// counters (Union.RecordMerged).
 type MergePlan struct {
-	// Inputs[i] consumes the per-cell stream of Rects[i].
-	Inputs []stream.Processor
-	// Rects are the leaf regions, in the same order as Inputs.
+	// Rects are the leaf regions, in row-major cell order.
 	Rects []geom.Rect
 	// Region is the union of all leaves.
 	Region geom.Rect
-	// Union merges the leaves; nil when a single leaf forwards directly.
+	// Union merges the leaves; nil for a single leaf.
 	Union *pmat.Union
-}
-
-// AttachSink connects the plan's output to the query's consumer. For a
-// single-leaf plan the leaf input forwards straight to the sink.
-func (mp *MergePlan) AttachSink(sink stream.Processor) {
-	if mp.Union == nil {
-		mp.Inputs[0] = sink
-		return
-	}
-	mp.Union.AddDownstream(sink)
 }
 
 // NumUnions returns the number of U-operators in the plan: 1, or 0 for a
@@ -63,16 +51,13 @@ func BuildMergePlan(name string, overlaps []geom.Overlap) (*MergePlan, error) {
 	for i, ov := range rowMajor(overlaps) {
 		rects[i] = ov.Rect
 	}
-	plan := &MergePlan{Inputs: make([]stream.Processor, len(rects)), Rects: rects, Region: rects[0]}
+	plan := &MergePlan{Rects: rects, Region: rects[0]}
 	if len(rects) == 1 {
 		return plan, nil
 	}
 	u, err := pmat.NewUnion(name+"/U", rects...)
 	if err != nil {
 		return nil, err
-	}
-	for i, in := range u.Inputs() {
-		plan.Inputs[i] = in
 	}
 	plan.Region, plan.Union = u.Region(), u
 	return plan, nil

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -17,36 +18,42 @@ func overlapsFor(t *testing.T, g *geom.Grid, region geom.Rect) []geom.Overlap {
 	return ovs
 }
 
-func feedPlan(t *testing.T, plan *MergePlan, perLeaf int) {
+// feedPlan pushes perLeaf tuples at each leaf's centre through the plan's
+// U-operator and returns what it emits.
+func feedPlan(t *testing.T, plan *MergePlan, perLeaf int) *stream.Collector {
 	t.Helper()
+	col := stream.NewCollector()
+	plan.Union.AddDownstream(col)
 	w0, w1 := 0.0, 1.0
-	for i, in := range plan.Inputs {
-		b := stream.Batch{Attr: "x", Window: geom.Window{T0: w0, T1: w1, Rect: plan.Rects[i]}}
+	for i, r := range plan.Rects {
+		b := stream.Batch{Attr: "x", Window: geom.Window{T0: w0, T1: w1, Rect: r}}
 		for j := 0; j < perLeaf; j++ {
-			c := plan.Rects[i].Center()
+			c := r.Center()
 			b.Tuples = append(b.Tuples, stream.Tuple{ID: uint64(i*1000 + j), T: 0.5, X: c.X, Y: c.Y})
+		}
+		in, err := plan.Union.Input(i)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := in.Process(b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return col
 }
 
 func TestBuildMergePlanSingleLeaf(t *testing.T) {
 	g := fig2Grid(t)
-	ovs := overlapsFor(t, g, geom.NewRect(0, 0, 2, 2))
-	plan, err := BuildMergePlan("Q", ovs)
+	region := geom.NewRect(0, 0, 2, 2)
+	plan, err := BuildMergePlan("Q", overlapsFor(t, g, region))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.NumUnions() != 0 {
 		t.Fatal("single leaf should need no unions")
 	}
-	col := stream.NewCollector()
-	plan.AttachSink(col)
-	feedPlan(t, plan, 3)
-	if col.Len() != 3 {
-		t.Fatalf("delivered %d tuples", col.Len())
+	if len(plan.Rects) != 1 || !plan.Region.Equal(region) {
+		t.Fatalf("leaves %v, region %v; want the one cell %v", plan.Rects, plan.Region, region)
 	}
 }
 
@@ -58,12 +65,10 @@ func testPlanDelivery(t *testing.T, region geom.Rect, wantLeaves int) *MergePlan
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Inputs) != wantLeaves || len(plan.Rects) != wantLeaves {
-		t.Fatalf("leaves = %d, want %d", len(plan.Inputs), wantLeaves)
+	if len(plan.Rects) != wantLeaves {
+		t.Fatalf("leaves = %d, want %d", len(plan.Rects), wantLeaves)
 	}
-	col := stream.NewCollector()
-	plan.AttachSink(col)
-	feedPlan(t, plan, 2)
+	col := feedPlan(t, plan, 2)
 	if col.Len() != 2*wantLeaves {
 		t.Fatalf("delivered %d tuples, want %d", col.Len(), 2*wantLeaves)
 	}
@@ -116,10 +121,14 @@ func TestMergePlanOrderIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := stream.NewCollector()
-	plan.AttachSink(col)
-	feedPlan(t, plan, 1)
-	if col.Len() != 4 {
+	fwd, err := BuildMergePlan("Q", ovs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan.Rects, fwd.Rects) {
+		t.Fatalf("leaves %v from reversed overlaps, %v in grid order", plan.Rects, fwd.Rects)
+	}
+	if col := feedPlan(t, plan, 1); col.Len() != 4 {
 		t.Fatalf("delivered %d of 4", col.Len())
 	}
 }

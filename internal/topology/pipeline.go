@@ -19,17 +19,19 @@
 //     branching point, merging any T-operators left consecutive.
 //
 // Queries whose normal forms match share one fabricated subplan and one
-// result ring, and every epoch runs as a compiled position program
-// (program.go); the only setting is the epoch worker count (Config). The
-// operator-graph walk and per-query fabrication stay as unexported control
-// arms that only this package's tests select, to hold the program and
-// sharing to byte identity.
+// result ring. The operators are the plan's nodes, not a wired graph: every
+// epoch runs as the attribute's compiled position program (program.go),
+// which reads their rates, generators and estimators and keeps their flow
+// counters; the only setting is the epoch worker count (Config). The
+// operator-graph walk the program is held to lives in this package's tests,
+// as does the per-query control arm sharing is held to.
 package topology
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -73,14 +75,12 @@ func (k Key) rngKey() uint64 {
 	return h
 }
 
-// tap is one query's subscription at a rate node: either the whole cell
-// (direct connection) or a partition branch for a partial overlap.
+// tap is one subplan's subscription at a rate node: either the whole cell
+// or, for a partial overlap, the share a P-operator clips out of it.
 type tap struct {
 	queryID   string
-	region    geom.Rect // the sub-region delivered to the query
+	region    geom.Rect // the sub-region delivered to the subplan
 	partition *pmat.Partition
-	port      *pmat.Port
-	sink      stream.Processor
 }
 
 // rateNode is one T-operator level of the descending chain, together with
@@ -146,13 +146,9 @@ func (p *CellPipeline) nextName(kind string) string {
 
 // AddTap subscribes a query at its rate: it finds or creates the T-operator
 // for rate q.Rate (keeping the chain sorted descending and the F output
-// above the head), and attaches the query's sink — directly when the query
-// covers the whole cell, through a P-operator partitioning out the overlap
-// otherwise.
-func (p *CellPipeline) AddTap(q query.Query, overlap geom.Rect, sink stream.Processor) error {
-	if sink == nil {
-		return fmt.Errorf("topology: pipeline %v: query %s: nil sink", p.key, q.ID)
-	}
+// above the head) and taps it — the whole cell when the query covers it,
+// through a P-operator partitioning out the overlap otherwise.
+func (p *CellPipeline) AddTap(q query.Query, overlap geom.Rect) error {
 	if q.Rate <= 0 {
 		return fmt.Errorf("topology: pipeline %v: query %s: rate must be positive", p.key, q.ID)
 	}
@@ -170,40 +166,28 @@ func (p *CellPipeline) AddTap(q query.Query, overlap geom.Rect, sink stream.Proc
 	if err != nil {
 		return err
 	}
-	return p.tapNode(node, q.ID, overlap, sink)
+	return p.tapNode(node, q.ID, overlap)
 }
 
-// tapNode attaches a query's sink at a rate node: directly when overlap is
-// the whole cell, through a P-operator partitioning out the overlap
-// otherwise.
-func (p *CellPipeline) tapNode(node *rateNode, queryID string, overlap geom.Rect, sink stream.Processor) error {
-	t := &tap{queryID: queryID, region: overlap, sink: sink}
-	fullCell := overlap.Equal(p.cellRect)
-	if fullCell {
-		// The query perfectly overlaps the cell: connect directly, no
-		// P-operator (paper: "P-operators are required only for Q3⟨2⟩").
-		node.thin.AddDownstream(sink)
-	} else {
+// tapNode taps a rate node for a subplan: the whole cell when overlap is the
+// cell, through a P-operator partitioning out the overlap otherwise (paper:
+// "P-operators are required only for Q3⟨2⟩").
+func (p *CellPipeline) tapNode(node *rateNode, queryID string, overlap geom.Rect) error {
+	t := &tap{queryID: queryID, region: overlap}
+	if !overlap.Equal(p.cellRect) {
 		part, err := pmat.NewPartition(p.nextName("P"), p.cellRect)
 		if err != nil {
 			return err
 		}
-		port, err := part.AddBranch(queryID, overlap)
-		if err != nil {
-			return err
-		}
-		port.AddDownstream(sink)
-		node.thin.AddDownstream(part)
 		t.partition = part
-		t.port = port
 	}
 	node.taps = append(node.taps, t)
 	return nil
 }
 
-// ensureNode returns the rate node for rate, creating and splicing it into
-// the descending chain if absent. It applies the paper's insertion rules:
-// keep T-operators sorted descending, never create two identical-rate
+// ensureNode returns the rate node for rate, creating it at its place in the
+// descending chain if absent. It applies the paper's insertion rules: keep
+// T-operators sorted descending, never create two identical-rate
 // T-operators, and raise the F-operator's output above the head rate.
 func (p *CellPipeline) ensureNode(rate float64) (*rateNode, error) {
 	// Existing node with (approximately) the same rate?
@@ -234,28 +218,15 @@ func (p *CellPipeline) ensureNode(rate float64) (*rateNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &rateNode{rate: rate, thin: thin}
-	// Splice: upstream → node → former occupant of pos.
+	// The former occupant of pos now reads the new node's output.
 	if pos < len(p.nodes) {
 		next := p.nodes[pos]
-		p.upstreamDetach(pos, next.thin)
-		thin.AddDownstream(next.thin)
 		if err := next.thin.SetRates(p.scale*rate, p.scale*next.rate); err != nil {
 			return nil, err
 		}
 	}
-	if pos == 0 {
-		p.flatten.AddDownstream(thin)
-	} else {
-		p.nodes[pos-1].thin.AddDownstream(thin)
-	}
-	p.nodes = append(p.nodes, nil)
-	copy(p.nodes[pos+1:], p.nodes[pos:])
-	p.nodes[pos] = node
-	// If a node was inserted at the head, the old head's input rate must
-	// follow (it now reads from the new node, handled above); if inserted at
-	// the head the flatten target may have risen, so refresh the old head's
-	// rates when pos == 0 was spliced (done via SetRates already).
+	node := &rateNode{rate: rate, thin: thin}
+	p.nodes = slices.Insert(p.nodes, pos, node)
 	return node, nil
 }
 
@@ -268,38 +239,19 @@ func (p *CellPipeline) upstreamRate(pos int) float64 {
 	return p.nodes[pos-1].rate
 }
 
-// upstreamDetach disconnects the processor feeding position pos from next.
-func (p *CellPipeline) upstreamDetach(pos int, next stream.Processor) {
-	if pos == 0 {
-		p.flatten.RemoveDownstream(next)
-		return
-	}
-	p.nodes[pos-1].thin.RemoveDownstream(next)
-}
-
-// RemoveTap unsubscribes a query, deleting its stream right-to-left: the
-// sink (or P-operator branch) is detached; a T-operator left with no taps
-// and no branch is removed and the chain re-merged (the paper's rule that
-// two consecutive T-operators merge into one). It reports whether the query
-// was subscribed.
+// RemoveTap unsubscribes a query, deleting its stream right-to-left: the tap
+// (and its P-operator) goes; a T-operator left with no taps is removed and
+// the chain re-merged (the paper's rule that two consecutive T-operators
+// merge into one). It reports whether the query was subscribed.
 func (p *CellPipeline) RemoveTap(queryID string) (bool, error) {
 	for i, n := range p.nodes {
 		for j, t := range n.taps {
 			if t.queryID != queryID {
 				continue
 			}
-			if t.partition != nil {
-				t.port.RemoveDownstream(t.sink)
-				t.partition.RemoveBranch(t.port)
-				n.thin.RemoveDownstream(t.partition)
-			} else {
-				n.thin.RemoveDownstream(t.sink)
-			}
-			n.taps = append(n.taps[:j], n.taps[j+1:]...)
+			n.taps = slices.Delete(n.taps, j, j+1)
 			if len(n.taps) == 0 {
-				if err := p.removeNode(i); err != nil {
-					return true, err
-				}
+				return true, p.removeNode(i)
 			}
 			return true, nil
 		}
@@ -307,31 +259,17 @@ func (p *CellPipeline) RemoveTap(queryID string) (bool, error) {
 	return false, nil
 }
 
-// removeNode deletes chain position i, reconnecting its upstream to its
-// downstream and re-parameterizing the downstream T-operator — the merge of
-// two consecutive T-operators.
+// removeNode deletes chain position i and re-parameterizes the downstream
+// T-operator to read from its new upstream — the merge of two consecutive
+// T-operators.
 func (p *CellPipeline) removeNode(i int) error {
-	n := p.nodes[i]
-	var next *rateNode
 	if i+1 < len(p.nodes) {
-		next = p.nodes[i+1]
-	}
-	if next != nil {
-		n.thin.RemoveDownstream(next.thin)
-	}
-	p.upstreamDetach(i, n.thin)
-	if next != nil {
-		inRate := p.upstreamRate(i)
-		if err := next.thin.SetRates(p.scale*inRate, p.scale*next.rate); err != nil {
+		next := p.nodes[i+1]
+		if err := next.thin.SetRates(p.scale*p.upstreamRate(i), p.scale*next.rate); err != nil {
 			return err
 		}
-		if i == 0 {
-			p.flatten.AddDownstream(next.thin)
-		} else {
-			p.nodes[i-1].thin.AddDownstream(next.thin)
-		}
 	}
-	p.nodes = append(p.nodes[:i], p.nodes[i+1:]...)
+	p.nodes = slices.Delete(p.nodes, i, i+1)
 	return nil
 }
 
@@ -342,10 +280,10 @@ func (p *CellPipeline) removeNode(i int) error {
 // rate the F-operator is held to (and reports violations against) drops to
 // s × nominal, so a persistently starved cell converges to its feasible
 // rate instead of alarming forever (the paper's "accept the feasible
-// rate"). Compiled execution and the graph walk both read rates live, so
-// nothing is recompiled and the two stay byte-identical across a retune
-// (golden test in retune_test.go). Callers serialize Retune with structural
-// mutations (the fabricator holds its write lock).
+// rate"). The compiled program reads rates live, so nothing is recompiled
+// (retune_test.go holds it to the reference walk across a retune). Callers
+// serialize Retune with structural mutations (the fabricator holds its write
+// lock).
 func (p *CellPipeline) Retune(scale float64) error {
 	if math.IsNaN(scale) || scale <= 0 || scale > 1 {
 		return fmt.Errorf("topology: pipeline %v: retune scale must be in (0,1], got %g", p.key, scale)
@@ -400,8 +338,8 @@ func (p *CellPipeline) Operators() []stream.Operator {
 //  3. The F-operator's output rate exceeds the first T-operator's rate.
 //  4. Every T-operator has at least one tap (no two consecutive T-operators
 //     without a branching point — tapless nodes would have been merged).
-//  5. Partition branch regions lie inside the cell and are the taps'
-//     regions.
+//  5. Tap regions lie inside the cell, and a tap has a P-operator exactly
+//     when its region is not the whole cell.
 func (p *CellPipeline) Invariants() error {
 	if math.IsNaN(p.scale) || p.scale <= 0 || p.scale > 1 {
 		return fmt.Errorf("topology: pipeline %v: rate scale %g outside (0,1]", p.key, p.scale)
@@ -431,8 +369,8 @@ func (p *CellPipeline) Invariants() error {
 			if !p.cellRect.ContainsRect(t.region) {
 				return fmt.Errorf("topology: pipeline %v: tap %s region %v escapes the cell %v", p.key, t.queryID, t.region, p.cellRect)
 			}
-			if t.partition != nil && t.partition.NumBranches() != 1 {
-				return fmt.Errorf("topology: pipeline %v: tap %s partition has %d branches, want 1", p.key, t.queryID, t.partition.NumBranches())
+			if (t.partition == nil) != t.region.Equal(p.cellRect) {
+				return fmt.Errorf("topology: pipeline %v: tap %s over %v has P-operator %v", p.key, t.queryID, t.region, t.partition != nil)
 			}
 		}
 		prevRate = scaled

@@ -65,14 +65,12 @@ func TestNewCellPipelineValidation(t *testing.T) {
 
 func TestAddTapCreatesDescendingChain(t *testing.T) {
 	p := newPipe(t)
-	sinks := map[string]*stream.Collector{}
 	// Insert out of order; the chain must come out descending.
 	for _, spec := range []struct {
 		id   string
 		rate float64
 	}{{"Q2", 5}, {"Q1", 10}, {"Q3", 2}} {
-		sinks[spec.id] = stream.NewCollector()
-		if err := p.AddTap(q(spec.id, spec.rate), cellRect(), sinks[spec.id]); err != nil {
+		if err := p.AddTap(q(spec.id, spec.rate), cellRect()); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Invariants(); err != nil {
@@ -97,10 +95,10 @@ func TestAddTapCreatesDescendingChain(t *testing.T) {
 
 func TestAddTapSharedRateReusesThin(t *testing.T) {
 	p := newPipe(t)
-	if err := p.AddTap(q("Q1", 5), cellRect(), stream.NewCollector()); err != nil {
+	if err := p.AddTap(q("Q1", 5), cellRect()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddTap(q("Q2", 5), cellRect(), stream.NewCollector()); err != nil {
+	if err := p.AddTap(q("Q2", 5), cellRect()); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.nodes) != 1 {
@@ -117,28 +115,24 @@ func TestAddTapSharedRateReusesThin(t *testing.T) {
 
 func TestAddTapValidation(t *testing.T) {
 	p := newPipe(t)
-	if err := p.AddTap(q("Q1", 5), cellRect(), nil); err == nil {
-		t.Error("nil sink should error")
-	}
-	if err := p.AddTap(q("Q1", 0), cellRect(), stream.NewCollector()); err == nil {
+	if err := p.AddTap(q("Q1", 0), cellRect()); err == nil {
 		t.Error("zero rate should error")
 	}
-	if err := p.AddTap(q("Q1", 5), geom.NewRect(1, 1, 3, 3), stream.NewCollector()); err == nil {
+	if err := p.AddTap(q("Q1", 5), geom.NewRect(1, 1, 3, 3)); err == nil {
 		t.Error("overlap escaping cell should error")
 	}
-	if err := p.AddTap(q("Q1", 5), cellRect(), stream.NewCollector()); err != nil {
+	if err := p.AddTap(q("Q1", 5), cellRect()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddTap(q("Q1", 3), cellRect(), stream.NewCollector()); err == nil {
+	if err := p.AddTap(q("Q1", 3), cellRect()); err == nil {
 		t.Error("duplicate subscription should error")
 	}
 }
 
 func TestPartialOverlapGetsPartition(t *testing.T) {
 	p := newPipe(t)
-	sink := stream.NewCollector()
 	sub := geom.NewRect(0, 0, 1, 1)
-	if err := p.AddTap(q("Q1", 5), sub, sink); err != nil {
+	if err := p.AddTap(q("Q1", 5), sub); err != nil {
 		t.Fatal(err)
 	}
 	ops := p.Operators()
@@ -153,7 +147,7 @@ func TestPartialOverlapGetsPartition(t *testing.T) {
 	}
 	// Full-cell tap must NOT create a P-operator.
 	p2 := newPipe(t)
-	if err := p2.AddTap(q("Q1", 5), cellRect(), stream.NewCollector()); err != nil {
+	if err := p2.AddTap(q("Q1", 5), cellRect()); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range p2.Operators() {
@@ -165,18 +159,19 @@ func TestPartialOverlapGetsPartition(t *testing.T) {
 
 func TestPipelineDeliversAtRequestedRates(t *testing.T) {
 	p := newPipe(t)
-	sink1 := stream.NewCollector()
-	sink2 := stream.NewCollector()
-	if err := p.AddTap(q("Q1", 40), cellRect(), sink1); err != nil {
+	if err := p.AddTap(q("Q1", 40), cellRect()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddTap(q("Q2", 10), cellRect(), sink2); err != nil {
+	if err := p.AddTap(q("Q2", 10), cellRect()); err != nil {
 		t.Fatal(err)
 	}
 	// Feed heavy homogeneous batches (rate far above F target so flatten
-	// can deliver).
+	// can deliver) through the cell's kernel: what survives stage j is what
+	// the whole-cell tap at the j-th rate node delivers.
 	rng := stats.NewRNG(99)
 	var r1, r2 stats.Summary
+	lists := make([][]uint32, 2)
+	var ws workerScratch
 	for epoch := 0; epoch < 40; epoch++ {
 		w := geom.Window{T0: float64(epoch), T1: float64(epoch + 1), Rect: cellRect()}
 		n := rng.Poisson(150 * w.Volume())
@@ -187,13 +182,15 @@ func TestPipelineDeliversAtRequestedRates(t *testing.T) {
 				X: rng.Uniform(0, 2), Y: rng.Uniform(0, 2),
 			})
 		}
-		sink1.Reset()
-		sink2.Reset()
-		if err := p.Process(b); err != nil {
+		pos := make([]uint32, len(b.Tuples))
+		for i := range pos {
+			pos[i] = uint32(i)
+		}
+		if err := p.fabricate(b, pos, lists, &ws); err != nil {
 			t.Fatal(err)
 		}
-		r1.Add(float64(sink1.Len()) / w.Volume())
-		r2.Add(float64(sink2.Len()) / w.Volume())
+		r1.Add(float64(len(lists[0])) / w.Volume())
+		r2.Add(float64(len(lists[1])) / w.Volume())
 	}
 	if math.Abs(r1.Mean()-40) > 4*r1.StdErr()+2 {
 		t.Errorf("Q1 rate %g, want ≈40", r1.Mean())
@@ -209,7 +206,7 @@ func TestRemoveTapMergesThins(t *testing.T) {
 		id   string
 		rate float64
 	}{{"Q1", 10}, {"Q2", 5}, {"Q3", 2}} {
-		if err := p.AddTap(q(spec.id, spec.rate), cellRect(), stream.NewCollector()); err != nil {
+		if err := p.AddTap(q(spec.id, spec.rate), cellRect()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,8 +229,8 @@ func TestRemoveTapMergesThins(t *testing.T) {
 
 func TestRemoveHeadTap(t *testing.T) {
 	p := newPipe(t)
-	_ = p.AddTap(q("Q1", 10), cellRect(), stream.NewCollector())
-	_ = p.AddTap(q("Q2", 5), cellRect(), stream.NewCollector())
+	_ = p.AddTap(q("Q1", 10), cellRect())
+	_ = p.AddTap(q("Q2", 5), cellRect())
 	found, err := p.RemoveTap("Q1")
 	if err != nil || !found {
 		t.Fatal("head removal failed")
@@ -249,7 +246,7 @@ func TestRemoveHeadTap(t *testing.T) {
 
 func TestRemoveLastTapEmptiesPipeline(t *testing.T) {
 	p := newPipe(t)
-	_ = p.AddTap(q("Q1", 10), cellRect(), stream.NewCollector())
+	_ = p.AddTap(q("Q1", 10), cellRect())
 	found, err := p.RemoveTap("Q1")
 	if err != nil || !found {
 		t.Fatal("removal failed")
@@ -272,7 +269,7 @@ func TestRemoveTapUnknownQuery(t *testing.T) {
 func TestRemoveTapWithPartition(t *testing.T) {
 	p := newPipe(t)
 	sub := geom.NewRect(0, 0, 1, 1)
-	_ = p.AddTap(q("Q1", 5), sub, stream.NewCollector())
+	_ = p.AddTap(q("Q1", 5), sub)
 	found, err := p.RemoveTap("Q1")
 	if err != nil || !found {
 		t.Fatal("partitioned tap removal failed")
@@ -284,8 +281,8 @@ func TestRemoveTapWithPartition(t *testing.T) {
 
 func TestSharedRateNodeSurvivesPartialRemoval(t *testing.T) {
 	p := newPipe(t)
-	_ = p.AddTap(q("Q1", 5), cellRect(), stream.NewCollector())
-	_ = p.AddTap(q("Q2", 5), cellRect(), stream.NewCollector())
+	_ = p.AddTap(q("Q1", 5), cellRect())
+	_ = p.AddTap(q("Q2", 5), cellRect())
 	found, err := p.RemoveTap("Q1")
 	if err != nil || !found {
 		t.Fatal("removal failed")
@@ -300,9 +297,9 @@ func TestSharedRateNodeSurvivesPartialRemoval(t *testing.T) {
 
 func TestHeadInsertionRaisesFlattenTarget(t *testing.T) {
 	p := newPipe(t)
-	_ = p.AddTap(q("Q1", 5), cellRect(), stream.NewCollector())
+	_ = p.AddTap(q("Q1", 5), cellRect())
 	before := p.flatten.TargetRate()
-	_ = p.AddTap(q("Q2", 50), cellRect(), stream.NewCollector())
+	_ = p.AddTap(q("Q2", 50), cellRect())
 	after := p.flatten.TargetRate()
 	if after <= before || after < 60-1e-9 {
 		t.Fatalf("F target %g → %g; want raised above 60", before, after)
@@ -314,8 +311,8 @@ func TestHeadInsertionRaisesFlattenTarget(t *testing.T) {
 
 func TestRenderShowsStructure(t *testing.T) {
 	p := newPipe(t)
-	_ = p.AddTap(q("Q1", 10), cellRect(), stream.NewCollector())
-	_ = p.AddTap(q("Q2", 5), geom.NewRect(0, 0, 1, 1), stream.NewCollector())
+	_ = p.AddTap(q("Q1", 10), cellRect())
+	_ = p.AddTap(q("Q2", 5), geom.NewRect(0, 0, 1, 1))
 	r := p.Render()
 	for _, want := range []string{"F(", "T(", "Q1", "Q2·P"} {
 		if !strings.Contains(r, want) {
@@ -340,7 +337,7 @@ func TestPipelineChurnKeepsInvariants(t *testing.T) {
 			if rng.Float64() < 0.3 {
 				region = geom.NewRect(0, 0, 1, 1)
 			}
-			if err := p.AddTap(q(id, rate), region, stream.NewCollector()); err != nil {
+			if err := p.AddTap(q(id, rate), region); err != nil {
 				t.Fatalf("step %d add: %v", step, err)
 			}
 			live[id] = true
@@ -396,7 +393,7 @@ func TestChainSortedPropertyQuick(t *testing.T) {
 			rate := 0.5 + math.Abs(math.Mod(v, 64))
 			distinct[rate] = true
 			qq := query.Query{ID: "Q" + itoa(i+1), Attr: "a", Region: cellRect(), Rate: rate}
-			if err := p.AddTap(qq, cellRect(), stream.NewCollector()); err != nil {
+			if err := p.AddTap(qq, cellRect()); err != nil {
 				return false
 			}
 		}

@@ -20,13 +20,13 @@ import (
 // position in the run is its place in the merge order. A subplan's
 // U-operator outputs the subplan's surviving tuples in (T, ID) order, i.e.
 // the ascending set of surviving positions inside the query's region. So the
-// F/T/P/U operator graph is lowered, per attribute, into a program with two
-// phases over uint32 positions:
+// F/T/P/U plan of the paper's Fig. 1 runs, per attribute, as a program with
+// two phases over uint32 positions:
 //
 //   - per cell (CellPipeline.fabricate): the F-operator's keep-mask gates one
-//     walk down the T-chain with early exit, each operator drawing from its
-//     own RNG in exactly the surviving-tuple order the graph walk would, and
-//     every tuple that survives stage j has its position appended to the
+//     walk down the T-chain with early exit, each T-operator drawing from its
+//     own RNG once per tuple that reaches it, in batch order, and every
+//     tuple that survives stage j has its position appended to the
 //     (cell, stage) list;
 //   - per distinct subplan (epochScratch.mergeSubplan): the lists of the
 //     subplan's taps are concatenated in leaf order (a P tap's clip is a
@@ -35,20 +35,23 @@ import (
 //     subplan's fan-out — straight into the result ring when the fan writes
 //     only result stores.
 //
-// The operator objects stay the plan's nodes: they hold the estimator and
-// RNG state the kernel uses, their flow counters are kept exact (a U's in/out
-// is the sum over its leaves), and walking them is the byte-identity oracle
-// the tests hold the program to (Fabricator.walkGraph, program_test.go). A
-// batch that does not ascend in (T, ID) — simulated sources, direct library
-// callers — takes the same path, except that a subplan's surviving positions
-// are sorted by the tuples they name instead of merged (and a single-leaf
-// plan, which has no U-operator to order anything, hands on its cell's
-// survivors as they arrived, as the graph walk does).
+// The operator objects are the plan's nodes: they hold the estimator and RNG
+// state the kernel uses, and their flow counters are kept exact (a U's
+// in/out is the sum over its leaves). A batch that does not ascend in
+// (T, ID) — simulated sources, direct library callers — takes the same path,
+// except that a subplan's surviving positions are sorted by the tuples they
+// name instead of merged. A single-leaf subplan has no U-operator, and
+// ordering is what U-operators do: it hands on its cell's survivors in the
+// order they arrived, whatever the batch's order.
+//
+// The tests hold the program to a reference that pushes every cell's share
+// through the operators' own Process methods, wired as the paper draws them
+// (walk_test.go, program_test.go).
 //
 // Tie rule: tuples equal in both T and ID are ordered by position. Neither
 // ingest.idSet nor the simulators produce such a pair within an attribute
-// run, and the graph walk's order for one is unspecified (pdqsort), so the
-// two are comparable only on tie-free input.
+// run; U-operators leave their order to input order, so the program and the
+// reference agree only on tie-free input.
 
 // epochProgram is the compiled form of one attribute's topology. It is built
 // lazily by the first Ingest after a structural change and dropped wherever
@@ -157,9 +160,8 @@ func (f *Fabricator) ProgramStats() ProgramStats {
 // F-operator's keep-mask is computed first (its own lock acquisitions, inside
 // ProcessFused); each T-operator is then locked once for the whole pass and
 // the per-tuple walk draws the stages' Bernoullis with early exit, appending
-// the position of every tuple that survives stage j — pos[i] for tuple i, i
-// itself when pos is nil — to lists[j]. Rates are read live, so a retune
-// needs no recompilation.
+// the position of every tuple that survives stage j — pos[i] for tuple i —
+// to lists[j]. Rates are read live, so a retune needs no recompilation.
 func (p *CellPipeline) fabricate(b stream.Batch, pos []uint32, lists [][]uint32, sc *workerScratch) error {
 	sc.keep = slices.Grow(sc.keep[:0], b.Len())[:b.Len()]
 	if _, err := p.flatten.ProcessFused(b, sc.keep); err != nil {
@@ -179,10 +181,7 @@ func (p *CellPipeline) fabricate(b stream.Batch, pos []uint32, lists [][]uint32,
 		if !kept {
 			continue
 		}
-		at := uint32(i)
-		if pos != nil {
-			at = pos[i]
-		}
+		at := pos[i]
 		for j := 0; j < k; j++ {
 			sc.ins[j]++
 			if !sc.rngs[j].Bernoulli(sc.ps[j]) {
@@ -243,8 +242,8 @@ func (ep *epochScratch) release() {
 	epochScratchPool.Put(ep)
 }
 
-// execute runs the epoch: every cell — its kernel, or without a program its
-// operator-graph walk — and every subplan's merge phase.
+// execute runs the epoch: every cell's kernel and every subplan's merge
+// phase.
 //
 // Serially (workers ≤ 1) that is the cells in shard order, then the subplans
 // in fabrication order, stopping at the first failure. In parallel, workers
@@ -260,7 +259,7 @@ func (ep *epochScratch) release() {
 // returned is the first in (cells, then subplans) order among those that
 // ran.
 func (ep *epochScratch) execute(workers int) error {
-	cells, merges := len(ep.pipes), ep.merges()
+	cells, merges := len(ep.pipes), len(ep.prog.subplans)
 	if workers = min(workers, cells); workers <= 1 {
 		ws := ep.worker(0)
 		for i := 0; i < cells; i++ {
@@ -299,9 +298,6 @@ func (ep *epochScratch) execute(workers int) error {
 					fail(i, err)
 					return
 				}
-				if ep.prog == nil {
-					continue
-				}
 				for _, at := range ep.prog.taps[i] {
 					if ep.pending[at].Add(-1) != 0 {
 						continue
@@ -335,23 +331,9 @@ func (ep *epochScratch) cellBatch(i int, ws *workerScratch) stream.Batch {
 	}
 }
 
-// merges is the number of merge phases the epoch runs: the program's
-// subplans, or none when the cells walk their operator graphs.
-func (ep *epochScratch) merges() int {
-	if ep.prog == nil {
-		return 0
-	}
-	return len(ep.prog.subplans)
-}
-
-// cell runs pipeline i's share of the epoch: through the kernel, its
-// survivors' positions left in the pipeline's stage lists, or — without a
-// program, the graph-walk oracle — through the operator graph from its
-// F-operator on.
+// cell runs pipeline i's share of the epoch through its kernel, leaving its
+// survivors' positions in the pipeline's stage lists.
 func (ep *epochScratch) cell(i int, ws *workerScratch) error {
-	if ep.prog == nil {
-		return ep.pipes[i].flatten.Process(ep.cellBatch(i, ws))
-	}
 	lo, hi := ep.prog.stage[i], ep.prog.stage[i+1]
 	return ep.pipes[i].fabricate(ep.cellBatch(i, ws), ep.run(i), ep.lists[lo:hi], ws)
 }
@@ -360,7 +342,12 @@ func (ep *epochScratch) cell(i int, ws *workerScratch) error {
 // countdowns.
 func (ep *epochScratch) begin(prog *epochProgram) {
 	ep.prog = prog
-	ep.sizeLists(int(prog.stage[len(prog.stage)-1]))
+	// Keep the lists already grown: their capacity is the point.
+	n := int(prog.stage[len(prog.stage)-1])
+	if n > cap(ep.lists) {
+		ep.lists = append(ep.lists[:cap(ep.lists)], make([][]uint32, n-cap(ep.lists))...)
+	}
+	ep.lists = ep.lists[:n]
 	if len(prog.subplans) > cap(ep.pending) {
 		ep.pending = make([]atomic.Int32, len(prog.subplans))
 	}
@@ -368,15 +355,6 @@ func (ep *epochScratch) begin(prog *epochProgram) {
 	for i := range prog.subplans {
 		ep.pending[i].Store(int32(len(prog.subplans[i].sources)))
 	}
-}
-
-// sizeLists makes ep.lists n long, keeping the lists already grown: their
-// capacity is the point.
-func (ep *epochScratch) sizeLists(n int) {
-	if n > cap(ep.lists) {
-		ep.lists = append(ep.lists[:cap(ep.lists)], make([][]uint32, n-cap(ep.lists))...)
-	}
-	ep.lists = ep.lists[:n]
 }
 
 // worker returns the scratch of worker w, creating those up to it.
@@ -506,38 +484,4 @@ func merge2(dst, a, b []uint32) {
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
-}
-
-// Process pushes one batch (already clipped to the cell) into the topology.
-// It runs the same kernel the fabricator's epoch program does, positions
-// being the batch's own indices, and hands every tap its rows: a P tap's
-// clipped to its region, in the window the P-operator would have passed on.
-// Empty batches are delivered too.
-func (p *CellPipeline) Process(b stream.Batch) error {
-	ep := borrowEpochScratch()
-	defer ep.release()
-	ep.sizeLists(len(p.nodes))
-	ws := ep.worker(0)
-	if err := p.fabricate(b, nil, ep.lists, ws); err != nil {
-		return err
-	}
-	for j, n := range p.nodes {
-		for _, t := range n.taps {
-			out := stream.Batch{Attr: b.Attr, Window: b.Window}
-			if t.partition != nil {
-				win, ok := b.Window.Rect.Intersect(t.region)
-				if !ok {
-					win = t.region
-				}
-				out.Window = b.Window.WithRect(win)
-			}
-			ws.keys = appendTap(ws.keys[:0], ep.lists[j], b.Tuples, t.partition, t.region)
-			ws.rows = gatherRows(ws.rows, b.Tuples, ws.keys)
-			out.Tuples = ws.rows
-			if err := t.sink.Process(out); err != nil {
-				return fmt.Errorf("%s: downstream: %w", n.thin.Name(), err)
-			}
-		}
-	}
-	return nil
 }

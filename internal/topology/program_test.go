@@ -43,10 +43,11 @@ func (o batchOrder) apply(b stream.Batch) stream.Batch {
 
 // programArm is one fabricator of a differential pair with its sinks by
 // label, so the same script can be replayed on the compiled program and on
-// the graph walk.
+// the reference graph walk (run).
 type programArm struct {
 	t     *testing.T
 	fab   *Fabricator
+	run   epochRunner
 	ids   map[string]string
 	sinks map[string]tupleSink
 }
@@ -61,7 +62,7 @@ func newProgramArm(t *testing.T, cfg Config, seed int64) *programArm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &programArm{t: t, fab: fab, ids: map[string]string{}, sinks: map[string]tupleSink{}}
+	return &programArm{t: t, fab: fab, run: fab, ids: map[string]string{}, sinks: map[string]tupleSink{}}
 }
 
 // insert submits q under label; asStore selects a result store (the sink the
@@ -90,7 +91,7 @@ func (a *programArm) delete(label string) {
 func (a *programArm) feed(order batchOrder, epoch, n int) {
 	a.t.Helper()
 	for _, attr := range []string{"rain", "temp"} {
-		if err := a.fab.Ingest(order.apply(sourceBatch(attr, epoch, a.fab.grid.Region(), n))); err != nil {
+		if err := a.run.Ingest(order.apply(sourceBatch(attr, epoch, a.fab.grid.Region(), n))); err != nil {
 			a.t.Fatal(err)
 		}
 	}
@@ -159,7 +160,7 @@ func runProgramScript(a *programArm, order batchOrder) (before, after uint64) {
 
 // TestEpochProgramMatchesGraphWalk is the position program's differential
 // test: for every batch order, worker count and sharing setting, the compiled
-// program and the operator-graph walk must fabricate the same
+// program and the reference graph walk (graphWalk) must fabricate the same
 // stream for every query, leave every operator with the same flow counters,
 // and — with sharing on — the program must have been compiled, and not again
 // for members coming and going.
@@ -170,9 +171,10 @@ func TestEpochProgramMatchesGraphWalk(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/workers=%d/sharing=%v", order, workers, sharing), func(t *testing.T) {
 					cfg := Config{Workers: workers}
 					prog := newProgramArm(t, cfg, 31)
-					controlArm(prog.fab, false, !sharing)
+					controlArm(prog.fab, !sharing)
 					walk := newProgramArm(t, cfg, 31)
-					controlArm(walk.fab, true, !sharing)
+					controlArm(walk.fab, !sharing)
+					walk.run = newGraphWalk(walk.fab)
 					before, after := runProgramScript(prog, order)
 					runProgramScript(walk, order)
 
@@ -224,14 +226,16 @@ func (s failingSink) Process(stream.Batch) error { return s.err }
 // TestEpochProgramSinkError pins which failure an epoch reports when several
 // sinks refuse their batch: the first in subplan (fabrication) order, naming
 // the subplan — at one worker, where the epoch stops there, and at four, where
-// later subplans may have run as well. The queries sit in cells the graph walk
-// visits in the same order, so it reports the same sink.
+// later subplans may have run as well. The queries sit in cells the reference
+// graph walk visits in the same order, so it reports the same sink.
 func TestEpochProgramSinkError(t *testing.T) {
 	errFirst, errSecond := errors.New("first sink"), errors.New("second sink")
 	for _, workers := range []int{1, 4} {
-		for _, walkGraph := range []bool{false, true} {
+		for _, walk := range []bool{false, true} {
 			a := newProgramArm(t, Config{Workers: workers}, 5)
-			controlArm(a.fab, walkGraph, false)
+			if walk {
+				a.run = newGraphWalk(a.fab)
+			}
 			first, err := a.fab.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 2, 2), Rate: 5}, failingSink{errFirst})
 			if err != nil {
 				t.Fatal(err)
@@ -239,11 +243,11 @@ func TestEpochProgramSinkError(t *testing.T) {
 			if _, err := a.fab.InsertQuery(query.Query{Attr: "rain", Region: geom.NewRect(4, 4, 6, 6), Rate: 5}, failingSink{errSecond}); err != nil {
 				t.Fatal(err)
 			}
-			err = a.fab.Ingest(orderSorted.apply(sourceBatch("rain", 0, a.fab.grid.Region(), 400)))
+			err = a.run.Ingest(orderSorted.apply(sourceBatch("rain", 0, a.fab.grid.Region(), 400)))
 			if !errors.Is(err, errFirst) || errors.Is(err, errSecond) {
-				t.Fatalf("workers=%d walkGraph=%v: Ingest = %v, want the first subplan's sink failure", workers, walkGraph, err)
+				t.Fatalf("workers=%d walk=%v: Ingest = %v, want the first subplan's sink failure", workers, walk, err)
 			}
-			if want := "topology: subplan " + first.ID + ": first sink"; !walkGraph && err.Error() != want {
+			if want := "topology: subplan " + first.ID + ": first sink"; !walk && err.Error() != want {
 				t.Fatalf("workers=%d: Ingest = %q, want %q", workers, err, want)
 			}
 		}
@@ -280,18 +284,19 @@ func TestMergeRuns(t *testing.T) {
 	}
 }
 
-// FuzzEpochProgram fuzzes the compiled program against the graph walk. The
-// input bytes choose the grid side, 1–12 queries (attribute, rectangle on a
-// quarter-unit lattice, rate), sharing, the worker count, the batch sizes and
-// their order; the property is that every query's stream and the total flow
-// are identical on both arms. The fourth byte once chose a merge layout; it is
-// read and discarded, so the committed seeds (named after the layout they
-// chose) keep their grids, queries and batch orders.
+// FuzzEpochProgram fuzzes the compiled program against the reference graph
+// walk (graphWalk). The input bytes choose the grid side, 1–12 queries
+// (attribute, rectangle on a quarter-unit lattice, rate), sharing, the worker
+// count, the batch sizes and their order; the property is that every query's
+// stream and the total flow are identical on both arms. The fourth byte once
+// chose a merge layout; it is read and discarded, so the committed seeds
+// (named after the layout they chose) keep their grids, queries and batch
+// orders.
 //
 // Tie rule (see program.go): tuples equal in both T and ID are ordered by
-// position by the program and unspecified by the graph walk's sort, so the
-// corpus must not contain them — the generated batches give every tuple of an
-// attribute run its own ID, as ingest.idSet and the simulators do.
+// position by the program and by input order by the walk's U-operators, so
+// the corpus must not contain them — the generated batches give every tuple
+// of an attribute run its own ID, as ingest.idSet and the simulators do.
 func FuzzEpochProgram(f *testing.F) {
 	// testdata/fuzz/FuzzEpochProgram holds a sorted and a reverse-sorted seed;
 	// this one feeds arrival order: a 4×4 grid, three queries.
@@ -319,6 +324,7 @@ func FuzzEpochProgram(f *testing.F) {
 		}
 		type arm struct {
 			fab   *Fabricator
+			run   epochRunner
 			sinks []*stream.Collector
 		}
 		var arms [2]arm
@@ -326,8 +332,10 @@ func FuzzEpochProgram(f *testing.F) {
 			if arms[i].fab, err = New(grid, cfg, stats.NewRNG(17)); err != nil {
 				t.Fatal(err)
 			}
-			controlArm(arms[i].fab, i == 1, unshared)
+			controlArm(arms[i].fab, unshared)
+			arms[i].run = arms[i].fab
 		}
+		arms[1].run = newGraphWalk(arms[1].fab)
 		for i := 0; i < nQueries; i++ {
 			attr := []string{"rain", "temp"}[next()%2]
 			x0, y0 := float64(next()%32)/4, float64(next()%32)/4
@@ -353,7 +361,7 @@ func FuzzEpochProgram(f *testing.F) {
 			}
 			for _, attr := range []string{"rain", "temp"} {
 				for _, a := range arms {
-					if err := a.fab.Ingest(order.apply(sourceBatch(attr, e, region, n))); err != nil {
+					if err := a.run.Ingest(order.apply(sourceBatch(attr, e, region, n))); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -34,30 +34,35 @@ func retuneAll(t *testing.T, fab *Fabricator, scale float64) {
 // TestRetuneFusedMatchesUnfused is the retune golden test required by the
 // adaptivity acceptance criteria: after a mid-run rate retune — which
 // rescales every F target and T-operator under a compiled program that
-// reads them live — compiled and graph-walk execution must keep fabricating
-// byte-identical streams, including across a later recovery back to scale 1.
+// reads them live — compiled execution and the reference graph walk must
+// keep fabricating byte-identical streams, including across a later recovery
+// back to scale 1.
 func TestRetuneFusedMatchesUnfused(t *testing.T) {
-	unfused, ucols := buildFusedFixture(t, 4242, 2, true)
-	fused, fcols := buildFusedFixture(t, 4242, 2, false)
+	unfused, walk, ucols := buildFusedFixture(t, 4242, 2, true)
+	fused, _, fcols := buildFusedFixture(t, 4242, 2, false)
 	region := fused.grid.Region()
 
-	drive := func(fab *Fabricator, from, to int) {
+	drive := func(run epochRunner, from, to int) {
 		for e := from; e < to; e++ {
 			for _, attr := range []string{"rain", "temp"} {
-				if err := fab.Ingest(sourceBatch(attr, e, region, 600)); err != nil {
+				if err := run.Ingest(sourceBatch(attr, e, region, 600)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	for _, fab := range []*Fabricator{unfused, fused} {
-		drive(fab, 0, 2)
+	for _, arm := range []struct {
+		fab *Fabricator
+		run epochRunner
+	}{{unfused, walk}, {fused, fused}} {
+		fab := arm.fab
+		drive(arm.run, 0, 2)
 		retuneAll(t, fab, 0.5) // starved: halve every pipeline's rates
-		drive(fab, 2, 4)
+		drive(arm.run, 2, 4)
 		retuneAll(t, fab, 0.8) // partial recovery
-		drive(fab, 4, 5)
+		drive(arm.run, 4, 5)
 		retuneAll(t, fab, 1) // fully recovered
-		drive(fab, 5, 7)
+		drive(arm.run, 5, 7)
 		if err := fab.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

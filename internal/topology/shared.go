@@ -7,9 +7,9 @@ import (
 	"repro/internal/stream"
 )
 
-// fanOut is the per-subplan delivery point: the merge plan's single output
-// attaches here once, and every query sharing the subplan registers its own
-// sink. Batches flow through unchanged — the fan draws no randomness and
+// fanOut is the per-subplan delivery point: the subplan's merge phase hands
+// it each epoch's rows, and every query sharing the subplan registers its
+// own sink. Batches flow through unchanged — the fan draws no randomness and
 // keeps no state — so attaching or detaching a member never perturbs the
 // fabricated bytes any other member observes.
 //
@@ -21,7 +21,7 @@ import (
 // forwarded to on its own.
 //
 // Concurrency: membership mutates only under the fabricator's write lock;
-// deliver and Process run under the read lock (epoch execution). The fan
+// deliver runs under the read lock (epoch execution). The fan
 // pointer itself is stable for the subplan's lifetime and its destinations
 // are read live, so the compiled epoch program that captured it stays valid
 // across member churn — the whole point: attach/detach without recompiling
@@ -29,17 +29,17 @@ import (
 type fanOut struct {
 	ids   []string
 	sinks []stream.Processor
-	// writes is what Process forwards to: the member sinks in attach order,
+	// writes is what deliver writes to: the member sinks in attach order,
 	// minus every result store whose ring an earlier entry already writes.
 	writes []stream.Processor
 }
 
-// deliver hands every distinct destination the batch whose tuples are
-// src[pos[0]], src[pos[1]], … — where the compiled epoch program's rows are
-// materialized, once. When the fan writes only result stores the rows go
-// from src straight into their rings; otherwise they are gathered into
-// *rows (scratch the caller recycles) and b, completed with them, is
-// processed by each destination.
+// deliver hands every distinct destination, once, the batch whose tuples
+// are src[pos[0]], src[pos[1]], … — where the compiled epoch program's rows
+// are materialized, and the one place the fabricator writes a result ring.
+// When the fan writes only result stores the rows go from src straight into
+// their rings; otherwise they are gathered into *rows (scratch the caller
+// recycles) and b, completed with them, is processed by each destination.
 func (f *fanOut) deliver(b stream.Batch, src []stream.Tuple, pos []uint32, rows *[]stream.Tuple) error {
 	if f.resultRings() == len(f.writes) {
 		for _, w := range f.writes {
@@ -51,14 +51,8 @@ func (f *fanOut) deliver(b stream.Batch, src []stream.Tuple, pos []uint32, rows 
 	}
 	*rows = gatherRows(*rows, src, pos)
 	b.Tuples = *rows
-	return f.Process(b)
-}
-
-// Process forwards the batch to every distinct destination once — the end of
-// the operator-graph walk, and of deliver for sinks that need rows.
-func (f *fanOut) Process(b stream.Batch) error {
-	for _, s := range f.writes {
-		if err := s.Process(b); err != nil {
+	for _, w := range f.writes {
+		if err := w.Process(b); err != nil {
 			return err
 		}
 	}
@@ -72,7 +66,7 @@ func (f *fanOut) add(id string, sink stream.Processor) {
 	f.addWrite(sink, true)
 }
 
-// addWrite makes sink a destination of Process unless it is a result store
+// addWrite makes sink a destination of deliver unless it is a result store
 // on a ring some destination already writes; with join set, a store that is
 // not may first be rebound onto one.
 func (f *fanOut) addWrite(sink stream.Processor, join bool) {
@@ -115,7 +109,7 @@ func (f *fanOut) remove(id string) bool {
 	return false
 }
 
-// writesThrough reports whether h itself is a destination of Process.
+// writesThrough reports whether h itself is a destination of deliver.
 func (f *fanOut) writesThrough(h *stream.ResultStore) bool {
 	for _, w := range f.writes {
 		if lead, ok := w.(*stream.ResultStore); ok && lead == h {
@@ -125,7 +119,7 @@ func (f *fanOut) writesThrough(h *stream.ResultStore) bool {
 	return false
 }
 
-// check verifies that Process reaches every member exactly once: each
+// check verifies that deliver reaches every member exactly once: each
 // result-store destination is a member's own store, no two destinations
 // share a ring, every member store is on exactly one destination's ring, and
 // every other sink is a destination of its own.

@@ -147,7 +147,7 @@ func TestSharedSubplanLifecycle(t *testing.T) {
 func TestSharedDisabledMatchesShared(t *testing.T) {
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
 	run := func(unshared bool) [][]stream.Tuple {
-		f := controlArm(newFab(t, fig2Grid(t), Config{}), false, unshared)
+		f := controlArm(newFab(t, fig2Grid(t), Config{}), unshared)
 		sinks := make([]*stream.Collector, 3)
 		for i := range sinks {
 			sinks[i] = stream.NewCollector()
@@ -183,7 +183,7 @@ func TestSharedDisabledMatchesShared(t *testing.T) {
 // TestSharedDisabledIsolates verifies the control arm really fabricates
 // per-query topology: identical queries get independent subplans.
 func TestSharedDisabledIsolates(t *testing.T) {
-	f := controlArm(newFab(t, fig2Grid(t), Config{}), false, true)
+	f := controlArm(newFab(t, fig2Grid(t), Config{}), true)
 	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
 	for i := 0; i < 3; i++ {
 		if _, err := f.InsertQuery(q, stream.NewCollector()); err != nil {
@@ -398,7 +398,7 @@ func TestSharedResultRing(t *testing.T) {
 	arms := make([]*ringArm, 2)
 	for i := range arms {
 		arms[i] = &ringArm{
-			t: t, f: controlArm(newFab(t, fig2Grid(t), Config{}), false, i == 1),
+			t: t, f: controlArm(newFab(t, fig2Grid(t), Config{}), i == 1),
 			stores: map[string]*stream.ResultStore{}, ids: map[string]string{},
 		}
 	}
@@ -500,7 +500,7 @@ func sharingScript(t *testing.T, seed int64, workers int, unshared bool) (*Fabri
 	if err != nil {
 		t.Fatal(err)
 	}
-	controlArm(f, false, unshared)
+	controlArm(f, unshared)
 	rnd := rand.New(rand.NewSource(seed))
 	stores := map[string]*stream.ResultStore{}
 	var live []string

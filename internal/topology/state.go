@@ -154,7 +154,6 @@ func (f *Fabricator) decodeState(r *codec.Reader, retention int) map[string]*str
 			st.fan.add(id, handles[j])
 			stores[id] = handles[j]
 		}
-		st.plan.AttachSink(st.fan)
 		byTap[st.tapID] = st
 		if st.key != "" {
 			f.shared[st.key] = st
@@ -184,7 +183,7 @@ func (f *Fabricator) decodeState(r *codec.Reader, retention int) map[string]*str
 	return stores
 }
 
-// rebuildPlan derives a subplan's wiring from its creating query, as
+// rebuildPlan derives a subplan's structure from its creating query, as
 // InsertQuery does: the merge plan, the cells it taps and its shared key.
 func (f *Fabricator) rebuildPlan(st *queryState) error {
 	if err := st.q.Validate(f.grid); err != nil {
@@ -198,7 +197,6 @@ func (f *Fabricator) rebuildPlan(st *queryState) error {
 	st.plan = plan
 	for _, ov := range rowMajor(overlaps) {
 		st.keys = append(st.keys, Key{Cell: ov.Cell, Attr: st.q.Attr})
-		st.rects = append(st.rects, ov.Rect)
 	}
 	if f.shared != nil {
 		st.key = craql.CanonicalKey(st.q)
@@ -207,8 +205,8 @@ func (f *Fabricator) rebuildPlan(st *queryState) error {
 }
 
 // decodePipeline rebuilds one cell pipeline: its F-operator and T-chain
-// with their saved rates and generators, and every tap, attached to its
-// subplan's merge input for this cell in the saved order.
+// with their saved rates and generators, and every tap, over its subplan's
+// leaf for this cell, in the saved order.
 func (f *Fabricator) decodePipeline(r *codec.Reader, byTap map[string]*queryState) error {
 	key := Key{Attr: r.String()}
 	key.Cell.Q, key.Cell.R = r.Int(), r.Int()
@@ -243,11 +241,6 @@ func (f *Fabricator) decodePipeline(r *codec.Reader, byTap map[string]*queryStat
 		}
 		thin.DecodeState(r)
 		node := &rateNode{rate: rate, thin: thin}
-		if j == 0 {
-			p.flatten.AddDownstream(thin)
-		} else {
-			p.nodes[j-1].thin.AddDownstream(thin)
-		}
 		p.nodes = append(p.nodes, node)
 		nt := r.Count(1)
 		for k := 0; k < nt && r.Err() == nil; k++ {
@@ -261,7 +254,7 @@ func (f *Fabricator) decodePipeline(r *codec.Reader, byTap map[string]*queryStat
 				return fmt.Errorf("pipeline %v: tap %q matches no subplan cell", key, id)
 			}
 			tapped[id] = true
-			if err := p.tapNode(node, id, st.rects[leaf], st.plan.Inputs[leaf]); err != nil {
+			if err := p.tapNode(node, id, st.plan.Rects[leaf]); err != nil {
 				return err
 			}
 		}

@@ -281,7 +281,7 @@ func Open(cfg Config) (*Log, error) {
 	if cfg.ReadOnly {
 		close(l.cleared)
 	} else {
-		if err := l.mkdirs(cfg.Dir); err != nil {
+		if _, err := l.mkdirs(cfg.Dir); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		// A spare left by a crash may be half written; it is never read.
@@ -775,21 +775,32 @@ func (l *Log) syncDir(dir string) error {
 
 // mkdirs creates dir and whatever parents it lacks, and fsyncs the parent of
 // each directory it creates, so no segment's path can vanish in a power cut
-// once a record in it is committed.
-func (l *Log) mkdirs(dir string) error {
+// once a record in it is committed. Below a parent it did not create itself
+// it fsyncs that parent's own parent too: a concurrent Open (two sessions
+// making sessions/) may have created the parent an instant ago and not yet
+// fsynced its entry. It reports whether it created dir.
+func (l *Log) mkdirs(dir string) (bool, error) {
+	parent := filepath.Dir(dir)
 	err := l.cfg.FS.Mkdir(dir, 0o755)
-	if errors.Is(err, os.ErrNotExist) && filepath.Dir(dir) != dir {
-		if err = l.mkdirs(filepath.Dir(dir)); err == nil {
+	madeParent := false
+	if errors.Is(err, os.ErrNotExist) && parent != dir {
+		if madeParent, err = l.mkdirs(parent); err == nil {
 			err = l.cfg.FS.Mkdir(dir, 0o755)
 		}
 	}
 	switch {
 	case errors.Is(err, os.ErrExist):
-		return nil
+		return false, nil
 	case err != nil:
-		return err
+		return false, err
 	}
-	return l.syncDir(filepath.Dir(dir))
+	if err := l.syncDir(parent); err != nil {
+		return true, err
+	}
+	if up := filepath.Dir(parent); !madeParent && up != parent {
+		return true, l.syncDir(up)
+	}
+	return true, nil
 }
 
 // Append encodes rec into one checksummed frame and writes it to the
