@@ -15,15 +15,17 @@
 // See examples/bridgefeed for the full loop.
 //
 // The body types here (Session, SessionSpec, TenantLimits, Status, Query,
-// StepResult, Health, Ack, ResultPage, Tuple, ErrorBody, and the cluster's
-// ClusterStatus and DurableSessions) are the Go declaration of docs/API.md's
-// v1 bodies: craqrd and the cluster gateway render and decode these same
-// types, so a field renamed here is renamed on the wire.
+// StepResult, Health, Ack, ResultPage, Tuple, ErrorBody, the cluster's
+// ClusterStatus, and the node routes' DurableSessions, Recovered and
+// Released) are the Go declaration of docs/API.md's v1 bodies: craqrd and
+// the cluster gateway render and decode these same types, so a field renamed
+// here is renamed on the wire. The gateway reaches its nodes through Client.
 package client
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -195,13 +197,6 @@ func (c *Client) withRetry(ctx context.Context, op func() error) error {
 	return err
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
 // send is the one place the client issues a request: it sets Content-Type
 // and Content-Encoding (each when non-empty) and the producer token, and
 // turns a status ≥ 300 into an *APIError. The caller closes the returned
@@ -220,7 +215,7 @@ func (c *Client) send(ctx context.Context, method, path, contentType, encoding s
 	if c.Token != "" {
 		req.Header.Set("X-CrAQR-Token", c.Token)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := cmp.Or(c.HTTPClient, http.DefaultClient).Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -1081,8 +1076,43 @@ type ClusterNode struct {
 	Owned     int      `json:"owned"`
 }
 
+// --- cluster node routes ------------------------------------------------------
+
 // DurableSessions is a node's GET /v1/node/durable body: every session with
 // durable state under its durability root, live or not.
 type DurableSessions struct {
 	Sessions []string `json:"sessions"`
+}
+
+// Recovered answers POST /v1/node/sessions/{s}/recover (false: already live).
+type Recovered struct {
+	Recovered bool   `json:"recovered"`
+	Session   string `json:"session"`
+}
+
+// Released answers POST /v1/node/sessions/{s}/release.
+type Released struct {
+	Released bool   `json:"released"`
+	Session  string `json:"session"`
+}
+
+// DurableSessions lists the sessions a cluster node has durable state of.
+func (c *Client) DurableSessions(ctx context.Context) (DurableSessions, error) {
+	var out DurableSessions
+	err := c.doJSON(ctx, "GET", "/v1/node/durable", nil, &out)
+	return out, err
+}
+
+// RecoverSession has a cluster node re-adopt a session by WAL replay.
+func (c *Client) RecoverSession(ctx context.Context, name string) (Recovered, error) {
+	var out Recovered
+	err := c.doJSON(ctx, "POST", "/v1/node/sessions/"+url.PathEscape(name)+"/recover", nil, &out)
+	return out, err
+}
+
+// ReleaseSession has a cluster node stop serving a session, keeping its WAL.
+func (c *Client) ReleaseSession(ctx context.Context, name string) (Released, error) {
+	var out Released
+	err := c.doJSON(ctx, "POST", "/v1/node/sessions/"+url.PathEscape(name)+"/release", nil, &out)
+	return out, err
 }

@@ -34,6 +34,7 @@ var exportsAllowedUnreached = map[string]string{
 // fieldsAllowedUnwritten names the exported struct fields under internal/
 // that stay although no non-test code writes them, each with the reason.
 var fieldsAllowedUnwritten = map[string]string{
+	"repro/internal/cluster.GatewayConfig.Transport":      "the transport seam: tests interpose on every request a gateway sends its nodes",
 	"repro/internal/server.DurabilityConfig.FS":           "the filesystem seam: tests record or fault every durable file operation",
 	"repro/internal/server.DurabilityConfig.SegmentBytes": "forces segment rotation in tests at sizes production never writes",
 	"repro/internal/sensors.ConstantField.Name":           "the fixed-value test field is built only by tests",

@@ -26,9 +26,10 @@ type GatewayConfig struct {
 	Pool PoolConfig
 	// VirtualNodes is the ring's vnode multiplier (0 = DefaultVirtualNodes).
 	VirtualNodes int
-	// Client performs control-plane calls (durable listing, recover,
-	// release) against nodes (nil = 5s-timeout client).
-	Client *http.Client
+	// Transport carries every request the gateway sends a node: proxied
+	// requests, health probes and control-plane calls (nil =
+	// http.DefaultTransport).
+	Transport http.RoundTripper
 	// Logf receives routing and handoff diagnostics (nil = silent).
 	Logf func(format string, args ...interface{})
 }
@@ -46,6 +47,7 @@ type GatewayConfig struct {
 // computes identical placement.
 type Gateway struct {
 	cfg   GatewayConfig
+	http  *http.Client // on cfg.Transport
 	pool  *Pool
 	mux   *http.ServeMux
 	proxy *httputil.ReverseProxy
@@ -74,9 +76,6 @@ func NewGateway(nodeURLs []string, cfg GatewayConfig) (*Gateway, error) {
 	if cfg.VirtualNodes <= 0 {
 		cfg.VirtualNodes = DefaultVirtualNodes
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
@@ -85,13 +84,16 @@ func NewGateway(nodeURLs []string, cfg GatewayConfig) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
+		http:    &http.Client{Transport: cfg.Transport},
 		pool:    NewPool(nodeURLs, cfg.Pool),
 		mux:     http.NewServeMux(),
 		ring:    BuildRing(nil, cfg.VirtualNodes),
 		nodeURL: map[string]string{},
 		pending: map[string]bool{},
 	}
+	g.pool.http = g.http
 	g.proxy = &httputil.ReverseProxy{
+		Transport: cfg.Transport,
 		Rewrite: func(pr *httputil.ProxyRequest) {
 			t := pr.In.Context().Value(targetKey{}).(proxyTarget)
 			pr.SetURL(t.base)
@@ -109,7 +111,7 @@ func NewGateway(nodeURLs []string, cfg GatewayConfig) (*Gateway, error) {
 			// back off and retry — by the next attempt the failure detector
 			// will have rerouted the session.
 			g.cfg.Logf("cluster: proxy %s %s: %v", r.Method, r.URL.Path, err)
-			g.unavailable(w, fmt.Sprintf("node unreachable: %v", err))
+			unavailable(w, fmt.Sprintf("node unreachable: %v", err))
 		},
 	}
 
@@ -156,11 +158,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// unavailable answers the retryable 503 the Go client backs off on, with
-// a Retry-After floor matched to the failure-detection window.
-func (g *Gateway) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, client.ErrorBody{Error: msg})
+// unavailable answers the retryable 503 the Go client backs off on.
+func unavailable(w http.ResponseWriter, msg string) {
+	server.WriteError(w, server.Unavailable(msg), http.StatusServiceUnavailable)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -176,17 +176,17 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, session string) 
 	ring, urls, pending := g.ring, g.nodeURL, g.pending[session]
 	g.mu.Unlock()
 	if pending {
-		g.unavailable(w, fmt.Sprintf("session %q handoff in progress", session))
+		unavailable(w, fmt.Sprintf("session %q handoff in progress", session))
 		return
 	}
 	owner := ring.Owner(session)
 	if owner == "" {
-		g.unavailable(w, "no healthy nodes")
+		unavailable(w, "no healthy nodes")
 		return
 	}
 	base, err := url.Parse(urls[owner])
 	if err != nil || urls[owner] == "" {
-		g.unavailable(w, fmt.Sprintf("owner %q has no routable URL", owner))
+		unavailable(w, fmt.Sprintf("owner %q has no routable URL", owner))
 		return
 	}
 	ctx := context.WithValue(r.Context(), targetKey{}, proxyTarget{base: base, node: owner})
@@ -207,11 +207,7 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := wire.ReadBody(r.Body, server.MaxSpecBytes, nil)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, wire.ErrBodyTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, client.ErrorBody{Error: "read body: " + err.Error()})
+		server.WriteError(w, fmt.Errorf("read body: %w", err), http.StatusBadRequest)
 		return
 	}
 	var spec client.SessionSpec
@@ -220,12 +216,12 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// for the owner to refuse, as it would be without a gateway.
 		var typeErr *json.UnmarshalTypeError
 		if err := json.Unmarshal(body, &spec); err != nil && !errors.As(err, &typeErr) {
-			writeJSON(w, http.StatusBadRequest, client.ErrorBody{Error: "parse body: " + err.Error()})
+			server.WriteError(w, fmt.Errorf("parse body: %w", err), http.StatusBadRequest)
 			return
 		}
 	}
 	if spec.Name == "" {
-		writeJSON(w, http.StatusBadRequest, client.ErrorBody{Error: "name required behind a gateway"})
+		server.WriteError(w, errors.New("name required behind a gateway"), http.StatusBadRequest)
 		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
@@ -240,8 +236,8 @@ func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	// Same shape as one craqrd's list: a bare array, [] when empty.
 	all := []client.Session{}
 	for _, n := range g.pool.Healthy() {
-		var docs []client.Session
-		if err := callJSON(r.Context(), g.cfg.Client, "GET", n.URL+"/v1/sessions", &docs); err != nil {
+		docs, err := g.nodeSessions(r.Context(), n.URL)
+		if err != nil {
 			g.cfg.Logf("cluster: list sessions on %s: %v", n.Name, err)
 			continue
 		}
@@ -298,7 +294,7 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		healthy++
-		live, err := g.nodeSessions(r.Context(), n.URL)
+		live, err := g.nodeSessionNames(r.Context(), n.URL)
 		if err != nil {
 			g.cfg.Logf("cluster: status: sessions on %s: %v", n.Name, err)
 			continue
@@ -327,35 +323,25 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 
 // --- control plane against nodes ---
 
-// callJSON is the one place the gateway and its pool issue a request to a
-// node: a bodiless method call whose 200 answer is decoded into out (nil
-// discards it).
-func callJSON(ctx context.Context, c *http.Client, method, url string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, method, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s: HTTP %d", method, url, resp.StatusCode)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("%s %s: %w", method, url, err)
-	}
-	return nil
+// controlTimeout bounds each control-plane call to a node.
+const controlTimeout = 5 * time.Second
+
+// node returns a client for the node at base, on the gateway's transport.
+func (g *Gateway) node(base string) *client.Client {
+	return &client.Client{BaseURL: base, HTTPClient: g.http}
 }
 
-// nodeSessions lists the live session names on one node, sorted.
-func (g *Gateway) nodeSessions(ctx context.Context, base string) ([]string, error) {
-	var docs []client.Session
-	if err := callJSON(ctx, g.cfg.Client, "GET", base+"/v1/sessions", &docs); err != nil {
+// nodeSessions lists the live sessions on the node at base.
+func (g *Gateway) nodeSessions(ctx context.Context, base string) ([]client.Session, error) {
+	ctx, cancel := context.WithTimeout(ctx, controlTimeout)
+	defer cancel()
+	return g.node(base).Sessions(ctx)
+}
+
+// nodeSessionNames lists the live session names on the node at base, sorted.
+func (g *Gateway) nodeSessionNames(ctx context.Context, base string) ([]string, error) {
+	docs, err := g.nodeSessions(ctx, base)
+	if err != nil {
 		return nil, err
 	}
 	names := make([]string, 0, len(docs))
@@ -364,15 +350,6 @@ func (g *Gateway) nodeSessions(ctx context.Context, base string) ([]string, erro
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// nodeDurable lists the sessions with durable state visible to one node.
-func (g *Gateway) nodeDurable(ctx context.Context, base string) ([]string, error) {
-	var doc client.DurableSessions
-	if err := callJSON(ctx, g.cfg.Client, "GET", base+"/v1/node/durable", &doc); err != nil {
-		return nil, err
-	}
-	return doc.Sessions, nil
 }
 
 // Reconcile converges session placement onto the current healthy set: it
@@ -418,12 +395,14 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 	// node its own root.
 	durable := map[string]bool{}
 	for _, n := range healthy {
-		ds, err := g.nodeDurable(ctx, n.URL)
+		cctx, cancel := context.WithTimeout(ctx, controlTimeout)
+		ds, err := g.node(n.URL).DurableSessions(cctx)
+		cancel()
 		if err != nil {
 			g.cfg.Logf("cluster: reconcile: durable on %s: %v", n.Name, err)
 			continue
 		}
-		for _, s := range ds {
+		for _, s := range ds.Sessions {
 			durable[s] = true
 		}
 	}
@@ -433,7 +412,7 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 		all[s] = true
 	}
 	for _, n := range healthy {
-		ls, err := g.nodeSessions(ctx, n.URL)
+		ls, err := g.nodeSessionNames(ctx, n.URL)
 		if err != nil {
 			g.cfg.Logf("cluster: reconcile: sessions on %s: %v", n.Name, err)
 			continue
@@ -459,9 +438,9 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 	pending := map[string]bool{}
 	for _, s := range sessions {
 		m := move{session: s, owner: ring.Owner(s)}
-		m.ownerLive = contains(live[m.owner], s)
+		m.ownerLive = slices.Contains(live[m.owner], s)
 		for node, ls := range live {
-			if node != m.owner && contains(ls, s) {
+			if node != m.owner && slices.Contains(ls, s) {
 				m.misplaced = append(m.misplaced, node)
 			}
 		}
@@ -494,7 +473,10 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 	for _, m := range moves {
 		s, ok := m.session, true
 		for _, node := range m.misplaced {
-			if err := callJSON(ctx, g.cfg.Client, "POST", urls[node]+"/v1/node/sessions/"+url.PathEscape(s)+"/release", nil); err != nil {
+			cctx, cancel := context.WithTimeout(ctx, controlTimeout)
+			_, err := g.node(urls[node]).ReleaseSession(cctx, s)
+			cancel()
+			if err != nil {
 				g.cfg.Logf("cluster: release %q on %s: %v", s, node, err)
 				ok = false
 			} else {
@@ -502,7 +484,10 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 			}
 		}
 		if ok && !m.ownerLive {
-			if err := callJSON(ctx, g.cfg.Client, "POST", urls[m.owner]+"/v1/node/sessions/"+url.PathEscape(s)+"/recover", nil); err != nil {
+			cctx, cancel := context.WithTimeout(ctx, controlTimeout)
+			_, err := g.node(urls[m.owner]).RecoverSession(cctx, s)
+			cancel()
+			if err != nil {
 				g.cfg.Logf("cluster: recover %q on %s: %v", s, m.owner, err)
 				ok = false
 			} else {
@@ -518,13 +503,4 @@ func (g *Gateway) reconcilePass(ctx context.Context) (membershipChanged bool) {
 		// retryable 503s and the next Run tick retries the move.
 	}
 	return membershipChanged
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -418,10 +418,9 @@ func TestGatewayCreateDuringJoinDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &hookTransport{blocked: joiner.Host}
-	hc := &http.Client{Transport: tr, Timeout: 5 * time.Second}
 	g, err := cluster.NewGateway(urls, cluster.GatewayConfig{
-		Client: hc,
-		Pool:   cluster.PoolConfig{Interval: time.Hour, FailAfter: 2, UpAfter: 1, Client: hc},
+		Transport: tr,
+		Pool:      cluster.PoolConfig{Interval: time.Hour, FailAfter: 2, UpAfter: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,6 @@ type PoolConfig struct {
 	// UpAfter is how many consecutive successes bring a down node back
 	// (0 = 1). Raise it to damp flapping.
 	UpAfter int
-	// Client performs the probes (nil = a client honoring Timeout).
-	Client *http.Client
 	// Logf receives membership transitions (nil = silent).
 	Logf func(format string, args ...interface{})
 }
@@ -47,9 +45,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.UpAfter <= 0 {
 		c.UpAfter = 1
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Timeout}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
@@ -72,7 +67,8 @@ type member struct {
 // the failure detector only — it never touches the ring; the Gateway
 // rebuilds its ring from the pool's healthy set after each check round.
 type Pool struct {
-	cfg PoolConfig
+	cfg  PoolConfig
+	http *http.Client // probes (nil = http.DefaultClient); a Gateway sets its own
 
 	mu      sync.Mutex
 	members []*member // fixed, ordered by URL
@@ -100,14 +96,11 @@ func NewPool(urls []string, cfg PoolConfig) *Pool {
 func (p *Pool) probe(ctx context.Context, url string) (client.Health, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
-	var h client.Health
-	if err := callJSON(ctx, p.cfg.Client, "GET", url+"/v1/healthz", &h); err != nil {
-		return client.Health{}, err
+	h, err := (&client.Client{BaseURL: url, HTTPClient: p.http}).Health(ctx)
+	if err == nil && h.Status != "ok" {
+		err = fmt.Errorf("healthz: status %q", h.Status)
 	}
-	if h.Status != "ok" {
-		return client.Health{}, fmt.Errorf("healthz: status %q", h.Status)
-	}
-	return h, nil
+	return h, err
 }
 
 // CheckNow runs one synchronous health-check round over every member and

@@ -202,16 +202,6 @@ func (d *durableState) commit() error {
 	return d.log.Commit()
 }
 
-// DurabilityDir returns the engine's durability directory ("" for
-// non-durable engines). Manager.Destroy uses it to purge a destroyed
-// session's on-disk state so the name is reusable for a fresh session.
-func (e *Engine) DurabilityDir() string {
-	if e.dur == nil {
-		return ""
-	}
-	return e.dur.cfg.Dir
-}
-
 // Durability reports the engine's durability state, as the session JSON
 // and /status show it; nil for non-durable engines.
 func (e *Engine) Durability() *client.Durability {

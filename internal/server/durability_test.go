@@ -994,7 +994,7 @@ func TestDestroyPurgesDurableState(t *testing.T) {
 	}
 	applyOp(t, sess.Engine, pushOp(0, 10, "rain", 1))
 	applyOp(t, sess.Engine, durOp{kind: "step"})
-	dir := sess.Engine.DurabilityDir()
+	dir := sess.Engine.dur.cfg.Dir
 	if dir == "" {
 		t.Fatal("durable session reports no durability dir")
 	}
@@ -1070,7 +1070,7 @@ func TestCreateOverLeftoverStateConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := leftover.Engine.DurabilityDir()
+	dir := leftover.Engine.dur.cfg.Dir
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -1207,7 +1207,7 @@ func TestNameReservedUntilShutdown(t *testing.T) {
 
 	t.Run("destroy", func(t *testing.T) {
 		m, h, sess := setup(t, 0)
-		dir := sess.Engine.DurabilityDir()
+		dir := sess.Engine.dur.cfg.Dir
 		h.armed.Store(true)
 		destroyed := make(chan error, 1)
 		go func() { destroyed <- m.Destroy("s") }()

@@ -316,7 +316,7 @@ func New(cfg Config, fields map[string]sensors.Field) (*Engine, error) {
 		queue:       queue,
 		pushed:      pushed,
 		dur:         dur,
-		limiter:     newTenantLimiter(cfg.Limits, nil),
+		limiter:     newTenantLimiter(cfg.Limits),
 		results:     make(map[string]*stream.ResultStore),
 		liveScratch: make(map[budget.Key]bool),
 	}

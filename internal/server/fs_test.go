@@ -133,6 +133,13 @@ func requireOps(t *testing.T, ops []string, want ...string) {
 // where the push returned.
 func recordedSession(t *testing.T, fsync wal.Policy, raced ...string) []string {
 	t.Helper()
+	_, rec := recordedManager(t, fsync, raced...)
+	return rec.log()
+}
+
+// recordedManager is recordedSession's manager, with the recording FS.
+func recordedManager(t *testing.T, fsync wal.Policy, raced ...string) (*Manager, *recFS) {
+	t.Helper()
 	root := t.TempDir()
 	rec := newRecFS(root)
 	rec.raced = raced
@@ -151,7 +158,7 @@ func recordedSession(t *testing.T, fsync wal.Policy, raced ...string) []string {
 		t.Fatal(err)
 	}
 	rec.did(nil, "ack")
-	return rec.log()
+	return m, rec
 }
 
 // TestCreatedDirectoriesSynced: wal.Open creates sessions/, the session's
@@ -167,6 +174,58 @@ func TestCreatedDirectoriesSynced(t *testing.T) {
 		if strings.HasPrefix(op, "sync") {
 			t.Fatalf("fsync=never ran %q", op)
 		}
+	}
+}
+
+// TestDestroyPurgeDurable: DELETE removes every file and directory of the
+// session through the engine's filesystem, and fsyncs sessions/ after the
+// last removal, before Destroy returns — so a power cut cannot leave the
+// directory for Recover to re-adopt a destroyed session from. Under
+// fsync=never nothing is fsynced.
+func TestDestroyPurgeDurable(t *testing.T) {
+	for _, fsync := range []wal.Policy{wal.FsyncBatch, wal.FsyncNever} {
+		m, rec := recordedManager(t, fsync)
+		rec.did(nil, "destroy")
+		if err := m.Destroy("s"); err != nil {
+			t.Fatal(err)
+		}
+		rec.did(nil, "destroyed")
+		ops := rec.log()
+		// What the log says is on disk when Destroy returns.
+		present := map[string]bool{}
+		for _, op := range ops {
+			switch f := strings.Fields(op); f[0] {
+			case "create", "mkdir":
+				present[f[1]] = true
+			case "rename":
+				delete(present, f[1])
+				present[f[2]] = true
+			case "remove":
+				delete(present, f[1])
+			}
+		}
+		for p := range present {
+			if p == "sessions/s" || strings.HasPrefix(p, "sessions/s/") {
+				t.Errorf("fsync=%v: %s not removed through the filesystem:\n%s", fsync, p, strings.Join(ops, "\n"))
+			}
+		}
+		if _, err := os.Stat(filepath.Join(rec.root, "sessions", "s")); !os.IsNotExist(err) {
+			t.Fatalf("fsync=%v: session directory left behind: %v", fsync, err)
+		}
+		// The purge starts at the first removal after the engine's shutdown.
+		purge := slices.IndexFunc(ops, func(op string) bool { return strings.HasPrefix(op, "remove sessions/s/") })
+		if purge < opAt(ops, "destroy", 0) {
+			t.Fatalf("fsync=%v: no removal after destroy:\n%s", fsync, strings.Join(ops, "\n"))
+		}
+		if fsync == wal.FsyncNever {
+			for _, op := range ops[purge:] {
+				if strings.HasPrefix(op, "sync") {
+					t.Fatalf("fsync=never purge ran %q", op)
+				}
+			}
+			continue
+		}
+		requireOps(t, ops[purge:], "remove sessions/s", "syncdir sessions", "destroyed")
 	}
 }
 

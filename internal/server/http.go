@@ -97,7 +97,7 @@ func NewManagerHTTPServer(m *Manager, _ string) (*HTTPServer, error) {
 // admission envelope applied to every ingest push ahead of the session's own
 // TenantLimits. See docs/API.md, "Tenant limits".
 func (s *HTTPServer) SetGatewayLimits(cfg GatewayLimits) {
-	s.gate = newGatewayLimiter(cfg, nil)
+	s.gate = newGatewayLimiter(cfg)
 }
 
 // ServeHTTP implements http.Handler. In node mode it first asserts session
@@ -108,8 +108,8 @@ func (s *HTTPServer) SetGatewayLimits(cfg GatewayLimits) {
 func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.nodeName != "" {
 		if want := r.Header.Get(HeaderExpectNode); want != "" && want != s.nodeName {
-			s.writeError(w, http.StatusMisdirectedRequest,
-				fmt.Errorf("server: request routed for node %q but this is %q", want, s.nodeName))
+			WriteError(w, fmt.Errorf("server: request routed for node %q but this is %q", want, s.nodeName),
+				http.StatusMisdirectedRequest)
 			return
 		}
 	}
@@ -158,10 +158,6 @@ func (s *HTTPServer) encodeFailed(w http.ResponseWriter, what string, err error)
 	http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 }
 
-func (s *HTTPServer) writeError(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, client.ErrorBody{Error: err.Error()})
-}
-
 // errString renders an optional error for a JSON payload ("" = none).
 func errString(err error) string {
 	if err == nil {
@@ -170,15 +166,18 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// writeErr is the one place an error becomes an HTTP status (docs/API.md,
-// "Errors", is this table). fallback is the status of an error the table
-// does not name: 400 on routes where what remains is the caller's input,
-// 500 otherwise. Order matters where errors nest — a DurabilityError
-// wrapping wal.ErrClosed is the retryable shutdown case, not a disk fault.
-func (s *HTTPServer) writeErr(w http.ResponseWriter, err error, fallback int) {
+// WriteError is the one place an error becomes an HTTP status and an error
+// body, for craqrd and the cluster gateway alike (docs/API.md, "Errors", is
+// this table). fallback is the status of an error the table does not name:
+// 400 on routes where what remains is the caller's input, 500 otherwise, or
+// the status of a handler's own refusal. Order matters where errors nest —
+// a DurabilityError wrapping wal.ErrClosed is the retryable shutdown case,
+// not a disk fault.
+func WriteError(w http.ResponseWriter, err error, fallback int) {
 	status, retryAfter := fallback, 0
 	var rl *RateLimitError
 	var durErr *DurabilityError
+	var unavailable Unavailable
 	switch {
 	case errors.Is(err, ErrNoSession):
 		status = http.StatusNotFound
@@ -188,12 +187,14 @@ func (s *HTTPServer) writeErr(w http.ResponseWriter, err error, fallback int) {
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrInvalidSpec), errors.Is(err, query.ErrRate):
 		status = http.StatusBadRequest
-	case errors.Is(err, ErrManagerClosed), errors.Is(err, ingest.ErrClosed), errors.Is(err, wal.ErrClosed):
-		// Shutdown or session churn, refused before any state change: a node
-		// on its way down cannot tell "gone" from "about to be served
-		// elsewhere", and a client that read 404 there would end a result
-		// stream that is only moving (see client.ResultStream). The client
-		// library honors the hint (client.RetryPolicy).
+	case errors.Is(err, ErrManagerClosed), errors.Is(err, ingest.ErrClosed), errors.Is(err, wal.ErrClosed),
+		errors.As(err, &unavailable):
+		// Shutdown, session churn or a gateway with no way to the session
+		// yet, refused before any state change: a node on its way down
+		// cannot tell "gone" from "about to be served elsewhere", and a
+		// client that read 404 there would end a result stream that is only
+		// moving (see client.ResultStream). The client library honors the
+		// hint (client.RetryPolicy).
 		status, retryAfter = http.StatusServiceUnavailable, IngestRetryAfterSeconds
 	case errors.As(err, &rl):
 		// Quota refusals clear only when the tenant releases resources; they
@@ -213,14 +214,22 @@ func (s *HTTPServer) writeErr(w http.ResponseWriter, err error, fallback int) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	s.writeError(w, status, err)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(client.ErrorBody{Error: err.Error()})
 }
+
+// Unavailable is a cluster gateway's refusal of a request it cannot route
+// yet (no healthy node, a session mid-handoff, a dead owner): 503.
+type Unavailable string
+
+func (u Unavailable) Error() string { return string(u) }
 
 // session resolves a session name, writing the error itself on a miss.
 func (s *HTTPServer) session(w http.ResponseWriter, name string) *Session {
 	sess, err := s.manager.Get(name)
 	if err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return nil
 	}
 	return sess
@@ -397,18 +406,18 @@ func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request)
 	raw, err := wire.ReadBody(r.Body, MaxSpecBytes, wire.BorrowBuf())
 	defer wire.ReleaseBuf(raw)
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	var body client.SessionSpec
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil && err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid session spec: %w", err))
+		WriteError(w, fmt.Errorf("invalid session spec: %w", err), http.StatusBadRequest)
 		return
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, errors.New("invalid session spec: data after the spec object"))
+		WriteError(w, errors.New("invalid session spec: data after the spec object"), http.StatusBadRequest)
 		return
 	}
 	spec, err := specFromWire(body)
@@ -417,7 +426,7 @@ func (s *HTTPServer) handleSessionCreate(w http.ResponseWriter, r *http.Request)
 		sess, err = s.manager.Create(spec)
 	}
 	if err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, toSessionJSON(sess))
@@ -441,7 +450,7 @@ func (s *HTTPServer) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 func (s *HTTPServer) handleSessionDestroy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("session")
 	if err := s.manager.Destroy(name); err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, destroyedJSON{Destroyed: name})
@@ -463,18 +472,18 @@ func (s *HTTPServer) handleSessionQuerySubmit(w http.ResponseWriter, r *http.Req
 	body, err := wire.ReadBody(r.Body, MaxSpecBytes, wire.BorrowBuf())
 	defer wire.ReleaseBuf(body)
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	st, err := craql.ParseStatement(string(body))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	if st.Explain {
 		ex, err := e.ExplainQuery(st.Query)
 		if err != nil {
-			s.writeErr(w, err, http.StatusBadRequest)
+			WriteError(w, err, http.StatusBadRequest)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, toExplainJSON(ex))
@@ -482,7 +491,7 @@ func (s *HTTPServer) handleSessionQuerySubmit(w http.ResponseWriter, r *http.Req
 	}
 	q, err := e.Submit(st.Query)
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, toQueryJSON(q))
@@ -507,7 +516,7 @@ func (s *HTTPServer) handleSessionQueryDelete(w http.ResponseWriter, r *http.Req
 	}
 	id := r.PathValue("id")
 	if err := sess.Engine.Delete(id); err != nil {
-		s.writeErr(w, err, http.StatusNotFound)
+		WriteError(w, err, http.StatusNotFound)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, deletedJSON{Deleted: id})
@@ -525,12 +534,12 @@ func (s *HTTPServer) handleSessionQueryPlan(w http.ResponseWriter, r *http.Reque
 	id := r.PathValue("id")
 	q, ok := e.Fabricator().Query(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("server: no such query %q", id))
+		WriteError(w, fmt.Errorf("server: no such query %q", id), http.StatusNotFound)
 		return
 	}
 	ex, err := e.ExplainQuery(q)
 	if err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, planJSON{Plan: toExplainJSON(ex)})
@@ -546,19 +555,19 @@ func (s *HTTPServer) handleSessionScript(w http.ResponseWriter, r *http.Request)
 	// limit.
 	rc, err := wire.Decompress(r.Body, strings.TrimSpace(r.Header.Get("Content-Encoding")))
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	defer rc.Close()
 	body, err := wire.ReadBody(rc, 1<<20, wire.BorrowBuf())
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	defer wire.ReleaseBuf(body)
 	qs, err := sess.Engine.SubmitScript(string(body))
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	out := make([]client.Query, 0, len(qs))
@@ -584,14 +593,14 @@ func (s *HTTPServer) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	if nv := r.URL.Query().Get("n"); nv != "" {
 		parsed, err := strconv.Atoi(nv)
 		if err != nil || parsed <= 0 || parsed > 100000 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", nv))
+			WriteError(w, fmt.Errorf("invalid n %q", nv), http.StatusBadRequest)
 			return
 		}
 		n = parsed
 	}
 	done, err := e.RunReadyCtx(r.Context(), n)
 	if err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
 	resp := client.StepResult{Epochs: e.Epochs(), Now: e.Now(), Stepped: done, Waiting: done < n}
@@ -631,12 +640,12 @@ func (s *HTTPServer) handleSessionResults(w http.ResponseWriter, r *http.Request
 	}
 	store, err := sess.Engine.ResultStore(r.PathValue("id"))
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+		WriteError(w, err, http.StatusNotFound)
 		return
 	}
 	cursor, limit, err := parseCursorLimit(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	tuples, next, dropped := store.ReadFrom(cursor, limit, nil)
@@ -701,7 +710,7 @@ func appendResultPage(dst []byte, tuples []stream.Tuple, next, dropped uint64, s
 const streamChunk = 512
 
 // handleSessionResultStream pushes a query's stream to the client as it is
-// fabricated: ndjson by default (one tuple per line, reusing the
+// fabricated: ndjson by default (one tuple per line, in the
 // export.JSONLinesSink wire format), SSE with ?sse=1 or
 // Accept: text/event-stream. The connection stays open until the client
 // disconnects or the query is deleted. Tuples evicted before delivery are
@@ -714,19 +723,19 @@ func (s *HTTPServer) handleSessionResultStream(w http.ResponseWriter, r *http.Re
 	}
 	store, err := sess.Engine.ResultStore(r.PathValue("id"))
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+		WriteError(w, err, http.StatusNotFound)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
+		WriteError(w, errors.New("streaming unsupported by connection"), http.StatusInternalServerError)
 		return
 	}
 	sse := r.URL.Query().Get("sse") == "1" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	cursor, limit, err := parseCursorLimit(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	// ?limit= throttles the per-push chunk size (bounded by the default).
@@ -741,28 +750,21 @@ func (s *HTTPServer) handleSessionResultStream(w http.ResponseWriter, r *http.Re
 		}
 	}
 
-	var (
-		sink  *export.JSONLinesSink // nil on the SSE framing
-		frame []byte
-	)
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if sink, err = export.NewJSONLinesSink(w); err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
+	var frame []byte
 	buf := stream.BorrowTuples(chunk)
 	defer buf.Release()
 	for {
 		out, next, dropped := store.ReadFrom(cursor, chunk, buf.Tuples[:0])
-		if frame, err = writeStreamChunk(w, sink, frame, out, next, dropped); err != nil {
+		if frame, err = writeStreamChunk(w, sse, frame, out, next, dropped); err != nil {
 			return // client went away
 		}
 		if len(out) > 0 || dropped > 0 {
@@ -802,45 +804,49 @@ func (s *HTTPServer) waitStream(ctx context.Context, session string, store *stre
 	}
 }
 
-// writeStreamChunk emits one read's worth of tuples (and its drop notice)
-// in the negotiated framing: ndjson through sink or, when sink is nil, SSE
-// events rendered into frame and written at once. It returns frame for the
-// next call to reuse.
-func writeStreamChunk(w io.Writer, sink *export.JSONLinesSink, frame []byte, out []stream.Tuple, next uint64, dropped uint64) ([]byte, error) {
-	if sink != nil {
-		if dropped > 0 {
-			if _, err := fmt.Fprintf(w, "{\"dropped\":%d}\n", dropped); err != nil {
-				return frame, err
-			}
-		}
-		if len(out) == 0 {
-			return frame, nil
-		}
-		return frame, sink.Process(stream.Batch{Tuples: out})
+// writeStreamChunk renders one read's worth of tuples (and its drop notice)
+// into frame in the negotiated framing — ndjson lines, or SSE events — and
+// writes it at once. A tuple that cannot be rendered ends the chunk: the
+// ndjson records before it are still written, the SSE events are not. It
+// returns frame for the next call to reuse.
+func writeStreamChunk(w io.Writer, sse bool, frame []byte, out []stream.Tuple, next uint64, dropped uint64) ([]byte, error) {
+	end := "\n"
+	if sse {
+		end = "\n\n"
 	}
 	frame = frame[:0]
 	if dropped > 0 {
-		frame = append(frame, "event: drop\ndata: {\"dropped\":"...)
+		if sse {
+			frame = append(frame, "event: drop\ndata: "...)
+		}
+		frame = append(frame, `{"dropped":`...)
 		frame = strconv.AppendUint(frame, dropped, 10)
-		frame = append(frame, "}\n\n"...)
+		frame = append(frame, '}')
+		frame = append(frame, end...)
 	}
 	base := next - uint64(len(out))
+	var err error
 	for i, tp := range out {
-		// Same record shape as the ndjson framing (attr and sensor
-		// included) so clients can switch framings losslessly.
-		frame = append(frame, "id: "...)
-		frame = strconv.AppendUint(frame, base+uint64(i)+1, 10)
-		frame = append(frame, "\ndata: "...)
-		var err error
-		if frame, err = export.AppendTupleJSON(frame, tp); err != nil {
-			return frame, err
+		if sse {
+			// Same record shape as the ndjson framing (attr and sensor
+			// included) so clients can switch framings losslessly.
+			frame = append(frame, "id: "...)
+			frame = strconv.AppendUint(frame, base+uint64(i)+1, 10)
+			frame = append(frame, "\ndata: "...)
 		}
-		frame = append(frame, "\n\n"...)
+		if frame, err = export.AppendTupleJSON(frame, tp); err != nil {
+			if sse {
+				return frame, err
+			}
+			break
+		}
+		frame = append(frame, end...)
 	}
-	if len(frame) == 0 {
-		return frame, nil
+	if len(frame) > 0 {
+		if _, werr := w.Write(frame); werr != nil {
+			return frame, werr
+		}
 	}
-	_, err := w.Write(frame)
 	return frame, err
 }
 

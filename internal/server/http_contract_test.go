@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/export"
 	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -254,7 +253,6 @@ func TestClosedManagerAnswers503(t *testing.T) {
 // most: misclassifying a durability failure as 400 would make producers
 // discard batches that were never durably acked.
 func TestWriteErrTable(t *testing.T) {
-	_, hs := newManagerTestServer(t)
 	for _, tc := range []struct {
 		name       string
 		err        error
@@ -268,6 +266,7 @@ func TestWriteErrTable(t *testing.T) {
 		{"invalid spec", fmt.Errorf("%w: weight must be non-negative", ErrInvalidSpec), 500, 400, ""},
 		{"query rate out of range", fmt.Errorf("planner: %w", query.ErrRate), 500, 400, ""},
 		{"manager closed", ErrManagerClosed, 500, 503, "1"},
+		{"gateway without a way to the session", Unavailable("no healthy nodes"), 500, 503, "1"},
 		{"recover on a closed manager", fmt.Errorf("server: recover session %q: %w", "x", ErrManagerClosed), 500, 503, "1"},
 		{"queue closed", ingest.ErrClosed, 400, 503, "1"},
 		{"wal closed mid-shutdown", &DurabilityError{Err: wal.ErrClosed}, 400, 503, "1"},
@@ -283,7 +282,7 @@ func TestWriteErrTable(t *testing.T) {
 		{"engine fault", errors.New("step: sink failed"), 500, 500, ""},
 	} {
 		rec := httptest.NewRecorder()
-		hs.writeErr(rec, tc.err, tc.fallback)
+		WriteError(rec, tc.err, tc.fallback)
 		if rec.Code != tc.want || rec.Header().Get("Retry-After") != tc.retryAfter {
 			t.Errorf("%s: %d (Retry-After %q), want %d (%q)", tc.name, rec.Code, rec.Header().Get("Retry-After"), tc.want, tc.retryAfter)
 		}
@@ -391,15 +390,11 @@ func TestHandRenderedBodiesDecodeAsClientTypes(t *testing.T) {
 		return client.Tuple{ID: tp.ID, Attr: tp.Attr, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value, Sensor: tp.Sensor}
 	}
 	var ndjson bytes.Buffer
-	sink, err := export.NewJSONLinesSink(&ndjson)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeStreamChunk(&ndjson, sink, nil, tuples, 3, 0); err != nil {
+	if _, err := writeStreamChunk(&ndjson, false, nil, tuples, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	var sse bytes.Buffer
-	if _, err := writeStreamChunk(&sse, nil, nil, tuples, 3, 0); err != nil {
+	if _, err := writeStreamChunk(&sse, true, nil, tuples, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	var sseData []string

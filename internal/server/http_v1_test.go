@@ -727,7 +727,7 @@ func TestWriteStreamChunkSSEFraming(t *testing.T) {
 		fmt.Fprintf(&want, "id: %d\ndata: %s\n\n", 40+i+1, data)
 	}
 	var got bytes.Buffer
-	frame, err := writeStreamChunk(&got, nil, nil, out, 42, 5)
+	frame, err := writeStreamChunk(&got, true, nil, out, 42, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +736,44 @@ func TestWriteStreamChunkSSEFraming(t *testing.T) {
 	}
 	// The frame buffer is reused, and an empty read writes nothing.
 	got.Reset()
-	if _, err := writeStreamChunk(&got, nil, frame, nil, 42, 0); err != nil || got.Len() != 0 {
+	if _, err := writeStreamChunk(&got, true, frame, nil, 42, 0); err != nil || got.Len() != 0 {
+		t.Fatalf("empty chunk wrote %q, %v", got.String(), err)
+	}
+}
+
+// TestWriteStreamChunkNDJSONFraming holds the hand-rendered ndjson lines to
+// encoding/json, drop notice first, and a chunk cut short by a tuple that
+// cannot be rendered to the lines before it.
+func TestWriteStreamChunkNDJSONFraming(t *testing.T) {
+	out := []stream.Tuple{
+		{ID: 7, Attr: "rain", T: 1.25, X: 1e-7, Y: 1e21, Value: -0.5, Sensor: 3},
+		{ID: 8, Attr: `a"<b>`, T: 2, X: 0.1, Y: 123456.789, Value: 0, Sensor: -1},
+		{ID: 9, Attr: "rain", T: 3, X: math.NaN(), Y: 0, Value: 1, Sensor: 0},
+	}
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "{\"dropped\":%d}\n", 5)
+	for _, tp := range out[:2] {
+		data, err := json.Marshal(client.Tuple{ID: tp.ID, Attr: tp.Attr, T: tp.T, X: tp.X, Y: tp.Y, Value: tp.Value, Sensor: tp.Sensor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "%s\n", data)
+	}
+	var got bytes.Buffer
+	frame, err := writeStreamChunk(&got, false, nil, out[:2], 42, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("ndjson chunk:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	// An unrenderable tuple ends the chunk after what was rendered before it.
+	got.Reset()
+	if _, err := writeStreamChunk(&got, false, frame, out, 43, 5); err == nil || got.String() != want.String() {
+		t.Fatalf("chunk cut short wrote %q, %v; want %q and an error", got.String(), err, want.String())
+	}
+	got.Reset()
+	if _, err := writeStreamChunk(&got, false, frame, nil, 42, 0); err != nil || got.Len() != 0 {
 		t.Fatalf("empty chunk wrote %q, %v", got.String(), err)
 	}
 }

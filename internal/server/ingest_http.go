@@ -148,7 +148,7 @@ func producerToken(r *http.Request) string {
 
 // admitIngest runs both admission layers for one decoded batch: the
 // gateway's per-token buckets, then the session's TenantLimits. The
-// *RateLimitError comes back verbatim so writeErr can render the accurate
+// *RateLimitError comes back verbatim so WriteError can render the accurate
 // Retry-After.
 func (s *HTTPServer) admitIngest(e *Engine, token string, tupleCount, byteCount int) error {
 	if err := s.gate.admit(token, tupleCount, byteCount); err != nil {
@@ -166,7 +166,7 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 	}
 	e := sess.Engine
 	if e.SourceMode() == SourceSimulated {
-		s.writeErr(w, ErrNoIngest, http.StatusInternalServerError)
+		WriteError(w, ErrNoIngest, http.StatusInternalServerError)
 		return
 	}
 	ctype := r.Header.Get("Content-Type")
@@ -175,7 +175,7 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 		strings.Contains(ctype, "ndjson")
 	body, err := wire.Decompress(r.Body, strings.TrimSpace(r.Header.Get("Content-Encoding")))
 	if err != nil {
-		s.writeErr(w, err, http.StatusBadRequest)
+		WriteError(w, err, http.StatusBadRequest)
 		return
 	}
 	defer body.Close()
@@ -200,7 +200,7 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 		}
 		buf, err = wire.ReadBody(body, limit, buf)
 		if err != nil {
-			s.writeErr(w, fmt.Errorf("reading ingest body: %w", err), http.StatusBadRequest)
+			WriteError(w, fmt.Errorf("reading ingest body: %w", err), http.StatusBadRequest)
 			return
 		}
 		var batch wire.Batch
@@ -210,17 +210,17 @@ func (s *HTTPServer) handleSessionIngest(w http.ResponseWriter, r *http.Request)
 			batch, err = d.DecodeJSON(buf)
 		}
 		if err != nil {
-			s.writeErr(w, fmt.Errorf("invalid ingest batch: %w", err), http.StatusBadRequest)
+			WriteError(w, fmt.Errorf("invalid ingest batch: %w", err), http.StatusBadRequest)
 			return
 		}
 		if err := s.admitIngest(e, producerToken(r), len(batch.Tuples), len(buf)); err != nil {
-			s.writeErr(w, err, http.StatusInternalServerError)
+			WriteError(w, err, http.StatusInternalServerError)
 			return
 		}
 		ack, err := pushWireBatch(e, batch)
 		if err != nil {
 			// What the table does not name is the producer's batch.
-			s.writeErr(w, err, http.StatusBadRequest)
+			WriteError(w, err, http.StatusBadRequest)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

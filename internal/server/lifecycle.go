@@ -66,57 +66,46 @@ func (e *Engine) Start(ctx context.Context) error {
 	return nil
 }
 
-// tickLoop drives epochs until ctx is done; it returns the first Step error
-// (the clock halts on failure rather than ticking a broken engine).
-// ErrEpochOpen is not a failure: a watermark-gated epoch makes the
-// wall-clock loop skip the tick, and the simulated loop park until the
-// watermark advances — the session's event-time clock is then effectively
-// driven by its producers.
+// tickLoop drives epochs until ctx is done — back to back on a simulated
+// clock, one per tick otherwise — and returns the first Step error (the
+// clock halts on failure rather than ticking a broken engine). ErrEpochOpen
+// is not a failure: a watermark-gated epoch makes a ticking clock skip the
+// tick, and a simulated one park until the watermark advances — the
+// session's event-time clock is then effectively driven by its producers.
 func (e *Engine) tickLoop(ctx context.Context, cfg ClockConfig) error {
-	if cfg.Simulated {
-		for {
+	var tick <-chan time.Time // nil: no pacing
+	if !cfg.Simulated {
+		interval := cfg.Interval
+		if interval <= 0 {
+			interval = time.Second
+		}
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	for ctx.Err() == nil {
+		if tick != nil {
 			select {
 			case <-ctx.Done():
 				return nil
-			default:
-			}
-			if err := e.StepCtx(ctx); err != nil {
-				if ctx.Err() != nil {
-					// Stop cancelled a parked fair-scheduler acquisition (or
-					// the epoch raced the stop): a clean stop.
-					return nil
-				}
-				if errors.Is(err, ErrEpochOpen) {
-					if werr := e.waitSourceReady(ctx); werr != nil {
-						// Queue closed or ctx done: a clean stop, not an
-						// engine failure.
-						return nil
-					}
-					continue
-				}
-				return err
+			case <-tick:
 			}
 		}
-	}
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
+		err := e.StepCtx(ctx)
+		switch {
+		case err == nil:
+		case ctx.Err() != nil:
+			// Stop cancelled a parked fair-scheduler acquisition (or the
+			// epoch raced the stop): a clean stop.
 			return nil
-		case <-ticker.C:
-			if err := e.StepCtx(ctx); err != nil && !errors.Is(err, ErrEpochOpen) {
-				if ctx.Err() != nil {
-					return nil // Stop cancelled a parked slot acquisition
-				}
-				return err
-			}
+		case !errors.Is(err, ErrEpochOpen):
+			return err
+		case tick == nil && e.waitSourceReady(ctx) != nil:
+			// Queue closed or ctx done: a clean stop, not an engine failure.
+			return nil
 		}
 	}
+	return nil
 }
 
 // Stop halts the epoch driver and waits for the in-flight epoch to drain.

@@ -52,13 +52,13 @@ type rateBuckets struct {
 	bytes  *ingest.TokenBucket
 }
 
-func newRateBuckets(tuplesPerSec, bytesPerSec float64, now func() time.Time) rateBuckets {
+func newRateBuckets(tuplesPerSec, bytesPerSec float64) rateBuckets {
 	var r rateBuckets
 	if tuplesPerSec > 0 {
-		r.tuples = ingest.NewTokenBucket(tuplesPerSec, now)
+		r.tuples = ingest.NewTokenBucket(tuplesPerSec, nil)
 	}
 	if bytesPerSec > 0 {
-		r.bytes = ingest.NewTokenBucket(bytesPerSec, now)
+		r.bytes = ingest.NewTokenBucket(bytesPerSec, nil)
 	}
 	return r
 }
@@ -103,11 +103,11 @@ type tenantLimiter struct {
 	throttled client.Throttled // refusals charged to the session, under mu
 }
 
-func newTenantLimiter(cfg TenantLimits, now func() time.Time) *tenantLimiter {
+func newTenantLimiter(cfg TenantLimits) *tenantLimiter {
 	if cfg == (TenantLimits{}) {
 		return nil
 	}
-	return &tenantLimiter{cfg: cfg, rate: newRateBuckets(cfg.RateTuplesPerSec, cfg.RateBytesPerSec, now)}
+	return &tenantLimiter{cfg: cfg, rate: newRateBuckets(cfg.RateTuplesPerSec, cfg.RateBytesPerSec)}
 }
 
 // admitRate runs the session's token buckets on a batch, counting a refusal.
@@ -230,18 +230,14 @@ type tokenEntry struct {
 type gatewayLimiter struct {
 	mu       sync.Mutex
 	cfg      GatewayLimits
-	now      func() time.Time
 	perToken map[string]*tokenEntry
 }
 
-func newGatewayLimiter(cfg GatewayLimits, now func() time.Time) *gatewayLimiter {
+func newGatewayLimiter(cfg GatewayLimits) *gatewayLimiter {
 	if !cfg.enabled() {
 		return nil
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &gatewayLimiter{cfg: cfg, now: now, perToken: make(map[string]*tokenEntry)}
+	return &gatewayLimiter{cfg: cfg, perToken: make(map[string]*tokenEntry)}
 }
 
 // admit checks one producer token's buckets; empty tokens pass.
@@ -256,10 +252,10 @@ func (g *gatewayLimiter) admit(token string, tupleCount, byteCount int) *RateLim
 		if len(g.perToken) >= defaultMaxTokens {
 			g.evictOldestLocked()
 		}
-		ent = &tokenEntry{rateBuckets: newRateBuckets(g.cfg.RateTuplesPerSec, g.cfg.RateBytesPerSec, g.now)}
+		ent = &tokenEntry{rateBuckets: newRateBuckets(g.cfg.RateTuplesPerSec, g.cfg.RateBytesPerSec)}
 		g.perToken[token] = ent
 	}
-	ent.lastSeen = g.now()
+	ent.lastSeen = time.Now()
 	return ent.admit(tupleCount, byteCount, "token tuple rate", "token byte rate")
 }
 

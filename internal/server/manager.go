@@ -744,17 +744,20 @@ func (m *Manager) Destroy(name string) error {
 	}
 	// With no live session, durable state may still linger on disk — an
 	// idle-GC'd session, or a directory whose recovery failed. DELETE is the
-	// purge path for those too, unless a Create is building on it right now.
-	var dir string
-	if sess != nil {
-		dir = sess.Engine.DurabilityDir()
-	} else if m.cfg.DurabilityDir != "" && !reserved {
-		dir = sessionDir(m.cfg.DurabilityDir, name)
-		if _, serr := os.Stat(dir); serr != nil {
-			dir = ""
+	// purge path for those too, unless a Create is building on it right now;
+	// its manifest says whether the session ran without fsyncs.
+	var purge DurabilityConfig
+	if sess != nil && sess.Engine.dur != nil {
+		purge = sess.Engine.dur.cfg
+	} else if sess == nil && m.cfg.DurabilityDir != "" && !reserved {
+		purge = DurabilityConfig{Dir: sessionDir(m.cfg.DurabilityDir, name), FS: wal.OS}
+		if _, serr := os.Stat(purge.Dir); serr != nil {
+			purge.Dir = ""
+		} else if spec, merr := readManifest(purge.Dir); merr == nil {
+			purge.Fsync, _ = wal.ParsePolicy(spec.FsyncPolicy)
 		}
 	}
-	if sess == nil && dir == "" {
+	if sess == nil && purge.Dir == "" {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNoSession, name)
 	}
@@ -765,12 +768,37 @@ func (m *Manager) Destroy(name string) error {
 	if sess != nil {
 		err = sess.Engine.Shutdown()
 	}
-	if dir != "" {
-		if rerr := os.RemoveAll(dir); rerr != nil {
+	if purge.Dir != "" {
+		rerr := removeTree(purge.FS, purge.Dir)
+		if rerr == nil && purge.Fsync != wal.FsyncNever {
+			// Only a synced sessions/ keeps the purge through a power cut.
+			rerr = purge.FS.SyncDir(filepath.Dir(purge.Dir))
+		}
+		if rerr != nil {
 			err = errors.Join(err, fmt.Errorf("server: purging durable state of %q: %w", name, rerr))
 		}
 	}
 	return err
+}
+
+// removeTree removes dir and everything below it through fsys.
+func removeTree(fsys wal.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		path := filepath.Join(dir, ent.Name())
+		if ent.IsDir() {
+			err = removeTree(fsys, path)
+		} else {
+			err = fsys.Remove(path)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return fsys.Remove(dir)
 }
 
 // retireLocked takes name out of service but keeps it taken (m.retiring)

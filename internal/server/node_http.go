@@ -26,7 +26,7 @@ func (s *HTTPServer) SetNodeName(name string) { s.nodeName = name }
 func (s *HTTPServer) handleNodeDurable(w http.ResponseWriter, r *http.Request) {
 	names, err := s.manager.DurableSessions()
 	if err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
 	if names == nil {
@@ -43,10 +43,10 @@ func (s *HTTPServer) handleNodeRecover(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("session")
 	recovered, err := s.manager.RecoverSession(name)
 	if err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, recoveredJSON{Recovered: recovered, Session: name})
+	s.writeJSON(w, http.StatusOK, client.Recovered{Recovered: recovered, Session: name})
 }
 
 // handleNodeRelease stops serving a session while keeping its durable
@@ -56,21 +56,8 @@ func (s *HTTPServer) handleNodeRecover(w http.ResponseWriter, r *http.Request) {
 func (s *HTTPServer) handleNodeRelease(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("session")
 	if err := s.manager.Release(name); err != nil {
-		s.writeErr(w, err, http.StatusInternalServerError)
+		WriteError(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, releasedJSON{Released: true, Session: name})
+	s.writeJSON(w, http.StatusOK, client.Released{Released: true, Session: name})
 }
-
-// The answers of the two handoff halves (the gateway reads only their
-// status).
-type (
-	recoveredJSON struct {
-		Recovered bool   `json:"recovered"`
-		Session   string `json:"session"`
-	}
-	releasedJSON struct {
-		Released bool   `json:"released"`
-		Session  string `json:"session"`
-	}
-)

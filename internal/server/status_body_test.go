@@ -236,13 +236,13 @@ func TestDeclaredBodiesDecodeStrictly(t *testing.T) {
 	})
 
 	node := fx.node.URL
-	var rec recoveredJSON
+	var rec client.Recovered
 	decodeStrict(t, fx.recovered, &rec)
-	if rec != (recoveredJSON{Recovered: true, Session: "durable"}) {
+	if rec != (client.Recovered{Recovered: true, Session: "durable"}) {
 		t.Errorf("recover decoded %+v", rec)
 	}
 	decodeStrict(t, answer(t, "POST", node+"/v1/node/sessions/durable/recover", 200), &rec)
-	if rec != (recoveredJSON{Recovered: false, Session: "durable"}) {
+	if rec != (client.Recovered{Recovered: false, Session: "durable"}) {
 		t.Errorf("second recover decoded %+v", rec)
 	}
 	var durable client.DurableSessions
@@ -250,9 +250,9 @@ func TestDeclaredBodiesDecodeStrictly(t *testing.T) {
 	if !reflect.DeepEqual(durable.Sessions, []string{"durable"}) {
 		t.Errorf("durable list decoded %+v", durable)
 	}
-	var rel releasedJSON
+	var rel client.Released
 	decodeStrict(t, answer(t, "POST", node+"/v1/node/sessions/durable/release", 200), &rel)
-	if rel != (releasedJSON{Released: true, Session: "durable"}) {
+	if rel != (client.Released{Released: true, Session: "durable"}) {
 		t.Errorf("release decoded %+v", rel)
 	}
 	var refusal client.ErrorBody
