@@ -409,44 +409,54 @@ func BenchmarkEndToEnd(b *testing.B) {
 // BenchmarkSharded measures the sharded epoch executor across worker-pool
 // sizes on a wide topology (256 cells, 64 queries): the per-cell
 // independence of the paper's Section V topologies is the shard boundary.
+// The workers=N rows run a 20000-tuple batch; the n=2048 and n=4096 rows run
+// the batch sizes either side of the self-sized pool's cutover
+// (topology.minTuplesPerWorker) at one and two workers.
 func BenchmarkSharded(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			grid, err := geom.NewGrid(geom.NewRect(0, 0, 32, 32), 256)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fab, err := topology.New(grid, topology.Config{Workers: workers}, stats.NewRNG(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := stats.NewRNG(2)
-			for i := 0; i < 64; i++ {
-				q0, r0 := rng.Intn(15), rng.Intn(15)
-				region := geom.NewRect(float64(q0)*2, float64(r0)*2, float64(q0+2)*2, float64(r0+2)*2)
-				if _, err := fab.InsertQuery(query.Query{Attr: "rain", Region: region, Rate: 1 + rng.Float64()*20}, stream.NewCollector()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			batch := benchBatch(20000, 3)
-			batch.Attr = "rain"
-			batch.Window.Rect = grid.Region()
-			for i := range batch.Tuples {
-				batch.Tuples[i].X = rng.Uniform(0, 32)
-				batch.Tuples[i].Y = rng.Uniform(0, 32)
-			}
-			fr := fracs(batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				retime(&batch, fr, float64(i))
-				if err := fab.Ingest(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(batch.Len()))
-		})
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchSharded(b, workers, 20000) })
 	}
+	for _, n := range []int{2048, 4096} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) { benchSharded(b, workers, n) })
+		}
+	}
+}
+
+func benchSharded(b *testing.B, workers, n int) {
+	grid, err := geom.NewGrid(geom.NewRect(0, 0, 32, 32), 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fab, err := topology.New(grid, topology.Config{Workers: workers}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(2)
+	for i := 0; i < 64; i++ {
+		q0, r0 := rng.Intn(15), rng.Intn(15)
+		region := geom.NewRect(float64(q0)*2, float64(r0)*2, float64(q0+2)*2, float64(r0+2)*2)
+		if _, err := fab.InsertQuery(query.Query{Attr: "rain", Region: region, Rate: 1 + rng.Float64()*20}, stream.NewCollector()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch := benchBatch(n, 3)
+	batch.Attr = "rain"
+	batch.Window.Rect = grid.Region()
+	for i := range batch.Tuples {
+		batch.Tuples[i].X = rng.Uniform(0, 32)
+		batch.Tuples[i].Y = rng.Uniform(0, 32)
+	}
+	fr := fracs(batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		retime(&batch, fr, float64(i))
+		if err := fab.Ingest(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(batch.Len()))
 }
 
 // --- E9: estimation ------------------------------------------------------------

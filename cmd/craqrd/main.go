@@ -77,7 +77,7 @@ func main() {
 	idleTTL := flag.Duration("idle-ttl", 0, "destroy unpinned sessions idle this long (0 disables)")
 	nSensors := flag.Int("sensors", 500, "mobile sensors per session fleet")
 	seed := flag.Int64("seed", 1, "default session random seed")
-	workers := flag.Int("workers", 0, "epoch worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "epoch worker pool size (0 = one worker per 2048 tuples of an epoch, at most GOMAXPROCS; 1 = serial)")
 	budgetAdapt := flag.Bool("budget", false, "adaptive rate retuning from violation feedback")
 	sourceMode := flag.String("source", "simulated", "observation source template: simulated | external | mixed")
 	ingestBuffer := flag.Int("ingest-buffer", 0, "per-session ingest queue bound in tuples (0 = default)")

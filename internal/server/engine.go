@@ -54,8 +54,9 @@ type Config struct {
 	// Budget configures the tuning controller.
 	Budget budget.Config
 	// Fabricator configures pipelines, merge topology and the epoch worker
-	// pool (Fabricator.Workers: 0 = GOMAXPROCS, 1 = serial). Serial and
-	// parallel runs of the same Seed fabricate byte-identical streams.
+	// pool (Fabricator.Workers: 0 = sized per epoch, at most GOMAXPROCS;
+	// 1 = serial). Serial and parallel runs of the same Seed fabricate
+	// byte-identical streams.
 	Fabricator topology.Config
 	// Fleet describes the synthetic sensor fleet.
 	Fleet sensors.FleetConfig

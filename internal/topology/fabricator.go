@@ -21,12 +21,31 @@ import (
 
 // Config parameterizes the fabricator.
 type Config struct {
-	// Workers bounds the worker pool that executes cell pipelines within an
-	// epoch. 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
-	// Because every cell pipeline draws from its own keyed RNG fork and the
-	// merge phase orders tuples deterministically, serial and parallel runs
-	// of the same seed produce identical fabricated streams.
+	// Workers is the size of the worker pool that executes cell pipelines
+	// within an epoch; 1 forces serial execution. 0 sizes the pool to each
+	// epoch: one worker per minTuplesPerWorker tuples that land in
+	// materialized cells, at least one and at most runtime.GOMAXPROCS(0), so
+	// a small epoch runs serially and leaves the other CPUs to the request
+	// path. Because every cell pipeline draws from its own keyed RNG fork and
+	// the merge phase orders tuples deterministically, serial and parallel
+	// runs of the same seed produce identical fabricated streams.
 	Workers int
+}
+
+// minTuplesPerWorker is the work each worker of a self-sized pool
+// (Config.Workers == 0) must have: a second worker joins an epoch at 2·2048
+// tuples. On 2 vCPUs a pooled 4096-tuple epoch still beats a serial one
+// end to end, and a pooled 2048-tuple epoch loses to it (DESIGN.md "Shards").
+const minTuplesPerWorker = 2048
+
+// epochWorkers is the pool size of an epoch whose materialized cells hold
+// tuples tuples, on procs usable CPUs: Workers when set, otherwise one
+// worker per minTuplesPerWorker tuples, clamped to [1, procs].
+func (c Config) epochWorkers(tuples, procs int) int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return max(1, min(tuples/minTuplesPerWorker, procs))
 }
 
 // Fabricator is the crowdsensed stream fabricator of Fig. 1: it owns the
@@ -394,12 +413,13 @@ func (f *Fabricator) dropPipeline(key Key) {
 // The process phase (F → T… per cell) and the merge phase (P clips and the
 // U-operators' ordering, per distinct subplan, as soon as the cells it taps
 // are done) execute as the attribute's compiled position program
-// (program.go) on a bounded worker pool of Config.Workers goroutines. Cells
-// and subplans are the shard boundary: each cell draws from its own keyed
-// RNG fork and writes only its own position lists, and a subplan's stream is
-// the ascending set of its surviving positions whichever worker fabricated
-// them, so the fabricated streams are identical to a serial run of the same
-// seed.
+// (program.go) on a worker pool sized by Config.Workers — by default one
+// worker per minTuplesPerWorker tuples the scatter kept, up to GOMAXPROCS, so
+// the pool is sized from work already counted. Cells and subplans are the
+// shard boundary: each cell draws from its own keyed RNG fork and writes only
+// its own position lists, and a subplan's stream is the ascending set of its
+// surviving positions whichever worker fabricated them, so the fabricated
+// streams are identical to a serial run of the same seed.
 //
 // Ingest holds the fabricator's read lock for the whole epoch, so concurrent
 // query insertion or deletion waits for the epoch boundary instead of racing
@@ -420,7 +440,7 @@ func (f *Fabricator) Ingest(b stream.Batch) error {
 	ep.batch, ep.pipes = b, pipes
 	ep.scatter(f.grid, f.slots[b.Attr], len(pipes), b.Tuples)
 	ep.begin(f.program(b.Attr))
-	return ep.execute(f.Workers())
+	return ep.execute(f.cfg.epochWorkers(len(ep.pos), runtime.GOMAXPROCS(0)))
 }
 
 // cellScratch is the map phase's grouping of one batch by destination
@@ -494,7 +514,9 @@ func (s *cellScratch) scatter(grid *geom.Grid, slots []int32, n int, tuples []st
 // run returns the batch positions of pipeline position i's tuples.
 func (s *cellScratch) run(i int) []uint32 { return s.pos[s.start[i]:s.start[i+1]] }
 
-// Workers returns the effective size of the epoch worker pool.
+// Workers returns the largest pool an epoch may run on: Config.Workers when
+// set, otherwise GOMAXPROCS, which a self-sized pool reaches only on an epoch
+// of GOMAXPROCS·minTuplesPerWorker tuples or more.
 func (f *Fabricator) Workers() int {
 	if f.cfg.Workers > 0 {
 		return f.cfg.Workers

@@ -231,9 +231,22 @@ type epochScratch struct {
 	// kernel brings it to zero runs the subplan's merge phase.
 	pending []atomic.Int32
 	workers []*workerScratch
+	// The parallel path's shared state: the next cell to claim, the next
+	// worker scratch to take, whether a shard failed, each shard's error
+	// (cells, then subplans) and the join. work is ep.runWorker bound once,
+	// when the scratch is made, so starting a worker allocates nothing.
+	cursor, claimed atomic.Int64
+	failed          atomic.Bool
+	errs            []error
+	wg              sync.WaitGroup
+	work            func()
 }
 
-var epochScratchPool = sync.Pool{New: func() interface{} { return &epochScratch{} }}
+var epochScratchPool = sync.Pool{New: func() interface{} {
+	ep := &epochScratch{}
+	ep.work = ep.runWorker
+	return ep
+}}
 
 func borrowEpochScratch() *epochScratch { return epochScratchPool.Get().(*epochScratch) }
 
@@ -274,49 +287,60 @@ func (ep *epochScratch) execute(workers int) error {
 		}
 		return nil
 	}
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errs := make([]error, cells+merges)
-	fail := func(at int, err error) {
-		errs[at] = err
-		failed.Store(true)
-	}
+	ep.errs = slices.Grow(ep.errs[:0], cells+merges)[:cells+merges]
+	ep.cursor.Store(0)
+	ep.claimed.Store(0)
+	ep.failed.Store(false)
+	// Every worker's scratch exists before the first starts: workers only
+	// read ep.workers.
+	ep.worker(workers - 1)
+	ep.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		ws := ep.worker(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= cells {
-					return
-				}
-				if err := ep.cell(i, ws); err != nil {
-					fail(i, err)
-					return
-				}
-				for _, at := range ep.prog.taps[i] {
-					if ep.pending[at].Add(-1) != 0 {
-						continue
-					}
-					if err := ep.mergeSubplan(int(at), ws); err != nil {
-						fail(cells+int(at), err)
-						return
-					}
-				}
-			}
-		}()
+		go ep.work()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	ep.wg.Wait()
+	var first error
+	for _, err := range ep.errs {
+		if first == nil {
+			first = err
 		}
 	}
-	return nil
+	clear(ep.errs)
+	return first
+}
+
+// runWorker is one worker of a parallel epoch: it takes a worker scratch of
+// its own, then claims cells until none is left or a shard has failed,
+// running each subplan whose last cell it completes.
+func (ep *epochScratch) runWorker() {
+	defer ep.wg.Done()
+	ws := ep.workers[ep.claimed.Add(1)-1]
+	cells := len(ep.pipes)
+	for !ep.failed.Load() {
+		i := int(ep.cursor.Add(1)) - 1
+		if i >= cells {
+			return
+		}
+		if err := ep.cell(i, ws); err != nil {
+			ep.fail(i, err)
+			return
+		}
+		for _, at := range ep.prog.taps[i] {
+			if ep.pending[at].Add(-1) != 0 {
+				continue
+			}
+			if err := ep.mergeSubplan(int(at), ws); err != nil {
+				ep.fail(cells+int(at), err)
+				return
+			}
+		}
+	}
+}
+
+// fail records shard at's error and stops the claiming of new cells.
+func (ep *epochScratch) fail(at int, err error) {
+	ep.errs[at] = err
+	ep.failed.Store(true)
 }
 
 // cellBatch is pipeline i's share of the epoch's batch, its rows gathered

@@ -5,7 +5,9 @@
 # ack rendering, plus BenchmarkIngestDurable — the same push path with WAL
 # durability at fsync=batch, guarded as its ratio to the same run's
 # BenchmarkWALAppend/fsync=always, see below), BenchmarkWire* (the
-# zero-alloc JSON/binary batch decoders), BenchmarkQueryChurn (submit/
+# zero-alloc JSON/binary batch decoders), BenchmarkWALAppend/fsync=never
+# (one 64-observation record appended with no fsync: the WAL's encode and
+# write path alone), BenchmarkQueryChurn (submit/
 # delete/epoch cycles at 1k and 10k resident queries on shared subplans —
 # the rows guard the multi-query dedup win), BenchmarkResultFanout
 # (one 4096-tuple epoch into 1, 8 and 64 members of one subplan — the rows
@@ -24,26 +26,35 @@
 # wire.AppendJSONFloat renders with integer arithmetic, and on full-precision
 # floats, which it hands to strconv — the second row guards what a miss
 # costs), BenchmarkRecovery (crash recovery of a session 1k, 10k and 100k
-# epochs old; see "Age policy") and compares ns/op per sub-benchmark
-# against the one committed BENCH_*.json trajectory file, failing when
-# any sub-benchmark is more than BENCH_TOLERANCE_PCT percent slower
-# (default 15). Benchmarks present in only one side are reported and
-# skipped, so adding a benchmark before its first committed baseline is
-# safe.
+# epochs old; see "Age policy").
 #
-# Noise policy: contention on shared CI hardware is one-sided (it only
-# ever makes things slower), and over the full multi-minute suite it
-# routinely exceeds the tolerance on microsecond-scale benchmarks — the
-# later a benchmark runs, the more accumulated GC and cgroup-throttle
-# debt it inherits. So a miss in the full pass is not a verdict: every
-# benchmark that came in over budget is re-run focused (alone, best of
-# RETRY_COUNT short repetitions, near-idle process) and only a benchmark
-# that stays over its limit in its own dedicated run is a regression.
-# This compares capability — the fastest the code actually ran — the
-# same policy as shard_guard.sh.
+# Comparison: one thing changed. The test binaries of the base revision and
+# of the working tree are built once each (go test -c) and run alternately
+# on this host in ROUNDS rounds (default 5): in each round every guarded
+# benchmark runs on both sides back to back, which side goes first swapping
+# from benchmark to benchmark and round to round. A row is over budget in a
+# round when head's ns/op exceeds base's from the same round by more than
+# BENCH_TOLERANCE_PCT percent (default 15); it fails the pass only when it
+# is over budget in a majority of the rounds both sides ran it in. Load on the host moves both sides of a round, so no
+# committed baseline recorded on other hardware is needed: BENCH_*.json is
+# the trajectory record, not the comparison. Rows present on one side only
+# are reported and skipped, so adding a benchmark is safe.
 #
-#   scripts/bench_guard.sh                      # guard against the committed baseline
-#   BENCH_TOLERANCE_PCT=25 scripts/bench_guard.sh
+# Base revision: BENCH_BASE if set; otherwise HEAD when the working tree
+# differs from it (a change not yet committed is measured against its
+# parent), else HEAD^ (a commit, or a pull request's merge commit, against
+# its first parent — the merge base).
+#
+# Noise policy: contention on shared CI hardware is one-sided, and a
+# majority of rounds can still be unlucky for one microsecond-scale row. So
+# a failure in the full pass is not a verdict: every row that failed is
+# re-run focused (alone, RETRY_COUNT more alternating rounds of
+# RETRY_BENCHTIME each, after RETRY_COOLDOWN seconds), and only a row that
+# is over budget in a majority of its focused rounds is a regression.
+#
+#   scripts/bench_guard.sh                      # working tree against its base
+#   BENCH_BASE=origin/main scripts/bench_guard.sh
+#   BENCH_TOLERANCE_PCT=25 ROUNDS=7 BENCHTIME=1s scripts/bench_guard.sh
 #   RETRY_COUNT=7 RETRY_BENCHTIME=500ms RETRY_COOLDOWN=20 scripts/bench_guard.sh
 #
 # Disk policy: BenchmarkIngestDurable's push waits for one fsync (the
@@ -51,161 +62,189 @@
 # fsync latency on shared hardware moves by 2× between runs. It is guarded
 # as a ratio to BenchmarkWALAppend/fsync=always from the same run (one
 # append and one fsync per op): a slower disk moves both, a second fsync per
-# push or a slower push path moves only the first. The WALAppend rows are
-# that reference and are not guarded themselves.
+# push or a slower push path moves only the first. The other WALAppend rows
+# that fsync are not guarded themselves.
 #
 # Age policy: recovery restores a snapshot and replays at most about two
 # snapshot intervals, so it must cost the same however old the session is.
 # BenchmarkRecovery/age=100k is guarded as its ratio to the same run's
-# age=1k, against a fixed limit of 1.5 rather than the baseline; the other
+# age=1k, against a fixed limit of 1.5 rather than the base; the other
 # age rows are that reference and are not guarded themselves.
 #
-# GOMAXPROCS suffixes ("-8") are stripped before matching so baselines
-# recorded on different machines still line up. Benchmarks present in only
-# one side are reported and skipped.
+# GOMAXPROCS suffixes ("-8") are stripped before matching.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # One trajectory file: a PR that commits a new BENCH_<date>.json deletes the
-# one it supersedes (scripts/bench.sh), so there is no "newest" to pick.
-# Tracked files only: an untracked BENCH_<today>.json left by a local
-# scripts/bench.sh run is not a commit (outside git, every file counts).
-base=$(git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null || true)
-if [ -z "$base" ]; then
-    echo "bench_guard: no BENCH_*.json baseline committed; nothing to guard"
-    exit 0
-fi
-if [ "$(printf '%s\n' "$base" | wc -l)" -ne 1 ]; then
-    echo "bench_guard: exactly one BENCH_*.json may be committed, found" $base "— delete the superseded one(s)" >&2
+# one it supersedes (scripts/bench.sh).
+traj=$(git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null || true)
+if [ -n "$traj" ] && [ "$(printf '%s\n' "$traj" | wc -l)" -ne 1 ]; then
+    echo "bench_guard: exactly one BENCH_*.json may be committed, found" $traj "— delete the superseded one(s)" >&2
     exit 1
 fi
+
 tol="${BENCH_TOLERANCE_PCT:-15}"
-echo "bench_guard: comparing against $base (tolerance ${tol}%)"
-
-raw=$(mktemp) basevals=$(mktemp) curvals=$(mktemp) failing=$(mktemp) retryvals=$(mktemp)
-trap 'rm -f "$raw" "$basevals" "$curvals" "$failing" "$retryvals"' EXIT
-
-go test -run '^$' -bench 'BenchmarkEndToEnd|BenchmarkIngest|BenchmarkWALAppend|BenchmarkWire|BenchmarkQueryChurn|BenchmarkResultFanout|BenchmarkEpochFanout|BenchmarkMLE|BenchmarkFlattenSteady|BenchmarkEpochAssembly|BenchmarkTopologyConstruction|BenchmarkJSONLinesExport|BenchmarkRecovery' -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" . | tee "$raw"
-
-# Baseline pairs (name ns_per_op) from the JSON written by bench.sh.
-sed -n 's/.*"name": "\(Benchmark\(EndToEnd\|Ingest\|WALAppend\|Wire\|QueryChurn\|ResultFanout\|EpochFanout\|MLE\|FlattenSteady\|EpochAssembly\|TopologyConstruction\|JSONLinesExport\|Recovery\)[^"]*\)".*"ns_per_op": \([0-9.eE+]*\).*/\1 \3/p' "$base" \
-    | sed 's/-[0-9]* / /' > "$basevals"
-# Current pairs from the benchmark output, best ns/op per name.
-awk '/^Benchmark(EndToEnd|Ingest|WALAppend|Wire|QueryChurn|ResultFanout|EpochFanout|MLE|FlattenSteady|EpochAssembly|TopologyConstruction|JSONLinesExport|Recovery)/ {if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' "$raw" \
-    | sed 's/-[0-9]* / /' > "$curvals"
-
-if [ ! -s "$curvals" ]; then
-    echo "bench_guard: guarded benchmarks produced no results" >&2
-    exit 1
+rounds="${ROUNDS:-5}"
+if [ -n "${BENCH_BASE:-}" ]; then
+    base="$BENCH_BASE"
+elif git diff --quiet HEAD --; then
+    base=HEAD^
+else
+    base=HEAD
 fi
+base_rev=$(git rev-parse --verify --quiet "$base^{commit}") || {
+    echo "bench_guard: base revision $base not found (a shallow clone needs fetch-depth ≥ 2)" >&2
+    exit 1
+}
 
-# as_ratio file: replaces the IngestDurable row by its ratio to the file's
-# fsync reference and drops the WALAppend rows (see "Disk policy"), and
-# replaces the Recovery age=100k row by its ratio to age=1k and drops the
-# other Recovery rows (see "Age policy").
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git archive "$base_rev" | tar -x -C "$work/base"
+echo "bench_guard: building base $(git rev-parse --short "$base_rev") ($base) and head (working tree)"
+(cd "$work/base" && go test -c -o "$work/base.test" .)
+go test -c -o "$work/head.test" .
+declare -A dir=([base]="$work/base" [head]="$PWD")
+
+# The guarded benchmarks, one run per entry: a round runs each on both sides
+# back to back, so the two readings of a row are seconds apart.
+guarded=(EndToEnd Ingest WALAppend Wire QueryChurn ResultFanout EpochFanout MLE FlattenSteady EpochAssembly TopologyConstruction JSONLinesExport Recovery)
 durable=BenchmarkIngestDurable fsyncref=BenchmarkWALAppend/fsync=always
+walrow=BenchmarkWALAppend/fsync=never
 aged=BenchmarkRecovery/age=100k ageref=BenchmarkRecovery/age=1k
 age_limit=1.5
+
+# as_ratio: name-ns pairs in, guarded rows out — the IngestDurable row
+# replaced by its ratio to the fsync reference (see "Disk policy"), the
+# Recovery age=100k row by its ratio to age=1k (see "Age policy"), and the
+# other WALAppend and Recovery rows dropped.
 as_ratio() {
-    awk -v d="$durable" -v r="$fsyncref" -v a="$aged" -v ar="$ageref" '
+    awk -v d="$durable" -v r="$fsyncref" -v wr="$walrow" -v a="$aged" -v ar="$ageref" '
         $1 == r { ref = $2 }
         $1 == ar { aref = $2 }
-        $1 !~ /^Benchmark(WALAppend|Recovery)\// || $1 == a { name[++n] = $1; val[n] = $2 }
+        $1 !~ /^Benchmark(WALAppend|Recovery)\// || $1 == a || $1 == wr { name[++n] = $1; val[n] = $2 }
         END {
             for (i = 1; i <= n; i++) {
                 if (name[i] == d) { if (ref > 0) print d, val[i] / ref }
                 else if (name[i] == a) { if (aref > 0) print a, val[i] / aref }
                 else print name[i], val[i]
             }
-        }' "$1" > "$1.new"
-    mv "$1.new" "$1"
-}
-as_ratio "$basevals"
-as_ratio "$curvals"
-
-# over_budget basevals curvals -> lines "name cur_ns" for benchmarks past
-# their limit (benchmarks missing on either side are skipped here and
-# reported in the final verdict).
-over_budget() {
-    awk -v tol="$tol" -v a="$aged" -v al="$age_limit" '
-        FNR == NR { base[$1] = $2; next }
-        $1 == a { if ($2 > al) print $1, $2; next }
-        ($1 in base) && $2 > base[$1] * (1 + tol / 100) { print $1, $2 }
-    ' "$1" "$2"
+        }'
 }
 
-over_budget "$basevals" "$curvals" > "$failing"
+# run SIDE PATTERN BENCHTIME: one run of SIDE's binary from its own source
+# directory, as "name ns/op" lines.
+run() {
+    (cd "${dir[$1]}" && "$work/$1.test" -test.run '^$' -test.bench "$2" -test.benchtime "$3" -test.count 1 -test.timeout 30m) \
+        | awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); print $1, $3 }'
+}
 
-if [ -s "$failing" ]; then
-    echo "bench_guard: $(wc -l < "$failing") benchmark(s) over budget in the full pass; re-running each focused (best of ${RETRY_COUNT:-5})"
-    while read -r name _; do
-        # Let the cgroup's CPU burst budget refill after the long full
-        # pass — the retry must measure the benchmark, not the throttle
-        # debt the suite left behind.
-        sleep "${RETRY_COOLDOWN:-10}"
-        # The stored name has the GOMAXPROCS suffix stripped; turn it into
-        # a per-segment-anchored regex (escaping regex metacharacters like
-        # the '+' in "enqueue+drain") so exactly this benchmark re-runs.
-        pattern=$(printf '%s' "$name" | sed -e 's/[.[\*^$()+?{|]/\\&/g' -e 's|^|^|' -e 's|$|$|' -e 's|/|$/^|g')
-        if [ "$name" = "$durable" ]; then
-            pattern='^BenchmarkIngestDurable$|^BenchmarkWALAppend$/^fsync=always$'
-        fi
-        if [ "$name" = "$aged" ]; then
-            pattern='^BenchmarkRecovery$/^age=(1k|100k)$'
-        fi
-        bestline=$(go test -run '^$' -bench "$pattern" -benchtime "${RETRY_BENCHTIME:-300ms}" -count "${RETRY_COUNT:-5}" . \
-            | awk '$0 ~ /^Benchmark/ {sub(/-[0-9]+$/, "", $1); if (!($1 in best) || $3 < best[$1]) best[$1] = $3} END {for (n in best) print n, best[n]}' \
-            > "$retryvals"; as_ratio "$retryvals"; awk -v n="$name" '$1 == n' "$retryvals")
-        if [ -n "$bestline" ]; then
-            echo "bench_guard: retry ${bestline}"
-            awk -v repl="$bestline" 'BEGIN {split(repl, r, " ")} $1 == r[1] {if (r[2] + 0 < $2 + 0) $2 = r[2]} {print}' "$curvals" > "$curvals.new"
-            mv "$curvals.new" "$curvals"
-        else
-            echo "bench_guard: retry of $name produced no result (pattern $pattern)" >&2
-        fi
-    done < "$failing"
+# rounds_of BENCHTIME N PREFIX PATTERN...: N rounds of every pattern on both
+# sides, base first when round and pattern index add up even; each round
+# leaves its guarded rows in PREFIX.<i>.base and PREFIX.<i>.head.
+rounds_of() {
+    local bt=$1 n=$2 prefix=$3 i j side order pattern
+    shift 3
+    for i in $(seq 1 "$n"); do
+        : > "$prefix.raw.base"
+        : > "$prefix.raw.head"
+        j=0
+        for pattern in "$@"; do
+            order="base head"
+            [ $(((i + j) % 2)) -eq 1 ] && order="head base"
+            for side in $order; do
+                run "$side" "$pattern" "$bt" >> "$prefix.raw.$side"
+            done
+            j=$((j + 1))
+        done
+        as_ratio < "$prefix.raw.base" > "$prefix.$i.base"
+        as_ratio < "$prefix.raw.head" > "$prefix.$i.head"
+    done
+}
+
+# judge PREFIX N: per row, the rounds head was over budget in, out of the
+# rounds both sides ran it in, and the median head/base ratio; a line per
+# row: "<FAIL|ok> name misses rounds median".
+judge() {
+    local i
+    for i in $(seq 1 "$2"); do
+        awk -v i="$i" 'FNR == NR { base[$1] = $2; next } ($1 in base) { print $1, i, base[$1], $2 }' "$1.$i.base" "$1.$i.head"
+    done | awk -v tol="$tol" -v a="$aged" -v al="$age_limit" '
+        {
+            over = (($1 == a) ? $4 > al : $4 > $3 * (1 + tol / 100))
+            k = ++n[$1]; miss[$1] += over
+            r[$1, k] = ($1 == a) ? $4 : $4 / $3
+        }
+        END {
+            for (name in n) {
+                m = n[name]
+                for (x = 2; x <= m; x++) {
+                    v = r[name, x]
+                    for (y = x - 1; y >= 1 && r[name, y] > v; y--) r[name, y + 1] = r[name, y]
+                    r[name, y + 1] = v
+                }
+                med = (m % 2) ? r[name, (m + 1) / 2] : (r[name, m / 2] + r[name, m / 2 + 1]) / 2
+                print (2 * miss[name] > m ? "FAIL" : "ok"), name, miss[name], m, med
+            }
+        }' | sort -k2
+}
+
+echo "bench_guard: $rounds alternating rounds at ${BENCHTIME:-500ms} per row (tolerance ${tol}%)"
+rounds_of "${BENCHTIME:-500ms}" "$rounds" "$work/full" "${guarded[@]/#/^Benchmark}"
+judge "$work/full" "$rounds" > "$work/verdict"
+
+# Rows that only one side ran.
+for i in $(seq 1 "$rounds"); do cut -d' ' -f1 "$work/full.$i.base" "$work/full.$i.head"; done \
+    | sort | uniq -c | awk -v n="$((2 * rounds))" '$1 < n { print "bench_guard: " $2 " did not run on both sides every round; skipping" }'
+
+if [ ! -s "$work/verdict" ]; then
+    echo "bench_guard: no comparable benchmarks found" >&2
+    exit 1
 fi
 
-awk -v tol="$tol" -v d="$durable" -v a="$aged" -v al="$age_limit" '
-    FNR == NR { base[$1] = $2; next }
-    { cur[$1] = $2 }
-    END {
-        status = 0
-        checked = 0
-        for (n in cur) {
-            if (n == a) {
-                checked++
-                verdict = "ok"
-                if (cur[n] > al) {
-                    verdict = "REGRESSION"
-                    status = 1
-                }
-                printf "bench_guard: %s %s: %.3f × age=1k (limit %.2f)\n", verdict, n, cur[n], al
-                continue
-            }
-            if (!(n in base)) {
-                printf "bench_guard: %s has no baseline entry; skipping\n", n
-                continue
-            }
-            checked++
-            lim = base[n] * (1 + tol / 100)
-            if (n == d) {
-                verdict = "ok"
-                if (cur[n] > lim) {
-                    verdict = "REGRESSION"
-                    status = 1
-                }
-                printf "bench_guard: %s %s: %.3f × fsync (baseline %.3f, limit %.3f)\n", verdict, n, cur[n], base[n], lim
-            } else if (cur[n] > lim) {
-                printf "bench_guard: REGRESSION %s: %.0f ns/op > %.0f allowed (baseline %.0f, +%s%%)\n", n, cur[n], lim, base[n], tol
-                status = 1
-            } else {
-                printf "bench_guard: ok %s: %.0f ns/op (baseline %.0f)\n", n, cur[n], base[n]
-            }
-        }
-        if (checked == 0) {
-            print "bench_guard: no comparable benchmarks found" > "/dev/stderr"
-            status = 1
-        }
-        exit status
-    }' "$basevals" "$curvals"
+status=0
+while read -r verdict name misses m med <&3; do
+    if [ "$name" = "$aged" ]; then
+        what=$(printf '%.3f × age=1k (limit %.2f)' "$med" "$age_limit")
+    else
+        what=$(printf 'head/base %.3f' "$med")
+    fi
+    if [ "$verdict" = ok ]; then
+        echo "bench_guard: ok $name: $what, over budget in $misses of $m rounds"
+        continue
+    fi
+    echo "bench_guard: $name over budget in $misses of $m rounds ($what); re-running focused (${RETRY_COUNT:-5} rounds)"
+    # Let the cgroup's CPU burst budget refill after the long full pass —
+    # the retry must measure the benchmark, not the throttle debt the suite
+    # left behind.
+    sleep "${RETRY_COOLDOWN:-10}"
+    # A per-segment-anchored regex (escaping regex metacharacters like the
+    # '+' in "enqueue+drain"), so exactly this row re-runs.
+    pattern=$(printf '%s' "$name" | sed -e 's/[.[\*^$()+?{|]/\\&/g' -e 's|^|^|' -e 's|$|$|' -e 's|/|$/^|g')
+    if [ "$name" = "$durable" ]; then
+        pattern='^BenchmarkIngestDurable$|^BenchmarkWALAppend$/^fsync=always$'
+    fi
+    if [ "$name" = "$aged" ]; then
+        pattern='^BenchmarkRecovery$/^age=(1k|100k)$'
+    fi
+    rounds_of "${RETRY_BENCHTIME:-300ms}" "${RETRY_COUNT:-5}" "$work/retry" "$pattern"
+    line=$(judge "$work/retry" "${RETRY_COUNT:-5}" | awk -v n="$name" '$2 == n')
+    if [ -z "$line" ]; then
+        echo "bench_guard: REGRESSION $name: its focused retry produced no result (pattern $pattern)" >&2
+        status=1
+        continue
+    fi
+    read -r verdict _ misses m med <<< "$line"
+    if [ "$name" = "$aged" ]; then
+        what=$(printf '%.3f × age=1k (limit %.2f)' "$med" "$age_limit")
+    else
+        what=$(printf 'head/base %.3f' "$med")
+    fi
+    if [ "$verdict" = ok ]; then
+        echo "bench_guard: ok $name on retry: $what, over budget in $misses of $m rounds"
+    else
+        echo "bench_guard: REGRESSION $name: $what, over budget in $misses of $m focused rounds (limit +${tol}%)"
+        status=1
+    fi
+done 3< "$work/verdict"
+exit "$status"
