@@ -694,47 +694,64 @@ func fanoutForms() []query.Query {
 	return forms
 }
 
+// fanoutFixture builds the fabricator of bench/'s epoch_fanout workload: 512
+// resident queries — a full-region probe and 511 members cycling over
+// fanoutForms — inserted as Engine.Submit inserts them, through
+// Fabricator.InsertQuery, with 4096-tuple result stores (bench/'s in-process
+// twin still goes through InsertQueryMerge, which is the same call), on one
+// epoch worker.
+func fanoutFixture(b *testing.B) (*geom.Grid, *topology.Fabricator) {
+	grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fab, err := topology.New(grid, topology.Config{Workers: 1}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	forms := fanoutForms()
+	for i := 0; i < 512; i++ {
+		q := query.Query{Attr: "rain", Region: grid.Region(), Rate: 1}
+		if i > 0 {
+			q = forms[(i-1)%len(forms)]
+		}
+		if _, err := fab.InsertQuery(q, stream.NewResultStore(4096)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return grid, fab
+}
+
+// fanoutBatch is one (T, ID)-sorted 2048-tuple epoch of attr over grid's
+// region, drawn with seed, and its tuples' offsets for retime.
+func fanoutBatch(grid *geom.Grid, attr string, seed int64) (stream.Batch, []float64) {
+	batch := benchBatch(2048, seed)
+	batch.Attr = attr
+	batch.Window.Rect = grid.Region()
+	for j := range batch.Tuples {
+		tp := &batch.Tuples[j]
+		tp.Attr, tp.X, tp.Y = attr, 2*tp.X, 2*tp.Y
+	}
+	stream.SortTuples(batch.Tuples)
+	return batch, fracs(batch)
+}
+
 // BenchmarkEpochFanout is the epoch of bench/'s epoch_fanout workload without
-// the daemon around it: 512 resident queries — a full-region probe and 511
-// members cycling over fanoutForms — inserted as Engine.Submit inserts them,
-// through Fabricator.InsertQuery, with 4096-tuple result stores (bench/'s
-// in-process twin still goes through InsertQueryMerge, which is the same
-// call) — and per op one (T, ID)-sorted 2048-tuple batch
-// for each of the two attributes through Fabricator.Ingest on one worker,
-// which runs the compiled position program, merge phase included. It must
-// stay at 0 allocs/op. Guarded by scripts/bench_guard.sh.
+// the daemon around it (fanoutFixture), per op one (T, ID)-sorted 2048-tuple
+// batch for each of the two attributes through Fabricator.Ingest, which runs
+// the compiled position program, merge phase included. program re-times the
+// same two batches every epoch, so every fit's warm start is already its
+// optimum; fresh takes the next of 16 independent draws per attribute each
+// epoch, as a session's epochs arrive, so fits iterate as the daemon's do —
+// passes/fit is their mean cost, read from the F-operators' reports. Both
+// must stay at 0 allocs/op. Guarded by scripts/bench_guard.sh.
 func BenchmarkEpochFanout(b *testing.B) {
 	b.Run("program", func(b *testing.B) {
-		grid, err := geom.NewGrid(geom.NewRect(0, 0, 8, 8), 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fab, err := topology.New(grid, topology.Config{Workers: 1}, stats.NewRNG(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		forms := fanoutForms()
-		for i := 0; i < 512; i++ {
-			q := query.Query{Attr: "rain", Region: grid.Region(), Rate: 1}
-			if i > 0 {
-				q = forms[(i-1)%len(forms)]
-			}
-			if _, err := fab.InsertQuery(q, stream.NewResultStore(4096)); err != nil {
-				b.Fatal(err)
-			}
-		}
+		grid, fab := fanoutFixture(b)
 		var batches [2]stream.Batch
 		var fr [2][]float64
 		for i, attr := range []string{"rain", "temp"} {
-			batch := benchBatch(2048, int64(3+i))
-			batch.Attr = attr
-			batch.Window.Rect = grid.Region()
-			for j := range batch.Tuples {
-				tp := &batch.Tuples[j]
-				tp.Attr, tp.X, tp.Y = attr, 2*tp.X, 2*tp.Y
-			}
-			stream.SortTuples(batch.Tuples)
-			batches[i], fr[i] = batch, fracs(batch)
+			batches[i], fr[i] = fanoutBatch(grid, attr, int64(3+i))
 		}
 		epoch := func(e int) {
 			for i := range batches {
@@ -757,6 +774,51 @@ func BenchmarkEpochFanout(b *testing.B) {
 			b.Fatalf("fixture drifted from the workload's shape: %+v", st)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/tuple")
+	})
+	b.Run("fresh", func(b *testing.B) {
+		grid, fab := fanoutFixture(b)
+		const draws = 16
+		var batches [2][draws]stream.Batch
+		var fr [2][draws][]float64
+		for i, attr := range []string{"rain", "temp"} {
+			for k := range batches[i] {
+				batches[i][k], fr[i][k] = fanoutBatch(grid, attr, int64(100+draws*i+k))
+			}
+		}
+		epoch := func(e int) {
+			for i := range batches {
+				k := e % draws
+				retime(&batches[i][k], fr[i][k], float64(e))
+				if err := fab.Ingest(batches[i][k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for e := 0; e < 8; e++ {
+			epoch(e) // compile, warm the estimators and the scratch
+		}
+		passes, fits := 0, 0
+		tally := func(_ topology.Key, rep pmat.ViolationReport) {
+			if rep.FitPasses > 0 {
+				passes += int(rep.FitPasses)
+				fits++
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			epoch(8 + i)
+			fab.VisitLastReports(tally)
+		}
+		b.StopTimer()
+		if st := fab.SharedStats(); st.Queries != 512 || st.Subplans != 65 {
+			b.Fatalf("fixture drifted from the workload's shape: %+v", st)
+		}
+		if fits == 0 {
+			b.Fatal("no F-operator fitted a batch")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/tuple")
+		b.ReportMetric(float64(passes)/float64(fits), "passes/fit")
 	})
 }
 

@@ -8,12 +8,20 @@
 // (Bottou-style decaying step sizes), which experiment E9 compares with it
 // through FitSGD. Neither takes options: the iteration bound, tolerance,
 // step sizes and rate floor are the package's constants.
+//
+// A fit's cost is its passes over the batch. A pass computes every point's
+// reciprocal rate in a Go loop and then sums the rows (1, u, v, w) at those
+// rates into the gradient and the Hessian; on amd64 CPUs with AVX2 an
+// assembly kernel does the summing, four sums to a register, with the same
+// products added in the same order as the Go loop that runs everywhere else,
+// so every fit is the same bits on either.
 package estimate
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/intensity"
@@ -109,29 +117,41 @@ func newFrame(w geom.Window) (frame, error) {
 	return f, nil
 }
 
-// points is the solver's view of a batch: every point's coordinates in the
-// window's centred frame — t, x, y measured from the centre in half-widths —
-// as three columns, normalised once per fit. A pass reads 24 bytes per point
-// and nothing else, wherever the points came from.
+// points is the solver's view of a batch: one row (1, u, v, w) per point —
+// t, x, y measured from the window's centre in half-widths, after the
+// constant feature — normalised once per fit, and a column that receives
+// the reciprocal rates of a pass when the caller keeps none of its own. A
+// pass reads 32 bytes per point and nothing else, wherever the points came
+// from, and the row is the feature vector f_i its sums are built from.
 type points struct {
-	u, v, w []float64
+	rows  [][4]float64
+	rates []float64
 }
 
-// borrowPoints returns the columns of n points, carved out of one borrowed
-// buffer the caller releases after the fit.
-func borrowPoints(n int) (points, *stream.FloatBuffer) {
-	buf := stream.BorrowFloats(3 * n)
-	return points{u: buf.Vals[:n], v: buf.Vals[n : 2*n], w: buf.Vals[2*n:]}, buf
+// pointsPool recycles the rows and rate columns of finished fits.
+var pointsPool = sync.Pool{New: func() any { return new(points) }}
+
+// borrowPoints returns room for n points; the caller releases it after the
+// fit.
+func borrowPoints(n int) *points {
+	p := pointsPool.Get().(*points)
+	if cap(p.rows) < n {
+		p.rows, p.rates = make([][4]float64, n), make([]float64, n)
+	}
+	p.rows, p.rates = p.rows[:n], p.rates[:n]
+	return p
 }
 
-func (p points) len() int { return len(p.u) }
+func (p *points) release() { pointsPool.Put(p) }
+
+func (p points) len() int { return len(p.rows) }
 
 // set stores the point (t, x, y) as point i, in fr's coordinates.
 func (p points) set(i int, fr *frame, t, x, y float64) {
-	p.u[i], p.v[i], p.w[i] = (t-fr.ct)*fr.st, (x-fr.cx)*fr.sx, (y-fr.cy)*fr.sy
+	p.rows[i] = [4]float64{1, (t - fr.ct) * fr.st, (x - fr.cx) * fr.sx, (y - fr.cy) * fr.sy}
 }
 
-// setEvents fills the columns from events (len p.len()).
+// setEvents fills the rows from events (len p.len()).
 func (p points) setEvents(fr *frame, events []mdpp.Event) {
 	for i := range events {
 		e := &events[i]
@@ -139,7 +159,7 @@ func (p points) setEvents(fr *frame, events []mdpp.Event) {
 	}
 }
 
-// setTuples fills the columns from tuples (len p.len()).
+// setTuples fills the rows from tuples (len p.len()).
 func (p points) setTuples(fr *frame, tuples []stream.Tuple) {
 	for i := range tuples {
 		tp := &tuples[i]
@@ -157,50 +177,38 @@ type sums struct {
 	low bool
 }
 
+// chunk bounds the points one accumulate call sums: the kernel is assembly,
+// which the scheduler cannot preempt, so a huge batch is summed in slices.
+const chunk = 4096
+
 // pass evaluates the batch at c. inv, when non-nil, receives 1/λ_i for every
 // point (clamped rates included), so the last pass of a fit leaves the
-// reciprocal rates of the returned optimum behind.
+// reciprocal rates of the returned optimum behind. A Go loop computes the
+// rates, slice by slice, and accumulate sums each slice's rows with them.
 func (p points) pass(c Centred, floor float64, inv []float64) sums {
-	var g0, g1, g2, g3 float64
-	var h00, h01, h02, h03, h11, h12, h13, h22, h23, h33 float64
-	low := false
-	us, vs, ws := p.u, p.v[:len(p.u)], p.w[:len(p.u)]
+	var s sums
+	rates := p.rates
 	if inv != nil {
-		inv = inv[:len(us)]
+		rates = inv
 	}
-	for i, u := range us {
-		v, w := vs[i], ws[i]
-		lam := c[0] + c[1]*u + c[2]*v + c[3]*w
-		if !(lam >= floor) {
-			low = true
-			lam = floor
+	rates = rates[:len(p.rows)]
+	low := false
+	for lo := 0; lo < len(p.rows); lo += chunk {
+		rows := p.rows[lo:min(lo+chunk, len(p.rows))]
+		rs := rates[lo : lo+len(rows)]
+		for i := range rows {
+			row := &rows[i]
+			lam := c[0] + c[1]*row[1] + c[2]*row[2] + c[3]*row[3]
+			if !(lam >= floor) {
+				low = true
+				lam = floor
+			}
+			rs[i] = 1 / lam
 		}
-		r := 1 / lam
-		if inv != nil {
-			inv[i] = r
-		}
-		q := r * r
-		uq, vq, wq := u*q, v*q, w*q
-		g0 += r
-		g1 += u * r
-		g2 += v * r
-		g3 += w * r
-		h00 += q
-		h01 += uq
-		h02 += vq
-		h03 += wq
-		h11 += u * uq
-		h12 += u * vq
-		h13 += u * wq
-		h22 += v * vq
-		h23 += v * wq
-		h33 += w * wq
+		accumulate(&s.g, &s.h, rows, rs)
 	}
-	return sums{
-		g:   [4]float64{g0, g1, g2, g3},
-		h:   [10]float64{h00, h01, h02, h03, h11, h12, h13, h22, h23, h33},
-		low: low,
-	}
+	s.low = low
+	return s
 }
 
 // newtonStep solves (−H)·δ = g by Cholesky factorization and returns δ with
@@ -379,8 +387,8 @@ func FitMLE(events []mdpp.Event, w geom.Window) (Result, error) {
 	if len(events) < 4 {
 		return Result{}, errors.New("estimate: FitMLE requires at least 4 events")
 	}
-	p, buf := borrowPoints(len(events))
-	defer buf.Release()
+	p := borrowPoints(len(events))
+	defer p.release()
 	p.setEvents(&fr, events)
 	f := p.solve(fr.vol, nil, maxIter, nil)
 	return Result{Theta: f.c.Theta(w), Iterations: f.iterations, Converged: f.converged}, nil
@@ -411,8 +419,8 @@ func FitBatch(tuples []stream.Tuple, w geom.Window, warm *Centred, inv []float64
 	if n < 4 {
 		return BatchFit{}, errors.New("estimate: FitBatch requires at least 4 tuples")
 	}
-	p, buf := borrowPoints(n)
-	defer buf.Release()
+	p := borrowPoints(n)
+	defer p.release()
 	p.setTuples(&fr, tuples)
 	f := p.solve(fr.vol, warm, maxIter, inv)
 	return BatchFit{

@@ -14,7 +14,7 @@ import (
 // of its own.
 func eventPoints(fr *frame, ev []mdpp.Event) points {
 	n := len(ev)
-	p := points{u: make([]float64, n), v: make([]float64, n), w: make([]float64, n)}
+	p := points{rows: make([][4]float64, n), rates: make([]float64, n)}
 	p.setEvents(fr, ev)
 	return p
 }

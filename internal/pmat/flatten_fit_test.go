@@ -2,6 +2,7 @@ package pmat
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -208,5 +209,69 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 	}
 	if th, ok := warmTheta(f); !ok || th[1] < 20 {
 		t.Fatalf("warm θ = %v, %v after refitting the rising batch", th, ok)
+	}
+}
+
+// TestSteadyFlattenAllocatesNothing: from its second batch on, an F-operator
+// fed fresh tuples on a moving window allocates nothing — across the 512
+// batches its report ring takes to fill and past the wrap. It runs
+// ProcessFused, as the compiled epoch program does.
+func TestSteadyFlattenAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch")
+	}
+	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 4, 4)}
+	lin := intensity.NewLinear(intensity.Theta{100, 40, 10, -5})
+	batches := make([]stream.Batch, 16)
+	offsets := make([][]float64, len(batches))
+	for k := range batches {
+		batches[k] = inhomogeneousBatch(t, lin, w, int64(k+1))
+		// The largest batch goes first: the pooled scratch grows to the
+		// largest batch it has seen, which is not the waste measured here.
+		if len(batches[k].Tuples) > len(batches[0].Tuples) {
+			batches[0], batches[k] = batches[k], batches[0]
+		}
+	}
+	for k := range batches {
+		for _, tp := range batches[k].Tuples {
+			offsets[k] = append(offsets[k], tp.T-w.T0)
+		}
+	}
+	f, err := NewFlatten("f", FlattenConfig{TargetRate: 20}, stats.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := make([]bool, len(batches[0].Tuples))
+	kept := 0
+	step := func(e int) {
+		b := &batches[e%len(batches)]
+		b.Window.T0, b.Window.T1 = float64(e), float64(e+1)
+		for i, off := range offsets[e%len(batches)] {
+			b.Tuples[i].T = float64(e) + off
+		}
+		n, err := f.ProcessFused(*b, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept += n
+	}
+	// One P, set before the first batch: a sync.Pool reallocates its per-P
+	// slots when GOMAXPROCS changes.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	step(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for e := 1; e < 600; e++ {
+		step(e)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("batches 2–600 allocated %d times, want 0", n)
+	}
+	if rep := f.LastReport(); rep.Batch != 600 || rep.FitIterations == 0 || int(rep.FitPasses) <= rep.FitIterations {
+		t.Fatalf("last report %+v: want the 600th batch, fitted", rep)
+	}
+	if kept == 0 {
+		t.Fatal("nothing survived; the measurement is vacuous")
 	}
 }
