@@ -1287,7 +1287,12 @@ func BenchmarkIngest(b *testing.B) {
 // the ordering pass's worst case on the 4096x2attr shape: the same
 // thousandths squeezed into the first 2⁻¹³ of the epoch, with one tuple per
 // attribute at three quarters of it, so each run's counting pass puts all but
-// one key into a single bucket and a nested pass orders them.
+// one key into a single bucket and a nested pass orders them. Those rows
+// start at epoch 1, where 16384x1attr's first three windows are too wide for
+// a time offset and 14 index bits to share one word, so they take the 16-byte
+// keys. The two @5000 rows are 16384x1attr and 4096x2attr at the epochs the
+// end-to-end benchmark's sessions reach, T = 5000 + e + k/1000, where every
+// epoch takes the word.
 func BenchmarkEpochAssembly(b *testing.B) {
 	region := geom.NewRect(0, 0, 8, 8)
 	attrs := []string{"rain", "temp", "wind", "co2", "no2", "pm10", "pm25", "o3"}
@@ -1295,9 +1300,12 @@ func BenchmarkEpochAssembly(b *testing.B) {
 		name                 string
 		n, frames, attrs     int
 		presorted, onebucket bool
+		at                   float64 // the first epoch's start is at+1
 	}{
 		{name: "16384x1attr", n: 16384, frames: 64, attrs: 1},
+		{name: "16384x1attr@5000", n: 16384, frames: 64, attrs: 1, at: 5000},
 		{name: "4096x2attr", n: 4096, frames: 1, attrs: 2},
+		{name: "4096x2attr@5000", n: 4096, frames: 1, attrs: 2, at: 5000},
 		{name: "4096x8attr", n: 4096, frames: 1, attrs: 8},
 		{name: "presorted", n: 4096, frames: 1, attrs: 1, presorted: true},
 		{name: "onebucket", n: 4096, frames: 1, attrs: 2, onebucket: true},
@@ -1332,7 +1340,7 @@ func BenchmarkEpochAssembly(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				epoch := float64(i + 1)
+				epoch := shape.at + float64(i+1)
 				for j := range tuples {
 					tuples[j].ID = uint64(i*shape.n + j + 1)
 					tuples[j].T = epoch + frac[j]

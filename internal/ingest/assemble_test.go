@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -157,7 +158,7 @@ func sameEpoch(a, b map[string]stream.Batch) error {
 // target maps its arguments onto the same struct.
 // tModes and idModes are the numbers of event-time and ID shapes genEpoch
 // knows.
-const tModes, idModes = 8, 9
+const tModes, idModes = 9, 9
 
 type assemblyCase struct {
 	seed   int64
@@ -166,6 +167,8 @@ type assemblyCase struct {
 	tMode  uint8 // event-time shape, see genEpoch
 	idMode uint8 // ID shape, see genEpoch
 	late   LatePolicy
+	base   float64 // the run's epochs are [base+k, base+k+1) for k in −3..2
+	pushes int     // pushes per epoch; 0 splits each epoch at random
 }
 
 // genEpoch builds the pushes of the epoch [e, e+1): n tuples split into a
@@ -177,8 +180,9 @@ type assemblyCase struct {
 // same T up to its low mantissa byte (one bucket, the first tuple's bucket
 // aside), 6 splits T into two clusters 2⁴⁰ ulps apart with a few ulps of
 // jitter each, 7 draws T from the subnormals, ±0 and the ulps next to the
-// epoch's bounds. idMode 0 assigns ascending IDs, 1 descending, 2 shuffled, 3
-// leaves them to the gateway, 4 mixes gateway and producer IDs. The rest are
+// epoch's bounds. 8 is the end-to-end benchmark's corpus: T = e + k/1000
+// for k drawn from 0..999. idMode 0 assigns ascending IDs, 1 descending, 2
+// shuffled, 3 leaves them to the gateway, 4 mixes gateway and producer IDs. The rest are
 // built against the duplicate window: 5 redelivers the ID one and three
 // tuples back (in the same batch or an earlier one) and the previous epoch's
 // last ID, 6
@@ -222,6 +226,8 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 			default:
 				t = e + float64(rng.Intn(4))/4
 			}
+		case 8:
+			t = e + float64(rng.Intn(1000))/1000
 		}
 		tuples[i] = stream.Tuple{
 			Attr:   fmt.Sprintf("a%02d", rng.Intn(c.attrs)),
@@ -283,6 +289,9 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 	var batches [][]stream.Tuple
 	for len(tuples) > 0 {
 		k := 1 + rng.Intn(len(tuples))
+		if c.pushes > 0 {
+			k = min(len(tuples), (c.n+c.pushes-1)/c.pushes)
+		}
 		batches = append(batches, tuples[:k])
 		tuples = tuples[k:]
 	}
@@ -290,9 +299,9 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 }
 
 // checkAssembly drives a Queue + QueueSource and the model + oracle through
-// the same pushes over several epochs (starting below zero, so negative
-// event times and the ±0 boundary are always in play) and fails on the first
-// ack or epoch that differs.
+// the same pushes over six epochs around c.base (with base 0 they start
+// below zero, so negative event times and the ±0 boundary are in play) and
+// fails on the first ack or epoch that differs.
 func checkAssembly(c assemblyCase) error {
 	region := geom.NewRect(0, 0, 8, 8)
 	q := NewQueue(Config{Late: c.late, Region: region, Buffer: 1 << 20})
@@ -303,7 +312,7 @@ func checkAssembly(c assemblyCase) error {
 	model := newQueueModel(c.late)
 	rng := rand.New(rand.NewSource(c.seed))
 	nextID := uint64(0)
-	for e := -3.0; e < 3; e++ {
+	for e := c.base - 3; e < c.base+3; e++ {
 		for i, batch := range genEpoch(rng, c, e, &nextID) {
 			ack, err := q.Push(batch, math.NaN())
 			if err != nil {
@@ -354,30 +363,145 @@ func TestEpochAssemblyMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	// Far from zero, where the word path runs: the benchmark corpus's shape at
+	// its sizes (64 pushes of 256, one push of two interleaved attributes);
+	// windows on both sides of 4096 = 2¹², the exponent step; T = t0 and
+	// T = Nextafter(t1, t0) (tMode 7); carry-over below t0, which the words
+	// cannot order; gateway and mixed IDs; and, near zero, n on both sides
+	// of the point where the offset's bits and the index bits fill the word
+	// — 4096/4097 over [1, 2), 16384/16385 over [4, 8).
+	for _, c := range []assemblyCase{
+		{n: 16384, attrs: 1, tMode: 8, base: 5000, pushes: 64},
+		{n: 4096, attrs: 2, tMode: 8, base: 5000, pushes: 1},
+		{n: 4096, attrs: 2, tMode: 8, idMode: 3, base: 4096},
+		{n: 1000, attrs: 3, tMode: 7, base: 4096},
+		{n: 1000, attrs: 3, tMode: 7, idMode: 2, base: 4096, late: LateNextEpoch},
+		{n: 1000, attrs: 2, tMode: 3, base: 5000, late: LateNextEpoch},
+		{n: 1000, attrs: 2, tMode: 8, idMode: 4, base: 5000},
+		{n: 1000, attrs: linearAttrs + 8, tMode: 1, idMode: 1, base: -5000},
+		{n: 4096, attrs: 1, base: 0},
+		{n: 4097, attrs: 1, base: 0},
+		{n: 16384, attrs: 1, base: 5, pushes: 64},
+		{n: 16385, attrs: 2, base: 5, pushes: 64},
+	} {
+		c.seed = seed
+		seed++
+		if err := checkAssembly(c); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	}
+}
+
+// TestWordFitBoundary pins where the word path ends and the 16-byte keys
+// take over, on both sides, against a stable (T, ID) sort. Times spread over
+// [1, 2) reach the window's last instant, whose offset needs all 52
+// mantissa bits and leaves 12 for the index: 4096 tuples fit and 4097 do
+// not; over [4, 5) 50 bits leave 14, so 16384 fit and 16385 do not. Equal
+// IDs fit (arrival order breaks the T-ties); mixed gateway and producer IDs
+// and a T below t0 do not; every T at t0 is an empty offset. Times that rise
+// strictly in arrival order take the words whatever the IDs, the window or
+// t0. Which path ran shows in whether the fallback's keys were ever grown.
+func TestWordFitBoundary(t *testing.T) {
+	ascending := func(i int) uint64 { return uint64(i + 1) }
+	for _, c := range []struct {
+		name string
+		t0   float64
+		n    int
+		id   func(i int) uint64
+		t    func(rng *rand.Rand, i, n int, t0 float64) float64
+		word bool
+	}{
+		{"n=4096@1", 1, 4096, ascending, nil, true},
+		{"n=4097@1", 1, 4097, ascending, nil, false},
+		{"n=16384@4", 4, 16384, ascending, nil, true},
+		{"n=16385@4", 4, 16385, ascending, nil, false},
+		{"equalIDs@5000", 5000, 3000, func(int) uint64 { return 7 }, nil, true},
+		{"mixedIDs@5000", 5000, 3000, func(i int) uint64 {
+			if i%3 == 0 {
+				return GatewayIDBase | uint64(i)
+			}
+			return uint64(i + 1)
+		}, nil, false},
+		{"below@5000", 5000, 3000, ascending, func(rng *rand.Rand, i, n int, t0 float64) float64 {
+			if i == n/3 {
+				return math.Nextafter(t0, 0)
+			}
+			return t0 + float64(rng.Intn(1000))/1000
+		}, false},
+		{"allAtT0@5000", 5000, 3000, ascending, func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 }, true},
+		{"rising/descendingIDs/from-below@1", 1, 5000, func(i int) uint64 { return uint64(5000 - i) },
+			func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 - 0.5 + float64(i)/float64(n) }, true},
+	} {
+		rng := rand.New(rand.NewSource(int64(c.n)))
+		src := make([]stream.Tuple, c.n)
+		for i := range src {
+			src[i] = stream.Tuple{ID: c.id(i), Attr: [2]string{"rain", "temp"}[i%2], X: 1, Y: 1}
+			if c.t != nil {
+				src[i].T = c.t(rng, i, c.n, c.t0)
+			} else {
+				src[i].T = c.t0 + float64(rng.Intn(1000))/1000
+				if i == c.n/2 {
+					src[i].T = math.Nextafter(c.t0+1, c.t0) // the widest offset in the window
+				}
+			}
+		}
+		var a assembler
+		a.orderKeys(src, c.t0)
+		got := a.gather(nil, src)
+		want := slices.Clone(src)
+		slices.SortStableFunc(want, func(x, y stream.Tuple) int {
+			if c := cmp.Compare(x.Attr, y.Attr); c != 0 {
+				return c
+			}
+			return stream.CompareTuples(x, y)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: assembly order differs from a stable (attribute, T, ID) sort", c.name)
+		}
+		if word := a.keys == nil; word != c.word {
+			t.Fatalf("%s: word path %v, want %v", c.name, word, c.word)
+		}
+	}
 }
 
 // FuzzEpochAssembly lets the fuzzer pick the case; the seed corpus is the
-// corner of the property test's matrix each mode first appears in.
+// corner of the property test's matrix each mode first appears in, plus the
+// shapes the word path turns on.
 func FuzzEpochAssembly(f *testing.F) {
 	for mode := uint8(0); mode < 5; mode++ {
-		f.Add(int64(mode)+1, uint16(200), uint8(3), mode, mode, mode%2 == 0)
+		f.Add(int64(mode)+1, uint16(200), uint8(3), mode, mode, mode%2 == 0, int16(0))
 	}
-	f.Add(int64(99), uint16(2000), uint8(linearAttrs+3), uint8(3), uint8(4), true)
+	f.Add(int64(99), uint16(2000), uint8(linearAttrs+3), uint8(3), uint8(4), true, int16(0))
 	// The bucket pass's corners: one bucket, two far clusters, the subnormals
-	// and ±0, at run sizes either side of insertionBound and at the largest
-	// epoch the target builds (one attribute: a 4096-key run, 12 bucket bits).
+	// and ±0, at run sizes either side of insertionBound and at a 4096-key run
+	// (one attribute: 12 bucket bits).
 	for i, n := range []uint16{0, 1, insertionBound - 2, insertionBound - 1, insertionBound, 3 * insertionBound, 4095} {
 		for tMode := uint8(5); tMode < tModes; tMode++ {
-			f.Add(int64(100+i), n, uint8(i%2), tMode, uint8(i)%5, i%2 == 0)
+			f.Add(int64(100+i), n, uint8(i%2), tMode, uint8(i)%5, i%2 == 0, int16(0))
 		}
 	}
 	// The duplicate window's shapes: redelivery, IDs that stop ascending,
 	// pending IDs across a partial drain, and IDs around 2⁶³.
 	for mode := uint8(5); mode < idModes; mode++ {
-		f.Add(int64(mode)+1, uint16(200), uint8(2), mode%tModes, mode, mode%2 == 0)
+		f.Add(int64(mode)+1, uint16(200), uint8(2), mode%tModes, mode, mode%2 == 0, int16(0))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, attrs, tMode, idMode uint8, lateNext bool) {
-		c := assemblyCase{seed: seed, n: 1 + int(n)%4096, attrs: 1 + int(attrs)%40, tMode: tMode, idMode: idMode}
+	// The word path's edges (see TestEpochAssemblyMatchesOracle): the
+	// benchmark corpus's shape far from zero, up to 16384 tuples; windows
+	// either side of 4096 = 2¹²; T = t0 and Nextafter(t1, t0); carry-over
+	// below t0; gateway and mixed IDs; and n either side of the point where
+	// the offset's bits and the index bits fill the word.
+	f.Add(int64(200), uint16(16383), uint8(0), uint8(8), uint8(0), false, int16(5000))
+	f.Add(int64(201), uint16(4095), uint8(1), uint8(8), uint8(0), false, int16(5000))
+	f.Add(int64(202), uint16(4095), uint8(1), uint8(8), uint8(3), false, int16(4096))
+	f.Add(int64(203), uint16(999), uint8(2), uint8(7), uint8(0), false, int16(4096))
+	f.Add(int64(204), uint16(999), uint8(1), uint8(3), uint8(0), true, int16(5000))
+	f.Add(int64(205), uint16(999), uint8(1), uint8(8), uint8(4), false, int16(-5000))
+	f.Add(int64(206), uint16(4095), uint8(0), uint8(0), uint8(0), false, int16(0))
+	f.Add(int64(207), uint16(4096), uint8(0), uint8(0), uint8(0), false, int16(0))
+	f.Add(int64(208), uint16(16383), uint8(0), uint8(0), uint8(0), false, int16(5))
+	f.Add(int64(209), uint16(16384), uint8(1), uint8(0), uint8(0), false, int16(5))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, attrs, tMode, idMode uint8, lateNext bool, base int16) {
+		c := assemblyCase{seed: seed, n: 1 + int(n)%(1<<15), attrs: 1 + int(attrs)%40, tMode: tMode, idMode: idMode, base: float64(base)}
 		if lateNext {
 			c.late = LateNextEpoch
 		}
@@ -513,6 +637,90 @@ func TestRadixSortKeysShapes(t *testing.T) {
 	}
 }
 
+// TestRadixSortWordsShapes drives the word path's ordering pass alone the
+// way TestRadixSortKeysShapes drives the 16-byte one: packed words (a time
+// offset above an arrival index, so all distinct) whose offsets spread, sit
+// in one bucket but for a straggler, form two far clusters, nest a bucket
+// past insertionBound per pass, tie (only the index varies), descend or fill
+// the word, at sizes around insertionBound and the counting pass's 12-bit
+// cap, and a run where one bucket holds exactly insertionBound words or one
+// more. It compares with a comparison sort.
+func TestRadixSortWordsShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	shapes := []struct {
+		name string
+		off  func(i, n int, s uint) uint64
+	}{
+		{"spread", func(i, n int, s uint) uint64 { return uint64(rng.Intn(1000)) << 30 }},
+		{"onebucket", func(i, n int, s uint) uint64 {
+			if i == n/2 {
+				return 1 << 40
+			}
+			return uint64(rng.Intn(256))
+		}},
+		{"twoclusters", func(i, n int, s uint) uint64 { return uint64(rng.Intn(2))<<40 + uint64(rng.Intn(64)) }},
+		{"nested", func(i, n int, s uint) uint64 {
+			if i < 4 {
+				return 1 << (47 - 11*uint(i))
+			}
+			return uint64(rng.Intn(8))
+		}},
+		{"ties", func(i, n int, s uint) uint64 { return 5 }},
+		{"descending", func(i, n int, s uint) uint64 { return uint64(n-i) << 20 }},
+		{"fullwidth", func(i, n int, s uint) uint64 { return rng.Uint64() >> s }},
+	}
+	sizes := []int{1, 2, 3, insertionBound - 1, insertionBound, insertionBound + 1,
+		3 * insertionBound, 1<<maxBucketBits - 1, 1 << maxBucketBits, 1<<maxBucketBits + 1, 3 << maxBucketBits}
+	var a assembler
+	check := func(name string, words []uint64) {
+		t.Helper()
+		var diff uint64
+		for _, w := range words {
+			diff |= w ^ words[0]
+		}
+		want := slices.Clone(words)
+		slices.Sort(want)
+		if diff != 0 {
+			a.radixSortWords(words, make([]uint64, len(words)), diff, 0)
+		}
+		if !slices.Equal(words, want) {
+			t.Fatalf("%s n=%d: words out of order", name, len(words))
+		}
+	}
+	for _, shape := range shapes {
+		for _, n := range sizes {
+			s := uint(bits.Len(uint(n - 1)))
+			words := make([]uint64, n)
+			for i := range words {
+				words[i] = shape.off(i, n, s)<<s | uint64(i)
+			}
+			check(shape.name, words)
+		}
+	}
+	// The sweep/nested boundary on 1024 words: every bucket of the 10-bit
+	// digit holds one word except one that holds insertionBound or one more.
+	const n = 1 << 10
+	for _, size := range []int{insertionBound, insertionBound + 1} {
+		for _, digit := range []uint64{0, n / 2, n - 1} {
+			offs := make([]uint64, 0, n)
+			for _, d := range rng.Perm(n) {
+				if uint64(d) != digit && len(offs) < n-size {
+					offs = append(offs, uint64(d)<<20|uint64(rng.Intn(1<<20)))
+				}
+			}
+			for range size {
+				offs = append(offs, digit<<20|uint64(rng.Intn(16)))
+			}
+			words := make([]uint64, n)
+			for i, o := range offs {
+				words[i] = o<<10 | uint64(i)
+			}
+			rng.Shuffle(n, func(i, j int) { words[i], words[j] = words[j], words[i] })
+			check(fmt.Sprintf("bucket=%d@digit%d", size, digit), words)
+		}
+	}
+}
+
 // TestOrderKeysIDPhase pins the pair order where T says nothing: every tuple
 // at one instant, IDs descending (or shuffled), two attributes interleaved —
 // so the T passes must leave the ID phase's order alone and the remembered
@@ -529,7 +737,7 @@ func TestOrderKeysIDPhase(t *testing.T) {
 				rng.Shuffle(n, func(i, j int) { src[i].ID, src[j].ID = src[j].ID, src[i].ID })
 			}
 			var a assembler
-			a.orderKeys(src)
+			a.orderKeys(src, 2)
 			got := a.gather(nil, src)
 			want := slices.Clone(src)
 			slices.SortStableFunc(want, func(x, y stream.Tuple) int {

@@ -9,7 +9,7 @@ import (
 
 // QueueSource assembles the observations pushed into a queue into epochs.
 // Everything it touches per epoch — the buffer detached from the queue, the
-// ordering keys, the gathered tuples, the result map — is reused across
+// ordering words, the gathered tuples, the result map — is reused across
 // epochs and sized to the epochs actually drained, so steady-state assembly
 // performs no heap allocation; the returned map and its batches are valid
 // until the next Acquire.
@@ -39,9 +39,10 @@ func NewQueueSource(q *Queue, region geom.Rect) (*QueueSource, error) {
 // Acquire closes the epoch ending at t1 and returns its observations as one
 // batch per attribute over the epoch window, each (T, ID)-sorted with ties
 // in arrival order. Only the detach holds the queue's lock; from there the
-// tuples are ordered by their 16-byte keys (assemble.go) and gathered once
-// into per-attribute runs of one scratch slice, which the batches alias —
-// never the detached buffer, which the next Acquire hands back to producers.
+// tuples are ordered by one 8-byte word each, their time offset from t0 above
+// their arrival index (assemble.go), and gathered once into per-attribute
+// runs of one scratch slice, which the batches alias — never the detached
+// buffer, which the next Acquire hands back to producers.
 // An epoch with no observations is a nil map.
 func (s *QueueSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
 	s.detached = s.q.detach(t1, s.detached)
@@ -49,7 +50,7 @@ func (s *QueueSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
 		return nil, nil
 	}
 	clear(s.out)
-	s.asm.orderKeys(s.detached)
+	s.asm.orderKeys(s.detached, t0)
 	s.scratch = s.asm.gather(s.scratch[:0], s.detached)
 	tuples := s.scratch
 	window := geom.NewWindow(t0, t1, s.region)

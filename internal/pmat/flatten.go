@@ -133,9 +133,6 @@ type Flatten struct {
 	warm       estimate.Centred
 	warmWindow geom.Window
 	hasWarm    bool
-	// fitPasses counts the passes the MLE fits made over their batches; read
-	// by tests that pin the fit's cost.
-	fitPasses int
 }
 
 // NewFlatten constructs a Flatten operator.
@@ -273,7 +270,6 @@ func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *Viola
 			f.hasWarm = false
 			fit, err := estimate.FitBatch(b.Tuples, b.Window, warm, inv)
 			if err == nil {
-				f.fitPasses += fit.Passes
 				report.FitIterations, report.FitNotConverged, report.FitPasses = fit.Iterations, !fit.Converged, int32(fit.Passes)
 				if fit.Converged {
 					f.warm, f.warmWindow, f.hasWarm = fit.Centred, b.Window, true

@@ -63,11 +63,13 @@ func TestFlattenFitCostFlatInSessionAge(t *testing.T) {
 			if err := f.Process(movedTo(b, start+float64(i))); err != nil {
 				t.Fatal(err)
 			}
-			if rep := f.LastReport(); rep.FitNotConverged || rep.N < 8 {
+			rep := f.LastReport()
+			if rep.FitNotConverged || rep.N < 8 {
 				t.Fatalf("start %g: epoch %d: no converged fit (%+v)", start, i, rep)
 			}
+			passes += int(rep.FitPasses)
 		}
-		return f.fitPasses, int(sink.N())
+		return passes, int(sink.N())
 	}
 	p0, kept0 := run(0)
 	p1, kept1 := run(1e6)

@@ -295,10 +295,10 @@ func TestParallelEpochAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm past every F-operator's 512-report ring, whose growth is not the
-	// pool's.
+	// Two epochs build the pooled epoch scratch and size every operator's
+	// reused buffers to this batch; nothing an epoch keeps grows after that.
 	b := sourceBatch("rain", 0, grid.Region(), 1024)
-	for e := 0; e < 600; e++ {
+	for e := 0; e < 2; e++ {
 		if err := fab.Ingest(b); err != nil {
 			t.Fatal(err)
 		}
