@@ -231,57 +231,6 @@ func BenchmarkFlattenViolations(b *testing.B) {
 	}
 }
 
-// --- E5: partition/union -----------------------------------------------------
-
-// BenchmarkPartitionUnion times a P-operator feeding k branches into one
-// U-operator. The U-operator merges only in the operator-graph walk the
-// compiled epoch program is tested against, so this times oracle code, not
-// a production path, and scripts/bench_guard.sh does not guard it.
-func BenchmarkPartitionUnion(b *testing.B) {
-	for _, k := range []int{2, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			region := geom.NewRect(0, 0, 4, 4)
-			part, err := pmat.NewPartition("p", region)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rects := make([]geom.Rect, k)
-			wStep := 4.0 / float64(k)
-			for i := 0; i < k; i++ {
-				rects[i] = geom.NewRect(float64(i)*wStep, 0, float64(i+1)*wStep, 4)
-			}
-			uni, err := pmat.NewUnion("u", rects...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < k; i++ {
-				port, err := part.AddBranch(fmt.Sprintf("b%d", i), rects[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				in, err := uni.Input(i)
-				if err != nil {
-					b.Fatal(err)
-				}
-				port.AddDownstream(in)
-			}
-			var sink stream.Counter
-			uni.AddDownstream(&sink)
-			batch := benchBatch(5000, 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Vary the window per iteration so union slices are distinct.
-				batch.Window.T0 = float64(i)
-				batch.Window.T1 = float64(i + 1)
-				if err := part.Process(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- E6: budget tuning closed loop -------------------------------------------
 
 func BenchmarkBudgetTuning(b *testing.B) {
@@ -1292,15 +1241,18 @@ func BenchmarkIngest(b *testing.B) {
 // a time offset and 14 index bits to share one word, so they take the 16-byte
 // keys. The two @5000 rows are 16384x1attr and 4096x2attr at the epochs the
 // end-to-end benchmark's sessions reach, T = 5000 + e + k/1000, where every
-// epoch takes the word.
+// epoch takes the word. 4096x1attr@5000/ids=shuffled is one attribute there
+// with its IDs in random order: IDs that fall in arrival order cannot ride
+// in the word, so this row is the one that times the 16-byte keys
+// (orderByKeys) at the daemon's epochs.
 func BenchmarkEpochAssembly(b *testing.B) {
 	region := geom.NewRect(0, 0, 8, 8)
 	attrs := []string{"rain", "temp", "wind", "co2", "no2", "pm10", "pm25", "o3"}
 	for _, shape := range []struct {
-		name                 string
-		n, frames, attrs     int
-		presorted, onebucket bool
-		at                   float64 // the first epoch's start is at+1
+		name                           string
+		n, frames, attrs               int
+		presorted, onebucket, shuffled bool
+		at                             float64 // the first epoch's start is at+1
 	}{
 		{name: "16384x1attr", n: 16384, frames: 64, attrs: 1},
 		{name: "16384x1attr@5000", n: 16384, frames: 64, attrs: 1, at: 5000},
@@ -1309,6 +1261,7 @@ func BenchmarkEpochAssembly(b *testing.B) {
 		{name: "4096x8attr", n: 4096, frames: 1, attrs: 8},
 		{name: "presorted", n: 4096, frames: 1, attrs: 1, presorted: true},
 		{name: "onebucket", n: 4096, frames: 1, attrs: 2, onebucket: true},
+		{name: "4096x1attr@5000/ids=shuffled", n: 4096, frames: 1, attrs: 1, at: 5000, shuffled: true},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			q := ingest.NewQueue(ingest.Config{Buffer: 4 * shape.n, Region: region})
@@ -1335,6 +1288,13 @@ func BenchmarkEpochAssembly(b *testing.B) {
 					X:    rng.Float64() * 8, Y: rng.Float64() * 8, Value: 1, Sensor: -1,
 				}
 			}
+			ids := make([]int, shape.n)
+			for j := range ids {
+				ids[j] = j
+			}
+			if shape.shuffled {
+				ids = rng.Perm(shape.n)
+			}
 			perFrame := shape.n / shape.frames
 			var busy time.Duration
 			b.ReportAllocs()
@@ -1342,7 +1302,7 @@ func BenchmarkEpochAssembly(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				epoch := shape.at + float64(i+1)
 				for j := range tuples {
-					tuples[j].ID = uint64(i*shape.n + j + 1)
+					tuples[j].ID = uint64(i*shape.n + ids[j] + 1)
 					tuples[j].T = epoch + frac[j]
 				}
 				for f := 0; f < shape.frames; f++ {

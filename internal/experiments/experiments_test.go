@@ -135,6 +135,9 @@ func TestE5RatePreserved(t *testing.T) {
 		if row[3] != "0" {
 			t.Fatalf("tuples lost: %v", row)
 		}
+		if clip, _ := strconv.ParseFloat(row[4], 64); clip < 0.9 || clip > 1.1 {
+			t.Fatalf("clipped rate not preserved: %v", row)
+		}
 	}
 }
 

@@ -264,77 +264,130 @@ func E4FlattenViolations(o Options) (*Table, error) {
 	return tab, nil
 }
 
-// E5PartitionUnion partitions a homogeneous process into k cells and unions
-// the pieces back, verifying that the rate is preserved at every stage.
+// E5PartitionUnion runs the P- and U-operators where the daemon runs them,
+// in a fabricator's compiled epoch program, and checks that they preserve
+// the rate and lose nothing. A homogeneous process at supply 120 covers a
+// k×1 strip of grid cells. At rate λ = 60 three kinds of query read it: one
+// over the whole strip, whose k leaves one U-operator merges; one that stops
+// half a cell short of either end, so P-operators clip its end cells; and
+// one per cell. The per-cell queries tap the same T-operators but need
+// neither P nor U, so their streams are the survivors the merged and the
+// clipped streams are checked against, tuple by tuple.
 func E5PartitionUnion(o Options) (*Table, error) {
 	o = o.withDefaults()
-	rng := stats.NewRNG(o.Seed)
+	const supply, lambda = 120.0, 60.0
 	tab := &Table{
 		ID:     "E5",
-		Title:  "Partition → Union round trip: rate preservation (λ = 120)",
-		Header: []string{"k", "branch_rate/λ", "union_rate/λ", "tuples_lost"},
+		Title:  "Partition and Union in the epoch program: rate preservation (supply 120, λ = 60)",
+		Header: []string{"k", "branch_rate/λ", "union_rate/λ", "tuples_lost", "clip_rate/λ"},
 	}
 	ks := []int{2, 4, 8, 16}
 	if o.Quick {
 		ks = []int{2, 4}
 	}
+	epochs := o.trials(20, 5)
 	for _, k := range ks {
-		region := geom.NewRect(0, 0, float64(k), 1)
-		w := geom.Window{T0: 0, T1: 2, Rect: region}
-		proc, err := mdpp.NewHomogeneous(120, region)
+		side := float64(k)
+		grid, err := geom.NewGrid(geom.NewRect(0, 0, side, side), k*k)
 		if err != nil {
 			return nil, err
 		}
-		part, err := pmat.NewPartition("p", region)
+		rng := stats.NewRNG(o.Seed)
+		fab, err := topology.New(grid, topology.Config{}, rng.Fork())
 		if err != nil {
 			return nil, err
 		}
-		rects := make([]geom.Rect, k)
-		for i := 0; i < k; i++ {
-			rects[i] = geom.NewRect(float64(i), 0, float64(i+1), 1)
+		strip := geom.NewRect(0, 0, side, 1)
+		clipped := geom.NewRect(0.5, 0, side-0.5, 1)
+		insert := func(region geom.Rect) (*stream.Collector, error) {
+			col := stream.NewCollector()
+			_, err := fab.InsertQuery(query.Query{Attr: "temp", Region: region, Rate: lambda}, col)
+			return col, err
 		}
-		uni, err := pmat.NewUnion("u", rects...)
+		union, err := insert(strip)
 		if err != nil {
 			return nil, err
 		}
-		branchCols := make([]*stream.Collector, k)
-		for i := 0; i < k; i++ {
-			port, err := part.AddBranch(fmt.Sprintf("b%d", i), rects[i])
+		clip, err := insert(clipped)
+		if err != nil {
+			return nil, err
+		}
+		cells := make([]*stream.Collector, k)
+		for i := range cells {
+			if cells[i], err = insert(geom.NewRect(float64(i), 0, float64(i+1), 1)); err != nil {
+				return nil, err
+			}
+		}
+		proc, err := mdpp.NewHomogeneous(supply, strip)
+		if err != nil {
+			return nil, err
+		}
+		var id uint64
+		for e := 0; e < epochs; e++ {
+			w := geom.Window{T0: float64(e), T1: float64(e + 1), Rect: strip}
+			ev, err := proc.Sample(w, rng)
 			if err != nil {
 				return nil, err
 			}
-			branchCols[i] = stream.NewCollector()
-			in, err := uni.Input(i)
-			if err != nil {
+			b := stream.Batch{Attr: "temp", Window: w}
+			for _, x := range ev {
+				id++
+				b.Tuples = append(b.Tuples, stream.Tuple{ID: id, Attr: "temp", T: x.T, X: x.X, Y: x.Y})
+			}
+			if err := fab.Ingest(b); err != nil {
 				return nil, err
 			}
-			port.AddDownstream(branchCols[i])
-			port.AddDownstream(in)
 		}
-		out := stream.NewCollector()
-		uni.AddDownstream(out)
-		ev, err := proc.Sample(w, rng)
-		if err != nil {
-			return nil, err
-		}
-		b := batchFromEvents("temp", w, ev)
-		if err := part.Process(b); err != nil {
-			return nil, err
-		}
+		var survivors, inClip []stream.Tuple
 		var branchRate stats.Summary
-		for i, col := range branchCols {
-			branchRate.Add(float64(col.Len()) / (w.Duration() * rects[i].Area()))
+		for _, col := range cells {
+			tuples := col.Tuples()
+			branchRate.Add(float64(len(tuples)) / float64(epochs)) // unit cells
+			survivors = append(survivors, tuples...)
+			for _, tp := range tuples {
+				if clipped.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
+					inClip = append(inClip, tp)
+				}
+			}
 		}
-		unionRate := float64(out.Len()) / w.Volume()
+		lostU, err := lost(survivors, union.Tuples())
+		if err != nil {
+			return nil, fmt.Errorf("E5: k=%d: strip query: %w", k, err)
+		}
+		lostP, err := lost(inClip, clip.Tuples())
+		if err != nil {
+			return nil, fmt.Errorf("E5: k=%d: clipped query: %w", k, err)
+		}
 		tab.AddRow(
 			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.3f", branchRate.Mean()/120),
-			fmt.Sprintf("%.3f", unionRate/120),
-			fmt.Sprintf("%d", b.Len()-out.Len()),
+			fmt.Sprintf("%.3f", branchRate.Mean()/lambda),
+			fmt.Sprintf("%.3f", float64(union.Len())/(float64(epochs)*strip.Area())/lambda),
+			fmt.Sprintf("%d", lostU+lostP),
+			fmt.Sprintf("%.3f", float64(clip.Len())/(float64(epochs)*clipped.Area())/lambda),
 		)
 	}
-	tab.AddNote("claim: both ratios ≈ 1.0 and no tuples lost (P routes, U merges; paper §IV.B.1)")
+	tab.AddNote("claim: all three ratios ≈ 1.0 and no tuples lost (P routes, U merges; paper §IV.B.1)")
+	tab.AddNote("F and T draw before P and U, so each ratio carries their sampling noise")
 	return tab, nil
+}
+
+// lost counts the survivors missing from a delivered stream. The stream must
+// hold only survivors, in (T, ID) order.
+func lost(survivors, delivered []stream.Tuple) (int, error) {
+	want := make(map[uint64]bool, len(survivors))
+	for _, tp := range survivors {
+		want[tp.ID] = true
+	}
+	for i, tp := range delivered {
+		if !want[tp.ID] {
+			return 0, fmt.Errorf("delivered tuple %d is no survivor", tp.ID)
+		}
+		delete(want, tp.ID)
+		if i > 0 && stream.CompareTuples(delivered[i-1], tp) >= 0 {
+			return 0, fmt.Errorf("delivered tuple %d out of (T, ID) order", tp.ID)
+		}
+	}
+	return len(want), nil
 }
 
 func absf(v float64) float64 {

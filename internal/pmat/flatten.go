@@ -6,10 +6,11 @@
 //     percent-rate-violation (N_v) reporting used for budget tuning;
 //   - Thin (T): rate reduction by Bernoulli retention with p = λ2/λ1;
 //   - Partition (P): split a process into disjoint sub-regions at equal rate;
-//   - Union (U): merge processes on adjacent regions into their union, one
-//     stable sort per time slice. Production epochs order a subplan's
-//     tuples in the fabricator's compiled program instead; Union merges in
-//     the experiments and in the reference walk that program's tests use.
+//   - Union (U): merge processes on adjacent regions into their union.
+//
+// F and T also run as push operators (Process); P runs only as its pass over
+// positions (Partition.Clip) and U only in the fabricator's compiled epoch
+// program, which orders a subplan's tuples and accounts them to it.
 //
 // All operators are probabilistic and approximate with provable expected
 // behaviour, and each is implemented in a few lines of core logic, as the

@@ -3,6 +3,7 @@ package pmat
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/geom"
@@ -258,8 +259,13 @@ func TestSteadyFlattenAllocatesNothing(t *testing.T) {
 		kept += n
 	}
 	// One P, set before the first batch: a sync.Pool reallocates its per-P
-	// slots when GOMAXPROCS changes.
+	// slots when GOMAXPROCS changes. And no collection from the first batch
+	// on: a GC empties the pools the operator's scratch comes from
+	// (stream.BorrowFloats, the estimator's points), so the next batch would
+	// allocate it afresh, and a loaded host runs one inside the window now
+	// and then.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	step(0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

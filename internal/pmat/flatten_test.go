@@ -195,6 +195,18 @@ func TestFlattenViolationsGrowWithTarget(t *testing.T) {
 	}
 }
 
+// batchSink collects like stream.Collector and counts the batches it
+// receives.
+type batchSink struct {
+	stream.Collector
+	batches int
+}
+
+func (s *batchSink) Process(b stream.Batch) error {
+	s.batches++
+	return s.Collector.Process(b)
+}
+
 func TestFlattenEmptyBatchIsFullViolation(t *testing.T) {
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
 	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 5}, stats.NewRNG(1))

@@ -17,7 +17,6 @@ type Processor interface {
 // operators implement Operator; the topology layer introspects Kind and the
 // counters for invariant checks and cost accounting.
 type Operator interface {
-	Processor
 	// Name is a unique human-readable instance name.
 	Name() string
 	// Kind is the operator class: "F", "T", "P" or "U", the paper's four
@@ -102,8 +101,8 @@ func (b *Base) RecordBatchesIn(batches, n int) {
 	b.tuplesIn.Add(uint64(n))
 }
 
-// RecordOut notes n tuples leaving outside of Emit (multi-port operators
-// route through their own ports and account output here).
+// RecordOut notes n tuples leaving outside of Emit: compiled execution
+// hands on positions, not batches, and accounts its output here.
 func (b *Base) RecordOut(n int) { b.recordOut(n) }
 
 // RecordDraws notes n Bernoulli draws performed — the probabilistic work

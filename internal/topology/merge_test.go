@@ -18,28 +18,28 @@ func overlapsFor(t *testing.T, g *geom.Grid, region geom.Rect) []geom.Overlap {
 	return ovs
 }
 
-// feedPlan pushes perLeaf tuples at each leaf's centre through the plan's
-// U-operator and returns what it emits.
-func feedPlan(t *testing.T, plan *MergePlan, perLeaf int) *stream.Collector {
+// feedPlan merges perLeaf tuples at each leaf's centre the way the reference
+// walk's U-operator does (mergeLeaves) and returns the merged slice, after
+// checking that every tuple lies in the plan's region.
+func feedPlan(t *testing.T, plan *MergePlan, perLeaf int) []stream.Tuple {
 	t.Helper()
-	col := stream.NewCollector()
-	plan.Union.AddDownstream(col)
-	w0, w1 := 0.0, 1.0
+	runs := make([][]stream.Tuple, len(plan.Rects))
 	for i, r := range plan.Rects {
-		b := stream.Batch{Attr: "x", Window: geom.Window{T0: w0, T1: w1, Rect: r}}
+		c := r.Center()
 		for j := 0; j < perLeaf; j++ {
-			c := r.Center()
-			b.Tuples = append(b.Tuples, stream.Tuple{ID: uint64(i*1000 + j), T: 0.5, X: c.X, Y: c.Y})
-		}
-		in, err := plan.Union.Input(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := in.Process(b); err != nil {
-			t.Fatal(err)
+			runs[i] = append(runs[i], stream.Tuple{ID: uint64(i*1000 + j), T: 0.5, X: c.X, Y: c.Y})
 		}
 	}
-	return col
+	merged := mergeLeaves(plan.Union, runs)
+	for _, tp := range merged {
+		if !plan.Region.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
+			t.Fatalf("leaf tuple %v outside the plan's region %v", tp, plan.Region)
+		}
+	}
+	if st := plan.Union.Stats(); st.BatchesIn != uint64(len(plan.Rects)) || st.TuplesOut != uint64(len(merged)) {
+		t.Fatalf("U accounted %+v for %d leaves and %d tuples", st, len(plan.Rects), len(merged))
+	}
+	return merged
 }
 
 func TestBuildMergePlanSingleLeaf(t *testing.T) {
@@ -68,9 +68,8 @@ func testPlanDelivery(t *testing.T, region geom.Rect, wantLeaves int) *MergePlan
 	if len(plan.Rects) != wantLeaves {
 		t.Fatalf("leaves = %d, want %d", len(plan.Rects), wantLeaves)
 	}
-	col := feedPlan(t, plan, 2)
-	if col.Len() != 2*wantLeaves {
-		t.Fatalf("delivered %d tuples, want %d", col.Len(), 2*wantLeaves)
+	if got := len(feedPlan(t, plan, 2)); got != 2*wantLeaves {
+		t.Fatalf("delivered %d tuples, want %d", got, 2*wantLeaves)
 	}
 	if !plan.Region.Equal(region) {
 		t.Fatalf("plan region %v, want %v", plan.Region, region)
@@ -128,7 +127,7 @@ func TestMergePlanOrderIndependence(t *testing.T) {
 	if !reflect.DeepEqual(plan.Rects, fwd.Rects) {
 		t.Fatalf("leaves %v from reversed overlaps, %v in grid order", plan.Rects, fwd.Rects)
 	}
-	if col := feedPlan(t, plan, 1); col.Len() != 4 {
-		t.Fatalf("delivered %d of 4", col.Len())
+	if got := len(feedPlan(t, plan, 1)); got != 4 {
+		t.Fatalf("delivered %d of 4", got)
 	}
 }

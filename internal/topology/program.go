@@ -29,11 +29,11 @@ import (
 //     tuple that survives stage j has its position appended to the
 //     (cell, stage) list;
 //   - per distinct subplan (epochScratch.mergeSubplan): the lists of the
-//     subplan's taps are concatenated in leaf order (a P tap's clip is a
-//     Rect.Contains test on the tuple at the position), the already ascending
-//     lists are merged, and each surviving row is materialized once, at the
-//     subplan's fan-out — straight into the result ring when the fan writes
-//     only result stores.
+//     subplan's taps are concatenated in leaf order (a P tap's clip,
+//     Partition.Clip, is a Rect.Contains test on the tuple at the position),
+//     the already ascending lists are merged, and each surviving row is
+//     materialized once, at the subplan's fan-out — straight into the
+//     result ring when the fan writes only result stores.
 //
 // The operator objects are the plan's nodes: they hold the estimator and RNG
 // state the kernel uses, and their flow counters are kept exact (a U's
@@ -45,7 +45,8 @@ import (
 // order they arrived, whatever the batch's order.
 //
 // The tests hold the program to a reference that pushes every cell's share
-// through the operators' own Process methods, wired as the paper draws them
+// through the F- and T-operators' own Process methods, wired as the paper
+// draws them, and clips and merges with naive P and U of its own
 // (walk_test.go, program_test.go).
 //
 // Tie rule: tuples equal in both T and ID are ordered by position. Neither
@@ -431,22 +432,13 @@ func (ep *epochScratch) mergeSubplan(i int, ws *workerScratch) error {
 }
 
 // appendTap appends to keys what one tap passes on of list, a stage's
-// surviving positions in tuples: all of it, or, for a partial overlap, the
-// positions inside clip — the P-operator part's work, which is accounted to
-// it.
+// surviving positions in tuples: all of it, or, for a partial overlap, what
+// the tap's P-operator clips out of it.
 func appendTap(keys, list []uint32, tuples []stream.Tuple, part *pmat.Partition, clip geom.Rect) []uint32 {
 	if part == nil {
 		return append(keys, list...)
 	}
-	n := len(keys)
-	for _, at := range list {
-		if tp := &tuples[at]; clip.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
-			keys = append(keys, at)
-		}
-	}
-	part.RecordBatchIn(len(list))
-	part.RecordOut(len(keys) - n)
-	return keys
+	return part.Clip(keys, list, tuples, clip)
 }
 
 // gatherRows returns src[pos[0]], src[pos[1]], … built on dst's storage.

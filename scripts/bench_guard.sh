@@ -20,7 +20,8 @@
 # BenchmarkFlattenSteady (one F-operator over a moving window with fresh
 # tuples per batch, the daemon's shape), BenchmarkEpochAssembly (the serial
 # prefix of an epoch on the end-to-end benchmark's shapes, plus onebucket,
-# the ordering pass's worst case), BenchmarkTopologyConstruction (a
+# the ordering pass's worst case, and ids=shuffled, the 16-byte key path;
+# compared by ns/tuple, see below), BenchmarkTopologyConstruction (a
 # session's fleet of operators and their generators built from nothing) and
 # BenchmarkJSONLinesExport (the ndjson result encoder on short decimals, which
 # wire.AppendJSONFloat renders with integer arithmetic, and on full-precision
@@ -34,10 +35,14 @@
 # benchmark runs on both sides back to back, which side goes first swapping
 # from benchmark to benchmark and round to round. A row is over budget in a
 # round when head's ns/op exceeds base's from the same round by more than
-# BENCH_TOLERANCE_PCT percent (default 15); it fails the pass only when it
-# is over budget in a majority of the rounds both sides ran it in. Load on the host moves both sides of a round, so no
-# committed baseline recorded on other hardware is needed: BENCH_*.json is
-# the trajectory record, not the comparison. Rows present on one side only
+# BENCH_TOLERANCE_PCT percent (default 15); BenchmarkEpochAssembly rows
+# compare their ns/tuple instead, which times Acquire alone — their ns/op
+# also holds the Queue.Push calls that fill each epoch, which would dilute
+# an assembly regression to about 60 % of its size. A row fails the pass
+# only when it is over budget in a majority of the rounds both sides ran it
+# in. Load on the host moves both sides of a round, so no committed
+# baseline recorded on other hardware is needed: BENCH_*.json is the
+# trajectory record, not the comparison. Rows present on one side only
 # are reported and skipped, so adding a benchmark is safe.
 #
 # Base revision: BENCH_BASE if set; otherwise HEAD when the working tree
@@ -133,10 +138,15 @@ as_ratio() {
 }
 
 # run SIDE PATTERN BENCHTIME: one run of SIDE's binary from its own source
-# directory, as "name ns/op" lines.
+# directory, as "name ns/op" lines — "name ns/tuple" for the
+# BenchmarkEpochAssembly rows.
 run() {
     (cd "${dir[$1]}" && "$work/$1.test" -test.run '^$' -test.bench "$2" -test.benchtime "$3" -test.count 1 -test.timeout 30m) \
-        | awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); print $1, $3 }'
+        | awk '/^Benchmark/ {
+            sub(/-[0-9]+$/, "", $1); v = $3
+            if ($1 ~ /^BenchmarkEpochAssembly\//) for (k = 5; k <= NF; k++) if ($k == "ns/tuple") v = $(k - 1)
+            print $1, v
+        }'
 }
 
 # rounds_of BENCHTIME N PREFIX PATTERN...: N rounds of every pattern on both
