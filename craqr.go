@@ -119,18 +119,12 @@ type (
 	Batch = stream.Batch
 	// Processor consumes batches.
 	Processor = stream.Processor
-	// Collector accumulates a fabricated stream without bound (tests and
-	// experiments); serving paths use the bounded ResultStore instead.
-	Collector = stream.Collector
 	// ResultStore is the bounded, cursor-addressable ring buffer that holds
 	// a query's most recent tuples and accounts evictions as drops.
 	ResultStore = stream.ResultStore
 	// Thin is the T PMAT operator.
 	Thin = pmat.Thin
 )
-
-// NewCollector returns an empty stream collector.
-func NewCollector() *Collector { return stream.NewCollector() }
 
 // NewThin constructs a T-operator thinning λ1 down to λ2.
 func NewThin(name string, lambda1, lambda2 float64, rng *RNG) (*Thin, error) {

@@ -53,7 +53,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeOperators drives the re-exported T-operator directly.
+// TestFacadeOperators runs the re-exported T-operator's kernel directly.
 func TestFacadeOperators(t *testing.T) {
 	rng := craqr.NewRNG(1)
 	batch := craqr.Batch{Attr: "x", Window: craqr.NewWindow(0, 1, craqr.NewRect(0, 0, 4, 4))}
@@ -65,12 +65,18 @@ func TestFacadeOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := craqr.NewCollector()
-	th.AddDownstream(col)
-	if err := th.Process(batch); err != nil {
-		t.Fatal(err)
+	p, draws := th.BeginFused()
+	kept := 0
+	for range batch.Tuples {
+		if draws.Bernoulli(p) {
+			kept++
+		}
 	}
-	frac := float64(col.Len()) / float64(batch.Len())
+	th.EndFused(batch.Len(), kept)
+	if s := th.Stats(); s.TuplesIn != uint64(batch.Len()) || s.TuplesOut != uint64(kept) || s.RandomDraws != uint64(batch.Len()) {
+		t.Fatalf("stats %+v after keeping %d of %d", s, kept, batch.Len())
+	}
+	frac := float64(kept) / float64(batch.Len())
 	if math.Abs(frac-0.4) > 0.15 {
 		t.Fatalf("thin kept %g, want ≈0.4", frac)
 	}

@@ -80,17 +80,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	coarse := craqr.NewCollector()
-	thin.AddDownstream(coarse)
-	if err := thin.Process(craqr.Batch{
-		Attr:   "temp",
-		Window: craqr.NewWindow(0, epochs, q.Region),
-		Tuples: tuples,
-	}); err != nil {
-		log.Fatal(err)
+	// Its kernel, as the engine runs it: one biased coin per tuple.
+	p, rng := thin.BeginFused()
+	kept := 0
+	for range tuples {
+		if rng.Bernoulli(p) {
+			kept++
+		}
 	}
+	thin.EndFused(len(tuples), kept)
 	fmt.Printf("\nderived half-rate stream via Thin: %d of %d tuples (keep prob %.2f)\n",
-		coarse.Len(), len(tuples), thin.Probability())
+		thin.Stats().TuplesOut, len(tuples), thin.Probability())
 
 	// Fit the paper's Eq. (1) intensity to the acquired arrivals.
 	events := make([]craqr.Event, len(tuples))

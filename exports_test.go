@@ -28,7 +28,6 @@ var exportsAllowedUnreached = map[string]string{
 	"repro/internal/planner.ChooseMergeMode":   "called by bench/trace.go, which the benchmark freezes",
 	"repro/internal/intensity.NewScale":        "builds the wrong-scale intensity of pmat's ablation test",
 	"repro/internal/sensors.ConstantField":     "fixed-value field the handler, server and root tests run fleets on",
-	"repro/internal/stream.Counter":            "counting sink the pmat tests and root benchmarks end pipelines with",
 }
 
 // fieldsAllowedUnwritten names the exported struct fields under internal/

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sensors"
 	"repro/internal/server"
 	"repro/internal/stats"
-	"repro/internal/stream"
 )
 
 // E11Incentives evaluates the Section VI incentive extension: with a
@@ -115,7 +114,6 @@ func E13TChainOrder(o Options) (*Table, error) {
 		Header: []string{"k", "chain_draws", "star_draws", "saving", "rate_dev%"},
 	}
 	region := geom.NewRect(0, 0, 4, 4)
-	w := geom.Window{T0: 0, T1: 1, Rect: region}
 	inputRate := 400.0
 	epochs := o.trials(30, 6)
 	ks := []int{2, 4, 8}
@@ -128,9 +126,8 @@ func E13TChainOrder(o Options) (*Table, error) {
 			rates[i] = inputRate / float64(int(2)<<i) // 200, 100, 50, …
 		}
 		rng := stats.NewRNG(o.Seed)
-		// Shared descending chain.
+		// Shared descending chain: stage i thins what stage i−1 kept.
 		chainThins := make([]*pmat.Thin, k)
-		chainCols := make([]*stream.Collector, k)
 		prev := inputRate
 		for i, r := range rates {
 			th, err := pmat.NewThin(fmt.Sprintf("c%d", i), prev, r, rng.Fork())
@@ -138,43 +135,29 @@ func E13TChainOrder(o Options) (*Table, error) {
 				return nil, err
 			}
 			chainThins[i] = th
-			chainCols[i] = stream.NewCollector()
-			th.AddDownstream(chainCols[i])
-			if i > 0 {
-				chainThins[i-1].AddDownstream(th)
-			}
 			prev = r
 		}
 		// Independent ("star") thinning: each query reads the full stream.
 		starThins := make([]*pmat.Thin, k)
-		starCols := make([]*stream.Collector, k)
 		for i, r := range rates {
 			th, err := pmat.NewThin(fmt.Sprintf("s%d", i), inputRate, r, rng.Fork())
 			if err != nil {
 				return nil, err
 			}
 			starThins[i] = th
-			starCols[i] = stream.NewCollector()
-			th.AddDownstream(starCols[i])
 		}
 		srcRNG := stats.NewRNG(o.Seed + 9)
 		var chainDev stats.Summary
 		for e := 0; e < epochs; e++ {
 			we := geom.Window{T0: float64(e), T1: float64(e + 1), Rect: region}
 			b := uniformBatch("temp", we, inputRate, srcRNG)
-			for i := range chainCols {
-				chainCols[i].Reset()
-			}
-			if err := chainThins[0].Process(b); err != nil {
-				return nil, err
+			kept := b.Tuples
+			for i, th := range chainThins {
+				kept = thinSurvivors(th, kept)
+				chainDev.Add(100 * absf(float64(len(kept))/we.Volume()-rates[i]) / rates[i])
 			}
 			for _, th := range starThins {
-				if err := th.Process(b); err != nil {
-					return nil, err
-				}
-			}
-			for i, col := range chainCols {
-				chainDev.Add(100 * absf(float64(col.Len())/we.Volume()-rates[i]) / rates[i])
+				thinSurvivors(th, b.Tuples)
 			}
 		}
 		var chainDraws, starDraws uint64
@@ -182,7 +165,6 @@ func E13TChainOrder(o Options) (*Table, error) {
 			chainDraws += chainThins[i].Stats().RandomDraws
 			starDraws += starThins[i].Stats().RandomDraws
 		}
-		_ = w
 		tab.AddRow(
 			fmt.Sprintf("%d", k),
 			fmt.Sprintf("%d", chainDraws),

@@ -84,8 +84,11 @@ func E15InferenceBias(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			fl.AddDownstream(flatEst)
-			if err := fl.Process(b); err != nil {
+			flat, err := flattenSurvivors(fl, b)
+			if err != nil {
+				return nil, err
+			}
+			if err := flatEst.Process(flat); err != nil {
 				return nil, err
 			}
 			for _, e := range flatEst.Estimates() {

@@ -28,6 +28,36 @@ func batchFromEvents(attr string, w geom.Window, events []mdpp.Event) stream.Bat
 	return b
 }
 
+// thinSurvivors runs th's kernel over tuples — a Bernoulli draw per tuple on
+// its generator, as the epoch program draws it — and returns the survivors.
+func thinSurvivors(th *pmat.Thin, tuples []stream.Tuple) []stream.Tuple {
+	p, rng := th.BeginFused()
+	var kept []stream.Tuple
+	for _, tp := range tuples {
+		if rng.Bernoulli(p) {
+			kept = append(kept, tp)
+		}
+	}
+	th.EndFused(len(tuples), len(kept))
+	return kept
+}
+
+// flattenSurvivors runs fl's kernel over b and returns the batch of the
+// tuples its keep-mask marks.
+func flattenSurvivors(fl *pmat.Flatten, b stream.Batch) (stream.Batch, error) {
+	keep := make([]bool, b.Len())
+	if _, err := fl.ProcessFused(b, keep); err != nil {
+		return stream.Batch{}, err
+	}
+	out := stream.Batch{Attr: b.Attr, Window: b.Window}
+	for i, k := range keep {
+		if k {
+			out.Tuples = append(out.Tuples, b.Tuples[i])
+		}
+	}
+	return out, nil
+}
+
 // E1Fig2 reproduces the paper's Fig. 2: three queries (rain at the highest
 // rate over four whole cells; temp over two whole cells; temp at the lowest
 // rate over a sub-cell region) are inserted into a 3×3 grid and the
@@ -118,19 +148,14 @@ func E2Thin(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		col := stream.NewCollector()
-		th.AddDownstream(col)
 		var s stats.Summary
 		for trial := 0; trial < trials; trial++ {
-			col.Reset()
 			ev, err := proc.Sample(w, rng)
 			if err != nil {
 				return nil, err
 			}
-			if err := th.Process(batchFromEvents("temp", w, ev)); err != nil {
-				return nil, err
-			}
-			s.Add(float64(col.Len()) / w.Volume())
+			kept := thinSurvivors(th, batchFromEvents("temp", w, ev).Tuples)
+			s.Add(float64(len(kept)) / w.Volume())
 		}
 		tab.AddRow(
 			fmt.Sprintf("%.2f", ratio),
@@ -188,23 +213,22 @@ func E3FlattenHomogenize(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		col := stream.NewCollector()
-		fl.AddDownstream(col)
-		if err := fl.Process(b); err != nil {
+		out, err := flattenSurvivors(fl, b)
+		if err != nil {
 			return nil, err
 		}
 		gout, err := stats.NewGrid2D(0, 6, 0, 6, 3, 3)
 		if err != nil {
 			return nil, err
 		}
-		for _, tp := range col.Tuples() {
+		for _, tp := range out.Tuples {
 			gout.Add(tp.X, tp.Y)
 		}
 		pAfter, err := gout.UniformityPValue()
 		if err != nil {
 			return nil, err
 		}
-		outRate := float64(col.Len()) / w.Volume()
+		outRate := out.MeasuredRate()
 		tab.AddRow(
 			fmt.Sprintf("%d", b.Len()),
 			fmt.Sprintf("%.2g", pBefore),
@@ -243,21 +267,21 @@ func E4FlattenViolations(o Options) (*Table, error) {
 	}
 	b := batchFromEvents("rain", w, ev)
 	supply := b.MeasuredRate()
+	keep := make([]bool, b.Len())
 	for _, mult := range []float64{0.1, 0.25, 0.5, 1.0, 2.0, 4.0} {
 		fl, err := pmat.NewFlatten("f", pmat.FlattenConfig{TargetRate: mult * supply, Mode: pmat.EstimatorKnown, Known: hot}, rng.Fork())
 		if err != nil {
 			return nil, err
 		}
-		col := stream.NewCollector()
-		fl.AddDownstream(col)
-		if err := fl.Process(b); err != nil {
+		kept, err := fl.ProcessFused(b, keep)
+		if err != nil {
 			return nil, err
 		}
 		rep := fl.LastReport()
 		tab.AddRow(
 			fmt.Sprintf("%.2f", mult),
 			fmt.Sprintf("%.1f", rep.Percent),
-			fmt.Sprintf("%.2f", (float64(col.Len())/w.Volume())/(mult*supply)),
+			fmt.Sprintf("%.2f", (float64(kept)/w.Volume())/(mult*supply)),
 		)
 	}
 	tab.AddNote("claim: N_v grows once λ̄ approaches supply; output saturates below target (paper §IV.B.1)")

@@ -7,7 +7,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/intensity"
 	"repro/internal/stats"
-	"repro/internal/stream"
 )
 
 // TestEq3NormalizationAblation ablates the λc normalization of Eq. (3)
@@ -42,12 +41,7 @@ func TestEq3NormalizationAblation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := stream.NewCollector()
-			fl.AddDownstream(col)
-			if err := fl.Process(b); err != nil {
-				t.Fatal(err)
-			}
-			return float64(col.Len())
+			return float64(len(flattenSurvivors(t, fl, b)))
 		}
 		exact.Add(runFlatten(hot))
 		misScaled.Add(runFlatten(scaled))
@@ -94,12 +88,7 @@ func TestFlattenOutputIndependentOfInputSkew(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := stream.NewCollector()
-			fl.AddDownstream(col)
-			if err := fl.Process(b); err != nil {
-				t.Fatal(err)
-			}
-			out.Add(float64(col.Len()))
+			out.Add(float64(len(flattenSurvivors(t, fl, b))))
 		}
 		if math.Abs(out.Mean()-want) > 4*out.StdErr()+2 {
 			t.Errorf("amp %g: delivered %.1f, want ≈%.1f", amp, out.Mean(), want)

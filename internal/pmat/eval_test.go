@@ -80,9 +80,7 @@ func TestFlattenReportsRing(t *testing.T) {
 	total := maxReports + 37
 	for i := 0; i < total; i++ {
 		b := stream.Batch{Attr: "temp", Window: w, Tuples: []stream.Tuple{{ID: uint64(i), T: 0.5, X: 1, Y: 1}}}
-		if err := f.Process(b); err != nil {
-			t.Fatal(err)
-		}
+		flattenSurvivors(t, f, b)
 	}
 	reps := retainedReports(f)
 	if len(reps) != maxReports {

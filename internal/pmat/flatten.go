@@ -8,9 +8,12 @@
 //   - Partition (P): split a process into disjoint sub-regions at equal rate;
 //   - Union (U): merge processes on adjacent regions into their union.
 //
-// F and T also run as push operators (Process); P runs only as its pass over
-// positions (Partition.Clip) and U only in the fabricator's compiled epoch
-// program, which orders a subplan's tuples and accounts them to it.
+// Each operator has one implementation, the one the fabricator's compiled
+// epoch program runs: F its keep-mask kernel (ProcessFused), T a Bernoulli
+// draw per tuple between BeginFused and EndFused, P its pass over positions
+// (Partition.Clip) and U the program's merge, which orders a subplan's
+// tuples and accounts them to it. F's and T's Process run the same kernel
+// over a whole batch and forward nothing.
 //
 // All operators are probabilistic and approximate with provable expected
 // behaviour, and each is implemented in a few lines of core logic, as the
@@ -108,7 +111,7 @@ type ViolationReport struct {
 //
 // where λ̄_count = λ̄ · vol(batch window) converts the user-facing rate into
 // the per-batch target count (see DESIGN.md, "Interpretation note"), clamps
-// violations at one, draws a Bernoulli per tuple, and forwards survivors.
+// violations at one, and draws a Bernoulli per tuple to mark the survivors.
 // Flatten is the only operator able to make a process homogeneous, so the
 // topology layer always places it first.
 type Flatten struct {
@@ -288,18 +291,17 @@ func (f *Flatten) estimateIntensity(b stream.Batch, inv []float64, report *Viola
 }
 
 // decide runs Eq. (3) for one batch and writes each tuple's survival into
-// keep (len ≥ b.Len()), returning the survivor count. Estimation and
-// violation accounting happen here, so Process and the compiled kernel
-// (topology package, via ProcessFused) share the decision byte-for-byte.
-// f.mu is held for the estimator's state and for the Bernoulli draws,
-// nothing else — retaining probabilities are computed between the two and
-// survivors are materialized by the caller after the lock is released.
+// keep (len ≥ b.Len()), returning the survivor count, with estimation and
+// violation accounting. f.mu is held for the estimator's state and for the
+// Bernoulli draws, nothing else — retaining probabilities are computed
+// between the two and survivors are materialized by the caller after the
+// lock is released.
 func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 	if err := b.Window.Validate(); err != nil {
 		return 0, fmt.Errorf("pmat: flatten %q: %w", f.Name(), err)
 	}
-	f.RecordIn(b)
 	n := b.Len()
+	f.RecordBatchIn(n)
 	// The scratch holds 1/λ̃_i, then the per-tuple retaining probabilities, so
 	// the second critical section below is nothing but RNG draws.
 	rbuf := stream.BorrowFloats(n)
@@ -373,11 +375,10 @@ func (f *Flatten) decide(b stream.Batch, keep []bool) (int, error) {
 	return kept, nil
 }
 
-// ProcessFused runs the flatten decision for one batch without materializing
-// or emitting an output batch: keep (len ≥ b.Len()) receives each tuple's
-// survival and the survivor count is returned. Estimation, reports and flow
-// counters match Process exactly; the caller owns downstream delivery of the
-// survivors.
+// ProcessFused is F's kernel: it runs the flatten decision for one batch
+// without materializing an output batch. keep (len ≥ b.Len()) receives each
+// tuple's survival and the survivor count is returned; the caller owns
+// delivery of the survivors.
 func (f *Flatten) ProcessFused(b stream.Batch, keep []bool) (int, error) {
 	kept, err := f.decide(b, keep)
 	if err != nil {
@@ -387,25 +388,13 @@ func (f *Flatten) ProcessFused(b stream.Batch, keep []bool) (int, error) {
 	return kept, nil
 }
 
-// Process implements stream.Processor: Eq. (3) with violation accounting.
-// The output batch is built on a borrowed arena buffer recycled after Emit
-// returns; downstream processors must not retain it (see the stream
-// package's ownership rule).
+// Process implements stream.Processor by running ProcessFused, the kernel
+// the compiled epoch program runs, on a pooled keep-mask. Survivors are
+// counted in Stats and the batch's report is LastReport; they are not
+// forwarded.
 func (f *Flatten) Process(b stream.Batch) error {
 	kbuf := stream.BorrowBools(b.Len())
-	kept, err := f.decide(b, kbuf.Vals)
-	if err != nil {
-		kbuf.Release()
-		return err
-	}
-	buf := stream.BorrowTuples(kept)
-	for i, tp := range b.Tuples {
-		if kbuf.Vals[i] {
-			buf.Tuples = append(buf.Tuples, tp)
-		}
-	}
+	_, err := f.ProcessFused(b, kbuf.Vals)
 	kbuf.Release()
-	err = f.Emit(stream.Batch{Attr: b.Attr, Window: b.Window, Tuples: buf.Tuples})
-	buf.Release()
 	return err
 }

@@ -2,6 +2,7 @@ package pmat
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -58,19 +59,15 @@ func TestFlattenFitCostFlatInSessionAge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink stream.Counter
-		f.AddDownstream(&sink)
 		for i, b := range batches {
-			if err := f.Process(movedTo(b, start+float64(i))); err != nil {
-				t.Fatal(err)
-			}
+			kept += len(flattenSurvivors(t, f, movedTo(b, start+float64(i))))
 			rep := f.LastReport()
 			if rep.FitNotConverged || rep.N < 8 {
 				t.Fatalf("start %g: epoch %d: no converged fit (%+v)", start, i, rep)
 			}
 			passes += int(rep.FitPasses)
 		}
-		return passes, int(sink.N())
+		return passes, kept
 	}
 	p0, kept0 := run(0)
 	p1, kept1 := run(1e6)
@@ -95,12 +92,9 @@ func TestFlattenDropsWarmStateOnFailedFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.AddDownstream(&stream.Counter{})
 	process := func(b stream.Batch) ViolationReport {
 		t.Helper()
-		if err := f.Process(b); err != nil {
-			t.Fatal(err)
-		}
+		flattenSurvivors(t, f, b)
 		return f.LastReport()
 	}
 	if rep := process(good); rep.FitNotConverged || rep.FitIterations == 0 {
@@ -173,11 +167,7 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink stream.Counter
-		f.AddDownstream(&sink)
-		if err := f.Process(b); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		kept := flattenSurvivors(t, f, b)
 		rep := f.LastReport()
 		if !rep.FitNotConverged || rep.Violations != 0 {
 			t.Errorf("%s: %+v, want a non-converged fit and no violations", name, rep)
@@ -186,7 +176,7 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 			t.Errorf("%s: output rate %g", name, rep.OutputRate)
 		}
 		// 400 tuples each kept with p = 5·16/400 = 0.2: 80 ± 5σ (σ = 8).
-		if got := int(sink.N()); got < 40 || got > 120 {
+		if got := len(kept); got < 40 || got > 120 {
 			t.Errorf("%s: %d survivors, want about 80", name, got)
 		}
 		if _, ok := warmTheta(f); ok {
@@ -199,13 +189,10 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.AddDownstream(&stream.Counter{})
 	rising := inhomogeneousBatch(t, intensity.NewLinear(intensity.Theta{0.5, 40, 0, 0}), w, 21)
 	falling := inhomogeneousBatch(t, intensity.NewLinear(intensity.Theta{40.5, -40, 0, 0}), w, 22)
 	for _, b := range []stream.Batch{rising, falling, rising} {
-		if err := f.Process(b); err != nil {
-			t.Fatal(err)
-		}
+		flattenSurvivors(t, f, b)
 		if rep := f.LastReport(); rep.FitNotConverged {
 			t.Fatalf("fit across a reversed slope did not converge: %+v", rep)
 		}
@@ -215,10 +202,50 @@ func TestFlattenDegenerateBatches(t *testing.T) {
 	}
 }
 
+// mallocsIn runs fn with every allocation profiled and returns the number of
+// objects allocated on stacks that pass through fn. What the runtime's own
+// goroutines allocate meanwhile (the background scavenger, timers) does not
+// count, as it would in the process-wide runtime.MemStats.Mallocs.
+func mallocsIn(fn func()) int64 {
+	name := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := profiledAllocs(name)
+	fn()
+	// The profile shows allocations once a collection has completed after
+	// them.
+	runtime.GC()
+	return profiledAllocs(name) - before
+}
+
+// profiledAllocs sums the objects the memory profile records as allocated on
+// stacks through the function named fn.
+func profiledAllocs(fn string) int64 {
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); f.Function == fn {
+				total += r.AllocObjects
+				break
+			}
+		}
+	}
+	return total
+}
+
 // TestSteadyFlattenAllocatesNothing: from its second batch on, an F-operator
 // fed fresh tuples on a moving window allocates nothing — across the 512
 // batches its report ring takes to fill and past the wrap. It runs
-// ProcessFused, as the compiled epoch program does.
+// ProcessFused, as the compiled epoch program does, and counts only what is
+// allocated on the test's own stack.
 func TestSteadyFlattenAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled scratch")
@@ -267,13 +294,11 @@ func TestSteadyFlattenAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	step(0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for e := 1; e < 600; e++ {
-		step(e)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
+	if n := mallocsIn(func() {
+		for e := 1; e < 600; e++ {
+			step(e)
+		}
+	}); n != 0 {
 		t.Errorf("batches 2–600 allocated %d times, want 0", n)
 	}
 	if rep := f.LastReport(); rep.Batch != 600 || rep.FitIterations == 0 || int(rep.FitPasses) <= rep.FitIterations {

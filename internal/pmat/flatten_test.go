@@ -92,17 +92,13 @@ func flattenUniformity(t *testing.T, mode EstimatorMode, known intensity.Func, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := stream.NewCollector()
-	f.AddDownstream(col)
-	if err := f.Process(b); err != nil {
-		t.Fatal(err)
-	}
+	kept := flattenSurvivors(t, f, b)
 	gOut, _ := stats.NewGrid2D(0, 6, 0, 6, 3, 3)
-	for _, tp := range col.Tuples() {
+	for _, tp := range kept {
 		gOut.Add(tp.X, tp.Y)
 	}
 	after, _ = gOut.UniformityPValue()
-	outRate = float64(col.Len()) / w.Volume()
+	outRate = float64(len(kept)) / w.Volume()
 	return before, after, outRate, target
 }
 
@@ -127,13 +123,8 @@ func TestFlattenHomogenizesWithMLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := stream.NewCollector()
-	f.AddDownstream(col)
-	if err := f.Process(b); err != nil {
-		t.Fatal(err)
-	}
 	gOut, _ := stats.NewGrid2D(0, 6, 0, 6, 3, 3)
-	for _, tp := range col.Tuples() {
+	for _, tp := range flattenSurvivors(t, f, b) {
 		gOut.Add(tp.X, tp.Y)
 	}
 	p, _ := gOut.UniformityPValue()
@@ -154,16 +145,12 @@ func TestFlattenHitsTargetCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := stream.NewCollector()
-		f.AddDownstream(col)
-		if err := f.Process(b); err != nil {
-			t.Fatal(err)
-		}
+		kept := flattenSurvivors(t, f, b)
 		rep := f.LastReport()
 		if rep.Violations > rep.N/20 {
 			t.Fatalf("unexpected violations: %d of %d", rep.Violations, rep.N)
 		}
-		s.Add(float64(col.Len()) / w.Volume())
+		s.Add(float64(len(kept)) / w.Volume())
 	}
 	if math.Abs(s.Mean()-target) > 4*s.StdErr()+0.1 {
 		t.Fatalf("output rate %g, want ≈%g", s.Mean(), target)
@@ -181,9 +168,7 @@ func TestFlattenViolationsGrowWithTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Process(b); err != nil {
-			t.Fatal(err)
-		}
+		flattenSurvivors(t, f, b)
 		nv := f.LastReport().Percent
 		if nv < prev {
 			t.Fatalf("violations not monotone: %g after %g at mult %g", nv, prev, mult)
@@ -195,38 +180,22 @@ func TestFlattenViolationsGrowWithTarget(t *testing.T) {
 	}
 }
 
-// batchSink collects like stream.Collector and counts the batches it
-// receives.
-type batchSink struct {
-	stream.Collector
-	batches int
-}
-
-func (s *batchSink) Process(b stream.Batch) error {
-	s.batches++
-	return s.Collector.Process(b)
-}
-
 func TestFlattenEmptyBatchIsFullViolation(t *testing.T) {
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
 	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 5}, stats.NewRNG(1))
-	col := &batchSink{}
-	f.AddDownstream(col)
-	if err := f.Process(stream.Batch{Attr: "rain", Window: w}); err != nil {
-		t.Fatal(err)
-	}
+	kept := flattenSurvivors(t, f, stream.Batch{Attr: "rain", Window: w})
 	rep := f.LastReport()
 	if rep.Percent != 100 {
 		t.Fatalf("empty batch N_v = %g, want 100", rep.Percent)
 	}
-	if col.batches != 1 || col.Len() != 0 {
-		t.Fatal("empty batch must still be emitted (merge slices depend on it)")
+	if s := f.Stats(); s.BatchesIn != 1 || s.TuplesOut != 0 || len(kept) != 0 {
+		t.Fatalf("stats %+v, %d survivors: an empty batch must still count as a batch", s, len(kept))
 	}
 }
 
 func TestFlattenInvalidWindow(t *testing.T) {
 	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 5}, stats.NewRNG(1))
-	if err := f.Process(stream.Batch{Attr: "rain"}); err == nil {
+	if _, err := f.ProcessFused(stream.Batch{Attr: "rain"}, nil); err == nil {
 		t.Fatal("empty window should error")
 	}
 }
@@ -235,9 +204,7 @@ func TestFlattenReportsAccumulate(t *testing.T) {
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 4, 4)}
 	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 1}, stats.NewRNG(5))
 	for i := 0; i < 3; i++ {
-		if err := f.Process(inhomogeneousBatch(t, skewedIntensity(t), w, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		flattenSurvivors(t, f, inhomogeneousBatch(t, skewedIntensity(t), w, int64(i)))
 	}
 	reps := retainedReports(f)
 	if len(reps) != 3 {
@@ -255,20 +222,16 @@ func TestFlattenSmallBatchFallback(t *testing.T) {
 	// should still have roughly the target count in expectation.
 	w := geom.Window{T0: 0, T1: 1, Rect: geom.NewRect(0, 0, 2, 2)}
 	f, _ := NewFlatten("f", FlattenConfig{TargetRate: 0.5}, stats.NewRNG(11))
-	col := stream.NewCollector()
-	f.AddDownstream(col)
 	b := stream.Batch{Attr: "rain", Window: w}
 	for i := 0; i < minBatchForFit-2; i++ {
 		b.Tuples = append(b.Tuples, stream.Tuple{ID: uint64(i), T: 0.5, X: 1, Y: 1})
 	}
-	if err := f.Process(b); err != nil {
-		t.Fatal(err)
-	}
+	kept := flattenSurvivors(t, f, b)
 	if rep := f.LastReport(); rep.FitIterations != 0 || rep.FitNotConverged {
 		t.Fatalf("a fit ran on %d tuples: %+v", b.Len(), rep)
 	}
 	// Target count = 0.5·4 = 2 of 6; all retaining probabilities equal 1/3.
-	if col.Len() > 6 {
+	if len(kept) > 6 {
 		t.Fatal("output exceeds input")
 	}
 }

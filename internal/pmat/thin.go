@@ -103,13 +103,12 @@ func (t *Thin) DecodeState(r *codec.Reader) {
 	t.rng.DecodeState(r)
 }
 
-// BeginFused locks the operator for one compiled batch pass and returns its
-// retention probability and RNG: the kernel (topology package) draws t's
-// Bernoulli decisions inline during its single pass over the batch, in
-// exactly the surviving-tuple order the operator-graph walk would use, so
-// the RNG consumes an identical draw sequence. Every BeginFused must be
-// paired with EndFused, which releases the lock — one lock acquisition per
-// stage per batch instead of one per stage pass.
+// BeginFused locks the operator for one batch pass and returns its
+// retention probability and RNG: T's kernel is one Bernoulli draw on that
+// RNG per tuple that reaches the stage, in batch order, which the compiled
+// epoch program (topology package) makes inline during its single walk
+// down a cell's T-chain. Every BeginFused must be paired with EndFused,
+// which releases the lock — one lock acquisition per stage per batch.
 func (t *Thin) BeginFused() (p float64, rng *stats.RNG) {
 	t.mu.Lock()
 	return t.out / t.inRate, t.rng
@@ -124,22 +123,17 @@ func (t *Thin) EndFused(tuplesIn, tuplesOut int) {
 	t.RecordOut(tuplesOut)
 }
 
-// Process implements stream.Processor. The output batch is built on a
-// borrowed arena buffer that is recycled after Emit returns; downstream
-// processors must not retain it (see the stream package's ownership rule).
+// Process implements stream.Processor by running the kernel the compiled
+// epoch program runs over the whole batch: one BeginFused, a Bernoulli draw
+// per tuple, one EndFused. Survivors are counted in Stats, not forwarded.
 func (t *Thin) Process(b stream.Batch) error {
-	t.RecordIn(b)
-	buf := stream.BorrowTuples(len(b.Tuples))
-	t.mu.Lock()
-	p := t.out / t.inRate
-	t.RecordDraws(len(b.Tuples))
-	for _, tp := range b.Tuples {
-		if t.rng.Bernoulli(p) {
-			buf.Tuples = append(buf.Tuples, tp)
+	p, rng := t.BeginFused()
+	kept := 0
+	for range b.Tuples {
+		if rng.Bernoulli(p) {
+			kept++
 		}
 	}
-	t.mu.Unlock()
-	err := t.Emit(stream.Batch{Attr: b.Attr, Window: b.Window, Tuples: buf.Tuples})
-	buf.Release()
-	return err
+	t.EndFused(len(b.Tuples), kept)
+	return nil
 }

@@ -70,16 +70,10 @@ func TestThinExpectedRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := stream.NewCollector()
-		th.AddDownstream(col)
 		var s stats.Summary
 		for trial := 0; trial < 30; trial++ {
-			col.Reset()
 			b := homogeneousBatch(t, lambda1, w, int64(100+trial))
-			if err := th.Process(b); err != nil {
-				t.Fatal(err)
-			}
-			s.Add(float64(col.Len()) / w.Volume())
+			s.Add(float64(len(thinSurvivors(th, b.Tuples))) / w.Volume())
 		}
 		if math.Abs(s.Mean()-lambda2) > 4*s.StdErr()+0.5 {
 			t.Errorf("ratio %g: measured rate %g, want ≈%g", ratio, s.Mean(), lambda2)
@@ -91,16 +85,12 @@ func TestThinOutputStaysUniform(t *testing.T) {
 	// Thinning a homogeneous process must leave it homogeneous.
 	w := geom.Window{T0: 0, T1: 4, Rect: region4()}
 	th, _ := NewThin("t", 300, 100, stats.NewRNG(8))
-	col := stream.NewCollector()
-	th.AddDownstream(col)
-	if err := th.Process(homogeneousBatch(t, 300, w, 9)); err != nil {
-		t.Fatal(err)
-	}
+	kept := thinSurvivors(th, homogeneousBatch(t, 300, w, 9).Tuples)
 	grid, err := stats.NewGrid2D(0, 4, 0, 4, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tp := range col.Tuples() {
+	for _, tp := range kept {
 		grid.Add(tp.X, tp.Y)
 	}
 	p, err := grid.UniformityPValue()
@@ -122,18 +112,14 @@ func TestThinSubset(t *testing.T) {
 		ids[tp.ID] = true
 	}
 	th, _ := NewThin("t", 100, 30, stats.NewRNG(11))
-	col := stream.NewCollector()
-	th.AddDownstream(col)
-	if err := th.Process(b); err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range col.Tuples() {
+	kept := thinSurvivors(th, b.Tuples)
+	for _, tp := range kept {
 		if !ids[tp.ID] {
-			t.Fatal("thin emitted a tuple that was not in the input")
+			t.Fatal("thin kept a tuple that was not in the input")
 		}
 	}
-	if col.Len() >= b.Len() {
-		t.Fatalf("thin kept %d of %d tuples; expected a strict reduction at p=0.3", col.Len(), b.Len())
+	if len(kept) >= b.Len() {
+		t.Fatalf("thin kept %d of %d tuples; expected a strict reduction at p=0.3", len(kept), b.Len())
 	}
 }
 
@@ -161,21 +147,10 @@ func TestThinComposition(t *testing.T) {
 
 		t1, _ := NewThin("t1", lambda1, lambda2, stats.NewRNG(int64(400+trial)))
 		t2, _ := NewThin("t2", lambda2, lambda3, stats.NewRNG(int64(500+trial)))
-		colC := stream.NewCollector()
-		t1.AddDownstream(t2)
-		t2.AddDownstream(colC)
-		if err := t1.Process(b); err != nil {
-			t.Fatal(err)
-		}
-		chained.Add(float64(colC.Len()) / w.Volume())
+		chained.Add(float64(len(thinSurvivors(t2, thinSurvivors(t1, b.Tuples)))) / w.Volume())
 
 		td, _ := NewThin("td", lambda1, lambda3, stats.NewRNG(int64(600+trial)))
-		colD := stream.NewCollector()
-		td.AddDownstream(colD)
-		if err := td.Process(b); err != nil {
-			t.Fatal(err)
-		}
-		direct.Add(float64(colD.Len()) / w.Volume())
+		direct.Add(float64(len(thinSurvivors(td, b.Tuples))) / w.Volume())
 	}
 	if math.Abs(chained.Mean()-lambda3) > 4*chained.StdErr()+1 {
 		t.Errorf("chained rate %g, want ≈%g", chained.Mean(), lambda3)
@@ -187,12 +162,8 @@ func TestThinComposition(t *testing.T) {
 
 func TestThinDrawsCounted(t *testing.T) {
 	th, _ := NewThin("t", 10, 5, stats.NewRNG(13))
-	var c stream.Counter
-	th.AddDownstream(&c)
 	b := homogeneousBatch(t, 10, geom.Window{T0: 0, T1: 1, Rect: region4()}, 14)
-	if err := th.Process(b); err != nil {
-		t.Fatal(err)
-	}
+	thinSurvivors(th, b.Tuples)
 	if got := th.Stats().RandomDraws; got != uint64(b.Len()) {
 		t.Fatalf("draws = %d, want %d", got, b.Len())
 	}
@@ -213,12 +184,7 @@ func TestThinKeepProbabilityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		col := stream.NewCollector()
-		th.AddDownstream(col)
-		if err := th.Process(b); err != nil {
-			return false
-		}
-		frac := float64(col.Len()) / float64(b.Len())
+		frac := float64(len(thinSurvivors(th, b.Tuples))) / float64(b.Len())
 		p := l2 / l1
 		// 5 sigma binomial bound.
 		tol := 5*math.Sqrt(p*(1-p)/float64(b.Len())) + 1e-9

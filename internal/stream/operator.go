@@ -2,13 +2,14 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// Processor consumes batches. Operators, sinks and whole sub-graphs all
-// satisfy Processor, so graphs compose.
+// Processor consumes batches: the sinks a fabricated stream is delivered
+// to (result stores, collectors, exporters, estimators, a Tee of them) and
+// the F- and T-operators, whose Process runs their decision kernel over a
+// whole batch and forwards nothing.
 type Processor interface {
 	Process(b Batch) error
 }
@@ -44,15 +45,6 @@ type flowCounters struct {
 	randomDraws atomic.Uint64
 }
 
-func (c *flowCounters) recordIn(b Batch) {
-	c.batchesIn.Add(1)
-	c.tuplesIn.Add(uint64(len(b.Tuples)))
-}
-
-func (c *flowCounters) recordOut(n int) { c.tuplesOut.Add(uint64(n)) }
-
-func (c *flowCounters) recordDraws(n int) { c.randomDraws.Add(uint64(n)) }
-
 func (c *flowCounters) snapshot() FlowStats {
 	return FlowStats{
 		BatchesIn:   c.batchesIn.Load(),
@@ -62,15 +54,14 @@ func (c *flowCounters) snapshot() FlowStats {
 	}
 }
 
-// Base provides naming, counters and downstream fan-out for operator
-// implementations. Embed it and call emit to forward output batches.
+// Base provides naming and flow counters for operator implementations.
+// Operators are not wired to each other: the fabricator's compiled epoch
+// program moves positions between them and accounts each one's flow through
+// the Record methods.
 type Base struct {
 	name string
 	kind string
 	flowCounters
-
-	mu   sync.RWMutex
-	outs []Processor
 }
 
 // NewBase constructs the embeddable operator base.
@@ -85,13 +76,9 @@ func (b *Base) Kind() string { return b.kind }
 // Stats implements Operator.
 func (b *Base) Stats() FlowStats { return b.snapshot() }
 
-// RecordIn notes an arriving batch in the flow counters. Operator
-// implementations call it at the top of Process.
-func (b *Base) RecordIn(batch Batch) { b.recordIn(batch) }
-
-// RecordBatchIn notes an arriving batch of n tuples without a Batch value —
-// compiled execution accounts stage inputs from survivor counts instead of
-// materialized batches.
+// RecordBatchIn notes an arriving batch of n tuples — compiled execution
+// accounts stage inputs from survivor counts instead of materialized
+// batches.
 func (b *Base) RecordBatchIn(n int) { b.RecordBatchesIn(1, n) }
 
 // RecordBatchesIn notes several arriving batches holding n tuples between
@@ -101,39 +88,13 @@ func (b *Base) RecordBatchesIn(batches, n int) {
 	b.tuplesIn.Add(uint64(n))
 }
 
-// RecordOut notes n tuples leaving outside of Emit: compiled execution
-// hands on positions, not batches, and accounts its output here.
-func (b *Base) RecordOut(n int) { b.recordOut(n) }
+// RecordOut notes n tuples leaving the operator: compiled execution hands
+// on positions, not batches, and accounts its output here.
+func (b *Base) RecordOut(n int) { b.tuplesOut.Add(uint64(n)) }
 
 // RecordDraws notes n Bernoulli draws performed — the probabilistic work
 // metric used by the operator-ordering ablation.
-func (b *Base) RecordDraws(n int) { b.recordDraws(n) }
-
-// AddDownstream connects a consumer for this operator's output.
-func (b *Base) AddDownstream(p Processor) {
-	if p == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.outs = append(b.outs, p)
-}
-
-// Emit forwards an output batch to every downstream, recording flow. The
-// first downstream error aborts and is returned wrapped with the operator
-// name.
-func (b *Base) Emit(batch Batch) error {
-	b.recordOut(len(batch.Tuples))
-	b.mu.RLock()
-	outs := b.outs
-	b.mu.RUnlock()
-	for _, out := range outs {
-		if err := out.Process(batch); err != nil {
-			return fmt.Errorf("%s: downstream: %w", b.name, err)
-		}
-	}
-	return nil
-}
+func (b *Base) RecordDraws(n int) { b.randomDraws.Add(uint64(n)) }
 
 // ErrClosed is returned when a batch is pushed into a closed component.
 var ErrClosed = errors.New("stream: closed")
@@ -172,33 +133,8 @@ func (c *Collector) Len() int {
 	return len(c.tuples)
 }
 
-// Reset discards collected state.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tuples = nil
-}
-
-// Counter is a sink that only counts tuples, for benchmarks that must not
-// allocate.
-type Counter struct {
-	n atomic.Uint64
-}
-
-// Process implements Processor.
-func (c *Counter) Process(b Batch) error {
-	c.n.Add(uint64(len(b.Tuples)))
-	return nil
-}
-
-// N returns the count of tuples seen.
-func (c *Counter) N() uint64 { return c.n.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n.Store(0) }
-
 // Tee forwards each batch to all children; it is a plain fan-out Processor
-// for wiring graphs outside the operator topology.
+// for handing one acquired stream to several sinks.
 type Tee struct {
 	Children []Processor
 }

@@ -6,16 +6,18 @@ import (
 )
 
 // The batch hot path recycles tuple storage through a package-level arena so
-// steady-state operator execution performs no heap allocation. The ownership
-// rule, which every Processor must observe, is:
+// steady-state execution performs no heap allocation. The ownership rule,
+// which every Processor must observe, is:
 //
 //   - a Batch passed to Process is only valid for the duration of the call;
 //   - a Processor that retains tuples beyond the call must copy them (the
-//     built-in sinks — Collector, Counter, the export sinks — all do);
-//   - the producer that borrowed a buffer releases it after its Emit returns.
+//     built-in sinks — Collector, the result stores, the export sinks — all
+//     do);
+//   - the producer that borrowed a buffer releases it after the Process
+//     calls it handed the buffer's batch to have returned.
 //
-// Emit is synchronous, so by the time a producer releases its buffer every
-// downstream Process has completed.
+// Process is synchronous, so by the time a producer releases its buffer no
+// Processor still reads it.
 
 // TupleBuffer is a reusable tuple slice borrowed from the package arena with
 // BorrowTuples and returned with Release. Append to Tuples as usual; the

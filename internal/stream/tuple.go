@@ -1,10 +1,10 @@
 // Package stream provides the stream-processing substrate of CrAQR: the
 // crowdsensed tuple model, batches and their deterministic (T, ID) order
-// (CompareTuples), the push-based operator interface that PMAT operators
-// implement, sinks, the bounded result stores, and operator-graph
-// plumbing. The design mirrors classical stream engines
-// (Aurora/TelegraphCQ/CQL) in miniature: operators are connected into a DAG
-// and batches of tuples are pushed from sources towards sinks.
+// (CompareTuples), the names and flow counters PMAT operators embed (Base),
+// the Processor interface batches are delivered through, sinks, the
+// bounded result stores and the tuple arena. Operators are not connected to
+// each other here: the fabricator's compiled epoch program moves positions
+// between them and hands each acquired stream to its sinks.
 package stream
 
 import (

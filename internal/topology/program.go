@@ -44,10 +44,10 @@ import (
 // ordering is what U-operators do: it hands on its cell's survivors in the
 // order they arrived, whatever the batch's order.
 //
-// The tests hold the program to a reference that pushes every cell's share
-// through the F- and T-operators' own Process methods, wired as the paper
-// draws them, and clips and merges with naive P and U of its own
-// (walk_test.go, program_test.go).
+// The tests hold the program to a reference that runs every cell's share
+// through its F-operator's kernel and then down the T-chain one materialized
+// batch per stage, with naive T, P and U of its own (walk_test.go,
+// program_test.go).
 //
 // Tie rule: tuples equal in both T and ID are ordered by position. Neither
 // ingest.idSet nor the simulators produce such a pair within an attribute

@@ -16,82 +16,75 @@ type epochRunner interface {
 }
 
 // graphWalk is the reference executor the compiled epoch program is held to.
-// It runs an epoch the way the paper's Fig. 1 draws it: the map phase picks
-// each cell's share out of the batch tuple by tuple, and every share is
-// pushed, serially and in shard order, through the fabricator's own F- and
-// T-operators by their Process methods. Each tap's P-operator is a
-// tuple-by-tuple clip of the stage's output, and each subplan's U-operator
-// concatenates its leaves' runs in leaf order and stable-sorts them by
-// (T, ID) once every cell has run; both are the walk's own, naive code,
-// accounted on the fabricator's P- and U-operators. The F- and T-operators
-// are the fabricator's, so their estimators, generators and flow counters
-// move as the program's would; only the wiring is the walk's.
-//
-// Each F- and T-operator is given one downstream for life, a relay the walk
-// points at the current topology before every epoch, so the inserts,
-// deletes and retunes between epochs need no unwiring.
-type graphWalk struct {
-	f      *Fabricator
-	relays map[any]*relay
-}
+// It runs an epoch the way the paper's Fig. 1 draws it, one materialized
+// batch per hop: the map phase picks each cell's share out of the batch
+// tuple by tuple, and every share goes, serially and in shard order, through
+// the cell's F-operator and then down its T-chain stage by stage. F is the
+// operator's kernel (ProcessFused), whose survivors the walk copies out of
+// the batch; each T-stage is the walk's own naive T, a Bernoulli draw on the
+// stage's generator for every tuple of the stage before's output. Each tap's
+// P-operator is a tuple-by-tuple clip of its stage's output, and each
+// subplan's U-operator concatenates its leaves' runs in leaf order and
+// stable-sorts them by (T, ID) once every cell has run. T, P and U are the
+// walk's own, naive code, accounted on the fabricator's operators.
+// The F- and T-operators are the fabricator's, so their estimators,
+// generators and flow counters move as the program's would.
+type graphWalk struct{ f *Fabricator }
 
-func newGraphWalk(f *Fabricator) *graphWalk {
-	return &graphWalk{f: f, relays: map[any]*relay{}}
-}
+func newGraphWalk(f *Fabricator) *graphWalk { return &graphWalk{f: f} }
 
-// relay forwards a batch to what the walk wired after an operator.
-type relay struct{ outs []stream.Processor }
-
-func (r *relay) Process(b stream.Batch) error {
-	for _, out := range r.outs {
-		if err := out.Process(b); err != nil {
-			return err
+// flattenShare runs the cell's F-operator on its share and returns the
+// survivors.
+func flattenShare(fl *pmat.Flatten, share stream.Batch) ([]stream.Tuple, error) {
+	keep := make([]bool, share.Len())
+	if _, err := fl.ProcessFused(share, keep); err != nil {
+		return nil, err
+	}
+	var kept []stream.Tuple
+	for i, k := range keep {
+		if k {
+			kept = append(kept, share.Tuples[i])
 		}
 	}
-	return nil
+	return kept, nil
 }
 
-// after returns op's relay, emptied for this epoch's wiring; op is connected
-// to it on first use.
-func (w *graphWalk) after(op interface{ AddDownstream(stream.Processor) }) *relay {
-	r, ok := w.relays[op]
-	if !ok {
-		r = &relay{}
-		op.AddDownstream(r)
-		w.relays[op] = r
+// thinStage is the walk's T-operator: one draw on th's generator per input
+// tuple, in input order, keeping the tuples whose draw succeeds.
+func thinStage(th *pmat.Thin, in []stream.Tuple) []stream.Tuple {
+	p, rng := th.BeginFused()
+	var kept []stream.Tuple
+	for _, tp := range in {
+		if rng.Bernoulli(p) {
+			kept = append(kept, tp)
+		}
 	}
-	r.outs = r.outs[:0]
-	return r
+	th.EndFused(len(in), len(kept))
+	return kept
 }
 
-// leaf is one tap of a subplan: it clips what its T-operator emits to the
-// tap's region when the tap has a P-operator, and keeps the rest as the
-// subplan's run for the tap's cell.
-type leaf struct {
-	t   *tap
-	run *[]stream.Tuple
-}
-
-func (l leaf) Process(b stream.Batch) error {
-	if l.t.partition == nil {
-		*l.run = append(*l.run, b.Tuples...)
-		return nil
+// clipLeaf is the walk's P-operator: it appends to run what of a stage's
+// output falls in the tap's region when the tap has a P-operator, and all
+// of it otherwise.
+func clipLeaf(t *tap, out []stream.Tuple, run *[]stream.Tuple) {
+	if t.partition == nil {
+		*run = append(*run, out...)
+		return
 	}
 	kept := 0
-	for _, tp := range b.Tuples {
-		if l.t.region.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
-			*l.run = append(*l.run, tp)
+	for _, tp := range out {
+		if t.region.Contains(geom.Point{X: tp.X, Y: tp.Y}) {
+			*run = append(*run, tp)
 			kept++
 		}
 	}
-	l.t.partition.RecordBatchIn(len(b.Tuples))
-	l.t.partition.RecordOut(kept)
-	return nil
+	t.partition.RecordBatchIn(len(out))
+	t.partition.RecordOut(kept)
 }
 
-// Ingest runs one epoch of b's attribute through the operators: wire them as
-// the topology stands, walk every cell's share from its F-operator on, then
-// merge and deliver every subplan of the attribute, in fabrication order.
+// Ingest runs one epoch of b's attribute through the operators: walk every
+// cell's share from its F-operator down its T-chain, then merge and deliver
+// every subplan of the attribute, in fabrication order.
 func (w *graphWalk) Ingest(b stream.Batch) error {
 	f := w.f
 	f.mu.RLock()
@@ -107,27 +100,23 @@ func (w *graphWalk) Ingest(b stream.Batch) error {
 		}
 	}
 	slices.SortFunc(states, func(a, b *queryState) int { return cmp.Compare(a.seq, b.seq) })
-	pipes := f.order[b.Attr]
-	for _, p := range pipes {
-		up := w.after(p.flatten)
-		for _, n := range p.nodes {
-			up.outs = append(up.outs, n.thin)
-			up = w.after(n.thin)
-			for _, t := range n.taps {
-				st := byTap[t.queryID]
-				up.outs = append(up.outs, leaf{t: t, run: &runs[st][slices.Index(st.keys, p.key)]})
-			}
-		}
-	}
-	for _, p := range pipes {
+	for _, p := range f.order[b.Attr] {
 		share := stream.Batch{Attr: b.Attr, Window: b.Window.WithRect(p.cellRect)}
 		for _, tp := range b.Tuples {
 			if cell, ok := f.grid.CellAt(geom.Point{X: tp.X, Y: tp.Y}); ok && cell == p.key.Cell {
 				share.Tuples = append(share.Tuples, tp)
 			}
 		}
-		if err := p.flatten.Process(share); err != nil {
+		out, err := flattenShare(p.flatten, share)
+		if err != nil {
 			return err
+		}
+		for _, n := range p.nodes {
+			out = thinStage(n.thin, out)
+			for _, t := range n.taps {
+				st := byTap[t.queryID]
+				clipLeaf(t, out, &runs[st][slices.Index(st.keys, p.key)])
+			}
 		}
 	}
 	for _, st := range states {
