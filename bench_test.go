@@ -1230,15 +1230,19 @@ func BenchmarkIngest(b *testing.B) {
 // the ordering pass's worst case on the 4096x2attr shape: the same
 // thousandths squeezed into the first 2⁻¹³ of the epoch, with one tuple per
 // attribute at three quarters of it, so each run's counting pass puts all but
-// one key into a single bucket and a nested pass orders them. Those rows
+// one word into a single bucket and a nested pass orders them. Those rows
 // start at epoch 1, where 16384x1attr's first three windows are too wide for
-// a time offset and 14 index bits to share one word, so they take the 16-byte
-// keys. The two @5000 rows are 16384x1attr and 4096x2attr at the epochs the
-// end-to-end benchmark's sessions reach, T = 5000 + e + k/1000, where every
-// epoch takes the word. 4096x1attr@5000/ids=shuffled is one attribute there
-// with its IDs in random order: IDs that fall in arrival order cannot ride
-// in the word, so this row is the one that times the 16-byte keys
-// (orderByKeys) at the daemon's epochs.
+// a time offset and 14 index bits to share one word, so their words are
+// refitted. The two @5000 rows are 16384x1attr and 4096x2attr at the epochs
+// the end-to-end benchmark's sessions reach, T = 5000 + e + k/1000, where
+// every epoch's words fit. The other @5000 rows take the tie pass or refit:
+// ids=shuffled is one attribute with its IDs in random order, so the tie
+// pass orders each thousandth's IDs; late sends every 16th tuple half an
+// epoch late into a LateNextEpoch queue, so the epoch holds times below its
+// start and is refitted; ids=interleaved numbers the tuples from two
+// producers' ranges that alternate, each attribute seeing both; oneinstant
+// puts one attribute's every tuple at one T with shuffled IDs below 2⁴⁰, one
+// tie group that the tie pass orders by a radix sort on the IDs.
 func BenchmarkEpochAssembly(b *testing.B) {
 	region := geom.NewRect(0, 0, 8, 8)
 	attrs := []string{"rain", "temp", "wind", "co2", "no2", "pm10", "pm25", "o3"}
@@ -1246,6 +1250,7 @@ func BenchmarkEpochAssembly(b *testing.B) {
 		name                           string
 		n, frames, attrs               int
 		presorted, onebucket, shuffled bool
+		late, interleaved, oneinstant  bool
 		at                             float64 // the first epoch's start is at+1
 	}{
 		{name: "16384x1attr", n: 16384, frames: 64, attrs: 1},
@@ -1256,9 +1261,16 @@ func BenchmarkEpochAssembly(b *testing.B) {
 		{name: "presorted", n: 4096, frames: 1, attrs: 1, presorted: true},
 		{name: "onebucket", n: 4096, frames: 1, attrs: 2, onebucket: true},
 		{name: "4096x1attr@5000/ids=shuffled", n: 4096, frames: 1, attrs: 1, at: 5000, shuffled: true},
+		{name: "4096x1attr@5000/late", n: 4096, frames: 1, attrs: 1, at: 5000, late: true},
+		{name: "4096x2attr@5000/ids=interleaved", n: 4096, frames: 1, attrs: 2, at: 5000, interleaved: true},
+		{name: "4096x1attr@5000/oneinstant", n: 4096, frames: 1, attrs: 1, at: 5000, oneinstant: true},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			q := ingest.NewQueue(ingest.Config{Buffer: 4 * shape.n, Region: region})
+			cfg := ingest.Config{Buffer: 4 * shape.n, Region: region}
+			if shape.late {
+				cfg.Late = ingest.LateNextEpoch
+			}
+			q := ingest.NewQueue(cfg)
 			src, err := ingest.NewQueueSource(q, region)
 			if err != nil {
 				b.Fatal(err)
@@ -1268,14 +1280,18 @@ func BenchmarkEpochAssembly(b *testing.B) {
 			frac := make([]float64, shape.n)
 			for i := range tuples {
 				frac[i] = float64(rng.Intn(1000)) / 1000
-				if shape.presorted {
+				switch {
+				case shape.presorted:
 					frac[i] = float64(i) / float64(shape.n)
-				}
-				if shape.onebucket {
+				case shape.onebucket:
 					frac[i] /= 1 << 13
 					if i < shape.attrs {
 						frac[i] = 0.75
 					}
+				case shape.late && i%16 == 0:
+					frac[i] = frac[i]/2 - 0.5
+				case shape.oneinstant:
+					frac[i] = 0.5
 				}
 				tuples[i] = stream.Tuple{
 					Attr: attrs[i%shape.attrs],
@@ -1286,8 +1302,20 @@ func BenchmarkEpochAssembly(b *testing.B) {
 			for j := range ids {
 				ids[j] = j
 			}
-			if shape.shuffled {
+			switch {
+			case shape.shuffled:
 				ids = rng.Perm(shape.n)
+			case shape.interleaved:
+				// Tuple 4m+2p+a is producer p's tuple 2m+a: the producers
+				// alternate every two tuples, so each attribute sees both.
+				for j := range ids {
+					ids[j] = (j>>1&1)*(shape.n/2) + (j>>2)*2 + j&1
+				}
+			case shape.oneinstant:
+				step := (1 << 40) / shape.n
+				for j, p := range rng.Perm(shape.n) {
+					ids[j] = p*step + rng.Intn(step)
+				}
 			}
 			perFrame := shape.n / shape.frames
 			var busy time.Duration

@@ -11,38 +11,20 @@ import (
 )
 
 // Epoch assembly turns the tuples a drain detached from the queue — in
-// arrival order, attributes interleaved — into one contiguous (T, ID)-sorted
-// run per attribute, attributes in sorted name order. It runs on memory no
-// producer can reach (see Queue.detach), never under the queue's lock, and
-// it never compares or moves a 64-byte stream.Tuple while ordering: it
-// orders one 8-byte word per tuple and moves each tuple exactly once, in the
-// final gather.
+// arrival order, attributes interleaved — into one (T, ID)-sorted run per
+// attribute, attributes in name order, ties in arrival order. It runs on
+// memory no producer can reach (see Queue.detach), and it orders one 8-byte
+// word per tuple: its time key's offset from the epoch start's, above its
+// ⌈log₂ n⌉-bit arrival index. Each tuple is moved once, in the gather.
 //
-// The word is the tuple's event time, as its timeKey's offset from the
-// epoch start's, above its ⌈log₂ n⌉-bit arrival index. One pass over the
-// tuples finds each one's attribute slot, stores its time key and checks
-// that IDs never fall in arrival order; one pass over the keys alone makes
-// the words and checks the rest: no T below the epoch start, and no offset
-// too wide to leave the index its bits. Then arrival order is ID order on
-// every T-tie, and a word's order is its tuple's (T, ID) order. The checks
-// are borrows and ORs folded into registers, not branches. A counting
-// scatter groups the words by attribute, one counting pass and one
-// insertion sweep order each run (radixSortWords), and the gather reads the
-// arrival index off each word's low bits. Times that rise strictly in
-// arrival order need none of it: nothing is sorted, whatever the IDs or the
-// window. Any other epoch the words cannot order — late carry-over below the
-// start, IDs that descend, a window near zero too wide for the index bits —
-// is ordered by 16-byte keys instead (orderByKeys), which also look at the
-// IDs.
-
-// sortKey is one tuple's ordering image on the fallback path: w is the word
-// being sorted on — the tuple's timeKey, or its ID during the ID phase of a
-// run whose IDs do not already ascend — idx the tuple's arrival position in
-// the detached slice.
-type sortKey struct {
-	w   uint64
-	idx uint32
-}
+// One pass over the tuples finds each one's attribute slot, stores its time
+// key and notes whether any ID falls in arrival order; one pass over the
+// keys makes the words and checks, in registers, that they fit. An epoch
+// with a T below its start, or offsets too wide for the index bits, has its
+// words rebuilt by refit. A counting scatter groups the words by attribute
+// and radixSortWords orders each run; orderTies then orders the words left
+// equal above the index, which it needs only when an ID fell or refit
+// dropped bits. Times that rise strictly in arrival order are not sorted.
 
 // timeKey maps a finite event time onto a uint64 whose unsigned order is the
 // float order: non-negative values get the sign bit set, negative values are
@@ -67,10 +49,7 @@ type attrRun struct {
 const linearAttrs = 16
 
 // assembler holds the reusable scratch of epoch assembly. Every slice is
-// sized to the largest epoch actually drained, never to the queue's Buffer;
-// keys and tmp only to the largest epoch the words could not order, and only
-// until an epoch they do: a session whose first windows sit near zero, or
-// that sees a late carry-over now and then, does not keep them.
+// sized to the largest epoch actually drained, never to the queue's Buffer.
 type assembler struct {
 	runs  []attrRun
 	order []int             // run indices in sorted attribute-name order
@@ -82,7 +61,6 @@ type assembler struct {
 	words, spare []uint64
 	slots        []uint32
 	idxBits      uint
-	keys, tmp    []sortKey
 	hist         []uint32 // the counting passes' bucket counts: at most 1<<maxBucketBits per pass, nested passes stacked
 }
 
@@ -143,16 +121,12 @@ func (a *assembler) orderKeys(src []stream.Tuple, t0 float64) {
 	s := uint(bits.Len(uint(max(n, 1) - 1)))
 	a.idxBits = s
 
-	// The one pass over the tuples finds each tuple's attribute slot, counts
-	// each run, stores the tuple's time key as its word and notes, as a
-	// borrow, whether any ID is below the one that arrived before it.
-	// Decoders intern attribute names, so the tuples of one attribute carry
-	// the very same string: while a tuple's name is the current attribute's
-	// string or the previous one's (a frame that interleaves two
-	// attributes), by data pointer and length, the inner loop takes its slot
-	// without comparing bytes or calling anything. Any other name goes back
-	// out to lookup, which also settles content-equal names at other
-	// addresses.
+	// The pass over the tuples counts each run, stores each time key and
+	// notes, as a borrow, an ID below the one that arrived before it.
+	// Decoders intern attribute names: while a tuple's name is the current
+	// or the previous attribute's string by data pointer and length (a frame
+	// may interleave two attributes), the inner loop takes its slot without
+	// reading bytes or calling anything. Any other name goes out to lookup.
 	var cur, prev uint32
 	var curP, prevP *byte
 	curL, prevL := 0, -1 // no string is −1 long: prev matches nothing until set
@@ -185,12 +159,10 @@ func (a *assembler) orderKeys(src []stream.Tuple, t0 float64) {
 		}
 		i = j
 	}
-	// A pass over the keys alone writes each one's word — its offset from
-	// t0's above its arrival index — into a.spare, leaving the keys where they
-	// are for the 16-byte path, and folds in the rest of what decides how the
-	// epoch is ordered: the OR of every offset (its highest bit must leave s
-	// bits free), a borrow if any T lies below t0, and one if any T is at or
-	// below the one that arrived before it.
+	// The pass over the keys writes the words into a.spare, keeping the keys
+	// for refit, and folds in the OR of every offset (it must leave s bits
+	// free), a borrow if any T lies below t0, and one if any T is at or below
+	// the one that arrived before it.
 	k0 := timeKey(t0)
 	var offs, below, unordered, lastK uint64
 	spare := a.spare
@@ -214,18 +186,15 @@ func (a *assembler) orderKeys(src []stream.Tuple, t0 float64) {
 		a.runs[ri].start, a.runs[ri].next = at, at
 		at += a.runs[ri].n
 	}
-	// Times that rise strictly in arrival order leave nothing to sort and no
-	// tie for an ID to break: every run is in order as it arrived, and the
-	// words' low bits name it whether or not their offsets fit.
-	if unordered != 0 && (below|descent != 0 || bits.Len64(offs)+int(s) > 64) {
-		a.orderByKeys(src)
-		return
+	// Times that rise strictly in arrival order leave every run in order,
+	// and the words' low bits name it whether or not the offsets fit.
+	dropped := false
+	if unordered != 0 && (below != 0 || bits.Len64(offs)+int(s) > 64) {
+		dropped = a.refit()
 	}
-	a.keys, a.tmp = nil, nil
 	a.words, a.spare = a.spare, a.words
 	if len(a.runs) > 1 {
-		// Counting scatter: each attribute's words become one contiguous
-		// run, still in arrival order within it.
+		// Counting scatter: one contiguous run per attribute, in arrival order.
 		for i, w := range a.words {
 			r := &a.runs[slots[i]]
 			a.spare[r.next] = w
@@ -233,83 +202,118 @@ func (a *assembler) orderKeys(src []stream.Tuple, t0 float64) {
 		}
 		a.words, a.spare = a.spare, a.words
 	}
-	if unordered != 0 {
-		diff := offs<<s | (uint64(1)<<s - 1)
-		for _, r := range a.runs {
-			a.radixSortWords(a.words[r.start:r.start+r.n], a.spare[r.start:r.start+r.n], diff, 0)
-		}
+	if unordered == 0 {
+		return
 	}
-}
-
-// orderByKeys orders an epoch the words cannot: a.words still holds every
-// tuple's time key in arrival order, which the counting scatter groups by
-// attribute as 16-byte keys; orderRun orders each run, and the arrival
-// indices it settles on go back into a.words for the gather.
-func (a *assembler) orderByKeys(src []stream.Tuple) {
-	n := len(src)
-	a.keys = slices.Grow(a.keys[:0], n)[:n]
-	a.tmp = slices.Grow(a.tmp[:0], n)[:n]
-	if len(a.runs) == 1 {
-		for i, k := range a.words {
-			a.keys[i] = sortKey{w: k, idx: uint32(i)}
-		}
-	} else {
-		for i, k := range a.words {
-			r := &a.runs[a.slots[i]]
-			a.keys[r.next] = sortKey{w: k, idx: uint32(i)}
-			r.next++
-		}
-	}
+	// A run whose words differ only in the index is in order as it arrived.
+	// Sorted words leave T-ties, and with bits dropped near times, in arrival
+	// order, which is (T, ID) order only when no ID fell and none was dropped.
+	ties := descent != 0 || dropped
 	for _, r := range a.runs {
-		a.orderRun(src, a.keys[r.start:r.start+r.n], a.tmp[r.start:r.start+r.n])
-	}
-	for i, k := range a.keys {
-		a.words[i] = uint64(k.idx)
+		words, tmp := a.words[r.start:r.start+r.n], a.spare[r.start:r.start+r.n]
+		var diff uint64
+		for _, w := range words {
+			diff |= w ^ words[0]
+		}
+		if diff>>s != 0 {
+			a.radixSortWords(words, tmp, diff, 0)
+		}
+		if ties {
+			a.orderTies(src, words, tmp)
+		}
 	}
 }
 
-// orderRun sorts one run's keys (at least one, in arrival order) by the
-// (T, ID) of the tuples they name, ties in arrival order. One pass over the
-// contiguous run, on local variables, learns what that takes: which bits of
-// T and of ID vary at all (the highest of them is where radixSortKeys'
-// bucket digit starts), whether IDs ascend in arrival order (then a stable
-// sort on T alone leaves every T-tie in ID order and the ID phase is
-// skipped), and whether the keys arrived fully sorted (then nothing is
-// sorted at all).
-func (a *assembler) orderRun(src []stream.Tuple, keys, tmp []sortKey) {
-	t0, id0 := keys[0].w, src[keys[0].idx].ID
-	lastT, lastID := t0, id0
-	var tDiff, idDiff uint64
-	sorted, idsAsc := true, true
-	for _, k := range keys[1:] {
-		t, id := k.w, src[k.idx].ID
-		if t < lastT || (t == lastT && id < lastID) {
-			sorted = false
-		}
-		if id < lastID {
-			idsAsc = false
-		}
-		tDiff |= t ^ t0
-		idDiff |= id ^ id0
-		lastT, lastID = t, id
+// refit rebuilds the words from the time keys still in a.words: offsets
+// from the epoch's own smallest key, without the low bits that do not fit
+// beside the index. It reports whether it dropped any, which can merge
+// distinct times into ties for orderTies.
+func (a *assembler) refit() (dropped bool) {
+	lo, hi := a.words[0], a.words[0]
+	for _, k := range a.words[1:] {
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	switch {
-	case sorted:
-	case idsAsc:
-		// A stable sort on T alone leaves every T-tie in arrival order,
-		// which here is ID order.
-		a.radixSortKeys(keys, tmp, tDiff, 0)
-	default:
-		// LSD over the pair: order by ID first, then stably by T.
-		for j := range keys {
-			keys[j].w = src[keys[j].idx].ID
-		}
-		a.radixSortKeys(keys, tmp, idDiff, 0)
-		for j := range keys {
-			keys[j].w = timeKey(src[keys[j].idx].T)
-		}
-		a.radixSortKeys(keys, tmp, tDiff, 0)
+	s := a.idxBits
+	drop := uint(max(bits.Len64(hi-lo)+int(s)-64, 0))
+	for i, k := range a.words {
+		a.spare[i] = (k-lo)>>drop<<s | uint64(i)
 	}
+	return drop > 0
+}
+
+// orderTies puts each group of sorted words equal above the index, which
+// is in arrival order, in its tuples' (T, ID) order. tmp is scratch.
+func (a *assembler) orderTies(src []stream.Tuple, words, tmp []uint64) {
+	s := a.idxBits
+	for lo := 0; lo < len(words); {
+		hi := lo + 1
+		for hi < len(words) && (words[hi]^words[lo])>>s == 0 {
+			hi++
+		}
+		if hi-lo > 1 {
+			a.orderTie(src, words[lo:hi], tmp[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// orderTie orders one tied group by (T, ID), ties in arrival order: up to
+// insertionBound words by insertion, a longer group by new words made as
+// refit makes them — from its time keys or, at one instant, from its IDs —
+// which radixSortWords orders; orderTies recurses on their ties unless they
+// are whole IDs. The gather reads only their index. Each level splits the
+// group by time or narrows its IDs by at least 64 − s bits, so at one
+// instant the second level fits.
+func (a *assembler) orderTie(src []stream.Tuple, words, tmp []uint64) {
+	s := a.idxBits
+	mask := uint64(1)<<s - 1
+	if len(words) <= insertionBound {
+		for i := 1; i < len(words); i++ {
+			w, j := words[i], i
+			for tp := &src[w&mask]; j > 0 && after(&src[words[j-1]&mask], tp); j-- {
+				words[j] = words[j-1]
+			}
+			words[j] = w
+		}
+		return
+	}
+	first := &src[words[0]&mask]
+	tLo, idLo := timeKey(first.T), first.ID
+	tHi, idHi := tLo, idLo
+	for _, w := range words[1:] {
+		tp := &src[w&mask]
+		k := timeKey(tp.T)
+		tLo, tHi = min(tLo, k), max(tHi, k)
+		idLo, idHi = min(idLo, tp.ID), max(idHi, tp.ID)
+	}
+	instant := tLo == tHi
+	lo, span := tLo, tHi-tLo
+	if instant {
+		lo, span = idLo, idHi-idLo
+	}
+	drop := uint(max(bits.Len64(span)+int(s)-64, 0))
+	var diff uint64
+	for i, w := range words {
+		tp := &src[w&mask]
+		key := timeKey(tp.T)
+		if instant {
+			key = tp.ID
+		}
+		words[i] = (key-lo)>>drop<<s | w&mask
+		diff |= words[i] ^ words[0]
+	}
+	if diff>>s != 0 {
+		a.radixSortWords(words, tmp, diff, 0)
+	}
+	if !instant || drop > 0 {
+		a.orderTies(src, words, tmp)
+	}
+}
+
+// after reports whether x orders after y by (T, ID) — stream.CompareTuples
+// on pointers, so a comparison copies no tuple.
+func after(x, y *stream.Tuple) bool {
+	return x.T > y.T || x.T == y.T && x.ID > y.ID
 }
 
 // gather appends src's tuples to dst in assembly order — the one place a
@@ -326,88 +330,22 @@ func (a *assembler) gather(dst, src []stream.Tuple) []stream.Tuple {
 }
 
 // maxBucketBits caps the counting pass's digit: 4096 buckets of uint32 counts
-// stay inside the L1 cache beside the keys being scattered.
+// stay inside the L1 cache beside the words being scattered.
 const maxBucketBits = 12
 
-// insertionBound is the largest bucket ordered by insertion. The counting
-// pass makes about as many buckets as there are keys, so a bucket holds a
-// handful unless the run's times cluster; up to this size shifting keys
-// (16 bytes, or 8 for words, which keep the same bound) costs less than
-// another counting pass.
+// insertionBound is the largest bucket, or tied group, ordered by insertion:
+// up to it, shifting words costs less than another counting pass.
 const insertionBound = 48
 
-// radixSortKeys sorts keys by w, stably, using tmp (same length) as the
-// scatter buffer. diff has a bit set wherever two keys of the run differ: the
-// bits above its highest one cannot reorder anything — inside one epoch
-// window that is the sign, the exponent and the top of T's mantissa — and the
-// ⌈log₂ n⌉ bits from there down (at most maxBucketBits) are where n keys
-// spread over that range tell themselves apart. One stable counting pass on
-// that digit leaves the buckets in order and each bucket in arrival order.
-// A bucket past insertionBound — the run's times cluster, or were built to —
-// is ordered in the scatter buffer by the same pass on the bits its own keys
-// differ in: those lie below the digit that put them together, which for more
-// than insertionBound keys is at least six bits wide, so the passes nest at
-// most 64/6 deep and the worst case is that many passes over the run, never
-// quadratic. One stable insertion sweep over the whole run then orders every
-// small bucket as it is copied back. The nested pass's counts sit above this
-// one's in a.hist (base is where this one's begin; 0 for a run). Every step is
-// stable, which is what makes the tie rule hold — keys equal in w stay in the
-// order they came in — and makes the result the one permutation a stable sort
-// by w has, whichever steps produced it.
-func (a *assembler) radixSortKeys(keys, tmp []sortKey, diff uint64, base int) {
-	if diff == 0 {
-		return
-	}
-	top := bits.Len64(diff)
-	width := min(bits.Len(uint(len(keys)-1)), maxBucketBits, top)
-	shift, mask := uint(top-width), uint64(1)<<width-1
-	a.hist = slices.Grow(a.hist[:base], 1<<width)[:base+1<<width]
-	hist := a.hist[base:]
-	clear(hist)
-	for i := range keys {
-		hist[keys[i].w>>shift&mask]++
-	}
-	sum := uint32(0)
-	for b, c := range hist {
-		hist[b], sum = sum, sum+c
-	}
-	for i := range keys {
-		b := keys[i].w >> shift & mask
-		tmp[hist[b]] = keys[i]
-		hist[b]++
-	}
-	// hist[b] is now where bucket b ends. A bucket past insertionBound is
-	// ordered where it lies, in tmp, with keys as its scratch; a nested pass
-	// writes its counts above these — or, having outgrown a.hist, into its
-	// successor — never to them.
-	lo := 0
-	for _, end := range hist {
-		hi := int(end)
-		if hi-lo > insertionBound {
-			bucket := tmp[lo:hi]
-			var d uint64
-			for i := range bucket {
-				d |= bucket[i].w ^ bucket[0].w
-			}
-			a.radixSortKeys(bucket, keys[lo:hi], d, base+len(hist))
-		}
-		lo = hi
-	}
-	// One insertion sweep over the whole run orders it while copying it back.
-	// Every key of an earlier bucket is smaller than every key of a later
-	// one, so no key moves past the start of its own bucket, and a bucket
-	// already ordered costs one compare per key.
-	for i := range tmp {
-		k, j := tmp[i], i
-		for ; j > 0 && keys[j-1].w > k.w; j-- {
-			keys[j] = keys[j-1]
-		}
-		keys[j] = k
-	}
-}
-
-// radixSortWords is radixSortKeys on a run of packed words, which are their
-// own sort key and all distinct (their low bits are the arrival index).
+// radixSortWords sorts distinct words, using tmp (same length) as the
+// scatter buffer. diff has a bit set wherever two words differ; one stable
+// counting pass on the ⌈log₂ n⌉ bits (at most maxBucketBits) below its
+// highest bit leaves the buckets in order. A bucket past insertionBound is
+// ordered in tmp by the same pass on the bits its own words differ in,
+// which lie below that digit of at least six bits, so passes nest at most
+// 64/6 deep; one insertion sweep orders the small buckets as it copies the
+// run back. A nested pass keeps its counts above this one's in a.hist (base
+// is where this one's begin; 0 for a run).
 func (a *assembler) radixSortWords(words, tmp []uint64, diff uint64, base int) {
 	top := bits.Len64(diff)
 	width := min(bits.Len(uint(len(words)-1)), maxBucketBits, top)
@@ -427,6 +365,7 @@ func (a *assembler) radixSortWords(words, tmp []uint64, diff uint64, base int) {
 		tmp[hist[b]] = w
 		hist[b]++
 	}
+	// hist[b] is now where bucket b ends; a nested pass never writes to it.
 	lo := 0
 	for _, end := range hist {
 		hi := int(end)
@@ -440,6 +379,8 @@ func (a *assembler) radixSortWords(words, tmp []uint64, diff uint64, base int) {
 		}
 		lo = hi
 	}
+	// No word moves past the start of its bucket; an ordered one costs one
+	// compare per word.
 	for i, w := range tmp {
 		j := i
 		for ; j > 0 && words[j-1] > w; j-- {

@@ -158,7 +158,7 @@ func sameEpoch(a, b map[string]stream.Batch) error {
 // target maps its arguments onto the same struct.
 // tModes and idModes are the numbers of event-time and ID shapes genEpoch
 // knows.
-const tModes, idModes = 9, 9
+const tModes, idModes = 10, 10
 
 type assemblyCase struct {
 	seed   int64
@@ -181,15 +181,19 @@ type assemblyCase struct {
 // aside), 6 splits T into two clusters 2⁴⁰ ulps apart with a few ulps of
 // jitter each, 7 draws T from the subnormals, ±0 and the ulps next to the
 // epoch's bounds. 8 is the end-to-end benchmark's corpus: T = e + k/1000
-// for k drawn from 0..999. idMode 0 assigns ascending IDs, 1 descending, 2
-// shuffled, 3 leaves them to the gateway, 4 mixes gateway and producer IDs. The rest are
+// for k drawn from 0..999. 9 puts four of every five tuples at the one
+// instant e + 1/2 and the fifth at e − 1/2, late: one long T-tie, and with
+// LateNextEpoch a second one carried in below t0. idMode 0 assigns
+// ascending IDs, 1 descending, 2 shuffled, 3 leaves them to the gateway, 4
+// mixes gateway and producer IDs. The rest are
 // built against the duplicate window: 5 redelivers the ID one and three
 // tuples back (in the same batch or an earlier one) and the previous epoch's
 // last ID, 6
 // ascends through the first half and descends through the second (the
 // window indexes mid-push), 7 keeps a quarter of the tuples pending past the
 // drain and redelivers IDs of the previous epoch's kept and drained tuples,
-// and 8 counts up across 2⁶³ to 2⁶⁴ − 1 (the gateway's half is rejected).
+// 8 counts up across 2⁶³ to 2⁶⁴ − 1 (the gateway's half is rejected), and 9
+// mixes gateway IDs with producer IDs that descend.
 func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]stream.Tuple {
 	tuples := make([]stream.Tuple, c.n)
 	for i := range tuples {
@@ -228,6 +232,11 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 			}
 		case 8:
 			t = e + float64(rng.Intn(1000))/1000
+		case 9:
+			t = e + 0.5
+			if i%5 == 4 {
+				t = e - 0.5
+			}
 		}
 		tuples[i] = stream.Tuple{
 			Attr:   fmt.Sprintf("a%02d", rng.Intn(c.attrs)),
@@ -279,6 +288,11 @@ func genEpoch(rng *rand.Rand, c assemblyCase, e float64, nextID *uint64) [][]str
 			id = GatewayIDBase - uint64(c.n/2) + uint64(i)
 			if i == c.n-1 {
 				id = math.MaxUint64
+			}
+		case 9:
+			id = base + uint64(c.n-i)
+			if i%3 == 0 {
+				id = 0
 			}
 		}
 		tuples[i].ID = id
@@ -392,45 +406,83 @@ func TestEpochAssemblyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWordFitBoundary pins where the word path ends and the 16-byte keys
-// take over, on both sides, against a stable (T, ID) sort. Times spread over
+// TestWordFitBoundary pins where the words fit as the key pass builds them,
+// where refit rebuilds them and where the tie pass reorders what they leave
+// tied, on both sides, against a stable (T, ID) sort. Times spread over
 // [1, 2) reach the window's last instant, whose offset needs all 52
-// mantissa bits and leaves 12 for the index: 4096 tuples fit and 4097 do
-// not; over [4, 5) 50 bits leave 14, so 16384 fit and 16385 do not. Equal
-// IDs fit (arrival order breaks the T-ties); mixed gateway and producer IDs
-// and a T below t0 do not; every T at t0 is an empty offset. Times that rise
-// strictly in arrival order take the words whatever the IDs, the window or
-// t0. Which path ran shows in whether the fallback's keys were ever grown.
+// mantissa bits and leaves 12 for the index: 4096 tuples fit and 4097 drop
+// a bit, so times a few ulps apart that arrive descending share words the
+// tie pass must reorder although the IDs ascend; over [4, 5) 50 bits leave
+// 14, so 16384 fit and 16385 drop one. Equal IDs leave arrival order to
+// break the T-ties; mixed gateway and producer IDs fall and need the tie
+// pass; a T below t0 is refitted; every T at t0 is an empty offset. Times
+// that rise strictly in arrival order are left as they arrived whatever the
+// IDs, the window or t0. The tie pass's own edges: groups of insertionBound
+// tuples at one T with descending IDs (insertion) and of one more (words
+// from the IDs); one instant whose IDs span the gateway and producer ranges
+// (ID words that drop bits, then a second level); late carry-over with
+// T-ties and descending IDs; and 16385 tuples on the thousandths of [0, 1),
+// where refit drops bits, with shuffled IDs.
 func TestWordFitBoundary(t *testing.T) {
 	ascending := func(i int) uint64 { return uint64(i + 1) }
+	// tieRuns gives each attribute runs of size tuples at one T: the two
+	// attributes alternate, so 2·size consecutive tuples share it.
+	tieRuns := func(size int) func(rng *rand.Rand, i, n int, t0 float64) float64 {
+		return func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 + float64(i/(2*size))/8 }
+	}
+	descending := func(n int) func(i int) uint64 { return func(i int) uint64 { return uint64(n - i) } }
+	perm := rand.New(rand.NewSource(3)).Perm(16385)
 	for _, c := range []struct {
 		name string
 		t0   float64
 		n    int
 		id   func(i int) uint64
 		t    func(rng *rand.Rand, i, n int, t0 float64) float64
-		word bool
 	}{
-		{"n=4096@1", 1, 4096, ascending, nil, true},
-		{"n=4097@1", 1, 4097, ascending, nil, false},
-		{"n=16384@4", 4, 16384, ascending, nil, true},
-		{"n=16385@4", 4, 16385, ascending, nil, false},
-		{"equalIDs@5000", 5000, 3000, func(int) uint64 { return 7 }, nil, true},
+		{"n=4096@1", 1, 4096, ascending, nil},
+		{"n=4097@1", 1, 4097, ascending, nil},
+		{"n=16384@4", 4, 16384, ascending, nil},
+		{"n=16385@4", 4, 16385, ascending, nil},
+		{"n=4097@1/ulps", 1, 4097, ascending, func(rng *rand.Rand, i, n int, t0 float64) float64 {
+			switch i {
+			case n / 2:
+				return math.Nextafter(t0+1, t0)
+			case n/2 + 1:
+				return t0
+			}
+			return math.Float64frombits(math.Float64bits(t0+0.5) + uint64((n-i)/2%8))
+		}},
+		{"equalIDs@5000", 5000, 3000, func(int) uint64 { return 7 }, nil},
 		{"mixedIDs@5000", 5000, 3000, func(i int) uint64 {
 			if i%3 == 0 {
 				return GatewayIDBase | uint64(i)
 			}
 			return uint64(i + 1)
-		}, nil, false},
+		}, nil},
 		{"below@5000", 5000, 3000, ascending, func(rng *rand.Rand, i, n int, t0 float64) float64 {
 			if i == n/3 {
 				return math.Nextafter(t0, 0)
 			}
 			return t0 + float64(rng.Intn(1000))/1000
-		}, false},
-		{"allAtT0@5000", 5000, 3000, ascending, func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 }, true},
+		}},
+		{"allAtT0@5000", 5000, 3000, ascending, func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 }},
 		{"rising/descendingIDs/from-below@1", 1, 5000, func(i int) uint64 { return uint64(5000 - i) },
-			func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 - 0.5 + float64(i)/float64(n) }, true},
+			func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 - 0.5 + float64(i)/float64(n) }},
+		{"tieRuns=insertionBound@5000", 5000, 8 * insertionBound, descending(8 * insertionBound), tieRuns(insertionBound)},
+		{"tieRuns=insertionBound+1@5000", 5000, 8 * (insertionBound + 1), descending(8 * (insertionBound + 1)), tieRuns(insertionBound + 1)},
+		{"oneInstant/mixedIDs@5000", 5000, 3000, func(i int) uint64 {
+			if i%3 == 0 {
+				return GatewayIDBase | uint64(3000-i)
+			}
+			return uint64(3000 - i)
+		}, func(rng *rand.Rand, i, n int, t0 float64) float64 { return t0 + 0.5 }},
+		{"late/ties/descendingIDs@5000", 5000, 3000, descending(3000), func(rng *rand.Rand, i, n int, t0 float64) float64 {
+			if i%16 == 0 {
+				return t0 - 0.5 + float64(rng.Intn(20))/1000
+			}
+			return t0 + float64(rng.Intn(1000))/1000
+		}},
+		{"n=16385@0/thousandths/shuffledIDs", 0, 16385, func(i int) uint64 { return uint64(perm[i] + 1) }, nil},
 	} {
 		rng := rand.New(rand.NewSource(int64(c.n)))
 		src := make([]stream.Tuple, c.n)
@@ -458,9 +510,15 @@ func TestWordFitBoundary(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: assembly order differs from a stable (attribute, T, ID) sort", c.name)
 		}
-		if word := a.keys == nil; word != c.word {
-			t.Fatalf("%s: word path %v, want %v", c.name, word, c.word)
-		}
+	}
+	// A T so far below t0 that its offset wraps to below 2⁶³: beside one
+	// index bit the wrapped offset would fit, so only the below-t0 check
+	// sends the epoch to refit.
+	src := []stream.Tuple{{ID: 1, Attr: "rain", T: 5000.5}, {ID: 2, Attr: "rain", T: -1}}
+	var a assembler
+	a.orderKeys(src, 5000)
+	if got := a.gather(nil, src); got[0].ID != 2 {
+		t.Fatalf("far below t0: T=%g first, want T=-1", got[0].T)
 	}
 }
 
@@ -500,6 +558,16 @@ func FuzzEpochAssembly(f *testing.F) {
 	f.Add(int64(207), uint16(4096), uint8(0), uint8(0), uint8(0), false, int16(0))
 	f.Add(int64(208), uint16(16383), uint8(0), uint8(0), uint8(0), false, int16(5))
 	f.Add(int64(209), uint16(16384), uint8(1), uint8(0), uint8(0), false, int16(5))
+	// The tie pass's edges (see TestWordFitBoundary): one instant holding
+	// insertionBound tuples and one more with descending IDs (n = 60 and 61
+	// put four fifths there), one instant whose IDs mix the gateway's and the
+	// producers' ranges, late carry-over with T-ties and descending IDs, and
+	// 16385 tuples on thousandths around zero with shuffled IDs.
+	f.Add(int64(210), uint16(59), uint8(0), uint8(9), uint8(1), false, int16(5000))
+	f.Add(int64(211), uint16(60), uint8(0), uint8(9), uint8(1), false, int16(5000))
+	f.Add(int64(212), uint16(999), uint8(1), uint8(9), uint8(9), false, int16(5000))
+	f.Add(int64(213), uint16(999), uint8(1), uint8(9), uint8(1), true, int16(5000))
+	f.Add(int64(214), uint16(16384), uint8(0), uint8(8), uint8(2), false, int16(0))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, attrs, tMode, idMode uint8, lateNext bool, base int16) {
 		c := assemblyCase{seed: seed, n: 1 + int(n)%(1<<15), attrs: 1 + int(attrs)%40, tMode: tMode, idMode: idMode, base: float64(base)}
 		if lateNext {
@@ -526,21 +594,16 @@ func TestTimeKeyOrder(t *testing.T) {
 	}
 }
 
-// sortedKeys is the oracle of radixSortKeys: a stable comparison sort on w.
-func sortedKeys(keys []sortKey) []sortKey {
-	out := slices.Clone(keys)
-	slices.SortStableFunc(out, func(a, b sortKey) int { return cmp.Compare(a.w, b.w) })
-	return out
-}
-
-// TestRadixSortKeysShapes drives the ordering pass alone through the key
-// distributions that decide which of its steps run — a spread run (a few keys
-// per bucket, insertion only), every key in one bucket, two clusters 2⁴⁰ ulps
-// apart, one bucket past the insertion bound among small ones, all keys
-// equal, keys that differ in the lowest bit only, negative and subnormal
-// times — at sizes around insertionBound and around the 12-bit cap on the
-// counting pass's digit, and compares with a stable comparison sort. idx is
-// the arrival position, so equal keys out of arrival order fail too.
+// TestRadixSortKeysShapes drives the ordering pass alone through the time-key
+// distributions that decide which of its steps run — a spread run, every key
+// in one bucket, two clusters 2⁴⁰ ulps apart, one bucket past the insertion
+// bound among small ones, all keys equal, keys that differ in the lowest bit
+// only, negative and subnormal times, full-width keys — packed into words
+// the way refit packs them: the offset from the run's smallest key, less the
+// low bits that do not fit, above the arrival index. It compares with a
+// comparison sort, and where no bit was dropped it checks that the words
+// came out in the keys' stable order, so equal keys out of arrival order
+// fail too.
 func TestRadixSortKeysShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := timeKey(5.25)
@@ -555,24 +618,12 @@ func TestRadixSortKeysShapes(t *testing.T) {
 			}
 			return base&^0xff | uint64(rng.Intn(256))
 		}},
-		{"onebucket/wide", func(i, n int) uint64 {
-			if i == n/2 {
-				return timeKey(5.75)
-			}
-			return base&^(1<<36-1) | rng.Uint64()&(1<<36-1)
-		}},
 		{"twoclusters", func(i, n int) uint64 { return base + uint64(rng.Intn(2))<<40 + uint64(rng.Intn(64)) }},
 		{"onebig", func(i, n int) uint64 {
 			if i%3 == 0 {
 				return timeKey(5 + rng.Float64())
 			}
 			return base + uint64(rng.Intn(1<<20)) // two thirds of the run in one bucket
-		}},
-		{"nested", func(i, n int) uint64 { // every pass leaves all but two keys in one bucket
-			if i < 4 {
-				return base&^(1<<48-1) | 1<<(47-11*uint(i))
-			}
-			return base&^(1<<48-1) | uint64(rng.Intn(8))
 		}},
 		{"allequal", func(i, n int) uint64 { return base }},
 		{"lowbit", func(i, n int) uint64 { return base | uint64(rng.Intn(2)) }},
@@ -586,65 +637,52 @@ func TestRadixSortKeysShapes(t *testing.T) {
 	sizes := []int{1, 2, 3, insertionBound - 1, insertionBound, insertionBound + 1, insertionBound + 2,
 		3 * insertionBound, 1<<maxBucketBits - 1, 1 << maxBucketBits, 1<<maxBucketBits + 1, 3 << maxBucketBits}
 	var a assembler
-	check := func(name string, ws []uint64) {
-		t.Helper()
-		keys := make([]sortKey, len(ws))
-		var diff uint64
-		for i, w := range ws {
-			keys[i] = sortKey{w: w, idx: uint32(i)}
-			diff |= w ^ ws[0]
-		}
-		want := sortedKeys(keys)
-		a.radixSortKeys(keys, make([]sortKey, len(keys)), diff, 0)
-		if !slices.Equal(keys, want) {
-			for i := range keys {
-				if keys[i] != want[i] {
-					t.Fatalf("%s n=%d: key %d is %+v, a stable sort puts %+v there", name, len(keys), i, keys[i], want[i])
-				}
-			}
-		}
-	}
 	for _, shape := range shapes {
 		for _, n := range sizes {
-			ws := make([]uint64, n)
-			for i := range ws {
-				ws[i] = shape.w(i, n)
+			ks := make([]uint64, n)
+			for i := range ks {
+				ks[i] = shape.w(i, n)
 			}
-			check(shape.name, ws)
-		}
-	}
-	// The sweep/nested boundary: in a run of 1024 keys (a 10-bit digit, bits
-	// 20–29 here) every bucket holds one key except one that holds exactly
-	// insertionBound (the sweep orders it) or one more (a nested pass orders
-	// it before the sweep), at the first, a middle and
-	// the last digit. The crowded bucket's keys share a few low values, so
-	// it holds ties too.
-	const n = 1 << 10
-	for _, size := range []int{insertionBound, insertionBound + 1} {
-		for _, digit := range []uint64{0, n / 2, n - 1} {
-			ws := make([]uint64, 0, n)
-			for _, d := range rng.Perm(n) {
-				if uint64(d) != digit && len(ws) < n-size {
-					ws = append(ws, uint64(d)<<20|uint64(rng.Intn(1<<20)))
+			s := uint(bits.Len(uint(n - 1)))
+			k0 := slices.Min(ks)
+			drop := max(bits.Len64(slices.Max(ks)-k0)+int(s)-64, 0)
+			words := make([]uint64, n)
+			var diff uint64
+			for i, k := range ks {
+				words[i] = (k-k0)>>drop<<s | uint64(i)
+				diff |= words[i] ^ words[0]
+			}
+			want := slices.Clone(words)
+			slices.Sort(want)
+			if diff>>s != 0 {
+				a.radixSortWords(words, make([]uint64, n), diff, 0)
+			}
+			if !slices.Equal(words, want) {
+				t.Fatalf("%s n=%d: words out of order", shape.name, n)
+			}
+			if drop != 0 {
+				continue
+			}
+			for j := 1; j < n; j++ {
+				x, y := words[j-1]&(1<<s-1), words[j]&(1<<s-1)
+				if ks[x] > ks[y] || ks[x] == ks[y] && x > y {
+					t.Fatalf("%s n=%d: tuple %d (key %x) sorts before tuple %d (key %x)", shape.name, n, x, ks[x], y, ks[y])
 				}
 			}
-			for range size {
-				ws = append(ws, digit<<20|uint64(rng.Intn(16)))
-			}
-			rng.Shuffle(n, func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
-			check(fmt.Sprintf("bucket=%d@digit%d", size, digit), ws)
 		}
 	}
 }
 
-// TestRadixSortWordsShapes drives the word path's ordering pass alone the
-// way TestRadixSortKeysShapes drives the 16-byte one: packed words (a time
+// TestRadixSortWordsShapes drives the ordering pass alone through the word
+// distributions that decide which of its steps run: packed words (a time
 // offset above an arrival index, so all distinct) whose offsets spread, sit
-// in one bucket but for a straggler, form two far clusters, nest a bucket
-// past insertionBound per pass, tie (only the index varies), descend or fill
-// the word, at sizes around insertionBound and the counting pass's 12-bit
-// cap, and a run where one bucket holds exactly insertionBound words or one
-// more. It compares with a comparison sort.
+// in one bucket but for a straggler (within 2⁸ or 2³⁶ of each other), form
+// two far clusters, put two thirds of the run in one bucket, nest a bucket
+// past insertionBound per pass, tie (only the index varies), are all zero,
+// differ in the lowest bit only, descend or fill the word, at sizes around
+// insertionBound and the counting pass's 12-bit cap, and a run where one
+// bucket holds exactly insertionBound words or one more. It compares with a
+// comparison sort.
 func TestRadixSortWordsShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	shapes := []struct {
@@ -658,6 +696,12 @@ func TestRadixSortWordsShapes(t *testing.T) {
 			}
 			return uint64(rng.Intn(256))
 		}},
+		{"onebucket/wide", func(i, n int, s uint) uint64 {
+			if i == n/2 {
+				return 1 << 40
+			}
+			return rng.Uint64() & (1<<36 - 1)
+		}},
 		{"twoclusters", func(i, n int, s uint) uint64 { return uint64(rng.Intn(2))<<40 + uint64(rng.Intn(64)) }},
 		{"nested", func(i, n int, s uint) uint64 {
 			if i < 4 {
@@ -665,7 +709,15 @@ func TestRadixSortWordsShapes(t *testing.T) {
 			}
 			return uint64(rng.Intn(8))
 		}},
+		{"onebig", func(i, n int, s uint) uint64 {
+			if i%3 == 0 {
+				return uint64(rng.Int63n(1 << 48))
+			}
+			return 1<<47 + uint64(rng.Intn(1<<20)) // two thirds of the run in one bucket
+		}},
 		{"ties", func(i, n int, s uint) uint64 { return 5 }},
+		{"allequal", func(i, n int, s uint) uint64 { return 0 }},
+		{"lowbit", func(i, n int, s uint) uint64 { return uint64(rng.Intn(2)) }},
 		{"descending", func(i, n int, s uint) uint64 { return uint64(n-i) << 20 }},
 		{"fullwidth", func(i, n int, s uint) uint64 { return rng.Uint64() >> s }},
 	}
@@ -982,13 +1034,36 @@ func TestPushWakesOnlyAtAwaitedHorizon(t *testing.T) {
 
 // TestAcquireSteadyStateAllocs gates the assembly's scratch reuse: once the
 // buffers have seen an epoch of this size, push + Acquire allocates nothing —
-// with ascending IDs (the duplicate window's high-water mark) and with
-// shuffled ones (the window indexes every epoch, and assembly sorts by ID).
+// with ascending IDs (the duplicate window's high-water mark), with shuffled
+// ones (the window indexes every epoch, and the tie pass orders IDs), on
+// tied thousandths with shuffled IDs (the tie pass's insertion), with every
+// 16th tuple half an epoch late (refit), and at one instant whose IDs mix
+// the gateway's and the producers' ranges (the tie pass's comparison sort).
 func TestAcquireSteadyStateAllocs(t *testing.T) {
-	for _, shuffled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("shuffled=%v", shuffled), func(t *testing.T) {
+	uniform := func(rng *rand.Rand, i int, epoch float64) float64 { return epoch + rng.Float64() }
+	for _, c := range []struct {
+		name     string
+		late     LatePolicy
+		shuffled bool
+		gateway  bool // every other tuple leaves its ID to the gateway
+		t        func(rng *rand.Rand, i int, epoch float64) float64
+	}{
+		{name: "shuffled=false", t: uniform},
+		{name: "shuffled=true", shuffled: true, t: uniform},
+		{name: "ties/shuffled", shuffled: true, t: func(rng *rand.Rand, i int, epoch float64) float64 {
+			return epoch + float64(rng.Intn(1000))/1000
+		}},
+		{name: "late", late: LateNextEpoch, t: func(rng *rand.Rand, i int, epoch float64) float64 {
+			if i%16 == 0 {
+				return epoch - 0.5
+			}
+			return epoch + rng.Float64()
+		}},
+		{name: "oneinstant/gateway", gateway: true, t: func(rng *rand.Rand, i int, epoch float64) float64 { return epoch + 0.5 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			region := geom.NewRect(0, 0, 8, 8)
-			q := NewQueue(Config{Region: region})
+			q := NewQueue(Config{Region: region, Late: c.late})
 			src, err := NewQueueSource(q, region)
 			if err != nil {
 				t.Fatal(err)
@@ -1000,13 +1075,18 @@ func TestAcquireSteadyStateAllocs(t *testing.T) {
 			for i := range ids {
 				ids[i] = uint64(i + 1)
 			}
-			if shuffled {
+			if c.shuffled {
 				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			if c.gateway {
+				for i := 0; i < len(ids); i += 2 {
+					ids[i] = 0
+				}
 			}
 			epoch := 0.0
 			run := func() {
 				for i := range batch {
-					batch[i] = stream.Tuple{ID: ids[i], Attr: attrs[i%len(attrs)], T: epoch + rng.Float64(), X: 1, Y: 1}
+					batch[i] = stream.Tuple{ID: ids[i], Attr: attrs[i%len(attrs)], T: c.t(rng, i, epoch), X: 1, Y: 1}
 				}
 				if _, err := q.Push(batch, epoch+1); err != nil {
 					t.Fatal(err)
@@ -1018,7 +1098,7 @@ func TestAcquireSteadyStateAllocs(t *testing.T) {
 				epoch++
 			}
 			for i := 0; i < 4; i++ {
-				run() // warm both swap buffers, the ID window, the keys and the result map
+				run() // warm both swap buffers, the ID window, the words and the result map
 			}
 			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 				t.Fatalf("steady-state push + Acquire allocates %.1f times per epoch, want 0", allocs)

@@ -38,12 +38,11 @@ func NewQueueSource(q *Queue, region geom.Rect) (*QueueSource, error) {
 
 // Acquire closes the epoch ending at t1 and returns its observations as one
 // batch per attribute over the epoch window, each (T, ID)-sorted with ties
-// in arrival order. Only the detach holds the queue's lock; from there the
-// tuples are ordered by one 8-byte word each, their time offset from t0 above
-// their arrival index (assemble.go), and gathered once into per-attribute
-// runs of one scratch slice, which the batches alias — never the detached
-// buffer, which the next Acquire hands back to producers.
-// An epoch with no observations is a nil map.
+// in arrival order. Only the detach holds the queue's lock; every epoch is
+// then ordered by one 8-byte word per tuple (assemble.go) and gathered once
+// into one scratch slice, which the batches alias — never the detached
+// buffer, which the next Acquire hands back to producers. An epoch with no
+// observations is a nil map.
 func (s *QueueSource) Acquire(t0, t1 float64) (map[string]stream.Batch, error) {
 	s.detached = s.q.detach(t1, s.detached)
 	if len(s.detached) == 0 {

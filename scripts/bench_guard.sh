@@ -20,7 +20,8 @@
 # BenchmarkFlattenSteady (one F-operator over a moving window with fresh
 # tuples per batch, the daemon's shape), BenchmarkEpochAssembly (the serial
 # prefix of an epoch on the end-to-end benchmark's shapes, plus onebucket,
-# the ordering pass's worst case, and ids=shuffled, the 16-byte key path;
+# the ordering pass's worst case, and the rows that take the tie pass or
+# rebuilt words: ids=shuffled, late, ids=interleaved and oneinstant;
 # compared by ns/tuple, see below), BenchmarkTopologyConstruction (a
 # session's fleet of operators and their generators built from nothing) and
 # BenchmarkJSONLinesExport (the ndjson result encoder on short decimals, which
