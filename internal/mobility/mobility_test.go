@@ -114,6 +114,9 @@ func TestHotspotWalkerValidation(t *testing.T) {
 	if _, err := NewHotspotWalker(region(), spots, 1, 2, 0, nil); err == nil {
 		t.Error("nil RNG should error")
 	}
+	if _, err := NewHotspotWalker(region(), spots, 1, 2, -1, rng); err == nil {
+		t.Error("negative dwell should error")
+	}
 }
 
 func TestHotspotWalkerConcentratesAroundSpot(t *testing.T) {

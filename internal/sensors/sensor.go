@@ -57,7 +57,7 @@ func (m ResponseModel) RespondProb(incentive float64) float64 {
 // carries the value observed at response time at the sensor's true position.
 type Sensor struct {
 	ID       int
-	Walker   mobility.Walker
+	Walker   *mobility.Walker
 	Response ResponseModel
 	GPSStd   float64 // standard deviation of reported-position error
 	rng      *stats.RNG
@@ -65,7 +65,7 @@ type Sensor struct {
 
 // NewSensor constructs a sensor. Each sensor owns an independent RNG fork so
 // fleets are deterministic regardless of iteration order.
-func NewSensor(id int, w mobility.Walker, resp ResponseModel, gpsStd float64, rng *stats.RNG) (*Sensor, error) {
+func NewSensor(id int, w *mobility.Walker, resp ResponseModel, gpsStd float64, rng *stats.RNG) (*Sensor, error) {
 	if w == nil {
 		return nil, errors.New("sensors: NewSensor requires a walker")
 	}
@@ -160,26 +160,13 @@ func (f *Fleet) InRect(r geom.Rect) []*Sensor {
 	return out
 }
 
-// savableWalker is a walker whose motion state a fleet snapshot can keep —
-// the waypoint walkers BuildFleet makes.
-type savableWalker interface {
-	mobility.Walker
-	EncodeState(w *codec.Writer)
-	DecodeState(r *codec.Reader)
-}
-
 // EncodeState appends every sensor's generator and walker state to w, in
-// fleet order; every walker must be one BuildFleet makes.
+// fleet order.
 func (f *Fleet) EncodeState(w *codec.Writer) {
 	w.Uvarint(uint64(len(f.Sensors)))
 	for _, s := range f.Sensors {
-		sw, ok := s.Walker.(savableWalker)
-		if !ok {
-			w.Fail(fmt.Errorf("sensors: sensor %d's walker %T cannot be saved", s.ID, s.Walker))
-			return
-		}
 		s.rng.EncodeState(w)
-		sw.EncodeState(w)
+		s.Walker.EncodeState(w)
 	}
 }
 
@@ -191,13 +178,8 @@ func (f *Fleet) DecodeState(r *codec.Reader) {
 		return
 	}
 	for _, s := range f.Sensors {
-		sw, ok := s.Walker.(savableWalker)
-		if !ok {
-			r.Failf("sensor %d's walker %T cannot be restored", s.ID, s.Walker)
-			return
-		}
 		s.rng.DecodeState(r)
-		sw.DecodeState(r)
+		s.Walker.DecodeState(r)
 	}
 }
 
@@ -230,7 +212,7 @@ func BuildFleet(region geom.Rect, cfg FleetConfig, rng *stats.RNG) (*Fleet, erro
 	for i := 0; i < cfg.N; i++ {
 		wrng := rng.Fork()
 		var (
-			w   mobility.Walker
+			w   *mobility.Walker
 			err error
 		)
 		if len(cfg.Hotspots) == 0 || i < nUniform {

@@ -319,6 +319,12 @@ func TestBuildFleet(t *testing.T) {
 	if _, err := BuildFleet(region(), FleetConfig{N: 1, Response: respModel(), UniformFraction: 2}, stats.NewRNG(1)); err == nil {
 		t.Error("bad uniform fraction should error")
 	}
+	// A negative dwell must be refused for hotspot walkers too: stepping one
+	// would never return.
+	negDwell := FleetConfig{N: 4, Hotspots: cfg.Hotspots, Dwell: -1, Response: respModel()}
+	if _, err := BuildFleet(region(), negDwell, stats.NewRNG(1)); err == nil {
+		t.Error("negative dwell should error")
+	}
 }
 
 func TestBuildFleetSkew(t *testing.T) {

@@ -57,14 +57,13 @@ type Record struct {
 	Type Type
 
 	// TypeSubmit: the query in normalized form. Rect is MinX,MinY,MaxX,MaxY.
-	// QueryID is the engine-assigned ID (also TypeDelete's target). Mode is
-	// the merge mode older engines recorded a planned submission with;
-	// engines now write "" and replay never reads it.
+	// QueryID is the engine-assigned ID (also TypeDelete's target). The
+	// payload ends in a string slot where older engines recorded a merge
+	// mode: encode writes it empty and decode skips it.
 	QueryID string
 	Attr    string
 	Rect    [4]float64
 	Rate    float64
-	Mode    string
 
 	// TypePush: raw batch + watermark argument (NaN = no assertion).
 	Tuples    []stream.Tuple
@@ -80,7 +79,7 @@ type Record struct {
 // — treated as a torn tail by Replay.
 var errCorruptRecord = errors.New("wal: corrupt record payload")
 
-// MaxStringLen bounds every string field (query IDs, attrs, merge modes):
+// MaxStringLen bounds every string field (query IDs, attributes):
 // the on-disk framing prefixes strings with a uint16 length.
 const MaxStringLen = math.MaxUint16
 
@@ -102,8 +101,8 @@ func (r *Record) Check() error {
 	}
 	switch r.Type {
 	case TypeSubmit:
-		size += 4*8 + 8
-		if !str(r.QueryID) || !str(r.Attr) || !str(r.Mode) {
+		size += 4*8 + 8 + 2 // rect, rate, the empty merge-mode slot
+		if !str(r.QueryID) || !str(r.Attr) {
 			return fmt.Errorf("%w: string field exceeds %d bytes", ErrRecordTooLarge, MaxStringLen)
 		}
 	case TypeDelete:
@@ -155,7 +154,7 @@ func (r *Record) encode(dst []byte) []byte {
 			dst = appendFloat64(dst, v)
 		}
 		dst = appendFloat64(dst, r.Rate)
-		dst = appendString(dst, r.Mode)
+		dst = appendString(dst, "") // merge-mode slot
 	case TypeDelete:
 		dst = appendString(dst, r.QueryID)
 	case TypePush:
@@ -248,7 +247,7 @@ func (r *Record) decode(payload []byte) error {
 			r.Rect[i] = d.float64()
 		}
 		r.Rate = d.float64()
-		r.Mode = d.string()
+		d.string() // merge-mode slot
 	case TypeDelete:
 		r.QueryID = d.string()
 	case TypePush:

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -36,7 +37,7 @@ func openForAppend(t *testing.T, dir string, cfg Config) (*Log, ReplayReport, []
 
 func sampleRecords() []Record {
 	return []Record{
-		{Type: TypeSubmit, QueryID: "Q1", Attr: "rain", Rect: [4]float64{0, 0, 4, 4}, Rate: 3.5, Mode: "hier"},
+		{Type: TypeSubmit, QueryID: "Q1", Attr: "rain", Rect: [4]float64{0, 0, 4, 4}, Rate: 3.5},
 		{Type: TypePush, Watermark: math.NaN(), Tuples: []stream.Tuple{
 			{ID: 7, Attr: "rain", T: 0.25, X: 1, Y: 2, Value: 0.9, Sensor: -1},
 			{ID: 0, Attr: "temp", T: 0.5, X: 3, Y: 3.5, Value: 21.25, Sensor: 4},
@@ -99,6 +100,32 @@ func TestRoundTrip(t *testing.T) {
 	recordsEqual(t, want, got)
 	if st := l2.Stats(); st.Records != uint64(len(want)) {
 		t.Fatalf("Stats.Records = %d, want %d", st.Records, len(want))
+	}
+}
+
+// TestSubmitMergeModeSlot pins the submit record's bytes: a payload ends
+// in a string slot where older engines wrote a merge mode ("hier" below).
+// Such logs must still replay, and new records leave the slot empty.
+func TestSubmitMergeModeSlot(t *testing.T) {
+	const (
+		older = "010200513104007261696e00000000000000000000000000000000000000000000104000000000000010400000000000000c40040068696572"
+		empty = "010200513104007261696e00000000000000000000000000000000000000000000104000000000000010400000000000000c400000"
+	)
+	want := sampleRecords()[0]
+	payload, err := hex.DecodeString(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Record
+	if err := got.decode(payload); err != nil {
+		t.Fatalf("decoding a submit record with a merge mode: %v", err)
+	}
+	recordsEqual(t, []Record{want}, []Record{got})
+	if enc := hex.EncodeToString(want.encode(nil)); enc != empty {
+		t.Fatalf("submit record encodes as %s, want %s", enc, empty)
+	}
+	if err := want.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
